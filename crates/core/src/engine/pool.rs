@@ -10,6 +10,14 @@
 //! * the completion latch **spins briefly before parking**, because the straggler
 //!   shard usually finishes within a few microseconds of the caller's own job.
 //!
+//! An idle worker likewise spin-polls for its next job before parking, and that
+//! spin is bounded by **elapsed time** (`IDLE_SPIN`), not by an iteration count:
+//! the spin exists to save one park/unpark round trip (35–66 µs measured), so it
+//! may burn a few hundred microseconds of an otherwise idle core and no more. An
+//! iteration bound means whatever the host's `try_recv` costs — 50,000 polls were
+//! 1.4 ms here — and several engines in one process (a fleet's nodes) then spin
+//! for longer than a query takes, on cores the threads with real work need.
+//!
 //! [`WorkerPool::run_scoped`] provides the scoped-thread guarantee that makes
 //! borrowed jobs sound: it does not return until every submitted job has run.
 
@@ -19,7 +27,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long an idle worker spin-polls for its next job before parking. Long enough
+/// to catch the next dispatch of a closed-loop query stream (one scan plus one
+/// round trip later), short enough that an engine nobody is querying gives its
+/// core away.
+const IDLE_SPIN: Duration = Duration::from_micros(500);
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -118,18 +132,22 @@ impl WorkerPool {
                         // Spin-poll briefly after each job: under sustained query
                         // traffic the next dispatch lands within microseconds, and
                         // skipping the park/unpark round trip more than pays for
-                        // the bounded busy-wait.
-                        let mut next = None;
-                        for _ in 0..50_000 {
+                        // the busy-wait, which `IDLE_SPIN` bounds (the clock is
+                        // read every 64 polls).
+                        let spin_started = Instant::now();
+                        let mut polls = 0u32;
+                        let next = loop {
                             match rx.try_recv() {
-                                Ok(job) => {
-                                    next = Some(job);
-                                    break;
-                                }
-                                Err(std::sync::mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+                                Ok(job) => break Some(job),
+                                Err(std::sync::mpsc::TryRecvError::Empty) => {}
                                 Err(std::sync::mpsc::TryRecvError::Disconnected) => return,
                             }
-                        }
+                            polls += 1;
+                            if polls.is_multiple_of(64) && spin_started.elapsed() >= IDLE_SPIN {
+                                break None;
+                            }
+                            std::hint::spin_loop();
+                        };
                         match next.map_or_else(|| rx.recv(), Ok) {
                             Ok(job) => job(),
                             Err(_) => return,
@@ -371,6 +389,28 @@ mod tests {
             .collect();
         pool.run_scoped(jobs);
         assert_eq!(results, (0..10u64).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn parked_worker_still_runs_the_next_job() {
+        let pool = WorkerPool::new(2);
+        let run = |round: u64| {
+            let mut results = [0u64; 3];
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
+                .iter_mut()
+                .enumerate()
+                .map(|(i, slot)| {
+                    Box::new(move || *slot = round + i as u64) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run_scoped(jobs);
+            results
+        };
+        assert_eq!(run(10), [10, 11, 12]);
+        // Well past the spin bound: both workers have given up polling and
+        // parked in `recv`; the next dispatch must wake them.
+        std::thread::sleep(IDLE_SPIN * 20);
+        assert_eq!(run(20), [20, 21, 22]);
     }
 
     #[test]

@@ -23,6 +23,19 @@
 //! every [`Service::call`]; the coordinator has no background thread, which
 //! keeps every test deterministic).
 //!
+//! ## The read path
+//!
+//! A query costs one forward hop plus the slowest node's share of the scan.
+//! The scatter *submits* the forward to every live shard-holder
+//! ([`ResilientClient::submit`]) before it *completes* any of them, in
+//! node-id order, so the nodes scan side by side; every flight of a round is
+//! completed before a failed node is failed over and the round repeated.
+//! When the coordinator's hub coalesces several clients' queries into a
+//! group, the group travels as **one** [`Request::BatchQuery`] forward (see
+//! the [`FusedService`] impl) and each node answers it with one fused plane
+//! pass. Writes keep their sequential forward — fleet-wide at-most-once is a
+//! property of that order.
+//!
 //! ## Failover
 //!
 //! The coordinator keeps a full **mirror** of the index (the same
@@ -51,9 +64,12 @@
 //!
 //! §6 leakage note: registration, heartbeat and shard-shipping traffic is
 //! server-side topology maintenance — none of it depends on queries, so the
-//! fleet adds no observable channel beyond what a single server leaks.
+//! fleet adds no observable channel beyond what a single server leaks. A
+//! fused forward carries exactly the query bits the nodes would have received
+//! one query at a time, and scattering concurrently reorders only the
+//! server side's own work — neither shows a node anything new.
 
-use crate::resilient::{Connector, ResilientClient, RetryPolicy};
+use crate::resilient::{Connector, InFlight, ResilientClient, RetryPolicy};
 use crate::FusedService;
 use mkse_core::storage::{IndexStore, ShardedStore};
 use mkse_core::telemetry::{Counter, Gauge, Stage, Telemetry, TelemetryLevel};
@@ -62,9 +78,9 @@ use mkse_core::{
     RankedDocumentIndex, SystemParams,
 };
 use mkse_protocol::{
-    BatchSearchReply, CacheReport, DocumentReply, EncryptedDocumentTransfer, NodeCapabilities,
-    NodeRegistration, OperationCounters, ProtocolError, QueryMessage, Request, Response,
-    SearchReply, SearchResultEntry, ServerInfo, Service, ShardAssignment, UploadMessage,
+    BatchQueryMessage, BatchSearchReply, CacheReport, DocumentReply, EncryptedDocumentTransfer,
+    NodeCapabilities, NodeRegistration, OperationCounters, ProtocolError, QueryMessage, Request,
+    Response, SearchReply, SearchResultEntry, ServerInfo, Service, ShardAssignment, UploadMessage,
 };
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -398,16 +414,6 @@ impl Coordinator {
             .find(|&s| self.owner_of[s].is_none() && !self.mirror.shard_documents(s).is_empty())
     }
 
-    /// Live nodes that hold at least one shard (nodes without shards hold no
-    /// documents and need not be scattered to).
-    fn scatter_targets(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .filter(|(_, n)| n.alive && !n.shards.is_empty())
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     fn no_coverage_error(&self, shard: usize) -> Response {
         Response::Error(ProtocolError::Unsupported(format!(
             "fleet cannot cover the corpus: no live node serves global shard {shard}"
@@ -431,10 +437,31 @@ impl Coordinator {
         }
     }
 
-    /// Scatter a request to every shard-holding live node, collecting one
-    /// reply per node via `extract`. Any node error fails that node over and
-    /// re-scatters — each round kills at least one node, so the loop
-    /// terminates. Queries are idempotent, so resubmission is always safe.
+    /// [`Coordinator::merge`] per member of a batch. `collected[n][i]` is
+    /// node `n`'s reply to member `i` (every node answered `tops.len()`
+    /// members — checked where the replies were extracted); member `i` is
+    /// truncated to its own `tops[i]`.
+    fn merge_batch(collected: Vec<Vec<SearchReply>>, tops: &[Option<usize>]) -> Vec<SearchReply> {
+        let mut per_node: Vec<_> = collected.into_iter().map(Vec::into_iter).collect();
+        tops.iter()
+            .map(|&top| {
+                let parts = per_node
+                    .iter_mut()
+                    .map(|replies| replies.next().expect("one reply per member").matches)
+                    .collect();
+                Self::merge(parts, top)
+            })
+            .collect()
+    }
+
+    /// Scatter a request to every shard-holding live node — submitted to all
+    /// of them before any reply is awaited, so the nodes work side by side
+    /// and a round costs the slowest node, not their sum — then collect one
+    /// reply per node via `extract`, in node-id order. Every flight of a round
+    /// is completed before anything else happens to its client; then the
+    /// first node that failed is failed over and the loop re-scatters — each
+    /// round kills at least one node, so it terminates. Queries are
+    /// idempotent, so resubmission is always safe.
     #[allow(clippy::result_large_err)] // the Err is the Response sent to the caller
     fn scatter<T>(
         &mut self,
@@ -445,21 +472,20 @@ impl Coordinator {
             if let Some(shard) = self.uncovered_shard() {
                 return Err(self.no_coverage_error(shard));
             }
-            let targets = self.scatter_targets();
-            let mut collected = Vec::with_capacity(targets.len());
+            let flights: Vec<(u64, InFlight)> = self
+                .nodes
+                .iter_mut()
+                .filter(|(_, n)| n.alive && !n.shards.is_empty())
+                .map(|(id, n)| (*id, n.client.submit(request)))
+                .collect();
+            let mut collected = Vec::with_capacity(flights.len());
             let mut failed = None;
-            for id in targets {
-                let node = self.nodes.get_mut(&id).unwrap();
-                let extracted = match node.client.call(request) {
-                    Ok(reply) => extract(reply),
-                    Err(_) => None,
-                };
-                match extracted {
+            for (id, flight) in flights {
+                let node = self.nodes.get_mut(&id).expect("submitted to this node");
+                let reply = node.client.complete(flight, request).ok();
+                match reply.and_then(|(_, response)| extract(response)) {
                     Some(part) => collected.push(part),
-                    None => {
-                        failed = Some(id);
-                        break;
-                    }
+                    None => failed = failed.or(Some(id)),
                 }
             }
             match failed {
@@ -469,54 +495,44 @@ impl Coordinator {
         }
     }
 
-    fn exec_query(&mut self, message: &QueryMessage) -> Response {
+    fn exec_query(&mut self, message: QueryMessage) -> Response {
         if self.mirror.is_empty() {
             return Response::Search(SearchReply {
                 matches: vec![],
                 cache: CacheReport::default(),
             });
         }
-        let request = Request::Query(message.clone());
-        match self.scatter(&request, |reply| match reply {
+        let top = message.top;
+        match self.scatter(&Request::Query(message), |reply| match reply {
             Response::Search(r) => Some(r.matches),
             _ => None,
         }) {
-            Ok(collected) => Response::Search(Self::merge(collected, message.top)),
+            Ok(collected) => Response::Search(Self::merge(collected, top)),
             Err(error) => error,
         }
     }
 
-    fn exec_batch_query(&mut self, message: &mkse_protocol::BatchQueryMessage) -> Response {
-        let queries = message.queries.len();
+    /// One `BatchQuery` scatter: the nodes see `message` as it stands (its
+    /// `top` is the widest any member asks for), and member `i` of the merged
+    /// result is truncated to `tops[i]`.
+    #[allow(clippy::result_large_err)] // the Err is the Response sent to the caller
+    fn exec_batch_query(
+        &mut self,
+        message: BatchQueryMessage,
+        tops: &[Option<usize>],
+    ) -> Result<Vec<SearchReply>, Response> {
         if self.mirror.is_empty() {
             let empty = SearchReply {
                 matches: vec![],
                 cache: CacheReport::default(),
             };
-            return Response::BatchSearch(BatchSearchReply {
-                replies: vec![empty; queries],
-            });
+            return Ok(vec![empty; tops.len()]);
         }
-        let request = Request::BatchQuery(message.clone());
-        let per_node = self.scatter(&request, |reply| match reply {
-            Response::BatchSearch(b) if b.replies.len() == queries => Some(b.replies),
+        let collected = self.scatter(&Request::BatchQuery(message), |reply| match reply {
+            Response::BatchSearch(b) if b.replies.len() == tops.len() => Some(b.replies),
             _ => None,
-        });
-        match per_node {
-            Ok(collected) => {
-                let replies = (0..queries)
-                    .map(|i| {
-                        let parts: Vec<Vec<SearchResultEntry>> = collected
-                            .iter()
-                            .map(|node_replies| node_replies[i].matches.clone())
-                            .collect();
-                        Self::merge(parts, message.top)
-                    })
-                    .collect();
-                Response::BatchSearch(BatchSearchReply { replies })
-            }
-            Err(error) => error,
-        }
+        })?;
+        Ok(Self::merge_batch(collected, tops))
     }
 
     fn exec_server_info(&mut self) -> Response {
@@ -653,11 +669,19 @@ impl Coordinator {
 
 impl Service for Coordinator {
     fn call(&mut self, request: Request) -> Response {
+        let telemetry = self.telemetry.clone();
+        let _call_span = telemetry.span(Stage::ServiceCall);
         self.telemetry.tally(Counter::RequestsServed, 1);
         self.sweep_deadlines();
         match request {
-            Request::Query(message) => self.exec_query(&message),
-            Request::BatchQuery(message) => self.exec_batch_query(&message),
+            Request::Query(message) => self.exec_query(message),
+            Request::BatchQuery(message) => {
+                let tops = vec![message.top; message.queries.len()];
+                match self.exec_batch_query(message, &tops) {
+                    Ok(replies) => Response::BatchSearch(BatchSearchReply { replies }),
+                    Err(error) => error,
+                }
+            }
             Request::Documents(req) => self.exec_documents(&req.document_ids),
             Request::Upload(upload) => self.exec_upload(upload),
             Request::SnapshotIndex => Response::Snapshot(serialize_index_store(&self.mirror)),
@@ -685,16 +709,50 @@ impl Service for Coordinator {
             }
         }
     }
+
+    /// The fleet registry: the coordinator's hub records its framed wire
+    /// traffic, codec durations and batcher waits beside the fleet gauges.
+    fn telemetry(&self) -> Option<&Telemetry> {
+        Some(&self.telemetry)
+    }
 }
 
-// The default sequential `call_query_group` is exactly right: the coordinator
-// merges per-node replies itself, and the journal-replay oracle compares
-// against a twin driven one `Service::call` at a time.
-impl FusedService for Coordinator {}
+impl FusedService for Coordinator {
+    /// A coalesced group becomes **one** `BatchQuery` scatter, so the nodes
+    /// run their fused plane pass over it. The forward asks for the widest
+    /// `top` of the group (everything, if any member is unbounded) and each
+    /// member is truncated to its own `top` at the merge — a node's top-w
+    /// list contains its top-t for every t ≤ w, so the reply is the one the
+    /// member's own `Query` scatter would have merged. Requests are counted
+    /// once per member, deadlines swept once per group.
+    fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
+        if let [only] = messages {
+            return vec![self.call(Request::Query(only.clone()))];
+        }
+        let telemetry = self.telemetry.clone();
+        let _call_span = telemetry.span(Stage::ServiceCall);
+        self.telemetry
+            .tally(Counter::RequestsServed, messages.len() as u64);
+        self.sweep_deadlines();
+        let tops: Vec<Option<usize>> = messages.iter().map(|m| m.top).collect();
+        let widest = tops
+            .iter()
+            .try_fold(0, |widest, top| top.map(|t| widest.max(t)));
+        let batch = BatchQueryMessage {
+            queries: messages.iter().map(|m| m.query.clone()).collect(),
+            top: widest,
+        };
+        match self.exec_batch_query(batch, &tops) {
+            Ok(replies) => replies.into_iter().map(Response::Search).collect(),
+            Err(error) => vec![error; messages.len()],
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultyLink};
     use crate::hub::{Hub, HubConfig, HubHandle, MemoryDialer};
     use mkse_core::{DocumentIndexer, QueryBuilder, SchemeKeys};
     use mkse_protocol::{wire, CloudServer, NodeHeartbeat};
@@ -754,11 +812,26 @@ mod tests {
         }
     }
 
+    /// A node hub that journals what it executes, so tests can see which
+    /// frames the coordinator forwarded.
     fn spawn_node(params: &SystemParams) -> HubHandle {
         Hub::spawn(
             CloudServer::with_shards(params.clone(), 2),
-            HubConfig::default(),
+            HubConfig {
+                journal: true,
+                ..HubConfig::default()
+            },
         )
+    }
+
+    /// The read requests a node executed, by envelope name, in order.
+    fn forwarded_reads(node: HubHandle) -> Vec<&'static str> {
+        node.shutdown()
+            .journal
+            .iter()
+            .map(|entry| entry.request.name())
+            .filter(|name| matches!(*name, "Query" | "BatchQuery"))
+            .collect()
     }
 
     fn clean_connector(dialer: MemoryDialer) -> Connector {
@@ -825,6 +898,30 @@ mod tests {
             "{label}: frame bytes diverged"
         );
         fleet
+    }
+
+    /// Drive a coalesced group through the fleet and its members one
+    /// `Service::call` at a time through the twin; replies and frames must be
+    /// identical, member by member.
+    fn assert_group_twin(
+        coordinator: &mut Coordinator,
+        twin: &mut CloudServer,
+        group: &[QueryMessage],
+        label: &str,
+    ) {
+        let fleet = coordinator.call_query_group(group);
+        let single: Vec<Response> = group
+            .iter()
+            .map(|m| twin.call(Request::Query(m.clone())))
+            .collect();
+        assert_eq!(fleet, single, "{label}: fused group diverged from twin");
+        for (i, (f, t)) in fleet.iter().zip(&single).enumerate() {
+            assert_eq!(
+                wire::encode_response(1, f),
+                wire::encode_response(1, t),
+                "{label}: frame bytes of member {i} diverged"
+            );
+        }
     }
 
     fn gauge(snapshot: &mkse_core::MetricsSnapshot, name: &str) -> u64 {
@@ -900,6 +997,168 @@ mod tests {
 
         node1.shutdown();
         node2.shutdown();
+    }
+
+    #[test]
+    fn fused_group_is_one_batch_forward_and_twin_identical() {
+        let fx = fixture();
+        let node1 = spawn_node(&fx.params);
+        let node2 = spawn_node(&fx.params);
+        let mut coordinator =
+            Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
+        coordinator.add_node(1, clean_connector(node1.memory_dialer()));
+        coordinator.add_node(2, clean_connector(node2.memory_dialer()));
+        let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
+        let with_top = |i: usize, top| QueryMessage {
+            top,
+            ..fx.queries[i].clone()
+        };
+
+        // An empty mirror answers the whole group locally, like the twin.
+        let bounded = [with_top(0, Some(2)), with_top(1, Some(5))];
+        assert_group_twin(&mut coordinator, &mut twin, &bounded, "empty mirror");
+
+        register(&mut coordinator, 1, 2);
+        register(&mut coordinator, 2, 0);
+        let upload = Request::Upload(UploadMessage {
+            indices: fx.indices.clone(),
+            documents: vec![],
+        });
+        assert_twin(&mut coordinator, &mut twin, upload, "seed upload");
+
+        // Mixed limits with a duplicated query: one member is unbounded, so
+        // the forward is; each member is cut to its own limit at the merge.
+        let mixed = [
+            with_top(0, None),
+            with_top(2, Some(2)),
+            with_top(0, Some(5)),
+            with_top(2, Some(2)),
+        ];
+        let served = |c: &Coordinator| c.telemetry.snapshot().counter("requests_served");
+        let before = served(&coordinator);
+        assert_group_twin(&mut coordinator, &mut twin, &mixed, "mixed tops");
+        assert_eq!(served(&coordinator) - before, 4, "counted once per member");
+        // All bounded: the forward carries the widest limit, 5.
+        assert_group_twin(&mut coordinator, &mut twin, &bounded, "bounded tops");
+        // A group of one stays a plain query.
+        assert_group_twin(&mut coordinator, &mut twin, &bounded[..1], "group of one");
+
+        for node in [node1, node2] {
+            assert_eq!(
+                forwarded_reads(node),
+                ["BatchQuery", "BatchQuery", "Query"],
+                "one fused forward per group of two or more"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_group_on_an_uncovered_shard_answers_each_member_the_typed_error() {
+        let fx = fixture();
+        let node1 = spawn_node(&fx.params);
+        let mut coordinator =
+            Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
+        coordinator.add_node(1, clean_connector(node1.memory_dialer()));
+        // One node with room for two of the four shards: 2 and 3 stay unowned.
+        register(&mut coordinator, 1, 2);
+        coordinator.call(Request::Upload(UploadMessage {
+            indices: fx.indices.clone(),
+            documents: vec![],
+        }));
+        let sequential: Vec<Response> = fx.queries[..2]
+            .iter()
+            .map(|q| coordinator.call(Request::Query(q.clone())))
+            .collect();
+        assert!(
+            matches!(
+                sequential[0],
+                Response::Error(ProtocolError::Unsupported(_))
+            ),
+            "an uncovered shard is a typed error, got {:?}",
+            sequential[0]
+        );
+        assert_eq!(coordinator.call_query_group(&fx.queries[..2]), sequential);
+        assert!(forwarded_reads(node1).is_empty(), "nothing was scattered");
+    }
+
+    /// A node whose link dies under the scatter's own submit: the failure
+    /// rides inside its flight while the round's other flights are submitted
+    /// and completed, then the node is failed over and the round repeats —
+    /// twin-identical, and every node client (the dead one's included) still
+    /// obeys the conservation law.
+    #[test]
+    fn node_killed_at_submit_drains_the_round_then_fails_over() {
+        let fx = fixture();
+        let hubs: Vec<HubHandle> = (0..3).map(|_| spawn_node(&fx.params)).collect();
+        let mut coordinator =
+            Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
+        let upload = UploadMessage {
+            indices: fx.indices.clone(),
+            documents: vec![],
+        };
+        // Node 2 serves shard 2 alone: its link carries that shard's slice of
+        // the seed upload, one whole query frame, and half of the next.
+        let forward = Request::Upload(UploadMessage {
+            indices: (fx.indices.iter().skip(2).step_by(GLOBAL_SHARDS).cloned()).collect(),
+            documents: vec![],
+        });
+        let query_len = wire::encode_request(1, &Request::Query(fx.queries[0].clone())).len();
+        let budget = (wire::encode_request(1, &forward).len() + query_len + query_len / 2) as u64;
+        for (hub, node_id) in hubs.iter().zip(1u64..) {
+            let dialer = hub.memory_dialer();
+            coordinator.add_node(
+                node_id,
+                Box::new(move |ordinal| {
+                    let (reader, writer) = dialer.connect().split();
+                    let kill_after_bytes = match (node_id, ordinal) {
+                        (2, 0) => Some(budget),
+                        (2, _) => Some(0),
+                        _ => None,
+                    };
+                    let plan = FaultPlan {
+                        kill_after_bytes,
+                        ..FaultPlan::healthy(node_id)
+                    };
+                    let (r, w, _h) = FaultyLink::wrap(Box::new(reader), Box::new(writer), plan);
+                    Ok((Box::new(r) as _, Box::new(w) as _))
+                }),
+            );
+        }
+        let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
+        assert_eq!(register(&mut coordinator, 1, 2).shards, vec![0, 1]);
+        assert_eq!(register(&mut coordinator, 2, 1).shards, vec![2]);
+        assert_eq!(register(&mut coordinator, 3, 0).shards, vec![3]);
+        assert_twin(&mut coordinator, &mut twin, Request::Upload(upload), "seed");
+
+        for (i, q) in fx.queries.iter().enumerate() {
+            assert_twin(
+                &mut coordinator,
+                &mut twin,
+                Request::Query(q.clone()),
+                &format!("query {i}"),
+            );
+        }
+        assert_eq!(coordinator.live_nodes(), vec![1, 3]);
+        assert_eq!(coordinator.telemetry.snapshot().counter("failovers"), 1);
+        assert_twin(&mut coordinator, &mut twin, Request::ServerInfo, "corpus");
+
+        for (id, node) in &coordinator.nodes {
+            let stats = node.client.stats();
+            assert_eq!(
+                stats.attempts,
+                stats.successes + stats.sheds + stats.link_faults,
+                "node {id}: a flight was left undrained: {stats:?}"
+            );
+        }
+        let dead = coordinator.nodes[&2].client.stats();
+        assert_eq!(dead.link_faults, 3, "the torn submit plus two dead redials");
+        // Node 3 answered the killed round *and* its repeat.
+        let survivor = coordinator.nodes[&3].client.stats();
+        assert_eq!(survivor.successes, survivor.attempts);
+        assert_eq!(
+            forwarded_reads(hubs.into_iter().nth(2).unwrap()).len(),
+            fx.queries.len() + 1
+        );
     }
 
     #[test]

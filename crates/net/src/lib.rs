@@ -37,20 +37,25 @@
 //! On top of the transport sits the **fleet layer** ([`coordinator`],
 //! [`node`]): shard-server nodes — each a `CloudServer` behind its own hub —
 //! register with a [`coordinator::Coordinator`] over the same framed codec
-//! (`RegisterNode` / `NodeHeartbeat` envelope ops), which scatter-gathers
-//! queries across live nodes, merges replies in canonical rank order, and on
+//! (`RegisterNode` / `NodeHeartbeat` envelope ops), which scatters each
+//! query to all live nodes at once (and a coalesced group of queries as one
+//! fused `BatchQuery`), merges replies in canonical rank order, and on
 //! a node death (missed health deadline or exhausted retries) re-homes the
 //! lost shards onto survivors from layout-independent per-shard snapshots
 //! plus an insert journal:
 //!
 //! ```text
-//!   clients ──▶ coordinator hub ──▶ Coordinator (Service)
-//!                                     │  mirror store + doc bodies + per-shard checkpoints
-//!                                     │  scatter/merge · health deadlines · failover
+//!   clients ──▶ coordinator hub ──▶ Coordinator (Service + FusedService)
+//!               (batcher: k queries     │  mirror store + doc bodies + per-shard checkpoints
+//!                ─▶ one group)          │  scatter/merge · health deadlines · failover
 //!                         ResilientClient per node (retry_non_idempotent OFF)
-//!                                     ▼
+//!                         reads: submit to every node, then complete each
+//!                         (a group of k ≥ 2 = one BatchQuery); writes: one by one
+//!                               ▼                           ▼
 //!                node hub ──▶ CloudServer     node hub ──▶ CloudServer   …
-//!                (NodeRunner: register + heartbeat over the control plane)
+//!                (the coordinator's link is a node hub's only connection, so
+//!                 forwards run on arrival; NodeRunner registers and beats over
+//!                 the control plane, reading its own registry for the payload)
 //! ```
 //!
 //! The house invariant survives the fleet: every completed reply is
@@ -74,7 +79,7 @@ pub use frame::FrameBuffer;
 pub use hub::{Hub, HubConfig, HubHandle, HubReport, JournalEntry, MemoryDialer};
 pub use link::{memory_duplex, LinkReader, LinkWriter, MemoryLink, MemoryReader, MemoryWriter};
 pub use node::{NodeConfig, NodeError, NodeRunner};
-pub use resilient::{Connector, ResilienceStats, ResilientClient, RetryPolicy};
+pub use resilient::{Connector, InFlight, ResilienceStats, ResilientClient, RetryPolicy};
 
 use mkse_protocol::{CloudServer, QueryMessage, Request, Response, Service};
 

@@ -9,9 +9,12 @@
 //! * a **control plane** — a [`ResilientClient`] to the coordinator through
 //!   which the node registers ([`NodeRunner::register`]) and beats
 //!   ([`NodeRunner::heartbeat`]). The heartbeat payload is the node's own
-//!   telemetry snapshot, read back over its own hub (`MetricsSnapshot` on a
-//!   loopback client) — the heartbeat *is* the existing metrics envelope, no
-//!   new observable channel.
+//!   telemetry snapshot, read straight from the server's registry (a handle
+//!   cloned before the server moved onto the hub's dispatcher) — the same
+//!   snapshot `MetricsSnapshot` would answer, without crossing the hub. The
+//!   coordinator's link therefore stays the node hub's only connection, so
+//!   every forwarded query takes the hub's solo fast path instead of waiting
+//!   out a batch window for company that cannot come.
 //!
 //! Heartbeats are driven by the caller, never by a background thread: tests
 //! and benches beat explicitly, which keeps seeded failure schedules
@@ -20,10 +23,11 @@
 use crate::client::ClientError;
 use crate::hub::{Hub, HubConfig, HubReport, MemoryDialer};
 use crate::resilient::{Connector, ResilienceStats, ResilientClient, RetryPolicy};
+use mkse_core::telemetry::Telemetry;
 use mkse_core::SystemParams;
 use mkse_protocol::{
     CloudServer, NodeCapabilities, NodeHeartbeat, NodeRegistration, ProtocolError, Request,
-    Response, ShardAssignment,
+    Response, Service, ShardAssignment,
 };
 
 /// Everything a node needs besides the coordinator's address.
@@ -91,9 +95,8 @@ pub struct NodeRunner {
     node_id: u64,
     capabilities: NodeCapabilities,
     hub: crate::hub::HubHandle,
-    /// Loopback into the node's own hub: reads the telemetry snapshot that
-    /// heartbeats carry.
-    loopback: ResilientClient,
+    /// The server's registry (shared handle): heartbeats carry its snapshot.
+    telemetry: Telemetry,
     /// Control-plane client to the coordinator.
     control: ResilientClient,
     assignment: Option<ShardAssignment>,
@@ -105,21 +108,18 @@ impl NodeRunner {
     /// coordinator hub's [`MemoryDialer`], possibly fault-wrapped).
     pub fn spawn(params: SystemParams, config: NodeConfig, coordinator: Connector) -> NodeRunner {
         let server = CloudServer::with_shards(params, config.local_shards.max(1));
+        let telemetry = server
+            .telemetry()
+            .expect("a CloudServer keeps a registry")
+            .clone();
         let hub = Hub::spawn(server, config.hub);
-        let dialer = hub.memory_dialer();
-        let loopback: Connector = Box::new(move |_ordinal| {
-            let (reader, writer) = dialer.connect().split();
-            Ok((Box::new(reader) as _, Box::new(writer) as _))
-        });
-        let loopback = ResilientClient::new(loopback, RetryPolicy::default())
-            .with_first_request_id(config.node_id.wrapping_mul(1_000_000_000) + 500_000_001);
         let control = ResilientClient::new(coordinator, config.policy)
             .with_first_request_id(config.node_id.wrapping_mul(1_000_000_000) + 750_000_001);
         NodeRunner {
             node_id: config.node_id,
             capabilities: config.capabilities,
             hub,
-            loopback,
+            telemetry,
             control,
             assignment: None,
         }
@@ -174,17 +174,12 @@ impl NodeRunner {
         self.expect_assignment(reply, "RegisterNode")
     }
 
-    /// One liveness beat: snapshot the node's own telemetry through its hub
-    /// and send it to the coordinator; the answer is the current assignment.
+    /// One liveness beat: send the node's own telemetry snapshot to the
+    /// coordinator; the answer is the current assignment.
     pub fn heartbeat(&mut self) -> Result<ShardAssignment, NodeError> {
-        let metrics = match self.loopback.call(&Request::MetricsSnapshot)? {
-            Response::MetricsReport(snapshot) => snapshot,
-            Response::Error(e) => return Err(NodeError::Refused(e)),
-            _ => return Err(NodeError::UnexpectedReply("MetricsSnapshot")),
-        };
         let request = Request::NodeHeartbeat(NodeHeartbeat {
             node_id: self.node_id,
-            metrics,
+            metrics: self.telemetry.snapshot(),
         });
         let reply = self.control.call(&request);
         self.expect_assignment(reply, "NodeHeartbeat")
@@ -287,6 +282,9 @@ mod tests {
             .find(|(n, _)| n == "nodes_live")
             .map(|(_, v)| *v);
         assert_eq!(live, Some(2));
+        // The coordinator's registry is its hub's registry too: the two
+        // registrations and the beat crossed it as counted frames.
+        assert_eq!(snapshot.counter("wire_frames_in"), 3);
 
         // A node nobody wired refuses politely, over the wire.
         let mut stranger = NodeRunner::spawn(

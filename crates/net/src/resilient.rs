@@ -28,6 +28,19 @@
 //! `attempts == successes + sheds + link_faults` holds exactly
 //! ([`ResilienceStats`]); `tests/net_chaos.rs` asserts it under seeded fault
 //! plans.
+//!
+//! ## Split calls
+//!
+//! [`ResilientClient::call`] is [`ResilientClient::submit`] followed by
+//! [`ResilientClient::complete`], and a caller may pull the two apart:
+//! `submit` puts the first attempt on the wire and returns an [`InFlight`]
+//! without waiting; `complete` awaits that attempt and then runs the one
+//! classify / back-off / retry loop. The fleet coordinator submits a query to
+//! every node before completing any, so the nodes scan side by side. The
+//! rule that keeps the conservation law exact: **every flight must be
+//! completed**, on the client that issued it and with the request it was
+//! submitted with — `submit` counts the attempt, only `complete` books how it
+//! ended.
 
 use crate::client::{ClientError, NetClient};
 use crate::link::{LinkReader, LinkWriter};
@@ -329,17 +342,37 @@ impl ResilientClient {
     /// attempt that produced the reply — the id under which the hub journaled
     /// (or shed) it, which is what equivalence oracles correlate on.
     pub fn call_traced(&mut self, request: &Request) -> Result<(u64, Response), ClientError> {
-        let retry_safe = Self::is_idempotent(request) || self.policy.retry_non_idempotent;
+        let flight = self.submit(request);
+        self.complete(flight, request)
+    }
+
+    /// The first half of a call: start the request's deadline, connect if
+    /// needed, encode, flush, and count the attempt — without waiting for the
+    /// reply. A caller holding several clients submits on all of them and
+    /// only then completes each, so the servers work concurrently. A submit
+    /// that fails (connect or send) is carried inside the [`InFlight`] and
+    /// classified by [`ResilientClient::complete`] like any other lost
+    /// attempt.
+    pub fn submit(&mut self, request: &Request) -> InFlight {
         let deadline = Instant::now() + self.policy.request_deadline;
+        let first = self.send(request, deadline);
+        InFlight { deadline, first }
+    }
+
+    /// The second half of a call: await the reply of the flight's first
+    /// attempt, then classify it — completed, shed, or lost to the link —
+    /// and back off and retry `request` (which must be the request the flight
+    /// was submitted with) exactly as [`ResilientClient::call`] documents.
+    pub fn complete(
+        &mut self,
+        flight: InFlight,
+        request: &Request,
+    ) -> Result<(u64, Response), ClientError> {
+        let retry_safe = Self::is_idempotent(request) || self.policy.retry_non_idempotent;
+        let InFlight { deadline, first } = flight;
+        let mut outcome = first.and_then(|sent| self.await_reply(sent, deadline));
         let mut attempt = 0u32;
         loop {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                if let Some(tel) = &self.telemetry {
-                    tel.add(Counter::Retries, 1);
-                }
-            }
-            let outcome = self.attempt(request, deadline);
             attempt += 1;
             let budget_left = attempt < self.policy.max_attempts && Instant::now() < deadline;
             match outcome {
@@ -367,10 +400,10 @@ impl ResilientClient {
                     return Ok((id, response));
                 }
                 Err(error) => {
-                    // The attempt died with the link: reconnect on the next
-                    // try. Whether the server executed it is unknowable here.
+                    // The attempt died with its link (torn down where the
+                    // fault was seen): reconnect on the next try. Whether the
+                    // server executed it is unknowable here.
                     self.stats.link_faults += 1;
-                    self.drop_connection();
                     if !retry_safe {
                         self.stats.unsafe_aborts += 1;
                         return Err(ClientError::RetryUnsafe {
@@ -384,24 +417,79 @@ impl ResilientClient {
                     self.backoff(attempt, Duration::ZERO, deadline);
                 }
             }
+            self.stats.retries += 1;
+            if let Some(tel) = &self.telemetry {
+                tel.add(Counter::Retries, 1);
+            }
+            outcome = self
+                .send(request, deadline)
+                .and_then(|sent| self.await_reply(sent, deadline));
         }
     }
 
-    /// One submission: returns the request id and reply (completed or shed),
-    /// or the link error that consumed the attempt.
-    fn attempt(
-        &mut self,
-        request: &Request,
-        deadline: Instant,
-    ) -> Result<(u64, Response), ClientError> {
+    /// One submission, counted as an attempt: connect if needed, encode,
+    /// flush. Returns where the reply will arrive, or the link error that
+    /// consumed the attempt (a link that failed the write is torn down).
+    fn send(&mut self, request: &Request, deadline: Instant) -> Result<Sent, ClientError> {
         self.stats.attempts += 1;
-        let attempt_timeout = self.policy.attempt_timeout;
         let client = self.ensure_connected(deadline)?;
         let id = client.submit(request);
-        client.flush()?;
-        let wait = attempt_timeout.min(deadline.saturating_duration_since(Instant::now()));
-        client.wait_take(id, wait).map(|response| (id, response))
+        if let Err(error) = client.flush() {
+            self.drop_connection();
+            return Err(error);
+        }
+        Ok(Sent {
+            id,
+            connection: self.connections,
+        })
     }
+
+    /// Wait for one submission's reply (completed or shed); a link that
+    /// fails or stays silent past the attempt timeout is torn down. If the
+    /// submission's connection was already replaced — another flight of this
+    /// client saw it die first — the reply went with it: the attempt is lost
+    /// like any other, and the replacement stays up.
+    fn await_reply(
+        &mut self,
+        sent: Sent,
+        deadline: Instant,
+    ) -> Result<(u64, Response), ClientError> {
+        let Sent { id, connection } = sent;
+        let client = match &mut self.client {
+            Some(client) if connection == self.connections => client,
+            _ => return Err(ClientError::Disconnected { request_id: id }),
+        };
+        let wait = self
+            .policy
+            .attempt_timeout
+            .min(deadline.saturating_duration_since(Instant::now()));
+        let reply = client.wait_take(id, wait);
+        if reply.is_err() {
+            self.drop_connection();
+        }
+        reply.map(|response| (id, response))
+    }
+}
+
+/// A flushed submission: its request id and the connection (by count of
+/// connections established) whose reader will see the reply.
+struct Sent {
+    id: u64,
+    connection: u64,
+}
+
+/// A request submitted with [`ResilientClient::submit`] whose reply has not
+/// been awaited yet. It **must** be handed back to
+/// [`ResilientClient::complete`] on the same client: the attempt is already
+/// counted, and only `complete` books how it ended, so a dropped flight breaks
+/// `attempts == successes + sheds + link_faults` (and leaves its reply in the
+/// client's inbox).
+#[must_use = "every flight must be completed, or the client's conservation law breaks"]
+pub struct InFlight {
+    /// The request's deadline, started at submit.
+    deadline: Instant,
+    /// The first attempt, or the link error that consumed it at submit.
+    first: Result<Sent, ClientError>,
 }
 
 #[cfg(test)]
@@ -479,25 +567,26 @@ mod tests {
         }
     }
 
-    /// A connector over the hub's memory dialer whose first `kills` links die
-    /// on the first write; later links are clean.
-    fn flaky_connector(hub: &crate::hub::HubHandle, kills: u64) -> Connector {
+    /// A connector over the hub's memory dialer whose every link runs the
+    /// fault plan `plan` picks for its connection ordinal.
+    fn planned_connector(
+        hub: &crate::hub::HubHandle,
+        plan: impl Fn(u64) -> FaultPlan + Send + 'static,
+    ) -> Connector {
         let dialer = hub.memory_dialer();
         Box::new(move |ordinal| {
             let (reader, writer) = dialer.connect().split();
-            if ordinal < kills {
-                let (r, w, _h) = FaultyLink::wrap(
-                    Box::new(reader),
-                    Box::new(writer),
-                    FaultPlan {
-                        kill_after_bytes: Some(0),
-                        ..FaultPlan::healthy(ordinal)
-                    },
-                );
-                Ok((Box::new(r), Box::new(w)))
-            } else {
-                Ok((Box::new(reader), Box::new(writer)))
-            }
+            let (r, w, _h) = FaultyLink::wrap(Box::new(reader), Box::new(writer), plan(ordinal));
+            Ok((Box::new(r), Box::new(w)))
+        })
+    }
+
+    /// A connector whose first `kills` links die on the first write; later
+    /// links are clean.
+    fn flaky_connector(hub: &crate::hub::HubHandle, kills: u64) -> Connector {
+        planned_connector(hub, move |ordinal| FaultPlan {
+            kill_after_bytes: (ordinal < kills).then_some(0),
+            ..FaultPlan::healthy(ordinal)
         })
     }
 
@@ -642,6 +731,82 @@ mod tests {
         std::thread::sleep(Duration::from_millis(350));
         assert!(matches!(client.call(&query(3)), Ok(Response::Search(_))));
         assert_eq!(dials.load(Ordering::SeqCst), 1, "the late dial was reused");
+        drop(client);
+        drop(hub.shutdown());
+    }
+
+    /// `call` is `complete(submit(..))`: under one seeded fault plan the two
+    /// spellings leave identical stats (jittered backoff included), ids and
+    /// replies.
+    #[test]
+    fn split_calls_account_exactly_like_call() {
+        let run = |split: bool| {
+            let uploads = Arc::new(AtomicU64::new(0));
+            let hub = Hub::spawn(CountingService { uploads }, HubConfig::default());
+            // Every connection tears a seeded fifth of its writes.
+            let connector = planned_connector(&hub, |ordinal| FaultPlan {
+                torn_write_per_mille: 200,
+                ..FaultPlan::healthy(0x5EED ^ ordinal)
+            });
+            let mut client = ResilientClient::new(connector, quick_policy());
+            let replies: Vec<(u64, Response)> = (1..=40)
+                .map(|ones| {
+                    let request = query(ones % 16);
+                    if split {
+                        let flight = client.submit(&request);
+                        client.complete(flight, &request).unwrap()
+                    } else {
+                        client.call_traced(&request).unwrap()
+                    }
+                })
+                .collect();
+            let stats = client.stats();
+            drop(client);
+            drop(hub.shutdown());
+            (stats, replies)
+        };
+        let (called, called_replies) = run(false);
+        let (split, split_replies) = run(true);
+        assert!(called.link_faults > 0, "the plan must actually fire");
+        assert_eq!(called, split);
+        assert_eq!(called_replies, split_replies);
+        assert_eq!(
+            split.attempts,
+            split.successes + split.sheds + split.link_faults
+        );
+    }
+
+    /// Two flights on one client whose link dies under the second write: both
+    /// complete on a single replacement connection (the flight that finds its
+    /// link already replaced does not tear the replacement down), and the
+    /// conservation law holds with both attempts booked as link faults.
+    #[test]
+    fn flights_sharing_a_dead_link_both_complete_on_one_reconnect() {
+        let uploads = Arc::new(AtomicU64::new(0));
+        let hub = Hub::spawn(CountingService { uploads }, HubConfig::default());
+        let (first, second) = (query(3), query(5));
+        let budget = mkse_protocol::wire::encode_request(1, &first).len() as u64 + 4;
+        let connector = planned_connector(&hub, move |ordinal| FaultPlan {
+            kill_after_bytes: (ordinal == 0).then_some(budget),
+            ..FaultPlan::healthy(ordinal)
+        });
+        let mut client = ResilientClient::new(connector, quick_policy());
+        let a = client.submit(&first);
+        let b = client.submit(&second);
+        for (flight, request, ones) in [(a, &first, 3), (b, &second, 5)] {
+            match client.complete(flight, request).unwrap().1 {
+                Response::Search(r) => assert_eq!(r.matches[0].document_id, ones),
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        let stats = client.stats();
+        assert_eq!(stats.link_faults, 2, "both first attempts died with link 0");
+        assert_eq!(stats.successes, 2);
+        assert_eq!(stats.reconnects, 1);
+        assert_eq!(
+            stats.attempts,
+            stats.successes + stats.sheds + stats.link_faults
+        );
         drop(client);
         drop(hub.shutdown());
     }

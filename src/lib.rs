@@ -244,11 +244,13 @@
 //!   the fleet with `Request::RegisterNode` (capabilities in, shard
 //!   assignment out) and stays in it with `Request::NodeHeartbeat` beats
 //!   carrying its own `MetricsSnapshot` — the health refresh *is* the
-//!   existing metrics envelope. The [`net::Coordinator`] (itself a `Service`,
-//!   servable by a hub) grants global shards up to each node's capacity,
-//!   sweeps heartbeat deadlines on every call, scatter-gathers queries across
-//!   live shard-holders through per-node `ResilientClient`s and merges by
-//!   (rank desc, id asc) exactly as the engine's merge point does. It keeps a
+//!   existing metrics envelope, read straight from the node's registry. The
+//!   [`net::Coordinator`] (itself a `Service`, servable by a hub) grants
+//!   global shards up to each node's capacity, sweeps heartbeat deadlines on
+//!   every call, scatters queries to all live shard-holders at once through
+//!   per-node `ResilientClient`s (`submit` everywhere, then `complete` each;
+//!   a group its hub coalesced goes out as one fused `BatchQuery`) and merges
+//!   by (rank desc, id asc) exactly as the engine's merge point does. It keeps a
 //!   full mirror `ShardedStore` fed by the same insert path (same errors,
 //!   same partial-upload semantics), so when a node dies — deadline missed or
 //!   retries exhausted — its shards re-ship to the fewest-loaded survivors as

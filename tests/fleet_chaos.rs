@@ -262,6 +262,17 @@ struct Fleet {
 
 /// `(node_id, shard_slots, kill_budget)` per node; `None` = clean link.
 fn spawn_fleet(params: &SystemParams, nodes: &[(u64, u32, Option<u64>)], seed: u64) -> Fleet {
+    spawn_fleet_with_window(params, nodes, seed, HubConfig::default().batch_window)
+}
+
+/// [`spawn_fleet`] with the coordinator hub's batch window chosen by the
+/// caller (a long one makes concurrent clients' queries coalesce for sure).
+fn spawn_fleet_with_window(
+    params: &SystemParams,
+    nodes: &[(u64, u32, Option<u64>)],
+    seed: u64,
+    batch_window: Duration,
+) -> Fleet {
     let slot: Arc<Mutex<Option<MemoryDialer>>> = Arc::new(Mutex::new(None));
     let handles: Arc<Mutex<Vec<FaultHandle>>> = Arc::new(Mutex::new(Vec::new()));
     let runners: Vec<NodeRunner> = nodes
@@ -300,6 +311,7 @@ fn spawn_fleet(params: &SystemParams, nodes: &[(u64, u32, Option<u64>)], seed: u
         coordinator,
         HubConfig {
             journal: true,
+            batch_window,
             ..HubConfig::default()
         },
     );
@@ -446,6 +458,109 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
     assert_eq!(report.sheds, 0);
     let expected = replay_journal(&params, &report.journal);
     assert_replies_match_replay(&all_received, &expected, "mid-workload kill");
+    for runner in runners {
+        runner.shutdown();
+    }
+}
+
+/// Invariants 8 and 10 together: two clients released in lockstep into a
+/// coordinator hub with a long batch window, so their queries coalesce and
+/// the coordinator forwards each pair as one fused `BatchQuery` — with mixed
+/// `top` limits, and with node 1 killed on its byte budget partway through.
+/// Replaying the coordinator hub's journal one `Service::call` at a time on
+/// the single-node twin must reproduce every reply byte for byte.
+#[test]
+fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
+    const CLIENTS: usize = 2;
+    const ROUNDS: usize = 4;
+    let fx = Arc::new(fixture());
+    let params = fx.owner.params().clone();
+    let q = frame_len(&Request::Query(fx.queries[0].clone()));
+    // Node 1 dies somewhere inside the run: fused forwards are wider than
+    // `q`, so the budget lands mid-frame a few groups in.
+    let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 9 * q + q / 2;
+    let fleet = spawn_fleet_with_window(
+        &params,
+        &[(1, 2, Some(budget1)), (2, 1, None), (3, 0, None)],
+        0xF00D,
+        Duration::from_millis(40),
+    );
+    let mut runners = fleet.runners;
+    for runner in runners.iter_mut() {
+        runner.register().expect("registration");
+    }
+    let mut seeder =
+        ResilientClient::new(clean_connector(fleet.hub.memory_dialer()), client_policy())
+            .with_first_request_id(9_000_001);
+    let uploaded = seeder
+        .call(&Request::Upload(fx.seed_upload.clone()))
+        .expect("seed upload");
+    assert!(matches!(uploaded, Response::Uploaded { .. }));
+
+    let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|k| {
+            let dialer = fleet.hub.memory_dialer();
+            let (fx, start) = (fx.clone(), start.clone());
+            std::thread::spawn(move || {
+                let mut client = ResilientClient::new(clean_connector(dialer), client_policy())
+                    .with_first_request_id(k as u64 * 1_000_000 + 1);
+                let tops = [None, Some(2), Some(5)];
+                let mut received = Vec::new();
+                for round in 0..ROUNDS {
+                    for (i, query) in fx.queries.iter().enumerate() {
+                        let message = QueryMessage {
+                            top: tops[(round + i + k) % tops.len()],
+                            ..query.clone()
+                        };
+                        // Lockstep: both frames reach the hub well inside
+                        // one batch window.
+                        start.wait();
+                        received.push(
+                            client
+                                .call_traced(&Request::Query(message))
+                                .expect("queries survive the failover"),
+                        );
+                    }
+                }
+                (received, client.stats())
+            })
+        })
+        .collect();
+    let mut all_received = Vec::new();
+    for (k, worker) in workers.into_iter().enumerate() {
+        let (received, stats) = worker.join().expect("client thread");
+        assert_conservation(&stats, &format!("client {k}"));
+        all_received.extend(received);
+    }
+    let (id, info) = seeder
+        .call_traced(&Request::ServerInfo)
+        .expect("server info");
+    match &info {
+        Response::Info(i) => assert_eq!(i.documents, fx.seed_upload.indices.len() as u64),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    all_received.push((id, info));
+
+    // Groups of two really formed at the coordinator hub (its registry now
+    // carries the hub's batcher series), and the kill really fired.
+    let occupancy = fleet
+        .telemetry
+        .snapshot()
+        .values
+        .into_iter()
+        .find(|v| v.series == "batch_occupancy")
+        .expect("the coordinator hub records batch occupancy");
+    assert!(
+        occupancy.sum > occupancy.count,
+        "no flush held two queries: {occupancy:?}"
+    );
+    assert_eq!(counter(&fleet.telemetry, "failovers"), 1);
+    assert_eq!(counter(&fleet.telemetry, "shards_reassigned"), 2);
+
+    let report = fleet.hub.shutdown();
+    let expected = replay_journal(&params, &report.journal);
+    assert_replies_match_replay(&all_received, &expected, "coalesced groups");
     for runner in runners {
         runner.shutdown();
     }
@@ -638,9 +753,11 @@ fn same_seed_reproduces_the_same_failover_schedule() {
         }
         replies.push(client.call(&Request::ServerInfo).expect("info"));
         let stats = client.stats();
-        let snapshot = fleet.telemetry.snapshot();
         drop(client);
         fleet.hub.shutdown();
+        // Read the registry once the hub is quiet: it now carries the hub's
+        // wire counters too, which trail each reply by a few instructions.
+        let snapshot = fleet.telemetry.snapshot();
         for runner in runners {
             runner.shutdown();
         }
