@@ -16,11 +16,6 @@
 //!   plane-backed shard counts 1/2/4, with every configuration recorded in the
 //!   machine-readable `BENCH_scan.json` at the workspace root (committed per PR as
 //!   the perf-trajectory record; smoke runs never overwrite it);
-//! * a **scheduler sweep + churn scenario** (`fig4b_sched_sweep` /
-//!   `fig4b_sched_churn`): the PR-6 work-stealing chunk-range scheduler vs the
-//!   static shard-per-lane fan-out at shards 1/2/4/8 × lanes 1/2/4, plus a
-//!   Zipf(1.1) query mix with interleaved inserts at shards 4 / lanes 2,
-//!   recorded in `BENCH_sched.json`;
 //! * an **observability-overhead scenario** (`fig4b_obs_overhead`): the same
 //!   64k-document scan with the telemetry registry at `Off`, `Counters` and
 //!   `Spans`, recorded in `BENCH_obs.json`, failing the run if always-on
@@ -35,8 +30,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mkse_bench::{BenchFixture, ZipfSampler};
 use mkse_core::search::scan_ranked;
 use mkse_core::{
-    CacheConfig, IndexStore, QueryBuilder, QueryIndex, ScanScheduler, SearchEngine, ShardedStore,
-    TelemetryLevel,
+    CacheConfig, IndexStore, QueryBuilder, QueryIndex, SearchEngine, ShardedStore, TelemetryLevel,
 };
 use mkse_protocol::{Client, CloudServer, QueryMessage, Request};
 use rand::rngs::StdRng;
@@ -624,222 +618,6 @@ fn bench_batch_sweep(_c: &mut Criterion) {
     }
 }
 
-/// Scheduler sweep + churn scenario, recorded in `BENCH_sched.json`.
-///
-/// **Sweep** (`fig4b_sched_sweep`): the PR-6 work-stealing scheduler against the
-/// static shard-per-lane fan-out it replaces, on the 64k-document r = 448 store
-/// at shard counts 1/2/4/8 × requested lanes 1/2/4. The two modes run as twin
-/// engines over identical stores and are measured in interleaved windows
-/// (`measure_ns_pair`) so host noise cancels out of the recorded ratio. The
-/// static scheduler's weakness is the sweep's reason to exist: with more shards
-/// than lanes it serializes whole shards per lane, while stealing keeps every
-/// lane busy with chunk-range units from any shard.
-///
-/// **Churn** (`fig4b_sched_churn`): a skewed Zipf(1.1) repeated-query workload
-/// with an insert interleaved every 16 ops, at shards 4 / lanes 2 with the
-/// result cache on — the regime where per-shard cache invalidation and scan
-/// re-execution meet the scheduler. Each timed pass runs on a fresh clone of the
-/// warm store so inserts see the same state every pass; the median of the
-/// interleaved passes is recorded per mode.
-///
-/// Results are asserted byte-identical across modes before timing. The JSON
-/// carries `host_cores` and both the requested and effective lane counts: on a
-/// small host the engine clamps lanes to the available parallelism, and the
-/// committed record must say so rather than imply a wider machine. Smoke runs
-/// (`--test`) never overwrite the committed record.
-fn bench_sched_sweep(_c: &mut Criterion) {
-    let quick = std::env::args().any(|a| a == "--test");
-    let filtered_out = std::env::args().skip(1).any(|a| {
-        !a.starts_with('-')
-            && !["fig4b_sched_sweep", "fig4b_sched_churn"]
-                .iter()
-                .any(|name| name.contains(a.as_str()))
-    });
-    if filtered_out {
-        return;
-    }
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let report = |id: &str, ns: f64| {
-        if quick {
-            println!("fig4b_sched/{id}  ok (smoke run)");
-        } else {
-            println!("fig4b_sched/{id}  time: {:.3} µs/query", ns / 1e3);
-        }
-    };
-
-    const SCHED_DOCS: usize = 64_000;
-    let fixture = BenchFixture::new(SCHED_DOCS, 3, 11);
-    let indexer = fixture.indexer();
-    let indices = indexer.index_documents(&fixture.corpus.documents);
-    let r = fixture.params.index_bits;
-    let query = build_query(&fixture, 13);
-
-    let mut entries: Vec<String> = Vec::new();
-    let mut reference: Option<Vec<mkse_core::SearchMatch>> = None;
-    let mut engines: Vec<(
-        usize,
-        SearchEngine<ShardedStore>,
-        SearchEngine<ShardedStore>,
-    )> = Vec::new();
-    for &shards in &[1usize, 2, 4, 8] {
-        // Both timed engines are clones of a never-timed base: a clone's arenas
-        // are freshly packed, so cloning exactly one side would hand it an
-        // allocator-layout advantage unrelated to the scheduler.
-        let mut base = SearchEngine::sharded(fixture.params.clone(), shards);
-        base.insert_all(indices.iter().cloned()).expect("upload");
-        let mut r#static = base.clone().with_scan_scheduler(ScanScheduler::Static);
-        let mut stealing = base.clone();
-        let reference = reference.get_or_insert_with(|| base.search(&query));
-        for &lanes in &[1usize, 2, 4] {
-            stealing.set_scan_lanes(lanes);
-            r#static.set_scan_lanes(lanes);
-            // Byte-identical replies before timing, at every knob setting.
-            assert_eq!(&stealing.search(&query), reference, "stealing differs");
-            assert_eq!(&r#static.search(&query), reference, "static differs");
-        }
-        engines.push((shards, r#static, stealing));
-    }
-
-    // All 24 (shards × lanes × mode) configurations are compared in one
-    // committed record, so — like the layout sweep above — each is measured in
-    // interleaved rounds of short windows with the best window kept: host-speed
-    // phases (frequency scaling, noisy neighbors) then hit every configuration
-    // alike instead of whichever was measured during a slow phase.
-    let lanes_sweep = [1usize, 2, 4];
-    let mut configs: Vec<(usize, &str, usize, usize, f64)> = Vec::new();
-    for e in 0..engines.len() {
-        for &lanes in &lanes_sweep {
-            configs.push((e, "static", lanes, 0, f64::MAX));
-            configs.push((e, "stealing", lanes, 0, f64::MAX));
-        }
-    }
-    for round in 0..40 {
-        for (e, mode, lanes, effective, best) in configs.iter_mut() {
-            let (_, r#static, stealing) = &mut engines[*e];
-            let engine = if *mode == "static" {
-                r#static
-            } else {
-                stealing
-            };
-            engine.set_scan_lanes(*lanes);
-            *effective = engine.scan_lanes();
-            let engine: &SearchEngine<ShardedStore> = engine;
-            *best = best.min(measure_ns_window(quick, 20, || {
-                std::hint::black_box(engine.search(&query))
-            }));
-        }
-        if quick && round == 0 {
-            break;
-        }
-    }
-    for &(e, mode, lanes, effective, ns) in &configs {
-        let shards = engines[e].0;
-        let ns = if quick { 0.0 } else { ns };
-        report(&format!("sweep/{mode}/shards{shards}/lanes{lanes}"), ns);
-        entries.push(format!(
-            "    {{\"section\": \"sweep\", \"mode\": \"{mode}\", \"shards\": {shards}, \
-             \"lanes_requested\": {lanes}, \"lanes\": {effective}, \
-             \"ns_per_query\": {ns:.1}}}"
-        ));
-    }
-
-    // Churn scenario: inserts every 16 ops invalidate the touched shard's cache
-    // entries, so the engine alternates between cache hits on the Zipf head and
-    // fresh scheduler-driven scans.
-    const CHURN_SHARDS: usize = 4;
-    const CHURN_LANES: usize = 2;
-    const CHURN_POOL: usize = 32;
-    const CHURN_OPS: usize = 256;
-    const INSERT_EVERY: usize = 16;
-    let churn_fixture = BenchFixture::new(16_000 + CHURN_OPS / INSERT_EVERY, 3, 19);
-    let churn_indexer = churn_fixture.indexer();
-    let churn_indices = churn_indexer.index_documents(&churn_fixture.corpus.documents);
-    let (base_indices, fresh) = churn_indices.split_at(16_000);
-    let pool = build_query_pool(&churn_fixture, CHURN_POOL);
-    let workload: Vec<usize> =
-        ZipfSampler::new(CHURN_POOL, 1.1).sample_many(&mut StdRng::seed_from_u64(23), CHURN_OPS);
-
-    let mut churn_seed = SearchEngine::sharded(churn_fixture.params.clone(), CHURN_SHARDS)
-        .with_result_cache(CacheConfig::default());
-    churn_seed.set_scan_lanes(CHURN_LANES);
-    churn_seed
-        .insert_all(base_indices.iter().cloned())
-        .expect("upload");
-    // Clone symmetry, as in the sweep: both timed engines descend from the
-    // same never-timed seed.
-    let churn_static = churn_seed
-        .clone()
-        .with_scan_scheduler(ScanScheduler::Static);
-    let churn_base = churn_seed.clone();
-    let churn_lanes = churn_base.scan_lanes();
-
-    // One churn pass over a fresh clone: every pass (and both modes) sees the
-    // same store state, query sequence and insert points.
-    let run_churn = |base: &SearchEngine<ShardedStore>| {
-        let mut engine = base.clone();
-        let mut replies = Vec::with_capacity(CHURN_OPS);
-        for (op, &q) in workload.iter().enumerate() {
-            if op % INSERT_EVERY == 0 {
-                engine
-                    .insert(fresh[op / INSERT_EVERY].clone())
-                    .expect("fresh insert");
-            }
-            replies.push(engine.search_ranked_with_stats(&pool[q]));
-        }
-        replies
-    };
-    // Byte-identical replies (matches, ranks and stats for all 256 ops) across
-    // schedulers before timing.
-    assert_eq!(
-        run_churn(&churn_base),
-        run_churn(&churn_static),
-        "churn replies differ across schedulers"
-    );
-
-    let timed_pass = |base: &SearchEngine<ShardedStore>| -> f64 {
-        let start = Instant::now();
-        std::hint::black_box(run_churn(base));
-        start.elapsed().as_nanos() as f64 / CHURN_OPS as f64
-    };
-    // Interleaved passes, best pass kept — same noise-cancellation rationale as
-    // the sweep above (each pass is already 256 ops long, so a "window" here is
-    // one full pass).
-    let (mut static_best, mut stealing_best) = (f64::MAX, f64::MAX);
-    let churn_rounds = if quick { 1 } else { 15 };
-    for _ in 0..churn_rounds {
-        static_best = static_best.min(timed_pass(&churn_static));
-        stealing_best = stealing_best.min(timed_pass(&churn_base));
-    }
-    for (mode, best) in [("static", static_best), ("stealing", stealing_best)] {
-        let ns = if quick { 0.0 } else { best };
-        report(
-            &format!("churn/{mode}/shards{CHURN_SHARDS}/lanes{CHURN_LANES}"),
-            ns,
-        );
-        entries.push(format!(
-            "    {{\"section\": \"churn\", \"mode\": \"{mode}\", \"shards\": {CHURN_SHARDS}, \
-             \"lanes_requested\": {CHURN_LANES}, \"lanes\": {churn_lanes}, \
-             \"ns_per_query\": {ns:.1}}}"
-        ));
-    }
-    println!();
-
-    if quick {
-        return;
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"fig4b_sched\",\n  \"docs\": {SCHED_DOCS},\n  \"r\": {r},\n  \
-         \"eta\": {},\n  \"host_cores\": {host_cores},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        fixture.params.rank_levels(),
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("fig4b_sched: wrote {path}"),
-        Err(e) => eprintln!("fig4b_sched: could not write {path}: {e}"),
-    }
-}
-
 /// Observability-overhead scenario (`fig4b_obs_overhead`), recorded in
 /// `BENCH_obs.json`.
 ///
@@ -876,9 +654,9 @@ fn bench_obs_overhead(_c: &mut Criterion) {
     let r = fixture.params.index_bits;
     let query = build_query(&fixture, 13);
 
-    // Clone symmetry, as in the scheduler sweep: every timed engine descends
-    // from the same never-timed base, so no level gets an allocator-layout
-    // advantage unrelated to the registry.
+    // Clone symmetry: every timed engine descends from the same never-timed
+    // base (a clone's arenas are freshly packed), so no level gets an
+    // allocator-layout advantage unrelated to the registry.
     let mut base = SearchEngine::sharded(fixture.params.clone(), 4);
     base.insert_all(indices.iter().cloned()).expect("upload");
     let levels = [
@@ -972,7 +750,6 @@ criterion_group!(
     bench_search,
     bench_scan_layout,
     bench_batch_sweep,
-    bench_sched_sweep,
     bench_obs_overhead
 );
 criterion_main!(benches);

@@ -2,12 +2,12 @@
 //! [`IndexStore`], with an optional per-shard result cache.
 //!
 //! [`SearchEngine`] executes the paper's oblivious matching (Eq. 3 + Algorithm 1)
-//! shard-by-shard, scanning shards on parallel lanes (a persistent worker pool plus
-//! the calling thread) when the store has more than one. Semantics are **bit-for-bit
+//! shard-by-shard, on parallel lanes (a persistent worker pool plus the calling
+//! thread) when the host has more than one core. Semantics are **bit-for-bit
 //! identical** to the sequential reference scan ([`crate::search::CloudIndex`]):
 //!
 //! * per-shard scans sweep the store's block-major [`crate::scanplane::ScanPlane`]
-//!   when one is maintained (both built-in stores) — contiguous, query-pruned
+//!   when one is maintained ([`ShardedStore`] does) — contiguous, query-pruned
 //!   columns instead of per-document pointer chasing — and fall back to the
 //!   sequential path's [`crate::search::scan_ranked`] loop otherwise; both produce
 //!   identical matches, scan order and [`SearchStats`] (r-bit comparison counts
@@ -20,26 +20,30 @@
 //! * merged [`SearchStats`] are the field-wise sums of per-shard stats, which equal
 //!   the sequential counts.
 //!
-//! ## Scheduling: work-stealing over chunk ranges
+//! ## Scheduling: one executor over scan units
 //!
-//! Parallelism is a property of the **executor**, not the data layout. By
-//! default the engine runs the [`ScanScheduler::WorkStealing`] scheduler: every
-//! selected shard's scan plane is carved into fixed-size chunk-range work units
-//! ([`SearchEngine::steal_granularity`] chunks of [`crate::scanplane::CHUNK`]
-//! documents each), the units are dealt contiguously onto the engine's scan
-//! lanes, and a lane that drains its own deal **steals** units from the tail of
-//! another lane's — so an oversharded store (more shards than lanes) degrades
-//! to the balanced schedule instead of serializing whole shards behind one
-//! lane, and a host with more lanes than shards splits single shards across
-//! lanes instead of idling. Stitching is deterministic: every unit writes into
-//! its pre-assigned result slot, a shard's unit results concatenate in chunk
-//! (slot) order and its stats sum, so replies, [`SearchStats`] and cache
-//! traffic are byte-identical to sequential execution no matter which lane ran
-//! which unit. [`ScanScheduler::Static`] — the original shard-per-lane fan-out
-//! — remains selectable, and is the automatic fallback for stores without a
-//! scan plane and for a single effective lane (with nobody to steal from,
-//! unit dispatch is pure overhead — one lane scans whole shards). The cache is
-//! scheduler-invisible either way: lookups and admissions happen per whole
+//! Parallelism is a property of the **executor**, not the data layout, and
+//! there is one executor. Every execution is carved into **scan units**, the
+//! units are dealt contiguously onto the engine's scan lanes, and a lane that
+//! drains its own deal **steals** units from the tail of another lane's. What a
+//! unit is follows from what the engine can observe, not from an option:
+//!
+//! * with more than one lane, a unit is a range of `UNIT_CHUNKS` (8) chunks of
+//!   [`crate::scanplane::CHUNK`] documents of one selected shard's scan plane —
+//!   so an oversharded store (more shards than lanes) balances instead of
+//!   serializing whole shards behind one lane, and a host with more lanes than
+//!   shards splits single shards across lanes instead of idling;
+//! * with a single lane, or for a shard whose store keeps no scan plane, a
+//!   unit is the **whole shard**: with nobody to steal from, splitting buys
+//!   nothing and costs per-range setup (active-block lists, result buffers),
+//!   and without a plane there is no chunk grid to split along. Unranked
+//!   search and metadata always run whole-shard units.
+//!
+//! Stitching is deterministic: every unit writes into its pre-assigned result
+//! slot, a shard's unit results concatenate in chunk (slot) order and its stats
+//! sum, so replies, [`SearchStats`] and cache traffic are byte-identical to the
+//! sequential scan no matter how many lanes there are or which lane ran which
+//! unit. The cache never sees units: lookups and admissions happen per whole
 //! shard, on the stitched per-shard results.
 //!
 //! Batched execution ([`SearchEngine::search_batch_with_stats`]) evaluates many
@@ -77,7 +81,7 @@ use crate::params::SystemParams;
 use crate::persistence::PersistenceError;
 use crate::query::QueryIndex;
 use crate::search::{scan_ranked, sort_matches, SearchMatch, SearchStats};
-use crate::storage::{IndexStore, ShardedStore, StoreError, VecStore};
+use crate::storage::{IndexStore, ShardedStore, StoreError};
 use crate::telemetry::{
     Counter, Gauge, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
 };
@@ -93,42 +97,39 @@ use pool::{StealDeques, WorkerPool};
 /// exactly what [`scan_ranked`] returns and what the cache memoizes.
 type ShardScan = (Vec<SearchMatch>, SearchStats);
 
-/// How the engine schedules shard scans onto its lanes (see the
-/// [module docs](self)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanScheduler {
-    /// Whole shards dealt round-robin onto lanes — one lane sweeps a shard end
-    /// to end. Predictable, but an oversharded store serializes its surplus
-    /// shards behind busy lanes, and a single-shard store can never use more
-    /// than one lane.
-    Static,
-    /// Chunk-range work units on per-lane deques with tail stealing (the
-    /// default): load-balances across lanes at [`SearchEngine::steal_granularity`]
-    /// granularity while producing byte-identical results. Falls back to
-    /// [`ScanScheduler::Static`] for stores without a scan plane.
-    #[default]
-    WorkStealing,
-}
-
-/// Default chunks per work unit: 8 × [`crate::scanplane::CHUNK`] = 8192
+/// Chunks per multi-lane scan unit: 8 × [`crate::scanplane::CHUNK`] = 8192
 /// documents — a few tens of microseconds of sweeping, coarse enough that
 /// deque traffic is noise yet fine enough to balance shards across lanes.
-const DEFAULT_STEAL_GRANULARITY: usize = 8;
+const UNIT_CHUNKS: usize = 8;
 
-/// One work unit of the stealing scheduler: a chunk range of one selected
-/// shard's plane. `pos` indexes the *selection* (result slot), not the store.
-struct ChunkUnit {
+/// One unit of scan work (see the [module docs](self)): a chunk range of one
+/// selected shard's plane, or the whole shard. `pos` indexes the *selection*
+/// (result row), not the store.
+#[derive(Debug, PartialEq, Eq)]
+struct ScanUnit {
     pos: usize,
     shard: usize,
-    chunks: std::ops::Range<usize>,
+    /// `None` = the whole shard, however the store lays it out.
+    chunks: Option<std::ops::Range<usize>>,
+}
+
+impl ScanUnit {
+    fn whole(pos: usize, shard: usize) -> Self {
+        ScanUnit {
+            pos,
+            shard,
+            chunks: None,
+        }
+    }
 }
 
 /// A pluggable, shard-parallel search engine over an [`IndexStore`].
 ///
-/// Multi-shard engines keep a persistent worker pool (one parked thread per
-/// scan lane, capped at the host's parallelism) for their whole lifetime: spawning
-/// threads per query would cost more than scanning a 10⁴-document shard on some
-/// hosts. Single-shard engines scan inline and carry no pool.
+/// An engine with more than one scan lane keeps a persistent worker pool (one
+/// parked thread per lane beyond the caller's, capped at the host's
+/// parallelism) for its whole lifetime: spawning threads per query would cost
+/// more than scanning a 10⁴-document shard on some hosts. The pool exists iff
+/// `lanes > 1`, whatever the shard count; a one-lane engine scans inline.
 #[derive(Debug)]
 pub struct SearchEngine<S: IndexStore> {
     store: S,
@@ -136,9 +137,6 @@ pub struct SearchEngine<S: IndexStore> {
     /// Scan lanes (pool workers + the calling thread). Always `1..=cores`;
     /// `pool` is `Some` iff `lanes > 1`.
     lanes: usize,
-    scheduler: ScanScheduler,
-    /// Chunks per work-stealing unit (≥ 1).
-    steal_granularity: usize,
     /// The optional per-shard result cache. Interior mutability because searches
     /// take `&self` (and must be able to run concurrently from many sessions);
     /// all cache access happens on the calling thread, never inside scan jobs.
@@ -153,8 +151,6 @@ impl<S: IndexStore + Clone> Clone for SearchEngine<S> {
     fn clone(&self) -> Self {
         let mut engine = SearchEngine::new(self.store.clone());
         engine.set_scan_lanes(self.lanes);
-        engine.scheduler = self.scheduler;
-        engine.steal_granularity = self.steal_granularity;
         // The clone keeps the cache *configuration* but starts with an empty
         // cache: entries are cheap to recompute and a fresh engine should not
         // carry another engine's LRU history.
@@ -169,20 +165,12 @@ impl<S: IndexStore + Clone> Clone for SearchEngine<S> {
     }
 }
 
-impl<S: IndexStore + Default> Default for SearchEngine<S> {
-    fn default() -> Self {
-        SearchEngine::new(S::default())
-    }
-}
-
-impl SearchEngine<VecStore> {
-    /// A sequential engine over a fresh single-shard store.
-    pub fn sequential(params: SystemParams) -> Self {
-        SearchEngine::new(VecStore::new(params))
-    }
-}
-
 impl SearchEngine<ShardedStore> {
+    /// An engine over a fresh single-shard store.
+    pub fn sequential(params: SystemParams) -> Self {
+        SearchEngine::sharded(params, 1)
+    }
+
     /// A parallel engine over a fresh round-robin store with `num_shards` shards.
     pub fn sharded(params: SystemParams, num_shards: usize) -> Self {
         SearchEngine::new(ShardedStore::new(params, num_shards))
@@ -192,8 +180,8 @@ impl SearchEngine<ShardedStore> {
 impl<S: IndexStore> SearchEngine<S> {
     /// Run queries on an existing store. The engine starts with one scan lane
     /// per host core (pool workers plus the calling thread, which always takes
-    /// one lane) — *not* per shard: the work-stealing scheduler splits shards
-    /// into chunk-range units, so even a single-shard store fills every lane,
+    /// one lane) — *not* per shard: multi-lane engines split shards into
+    /// chunk-range units, so even a single-shard store fills every lane,
     /// and more busy threads than cores would only add scheduler thrash to a
     /// CPU-bound scan. Use [`SearchEngine::with_scan_lanes`] to pin a count.
     ///
@@ -203,8 +191,6 @@ impl<S: IndexStore> SearchEngine<S> {
             store,
             pool: None,
             lanes: 1,
-            scheduler: ScanScheduler::default(),
-            steal_granularity: DEFAULT_STEAL_GRANULARITY,
             cache: None,
             telemetry: Telemetry::new(),
         };
@@ -220,8 +206,8 @@ impl<S: IndexStore> SearchEngine<S> {
 
     /// Set the number of parallel scan lanes at runtime, clamped to
     /// `1..=available_parallelism` (lanes beyond the host's cores only thrash a
-    /// CPU-bound scan; the bench sweep and multi-node deployments pin explicit
-    /// counts with this). Rebuilds the persistent worker pool when the count
+    /// CPU-bound scan; the lane-invisibility sweeps and multi-node deployments
+    /// pin explicit counts with this). Rebuilds the persistent worker pool when the count
     /// actually changes; results are identical at any lane count.
     pub fn set_scan_lanes(&mut self, lanes: usize) {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -273,42 +259,6 @@ impl<S: IndexStore> SearchEngine<S> {
                 .set_gauge(Gauge::CacheEntries, cache.lock().unwrap().len() as u64);
         }
         self.telemetry.snapshot()
-    }
-
-    /// Builder-style [`SearchEngine::set_scan_scheduler`].
-    pub fn with_scan_scheduler(mut self, scheduler: ScanScheduler) -> Self {
-        self.set_scan_scheduler(scheduler);
-        self
-    }
-
-    /// Select how shard scans are scheduled onto lanes (see [`ScanScheduler`]).
-    /// Replies are byte-identical under either scheduler.
-    pub fn set_scan_scheduler(&mut self, scheduler: ScanScheduler) {
-        self.scheduler = scheduler;
-    }
-
-    /// The active scan scheduler.
-    pub fn scan_scheduler(&self) -> ScanScheduler {
-        self.scheduler
-    }
-
-    /// Builder-style [`SearchEngine::set_steal_granularity`].
-    pub fn with_steal_granularity(mut self, chunks: usize) -> Self {
-        self.set_steal_granularity(chunks);
-        self
-    }
-
-    /// Set the work-stealing unit size in plane chunks (clamped to ≥ 1;
-    /// [`crate::scanplane::CHUNK`] documents per chunk). Smaller units balance
-    /// better, larger units amortize deque traffic; results are identical at
-    /// any granularity.
-    pub fn set_steal_granularity(&mut self, chunks: usize) {
-        self.steal_granularity = chunks.max(1);
-    }
-
-    /// Chunks per work-stealing unit.
-    pub fn steal_granularity(&self) -> usize {
-        self.steal_granularity
     }
 
     /// Builder-style cache enablement: `SearchEngine::sharded(p, 4).with_result_cache(cfg)`.
@@ -459,30 +409,55 @@ impl<S: IndexStore> SearchEngine<S> {
         self.store.document_index(document_id)
     }
 
-    /// Run `scan(pos, shard)` once per selected shard — inline when there is no
-    /// pool or a single shard is selected, statically dealt round-robin over the
-    /// persistent worker pool otherwise (`pos` is the index into `shard_ids`).
-    /// Results come back aligned with `shard_ids`. A panicking scan is re-raised
-    /// with the failing shard named, and the pool adds the failing lane (job)
-    /// index.
-    fn map_selected_shards<T, F>(&self, shard_ids: &[usize], scan: F) -> Vec<T>
+    /// Carve the selected shards into scan units, in selection order (see the
+    /// [module docs](self)): ascending [`UNIT_CHUNKS`]-chunk ranges of the
+    /// shard's plane (= slot order within the shard; an empty plane yields no
+    /// unit) when there are lanes to share them, the whole shard when there is
+    /// one lane or the store keeps no plane for it.
+    fn carve_units(&self, shard_ids: &[usize]) -> Vec<ScanUnit> {
+        let mut units = Vec::new();
+        for (pos, &shard) in shard_ids.iter().enumerate() {
+            match self.store.scan_plane(shard) {
+                Some(plane) if self.lanes > 1 => {
+                    let chunks = plane.num_chunks();
+                    units.extend((0..chunks).step_by(UNIT_CHUNKS).map(|lo| ScanUnit {
+                        pos,
+                        shard,
+                        chunks: Some(lo..(lo + UNIT_CHUNKS).min(chunks)),
+                    }));
+                }
+                _ => units.push(ScanUnit::whole(pos, shard)),
+            }
+        }
+        units
+    }
+
+    /// **The** executor: run `scan(unit)` for every unit on the engine's lanes.
+    /// Units are dealt contiguously onto the lanes' deques, each lane drains its
+    /// own deal head-first and then steals from other lanes' tails, and every
+    /// unit's result lands in its own slot — so the returned vector is in unit
+    /// order regardless of which lane ran what. Runs inline (in unit order) with
+    /// one lane or one unit. Each unit is timed into [`Stage::UnitScan`], and a
+    /// panicking scan is re-raised with the failing shard named (the pool adds
+    /// the failing lane's job index).
+    fn run_units<T, F>(&self, units: &[ScanUnit], scan: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(usize, usize) -> T + Sync,
+        F: Fn(&ScanUnit) -> T + Sync,
     {
-        // The static path's unit is a whole shard: time it like the stealing
-        // path times its chunk ranges, so single-lane hosts still populate the
-        // unit-scan histogram. The gate is captured once; `Instant::now` runs
-        // on whatever lane executes the unit.
+        // Capture the span gate once per execution: `Instant::now` runs on
+        // whatever lane executes the unit, so the drop-guard `Telemetry::span`
+        // (which borrows `&self`) is replaced by an explicit timed pair here.
         let time_units = self.telemetry.level().spans_enabled();
-        // Name the shard in any scan panic before it crosses the pool boundary.
-        let scan_named = |pos: usize, shard: usize| -> T {
+        let run = |u: usize| -> T {
+            let unit = &units[u];
             let started = time_units.then(Instant::now);
-            let value = match catch_unwind(AssertUnwindSafe(|| scan(pos, shard))) {
+            // Name the shard in any scan panic before it crosses the pool boundary.
+            let value = match catch_unwind(AssertUnwindSafe(|| scan(unit))) {
                 Ok(value) => value,
                 Err(payload) => {
                     let message = pool::panic_message(payload.as_ref());
-                    resume_unwind(Box::new(format!("shard {shard}: {message}")));
+                    resume_unwind(Box::new(format!("shard {}: {message}", unit.shard)));
                 }
             };
             if let Some(started) = started {
@@ -491,83 +466,7 @@ impl<S: IndexStore> SearchEngine<S> {
             }
             value
         };
-        let selected = shard_ids.len();
-        let inline = |(pos, &shard): (usize, &usize)| scan_named(pos, shard);
-        if self.pool.is_none() || selected <= 1 {
-            let out: Vec<T> = shard_ids.iter().enumerate().map(inline).collect();
-            if selected > 0 {
-                self.telemetry.record_lane(
-                    0,
-                    &LaneStats {
-                        executed: selected as u64,
-                        ..LaneStats::default()
-                    },
-                );
-            }
-            return out;
-        }
-        let pool = self.pool.as_ref().expect("checked above");
-        let lanes = (pool.workers() + 1).min(selected);
-        let mut lane_results: Vec<Vec<(usize, T)>> = (0..lanes).map(|_| Vec::new()).collect();
-        {
-            let (scan_named, telemetry) = (&scan_named, &self.telemetry);
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = lane_results
-                .iter_mut()
-                .enumerate()
-                .map(|(lane, out)| {
-                    Box::new(move || {
-                        let mut executed = 0u64;
-                        let mut pos = lane;
-                        while pos < selected {
-                            out.push((pos, scan_named(pos, shard_ids[pos])));
-                            executed += 1;
-                            pos += lanes;
-                        }
-                        // The static deal is round-robin: no steals, no idle
-                        // polls, just the lane's own share.
-                        telemetry.record_lane(
-                            lane,
-                            &LaneStats {
-                                executed,
-                                ..LaneStats::default()
-                            },
-                        );
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(jobs);
-        }
-        let mut results: Vec<Option<T>> = (0..selected).map(|_| None).collect();
-        for (pos, value) in lane_results.into_iter().flatten() {
-            results[pos] = Some(value);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every selected shard was scanned"))
-            .collect()
-    }
-
-    /// Run `scan(shard)` once per shard. Results come back in shard order.
-    fn map_shards<T, F>(&self, scan: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let all: Vec<usize> = (0..self.store.num_shards()).collect();
-        self.map_selected_shards(&all, |_, shard| scan(shard))
-    }
-
-    /// Execute `run(unit)` for units `0..total` on the work-stealing scheduler:
-    /// units are dealt contiguously onto the lanes' deques, each lane drains its
-    /// own deal head-first and then steals from other lanes' tails, and every
-    /// unit's result lands in its own slot — so the returned vector is in unit
-    /// order regardless of which lane ran what. Runs inline (in unit order) with
-    /// one lane or one unit.
-    fn run_units<T, F>(&self, total: usize, run: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
+        let total = units.len();
         let lanes = match &self.pool {
             Some(pool) => (pool.workers() + 1).min(total),
             None => 1,
@@ -620,63 +519,47 @@ impl<S: IndexStore> SearchEngine<S> {
             .collect()
     }
 
-    /// Carve the selected shards' planes into chunk-range work units, in
-    /// selection order with ascending ranges (= slot order within each shard).
-    /// `None` if any selected shard has no plane — the caller falls back to the
-    /// static whole-shard schedule, whose scan seam handles plane-less stores.
-    fn chunk_units(&self, shard_ids: &[usize]) -> Option<Vec<ChunkUnit>> {
-        let granularity = self.steal_granularity.max(1);
-        let mut units = Vec::new();
-        for (pos, &shard) in shard_ids.iter().enumerate() {
-            let chunks = self.store.scan_plane(shard)?.num_chunks();
-            let mut lo = 0;
-            while lo < chunks {
-                let hi = (lo + granularity).min(chunks);
-                units.push(ChunkUnit {
-                    pos,
-                    shard,
-                    chunks: lo..hi,
-                });
-                lo = hi;
+    /// One unit's **fused** ranked scan of a query set — **the** seam the layout
+    /// optimization plugs into. A shard with a block-major
+    /// [`crate::scanplane::ScanPlane`] streams the unit's chunks once for all
+    /// queries: contiguous, query-pruned, vectorizer-friendly columns instead of
+    /// per-document pointer chasing (a one-query set short-circuits to the
+    /// single-query kernel inside the plane). A shard without a plane falls back
+    /// to one reference AoS loop per query. Either way the output is aligned
+    /// with `queries` and bit-for-bit what [`scan_ranked`] returns over the
+    /// unit's documents — same matches, same scan order, same [`SearchStats`]
+    /// (the equivalence suite and `mkse-core/tests/scanplane_equivalence.rs`
+    /// hold both paths to it).
+    fn scan_unit(&self, unit: &ScanUnit, queries: &[&QueryIndex]) -> Vec<ShardScan> {
+        match self.store.scan_plane(unit.shard) {
+            Some(plane) => {
+                let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
+                let chunks = unit.chunks.clone().unwrap_or(0..plane.num_chunks());
+                plane.scan_ranked_batch_chunks(&bits, chunks)
             }
+            None => queries
+                .iter()
+                .map(|q| scan_ranked(self.store.shard_documents(unit.shard), q))
+                .collect(),
         }
-        Some(units)
     }
 
-    /// Scan the selected shards' units on the stealing scheduler and stitch the
-    /// per-unit results back into per-shard rows aligned with `subsets`: within
-    /// a shard, unit results concatenate in chunk (slot) order and stats sum —
-    /// byte-identical to one whole-shard scan per selected shard. A shard with
-    /// no units (an empty plane) yields the whole-shard scan's empty result.
-    fn scan_units(&self, subsets: &[Vec<&QueryIndex>], units: &[ChunkUnit]) -> Vec<Vec<ShardScan>> {
-        // Capture the span gate once per execution: `Instant::now` inside the
-        // unit closure runs on worker lanes, so the drop-guard `Telemetry::span`
-        // (which borrows `&self`) is replaced by an explicit timed pair here.
-        let time_units = self.telemetry.level().spans_enabled();
-        let unit_scans = self.run_units(units.len(), |u| {
-            let unit = &units[u];
-            let started = time_units.then(Instant::now);
-            // Name the shard in any scan panic, like the static path does.
-            let scans = match catch_unwind(AssertUnwindSafe(|| {
-                let plane = self
-                    .store
-                    .scan_plane(unit.shard)
-                    .expect("units are only built from planes");
-                let bits: Vec<&BitIndex> = subsets[unit.pos].iter().map(|q| q.bits()).collect();
-                plane.scan_ranked_batch_chunks(&bits, unit.chunks.clone())
-            })) {
-                Ok(scans) => scans,
-                Err(payload) => {
-                    let message = pool::panic_message(payload.as_ref());
-                    resume_unwind(Box::new(format!("shard {}: {message}", unit.shard)));
-                }
-            };
-            if let Some(started) = started {
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.telemetry.record_duration(Stage::UnitScan, ns);
-            }
-            scans
-        });
+    /// The scan step of every ranked execution: scan each selected shard for
+    /// its query subset (`subsets[pos]` belongs to `shard_ids[pos]`), returning
+    /// per-shard rows aligned with `queries` order within each subset. The
+    /// shards are carved into units, the units run on the executor, and the
+    /// per-unit results are stitched back: within a shard, unit results
+    /// concatenate in chunk (slot) order and stats sum — byte-identical to one
+    /// whole-shard scan per selected shard. A shard with no units (an empty
+    /// plane) keeps the whole-shard scan's empty result.
+    fn scan_selected_shards(
+        &self,
+        shard_ids: &[usize],
+        subsets: &[Vec<&QueryIndex>],
+    ) -> Vec<Vec<ShardScan>> {
+        debug_assert_eq!(shard_ids.len(), subsets.len());
+        let units = self.carve_units(shard_ids);
+        let unit_scans = self.run_units(&units, |unit| self.scan_unit(unit, &subsets[unit.pos]));
         let mut out: Vec<Vec<ShardScan>> = subsets
             .iter()
             .map(|subset| vec![(Vec::new(), SearchStats::default()); subset.len()])
@@ -692,34 +575,6 @@ impl<S: IndexStore> SearchEngine<S> {
         out
     }
 
-    /// The scheduling seam of every ranked execution: scan each selected shard
-    /// for its query subset (`subsets[pos]` belongs to `shard_ids[pos]`),
-    /// returning per-shard rows aligned with `queries` order within each subset.
-    /// Work-stealing over chunk units when the scheduler (and every selected
-    /// shard's plane) allows; the static whole-shard fan-out otherwise. Both
-    /// produce byte-identical rows.
-    ///
-    /// A single effective lane short-circuits to the static path even under
-    /// `WorkStealing`: with nobody to steal from, splitting shards into units
-    /// buys nothing and costs per-range setup (active-block lists, result
-    /// buffers), so one lane scans whole shards — still byte-identical, just
-    /// without the dispatch overhead.
-    fn scan_selected_shards(
-        &self,
-        shard_ids: &[usize],
-        subsets: &[Vec<&QueryIndex>],
-    ) -> Vec<Vec<ShardScan>> {
-        debug_assert_eq!(shard_ids.len(), subsets.len());
-        if self.scheduler == ScanScheduler::WorkStealing && self.pool.is_some() {
-            if let Some(units) = self.chunk_units(shard_ids) {
-                return self.scan_units(subsets, &units);
-            }
-        }
-        self.map_selected_shards(shard_ids, |pos, shard| {
-            self.scan_shard_batch(shard, &subsets[pos])
-        })
-    }
-
     /// Single-query form of [`SearchEngine::scan_selected_shards`]: one
     /// [`ShardScan`] per selected shard.
     fn scan_selected_shards_single(
@@ -727,60 +582,18 @@ impl<S: IndexStore> SearchEngine<S> {
         shard_ids: &[usize],
         query: &QueryIndex,
     ) -> Vec<ShardScan> {
-        if self.scheduler == ScanScheduler::WorkStealing && self.pool.is_some() {
-            if let Some(units) = self.chunk_units(shard_ids) {
-                let subsets: Vec<Vec<&QueryIndex>> =
-                    shard_ids.iter().map(|_| vec![query]).collect();
-                return self
-                    .scan_units(&subsets, &units)
-                    .into_iter()
-                    .map(|mut row| row.pop().expect("one query per selected shard"))
-                    .collect();
-            }
-        }
-        self.map_selected_shards(shard_ids, |_, shard| self.scan_shard(shard, query))
-    }
-
-    /// One shard's ranked scan — **the** seam the layout optimization plugs into.
-    /// Stores that maintain a block-major [`crate::scanplane::ScanPlane`] (both
-    /// built-in stores do) are swept through it: contiguous, query-pruned,
-    /// vectorizer-friendly columns instead of per-document pointer chasing.
-    /// Stores without a plane fall back to the reference AoS loop. Either way the
-    /// output is bit-for-bit what [`scan_ranked`] returns — same matches, same
-    /// scan order, same [`SearchStats`] (the equivalence suite and
-    /// `mkse-core/tests/scanplane_equivalence.rs` hold both paths to it).
-    fn scan_shard(&self, shard: usize, query: &QueryIndex) -> ShardScan {
-        match self.store.scan_plane(shard) {
-            Some(plane) => plane.scan_ranked(query.bits()),
-            None => scan_ranked(self.store.shard_documents(shard), query),
-        }
-    }
-
-    /// One shard's **fused** ranked scan of a whole query set — the batch
-    /// counterpart of [`SearchEngine::scan_shard`]. Plane-backed stores stream
-    /// the shard's arena once for all queries
-    /// ([`crate::scanplane::ScanPlane::scan_ranked_batch`]); stores without a
-    /// plane fall back to one reference scan per query. Results are aligned with
-    /// `queries` and byte-identical to per-query [`SearchEngine::scan_shard`]
-    /// calls.
-    fn scan_shard_batch(&self, shard: usize, queries: &[&QueryIndex]) -> Vec<ShardScan> {
-        match self.store.scan_plane(shard) {
-            Some(plane) => {
-                let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
-                plane.scan_ranked_batch(&bits)
-            }
-            None => queries
-                .iter()
-                .map(|q| scan_ranked(self.store.shard_documents(shard), q))
-                .collect(),
-        }
+        let subsets: Vec<Vec<&QueryIndex>> = shard_ids.iter().map(|_| vec![query]).collect();
+        self.scan_selected_shards(shard_ids, &subsets)
+            .into_iter()
+            .map(|mut row| row.pop().expect("one query per selected shard"))
+            .collect()
     }
 
     /// Number of parallel scan lanes this engine fans out to: persistent pool
     /// workers plus the calling thread (which always takes one lane). Defaults
     /// to the host's available parallelism — independent of the shard count,
-    /// because the work-stealing scheduler splits and coalesces shards across
-    /// lanes freely — and is always clamped to `1..=available_parallelism`
+    /// because the executor splits and coalesces shards across lanes freely —
+    /// and is always clamped to `1..=available_parallelism`
     /// (see [`SearchEngine::set_scan_lanes`]): more busy threads than cores
     /// only adds scheduler thrash to a CPU-bound scan.
     pub fn scan_lanes(&self) -> usize {
@@ -796,7 +609,12 @@ impl<S: IndexStore> SearchEngine<S> {
         T: Send,
         F: Fn(&'s RankedDocumentIndex) -> T + Sync,
     {
-        let per_shard = self.map_shards(|shard| {
+        // Whole-shard units: there is no ranked sweep here to split by chunk.
+        let units: Vec<ScanUnit> = (0..self.store.num_shards())
+            .map(|shard| ScanUnit::whole(shard, shard))
+            .collect();
+        let per_shard = self.run_units(&units, |unit| {
+            let shard = unit.shard;
             let docs = self.store.shard_documents(shard);
             // The plane answers "which slots match" with a pruned column sweep;
             // the extraction still reads the authoritative AoS documents.
@@ -1442,7 +1260,7 @@ mod tests {
                 lanes <= cores,
                 "{shards} shards fanned out to {lanes} lanes on a {cores}-core host"
             );
-            // Lanes are decoupled from the shard count: the stealing scheduler
+            // Lanes are decoupled from the shard count: a multi-lane engine
             // splits shards into chunk units, so even one shard uses them all.
             assert_eq!(lanes, cores, "default lane count is the host parallelism");
         }
@@ -1462,19 +1280,10 @@ mod tests {
             engine.set_scan_lanes(request);
             assert_eq!(engine.scan_lanes(), request.clamp(1, cores));
         }
-        // The builder form composes with the other scheduler knobs, and the
-        // knobs survive a clone.
-        let engine = SearchEngine::sharded(fx.params.clone(), 2)
-            .with_scan_lanes(1)
-            .with_scan_scheduler(ScanScheduler::Static)
-            .with_steal_granularity(0);
+        // The builder form pins a count too, and the count survives a clone.
+        let engine = SearchEngine::sharded(fx.params.clone(), 2).with_scan_lanes(1);
         assert_eq!(engine.scan_lanes(), 1);
-        assert_eq!(engine.scan_scheduler(), ScanScheduler::Static);
-        assert_eq!(engine.steal_granularity(), 1, "granularity clamps to >= 1");
-        let clone = engine.clone();
-        assert_eq!(clone.scan_lanes(), 1);
-        assert_eq!(clone.scan_scheduler(), ScanScheduler::Static);
-        assert_eq!(clone.steal_granularity(), 1);
+        assert_eq!(engine.clone().scan_lanes(), 1);
     }
 
     #[test]
@@ -1498,33 +1307,26 @@ mod tests {
     /// Force a multi-lane pool regardless of the host's core count (the struct
     /// literal bypasses `set_scan_lanes`' clamp) so genuine concurrent stealing
     /// runs even on single-core CI hosts.
-    fn forced_lane_engine(
-        store: ShardedStore,
-        lanes: usize,
-        scheduler: ScanScheduler,
-        granularity: usize,
-    ) -> SearchEngine<ShardedStore> {
+    fn forced_lane_engine<S: IndexStore>(store: S, lanes: usize) -> SearchEngine<S> {
         SearchEngine {
             store,
             pool: (lanes > 1).then(|| WorkerPool::new(lanes - 1)),
             lanes,
-            scheduler,
-            steal_granularity: granularity.max(1),
             cache: None,
             telemetry: Telemetry::new(),
         }
     }
 
-    #[test]
-    fn work_stealing_on_forced_multi_lane_pool_matches_sequential_reference() {
-        use crate::scanplane::CHUNK;
-        // Multi-chunk shards without the (slow) real indexer: raw pseudo-random
-        // indices through the geometry-validating insert path. 3 shards × ~2.1
-        // chunks at granularity 1 gives ~7 units over 3 lanes, so pops and
-        // steals genuinely interleave.
+    /// A geometry-valid store of `docs` raw pseudo-random 2-level, 64-bit
+    /// indices — multi-unit shards without the (slow) real indexer — and a
+    /// generator for more bits from the same stream (queries).
+    fn raw_store(
+        shards: usize,
+        docs: usize,
+    ) -> (ShardedStore, impl FnMut(usize) -> crate::bitindex::BitIndex) {
         let params = SystemParams::new(64, 4, 16, 0, 0, vec![1, 2]).unwrap();
         let mut state = 0x9e37_79b9_97f4_a7c1u64;
-        let mut next_bits = |n: usize| {
+        let mut next_bits = move |n: usize| {
             let bits: Vec<bool> = (0..n)
                 .map(|_| {
                     state = state
@@ -1535,8 +1337,8 @@ mod tests {
                 .collect();
             crate::bitindex::BitIndex::from_bits(&bits)
         };
-        let mut store = ShardedStore::new(params.clone(), 3);
-        for id in 0..(3 * (2 * CHUNK + 100)) as u64 {
+        let mut store = ShardedStore::new(params, shards);
+        for id in 0..docs as u64 {
             store
                 .insert(RankedDocumentIndex {
                     document_id: id,
@@ -1544,9 +1346,19 @@ mod tests {
                 })
                 .unwrap();
         }
-        let reference = SearchEngine::new(store.clone())
-            .with_scan_lanes(1)
-            .with_scan_scheduler(ScanScheduler::Static);
+        (store, next_bits)
+    }
+
+    #[test]
+    fn work_stealing_on_forced_multi_lane_pool_matches_sequential_reference() {
+        use crate::scanplane::CHUNK;
+        // 3 shards of 16 full chunks + 100 documents of a 17th: 3 units each,
+        // 9 units over 2 or 3 lanes, so pops and steals genuinely interleave.
+        let (store, mut next_bits) = raw_store(3, 3 * (2 * UNIT_CHUNKS * CHUNK + 100));
+        let mut reference = CloudIndex::new(store.params().clone());
+        reference
+            .insert_all(store.documents_in_insertion_order().into_iter().cloned())
+            .unwrap();
         let queries: Vec<QueryIndex> = (0..5)
             .map(|_| QueryIndex::from_bits(next_bits(64)))
             .collect();
@@ -1554,53 +1366,98 @@ mod tests {
             .iter()
             .map(|q| reference.search_ranked_with_stats(q))
             .collect();
-        let expected_batch = reference.search_batch_with_stats(&queries);
-        // Aggregated across every forced work-stealing config below: the lanes
-        // must record genuine steals (satellite: the deques are no longer
-        // opaque), and recording them must not perturb a single reply byte.
+        // Aggregated across the forced multi-lane configs below: the lanes must
+        // record genuine steals, and recording them must not perturb a single
+        // reply byte.
         let mut total_steals = 0u64;
         let mut total_executed = 0u64;
         for lanes in [2usize, 3] {
-            for granularity in [1usize, 2, 64] {
-                let engine = forced_lane_engine(
-                    store.clone(),
-                    lanes,
-                    ScanScheduler::WorkStealing,
-                    granularity,
-                );
-                engine.set_telemetry_level(TelemetryLevel::Counters);
-                for (q, want) in queries.iter().zip(&expected) {
-                    assert_eq!(
-                        &engine.search_ranked_with_stats(q),
-                        want,
-                        "lanes={lanes} g={granularity}"
-                    );
-                }
-                assert_eq!(
-                    engine.search_batch_with_stats(&queries),
-                    expected_batch,
-                    "fused batch, lanes={lanes} g={granularity}"
-                );
-                let snap = engine.metrics_snapshot();
-                total_steals += snap.total_steals();
-                total_executed += snap.lanes.iter().map(|l| l.executed).sum::<u64>();
-            }
-            // The static scheduler on the same forced pool agrees too.
-            let engine = forced_lane_engine(store.clone(), lanes, ScanScheduler::Static, 8);
+            let engine = forced_lane_engine(store.clone(), lanes);
+            engine.set_telemetry_level(TelemetryLevel::Counters);
             for (q, want) in queries.iter().zip(&expected) {
-                assert_eq!(&engine.search_ranked_with_stats(q), want, "static {lanes}");
+                assert_eq!(&engine.search_ranked_with_stats(q), want, "lanes={lanes}");
+                assert_eq!(
+                    engine.search_unranked(q),
+                    reference.search_unranked(q),
+                    "unranked, lanes={lanes}"
+                );
             }
+            assert_eq!(
+                engine.search_batch_with_stats(&queries),
+                expected,
+                "fused batch, lanes={lanes}"
+            );
+            let snap = engine.metrics_snapshot();
+            total_steals += snap.total_steals();
+            total_executed += snap.lanes.iter().map(|l| l.executed).sum::<u64>();
         }
-        // Every unit execution is accounted, and at least one lane stole: the
-        // caller lane drains its own deal inline and then eats from workers
-        // still waking up, so a forced multi-lane run cannot finish steal-free.
-        assert!(
-            total_executed > 0,
-            "lane counters must see the executed units"
+        // Every unit execution is accounted: per lane count, 5 single queries
+        // and one fused batch over 9 chunk-range units each, plus 5 unranked
+        // searches over 3 whole-shard units.
+        assert_eq!(
+            total_executed,
+            2 * (6 * 9 + 5 * 3),
+            "lane counters must see every executed unit"
         );
+        // And at least one lane stole: the caller lane drains its own deal
+        // inline and then eats from workers still waking up, so a forced
+        // multi-lane run cannot finish steal-free.
         assert!(
             total_steals > 0,
             "forced multi-lane work-stealing runs must record steals"
+        );
+    }
+
+    #[test]
+    fn units_are_carved_from_lanes_and_planes() {
+        use crate::scanplane::CHUNK;
+        // Each of the 2 shards gets 18 full chunks and 10 documents of a 19th:
+        // two full units and a ragged 3-chunk one.
+        let (store, mut next_bits) = raw_store(2, 2 * (2 * UNIT_CHUNKS + 2) * CHUNK + 2 * 10);
+        // The selection order is the unit order; `pos` indexes the selection.
+        let selection = [1usize, 0];
+
+        // One lane: nobody to share with, one whole-shard unit per selection.
+        let one_lane = forced_lane_engine(store.clone(), 1);
+        assert_eq!(
+            one_lane.carve_units(&selection),
+            vec![ScanUnit::whole(0, 1), ScanUnit::whole(1, 0)]
+        );
+
+        // Multi-lane: ascending 8-chunk ranges, ragged last unit.
+        let two_lanes = forced_lane_engine(store.clone(), 2);
+        let range = |pos: usize, shard: usize, chunks: std::ops::Range<usize>| ScanUnit {
+            pos,
+            shard,
+            chunks: Some(chunks),
+        };
+        assert_eq!(
+            two_lanes.carve_units(&selection),
+            vec![
+                range(0, 1, 0..8),
+                range(0, 1, 8..16),
+                range(0, 1, 16..19),
+                range(1, 0, 0..8),
+                range(1, 0, 8..16),
+                range(1, 0, 16..19),
+            ]
+        );
+
+        // An empty plane carves into zero units, and the stitched row is the
+        // whole-shard scan's: no matches, zeroed stats.
+        let empty = forced_lane_engine(ShardedStore::new(store.params().clone(), 2), 2);
+        assert!(empty.carve_units(&[0, 1]).is_empty());
+        let q = QueryIndex::from_bits(next_bits(64));
+        assert_eq!(
+            empty.scan_selected_shards_single(&[0, 1], &q),
+            vec![(Vec::new(), SearchStats::default()); 2]
+        );
+
+        // A store without planes has no chunk grid: whole shards at any lane count.
+        let planeless = forced_lane_engine(PoisonedStore { inner: store }, 2);
+        assert_eq!(
+            planeless.carve_units(&selection),
+            vec![ScanUnit::whole(0, 1), ScanUnit::whole(1, 0)]
         );
     }
 
@@ -1636,7 +1493,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_constructor_runs_on_vec_store() {
+    fn sequential_constructor_runs_on_a_one_shard_store() {
         let mut fx = fixture();
         let mut engine = SearchEngine::sequential(fx.params.clone());
         let indexer = DocumentIndexer::new(&fx.params, &fx.keys);

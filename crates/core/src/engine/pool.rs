@@ -238,8 +238,8 @@ impl Drop for WorkerPool {
 
 /// Per-lane work-stealing deques over a fixed slate of work units.
 ///
-/// The engine's scheduler carves a query's shard scans into `total` chunk-range
-/// units (indices `0..total`) and deals each lane a contiguous slice up front.
+/// The engine's executor (`run_units`) carves a query's shard scans into `total`
+/// scan units (indices `0..total`) and deals each lane a contiguous slice up front.
 /// A lane **pops its own slice from the head** — walking its units in ascending
 /// index order, the cache-friendly direction of a plane sweep — and, once its
 /// slice is drained, **steals from the tail** of another lane's slice, the end

@@ -13,12 +13,12 @@
 //!
 //! Beyond the paper, the server-side read path is layered for scale (see the root
 //! crate's architecture notes): the [`storage`] module holds the [`storage::IndexStore`]
-//! abstraction with single-shard ([`storage::VecStore`]) and round-robin sharded
-//! ([`storage::ShardedStore`]) layouts, and the [`engine`] module executes single,
+//! abstraction and its one built-in layout, the round-robin [`storage::ShardedStore`]
+//! (one shard is the contiguous case), and the [`engine`] module executes single,
 //! batched and top-k ranked queries across shards in parallel with results that are
 //! bit-for-bit identical to the sequential [`search::CloudIndex`] reference scan.
 //! Each shard's hot loop runs on the [`scanplane`] module's block-major
-//! [`scanplane::ScanPlane`] — a bit-sliced contiguous arena the stores maintain on
+//! [`scanplane::ScanPlane`] — a bit-sliced contiguous arena the store maintains on
 //! insert, swept column-by-column with query-aware block pruning (blocks where the
 //! query is all-ones can reject nothing and are skipped for the whole shard) —
 //! while the AoS documents remain the authoritative copy and the reference scan.
@@ -94,7 +94,7 @@ pub use bins::{bins_for_keywords, get_bin, BinId, BinOccupancy};
 pub use bitindex::BitIndex;
 pub use cache::{CacheConfig, CacheEffect, CacheStats, QueryFingerprint, RankingMode, ResultCache};
 pub use document_index::{DocumentIndexer, RankedDocumentIndex};
-pub use engine::{ScanScheduler, SearchEngine};
+pub use engine::SearchEngine;
 pub use keys::{trapdoor_from_bin_key, RandomKeywordPool, SchemeKeys, Trapdoor};
 pub use keyword::keyword_index;
 pub use params::{ParamError, SystemParams};
@@ -106,7 +106,7 @@ pub use query::{QueryBuilder, QueryIndex};
 pub use rotation::{EpochTrapdoor, RotatingKeys};
 pub use scanplane::ScanPlane;
 pub use search::{CloudIndex, SearchMatch, SearchStats};
-pub use storage::{IndexStore, ShardedStore, StoreError, VecStore};
+pub use storage::{IndexStore, ShardedStore, StoreError};
 pub use telemetry::{
     LaneSnapshot, LaneStats, MetricsSnapshot, ShardCacheSnapshot, Telemetry, TelemetryLevel,
 };

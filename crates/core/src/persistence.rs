@@ -292,10 +292,10 @@ mod tests {
 
     #[test]
     fn sharded_snapshot_equals_sequential_snapshot() {
-        use crate::storage::{IndexStore, ShardedStore, VecStore};
+        use crate::storage::{IndexStore, ShardedStore};
         let params = SystemParams::default();
         let indices = sample_indices(&params, 11);
-        let mut sequential = VecStore::new(params.clone());
+        let mut sequential = ShardedStore::new(params.clone(), 1);
         sequential.insert_all(indices.iter().cloned()).unwrap();
         let mut sharded = ShardedStore::new(params.clone(), 4);
         sharded.insert_all(indices.iter().cloned()).unwrap();
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn per_shard_snapshots_cover_the_store_and_restore_anywhere() {
-        use crate::storage::{IndexStore, ShardedStore, VecStore};
+        use crate::storage::{IndexStore, ShardedStore};
         let params = SystemParams::default();
         let indices = sample_indices(&params, 13);
         let mut sharded = ShardedStore::new(params.clone(), 4);
@@ -351,11 +351,11 @@ mod tests {
         }
 
         // A single-shard store's one slice equals its whole-store snapshot.
-        let mut vec_store = VecStore::new(params.clone());
-        vec_store.insert_all(indices.iter().cloned()).unwrap();
+        let mut one_shard = ShardedStore::new(params.clone(), 1);
+        one_shard.insert_all(indices.iter().cloned()).unwrap();
         assert_eq!(
-            serialize_shard(&vec_store, 0),
-            serialize_index_store(&vec_store)
+            serialize_shard(&one_shard, 0),
+            serialize_index_store(&one_shard)
         );
     }
 

@@ -6,8 +6,8 @@
 //! is the highest level that still matches. The server never learns anything beyond which
 //! stored indices matched at which level.
 //!
-//! [`CloudIndex`] is the **sequential reference implementation** over a single
-//! contiguous [`VecStore`]: it always scans the documents themselves with this
+//! [`CloudIndex`] is the **sequential reference implementation** over a
+//! one-shard [`ShardedStore`]: it always scans the documents themselves with this
 //! module's [`scan_ranked`] loop. The production read path is the shard-parallel
 //! [`crate::engine::SearchEngine`], which sweeps each shard's block-major
 //! [`crate::scanplane::ScanPlane`] instead — a layout change only; it is held
@@ -19,7 +19,7 @@ use crate::bitindex::BitIndex;
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::query::QueryIndex;
-use crate::storage::{IndexStore, StoreError, VecStore};
+use crate::storage::{IndexStore, ShardedStore, StoreError};
 use serde::{Deserialize, Serialize};
 
 /// One search hit: a document id and its relevance rank (1 ≤ rank ≤ η).
@@ -98,16 +98,17 @@ pub fn sort_matches(matches: &mut [SearchMatch]) {
 
 /// The sequential server-side index store — the paper's single-threaded scan, kept as
 /// the reference the parallel engine is tested against.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CloudIndex {
-    store: VecStore,
+    /// One shard: `shard_documents(0)` is every document, in insertion order.
+    store: ShardedStore,
 }
 
 impl CloudIndex {
     /// Create an empty store for the given parameters.
     pub fn new(params: SystemParams) -> Self {
         CloudIndex {
-            store: VecStore::new(params),
+            store: ShardedStore::new(params, 1),
         }
     }
 
@@ -147,7 +148,7 @@ impl CloudIndex {
     /// query, in storage order. This is Eq. (3) applied across the database.
     pub fn search_unranked(&self, query: &QueryIndex) -> Vec<u64> {
         self.store
-            .documents()
+            .shard_documents(0)
             .iter()
             .filter(|d| d.base_level().matches_query(query.bits()))
             .map(|d| d.document_id)
@@ -157,7 +158,7 @@ impl CloudIndex {
     /// Ranked search (Algorithm 1): returns matches sorted by descending rank (ties broken by
     /// document id) together with execution statistics.
     pub fn search_ranked_with_stats(&self, query: &QueryIndex) -> (Vec<SearchMatch>, SearchStats) {
-        let (mut matches, stats) = scan_ranked(self.store.documents(), query);
+        let (mut matches, stats) = scan_ranked(self.store.shard_documents(0), query);
         sort_matches(&mut matches);
         (matches, stats)
     }
@@ -182,7 +183,7 @@ impl CloudIndex {
     /// callers copy only what actually leaves the server.
     pub fn matching_metadata(&self, query: &QueryIndex) -> Vec<(u64, &[BitIndex])> {
         self.store
-            .documents()
+            .shard_documents(0)
             .iter()
             .filter(|d| d.base_level().matches_query(query.bits()))
             .map(|d| (d.document_id, d.levels.as_slice()))
@@ -195,14 +196,8 @@ impl CloudIndex {
     }
 
     /// The underlying single-shard store.
-    pub fn store(&self) -> &VecStore {
+    pub fn store(&self) -> &ShardedStore {
         &self.store
-    }
-
-    /// Consume the index, returning the underlying store (e.g. to hand it to a
-    /// [`crate::engine::SearchEngine`]).
-    pub fn into_store(self) -> VecStore {
-        self.store
     }
 }
 

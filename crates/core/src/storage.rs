@@ -6,17 +6,16 @@
 //!
 //! * [`IndexStore`] — the storage abstraction: geometry-validated inserts, O(1) lookup
 //!   by document id, and shard-wise access for parallel scans.
-//! * [`VecStore`] — the single-shard, contiguous layout (the original `CloudIndex`
-//!   representation), still the reference for sequential scans.
 //! * [`ShardedStore`] — partitions documents round-robin across N shards so the
 //!   engine can scan them on N threads; an id → (shard, slot) map replaces the old
-//!   O(σ) `iter().find()` lookup.
+//!   O(σ) `iter().find()` lookup. With N = 1 it is the single contiguous layout
+//!   the sequential reference ([`crate::search::CloudIndex`]) scans.
 //!
 //! Every store tracks the **insertion ordinal** of each document, so unranked results
 //! and persisted snapshots keep the exact storage order of the sequential reference
 //! regardless of the physical layout.
 //!
-//! Both built-in stores additionally maintain one block-major
+//! [`ShardedStore`] additionally maintains one block-major
 //! [`crate::scanplane::ScanPlane`] per shard — a bit-sliced mirror of the shard's
 //! indices appended inside [`IndexStore::insert`], exposed through
 //! [`IndexStore::scan_plane`]. Because *every* mutation path (uploads, `insert_all`,
@@ -134,8 +133,8 @@ pub trait IndexStore: Send + Sync {
     ///
     /// A plane is a bit-sliced copy of the shard's indices that the engine sweeps
     /// instead of pointer-chasing `shard_documents`; stores that return `Some`
-    /// **must** keep it in lockstep with every insert (both built-in stores do —
-    /// their planes are appended inside [`IndexStore::insert`], so restores and
+    /// **must** keep it in lockstep with every insert ([`ShardedStore`] does —
+    /// its planes are appended inside [`IndexStore::insert`], so restores and
     /// `insert_all` rebuild them for free). The default `None` falls back to the
     /// reference AoS scan.
     fn scan_plane(&self, shard: usize) -> Option<&ScanPlane> {
@@ -172,82 +171,6 @@ pub trait IndexStore: Send + Sync {
         }
         ordered.sort_by_key(|(ordinal, _)| *ordinal);
         ordered.into_iter().map(|(_, doc)| doc).collect()
-    }
-}
-
-/// The single-shard contiguous store — the layout of the original `CloudIndex`, kept
-/// as the sequential reference implementation.
-#[derive(Clone, Debug, Default)]
-pub struct VecStore {
-    params: SystemParams,
-    documents: Vec<RankedDocumentIndex>,
-    by_id: HashMap<u64, usize>,
-    /// Block-major mirror of `documents`, appended on every insert.
-    plane: ScanPlane,
-}
-
-impl VecStore {
-    /// An empty store for the given parameters.
-    pub fn new(params: SystemParams) -> Self {
-        VecStore {
-            params,
-            documents: Vec::new(),
-            by_id: HashMap::new(),
-            plane: ScanPlane::new(),
-        }
-    }
-
-    /// The stored indices in insertion order, as a contiguous slice.
-    pub fn documents(&self) -> &[RankedDocumentIndex] {
-        &self.documents
-    }
-}
-
-impl IndexStore for VecStore {
-    fn params(&self) -> &SystemParams {
-        &self.params
-    }
-
-    fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError> {
-        check_geometry(&self.params, &index)?;
-        if self.by_id.contains_key(&index.document_id) {
-            return Err(StoreError::DuplicateDocument(index.document_id));
-        }
-        self.by_id.insert(index.document_id, self.documents.len());
-        self.plane.push(&index);
-        self.documents.push(index);
-        Ok(())
-    }
-
-    fn len(&self) -> usize {
-        self.documents.len()
-    }
-
-    fn num_shards(&self) -> usize {
-        1
-    }
-
-    fn shard_documents(&self, shard: usize) -> &[RankedDocumentIndex] {
-        assert_eq!(shard, 0, "VecStore has a single shard");
-        &self.documents
-    }
-
-    fn ordinal(&self, shard: usize, slot: usize) -> u64 {
-        assert_eq!(shard, 0, "VecStore has a single shard");
-        slot as u64
-    }
-
-    fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex> {
-        self.by_id.get(&document_id).map(|&i| &self.documents[i])
-    }
-
-    fn shard_of(&self, document_id: u64) -> Option<usize> {
-        self.by_id.get(&document_id).map(|_| 0)
-    }
-
-    fn scan_plane(&self, shard: usize) -> Option<&ScanPlane> {
-        assert_eq!(shard, 0, "VecStore has a single shard");
-        Some(&self.plane)
     }
 }
 
@@ -352,11 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn vec_store_preserves_insertion_order_and_lookup() {
+    fn one_shard_store_preserves_insertion_order_and_lookup() {
         let params = SystemParams::default();
         let keys = indexer_fixture(&params);
         let indexer = DocumentIndexer::new(&params, &keys);
-        let mut store = VecStore::new(params.clone());
+        let mut store = ShardedStore::new(params.clone(), 1);
         for id in [5u64, 3, 9] {
             store.insert(indexer.index_keywords(id, &["kw"])).unwrap();
         }
@@ -407,33 +330,24 @@ mod tests {
         let keys = indexer_fixture(&params);
         let indexer = DocumentIndexer::new(&params, &keys);
 
-        let mut vec_store = VecStore::new(params.clone());
-        let mut sharded = ShardedStore::new(params.clone(), 3);
-        for id in 0..10u64 {
-            let idx = indexer.index_keywords(id, &["kw", &format!("kw{id}")]);
-            vec_store.insert(idx.clone()).unwrap();
-            sharded.insert(idx).unwrap();
-        }
-        // A rejected insert must not dirty any plane.
-        assert!(sharded.insert(indexer.index_keywords(3, &["dup"])).is_err());
+        for num_shards in [1usize, 3] {
+            let mut store = ShardedStore::new(params.clone(), num_shards);
+            for id in 0..10u64 {
+                let idx = indexer.index_keywords(id, &["kw", &format!("kw{id}")]);
+                store.insert(idx).unwrap();
+            }
+            // A rejected insert must not dirty any plane.
+            assert!(store.insert(indexer.index_keywords(3, &["dup"])).is_err());
 
-        let plane = vec_store.scan_plane(0).expect("VecStore maintains a plane");
-        assert_eq!(plane.len(), vec_store.len());
-        let ids: Vec<u64> = vec_store
-            .documents()
-            .iter()
-            .map(|d| d.document_id)
-            .collect();
-        assert_eq!(plane.ids(), &ids[..]);
-
-        for shard in 0..sharded.num_shards() {
-            let plane = sharded.scan_plane(shard).expect("per-shard plane");
-            let docs = sharded.shard_documents(shard);
-            assert_eq!(plane.len(), docs.len(), "shard {shard}");
-            let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();
-            assert_eq!(plane.ids(), &ids[..], "shard {shard}");
-            assert_eq!(plane.bits(), params.index_bits);
-            assert_eq!(plane.levels(), params.rank_levels());
+            for shard in 0..store.num_shards() {
+                let plane = store.scan_plane(shard).expect("per-shard plane");
+                let docs = store.shard_documents(shard);
+                assert_eq!(plane.len(), docs.len(), "shard {shard} of {num_shards}");
+                let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();
+                assert_eq!(plane.ids(), &ids[..], "shard {shard} of {num_shards}");
+                assert_eq!(plane.bits(), params.index_bits);
+                assert_eq!(plane.levels(), params.rank_levels());
+            }
         }
     }
 
@@ -462,7 +376,7 @@ mod tests {
         let params_small = SystemParams::new(64, 4, 16, 0, 0, vec![1]).unwrap();
         let keys_small = indexer_fixture(&params_small);
         let indexer_small = DocumentIndexer::new(&params_small, &keys_small);
-        let mut store1 = VecStore::new(params1.clone());
+        let mut store1 = ShardedStore::new(params1.clone(), 1);
         assert_eq!(
             store1.insert(indexer_small.index_keywords(0, &["kw"])),
             Err(StoreError::IndexSizeMismatch {
@@ -477,10 +391,10 @@ mod tests {
         let params = SystemParams::default();
         let keys = indexer_fixture(&params);
         let indexer = DocumentIndexer::new(&params, &keys);
-        let mut vec_store = VecStore::new(params.clone());
-        vec_store.insert(indexer.index_keywords(1, &["a"])).unwrap();
+        let mut one_shard = ShardedStore::new(params.clone(), 1);
+        one_shard.insert(indexer.index_keywords(1, &["a"])).unwrap();
         assert_eq!(
-            vec_store.insert(indexer.index_keywords(1, &["b"])),
+            one_shard.insert(indexer.index_keywords(1, &["b"])),
             Err(StoreError::DuplicateDocument(1))
         );
         let mut sharded = ShardedStore::new(params.clone(), 4);

@@ -255,8 +255,8 @@ pub enum Stage {
     EngineQuery,
     /// One fused batch sweep end to end.
     EngineBatch,
-    /// One scheduler unit scanned by a lane: a chunk range on the
-    /// work-stealing path, a whole shard on the static path.
+    /// One scan unit executed by a lane: a chunk range on a multi-lane
+    /// engine, a whole shard on one lane or without a scan plane.
     UnitScan,
     /// Cache lookup pass (all shards, lock held once).
     CacheLookup,

@@ -17,7 +17,7 @@
 use mkse_core::scanplane::CHUNK;
 use mkse_core::{
     BitIndex, CacheConfig, CloudIndex, IndexStore, QueryIndex, RankedDocumentIndex, ScanPlane,
-    ScanScheduler, SearchEngine, SystemParams, TelemetryLevel,
+    SearchEngine, SystemParams, TelemetryLevel,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -263,19 +263,20 @@ fn scanplane_fused_batch_equals_sequential_engine_at_all_shard_counts() {
 
 #[test]
 fn scanplane_steal_scheduler_heavy_configs_are_byte_identical() {
-    // The work-stealing scheduler's correctness oracle at scale: a corpus big
-    // enough that every shard's plane splits into several chunk-range work
-    // units, swept under every (shards × lanes × granularity) combination of
-    // the runtime knobs, with the cache off and on — every reply, every stat
-    // and every cache counter must match the sequential reference (and a
-    // static-scheduler twin) byte for byte.
+    // Lane count is invisible — the executor's correctness oracle at scale: a
+    // corpus big enough that the 1- and 2-shard stores split into several
+    // chunk-range units per shard (a multi-lane unit is 8 chunks), swept under
+    // every shards × lanes combination with the cache off and on — every
+    // reply, every stat and every cache counter must match the sequential
+    // reference (and a one-lane twin: whole-shard units run inline, the
+    // sequential execution) byte for byte.
     let mut rng = StdRng::seed_from_u64(96);
     let r = 65; // ragged tail: 64 valid bits + 1
     let eta = 2;
     let params = params_for(r, eta);
-    // ~2.3 chunks single-sharded; still multi-unit at granularity 1 after
-    // sharding (and granularity 64 exceeds every plane: one unit per shard).
-    let docs = random_docs(&mut rng, 2 * CHUNK + 321, r, eta);
+    // ~18.3 chunks single-sharded (3 units), ~9.2 per shard at 2 shards (2
+    // units each, the last ragged); 7 and 16 shards hold one unit apiece.
+    let docs = random_docs(&mut rng, 2 * (8 * CHUNK + CHUNK) + 321, r, eta);
     let queries = query_workload(&mut rng, r, &docs);
     let mut batch = queries.clone();
     batch.push(batch[0].clone()); // intra-batch duplicates ride along
@@ -293,47 +294,41 @@ fn scanplane_steal_scheduler_heavy_configs_are_byte_identical() {
         let mut cached =
             SearchEngine::sharded(params.clone(), shards).with_result_cache(CacheConfig::default());
         cached.insert_all(docs.iter().cloned()).unwrap();
-        // A static-scheduler twin with the same cache config: sub-shard
-        // execution must be invisible to the cache counters too.
-        let mut static_cached = SearchEngine::sharded(params.clone(), shards)
-            .with_scan_scheduler(ScanScheduler::Static)
+        // A one-lane twin with the same cache config: sub-shard execution
+        // must be invisible to the cache counters too.
+        let mut inline_cached = SearchEngine::sharded(params.clone(), shards)
+            .with_scan_lanes(1)
             .with_result_cache(CacheConfig::default());
-        static_cached.insert_all(docs.iter().cloned()).unwrap();
-        assert_eq!(engine.scan_scheduler(), ScanScheduler::WorkStealing);
+        inline_cached.insert_all(docs.iter().cloned()).unwrap();
 
         for lanes in [1usize, 2, 3] {
-            for granularity in [1usize, 8, 64] {
-                engine.set_scan_lanes(lanes);
-                engine.set_steal_granularity(granularity);
-                let ctx = format!("{shards} shards, lanes={lanes}, g={granularity}");
-                assert_engine_equals_reference(&engine, &reference, &queries, &ctx);
-                assert_eq!(
-                    engine.search_batch_with_stats(&batch),
-                    expected_batch,
-                    "fused batch differs: {ctx}"
-                );
+            engine.set_scan_lanes(lanes);
+            let ctx = format!("{shards} shards, lanes={lanes}");
+            assert_engine_equals_reference(&engine, &reference, &queries, &ctx);
+            assert_eq!(
+                engine.search_batch_with_stats(&batch),
+                expected_batch,
+                "fused batch differs: {ctx}"
+            );
 
-                cached.set_scan_lanes(lanes);
-                cached.set_steal_granularity(granularity);
-                cached.clear_cache();
-                cached.reset_cache_stats();
-                static_cached.set_scan_lanes(lanes);
-                static_cached.clear_cache();
-                static_cached.reset_cache_stats();
-                for pass in ["cold", "warm"] {
-                    assert_eq!(
-                        cached.search_batch_with_stats(&batch),
-                        expected_batch,
-                        "cached fused batch differs: {ctx}, {pass}"
-                    );
-                    let _ = static_cached.search_batch_with_stats(&batch);
-                }
+            cached.set_scan_lanes(lanes);
+            cached.clear_cache();
+            cached.reset_cache_stats();
+            inline_cached.clear_cache();
+            inline_cached.reset_cache_stats();
+            for pass in ["cold", "warm"] {
                 assert_eq!(
-                    cached.cache_stats(),
-                    static_cached.cache_stats(),
-                    "cache counters must be scheduler-invisible: {ctx}"
+                    cached.search_batch_with_stats(&batch),
+                    expected_batch,
+                    "cached fused batch differs: {ctx}, {pass}"
                 );
+                let _ = inline_cached.search_batch_with_stats(&batch);
             }
+            assert_eq!(
+                cached.cache_stats(),
+                inline_cached.cache_stats(),
+                "cache counters must be lane-invisible: {ctx}"
+            );
         }
     }
 }
@@ -469,9 +464,8 @@ proptest! {
     /// 1..=64 — with duplicate queries and the all-ones/all-zeros pruning
     /// extremes mixed in — `scan_ranked_batch` returns exactly what b
     /// independent `scan_ranked` calls return, and the engine's fused batch
-    /// equals the reference answering each query alone, under any scheduler
-    /// configuration (shard count, lane count, steal granularity, cache on or
-    /// off).
+    /// equals the reference answering each query alone, at any shard count
+    /// and lane count, cache on or off.
     #[test]
     fn scanplane_prop_batch_equals_independent_scans(
         seed in 0u64..1_000_000,
@@ -481,7 +475,6 @@ proptest! {
         batch_size in 1usize..=64,
         shards_idx in 0usize..4,
         lanes in 1usize..=3,
-        granularity_idx in 0usize..3,
         cached in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -517,16 +510,13 @@ proptest! {
             prop_assert_eq!(got, &plane.scan_ranked(q));
         }
 
-        // Engine-level: the fused batch vs the AoS reference, under an
-        // arbitrary steal-heavy scheduler configuration.
+        // Engine-level: the fused batch vs the AoS reference, at an arbitrary
+        // shards × lanes configuration.
         let shards = SHARD_COUNTS[shards_idx];
-        let granularity = [1usize, 8, 64][granularity_idx];
         let params = params_for(r, eta);
         let mut reference = CloudIndex::new(params.clone());
         reference.insert_all(docs.iter().cloned()).unwrap();
-        let mut engine = SearchEngine::sharded(params, shards)
-            .with_scan_lanes(lanes)
-            .with_steal_granularity(granularity);
+        let mut engine = SearchEngine::sharded(params, shards).with_scan_lanes(lanes);
         if cached {
             engine.enable_cache(CacheConfig::default());
         }

@@ -4,7 +4,7 @@
 //!
 //! The paper defines the protocol as messages exchanged between user, data owner
 //! and cloud server; this module gives those messages a single seam. Instead of a
-//! dozen unrelated Rust methods (`handle_query`, `handle_document_request`,
+//! dozen unrelated Rust methods (one per query shape, document retrieval,
 //! trapdoor serving, cache/snapshot admin, …) there is exactly one entry point —
 //! [`Service::call`] — so transports, async serving, multi-tenant dispatch and
 //! measurement can all be layered *around* an actor without knowing which

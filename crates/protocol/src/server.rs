@@ -18,11 +18,11 @@
 //! [`Service::call`], which executes any [`Request`] variant it serves (query,
 //! batch query, document retrieval, upload, cache admin, snapshot/restore,
 //! counters, info) and answers owner-side operations with
-//! [`ProtocolError::Unsupported`]. The public convenience methods — including
-//! the deprecated `handle_*` family — are thin shims over `call`, so replies are
-//! byte-identical no matter which surface a caller uses
-//! (`tests/envelope_equivalence.rs` asserts this across shard counts and cache
-//! configurations).
+//! [`ProtocolError::Unsupported`]. The public convenience methods (`upload`,
+//! the cache toggles) are thin shims over `call`, and the framed codec carries
+//! the same envelope, so replies are byte-identical no matter which surface a
+//! caller uses (`tests/envelope_equivalence.rs` asserts `call` == framed
+//! [`crate::Client`] across shard counts and cache configurations).
 
 use crate::counters::OperationCounters;
 use crate::envelope::{Request, Response, ServerInfo, Service};
@@ -206,6 +206,10 @@ impl CloudServer {
         }
     }
 
+    /// Answer a query (§4.3 + Algorithm 1): ranked search over every stored index,
+    /// returning matching document ids, ranks and their index metadata. With the
+    /// result cache enabled, a repeated query index skips the shard scans entirely;
+    /// the reply's [`CacheReport`] says what happened.
     fn exec_query(&mut self, message: &QueryMessage) -> SearchReply {
         let query = QueryIndex::from_bits(message.query.clone());
         let (matches, stats, effect) = self.engine.search_ranked_with_effect(&query);
@@ -215,6 +219,16 @@ impl CloudServer {
         reply
     }
 
+    /// Answer a batched query: every query of the batch is evaluated in a single
+    /// **fused** pass over each shard — the shard's scan-plane arena is streamed
+    /// once for the whole (cache-missed, intra-batch-deduplicated) query set, so a
+    /// b-query round trip pays one sweep's memory traffic instead of b (with the
+    /// cache enabled, each shard scans exactly the unique queries that missed it;
+    /// repeated query indices inside one batch scan once and fan out, reported in
+    /// each reply's [`CacheReport`] exactly as if the queries had been sent one at
+    /// a time). The reply carries one [`SearchReply`] per query in request order,
+    /// and logical comparison counts accumulate exactly as if the queries had been
+    /// sent individually.
     fn exec_batch_query(&mut self, message: &BatchQueryMessage) -> BatchSearchReply {
         let queries: Vec<QueryIndex> = message
             .queries
@@ -266,6 +280,8 @@ impl CloudServer {
             .collect()
     }
 
+    /// Answer a document-retrieval request: the ciphertexts and RSA-encrypted
+    /// keys of the requested documents.
     fn exec_document_request(
         &mut self,
         request: &DocumentRequest,
@@ -279,55 +295,6 @@ impl CloudServer {
             documents.push(doc.clone());
         }
         Ok(DocumentReply { documents })
-    }
-
-    /// Handle a query (§4.3 + Algorithm 1): ranked search over every stored index, returning
-    /// matching document ids, ranks and their index metadata. With the result cache
-    /// enabled, a repeated query index skips the shard scans entirely; the reply's
-    /// [`CacheReport`] says what happened.
-    #[deprecated(note = "route queries through `Service::call` or a `crate::Client` \
-                         (`Request::Query`); this shim forwards there unchanged")]
-    pub fn handle_query(&mut self, message: &QueryMessage) -> SearchReply {
-        match self.call(Request::Query(message.clone())) {
-            Response::Search(reply) => reply,
-            other => unreachable!("Query answered with {}", other.name()),
-        }
-    }
-
-    /// Handle a batched query: every query of the batch is evaluated in a single
-    /// **fused** pass over each shard — the shard's scan-plane arena is streamed
-    /// once for the whole (cache-missed, intra-batch-deduplicated) query set, so a
-    /// b-query round trip pays one sweep's memory traffic instead of b (with the
-    /// cache enabled, each shard scans exactly the unique queries that missed it;
-    /// repeated query indices inside one batch scan once and fan out, reported in
-    /// each reply's [`CacheReport`] exactly as if the queries had been sent one at
-    /// a time). The reply carries one [`SearchReply`] per query in request order,
-    /// and logical comparison counts accumulate exactly as if the queries had been
-    /// sent individually.
-    #[deprecated(
-        note = "route batched queries through `Service::call` or a `crate::Client` \
-                         (`Request::BatchQuery`); this shim forwards there unchanged"
-    )]
-    pub fn handle_batch_query(&mut self, message: &BatchQueryMessage) -> BatchSearchReply {
-        match self.call(Request::BatchQuery(message.clone())) {
-            Response::BatchSearch(reply) => reply,
-            other => unreachable!("BatchQuery answered with {}", other.name()),
-        }
-    }
-
-    /// Handle a document-retrieval request: return the ciphertexts and RSA-encrypted keys of
-    /// the requested documents.
-    #[deprecated(note = "route retrieval through `Service::call` or a `crate::Client` \
-                         (`Request::Documents`); this shim forwards there unchanged")]
-    pub fn handle_document_request(
-        &mut self,
-        request: &DocumentRequest,
-    ) -> Result<DocumentReply, ProtocolError> {
-        match self.call(Request::Documents(request.clone())) {
-            Response::Documents(reply) => Ok(reply),
-            Response::Error(e) => Err(e),
-            other => unreachable!("Documents answered with {}", other.name()),
-        }
     }
 
     /// Operation counters accumulated so far (binary comparisons only — the server does no
@@ -449,9 +416,6 @@ impl Service for CloudServer {
 }
 
 #[cfg(test)]
-// The legacy `handle_*` shims are exercised on purpose: they must stay
-// byte-identical to `Service::call` until removal.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::data_owner::{DataOwner, OwnerConfig};
@@ -487,12 +451,28 @@ mod tests {
         }
     }
 
+    /// `Service::call` on a query, narrowed to the search reply it must be.
+    fn search(server: &mut CloudServer, message: &QueryMessage) -> SearchReply {
+        match server.call(Request::Query(message.clone())) {
+            Response::Search(reply) => reply,
+            other => unreachable!("Query answered with {}", other.name()),
+        }
+    }
+
+    /// [`search`] for a batch.
+    fn batch_search(server: &mut CloudServer, message: &BatchQueryMessage) -> BatchSearchReply {
+        match server.call(Request::BatchQuery(message.clone())) {
+            Response::BatchSearch(reply) => reply,
+            other => unreachable!("BatchQuery answered with {}", other.name()),
+        }
+    }
+
     #[test]
     fn query_returns_matching_documents_with_metadata() {
         let (owner, mut server, mut rng) = populated_server();
         assert_eq!(server.num_documents(), 3);
         // "cloud" is stemmed to "cloud"; documents 0 and 2 contain it.
-        let reply = server.handle_query(&query_for(&owner, &["cloud"], &mut rng));
+        let reply = search(&mut server, &query_for(&owner, &["cloud"], &mut rng));
         let ids: Vec<u64> = reply.matches.iter().map(|m| m.document_id).collect();
         assert!(ids.contains(&0));
         assert!(ids.contains(&2));
@@ -509,18 +489,18 @@ mod tests {
         let (owner, mut server, mut rng) = populated_server();
         let mut msg = query_for(&owner, &["cloud"], &mut rng);
         msg.top = Some(1);
-        let reply = server.handle_query(&msg);
+        let reply = search(&mut server, &msg);
         assert_eq!(reply.matches.len(), 1);
     }
 
     #[test]
     fn document_request_returns_ciphertexts() {
         let (_, mut server, _) = populated_server();
-        let reply = server
-            .handle_document_request(&DocumentRequest {
-                document_ids: vec![0, 2],
-            })
-            .unwrap();
+        let Response::Documents(reply) = server.call(Request::Documents(DocumentRequest {
+            document_ids: vec![0, 2],
+        })) else {
+            panic!("stored documents must be returned");
+        };
         assert_eq!(reply.documents.len(), 2);
         assert_eq!(reply.documents[0].document_id, 0);
         assert!(!reply.documents[0].ciphertext.is_empty());
@@ -530,10 +510,10 @@ mod tests {
     fn unknown_document_is_an_error() {
         let (_, mut server, _) = populated_server();
         assert_eq!(
-            server.handle_document_request(&DocumentRequest {
+            server.call(Request::Documents(DocumentRequest {
                 document_ids: vec![99]
-            }),
-            Err(ProtocolError::UnknownDocument(99))
+            })),
+            Response::Error(ProtocolError::UnknownDocument(99))
         );
     }
 
@@ -542,7 +522,7 @@ mod tests {
         let (owner, mut server, mut rng) = populated_server();
         let q1 = query_for(&owner, &["cloud"], &mut rng);
         let q2 = query_for(&owner, &["weather"], &mut rng);
-        let individual = vec![server.handle_query(&q1), server.handle_query(&q2)];
+        let individual = vec![search(&mut server, &q1), search(&mut server, &q2)];
         let singles_comparisons = server.counters().binary_comparisons;
         server.reset_counters();
 
@@ -550,7 +530,7 @@ mod tests {
             queries: vec![q1.query.clone(), q2.query.clone()],
             top: None,
         };
-        let batched = server.handle_batch_query(&batch);
+        let batched = batch_search(&mut server, &batch);
         assert_eq!(batched.replies, individual);
         // Comparison accounting is identical to sending the queries one by one.
         assert_eq!(server.counters().binary_comparisons, singles_comparisons);
@@ -574,7 +554,7 @@ mod tests {
         assert_eq!(sharded.num_shards(), 4);
 
         let msg = query_for(&owner, &["privacy"], &mut rng);
-        assert_eq!(sequential.handle_query(&msg), sharded.handle_query(&msg));
+        assert_eq!(search(&mut sequential, &msg), search(&mut sharded, &msg));
     }
 
     #[test]
@@ -597,14 +577,14 @@ mod tests {
         assert!(server.result_cache_enabled());
         let msg = query_for(&owner, &["cloud"], &mut rng);
 
-        let first = server.handle_query(&msg);
+        let first = search(&mut server, &msg);
         assert!(!first.cache.served_from_cache, "cold cache must scan");
         assert_eq!(first.cache.shard_hits, 0);
         let scanned = server.counters().binary_comparisons;
         assert!(scanned > 0);
         assert_eq!(server.counters().comparisons_saved_by_cache, 0);
 
-        let second = server.handle_query(&msg);
+        let second = search(&mut server, &msg);
         // Identical reply bytes; only the cache diagnostics differ.
         assert_eq!(second.matches, first.matches);
         assert!(second.cache.served_from_cache);
@@ -619,7 +599,7 @@ mod tests {
         // An upload invalidates; the next query rescans and still matches.
         server.disable_result_cache();
         assert!(server.cache_stats().is_none());
-        let uncached = server.handle_query(&msg);
+        let uncached = search(&mut server, &msg);
         assert_eq!(uncached.matches, first.matches);
         assert_eq!(uncached.cache, CacheReport::default());
     }
@@ -633,13 +613,13 @@ mod tests {
             queries: vec![q1.query.clone(), q2.query.clone()],
             top: None,
         };
-        let uncached = server.handle_batch_query(&batch);
+        let uncached = batch_search(&mut server, &batch);
         server.reset_counters();
         server.enable_result_cache(64);
 
-        let cold = server.handle_batch_query(&batch);
+        let cold = batch_search(&mut server, &batch);
         let logical = server.counters().binary_comparisons;
-        let warm = server.handle_batch_query(&batch);
+        let warm = batch_search(&mut server, &batch);
         for ((u, c), w) in uncached
             .replies
             .iter()
@@ -674,15 +654,15 @@ mod tests {
         sequential.enable_result_cache(64);
         sequential.reset_counters();
         let individual = vec![
-            sequential.handle_query(&q1),
-            sequential.handle_query(&q2),
-            sequential.handle_query(&q1),
+            search(&mut sequential, &q1),
+            search(&mut sequential, &q2),
+            search(&mut sequential, &q1),
         ];
         let sequential_counters = *sequential.counters();
 
         server.enable_result_cache(64);
         server.reset_counters();
-        let batched = server.handle_batch_query(&batch);
+        let batched = batch_search(&mut server, &batch);
         // Byte-identical replies, including each reply's CacheReport: the
         // duplicate is served as the cache hit sequential execution produces.
         assert_eq!(batched.replies, individual);
@@ -753,8 +733,8 @@ mod tests {
         let (owner, mut server, mut rng) = populated_server();
         server.enable_result_cache(64);
         let msg = query_for(&owner, &["cloud"], &mut rng);
-        let _ = server.handle_query(&msg);
-        assert!(server.handle_query(&msg).cache.served_from_cache);
+        let _ = search(&mut server, &msg);
+        assert!(search(&mut server, &msg).cache.served_from_cache);
 
         // New upload: at least the written shards rescan, and results include
         // nothing stale.
@@ -762,7 +742,7 @@ mod tests {
         let docs = vec![Document::from_text(77, "unrelated content entirely")];
         let (indices, encrypted) = owner2.prepare_documents(&docs, &mut rng);
         server.upload(indices, encrypted).unwrap();
-        let after_upload = server.handle_query(&msg);
+        let after_upload = search(&mut server, &msg);
         assert!(!after_upload.cache.served_from_cache);
 
         // Snapshot → restore into a fresh cached server: identical matches, cold cache.
@@ -770,7 +750,7 @@ mod tests {
         let mut restored = CloudServer::with_shards(owner.params().clone(), 2);
         restored.enable_result_cache(64);
         assert_eq!(restored.restore_index(&bytes).unwrap(), 4);
-        let replayed = restored.handle_query(&msg);
+        let replayed = search(&mut restored, &msg);
         assert_eq!(replayed.matches, after_upload.matches);
         assert_eq!(replayed.cache.shard_hits, 0, "restored cache must be cold");
         assert!(matches!(
@@ -783,7 +763,7 @@ mod tests {
     fn metrics_snapshot_is_served_and_requests_served_reads_the_registry() {
         let (owner, mut server, mut rng) = populated_server();
         server.set_telemetry_level(TelemetryLevel::Counters);
-        let _ = server.handle_query(&query_for(&owner, &["cloud"], &mut rng));
+        let _ = search(&mut server, &query_for(&owner, &["cloud"], &mut rng));
         let report = match server.call(Request::MetricsSnapshot) {
             Response::MetricsReport(snapshot) => snapshot,
             other => unreachable!("MetricsSnapshot answered with {}", other.name()),
@@ -811,7 +791,7 @@ mod tests {
     #[test]
     fn server_counters_reset() {
         let (owner, mut server, mut rng) = populated_server();
-        let _ = server.handle_query(&query_for(&owner, &["cloud"], &mut rng));
+        let _ = search(&mut server, &query_for(&owner, &["cloud"], &mut rng));
         assert!(server.counters().binary_comparisons > 0);
         server.reset_counters();
         assert_eq!(server.counters().binary_comparisons, 0);

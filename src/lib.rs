@@ -76,9 +76,10 @@
 //!        ▼                                          CacheReport reply diagnostics)
 //!  mkse-core       engine::SearchEngine<S>          single / batched / top-k ranked
 //!        │    ├──  cache::ResultCache (optional)    search; scan lanes ≤ cores, decoupled
-//!        ▼    │                                     from shard count; a work-stealing
-//!        │    │                                     scheduler deals chunk-range units to
-//!        │    │                                     per-lane deques (idle lanes steal),
+//!        ▼    │                                     from shard count; ONE executor deals
+//!        │    │                                     scan units (8-chunk ranges; whole
+//!        │    │                                     shards on one lane) to per-lane
+//!        │    │                                     deques (idle lanes steal) and
 //!        ▼    │                                     stitches results in unit order; merge
 //!        │    │                                     by (rank desc, doc id asc); batches
 //!        │    │                                     dedup repeated fingerprints and run
@@ -87,11 +88,11 @@
 //!        │         QueryFingerprint, write-         the shard scan entirely
 //!        ▼         generation invalidation
 //!  mkse-core       storage::IndexStore (trait)      geometry-validated inserts,
-//!        │         ├─ storage::VecStore             O(1) id lookup, shard slices,
-//!        ▼         └─ storage::ShardedStore         insertion-ordinal bookkeeping,
+//!        │         └─ storage::ShardedStore         O(1) id lookup, shard slices,
+//!        ▼            (N ≥ 1 round-robin shards)    insertion-ordinal bookkeeping,
 //!        │                                          shard_of() for cache invalidation
 //!  mkse-core       scanplane::ScanPlane (per shard) block-major (bit-sliced) arena the
-//!        │                                          stores maintain on insert: level-1
+//!        │                                          store maintains on insert: level-1
 //!        ▼                                          blocks in contiguous columns, upper
 //!        │                                          levels doc-major (walked on match);
 //!        ▼                                          query-aware block pruning + unrolled
@@ -109,10 +110,11 @@
 //!                                                   as Prometheus text or JSON
 //! ```
 //!
-//! * **Storage** ([`core::storage`]): [`core::storage::VecStore`] is the single-shard
-//!   contiguous layout (the sequential reference); [`core::storage::ShardedStore`]
-//!   partitions documents round-robin across N shards and keeps an
-//!   id → (shard, slot) map so metadata lookup is O(1) instead of the old O(σ) scan.
+//! * **Storage** ([`core::storage`]): [`core::storage::ShardedStore`] partitions
+//!   documents round-robin across N shards and keeps an id → (shard, slot) map so
+//!   metadata lookup is O(1) instead of the old O(σ) scan. One shard is the
+//!   single contiguous layout — what the sequential reference
+//!   ([`core::CloudIndex`]) scans with the AoS loop.
 //! * **Scan plane** ([`core::scanplane`]): each shard's hot loop — the σ r-bit
 //!   comparisons of Eq. (3) that dominate Figure 4(b) — runs on a bit-sliced
 //!   [`core::ScanPlane`]: level-1 blocks of all documents packed into one
@@ -153,22 +155,21 @@
 //!   (`tests/sharded_engine_equivalence.rs` asserts all of this for shard counts
 //!   1, 2, 7 and 16 on randomized corpora). Scan lanes are clamped to the host's
 //!   available parallelism and fully decoupled from the shard count: the
-//!   `set_scan_lanes(n)` runtime knob resizes the persistent worker pool, and a
-//!   **work-stealing scheduler** ([`core::ScanScheduler`], the default) carves
-//!   every shard's plane into chunk-range units (`set_steal_granularity` chunks
-//!   each), deals them to per-lane lock-free deques, and lets idle lanes steal
-//!   from victims' tails — an oversharded store no longer serializes whole
-//!   shards onto lanes, and a wide host keeps every lane busy regardless of the
-//!   shard geometry. Each unit's partial result counts exactly the documents of
-//!   its range, and results are stitched in unit order before the (rank, id)
-//!   merge, so replies, per-query stats and cache counters are byte-identical
-//!   to the static fan-out (`ScanScheduler::Static` stays selectable; the
-//!   steal-heavy sweeps in both equivalence suites enforce this at every
-//!   shards × lanes × granularity point, and `BENCH_sched.json` records the
-//!   static-vs-stealing trajectory). Batched execution deduplicates repeated
+//!   `set_scan_lanes(n)` runtime knob resizes the persistent worker pool, and
+//!   **one executor** runs every scan: a multi-lane engine carves each shard's
+//!   plane into 8-chunk units, deals them to per-lane lock-free deques, and lets
+//!   idle lanes steal from victims' tails — an oversharded store does not
+//!   serialize whole shards onto lanes, and a wide host keeps every lane busy
+//!   regardless of the shard geometry — while a one-lane engine, with nobody to
+//!   steal from, runs whole shards inline. Each unit's partial result counts
+//!   exactly the documents of its range, and results are stitched in unit order
+//!   before the (rank, id) merge, so replies, per-query stats and cache counters
+//!   do not depend on the lane count (the steal-heavy sweeps in both equivalence
+//!   suites hold every shards × lanes point to the sequential reference).
+//!   Batched execution deduplicates repeated
 //!   query fingerprints inside one batch (hot Zipf keywords scan once and fan
 //!   out, with the duplicates accounted as the cache hits sequential execution
-//!   would report) and hands the scheduler the whole remaining query set for
+//!   would report) and hands the executor the whole remaining query set for
 //!   fused plane passes over the missed shards.
 //! * **Cache** ([`core::cache`]): an optional per-shard LRU of shard-scan results,
 //!   keyed by a collision-checked [`core::QueryFingerprint`] of the query bits.
@@ -196,8 +197,8 @@
 //!   can **pipeline**: submit a window of requests, flush once, and correlate
 //!   replies by id out of order. Because every exchange crosses the codec, the
 //!   `CostLedger` records measured framed wire bytes next to the analytic
-//!   Table 1 bits, and the legacy `handle_*` methods survive only as deprecated
-//!   shims over `Service::call` with byte-identical replies.
+//!   Table 1 bits, and a direct `Service::call` returns the same bytes the
+//!   codec carries (`tests/envelope_equivalence.rs`).
 //! * **Transport / batcher** ([`net`]): the [`net::Hub`] owns a `Service` on a
 //!   single dispatcher thread and accepts any number of concurrent connections
 //!   (TCP via `bind_tcp`, or deterministic in-process [`net::MemoryLink`]s via

@@ -1,13 +1,10 @@
-//! Equivalence of the three server surfaces: the legacy `handle_*` shims,
-//! direct `Service::call`, and a full framed-codec round trip through the
-//! envelope `Client` must produce **byte-identical** replies — across shard
-//! counts and with the result cache on and off (cold and warm).
+//! Equivalence of the two server surfaces: direct `Service::call` and a full
+//! framed-codec round trip through the envelope `Client` must produce
+//! **byte-identical** replies — across shard counts and with the result cache
+//! on and off (cold and warm).
 //!
 //! "Byte-identical" is checked literally: every pair of replies is also encoded
 //! through the wire codec under the same request id and the frames compared.
-
-// The legacy shims are exercised on purpose: equivalence with them is the point.
-#![allow(deprecated)]
 
 use mkse::core::QueryBuilder;
 use mkse::protocol::{
@@ -93,11 +90,10 @@ fn reply_bytes(response: &Response) -> Vec<u8> {
 }
 
 #[test]
-fn shims_service_and_codec_produce_byte_identical_replies() {
+fn service_and_codec_produce_byte_identical_replies() {
     let fx = fixture();
     for &shards in &[1usize, 2, 7, 16] {
         for &cache in &[false, true] {
-            let mut legacy = server(&fx, shards, cache);
             let mut direct = server(&fx, shards, cache);
             let mut framed = Client::new(server(&fx, shards, cache));
 
@@ -105,15 +101,9 @@ fn shims_service_and_codec_produce_byte_identical_replies() {
             // cache — replies must not change by a byte either way.
             for pass in 0..2 {
                 for (qi, query) in fx.queries.iter().enumerate() {
-                    let via_shim = Response::Search(legacy.handle_query(query));
                     let via_call = direct.call(Request::Query(query.clone()));
                     let via_wire =
                         Response::Search(framed.query(query).expect("framed query round trip"));
-                    assert_eq!(
-                        reply_bytes(&via_shim),
-                        reply_bytes(&via_call),
-                        "shim vs call: shards={shards} cache={cache} pass={pass} query={qi}"
-                    );
                     assert_eq!(
                         reply_bytes(&via_call),
                         reply_bytes(&via_wire),
@@ -127,11 +117,9 @@ fn shims_service_and_codec_produce_byte_identical_replies() {
                 queries: fx.queries.iter().map(|q| q.query.clone()).collect(),
                 top: Some(3),
             };
-            let via_shim = Response::BatchSearch(legacy.handle_batch_query(&batch));
             let via_call = direct.call(Request::BatchQuery(batch.clone()));
             let via_wire =
                 Response::BatchSearch(framed.batch_query(&batch).expect("framed batch round trip"));
-            assert_eq!(reply_bytes(&via_shim), reply_bytes(&via_call));
             assert_eq!(reply_bytes(&via_call), reply_bytes(&via_wire));
 
             // Document retrieval, success and failure: errors travel the wire as
@@ -139,7 +127,6 @@ fn shims_service_and_codec_produce_byte_identical_replies() {
             let doc_request = DocumentRequest {
                 document_ids: vec![0, 5, 11],
             };
-            let via_shim = legacy.handle_document_request(&doc_request).unwrap();
             let via_call = match direct.call(Request::Documents(doc_request.clone())) {
                 Response::Documents(reply) => reply,
                 other => panic!("expected Documents, got {}", other.name()),
@@ -147,16 +134,11 @@ fn shims_service_and_codec_produce_byte_identical_replies() {
             let via_wire = framed
                 .fetch_documents(&doc_request)
                 .expect("framed retrieval");
-            assert_eq!(via_shim, via_call);
             assert_eq!(via_call, via_wire);
 
             let missing = DocumentRequest {
                 document_ids: vec![99],
             };
-            assert_eq!(
-                legacy.handle_document_request(&missing),
-                Err(ProtocolError::UnknownDocument(99))
-            );
             assert_eq!(
                 direct.call(Request::Documents(missing.clone())),
                 Response::Error(ProtocolError::UnknownDocument(99))
@@ -166,14 +148,12 @@ fn shims_service_and_codec_produce_byte_identical_replies() {
                 Err(ProtocolError::UnknownDocument(99))
             );
 
-            // All three surfaces did the same logical work: counter parity.
-            let framed_counters = *framed.counters();
+            // Both surfaces did the same logical work: counter parity.
             assert_eq!(
-                legacy.counters(),
                 direct.counters(),
+                framed.counters(),
                 "counters diverged: shards={shards} cache={cache}"
             );
-            assert_eq!(*direct.counters(), framed_counters);
         }
     }
 }
@@ -181,11 +161,11 @@ fn shims_service_and_codec_produce_byte_identical_replies() {
 #[test]
 fn snapshot_restore_is_equivalent_across_surfaces() {
     let fx = fixture();
-    let mut legacy = server(&fx, 2, true);
+    let mut by_method = server(&fx, 2, true);
     let mut direct = server(&fx, 2, true);
     let mut framed = Client::new(server(&fx, 2, true));
 
-    let via_method = legacy.snapshot_index();
+    let via_method = by_method.snapshot_index();
     let via_call = match direct.call(Request::SnapshotIndex) {
         Response::Snapshot(bytes) => bytes,
         other => panic!("expected Snapshot, got {}", other.name()),
@@ -195,7 +175,7 @@ fn snapshot_restore_is_equivalent_across_surfaces() {
     assert_eq!(via_call, via_wire);
     // Counter parity holds for snapshots exactly as for every other surface.
     assert_eq!(
-        legacy.counters().requests_served,
+        by_method.counters().requests_served,
         direct.counters().requests_served
     );
     assert_eq!(
@@ -203,14 +183,14 @@ fn snapshot_restore_is_equivalent_across_surfaces() {
         framed.counters().requests_served
     );
 
-    // Restoring through the framed surface matches restoring through the shim.
-    let mut restored_shim = CloudServer::with_shards(fx.owner.params().clone(), 7);
-    assert_eq!(restored_shim.restore_index(&via_method).unwrap(), 12);
+    // Restoring through the framed surface matches restoring in process.
+    let mut restored_direct = CloudServer::with_shards(fx.owner.params().clone(), 7);
+    assert_eq!(restored_direct.restore_index(&via_method).unwrap(), 12);
     let mut restored_wire = Client::new(CloudServer::with_shards(fx.owner.params().clone(), 7));
     assert_eq!(restored_wire.restore(via_wire).expect("framed restore"), 12);
     let query = &fx.queries[0];
     assert_eq!(
-        reply_bytes(&Response::Search(restored_shim.handle_query(query))),
+        reply_bytes(&restored_direct.call(Request::Query(query.clone()))),
         reply_bytes(&Response::Search(
             restored_wire.query(query).expect("framed query")
         )),
@@ -218,10 +198,10 @@ fn snapshot_restore_is_equivalent_across_surfaces() {
 
     // A corrupt snapshot fails with the same typed error on both surfaces.
     let truncated = &via_method[..3];
-    let shim_err = restored_shim.restore_index(truncated).unwrap_err();
+    let direct_err = restored_direct.restore_index(truncated).unwrap_err();
     let wire_err = restored_wire.restore(truncated.to_vec()).unwrap_err();
-    assert!(matches!(shim_err, ProtocolError::Persistence(_)));
-    assert_eq!(shim_err, wire_err);
+    assert!(matches!(direct_err, ProtocolError::Persistence(_)));
+    assert_eq!(direct_err, wire_err);
 }
 
 #[test]

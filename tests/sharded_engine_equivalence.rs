@@ -21,17 +21,18 @@
 //! `mkse-core/tests/scanplane_equivalence.rs`, which CI additionally runs in
 //! release mode.
 //!
-//! Since PR 6 shard scans are dispatched by a work-stealing scheduler over
-//! chunk-range work units, so the contract gains two more knobs: lane count and
-//! steal granularity. The steal-heavy sweep below holds every combination of
-//! shards × lanes × granularity — cache on and off, fused batches with
+//! Shard scans are dispatched by one executor over scan units — chunk ranges
+//! of a shard's plane on a multi-lane engine, whole shards on one lane — so the
+//! contract covers the lane count too. The steal-heavy sweep below holds every
+//! combination of shards × lanes — cache on and off, fused batches with
 //! duplicates — to the same byte-identical bar, including the cache hit/miss
-//! counters, which must not be able to tell the schedulers apart.
+//! counters, which must not be able to tell a multi-lane engine from a
+//! one-lane twin.
 
 use mkse::core::scanplane::CHUNK;
 use mkse::core::{
-    CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex, ScanScheduler, SchemeKeys,
-    SearchEngine, SystemParams,
+    BitIndex, CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex,
+    RankedDocumentIndex, SchemeKeys, SearchEngine, SystemParams,
 };
 use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
 use rand::rngs::StdRng;
@@ -96,6 +97,35 @@ fn random_workload(seed: u64, num_docs: usize) -> Workload {
         indices,
         queries,
     }
+}
+
+/// [`random_workload`]'s `real_docs` documents, each followed by `stride - 1`
+/// padding documents of raw pseudo-random indices — the real indexer is too
+/// slow to fill multi-unit shards. The real queries keep finding
+/// their real matches in every chunk range, and the padding (zero-heavy levels,
+/// so a sparse query's zeros now and then all line up) adds stray matches of
+/// its own.
+fn padded_workload(seed: u64, real_docs: usize, stride: usize) -> Workload {
+    let mut wl = random_workload(seed, real_docs);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let (r, eta) = (wl.params.index_bits, wl.params.rank_levels());
+    let mut indices = Vec::with_capacity(stride * real_docs);
+    for (i, real) in wl.indices.drain(..).enumerate() {
+        indices.push(real);
+        indices.extend((1..stride).map(|j| {
+            RankedDocumentIndex {
+                document_id: 1_000_000 + (i * stride + j) as u64,
+                levels: (0..eta)
+                    .map(|_| {
+                        let bits: Vec<bool> = (0..r).map(|_| rng.gen_range(0..10) >= 7).collect();
+                        BitIndex::from_bits(&bits)
+                    })
+                    .collect(),
+            }
+        }));
+    }
+    wl.indices = indices;
+    wl
 }
 
 #[test]
@@ -193,12 +223,13 @@ fn fused_batch_with_duplicates_is_identical_to_sequential_singles() {
 
 #[test]
 fn steal_scheduler_heavy_configs_are_byte_identical() {
-    // The work-stealing scheduler partitions every shard's plane into
-    // chunk-range units and lets idle lanes steal; nothing about the reply —
-    // matches, ranks, order, merged stats, cache counters — may depend on which
-    // lane scanned which range. A corpus spanning several chunks makes the
-    // granularity knob meaningful at low shard counts.
-    let wl = random_workload(43, CHUNK + 200);
+    // A multi-lane engine partitions every shard's plane into 8-chunk units
+    // and lets idle lanes steal; nothing about the reply — matches, ranks,
+    // order, merged stats, cache counters — may depend on the lane count or on
+    // which lane scanned which range. 15 × 1280 documents give the 1- and
+    // 2-shard stores several units per shard (18.75 chunks single-sharded,
+    // ~9.4 per shard at 2 shards).
+    let wl = padded_workload(43, CHUNK + 256, 15);
     let mut reference = CloudIndex::new(wl.params.clone());
     reference.insert_all(wl.indices.iter().cloned()).unwrap();
     let expected: Vec<_> = wl
@@ -221,68 +252,65 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
         let mut cached = SearchEngine::sharded(wl.params.clone(), shards)
             .with_result_cache(CacheConfig::default());
         cached.insert_all(wl.indices.iter().cloned()).unwrap();
-        // A statically scheduled cached twin: the cache layer sits above the
-        // scheduler, so its hit/miss/admission counters must match exactly.
-        let mut static_cached = SearchEngine::sharded(wl.params.clone(), shards)
-            .with_scan_scheduler(ScanScheduler::Static)
+        // A one-lane cached twin (whole-shard units, run inline — the
+        // sequential execution): the cache layer sits above the executor, so
+        // its hit/miss/admission counters must match exactly.
+        let mut inline_cached = SearchEngine::sharded(wl.params.clone(), shards)
+            .with_scan_lanes(1)
             .with_result_cache(CacheConfig::default());
-        static_cached
+        inline_cached
             .insert_all(wl.indices.iter().cloned())
             .unwrap();
 
         for lanes in [1usize, 2, 3] {
-            for granularity in [1usize, 8, 64] {
-                let ctx = format!("{shards} shards, {lanes} lanes, granularity {granularity}");
-                engine.set_scan_lanes(lanes);
-                engine.set_steal_granularity(granularity);
+            let ctx = format!("{shards} shards, {lanes} lanes");
+            engine.set_scan_lanes(lanes);
 
+            for (qi, query) in wl.queries.iter().enumerate() {
+                assert_eq!(
+                    engine.search_ranked_with_stats(query),
+                    expected[qi],
+                    "single differs: {ctx}, query {qi}"
+                );
+            }
+            let batched = engine.search_batch_with_stats(&batch);
+            assert_eq!(batched.len(), batch.len());
+            for (qi, got) in batched.iter().enumerate() {
+                assert_eq!(
+                    got, &expected_batch[qi],
+                    "fused batch differs: {ctx}, query {qi}"
+                );
+            }
+
+            // Cache counters are lane-invisible: start both caches cold, run a
+            // cold + warm pass, compare replies and counters.
+            for eng in [&mut cached, &mut inline_cached] {
+                eng.clear_cache();
+                eng.reset_cache_stats();
+            }
+            cached.set_scan_lanes(lanes);
+            for pass in ["cold", "warm"] {
                 for (qi, query) in wl.queries.iter().enumerate() {
                     assert_eq!(
-                        engine.search_ranked_with_stats(query),
+                        cached.search_ranked_with_stats(query),
                         expected[qi],
-                        "stealing single differs: {ctx}, query {qi}"
+                        "cached differs: {ctx}, {pass}, query {qi}"
                     );
+                    let _ = inline_cached.search_ranked_with_stats(query);
                 }
-                let batched = engine.search_batch_with_stats(&batch);
-                assert_eq!(batched.len(), batch.len());
-                for (qi, got) in batched.iter().enumerate() {
+                let warm_batch = cached.search_batch_with_stats(&batch);
+                for (qi, got) in warm_batch.iter().enumerate() {
                     assert_eq!(
                         got, &expected_batch[qi],
-                        "stealing fused batch differs: {ctx}, query {qi}"
+                        "cached batch differs: {ctx}, {pass}, query {qi}"
                     );
                 }
-
-                // Cache counters are scheduler-invisible: start both caches
-                // cold, run a cold + warm pass, compare replies and counters.
-                for eng in [&mut cached, &mut static_cached] {
-                    eng.clear_cache();
-                    eng.reset_cache_stats();
-                }
-                cached.set_scan_lanes(lanes);
-                cached.set_steal_granularity(granularity);
-                for pass in ["cold", "warm"] {
-                    for (qi, query) in wl.queries.iter().enumerate() {
-                        assert_eq!(
-                            cached.search_ranked_with_stats(query),
-                            expected[qi],
-                            "cached stealing differs: {ctx}, {pass}, query {qi}"
-                        );
-                        let _ = static_cached.search_ranked_with_stats(query);
-                    }
-                    let warm_batch = cached.search_batch_with_stats(&batch);
-                    for (qi, got) in warm_batch.iter().enumerate() {
-                        assert_eq!(
-                            got, &expected_batch[qi],
-                            "cached stealing batch differs: {ctx}, {pass}, query {qi}"
-                        );
-                    }
-                    let _ = static_cached.search_batch_with_stats(&batch);
-                    assert_eq!(
-                        cached.cache_stats(),
-                        static_cached.cache_stats(),
-                        "cache counters must be scheduler-invisible: {ctx}, {pass}"
-                    );
-                }
+                let _ = inline_cached.search_batch_with_stats(&batch);
+                assert_eq!(
+                    cached.cache_stats(),
+                    inline_cached.cache_stats(),
+                    "cache counters must be lane-invisible: {ctx}, {pass}"
+                );
             }
         }
     }
