@@ -5,10 +5,11 @@
 //! workload from 1/2/4/8 concurrent in-process clients (`MemoryLink`s — the
 //! deterministic twin of the TCP path, so the sweep measures the dispatcher
 //! and the batcher, not the kernel's loopback stack), with the cross-client
-//! batcher on and off. With batching on, queries from different clients that
-//! land within the collection window are executed as one fused scan-plane
-//! pass; with it off every request executes on arrival — the gap is the
-//! server-side memory-traffic amortization the batcher exists for.
+//! batcher on and off. With batching on, the queries of the clients that are
+//! querying are executed as one fused scan-plane pass (a group is flushed
+//! once each of them has a query in it, or at the depth); with it off every
+//! request executes on arrival — the gap is the server-side memory-traffic
+//! amortization the batcher exists for.
 //!
 //! Before any configuration is timed, the same workload runs once with the
 //! hub's execution journal on and every reply is asserted identical to a twin

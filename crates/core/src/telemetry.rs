@@ -105,7 +105,11 @@ pub enum Counter {
     /// Single-query requests dispatched immediately because only one
     /// connection was active (no coalescing opportunity).
     BatcherSolo,
-    /// Batcher flushes because the collection window expired.
+    /// Batcher flushes because every connection the group was waiting for
+    /// already had a query in it (nothing left to wait for).
+    BatcherFlushComplete,
+    /// Batcher flushes because the window expired with an expected
+    /// connection still missing (the straggler bound).
     BatcherFlushWindow,
     /// Batcher flushes because the pending group reached the depth limit.
     BatcherFlushDepth,
@@ -138,7 +142,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in wire/report order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 26] = [
         Counter::RequestsServed,
         Counter::Queries,
         Counter::Batches,
@@ -153,6 +157,7 @@ impl Counter {
         Counter::ConnectionsClosed,
         Counter::BatcherCoalesced,
         Counter::BatcherSolo,
+        Counter::BatcherFlushComplete,
         Counter::BatcherFlushWindow,
         Counter::BatcherFlushDepth,
         Counter::BatcherFlushBarrier,
@@ -183,6 +188,7 @@ impl Counter {
             Counter::ConnectionsClosed => "connections_closed",
             Counter::BatcherCoalesced => "batcher_coalesced_queries",
             Counter::BatcherSolo => "batcher_solo_dispatches",
+            Counter::BatcherFlushComplete => "batcher_flush_complete",
             Counter::BatcherFlushWindow => "batcher_flush_window",
             Counter::BatcherFlushDepth => "batcher_flush_depth",
             Counter::BatcherFlushBarrier => "batcher_flush_barrier",

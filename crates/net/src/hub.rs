@@ -16,17 +16,37 @@
 //!
 //! ## The batcher
 //!
-//! Single-query [`Request::Query`] frames arriving within
-//! [`HubConfig::batch_window`] are collected and executed as **one**
-//! [`FusedService::call_query_group`] pass; replies are de-multiplexed back to
-//! each connection by request id. Dispatch is immediate when the group reaches
-//! [`HubConfig::batch_depth`], when a non-query request arrives (a barrier:
-//! mutating requests must not reorder past queries), or when only one
-//! connection is active (nothing to coalesce with — the query runs solo with
-//! zero added latency). The engine's batch guarantees make all of this
-//! **invisible**: replies, `SearchStats`, and cache counters are byte-identical
-//! to the same requests issued sequentially — batching reorders only the
-//! server's own memory accesses, it never changes what any client observes.
+//! Single-query [`Request::Query`] frames are collected into a pending group
+//! and executed as **one** [`FusedService::call_query_group`] pass; replies
+//! are de-multiplexed back to each connection by request id. The batcher is
+//! **work-conserving**: it never holds a group the dispatcher could usefully
+//! run. While a group is pending:
+//!
+//! 1. **Drain before deciding.** Queued events are taken first, so every
+//!    query that arrived while the last group executed joins the next one; a
+//!    group that reaches [`HubConfig::batch_depth`] is flushed at once, queue
+//!    or no queue. Only on an empty queue is anything decided
+//!    (`Batcher::decide`, a pure function of what the dispatcher has seen).
+//! 2. **Flush when complete.** A connection is *expected* from the moment it
+//!    sends a query into the batcher. With the queue empty, a group is
+//!    flushed immediately if every expected, still-open connection already
+//!    has a query in it: two lockstep clients fuse without waiting, and a
+//!    lone querier beside idle control connections is complete on arrival.
+//! 3. **The window is only the straggler bound.** [`HubConfig::batch_window`]
+//!    is waited out only while some expected connection is missing. A
+//!    connection that misses a window flush is un-expected until it queries
+//!    again, so an idle or departed client costs its peers one window, once.
+//!
+//! A non-query request flushes the group first (a barrier: mutating requests
+//! must not reorder past queries), and when only one connection is open the
+//! query skips the batcher altogether (the solo fast path). The engine's
+//! batch guarantees make all of this **invisible**: replies, `SearchStats`,
+//! and cache counters are byte-identical to the same requests issued
+//! sequentially — the policy picks the *moment* of a flush, never the
+//! execution order, which stays arrival order. The decision is computed only
+//! from which connections sent which frames — bytes and topology the server
+//! already observes — so by the §6 rule of thumb it opens no new leakage
+//! channel.
 //!
 //! ## Backpressure, hygiene, shutdown
 //!
@@ -46,7 +66,7 @@ use crate::FusedService;
 use mkse_core::telemetry::{Counter, Gauge, Series, Stage, Telemetry};
 use mkse_protocol::wire::{decode_request, encode_response};
 use mkse_protocol::{ProtocolError, QueryMessage, Request, Response, TransportError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,8 +79,13 @@ use std::time::{Duration, Instant};
 /// and benches shrink the windows.
 #[derive(Clone, Debug)]
 pub struct HubConfig {
-    /// How long the first query of a pending group may wait for company
-    /// before the group is flushed.
+    /// Upper bound on how long a pending group waits for an *expected*
+    /// connection (one that has been querying) whose query has not arrived
+    /// yet — the straggler bound, not a price every group pays: a group whose
+    /// expected connections are all present is flushed at once, and a
+    /// connection that misses a window is not waited for again until it
+    /// queries. Computed only from which connections sent which frames, which
+    /// the server already observes (§6: no new leakage channel).
     pub batch_window: Duration,
     /// Flush immediately once this many queries are pending.
     pub batch_depth: usize,
@@ -570,6 +595,66 @@ struct Pending {
     enqueued: Instant,
 }
 
+/// What the dispatcher does with a pending group once the queue is empty.
+#[derive(Debug, PartialEq)]
+enum Step {
+    /// Execute the pending group now, for this reason.
+    Flush(Counter),
+    /// An expected connection is missing: wait this long for it, at most.
+    Wait(Duration),
+}
+
+/// The batcher's whole state: the pending group, in arrival order, and the
+/// connections a group waits for.
+#[derive(Default)]
+struct Batcher {
+    pending: Vec<Pending>,
+    /// Connections that sent a query into the batcher and have neither
+    /// closed nor missed a window flush since.
+    expected: BTreeSet<u64>,
+}
+
+impl Batcher {
+    fn push(&mut self, pending: Pending) {
+        self.expected.insert(pending.conn);
+        self.pending.push(pending);
+    }
+
+    /// Does the pending group hold a query from `conn`?
+    fn present(pending: &[Pending], conn: u64) -> bool {
+        pending.iter().any(|p| p.conn == conn)
+    }
+
+    /// The one time-dependent choice the hub makes, as a pure function of
+    /// what the dispatcher has seen (module docs, "The batcher"). Only
+    /// called while a group is pending and the event queue is empty.
+    fn decide(&self, now: Instant, window: Duration) -> Step {
+        if self
+            .expected
+            .iter()
+            .all(|&conn| Self::present(&self.pending, conn))
+        {
+            return Step::Flush(Counter::BatcherFlushComplete);
+        }
+        let deadline = self.pending[0].enqueued + window;
+        if now >= deadline {
+            Step::Flush(Counter::BatcherFlushWindow)
+        } else {
+            Step::Wait(deadline - now)
+        }
+    }
+
+    /// Hand the pending group over for execution. Whoever missed a window
+    /// flush is not waited for again until its next query.
+    fn take(&mut self, reason: Counter) -> Vec<Pending> {
+        if reason == Counter::BatcherFlushWindow {
+            let pending = &self.pending;
+            self.expected.retain(|&conn| Self::present(pending, conn));
+        }
+        std::mem::take(&mut self.pending)
+    }
+}
+
 fn dispatcher_loop<S: FusedService>(
     mut service: S,
     events: Receiver<Event>,
@@ -577,37 +662,29 @@ fn dispatcher_loop<S: FusedService>(
 ) -> HubReport {
     let tel = service.telemetry().cloned();
     let mut conns: BTreeMap<u64, ConnState> = BTreeMap::new();
-    let mut batch: Vec<Pending> = Vec::new();
+    let mut batcher = Batcher::default();
     let mut report = HubReport::default();
     let mut draining = false;
     loop {
-        let event = if draining {
-            match events.try_recv() {
+        let event = if batcher.pending.is_empty() && !draining {
+            match events.recv() {
                 Ok(event) => event,
                 Err(_) => break,
             }
-        } else if let Some(first) = batch.first() {
-            let deadline = first.enqueued + shared.config.batch_window;
-            let now = Instant::now();
-            if now >= deadline {
-                flush_batch(
-                    &mut service,
-                    &mut batch,
-                    Counter::BatcherFlushWindow,
-                    &mut conns,
-                    &tel,
-                    &mut report,
-                    &shared,
-                );
-                continue;
-            }
-            match events.recv_timeout(deadline - now) {
-                Ok(event) => event,
-                Err(RecvTimeoutError::Timeout) => {
+        } else if let Ok(event) = events.try_recv() {
+            // Drain before deciding: whatever is queued joins the pending
+            // group (or bars it) first.
+            event
+        } else if draining {
+            // Drained: the flush below answers what is still pending.
+            break;
+        } else {
+            match batcher.decide(Instant::now(), shared.config.batch_window) {
+                Step::Flush(reason) => {
                     flush_batch(
                         &mut service,
-                        &mut batch,
-                        Counter::BatcherFlushWindow,
+                        &mut batcher,
+                        reason,
                         &mut conns,
                         &tel,
                         &mut report,
@@ -615,12 +692,12 @@ fn dispatcher_loop<S: FusedService>(
                     );
                     continue;
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match events.recv() {
-                Ok(event) => event,
-                Err(_) => break,
+                // A timeout comes back here and finds the deadline passed.
+                Step::Wait(timeout) => match events.recv_timeout(timeout) {
+                    Ok(event) => event,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                },
             }
         };
         match event {
@@ -641,7 +718,7 @@ fn dispatcher_loop<S: FusedService>(
                 report.requests += 1;
                 match request {
                     Request::Query(message) if shared.config.batching => {
-                        if batch.is_empty() && conns.len() <= 1 && !draining {
+                        if batcher.pending.is_empty() && conns.len() <= 1 && !draining {
                             // Solo fast path: nothing to coalesce with.
                             if let Some(tel) = &tel {
                                 tel.add(Counter::BatcherSolo, 1);
@@ -657,16 +734,16 @@ fn dispatcher_loop<S: FusedService>(
                             write_reply(&mut conns, conn, request_id, &response, &tel);
                             settle(&conns, conn, &shared);
                         } else {
-                            batch.push(Pending {
+                            batcher.push(Pending {
                                 conn,
                                 request_id,
                                 message,
                                 enqueued: at,
                             });
-                            if batch.len() >= shared.config.batch_depth {
+                            if batcher.pending.len() >= shared.config.batch_depth {
                                 flush_batch(
                                     &mut service,
-                                    &mut batch,
+                                    &mut batcher,
                                     Counter::BatcherFlushDepth,
                                     &mut conns,
                                     &tel,
@@ -681,7 +758,7 @@ fn dispatcher_loop<S: FusedService>(
                         // must not reorder past pending queries.
                         flush_batch(
                             &mut service,
-                            &mut batch,
+                            &mut batcher,
                             Counter::BatcherFlushBarrier,
                             &mut conns,
                             &tel,
@@ -726,7 +803,7 @@ fn dispatcher_loop<S: FusedService>(
                 // written before the error frame and the close.
                 flush_batch(
                     &mut service,
-                    &mut batch,
+                    &mut batcher,
                     Counter::BatcherFlushBarrier,
                     &mut conns,
                     &tel,
@@ -742,6 +819,7 @@ fn dispatcher_loop<S: FusedService>(
                     // The reader was torn down by shutdown, not the peer:
                     // keep the writer so drained replies still reach it.
                 } else if conns.remove(&conn).is_some() {
+                    batcher.expected.remove(&conn);
                     if let Some(tel) = &tel {
                         tel.add(Counter::ConnectionsClosed, 1);
                         tel.set_gauge(Gauge::OpenConnections, conns.len() as u64);
@@ -753,7 +831,7 @@ fn dispatcher_loop<S: FusedService>(
     }
     flush_batch(
         &mut service,
-        &mut batch,
+        &mut batcher,
         Counter::BatcherFlushShutdown,
         &mut conns,
         &tel,
@@ -769,41 +847,48 @@ fn dispatcher_loop<S: FusedService>(
 
 fn flush_batch<S: FusedService>(
     service: &mut S,
-    batch: &mut Vec<Pending>,
+    batcher: &mut Batcher,
     reason: Counter,
     conns: &mut BTreeMap<u64, ConnState>,
     tel: &Option<Telemetry>,
     report: &mut HubReport,
     shared: &HubShared,
 ) {
-    if batch.is_empty() {
+    let group = batcher.take(reason);
+    if group.is_empty() {
         return;
     }
     if let Some(tel) = tel {
         tel.add(reason, 1);
-        tel.add(Counter::BatcherCoalesced, batch.len() as u64);
-        tel.record_value(Series::BatchOccupancy, batch.len() as u64);
-        for pending in batch.iter() {
+        tel.add(Counter::BatcherCoalesced, group.len() as u64);
+        tel.record_value(Series::BatchOccupancy, group.len() as u64);
+        for pending in &group {
             tel.record_duration(
                 Stage::BatcherWait,
                 pending.enqueued.elapsed().as_nanos() as u64,
             );
         }
     }
+    let (origins, messages): (Vec<(u64, u64)>, Vec<QueryMessage>) = group
+        .into_iter()
+        .map(|p| ((p.conn, p.request_id), p.message))
+        .unzip();
     if shared.config.journal {
-        for pending in batch.iter() {
+        for (&(conn, request_id), message) in origins.iter().zip(&messages) {
             report.journal.push(JournalEntry {
-                conn: pending.conn,
-                request_id: pending.request_id,
-                request: Request::Query(pending.message.clone()),
+                conn,
+                request_id,
+                request: Request::Query(message.clone()),
             });
         }
     }
-    let messages: Vec<QueryMessage> = batch.iter().map(|p| p.message.clone()).collect();
     let replies = service.call_query_group(&messages);
-    for (pending, response) in batch.drain(..).zip(replies) {
-        write_reply(conns, pending.conn, pending.request_id, &response, tel);
-        settle(conns, pending.conn, shared);
+    for ((conn, request_id), response) in origins.into_iter().zip(replies) {
+        // Slot back first: a group's replies wake several clients at once,
+        // and one that sends the moment it has read its reply must not be
+        // shed by the slot of that very reply.
+        settle(conns, conn, shared);
+        write_reply(conns, conn, request_id, &response, tel);
     }
 }
 
@@ -830,11 +915,128 @@ fn write_reply(
     }
 }
 
-/// Settle one answered request: release the connection's gate permit and give
+/// Settle one executed request: release the connection's gate permit and give
 /// its hub-wide budget slot back.
 fn settle(conns: &BTreeMap<u64, ConnState>, conn: u64, shared: &HubShared) {
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     if let Some(state) = conns.get(&conn) {
         state.gate.release();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mkse_core::bitindex::BitIndex;
+
+    const WINDOW: Duration = Duration::from_millis(1);
+
+    /// One move of a scripted dispatcher. Times are offsets from the start
+    /// of the script; no clock is read and nothing sleeps.
+    enum Op {
+        /// A batchable query from this connection, enqueued at this offset.
+        Query(u64, Duration),
+        /// The connection closed.
+        Close(u64),
+        /// The queue is empty at this offset: decide. A `Flush` is carried
+        /// out as the dispatcher would (`take`) before the script goes on.
+        Decide(Duration, Step),
+    }
+
+    fn run(name: &str, script: Vec<Op>) {
+        let start = Instant::now();
+        let mut batcher = Batcher::default();
+        for (step, op) in script.into_iter().enumerate() {
+            match op {
+                Op::Query(conn, at) => batcher.push(Pending {
+                    conn,
+                    request_id: step as u64,
+                    message: QueryMessage {
+                        query: BitIndex::all_zeros(8),
+                        top: None,
+                    },
+                    enqueued: start + at,
+                }),
+                Op::Close(conn) => {
+                    batcher.expected.remove(&conn);
+                }
+                Op::Decide(at, want) => {
+                    let got = batcher.decide(start + at, WINDOW);
+                    assert_eq!(got, want, "{name}: step {step}");
+                    if let Step::Flush(reason) = got {
+                        assert!(!batcher.take(reason).is_empty(), "{name}: step {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_batcher_decision_enumerated() {
+        use Counter::{BatcherFlushComplete as Complete, BatcherFlushWindow as Window};
+        use Op::{Close, Decide, Query};
+        let t = Duration::from_micros;
+        let zero = Duration::ZERO;
+        run(
+            // Control connections never query, so they are never expected:
+            // whatever the pipeliner has queued by the time the queue runs
+            // empty is a complete group, however old its first frame.
+            "lone pipeliner among idle control connections",
+            vec![
+                Query(7, zero),
+                Decide(zero, Step::Flush(Complete)),
+                Query(7, t(10)),
+                Query(7, t(11)),
+                Query(7, t(12)),
+                Decide(t(5_000), Step::Flush(Complete)),
+            ],
+        );
+        run(
+            "two lockstep clients",
+            vec![
+                // Round one: 1 is alone in the world, then 2 finds 1 expected.
+                Query(1, zero),
+                Decide(zero, Step::Flush(Complete)),
+                Query(2, t(100)),
+                Decide(t(100), Step::Wait(WINDOW)),
+                Decide(t(400), Step::Wait(WINDOW - t(300))),
+                Query(1, t(450)),
+                Decide(t(450), Step::Flush(Complete)),
+                // Every later round: wait for the peer, never for the window.
+                Query(1, t(600)),
+                Decide(t(600), Step::Wait(WINDOW)),
+                Query(2, t(610)),
+                Decide(t(610), Step::Flush(Complete)),
+            ],
+        );
+        run(
+            "straggler demoted on a window flush, re-promoted by its next query",
+            vec![
+                Query(1, zero),
+                Decide(zero, Step::Flush(Complete)),
+                Query(2, zero),
+                Decide(t(999), Step::Wait(t(1))),
+                Decide(t(1_000), Step::Flush(Window)),
+                // 1 missed the window: 2 no longer waits for it ...
+                Query(2, t(2_000)),
+                Decide(t(2_000), Step::Flush(Complete)),
+                // ... until 1 queries again, and then 1 waits for 2.
+                Query(1, t(3_000)),
+                Decide(t(3_000), Step::Wait(WINDOW)),
+                Query(2, t(3_100)),
+                Decide(t(3_100), Step::Flush(Complete)),
+            ],
+        );
+        run(
+            "closed connection dropped from the expected set",
+            vec![
+                Query(1, zero),
+                Decide(zero, Step::Flush(Complete)),
+                Query(2, zero),
+                Decide(t(10), Step::Wait(WINDOW - t(10))),
+                Close(1),
+                Decide(t(20), Step::Flush(Complete)),
+            ],
+        );
     }
 }

@@ -5,9 +5,10 @@
 //! front door that manufactures those batches out of *independent* traffic:
 //! a hub process owns the index ([`hub::Hub`]), many clients connect over
 //! `std::net::TcpListener` or the deterministic in-process
-//! [`link::MemoryLink`] twin, and single-query frames that arrive within a
-//! few hundred microseconds of each other — from *different* connections —
-//! are coalesced into one [`FusedService::call_query_group`] pass.
+//! [`link::MemoryLink`] twin, and single-query frames from *different*
+//! connections are coalesced into one [`FusedService::call_query_group`] pass:
+//! a group runs the moment every connection that has been querying is in it,
+//! and what queued up while it ran is the next group.
 //!
 //! The house invariant extends across the wire: **the transport and the
 //! batcher are invisible**. N concurrent clients receive byte-identical
@@ -111,12 +112,13 @@ impl FusedService for CloudServer {
 mod tests {
     use super::*;
     use mkse_core::bitindex::BitIndex;
-    use mkse_core::telemetry::{Telemetry, TelemetryLevel};
+    use mkse_core::telemetry::{MetricsSnapshot, Telemetry, TelemetryLevel};
     use mkse_protocol::messages::{CacheReport, SearchReply, SearchResultEntry};
     use mkse_protocol::{ProtocolError, TransportError};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc::{self, Receiver};
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A deterministic stand-in service: answers queries with a reply derived
     /// from the query bits, echoes restore sizes, acks the rest. Uses the
@@ -125,6 +127,9 @@ mod tests {
     struct EchoService {
         telemetry: Telemetry,
         calls: Arc<AtomicU64>,
+        /// When set, the first call blocks until the sender signals or drops:
+        /// the test fills the hub's event queue meanwhile.
+        hold: Option<Receiver<()>>,
     }
 
     impl EchoService {
@@ -136,6 +141,7 @@ mod tests {
                 EchoService {
                     telemetry,
                     calls: calls.clone(),
+                    hold: None,
                 },
                 calls,
             )
@@ -145,6 +151,9 @@ mod tests {
     impl Service for EchoService {
         fn call(&mut self, request: Request) -> Response {
             self.calls.fetch_add(1, Ordering::SeqCst);
+            if let Some(hold) = self.hold.take() {
+                let _ = hold.recv();
+            }
             match request {
                 Request::Query(m) => Response::Search(SearchReply {
                     matches: vec![SearchResultEntry {
@@ -180,6 +189,42 @@ mod tests {
     }
 
     const WAIT: Duration = Duration::from_secs(5);
+
+    /// Batcher flushes by reason.
+    #[derive(Debug, Default, PartialEq)]
+    struct Flushes {
+        complete: u64,
+        window: u64,
+        depth: u64,
+        barrier: u64,
+        shutdown: u64,
+    }
+
+    impl Flushes {
+        fn total(&self) -> u64 {
+            self.complete + self.window + self.depth + self.barrier + self.shutdown
+        }
+    }
+
+    fn flushes(snapshot: &MetricsSnapshot) -> Flushes {
+        Flushes {
+            complete: snapshot.counter("batcher_flush_complete"),
+            window: snapshot.counter("batcher_flush_window"),
+            depth: snapshot.counter("batcher_flush_depth"),
+            barrier: snapshot.counter("batcher_flush_barrier"),
+            shutdown: snapshot.counter("batcher_flush_shutdown"),
+        }
+    }
+
+    /// `(samples, sum)` of the batch-occupancy series: one sample per flush,
+    /// summing to the queries coalesced.
+    fn occupancy(snapshot: &MetricsSnapshot) -> (u64, u64) {
+        snapshot
+            .values
+            .iter()
+            .find(|v| v.series == "batch_occupancy")
+            .map_or((0, 0), |v| (v.count, v.sum))
+    }
 
     #[test]
     fn memory_round_trip_over_the_hub() {
@@ -270,22 +315,14 @@ mod tests {
         let snapshot = telemetry.snapshot();
         // With two active connections neither query takes the solo path; at
         // least one flush happened and both queries were coalesced (one flush
-        // of 2 if they landed in the same window, two flushes of 1 if not).
+        // of 2 if the second arrived before the dispatcher looked at the
+        // first, two flushes of 1 if not).
         assert_eq!(snapshot.counter("batcher_coalesced_queries"), 2);
         assert_eq!(snapshot.counter("batcher_solo_dispatches"), 0);
-        let flushes = snapshot.counter("batcher_flush_window")
-            + snapshot.counter("batcher_flush_depth")
-            + snapshot.counter("batcher_flush_barrier")
-            + snapshot.counter("batcher_flush_shutdown");
+        let flushes = flushes(&snapshot).total();
         assert!(flushes >= 1);
         // Occupancy histogram recorded one sample per flush.
-        let occupancy = snapshot
-            .values
-            .iter()
-            .find(|v| v.series == "batch_occupancy")
-            .expect("occupancy series recorded");
-        assert_eq!(occupancy.count, flushes);
-        assert_eq!(occupancy.sum, 2);
+        assert_eq!(occupancy(&snapshot), (flushes, 2));
         // The journal holds both queries in execution order.
         assert_eq!(report.journal.len(), 2);
     }
@@ -392,8 +429,9 @@ mod tests {
         let telemetry = service.telemetry.clone();
         let config = HubConfig {
             // Budget of one in-flight request hub-wide; a long-ish window
-            // keeps the admitted query parked in the batcher while the second
-            // arrives, so the shed is deterministic.
+            // keeps the admitted query parked in the batcher (waiting for B,
+            // who has been querying) while the second arrives, so the shed
+            // is deterministic.
             max_hub_in_flight: 1,
             shed_retry_after: Duration::from_millis(7),
             batch_window: Duration::from_millis(500),
@@ -404,11 +442,15 @@ mod tests {
         let hub = Hub::spawn(service, config);
         let mut a = NetClient::from_memory(hub.connect_memory());
         let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
+        // One completed query makes B a connection the batcher expects; a
+        // peer that never queried would not hold A's group back.
+        let warm = b.call(&query(4, 16), WAIT).unwrap();
+        assert!(matches!(warm, Response::Search(_)));
         let ia = a.submit(&query(2, 16));
         a.flush().unwrap();
         // Wait until A's query holds the only budget slot (parked in the
         // batcher, pending the window flush).
-        while hub.frames_accepted() < 1 {
+        while hub.frames_accepted() < 2 {
             std::thread::sleep(Duration::from_millis(1));
         }
         let ib = b.submit(&query(4, 16));
@@ -433,18 +475,45 @@ mod tests {
         assert_eq!(report.sheds, 1);
         // The shed request was refused before execution: never counted as an
         // executed request, never journaled — the replay oracle sees only
-        // the two executed queries.
-        assert_eq!(report.requests, 2);
-        assert_eq!(report.journal.len(), 2);
+        // the three executed queries.
+        assert_eq!(report.requests, 3);
+        assert_eq!(report.journal.len(), 3);
         assert_eq!(telemetry.snapshot().counter("sheds"), 1);
     }
 
     #[test]
-    fn shutdown_drains_every_accepted_request() {
+    fn a_sequential_client_is_never_shed_by_its_own_last_reply() {
         let (service, _) = EchoService::new(TelemetryLevel::Off);
         let config = HubConfig {
-            // A long window and deep depth: in-flight queries sit in the
-            // batcher when the shutdown lands, exercising the drain flush.
+            max_hub_in_flight: 1,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(service, config);
+        // A second open connection routes the client through the batcher,
+        // which gives a group's budget slots back before it writes the
+        // replies: the next request, sent the moment the reply is read,
+        // always finds the slot free.
+        let _idle = hub.connect_memory();
+        let mut client = NetClient::from_memory(hub.connect_memory());
+        for i in 0..200 {
+            let reply = client.call(&query(i % 8 + 1, 16), WAIT).unwrap();
+            assert!(
+                matches!(reply, Response::Search(_)),
+                "request {i}: {reply:?}"
+            );
+        }
+        let report = hub.shutdown();
+        assert_eq!((report.requests, report.sheds), (200, 0));
+    }
+
+    #[test]
+    fn shutdown_drains_every_accepted_request() {
+        let (service, _) = EchoService::new(TelemetryLevel::Counters);
+        let telemetry = service.telemetry.clone();
+        let config = HubConfig {
+            // A long window, a deep depth and an expected connection that
+            // went quiet: in-flight queries sit in the batcher when the
+            // shutdown lands, exercising the drain flush.
             batch_window: Duration::from_secs(10),
             batch_depth: 1024,
             ..HubConfig::default()
@@ -452,6 +521,9 @@ mod tests {
         let hub = Hub::spawn(service, config);
         let mut a = NetClient::from_memory(hub.connect_memory());
         let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
+        let mut quiet =
+            NetClient::from_memory(hub.connect_memory()).with_first_request_id(2_000_001);
+        quiet.call(&query(1, 16), WAIT).unwrap();
         const K: usize = 8;
         let mut ids = Vec::new();
         for i in 0..K {
@@ -461,11 +533,11 @@ mod tests {
         a.flush().unwrap();
         b.flush().unwrap();
         // Wait until every frame has passed the gate, then pull the plug.
-        while hub.frames_accepted() < (2 * K) as u64 {
+        while hub.frames_accepted() < (2 * K + 1) as u64 {
             std::thread::sleep(Duration::from_millis(1));
         }
         let report = hub.shutdown();
-        assert_eq!(report.requests, (2 * K) as u64);
+        assert_eq!(report.requests, (2 * K + 1) as u64);
         // No lost replies: both clients can still read all K answers off the
         // (closed but buffered) links.
         for (who, id) in ids {
@@ -473,5 +545,224 @@ mod tests {
             let reply = client.wait_take(id, WAIT).unwrap();
             assert!(matches!(reply, Response::Search(_)), "request {id} lost");
         }
+        // The 2K queries were still parked when the plug was pulled.
+        let snapshot = telemetry.snapshot();
+        assert_eq!(
+            flushes(&snapshot),
+            Flushes {
+                complete: 1,
+                shutdown: 1,
+                ..Flushes::default()
+            }
+        );
+        assert_eq!(occupancy(&snapshot), (2, (2 * K + 1) as u64));
+    }
+
+    #[test]
+    fn lockstep_clients_fuse_without_ever_waiting_the_window() {
+        const ROUNDS: usize = 50;
+        let (mut service, calls) = EchoService::new(TelemetryLevel::Counters);
+        let telemetry = service.telemetry.clone();
+        let (release, hold) = mpsc::channel();
+        service.hold = Some(hold);
+        let window = Duration::from_secs(10);
+        let config = HubConfig {
+            batch_window: window,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(service, config);
+        let mut a = NetClient::from_memory(hub.connect_memory());
+        let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
+        let started = Instant::now();
+        // Round one, forced: a third connection's query blocks inside the
+        // service while A's and B's first queries queue up behind it, so they
+        // are pulled together (the opener hangs up and is not waited for).
+        let mut opener =
+            NetClient::from_memory(hub.connect_memory()).with_first_request_id(2_000_001);
+        opener.submit(&query(1, 16));
+        opener.flush().unwrap();
+        while calls.load(Ordering::SeqCst) < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut ids = (a.submit(&query(1, 16)), b.submit(&query(2, 16)));
+        a.flush().unwrap();
+        b.flush().unwrap();
+        while hub.frames_accepted() < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(opener);
+        release.send(()).unwrap();
+        // From here on each client sends its next query only when its last
+        // was answered: whichever arrives first waits for the other, never
+        // for the window.
+        for round in 1..=ROUNDS {
+            a.wait_take(ids.0, WAIT).unwrap();
+            b.wait_take(ids.1, WAIT).unwrap();
+            if round < ROUNDS {
+                ids = (
+                    a.submit(&query(round % 8 + 1, 16)),
+                    b.submit(&query(round % 8 + 2, 16)),
+                );
+                a.flush().unwrap();
+                b.flush().unwrap();
+            }
+        }
+        // One window wait anywhere would have cost more than this.
+        assert!(started.elapsed() < window / 2);
+        drop(hub.shutdown());
+        let snapshot = telemetry.snapshot();
+        // The opener's group of one, then the pair, every round.
+        assert_eq!(
+            flushes(&snapshot),
+            Flushes {
+                complete: ROUNDS as u64 + 1,
+                ..Flushes::default()
+            }
+        );
+        assert_eq!(
+            occupancy(&snapshot),
+            (ROUNDS as u64 + 1, 2 * ROUNDS as u64 + 1)
+        );
+    }
+
+    #[test]
+    fn a_backlog_is_fused_to_the_depth_never_flushed_one_at_a_time() {
+        const BACKLOG: usize = 64;
+        let (mut service, calls) = EchoService::new(TelemetryLevel::Counters);
+        let telemetry = service.telemetry.clone();
+        let (release, hold) = mpsc::channel();
+        service.hold = Some(hold);
+        let config = HubConfig {
+            batch_window: Duration::from_secs(10),
+            batch_depth: 16,
+            max_in_flight: BACKLOG,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(service, config);
+        let mut pipeliner = NetClient::from_memory(hub.connect_memory());
+        let mut querier =
+            NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
+        // The querier's query is alone in the world (a group of one, flushed
+        // complete) and blocks inside the service ...
+        let held = querier.submit(&query(1, 16));
+        querier.flush().unwrap();
+        while calls.load(Ordering::SeqCst) < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ... while the pipeliner's whole backlog queues up behind it.
+        let ids: Vec<u64> = (0..BACKLOG)
+            .map(|i| pipeliner.submit(&query(i % 8 + 1, 16)))
+            .collect();
+        pipeliner.flush().unwrap();
+        while hub.frames_accepted() < (BACKLOG + 1) as u64 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.send(()).unwrap();
+        querier.wait_take(held, WAIT).unwrap();
+        for id in ids {
+            let reply = pipeliner.wait_take(id, WAIT).unwrap();
+            assert!(matches!(reply, Response::Search(_)));
+        }
+        drop(hub.shutdown());
+        // The queue was never empty while the backlog was being collected,
+        // so nothing but the depth ever flushed it: 64 queries, 4 groups of
+        // 16, although the querier — expected, and silent — was missing from
+        // every one of them.
+        let snapshot = telemetry.snapshot();
+        assert_eq!(
+            flushes(&snapshot),
+            Flushes {
+                complete: 1,
+                depth: (BACKLOG / 16) as u64,
+                ..Flushes::default()
+            }
+        );
+        assert_eq!(
+            occupancy(&snapshot),
+            ((BACKLOG / 16 + 1) as u64, (BACKLOG + 1) as u64)
+        );
+    }
+
+    #[test]
+    fn a_lone_querier_beside_control_connections_never_waits_the_window() {
+        const QUERIES: usize = 20;
+        let (service, _) = EchoService::new(TelemetryLevel::Counters);
+        let telemetry = service.telemetry.clone();
+        let window = Duration::from_secs(10);
+        let config = HubConfig {
+            batch_window: window,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(service, config);
+        // The coordinator shape: three connections that only ever send
+        // non-query requests (a node's register / heartbeat traffic).
+        let mut control: Vec<NetClient> = (1..=3)
+            .map(|k| {
+                NetClient::from_memory(hub.connect_memory()).with_first_request_id(k * 1_000_000)
+            })
+            .collect();
+        let mut client = NetClient::from_memory(hub.connect_memory());
+        let started = Instant::now();
+        for i in 0..QUERIES {
+            let beat = control[i % 3]
+                .call(&Request::MetricsSnapshot, WAIT)
+                .unwrap();
+            assert_eq!(beat, Response::Ack);
+            let reply = client.call(&query(i % 8 + 1, 16), WAIT).unwrap();
+            assert!(matches!(reply, Response::Search(_)));
+        }
+        assert!(started.elapsed() < window / 2);
+        drop(hub.shutdown());
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("batcher_solo_dispatches"), 0);
+        assert_eq!(
+            flushes(&snapshot),
+            Flushes {
+                complete: QUERIES as u64,
+                ..Flushes::default()
+            }
+        );
+    }
+
+    #[test]
+    fn a_client_that_stops_querying_costs_its_peer_one_window_once() {
+        let (service, _) = EchoService::new(TelemetryLevel::Counters);
+        let telemetry = service.telemetry.clone();
+        let window = Duration::from_millis(40);
+        let config = HubConfig {
+            batch_window: window,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(service, config);
+        let mut a = NetClient::from_memory(hub.connect_memory());
+        let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
+        let windows = || flushes(&telemetry.snapshot()).window;
+        // A queries once and goes quiet (still connected).
+        a.call(&query(1, 16), WAIT).unwrap();
+        assert_eq!(windows(), 0);
+        // B's first query waits the window out for A; the rest do not.
+        let started = Instant::now();
+        b.call(&query(2, 16), WAIT).unwrap();
+        assert!(started.elapsed() >= window);
+        assert_eq!(windows(), 1);
+        for _ in 0..5 {
+            b.call(&query(2, 16), WAIT).unwrap();
+        }
+        assert_eq!(windows(), 1);
+        // A comes back: it is expected again, and now it is B who is silent.
+        a.call(&query(1, 16), WAIT).unwrap();
+        assert_eq!(windows(), 2);
+        a.call(&query(1, 16), WAIT).unwrap();
+        drop(hub.shutdown());
+        let snapshot = telemetry.snapshot();
+        assert_eq!(
+            flushes(&snapshot),
+            Flushes {
+                complete: 7,
+                window: 2,
+                ..Flushes::default()
+            }
+        );
+        assert_eq!(occupancy(&snapshot), (9, 9));
     }
 }

@@ -228,13 +228,21 @@ fn main() {
     );
     let shed_telemetry = {
         // Park one plain client's query in the batcher: it holds the only
-        // budget slot for the whole 300 ms window. (A second idle connection
-        // keeps the solo fast path off, so the query actually parks.)
-        let _bystander = pressure.connect_memory();
+        // budget slot for the whole 300 ms window. The batcher only holds a
+        // group back for a connection that has been querying through it, so
+        // with both connections open a bystander completes one query first
+        // and then goes quiet — the occupant's query waits the window out
+        // for it.
         let mut occupant = NetClient::from_memory(pressure.connect_memory());
+        let mut bystander =
+            NetClient::from_memory(pressure.connect_memory()).with_first_request_id(4_000_001);
+        let warm = bystander
+            .call(&Request::Query(queries[2].clone()), Duration::from_secs(30))
+            .expect("bystander reply");
+        assert!(matches!(warm, Response::Search(_)));
         let occupant_id = occupant.submit(&Request::Query(queries[0].clone()));
         occupant.flush().expect("flush occupant");
-        while pressure.frames_accepted() < 1 {
+        while pressure.frames_accepted() < 2 {
             std::thread::sleep(Duration::from_millis(1));
         }
         // The resilient client's first attempt is guaranteed to shed; it
@@ -327,7 +335,10 @@ fn main() {
     }
     // Hub-side sheds land in the *server's* registry (phase 2 hub) and in its
     // report — already asserted equal to the client's count above.
-    assert_eq!(shed_telemetry.requests, 2, "occupant + resilient query");
+    assert_eq!(
+        shed_telemetry.requests, 3,
+        "bystander + occupant + resilient query"
+    );
 
     println!(
         "\nresilience: {} attempts = {} completed + {} shed + {} link faults \

@@ -4,8 +4,8 @@
 //! a dashboard read over the same wire: the per-connection wire section and the
 //! cross-client batcher section of the server's `MetricsSnapshot`.
 //!
-//! The cross-client batcher coalesces single `Request::Query` frames that
-//! arrive within the collection window into one fused scan-plane pass; the
+//! The cross-client batcher coalesces single `Request::Query` frames from
+//! the connections that are querying into one fused scan-plane pass; the
 //! asserts at the bottom check the conservation laws that make it invisible
 //! (every single query is either coalesced or dispatched solo, every frame in
 //! is answered by a frame out) rather than timing-dependent quantities.
@@ -191,12 +191,14 @@ fn main() {
     println!("\n=== batcher ===");
     let coalesced = snapshot.counter("batcher_coalesced_queries");
     let solo = snapshot.counter("batcher_solo_dispatches");
-    let flushes = snapshot.counter("batcher_flush_window")
+    let flushes = snapshot.counter("batcher_flush_complete")
+        + snapshot.counter("batcher_flush_window")
         + snapshot.counter("batcher_flush_depth")
         + snapshot.counter("batcher_flush_barrier")
         + snapshot.counter("batcher_flush_shutdown");
     println!(
-        "coalesced {coalesced} queries into {flushes} fused flushes ({} window / {} depth / {} barrier / {} shutdown), {solo} solo dispatches",
+        "coalesced {coalesced} queries into {flushes} fused flushes ({} complete / {} window / {} depth / {} barrier / {} shutdown), {solo} solo dispatches",
+        snapshot.counter("batcher_flush_complete"),
         snapshot.counter("batcher_flush_window"),
         snapshot.counter("batcher_flush_depth"),
         snapshot.counter("batcher_flush_barrier"),
@@ -219,7 +221,7 @@ fn main() {
         .find(|h| h.stage == "batcher_wait");
     if let Some(waits) = waits {
         println!(
-            "batcher wait: {} samples, avg {} ns in the collection window",
+            "batcher wait: {} samples, avg {} ns held in the batcher",
             waits.count,
             waits.sum_ns / waits.count.max(1)
         );

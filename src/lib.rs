@@ -63,7 +63,7 @@
 //!        │                                       and feed ONE dispatcher thread;
 //!        ▼                                       the adaptive cross-client batcher
 //!        │                                       coalesces concurrent Query frames
-//!        ▼                                       (window / depth / barrier flushes)
+//!        ▼                                       (complete / depth / barrier flushes)
 //!        │                                       into one fused batch pass and
 //!        ▼                                       de-muxes replies by request id
 //!  mkse-protocol   Client  ──▶  wire codec  ──▶  Service::call   the ONE front door:
@@ -206,14 +206,17 @@
 //!   arbitrary fragmentation, enforce a max frame size and an idle timeout
 //!   (violations answer with a typed `ProtocolError::Transport` and poison only
 //!   that connection), and apply a max-in-flight backpressure window. The
-//!   **adaptive cross-client batcher** holds single `Request::Query` frames for
-//!   a sub-millisecond collection window (immediate dispatch when only one
-//!   connection is active or the batch hits depth `b`; any non-query flushes as
-//!   a barrier first) and executes the group through the engine's fused batch
-//!   path — so N chatty clients get the amortized memory traffic of PR 5's
-//!   `BatchQueryMessage` without coordinating with each other. Both layers are
-//!   invisible: replies, `SearchStats` and cache counters are byte-identical
-//!   to the same requests issued sequentially in-process, enforced by the
+//!   **adaptive cross-client batcher** collects single `Request::Query` frames
+//!   into a group and flushes it the moment every connection that has been
+//!   querying is in (or the group hits depth `b`), taking queued frames first;
+//!   the sub-millisecond window is only the bound on waiting for a connection
+//!   that went quiet (immediate dispatch when only one connection is open; any
+//!   non-query flushes as a barrier first). The group executes through the
+//!   engine's fused batch path — so N chatty clients get the amortized memory
+//!   traffic of PR 5's `BatchQueryMessage` without coordinating with each
+//!   other. Both layers are invisible: replies, `SearchStats` and cache
+//!   counters are byte-identical to the same requests issued sequentially
+//!   in-process, enforced by the
 //!   journal-replay oracle in `tests/net_equivalence.rs`, and graceful
 //!   shutdown drains every accepted frame before the dispatcher exits.
 //! * **Resilience** ([`net::ResilientClient`], [`net::FaultyLink`]): links
@@ -290,14 +293,14 @@
 //! computes, never *what* can be observed (§6's leakage model is untouched).
 //!
 //! The cross-client batcher extends the same argument across connections:
-//! coalescing queries that arrived within one collection window reorders only
+//! coalescing the queries of the connections that are querying reorders only
 //! the server's *own* memory accesses over requests it has already observed.
 //! Each request's bytes, its reply, its `SearchStats` and its cache counters
 //! are unchanged (the fused group is byte-identical to sequential execution),
-//! and which requests share a window is a function of arrival timing the
-//! server observes anyway — batching is scheduling, not a new channel, and no
-//! client learns anything about another client's queries from it (§6's
-//! per-query leakage profile is untouched).
+//! and which requests share a group is a function of which connections sent
+//! which frames when, which the server observes anyway — batching is
+//! scheduling, not a new channel, and no client learns anything about another
+//! client's queries from it (§6's per-query leakage profile is untouched).
 //!
 //! The resilience layer keeps the model intact from the other side of the
 //! wire: a retry retransmits bytes the adversary has *already observed* — a
