@@ -3,10 +3,10 @@
 //! A coordinator scatter-gathers a sequential top-10 query workload across
 //! 1/2/3 registered shard-server nodes, with and without a **deterministic
 //! seeded kill** of one node mid-workload. The sweep prices the fleet layer:
-//! the coordination overhead of scatter-gather over one node (nodes=1 vs the
-//! plain hub in `fig4b_net`), how merge cost scales with fleet width, and
-//! what a failover costs end to end — the killed node's shards re-ship from
-//! the coordinator's mirror snapshot while the workload keeps completing.
+//! the coordination overhead of scatter-gather over one node (nodes=1 vs a
+//! plain hub), how merge cost scales with fleet width, and what a failover
+//! costs end to end — the killed node's shards re-ship from the coordinator's
+//! mirror while the workload keeps completing.
 //!
 //! Before any configuration is timed, the same workload runs once with the
 //! coordinator hub's journal on and every *completed* reply is asserted
@@ -78,13 +78,6 @@ fn slots_for(nodes: usize) -> Vec<(u64, u32)> {
         2 => vec![(1, 2), (2, 0)],
         _ => vec![(1, 2), (2, 1), (3, 0)],
     }
-}
-
-fn clean_connector(dialer: MemoryDialer) -> Connector {
-    Box::new(move |_ordinal| {
-        let (reader, writer) = dialer.connect().split();
-        Ok((Box::new(reader) as _, Box::new(writer) as _))
-    })
 }
 
 /// Ordinal 0 dies after `budget` written bytes, every reconnect is dead on
@@ -188,7 +181,7 @@ fn spawn_fleet(
             Some(budget) if runner.node_id() == 1 => {
                 doomed_connector(runner.dialer(), budget, seed)
             }
-            _ => clean_connector(runner.dialer()),
+            _ => runner.dialer().connector(),
         };
         coordinator.add_node(runner.node_id(), connector);
     }
@@ -207,7 +200,7 @@ fn spawn_fleet(
         runner.register().expect("registration");
     }
     let mut uploader =
-        ResilientClient::new(clean_connector(hub.memory_dialer()), RetryPolicy::default())
+        ResilientClient::new(hub.memory_dialer().connector(), RetryPolicy::default())
             .with_first_request_id(9_000_001);
     let reply = uploader
         .call(&Request::Upload(UploadMessage {
@@ -232,7 +225,7 @@ struct DriveOutcome {
 /// One sequential client driving `per_run` queries through the coordinator.
 fn drive(hub: &HubHandle, pool: &[QueryMessage], per_run: usize) -> DriveOutcome {
     let mut client = ResilientClient::new(
-        clean_connector(hub.memory_dialer()),
+        hub.memory_dialer().connector(),
         RetryPolicy {
             max_attempts: 24,
             retry_non_idempotent: false,

@@ -30,7 +30,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mkse_bench::{BenchFixture, ZipfSampler};
 use mkse_core::search::scan_ranked;
 use mkse_core::{
-    CacheConfig, IndexStore, QueryBuilder, QueryIndex, SearchEngine, ShardedStore, TelemetryLevel,
+    CacheConfig, QueryBuilder, QueryIndex, SearchEngine, ShardedStore, TelemetryLevel,
 };
 use mkse_protocol::{Client, CloudServer, QueryMessage, Request};
 use rand::rngs::StdRng;
@@ -382,11 +382,7 @@ fn bench_scan_layout(_c: &mut Criterion) {
     // Equivalence before timing: the plane is a layout change only, and
     // sharding must never change results.
     let (aos_matches, aos_stats) = scan_ranked(&indices, &query);
-    let plane = engines[0]
-        .1
-        .store()
-        .scan_plane(0)
-        .expect("plane maintained");
+    let plane = engines[0].1.scan_plane(0);
     assert_eq!(plane.scan_ranked(query.bits()), (aos_matches, aos_stats));
     let reference = engines[0].1.search(&query);
     for (shards, engine) in &engines[1..] {

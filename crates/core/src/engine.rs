@@ -6,12 +6,11 @@
 //! thread) when the host has more than one core. Semantics are **bit-for-bit
 //! identical** to the sequential reference scan ([`crate::search::CloudIndex`]):
 //!
-//! * per-shard scans sweep the store's block-major [`crate::scanplane::ScanPlane`]
-//!   when one is maintained ([`ShardedStore`] does) — contiguous, query-pruned
-//!   columns instead of per-document pointer chasing — and fall back to the
-//!   sequential path's [`crate::search::scan_ranked`] loop otherwise; both produce
-//!   identical matches, scan order and [`SearchStats`] (r-bit comparison counts
-//!   are unchanged: block pruning happens *inside* one r-bit comparison);
+//! * per-shard scans sweep the shard's block-major [`crate::scanplane::ScanPlane`]
+//!   — contiguous, query-pruned columns instead of per-document pointer chasing —
+//!   and produce the matches, scan order and [`SearchStats`] of the reference's
+//!   [`crate::search::scan_ranked`] loop (r-bit comparison counts are unchanged:
+//!   block pruning happens *inside* one r-bit comparison);
 //! * merged ranked results are sorted by descending rank, ties broken by ascending
 //!   document id — a total order, so the merged list is unique and equals the
 //!   sequential sort;
@@ -19,6 +18,19 @@
 //!   reproducing the sequential "storage order" exactly;
 //! * merged [`SearchStats`] are the field-wise sums of per-shard stats, which equal
 //!   the sequential counts.
+//!
+//! ## Derived state has one owner
+//!
+//! The store is the corpus; everything computed *from* it lives here, side by
+//! side: one [`ScanPlane`] per shard and the optional [`ResultCache`]. The engine
+//! holds its store privately — [`SearchEngine::store`] is read-only and there is
+//! no mutable accessor — and [`SearchEngine::insert`] is the only door a document
+//! comes in through ([`SearchEngine::insert_all`] and
+//! [`SearchEngine::restore_snapshot`] funnel into the same append). Each append
+//! pushes the document onto the plane of the shard [`IndexStore::insert`] names,
+//! and each door bumps the cache generations it must, so neither a plane nor a
+//! cache entry can go stale. [`SearchEngine::new`] derives the planes from
+//! whatever the store it is handed already holds; snapshots carry neither.
 //!
 //! ## Scheduling: one executor over scan units
 //!
@@ -33,11 +45,10 @@
 //!   so an oversharded store (more shards than lanes) balances instead of
 //!   serializing whole shards behind one lane, and a host with more lanes than
 //!   shards splits single shards across lanes instead of idling;
-//! * with a single lane, or for a shard whose store keeps no scan plane, a
-//!   unit is the **whole shard**: with nobody to steal from, splitting buys
-//!   nothing and costs per-range setup (active-block lists, result buffers),
-//!   and without a plane there is no chunk grid to split along. Unranked
-//!   search and metadata always run whole-shard units.
+//! * with a single lane a unit is the **whole shard**: with nobody to steal
+//!   from, splitting buys nothing and costs per-range setup (active-block
+//!   lists, result buffers). Unranked search and metadata always run
+//!   whole-shard units.
 //!
 //! Stitching is deterministic: every unit writes into its pre-assigned result
 //! slot, a shard's unit results concatenate in chunk (slot) order and its stats
@@ -69,8 +80,8 @@
 //! the per-shard [`SearchStats`], and flow through the same merge — so enabling the
 //! cache changes wall-clock time and *actual* comparisons performed, never results.
 //! Inserts bump only the written shard's generation (see [`crate::cache`]);
-//! [`SearchEngine::store_mut`] and [`SearchEngine::restore_snapshot`] conservatively
-//! invalidate every shard, so no stale entry survives a reload.
+//! [`SearchEngine::restore_snapshot`] invalidates every shard once, so no stale
+//! entry survives a reload.
 
 use crate::bitindex::BitIndex;
 use crate::cache::{
@@ -80,7 +91,8 @@ use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::persistence::PersistenceError;
 use crate::query::QueryIndex;
-use crate::search::{scan_ranked, sort_matches, SearchMatch, SearchStats};
+use crate::scanplane::ScanPlane;
+use crate::search::{sort_matches, SearchMatch, SearchStats};
 use crate::storage::{IndexStore, ShardedStore, StoreError};
 use crate::telemetry::{
     Counter, Gauge, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
@@ -94,7 +106,7 @@ mod pool;
 use pool::{StealDeques, WorkerPool};
 
 /// One shard's ranked-scan output: scan-order matches plus the shard's stats —
-/// exactly what [`scan_ranked`] returns and what the cache memoizes.
+/// exactly what [`crate::search::scan_ranked`] returns and what the cache memoizes.
 type ShardScan = (Vec<SearchMatch>, SearchStats);
 
 /// Chunks per multi-lane scan unit: 8 × [`crate::scanplane::CHUNK`] = 8192
@@ -109,7 +121,7 @@ const UNIT_CHUNKS: usize = 8;
 struct ScanUnit {
     pos: usize,
     shard: usize,
-    /// `None` = the whole shard, however the store lays it out.
+    /// `None` = the whole shard.
     chunks: Option<std::ops::Range<usize>>,
 }
 
@@ -123,6 +135,19 @@ impl ScanUnit {
     }
 }
 
+/// The planes of whatever `store` already holds: one per shard, slot for slot.
+fn derive_planes<S: IndexStore>(store: &S) -> Vec<ScanPlane> {
+    (0..store.num_shards())
+        .map(|shard| {
+            let mut plane = ScanPlane::new();
+            for index in store.shard_documents(shard) {
+                plane.push(index);
+            }
+            plane
+        })
+        .collect()
+}
+
 /// A pluggable, shard-parallel search engine over an [`IndexStore`].
 ///
 /// An engine with more than one scan lane keeps a persistent worker pool (one
@@ -133,6 +158,10 @@ impl ScanUnit {
 #[derive(Debug)]
 pub struct SearchEngine<S: IndexStore> {
     store: S,
+    /// `planes[s]` is the bit-sliced copy of `store.shard_documents(s)`, slot
+    /// for slot — built in [`SearchEngine::new`], appended in
+    /// `SearchEngine::append`, touched nowhere else.
+    planes: Vec<ScanPlane>,
     pool: Option<WorkerPool>,
     /// Scan lanes (pool workers + the calling thread). Always `1..=cores`;
     /// `pool` is `Some` iff `lanes > 1`.
@@ -187,8 +216,10 @@ impl<S: IndexStore> SearchEngine<S> {
     ///
     /// The result cache starts disabled; see [`SearchEngine::enable_cache`].
     pub fn new(store: S) -> Self {
+        let planes = derive_planes(&store);
         let mut engine = SearchEngine {
             store,
+            planes,
             pool: None,
             lanes: 1,
             cache: None,
@@ -305,25 +336,16 @@ impl<S: IndexStore> SearchEngine<S> {
         }
     }
 
-    /// The underlying store.
+    /// The underlying store, read-only: documents come in through
+    /// [`SearchEngine::insert`] so the planes and the cache see every one.
     pub fn store(&self) -> &S {
         &self.store
     }
 
-    /// Mutable access to the underlying store.
-    ///
-    /// The engine cannot observe what a caller does through this reference, so it
-    /// conservatively bumps **every** shard's cache generation — any cached result
-    /// might describe a superseded store state afterwards. Prefer
-    /// [`SearchEngine::insert`] (which invalidates only the written shard) for
-    /// uploads.
-    pub fn store_mut(&mut self) -> &mut S {
-        if let Some(cache) = &self.cache {
-            cache.lock().unwrap().invalidate_all();
-            self.telemetry
-                .record_cache_invalidation_all(self.store.num_shards());
-        }
-        &mut self.store
+    /// The scan plane the engine sweeps for `shard` — the equivalence suites
+    /// and the scan bench read it to hold the layout to the AoS reference.
+    pub fn scan_plane(&self, shard: usize) -> &ScanPlane {
+        &self.planes[shard]
     }
 
     /// Consume the engine, returning the store.
@@ -350,26 +372,23 @@ impl<S: IndexStore> SearchEngine<S> {
     /// document landed in is invalidated; cached scans of every other shard stay
     /// live.
     pub fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError> {
-        let document_id = index.document_id;
-        self.store.insert(index)?;
+        let shard = self.append(index)?;
         self.telemetry.add(Counter::Inserts, 1);
         if let Some(cache) = &self.cache {
-            let mut cache = cache.lock().unwrap();
-            match self.store.shard_of(document_id) {
-                Some(shard) => {
-                    cache.note_insert(shard);
-                    self.telemetry.record_cache_invalidation(shard);
-                }
-                // A store that cannot name the shard gets the conservative
-                // treatment: every shard's generation moves.
-                None => {
-                    cache.invalidate_all();
-                    self.telemetry
-                        .record_cache_invalidation_all(self.store.num_shards());
-                }
-            }
+            cache.lock().unwrap().note_insert(shard);
+            self.telemetry.record_cache_invalidation(shard);
         }
         Ok(())
+    }
+
+    /// Store one document and pack it onto the plane of the shard the store
+    /// appended it to — the single place store and planes change, so they
+    /// change together. Cache and telemetry accounting is the caller's.
+    fn append(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
+        let shard = self.store.insert(index)?;
+        let stored = self.store.shard_documents(shard).last();
+        self.planes[shard].push(stored.expect("insert appended to the shard it named"));
+        Ok(shard)
     }
 
     /// Upload many document indices, stopping at the first invalid one.
@@ -393,14 +412,20 @@ impl<S: IndexStore> SearchEngine<S> {
     /// Restore a snapshot produced by [`SearchEngine::snapshot`] (or
     /// [`crate::persistence::serialize_index_store`]), appending the decoded
     /// indices in their original insertion order. Every cache generation is bumped
-    /// afterwards, so entries cached before the restore can never be served again.
+    /// afterwards, so entries cached before the restore can never be served again —
+    /// also when the store refuses an index midway: the accepted prefix stays.
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<usize, PersistenceError> {
-        let count = crate::persistence::deserialize_into(&mut self.store, bytes)?;
+        let indices = crate::persistence::deserialize_store(self.store.params(), bytes)?;
+        let count = indices.len();
+        let restored = indices
+            .into_iter()
+            .try_for_each(|index| self.append(index).map(drop));
         if let Some(cache) = &self.cache {
             cache.lock().unwrap().invalidate_all();
             self.telemetry
                 .record_cache_invalidation_all(self.store.num_shards());
         }
+        restored?;
         Ok(count)
     }
 
@@ -413,20 +438,19 @@ impl<S: IndexStore> SearchEngine<S> {
     /// [module docs](self)): ascending [`UNIT_CHUNKS`]-chunk ranges of the
     /// shard's plane (= slot order within the shard; an empty plane yields no
     /// unit) when there are lanes to share them, the whole shard when there is
-    /// one lane or the store keeps no plane for it.
+    /// one lane.
     fn carve_units(&self, shard_ids: &[usize]) -> Vec<ScanUnit> {
         let mut units = Vec::new();
         for (pos, &shard) in shard_ids.iter().enumerate() {
-            match self.store.scan_plane(shard) {
-                Some(plane) if self.lanes > 1 => {
-                    let chunks = plane.num_chunks();
-                    units.extend((0..chunks).step_by(UNIT_CHUNKS).map(|lo| ScanUnit {
-                        pos,
-                        shard,
-                        chunks: Some(lo..(lo + UNIT_CHUNKS).min(chunks)),
-                    }));
-                }
-                _ => units.push(ScanUnit::whole(pos, shard)),
+            if self.lanes > 1 {
+                let chunks = self.planes[shard].num_chunks();
+                units.extend((0..chunks).step_by(UNIT_CHUNKS).map(|lo| ScanUnit {
+                    pos,
+                    shard,
+                    chunks: Some(lo..(lo + UNIT_CHUNKS).min(chunks)),
+                }));
+            } else {
+                units.push(ScanUnit::whole(pos, shard));
             }
         }
         units
@@ -519,29 +543,20 @@ impl<S: IndexStore> SearchEngine<S> {
             .collect()
     }
 
-    /// One unit's **fused** ranked scan of a query set — **the** seam the layout
-    /// optimization plugs into. A shard with a block-major
-    /// [`crate::scanplane::ScanPlane`] streams the unit's chunks once for all
-    /// queries: contiguous, query-pruned, vectorizer-friendly columns instead of
+    /// One unit's **fused** ranked scan of a query set: the shard's block-major
+    /// [`ScanPlane`] streams the unit's chunks once for all queries —
+    /// contiguous, query-pruned, vectorizer-friendly columns instead of
     /// per-document pointer chasing (a one-query set short-circuits to the
-    /// single-query kernel inside the plane). A shard without a plane falls back
-    /// to one reference AoS loop per query. Either way the output is aligned
-    /// with `queries` and bit-for-bit what [`scan_ranked`] returns over the
-    /// unit's documents — same matches, same scan order, same [`SearchStats`]
-    /// (the equivalence suite and `mkse-core/tests/scanplane_equivalence.rs`
-    /// hold both paths to it).
+    /// single-query kernel inside the plane). The output is aligned with
+    /// `queries` and bit-for-bit what [`crate::search::scan_ranked`] returns
+    /// over the unit's documents — same matches, same scan order, same
+    /// [`SearchStats`] (the equivalence suite and
+    /// `mkse-core/tests/scanplane_equivalence.rs` hold it to that).
     fn scan_unit(&self, unit: &ScanUnit, queries: &[&QueryIndex]) -> Vec<ShardScan> {
-        match self.store.scan_plane(unit.shard) {
-            Some(plane) => {
-                let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
-                let chunks = unit.chunks.clone().unwrap_or(0..plane.num_chunks());
-                plane.scan_ranked_batch_chunks(&bits, chunks)
-            }
-            None => queries
-                .iter()
-                .map(|q| scan_ranked(self.store.shard_documents(unit.shard), q))
-                .collect(),
-        }
+        let plane = &self.planes[unit.shard];
+        let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
+        let chunks = unit.chunks.clone().unwrap_or(0..plane.num_chunks());
+        plane.scan_ranked_batch_chunks(&bits, chunks)
     }
 
     /// The scan step of every ranked execution: scan each selected shard for
@@ -618,19 +633,11 @@ impl<S: IndexStore> SearchEngine<S> {
             let docs = self.store.shard_documents(shard);
             // The plane answers "which slots match" with a pruned column sweep;
             // the extraction still reads the authoritative AoS documents.
-            match self.store.scan_plane(shard) {
-                Some(plane) => plane
-                    .matching_slots(query.bits())
-                    .into_iter()
-                    .map(|slot| (self.store.ordinal(shard, slot), extract(&docs[slot])))
-                    .collect::<Vec<_>>(),
-                None => docs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.base_level().matches_query(query.bits()))
-                    .map(|(slot, d)| (self.store.ordinal(shard, slot), extract(d)))
-                    .collect::<Vec<_>>(),
-            }
+            self.planes[shard]
+                .matching_slots(query.bits())
+                .into_iter()
+                .map(|slot| (self.store.ordinal(shard, slot), extract(&docs[slot])))
+                .collect::<Vec<_>>()
         });
         let mut merged: Vec<(u64, T)> = per_shard.into_iter().flatten().collect();
         merged.sort_unstable_by_key(|(ordinal, _)| *ordinal);
@@ -1037,11 +1044,13 @@ mod tests {
     use super::*;
     use crate::document_index::DocumentIndexer;
     use crate::keys::SchemeKeys;
+    use crate::persistence::serialize_store;
     use crate::query::QueryBuilder;
-    use crate::search::CloudIndex;
+    use crate::search::{scan_ranked, CloudIndex};
     use mkse_textproc::document::TermFrequencies;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     struct Fixture {
         params: SystemParams,
@@ -1309,6 +1318,7 @@ mod tests {
     /// runs even on single-core CI hosts.
     fn forced_lane_engine<S: IndexStore>(store: S, lanes: usize) -> SearchEngine<S> {
         SearchEngine {
+            planes: derive_planes(&store),
             store,
             pool: (lanes > 1).then(|| WorkerPool::new(lanes - 1)),
             lanes,
@@ -1452,13 +1462,61 @@ mod tests {
             empty.scan_selected_shards_single(&[0, 1], &q),
             vec![(Vec::new(), SearchStats::default()); 2]
         );
+    }
 
-        // A store without planes has no chunk grid: whole shards at any lane count.
-        let planeless = forced_lane_engine(PoisonedStore { inner: store }, 2);
-        assert_eq!(
-            planeless.carve_units(&selection),
-            vec![ScanUnit::whole(0, 1), ScanUnit::whole(1, 0)]
-        );
+    /// Every plane is its shard, slot for slot: same length, ids and geometry,
+    /// and the same answer to `probe` as the AoS loop over the documents.
+    fn assert_planes_in_lockstep<S: IndexStore>(
+        engine: &SearchEngine<S>,
+        probe: &QueryIndex,
+        ctx: &str,
+    ) {
+        let store = engine.store();
+        for shard in 0..store.num_shards() {
+            let (plane, docs) = (engine.scan_plane(shard), store.shard_documents(shard));
+            assert_eq!(plane.len(), docs.len(), "{ctx}: shard {shard}");
+            let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();
+            assert_eq!(plane.ids(), &ids[..], "{ctx}: shard {shard}");
+            assert_eq!(plane.bits(), store.params().index_bits, "{ctx}");
+            assert_eq!(plane.levels(), store.params().rank_levels(), "{ctx}");
+            assert_eq!(
+                plane.scan_ranked(probe.bits()),
+                scan_ranked(docs, probe),
+                "{ctx}: shard {shard}"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_planes_stay_in_lockstep_with_shard_documents() {
+        let mut fx = fixture();
+        let indices = corpus_indices(&fx, 14);
+        let probe = query(&mut fx, &["shared"]);
+        for shards in [1usize, 3] {
+            let mut engine = SearchEngine::sharded(fx.params.clone(), shards);
+            engine.insert_all(indices[..10].iter().cloned()).unwrap();
+            assert_planes_in_lockstep(&engine, &probe, "insert_all");
+
+            // A rejected insert must not dirty any plane.
+            assert!(engine.insert(indices[3].clone()).is_err());
+            assert_planes_in_lockstep(&engine, &probe, "rejected duplicate");
+
+            // A restore appends through the same door…
+            let tail = serialize_store(&fx.params, &indices[10..12]);
+            assert_eq!(engine.restore_snapshot(&tail), Ok(2));
+            assert_planes_in_lockstep(&engine, &probe, "restore");
+            // …and one the store refuses midway keeps exactly its accepted prefix.
+            let refused = serialize_store(&fx.params, [&indices[12], &indices[0], &indices[13]]);
+            assert!(engine.restore_snapshot(&refused).is_err());
+            assert_eq!(engine.len(), 13);
+            assert_planes_in_lockstep(&engine, &probe, "restore refused midway");
+
+            // An engine handed a pre-filled store derives its planes from it,
+            // and a clone is built the same way.
+            let rebuilt = SearchEngine::new(engine.store().clone());
+            assert_planes_in_lockstep(&rebuilt, &probe, "new over a pre-filled store");
+            assert_planes_in_lockstep(&engine.clone(), &probe, "clone");
+        }
     }
 
     #[test]
@@ -1600,26 +1658,31 @@ mod tests {
     }
 
     #[test]
-    fn store_mut_and_restore_invalidate_everything() {
+    fn restore_invalidates_everything() {
         let mut fx = fixture();
-        let indices = corpus_indices(&fx, 20);
+        let indices = corpus_indices(&fx, 22);
         let mut engine =
             SearchEngine::sharded(fx.params.clone(), 2).with_result_cache(CacheConfig::default());
-        engine.insert_all(indices.iter().cloned()).unwrap();
+        engine.insert_all(indices[..20].iter().cloned()).unwrap();
         let q = query(&mut fx, &["shared"]);
         let _ = engine.search_ranked_with_effect(&q);
         assert!(engine.search_ranked_with_effect(&q).2.fully_cached());
 
-        // Direct store access: the engine cannot know what changed, so nothing
-        // cached may be served afterwards.
-        let _ = engine.store_mut();
+        // A restore the store refuses midway still stored its accepted prefix
+        // (document 20, into shard 0), so nothing cached may be served after it.
+        let refused = serialize_store(&fx.params, [&indices[20], &indices[0], &indices[21]]);
+        assert_eq!(
+            engine.restore_snapshot(&refused),
+            Err(PersistenceError::Store(StoreError::DuplicateDocument(0)))
+        );
+        assert_eq!(engine.len(), 21);
         assert_eq!(engine.search_ranked_with_effect(&q).2.shard_hits, 0);
 
         // A snapshot/restore cycle also invalidates (and restores content).
         let bytes = engine.snapshot();
         let mut restored =
             SearchEngine::sharded(fx.params.clone(), 5).with_result_cache(CacheConfig::default());
-        assert_eq!(restored.restore_snapshot(&bytes).unwrap(), 20);
+        assert_eq!(restored.restore_snapshot(&bytes).unwrap(), 21);
         let (rm, rs, re) = restored.search_ranked_with_effect(&q);
         let (em, es, _) = engine.search_ranked_with_effect(&q);
         assert_eq!(rm, em);
@@ -1668,17 +1731,18 @@ mod tests {
         assert_eq!(effect.shard_hits, 0, "cleared cache serves nothing");
     }
 
-    /// A store whose shard 2 cannot be scanned — exercises the panic-context
-    /// propagation through the worker pool.
+    /// A store whose shard 2 cannot be read once `armed` — exercises the
+    /// panic-context propagation through the worker pool.
     struct PoisonedStore {
         inner: ShardedStore,
+        armed: AtomicBool,
     }
 
     impl IndexStore for PoisonedStore {
         fn params(&self) -> &SystemParams {
             self.inner.params()
         }
-        fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError> {
+        fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
             self.inner.insert(index)
         }
         fn len(&self) -> usize {
@@ -1688,7 +1752,8 @@ mod tests {
             self.inner.num_shards()
         }
         fn shard_documents(&self, shard: usize) -> &[RankedDocumentIndex] {
-            assert_ne!(shard, 2, "shard storage corrupted");
+            let poisoned = shard == 2 && self.armed.load(Ordering::SeqCst);
+            assert!(!poisoned, "shard storage corrupted");
             self.inner.shard_documents(shard)
         }
         fn ordinal(&self, shard: usize, slot: usize) -> u64 {
@@ -1697,9 +1762,6 @@ mod tests {
         fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex> {
             self.inner.document_index(document_id)
         }
-        fn shard_of(&self, document_id: u64) -> Option<usize> {
-            self.inner.shard_of(document_id)
-        }
     }
 
     #[test]
@@ -1707,11 +1769,16 @@ mod tests {
         let mut fx = fixture();
         let mut store = PoisonedStore {
             inner: ShardedStore::new(fx.params.clone(), 4),
+            armed: AtomicBool::new(false),
         };
         store.insert_all(corpus_indices(&fx, 16)).unwrap();
         let engine = SearchEngine::new(store);
+        // Armed only now: deriving the planes read every shard. The ranked sweep
+        // never touches the documents again; the unranked extraction does, on
+        // whichever lane runs shard 2's unit.
+        engine.store().armed.store(true, Ordering::SeqCst);
         let q = query(&mut fx, &["shared"]);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| engine.search(&q)));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| engine.search_unranked(&q)));
         let payload = result.expect_err("poisoned shard must panic");
         let message = payload
             .downcast_ref::<String>()

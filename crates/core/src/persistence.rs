@@ -7,15 +7,15 @@
 //! end of §5 — without pulling in any serialization framework beyond what the index itself
 //! needs.
 //!
-//! Snapshots capture **only** the stored indices: the result cache of
-//! [`crate::engine::SearchEngine`] is derived state and is never serialized, and so
-//! is the block-major [`crate::scanplane::ScanPlane`] — the byte format is
-//! **layout-independent** (insertion order, one document at a time), and restoring
-//! funnels every decoded index through [`IndexStore::insert`], which rebuilds the
-//! destination store's planes as a side effect. Restoring through
-//! [`crate::engine::SearchEngine::restore_snapshot`] (or any path through
-//! `store_mut`) bumps every cache generation, so entries cached before a reload can
-//! never be served after it.
+//! Snapshots capture **only** the stored indices — exactly what an
+//! [`IndexStore`] holds. The result cache and the block-major
+//! [`crate::scanplane::ScanPlane`]s are derived state owned by
+//! [`crate::engine::SearchEngine`] and are never serialized: the byte format is
+//! **layout-independent** (insertion order, one document at a time). A bare store
+//! is restored with [`deserialize_into`]; an engine is restored through
+//! [`crate::engine::SearchEngine::restore_snapshot`], which appends every decoded
+//! index to its store *and* its planes and bumps every cache generation, so entries
+//! cached before a reload can never be served after it.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -82,11 +82,18 @@ impl From<StoreError> for PersistenceError {
     }
 }
 
-/// Serialize a collection of document indices into the binary store format.
+/// Serialize a collection of document indices into the binary store format. Takes
+/// the indices by reference (a slice, or references gathered from a store), so
+/// writing a snapshot never copies the corpus.
 ///
 /// Panics if any index disagrees with `params` on the index size or level count (the same
 /// invariant [`crate::search::CloudIndex::insert`] enforces).
-pub fn serialize_store(params: &SystemParams, indices: &[RankedDocumentIndex]) -> Vec<u8> {
+pub fn serialize_store<'a, I>(params: &SystemParams, indices: I) -> Vec<u8>
+where
+    I: IntoIterator<Item = &'a RankedDocumentIndex>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let indices = indices.into_iter();
     let r_bytes = params.index_bits.div_ceil(8);
     let eta = params.rank_levels();
     let mut out = Vec::with_capacity(20 + indices.len() * (8 + eta * r_bytes));
@@ -129,8 +136,15 @@ pub fn deserialize_store(
             found_eta: eta,
         });
     }
-    let count = u64::from_le_bytes(cursor.take(8)?.try_into().unwrap()) as usize;
+    let count = u64::from_le_bytes(cursor.take(8)?.try_into().unwrap());
     let r_bytes = r.div_ceil(8);
+    // The count is the sender's claim: hold it against the bytes actually
+    // present before allocating for it.
+    let remaining = (bytes.len() - cursor.pos) as u64;
+    if count > remaining / (8 + eta * r_bytes) as u64 {
+        return Err(PersistenceError::Truncated);
+    }
+    let count = count as usize;
     let mut indices = Vec::with_capacity(count);
     for _ in 0..count {
         let document_id = u64::from_le_bytes(cursor.take(8)?.try_into().unwrap());
@@ -152,12 +166,7 @@ pub fn deserialize_store(
 /// reference store holding the same uploads serialize identically, so snapshots can
 /// be restored into a store with any shard count.
 pub fn serialize_index_store<S: IndexStore>(store: &S) -> Vec<u8> {
-    let ordered: Vec<RankedDocumentIndex> = store
-        .documents_in_insertion_order()
-        .into_iter()
-        .cloned()
-        .collect();
-    serialize_store(store.params(), &ordered)
+    serialize_store(store.params(), store.documents_in_insertion_order())
 }
 
 /// Snapshot a **single shard** of an [`IndexStore`] into the same versioned
@@ -168,8 +177,7 @@ pub fn serialize_index_store<S: IndexStore>(store: &S) -> Vec<u8> {
 /// Within one shard, slot order *is* global insertion order restricted to that
 /// shard (round-robin placement makes ordinals monotone in the slot), so the
 /// slice is already ordered and the output stays **layout-independent**: it can
-/// be restored through [`deserialize_into`] into a store with any shard count,
-/// and funnels through [`IndexStore::insert`] like every other mutation path.
+/// be restored into a store (or engine) with any shard count.
 pub fn serialize_shard<S: IndexStore>(store: &S, shard: usize) -> Vec<u8> {
     serialize_store(store.params(), store.shard_documents(shard))
 }
@@ -273,6 +281,29 @@ mod tests {
     }
 
     #[test]
+    fn a_count_the_bytes_cannot_back_is_rejected_before_allocating() {
+        let params = SystemParams::default();
+        let bytes = serialize_store(&params, &sample_indices(&params, 2));
+        // A 20-byte header that claims 2^59 entries: the allocation it asks
+        // for overflows `isize`, and smaller lies would reserve terabytes.
+        let mut hostile = bytes[..20].to_vec();
+        hostile[12..20].copy_from_slice(&(1u64 << 59).to_le_bytes());
+        assert_eq!(
+            deserialize_store(&params, &hostile),
+            Err(PersistenceError::Truncated)
+        );
+        // One more entry than is present: refused at the header, not after
+        // decoding the two that are there.
+        let mut one_past = bytes.clone();
+        one_past[12..20].copy_from_slice(&3u64.to_le_bytes());
+        assert_eq!(
+            deserialize_store(&params, &one_past),
+            Err(PersistenceError::Truncated)
+        );
+        assert_eq!(deserialize_store(&params, &bytes).unwrap().len(), 2);
+    }
+
+    #[test]
     fn parameter_mismatch_is_rejected() {
         let params3 = SystemParams::default();
         let params1 = SystemParams::without_ranking();
@@ -357,23 +388,6 @@ mod tests {
             serialize_shard(&one_shard, 0),
             serialize_index_store(&one_shard)
         );
-    }
-
-    #[test]
-    fn restore_rebuilds_scan_planes() {
-        use crate::storage::{IndexStore, ShardedStore};
-        let params = SystemParams::default();
-        let indices = sample_indices(&params, 9);
-        let bytes = serialize_store(&params, &indices);
-        let mut restored = ShardedStore::new(params.clone(), 4);
-        assert_eq!(deserialize_into(&mut restored, &bytes).unwrap(), 9);
-        for shard in 0..restored.num_shards() {
-            let plane = restored.scan_plane(shard).expect("plane maintained");
-            let docs = restored.shard_documents(shard);
-            assert_eq!(plane.len(), docs.len(), "shard {shard}");
-            let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();
-            assert_eq!(plane.ids(), &ids[..], "shard {shard}");
-        }
     }
 
     #[test]

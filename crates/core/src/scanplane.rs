@@ -20,6 +20,12 @@
 //!   query's **active blocks** — those with at least one zero among the valid `r`
 //!   bits — are swept.
 //!
+//! **Ownership**: a plane is derived state with one owner.
+//! [`crate::engine::SearchEngine`] keeps one per shard beside its result cache and
+//! appends to it in its insert path — the only way a document reaches an engine's
+//! store. Stores, snapshots and the wire carry the η·r bits per document and never
+//! a plane, so a holder that does not scan does not pay for one.
+//!
 //! Semantics are **bit-for-bit identical** to the reference scan: matches come back
 //! in slot (scan) order with the same ranks, and [`SearchStats`] counts whole r-bit
 //! comparisons exactly as the reference does — block pruning happens *inside* one
@@ -74,9 +80,10 @@ use std::cell::RefCell;
 /// in L1 — and appending never moves previously packed blocks.
 pub const CHUNK: usize = 1024;
 
-/// A per-shard, block-major (bit-sliced) copy of the shard's document indices,
-/// maintained by the storage layer on every insert and consumed by the engine's
-/// shard scans. See the [module docs](self) for the layout.
+/// A per-shard, block-major (bit-sliced) copy of the shard's document indices —
+/// derived state, built, appended and swept by [`crate::engine::SearchEngine`]
+/// alone (the store holds the documents, never a plane). See the
+/// [module docs](self) for the layout.
 #[derive(Clone, Debug, Default)]
 pub struct ScanPlane {
     /// Bits per level (r). Zero until the first document is packed.
@@ -204,9 +211,9 @@ impl ScanPlane {
         &self.ids
     }
 
-    /// Append one document's blocks to the arenas. The caller (the storage layer)
-    /// has already geometry-validated the index; the assertions here guard the
-    /// arena layout itself.
+    /// Append one document's blocks to the arenas. The caller (the engine, with
+    /// an index its store just accepted) has already geometry-validated it; the
+    /// assertions here guard the arena layout itself.
     pub fn push(&mut self, index: &RankedDocumentIndex) {
         if self.ids.is_empty() {
             self.bits = index.base_level().len();

@@ -8,11 +8,12 @@
 //!
 //! [`CloudIndex`] is the **sequential reference implementation** over a
 //! one-shard [`ShardedStore`]: it always scans the documents themselves with this
-//! module's [`scan_ranked`] loop. The production read path is the shard-parallel
-//! [`crate::engine::SearchEngine`], which sweeps each shard's block-major
-//! [`crate::scanplane::ScanPlane`] instead — a layout change only; it is held
-//! match-for-match, rank-for-rank and count-for-count equivalent to this reference
-//! (see `tests/sharded_engine_equivalence.rs` and
+//! module's [`scan_ranked`] loop, and holds nothing but them — no scan plane, no
+//! cache. The production read path is the shard-parallel
+//! [`crate::engine::SearchEngine`], which sweeps the block-major
+//! [`crate::scanplane::ScanPlane`] it derives per shard instead — a layout change
+//! only; it is held match-for-match, rank-for-rank and count-for-count equivalent
+//! to this reference (see `tests/sharded_engine_equivalence.rs` and
 //! `mkse-core/tests/scanplane_equivalence.rs`).
 
 use crate::bitindex::BitIndex;
@@ -53,10 +54,10 @@ impl SearchStats {
 
 /// The ranked scan of Algorithm 1 over one contiguous run of documents.
 ///
-/// This is *the* comparison loop of the scheme: both the sequential [`CloudIndex`]
-/// and each shard of the parallel engine execute it, which makes their per-document
-/// behavior identical by construction. Matches are returned in scan order; callers
-/// sort with [`sort_matches`].
+/// This is *the* comparison loop of the scheme and the only AoS scan: the
+/// sequential [`CloudIndex`] executes it, and the engine's plane sweep is held
+/// bit-for-bit equal to it by the equivalence suites. Matches are returned in scan
+/// order; callers sort with [`sort_matches`].
 pub fn scan_ranked(
     documents: &[RankedDocumentIndex],
     query: &QueryIndex,
@@ -118,7 +119,7 @@ impl CloudIndex {
     /// index size than this store's parameters (mixing parameter sets is a protocol
     /// violation), or if the document id is already stored.
     pub fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError> {
-        self.store.insert(index)
+        self.store.insert(index).map(drop)
     }
 
     /// Upload many document indices, stopping at the first invalid one.

@@ -15,17 +15,16 @@
 //! and persisted snapshots keep the exact storage order of the sequential reference
 //! regardless of the physical layout.
 //!
-//! [`ShardedStore`] additionally maintains one block-major
-//! [`crate::scanplane::ScanPlane`] per shard — a bit-sliced mirror of the shard's
-//! indices appended inside [`IndexStore::insert`], exposed through
-//! [`IndexStore::scan_plane`]. Because *every* mutation path (uploads, `insert_all`,
-//! snapshot restores) funnels through `insert`, a plane can never go stale; and
-//! because [`IndexStore::shard_of`] still names the written shard, the cache layer's
-//! per-shard invalidation semantics are untouched by the new layout.
+//! A store is **the corpus, once**: the η·r bits per document of the paper's §5
+//! storage analysis plus the id map, and nothing derived from them. The scan
+//! layout ([`crate::scanplane::ScanPlane`]) and the result cache belong to the one
+//! holder that scans — [`crate::engine::SearchEngine`], which [`IndexStore::insert`]
+//! tells the shard it appended to — so a holder that never scans (the
+//! [`crate::search::CloudIndex`] reference, the fleet coordinator's mirror) pays
+//! for neither.
 
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
-use crate::scanplane::ScanPlane;
 use std::collections::HashMap;
 
 /// Errors produced when uploading a document index into a store.
@@ -107,7 +106,10 @@ pub trait IndexStore: Send + Sync {
     fn params(&self) -> &SystemParams;
 
     /// Upload one document index, validating its geometry and id uniqueness.
-    fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError>;
+    /// An accepted index is appended at the **end** of one shard's
+    /// [`IndexStore::shard_documents`]; the shard is returned, so whoever keeps
+    /// per-shard derived state knows what changed. A refused index changes nothing.
+    fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError>;
 
     /// Number of stored documents (σ).
     fn len(&self) -> usize;
@@ -124,23 +126,6 @@ pub trait IndexStore: Send + Sync {
 
     /// The stored index of one document, or `None` if unknown.
     fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex>;
-
-    /// The shard holding `document_id`, or `None` if unknown. The cache layer uses
-    /// this after an insert to invalidate exactly the shard that changed.
-    fn shard_of(&self, document_id: u64) -> Option<usize>;
-
-    /// The shard's block-major [`ScanPlane`], if this store maintains one.
-    ///
-    /// A plane is a bit-sliced copy of the shard's indices that the engine sweeps
-    /// instead of pointer-chasing `shard_documents`; stores that return `Some`
-    /// **must** keep it in lockstep with every insert ([`ShardedStore`] does —
-    /// its planes are appended inside [`IndexStore::insert`], so restores and
-    /// `insert_all` rebuild them for free). The default `None` falls back to the
-    /// reference AoS scan.
-    fn scan_plane(&self, shard: usize) -> Option<&ScanPlane> {
-        let _ = shard;
-        None
-    }
 
     /// True if no documents are stored.
     fn is_empty(&self) -> bool {
@@ -183,8 +168,6 @@ pub trait IndexStore: Send + Sync {
 pub struct ShardedStore {
     params: SystemParams,
     shards: Vec<Vec<RankedDocumentIndex>>,
-    /// Per-shard block-major mirrors, appended in lockstep with `shards`.
-    planes: Vec<ScanPlane>,
     /// document id → (shard, slot): O(1) metadata lookup instead of a linear scan.
     by_id: HashMap<u64, (u32, u32)>,
     total: usize,
@@ -197,7 +180,6 @@ impl ShardedStore {
         ShardedStore {
             params,
             shards: vec![Vec::new(); num_shards],
-            planes: vec![ScanPlane::new(); num_shards],
             by_id: HashMap::new(),
             total: 0,
         }
@@ -214,7 +196,7 @@ impl IndexStore for ShardedStore {
         &self.params
     }
 
-    fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError> {
+    fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
         check_geometry(&self.params, &index)?;
         if self.by_id.contains_key(&index.document_id) {
             return Err(StoreError::DuplicateDocument(index.document_id));
@@ -223,10 +205,9 @@ impl IndexStore for ShardedStore {
         let slot = self.shards[shard].len();
         self.by_id
             .insert(index.document_id, (shard as u32, slot as u32));
-        self.planes[shard].push(&index);
         self.shards[shard].push(index);
         self.total += 1;
-        Ok(())
+        Ok(shard)
     }
 
     fn len(&self) -> usize {
@@ -249,16 +230,6 @@ impl IndexStore for ShardedStore {
         self.by_id
             .get(&document_id)
             .map(|&(shard, slot)| &self.shards[shard as usize][slot as usize])
-    }
-
-    fn shard_of(&self, document_id: u64) -> Option<usize> {
-        self.by_id
-            .get(&document_id)
-            .map(|&(shard, _)| shard as usize)
-    }
-
-    fn scan_plane(&self, shard: usize) -> Option<&ScanPlane> {
-        Some(&self.planes[shard])
     }
 }
 
@@ -289,8 +260,6 @@ mod tests {
         assert_eq!(store.ordinal(0, 2), 2);
         assert_eq!(store.document_index(9).unwrap().document_id, 9);
         assert!(store.document_index(4).is_none());
-        assert_eq!(store.shard_of(9), Some(0));
-        assert_eq!(store.shard_of(4), None);
         let ordered: Vec<u64> = store
             .documents_in_insertion_order()
             .iter()
@@ -314,41 +283,12 @@ mod tests {
         assert_eq!(store.shard_documents(1)[2].document_id, 7);
         assert_eq!(store.ordinal(1, 2), 7);
         assert_eq!(store.document_index(7).unwrap().document_id, 7);
-        assert_eq!(store.shard_of(7), Some(1));
-        assert_eq!(store.shard_of(99), None);
         let ordered: Vec<u64> = store
             .documents_in_insertion_order()
             .iter()
             .map(|d| d.document_id)
             .collect();
         assert_eq!(ordered, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scan_planes_stay_in_lockstep_with_shard_documents() {
-        let params = SystemParams::default();
-        let keys = indexer_fixture(&params);
-        let indexer = DocumentIndexer::new(&params, &keys);
-
-        for num_shards in [1usize, 3] {
-            let mut store = ShardedStore::new(params.clone(), num_shards);
-            for id in 0..10u64 {
-                let idx = indexer.index_keywords(id, &["kw", &format!("kw{id}")]);
-                store.insert(idx).unwrap();
-            }
-            // A rejected insert must not dirty any plane.
-            assert!(store.insert(indexer.index_keywords(3, &["dup"])).is_err());
-
-            for shard in 0..store.num_shards() {
-                let plane = store.scan_plane(shard).expect("per-shard plane");
-                let docs = store.shard_documents(shard);
-                assert_eq!(plane.len(), docs.len(), "shard {shard} of {num_shards}");
-                let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();
-                assert_eq!(plane.ids(), &ids[..], "shard {shard} of {num_shards}");
-                assert_eq!(plane.bits(), params.index_bits);
-                assert_eq!(plane.levels(), params.rank_levels());
-            }
-        }
     }
 
     #[test]
@@ -403,8 +343,9 @@ mod tests {
             sharded.insert(indexer.index_keywords(1, &["b"])),
             Err(StoreError::DuplicateDocument(1))
         );
-        // A failed insert must not consume a round-robin position.
-        sharded.insert(indexer.index_keywords(2, &["c"])).unwrap();
+        // A failed insert must not consume a round-robin position: the next
+        // accepted index lands in (and names) shard 1.
+        assert_eq!(sharded.insert(indexer.index_keywords(2, &["c"])), Ok(1));
         assert_eq!(sharded.shard_lengths(), vec![1, 1, 0, 0]);
     }
 

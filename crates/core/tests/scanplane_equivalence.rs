@@ -184,7 +184,7 @@ fn scanplane_inserts_between_queries_keep_planes_and_cache_fresh() {
         }
         // Planes track their shards exactly.
         for shard in 0..engine.store().num_shards() {
-            let plane = engine.store().scan_plane(shard).expect("plane maintained");
+            let plane = engine.scan_plane(shard);
             assert_eq!(plane.len(), engine.store().shard_documents(shard).len());
         }
     }
@@ -210,7 +210,7 @@ fn scanplane_snapshot_restore_rebuilds_planes() {
         assert_eq!(restored.restore_snapshot(&bytes).unwrap(), docs.len());
         // The snapshot carries no plane bytes; restore rebuilt them via insert.
         for shard in 0..restored.store().num_shards() {
-            let plane = restored.store().scan_plane(shard).expect("plane rebuilt");
+            let plane = restored.scan_plane(shard);
             let shard_docs = restored.store().shard_documents(shard);
             assert_eq!(
                 plane.len(),

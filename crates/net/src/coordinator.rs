@@ -38,20 +38,22 @@
 //!
 //! ## Failover
 //!
-//! The coordinator keeps a full **mirror** of the index (the same
-//! [`ShardedStore`] type the engine uses, same insert path, so validation
-//! errors, partial-upload semantics and snapshot bytes all match a single-node
-//! twin exactly) plus, per shard, a checkpoint: the serialized shard bytes as
-//! of the last ship ([`serialize_shard`] — layout-independent) and the number
-//! of documents they cover. When a node dies — health deadline, exhausted
-//! retries, or a refused reply — its shards are re-homed onto the survivor
-//! with the fewest shards (ties to the lowest node id, capacity respected):
-//! the survivor receives the checkpoint via [`Request::RestoreIndex`] and the
-//! journal of inserts since the checkpoint via [`Request::Upload`], then the
-//! checkpoint advances. Writes forward with `retry_non_idempotent` **off**, so
-//! an ambiguous write marks the node dead instead of risking a duplicate; the
-//! subsequent re-ship replays from the mirror, giving fleet-wide at-most-once
-//! effects.
+//! The coordinator keeps a full **mirror** of the index: a bare
+//! [`ShardedStore`] — the same store type and insert path a node's engine
+//! sits on, so validation errors, partial-upload semantics and snapshot bytes
+//! all match a single-node twin exactly — and nothing derived from it. The
+//! coordinator never scans, so it holds no scan plane; it keeps no serialized
+//! checkpoint either, because the mirror *is* the authoritative copy and a
+//! shard is serialized when (and only when) it ships. When a node dies —
+//! health deadline, exhausted retries, or a refused reply — its shards are
+//! re-homed onto the survivor with the fewest shards (ties to the lowest node
+//! id, capacity respected): the survivor receives each non-empty shard's
+//! current [`serialize_shard`] bytes (layout-independent) as exactly one
+//! [`Request::RestoreIndex`]; a node that joins a populated fleet is filled
+//! the same way. Writes forward with `retry_non_idempotent` **off**, so an
+//! ambiguous write marks the node dead instead of risking a duplicate; the
+//! subsequent re-ship sends the shard as the mirror holds it, giving
+//! fleet-wide at-most-once effects.
 //!
 //! ## What the coordinator serves locally
 //!
@@ -71,7 +73,7 @@
 
 use crate::resilient::{Connector, InFlight, ResilientClient, RetryPolicy};
 use crate::FusedService;
-use mkse_core::storage::{IndexStore, ShardedStore};
+use mkse_core::storage::{IndexStore, ShardedStore, StoreError};
 use mkse_core::telemetry::{Counter, Gauge, Stage, Telemetry, TelemetryLevel};
 use mkse_core::{
     deserialize_store, serialize_index_store, serialize_shard, PersistenceError,
@@ -146,17 +148,13 @@ pub struct Coordinator {
     config: FleetConfig,
     /// Full authoritative copy of the index, same store type and insert path
     /// as the single-node twin — identical errors, identical snapshot bytes.
+    /// The corpus once: no plane, no cache, no serialized second copy.
     mirror: ShardedStore,
     /// Encrypted document bodies, served locally (nodes hold indices only).
     documents: BTreeMap<u64, EncryptedDocumentTransfer>,
     nodes: BTreeMap<u64, Node>,
     /// `owner_of[s]` = the live node serving global shard `s`.
     owner_of: Vec<Option<u64>>,
-    /// Per-shard failover checkpoint: serialized shard as of the last ship,
-    /// and how many of the shard's documents it covers. Inserts past
-    /// `checkpoint_len` form the replay journal for the next ship.
-    checkpoint_bytes: Vec<Vec<u8>>,
-    checkpoint_len: Vec<usize>,
     /// Bumped on every fleet layout change; echoed in [`ShardAssignment`].
     epoch: u64,
     counters: OperationCounters,
@@ -171,15 +169,12 @@ impl Coordinator {
         let mirror = ShardedStore::new(params, shards);
         let telemetry = Telemetry::new();
         telemetry.set_level(TelemetryLevel::Counters);
-        let checkpoint_bytes = (0..shards).map(|s| serialize_shard(&mirror, s)).collect();
         Coordinator {
             config,
             mirror,
             documents: BTreeMap::new(),
             nodes: BTreeMap::new(),
             owner_of: vec![None; shards],
-            checkpoint_bytes,
-            checkpoint_len: vec![0; shards],
             epoch: 0,
             counters: OperationCounters::default(),
             telemetry,
@@ -375,37 +370,21 @@ impl Coordinator {
         self.update_gauges();
     }
 
-    /// Ship one global shard to a node: the checkpoint snapshot via
-    /// `RestoreIndex`, then the insert journal since the checkpoint via
-    /// `Upload` (indices only — bodies stay on the coordinator). On success
-    /// the checkpoint advances to the shard's current state. Any refusal or
-    /// link fault (retries are unsafe here, writes are non-idempotent) is the
-    /// caller's cue to declare the node dead.
+    /// Ship one global shard to a node: the shard as the mirror holds it now,
+    /// serialized into one `RestoreIndex` (indices only — bodies stay on the
+    /// coordinator); an empty shard ships nothing. Any refusal or link fault
+    /// (retries are unsafe here, writes are non-idempotent) is the caller's
+    /// cue to declare the node dead.
     fn ship_shard(&mut self, node_id: u64, shard: usize) -> Result<(), ()> {
-        let journal: Vec<RankedDocumentIndex> =
-            self.mirror.shard_documents(shard)[self.checkpoint_len[shard]..].to_vec();
-        let snapshot = self.checkpoint_bytes[shard].clone();
-        let ship_snapshot = self.checkpoint_len[shard] > 0;
         let node = self.nodes.get_mut(&node_id).ok_or(())?;
-        if ship_snapshot {
-            match node.client.call(&Request::RestoreIndex(snapshot)) {
-                Ok(Response::Restored { .. }) => {}
-                _ => return Err(()),
-            }
+        if self.mirror.shard_documents(shard).is_empty() {
+            return Ok(());
         }
-        if !journal.is_empty() {
-            let upload = Request::Upload(UploadMessage {
-                indices: journal,
-                documents: vec![],
-            });
-            match node.client.call(&upload) {
-                Ok(Response::Uploaded { .. }) => {}
-                _ => return Err(()),
-            }
+        let restore = Request::RestoreIndex(serialize_shard(&self.mirror, shard));
+        match node.client.call(&restore) {
+            Ok(Response::Restored { .. }) => Ok(()),
+            _ => Err(()),
         }
-        self.checkpoint_bytes[shard] = serialize_shard(&self.mirror, shard);
-        self.checkpoint_len[shard] = self.mirror.shard_documents(shard).len();
-        Ok(())
     }
 
     /// A non-empty shard no live node serves, if any.
@@ -568,21 +547,28 @@ impl Coordinator {
 
     // ---- the write path --------------------------------------------------
 
-    /// Forward freshly accepted indices to their owning nodes, grouped per
-    /// node. A refused or ambiguous forward fails the node over — the re-ship
-    /// replays the same documents from the mirror's checkpoint + journal, so
-    /// the net effect is at-most-once fleet-wide.
-    fn forward_accepted(&mut self, accepted: &[u64]) {
+    /// Insert `indices` into the mirror like the twin's `insert_all` — one by
+    /// one, stopping at the first invalid index, accepted predecessors remain
+    /// stored — and forward what was accepted to the owning nodes, grouped per
+    /// node by the shard each insert named. A refused or ambiguous forward
+    /// fails the node over — the re-ship sends the same documents as part of
+    /// the mirror's shard, so the net effect is at-most-once fleet-wide.
+    fn insert_and_forward(&mut self, indices: Vec<RankedDocumentIndex>) -> Result<(), StoreError> {
         let mut per_node: BTreeMap<u64, Vec<RankedDocumentIndex>> = BTreeMap::new();
-        for &id in accepted {
-            let Some(shard) = self.mirror.shard_of(id) else {
-                continue;
-            };
-            if let Some(owner) = self.owner_of[shard] {
-                per_node
-                    .entry(owner)
-                    .or_default()
-                    .push(self.mirror.document_index(id).unwrap().clone());
+        let mut outcome = Ok(());
+        for index in indices {
+            match self.mirror.insert(index) {
+                Ok(shard) => {
+                    if let Some(owner) = self.owner_of[shard] {
+                        let stored = self.mirror.shard_documents(shard).last();
+                        let stored = stored.expect("insert appended to the shard it named");
+                        per_node.entry(owner).or_default().push(stored.clone());
+                    }
+                }
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
             }
         }
         for (node_id, indices) in per_node {
@@ -596,28 +582,14 @@ impl Coordinator {
                 _ => self.fail_node(node_id),
             }
         }
+        outcome
     }
 
     fn exec_upload(&mut self, upload: UploadMessage) -> Response {
-        // Mirror the twin's `insert_all`: one by one, stopping at the first
-        // invalid index — accepted predecessors remain stored.
-        let mut accepted: Vec<u64> = Vec::with_capacity(upload.indices.len());
-        let mut error = None;
-        for index in upload.indices {
-            let id = index.document_id;
-            match self.mirror.insert(index) {
-                Ok(()) => accepted.push(id),
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            }
-        }
-        self.forward_accepted(&accepted);
-        match error {
+        match self.insert_and_forward(upload.indices) {
             // The twin stores bodies only when every index was accepted.
-            Some(e) => Response::Error(e.into()),
-            None => {
+            Err(e) => Response::Error(e.into()),
+            Ok(()) => {
                 for doc in upload.documents {
                     self.documents.insert(doc.document_id, doc);
                 }
@@ -634,24 +606,11 @@ impl Coordinator {
             Err(e) => return Response::Error(e.into()),
         };
         let decoded = indices.len() as u64;
-        let mut accepted: Vec<u64> = Vec::with_capacity(indices.len());
-        let mut error = None;
-        for index in indices {
-            let id = index.document_id;
-            match self.mirror.insert(index) {
-                Ok(()) => accepted.push(id),
-                Err(e) => {
-                    // The twin's `deserialize_into` wraps store refusals as
-                    // persistence errors; match it exactly.
-                    error = Some(PersistenceError::Store(e));
-                    break;
-                }
-            }
-        }
-        self.forward_accepted(&accepted);
-        match error {
-            Some(e) => Response::Error(e.into()),
-            None => Response::Restored { documents: decoded },
+        match self.insert_and_forward(indices) {
+            // The twin's restore wraps store refusals as persistence errors;
+            // match it exactly.
+            Err(e) => Response::Error(PersistenceError::Store(e).into()),
+            Ok(()) => Response::Restored { documents: decoded },
         }
     }
 
@@ -753,7 +712,7 @@ impl FusedService for Coordinator {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyLink};
-    use crate::hub::{Hub, HubConfig, HubHandle, MemoryDialer};
+    use crate::hub::{Hub, HubConfig, HubHandle};
     use mkse_core::{DocumentIndexer, QueryBuilder, SchemeKeys};
     use mkse_protocol::{wire, CloudServer, NodeHeartbeat};
     use rand::rngs::StdRng;
@@ -824,21 +783,19 @@ mod tests {
         )
     }
 
-    /// The read requests a node executed, by envelope name, in order.
-    fn forwarded_reads(node: HubHandle) -> Vec<&'static str> {
+    /// The requests among `names` a node executed, by envelope name, in order.
+    fn executed(node: HubHandle, names: &[&str]) -> Vec<&'static str> {
         node.shutdown()
             .journal
             .iter()
             .map(|entry| entry.request.name())
-            .filter(|name| matches!(*name, "Query" | "BatchQuery"))
+            .filter(|name| names.contains(name))
             .collect()
     }
 
-    fn clean_connector(dialer: MemoryDialer) -> Connector {
-        Box::new(move |_ordinal| {
-            let (reader, writer) = dialer.connect().split();
-            Ok((Box::new(reader) as _, Box::new(writer) as _))
-        })
+    /// The read requests a node executed.
+    fn forwarded_reads(node: HubHandle) -> Vec<&'static str> {
+        executed(node, &["Query", "BatchQuery"])
     }
 
     fn quick_fleet(failure_deadline: Duration) -> FleetConfig {
@@ -940,8 +897,8 @@ mod tests {
         let node2 = spawn_node(&fx.params);
         let mut coordinator =
             Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
-        coordinator.add_node(1, clean_connector(node1.memory_dialer()));
-        coordinator.add_node(2, clean_connector(node2.memory_dialer()));
+        coordinator.add_node(1, node1.memory_dialer().connector());
+        coordinator.add_node(2, node2.memory_dialer().connector());
         let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
 
         // Register before uploading: writes then fan out per owning node.
@@ -1006,8 +963,8 @@ mod tests {
         let node2 = spawn_node(&fx.params);
         let mut coordinator =
             Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
-        coordinator.add_node(1, clean_connector(node1.memory_dialer()));
-        coordinator.add_node(2, clean_connector(node2.memory_dialer()));
+        coordinator.add_node(1, node1.memory_dialer().connector());
+        coordinator.add_node(2, node2.memory_dialer().connector());
         let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
         let with_top = |i: usize, top| QueryMessage {
             top,
@@ -1058,7 +1015,7 @@ mod tests {
         let node1 = spawn_node(&fx.params);
         let mut coordinator =
             Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
-        coordinator.add_node(1, clean_connector(node1.memory_dialer()));
+        coordinator.add_node(1, node1.memory_dialer().connector());
         // One node with room for two of the four shards: 2 and 3 stay unowned.
         register(&mut coordinator, 1, 2);
         coordinator.call(Request::Upload(UploadMessage {
@@ -1168,8 +1125,8 @@ mod tests {
         let node2 = spawn_node(&fx.params);
         let deadline = Duration::from_millis(800);
         let mut coordinator = Coordinator::new(fx.params.clone(), quick_fleet(deadline));
-        coordinator.add_node(1, clean_connector(node1.memory_dialer()));
-        coordinator.add_node(2, clean_connector(node2.memory_dialer()));
+        coordinator.add_node(1, node1.memory_dialer().connector());
+        coordinator.add_node(2, node2.memory_dialer().connector());
         let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
 
         // Upload before any node registers: the corpus lives in the mirror
@@ -1194,7 +1151,7 @@ mod tests {
 
         // Node 2 keeps beating; node 1 goes silent past the deadline and the
         // next request sweeps it out — its shards re-home onto node 2 from
-        // the checkpointed snapshots.
+        // the mirror.
         std::thread::sleep(Duration::from_millis(600));
         assert!(
             matches!(beat(&mut coordinator, 2), Response::ShardAssignment(_)),
@@ -1239,13 +1196,79 @@ mod tests {
         node2.shutdown();
     }
 
+    /// One ship step: whether a node joins a populated fleet or inherits a
+    /// dead node's shards, every non-empty shard reaches it as exactly one
+    /// `RestoreIndex` — never an `Upload`, which is what a *forward* is — and
+    /// an empty shard ships nothing.
+    #[test]
+    fn a_shard_ships_as_exactly_one_restore_index() {
+        let fx = fixture();
+        let node1 = spawn_node(&fx.params);
+        let node2 = spawn_node(&fx.params);
+        let mut coordinator =
+            Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
+        coordinator.add_node(1, node1.memory_dialer().connector());
+        coordinator.add_node(2, node2.memory_dialer().connector());
+        let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
+        let upload = |indices: &[RankedDocumentIndex]| {
+            Request::Upload(UploadMessage {
+                indices: indices.to_vec(),
+                documents: vec![],
+            })
+        };
+
+        // Cold join: three documents arrive before any node, so shards 0–2
+        // hold one each and shard 3 is empty when node 1 takes all four.
+        assert_twin(
+            &mut coordinator,
+            &mut twin,
+            upload(&fx.indices[..3]),
+            "cold",
+        );
+        assert_eq!(register(&mut coordinator, 1, 0).shards, vec![0, 1, 2, 3]);
+        assert!(register(&mut coordinator, 2, 0).shards.is_empty());
+        // The rest arrives while node 1 owns everything: one forward.
+        assert_twin(
+            &mut coordinator,
+            &mut twin,
+            upload(&fx.indices[3..]),
+            "warm",
+        );
+        assert_twin(&mut coordinator, &mut twin, Request::ServerInfo, "joined");
+
+        // Reading node 1's journal shuts its hub down — the machine is lost.
+        // The next query finds out and re-homes all four shards, shipped and
+        // forwarded documents alike, onto node 2.
+        assert_eq!(
+            executed(node1, &["RestoreIndex", "Upload"]),
+            ["RestoreIndex", "RestoreIndex", "RestoreIndex", "Upload"],
+            "cold join: one restore per non-empty shard, then the forward"
+        );
+        for (i, q) in fx.queries.iter().enumerate() {
+            assert_twin(
+                &mut coordinator,
+                &mut twin,
+                Request::Query(q.clone()),
+                &format!("post-failover query {i}"),
+            );
+        }
+        assert_eq!(coordinator.live_nodes(), vec![2]);
+        // The nodes' summed document counts still equal the mirror's.
+        assert_twin(&mut coordinator, &mut twin, Request::ServerInfo, "re-homed");
+        assert_eq!(
+            executed(node2, &["RestoreIndex", "Upload"]),
+            ["RestoreIndex"; GLOBAL_SHARDS],
+            "failover: one restore per shard, nothing else"
+        );
+    }
+
     #[test]
     fn partial_uploads_match_twin_semantics() {
         let fx = fixture();
         let node1 = spawn_node(&fx.params);
         let mut coordinator =
             Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
-        coordinator.add_node(1, clean_connector(node1.memory_dialer()));
+        coordinator.add_node(1, node1.memory_dialer().connector());
         let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
         register(&mut coordinator, 1, 0);
 

@@ -62,6 +62,7 @@
 
 use crate::frame::FrameBuffer;
 use crate::link::{memory_duplex, LinkReader, LinkWriter, MemoryLink};
+use crate::resilient::Connector;
 use crate::FusedService;
 use mkse_core::telemetry::{Counter, Gauge, Series, Stage, Telemetry};
 use mkse_protocol::wire::{decode_request, encode_response};
@@ -89,9 +90,6 @@ pub struct HubConfig {
     pub batch_window: Duration,
     /// Flush immediately once this many queries are pending.
     pub batch_depth: usize,
-    /// Master switch for cross-client batching; off = every request executes
-    /// on arrival (still through the same dispatcher, so still serialized).
-    pub batching: bool,
     /// Per-connection cap on decoded-but-unanswered requests; the reader
     /// blocks (and the peer's TCP window eventually fills) beyond it.
     pub max_in_flight: usize,
@@ -123,7 +121,6 @@ impl Default for HubConfig {
         HubConfig {
             batch_window: Duration::from_micros(300),
             batch_depth: 16,
-            batching: true,
             max_in_flight: 32,
             read_timeout: Duration::from_millis(5),
             write_timeout: Duration::from_secs(1),
@@ -415,6 +412,16 @@ impl MemoryDialer {
         let (reader, writer) = server.split();
         attach_link(&self.shared, Box::new(reader), Box::new(writer));
         client
+    }
+
+    /// The fault-free [`Connector`] over this dialer: every (re)connection
+    /// attempt dials a fresh in-process link.
+    pub fn connector(&self) -> Connector {
+        let dialer = self.clone();
+        Box::new(move |_ordinal| {
+            let (reader, writer) = dialer.connect().split();
+            Ok((Box::new(reader) as _, Box::new(writer) as _))
+        })
     }
 }
 
@@ -717,7 +724,7 @@ fn dispatcher_loop<S: FusedService>(
             } => {
                 report.requests += 1;
                 match request {
-                    Request::Query(message) if shared.config.batching => {
+                    Request::Query(message) => {
                         if batcher.pending.is_empty() && conns.len() <= 1 && !draining {
                             // Solo fast path: nothing to coalesce with.
                             if let Some(tel) = &tel {

@@ -42,12 +42,12 @@
 //! query to all live nodes at once (and a coalesced group of queries as one
 //! fused `BatchQuery`), merges replies in canonical rank order, and on
 //! a node death (missed health deadline or exhausted retries) re-homes the
-//! lost shards onto survivors from layout-independent per-shard snapshots
-//! plus an insert journal:
+//! lost shards onto survivors, each as one layout-independent snapshot of the
+//! shard as the coordinator's mirror holds it:
 //!
 //! ```text
 //!   clients ──▶ coordinator hub ──▶ Coordinator (Service + FusedService)
-//!               (batcher: k queries     │  mirror store + doc bodies + per-shard checkpoints
+//!               (batcher: k queries     │  mirror store (the corpus, once) + doc bodies
 //!                ─▶ one group)          │  scatter/merge · health deadlines · failover
 //!                         ResilientClient per node (retry_non_idempotent OFF)
 //!                         reads: submit to every node, then complete each

@@ -200,13 +200,6 @@ mod tests {
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
-    fn clean_connector(dialer: MemoryDialer) -> Connector {
-        Box::new(move |_ordinal| {
-            let (reader, writer) = dialer.connect().split();
-            Ok((Box::new(reader) as _, Box::new(writer) as _))
-        })
-    }
-
     /// Connector that resolves its dialer on first use — breaks the spawn
     /// cycle (node runners need the coordinator hub's address, the
     /// coordinator needs the nodes' dialers before its hub spawns).
@@ -259,7 +252,7 @@ mod tests {
             },
         );
         for runner in &runners {
-            coordinator.add_node(runner.node_id(), clean_connector(runner.dialer()));
+            coordinator.add_node(runner.node_id(), runner.dialer().connector());
         }
         let telemetry = coordinator.telemetry_handle();
         let coordinator_hub = Hub::spawn(coordinator, HubConfig::default());

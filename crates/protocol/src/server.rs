@@ -419,6 +419,7 @@ impl Service for CloudServer {
 mod tests {
     use super::*;
     use crate::data_owner::{DataOwner, OwnerConfig};
+    use mkse_core::persistence::PersistenceError;
     use mkse_core::query::QueryBuilder;
     use mkse_textproc::document::Document;
     use rand::rngs::StdRng;
@@ -757,6 +758,29 @@ mod tests {
             restored.restore_index(&bytes[..3]),
             Err(ProtocolError::Persistence(_))
         ));
+    }
+
+    /// The 20-byte frame that used to panic whoever decoded it: a valid
+    /// snapshot header claiming 2^59 entries must come back as a typed error,
+    /// with the server untouched and still serving.
+    #[test]
+    fn restore_with_a_hostile_count_is_a_typed_error() {
+        let (owner, mut server, mut rng) = populated_server();
+        let Response::Snapshot(snapshot) = server.call(Request::SnapshotIndex) else {
+            panic!("snapshot refused");
+        };
+        let mut hostile = snapshot[..20].to_vec();
+        hostile[12..20].copy_from_slice(&(1u64 << 59).to_le_bytes());
+        assert_eq!(
+            server.call(Request::RestoreIndex(hostile)),
+            Response::Error(ProtocolError::Persistence(PersistenceError::Truncated))
+        );
+        let Response::Info(info) = server.call(Request::ServerInfo) else {
+            panic!("info refused");
+        };
+        assert_eq!(info.documents, 3, "nothing was restored");
+        let msg = query_for(&owner, &["cloud"], &mut rng);
+        assert!(!search(&mut server, &msg).matches.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! coordinator over the framed codec, a corpus uploads through the
 //! coordinator (fanning out per node), and a seeded byte budget kills one
 //! node's data link **mid-workload** — the coordinator fails it over by
-//! re-shipping its shards from the mirror snapshot, and every completed reply
+//! re-shipping its shards from its mirror, and every completed reply
 //! is still byte-identical to a sequential single-server twin replaying the
 //! coordinator hub's journal.
 //!
@@ -30,13 +30,6 @@ use std::time::Duration;
 
 const GLOBAL_SHARDS: usize = 4;
 const ROUNDS: usize = 3;
-
-fn clean_connector(dialer: MemoryDialer) -> Connector {
-    Box::new(move |_ordinal| {
-        let (reader, writer) = dialer.connect().split();
-        Ok((Box::new(reader) as _, Box::new(writer) as _))
-    })
-}
 
 /// Ordinal 0 dies after `budget` written bytes; every reconnect is dead on
 /// arrival — the machine is gone, not flaky.
@@ -181,7 +174,7 @@ fn main() {
         let connector = if runner.node_id() == 1 {
             doomed_connector(runner.dialer(), budget)
         } else {
-            clean_connector(runner.dialer())
+            runner.dialer().connector()
         };
         coordinator.add_node(runner.node_id(), connector);
     }
@@ -208,7 +201,7 @@ fn main() {
 
     // ── The workload: upload through the coordinator, query until the kill ─
     let mut client = ResilientClient::new(
-        clean_connector(hub.memory_dialer()),
+        hub.memory_dialer().connector(),
         RetryPolicy {
             max_attempts: 24,
             retry_non_idempotent: false,

@@ -75,7 +75,11 @@
 //!        │                                          (incl. the batched-query message,
 //!        ▼                                          CacheReport reply diagnostics)
 //!  mkse-core       engine::SearchEngine<S>          single / batched / top-k ranked
-//!        │    ├──  cache::ResultCache (optional)    search; scan lanes ≤ cores, decoupled
+//!        │    ├──  scanplane::ScanPlane (per shard) search; owns ALL derived state (the
+//!        │    ├──  cache::ResultCache (optional)    planes and the cache) and holds the
+//!        │    │                                     store privately — insert() is the
+//!        │    │                                     only door, so neither goes stale;
+//!        │    │                                     scan lanes ≤ cores, decoupled
 //!        ▼    │                                     from shard count; ONE executor deals
 //!        │    │                                     scan units (8-chunk ranges; whole
 //!        │    │                                     shards on one lane) to per-lane
@@ -87,12 +91,13 @@
 //!        ▼    └──  per-shard LRU keyed by           repeated query fingerprints skip
 //!        │         QueryFingerprint, write-         the shard scan entirely
 //!        ▼         generation invalidation
-//!  mkse-core       storage::IndexStore (trait)      geometry-validated inserts,
-//!        │         └─ storage::ShardedStore         O(1) id lookup, shard slices,
-//!        ▼            (N ≥ 1 round-robin shards)    insertion-ordinal bookkeeping,
-//!        │                                          shard_of() for cache invalidation
-//!  mkse-core       scanplane::ScanPlane (per shard) block-major (bit-sliced) arena the
-//!        │                                          store maintains on insert: level-1
+//!  mkse-core       storage::IndexStore (trait)      the corpus, once: geometry-validated
+//!        │         └─ storage::ShardedStore         inserts that name the shard written,
+//!        ▼            (N ≥ 1 round-robin shards)    O(1) id lookup, shard slices,
+//!        │                                          insertion-ordinal bookkeeping —
+//!        ▼                                          no plane, no cache, nothing derived
+//!  mkse-core       scanplane::ScanPlane             block-major (bit-sliced) arena the
+//!        │                                          engine appends on insert: level-1
 //!        ▼                                          blocks in contiguous columns, upper
 //!        │                                          levels doc-major (walked on match);
 //!        ▼                                          query-aware block pruning + unrolled
@@ -114,11 +119,13 @@
 //!   documents round-robin across N shards and keeps an id → (shard, slot) map so
 //!   metadata lookup is O(1) instead of the old O(σ) scan. One shard is the
 //!   single contiguous layout — what the sequential reference
-//!   ([`core::CloudIndex`]) scans with the AoS loop.
+//!   ([`core::CloudIndex`]) scans with the AoS loop. A store is the corpus and
+//!   nothing derived from it, so a holder that never scans — the reference, the
+//!   fleet coordinator's mirror — pays for no scan layout.
 //! * **Scan plane** ([`core::scanplane`]): each shard's hot loop — the σ r-bit
 //!   comparisons of Eq. (3) that dominate Figure 4(b) — runs on a bit-sliced
-//!   [`core::ScanPlane`]: level-1 blocks of all documents packed into one
-//!   contiguous arena (column = 64-bit block position, rows = slot order, chunked
+//!   engine-owned [`core::ScanPlane`]: level-1 blocks of all documents packed into
+//!   one contiguous arena (column = 64-bit block position, rows = slot order, chunked
 //!   so appends never re-layout), upper levels packed document-major and walked
 //!   only on match. Before sweeping, the query's **active block list** is
 //!   computed once per query: any block where the query word is all-ones can
@@ -148,8 +155,12 @@
 //!   `scanplane_equivalence.rs`. Batching changes the *order* of memory
 //!   accesses, never what the server observes — the §6 leakage story of the
 //!   single sweep carries over verbatim.
-//! * **Engine** ([`core::engine`]): executes queries shard-by-shard in parallel and
-//!   merges per-shard matches and [`core::SearchStats`]. Merged output is provably
+//! * **Engine** ([`core::engine`]): owns the store and everything derived from
+//!   it — the per-shard planes and the optional cache. A plane can never go
+//!   stale because the store is private and `insert` is the only door (restores
+//!   funnel into the same append; `new` derives the planes from what the store
+//!   it is handed already holds). Queries execute shard-by-shard in parallel and
+//!   per-shard matches and [`core::SearchStats`] are merged. Merged output is provably
 //!   identical to the sequential scan: the (rank, id) sort key is a total order, the
 //!   stats are sums, and unranked results are re-ordered by insertion ordinal
 //!   (`tests/sharded_engine_equivalence.rs` asserts all of this for shard counts
@@ -255,12 +266,13 @@
 //!   per-node `ResilientClient`s (`submit` everywhere, then `complete` each;
 //!   a group its hub coalesced goes out as one fused `BatchQuery`) and merges
 //!   by (rank desc, id asc) exactly as the engine's merge point does. It keeps a
-//!   full mirror `ShardedStore` fed by the same insert path (same errors,
-//!   same partial-upload semantics), so when a node dies — deadline missed or
-//!   retries exhausted — its shards re-ship to the fewest-loaded survivors as
-//!   a layout-independent per-shard checkpoint (`serialize_shard` →
-//!   `RestoreIndex`) plus the insert journal since (`Upload`), cascading
-//!   recursively if a survivor dies mid-shipment. Node clients never retry
+//!   full mirror — a bare `ShardedStore` fed by the same insert path (same
+//!   errors, same partial-upload semantics), with no scan plane (it never
+//!   scans) and no serialized second copy — so when a node dies — deadline
+//!   missed or retries exhausted — its shards re-ship to the fewest-loaded
+//!   survivors, each non-empty shard as exactly one layout-independent frame
+//!   (`serialize_shard` → `RestoreIndex`), cascading recursively if a
+//!   survivor dies mid-shipment. Node clients never retry
 //!   non-idempotent forwards: an ambiguous write fails the node over and
 //!   re-ships authoritative state, so writes are fleet-wide at-most-once.
 //!   The oracle is the house invariant distributed: N nodes == 1 node == the

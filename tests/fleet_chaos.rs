@@ -18,7 +18,7 @@
 //! - **Replayability**: the same seed reproduces the same kill schedule, the
 //!   same failover accounting, and the same replies.
 
-use mkse::core::{QueryBuilder, RankedDocumentIndex, SystemParams};
+use mkse::core::{serialize_store, QueryBuilder, RankedDocumentIndex, SystemParams};
 use mkse::net::{
     Connector, Coordinator, FaultHandle, FaultPlan, FaultyLink, FleetConfig, Hub, HubConfig,
     JournalEntry, MemoryDialer, NodeConfig, NodeError, NodeRunner, ResilienceStats,
@@ -111,9 +111,8 @@ fn frame_len(request: &Request) -> u64 {
 
 /// The indices that land on the given global shards: round-robin placement
 /// assigns upload position `i` to shard `i % GLOBAL_SHARDS`, so the
-/// coordinator's per-node forward (and its failover ship of a shard's insert
-/// journal) carries exactly these — which makes kill budgets computable to
-/// the byte.
+/// coordinator's per-node forward (and its failover ship of one shard)
+/// carries exactly these — which makes kill budgets computable to the byte.
 fn shard_slice(indices: &[RankedDocumentIndex], shards: &[usize]) -> Vec<RankedDocumentIndex> {
     indices
         .iter()
@@ -130,11 +129,11 @@ fn forward_len(indices: &[RankedDocumentIndex], shards: &[usize]) -> u64 {
     }))
 }
 
-fn clean_connector(dialer: MemoryDialer) -> Connector {
-    Box::new(move |_ordinal| {
-        let (reader, writer) = dialer.connect().split();
-        Ok((Box::new(reader) as _, Box::new(writer) as _))
-    })
+/// The one frame a ship of `shard` puts on the wire: the shard's documents,
+/// in slot order, as a `RestoreIndex` of their snapshot bytes.
+fn ship_len(params: &SystemParams, indices: &[RankedDocumentIndex], shard: usize) -> u64 {
+    let snapshot = serialize_store(params, &shard_slice(indices, &[shard]));
+    frame_len(&Request::RestoreIndex(snapshot))
 }
 
 /// Data-plane connector whose ordinal-0 link dies after `budget` written
@@ -364,9 +363,8 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
     assert_eq!(runners[2].register().expect("node 3").shards, vec![3]);
 
     // Seed the corpus through the coordinator (forwards fan out per node).
-    let mut seeder =
-        ResilientClient::new(clean_connector(fleet.hub.memory_dialer()), client_policy())
-            .with_first_request_id(9_000_001);
+    let mut seeder = ResilientClient::new(fleet.hub.memory_dialer().connector(), client_policy())
+        .with_first_request_id(9_000_001);
     let uploaded = seeder
         .call(&Request::Upload(fx.seed_upload.clone()))
         .expect("seed upload");
@@ -377,7 +375,7 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
         let dialer = fleet.hub.memory_dialer();
         let fx = fx.clone();
         workers.push(std::thread::spawn(move || {
-            let mut client = ResilientClient::new(clean_connector(dialer), client_policy())
+            let mut client = ResilientClient::new(dialer.connector(), client_policy())
                 .with_first_request_id(k as u64 * 1_000_000 + 1);
             let mut received = Vec::new();
             for round in 0..ROUNDS {
@@ -489,9 +487,8 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     for runner in runners.iter_mut() {
         runner.register().expect("registration");
     }
-    let mut seeder =
-        ResilientClient::new(clean_connector(fleet.hub.memory_dialer()), client_policy())
-            .with_first_request_id(9_000_001);
+    let mut seeder = ResilientClient::new(fleet.hub.memory_dialer().connector(), client_policy())
+        .with_first_request_id(9_000_001);
     let uploaded = seeder
         .call(&Request::Upload(fx.seed_upload.clone()))
         .expect("seed upload");
@@ -503,7 +500,7 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
             let dialer = fleet.hub.memory_dialer();
             let (fx, start) = (fx.clone(), start.clone());
             std::thread::spawn(move || {
-                let mut client = ResilientClient::new(clean_connector(dialer), client_policy())
+                let mut client = ResilientClient::new(dialer.connector(), client_policy())
                     .with_first_request_id(k as u64 * 1_000_000 + 1);
                 let tops = [None, Some(2), Some(5)];
                 let mut received = Vec::new();
@@ -581,10 +578,10 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
     let q = frame_len(&Request::Query(fx.queries[0].clone()));
     // Node 1 ({0,1}): dies on its third query frame.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 2 * q + q / 2;
-    // Node 3 (empty): the failover ship of shard 0 — its insert journal as
-    // one upload frame — is the first traffic on its link; half of it is a
-    // mid-frame kill by construction.
-    let ship0 = forward_len(&fx.seed_upload.indices, &[0]);
+    // Node 3 (empty): the failover ship of shard 0 — one restore frame — is
+    // the first traffic on its link; half of it is a mid-frame kill by
+    // construction.
+    let ship0 = ship_len(&params, &fx.seed_upload.indices, 0);
     let fleet = spawn_fleet(
         &params,
         &[(1, 2, Some(budget1)), (2, 0, None), (3, 0, Some(ship0 / 2))],
@@ -600,9 +597,8 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
          target by construction"
     );
 
-    let mut client =
-        ResilientClient::new(clean_connector(fleet.hub.memory_dialer()), client_policy())
-            .with_first_request_id(1);
+    let mut client = ResilientClient::new(fleet.hub.memory_dialer().connector(), client_policy())
+        .with_first_request_id(1);
     let mut received = Vec::new();
     let (id, reply) = client
         .call_traced(&Request::Upload(fx.seed_upload.clone()))
@@ -662,9 +658,8 @@ fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
 
     // The corpus arrives before any node: it lives in the coordinator's
     // mirror and ships at registration time — straight into the dead link.
-    let mut client =
-        ResilientClient::new(clean_connector(fleet.hub.memory_dialer()), client_policy())
-            .with_first_request_id(1);
+    let mut client = ResilientClient::new(fleet.hub.memory_dialer().connector(), client_policy())
+        .with_first_request_id(1);
     let mut received = Vec::new();
     let (id, reply) = client
         .call_traced(&Request::Upload(fx.seed_upload.clone()))
@@ -734,7 +729,7 @@ fn same_seed_reproduces_the_same_failover_schedule() {
             runner.register().expect("registration");
         }
         let mut client =
-            ResilientClient::new(clean_connector(fleet.hub.memory_dialer()), client_policy())
+            ResilientClient::new(fleet.hub.memory_dialer().connector(), client_policy())
                 .with_first_request_id(1);
         let mut replies = Vec::new();
         replies.push(

@@ -125,14 +125,6 @@ fn chaos_connector(
     })
 }
 
-/// A connector with no fault wrapper at all.
-fn clean_connector(dialer: MemoryDialer) -> Connector {
-    Box::new(move |_ordinal| {
-        let (reader, writer) = dialer.connect().split();
-        Ok((Box::new(reader), Box::new(writer)))
-    })
-}
-
 fn chaos_policy() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 24,
@@ -434,7 +426,7 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
 
     let documents_on_server = |hub: &HubHandle| -> u64 {
         let mut probe =
-            ResilientClient::new(clean_connector(hub.memory_dialer()), RetryPolicy::default())
+            ResilientClient::new(hub.memory_dialer().connector(), RetryPolicy::default())
                 .with_first_request_id(9_000_000);
         match probe.call(&Request::ServerInfo).expect("server info") {
             Response::Info(info) => info.documents,
@@ -577,7 +569,7 @@ fn shed_storm_resolves_through_retries_with_identical_replies() {
                 jitter_per_mille: 500,
                 jitter_seed: 0x57A3 + k as u64,
             };
-            let mut client = ResilientClient::new(clean_connector(dialer), policy)
+            let mut client = ResilientClient::new(dialer.connector(), policy)
                 .with_first_request_id(k as u64 * 1_000_000 + 1);
             start.wait();
             let mut received = Vec::new();

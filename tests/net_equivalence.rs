@@ -168,91 +168,88 @@ fn concurrent_clients_are_equivalent_to_sequential_service_calls() {
     const MEM_CLIENTS: usize = 2;
     let fx = fixture(TCP_CLIENTS + MEM_CLIENTS);
 
-    for &batching in &[true, false] {
-        for &cache in &[false, true] {
-            let config = HubConfig {
-                batching,
-                batch_window: Duration::from_millis(2),
-                batch_depth: 4,
-                journal: true,
-                ..HubConfig::default()
-            };
-            let hub = Hub::spawn(seeded_server(&fx, cache), config);
-            let addr = hub.bind_tcp("127.0.0.1:0").expect("bind");
+    for &cache in &[false, true] {
+        let config = HubConfig {
+            batch_window: Duration::from_millis(2),
+            batch_depth: 4,
+            journal: true,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(seeded_server(&fx, cache), config);
+        let addr = hub.bind_tcp("127.0.0.1:0").expect("bind");
 
-            // ≥ 4 concurrent socket clients plus the MemoryLink twin, each on
-            // its own thread with a disjoint request-id range.
-            let mut workers = Vec::new();
-            for k in 0..TCP_CLIENTS + MEM_CLIENTS {
-                let client = if k < TCP_CLIENTS {
-                    NetClient::connect_tcp(addr).expect("connect")
-                } else {
-                    NetClient::from_memory(hub.connect_memory())
-                }
-                .with_first_request_id(k as u64 * 1_000_000 + 1);
-                let queries = fx.queries.clone();
-                let upload = fx.client_uploads[k].clone();
-                workers.push(std::thread::spawn(move || {
-                    run_client(client, &queries, &upload)
-                }));
+        // ≥ 4 concurrent socket clients plus the MemoryLink twin, each on
+        // its own thread with a disjoint request-id range.
+        let mut workers = Vec::new();
+        for k in 0..TCP_CLIENTS + MEM_CLIENTS {
+            let client = if k < TCP_CLIENTS {
+                NetClient::connect_tcp(addr).expect("connect")
+            } else {
+                NetClient::from_memory(hub.connect_memory())
             }
-            let mut received: Vec<(u64, Response)> = Vec::new();
-            for worker in workers {
-                received.extend(worker.join().expect("client thread"));
-            }
+            .with_first_request_id(k as u64 * 1_000_000 + 1);
+            let queries = fx.queries.clone();
+            let upload = fx.client_uploads[k].clone();
+            workers.push(std::thread::spawn(move || {
+                run_client(client, &queries, &upload)
+            }));
+        }
+        let mut received: Vec<(u64, Response)> = Vec::new();
+        for worker in workers {
+            received.extend(worker.join().expect("client thread"));
+        }
 
-            // After the concurrent phase: read the cumulative counters through
-            // the hub. These go through the journal like everything else, so
-            // the replay below asserts counter equality too.
-            let mut admin =
-                NetClient::from_memory(hub.connect_memory()).with_first_request_id(9_000_000);
-            received.push((
-                9_000_000,
-                admin
-                    .call(&Request::Counters, WAIT)
-                    .expect("counters through the hub"),
-            ));
-            received.push((
-                9_000_001,
-                admin
-                    .call(&Request::CacheStats, WAIT)
-                    .expect("cache stats through the hub"),
-            ));
-            drop(admin);
+        // After the concurrent phase: read the cumulative counters through
+        // the hub. These go through the journal like everything else, so
+        // the replay below asserts counter equality too.
+        let mut admin =
+            NetClient::from_memory(hub.connect_memory()).with_first_request_id(9_000_000);
+        received.push((
+            9_000_000,
+            admin
+                .call(&Request::Counters, WAIT)
+                .expect("counters through the hub"),
+        ));
+        received.push((
+            9_000_001,
+            admin
+                .call(&Request::CacheStats, WAIT)
+                .expect("cache stats through the hub"),
+        ));
+        drop(admin);
 
-            let report = hub.shutdown();
-            let expected_requests =
-                ((TCP_CLIENTS + MEM_CLIENTS) * (2 * fx.queries.len() + 2) + 2) as u64;
+        let report = hub.shutdown();
+        let expected_requests =
+            ((TCP_CLIENTS + MEM_CLIENTS) * (2 * fx.queries.len() + 2) + 2) as u64;
+        assert_eq!(
+            report.requests, expected_requests,
+            "cache={cache}: every request must be executed"
+        );
+        assert_eq!(report.journal.len() as u64, report.requests);
+
+        // Sequential replay on the twin: the hub's total execution order,
+        // one plain Service::call at a time — no transport, no batcher.
+        let mut twin = seeded_server(&fx, cache);
+        let mut expected = std::collections::BTreeMap::new();
+        for entry in &report.journal {
+            let response = twin.call(entry.request.clone());
+            expected.insert(entry.request_id, response);
+        }
+
+        assert_eq!(received.len() as u64, expected_requests);
+        for (id, reply) in &received {
+            let want = expected
+                .get(id)
+                .unwrap_or_else(|| panic!("request #{id} missing from the journal"));
             assert_eq!(
-                report.requests, expected_requests,
-                "batching={batching} cache={cache}: every request must be executed"
+                reply, want,
+                "cache={cache}: reply for request #{id} diverged"
             );
-            assert_eq!(report.journal.len() as u64, report.requests);
-
-            // Sequential replay on the twin: the hub's total execution order,
-            // one plain Service::call at a time — no transport, no batcher.
-            let mut twin = seeded_server(&fx, cache);
-            let mut expected = std::collections::BTreeMap::new();
-            for entry in &report.journal {
-                let response = twin.call(entry.request.clone());
-                expected.insert(entry.request_id, response);
-            }
-
-            assert_eq!(received.len() as u64, expected_requests);
-            for (id, reply) in &received {
-                let want = expected
-                    .get(id)
-                    .unwrap_or_else(|| panic!("request #{id} missing from the journal"));
-                assert_eq!(
-                    reply, want,
-                    "batching={batching} cache={cache}: reply for request #{id} diverged"
-                );
-                assert_eq!(
-                    reply_bytes(*id, reply),
-                    reply_bytes(*id, want),
-                    "batching={batching} cache={cache}: frame bytes for request #{id} diverged"
-                );
-            }
+            assert_eq!(
+                reply_bytes(*id, reply),
+                reply_bytes(*id, want),
+                "cache={cache}: frame bytes for request #{id} diverged"
+            );
         }
     }
 }

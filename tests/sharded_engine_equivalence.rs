@@ -448,7 +448,7 @@ fn snapshot_restore_cycle_preserves_cached_engine_equivalence() {
 
 #[test]
 fn snapshots_are_layout_independent() {
-    use mkse::core::{deserialize_into, serialize_index_store};
+    use mkse::core::serialize_index_store;
     let wl = random_workload(13, 29);
     let mut reference = CloudIndex::new(wl.params.clone());
     reference.insert_all(wl.indices.iter().cloned()).unwrap();
@@ -461,7 +461,7 @@ fn snapshots_are_layout_independent() {
         assert_eq!(serialize_index_store(engine.store()), reference_bytes);
         // …and a restored engine behaves identically to the original.
         let mut restored = SearchEngine::sharded(wl.params.clone(), 3);
-        deserialize_into(restored.store_mut(), &reference_bytes).unwrap();
+        restored.restore_snapshot(&reference_bytes).unwrap();
         let query = &wl.queries[0];
         assert_eq!(
             restored.search_ranked_with_stats(query),
