@@ -2,9 +2,9 @@
 //! [`IndexStore`], with an optional per-shard result cache.
 //!
 //! [`SearchEngine`] executes the paper's oblivious matching (Eq. 3 + Algorithm 1)
-//! shard-by-shard, on parallel lanes (a persistent worker pool plus the calling
-//! thread) when the host has more than one core. Semantics are **bit-for-bit
-//! identical** to the sequential reference scan ([`crate::search::CloudIndex`]):
+//! shard-by-shard, on parallel lanes (workers of the process's one lane pool plus
+//! the calling thread) when the host has more than one core. Semantics are
+//! **bit-for-bit identical** to the sequential reference scan ([`crate::search::CloudIndex`]):
 //!
 //! * per-shard scans sweep the shard's block-major [`crate::scanplane::ScanPlane`]
 //!   — contiguous, query-pruned columns instead of per-document pointer chasing —
@@ -49,6 +49,22 @@
 //!   from, splitting buys nothing and costs per-range setup (active-block
 //!   lists, result buffers). Unranked search and metadata always run
 //!   whole-shard units.
+//!
+//! The lanes' worker threads are not the engine's: every engine of a process
+//! holds a handle to the one shared `WorkerPool` (`engine/pool.rs`;
+//! `available_parallelism − 1` workers, spawned once), so building, cloning,
+//! re-laning or dropping an engine never starts or joins a thread, and k engines
+//! in one process — a fleet's nodes — keep no more idle workers spinning than one
+//! does. [`SearchEngine::scan_lanes`] is the cap on the lanes **one execution**
+//! may use: it asks the pool for `scan_lanes − 1` workers beside the calling
+//! thread. Engines sharing the pool do not wait on each other: a lane job no
+//! worker has started by the time the caller's own lane is done is taken back
+//! and run by the caller (the pool's take-back rule), so an execution never
+//! waits behind another engine's scan for a worker it no longer needs. And while
+//! the engines executing at once fill the host's cores by themselves — a
+//! fleet's three nodes on two — the pool is *crowded* and its idle worker
+//! offers its core instead of holding it (`engine/pool.rs`, "Crowding"); an
+//! engine alone in its process never meets that case.
 //!
 //! Stitching is deterministic: every unit writes into its pre-assigned result
 //! slot, a shard's unit results concatenate in chunk (slot) order and its stats
@@ -99,7 +115,7 @@ use crate::telemetry::{
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 mod pool;
@@ -150,11 +166,10 @@ fn derive_planes<S: IndexStore>(store: &S) -> Vec<ScanPlane> {
 
 /// A pluggable, shard-parallel search engine over an [`IndexStore`].
 ///
-/// An engine with more than one scan lane keeps a persistent worker pool (one
-/// parked thread per lane beyond the caller's, capped at the host's
-/// parallelism) for its whole lifetime: spawning threads per query would cost
-/// more than scanning a 10⁴-document shard on some hosts. The pool exists iff
-/// `lanes > 1`, whatever the shard count; a one-lane engine scans inline.
+/// Scan lanes beyond the caller's run on the process's shared, persistent lane
+/// workers (spawning threads per query would cost more than scanning a
+/// 10⁴-document shard on some hosts); the engine owns no thread. A one-lane
+/// engine scans inline.
 #[derive(Debug)]
 pub struct SearchEngine<S: IndexStore> {
     store: S,
@@ -162,9 +177,11 @@ pub struct SearchEngine<S: IndexStore> {
     /// for slot — built in [`SearchEngine::new`], appended in
     /// `SearchEngine::append`, touched nowhere else.
     planes: Vec<ScanPlane>,
-    pool: Option<WorkerPool>,
-    /// Scan lanes (pool workers + the calling thread). Always `1..=cores`;
-    /// `pool` is `Some` iff `lanes > 1`.
+    /// The process's lane workers ([`WorkerPool::shared`]); only the unit tests
+    /// inject a private pool here.
+    pool: Arc<WorkerPool>,
+    /// The most lanes (pool workers + the calling thread) one execution may
+    /// use. Always `1..=cores`.
     lanes: usize,
     /// The optional per-shard result cache. Interior mutability because searches
     /// take `&self` (and must be able to run concurrently from many sessions);
@@ -208,8 +225,8 @@ impl SearchEngine<ShardedStore> {
 
 impl<S: IndexStore> SearchEngine<S> {
     /// Run queries on an existing store. The engine starts with one scan lane
-    /// per host core (pool workers plus the calling thread, which always takes
-    /// one lane) — *not* per shard: multi-lane engines split shards into
+    /// per host core (shared pool workers plus the calling thread, which always
+    /// takes one lane) — *not* per shard: multi-lane engines split shards into
     /// chunk-range units, so even a single-shard store fills every lane,
     /// and more busy threads than cores would only add scheduler thrash to a
     /// CPU-bound scan. Use [`SearchEngine::with_scan_lanes`] to pin a count.
@@ -220,7 +237,7 @@ impl<S: IndexStore> SearchEngine<S> {
         let mut engine = SearchEngine {
             store,
             planes,
-            pool: None,
+            pool: Arc::clone(WorkerPool::shared()),
             lanes: 1,
             cache: None,
             telemetry: Telemetry::new(),
@@ -235,20 +252,17 @@ impl<S: IndexStore> SearchEngine<S> {
         self
     }
 
-    /// Set the number of parallel scan lanes at runtime, clamped to
+    /// Set the number of parallel scan lanes one execution may use, clamped to
     /// `1..=available_parallelism` (lanes beyond the host's cores only thrash a
     /// CPU-bound scan; the lane-invisibility sweeps and multi-node deployments
-    /// pin explicit counts with this). Rebuilds the persistent worker pool when the count
-    /// actually changes; results are identical at any lane count.
+    /// pin explicit counts with this). A field store: the lane workers are the
+    /// process's, so no thread starts or stops; results are identical at any
+    /// lane count.
     pub fn set_scan_lanes(&mut self, lanes: usize) {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let lanes = lanes.clamp(1, cores);
-        if lanes == self.lanes && self.pool.is_some() == (lanes > 1) {
-            return;
-        }
-        self.pool = (lanes > 1).then(|| WorkerPool::new(lanes - 1));
-        self.lanes = lanes;
-        self.telemetry.set_gauge(Gauge::ScanLanes, lanes as u64);
+        self.lanes = lanes.clamp(1, cores);
+        self.telemetry
+            .set_gauge(Gauge::ScanLanes, self.lanes as u64);
     }
 
     /// Builder-style [`SearchEngine::set_telemetry_level`].
@@ -491,10 +505,7 @@ impl<S: IndexStore> SearchEngine<S> {
             value
         };
         let total = units.len();
-        let lanes = match &self.pool {
-            Some(pool) => (pool.workers() + 1).min(total),
-            None => 1,
-        };
+        let lanes = self.lanes.min(self.pool.workers() + 1).min(total);
         if lanes <= 1 {
             let out: Vec<T> = (0..total).map(run).collect();
             if total > 0 {
@@ -528,10 +539,7 @@ impl<S: IndexStore> SearchEngine<S> {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            self.pool
-                .as_ref()
-                .expect("multi-lane run_units implies a pool")
-                .run_scoped(jobs);
+            self.pool.run_scoped(jobs);
         }
         let mut results: Vec<Option<T>> = (0..total).map(|_| None).collect();
         for (unit, value) in lane_results.into_iter().flatten() {
@@ -604,8 +612,9 @@ impl<S: IndexStore> SearchEngine<S> {
             .collect()
     }
 
-    /// Number of parallel scan lanes this engine fans out to: persistent pool
-    /// workers plus the calling thread (which always takes one lane). Defaults
+    /// Number of parallel scan lanes one execution of this engine fans out to:
+    /// shared pool workers plus the calling thread (which always takes one
+    /// lane). Defaults
     /// to the host's available parallelism — independent of the shard count,
     /// because the executor splits and coalesces shards across lanes freely —
     /// and is always clamped to `1..=available_parallelism`
@@ -1276,7 +1285,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_lanes_runtime_knob_clamps_and_rebuilds() {
+    fn scan_lanes_runtime_knob_clamps() {
         let fx = fixture();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut engine = SearchEngine::sharded(fx.params.clone(), 4);
@@ -1293,6 +1302,31 @@ mod tests {
         let engine = SearchEngine::sharded(fx.params.clone(), 2).with_scan_lanes(1);
         assert_eq!(engine.scan_lanes(), 1);
         assert_eq!(engine.clone().scan_lanes(), 1);
+    }
+
+    #[test]
+    fn engines_share_one_set_of_lane_workers() {
+        let fx = fixture();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let shared = WorkerPool::shared();
+        // Eight engines, a clone and a lane-knob walk later, every engine still
+        // holds the one pool `shared()` built once — so nothing was spawned
+        // beside its `cores − 1` workers (the private pools other tests inject
+        // never reach an engine built through `new`).
+        let mut engines: Vec<_> = (0..8)
+            .map(|shards| SearchEngine::sharded(fx.params.clone(), shards + 1))
+            .collect();
+        engines.push(engines[0].clone());
+        let mut walked = SearchEngine::sharded(fx.params.clone(), 2);
+        for lanes in [1, usize::MAX, 1, usize::MAX] {
+            walked.set_scan_lanes(lanes);
+            assert!(Arc::ptr_eq(&walked.pool, shared), "lanes={lanes}");
+        }
+        engines.push(walked);
+        for engine in &engines {
+            assert!(Arc::ptr_eq(&engine.pool, shared));
+        }
+        assert_eq!(shared.workers(), cores - 1);
     }
 
     #[test]
@@ -1317,10 +1351,21 @@ mod tests {
     /// literal bypasses `set_scan_lanes`' clamp) so genuine concurrent stealing
     /// runs even on single-core CI hosts.
     fn forced_lane_engine<S: IndexStore>(store: S, lanes: usize) -> SearchEngine<S> {
+        forced_lane_engine_on(store, lanes, Arc::new(WorkerPool::new(lanes - 1)))
+    }
+
+    /// [`forced_lane_engine`] on an injected pool, so several engines can share
+    /// one set of private workers the way a process's engines share
+    /// [`WorkerPool::shared`].
+    fn forced_lane_engine_on<S: IndexStore>(
+        store: S,
+        lanes: usize,
+        pool: Arc<WorkerPool>,
+    ) -> SearchEngine<S> {
         SearchEngine {
             planes: derive_planes(&store),
             store,
-            pool: (lanes > 1).then(|| WorkerPool::new(lanes - 1)),
+            pool,
             lanes,
             cache: None,
             telemetry: Telemetry::new(),
@@ -1334,8 +1379,17 @@ mod tests {
         shards: usize,
         docs: usize,
     ) -> (ShardedStore, impl FnMut(usize) -> crate::bitindex::BitIndex) {
+        raw_store_seeded(0x9e37_79b9_97f4_a7c1, shards, docs)
+    }
+
+    /// [`raw_store`] from a chosen stream, for tests that need distinct corpora.
+    fn raw_store_seeded(
+        seed: u64,
+        shards: usize,
+        docs: usize,
+    ) -> (ShardedStore, impl FnMut(usize) -> crate::bitindex::BitIndex) {
         let params = SystemParams::new(64, 4, 16, 0, 0, vec![1, 2]).unwrap();
-        let mut state = 0x9e37_79b9_97f4_a7c1u64;
+        let mut state = seed;
         let mut next_bits = move |n: usize| {
             let bits: Vec<bool> = (0..n)
                 .map(|_| {
@@ -1416,6 +1470,84 @@ mod tests {
             total_steals > 0,
             "forced multi-lane work-stealing runs must record steals"
         );
+    }
+
+    #[test]
+    fn engines_sharing_one_pool_each_match_their_own_reference() {
+        use crate::scanplane::CHUNK;
+        // Invariant 5 across engines: three engines over different corpora
+        // (seed, shard count and size all differ) ask ONE two-worker pool for
+        // three lanes each, concurrently — so lanes queue behind other engines'
+        // scans, get taken back, and steal — and every reply must still be its
+        // own engine's sequential reference, stats included.
+        let pool = Arc::new(WorkerPool::new(2));
+        struct Case {
+            engine: SearchEngine<ShardedStore>,
+            reference: CloudIndex,
+            queries: Vec<QueryIndex>,
+        }
+        let cases: Vec<Case> = [(0x51u64, 3usize, 2usize), (0x52, 2, 3), (0x53, 1, 4)]
+            .into_iter()
+            .map(|(seed, shards, units_per_shard)| {
+                let docs = shards * (units_per_shard * UNIT_CHUNKS * CHUNK + 100);
+                let (store, mut next_bits) = raw_store_seeded(seed, shards, docs);
+                let mut reference = CloudIndex::new(store.params().clone());
+                reference
+                    .insert_all(store.documents_in_insertion_order().into_iter().cloned())
+                    .unwrap();
+                let mut queries: Vec<QueryIndex> = (0..3)
+                    .map(|_| QueryIndex::from_bits(next_bits(64)))
+                    .collect();
+                // Duplicates inside the fused batch.
+                queries.push(queries[0].clone());
+                queries.push(queries[2].clone());
+                let engine = forced_lane_engine_on(store, 3, Arc::clone(&pool));
+                engine.set_telemetry_level(TelemetryLevel::Counters);
+                Case {
+                    engine,
+                    reference,
+                    queries,
+                }
+            })
+            .collect();
+        let start = std::sync::Barrier::new(cases.len());
+        std::thread::scope(|scope| {
+            for (n, case) in cases.iter().enumerate() {
+                let start = &start;
+                scope.spawn(move || {
+                    let expected: Vec<_> = case
+                        .queries
+                        .iter()
+                        .map(|q| case.reference.search_ranked_with_stats(q))
+                        .collect();
+                    start.wait();
+                    for round in 0..3 {
+                        for (q, want) in case.queries.iter().zip(&expected) {
+                            assert_eq!(
+                                &case.engine.search_ranked_with_stats(q),
+                                want,
+                                "engine {n}, round {round}"
+                            );
+                            assert_eq!(
+                                case.engine.search_unranked(q),
+                                case.reference.search_unranked(q),
+                                "unranked, engine {n}, round {round}"
+                            );
+                        }
+                        assert_eq!(
+                            case.engine.search_batch_with_stats(&case.queries),
+                            expected,
+                            "fused batch, engine {n}, round {round}"
+                        );
+                    }
+                });
+            }
+        });
+        let steals: u64 = cases
+            .iter()
+            .map(|case| case.engine.metrics_snapshot().total_steals())
+            .sum();
+        assert!(steals > 0, "shared-pool runs must record steals");
     }
 
     #[test]
@@ -1764,15 +1896,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scan_panic_names_the_failing_shard() {
-        let mut fx = fixture();
+    fn poisoned_store(fx: &Fixture) -> PoisonedStore {
         let mut store = PoisonedStore {
             inner: ShardedStore::new(fx.params.clone(), 4),
             armed: AtomicBool::new(false),
         };
-        store.insert_all(corpus_indices(&fx, 16)).unwrap();
-        let engine = SearchEngine::new(store);
+        store.insert_all(corpus_indices(fx, 16)).unwrap();
+        store
+    }
+
+    #[test]
+    fn scan_panic_names_the_failing_shard() {
+        let mut fx = fixture();
+        let engine = SearchEngine::new(poisoned_store(&fx));
         // Armed only now: deriving the planes read every shard. The ranked sweep
         // never touches the documents again; the unranked extraction does, on
         // whichever lane runs shard 2's unit.
@@ -1793,5 +1929,54 @@ mod tests {
             message.contains("shard storage corrupted"),
             "panic must forward the original message: {message}"
         );
+    }
+
+    #[test]
+    fn a_panicking_engine_does_not_disturb_its_pool_mates() {
+        // Engines A (poisoned) and B (healthy) run their lanes on one injected
+        // pool. A's scans panic while B queries: B's replies are its
+        // reference's, A's panic still names its job and shard, and the pool
+        // serves both once A is disarmed.
+        let mut fx = fixture();
+        let pool = Arc::new(WorkerPool::new(1));
+        let a = forced_lane_engine_on(poisoned_store(&fx), 2, Arc::clone(&pool));
+        let indices = corpus_indices(&fx, 40);
+        let mut reference = CloudIndex::new(fx.params.clone());
+        reference.insert_all(indices.iter().cloned()).unwrap();
+        let mut store = ShardedStore::new(fx.params.clone(), 3);
+        store.insert_all(indices).unwrap();
+        let b = forced_lane_engine_on(store, 2, Arc::clone(&pool));
+        let q = query(&mut fx, &["shared"]);
+        let a_healthy = a.search_unranked(&q);
+        assert!(!a_healthy.is_empty());
+        let b_ranked = reference.search_ranked_with_stats(&q);
+        let b_unranked = reference.search_unranked(&q);
+
+        a.store().armed.store(true, Ordering::SeqCst);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for round in 0..20 {
+                    assert_eq!(b.search_ranked_with_stats(&q), b_ranked, "round {round}");
+                    assert_eq!(b.search_unranked(&q), b_unranked, "round {round}");
+                }
+            });
+            start.wait();
+            for _ in 0..20 {
+                let result = catch_unwind(AssertUnwindSafe(|| a.search_unranked(&q)));
+                let payload = result.expect_err("poisoned shard must panic");
+                let message = pool::panic_message(payload.as_ref());
+                assert!(
+                    message.starts_with("shard scan panicked: job ")
+                        && message.ends_with(": shard 2: shard storage corrupted"),
+                    "panic must name the failing job and shard: {message}"
+                );
+            }
+        });
+
+        a.store().armed.store(false, Ordering::SeqCst);
+        assert_eq!(a.search_unranked(&q), a_healthy);
+        assert_eq!(b.search_ranked_with_stats(&q), b_ranked);
     }
 }

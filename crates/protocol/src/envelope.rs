@@ -123,7 +123,8 @@ impl Request {
 pub struct NodeCapabilities {
     /// Maximum number of index shards the node is willing to serve.
     pub shard_slots: u32,
-    /// Scan lanes (worker threads) the node's engine runs.
+    /// Scan lanes one query on the node's engine may use (the lane workers
+    /// themselves belong to the node's process, not to its engine).
     pub scan_lanes: u32,
     /// Result-cache entries per shard the node can hold (0 = cache off).
     pub cache_capacity: u64,

@@ -166,7 +166,11 @@
 //!   (`tests/sharded_engine_equivalence.rs` asserts all of this for shard counts
 //!   1, 2, 7 and 16 on randomized corpora). Scan lanes are clamped to the host's
 //!   available parallelism and fully decoupled from the shard count: the
-//!   `set_scan_lanes(n)` runtime knob resizes the persistent worker pool, and
+//!   `set_scan_lanes(n)` runtime knob caps how many lanes one execution may use
+//!   on the process's one shared pool of lane workers (`available_parallelism − 1`
+//!   threads however many engines the process builds; no engine starts or joins
+//!   a thread, and a caller takes back any lane no worker has started instead of
+//!   waiting behind another engine's scan), and
 //!   **one executor** runs every scan: a multi-lane engine carves each shard's
 //!   plane into 8-chunk units, deals them to per-lane lock-free deques, and lets
 //!   idle lanes steal from victims' tails — an oversharded store does not
