@@ -1627,6 +1627,35 @@ mod tests {
         }
     }
 
+    /// The wire format, pinned. Round trips cannot see a change made to both
+    /// directions at once, so this hashes the frames themselves: every
+    /// envelope variant for seeds 0..64 under fixed request ids. A new digest
+    /// means the bytes on the wire changed — a protocol version bump, not a
+    /// refactor.
+    #[test]
+    fn golden_digest_pins_every_frame_byte() {
+        let mut hasher = mkse_crypto::Sha512::new();
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (i, request) in all_requests(&mut rng).iter().enumerate() {
+                hasher.update(&encode_request(seed << 8 | i as u64, request));
+            }
+            for (i, response) in all_responses(&mut rng).iter().enumerate() {
+                hasher.update(&encode_response(seed << 8 | i as u64, response));
+            }
+        }
+        let digest: String = hasher
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(digest, GOLDEN_FRAMES_SHA512);
+    }
+
+    const GOLDEN_FRAMES_SHA512: &str =
+        "ae2764eb2b5ba48efb46b34246d9efe1c88cb5a3dd8ea200b61962fa83c17bc9\
+         4f1fa64d9cae429d287b9acd18d3c1f6c1efd879a9a3b5c7eb56c955b0324520";
+
     #[test]
     fn unknown_version_and_kind_are_typed_errors() {
         let request = Request::CacheStats;
