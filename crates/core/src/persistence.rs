@@ -122,12 +122,12 @@ pub fn deserialize_store(
     if cursor.take(4)? != MAGIC {
         return Err(PersistenceError::BadMagic);
     }
-    let version = u16::from_le_bytes(cursor.take(2)?.try_into().unwrap());
+    let version = u16::from_le_bytes(cursor.le()?);
     if version != VERSION {
         return Err(PersistenceError::UnsupportedVersion(version));
     }
-    let r = u32::from_le_bytes(cursor.take(4)?.try_into().unwrap()) as usize;
-    let eta = u16::from_le_bytes(cursor.take(2)?.try_into().unwrap()) as usize;
+    let r = u32::from_le_bytes(cursor.le()?) as usize;
+    let eta = u16::from_le_bytes(cursor.le()?) as usize;
     if r != params.index_bits || eta != params.rank_levels() {
         return Err(PersistenceError::ParameterMismatch {
             expected_r: params.index_bits,
@@ -136,7 +136,7 @@ pub fn deserialize_store(
             found_eta: eta,
         });
     }
-    let count = u64::from_le_bytes(cursor.take(8)?.try_into().unwrap());
+    let count = u64::from_le_bytes(cursor.le()?);
     let r_bytes = r.div_ceil(8);
     // The count is the sender's claim: hold it against the bytes actually
     // present before allocating for it.
@@ -147,7 +147,7 @@ pub fn deserialize_store(
     let count = count as usize;
     let mut indices = Vec::with_capacity(count);
     for _ in 0..count {
-        let document_id = u64::from_le_bytes(cursor.take(8)?.try_into().unwrap());
+        let document_id = u64::from_le_bytes(cursor.le()?);
         let mut levels = Vec::with_capacity(eta);
         for _ in 0..eta {
             levels.push(BitIndex::from_bytes(cursor.take(r_bytes)?, r));
@@ -204,13 +204,23 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// The only place bytes leave the buffer: `len` is held against what is
+    /// actually left (`pos` never passes the end, so the subtraction is safe).
     fn take(&mut self, len: usize) -> Result<&'a [u8], PersistenceError> {
-        if self.pos + len > self.bytes.len() {
+        if self.bytes.len() - self.pos < len {
             return Err(PersistenceError::Truncated);
         }
         let out = &self.bytes[self.pos..self.pos + len];
         self.pos += len;
         Ok(out)
+    }
+
+    /// `N` bytes as an array, for the fixed-width header and id fields.
+    fn le<const N: usize>(&mut self) -> Result<[u8; N], PersistenceError> {
+        // `take(N)` is N bytes long or an error, so the conversion always
+        // succeeds; mapping its error keeps this path free of any panic.
+        let bytes = self.take(N)?.try_into();
+        bytes.map_err(|_| PersistenceError::Truncated)
     }
 }
 

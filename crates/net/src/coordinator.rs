@@ -34,7 +34,9 @@
 //! group, the group travels as **one** [`Request::BatchQuery`] forward (see
 //! the [`FusedService`] impl) and each node answers it with one fused plane
 //! pass. Writes keep their sequential forward — fleet-wide at-most-once is a
-//! property of that order.
+//! property of that order. A query that is not `r` bits long never leaves the
+//! coordinator: it is answered the twin's own `IndexSizeMismatch` before the
+//! scatter, because a node's typed refusal would read as a failed node there.
 //!
 //! ## Failover
 //!
@@ -80,9 +82,10 @@ use mkse_core::{
     RankedDocumentIndex, SystemParams,
 };
 use mkse_protocol::{
-    BatchQueryMessage, BatchSearchReply, CacheReport, DocumentReply, EncryptedDocumentTransfer,
-    NodeCapabilities, NodeRegistration, OperationCounters, ProtocolError, QueryMessage, Request,
-    Response, SearchReply, SearchResultEntry, ServerInfo, Service, ShardAssignment, UploadMessage,
+    answer_query_group, BatchQueryMessage, BatchSearchReply, CacheReport, DocumentReply,
+    EncryptedDocumentTransfer, NodeCapabilities, NodeRegistration, OperationCounters,
+    ProtocolError, QueryMessage, Request, Response, SearchReply, SearchResultEntry, ServerInfo,
+    Service, ShardAssignment, UploadMessage,
 };
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -152,6 +155,9 @@ pub struct Coordinator {
     mirror: ShardedStore,
     /// Encrypted document bodies, served locally (nodes hold indices only).
     documents: BTreeMap<u64, EncryptedDocumentTransfer>,
+    /// Entries are inserted by [`Coordinator::add_node`] and never removed, so
+    /// an id taken from this map (or from `owner_of`, which only ever holds
+    /// such ids) finds its entry in every later lookup.
     nodes: BTreeMap<u64, Node>,
     /// `owner_of[s]` = the live node serving global shard `s`.
     owner_of: Vec<Option<u64>>,
@@ -251,7 +257,8 @@ impl Coordinator {
             }
             if self.ship_shard(reg.node_id, shard).is_ok() {
                 self.owner_of[shard] = Some(reg.node_id);
-                let node = self.nodes.get_mut(&reg.node_id).unwrap();
+                // The let-else at the top found this entry; none is ever removed.
+                let node = self.nodes.get_mut(&reg.node_id).expect("registered above");
                 node.shards.push(shard as u32);
                 node.shards.sort_unstable();
             } else {
@@ -355,7 +362,8 @@ impl Coordinator {
                 let Some(t) = target else { break };
                 if self.ship_shard(t, s as usize).is_ok() {
                     self.owner_of[s as usize] = Some(t);
-                    let survivor = self.nodes.get_mut(&t).unwrap();
+                    // `t` was picked from `self.nodes` a few lines up.
+                    let survivor = self.nodes.get_mut(&t).expect("picked from the map");
                     survivor.shards.push(s);
                     survivor.shards.sort_unstable();
                     reassigned += 1;
@@ -426,6 +434,8 @@ impl Coordinator {
             .map(|&top| {
                 let parts = per_node
                     .iter_mut()
+                    // `exec_batch_query`'s extract accepts a node's reply only
+                    // when `replies.len() == tops.len()`.
                     .map(|replies| replies.next().expect("one reply per member").matches)
                     .collect();
                 Self::merge(parts, top)
@@ -460,6 +470,7 @@ impl Coordinator {
             let mut collected = Vec::with_capacity(flights.len());
             let mut failed = None;
             for (id, flight) in flights {
+                // `id` came out of `self.nodes` when the flight was submitted.
                 let node = self.nodes.get_mut(&id).expect("submitted to this node");
                 let reply = node.client.complete(flight, request).ok();
                 match reply.and_then(|(_, response)| extract(response)) {
@@ -475,6 +486,9 @@ impl Coordinator {
     }
 
     fn exec_query(&mut self, message: QueryMessage) -> Response {
+        if let Err(error) = message.check(self.mirror.params().index_bits) {
+            return Response::Error(error);
+        }
         if self.mirror.is_empty() {
             return Response::Search(SearchReply {
                 matches: vec![],
@@ -494,12 +508,20 @@ impl Coordinator {
     /// One `BatchQuery` scatter: the nodes see `message` as it stands (its
     /// `top` is the widest any member asks for), and member `i` of the merged
     /// result is truncated to `tops[i]`.
+    ///
+    /// The length check comes first, here as in [`Coordinator::exec_query`]:
+    /// a node would answer a query of the wrong length with the same typed
+    /// error, but `scatter` reads any reply it cannot `extract` as a failed
+    /// node — one hostile frame would fail the whole fleet over, node by node.
     #[allow(clippy::result_large_err)] // the Err is the Response sent to the caller
     fn exec_batch_query(
         &mut self,
         message: BatchQueryMessage,
         tops: &[Option<usize>],
     ) -> Result<Vec<SearchReply>, Response> {
+        message
+            .check(self.mirror.params().index_bits)
+            .map_err(Response::Error)?;
         if self.mirror.is_empty() {
             let empty = SearchReply {
                 matches: vec![],
@@ -512,6 +534,22 @@ impl Coordinator {
             _ => None,
         })?;
         Ok(Self::merge_batch(collected, tops))
+    }
+
+    /// The fused forward of a group the front door has already checked.
+    fn forward_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
+        let tops: Vec<Option<usize>> = messages.iter().map(|m| m.top).collect();
+        let widest = tops
+            .iter()
+            .try_fold(0, |widest, top| top.map(|t| widest.max(t)));
+        let batch = BatchQueryMessage {
+            queries: messages.iter().map(|m| m.query.clone()).collect(),
+            top: widest,
+        };
+        match self.exec_batch_query(batch, &tops) {
+            Ok(replies) => replies.into_iter().map(Response::Search).collect(),
+            Err(error) => vec![error; messages.len()],
+        }
     }
 
     fn exec_server_info(&mut self) -> Response {
@@ -561,6 +599,7 @@ impl Coordinator {
                 Ok(shard) => {
                     if let Some(owner) = self.owner_of[shard] {
                         let stored = self.mirror.shard_documents(shard).last();
+                        // `IndexStore::insert` appends at the end of the shard it returns.
                         let stored = stored.expect("insert appended to the shard it named");
                         per_node.entry(owner).or_default().push(stored.clone());
                     }
@@ -576,7 +615,8 @@ impl Coordinator {
                 indices,
                 documents: vec![],
             });
-            let node = self.nodes.get_mut(&node_id).unwrap();
+            // `node_id` is an `owner_of` entry: an id of this map.
+            let node = self.nodes.get_mut(&node_id).expect("owners are nodes");
             match node.client.call(&upload) {
                 Ok(Response::Uploaded { .. }) => {}
                 _ => self.fail_node(node_id),
@@ -693,18 +733,10 @@ impl FusedService for Coordinator {
         self.telemetry
             .tally(Counter::RequestsServed, messages.len() as u64);
         self.sweep_deadlines();
-        let tops: Vec<Option<usize>> = messages.iter().map(|m| m.top).collect();
-        let widest = tops
-            .iter()
-            .try_fold(0, |widest, top| top.map(|t| widest.max(t)));
-        let batch = BatchQueryMessage {
-            queries: messages.iter().map(|m| m.query.clone()).collect(),
-            top: widest,
-        };
-        match self.exec_batch_query(batch, &tops) {
-            Ok(replies) => replies.into_iter().map(Response::Search).collect(),
-            Err(error) => vec![error; messages.len()],
-        }
+        // A member of the wrong length is answered its own error, the rest
+        // travel as the fused forward — what `call` per member would do.
+        let index_bits = self.mirror.params().index_bits;
+        answer_query_group(index_bits, messages, |sound| self.forward_group(sound))
     }
 }
 

@@ -37,16 +37,17 @@ impl FrameBuffer {
     /// Declared payload length of the front frame, once its prefix is
     /// complete. Fails if the declaration exceeds the limit.
     fn front_len(&self) -> Result<Option<usize>, TransportError> {
-        if self.buf.len() < 4 {
+        let Some(prefix) = self.buf.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let declared = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as u64;
+        };
+        let declared = u64::from(u32::from_le_bytes(*prefix));
         if declared > self.max_frame_bytes {
             return Err(TransportError::FrameTooLarge {
                 declared,
                 max: self.max_frame_bytes,
             });
         }
+        // The declaration was a u32, so it fits a usize.
         Ok(Some(declared as usize))
     }
 

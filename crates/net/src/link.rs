@@ -89,7 +89,8 @@ impl Pipe {
             if !state.data.is_empty() {
                 let n = buf.len().min(state.data.len());
                 for slot in buf[..n].iter_mut() {
-                    *slot = state.data.pop_front().unwrap();
+                    // `n <= state.data.len()` and the lock is held: n bytes are there.
+                    *slot = state.data.pop_front().expect("n buffered bytes");
                 }
                 return Ok(n);
             }

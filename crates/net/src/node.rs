@@ -108,6 +108,7 @@ impl NodeRunner {
     /// coordinator hub's [`MemoryDialer`], possibly fault-wrapped).
     pub fn spawn(params: SystemParams, config: NodeConfig, coordinator: Connector) -> NodeRunner {
         let server = CloudServer::with_shards(params, config.local_shards.max(1));
+        // `CloudServer::telemetry` is `Some(engine registry)` unconditionally.
         let telemetry = server
             .telemetry()
             .expect("a CloudServer keeps a registry")

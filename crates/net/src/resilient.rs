@@ -287,6 +287,7 @@ impl ResilientClient {
             self.client =
                 Some(NetClient::from_parts(reader, writer).with_first_request_id(self.next_id));
         }
+        // Either it was `Some` on entry or the block above just stored it.
         Ok(self.client.as_mut().expect("just connected"))
     }
 

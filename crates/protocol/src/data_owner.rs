@@ -140,6 +140,8 @@ impl DataOwner {
             rng.fill(&mut nonce[..]);
             let ciphertext = AesCtr::new(&key).encrypt(&nonce, &doc.body);
             self.counters.symmetric_encryptions += 1;
+            // The key is the 16 random bytes drawn above, never peer input; only an
+            // owner configured with a modulus under 129 bits (presets: 256, 1024) fails.
             let encrypted_key = self
                 .rsa
                 .public_key()

@@ -272,6 +272,37 @@ pub trait Service {
     }
 }
 
+/// Answer a coalesced group of single-query envelopes at the front door:
+/// members that fail [`QueryMessage::check`] get their own
+/// [`Response::Error`], and `run` executes the rest as one group (one
+/// [`Response`] per member it is handed, in order). The result therefore
+/// equals calling [`Service::call`] once per message in order — the contract
+/// a cross-client batcher relies on — and one malformed member costs its
+/// sender an error and the rest of the group nothing. A group with no such
+/// member, which is every group well-behaved clients send, goes to `run` as
+/// it stands.
+pub fn answer_query_group(
+    index_bits: usize,
+    group: &[QueryMessage],
+    run: impl FnOnce(&[QueryMessage]) -> Vec<Response>,
+) -> Vec<Response> {
+    let sound = |message: &QueryMessage| message.check(index_bits).is_ok();
+    if group.iter().all(sound) {
+        return run(group);
+    }
+    let rest: Vec<QueryMessage> = group.iter().filter(|m| sound(m)).cloned().collect();
+    let answers = if rest.is_empty() { vec![] } else { run(&rest) };
+    let mut answers = answers.into_iter();
+    group
+        .iter()
+        .map(|message| match message.check(index_bits) {
+            Err(error) => Response::Error(error),
+            // `run` answers every member it was handed: the group contract.
+            Ok(()) => answers.next().expect("one answer per sound member"),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

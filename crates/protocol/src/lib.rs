@@ -45,8 +45,8 @@ pub use client::{serve, Client, WireStats};
 pub use counters::OperationCounters;
 pub use data_owner::{DataOwner, OwnerConfig};
 pub use envelope::{
-    NodeCapabilities, NodeHeartbeat, NodeRegistration, Request, Response, ServerInfo, Service,
-    ShardAssignment, PROTOCOL_VERSION,
+    answer_query_group, NodeCapabilities, NodeHeartbeat, NodeRegistration, Request, Response,
+    ServerInfo, Service, ShardAssignment, PROTOCOL_VERSION,
 };
 pub use messages::*;
 pub use metrics::{render_json, render_prometheus};

@@ -4,9 +4,11 @@
 //! Table 1 accounts for: bin ids are 32-bit integers, indices are `r` bits, RSA values are
 //! `log N` bits, signatures are `log N` bits, and ciphertexts are as long as the documents.
 
+use crate::ProtocolError;
 use mkse_core::bins::BinId;
 use mkse_core::bitindex::BitIndex;
 use mkse_core::document_index::RankedDocumentIndex;
+use mkse_core::storage::StoreError;
 use mkse_crypto::bigint::BigUint;
 use mkse_crypto::rsa::RsaSignature;
 
@@ -70,6 +72,29 @@ impl QueryMessage {
     pub fn bits(&self) -> u64 {
         self.query.serialized_bits() as u64
     }
+
+    /// The front-door check every serving party runs before a query reaches
+    /// an engine or a forward: the index must be exactly `index_bits` (the
+    /// party's `SystemParams::index_bits`, r) long. The sender is not trusted
+    /// and the scan kernels *assert* the length, so a query of any other
+    /// length is answered — to its sender alone — the same
+    /// [`StoreError::IndexSizeMismatch`] an upload of the wrong geometry gets.
+    ///
+    /// §6: the check reads only the length of bytes the server already
+    /// received and compares it with public geometry — no new channel.
+    pub fn check(&self, index_bits: usize) -> Result<(), ProtocolError> {
+        check_query_bits(&self.query, index_bits)
+    }
+}
+
+fn check_query_bits(query: &BitIndex, index_bits: usize) -> Result<(), ProtocolError> {
+    if query.len() == index_bits {
+        return Ok(());
+    }
+    Err(ProtocolError::Store(StoreError::IndexSizeMismatch {
+        expected: index_bits,
+        found: query.len(),
+    }))
 }
 
 /// User → server: **many** query indices in one round trip.
@@ -105,6 +130,14 @@ impl BatchQueryMessage {
     /// True if the batch carries no queries.
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
+    }
+
+    /// [`QueryMessage::check`] for every member; the first member of the
+    /// wrong length fails the whole batch (one request, one error envelope).
+    pub fn check(&self, index_bits: usize) -> Result<(), ProtocolError> {
+        self.queries
+            .iter()
+            .try_for_each(|query| check_query_bits(query, index_bits))
     }
 }
 

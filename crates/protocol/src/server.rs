@@ -25,7 +25,7 @@
 //! [`crate::Client`] across shard counts and cache configurations).
 
 use crate::counters::OperationCounters;
-use crate::envelope::{Request, Response, ServerInfo, Service};
+use crate::envelope::{answer_query_group, Request, Response, ServerInfo, Service};
 use crate::messages::{
     BatchQueryMessage, BatchSearchReply, CacheReport, DocumentReply, DocumentRequest,
     EncryptedDocumentTransfer, QueryMessage, SearchReply, SearchResultEntry, UploadMessage,
@@ -257,12 +257,22 @@ impl CloudServer {
     /// batcher stays invisible to every client. `requests_served` is bumped
     /// once per message (exactly as `call` would), and each reply honours its
     /// own message's `top` limit.
+    ///
+    /// A member whose query is not `r` bits long is answered its own
+    /// [`Response::Error`] and the rest run as the fused pass
+    /// ([`answer_query_group`]) — again exactly what `call` per message does.
     pub fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
         let telemetry = self.engine.telemetry().clone();
         let _call_span = telemetry.span(Stage::ServiceCall);
         for _ in messages {
             self.note_served();
         }
+        let index_bits = self.engine.params().index_bits;
+        answer_query_group(index_bits, messages, |sound| self.exec_query_group(sound))
+    }
+
+    /// The fused pass over a group the front door has already checked.
+    fn exec_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
         let queries: Vec<QueryIndex> = messages
             .iter()
             .map(|m| QueryIndex::from_bits(m.query.clone()))
@@ -350,9 +360,19 @@ impl Service for CloudServer {
         let telemetry = self.engine.telemetry().clone();
         let _call_span = telemetry.span(Stage::ServiceCall);
         self.note_served();
+        // The front door: a query is `r` bits or it is answered an error — the
+        // engine below asserts the length, and that assert is for this
+        // program's own bugs, not for what a peer chose to send.
+        let index_bits = self.engine.params().index_bits;
         match request {
-            Request::Query(message) => Response::Search(self.exec_query(&message)),
-            Request::BatchQuery(message) => Response::BatchSearch(self.exec_batch_query(&message)),
+            Request::Query(message) => match message.check(index_bits) {
+                Ok(()) => Response::Search(self.exec_query(&message)),
+                Err(e) => Response::Error(e),
+            },
+            Request::BatchQuery(message) => match message.check(index_bits) {
+                Ok(()) => Response::BatchSearch(self.exec_batch_query(&message)),
+                Err(e) => Response::Error(e),
+            },
             Request::Documents(request) => match self.exec_document_request(&request) {
                 Ok(reply) => Response::Documents(reply),
                 Err(e) => Response::Error(e),

@@ -15,13 +15,43 @@
 //! response kinds at or above it, so a frame can never be decoded as the wrong
 //! direction.
 //!
+//! ## One layout statement per type
+//!
+//! Every type that crosses the wire states its layout **once** (the private
+//! `Wire` trait) and both directions are derived from that statement, so
+//! encode and decode cannot disagree. The grammar:
+//!
+//! ```text
+//! u8 | u16 | u32 | u64 := fixed width, little-endian
+//! usize                := u64
+//! bool                 := u8, 0 or 1
+//! vec<T>               := count u32 | T*          (vec<u8>, string: count u32 | bytes)
+//! option<T>            := 0 u8  |  1 u8 | T
+//! (A, B)               := A | B
+//! bitindex             := bits u32 | ⌈bits/8⌉ bytes                     (bits ≥ 1)
+//! biguint              := vec<u8>, big-endian magnitude
+//! struct               := its fields, in the order of its `wire_struct!` row
+//! enum                 := tag u8 | the fields its `wire_enum!` row gives that tag
+//! ```
+//!
+//! [`Request`] and [`Response`] are enums whose tag is the header's `kind` byte
+//! (unknown: [`CodecError::UnknownKind`]); the five error enums nested in
+//! [`Response::Error`] carry theirs in front of the body (unknown:
+//! [`CodecError::Malformed`]). `RankedDocumentIndex` and `SearchResultEntry`
+//! are written by hand: they end in `levels u16 | bitindex*`, the `u16` the
+//! snapshot format of [`mkse_core::persistence`] counts ranking levels in.
+//! **Adding a variant is one row** in its enum's table (and one `wire_struct!`
+//! row for a new message struct) — there is no second place to edit.
+//!
 //! Decoding never panics: truncated buffers, unknown version bytes, unknown
 //! kinds, malformed counts and trailing garbage all come back as a typed
-//! [`CodecError`] (surfaced as [`crate::ProtocolError::Codec`]). The proptest
-//! suite round-trips every envelope variant and fuzzes truncations/corruptions
-//! against this guarantee. Frames are capped at `u32::MAX` payload bytes;
-//! *encoding* a larger envelope (e.g. a single >4 GiB upload) panics with an
-//! explicit message rather than wrapping the prefix into a corrupt stream.
+//! [`CodecError`] (surfaced as [`crate::ProtocolError::Codec`]). `Reader::take`
+//! is the only place bytes leave the buffer: every length is checked against
+//! the bytes actually present and nothing is reserved for a count the sender
+//! merely claims (proptests here and `tests/hostile_bytes.rs` hold it to
+//! that). Frames are capped at `u32::MAX` payload bytes; *encoding* a larger
+//! envelope (e.g. a single >4 GiB upload) panics with an explicit message
+//! rather than wrapping the prefix into a corrupt stream.
 //!
 //! Because the codec is the *only* byte representation of the protocol, framed
 //! sizes measured by [`crate::Client`] are the system's real communication cost —
@@ -87,57 +117,16 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// --- kind bytes --------------------------------------------------------------
-// Requests stay below 0x80, responses at or above it.
-
-const K_TRAPDOOR: u8 = 0x01;
-const K_QUERY: u8 = 0x02;
-const K_BATCH_QUERY: u8 = 0x03;
-const K_DOCUMENTS: u8 = 0x04;
-const K_BLIND_DECRYPT: u8 = 0x05;
-const K_UPLOAD: u8 = 0x06;
-const K_ENABLE_CACHE: u8 = 0x07;
-const K_DISABLE_CACHE: u8 = 0x08;
-const K_CACHE_STATS: u8 = 0x09;
-const K_SNAPSHOT: u8 = 0x0a;
-const K_RESTORE: u8 = 0x0b;
-const K_COUNTERS: u8 = 0x0c;
-const K_RESET_COUNTERS: u8 = 0x0d;
-const K_SERVER_INFO: u8 = 0x0e;
-const K_METRICS_SNAPSHOT: u8 = 0x0f;
-const K_REGISTER_NODE: u8 = 0x10;
-const K_NODE_HEARTBEAT: u8 = 0x11;
-
-const K_R_SEARCH: u8 = 0x81;
-const K_R_BATCH_SEARCH: u8 = 0x82;
-const K_R_DOCUMENTS: u8 = 0x83;
-const K_R_TRAPDOOR: u8 = 0x84;
-const K_R_BLIND_DECRYPT: u8 = 0x85;
-const K_R_UPLOADED: u8 = 0x86;
-const K_R_ACK: u8 = 0x87;
-const K_R_CACHE_STATS: u8 = 0x88;
-const K_R_SNAPSHOT: u8 = 0x89;
-const K_R_RESTORED: u8 = 0x8a;
-const K_R_COUNTERS: u8 = 0x8b;
-const K_R_INFO: u8 = 0x8c;
-const K_R_ERROR: u8 = 0x8d;
-const K_R_METRICS_REPORT: u8 = 0x8e;
-const K_R_SHARD_ASSIGNMENT: u8 = 0x8f;
-
 // --- public API --------------------------------------------------------------
 
 /// Encode one request as a complete frame (length prefix included).
 pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
-    let mut w = Writer::new(request_id, request_kind(request));
-    write_request_body(&mut w, request);
-    w.finish()
+    encode(request_id, request)
 }
 
 /// Encode one response as a complete frame (length prefix included).
 pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
-    let mut w = Writer::new(request_id, response_kind(response));
-    write_response_body(&mut w, response);
-    w.finish()
+    encode(request_id, response)
 }
 
 /// One frame split off the front of a buffer: `None` when the buffer is empty,
@@ -152,636 +141,482 @@ pub fn split_frame(buf: &[u8]) -> Result<SplitFrame<'_>, CodecError> {
     if buf.is_empty() {
         return Ok(None);
     }
-    if buf.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if buf.len() - 4 < len {
-        return Err(CodecError::Truncated);
-    }
-    Ok(Some((&buf[4..4 + len], &buf[4 + len..])))
+    let mut r = Reader(buf);
+    let payload = r.section()?;
+    Ok(Some((payload, r.0)))
 }
 
 /// Decode one request from a frame payload (as produced by [`split_frame`]).
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), CodecError> {
-    let mut r = Reader::new(payload);
-    let (request_id, kind) = read_header(&mut r)?;
-    if kind >= 0x80 {
-        return Err(CodecError::Malformed(format!(
-            "response kind 0x{kind:02x} in a request frame"
-        )));
-    }
-    let request = read_request_body(&mut r, kind)?;
-    r.expect_end()?;
-    Ok((request_id, request))
+    decode(payload, false)
 }
 
 /// Decode one response from a frame payload (as produced by [`split_frame`]).
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), CodecError> {
-    let mut r = Reader::new(payload);
-    let (request_id, kind) = read_header(&mut r)?;
-    if kind < 0x80 {
-        return Err(CodecError::Malformed(format!(
-            "request kind 0x{kind:02x} in a response frame"
-        )));
-    }
-    let response = read_response_body(&mut r, kind)?;
-    r.expect_end()?;
-    Ok((request_id, response))
+    decode(payload, true)
 }
 
 /// Decode every request frame in `wire`, in stream order.
-pub fn decode_request_stream(mut wire: &[u8]) -> Result<Vec<(u64, Request)>, CodecError> {
-    let mut out = Vec::new();
-    while let Some((payload, rest)) = split_frame(wire)? {
-        out.push(decode_request(payload)?);
-        wire = rest;
-    }
-    Ok(out)
+pub fn decode_request_stream(wire: &[u8]) -> Result<Vec<(u64, Request)>, CodecError> {
+    decode_stream(wire, decode_request)
 }
 
 /// Decode every response frame in `wire`, in stream order.
-pub fn decode_response_stream(mut wire: &[u8]) -> Result<Vec<(u64, Response)>, CodecError> {
+pub fn decode_response_stream(wire: &[u8]) -> Result<Vec<(u64, Response)>, CodecError> {
+    decode_stream(wire, decode_response)
+}
+
+fn encode<E: Tagged>(request_id: u64, envelope: &E) -> Vec<u8> {
+    let mut w = Writer::new(request_id, envelope.tag());
+    envelope.put_body(&mut w);
+    w.finish()
+}
+
+/// Request kinds stay below this, response kinds at or above it.
+const FIRST_RESPONSE_KIND: u8 = 0x80;
+
+/// Decode the envelope of one direction: header, direction check, the body
+/// the kind selects, and nothing after it.
+fn decode<E: Tagged>(payload: &[u8], response: bool) -> Result<(u64, E), CodecError> {
+    let mut r = Reader(payload);
+    let version = u8::take(&mut r)?;
+    if version != PROTOCOL_VERSION {
+        return Err(CodecError::UnknownVersion(version));
+    }
+    let request_id = u64::take(&mut r)?;
+    let kind = u8::take(&mut r)?;
+    if (kind >= FIRST_RESPONSE_KIND) != response {
+        let (found, frame) = match response {
+            true => ("request", "response"),
+            false => ("response", "request"),
+        };
+        return Err(CodecError::Malformed(format!(
+            "{found} kind 0x{kind:02x} in a {frame} frame"
+        )));
+    }
+    let envelope = E::take_body(kind, &mut r)?;
+    r.expect_end()?;
+    Ok((request_id, envelope))
+}
+
+fn decode_stream<T>(
+    mut wire: &[u8],
+    decode_one: fn(&[u8]) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
     let mut out = Vec::new();
     while let Some((payload, rest)) = split_frame(wire)? {
-        out.push(decode_response(payload)?);
+        out.push(decode_one(payload)?);
         wire = rest;
     }
     Ok(out)
 }
 
-fn read_header(r: &mut Reader<'_>) -> Result<(u64, u8), CodecError> {
-    let version = r.u8()?;
-    if version != PROTOCOL_VERSION {
-        return Err(CodecError::UnknownVersion(version));
+// --- the layout trait and its leaves -----------------------------------------
+
+/// One layout statement: how a value is laid out on the wire, read in both
+/// directions. `put` cannot fail; `take` fails typed and never panics.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// `vec<Self>`: `count u32 | item*`. A method of the item type (the
+    /// `showList` trick) so `u8` can make its vector one copy without
+    /// specialisation.
+    fn put_all(items: &[Self], w: &mut Writer) {
+        put_counted::<u32, _>(items, w);
     }
-    let request_id = r.u64()?;
-    let kind = r.u8()?;
-    Ok((request_id, kind))
-}
 
-// --- request bodies ----------------------------------------------------------
-
-fn request_kind(request: &Request) -> u8 {
-    match request {
-        Request::Trapdoor(_) => K_TRAPDOOR,
-        Request::Query(_) => K_QUERY,
-        Request::BatchQuery(_) => K_BATCH_QUERY,
-        Request::Documents(_) => K_DOCUMENTS,
-        Request::BlindDecrypt(_) => K_BLIND_DECRYPT,
-        Request::Upload(_) => K_UPLOAD,
-        Request::EnableCache { .. } => K_ENABLE_CACHE,
-        Request::DisableCache => K_DISABLE_CACHE,
-        Request::CacheStats => K_CACHE_STATS,
-        Request::SnapshotIndex => K_SNAPSHOT,
-        Request::RestoreIndex(_) => K_RESTORE,
-        Request::Counters => K_COUNTERS,
-        Request::ResetCounters => K_RESET_COUNTERS,
-        Request::ServerInfo => K_SERVER_INFO,
-        Request::MetricsSnapshot => K_METRICS_SNAPSHOT,
-        Request::RegisterNode(_) => K_REGISTER_NODE,
-        Request::NodeHeartbeat(_) => K_NODE_HEARTBEAT,
+    fn take_n(r: &mut Reader<'_>) -> Result<Vec<Self>, CodecError> {
+        take_counted::<u32, _>(r)
     }
 }
 
-fn write_request_body(w: &mut Writer, request: &Request) {
-    match request {
-        Request::Trapdoor(t) => {
-            w.u64(t.user_id);
-            w.u32(t.bin_ids.len() as u32);
-            for b in &t.bin_ids {
-                w.u32(*b);
-            }
-            w.biguint(t.signature.value());
-        }
-        Request::Query(q) => {
-            w.bitindex(&q.query);
-            w.opt_u64(q.top.map(|t| t as u64));
-        }
-        Request::BatchQuery(b) => {
-            w.u32(b.queries.len() as u32);
-            for q in &b.queries {
-                w.bitindex(q);
-            }
-            w.opt_u64(b.top.map(|t| t as u64));
-        }
-        Request::Documents(d) => {
-            w.u32(d.document_ids.len() as u32);
-            for id in &d.document_ids {
-                w.u64(*id);
-            }
-        }
-        Request::BlindDecrypt(b) => {
-            w.u64(b.user_id);
-            w.biguint(&b.blinded_ciphertext);
-            w.biguint(b.signature.value());
-        }
-        Request::Upload(u) => {
-            w.u32(u.indices.len() as u32);
-            for idx in &u.indices {
-                w.ranked_index(idx);
-            }
-            w.u32(u.documents.len() as u32);
-            for doc in &u.documents {
-                w.transfer(doc);
-            }
-        }
-        Request::EnableCache { capacity_per_shard } => w.u64(*capacity_per_shard),
-        Request::RestoreIndex(bytes) => w.bytes(bytes),
-        Request::RegisterNode(reg) => {
-            w.u64(reg.node_id);
-            w.u32(reg.capabilities.shard_slots);
-            w.u32(reg.capabilities.scan_lanes);
-            w.u64(reg.capabilities.cache_capacity);
-        }
-        Request::NodeHeartbeat(beat) => {
-            w.u64(beat.node_id);
-            w.metrics_snapshot(&beat.metrics);
-        }
-        Request::DisableCache
-        | Request::CacheStats
-        | Request::SnapshotIndex
-        | Request::Counters
-        | Request::ResetCounters
-        | Request::ServerInfo
-        | Request::MetricsSnapshot => {}
+/// `count N | item*`.
+fn put_counted<N: Wire + TryFrom<usize>, T: Wire>(items: &[T], w: &mut Writer) {
+    w.count::<N>(items.len());
+    items.iter().for_each(|item| item.put(w));
+}
+
+/// The count is the sender's claim, so it sizes nothing: the vector grows
+/// only as items actually decode, and every item consumes at least one byte,
+/// so a claim the payload cannot back ends in `Truncated`.
+fn take_counted<N: Wire + TryInto<usize>, T: Wire>(
+    r: &mut Reader<'_>,
+) -> Result<Vec<T>, CodecError> {
+    let mut items = Vec::new();
+    for _ in 0..r.count::<N>()? {
+        items.push(T::take(r)?);
+    }
+    Ok(items)
+}
+
+impl Wire for u8 {
+    fn put(&self, w: &mut Writer) {
+        w.buf.push(*self);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(u8::from_le_bytes(r.le()?))
+    }
+    fn put_all(items: &[u8], w: &mut Writer) {
+        w.count::<u32>(items.len());
+        w.buf.extend_from_slice(items);
+    }
+    fn take_n(r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {
+        Ok(r.section()?.to_vec())
     }
 }
 
-fn read_request_body(r: &mut Reader<'_>, kind: u8) -> Result<Request, CodecError> {
-    Ok(match kind {
-        K_TRAPDOOR => {
-            let user_id = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut bin_ids = Vec::new();
-            for _ in 0..n {
-                bin_ids.push(r.u32()?);
+macro_rules! wire_le {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, w: &mut Writer) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
             }
-            let signature = RsaSignature::from_value(r.biguint()?);
-            Request::Trapdoor(TrapdoorRequest {
-                user_id,
-                bin_ids,
-                signature,
-            })
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(<$int>::from_le_bytes(r.le()?))
+            }
         }
-        K_QUERY => Request::Query(QueryMessage {
-            query: r.bitindex()?,
-            top: r.opt_u64()?.map(|t| t as usize),
-        }),
-        K_BATCH_QUERY => {
-            let n = r.u32()? as usize;
-            let mut queries = Vec::new();
-            for _ in 0..n {
-                queries.push(r.bitindex()?);
-            }
-            let top = r.opt_u64()?.map(|t| t as usize);
-            Request::BatchQuery(BatchQueryMessage { queries, top })
-        }
-        K_DOCUMENTS => {
-            let n = r.u32()? as usize;
-            let mut document_ids = Vec::new();
-            for _ in 0..n {
-                document_ids.push(r.u64()?);
-            }
-            Request::Documents(DocumentRequest { document_ids })
-        }
-        K_BLIND_DECRYPT => Request::BlindDecrypt(BlindDecryptRequest {
-            user_id: r.u64()?,
-            blinded_ciphertext: r.biguint()?,
-            signature: RsaSignature::from_value(r.biguint()?),
-        }),
-        K_UPLOAD => {
-            let n = r.u32()? as usize;
-            let mut indices = Vec::new();
-            for _ in 0..n {
-                indices.push(r.ranked_index()?);
-            }
-            let m = r.u32()? as usize;
-            let mut documents = Vec::new();
-            for _ in 0..m {
-                documents.push(r.transfer()?);
-            }
-            Request::Upload(UploadMessage { indices, documents })
-        }
-        K_ENABLE_CACHE => Request::EnableCache {
-            capacity_per_shard: r.u64()?,
-        },
-        K_DISABLE_CACHE => Request::DisableCache,
-        K_CACHE_STATS => Request::CacheStats,
-        K_SNAPSHOT => Request::SnapshotIndex,
-        K_RESTORE => Request::RestoreIndex(r.bytes()?),
-        K_COUNTERS => Request::Counters,
-        K_RESET_COUNTERS => Request::ResetCounters,
-        K_SERVER_INFO => Request::ServerInfo,
-        K_METRICS_SNAPSHOT => Request::MetricsSnapshot,
-        K_REGISTER_NODE => Request::RegisterNode(NodeRegistration {
-            node_id: r.u64()?,
-            capabilities: NodeCapabilities {
-                shard_slots: r.u32()?,
-                scan_lanes: r.u32()?,
-                cache_capacity: r.u64()?,
-            },
-        }),
-        K_NODE_HEARTBEAT => Request::NodeHeartbeat(NodeHeartbeat {
-            node_id: r.u64()?,
-            metrics: r.metrics_snapshot()?,
-        }),
-        other => return Err(CodecError::UnknownKind(other)),
-    })
+    )*};
 }
+wire_le!(u16, u32, u64);
 
-// --- response bodies ---------------------------------------------------------
-
-fn response_kind(response: &Response) -> u8 {
-    match response {
-        Response::Search(_) => K_R_SEARCH,
-        Response::BatchSearch(_) => K_R_BATCH_SEARCH,
-        Response::Documents(_) => K_R_DOCUMENTS,
-        Response::Trapdoor(_) => K_R_TRAPDOOR,
-        Response::BlindDecrypt(_) => K_R_BLIND_DECRYPT,
-        Response::Uploaded { .. } => K_R_UPLOADED,
-        Response::Ack => K_R_ACK,
-        Response::CacheStats(_) => K_R_CACHE_STATS,
-        Response::Snapshot(_) => K_R_SNAPSHOT,
-        Response::Restored { .. } => K_R_RESTORED,
-        Response::Counters(_) => K_R_COUNTERS,
-        Response::Info(_) => K_R_INFO,
-        Response::MetricsReport(_) => K_R_METRICS_REPORT,
-        Response::ShardAssignment(_) => K_R_SHARD_ASSIGNMENT,
-        Response::Error(_) => K_R_ERROR,
+impl Wire for usize {
+    fn put(&self, w: &mut Writer) {
+        (*self as u64).put(w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let v = u64::take(r)?;
+        usize::try_from(v).map_err(|_| CodecError::Malformed(format!("{v} exceeds usize")))
     }
 }
 
-fn write_response_body(w: &mut Writer, response: &Response) {
-    match response {
-        Response::Search(reply) => w.search_reply(reply),
-        Response::BatchSearch(batch) => {
-            w.u32(batch.replies.len() as u32);
-            for reply in &batch.replies {
-                w.search_reply(reply);
-            }
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        (*self as u8).put(w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match u8::take(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::Malformed(format!("boolean byte {other}"))),
         }
-        Response::Documents(reply) => {
-            w.u32(reply.documents.len() as u32);
-            for doc in &reply.documents {
-                w.transfer(doc);
-            }
-        }
-        Response::Trapdoor(reply) => {
-            w.u32(reply.encrypted_bin_keys.len() as u32);
-            for (bin, key) in &reply.encrypted_bin_keys {
-                w.u32(*bin);
-                w.biguint(key);
-            }
-        }
-        Response::BlindDecrypt(reply) => w.biguint(&reply.blinded_plaintext),
-        Response::Uploaded { documents } | Response::Restored { documents } => w.u64(*documents),
-        Response::Ack => {}
-        Response::CacheStats(stats) => match stats {
-            None => w.u8(0),
-            Some(s) => {
-                w.u8(1);
-                w.u64(s.hits);
-                w.u64(s.misses);
-                w.u64(s.evictions);
-                w.u64(s.invalidations);
-                w.u64(s.saved_comparisons);
-            }
-        },
-        Response::Snapshot(bytes) => w.bytes(bytes),
-        Response::Counters(c) => w.counters(c),
-        Response::Info(info) => {
-            w.u64(info.shards);
-            w.u64(info.documents);
-            w.u64(info.index_bits);
-            w.u64(info.rank_levels);
-            w.u8(info.cache_enabled as u8);
-        }
-        Response::MetricsReport(snapshot) => w.metrics_snapshot(snapshot),
-        Response::ShardAssignment(assignment) => {
-            w.u64(assignment.node_id);
-            w.u32(assignment.shards.len() as u32);
-            for shard in &assignment.shards {
-                w.u32(*shard);
-            }
-            w.u64(assignment.epoch);
-            w.u64(assignment.heartbeat_interval_ms);
-            w.u64(assignment.failure_deadline_ms);
-        }
-        Response::Error(e) => w.protocol_error(e),
     }
 }
 
-fn read_response_body(r: &mut Reader<'_>, kind: u8) -> Result<Response, CodecError> {
-    Ok(match kind {
-        K_R_SEARCH => Response::Search(r.search_reply()?),
-        K_R_BATCH_SEARCH => {
-            let n = r.u32()? as usize;
-            let mut replies = Vec::new();
-            for _ in 0..n {
-                replies.push(r.search_reply()?);
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        T::put_all(self, w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        T::take_n(r)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => 0u8.put(w),
+            Some(v) => {
+                1u8.put(w);
+                v.put(w);
             }
-            Response::BatchSearch(BatchSearchReply { replies })
         }
-        K_R_DOCUMENTS => {
-            let n = r.u32()? as usize;
-            let mut documents = Vec::new();
-            for _ in 0..n {
-                documents.push(r.transfer()?);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match u8::take(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::take(r)?)),
+            other => Err(CodecError::Malformed(format!("option tag {other}"))),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok((A::take(r)?, B::take(r)?))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        u8::put_all(self.as_bytes(), w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        String::from_utf8(u8::take_n(r)?)
+            .map_err(|_| CodecError::Malformed("non-UTF-8 string".to_string()))
+    }
+}
+
+impl Wire for BitIndex {
+    fn put(&self, w: &mut Writer) {
+        w.count::<u32>(self.len());
+        w.buf.extend_from_slice(&self.to_bytes());
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let bits = r.count::<u32>()?;
+        if bits == 0 {
+            return Err(CodecError::Malformed("zero-length bit index".to_string()));
+        }
+        Ok(BitIndex::from_bytes(r.take(bits.div_ceil(8))?, bits))
+    }
+}
+
+impl Wire for BigUint {
+    fn put(&self, w: &mut Writer) {
+        u8::put_all(&self.to_bytes_be(), w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(BigUint::from_bytes_be(r.section()?))
+    }
+}
+
+impl Wire for RsaSignature {
+    fn put(&self, w: &mut Writer) {
+        self.value().put(w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        BigUint::take(r).map(RsaSignature::from_value)
+    }
+}
+
+impl Wire for TelemetryLevel {
+    fn put(&self, w: &mut Writer) {
+        (*self as u8).put(w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let byte = u8::take(r)?;
+        TelemetryLevel::from_u8(byte)
+            .ok_or_else(|| CodecError::Malformed(format!("telemetry level byte {byte}")))
+    }
+}
+
+// The two layouts that count in a u16: a document's ranking levels (η of
+// them — a u16 in the snapshot header of `mkse_core::persistence` as well).
+
+impl Wire for RankedDocumentIndex {
+    fn put(&self, w: &mut Writer) {
+        self.document_id.put(w);
+        put_counted::<u16, _>(&self.levels, w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(RankedDocumentIndex {
+            document_id: Wire::take(r)?,
+            levels: take_counted::<u16, _>(r)?,
+        })
+    }
+}
+
+impl Wire for SearchResultEntry {
+    fn put(&self, w: &mut Writer) {
+        self.document_id.put(w);
+        self.rank.put(w);
+        put_counted::<u16, _>(&self.metadata, w);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SearchResultEntry {
+            document_id: Wire::take(r)?,
+            rank: Wire::take(r)?,
+            metadata: take_counted::<u16, _>(r)?,
+        })
+    }
+}
+
+// --- message structs: one row each -------------------------------------------
+
+/// `Name { a, b, c }`: the struct is its fields, in that order.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
             }
-            Response::Documents(DocumentReply { documents })
-        }
-        K_R_TRAPDOOR => {
-            let n = r.u32()? as usize;
-            let mut encrypted_bin_keys = Vec::new();
-            for _ in 0..n {
-                let bin = r.u32()?;
-                let key = r.biguint()?;
-                encrypted_bin_keys.push((bin, key));
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok($ty { $($field: Wire::take(r)?),* })
             }
-            Response::Trapdoor(TrapdoorReply { encrypted_bin_keys })
         }
-        K_R_BLIND_DECRYPT => Response::BlindDecrypt(BlindDecryptReply {
-            blinded_plaintext: r.biguint()?,
-        }),
-        K_R_UPLOADED => Response::Uploaded {
-            documents: r.u64()?,
-        },
-        K_R_ACK => Response::Ack,
-        K_R_CACHE_STATS => {
-            let present = r.u8()?;
-            match present {
-                0 => Response::CacheStats(None),
-                1 => Response::CacheStats(Some(CacheStats {
-                    hits: r.u64()?,
-                    misses: r.u64()?,
-                    evictions: r.u64()?,
-                    invalidations: r.u64()?,
-                    saved_comparisons: r.u64()?,
-                })),
-                other => {
-                    return Err(CodecError::Malformed(format!(
-                        "cache-stats presence byte {other}"
-                    )))
+    )*};
+}
+
+wire_struct! {
+    TrapdoorRequest { user_id, bin_ids, signature }
+    QueryMessage { query, top }
+    BatchQueryMessage { queries, top }
+    DocumentRequest { document_ids }
+    BlindDecryptRequest { user_id, blinded_ciphertext, signature }
+    UploadMessage { indices, documents }
+    EncryptedDocumentTransfer { document_id, ciphertext, encrypted_key }
+    NodeCapabilities { shard_slots, scan_lanes, cache_capacity }
+    NodeRegistration { node_id, capabilities }
+    NodeHeartbeat { node_id, metrics }
+    CacheReport { shard_hits, shard_misses, saved_comparisons, served_from_cache }
+    SearchReply { matches, cache }
+    BatchSearchReply { replies }
+    DocumentReply { documents }
+    TrapdoorReply { encrypted_bin_keys }
+    BlindDecryptReply { blinded_plaintext }
+    CacheStats { hits, misses, evictions, invalidations, saved_comparisons }
+    OperationCounters {
+        hashes, bitwise_products, modular_exponentiations, modular_multiplications,
+        symmetric_encryptions, symmetric_decryptions, binary_comparisons,
+        comparisons_saved_by_cache, cache_served_replies, requests_served
+    }
+    ServerInfo { shards, documents, index_bits, rank_levels, cache_enabled }
+    ShardAssignment { node_id, shards, epoch, heartbeat_interval_ms, failure_deadline_ms }
+    MetricsSnapshot { level, counters, gauges, histograms, values, lanes, shard_caches, connections }
+    HistogramSnapshot { stage, count, sum_ns, buckets }
+    ValueHistogramSnapshot { series, count, sum, buckets }
+    LaneSnapshot { lane, executed, stolen, failed_steals, idle_polls }
+    ShardCacheSnapshot { shard, hits, misses, invalidations }
+    ConnectionSnapshot { connection, frames_in, frames_out, bytes_in, bytes_out }
+}
+
+// --- enums: one row per variant ----------------------------------------------
+
+/// An enum on the wire: `tag u8 | body`. The tag is written and read apart
+/// from the body because the envelopes keep theirs in the frame header.
+trait Tagged: Sized {
+    fn tag(&self) -> u8;
+    fn put_body(&self, w: &mut Writer);
+    fn take_body(tag: u8, r: &mut Reader<'_>) -> Result<Self, CodecError>;
+}
+
+/// The reader of one tuple-variant field; `$_field` only drives the repetition.
+macro_rules! take_field {
+    ($_field:ident, $r:ident) => {
+        Wire::take($r)?
+    };
+}
+
+/// `tag => Variant`, `tag => Variant(a)` or `tag => Variant { a, b }`: the
+/// variant's tag and its fields in wire order. `Ty, <unknown-tag error>;` leaves
+/// the tag to the frame header; `Ty tagged "<what>";` puts it in front of the
+/// body and rejects an unknown one as `Malformed("<what> tag n")`.
+macro_rules! wire_enum {
+    ($ty:ident tagged $what:literal; $($rows:tt)*) => {
+        wire_enum! { $ty, |tag| CodecError::Malformed(format!("{} tag {tag}", $what)); $($rows)* }
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                self.tag().put(w);
+                self.put_body(w);
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let tag = u8::take(r)?;
+                Self::take_body(tag, r)
+            }
+        }
+    };
+    ($ty:ident, $unknown:expr; $(
+        $tag:literal => $variant:ident $(($($t:ident),*))? $({ $($f:ident),* })?,
+    )*) => {
+        impl Tagged for $ty {
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$variant { .. } => $tag,)*
                 }
             }
-        }
-        K_R_SNAPSHOT => Response::Snapshot(r.bytes()?),
-        K_R_RESTORED => Response::Restored {
-            documents: r.u64()?,
-        },
-        K_R_COUNTERS => Response::Counters(r.counters()?),
-        K_R_INFO => Response::Info(ServerInfo {
-            shards: r.u64()?,
-            documents: r.u64()?,
-            index_bits: r.u64()?,
-            rank_levels: r.u64()?,
-            cache_enabled: r.bool()?,
-        }),
-        K_R_METRICS_REPORT => Response::MetricsReport(r.metrics_snapshot()?),
-        K_R_SHARD_ASSIGNMENT => {
-            let node_id = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut shards = Vec::new();
-            for _ in 0..n {
-                shards.push(r.u32()?);
+            fn put_body(&self, w: &mut Writer) {
+                match self {
+                    $(Self::$variant $(($($t),*))? $({ $($f),* })? => {
+                        $($($t.put(w);)*)?
+                        $($($f.put(w);)*)?
+                    })*
+                }
             }
-            Response::ShardAssignment(ShardAssignment {
-                node_id,
-                shards,
-                epoch: r.u64()?,
-                heartbeat_interval_ms: r.u64()?,
-                failure_deadline_ms: r.u64()?,
-            })
+            fn take_body(tag: u8, r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(match tag {
+                    $($tag => Self::$variant
+                        $(($(take_field!($t, r)),*))?
+                        $({ $($f: Wire::take(r)?),* })?,)*
+                    other => return Err(($unknown)(other)),
+                })
+            }
         }
-        K_R_ERROR => Response::Error(r.protocol_error()?),
-        other => return Err(CodecError::UnknownKind(other)),
-    })
+    };
 }
 
-// --- error encodings ---------------------------------------------------------
-
-impl Writer {
-    fn protocol_error(&mut self, e: &ProtocolError) {
-        match e {
-            ProtocolError::BadSignature => self.u8(0),
-            ProtocolError::UnknownDocument(id) => {
-                self.u8(1);
-                self.u64(*id);
-            }
-            ProtocolError::Crypto(msg) => {
-                self.u8(2);
-                self.string(msg);
-            }
-            ProtocolError::NotEnoughMatches {
-                requested,
-                available,
-            } => {
-                self.u8(3);
-                self.u64(*requested as u64);
-                self.u64(*available as u64);
-            }
-            ProtocolError::Store(e) => {
-                self.u8(4);
-                self.store_error(e);
-            }
-            ProtocolError::Persistence(e) => {
-                self.u8(5);
-                self.persistence_error(e);
-            }
-            ProtocolError::Codec(e) => {
-                self.u8(6);
-                self.codec_error(e);
-            }
-            ProtocolError::Unsupported(msg) => {
-                self.u8(7);
-                self.string(msg);
-            }
-            ProtocolError::Transport(e) => {
-                self.u8(8);
-                self.transport_error(e);
-            }
-        }
-    }
-
-    fn transport_error(&mut self, e: &TransportError) {
-        match e {
-            TransportError::FrameTooLarge { declared, max } => {
-                self.u8(0);
-                self.u64(*declared);
-                self.u64(*max);
-            }
-            TransportError::IdleTimeout { idle_ms } => {
-                self.u8(1);
-                self.u64(*idle_ms);
-            }
-            TransportError::Overloaded { retry_after_ms } => {
-                self.u8(2);
-                self.u64(*retry_after_ms);
-            }
-        }
-    }
-
-    fn store_error(&mut self, e: &StoreError) {
-        match e {
-            StoreError::LevelCountMismatch { expected, found } => {
-                self.u8(0);
-                self.u64(*expected as u64);
-                self.u64(*found as u64);
-            }
-            StoreError::IndexSizeMismatch { expected, found } => {
-                self.u8(1);
-                self.u64(*expected as u64);
-                self.u64(*found as u64);
-            }
-            StoreError::DuplicateDocument(id) => {
-                self.u8(2);
-                self.u64(*id);
-            }
-        }
-    }
-
-    fn persistence_error(&mut self, e: &PersistenceError) {
-        match e {
-            PersistenceError::BadMagic => self.u8(0),
-            PersistenceError::UnsupportedVersion(v) => {
-                self.u8(1);
-                self.u16(*v);
-            }
-            PersistenceError::Truncated => self.u8(2),
-            PersistenceError::ParameterMismatch {
-                expected_r,
-                found_r,
-                expected_eta,
-                found_eta,
-            } => {
-                self.u8(3);
-                self.u64(*expected_r as u64);
-                self.u64(*found_r as u64);
-                self.u64(*expected_eta as u64);
-                self.u64(*found_eta as u64);
-            }
-            PersistenceError::Store(e) => {
-                self.u8(4);
-                self.store_error(e);
-            }
-        }
-    }
-
-    fn codec_error(&mut self, e: &CodecError) {
-        match e {
-            CodecError::Truncated => self.u8(0),
-            CodecError::UnknownVersion(v) => {
-                self.u8(1);
-                self.u8(*v);
-            }
-            CodecError::UnknownKind(k) => {
-                self.u8(2);
-                self.u8(*k);
-            }
-            CodecError::Malformed(msg) => {
-                self.u8(3);
-                self.string(msg);
-            }
-            CodecError::ResponseMismatch { expected, found } => {
-                self.u8(4);
-                self.string(expected);
-                self.string(found);
-            }
-        }
-    }
+wire_enum! { Request, CodecError::UnknownKind;
+    0x01 => Trapdoor(m),
+    0x02 => Query(m),
+    0x03 => BatchQuery(m),
+    0x04 => Documents(m),
+    0x05 => BlindDecrypt(m),
+    0x06 => Upload(m),
+    0x07 => EnableCache { capacity_per_shard },
+    0x08 => DisableCache,
+    0x09 => CacheStats,
+    0x0a => SnapshotIndex,
+    0x0b => RestoreIndex(bytes),
+    0x0c => Counters,
+    0x0d => ResetCounters,
+    0x0e => ServerInfo,
+    0x0f => MetricsSnapshot,
+    0x10 => RegisterNode(m),
+    0x11 => NodeHeartbeat(m),
 }
 
-impl Reader<'_> {
-    fn protocol_error(&mut self) -> Result<ProtocolError, CodecError> {
-        Ok(match self.u8()? {
-            0 => ProtocolError::BadSignature,
-            1 => ProtocolError::UnknownDocument(self.u64()?),
-            2 => ProtocolError::Crypto(self.string()?),
-            3 => ProtocolError::NotEnoughMatches {
-                requested: self.u64()? as usize,
-                available: self.u64()? as usize,
-            },
-            4 => ProtocolError::Store(self.store_error()?),
-            5 => ProtocolError::Persistence(self.persistence_error()?),
-            6 => ProtocolError::Codec(self.codec_error()?),
-            7 => ProtocolError::Unsupported(self.string()?),
-            8 => ProtocolError::Transport(self.transport_error()?),
-            other => return Err(CodecError::Malformed(format!("protocol-error tag {other}"))),
-        })
-    }
-
-    fn transport_error(&mut self) -> Result<TransportError, CodecError> {
-        Ok(match self.u8()? {
-            0 => TransportError::FrameTooLarge {
-                declared: self.u64()?,
-                max: self.u64()?,
-            },
-            1 => TransportError::IdleTimeout {
-                idle_ms: self.u64()?,
-            },
-            2 => TransportError::Overloaded {
-                retry_after_ms: self.u64()?,
-            },
-            other => {
-                return Err(CodecError::Malformed(format!(
-                    "transport-error tag {other}"
-                )))
-            }
-        })
-    }
-
-    fn store_error(&mut self) -> Result<StoreError, CodecError> {
-        Ok(match self.u8()? {
-            0 => StoreError::LevelCountMismatch {
-                expected: self.u64()? as usize,
-                found: self.u64()? as usize,
-            },
-            1 => StoreError::IndexSizeMismatch {
-                expected: self.u64()? as usize,
-                found: self.u64()? as usize,
-            },
-            2 => StoreError::DuplicateDocument(self.u64()?),
-            other => return Err(CodecError::Malformed(format!("store-error tag {other}"))),
-        })
-    }
-
-    fn persistence_error(&mut self) -> Result<PersistenceError, CodecError> {
-        Ok(match self.u8()? {
-            0 => PersistenceError::BadMagic,
-            1 => PersistenceError::UnsupportedVersion(self.u16()?),
-            2 => PersistenceError::Truncated,
-            3 => PersistenceError::ParameterMismatch {
-                expected_r: self.u64()? as usize,
-                found_r: self.u64()? as usize,
-                expected_eta: self.u64()? as usize,
-                found_eta: self.u64()? as usize,
-            },
-            4 => PersistenceError::Store(self.store_error()?),
-            other => {
-                return Err(CodecError::Malformed(format!(
-                    "persistence-error tag {other}"
-                )))
-            }
-        })
-    }
-
-    fn codec_error(&mut self) -> Result<CodecError, CodecError> {
-        Ok(match self.u8()? {
-            0 => CodecError::Truncated,
-            1 => CodecError::UnknownVersion(self.u8()?),
-            2 => CodecError::UnknownKind(self.u8()?),
-            3 => CodecError::Malformed(self.string()?),
-            4 => CodecError::ResponseMismatch {
-                expected: self.string()?,
-                found: self.string()?,
-            },
-            other => return Err(CodecError::Malformed(format!("codec-error tag {other}"))),
-        })
-    }
+wire_enum! { Response, CodecError::UnknownKind;
+    0x81 => Search(m),
+    0x82 => BatchSearch(m),
+    0x83 => Documents(m),
+    0x84 => Trapdoor(m),
+    0x85 => BlindDecrypt(m),
+    0x86 => Uploaded { documents },
+    0x87 => Ack,
+    0x88 => CacheStats(stats),
+    0x89 => Snapshot(bytes),
+    0x8a => Restored { documents },
+    0x8b => Counters(m),
+    0x8c => Info(m),
+    0x8d => Error(e),
+    0x8e => MetricsReport(m),
+    0x8f => ShardAssignment(m),
 }
 
-// --- primitive writer/reader -------------------------------------------------
+wire_enum! { ProtocolError tagged "protocol-error";
+    0 => BadSignature,
+    1 => UnknownDocument(id),
+    2 => Crypto(msg),
+    3 => NotEnoughMatches { requested, available },
+    4 => Store(e),
+    5 => Persistence(e),
+    6 => Codec(e),
+    7 => Unsupported(msg),
+    8 => Transport(e),
+}
+
+wire_enum! { TransportError tagged "transport-error";
+    0 => FrameTooLarge { declared, max },
+    1 => IdleTimeout { idle_ms },
+    2 => Overloaded { retry_after_ms },
+}
+
+wire_enum! { StoreError tagged "store-error";
+    0 => LevelCountMismatch { expected, found },
+    1 => IndexSizeMismatch { expected, found },
+    2 => DuplicateDocument(id),
+}
+
+wire_enum! { PersistenceError tagged "persistence-error";
+    0 => BadMagic,
+    1 => UnsupportedVersion(v),
+    2 => Truncated,
+    3 => ParameterMismatch { expected_r, found_r, expected_eta, found_eta },
+    4 => Store(e),
+}
+
+wire_enum! { CodecError tagged "codec-error";
+    0 => Truncated,
+    1 => UnknownVersion(v),
+    2 => UnknownKind(k),
+    3 => Malformed(msg),
+    4 => ResponseMismatch { expected, found },
+}
+
+// --- the byte sink and the byte source ---------------------------------------
 
 struct Writer {
     buf: Vec<u8>,
@@ -808,394 +643,54 @@ impl Writer {
         self.buf
     }
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-        }
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        let len = u32::try_from(v.len())
-            .expect("byte section exceeds the u32 length prefix; split the request");
-        self.u32(len);
-        self.buf.extend_from_slice(v);
-    }
-
-    fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    fn bitindex(&mut self, v: &BitIndex) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(&v.to_bytes());
-    }
-
-    fn biguint(&mut self, v: &BigUint) {
-        self.bytes(&v.to_bytes_be());
-    }
-
-    fn ranked_index(&mut self, idx: &RankedDocumentIndex) {
-        self.u64(idx.document_id);
-        self.u16(idx.levels.len() as u16);
-        for level in &idx.levels {
-            self.bitindex(level);
-        }
-    }
-
-    fn transfer(&mut self, doc: &EncryptedDocumentTransfer) {
-        self.u64(doc.document_id);
-        self.bytes(&doc.ciphertext);
-        self.biguint(&doc.encrypted_key);
-    }
-
-    fn cache_report(&mut self, report: &CacheReport) {
-        self.u64(report.shard_hits);
-        self.u64(report.shard_misses);
-        self.u64(report.saved_comparisons);
-        self.u8(report.served_from_cache as u8);
-    }
-
-    fn search_reply(&mut self, reply: &SearchReply) {
-        self.u32(reply.matches.len() as u32);
-        for m in &reply.matches {
-            self.u64(m.document_id);
-            self.u32(m.rank);
-            self.u16(m.metadata.len() as u16);
-            for level in &m.metadata {
-                self.bitindex(level);
-            }
-        }
-        self.cache_report(&reply.cache);
-    }
-
-    fn metrics_snapshot(&mut self, snapshot: &MetricsSnapshot) {
-        self.u8(snapshot.level as u8);
-        self.u32(snapshot.counters.len() as u32);
-        for (name, value) in &snapshot.counters {
-            self.string(name);
-            self.u64(*value);
-        }
-        self.u32(snapshot.gauges.len() as u32);
-        for (name, value) in &snapshot.gauges {
-            self.string(name);
-            self.u64(*value);
-        }
-        self.u32(snapshot.histograms.len() as u32);
-        for h in &snapshot.histograms {
-            self.string(&h.stage);
-            self.u64(h.count);
-            self.u64(h.sum_ns);
-            self.u32(h.buckets.len() as u32);
-            for b in &h.buckets {
-                self.u64(*b);
-            }
-        }
-        self.u32(snapshot.values.len() as u32);
-        for v in &snapshot.values {
-            self.string(&v.series);
-            self.u64(v.count);
-            self.u64(v.sum);
-            self.u32(v.buckets.len() as u32);
-            for b in &v.buckets {
-                self.u64(*b);
-            }
-        }
-        self.u32(snapshot.lanes.len() as u32);
-        for lane in &snapshot.lanes {
-            self.u32(lane.lane);
-            self.u64(lane.executed);
-            self.u64(lane.stolen);
-            self.u64(lane.failed_steals);
-            self.u64(lane.idle_polls);
-        }
-        self.u32(snapshot.shard_caches.len() as u32);
-        for shard in &snapshot.shard_caches {
-            self.u32(shard.shard);
-            self.u64(shard.hits);
-            self.u64(shard.misses);
-            self.u64(shard.invalidations);
-        }
-        self.u32(snapshot.connections.len() as u32);
-        for conn in &snapshot.connections {
-            self.u32(conn.connection);
-            self.u64(conn.frames_in);
-            self.u64(conn.frames_out);
-            self.u64(conn.bytes_in);
-            self.u64(conn.bytes_out);
-        }
-    }
-
-    fn counters(&mut self, c: &OperationCounters) {
-        self.u64(c.hashes);
-        self.u64(c.bitwise_products);
-        self.u64(c.modular_exponentiations);
-        self.u64(c.modular_multiplications);
-        self.u64(c.symmetric_encryptions);
-        self.u64(c.symmetric_decryptions);
-        self.u64(c.binary_comparisons);
-        self.u64(c.comparisons_saved_by_cache);
-        self.u64(c.cache_served_replies);
-        self.u64(c.requests_served);
+    /// A length or count prefix of width `N`. Encode-side only, like
+    /// `finish`: a section its own prefix cannot describe fails loudly here
+    /// instead of wrapping into a corrupt stream.
+    fn count<N: Wire + TryFrom<usize>>(&mut self, len: usize) {
+        let n = N::try_from(len).ok();
+        n.expect("section exceeds its length prefix; split the request")
+            .put(self);
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+/// The bytes not yet taken.
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    /// The only place bytes leave the buffer: `len` is held against what is
+    /// actually left, whoever claimed it.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
+        let (taken, rest) = self.0.split_at_checked(len).ok_or(CodecError::Truncated)?;
+        self.0 = rest;
+        Ok(taken)
     }
 
-    fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < len {
-            return Err(CodecError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
+    /// `N` bytes as an array, for the fixed-width integers.
+    fn le<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        // `take(N)` is N bytes long or an error, so the conversion always
+        // succeeds; mapping its error keeps this path free of any panic.
+        self.take(N)?.try_into().map_err(|_| CodecError::Truncated)
+    }
+
+    /// A length or count prefix of width `N`.
+    fn count<N: Wire + TryInto<usize>>(&mut self) -> Result<usize, CodecError> {
+        let n = N::take(self)?.try_into();
+        n.map_err(|_| CodecError::Malformed("count exceeds usize".to_string()))
+    }
+
+    /// `count u32 | bytes`, borrowed.
+    fn section(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.count::<u32>()?;
+        self.take(len)
     }
 
     fn expect_end(&self) -> Result<(), CodecError> {
-        if self.pos != self.buf.len() {
-            return Err(CodecError::Malformed(format!(
-                "{} trailing bytes after the envelope body",
-                self.buf.len() - self.pos
-            )));
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(CodecError::Malformed(format!(
+                "{n} trailing bytes after the envelope body"
+            ))),
         }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CodecError::Malformed(format!("boolean byte {other}"))),
-        }
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(CodecError::Malformed(format!("option tag {other}"))),
-        }
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let bytes = self.bytes()?;
-        String::from_utf8(bytes).map_err(|_| CodecError::Malformed("non-UTF-8 string".to_string()))
-    }
-
-    fn bitindex(&mut self) -> Result<BitIndex, CodecError> {
-        let bits = self.u32()? as usize;
-        if bits == 0 {
-            return Err(CodecError::Malformed("zero-length bit index".to_string()));
-        }
-        let bytes = self.take(bits.div_ceil(8))?;
-        Ok(BitIndex::from_bytes(bytes, bits))
-    }
-
-    fn biguint(&mut self) -> Result<BigUint, CodecError> {
-        let bytes = self.bytes()?;
-        Ok(BigUint::from_bytes_be(&bytes))
-    }
-
-    fn ranked_index(&mut self) -> Result<RankedDocumentIndex, CodecError> {
-        let document_id = self.u64()?;
-        let n = self.u16()? as usize;
-        let mut levels = Vec::new();
-        for _ in 0..n {
-            levels.push(self.bitindex()?);
-        }
-        Ok(RankedDocumentIndex {
-            document_id,
-            levels,
-        })
-    }
-
-    fn transfer(&mut self) -> Result<EncryptedDocumentTransfer, CodecError> {
-        Ok(EncryptedDocumentTransfer {
-            document_id: self.u64()?,
-            ciphertext: self.bytes()?,
-            encrypted_key: self.biguint()?,
-        })
-    }
-
-    fn metrics_snapshot(&mut self) -> Result<MetricsSnapshot, CodecError> {
-        let level_byte = self.u8()?;
-        let level = TelemetryLevel::from_u8(level_byte)
-            .ok_or_else(|| CodecError::Malformed(format!("telemetry level byte {level_byte}")))?;
-        let n = self.u32()? as usize;
-        let mut counters = Vec::new();
-        for _ in 0..n {
-            counters.push((self.string()?, self.u64()?));
-        }
-        let n = self.u32()? as usize;
-        let mut gauges = Vec::new();
-        for _ in 0..n {
-            gauges.push((self.string()?, self.u64()?));
-        }
-        let n = self.u32()? as usize;
-        let mut histograms = Vec::new();
-        for _ in 0..n {
-            let stage = self.string()?;
-            let count = self.u64()?;
-            let sum_ns = self.u64()?;
-            let b = self.u32()? as usize;
-            let mut buckets = Vec::new();
-            for _ in 0..b {
-                buckets.push(self.u64()?);
-            }
-            histograms.push(HistogramSnapshot {
-                stage,
-                count,
-                sum_ns,
-                buckets,
-            });
-        }
-        let n = self.u32()? as usize;
-        let mut values = Vec::new();
-        for _ in 0..n {
-            let series = self.string()?;
-            let count = self.u64()?;
-            let sum = self.u64()?;
-            let b = self.u32()? as usize;
-            let mut buckets = Vec::new();
-            for _ in 0..b {
-                buckets.push(self.u64()?);
-            }
-            values.push(ValueHistogramSnapshot {
-                series,
-                count,
-                sum,
-                buckets,
-            });
-        }
-        let n = self.u32()? as usize;
-        let mut lanes = Vec::new();
-        for _ in 0..n {
-            lanes.push(LaneSnapshot {
-                lane: self.u32()?,
-                executed: self.u64()?,
-                stolen: self.u64()?,
-                failed_steals: self.u64()?,
-                idle_polls: self.u64()?,
-            });
-        }
-        let n = self.u32()? as usize;
-        let mut shard_caches = Vec::new();
-        for _ in 0..n {
-            shard_caches.push(ShardCacheSnapshot {
-                shard: self.u32()?,
-                hits: self.u64()?,
-                misses: self.u64()?,
-                invalidations: self.u64()?,
-            });
-        }
-        let n = self.u32()? as usize;
-        let mut connections = Vec::new();
-        for _ in 0..n {
-            connections.push(ConnectionSnapshot {
-                connection: self.u32()?,
-                frames_in: self.u64()?,
-                frames_out: self.u64()?,
-                bytes_in: self.u64()?,
-                bytes_out: self.u64()?,
-            });
-        }
-        Ok(MetricsSnapshot {
-            level,
-            counters,
-            gauges,
-            histograms,
-            values,
-            lanes,
-            shard_caches,
-            connections,
-        })
-    }
-
-    fn cache_report(&mut self) -> Result<CacheReport, CodecError> {
-        Ok(CacheReport {
-            shard_hits: self.u64()?,
-            shard_misses: self.u64()?,
-            saved_comparisons: self.u64()?,
-            served_from_cache: self.bool()?,
-        })
-    }
-
-    fn search_reply(&mut self) -> Result<SearchReply, CodecError> {
-        let n = self.u32()? as usize;
-        let mut matches = Vec::new();
-        for _ in 0..n {
-            let document_id = self.u64()?;
-            let rank = self.u32()?;
-            let levels = self.u16()? as usize;
-            let mut metadata = Vec::new();
-            for _ in 0..levels {
-                metadata.push(self.bitindex()?);
-            }
-            matches.push(SearchResultEntry {
-                document_id,
-                rank,
-                metadata,
-            });
-        }
-        let cache = self.cache_report()?;
-        Ok(SearchReply { matches, cache })
-    }
-
-    fn counters(&mut self) -> Result<OperationCounters, CodecError> {
-        Ok(OperationCounters {
-            hashes: self.u64()?,
-            bitwise_products: self.u64()?,
-            modular_exponentiations: self.u64()?,
-            modular_multiplications: self.u64()?,
-            symmetric_encryptions: self.u64()?,
-            symmetric_decryptions: self.u64()?,
-            binary_comparisons: self.u64()?,
-            comparisons_saved_by_cache: self.u64()?,
-            cache_served_replies: self.u64()?,
-            requests_served: self.u64()?,
-        })
     }
 }
 

@@ -213,7 +213,12 @@
 //!   replies by id out of order. Because every exchange crosses the codec, the
 //!   `CostLedger` records measured framed wire bytes next to the analytic
 //!   Table 1 bits, and a direct `Service::call` returns the same bytes the
-//!   codec carries (`tests/envelope_equivalence.rs`).
+//!   codec carries (`tests/envelope_equivalence.rs`). The codec states every
+//!   layout **once** — one table row per message struct and per enum variant,
+//!   both directions derived from it — and it is the first code an untrusted
+//!   peer's bytes reach: nothing a peer can send panics a decoder or a service,
+//!   and a query of the wrong length is answered a typed `IndexSizeMismatch` at
+//!   the front door instead of reaching a scan kernel (`tests/hostile_bytes.rs`).
 //! * **Transport / batcher** ([`net`]): the [`net::Hub`] owns a `Service` on a
 //!   single dispatcher thread and accepts any number of concurrent connections
 //!   (TCP via `bind_tcp`, or deterministic in-process [`net::MemoryLink`]s via
