@@ -11,7 +11,7 @@
 //!   fixed query pool, served with the cache off and on at several capacities.
 //!   Results are asserted byte-identical before timing, and the hit/miss counts of
 //!   the cached runs are printed afterwards;
-//! * a **layout sweep** (`fig4b_scan_layout`): the PR-3 AoS scan vs the block-major
+//! * a **layout sweep** (`fig4b_scan_layout`): the PR-3 AoS scan vs the bit-sliced
 //!   scan plane on a 64k-document r = 448 store, single-thread head-to-head plus
 //!   plane-backed shard counts 1/2/4, with every configuration recorded in the
 //!   machine-readable `BENCH_scan.json` at the workspace root (committed per PR as
@@ -279,6 +279,12 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
+/// What every record this bench writes states beside its timings: the engine's
+/// lanes follow the host's cores, so a number means nothing without them.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Mean wall-clock ns of `routine` over one calibrated window of `budget_ms`
 /// (one warm-up call first). In `--test` smoke runs the routine executes once
 /// and 0 is returned.
@@ -329,7 +335,7 @@ fn measure_ns_pair<OA, OB>(
 }
 
 /// Layout sweep: the PR-3 AoS scan (one heap `BitIndex` per level per document,
-/// pointer-chased by `scan_ranked`) against the block-major scan plane, on a
+/// pointer-chased by `scan_ranked`) against the bit-sliced scan plane, on a
 /// 64k-document r = 448 store — the σ·r comparison workload of Figure 4(b) at
 /// production scale. Single-thread kernels are timed head-to-head, then the
 /// plane-backed engine at shard counts 1/2/4. Results are asserted byte-identical
@@ -476,8 +482,9 @@ fn bench_scan_layout(_c: &mut Criterion) {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"fig4b_scan_layout\",\n  \"docs\": {LAYOUT_DOCS},\n  \"r\": {r},\n  \
-         \"eta\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+         \"eta\": {},\n  \"host_cores\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
         fixture.params.rank_levels(),
+        host_cores(),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
@@ -487,13 +494,14 @@ fn bench_scan_layout(_c: &mut Criterion) {
     }
 }
 
-/// Batch-depth sweep: the fused multi-query sweep
-/// (`ScanPlane::scan_ranked_batch`, reached through
-/// `SearchEngine::search_batch_with_stats`) against per-query execution of the
-/// same workload, at batch depths 1/4/16/64 on the 64k-document r = 448 store.
-/// Per-query execution streams the whole arena once per query; the fused sweep
-/// streams it once per batch, so the gap is the memory-traffic amortization the
-/// batch kernel exists for (target: ≥3× per-query throughput at depth 16).
+/// Batch-depth sweep: one `SearchEngine::search_batch_with_stats` call
+/// (`fused`: one `ScanPlane::scan_ranked_batch` pass per scan unit, chunk-major
+/// with the queries inside) against per-query execution of the same workload,
+/// at batch depths 1/4/16/64 on the 64k-document r = 448 store. The plane runs
+/// the same sweep either way — a query reads a few bitmap rows per chunk, so
+/// there is no memory traffic left for batching to amortise — and what the
+/// `fused` rows still save is above it: one dispatch, one lane hand-off and one
+/// merge per batch instead of per query.
 /// Results are asserted byte-identical before timing, and every configuration is
 /// written to `BENCH_batch.json` at the workspace root — committed per PR like
 /// `BENCH_scan.json`; smoke runs (`--test`) never overwrite it.
@@ -539,8 +547,8 @@ fn bench_batch_sweep(_c: &mut Criterion) {
     let mut engine = SearchEngine::sharded(fixture.params.clone(), 1);
     engine.insert_all(indices.iter().cloned()).expect("upload");
 
-    // Equivalence before timing: the fused sweep is an execution-order change
-    // only — byte-identical matches, ranks, order and per-query stats.
+    // Equivalence before timing: a batch is an execution-order change only —
+    // byte-identical matches, ranks, order and per-query stats.
     let expected: Vec<_> = queries
         .iter()
         .map(|q| engine.search_ranked_with_stats(q))
@@ -603,8 +611,9 @@ fn bench_batch_sweep(_c: &mut Criterion) {
     }
     let json = format!(
         "{{\n  \"bench\": \"fig4b_batch_sweep\",\n  \"docs\": {BATCH_DOCS},\n  \"r\": {r},\n  \
-         \"eta\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+         \"eta\": {},\n  \"host_cores\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
         fixture.params.rank_levels(),
+        host_cores(),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
@@ -725,8 +734,9 @@ fn bench_obs_overhead(_c: &mut Criterion) {
 
     let json = format!(
         "{{\n  \"bench\": \"fig4b_obs_overhead\",\n  \"docs\": {OBS_DOCS},\n  \"r\": {r},\n  \
-         \"eta\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+         \"eta\": {},\n  \"host_cores\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
         fixture.params.rank_levels(),
+        host_cores(),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");

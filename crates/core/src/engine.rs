@@ -6,11 +6,11 @@
 //! the calling thread) when the host has more than one core. Semantics are
 //! **bit-for-bit identical** to the sequential reference scan ([`crate::search::CloudIndex`]):
 //!
-//! * per-shard scans sweep the shard's block-major [`crate::scanplane::ScanPlane`]
-//!   — contiguous, query-pruned columns instead of per-document pointer chasing —
-//!   and produce the matches, scan order and [`SearchStats`] of the reference's
-//!   [`crate::search::scan_ranked`] loop (r-bit comparison counts are unchanged:
-//!   block pruning happens *inside* one r-bit comparison);
+//! * per-shard scans sweep the shard's bit-sliced [`crate::scanplane::ScanPlane`]
+//!   — a few bitmap rows per 1,024 documents instead of per-document pointer
+//!   chasing — and produce the matches, scan order and [`SearchStats`] of the
+//!   reference's [`crate::search::scan_ranked`] loop (r-bit comparison counts
+//!   are unchanged: row skipping happens *inside* one r-bit comparison);
 //! * merged ranked results are sorted by descending rank, ties broken by ascending
 //!   document id — a total order, so the merged list is unique and equals the
 //!   sequential sort;
@@ -46,8 +46,8 @@
 //!   serializing whole shards behind one lane, and a host with more lanes than
 //!   shards splits single shards across lanes instead of idling;
 //! * with a single lane a unit is the **whole shard**: with nobody to steal
-//!   from, splitting buys nothing and costs per-range setup (active-block
-//!   lists, result buffers). Unranked search and metadata always run
+//!   from, splitting buys nothing and costs per-range setup (result
+//!   buffers). Unranked search and metadata always run
 //!   whole-shard units.
 //!
 //! The lanes' worker threads are not the engine's: every engine of a process
@@ -551,11 +551,10 @@ impl<S: IndexStore> SearchEngine<S> {
             .collect()
     }
 
-    /// One unit's **fused** ranked scan of a query set: the shard's block-major
-    /// [`ScanPlane`] streams the unit's chunks once for all queries —
-    /// contiguous, query-pruned, vectorizer-friendly columns instead of
-    /// per-document pointer chasing (a one-query set short-circuits to the
-    /// single-query kernel inside the plane). The output is aligned with
+    /// One unit's ranked scan of a query set: the shard's bit-sliced
+    /// [`ScanPlane`] sweeps the unit's chunks once, chunk-major with the
+    /// queries inside — each query ORs the few bitmap rows it selects per
+    /// chunk instead of per-document pointer chasing. The output is aligned with
     /// `queries` and bit-for-bit what [`crate::search::scan_ranked`] returns
     /// over the unit's documents — same matches, same scan order, same
     /// [`SearchStats`] (the equivalence suite and
@@ -640,7 +639,7 @@ impl<S: IndexStore> SearchEngine<S> {
         let per_shard = self.run_units(&units, |unit| {
             let shard = unit.shard;
             let docs = self.store.shard_documents(shard);
-            // The plane answers "which slots match" with a pruned column sweep;
+            // The plane answers "which slots match" from its level-1 rows;
             // the extraction still reads the authoritative AoS documents.
             self.planes[shard]
                 .matching_slots(query.bits())
@@ -790,8 +789,8 @@ impl<S: IndexStore> SearchEngine<S> {
     /// [`QueryFingerprint`]s are scanned once (the first occurrence is the
     /// representative; every duplicate position receives a copy of its reply),
     /// and each shard worker receives its whole remaining query set in one
-    /// fused [`crate::scanplane::ScanPlane::scan_ranked_batch`] pass — the
-    /// shard's arena crosses the memory bus once per batch, not once per query.
+    /// [`crate::scanplane::ScanPlane::scan_ranked_batch`] pass — one lane
+    /// hand-off and one merge per batch, not per query.
     /// With the cache enabled, each shard scans exactly the unique queries that
     /// missed it (fully cached queries trigger no scan at all), and duplicates
     /// are resolved through real cache lookups against what the representative

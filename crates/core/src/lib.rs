@@ -17,10 +17,11 @@
 //! (one shard is the contiguous case), and the [`engine`] module executes single,
 //! batched and top-k ranked queries across shards in parallel with results that are
 //! bit-for-bit identical to the sequential [`search::CloudIndex`] reference scan.
-//! Each shard's hot loop runs on the [`scanplane`] module's block-major
-//! [`scanplane::ScanPlane`] — a bit-sliced contiguous arena the store maintains on
-//! insert, swept column-by-column with query-aware block pruning (blocks where the
-//! query is all-ones can reject nothing and are skipped for the whole shard) —
+//! Each shard's hot loop runs on the [`scanplane`] module's bit-sliced
+//! [`scanplane::ScanPlane`] — one bitmap row per index bit per 1,024-document chunk,
+//! which the engine appends to on insert; a query ORs only the rows where it has a
+//! zero and some document of the chunk has a one (a row nobody sets can reject
+//! nothing and is never read) —
 //! while the AoS documents remain the authoritative copy and the reference scan.
 //! The [`cache`] module adds an optional per-shard, generation-invalidated result
 //! cache on top: repeated query indices (the search pattern the server observes
@@ -81,6 +82,7 @@ pub mod params;
 pub mod persistence;
 pub mod query;
 pub mod rotation;
+#[forbid(unsafe_code)]
 pub mod scanplane;
 pub mod search;
 pub mod storage;

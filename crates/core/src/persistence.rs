@@ -8,7 +8,7 @@
 //! needs.
 //!
 //! Snapshots capture **only** the stored indices — exactly what an
-//! [`IndexStore`] holds. The result cache and the block-major
+//! [`IndexStore`] holds. The result cache and the bit-sliced
 //! [`crate::scanplane::ScanPlane`]s are derived state owned by
 //! [`crate::engine::SearchEngine`] and are never serialized: the byte format is
 //! **layout-independent** (insertion order, one document at a time). A bare store

@@ -1,24 +1,37 @@
-//! The block-major **scan plane**: a bit-sliced, contiguous arena for the server's
-//! hottest loop.
+//! The bit-sliced **scan plane**: one bitmap row per index bit, so a query reads
+//! only the rows that can reject something.
 //!
 //! The paper's server cost is dominated by Eq. (3)/Algorithm 1: σ r-bit comparisons
 //! per query. The storage layer keeps one heap-allocated [`crate::bitindex::BitIndex`]
 //! per level per document, so the reference scan ([`crate::search::scan_ranked`])
 //! chases two pointers per document over scattered allocations. A [`ScanPlane`]
-//! re-packs the same bits for linear sweeps:
+//! transposes the same η·r bits per document, [`CHUNK`] documents at a time:
 //!
-//! * **Level-1 arena** (`base`): one contiguous `Vec<u64>`, laid out block-major
-//!   within fixed-size chunks of [`CHUNK`] documents — column `b` of a chunk holds
-//!   64-bit block `b` of every document in the chunk, documents in slot order. A
-//!   query sweeps one column at a time over memory the prefetcher can stream, and
-//!   appending a document touches exactly η·⌈r/64⌉ words (no re-layout).
-//! * **Upper-level arena** (`upper`): levels 2..η packed document-major, walked
-//!   only for the (few) documents that matched level 1 — Algorithm 1's rank walk.
-//! * **Query-aware block pruning**: the matching predicate is
-//!   `doc AND NOT query == 0`. Any block where the query is all-ones contributes
-//!   nothing (`NOT query == 0`), so it is skipped *for the whole shard*. Only the
-//!   query's **active blocks** — those with at least one zero among the valid `r`
-//!   bits — are swept.
+//! * **Rows** (`rows`): per chunk, per level, per index bit one [`CHUNK`]-bit
+//!   bitmap — bit `i` of row `(chunk, level, bit)` is that index bit of the
+//!   chunk's document `i`. The matching predicate is `doc AND NOT query == 0`, so
+//!   a document is rejected at a level exactly when it has a one in some row
+//!   where the query has a zero: the level's **reject bitmap** for a chunk is
+//!   the OR of those rows, 1,024 documents per 16-word row.
+//! * **Live masks** (`live`): per chunk and level the OR of every index pushed
+//!   there — which rows hold any one at all. A row that is dead in a chunk
+//!   rejects nobody in it and is not read. Under the §6 randomization this is
+//!   most rows: every document folds all U fake keywords into every level, so
+//!   the majority of the r bit positions are zero across the whole corpus, a
+//!   query's V fake keywords put all their zeros there, and only the handful of
+//!   zeros its genuine keywords own select a row (~5 of ~179 for a two-keyword
+//!   query at the paper's parameters). The sweep reads the rows selected by
+//!   `!query & live` and nothing else. Appending a document sets one bit per
+//!   one-bit of its index, and a chunk's rows are one allocation made when the
+//!   chunk opens — no re-layout, and a growing plane never copies a row.
+//! * **All levels are rows.** Algorithm 1 walks level ℓ+1 only for a document
+//!   that matched level ℓ; on bitmaps that is the same OR restricted to the
+//!   survivors, evaluated only for a chunk that still has one. A chunk with
+//!   matches costs a few rows per level instead of a random read per match, and
+//!   the plane needs no second, document-major copy of the upper levels.
+//! * **Valid slots.** The unfilled tail of the last chunk is all-zero rows, which
+//!   no query rejects; every sweep starts from the chunk's valid-slots bitmap
+//!   (its first `docs` bits), so a slot nobody pushed never matches.
 //!
 //! **Ownership**: a plane is derived state with one owner.
 //! [`crate::engine::SearchEngine`] keeps one per shard beside its result cache and
@@ -27,63 +40,53 @@
 //! a plane, so a holder that does not scan does not pay for one.
 //!
 //! Semantics are **bit-for-bit identical** to the reference scan: matches come back
-//! in slot (scan) order with the same ranks, and [`SearchStats`] counts whole r-bit
-//! comparisons exactly as the reference does — block pruning happens *inside* one
-//! r-bit comparison and never changes the count (level 1 contributes one comparison
-//! per stored document; each upper level walked contributes one more, failing level
-//! included).
+//! in slot (scan) order — the set bits of the level-1 survivor bitmap, ascending —
+//! and a match's rank is the number of levels whose (nested) survivor bitmaps hold
+//! its slot. [`SearchStats`] counts whole r-bit comparisons exactly as the
+//! reference does, read off the same bitmaps: one per stored document for level 1,
+//! plus `popcount(survivors of level ℓ)` for every level ℓ+1 the reference would
+//! have walked (each survivor of level ℓ is compared once more, failing level
+//! included). Skipping a dead row happens *inside* one r-bit comparison and never
+//! changes the count.
 //!
-//! **Fused multi-query sweeps**: [`ScanPlane::scan_ranked_batch`] evaluates a
-//! whole batch of queries against each 1024-document chunk while its columns are
-//! hot. A single-query sweep is bandwidth-bound — every r-bit column word is
-//! fetched from DRAM, used once, and evicted before the next query arrives — so a
-//! b-query batch executed query-at-a-time pays b full passes over the same arena.
-//! The fused kernel inverts the loop nest (chunk-major outside, query inside, the
-//! column-at-a-time discipline of vectorized engines): chunk `c`'s columns are
-//! streamed from memory once, every query's active blocks are tested against them
-//! into a query-major reject-accumulator matrix (one [`CHUNK`]-word row per
-//! query), and only then does the sweep advance to chunk `c + 1`. The arena
-//! crosses the memory bus once per batch instead of once per query; the per-query
-//! work (identical word count, identical unrolled kernels) becomes compute-bound.
-//! Upper levels are still walked doc-major, per query, only on match.
+//! **One sweep.** [`ScanPlane::scan_ranked_batch_chunks`] is the sweep: chunk-major
+//! over a range of chunks with the queries inside, so a chunk's live masks and rows
+//! are visited by the whole batch while they are hot; every other ranked entry
+//! point is that call with one query or the whole plane. The chunk ranges are the
+//! work units of the engine's work-stealing scheduler: chunks are swept
+//! independently in ascending order, level 1 counts one comparison per document in
+//! range and every further count is per surviving slot, so a partition's matches
+//! concatenate and its [`SearchStats`] sum to the whole-shard result byte for byte.
 //!
-//! **Chunk-range entry points**: every scan has a range-restricted form
-//! ([`ScanPlane::scan_ranked_chunks`], [`ScanPlane::scan_ranked_batch_chunks`])
-//! that sweeps only `chunks.start..chunks.end` of the plane's [`CHUNK`]-document
-//! chunks. These are the work units of the engine's work-stealing scheduler: a
-//! shard's plane is carved into fixed-size chunk ranges, each range is scanned
-//! independently (same active-block pruning, same fused register tiles — the
-//! pruning work is per-query, not per-range, and a range's sweep is exactly the
-//! full sweep's iterations over those chunks), and the per-range results
-//! concatenate back — matches in slot order, [`SearchStats`] summed — to the
-//! byte-identical whole-shard result, because the full scan already processes
-//! chunks independently in ascending order and counts one level-1 comparison
-//! per stored document (ranges partition the documents) plus one per upper
-//! level walked (walks are per-matching-slot, which ranges partition too).
-//!
-//! **Leakage note (§6)**: pruning is a function of the query index bytes alone —
-//! which the server already holds — plus the public geometry `r`. It reveals
-//! nothing beyond the search-pattern observation the paper's §6 adversary is
-//! already granted; the per-document work it skips is data-independent (the same
-//! blocks are skipped for every document in the shard). The same holds for the
-//! fused batch sweep: it reads exactly the query bytes and public geometry the
-//! server already observes for b sequential queries — batching changes the
-//! *order* of memory accesses, never what is observed.
+//! **Leakage note (§6)**: which rows a sweep reads is a function of the query
+//! index bytes, the public geometry `r` and the `live` masks — i.e. of the *stored
+//! indices* as well as the query. Both are bytes the server already holds; nothing
+//! is derived from keys or plaintext, and a dead row is exactly what a curious
+//! server can already count for itself (a bit position no stored index sets). The
+//! skip is the same for every document of a chunk, and evaluating an upper level
+//! only where level 1 left a survivor follows the match result the server computes
+//! anyway — Algorithm 1's own walk. Batching changes the *order* of memory
+//! accesses, never what is observed.
 
 use crate::bitindex::BitIndex;
 use crate::document_index::RankedDocumentIndex;
 use crate::search::{SearchMatch, SearchStats};
-use std::cell::RefCell;
+use std::ops::Range;
 
-/// Documents per block-major chunk. With the paper's r = 448 (7 blocks) a chunk's
-/// columns span 56 KiB — resident in L2 while its 8 KiB reject accumulator stays
-/// in L1 — and appending never moves previously packed blocks.
+/// Documents per chunk: the width of a bitmap row, and the grid the engine's
+/// scan units are carved on. Appending never moves previously set bits.
 pub const CHUNK: usize = 1024;
 
-/// A per-shard, block-major (bit-sliced) copy of the shard's document indices —
-/// derived state, built, appended and swept by [`crate::engine::SearchEngine`]
-/// alone (the store holds the documents, never a plane). See the
-/// [module docs](self) for the layout.
+/// One bit per document of a chunk, slot `i` at bit `i % 64` of word `i / 64`.
+type Bitmap = [u64; CHUNK / 64];
+
+/// The bitmap of no document.
+const NONE: Bitmap = [0; CHUNK / 64];
+
+/// A per-shard, bit-sliced copy of the shard's document indices — derived
+/// state, built, appended and swept by [`crate::engine::SearchEngine`] alone (the
+/// store holds the documents, never a plane). See the [module docs](self) for
+/// the layout.
 #[derive(Clone, Debug, Default)]
 pub struct ScanPlane {
     /// Bits per level (r). Zero until the first document is packed.
@@ -94,55 +97,38 @@ pub struct ScanPlane {
     blocks: usize,
     /// Document id of every slot, in slot order.
     ids: Vec<u64>,
-    /// Level-1 blocks, chunked block-major:
-    /// `base[chunk·CHUNK·blocks + b·CHUNK + i]` is block `b` of slot `chunk·CHUNK + i`.
-    base: Vec<u64>,
-    /// Levels 2..η, document-major:
-    /// `upper[(slot·(η−1) + lvl)·blocks + b]` is block `b` of level `lvl + 2` of `slot`.
-    upper: Vec<u64>,
+    /// Rows and live masks, [`CHUNK`] slots at a time.
+    chunks: Vec<Chunk>,
 }
 
-/// One active column of a query: the block position and the query's negated
-/// (zero-selecting) word there, already masked to the valid `r` bits.
-type ActiveBlock = (usize, u64);
-
-/// Reusable per-worker scan buffers: the active-block lists (flattened, one span
-/// per query) and the reject-accumulator matrix (one [`CHUNK`]-word row per
-/// query). Scans used to allocate a fresh active-block `Vec` per query and —
-/// in the batch path — an accumulator per query per pass; the engine's scan
-/// lanes are persistent threads, so one thread-local scratch per worker turns
-/// every scan after the first into an allocation-free sweep (visible on the
-/// b = 1 profile too).
-#[derive(Default)]
-struct ScanScratch {
-    /// Every query's active blocks, back to back.
-    active: Vec<ActiveBlock>,
-    /// Per-query spans into `active`: query `q` owns `active[ranges[q].0..ranges[q].1]`.
-    ranges: Vec<(usize, usize)>,
-    /// Query-major reject-accumulator matrix: row `q` is `acc[q·CHUNK..(q+1)·CHUNK]`.
-    acc: Vec<u64>,
-    /// Per-group fused active lists (the union of each [`GROUP`]-query group's
-    /// active blocks, inactive lanes zero-padded), back to back. Each lane's
-    /// negated word is stored **pre-broadcast** (four copies) so the kernel's
-    /// AND folds a plain vector load instead of re-broadcasting per strip.
-    unions: Vec<(usize, GroupNq)>,
-    /// Per-group spans into `unions`.
-    union_ranges: Vec<(usize, usize)>,
-    /// Per-query match-summary bitmaps for the chunk being swept (one bit per
-    /// strip), written by the kernel while the tile is register-resident.
-    summaries: Vec<MatchSummary>,
+/// The bits of [`CHUNK`] consecutive slots — allocated once, when the first of
+/// them is pushed, and never moved (a plane grows without copying its rows).
+#[derive(Clone, Debug)]
+struct Chunk {
+    /// `rows[level·r + bit]`: which documents of the chunk have index bit `bit`
+    /// set at `level`.
+    rows: Box<[Bitmap]>,
+    /// `live[level·blocks + b]`: the OR of block `b` of every index pushed to
+    /// the chunk at `level` — bit `j` set iff row `64·b + j` holds a one. Never
+    /// has a bit at or beyond `r` ([`BitIndex`] masks its tail), so
+    /// `!query & live` cannot select a row that does not exist.
+    live: Box<[u64]>,
 }
 
-thread_local! {
-    /// One scratch per thread — i.e. one per persistent engine scan lane.
-    static SCRATCH: RefCell<ScanScratch> = RefCell::new(ScanScratch::default());
+/// The positions of a word's one-bits, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
 }
 
-/// Run `f` with the calling thread's scan scratch. Scans never nest (the plane
-/// never calls back into itself while the scratch is borrowed), so the borrow is
-/// always free.
-fn with_scratch<T>(f: impl FnOnce(&mut ScanScratch) -> T) -> T {
-    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+/// How many documents a bitmap holds.
+fn count(bitmap: &Bitmap) -> u64 {
+    bitmap.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 impl ScanPlane {
@@ -171,29 +157,19 @@ impl ScanPlane {
 
     /// Clamp a chunk range to the plane's grid (empty stays empty, and
     /// `start > end` collapses to empty).
-    fn clamp_chunks(&self, chunks: std::ops::Range<usize>) -> std::ops::Range<usize> {
+    fn clamp_chunks(&self, chunks: Range<usize>) -> Range<usize> {
         let n = self.num_chunks();
         let start = chunks.start.min(n);
         start..chunks.end.clamp(start, n)
     }
 
-    /// Documents covered by an (already clamped) chunk range.
-    fn docs_in(&self, chunks: &std::ops::Range<usize>) -> usize {
-        if chunks.is_empty() {
-            0
-        } else {
-            (chunks.end * CHUNK).min(self.ids.len()) - chunks.start * CHUNK
-        }
-    }
-
-    /// Documents a chunk range covers, after clamping it to the plane's grid —
-    /// the public form of the sizing the chunk-range scans use. Telemetry
-    /// consumers divide a recorded `unit_scan` duration by this to normalize
-    /// per-unit timings to documents swept (the last chunk may be partial, so
-    /// `range.len() * CHUNK` over-counts at the plane's tail).
-    pub fn docs_in_chunks(&self, chunks: std::ops::Range<usize>) -> usize {
+    /// Documents a chunk range covers, after clamping it to the plane's grid.
+    /// Telemetry consumers divide a recorded `unit_scan` duration by this to
+    /// normalize per-unit timings to documents swept (the last chunk may be
+    /// partial, so `range.len() * CHUNK` over-counts at the plane's tail).
+    pub fn docs_in_chunks(&self, chunks: Range<usize>) -> usize {
         let chunks = self.clamp_chunks(chunks);
-        self.docs_in(&chunks)
+        (chunks.end * CHUNK).min(self.ids.len()) - (chunks.start * CHUNK).min(self.ids.len())
     }
 
     /// Bits per level (r); zero while the plane is empty.
@@ -211,9 +187,10 @@ impl ScanPlane {
         &self.ids
     }
 
-    /// Append one document's blocks to the arenas. The caller (the engine, with
-    /// an index its store just accepted) has already geometry-validated it; the
-    /// assertions here guard the arena layout itself.
+    /// Append one document: set its slot's bit in the row of every one-bit of
+    /// every level, and fold the level into the chunk's live mask. The caller
+    /// (the engine, with an index its store just accepted) has already
+    /// geometry-validated it; the assertions here guard the layout itself.
     pub fn push(&mut self, index: &RankedDocumentIndex) {
         if self.ids.is_empty() {
             self.bits = index.base_level().len();
@@ -221,125 +198,105 @@ impl ScanPlane {
             self.blocks = self.bits.div_ceil(64);
         }
         assert_eq!(index.num_levels(), self.levels, "level count mismatch");
-        assert_eq!(index.base_level().len(), self.bits, "index size mismatch");
 
         let slot = self.ids.len();
         if slot.is_multiple_of(CHUNK) {
-            // Open a fresh chunk: zero columns the tail slots never dirty.
-            self.base.resize(self.base.len() + CHUNK * self.blocks, 0);
+            // Open a fresh chunk: all-zero rows, nothing live.
+            self.chunks.push(Chunk {
+                rows: vec![NONE; self.levels * self.bits].into(),
+                live: vec![0; self.levels * self.blocks].into(),
+            });
         }
-        let chunk_off = (slot / CHUNK) * CHUNK * self.blocks;
-        let i = slot % CHUNK;
-        for (b, &block) in index.base_level().as_blocks().iter().enumerate() {
-            self.base[chunk_off + b * CHUNK + i] = block;
-        }
-        for level in index.levels.iter().skip(1) {
-            assert_eq!(level.len(), self.bits, "index size mismatch");
-            self.upper.extend_from_slice(level.as_blocks());
+        let chunk = &mut self.chunks[slot / CHUNK];
+        let (word, bit) = (slot % CHUNK / 64, 1u64 << (slot % 64));
+        for (level, index) in index.levels.iter().enumerate() {
+            assert_eq!(index.len(), self.bits, "index size mismatch");
+            let rows = &mut chunk.rows[level * self.bits..][..self.bits];
+            let live = &mut chunk.live[level * self.blocks..][..self.blocks];
+            for (b, (&block, live)) in index.as_blocks().iter().zip(live).enumerate() {
+                *live |= block;
+                for j in ones(block) {
+                    rows[b * 64 + j][word] |= bit;
+                }
+            }
         }
         self.ids.push(index.document_id);
     }
 
-    /// Append the query's active block list to `out`: every block position where
-    /// the query has at least one zero among the valid `r` bits, paired with the
-    /// negated query word (masked to valid bits). A block absent from this list
-    /// can never reject any document — `doc AND NOT query` is zero there for the
-    /// whole shard. Appending into a caller-owned buffer keeps the hot path free
-    /// of per-query allocations (see [`ScanScratch`]).
-    fn active_blocks_into(&self, query: &BitIndex, out: &mut Vec<ActiveBlock>) {
-        assert_eq!(query.len(), self.bits, "length mismatch");
-        let tail = self.bits % 64;
-        out.extend(query.as_blocks().iter().enumerate().filter_map(|(b, &q)| {
-            let valid = if tail != 0 && b == self.blocks - 1 {
-                (1u64 << tail) - 1
-            } else {
-                u64::MAX
-            };
-            let nq = !q & valid;
-            (nq != 0).then_some((b, nq))
-        }));
-    }
-
-    /// The query's active block list as an owned `Vec` (test/diagnostic helper;
-    /// the scan paths use [`ScanPlane::active_blocks_into`] with reused buffers).
-    #[cfg(test)]
-    fn active_blocks(&self, query: &BitIndex) -> Vec<ActiveBlock> {
-        let mut out = Vec::new();
-        self.active_blocks_into(query, &mut out);
-        out
-    }
-
-    /// Sweep one chunk's active columns into the reject accumulator: after the
-    /// call, `acc[i] == 0` iff document `i` of the chunk matches the query at
-    /// level 1. The first column initializes the accumulator (no pre-zeroing);
-    /// with no active columns every document matches.
-    fn sweep_chunk(&self, chunk: usize, docs: usize, active: &[ActiveBlock], acc: &mut [u64]) {
-        let cols = &self.base[chunk * CHUNK * self.blocks..];
-        match active.split_first() {
-            None => acc[..docs].fill(0),
-            Some((&(b0, nq0), rest)) => {
-                and_into(&mut acc[..docs], &cols[b0 * CHUNK..b0 * CHUNK + docs], nq0);
-                for &(b, nq) in rest {
-                    or_and_into(&mut acc[..docs], &cols[b * CHUNK..b * CHUNK + docs], nq);
-                }
-            }
-        }
-    }
-
-    /// Algorithm 1's upward walk for one matching document, on the document-major
-    /// upper arena. Counts one r-bit comparison per level walked (failing level
-    /// included), exactly like the reference loop.
-    fn walk_upper(&self, slot: usize, active: &[ActiveBlock], stats: &mut SearchStats) -> u32 {
-        let mut rank = 1u32;
-        let doc_off = slot * (self.levels - 1) * self.blocks;
-        for lvl in 0..self.levels - 1 {
-            stats.comparisons += 1;
-            let level = &self.upper[doc_off + lvl * self.blocks..doc_off + (lvl + 1) * self.blocks];
-            if active.iter().all(|&(b, nq)| level[b] & nq == 0) {
-                rank += 1;
-            } else {
-                break;
-            }
-        }
-        rank
-    }
-
-    /// The single home of the chunk-sweep protocol: prune, sweep each chunk's
-    /// active columns through the reject accumulator, and visit every matching
-    /// slot in scan order (the active list is passed along for rank walks).
-    /// Both public scans are thin consumers, so the iteration and accumulator
-    /// scheme can never diverge between the ranked and unranked paths.
-    fn for_each_matching_slot<F: FnMut(usize, &[ActiveBlock])>(&self, query: &BitIndex, visit: F) {
-        self.for_each_matching_slot_in(query, 0..self.num_chunks(), visit)
-    }
-
-    /// [`ScanPlane::for_each_matching_slot`] restricted to a chunk range: the
-    /// same pruned sweep over `chunks.start..chunks.end` only. Slots are global
-    /// (`chunk · CHUNK + i`), so range results splice back verbatim.
-    fn for_each_matching_slot_in<F: FnMut(usize, &[ActiveBlock])>(
-        &self,
-        query: &BitIndex,
-        chunks: std::ops::Range<usize>,
-        mut visit: F,
-    ) {
-        if self.ids.is_empty() || chunks.is_empty() {
-            return;
-        }
-        with_scratch(|scratch| {
-            scratch.active.clear();
-            self.active_blocks_into(query, &mut scratch.active);
-            scratch.acc.resize(CHUNK.max(scratch.acc.len()), 0);
-            let (active, acc) = (&scratch.active, &mut scratch.acc[..CHUNK]);
-            for chunk in chunks {
-                let docs = (self.ids.len() - chunk * CHUNK).min(CHUNK);
-                self.sweep_chunk(chunk, docs, active, acc);
-                for (i, &a) in acc[..docs].iter().enumerate() {
-                    if a == 0 {
-                        visit(chunk * CHUNK + i, active);
-                    }
-                }
-            }
+    /// The valid-slots bitmap of a chunk: its first `docs` bits, where `docs` is
+    /// how many documents the chunk holds ([`CHUNK`] for all but the last).
+    fn valid_slots(&self, chunk: usize) -> Bitmap {
+        let docs = (self.ids.len() - chunk * CHUNK).min(CHUNK);
+        std::array::from_fn(|w| match docs.saturating_sub(w * 64) {
+            0 => 0,
+            n if n < 64 => (1 << n) - 1,
+            _ => u64::MAX,
         })
+    }
+
+    /// The rows of one level of one chunk a query has to read: those where the
+    /// query has a zero and some document of the chunk has a one —
+    /// `!query & live`.
+    fn selected<'a>(
+        &'a self,
+        chunk: usize,
+        level: usize,
+        query: &'a BitIndex,
+    ) -> impl Iterator<Item = &'a Bitmap> {
+        let chunk = &self.chunks[chunk];
+        let rows = &chunk.rows[level * self.bits..][..self.bits];
+        let live = &chunk.live[level * self.blocks..][..self.blocks];
+        (query.as_blocks().iter().zip(live).enumerate())
+            .flat_map(move |(b, (&q, &live))| ones(!q & live).map(move |j| &rows[b * 64 + j]))
+    }
+
+    /// One level of Eq. (3) for one chunk: the slots of `alive` whose document
+    /// has no one where the query has a zero — `alive` minus the OR of the
+    /// selected rows.
+    fn survivors(&self, chunk: usize, level: usize, query: &BitIndex, mut alive: Bitmap) -> Bitmap {
+        let mut reject = NONE;
+        for row in self.selected(chunk, level, query) {
+            for (reject, row) in reject.iter_mut().zip(row) {
+                *reject |= row;
+            }
+        }
+        for (alive, reject) in alive.iter_mut().zip(reject) {
+            *alive &= !reject;
+        }
+        alive
+    }
+
+    /// Algorithm 1 for one query over one chunk, appended to `result`. `nested`
+    /// is scratch for the per-level survivor bitmaps (one per level).
+    fn sweep_chunk(
+        &self,
+        chunk: usize,
+        query: &BitIndex,
+        nested: &mut [Bitmap],
+        (matches, stats): &mut (Vec<SearchMatch>, SearchStats),
+    ) {
+        let mut alive = self.valid_slots(chunk);
+        for (level, survivors) in nested.iter_mut().enumerate() {
+            // Every slot still alive is compared at this level; a chunk with
+            // nobody left reads no row.
+            stats.comparisons += count(&alive);
+            if alive != NONE {
+                alive = self.survivors(chunk, level, query, alive);
+            }
+            *survivors = alive;
+        }
+        stats.matches += count(&nested[0]);
+        for (w, &word) in nested[0].iter().enumerate() {
+            for i in ones(word) {
+                // Survivor bitmaps are nested, so the levels holding the slot
+                // are exactly levels 1..=rank.
+                let rank = nested.iter().filter(|level| level[w] >> i & 1 == 1).count();
+                matches.push(SearchMatch {
+                    document_id: self.ids[chunk * CHUNK + w * 64 + i],
+                    rank: rank as u32,
+                });
+            }
+        }
     }
 
     /// The ranked scan of Algorithm 1 over the whole plane — the plane-backed
@@ -350,399 +307,69 @@ impl ScanPlane {
         self.scan_ranked_chunks(query, 0..self.num_chunks())
     }
 
-    /// [`ScanPlane::scan_ranked`] restricted to a chunk range — one work unit of
-    /// the engine's work-stealing scheduler. The range's sweep is exactly the
-    /// full scan's iterations over those chunks (pruning, accumulator, rank
-    /// walks), so concatenating a partition's matches in range order and summing
-    /// its [`SearchStats`] (level 1 counts one comparison per document in range)
-    /// reproduces [`ScanPlane::scan_ranked`] byte for byte. Out-of-bounds ranges
-    /// are clamped to the grid.
+    /// [`ScanPlane::scan_ranked`] restricted to a chunk range: a batch of one
+    /// through [`ScanPlane::scan_ranked_batch_chunks`].
     pub fn scan_ranked_chunks(
         &self,
         query: &BitIndex,
-        chunks: std::ops::Range<usize>,
+        chunks: Range<usize>,
     ) -> (Vec<SearchMatch>, SearchStats) {
-        let chunks = self.clamp_chunks(chunks);
-        let mut stats = SearchStats {
-            comparisons: self.docs_in(&chunks) as u64,
-            matches: 0,
-        };
-        let mut matches = Vec::new();
-        self.for_each_matching_slot_in(query, chunks, |slot, active| {
-            stats.matches += 1;
-            let rank = if self.levels > 1 {
-                self.walk_upper(slot, active, &mut stats)
-            } else {
-                1
-            };
-            matches.push(SearchMatch {
-                document_id: self.ids[slot],
-                rank,
-            });
-        });
-        (matches, stats)
+        let mut batch = self.scan_ranked_batch_chunks(&[query], chunks);
+        batch.pop().expect("one result per query")
     }
 
     /// Slots (in scan order) whose level-1 index matches the query — the
     /// plane-backed filter behind unranked search and metadata retrieval.
     pub fn matching_slots(&self, query: &BitIndex) -> Vec<usize> {
+        // An empty plane has no geometry to hold a query to.
+        assert!(
+            self.is_empty() || query.len() == self.bits,
+            "length mismatch"
+        );
         let mut slots = Vec::new();
-        self.for_each_matching_slot(query, |slot, _| slots.push(slot));
+        for chunk in 0..self.num_chunks() {
+            let matching = self.survivors(chunk, 0, query, self.valid_slots(chunk));
+            for (w, &word) in matching.iter().enumerate() {
+                slots.extend(ones(word).map(|i| chunk * CHUNK + w * 64 + i));
+            }
+        }
         slots
     }
 
-    /// The **fused multi-query sweep**: Algorithm 1 for every query of a batch in
-    /// one pass over the plane, amortizing the arena's memory traffic across the
-    /// whole batch (see the [module docs](self)).
-    ///
-    /// Each chunk's columns are streamed once; every query's active blocks are
-    /// swept against them while they are cache-hot, each query rejecting into its
-    /// own row of a query-major accumulator matrix; matching documents then walk
-    /// the doc-major upper levels per query, in slot order. The result is
-    /// **byte-identical** to `queries.len()` independent [`ScanPlane::scan_ranked`]
-    /// calls — same matches, same scan order, same per-query [`SearchStats`]
-    /// (the batch changes memory access order, not what is computed; the
-    /// release-mode proptest in `scanplane_equivalence.rs` holds it to that).
+    /// Algorithm 1 for every query of a batch over the whole plane: exactly
+    /// `queries.len()` independent [`ScanPlane::scan_ranked`] calls, swept
+    /// chunk-major (see the [module docs](self)).
     pub fn scan_ranked_batch(&self, queries: &[&BitIndex]) -> Vec<(Vec<SearchMatch>, SearchStats)> {
         self.scan_ranked_batch_chunks(queries, 0..self.num_chunks())
     }
 
-    /// [`ScanPlane::scan_ranked_batch`] restricted to a chunk range — the fused
-    /// work unit of the engine's work-stealing scheduler. Exactly the full fused
-    /// sweep's iterations over those chunks (group unions, register tiles, match
-    /// summaries, rank walks), so a partition's per-query results concatenate
-    /// and sum back to [`ScanPlane::scan_ranked_batch`] byte for byte, query by
-    /// query. Out-of-bounds ranges are clamped to the grid.
+    /// **The sweep**, and one work unit of the engine's work-stealing scheduler:
+    /// Algorithm 1 for every query over `chunks.start..chunks.end`, chunk-major
+    /// with the queries inside. A partition's per-query results concatenate (in
+    /// range order) and sum back to [`ScanPlane::scan_ranked_batch`] byte for
+    /// byte. Out-of-bounds ranges are clamped to the grid; an empty range (and
+    /// so an empty plane, whose geometry is unknown) answers every query, of any
+    /// length, with no matches and zeroed stats.
     pub fn scan_ranked_batch_chunks(
         &self,
         queries: &[&BitIndex],
-        chunks: std::ops::Range<usize>,
+        chunks: Range<usize>,
     ) -> Vec<(Vec<SearchMatch>, SearchStats)> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
+        let mut results = vec![(Vec::new(), SearchStats::default()); queries.len()];
         let chunks = self.clamp_chunks(chunks);
-        if n == 1 {
-            // A batch of one is exactly the single-query sweep; skip the group
-            // machinery (the two paths are byte-identical, this is just faster).
-            return vec![self.scan_ranked_chunks(queries[0], chunks)];
+        if chunks.is_empty() {
+            return results;
         }
-        if self.ids.is_empty() || chunks.is_empty() {
-            // Empty plane (geometry unknown; match the single-query contract for
-            // any query length) or empty range: empty matches, zeroed stats.
-            return (0..n)
-                .map(|_| (Vec::new(), SearchStats::default()))
-                .collect();
+        for query in queries {
+            assert_eq!(query.len(), self.bits, "length mismatch");
         }
-        let mut results: Vec<(Vec<SearchMatch>, SearchStats)> = (0..n)
-            .map(|_| {
-                (
-                    Vec::new(),
-                    SearchStats {
-                        comparisons: self.docs_in(&chunks) as u64,
-                        matches: 0,
-                    },
-                )
-            })
-            .collect();
-        with_scratch(|scratch| {
-            scratch.active.clear();
-            scratch.ranges.clear();
-            for query in queries {
-                let start = scratch.active.len();
-                self.active_blocks_into(query, &mut scratch.active);
-                scratch.ranges.push((start, scratch.active.len()));
+        let mut nested = vec![NONE; self.levels];
+        for chunk in chunks {
+            for (query, result) in queries.iter().zip(&mut results) {
+                self.sweep_chunk(chunk, query, &mut nested, result);
             }
-            // Fuse the per-query active lists into per-GROUP union lists: one
-            // entry per block where any lane of the group is active, inactive
-            // lanes zero-padded (`col & 0` contributes nothing, so each lane
-            // still sees exactly its own active blocks).
-            scratch.unions.clear();
-            scratch.union_ranges.clear();
-            for group in scratch.ranges.chunks(GROUP) {
-                let start = scratch.unions.len();
-                for b in 0..self.blocks {
-                    let mut nqs: GroupNq = [[0u64; 4]; GROUP];
-                    let mut any = false;
-                    for (lane, &(lo, hi)) in group.iter().enumerate() {
-                        if let Some(&(_, nq)) =
-                            scratch.active[lo..hi].iter().find(|&&(ab, _)| ab == b)
-                        {
-                            nqs[lane] = [nq; 4];
-                            any = true;
-                        }
-                    }
-                    if any {
-                        scratch.unions.push((b, nqs));
-                    }
-                }
-                scratch.union_ranges.push((start, scratch.unions.len()));
-            }
-            scratch.acc.resize((n * CHUNK).max(scratch.acc.len()), 0);
-            scratch.summaries.clear();
-            scratch.summaries.resize(n, 0);
-            for chunk in chunks {
-                let docs = (self.ids.len() - chunk * CHUNK).min(CHUNK);
-                // Sweep every query group over this chunk's columns while they
-                // are resident: one column load serves the whole group, the
-                // group's accumulator tiles live in registers, and only the
-                // first group pays the DRAM fetch — the rest hit cache.
-                let cols = &self.base[chunk * CHUNK * self.blocks..];
-                for (g, &(lo, hi)) in scratch.union_ranges.iter().enumerate() {
-                    let lanes = GROUP.min(n - g * GROUP);
-                    let union_active = &scratch.unions[lo..hi];
-                    let acc = &mut scratch.acc[g * GROUP * CHUNK..];
-                    let summary = &mut scratch.summaries[g * GROUP..];
-                    match lanes {
-                        4 => sweep_chunk_group::<4>(cols, docs, union_active, acc, summary),
-                        3 => sweep_chunk_group::<3>(cols, docs, union_active, acc, summary),
-                        2 => sweep_chunk_group::<2>(cols, docs, union_active, acc, summary),
-                        _ => sweep_chunk_group::<1>(cols, docs, union_active, acc, summary),
-                    }
-                }
-                // Then resolve matches per query, in slot order — identical to
-                // the single-query visit. Rejections dominate (a handful of
-                // matches per tens of thousands of documents), so the visit
-                // skims each row's match-summary bitmap and inspects only the
-                // strips that actually hold a match.
-                for (q, &(lo, hi)) in scratch.ranges.iter().enumerate() {
-                    let mut summary = scratch.summaries[q];
-                    if summary == 0 {
-                        continue;
-                    }
-                    let active = &scratch.active[lo..hi];
-                    let (matches, stats) = &mut results[q];
-                    let row = &scratch.acc[q * CHUNK..q * CHUNK + docs];
-                    while summary != 0 {
-                        let s = summary.trailing_zeros() as usize;
-                        summary &= summary - 1;
-                        for (j, &a) in row[s * STRIP..docs.min((s + 1) * STRIP)].iter().enumerate()
-                        {
-                            if a != 0 {
-                                continue;
-                            }
-                            let slot = chunk * CHUNK + s * STRIP + j;
-                            stats.matches += 1;
-                            let rank = if self.levels > 1 {
-                                self.walk_upper(slot, active, stats)
-                            } else {
-                                1
-                            };
-                            matches.push(SearchMatch {
-                                document_id: self.ids[slot],
-                                rank,
-                            });
-                        }
-                    }
-                }
-            }
-        });
+        }
         results
-    }
-}
-
-/// Queries per fused sweep group: each group's accumulators live in registers
-/// while a column strip is swept, so one column load serves [`GROUP`] queries.
-const GROUP: usize = 4;
-
-/// Documents per match-summary bit and per register strip of the portable fused
-/// kernel: 8 docs × 4 queries is 16 vector accumulators on AVX2 (two ymm per
-/// lane) plus the two-register column strip — spill-free, with the
-/// pre-broadcast negated words folded from memory. The AVX-512 build widens its
-/// strip to [`WIDE_STRIP`] but keeps this summary granularity.
-const STRIP: usize = 8;
-
-/// Documents per register strip of the AVX-512 kernel: a 16-doc tile is two zmm
-/// registers per lane (8 of 32 total), and each negated-word broadcast is
-/// reused for both halves — the per-strip fixed costs (broadcasts, summary,
-/// loop) amortize over twice the documents.
-const WIDE_STRIP: usize = 16;
-
-/// One group's negated query words for one block, each lane pre-broadcast to a
-/// vector-width quadruple so the kernel's AND reads it as a plain 32-byte load.
-type GroupNq = [[u64; 4]; GROUP];
-
-/// One bit per [`STRIP`] of a chunk (`CHUNK / STRIP` = 128 bits): set whenever
-/// the strip **may** contain a matching document (the kernel tests once per
-/// register tile, so the bits over-approximate at tile granularity; a zero bit
-/// is a guaranteed miss). Computed inside the sweep while the accumulator tile
-/// is register-resident, so the match-visit pass skims two words per row — and
-/// verifies the flagged strips word by word — instead of re-reading the whole
-/// 8 KiB row.
-type MatchSummary = u128;
-
-/// The fused group sweep over one chunk: `G ≤ GROUP` queries' reject rows
-/// computed in a single pass over the chunk's columns. `acc` holds the group's
-/// rows back to back with stride [`CHUNK`] (`acc[g·CHUNK + i]` is document `i`'s
-/// word for lane `g`); `union_active` lists every block where **any** lane is
-/// active, with inactive lanes' words zeroed (OR-ing `col & 0` is the identity,
-/// so per-lane pruning semantics are preserved exactly).
-///
-/// The loop nest is the point: a [`STRIP`]-document accumulator tile lives in
-/// registers across all blocks, so each column word is **loaded once for the
-/// whole group** and the accumulators never round-trip through memory — the
-/// single-query kernels pay one accumulator load *and* store per column word.
-#[inline(always)]
-fn sweep_chunk_group_body<const G: usize, const S: usize>(
-    cols: &[u64],
-    docs: usize,
-    union_active: &[(usize, GroupNq)],
-    acc: &mut [u64],
-    summary: &mut [MatchSummary],
-) {
-    debug_assert!(G <= GROUP && acc.len() >= (G - 1) * CHUNK + docs);
-    debug_assert!(S.is_multiple_of(STRIP) && summary.len() >= G);
-    let mut found = [0 as MatchSummary; G];
-    let mut i = 0;
-    while i + S <= docs {
-        let mut tile = [[0u64; S]; G];
-        for &(b, ref nqs) in union_active {
-            let col: &[u64; S] = cols[b * CHUNK + i..b * CHUNK + i + S]
-                .try_into()
-                .expect("strip-sized column slice");
-            for (lane, nq) in tile.iter_mut().zip(nqs) {
-                for (j, a) in lane.iter_mut().enumerate() {
-                    *a |= col[j] & nq[j % 4];
-                }
-            }
-        }
-        for (g, lane) in tile.iter().enumerate() {
-            // While the tile is still in registers, note whether this strip may
-            // hold a match (a zero word): the visit pass then skims the summary
-            // bitmap instead of re-reading the whole accumulator row. One test
-            // covers the whole tile — the bits over-approximate at tile
-            // granularity and the (rare) visit verifies word by word.
-            if lane.contains(&0) {
-                found[g] |= (((1 as MatchSummary) << (S / STRIP)) - 1) << (i / STRIP);
-            }
-            acc[g * CHUNK + i..g * CHUNK + i + S].copy_from_slice(lane);
-        }
-        i += S;
-    }
-    if i < docs {
-        // Ragged tail of the last (partial) chunk — full chunks are a multiple
-        // of every strip width.
-        let rem = docs - i;
-        let mut tile = [[0u64; S]; G];
-        for &(b, ref nqs) in union_active {
-            let col = &cols[b * CHUNK + i..b * CHUNK + i + rem];
-            for (lane, nq) in tile.iter_mut().zip(nqs) {
-                for (j, (a, &c)) in lane.iter_mut().zip(col).enumerate() {
-                    *a |= c & nq[j % 4];
-                }
-            }
-        }
-        for (g, lane) in tile.iter().enumerate() {
-            if lane[..rem].contains(&0) {
-                found[g] |= (((1 as MatchSummary) << rem.div_ceil(STRIP)) - 1) << (i / STRIP);
-            }
-            acc[g * CHUNK + i..g * CHUNK + docs].copy_from_slice(&lane[..rem]);
-        }
-    }
-    summary[..G].copy_from_slice(&found);
-}
-
-/// [`sweep_chunk_group_body`] compiled for the baseline target (SSE2 on x86-64).
-fn sweep_chunk_group_generic<const G: usize>(
-    cols: &[u64],
-    docs: usize,
-    union_active: &[(usize, GroupNq)],
-    acc: &mut [u64],
-    summary: &mut [MatchSummary],
-) {
-    sweep_chunk_group_body::<G, STRIP>(cols, docs, union_active, acc, summary);
-}
-
-/// [`sweep_chunk_group_body`] compiled with AVX2 enabled: the strip tile fits in
-/// ymm registers (two per lane plus the column strip), doubling the
-/// per-instruction width over the portable build. Selected at runtime by
-/// [`sweep_chunk_group`]; never called unless the CPU reports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sweep_chunk_group_avx2<const G: usize>(
-    cols: &[u64],
-    docs: usize,
-    union_active: &[(usize, GroupNq)],
-    acc: &mut [u64],
-    summary: &mut [MatchSummary],
-) {
-    sweep_chunk_group_body::<G, STRIP>(cols, docs, union_active, acc, summary);
-}
-
-/// [`sweep_chunk_group_body`] compiled with AVX-512F enabled: a lane's whole
-/// [`STRIP`]-document tile is one zmm register, halving the instruction count
-/// again over AVX2. Selected at runtime by [`sweep_chunk_group`]; never called
-/// unless the CPU reports the feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn sweep_chunk_group_avx512<const G: usize>(
-    cols: &[u64],
-    docs: usize,
-    union_active: &[(usize, GroupNq)],
-    acc: &mut [u64],
-    summary: &mut [MatchSummary],
-) {
-    sweep_chunk_group_body::<G, WIDE_STRIP>(cols, docs, union_active, acc, summary);
-}
-
-/// Runtime-dispatched fused group sweep (see [`sweep_chunk_group_body`]).
-#[inline]
-fn sweep_chunk_group<const G: usize>(
-    cols: &[u64],
-    docs: usize,
-    union_active: &[(usize, GroupNq)],
-    acc: &mut [u64],
-    summary: &mut [MatchSummary],
-) {
-    // SAFETY (both arms): the feature requirement is checked right above each
-    // call; the detection macro caches, so the branch costs one predictable
-    // load per call.
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        unsafe {
-            return sweep_chunk_group_avx512::<G>(cols, docs, union_active, acc, summary);
-        }
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        unsafe {
-            return sweep_chunk_group_avx2::<G>(cols, docs, union_active, acc, summary);
-        }
-    }
-    sweep_chunk_group_generic::<G>(cols, docs, union_active, acc, summary);
-}
-
-/// `acc[i] = col[i] & nq`, 4-wide unrolled so the autovectorizer stays on the
-/// packed-SIMD path even without profile information.
-fn and_into(acc: &mut [u64], col: &[u64], nq: u64) {
-    debug_assert_eq!(acc.len(), col.len());
-    let mut a = acc.chunks_exact_mut(4);
-    let mut c = col.chunks_exact(4);
-    for (a4, c4) in (&mut a).zip(&mut c) {
-        a4[0] = c4[0] & nq;
-        a4[1] = c4[1] & nq;
-        a4[2] = c4[2] & nq;
-        a4[3] = c4[3] & nq;
-    }
-    for (ai, &ci) in a.into_remainder().iter_mut().zip(c.remainder()) {
-        *ai = ci & nq;
-    }
-}
-
-/// `acc[i] |= col[i] & nq`, unrolled like [`and_into`].
-fn or_and_into(acc: &mut [u64], col: &[u64], nq: u64) {
-    debug_assert_eq!(acc.len(), col.len());
-    let mut a = acc.chunks_exact_mut(4);
-    let mut c = col.chunks_exact(4);
-    for (a4, c4) in (&mut a).zip(&mut c) {
-        a4[0] |= c4[0] & nq;
-        a4[1] |= c4[1] & nq;
-        a4[2] |= c4[2] & nq;
-        a4[3] |= c4[3] & nq;
-    }
-    for (ai, &ci) in a.into_remainder().iter_mut().zip(c.remainder()) {
-        *ai |= ci & nq;
     }
 }
 
@@ -852,10 +479,9 @@ mod tests {
         let docs = random_docs(&mut rng, 20, 100, 3);
         let plane = plane_of(&docs);
         let q = BitIndex::all_ones(100);
-        assert!(
-            plane.active_blocks(&q).is_empty(),
-            "no zeros, no active blocks"
-        );
+        for level in 0..3 {
+            assert_eq!(plane.selected(0, level, &q).count(), 0, "no zeros, no rows");
+        }
         let (matches, stats) = plane.scan_ranked(&q);
         let (expected, expected_stats) = scan_ranked(&docs, &qi(&q));
         assert_eq!(matches, expected);
@@ -884,21 +510,27 @@ mod tests {
 
     #[test]
     fn scanplane_phantom_tail_bits_never_reject() {
-        // r = 70: the query's tail block has 58 phantom positions. An active-block
-        // computation that forgot to mask them would sweep a block whose only
-        // "zeros" are phantom, and a document could never be rejected by it — but
-        // an unmasked negated word would also corrupt the accumulator if document
-        // tails were dirty. The invariant test: a query that is all-ones on the
-        // valid bits has NO active blocks, tail included.
-        let q = BitIndex::all_ones(70);
+        // r = 70: the tail block has 58 phantom positions where `!query` is all
+        // ones. Selecting one would index a row that does not exist (or, below
+        // the top level, the next level's rows). `live` never has a phantom bit,
+        // so an all-ones query selects nothing and an all-zeros query exactly
+        // the 70 real rows — with every real row live.
         let docs = vec![RankedDocumentIndex {
             document_id: 1,
-            levels: vec![BitIndex::all_ones(70)],
+            levels: vec![BitIndex::all_ones(70); 2],
         }];
         let plane = plane_of(&docs);
-        assert!(plane.active_blocks(&q).is_empty());
-        let (matches, _) = plane.scan_ranked(&q);
+        for level in 0..2 {
+            assert_eq!(plane.selected(0, level, &BitIndex::all_ones(70)).count(), 0);
+            assert_eq!(
+                plane.selected(0, level, &BitIndex::all_zeros(70)).count(),
+                70
+            );
+        }
+        let (matches, _) = plane.scan_ranked(&BitIndex::all_ones(70));
         assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].rank, 2);
+        assert!(plane.scan_ranked(&BitIndex::all_zeros(70)).0.is_empty());
     }
 
     #[test]
@@ -1070,19 +702,173 @@ mod tests {
     }
 
     #[test]
-    fn scanplane_unrolled_kernels_match_scalar_semantics() {
-        // Exercise every remainder length of the 4-wide unroll.
-        for len in 0..9usize {
-            let col: Vec<u64> = (0..len as u64)
-                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    fn scanplane_survivors_match_scalar_semantics() {
+        // The row OR against the per-document predicate, slot by slot, on every
+        // chunk and level — and restricted to an `alive` subset.
+        let mut rng = StdRng::seed_from_u64(61);
+        let docs = random_docs(&mut rng, CHUNK + 100, 129, 2);
+        let plane = plane_of(&docs);
+        let evens: Bitmap = [0x5555_5555_5555_5555; CHUNK / 64];
+        for zero_prob in [0.0, 0.02, 1.0] {
+            let q = random_bitindex(&mut rng, 129, zero_prob);
+            for chunk in 0..2 {
+                let valid = plane.valid_slots(chunk);
+                for level in 0..2 {
+                    let all = plane.survivors(chunk, level, &q, valid);
+                    let even = plane.survivors(chunk, level, &q, evens);
+                    for i in 0..CHUNK {
+                        let expected = docs
+                            .get(chunk * CHUNK + i)
+                            .is_some_and(|d| d.levels[level].matches_query(&q));
+                        assert_eq!(all[i / 64] >> (i % 64) & 1 == 1, expected, "slot {i}");
+                        // An unfilled slot has all-zero rows: only `alive` keeps it out.
+                        let unfilled_ok = i % 2 == 0 && chunk * CHUNK + i >= docs.len();
+                        assert_eq!(
+                            even[i / 64] >> (i % 64) & 1 == 1,
+                            (expected && i % 2 == 0) || unfilled_ok,
+                            "slot {i} of the even subset"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The OR of block `b` of `level` over `docs` — what `live` must hold.
+    fn or_of(docs: &[RankedDocumentIndex], level: usize) -> Vec<u64> {
+        let mut acc = vec![0u64; docs[0].levels[level].as_blocks().len()];
+        for d in docs {
+            for (a, &b) in acc.iter_mut().zip(d.levels[level].as_blocks()) {
+                *a |= b;
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn scanplane_live_is_the_or_of_everything_pushed() {
+        let mut rng = StdRng::seed_from_u64(67);
+        // Sparse levels (most rows dead), a ragged r, and a chunk boundary.
+        let docs: Vec<RankedDocumentIndex> = (0..CHUNK + 9)
+            .map(|id| RankedDocumentIndex {
+                document_id: id as u64,
+                levels: (0..2)
+                    .map(|_| random_bitindex(&mut rng, 70, 0.995))
+                    .collect(),
+            })
+            .collect();
+        let mut plane = ScanPlane::new();
+        for (n, d) in docs.iter().enumerate() {
+            plane.push(d);
+            let chunk = n / CHUNK;
+            for level in 0..2 {
+                assert_eq!(
+                    plane.chunks[chunk].live[level * 2..][..2],
+                    or_of(&docs[chunk * CHUNK..=n], level)[..],
+                    "after {} pushes, level {level}",
+                    n + 1
+                );
+            }
+        }
+        // The second chunk opened with nothing live and left the first alone.
+        assert_eq!(plane.chunks.len(), 2);
+        let (first, second) = (&plane.chunks[0].live, &plane.chunks[1].live);
+        assert_eq!(first[..2], or_of(&docs[..CHUNK], 0)[..]);
+        assert_ne!(first[..2], second[..2], "9 sparse documents");
+    }
+
+    #[test]
+    fn scanplane_lone_bit_is_live_in_its_chunk_only_and_rejects_its_document_only() {
+        let mut rng = StdRng::seed_from_u64(73);
+        // Three chunks whose documents only ever use bits 0..40; one document
+        // of the middle chunk also sets bit 50.
+        let mut docs: Vec<RankedDocumentIndex> = (0..2 * CHUNK + 40)
+            .map(|id| {
+                let mut level = BitIndex::all_zeros(100);
+                for bit in 0..40 {
+                    level.set(bit, rng.gen_range(0.0..1.0) < 0.5);
+                }
+                RankedDocumentIndex {
+                    document_id: id as u64,
+                    levels: vec![level],
+                }
+            })
+            .collect();
+        let lone = CHUNK + 517;
+        docs[lone].levels[0].set(50, true);
+        let plane = plane_of(&docs);
+        let mut q = BitIndex::all_ones(100);
+        q.set(50, false);
+        q.set(60, false); // a zero nobody owns: dead everywhere
+        let rows: Vec<usize> = (0..3).map(|c| plane.selected(c, 0, &q).count()).collect();
+        assert_eq!(rows, [0, 1, 0]);
+        let (matches, stats) = plane.scan_ranked(&q);
+        assert_eq!((matches.clone(), stats), scan_ranked(&docs, &qi(&q)));
+        let expected: Vec<u64> = (0..docs.len() as u64)
+            .filter(|&id| id != lone as u64)
+            .collect();
+        let got: Vec<u64> = matches.iter().map(|m| m.document_id).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn scanplane_unfilled_slots_of_the_last_chunk_never_match() {
+        // All-zero documents have all-zero rows, exactly like a slot nobody
+        // pushed: only the valid-slots mask tells them apart, under the query
+        // that reads no row and the one that reads every live row alike.
+        for n in [1usize, CHUNK - 1, CHUNK, CHUNK + 1] {
+            let docs: Vec<RankedDocumentIndex> = (0..n)
+                .map(|id| RankedDocumentIndex {
+                    document_id: id as u64,
+                    levels: vec![BitIndex::all_zeros(65); 2],
+                })
                 .collect();
-            let nq = 0x0f0f_0f0f_0f0f_0f0fu64;
-            let mut acc = vec![u64::MAX; len];
-            and_into(&mut acc, &col, nq);
-            assert_eq!(acc, col.iter().map(|&c| c & nq).collect::<Vec<_>>());
-            let mut acc2 = vec![1u64; len];
-            or_and_into(&mut acc2, &col, nq);
-            assert_eq!(acc2, col.iter().map(|&c| 1 | (c & nq)).collect::<Vec<_>>());
+            let plane = plane_of(&docs);
+            assert_eq!(plane.len(), n);
+            for q in [BitIndex::all_ones(65), BitIndex::all_zeros(65)] {
+                let (matches, stats) = plane.scan_ranked(&q);
+                assert_eq!(matches.len(), n, "{n} documents");
+                assert_eq!((matches, stats), scan_ranked(&docs, &qi(&q)));
+                assert_eq!(plane.matching_slots(&q), (0..n).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn scanplane_comparisons_count_each_level_walked_per_surviving_slot() {
+        // One chunk, η = 3, one discriminating bit: every third document fails
+        // level 1, every second survivor fails level 2, every fifth survivor of
+        // that fails level 3 — so level 2 is walked for some slots of the chunk
+        // and level 3 for fewer.
+        let n = 600usize;
+        let docs: Vec<RankedDocumentIndex> = (0..n)
+            .map(|id| {
+                let level = |fails: bool| {
+                    let mut bits = BitIndex::all_zeros(64);
+                    bits.set(7, fails);
+                    bits
+                };
+                RankedDocumentIndex {
+                    document_id: id as u64,
+                    levels: vec![level(id % 3 == 0), level(id % 2 == 0), level(id % 5 == 0)],
+                }
+            })
+            .collect();
+        let plane = plane_of(&docs);
+        let mut q = BitIndex::all_ones(64);
+        q.set(7, false);
+        let (matches, stats) = plane.scan_ranked(&q);
+        assert_eq!((matches.clone(), stats), scan_ranked(&docs, &qi(&q)));
+        let level1 = (0..n).filter(|id| id % 3 != 0).count();
+        let level2 = (0..n).filter(|id| id % 3 != 0 && id % 2 != 0).count();
+        let level3 = (0..n)
+            .filter(|id| id % 3 != 0 && id % 2 != 0 && id % 5 != 0)
+            .count();
+        assert!(level1 > level2 && level2 > level3 && level3 > 0);
+        assert_eq!(stats.matches, level1 as u64);
+        assert_eq!(stats.comparisons, (n + level1 + level2) as u64);
+        for (rank, want) in [(1, level1 - level2), (2, level2 - level3), (3, level3)] {
+            assert_eq!(matches.iter().filter(|m| m.rank == rank).count(), want);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! one-shard [`ShardedStore`]: it always scans the documents themselves with this
 //! module's [`scan_ranked`] loop, and holds nothing but them — no scan plane, no
 //! cache. The production read path is the shard-parallel
-//! [`crate::engine::SearchEngine`], which sweeps the block-major
+//! [`crate::engine::SearchEngine`], which sweeps the bit-sliced
 //! [`crate::scanplane::ScanPlane`] it derives per shard instead — a layout change
 //! only; it is held match-for-match, rank-for-rank and count-for-count equivalent
 //! to this reference (see `tests/sharded_engine_equivalence.rs` and

@@ -9,16 +9,22 @@
 //! [`CloudIndex`]. Inserts between queries must keep both the planes and the
 //! result cache fresh, and a snapshot/restore cycle must rebuild the planes.
 //!
+//! Which rows a sweep reads depends on the corpus as well as the query (a row no
+//! stored index sets is skipped), so the proptests hold the contract in both
+//! regimes: paper-shaped corpora, where the §6 fake keywords leave most rows
+//! dead, and dense ones with no dead row at all.
+//!
 //! This suite runs in **release mode on CI** (`cargo test --release -q -p
-//! mkse-core scanplane`): the kernel is unrolled for the autovectorizer, and
-//! masking/UB bugs in optimized builds must not be able to hide behind
+//! mkse-core scanplane`): the sweep's loops are written for the autovectorizer,
+//! and masking bugs in optimized builds must not be able to hide behind
 //! debug-only testing.
 
 use mkse_core::scanplane::CHUNK;
 use mkse_core::{
-    BitIndex, CacheConfig, CloudIndex, IndexStore, QueryIndex, RankedDocumentIndex, ScanPlane,
-    SearchEngine, SystemParams, TelemetryLevel,
+    BitIndex, CacheConfig, CloudIndex, DocumentIndexer, IndexStore, QueryBuilder, QueryIndex,
+    RankedDocumentIndex, ScanPlane, SchemeKeys, SearchEngine, SystemParams, TelemetryLevel,
 };
+use mkse_textproc::TermFrequencies;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,9 +55,9 @@ fn random_docs(rng: &mut StdRng, n: usize, r: usize, eta: usize) -> Vec<RankedDo
         .collect()
 }
 
-/// A query workload covering the pruning extremes: sparse- and dense-zero random
-/// queries, the all-ones query (every block pruned: zero active columns), the
-/// all-zeros query (no block pruned), and one stored document's own base level
+/// A query workload covering the row-selection extremes: sparse- and dense-zero
+/// random queries, the all-ones query (no row selected), the all-zeros query
+/// (every live row selected), and one stored document's own base level
 /// (guaranteed matches, deep rank walks).
 fn query_workload(rng: &mut StdRng, r: usize, docs: &[RankedDocumentIndex]) -> Vec<QueryIndex> {
     let mut queries = vec![
@@ -64,6 +70,59 @@ fn query_workload(rng: &mut StdRng, r: usize, docs: &[RankedDocumentIndex]) -> V
         queries.push(QueryIndex::from_bits(doc.base_level().clone()));
     }
     queries
+}
+
+/// Level-1 index bits no document of the corpus sets — rows every sweep skips,
+/// whatever the query.
+fn dead_rows(docs: &[RankedDocumentIndex]) -> usize {
+    let mut live = vec![0u64; docs[0].base_level().as_blocks().len()];
+    for doc in docs {
+        for (live, block) in live.iter_mut().zip(doc.base_level().as_blocks()) {
+            *live |= block;
+        }
+    }
+    BitIndex::from_blocks(live, docs[0].base_level().len()).count_zeros()
+}
+
+/// A scheme-generated corpus and query workload at a small geometry (r = 128,
+/// η = 3): `fake_keywords` is U, and every query carries V = U/2. With U = 0
+/// nothing is folded into every document and no row stays dead; with U > 0 the
+/// zeros of the U fake keywords are dead in every level of the whole corpus —
+/// the paper's shape.
+fn scheme_workload(
+    rng: &mut StdRng,
+    num_docs: usize,
+    fake_keywords: usize,
+) -> (SystemParams, Vec<RankedDocumentIndex>, Vec<QueryIndex>) {
+    let params = SystemParams::new(128, 4, 16, fake_keywords, fake_keywords / 2, vec![1, 3, 6])
+        .expect("valid parameters");
+    let keys = SchemeKeys::generate(&params, rng);
+    let indexer = DocumentIndexer::new(&params, &keys);
+    let mut trapdoors = std::collections::HashMap::new();
+    let docs = (0..num_docs)
+        .map(|id| {
+            let terms = (0..6).map(|_| {
+                let term = format!("kw{}", rng.gen_range(0..60));
+                (term, rng.gen_range(1u32..=8))
+            });
+            let terms = TermFrequencies::from_pairs(terms);
+            indexer.index_terms_cached(id as u64, &terms, &mut trapdoors)
+        })
+        .collect();
+    let pool = keys.random_pool_trapdoors(&params);
+    let queries = (0..6)
+        .map(|q| {
+            let kws: Vec<String> = (0..1 + q % 2)
+                .map(|_| format!("kw{}", rng.gen_range(0..60)))
+                .collect();
+            let kws: Vec<&str> = kws.iter().map(String::as_str).collect();
+            QueryBuilder::new(&params)
+                .add_trapdoors(&keys.trapdoors_for(&params, &kws))
+                .with_randomization(&pool)
+                .build(rng)
+        })
+        .collect();
+    (params, docs, queries)
 }
 
 fn assert_engine_equals_reference<S: IndexStore>(
@@ -525,6 +584,75 @@ proptest! {
         let engine_batch = engine.search_batch_with_stats(&wrapped);
         for (query, got) in wrapped.iter().zip(engine_batch) {
             prop_assert_eq!(got, reference.search_ranked_with_stats(query));
+        }
+    }
+
+    /// The contract in both row-skipping regimes, side by side. Dense corpora
+    /// have **no** dead row — uniformly random level bits, or scheme-generated
+    /// with `doc_random_keywords = 0` — so every zero of a query selects a row;
+    /// the paper-shaped corpus (U fake keywords folded into every level of every
+    /// document) leaves most of a randomized query's zeros on dead rows. In
+    /// each, the plane equals the reference loop (invariant 3), the fused batch
+    /// equals independent scans (4), and the engine equals `CloudIndex` at an
+    /// arbitrary shards × lanes configuration (1, 5).
+    #[test]
+    fn scanplane_prop_dense_and_sparse_corpora_equal_reference(
+        seed in 0u64..1_000_000,
+        regime in 0usize..3,
+        num_docs in 40usize..100,
+        shards_idx in 0usize..4,
+        lanes in 1usize..=3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (params, docs, mut queries) = match regime {
+            0 => {
+                let docs: Vec<RankedDocumentIndex> = (0..num_docs)
+                    .map(|i| RankedDocumentIndex {
+                        document_id: i as u64,
+                        levels: (0..3).map(|_| random_bitindex(&mut rng, 129, 0.5)).collect(),
+                    })
+                    .collect();
+                let queries = (0..6)
+                    .map(|_| QueryIndex::from_bits(random_bitindex(&mut rng, 129, 0.02)))
+                    .collect();
+                (params_for(129, 3), docs, queries)
+            }
+            1 => scheme_workload(&mut rng, num_docs, 0),
+            _ => scheme_workload(&mut rng, num_docs, 10),
+        };
+        prop_assert_eq!(params.doc_random_keywords == 0, regime < 2);
+        if regime < 2 {
+            prop_assert_eq!(dead_rows(&docs), 0, "dense regime {}", regime);
+        } else {
+            prop_assert!(dead_rows(&docs) > params.index_bits / 4, "paper-shaped corpus");
+        }
+        let r = params.index_bits;
+        queries.push(QueryIndex::from_bits(BitIndex::all_ones(r)));
+        queries.push(QueryIndex::from_bits(BitIndex::all_zeros(r)));
+        queries.push(QueryIndex::from_bits(docs[0].base_level().clone()));
+
+        let mut plane = ScanPlane::new();
+        for d in &docs {
+            plane.push(d);
+        }
+        let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
+        let batched = plane.scan_ranked_batch(&bits);
+        for (query, got) in queries.iter().zip(&batched) {
+            prop_assert_eq!(got, &mkse_core::search::scan_ranked(&docs, query));
+            prop_assert_eq!(got, &plane.scan_ranked(query.bits()));
+        }
+
+        let mut reference = CloudIndex::new(params.clone());
+        reference.insert_all(docs.iter().cloned()).unwrap();
+        let mut engine =
+            SearchEngine::sharded(params, SHARD_COUNTS[shards_idx]).with_scan_lanes(lanes);
+        engine.insert_all(docs.iter().cloned()).unwrap();
+        let engine_batch = engine.search_batch_with_stats(&queries);
+        for (query, got) in queries.iter().zip(engine_batch) {
+            let expected = reference.search_ranked_with_stats(query);
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(engine.search_ranked_with_stats(query), expected);
+            prop_assert_eq!(engine.search_unranked(query), reference.search_unranked(query));
         }
     }
 }

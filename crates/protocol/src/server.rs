@@ -383,7 +383,7 @@ impl Service for CloudServer {
             },
             Request::EnableCache { capacity_per_shard } => {
                 self.engine.enable_cache(CacheConfig {
-                    capacity_per_shard: capacity_per_shard as usize,
+                    capacity_per_shard: usize::try_from(capacity_per_shard).unwrap_or(usize::MAX),
                 });
                 Response::Ack
             }
@@ -623,6 +623,14 @@ mod tests {
         let uncached = search(&mut server, &msg);
         assert_eq!(uncached.matches, first.matches);
         assert_eq!(uncached.cache, CacheReport::default());
+    }
+
+    #[test]
+    fn enable_cache_takes_any_u64_capacity() {
+        let (_, mut server, _) = populated_server();
+        let capacity_per_shard = u64::MAX; // saturates where usize is narrower
+        let reply = server.call(Request::EnableCache { capacity_per_shard });
+        assert!(matches!(reply, Response::Ack) && server.result_cache_enabled());
     }
 
     #[test]

@@ -96,13 +96,13 @@
 //!        ▼            (N ≥ 1 round-robin shards)    O(1) id lookup, shard slices,
 //!        │                                          insertion-ordinal bookkeeping —
 //!        ▼                                          no plane, no cache, nothing derived
-//!  mkse-core       scanplane::ScanPlane             block-major (bit-sliced) arena the
-//!        │                                          engine appends on insert: level-1
-//!        ▼                                          blocks in contiguous columns, upper
-//!        │                                          levels doc-major (walked on match);
-//!        ▼                                          query-aware block pruning + unrolled
-//!        │                                          column sweep — the hot r-bit scan
-//!        ▼                                          streams instead of pointer-chasing
+//!  mkse-core       scanplane::ScanPlane             bit-sliced rows the engine appends
+//!        │                                          on insert: per 1,024-document chunk,
+//!        ▼                                          level and index bit one bitmap of
+//!        │                                          which documents set it; a query ORs
+//!        ▼                                          only the rows where it has a zero
+//!        │                                          and the chunk has a one — the hot
+//!        ▼                                          r-bit scan reads a few rows a chunk
 //!  mkse-core       telemetry::Telemetry             the observability plane: lock-free
 //!                  (one registry per engine,        relaxed-atomic counters/gauges +
 //!                  observing every layer above)     log₂-bucket latency histograms,
@@ -124,42 +124,49 @@
 //!   fleet coordinator's mirror — pays for no scan layout.
 //! * **Scan plane** ([`core::scanplane`]): each shard's hot loop — the σ r-bit
 //!   comparisons of Eq. (3) that dominate Figure 4(b) — runs on a bit-sliced
-//!   engine-owned [`core::ScanPlane`]: level-1 blocks of all documents packed into
-//!   one contiguous arena (column = 64-bit block position, rows = slot order, chunked
-//!   so appends never re-layout), upper levels packed document-major and walked
-//!   only on match. Before sweeping, the query's **active block list** is
-//!   computed once per query: any block where the query word is all-ones can
-//!   never reject a document under `doc AND NOT query ≠ 0`, so it is skipped for
-//!   the whole shard. The remaining columns stream through an unrolled,
-//!   autovectorizer-friendly kernel into a per-shard match bitmap. All of this is
-//!   a layout change only — matches, ranks, order, `SearchStats` (block skipping
-//!   happens *inside* one r-bit comparison, so comparison counts are unchanged)
-//!   and cache counters are byte-identical to the AoS reference, enforced in
-//!   release mode by `mkse-core/tests/scanplane_equivalence.rs`. Pruning leaks
-//!   nothing beyond §6's search-pattern observation: it is a function of the
-//!   query bytes the server already sees plus the public geometry `r`, and the
-//!   skipped work is the same for every document in the shard. The
-//!   `fig4b_search` bench's layout sweep writes `BENCH_scan.json` tracking
-//!   ns/query across layouts and shard counts.
-//! * **Fused batch sweep** ([`core::ScanPlane::scan_ranked_batch`]): a b-query
-//!   batch executed query-at-a-time would stream the whole arena b times; the
-//!   fused kernel sweeps each 1024-document chunk **once** for the entire batch,
-//!   testing every query's active blocks against the cache-hot columns into a
-//!   query-major reject-accumulator matrix (queries grouped four to a register
-//!   tile, with runtime-dispatched AVX2/AVX-512 variants over the same portable
-//!   body). The arena crosses the memory bus once per batch instead of once per
-//!   query (`BENCH_batch.json` records the depth sweep — ≥3× per-query
-//!   throughput at depth 16 on the 64k-document workload), and the result is
-//!   byte-identical to b independent single-query scans: same matches, ranks,
-//!   order and per-query stats, enforced by the release-mode batch proptest in
-//!   `scanplane_equivalence.rs`. Batching changes the *order* of memory
-//!   accesses, never what the server observes — the §6 leakage story of the
-//!   single sweep carries over verbatim.
+//!   engine-owned [`core::ScanPlane`]: per 1,024-document chunk, per level and
+//!   per index bit one bitmap row saying which of the chunk's documents set that
+//!   bit (appends set one bit per one-bit of the document, never re-layout),
+//!   plus a per-chunk **live mask** — the OR of the indices pushed there, i.e.
+//!   which rows hold a one at all. A document is rejected exactly when it has a
+//!   one where the query has a zero (`doc AND NOT query ≠ 0`), so a level's
+//!   reject bitmap for a chunk is the OR of the rows selected by
+//!   `!query & live`, 1,024 documents per 16-word row. Under the §6
+//!   randomization almost every zero of a query sits on a dead row (all U fake
+//!   keywords are folded into every level of every document, and a query's V
+//!   fake keywords are drawn from the same pool), so a two-keyword query reads
+//!   ~5 rows per chunk and level where the previous layout streamed every
+//!   64-bit column of every document. Upper levels are rows too: level ℓ+1 is
+//!   evaluated only for a chunk with a survivor of level ℓ, ranks are read off
+//!   the nested survivor bitmaps, and `SearchStats` comparisons are their
+//!   popcounts. All of this is a layout change only — matches, ranks, order,
+//!   `SearchStats` (row skipping happens *inside* one r-bit comparison, so
+//!   comparison counts are unchanged) and cache counters are byte-identical to
+//!   the AoS reference, enforced in release mode by
+//!   `mkse-core/tests/scanplane_equivalence.rs` in the sparse (paper-shaped)
+//!   and the dense (no dead row) regime alike. The `fig4b_search` bench's
+//!   layout sweep writes `BENCH_scan.json` tracking ns/query across layouts and
+//!   shard counts.
+//! * **Batch sweep** ([`core::ScanPlane::scan_ranked_batch`]): the same sweep,
+//!   chunk-major with the queries inside — there is one sweep, and a single
+//!   query is a batch of one. With a few rows per chunk left to read there is
+//!   no memory traffic for a fused kernel to amortise (`BENCH_batch.json`
+//!   records the depth sweep); what a batch still saves is above the plane —
+//!   one lane wake-up and one merge per group instead of per query. The result
+//!   is byte-identical to b independent single-query scans, enforced by the
+//!   release-mode batch proptest in `scanplane_equivalence.rs`.
 //! * **Engine** ([`core::engine`]): owns the store and everything derived from
 //!   it — the per-shard planes and the optional cache. A plane can never go
 //!   stale because the store is private and `insert` is the only door (restores
 //!   funnel into the same append; `new` derives the planes from what the store
-//!   it is handed already holds). Queries execute shard-by-shard in parallel and
+//!   it is handed already holds). Which rows of a plane a scan reads is decided
+//!   from the query index bytes, the public geometry `r` and the planes' live
+//!   masks — from the *stored indices* as well as the query, both bytes the
+//!   server already holds. Nothing is derived from keys or plaintext, a dead
+//!   row (a bit position no stored index sets) is what a curious server can
+//!   already count for itself, and the skip is the same for every document of a
+//!   chunk, so nothing is observable beyond the search and access pattern §6
+//!   already grants. Queries execute shard-by-shard in parallel and
 //!   per-shard matches and [`core::SearchStats`] are merged. Merged output is provably
 //!   identical to the sequential scan: the (rank, id) sort key is a total order, the
 //!   stats are sums, and unranked results are re-ordered by insertion ordinal

@@ -14,10 +14,11 @@
 //! lookups, warm hits, after interleaved inserts (per-shard invalidation) and
 //! across a snapshot/restore cycle.
 //!
-//! Since PR 4 the engine's shard scans run on the block-major scan plane
-//! (`mkse_core::scanplane`), so every assertion here also holds the bit-sliced
-//! layout to the AoS reference; the plane-specific corners (ragged r, pruning
-//! extremes, arbitrary bit patterns) live in
+//! The engine's shard scans run on the scan plane (`mkse_core::scanplane`), so
+//! every assertion here also holds the bit-sliced layout to the AoS reference —
+//! on scheme-generated corpora, where the §6 fake keywords leave most of the
+//! plane's rows dead; the plane-specific corners (ragged r, row-selection
+//! extremes, corpora with no dead row, arbitrary bit patterns) live in
 //! `mkse-core/tests/scanplane_equivalence.rs`, which CI additionally runs in
 //! release mode.
 //!
