@@ -24,7 +24,8 @@ use mkse_net::{
     MemoryDialer, NodeConfig, NodeRunner, ResilienceStats, ResilientClient, RetryPolicy,
 };
 use mkse_protocol::{
-    wire, CloudServer, NodeCapabilities, QueryMessage, Request, Response, Service, UploadMessage,
+    wire, BatchQueryMessage, CloudServer, NodeCapabilities, QueryMessage, Request, Response,
+    Service, UploadMessage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -295,9 +296,14 @@ fn bench_fleet(_c: &mut Criterion) {
             }
         })
         .collect();
-    let q_len = wire::encode_request(1, &Request::Query(pool[0].clone())).len() as u64;
+    // The coordinator forwards a lone query as a one-member `BatchQuery`.
+    let lone = Request::BatchQuery(BatchQueryMessage {
+        queries: vec![pool[0].query.clone()],
+        top: pool[0].top,
+    });
+    let q_len = wire::encode_request(1, &lone).len() as u64;
     // Node 1's kill budget: the seed-upload forward of its shards plus a
-    // quarter of the workload's query frames, then mid-frame death.
+    // quarter of the workload's query forwards, then mid-frame death.
     let budget_for = |per_run: usize, nodes: usize| {
         let shards: &[usize] = if nodes == 1 { &[0, 1, 2, 3] } else { &[0, 1] };
         forward_len(&indices, shards) + (per_run as u64 / 4) * q_len + q_len / 2

@@ -14,8 +14,6 @@
 //! * merged ranked results are sorted by descending rank, ties broken by ascending
 //!   document id — a total order, so the merged list is unique and equals the
 //!   sequential sort;
-//! * merged unranked results and metadata are re-ordered by insertion ordinal,
-//!   reproducing the sequential "storage order" exactly;
 //! * merged [`SearchStats`] are the field-wise sums of per-shard stats, which equal
 //!   the sequential counts.
 //!
@@ -47,8 +45,7 @@
 //!   shards splits single shards across lanes instead of idling;
 //! * with a single lane a unit is the **whole shard**: with nobody to steal
 //!   from, splitting buys nothing and costs per-range setup (result
-//!   buffers). Unranked search and metadata always run
-//!   whole-shard units.
+//!   buffers).
 //!
 //! The lanes' worker threads are not the engine's: every engine of a process
 //! holds a handle to the one shared `WorkerPool` (`engine/pool.rs`;
@@ -73,17 +70,27 @@
 //! unit. The cache never sees units: lookups and admissions happen per whole
 //! shard, on the stitched per-shard results.
 //!
-//! Batched execution ([`SearchEngine::search_batch_with_stats`]) evaluates many
-//! queries per shard-scan pass: each shard worker receives the whole (cache-missed,
-//! intra-batch-deduplicated) query set and makes **one fused pass** over the
-//! shard's scan plane ([`crate::scanplane::ScanPlane::scan_ranked_batch`]), so a
-//! b-query round trip streams each arena once instead of b times *and* pays the
-//! thread fan-out once instead of once per query. Queries with identical
-//! [`QueryFingerprint`]s inside one batch are scanned once and fanned out to every
-//! duplicate position; with the cache enabled the duplicates are resolved through
-//! real cache lookups against what the first occurrence admitted — exactly the
-//! hits sequential execution would produce, counted in the same
-//! [`CacheEffect`]/[`CacheStats`] counters.
+//! ## One read path: a single query is a batch of one
+//!
+//! Every ranked execution runs one private executor in three phases: the cache
+//! lookups of the batch's distinct queries, **one fused pass** per shard over
+//! the (cache-missed, intra-batch-deduplicated) query set
+//! ([`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]) — one lane
+//! hand-off and one merge per batch, not per query — and the admissions, in
+//! batch order. [`SearchEngine::search_ranked_with_effect`] hands it a batch of
+//! one. Queries with identical [`QueryFingerprint`]s inside one batch are
+//! scanned once and fanned out to every duplicate position; with the cache
+//! enabled the duplicates are resolved through real cache lookups against what
+//! the first occurrence admitted — exactly the hits sequential execution would
+//! produce, counted in the same [`CacheEffect`]/[`CacheStats`] counters.
+//!
+//! The two entry points differ only in what they record, so the telemetry
+//! split is what it was when they were two paths: a single query counts
+//! `queries` and one [`Stage::EngineQuery`] sample, a batch `batches`,
+//! `batch_queries` and one [`Stage::EngineBatch`] sample. Everything else —
+//! cache lookups, shard scans, unit spans — the executor records for both, and
+//! it opens a [`Stage::CacheAdmit`] span only when the third phase admits or
+//! resolves something, so a fully cached execution records no admit.
 //!
 //! ## The result cache
 //!
@@ -124,6 +131,9 @@ use pool::{StealDeques, WorkerPool};
 /// One shard's ranked-scan output: scan-order matches plus the shard's stats —
 /// exactly what [`crate::search::scan_ranked`] returns and what the cache memoizes.
 type ShardScan = (Vec<SearchMatch>, SearchStats);
+
+/// One query's reply: merged matches, merged stats and the cache's part in it.
+type Reply = (Vec<SearchMatch>, SearchStats, CacheEffect);
 
 /// Chunks per multi-lane scan unit: 8 × [`crate::scanplane::CHUNK`] = 8192
 /// documents — a few tens of microseconds of sweeping, coarse enough that
@@ -597,20 +607,6 @@ impl<S: IndexStore> SearchEngine<S> {
         out
     }
 
-    /// Single-query form of [`SearchEngine::scan_selected_shards`]: one
-    /// [`ShardScan`] per selected shard.
-    fn scan_selected_shards_single(
-        &self,
-        shard_ids: &[usize],
-        query: &QueryIndex,
-    ) -> Vec<ShardScan> {
-        let subsets: Vec<Vec<&QueryIndex>> = shard_ids.iter().map(|_| vec![query]).collect();
-        self.scan_selected_shards(shard_ids, &subsets)
-            .into_iter()
-            .map(|mut row| row.pop().expect("one query per selected shard"))
-            .collect()
-    }
-
     /// Number of parallel scan lanes one execution of this engine fans out to:
     /// shared pool workers plus the calling thread (which always takes one
     /// lane). Defaults
@@ -621,42 +617,6 @@ impl<S: IndexStore> SearchEngine<S> {
     /// only adds scheduler thrash to a CPU-bound scan.
     pub fn scan_lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// Scan every shard for documents whose level-1 index matches `query`, extract a
-    /// value per match, and merge across shards in storage (insertion-ordinal)
-    /// order. The single home of the ordinal-merge logic that makes parallel
-    /// unranked results and metadata reproduce the sequential scan's order exactly.
-    fn matching_in_storage_order<'s, T, F>(&'s self, query: &QueryIndex, extract: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&'s RankedDocumentIndex) -> T + Sync,
-    {
-        // Whole-shard units: there is no ranked sweep here to split by chunk.
-        let units: Vec<ScanUnit> = (0..self.store.num_shards())
-            .map(|shard| ScanUnit::whole(shard, shard))
-            .collect();
-        let per_shard = self.run_units(&units, |unit| {
-            let shard = unit.shard;
-            let docs = self.store.shard_documents(shard);
-            // The plane answers "which slots match" from its level-1 rows;
-            // the extraction still reads the authoritative AoS documents.
-            self.planes[shard]
-                .matching_slots(query.bits())
-                .into_iter()
-                .map(|slot| (self.store.ordinal(shard, slot), extract(&docs[slot])))
-                .collect::<Vec<_>>()
-        });
-        let mut merged: Vec<(u64, T)> = per_shard.into_iter().flatten().collect();
-        merged.sort_unstable_by_key(|(ordinal, _)| *ordinal);
-        merged.into_iter().map(|(_, value)| value).collect()
-    }
-
-    /// Plain (unranked) oblivious search: ids of every document whose level-1 index
-    /// matches, in storage (insertion) order — Eq. (3) across the database.
-    /// (Uncached: the ranked path is the hot one; see [`crate::cache`].)
-    pub fn search_unranked(&self, query: &QueryIndex) -> Vec<u64> {
-        self.matching_in_storage_order(query, |d| d.document_id)
     }
 
     /// The fingerprint keying this query's per-shard ranked-scan entries. Top-k is
@@ -674,79 +634,23 @@ impl<S: IndexStore> SearchEngine<S> {
 
     /// Ranked search with statistics **and** the cache's contribution to this
     /// execution. With the cache disabled the effect is all zeros. Matches and
-    /// stats are byte-identical to the uncached execution either way.
+    /// stats are byte-identical to the uncached execution either way. A batch
+    /// of one through the engine's one executor (see the
+    /// [module docs](self)); it records `queries` and [`Stage::EngineQuery`].
     pub fn search_ranked_with_effect(
         &self,
         query: &QueryIndex,
     ) -> (Vec<SearchMatch>, SearchStats, CacheEffect) {
         self.telemetry.add(Counter::Queries, 1);
         let _query_span = self.telemetry.span(Stage::EngineQuery);
-        let shards = self.store.num_shards();
-        let all: Vec<usize> = (0..shards).collect();
-        let Some(cache_mutex) = &self.cache else {
-            self.telemetry.add(Counter::ShardScans, shards as u64);
-            let per_shard = self.scan_selected_shards_single(&all, query);
-            return Self::merge_ranked(per_shard, CacheEffect::default());
-        };
-
-        let fingerprint = Self::ranked_fingerprint(query);
-        let mut per_shard: Vec<Option<ShardScan>> = Vec::with_capacity(shards);
-        let mut generations: Vec<u64> = Vec::with_capacity(shards);
-        {
-            let _lookup_span = self.telemetry.span(Stage::CacheLookup);
-            let mut cache = cache_mutex.lock().unwrap();
-            for shard in 0..shards {
-                generations.push(cache.generation(shard));
-                let found = cache.lookup(shard, &fingerprint);
-                self.telemetry.record_cache_lookup(shard, found.is_some());
-                per_shard.push(found);
-            }
-        }
-        let missing: Vec<usize> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(shard, _)| shard)
-            .collect();
-        let effect = CacheEffect {
-            shard_hits: (shards - missing.len()) as u64,
-            shard_misses: missing.len() as u64,
-            saved_comparisons: per_shard
-                .iter()
-                .flatten()
-                .map(|(_, stats)| stats.comparisons)
-                .sum(),
-        };
-        if !missing.is_empty() {
-            self.telemetry
-                .add(Counter::ShardScans, missing.len() as u64);
-            let fresh = self.scan_selected_shards_single(&missing, query);
-            let _admit_span = self.telemetry.span(Stage::CacheAdmit);
-            let mut cache = cache_mutex.lock().unwrap();
-            for (&shard, (matches, stats)) in missing.iter().zip(fresh) {
-                cache.admit(
-                    shard,
-                    fingerprint.clone(),
-                    matches.clone(),
-                    stats,
-                    generations[shard],
-                );
-                per_shard[shard] = Some((matches, stats));
-            }
-        }
-        Self::merge_ranked(
-            per_shard.into_iter().map(|r| r.expect("shard resolved")),
-            effect,
-        )
+        let mut replies = self.execute(std::slice::from_ref(query));
+        replies.pop().expect("one reply per query")
     }
 
     /// The single merge point for ranked execution: extend in shard order, sum the
     /// stats, sort by the (rank desc, id asc) total order. Cached and fresh shard
     /// results flow through this identically.
-    fn merge_ranked<I: IntoIterator<Item = (Vec<SearchMatch>, SearchStats)>>(
-        per_shard: I,
-        effect: CacheEffect,
-    ) -> (Vec<SearchMatch>, SearchStats, CacheEffect) {
+    fn merge_ranked<I: IntoIterator<Item = ShardScan>>(per_shard: I, effect: CacheEffect) -> Reply {
         let mut matches = Vec::new();
         let mut stats = SearchStats::default();
         for (shard_matches, shard_stats) in per_shard {
@@ -772,7 +676,7 @@ impl<S: IndexStore> SearchEngine<S> {
     }
 
     /// Execute many queries in one pass: each shard is scanned once for the whole
-    /// batch, and per-query results are merged exactly as in the single-query path.
+    /// batch, and per-query results are merged exactly as a single query's are.
     pub fn search_batch_with_stats(
         &self,
         queries: &[QueryIndex],
@@ -820,118 +724,86 @@ impl<S: IndexStore> SearchEngine<S> {
         self.telemetry
             .add(Counter::BatchQueries, queries.len() as u64);
         let _batch_span = self.telemetry.span(Stage::EngineBatch);
+        self.execute(queries)
+    }
+
+    /// **The** read path: every ranked execution, a single query included, is
+    /// this batch executor (see the [module docs](self)). Replies come back in
+    /// batch order.
+    fn execute(&self, queries: &[QueryIndex]) -> Vec<Reply> {
         let shards = self.store.num_shards();
         let fingerprints: Vec<QueryFingerprint> =
             queries.iter().map(Self::ranked_fingerprint).collect();
-        // Intra-batch dedup: rep[i] is the batch position of the first query with
-        // fingerprints[i]; positions where rep[i] == i are the unique set.
+        // Intra-batch dedup: uniques[row] is the batch position of a distinct
+        // fingerprint's first occurrence (its representative), and rows[i] is
+        // position i's row in the per-unique tables below.
+        let mut uniques: Vec<usize> = Vec::new();
         let mut first_of: HashMap<&QueryFingerprint, usize> = HashMap::with_capacity(queries.len());
-        let mut rep: Vec<usize> = Vec::with_capacity(queries.len());
-        for (i, fingerprint) in fingerprints.iter().enumerate() {
-            rep.push(*first_of.entry(fingerprint).or_insert(i));
-        }
-        let uniques: Vec<usize> = (0..queries.len()).filter(|&i| rep[i] == i).collect();
-        // unique_pos[rep[i]] is rep[i]'s row in the per-unique tables below.
-        let unique_pos: HashMap<usize, usize> = uniques
-            .iter()
-            .enumerate()
-            .map(|(pos, &u)| (u, pos))
-            .collect();
-        let mut out: Vec<Option<(Vec<SearchMatch>, SearchStats, CacheEffect)>> =
-            (0..queries.len()).map(|_| None).collect();
-
-        let Some(cache_mutex) = &self.cache else {
-            // per_shard[shard][pos] over the unique set; transpose to per-query
-            // rows so every execution path merges through merge_ranked.
-            self.telemetry.add(Counter::ShardScans, shards as u64);
-            let all: Vec<usize> = (0..shards).collect();
-            let subsets: Vec<Vec<&QueryIndex>> = (0..shards)
-                .map(|_| uniques.iter().map(|&u| &queries[u]).collect())
-                .collect();
-            let mut per_shard = self.scan_selected_shards(&all, &subsets);
-            for (pos, &u) in uniques.iter().enumerate() {
-                out[u] = Some(Self::merge_ranked(
-                    per_shard
-                        .iter_mut()
-                        .map(|rows| std::mem::take(&mut rows[pos])),
-                    CacheEffect::default(),
-                ));
-            }
-            // Duplicates: identical reply bytes, and — matching b independent
-            // cache-less executions exactly — an all-zero effect.
-            return Self::fan_out_duplicates(out, &rep, |_| CacheEffect::default());
-        };
-
-        // Phase 1 — lookups for the unique queries, in batch order.
-        // resolved[pos][shard], rows aligned with `uniques`.
-        let mut resolved: Vec<Vec<Option<ShardScan>>> = uniques
-            .iter()
-            .map(|_| (0..shards).map(|_| None).collect())
-            .collect();
-        let mut generations: Vec<u64> = Vec::with_capacity(shards);
-        {
-            let _lookup_span = self.telemetry.span(Stage::CacheLookup);
-            let mut cache = cache_mutex.lock().unwrap();
-            for shard in 0..shards {
-                generations.push(cache.generation(shard));
-            }
-            for (&u, rows) in uniques.iter().zip(resolved.iter_mut()) {
-                for (shard, row) in rows.iter_mut().enumerate() {
-                    *row = cache.lookup(shard, &fingerprints[u]);
-                    self.telemetry.record_cache_lookup(shard, row.is_some());
-                }
-            }
-        }
-        let effects: Vec<CacheEffect> = resolved
-            .iter()
-            .map(|rows| {
-                let misses = rows.iter().filter(|r| r.is_none()).count() as u64;
-                CacheEffect {
-                    shard_hits: shards as u64 - misses,
-                    shard_misses: misses,
-                    saved_comparisons: rows
-                        .iter()
-                        .flatten()
-                        .map(|(_, stats)| stats.comparisons)
-                        .sum(),
-                }
+        let rows: Vec<usize> = (fingerprints.iter().enumerate())
+            .map(|(i, fingerprint)| {
+                *first_of.entry(fingerprint).or_insert_with(|| {
+                    uniques.push(i);
+                    uniques.len() - 1
+                })
             })
             .collect();
+        let tally = |effect: &mut CacheEffect, found: Option<&ShardScan>| match found {
+            Some((_, stats)) => {
+                effect.shard_hits += 1;
+                effect.saved_comparisons += stats.comparisons;
+            }
+            None => effect.shard_misses += 1,
+        };
 
-        // Phase 2 — fused scans: each shard sweeps exactly the unique queries
+        // Phase 1 — the distinct queries' lookups, in batch order.
+        // resolved[row][shard] is a hit's entry; `None` (every shard, with the
+        // cache off) is a shard to scan.
+        let mut resolved: Vec<Vec<Option<ShardScan>>> = vec![vec![None; shards]; uniques.len()];
+        let mut effects = vec![CacheEffect::default(); uniques.len()];
+        let mut generations: Vec<u64> = Vec::new();
+        if let Some(cache) = &self.cache {
+            let _lookup_span = self.telemetry.span(Stage::CacheLookup);
+            let mut cache = cache.lock().unwrap();
+            generations = (0..shards).map(|shard| cache.generation(shard)).collect();
+            for ((&u, slots), effect) in uniques.iter().zip(&mut resolved).zip(&mut effects) {
+                for (shard, slot) in slots.iter_mut().enumerate() {
+                    *slot = cache.lookup(shard, &fingerprints[u]);
+                    self.telemetry.record_cache_lookup(shard, slot.is_some());
+                    tally(effect, slot.as_ref());
+                }
+            }
+        }
+
+        // Phase 2 — fused scans: each shard sweeps exactly the distinct queries
         // that missed it, in one plane pass. Results only fill `resolved` here;
         // admissions happen in phase 3, in batch order.
-        let mut queries_for_shard: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
-        // missing_of_pos[pos] = the shards `pos` was freshly scanned on (its
+        let mut rows_for_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        // scanned_on[row] = the shards `row` was freshly scanned on (its
         // phase-1 misses) — the shards sequential execution would admit.
-        let mut missing_of_pos: Vec<Vec<usize>> = (0..uniques.len()).map(|_| Vec::new()).collect();
-        for (pos, rows) in resolved.iter().enumerate() {
-            for (shard, row) in rows.iter().enumerate() {
-                if row.is_none() {
-                    queries_for_shard[shard].push(pos);
-                    missing_of_pos[pos].push(shard);
-                }
+        let mut scanned_on: Vec<Vec<usize>> = vec![Vec::new(); uniques.len()];
+        for (row, slots) in resolved.iter().enumerate() {
+            for (shard, _) in slots.iter().enumerate().filter(|(_, s)| s.is_none()) {
+                rows_for_shard[shard].push(row);
+                scanned_on[row].push(shard);
             }
         }
         let shard_ids: Vec<usize> = (0..shards)
-            .filter(|&s| !queries_for_shard[s].is_empty())
+            .filter(|&shard| !rows_for_shard[shard].is_empty())
             .collect();
         if !shard_ids.is_empty() {
             self.telemetry
                 .add(Counter::ShardScans, shard_ids.len() as u64);
-            let subsets: Vec<Vec<&QueryIndex>> = shard_ids
-                .iter()
+            let subsets: Vec<Vec<&QueryIndex>> = (shard_ids.iter())
                 .map(|&shard| {
-                    queries_for_shard[shard]
-                        .iter()
-                        .map(|&pos| &queries[uniques[pos]])
+                    (rows_for_shard[shard].iter())
+                        .map(|&row| &queries[uniques[row]])
                         .collect()
                 })
                 .collect();
             let fresh = self.scan_selected_shards(&shard_ids, &subsets);
-            for (&shard, shard_results) in shard_ids.iter().zip(fresh) {
-                for (&pos, scan) in queries_for_shard[shard].iter().zip(shard_results) {
-                    resolved[pos][shard] = Some(scan);
+            for (&shard, scans) in shard_ids.iter().zip(fresh) {
+                for (&row, scan) in rows_for_shard[shard].iter().zip(scans) {
+                    resolved[row][shard] = Some(scan);
                 }
             }
         }
@@ -944,88 +816,64 @@ impl<S: IndexStore> SearchEngine<S> {
         // pressure an intervening admission may have evicted it, and then, like
         // sequential execution, the duplicate reports a miss and re-admits; the
         // "rescan" result is the representative's identical row). Distinct
-        // queries' *lookups* stay phased (see the method docs), so only their
-        // diagnostics can deviate under intra-batch eviction pressure; the
-        // admission order and every duplicate's traffic match sequential
-        // execution exactly.
-        let mut duplicate_effects: Vec<CacheEffect> = vec![CacheEffect::default(); queries.len()];
+        // queries' *lookups* stay phased (see `search_batch_with_effects`), so
+        // only their diagnostics can deviate under intra-batch eviction
+        // pressure; the admission order and every duplicate's traffic match
+        // sequential execution exactly. Nothing to admit or resolve, no span.
+        let mut duplicate_effects = vec![CacheEffect::default(); queries.len()];
+        let has_duplicates = uniques.len() < queries.len();
+        if let Some(cache) =
+            (self.cache.as_ref()).filter(|_| !shard_ids.is_empty() || has_duplicates)
         {
             let _admit_span = self.telemetry.span(Stage::CacheAdmit);
-            let mut cache = cache_mutex.lock().unwrap();
-            for (i, fingerprint) in fingerprints.iter().enumerate() {
-                let pos = unique_pos[&rep[i]];
-                if rep[i] == i {
-                    for &shard in &missing_of_pos[pos] {
-                        let (matches, stats) =
-                            resolved[pos][shard].as_ref().expect("shard resolved");
+            let mut cache = cache.lock().unwrap();
+            for (i, (fingerprint, &row)) in fingerprints.iter().zip(&rows).enumerate() {
+                if uniques[row] == i {
+                    for &shard in &scanned_on[row] {
+                        let (matches, stats) = resolved[row][shard].as_ref().expect("scanned");
+                        let generation = generations[shard];
                         cache.admit(
                             shard,
                             fingerprint.clone(),
                             matches.clone(),
                             *stats,
-                            generations[shard],
+                            generation,
                         );
                     }
                     continue;
                 }
-                let mut effect = CacheEffect::default();
                 for shard in 0..shards {
                     let found = cache.lookup(shard, fingerprint);
                     self.telemetry.record_cache_lookup(shard, found.is_some());
-                    match found {
-                        Some((_, stats)) => {
-                            effect.shard_hits += 1;
-                            effect.saved_comparisons += stats.comparisons;
-                        }
-                        None => {
-                            effect.shard_misses += 1;
-                            let (matches, stats) = resolved[pos][shard]
-                                .clone()
-                                .expect("representative resolved");
-                            cache.admit(
-                                shard,
-                                fingerprint.clone(),
-                                matches,
-                                stats,
-                                generations[shard],
-                            );
-                        }
+                    tally(&mut duplicate_effects[i], found.as_ref());
+                    if found.is_none() {
+                        let (matches, stats) = resolved[row][shard].clone().expect("resolved");
+                        let generation = generations[shard];
+                        cache.admit(shard, fingerprint.clone(), matches, stats, generation);
                     }
                 }
-                duplicate_effects[i] = effect;
             }
         }
 
-        for ((rows, effect), &u) in resolved.into_iter().zip(effects).zip(&uniques) {
-            out[u] = Some(Self::merge_ranked(
-                rows.into_iter().map(|r| r.expect("shard resolved")),
+        // Merge each distinct query once; a duplicate position copies its
+        // representative's reply beside its own cache effect.
+        let mut merged = resolved.into_iter().zip(effects).map(|(slots, effect)| {
+            Self::merge_ranked(
+                slots.into_iter().map(|s| s.expect("shard resolved")),
                 effect,
-            ));
+            )
+        });
+        let mut out: Vec<Reply> = Vec::with_capacity(queries.len());
+        for (i, &row) in rows.iter().enumerate() {
+            let reply = if uniques[row] == i {
+                merged.next().expect("representatives come in batch order")
+            } else {
+                let (matches, stats, _) = &out[uniques[row]];
+                (matches.clone(), *stats, duplicate_effects[i])
+            };
+            out.push(reply);
         }
-        Self::fan_out_duplicates(out, &rep, |i| duplicate_effects[i])
-    }
-
-    /// Finish a batch execution: every representative position of `out` is
-    /// filled; copy its reply into each duplicate position (pairing it with that
-    /// position's own [`CacheEffect`]) and unwrap the batch-ordered result.
-    fn fan_out_duplicates(
-        mut out: Vec<Option<(Vec<SearchMatch>, SearchStats, CacheEffect)>>,
-        rep: &[usize],
-        effect_of: impl Fn(usize) -> CacheEffect,
-    ) -> Vec<(Vec<SearchMatch>, SearchStats, CacheEffect)> {
-        for i in 0..out.len() {
-            if rep[i] != i {
-                let (matches, stats) = {
-                    let (matches, stats, _) =
-                        out[rep[i]].as_ref().expect("representative resolved first");
-                    (matches.clone(), *stats)
-                };
-                out[i] = Some((matches, stats, effect_of(i)));
-            }
-        }
-        out.into_iter()
-            .map(|reply| reply.expect("every batch position resolved"))
-            .collect()
+        out
     }
 
     /// Batched ranked search without statistics.
@@ -1034,16 +882,6 @@ impl<S: IndexStore> SearchEngine<S> {
             .into_iter()
             .map(|(matches, _)| matches)
             .collect()
-    }
-
-    /// The per-level metadata of matching documents, in storage order (§4.3).
-    ///
-    /// Levels are **borrowed** from the store: building the reply no longer
-    /// deep-clones every matching document's full η·r-bit index — callers that
-    /// need owned data (e.g. to serialize onto the wire) copy exactly the bytes
-    /// they send and nothing more.
-    pub fn matching_metadata(&self, query: &QueryIndex) -> Vec<(u64, &[BitIndex])> {
-        self.matching_in_storage_order(query, |d| (d.document_id, d.levels.as_slice()))
     }
 }
 
@@ -1058,7 +896,6 @@ mod tests {
     use mkse_textproc::document::TermFrequencies;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     struct Fixture {
         params: SystemParams,
@@ -1108,16 +945,6 @@ mod tests {
             let (matches, stats) = engine.search_ranked_with_stats(&q);
             assert_eq!(matches, seq_matches, "ranked mismatch at {shards} shards");
             assert_eq!(stats, seq_stats, "stats mismatch at {shards} shards");
-            assert_eq!(
-                engine.search_unranked(&q),
-                reference.search_unranked(&q),
-                "unranked mismatch at {shards} shards"
-            );
-            assert_eq!(
-                engine.matching_metadata(&q),
-                reference.matching_metadata(&q),
-                "metadata mismatch at {shards} shards"
-            );
         }
     }
 
@@ -1439,11 +1266,6 @@ mod tests {
             engine.set_telemetry_level(TelemetryLevel::Counters);
             for (q, want) in queries.iter().zip(&expected) {
                 assert_eq!(&engine.search_ranked_with_stats(q), want, "lanes={lanes}");
-                assert_eq!(
-                    engine.search_unranked(q),
-                    reference.search_unranked(q),
-                    "unranked, lanes={lanes}"
-                );
             }
             assert_eq!(
                 engine.search_batch_with_stats(&queries),
@@ -1455,11 +1277,10 @@ mod tests {
             total_executed += snap.lanes.iter().map(|l| l.executed).sum::<u64>();
         }
         // Every unit execution is accounted: per lane count, 5 single queries
-        // and one fused batch over 9 chunk-range units each, plus 5 unranked
-        // searches over 3 whole-shard units.
+        // and one fused batch over 9 chunk-range units each.
         assert_eq!(
             total_executed,
-            2 * (6 * 9 + 5 * 3),
+            2 * 6 * 9,
             "lane counters must see every executed unit"
         );
         // And at least one lane stole: the caller lane drains its own deal
@@ -1527,11 +1348,6 @@ mod tests {
                                 want,
                                 "engine {n}, round {round}"
                             );
-                            assert_eq!(
-                                case.engine.search_unranked(q),
-                                case.reference.search_unranked(q),
-                                "unranked, engine {n}, round {round}"
-                            );
                         }
                         assert_eq!(
                             case.engine.search_batch_with_stats(&case.queries),
@@ -1590,8 +1406,8 @@ mod tests {
         assert!(empty.carve_units(&[0, 1]).is_empty());
         let q = QueryIndex::from_bits(next_bits(64));
         assert_eq!(
-            empty.scan_selected_shards_single(&[0, 1], &q),
-            vec![(Vec::new(), SearchStats::default()); 2]
+            empty.scan_selected_shards(&[0, 1], &[vec![&q], vec![&q]]),
+            vec![vec![(Vec::new(), SearchStats::default())]; 2]
         );
     }
 
@@ -1677,7 +1493,6 @@ mod tests {
         assert_eq!(engine.len(), 0);
         let q = query(&mut fx, &["anything"]);
         assert!(engine.search(&q).is_empty());
-        assert!(engine.search_unranked(&q).is_empty());
         assert!(engine.document_index(0).is_none());
     }
 
@@ -1689,7 +1504,8 @@ mod tests {
         engine.insert(indexer.index_keywords(0, &["kw0"])).unwrap();
         assert_eq!(engine.store().num_shards(), 1);
         let q = query(&mut fx, &["kw0"]);
-        assert_eq!(engine.search_unranked(&q), vec![0]);
+        let ids: Vec<u64> = engine.search(&q).iter().map(|m| m.document_id).collect();
+        assert_eq!(ids, vec![0]);
         assert_eq!(engine.params().index_bits, 448);
         assert_eq!(engine.into_store().len(), 1);
     }
@@ -1862,59 +1678,60 @@ mod tests {
         assert_eq!(effect.shard_hits, 0, "cleared cache serves nothing");
     }
 
-    /// A store whose shard 2 cannot be read once `armed` — exercises the
-    /// panic-context propagation through the worker pool.
-    struct PoisonedStore {
+    /// The one shard of `inner` dressed as shard 2 of four, the other three
+    /// empty — so a query the plane refuses (one of the wrong length, which
+    /// the front door keeps out in production) panics inside shard 2's scan
+    /// units and nowhere else, exercising the panic-context propagation
+    /// through the worker pool.
+    struct LoneShardStore {
         inner: ShardedStore,
-        armed: AtomicBool,
     }
 
-    impl IndexStore for PoisonedStore {
+    const LONE_SHARD: usize = 2;
+
+    impl IndexStore for LoneShardStore {
         fn params(&self) -> &SystemParams {
             self.inner.params()
         }
         fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
-            self.inner.insert(index)
+            self.inner.insert(index).map(|_| LONE_SHARD)
         }
         fn len(&self) -> usize {
             self.inner.len()
         }
         fn num_shards(&self) -> usize {
-            self.inner.num_shards()
+            4
         }
         fn shard_documents(&self, shard: usize) -> &[RankedDocumentIndex] {
-            let poisoned = shard == 2 && self.armed.load(Ordering::SeqCst);
-            assert!(!poisoned, "shard storage corrupted");
-            self.inner.shard_documents(shard)
+            match shard {
+                LONE_SHARD => self.inner.shard_documents(0),
+                _ => &[],
+            }
         }
-        fn ordinal(&self, shard: usize, slot: usize) -> u64 {
-            self.inner.ordinal(shard, slot)
+        fn ordinal(&self, _shard: usize, slot: usize) -> u64 {
+            self.inner.ordinal(0, slot)
         }
         fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex> {
             self.inner.document_index(document_id)
         }
     }
 
-    fn poisoned_store(fx: &Fixture) -> PoisonedStore {
-        let mut store = PoisonedStore {
-            inner: ShardedStore::new(fx.params.clone(), 4),
-            armed: AtomicBool::new(false),
-        };
-        store.insert_all(corpus_indices(fx, 16)).unwrap();
-        store
+    /// A query one bit longer than `params` allows.
+    fn wrong_length_query(params: &SystemParams) -> QueryIndex {
+        QueryIndex::from_bits(BitIndex::all_ones(params.index_bits + 1))
     }
 
     #[test]
     fn scan_panic_names_the_failing_shard() {
-        let mut fx = fixture();
-        let engine = SearchEngine::new(poisoned_store(&fx));
-        // Armed only now: deriving the planes read every shard. The ranked sweep
-        // never touches the documents again; the unranked extraction does, on
-        // whichever lane runs shard 2's unit.
-        engine.store().armed.store(true, Ordering::SeqCst);
-        let q = query(&mut fx, &["shared"]);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| engine.search_unranked(&q)));
-        let payload = result.expect_err("poisoned shard must panic");
+        let fx = fixture();
+        let mut inner = ShardedStore::new(fx.params.clone(), 1);
+        inner.insert_all(corpus_indices(&fx, 16)).unwrap();
+        let engine = SearchEngine::new(LoneShardStore { inner });
+        // Only shard 2 has a plane to hold the query to, on whichever lane
+        // runs its unit; the empty shards answer any length with nothing.
+        let bad = wrong_length_query(&fx.params);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| engine.search(&bad)));
+        let payload = result.expect_err("a wrong-length query must panic the scan");
         let message = payload
             .downcast_ref::<String>()
             .cloned()
@@ -1925,20 +1742,25 @@ mod tests {
             "panic must name the failing shard: {message}"
         );
         assert!(
-            message.contains("shard storage corrupted"),
+            message.contains("length mismatch"),
             "panic must forward the original message: {message}"
         );
     }
 
     #[test]
     fn a_panicking_engine_does_not_disturb_its_pool_mates() {
-        // Engines A (poisoned) and B (healthy) run their lanes on one injected
-        // pool. A's scans panic while B queries: B's replies are its
-        // reference's, A's panic still names its job and shard, and the pool
-        // serves both once A is disarmed.
+        use crate::scanplane::CHUNK;
+        // Engines A and B run their lanes on one injected pool. A's only
+        // documents sit in its shard 2, two 8-chunk units of them, so a query
+        // of the wrong length panics on both lanes while B queries: B's
+        // replies are its reference's, A's panic still names its job and
+        // shard, and the pool serves both afterwards.
         let mut fx = fixture();
         let pool = Arc::new(WorkerPool::new(1));
-        let a = forced_lane_engine_on(poisoned_store(&fx), 2, Arc::clone(&pool));
+        let (inner, _) = raw_store(1, UNIT_CHUNKS * CHUNK + 1);
+        let a_params = inner.params().clone();
+        let a = forced_lane_engine_on(LoneShardStore { inner }, 2, Arc::clone(&pool));
+        assert_eq!(a.carve_units(&[LONE_SHARD]).len(), 2);
         let indices = corpus_indices(&fx, 40);
         let mut reference = CloudIndex::new(fx.params.clone());
         reference.insert_all(indices.iter().cloned()).unwrap();
@@ -1946,36 +1768,35 @@ mod tests {
         store.insert_all(indices).unwrap();
         let b = forced_lane_engine_on(store, 2, Arc::clone(&pool));
         let q = query(&mut fx, &["shared"]);
-        let a_healthy = a.search_unranked(&q);
-        assert!(!a_healthy.is_empty());
+        let everything = QueryIndex::from_bits(BitIndex::all_ones(a_params.index_bits));
+        let a_healthy = a.search_ranked_with_stats(&everything);
+        assert!(!a_healthy.0.is_empty());
         let b_ranked = reference.search_ranked_with_stats(&q);
-        let b_unranked = reference.search_unranked(&q);
 
-        a.store().armed.store(true, Ordering::SeqCst);
+        let bad = wrong_length_query(&a_params);
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 start.wait();
                 for round in 0..20 {
                     assert_eq!(b.search_ranked_with_stats(&q), b_ranked, "round {round}");
-                    assert_eq!(b.search_unranked(&q), b_unranked, "round {round}");
                 }
             });
             start.wait();
             for _ in 0..20 {
-                let result = catch_unwind(AssertUnwindSafe(|| a.search_unranked(&q)));
-                let payload = result.expect_err("poisoned shard must panic");
+                let result = catch_unwind(AssertUnwindSafe(|| a.search(&bad)));
+                let payload = result.expect_err("a wrong-length query must panic the scan");
                 let message = pool::panic_message(payload.as_ref());
                 assert!(
                     message.starts_with("shard scan panicked: job ")
-                        && message.ends_with(": shard 2: shard storage corrupted"),
+                        && message.contains(": shard 2: ")
+                        && message.contains("length mismatch"),
                     "panic must name the failing job and shard: {message}"
                 );
             }
         });
 
-        a.store().armed.store(false, Ordering::SeqCst);
-        assert_eq!(a.search_unranked(&q), a_healthy);
+        assert_eq!(a.search_ranked_with_stats(&everything), a_healthy);
         assert_eq!(b.search_ranked_with_stats(&q), b_ranked);
     }
 }

@@ -101,8 +101,7 @@ pub use keys::{trapdoor_from_bin_key, RandomKeywordPool, SchemeKeys, Trapdoor};
 pub use keyword::keyword_index;
 pub use params::{ParamError, SystemParams};
 pub use persistence::{
-    deserialize_into, deserialize_store, serialize_index_store, serialize_shard, serialize_store,
-    PersistenceError,
+    deserialize_store, serialize_index_store, serialize_shard, serialize_store, PersistenceError,
 };
 pub use query::{QueryBuilder, QueryIndex};
 pub use rotation::{EpochTrapdoor, RotatingKeys};

@@ -11,11 +11,13 @@
 //! [`IndexStore`] holds. The result cache and the bit-sliced
 //! [`crate::scanplane::ScanPlane`]s are derived state owned by
 //! [`crate::engine::SearchEngine`] and are never serialized: the byte format is
-//! **layout-independent** (insertion order, one document at a time). A bare store
-//! is restored with [`deserialize_into`]; an engine is restored through
+//! **layout-independent** (insertion order, one document at a time).
+//! [`deserialize_store`] decodes a snapshot into indices and stores nothing; the
+//! restore paths are the engine's
 //! [`crate::engine::SearchEngine::restore_snapshot`], which appends every decoded
 //! index to its store *and* its planes and bumps every cache generation, so entries
-//! cached before a reload can never be served after it.
+//! cached before a reload can never be served after it, and the fleet
+//! coordinator's mirror, which inserts and forwards them like an upload.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -182,22 +184,6 @@ pub fn serialize_shard<S: IndexStore>(store: &S, shard: usize) -> Vec<u8> {
     serialize_store(store.params(), store.shard_documents(shard))
 }
 
-/// Restore a snapshot produced by [`serialize_index_store`] (or [`serialize_store`])
-/// into `store`, appending the decoded indices in their original insertion order.
-///
-/// Returns the number of restored documents.
-pub fn deserialize_into<S: IndexStore>(
-    store: &mut S,
-    bytes: &[u8],
-) -> Result<usize, PersistenceError> {
-    let indices = deserialize_store(store.params(), bytes)?;
-    let count = indices.len();
-    for idx in indices {
-        store.insert(idx)?;
-    }
-    Ok(count)
-}
-
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -346,7 +332,9 @@ mod tests {
         assert_eq!(bytes, serialize_store(&params, &indices));
         // Restoring into a store with a different shard count preserves content.
         let mut restored = ShardedStore::new(params.clone(), 7);
-        assert_eq!(deserialize_into(&mut restored, &bytes).unwrap(), 11);
+        let decoded = deserialize_store(&params, &bytes).unwrap();
+        assert_eq!(decoded.len(), 11);
+        restored.insert_all(decoded).unwrap();
         assert_eq!(
             restored
                 .documents_in_insertion_order()
@@ -384,7 +372,8 @@ mod tests {
         // full corpus, regardless of the destination layout.
         let mut restored = ShardedStore::new(params.clone(), 3);
         for shard in 0..sharded.num_shards() {
-            deserialize_into(&mut restored, &serialize_shard(&sharded, shard)).unwrap();
+            let decoded = deserialize_store(&params, &serialize_shard(&sharded, shard)).unwrap();
+            restored.insert_all(decoded).unwrap();
         }
         assert_eq!(restored.len(), sharded.len());
         for idx in &indices {
@@ -408,8 +397,9 @@ mod tests {
         let bytes = serialize_store(&params, &indices);
         let mut store = ShardedStore::new(params.clone(), 2);
         store.insert(indices[1].clone()).unwrap();
+        let decoded = deserialize_store(&params, &bytes).unwrap();
         assert!(matches!(
-            deserialize_into(&mut store, &bytes),
+            store.insert_all(decoded).map_err(PersistenceError::from),
             Err(PersistenceError::Store(_))
         ));
     }

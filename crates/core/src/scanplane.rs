@@ -318,24 +318,6 @@ impl ScanPlane {
         batch.pop().expect("one result per query")
     }
 
-    /// Slots (in scan order) whose level-1 index matches the query — the
-    /// plane-backed filter behind unranked search and metadata retrieval.
-    pub fn matching_slots(&self, query: &BitIndex) -> Vec<usize> {
-        // An empty plane has no geometry to hold a query to.
-        assert!(
-            self.is_empty() || query.len() == self.bits,
-            "length mismatch"
-        );
-        let mut slots = Vec::new();
-        for chunk in 0..self.num_chunks() {
-            let matching = self.survivors(chunk, 0, query, self.valid_slots(chunk));
-            for (w, &word) in matching.iter().enumerate() {
-                slots.extend(ones(word).map(|i| chunk * CHUNK + w * 64 + i));
-            }
-        }
-        slots
-    }
-
     /// Algorithm 1 for every query of a batch over the whole plane: exactly
     /// `queries.len()` independent [`ScanPlane::scan_ranked`] calls, swept
     /// chunk-major (see the [module docs](self)).
@@ -410,6 +392,12 @@ mod tests {
         plane
     }
 
+    /// Ids of the documents whose level-1 index matches, in slot order.
+    fn match_ids(plane: &ScanPlane, query: &BitIndex) -> Vec<u64> {
+        let (matches, _) = plane.scan_ranked(query);
+        matches.iter().map(|m| m.document_id).collect()
+    }
+
     #[test]
     fn scanplane_empty_plane_matches_reference() {
         let plane = ScanPlane::new();
@@ -421,7 +409,7 @@ mod tests {
         let (matches, stats) = plane.scan_ranked(&q);
         assert!(matches.is_empty());
         assert_eq!(stats, SearchStats::default());
-        assert!(plane.matching_slots(&q).is_empty());
+        assert!(match_ids(&plane, &q).is_empty());
     }
 
     #[test]
@@ -442,13 +430,12 @@ mod tests {
                     let (got, got_stats) = plane.scan_ranked(&q);
                     assert_eq!(got, expected, "r={r} eta={eta} zp={zero_prob}");
                     assert_eq!(got_stats, expected_stats, "r={r} eta={eta} zp={zero_prob}");
-                    let slots: Vec<usize> = docs
+                    let ids: Vec<u64> = docs
                         .iter()
-                        .enumerate()
-                        .filter(|(_, d)| d.base_level().matches_query(&q))
-                        .map(|(i, _)| i)
+                        .filter(|d| d.base_level().matches_query(&q))
+                        .map(|d| d.document_id)
                         .collect();
-                    assert_eq!(plane.matching_slots(&q), slots);
+                    assert_eq!(match_ids(&plane, &q), ids);
                 }
             }
         }
@@ -829,7 +816,7 @@ mod tests {
                 let (matches, stats) = plane.scan_ranked(&q);
                 assert_eq!(matches.len(), n, "{n} documents");
                 assert_eq!((matches, stats), scan_ranked(&docs, &qi(&q)));
-                assert_eq!(plane.matching_slots(&q), (0..n).collect::<Vec<_>>());
+                assert_eq!(match_ids(&plane, &q), (0..n as u64).collect::<Vec<_>>());
             }
         }
     }

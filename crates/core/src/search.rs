@@ -16,7 +16,6 @@
 //! to this reference (see `tests/sharded_engine_equivalence.rs` and
 //! `mkse-core/tests/scanplane_equivalence.rs`).
 
-use crate::bitindex::BitIndex;
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::query::QueryIndex;
@@ -175,20 +174,6 @@ impl CloudIndex {
         let mut all = self.search(query);
         all.truncate(tau);
         all
-    }
-
-    /// The metadata (per-level indices) of the matching documents, which the server sends back
-    /// so the user can assess relevance before retrieving ciphertexts (§4.3).
-    ///
-    /// Levels are **borrowed** from the store rather than deep-cloned per match;
-    /// callers copy only what actually leaves the server.
-    pub fn matching_metadata(&self, query: &QueryIndex) -> Vec<(u64, &[BitIndex])> {
-        self.store
-            .shard_documents(0)
-            .iter()
-            .filter(|d| d.base_level().matches_query(query.bits()))
-            .map(|d| (d.document_id, d.levels.as_slice()))
-            .collect()
     }
 
     /// The parameters of this store.
@@ -382,10 +367,17 @@ mod tests {
         cloud.insert(indexer.index_keywords(0, &["match"])).unwrap();
         cloud.insert(indexer.index_keywords(1, &["other"])).unwrap();
         let q = query(&mut fx, &["match"]);
-        let metadata = cloud.matching_metadata(&q);
+        // What a server ships beside each ranked match (§4.3): the matching
+        // document's stored per-level indices, looked up by id.
+        let metadata: Vec<(u64, usize)> = (cloud.search(&q).iter())
+            .map(|m| {
+                let stored = cloud.document_index(m.document_id).expect("stored");
+                (m.document_id, stored.levels.len())
+            })
+            .collect();
         assert_eq!(metadata.len(), 1);
         assert_eq!(metadata[0].0, 0);
-        assert_eq!(metadata[0].1.len(), fx.params.rank_levels());
+        assert_eq!(metadata[0].1, fx.params.rank_levels());
     }
 
     #[test]

@@ -140,16 +140,6 @@ fn assert_engine_equals_reference<S: IndexStore>(
         );
         assert_eq!(par_stats, seq_stats, "stats differ: {ctx}, query {qi}");
         assert_eq!(
-            engine.search_unranked(query),
-            reference.search_unranked(query),
-            "unranked order differs: {ctx}, query {qi}"
-        );
-        assert_eq!(
-            engine.matching_metadata(query),
-            reference.matching_metadata(query),
-            "metadata differs: {ctx}, query {qi}"
-        );
-        assert_eq!(
             engine.search_top(query, 3),
             reference.search_top(query, 3),
             "top-k differs: {ctx}, query {qi}"
@@ -516,7 +506,6 @@ proptest! {
             engine.search_ranked_with_stats(&query),
             reference.search_ranked_with_stats(&query)
         );
-        prop_assert_eq!(engine.search_unranked(&query), reference.search_unranked(&query));
     }
 
     /// The fused-batch contract under arbitrary geometry: for any batch size in
@@ -652,7 +641,6 @@ proptest! {
             let expected = reference.search_ranked_with_stats(query);
             prop_assert_eq!(&got, &expected);
             prop_assert_eq!(engine.search_ranked_with_stats(query), expected);
-            prop_assert_eq!(engine.search_unranked(query), reference.search_unranked(query));
         }
     }
 }

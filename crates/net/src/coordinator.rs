@@ -30,11 +30,13 @@
 //! ([`ResilientClient::submit`]) before it *completes* any of them, in
 //! node-id order, so the nodes scan side by side; every flight of a round is
 //! completed before a failed node is failed over and the round repeated.
-//! When the coordinator's hub coalesces several clients' queries into a
-//! group, the group travels as **one** [`Request::BatchQuery`] forward (see
-//! the [`FusedService`] impl) and each node answers it with one fused plane
-//! pass. Writes keep their sequential forward — fleet-wide at-most-once is a
-//! property of that order. A query that is not `r` bits long never leaves the
+//! Every read travels as **one** [`Request::BatchQuery`] forward, which each
+//! node answers with one fused plane pass: a group the coordinator's hub
+//! coalesced from several clients' queries as one member per query (see
+//! [`Service::call_query_group`]), a lone [`Request::Query`] as a group of
+//! one — so nodes only ever see `BatchQuery` reads, and there is one scatter
+//! and one merge. Writes keep their sequential forward — fleet-wide
+//! at-most-once is a property of that order. A query that is not `r` bits long never leaves the
 //! coordinator: it is answered the twin's own `IndexSizeMismatch` before the
 //! scatter, because a node's typed refusal would read as a failed node there.
 //!
@@ -74,7 +76,6 @@
 //! server side's own work — neither shows a node anything new.
 
 use crate::resilient::{Connector, InFlight, ResilientClient, RetryPolicy};
-use crate::FusedService;
 use mkse_core::storage::{IndexStore, ShardedStore, StoreError};
 use mkse_core::telemetry::{Counter, Gauge, Stage, Telemetry, TelemetryLevel};
 use mkse_core::{
@@ -485,34 +486,14 @@ impl Coordinator {
         }
     }
 
-    fn exec_query(&mut self, message: QueryMessage) -> Response {
-        if let Err(error) = message.check(self.mirror.params().index_bits) {
-            return Response::Error(error);
-        }
-        if self.mirror.is_empty() {
-            return Response::Search(SearchReply {
-                matches: vec![],
-                cache: CacheReport::default(),
-            });
-        }
-        let top = message.top;
-        match self.scatter(&Request::Query(message), |reply| match reply {
-            Response::Search(r) => Some(r.matches),
-            _ => None,
-        }) {
-            Ok(collected) => Response::Search(Self::merge(collected, top)),
-            Err(error) => error,
-        }
-    }
-
-    /// One `BatchQuery` scatter: the nodes see `message` as it stands (its
-    /// `top` is the widest any member asks for), and member `i` of the merged
-    /// result is truncated to `tops[i]`.
+    /// The one read scatter: the nodes see `message` as it stands (its `top`
+    /// is the widest any member asks for), and member `i` of the merged result
+    /// is truncated to `tops[i]`.
     ///
-    /// The length check comes first, here as in [`Coordinator::exec_query`]:
-    /// a node would answer a query of the wrong length with the same typed
-    /// error, but `scatter` reads any reply it cannot `extract` as a failed
-    /// node — one hostile frame would fail the whole fleet over, node by node.
+    /// The length check comes first: a node would answer a query of the wrong
+    /// length with the same typed error, but `scatter` reads any reply it
+    /// cannot `extract` as a failed node — one hostile frame would fail the
+    /// whole fleet over, node by node.
     #[allow(clippy::result_large_err)] // the Err is the Response sent to the caller
     fn exec_batch_query(
         &mut self,
@@ -536,7 +517,11 @@ impl Coordinator {
         Ok(Self::merge_batch(collected, tops))
     }
 
-    /// The fused forward of a group the front door has already checked.
+    /// The fused forward of a group of queries — a coalesced group, or a lone
+    /// `Query` as a group of one. The forward asks for the widest `top` of the
+    /// group (everything, if any member is unbounded) and each member is
+    /// truncated to its own `top` at the merge: a node's top-w list contains
+    /// its top-t for every t ≤ w.
     fn forward_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
         let tops: Vec<Option<usize>> = messages.iter().map(|m| m.top).collect();
         let widest = tops
@@ -673,7 +658,10 @@ impl Service for Coordinator {
         self.telemetry.tally(Counter::RequestsServed, 1);
         self.sweep_deadlines();
         match request {
-            Request::Query(message) => self.exec_query(message),
+            Request::Query(message) => {
+                let mut replies = self.forward_group(std::slice::from_ref(&message));
+                replies.pop().expect("one reply per member")
+            }
             Request::BatchQuery(message) => {
                 let tops = vec![message.top; message.queries.len()];
                 match self.exec_batch_query(message, &tops) {
@@ -709,25 +697,11 @@ impl Service for Coordinator {
         }
     }
 
-    /// The fleet registry: the coordinator's hub records its framed wire
-    /// traffic, codec durations and batcher waits beside the fleet gauges.
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl FusedService for Coordinator {
-    /// A coalesced group becomes **one** `BatchQuery` scatter, so the nodes
-    /// run their fused plane pass over it. The forward asks for the widest
-    /// `top` of the group (everything, if any member is unbounded) and each
-    /// member is truncated to its own `top` at the merge — a node's top-w
-    /// list contains its top-t for every t ≤ w, so the reply is the one the
-    /// member's own `Query` scatter would have merged. Requests are counted
-    /// once per member, deadlines swept once per group.
+    /// A coalesced group becomes **one** `BatchQuery` scatter
+    /// (`forward_group`), so the nodes run their fused plane pass over it and
+    /// each member's reply is the one its own `Query` would have merged.
+    /// Requests are counted once per member, deadlines swept once per group.
     fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
-        if let [only] = messages {
-            return vec![self.call(Request::Query(only.clone()))];
-        }
         let telemetry = self.telemetry.clone();
         let _call_span = telemetry.span(Stage::ServiceCall);
         self.telemetry
@@ -737,6 +711,12 @@ impl FusedService for Coordinator {
         // travel as the fused forward — what `call` per member would do.
         let index_bits = self.mirror.params().index_bits;
         answer_query_group(index_bits, messages, |sound| self.forward_group(sound))
+    }
+
+    /// The fleet registry: the coordinator's hub records its framed wire
+    /// traffic, codec durations and batcher waits beside the fleet gauges.
+    fn telemetry(&self) -> Option<&Telemetry> {
+        Some(&self.telemetry)
     }
 }
 
@@ -825,7 +805,8 @@ mod tests {
             .collect()
     }
 
-    /// The read requests a node executed.
+    /// The read requests a node executed (only ever `BatchQuery`s: the
+    /// coordinator forwards a lone query as a one-member batch).
     fn forwarded_reads(node: HubHandle) -> Vec<&'static str> {
         executed(node, &["Query", "BatchQuery"])
     }
@@ -1029,14 +1010,20 @@ mod tests {
         assert_eq!(served(&coordinator) - before, 4, "counted once per member");
         // All bounded: the forward carries the widest limit, 5.
         assert_group_twin(&mut coordinator, &mut twin, &bounded, "bounded tops");
-        // A group of one stays a plain query.
+        // A group of one, and a lone query, are one-member batches.
         assert_group_twin(&mut coordinator, &mut twin, &bounded[..1], "group of one");
+        assert_twin(
+            &mut coordinator,
+            &mut twin,
+            Request::Query(bounded[1].clone()),
+            "lone query",
+        );
 
         for node in [node1, node2] {
             assert_eq!(
                 forwarded_reads(node),
-                ["BatchQuery", "BatchQuery", "Query"],
-                "one fused forward per group of two or more"
+                ["BatchQuery"; 4],
+                "one fused forward per group, a lone query included"
             );
         }
     }
@@ -1086,12 +1073,17 @@ mod tests {
             documents: vec![],
         };
         // Node 2 serves shard 2 alone: its link carries that shard's slice of
-        // the seed upload, one whole query frame, and half of the next.
+        // the seed upload, one whole query forward (a one-member batch), and
+        // half of the next.
         let forward = Request::Upload(UploadMessage {
             indices: (fx.indices.iter().skip(2).step_by(GLOBAL_SHARDS).cloned()).collect(),
             documents: vec![],
         });
-        let query_len = wire::encode_request(1, &Request::Query(fx.queries[0].clone())).len();
+        let lone = Request::BatchQuery(BatchQueryMessage {
+            queries: vec![fx.queries[0].query.clone()],
+            top: fx.queries[0].top,
+        });
+        let query_len = wire::encode_request(1, &lone).len();
         let budget = (wire::encode_request(1, &forward).len() + query_len + query_len / 2) as u64;
         for (hub, node_id) in hubs.iter().zip(1u64..) {
             let dialer = hub.memory_dialer();

@@ -5,7 +5,7 @@
 //!
 //! ## Topology
 //!
-//! One **dispatcher thread** owns the [`FusedService`] and every connection's
+//! One **dispatcher thread** owns the [`Service`] and every connection's
 //! write half — a single-writer design: no lock ever guards the engine, and
 //! execution order is a total order the optional journal records. Each
 //! connection gets a **reader thread** that reassembles frames
@@ -17,7 +17,9 @@
 //! ## The batcher
 //!
 //! Single-query [`Request::Query`] frames are collected into a pending group
-//! and executed as **one** [`FusedService::call_query_group`] pass; replies
+//! and executed as **one** [`Service::call_query_group`] pass — a fused scan
+//! on a `CloudServer`, one fused forward on a `Coordinator`, one `call` per
+//! member for a service that keeps the trait's default; replies
 //! are de-multiplexed back to each connection by request id. The batcher is
 //! **work-conserving**: it never holds a group the dispatcher could usefully
 //! run. While a group is pending:
@@ -63,10 +65,9 @@
 use crate::frame::FrameBuffer;
 use crate::link::{memory_duplex, LinkReader, LinkWriter, MemoryLink};
 use crate::resilient::Connector;
-use crate::FusedService;
 use mkse_core::telemetry::{Counter, Gauge, Series, Stage, Telemetry};
 use mkse_protocol::wire::{decode_request, encode_response};
-use mkse_protocol::{ProtocolError, QueryMessage, Request, Response, TransportError};
+use mkse_protocol::{ProtocolError, QueryMessage, Request, Response, Service, TransportError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -253,7 +254,7 @@ impl Hub {
     /// Start a hub around `service`. The service moves onto the dispatcher
     /// thread; its telemetry registry (if any) is shared with the readers so
     /// wire traffic is recorded per connection.
-    pub fn spawn<S: FusedService + Send + 'static>(service: S, config: HubConfig) -> HubHandle {
+    pub fn spawn<S: Service + Send + 'static>(service: S, config: HubConfig) -> HubHandle {
         let (tx, rx) = mpsc::channel();
         let telemetry = service.telemetry().cloned();
         let shared = Arc::new(HubShared {
@@ -662,7 +663,7 @@ impl Batcher {
     }
 }
 
-fn dispatcher_loop<S: FusedService>(
+fn dispatcher_loop<S: Service>(
     mut service: S,
     events: Receiver<Event>,
     shared: Arc<HubShared>,
@@ -852,7 +853,7 @@ fn dispatcher_loop<S: FusedService>(
     report
 }
 
-fn flush_batch<S: FusedService>(
+fn flush_batch<S: Service>(
     service: &mut S,
     batcher: &mut Batcher,
     reason: Counter,

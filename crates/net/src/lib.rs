@@ -6,7 +6,8 @@
 //! a hub process owns the index ([`hub::Hub`]), many clients connect over
 //! `std::net::TcpListener` or the deterministic in-process
 //! [`link::MemoryLink`] twin, and single-query frames from *different*
-//! connections are coalesced into one [`FusedService::call_query_group`] pass:
+//! connections are coalesced into one
+//! [`Service::call_query_group`](mkse_protocol::Service::call_query_group) pass:
 //! a group runs the moment every connection that has been querying is in it,
 //! and what queued up while it ran is the next group.
 //!
@@ -22,7 +23,7 @@
 //! ```text
 //!   ResilientClient ─────▶ NetClient ──frames──▶ reader thread ──events──▶ dispatcher thread
 //!   (retry/reconnect,      (pipelined)  │        (FrameBuffer,             (single writer: owns the
-//!    backoff, at-most-once)             │         per-conn gate,            FusedService + batcher,
+//!    backoff, at-most-once)             │         per-conn gate,            Service + batcher,
 //!                                       ▼         hub-wide budget,          demultiplexes replies,
 //!                                  FaultyLink     idle/size hygiene)        sheds → Overloaded)
 //!                                  (optional seeded chaos wrapper)
@@ -38,20 +39,21 @@
 //! On top of the transport sits the **fleet layer** ([`coordinator`],
 //! [`node`]): shard-server nodes — each a `CloudServer` behind its own hub —
 //! register with a [`coordinator::Coordinator`] over the same framed codec
-//! (`RegisterNode` / `NodeHeartbeat` envelope ops), which scatters each
-//! query to all live nodes at once (and a coalesced group of queries as one
-//! fused `BatchQuery`), merges replies in canonical rank order, and on
+//! (`RegisterNode` / `NodeHeartbeat` envelope ops), which scatters each read
+//! to all live nodes at once as one `BatchQuery` — a coalesced group of k
+//! queries as k members, a lone query as one, so nodes only see `BatchQuery`
+//! reads — merges replies in canonical rank order, and on
 //! a node death (missed health deadline or exhausted retries) re-homes the
 //! lost shards onto survivors, each as one layout-independent snapshot of the
 //! shard as the coordinator's mirror holds it:
 //!
 //! ```text
-//!   clients ──▶ coordinator hub ──▶ Coordinator (Service + FusedService)
+//!   clients ──▶ coordinator hub ──▶ Coordinator (Service)
 //!               (batcher: k queries     │  mirror store (the corpus, once) + doc bodies
 //!                ─▶ one group)          │  scatter/merge · health deadlines · failover
 //!                         ResilientClient per node (retry_non_idempotent OFF)
 //!                         reads: submit to every node, then complete each
-//!                         (a group of k ≥ 2 = one BatchQuery); writes: one by one
+//!                         (a group of k ≥ 1 = one BatchQuery); writes: one by one
 //!                               ▼                           ▼
 //!                node hub ──▶ CloudServer     node hub ──▶ CloudServer   …
 //!                (the coordinator's link is a node hub's only connection, so
@@ -82,32 +84,6 @@ pub use link::{memory_duplex, LinkReader, LinkWriter, MemoryLink, MemoryReader, 
 pub use node::{NodeConfig, NodeError, NodeRunner};
 pub use resilient::{Connector, InFlight, ResilienceStats, ResilientClient, RetryPolicy};
 
-use mkse_protocol::{CloudServer, QueryMessage, Request, Response, Service};
-
-/// A [`Service`] that can additionally execute a *group* of independent
-/// single-query envelopes in one pass. The contract is strict: replies, their
-/// cache reports, and every operation counter must be byte-identical to
-/// calling [`Service::call`] once per message in group order — the default
-/// implementation is exactly that, and the hub's batcher relies on it to stay
-/// invisible.
-pub trait FusedService: Service {
-    /// Execute `messages` as one group, one [`Response`] per message in order.
-    fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
-        messages
-            .iter()
-            .map(|m| self.call(Request::Query(m.clone())))
-            .collect()
-    }
-}
-
-impl FusedService for CloudServer {
-    /// One fused scan-plane pass over the whole group
-    /// ([`CloudServer::call_query_group`]).
-    fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
-        CloudServer::call_query_group(self, messages)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,6 +91,7 @@ mod tests {
     use mkse_core::telemetry::{MetricsSnapshot, Telemetry, TelemetryLevel};
     use mkse_protocol::messages::{CacheReport, SearchReply, SearchResultEntry};
     use mkse_protocol::{ProtocolError, TransportError};
+    use mkse_protocol::{QueryMessage, Request, Response, Service};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc::{self, Receiver};
     use std::sync::Arc;
@@ -174,8 +151,6 @@ mod tests {
             Some(&self.telemetry)
         }
     }
-
-    impl FusedService for EchoService {}
 
     fn query(ones: usize, len: usize) -> Request {
         let mut bits = BitIndex::all_zeros(len);

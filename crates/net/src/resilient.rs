@@ -498,7 +498,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyLink};
     use crate::hub::{Hub, HubConfig};
-    use crate::FusedService;
     use mkse_core::bitindex::BitIndex;
     use mkse_protocol::messages::{CacheReport, QueryMessage, SearchReply, SearchResultEntry};
     use mkse_protocol::{Service, UploadMessage};
@@ -534,8 +533,6 @@ mod tests {
             None
         }
     }
-
-    impl FusedService for CountingService {}
 
     fn query(ones: usize) -> Request {
         let mut bits = BitIndex::all_zeros(16);

@@ -262,6 +262,21 @@ pub trait Service {
     /// Execute one request and produce its reply.
     fn call(&mut self, request: Request) -> Response;
 
+    /// Execute a *group* of independent single-query envelopes — typically one
+    /// [`Request::Query`] from each of several connections, coalesced by a
+    /// cross-client batcher — one [`Response`] per message, in order. The
+    /// contract is strict: replies, their cache reports and every operation
+    /// counter must be byte-identical to calling [`Service::call`] once per
+    /// message in group order, which is what this default does and what the
+    /// batcher relies on to stay invisible. A service overrides it to run the
+    /// group as one pass (see [`answer_query_group`] for the front door).
+    fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
+        messages
+            .iter()
+            .map(|m| self.call(Request::Query(m.clone())))
+            .collect()
+    }
+
     /// The service's telemetry registry, when it keeps one. Transports (see
     /// [`crate::serve`]) use this to record framed wire traffic and
     /// encode/decode durations against the same registry the engine writes,

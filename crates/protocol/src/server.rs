@@ -18,7 +18,11 @@
 //! [`Service::call`], which executes any [`Request`] variant it serves (query,
 //! batch query, document retrieval, upload, cache admin, snapshot/restore,
 //! counters, info) and answers owner-side operations with
-//! [`ProtocolError::Unsupported`]. The public convenience methods (`upload`,
+//! [`ProtocolError::Unsupported`]; its group form, [`Service::call_query_group`],
+//! is what a cross-client batcher hands a coalesced group to. Every query
+//! envelope — a `Query`, a `BatchQuery`, a group — ends in the same reply
+//! builder, a `Query` through the engine's single entry and the other two
+//! through its batch entry. The public convenience methods (`upload`,
 //! the cache toggles) are thin shims over `call`, and the framed codec carries
 //! the same envelope, so replies are byte-identical no matter which surface a
 //! caller uses (`tests/envelope_equivalence.rs` asserts `call` == framed
@@ -27,10 +31,11 @@
 use crate::counters::OperationCounters;
 use crate::envelope::{answer_query_group, Request, Response, ServerInfo, Service};
 use crate::messages::{
-    BatchQueryMessage, BatchSearchReply, CacheReport, DocumentReply, DocumentRequest,
-    EncryptedDocumentTransfer, QueryMessage, SearchReply, SearchResultEntry, UploadMessage,
+    BatchSearchReply, CacheReport, DocumentReply, DocumentRequest, EncryptedDocumentTransfer,
+    QueryMessage, SearchReply, SearchResultEntry, UploadMessage,
 };
 use crate::ProtocolError;
+use mkse_core::bitindex::BitIndex;
 use mkse_core::cache::{CacheConfig, CacheEffect, CacheStats};
 use mkse_core::document_index::RankedDocumentIndex;
 use mkse_core::engine::SearchEngine;
@@ -170,123 +175,48 @@ impl CloudServer {
         self.engine.len()
     }
 
-    fn reply_entries(&self, matches: Vec<SearchMatch>, top: Option<usize>) -> SearchReply {
-        let limit = top.unwrap_or(matches.len());
-        let entries = matches
-            .into_iter()
-            .take(limit)
-            .map(|m| {
-                let metadata = self
-                    .engine
-                    .document_index(m.document_id)
-                    .map(|idx| idx.levels.clone())
-                    .unwrap_or_default();
-                SearchResultEntry {
-                    document_id: m.document_id,
-                    rank: m.rank,
-                    metadata,
-                }
-            })
-            .collect();
-        SearchReply {
-            matches: entries,
-            cache: CacheReport::default(),
-        }
-    }
-
-    /// Account one query execution: `binary_comparisons` counts the r-bit
-    /// comparisons actually performed, `comparisons_saved_by_cache` the ones the
-    /// result cache skipped (their sum is the cache-off Table 2 count), and
-    /// `cache_served_replies` the replies produced without any scan.
-    fn record_execution(&mut self, stats: &SearchStats, effect: &CacheEffect) {
+    /// The one reply builder of every query envelope (§4.3 + Algorithm 1): account
+    /// the execution — `binary_comparisons` counts the r-bit comparisons actually
+    /// performed, `comparisons_saved_by_cache` the ones the result cache skipped
+    /// (their sum is the cache-off Table 2 count), `cache_served_replies` the
+    /// replies produced without any scan — and answer the first `top` matches
+    /// with their ranks, index metadata and the [`CacheReport`] of what the cache
+    /// did.
+    fn reply(
+        &mut self,
+        (matches, stats, effect): (Vec<SearchMatch>, SearchStats, CacheEffect),
+        top: Option<usize>,
+    ) -> SearchReply {
         self.counters.binary_comparisons += stats.comparisons - effect.saved_comparisons;
         self.counters.comparisons_saved_by_cache += effect.saved_comparisons;
         if effect.fully_cached() {
             self.counters.cache_served_replies += 1;
         }
-    }
-
-    /// Answer a query (§4.3 + Algorithm 1): ranked search over every stored index,
-    /// returning matching document ids, ranks and their index metadata. With the
-    /// result cache enabled, a repeated query index skips the shard scans entirely;
-    /// the reply's [`CacheReport`] says what happened.
-    fn exec_query(&mut self, message: &QueryMessage) -> SearchReply {
-        let query = QueryIndex::from_bits(message.query.clone());
-        let (matches, stats, effect) = self.engine.search_ranked_with_effect(&query);
-        self.record_execution(&stats, &effect);
-        let mut reply = self.reply_entries(matches, message.top);
-        reply.cache = CacheReport::from(effect);
-        reply
-    }
-
-    /// Answer a batched query: every query of the batch is evaluated in a single
-    /// **fused** pass over each shard — the shard's scan-plane arena is streamed
-    /// once for the whole (cache-missed, intra-batch-deduplicated) query set, so a
-    /// b-query round trip pays one sweep's memory traffic instead of b (with the
-    /// cache enabled, each shard scans exactly the unique queries that missed it;
-    /// repeated query indices inside one batch scan once and fan out, reported in
-    /// each reply's [`CacheReport`] exactly as if the queries had been sent one at
-    /// a time). The reply carries one [`SearchReply`] per query in request order,
-    /// and logical comparison counts accumulate exactly as if the queries had been
-    /// sent individually.
-    fn exec_batch_query(&mut self, message: &BatchQueryMessage) -> BatchSearchReply {
-        let queries: Vec<QueryIndex> = message
-            .queries
-            .iter()
-            .map(|bits| QueryIndex::from_bits(bits.clone()))
-            .collect();
-        let results = self.engine.search_batch_with_effects(&queries);
-        let replies = results
-            .into_iter()
-            .map(|(matches, stats, effect)| {
-                self.record_execution(&stats, &effect);
-                let mut reply = self.reply_entries(matches, message.top);
-                reply.cache = CacheReport::from(effect);
-                reply
+        let limit = top.unwrap_or(matches.len());
+        let entries = (matches.into_iter().take(limit))
+            .map(|m| SearchResultEntry {
+                document_id: m.document_id,
+                rank: m.rank,
+                metadata: (self.engine.document_index(m.document_id))
+                    .map(|idx| idx.levels.clone())
+                    .unwrap_or_default(),
             })
             .collect();
-        BatchSearchReply { replies }
-    }
-
-    /// Execute a group of independent single-query envelopes — typically one
-    /// [`Request::Query`] from each of several connections — as **one** fused
-    /// scan-plane pass. This is the cross-client batcher's entry point
-    /// (`mkse-net`): the engine's batch guarantees make every reply, its
-    /// [`CacheReport`], and the [`OperationCounters`] deltas byte-identical to
-    /// calling [`Service::call`] once per message in the same order, so the
-    /// batcher stays invisible to every client. `requests_served` is bumped
-    /// once per message (exactly as `call` would), and each reply honours its
-    /// own message's `top` limit.
-    ///
-    /// A member whose query is not `r` bits long is answered its own
-    /// [`Response::Error`] and the rest run as the fused pass
-    /// ([`answer_query_group`]) — again exactly what `call` per message does.
-    pub fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
-        let telemetry = self.engine.telemetry().clone();
-        let _call_span = telemetry.span(Stage::ServiceCall);
-        for _ in messages {
-            self.note_served();
+        SearchReply {
+            matches: entries,
+            cache: CacheReport::from(effect),
         }
-        let index_bits = self.engine.params().index_bits;
-        answer_query_group(index_bits, messages, |sound| self.exec_query_group(sound))
     }
 
-    /// The fused pass over a group the front door has already checked.
-    fn exec_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
-        let queries: Vec<QueryIndex> = messages
-            .iter()
-            .map(|m| QueryIndex::from_bits(m.query.clone()))
-            .collect();
+    /// Answer checked queries as **one** fused pass: the engine's batch
+    /// guarantees make every reply, its [`CacheReport`] and the
+    /// [`OperationCounters`] deltas byte-identical to answering the queries one
+    /// at a time, in order. `tops[i]` limits reply `i`.
+    fn answer_batch(&mut self, queries: Vec<BitIndex>, tops: &[Option<usize>]) -> Vec<SearchReply> {
+        let queries: Vec<QueryIndex> = queries.into_iter().map(QueryIndex::from_bits).collect();
         let results = self.engine.search_batch_with_effects(&queries);
-        results
-            .into_iter()
-            .zip(messages)
-            .map(|((matches, stats, effect), message)| {
-                self.record_execution(&stats, &effect);
-                let mut reply = self.reply_entries(matches, message.top);
-                reply.cache = CacheReport::from(effect);
-                Response::Search(reply)
-            })
+        (results.into_iter().zip(tops))
+            .map(|(result, &top)| self.reply(result, top))
             .collect()
     }
 
@@ -366,11 +296,19 @@ impl Service for CloudServer {
         let index_bits = self.engine.params().index_bits;
         match request {
             Request::Query(message) => match message.check(index_bits) {
-                Ok(()) => Response::Search(self.exec_query(&message)),
+                Ok(()) => {
+                    let query = QueryIndex::from_bits(message.query);
+                    let result = self.engine.search_ranked_with_effect(&query);
+                    Response::Search(self.reply(result, message.top))
+                }
                 Err(e) => Response::Error(e),
             },
             Request::BatchQuery(message) => match message.check(index_bits) {
-                Ok(()) => Response::BatchSearch(self.exec_batch_query(&message)),
+                Ok(()) => {
+                    let tops = vec![message.top; message.queries.len()];
+                    let replies = self.answer_batch(message.queries, &tops);
+                    Response::BatchSearch(BatchSearchReply { replies })
+                }
                 Err(e) => Response::Error(e),
             },
             Request::Documents(request) => match self.exec_document_request(&request) {
@@ -427,6 +365,27 @@ impl Service for CloudServer {
         }
     }
 
+    /// A coalesced group — the cross-client batcher's entry point in `mkse-net`
+    /// — runs as **one** fused scan-plane pass under the trait's contract:
+    /// `requests_served` is bumped once per message, each reply honours its
+    /// own message's `top`, and a member whose query is not `r` bits long is
+    /// answered its own [`Response::Error`] while the rest run as the pass
+    /// ([`answer_query_group`]) — exactly what `call` per message does.
+    fn call_query_group(&mut self, messages: &[QueryMessage]) -> Vec<Response> {
+        let telemetry = self.engine.telemetry().clone();
+        let _call_span = telemetry.span(Stage::ServiceCall);
+        for _ in messages {
+            self.note_served();
+        }
+        let index_bits = self.engine.params().index_bits;
+        answer_query_group(index_bits, messages, |sound| {
+            let tops: Vec<Option<usize>> = sound.iter().map(|m| m.top).collect();
+            let queries = sound.iter().map(|m| m.query.clone()).collect();
+            let replies = self.answer_batch(queries, &tops);
+            replies.into_iter().map(Response::Search).collect()
+        })
+    }
+
     /// The engine's registry: transports record framed wire traffic and
     /// encode/decode durations here, so one [`Request::MetricsSnapshot`]
     /// covers engine, scheduler, cache and wire together.
@@ -439,6 +398,7 @@ impl Service for CloudServer {
 mod tests {
     use super::*;
     use crate::data_owner::{DataOwner, OwnerConfig};
+    use crate::messages::BatchQueryMessage;
     use mkse_core::persistence::PersistenceError;
     use mkse_core::query::QueryBuilder;
     use mkse_textproc::document::Document;
@@ -755,6 +715,66 @@ mod tests {
         let served = server.counters().requests_served;
         assert!(server.call_query_group(&[]).is_empty());
         assert_eq!(server.counters().requests_served, served);
+    }
+
+    /// What one envelope adds to the registry, in the order
+    /// `[queries, batches, batch_queries, engine_query, engine_batch,
+    /// cache_admit]` — three counters, then three stages' sample counts.
+    fn telemetry_split(server: &mut CloudServer, send: impl FnOnce(&mut CloudServer)) -> [u64; 6] {
+        let read = |server: &CloudServer| -> [u64; 6] {
+            let snapshot = server.metrics_snapshot();
+            let samples = |stage: &str| {
+                let found = snapshot.histograms.iter().find(|h| h.stage == stage);
+                found.map_or(0, |h| h.count)
+            };
+            [
+                snapshot.counter("queries"),
+                snapshot.counter("batches"),
+                snapshot.counter("batch_queries"),
+                samples("engine_query"),
+                samples("engine_batch"),
+                samples("cache_admit"),
+            ]
+        };
+        let before = read(server);
+        send(server);
+        let after = read(server);
+        std::array::from_fn(|i| after[i] - before[i])
+    }
+
+    /// A single query is a batch of one inside the engine, but not in its
+    /// telemetry: a `Query` still records a single query, a `BatchQuery` and a
+    /// group a batch, and only an execution that admitted something records
+    /// an admit.
+    #[test]
+    fn queries_and_batches_keep_their_telemetry_split() {
+        let (owner, mut server, mut rng) = populated_server();
+        server.enable_result_cache(64);
+        server.set_telemetry_level(TelemetryLevel::Spans);
+        let [cloud, weather, storage, rain] =
+            ["cloud", "weather", "storage", "rain"].map(|kw| query_for(&owner, &[kw], &mut rng));
+        let batch = BatchQueryMessage {
+            queries: vec![weather.query.clone(), storage.query.clone()],
+            top: None,
+        };
+        let group = [cloud.clone(), weather.clone(), storage.clone()];
+
+        // A cold query admits; the same query again is served from the cache.
+        let single = |s: &mut CloudServer| drop(search(s, &cloud));
+        assert_eq!(telemetry_split(&mut server, single), [1, 0, 0, 1, 0, 1]);
+        assert_eq!(telemetry_split(&mut server, single), [1, 0, 0, 1, 0, 0]);
+        // A k-member batch is one batch of k, cold or cached.
+        let batched = |s: &mut CloudServer| drop(batch_search(s, &batch));
+        assert_eq!(telemetry_split(&mut server, batched), [0, 1, 2, 0, 1, 1]);
+        assert_eq!(telemetry_split(&mut server, batched), [0, 1, 2, 0, 1, 0]);
+        // So is a group of k, whether every member is cached or one is cold.
+        let grouped = |s: &mut CloudServer| drop(s.call_query_group(&group));
+        assert_eq!(telemetry_split(&mut server, grouped), [0, 1, 3, 0, 1, 0]);
+        let cold_member = |s: &mut CloudServer| drop(s.call_query_group(&[rain, cloud]));
+        assert_eq!(
+            telemetry_split(&mut server, cold_member),
+            [0, 1, 2, 0, 1, 1]
+        );
     }
 
     #[test]

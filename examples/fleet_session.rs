@@ -19,8 +19,8 @@ use mkse::net::{
     MemoryDialer, NodeConfig, NodeRunner, ResilientClient, RetryPolicy,
 };
 use mkse::protocol::{
-    render_json, render_prometheus, wire, CloudServer, NodeCapabilities, QueryMessage, Request,
-    Response, Service, UploadMessage,
+    render_json, render_prometheus, wire, BatchQueryMessage, CloudServer, NodeCapabilities,
+    QueryMessage, Request, Response, Service, UploadMessage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,8 +167,13 @@ fn main() {
         },
     );
     // Node 1 serves shards {0,1}: its link survives the seed-upload forward
-    // plus five query frames, then the machine is lost mid-workload.
-    let q = wire::encode_request(1, &Request::Query(queries[0].clone())).len() as u64;
+    // plus five query forwards (each a one-member `BatchQuery`), then the
+    // machine is lost mid-workload.
+    let lone = Request::BatchQuery(BatchQueryMessage {
+        queries: vec![queries[0].query.clone()],
+        top: queries[0].top,
+    });
+    let q = wire::encode_request(1, &lone).len() as u64;
     let budget = forward_len(&indices, &[0, 1]) + 5 * q + q / 2;
     for runner in &runners {
         let connector = if runner.node_id() == 1 {

@@ -85,8 +85,9 @@
 //!        │    │                                     shards on one lane) to per-lane
 //!        │    │                                     deques (idle lanes steal) and
 //!        ▼    │                                     stitches results in unit order; merge
-//!        │    │                                     by (rank desc, doc id asc); batches
-//!        │    │                                     dedup repeated fingerprints and run
+//!        │    │                                     by (rank desc, doc id asc); ONE read
+//!        │    │                                     path: a single query is a batch of
+//!        │    │                                     one — dedup repeated fingerprints,
 //!        │    │                                     ONE fused plane pass per shard
 //!        ▼    └──  per-shard LRU keyed by           repeated query fingerprints skip
 //!        │         QueryFingerprint, write-         the shard scan entirely
@@ -169,9 +170,8 @@
 //!   already grants. Queries execute shard-by-shard in parallel and
 //!   per-shard matches and [`core::SearchStats`] are merged. Merged output is provably
 //!   identical to the sequential scan: the (rank, id) sort key is a total order, the
-//!   stats are sums, and unranked results are re-ordered by insertion ordinal
-//!   (`tests/sharded_engine_equivalence.rs` asserts all of this for shard counts
-//!   1, 2, 7 and 16 on randomized corpora). Scan lanes are clamped to the host's
+//!   stats are sums (`tests/sharded_engine_equivalence.rs` asserts both for
+//!   shard counts 1, 2, 7 and 16 on randomized corpora). Scan lanes are clamped to the host's
 //!   available parallelism and fully decoupled from the shard count: the
 //!   `set_scan_lanes(n)` runtime knob caps how many lanes one execution may use
 //!   on the process's one shared pool of lane workers (`available_parallelism − 1`
@@ -188,11 +188,14 @@
 //!   before the (rank, id) merge, so replies, per-query stats and cache counters
 //!   do not depend on the lane count (the steal-heavy sweeps in both equivalence
 //!   suites hold every shards × lanes point to the sequential reference).
-//!   Batched execution deduplicates repeated
-//!   query fingerprints inside one batch (hot Zipf keywords scan once and fan
-//!   out, with the duplicates accounted as the cache hits sequential execution
-//!   would report) and hands the executor the whole remaining query set for
-//!   fused plane passes over the missed shards.
+//!   There is **one read path**: a single query is a batch of one through the
+//!   same private executor, which deduplicates repeated query fingerprints
+//!   inside a batch (hot Zipf keywords scan once and fan out, with the
+//!   duplicates accounted as the cache hits sequential execution would report)
+//!   and hands the lanes the whole remaining query set for fused plane passes
+//!   over the missed shards. The two entry points keep only their telemetry
+//!   apart — `queries` / `engine_query` for a single query, `batches` /
+//!   `batch_queries` / `engine_batch` for a batch.
 //! * **Cache** ([`core::cache`]): an optional per-shard LRU of shard-scan results,
 //!   keyed by a collision-checked [`core::QueryFingerprint`] of the query bits.
 //!   Per-shard **write generations** invalidate exactly the shard an insert landed
@@ -205,7 +208,10 @@
 //!   1 reproduces the paper's sequential timings). The `BatchQueryMessage` /
 //!   `BatchSearchReply` pair carries many queries per round trip at exactly `b·r`
 //!   bits; the server answers the batch in one pass over each shard, scanning only
-//!   the (query, shard) pairs the cache missed. `CloudServer::enable_result_cache`
+//!   the (query, shard) pairs the cache missed. A `Query`, a `BatchQuery` and a
+//!   coalesced group (`Service::call_query_group`, a provided method of the
+//!   trait whose default is one `call` per member) all end in one reply
+//!   builder. `CloudServer::enable_result_cache`
 //!   turns caching on; replies carry a `CacheReport` and the `OperationCounters`
 //!   split comparisons into performed vs saved-by-cache.
 //! * **Envelope / wire / client** ([`protocol::envelope`], [`protocol::wire`],
@@ -238,10 +244,10 @@
 //!   querying is in (or the group hits depth `b`), taking queued frames first;
 //!   the sub-millisecond window is only the bound on waiting for a connection
 //!   that went quiet (immediate dispatch when only one connection is open; any
-//!   non-query flushes as a barrier first). The group executes through the
-//!   engine's fused batch path — so N chatty clients get the amortized memory
-//!   traffic of PR 5's `BatchQueryMessage` without coordinating with each
-//!   other. Both layers are invisible: replies, `SearchStats` and cache
+//!   non-query flushes as a barrier first). The group executes as one
+//!   `Service::call_query_group` — on a `CloudServer` the engine's fused batch
+//!   path — so N chatty clients get the one lane hand-off and one merge of a
+//!   `BatchQueryMessage` without coordinating with each other. Both layers are invisible: replies, `SearchStats` and cache
 //!   counters are byte-identical to the same requests issued sequentially
 //!   in-process, enforced by the
 //!   journal-replay oracle in `tests/net_equivalence.rs`, and graceful
@@ -280,7 +286,9 @@
 //!   global shards up to each node's capacity, sweeps heartbeat deadlines on
 //!   every call, scatters queries to all live shard-holders at once through
 //!   per-node `ResilientClient`s (`submit` everywhere, then `complete` each;
-//!   a group its hub coalesced goes out as one fused `BatchQuery`) and merges
+//!   every read goes out as one `BatchQuery` — a group its hub coalesced as one
+//!   member per query, a lone query as a group of one, so nodes only see
+//!   `BatchQuery` reads) and merges
 //!   by (rank desc, id asc) exactly as the engine's merge point does. It keeps a
 //!   full mirror — a bare `ShardedStore` fed by the same insert path (same
 //!   errors, same partial-upload semantics), with no scan plane (it never

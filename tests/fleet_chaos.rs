@@ -18,20 +18,21 @@
 //! - **Replayability**: the same seed reproduces the same kill schedule, the
 //!   same failover accounting, and the same replies.
 
+mod common;
+
+use common::{assert_conservation, assert_replies_match_replay, counter, gauge, replay_journal};
 use mkse::core::{serialize_store, QueryBuilder, RankedDocumentIndex, SystemParams};
 use mkse::net::{
     Connector, Coordinator, FaultHandle, FaultPlan, FaultyLink, FleetConfig, Hub, HubConfig,
-    JournalEntry, MemoryDialer, NodeConfig, NodeError, NodeRunner, ResilienceStats,
-    ResilientClient, RetryPolicy,
+    MemoryDialer, NodeConfig, NodeError, NodeRunner, ResilienceStats, ResilientClient, RetryPolicy,
 };
 use mkse::protocol::{
-    wire, CloudServer, DataOwner, DocumentRequest, NodeCapabilities, OwnerConfig, ProtocolError,
-    QueryMessage, Request, Response, Service, UploadMessage,
+    wire, BatchQueryMessage, CloudServer, DataOwner, DocumentRequest, NodeCapabilities,
+    OwnerConfig, ProtocolError, QueryMessage, Request, Response, UploadMessage,
 };
 use mkse::textproc::Document;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -107,6 +108,20 @@ fn fixture() -> Fixture {
 
 fn frame_len(request: &Request) -> u64 {
     wire::encode_request(1, request).len() as u64
+}
+
+/// The frame a client's lone query puts on a node's link: the coordinator
+/// forwards it as a one-member `BatchQuery`.
+fn forwarded_query_len(query: &QueryMessage) -> u64 {
+    frame_len(&Request::BatchQuery(BatchQueryMessage {
+        queries: vec![query.query.clone()],
+        top: query.top,
+    }))
+}
+
+/// The sequential single-server twin a coordinator hub's journal replays on.
+fn twin(params: &SystemParams) -> CloudServer {
+    CloudServer::with_shards(params.clone(), GLOBAL_SHARDS)
 }
 
 /// The indices that land on the given global shards: round-robin placement
@@ -205,51 +220,6 @@ fn client_policy() -> RetryPolicy {
     }
 }
 
-fn assert_conservation(stats: &ResilienceStats, who: &str) {
-    assert_eq!(
-        stats.attempts,
-        stats.successes + stats.sheds + stats.link_faults,
-        "{who}: conservation law violated: {stats:?}"
-    );
-}
-
-/// Replay the coordinator hub's journal on a sequential single-server twin.
-/// Fleet-control traffic (registration, heartbeats, metrics) is coordinator
-/// plumbing with no twin counterpart and no effect on index state; every
-/// client-visible operation is replayed in execution order.
-fn replay_journal(params: &SystemParams, journal: &[JournalEntry]) -> BTreeMap<u64, Response> {
-    let mut twin = CloudServer::with_shards(params.clone(), GLOBAL_SHARDS);
-    let mut expected = BTreeMap::new();
-    for entry in journal {
-        if matches!(
-            entry.request,
-            Request::RegisterNode(_) | Request::NodeHeartbeat(_) | Request::MetricsSnapshot
-        ) {
-            continue;
-        }
-        expected.insert(entry.request_id, twin.call(entry.request.clone()));
-    }
-    expected
-}
-
-fn assert_replies_match_replay(
-    received: &[(u64, Response)],
-    expected: &BTreeMap<u64, Response>,
-    label: &str,
-) {
-    for (id, reply) in received {
-        let want = expected
-            .get(id)
-            .unwrap_or_else(|| panic!("{label}: completed request #{id} missing from journal"));
-        assert_eq!(reply, want, "{label}: reply for request #{id} diverged");
-        assert_eq!(
-            wire::encode_response(*id, reply),
-            wire::encode_response(*id, want),
-            "{label}: frame bytes for request #{id} diverged"
-        );
-    }
-}
-
 /// A running fleet: coordinator behind a journaling hub, node runners
 /// registered through the wire, data links optionally doomed.
 struct Fleet {
@@ -323,20 +293,6 @@ fn spawn_fleet_with_window(
     }
 }
 
-fn counter(telemetry: &mkse::core::Telemetry, name: &str) -> u64 {
-    telemetry.snapshot().counter(name)
-}
-
-fn gauge(telemetry: &mkse::core::Telemetry, name: &str) -> u64 {
-    telemetry
-        .snapshot()
-        .gauges
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or_else(|| panic!("gauge {name} missing"))
-}
-
 /// A node killed by its seeded byte budget mid-workload: two concurrent
 /// clients complete 100% of their idempotent requests — queries, a late
 /// non-idempotent upload, a document fetch — and every completed reply is
@@ -348,7 +304,7 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
     const ROUNDS: usize = 3;
     let fx = Arc::new(fixture());
     let params = fx.owner.params().clone();
-    let q = frame_len(&Request::Query(fx.queries[0].clone()));
+    let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 serves shards {0,1}: its data link survives the seed-upload
     // forward plus six query frames, then the machine is lost.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 6 * q + q / 2;
@@ -454,7 +410,7 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
 
     let report = fleet.hub.shutdown();
     assert_eq!(report.sheds, 0);
-    let expected = replay_journal(&params, &report.journal);
+    let expected = replay_journal(&mut twin(&params), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "mid-workload kill");
     for runner in runners {
         runner.shutdown();
@@ -473,7 +429,7 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     const ROUNDS: usize = 4;
     let fx = Arc::new(fixture());
     let params = fx.owner.params().clone();
-    let q = frame_len(&Request::Query(fx.queries[0].clone()));
+    let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 dies somewhere inside the run: fused forwards are wider than
     // `q`, so the budget lands mid-frame a few groups in.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 9 * q + q / 2;
@@ -556,7 +512,7 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     assert_eq!(counter(&fleet.telemetry, "shards_reassigned"), 2);
 
     let report = fleet.hub.shutdown();
-    let expected = replay_journal(&params, &report.journal);
+    let expected = replay_journal(&mut twin(&params), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "coalesced groups");
     for runner in runners {
         runner.shutdown();
@@ -575,7 +531,7 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
     const ROUNDS: usize = 2;
     let fx = fixture();
     let params = fx.owner.params().clone();
-    let q = frame_len(&Request::Query(fx.queries[0].clone()));
+    let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 ({0,1}): dies on its third query frame.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 2 * q + q / 2;
     // Node 3 (empty): the failover ship of shard 0 — one restore frame — is
@@ -639,7 +595,7 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
     );
 
     let report = fleet.hub.shutdown();
-    let expected = replay_journal(&params, &report.journal);
+    let expected = replay_journal(&mut twin(&params), &report.journal);
     assert_replies_match_replay(&received, &expected, "mid-failover cascade");
     for runner in runners {
         runner.shutdown();
@@ -696,7 +652,7 @@ fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
     assert_eq!(gauge(&fleet.telemetry, "nodes_live"), 1);
 
     let report = fleet.hub.shutdown();
-    let expected = replay_journal(&params, &report.journal);
+    let expected = replay_journal(&mut twin(&params), &report.journal);
     assert_replies_match_replay(&received, &expected, "registration kill");
     for runner in runners {
         runner.shutdown();
@@ -717,7 +673,7 @@ fn same_seed_reproduces_the_same_failover_schedule() {
         mkse::core::MetricsSnapshot,
         Vec<Vec<mkse::net::FaultEvent>>,
     ) {
-        let q = frame_len(&Request::Query(fx.queries[0].clone()));
+        let q = forwarded_query_len(&fx.queries[0]);
         let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 2 * q + q / 2;
         let fleet = spawn_fleet(
             &params,

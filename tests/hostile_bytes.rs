@@ -19,13 +19,15 @@
 //!    keeps working, a second connection never notices, and a 3-node fleet
 //!    fails nothing over.
 
+mod common;
+
+use common::{counter, gauge};
 use mkse::core::{
     deserialize_store, serialize_store, BitIndex, DocumentIndexer, PersistenceError, QueryBuilder,
     RankedDocumentIndex, SchemeKeys, StoreError, SystemParams, Telemetry,
 };
 use mkse::net::{
-    Coordinator, FleetConfig, FrameBuffer, FusedService, Hub, HubConfig, HubHandle, NetClient,
-    RetryPolicy,
+    Coordinator, FleetConfig, FrameBuffer, Hub, HubConfig, HubHandle, NetClient, RetryPolicy,
 };
 use mkse::protocol::wire::{self, CodecError};
 use mkse::protocol::{
@@ -604,7 +606,7 @@ fn whatever_decodes_is_served() {
         assert!(matches!(server.call(request.clone()), Response::Search(_)));
         assert!(matches!(coordinator.call(request), Response::Search(_)));
     }
-    assert_eq!(telemetry.snapshot().counter("failovers"), 0);
+    assert_eq!(counter(&telemetry, "failovers"), 0);
     for node in nodes {
         node.shutdown();
     }
@@ -689,12 +691,6 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
 
 // --- (v) over a hub -----------------------------------------------------------
 
-fn gauge(telemetry: &Telemetry, name: &str) -> u64 {
-    let snapshot = telemetry.snapshot();
-    let found = snapshot.gauges.iter().find(|(n, _)| n == name);
-    found.unwrap_or_else(|| panic!("gauge {name} missing")).1
-}
-
 /// The script of (v), against any hub: connection A sends the 5-bit query
 /// and reads the typed error; A is then still served, and so is B, each reply
 /// byte-identical to the sequential twin's.
@@ -740,7 +736,7 @@ fn a_five_bit_query_fails_no_node_of_a_three_node_fleet() {
     let hub = Hub::spawn(coordinator, HubConfig::default());
     let mut twin = seeded_server(corpus, GLOBAL_SHARDS);
     five_bit_query_costs_only_its_sender(&hub, &mut twin, corpus);
-    assert_eq!(telemetry.snapshot().counter("failovers"), 0);
+    assert_eq!(counter(&telemetry, "failovers"), 0);
     assert_eq!(gauge(&telemetry, "nodes_live"), 3);
     hub.shutdown();
     for node in nodes {

@@ -17,6 +17,9 @@
 //! - **Replayability**: the same fault seed reproduces the same fault
 //!   schedule, the same attempt accounting, and the same replies.
 
+mod common;
+
+use common::{assert_conservation, assert_replies_match_replay, replay_journal};
 use mkse::core::QueryBuilder;
 use mkse::net::{
     Connector, FaultEvent, FaultHandle, FaultPlan, FaultyLink, Hub, HubConfig, HubHandle,
@@ -24,12 +27,11 @@ use mkse::net::{
 };
 use mkse::protocol::{
     wire, CloudServer, DataOwner, OwnerConfig, ProtocolError, QueryMessage, Request, Response,
-    Service, UploadMessage,
+    UploadMessage,
 };
 use mkse::textproc::Document;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
@@ -140,47 +142,6 @@ fn chaos_policy() -> RetryPolicy {
     }
 }
 
-fn assert_conservation(stats: &ResilienceStats, who: &str) {
-    assert_eq!(
-        stats.attempts,
-        stats.successes + stats.sheds + stats.link_faults,
-        "{who}: conservation law violated: {stats:?}"
-    );
-}
-
-/// Replay the hub journal on a twin and return the expected reply per
-/// request id.
-fn replay_journal(
-    fx: &Fixture,
-    cache: bool,
-    journal: &[mkse::net::JournalEntry],
-) -> BTreeMap<u64, Response> {
-    let mut twin = seeded_server(fx, cache);
-    let mut expected = BTreeMap::new();
-    for entry in journal {
-        expected.insert(entry.request_id, twin.call(entry.request.clone()));
-    }
-    expected
-}
-
-fn assert_replies_match_replay(
-    received: &[(u64, Response)],
-    expected: &BTreeMap<u64, Response>,
-    label: &str,
-) {
-    for (id, reply) in received {
-        let want = expected
-            .get(id)
-            .unwrap_or_else(|| panic!("{label}: completed request #{id} missing from journal"));
-        assert_eq!(reply, want, "{label}: reply for request #{id} diverged");
-        assert_eq!(
-            wire::encode_response(*id, reply),
-            wire::encode_response(*id, want),
-            "{label}: frame bytes for request #{id} diverged"
-        );
-    }
-}
-
 /// Config A — kills, tears, delays (no corruption), cache off. Every client
 /// completes its whole workload despite dying links, and every completed
 /// reply is byte-identical to the sequential twin. Since a torn write is a
@@ -260,7 +221,7 @@ fn killed_and_torn_links_never_change_completed_replies() {
 
     let report = hub.shutdown();
     assert_eq!(report.sheds, 0);
-    let expected = replay_journal(&fx, false, &report.journal);
+    let expected = replay_journal(&mut seeded_server(&fx, false), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "config A");
 
     // Queries-only workload over constant state: every client, every round,
@@ -353,7 +314,7 @@ fn corrupting_links_with_cache_keep_journal_equivalence() {
     );
 
     let report = hub.shutdown();
-    let expected = replay_journal(&fx, true, &report.journal);
+    let expected = replay_journal(&mut seeded_server(&fx, true), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "config B");
 }
 
@@ -608,6 +569,6 @@ fn shed_storm_resolves_through_retries_with_identical_replies() {
     );
     assert_eq!(report.requests as usize, CLIENTS * fx.queries.len());
     assert_eq!(report.journal.len() as u64, report.requests);
-    let expected = replay_journal(&fx, false, &report.journal);
+    let expected = replay_journal(&mut seeded_server(&fx, false), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "shed storm");
 }
