@@ -11,9 +11,9 @@
 //!   chasing — and produce the matches, scan order and [`SearchStats`] of the
 //!   reference's [`crate::search::scan_ranked`] loop (r-bit comparison counts
 //!   are unchanged: row skipping happens *inside* one r-bit comparison);
-//! * merged ranked results are sorted by descending rank, ties broken by ascending
-//!   document id — a total order, so the merged list is unique and equals the
-//!   sequential sort;
+//! * merged ranked results are ordered by descending rank, ties broken by
+//!   ascending document id — a total order, so the merged list is unique and
+//!   equals the sequential sort (cut to `top`, when the caller asks for a cut);
 //! * merged [`SearchStats`] are the field-wise sums of per-shard stats, which equal
 //!   the sequential counts.
 //!
@@ -84,6 +84,15 @@
 //! the first occurrence admitted — exactly the hits sequential execution would
 //! produce, counted in the same [`CacheEffect`]/[`CacheStats`] counters.
 //!
+//! The reply's `top` (§5's τ) reaches the executor too, and only its last
+//! step: every shard still scans — and the cache still holds — the shard's
+//! whole match list in slot order, independent of k, so one cached query
+//! serves every `top`. The merge then selects the `top` matches the reply
+//! keeps and sorts only those ([`crate::search::top_matches`]) instead of
+//! sorting everything the shards found. A fingerprint repeated inside a batch
+//! is merged once, at the widest `top` among its positions, and each position
+//! is cut to its own.
+//!
 //! The two entry points differ only in what they record, so the telemetry
 //! split is what it was when they were two paths: a single query counts
 //! `queries` and one [`Stage::EngineQuery`] sample, a batch `batches`,
@@ -115,7 +124,7 @@ use crate::params::SystemParams;
 use crate::persistence::PersistenceError;
 use crate::query::QueryIndex;
 use crate::scanplane::ScanPlane;
-use crate::search::{sort_matches, SearchMatch, SearchStats};
+use crate::search::{top_matches, SearchMatch, SearchStats};
 use crate::storage::{IndexStore, ShardedStore, StoreError};
 use crate::telemetry::{
     Counter, Gauge, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
@@ -628,37 +637,44 @@ impl<S: IndexStore> SearchEngine<S> {
 
     /// Ranked search (Algorithm 1) with execution statistics, merged across shards.
     pub fn search_ranked_with_stats(&self, query: &QueryIndex) -> (Vec<SearchMatch>, SearchStats) {
-        let (matches, stats, _) = self.search_ranked_with_effect(query);
+        let (matches, stats, _) = self.search_ranked_with_effect(query, None);
         (matches, stats)
     }
 
     /// Ranked search with statistics **and** the cache's contribution to this
-    /// execution. With the cache disabled the effect is all zeros. Matches and
-    /// stats are byte-identical to the uncached execution either way. A batch
-    /// of one through the engine's one executor (see the
+    /// execution, keeping the first `top` matches (all of them for `None`).
+    /// With the cache disabled the effect is all zeros. Matches and stats are
+    /// byte-identical to the uncached execution either way, and `top` cuts
+    /// only the matches: the stats and the effect are the whole scan's. A
+    /// batch of one through the engine's one executor (see the
     /// [module docs](self)); it records `queries` and [`Stage::EngineQuery`].
     pub fn search_ranked_with_effect(
         &self,
         query: &QueryIndex,
+        top: Option<usize>,
     ) -> (Vec<SearchMatch>, SearchStats, CacheEffect) {
         self.telemetry.add(Counter::Queries, 1);
         let _query_span = self.telemetry.span(Stage::EngineQuery);
-        let mut replies = self.execute(std::slice::from_ref(query));
+        let mut replies = self.execute(std::slice::from_ref(query), &[top]);
         replies.pop().expect("one reply per query")
     }
 
-    /// The single merge point for ranked execution: extend in shard order, sum the
-    /// stats, sort by the (rank desc, id asc) total order. Cached and fresh shard
-    /// results flow through this identically.
-    fn merge_ranked<I: IntoIterator<Item = ShardScan>>(per_shard: I, effect: CacheEffect) -> Reply {
+    /// The single merge point for ranked execution: extend in shard order, sum
+    /// the stats, and keep the first `top` matches of the (rank desc, id asc)
+    /// total order — selected, and only those sorted
+    /// ([`crate::search::top_matches`]). Cached and fresh shard results flow
+    /// through this identically.
+    fn merge_ranked<I: IntoIterator<Item = ShardScan>>(
+        per_shard: I,
+        top: Option<usize>,
+    ) -> ShardScan {
         let mut matches = Vec::new();
         let mut stats = SearchStats::default();
         for (shard_matches, shard_stats) in per_shard {
             matches.extend(shard_matches);
             stats.merge(&shard_stats);
         }
-        sort_matches(&mut matches);
-        (matches, stats, effect)
+        (top_matches(matches, top, |m| *m), stats)
     }
 
     /// Ranked search without statistics.
@@ -666,13 +682,12 @@ impl<S: IndexStore> SearchEngine<S> {
         self.search_ranked_with_stats(query).0
     }
 
-    /// Ranked search returning only the top `tau` matches (§5). Cache-aware via the
-    /// full ranked path: the per-shard entries are k-independent, so one cached
-    /// query serves every `tau`.
+    /// Ranked search returning only the top `tau` matches (§5: "the user can
+    /// retrieve only the top τ matches"). `tau` reaches the merge, which
+    /// selects the `tau` kept and sorts only those; the per-shard cache entries
+    /// stay k-independent, so one cached query serves every `tau`.
     pub fn search_top(&self, query: &QueryIndex, tau: usize) -> Vec<SearchMatch> {
-        let mut all = self.search(query);
-        all.truncate(tau);
-        all
+        self.search_ranked_with_effect(query, Some(tau)).0
     }
 
     /// Execute many queries in one pass: each shard is scanned once for the whole
@@ -681,13 +696,14 @@ impl<S: IndexStore> SearchEngine<S> {
         &self,
         queries: &[QueryIndex],
     ) -> Vec<(Vec<SearchMatch>, SearchStats)> {
-        self.search_batch_with_effects(queries)
+        self.search_batch_with_effects(queries, &vec![None; queries.len()])
             .into_iter()
             .map(|(matches, stats, _)| (matches, stats))
             .collect()
     }
 
-    /// Batched ranked search with per-query statistics and cache effects.
+    /// Batched ranked search with per-query statistics and cache effects;
+    /// reply `i` keeps the first `tops[i]` matches (all of them for `None`).
     ///
     /// Execution is **fused and deduplicated**: queries carrying identical
     /// [`QueryFingerprint`]s are scanned once (the first occurrence is the
@@ -713,10 +729,16 @@ impl<S: IndexStore> SearchEngine<S> {
     /// distinct query already looked up. Replies and [`SearchStats`] are never
     /// affected (the cache may change work accounting, never bytes), and
     /// duplicate positions always replay sequential cache traffic exactly.
+    ///
+    /// # Panics
+    ///
+    /// If `tops` and `queries` differ in length.
     pub fn search_batch_with_effects(
         &self,
         queries: &[QueryIndex],
+        tops: &[Option<usize>],
     ) -> Vec<(Vec<SearchMatch>, SearchStats, CacheEffect)> {
+        assert_eq!(queries.len(), tops.len(), "one top per query");
         if queries.is_empty() {
             return Vec::new();
         }
@@ -724,13 +746,13 @@ impl<S: IndexStore> SearchEngine<S> {
         self.telemetry
             .add(Counter::BatchQueries, queries.len() as u64);
         let _batch_span = self.telemetry.span(Stage::EngineBatch);
-        self.execute(queries)
+        self.execute(queries, tops)
     }
 
     /// **The** read path: every ranked execution, a single query included, is
     /// this batch executor (see the [module docs](self)). Replies come back in
-    /// batch order.
-    fn execute(&self, queries: &[QueryIndex]) -> Vec<Reply> {
+    /// batch order, reply `i` cut to `tops[i]`.
+    fn execute(&self, queries: &[QueryIndex], tops: &[Option<usize>]) -> Vec<Reply> {
         let shards = self.store.num_shards();
         let fingerprints: Vec<QueryFingerprint> =
             queries.iter().map(Self::ranked_fingerprint).collect();
@@ -855,25 +877,39 @@ impl<S: IndexStore> SearchEngine<S> {
             }
         }
 
-        // Merge each distinct query once; a duplicate position copies its
-        // representative's reply beside its own cache effect.
-        let mut merged = resolved.into_iter().zip(effects).map(|(slots, effect)| {
-            Self::merge_ranked(
-                slots.into_iter().map(|s| s.expect("shard resolved")),
-                effect,
-            )
-        });
-        let mut out: Vec<Reply> = Vec::with_capacity(queries.len());
-        for (i, &row) in rows.iter().enumerate() {
-            let reply = if uniques[row] == i {
-                merged.next().expect("representatives come in batch order")
-            } else {
-                let (matches, stats, _) = &out[uniques[row]];
-                (matches.clone(), *stats, duplicate_effects[i])
-            };
-            out.push(reply);
+        // Merge each distinct query once, at the widest `top` any of its
+        // positions asks for (`None` — everything — outranks any cut). Every
+        // position is then that list cut to its own `top`, beside its own
+        // cache effect; a row's last position takes the list itself.
+        let mut widest: Vec<Option<usize>> = vec![Some(0); uniques.len()];
+        let mut last = vec![0; uniques.len()];
+        for (i, (&row, &top)) in rows.iter().zip(tops).enumerate() {
+            widest[row] = widest[row].zip(top).map(|(w, t)| w.max(t));
+            last[row] = i;
         }
-        out
+        let mut merged: Vec<ShardScan> = (resolved.into_iter().zip(widest))
+            .map(|(slots, top)| {
+                Self::merge_ranked(slots.into_iter().map(|s| s.expect("shard resolved")), top)
+            })
+            .collect();
+        (rows.iter().zip(tops).enumerate())
+            .map(|(i, (&row, &top))| {
+                let effect = if uniques[row] == i {
+                    effects[row]
+                } else {
+                    duplicate_effects[i]
+                };
+                let (matches, stats) = &mut merged[row];
+                let keep = top.map_or(matches.len(), |k| k.min(matches.len()));
+                let matches = if last[row] == i {
+                    matches.truncate(keep);
+                    std::mem::take(matches)
+                } else {
+                    matches[..keep].to_vec()
+                };
+                (matches, *stats, effect)
+            })
+            .collect()
     }
 
     /// Batched ranked search without statistics.
@@ -988,7 +1024,7 @@ mod tests {
         // effects are byte-identical to independent executions (all-zero effects).
         let mut plain = SearchEngine::sharded(fx.params.clone(), 4);
         plain.insert_all(indices.iter().cloned()).unwrap();
-        let results = plain.search_batch_with_effects(&batch);
+        let results = plain.search_batch_with_effects(&batch, &vec![None; batch.len()]);
         for (query, (matches, stats, effect)) in batch.iter().zip(&results) {
             let (sm, ss) = plain.search_ranked_with_stats(query);
             assert_eq!(matches, &sm);
@@ -1003,14 +1039,14 @@ mod tests {
         sequential.insert_all(indices.iter().cloned()).unwrap();
         let expected: Vec<_> = batch
             .iter()
-            .map(|q| sequential.search_ranked_with_effect(q))
+            .map(|q| sequential.search_ranked_with_effect(q, None))
             .collect();
         let expected_stats = sequential.cache_stats().unwrap();
 
         let mut cached =
             SearchEngine::sharded(fx.params.clone(), 4).with_result_cache(CacheConfig::default());
         cached.insert_all(indices.iter().cloned()).unwrap();
-        let got = cached.search_batch_with_effects(&batch);
+        let got = cached.search_batch_with_effects(&batch, &vec![None; batch.len()]);
         assert_eq!(got, expected, "batched execution must equal sequential");
         assert!(got[2].2.fully_cached(), "duplicate is a pure cache hit");
         assert_eq!(got[2].2.saved_comparisons, got[2].1.comparisons);
@@ -1042,7 +1078,7 @@ mod tests {
         sequential.insert_all(indices.iter().cloned()).unwrap();
         let expected: Vec<_> = batch
             .iter()
-            .map(|q| sequential.search_ranked_with_effect(q))
+            .map(|q| sequential.search_ranked_with_effect(q, None))
             .collect();
         assert!(
             expected[1].2.fully_cached(),
@@ -1051,7 +1087,7 @@ mod tests {
 
         let mut batched = SearchEngine::sharded(fx.params.clone(), 3).with_result_cache(tiny);
         batched.insert_all(indices.iter().cloned()).unwrap();
-        let got = batched.search_batch_with_effects(&batch);
+        let got = batched.search_batch_with_effects(&batch, &vec![None; batch.len()]);
         assert_eq!(got, expected);
         assert_eq!(
             batched.cache_stats().unwrap(),
@@ -1060,10 +1096,13 @@ mod tests {
         // And the surviving LRU contents match: B (the last admission) is the
         // cached entry in both worlds, so a follow-up B fully hits.
         assert_eq!(
-            batched.search_ranked_with_effect(&q_b),
-            sequential.search_ranked_with_effect(&q_b)
+            batched.search_ranked_with_effect(&q_b, None),
+            sequential.search_ranked_with_effect(&q_b, None)
         );
-        assert!(batched.search_ranked_with_effect(&q_b).2.fully_cached());
+        assert!(batched
+            .search_ranked_with_effect(&q_b, None)
+            .2
+            .fully_cached());
     }
 
     #[test]
@@ -1082,14 +1121,100 @@ mod tests {
         sequential.insert_all(indices.iter().cloned()).unwrap();
         let expected: Vec<_> = batch
             .iter()
-            .map(|q| sequential.search_ranked_with_effect(q))
+            .map(|q| sequential.search_ranked_with_effect(q, None))
             .collect();
         let mut cached =
             SearchEngine::sharded(fx.params.clone(), 3).with_result_cache(CacheConfig {
                 capacity_per_shard: 0,
             });
         cached.insert_all(indices.iter().cloned()).unwrap();
-        assert_eq!(cached.search_batch_with_effects(&batch), expected);
+        assert_eq!(
+            cached.search_batch_with_effects(&batch, &vec![None; batch.len()]),
+            expected
+        );
+    }
+
+    /// The corpus of `fx` in a 4-shard engine, cache on or off.
+    fn engine_with(
+        fx: &Fixture,
+        indices: &[RankedDocumentIndex],
+        cached: bool,
+    ) -> SearchEngine<ShardedStore> {
+        let mut engine = SearchEngine::sharded(fx.params.clone(), 4);
+        if cached {
+            engine.enable_cache(CacheConfig::default());
+        }
+        engine.insert_all(indices.iter().cloned()).unwrap();
+        engine
+    }
+
+    #[test]
+    fn top_zero_and_top_max_cost_what_an_uncut_execution_costs() {
+        // `Some(0)` must keep nothing without computing `k − 1`, and
+        // `Some(usize::MAX)` keep everything; neither may move a stat, a
+        // cache effect or a cache counter away from the uncut execution's.
+        let mut fx = fixture();
+        let indices = corpus_indices(&fx, 30);
+        let (q_a, q_b) = (query(&mut fx, &["shared"]), query(&mut fx, &["kw3"]));
+        let batch = vec![q_a.clone(), q_b, q_a.clone()];
+        for cached in [false, true] {
+            for top in [Some(0), Some(usize::MAX)] {
+                let (uncut, cut) = (
+                    engine_with(&fx, &indices, cached),
+                    engine_with(&fx, &indices, cached),
+                );
+                for pass in ["cold", "warm"] {
+                    let ctx = format!("cached={cached}, top={top:?}, {pass}");
+                    let (want, got) = (
+                        uncut.search_ranked_with_effect(&q_a, None),
+                        cut.search_ranked_with_effect(&q_a, top),
+                    );
+                    let want_batch = uncut.search_batch_with_effects(&batch, &[None; 3]);
+                    let got_batch = cut.search_batch_with_effects(&batch, &[top; 3]);
+                    for (want, got) in
+                        std::iter::once((&want, &got)).chain(want_batch.iter().zip(&got_batch))
+                    {
+                        assert!(!want.0.is_empty(), "{ctx}");
+                        let kept = if top == Some(0) { &[][..] } else { &want.0[..] };
+                        assert_eq!(got.0, kept, "{ctx}");
+                        assert_eq!((got.1, got.2), (want.1, want.2), "{ctx}");
+                    }
+                    assert_eq!(cut.cache_stats(), uncut.cache_stats(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn duplicates_with_different_tops_are_merged_once_and_cut_per_position() {
+        // q_a repeats at positions 0, 2, 3 and 5 with four different `top`s
+        // (the widest, `None`, in the middle), q_b at 1 and 4: every position
+        // must equal its own single execution on a twin — matches, stats and
+        // cache effect — and leave the twin's cache counters.
+        let mut fx = fixture();
+        let indices = corpus_indices(&fx, 30);
+        let (q_a, q_b) = (query(&mut fx, &["shared"]), query(&mut fx, &["kw3"]));
+        let batch = [&q_a, &q_b, &q_a, &q_a, &q_b, &q_a].map(QueryIndex::clone);
+        let tops = [Some(2), None, Some(0), None, Some(1), Some(5)];
+        for cached in [false, true] {
+            let (sequential, batched) = (
+                engine_with(&fx, &indices, cached),
+                engine_with(&fx, &indices, cached),
+            );
+            for pass in ["cold", "warm"] {
+                let expected: Vec<_> = (batch.iter().zip(tops))
+                    .map(|(q, top)| sequential.search_ranked_with_effect(q, top))
+                    .collect();
+                assert!(expected[3].0.len() > 5, "the cuts must bite");
+                let got = batched.search_batch_with_effects(&batch, &tops);
+                assert_eq!(got, expected, "cached={cached}, {pass}");
+                assert_eq!(
+                    batched.cache_stats(),
+                    sequential.cache_stats(),
+                    "cached={cached}, {pass}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1522,11 +1647,11 @@ mod tests {
         assert!(cached.cache_enabled() && !plain.cache_enabled());
 
         let q = query(&mut fx, &["shared"]);
-        let (m1, s1, e1) = cached.search_ranked_with_effect(&q);
+        let (m1, s1, e1) = cached.search_ranked_with_effect(&q, None);
         assert_eq!(e1.shard_misses, 4, "cold cache scans every shard");
         assert_eq!(e1.shard_hits, 0);
         assert!(!e1.fully_cached());
-        let (m2, s2, e2) = cached.search_ranked_with_effect(&q);
+        let (m2, s2, e2) = cached.search_ranked_with_effect(&q, None);
         assert_eq!(e2.shard_hits, 4, "repeat is served from cache");
         assert_eq!(e2.shard_misses, 0);
         assert!(e2.fully_cached());
@@ -1552,7 +1677,7 @@ mod tests {
             SearchEngine::sharded(fx.params.clone(), 3).with_result_cache(CacheConfig::default());
         engine.insert_all(indices.iter().cloned()).unwrap();
         let q = query(&mut fx, &["shared"]);
-        let _ = engine.search_ranked_with_effect(&q); // warm all 3 shards
+        let _ = engine.search_ranked_with_effect(&q, None); // warm all 3 shards
 
         // 12 documents round-robin over 3 shards ⇒ the next insert goes to shard 0.
         let indexer = DocumentIndexer::new(&fx.params, &fx.keys);
@@ -1560,7 +1685,7 @@ mod tests {
             .insert(indexer.index_keywords(100, &["kw1"]))
             .unwrap();
 
-        let (_, _, effect) = engine.search_ranked_with_effect(&q);
+        let (_, _, effect) = engine.search_ranked_with_effect(&q, None);
         assert_eq!(effect.shard_hits, 2, "two shards stayed cached");
         assert_eq!(effect.shard_misses, 1, "only the written shard rescans");
         assert_eq!(engine.cache_stats().unwrap().invalidations, 1);
@@ -1582,10 +1707,10 @@ mod tests {
             query(&mut fx, &["kw5", "shared"]),
         ];
         // Warm only the first query through the single path.
-        let _ = cached.search_ranked_with_effect(&queries[0]);
+        let _ = cached.search_ranked_with_effect(&queries[0], None);
 
         let expected = plain.search_batch_with_stats(&queries);
-        let got = cached.search_batch_with_effects(&queries);
+        let got = cached.search_batch_with_effects(&queries, &vec![None; queries.len()]);
         assert_eq!(got.len(), expected.len());
         for ((m, s, effect), (em, es)) in got.iter().zip(&expected) {
             assert_eq!(m, em);
@@ -1596,7 +1721,7 @@ mod tests {
         assert_eq!(got[1].2.shard_misses, 4, "cold query scans everywhere");
 
         // The whole batch again: every (query, shard) pair now hits.
-        let again = cached.search_batch_with_effects(&queries);
+        let again = cached.search_batch_with_effects(&queries, &vec![None; queries.len()]);
         for ((m, s, effect), (em, es)) in again.iter().zip(&expected) {
             assert_eq!(m, em);
             assert_eq!(s, es);
@@ -1612,8 +1737,8 @@ mod tests {
             SearchEngine::sharded(fx.params.clone(), 2).with_result_cache(CacheConfig::default());
         engine.insert_all(indices[..20].iter().cloned()).unwrap();
         let q = query(&mut fx, &["shared"]);
-        let _ = engine.search_ranked_with_effect(&q);
-        assert!(engine.search_ranked_with_effect(&q).2.fully_cached());
+        let _ = engine.search_ranked_with_effect(&q, None);
+        assert!(engine.search_ranked_with_effect(&q, None).2.fully_cached());
 
         // A restore the store refuses midway still stored its accepted prefix
         // (document 20, into shard 0), so nothing cached may be served after it.
@@ -1623,15 +1748,15 @@ mod tests {
             Err(PersistenceError::Store(StoreError::DuplicateDocument(0)))
         );
         assert_eq!(engine.len(), 21);
-        assert_eq!(engine.search_ranked_with_effect(&q).2.shard_hits, 0);
+        assert_eq!(engine.search_ranked_with_effect(&q, None).2.shard_hits, 0);
 
         // A snapshot/restore cycle also invalidates (and restores content).
         let bytes = engine.snapshot();
         let mut restored =
             SearchEngine::sharded(fx.params.clone(), 5).with_result_cache(CacheConfig::default());
         assert_eq!(restored.restore_snapshot(&bytes).unwrap(), 21);
-        let (rm, rs, re) = restored.search_ranked_with_effect(&q);
-        let (em, es, _) = engine.search_ranked_with_effect(&q);
+        let (rm, rs, re) = restored.search_ranked_with_effect(&q, None);
+        let (em, es, _) = engine.search_ranked_with_effect(&q, None);
         assert_eq!(rm, em);
         assert_eq!(rs, es);
         assert_eq!(re.shard_hits, 0, "restored engine starts cold");
@@ -1651,7 +1776,7 @@ mod tests {
         let clone = engine.clone();
         assert!(clone.cache_enabled());
         assert_eq!(clone.cache_stats().unwrap(), CacheStats::default());
-        let (_, _, effect) = clone.search_ranked_with_effect(&q);
+        let (_, _, effect) = clone.search_ranked_with_effect(&q, None);
         assert_eq!(effect.shard_hits, 0);
         // And disabling works.
         let mut off = clone;
@@ -1674,7 +1799,7 @@ mod tests {
         engine.reset_cache_stats();
         assert_eq!(engine.cache_stats().unwrap(), CacheStats::default());
         engine.clear_cache();
-        let (_, _, effect) = engine.search_ranked_with_effect(&q);
+        let (_, _, effect) = engine.search_ranked_with_effect(&q, None);
         assert_eq!(effect.shard_hits, 0, "cleared cache serves nothing");
     }
 

@@ -302,7 +302,7 @@ impl ScanPlane {
     /// The ranked scan of Algorithm 1 over the whole plane — the plane-backed
     /// equivalent of [`crate::search::scan_ranked`] over the shard's documents.
     /// Matches come back in slot (scan) order with identical ranks and identical
-    /// [`SearchStats`]; callers sort with [`crate::search::sort_matches`].
+    /// [`SearchStats`]; callers order them with [`crate::search::top_matches`].
     pub fn scan_ranked(&self, query: &BitIndex) -> (Vec<SearchMatch>, SearchStats) {
         self.scan_ranked_chunks(query, 0..self.num_chunks())
     }

@@ -21,6 +21,7 @@ use crate::params::SystemParams;
 use crate::query::QueryIndex;
 use crate::storage::{IndexStore, ShardedStore, StoreError};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One search hit: a document id and its relevance rank (1 ≤ rank ≤ η).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,7 +57,7 @@ impl SearchStats {
 /// This is *the* comparison loop of the scheme and the only AoS scan: the
 /// sequential [`CloudIndex`] executes it, and the engine's plane sweep is held
 /// bit-for-bit equal to it by the equivalence suites. Matches are returned in scan
-/// order; callers sort with [`sort_matches`].
+/// order; callers order them with [`sort_matches`] or [`top_matches`].
 pub fn scan_ranked(
     documents: &[RankedDocumentIndex],
     query: &QueryIndex,
@@ -87,13 +88,50 @@ pub fn scan_ranked(
     (matches, stats)
 }
 
-/// Canonical result order: descending rank, ties broken by ascending document id.
+/// The canonical result order: descending rank, ties broken by ascending
+/// document id — the one comparator [`sort_matches`] and [`top_matches`] share.
+fn canonical_order(a: &SearchMatch, b: &SearchMatch) -> Ordering {
+    b.rank.cmp(&a.rank).then(a.document_id.cmp(&b.document_id))
+}
+
+/// Sort into the canonical result order: descending rank, ties broken by
+/// ascending document id.
 ///
 /// Document ids are unique, so this comparator is a total order — sorting any
 /// permutation of the same match set (e.g. a shard-merged one) yields one unique
-/// sequence, which is what makes parallel execution deterministic.
+/// sequence, which is what makes parallel execution deterministic. The
+/// reference [`CloudIndex`] sorts with this; the engine and the fleet cut with
+/// [`top_matches`] instead.
 pub fn sort_matches(matches: &mut [SearchMatch]) {
-    matches.sort_by(|a, b| b.rank.cmp(&a.rank).then(a.document_id.cmp(&b.document_id)));
+    matches.sort_by(canonical_order);
+}
+
+/// The first `top` of `matches` in the canonical order (all of them for
+/// `None`) — what [`sort_matches`] followed by `truncate(top)` returns, without
+/// sorting what the cut drops. `key` reads the `(document_id, rank)` an item is
+/// ordered by, so a reply type that carries more than a [`SearchMatch`] is cut
+/// by the same rule.
+///
+/// With more than `k` items the `k`-th is selected in linear time and only the
+/// `k` kept are sorted. Ids are unique, so the order is total and the unstable
+/// select and sort return exactly what the stable sort does. `Some(0)` keeps
+/// nothing.
+pub fn top_matches<T>(
+    mut matches: Vec<T>,
+    top: Option<usize>,
+    key: impl Fn(&T) -> SearchMatch,
+) -> Vec<T> {
+    let order = |a: &T, b: &T| canonical_order(&key(a), &key(b));
+    match top {
+        Some(0) => matches.clear(),
+        Some(k) if k < matches.len() => {
+            matches.select_nth_unstable_by(k - 1, order);
+            matches.truncate(k);
+        }
+        _ => {}
+    }
+    matches.sort_unstable_by(order);
+    matches
 }
 
 /// The sequential server-side index store — the paper's single-threaded scan, kept as
@@ -194,6 +232,7 @@ mod tests {
     use crate::keys::SchemeKeys;
     use crate::query::QueryBuilder;
     use mkse_textproc::document::TermFrequencies;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -328,6 +367,57 @@ mod tests {
         // Ranks are non-increasing.
         for w in all.windows(2) {
             assert!(w[0].rank >= w[1].rank);
+        }
+    }
+
+    /// `matches` with the ids deduplicated (first occurrence kept, order
+    /// otherwise arbitrary) and every rank folded into `1..=eta`.
+    fn match_set(ids: Vec<u64>, ranks: &[u32], eta: u32) -> Vec<SearchMatch> {
+        let mut seen = std::collections::HashSet::new();
+        (ids.into_iter().zip(ranks))
+            .filter(|(id, _)| seen.insert(*id))
+            .map(|(document_id, rank)| SearchMatch {
+                document_id,
+                rank: 1 + rank % eta,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The selection is the reference sort cut short: for any match set and
+        /// every `top` around its length, `top_matches` == `sort_matches` +
+        /// `truncate`, for bare matches and for a payload-carrying item keyed
+        /// by its match alike.
+        #[test]
+        fn prop_top_matches_is_sort_then_truncate(
+            ids in proptest::collection::vec(0u64..400, 0..300),
+            ranks in proptest::collection::vec(any::<u32>(), 300),
+            eta in 1u32..=5,
+        ) {
+            let matches = match_set(ids, &ranks, eta);
+            let len = matches.len();
+            let tops = [
+                None,
+                Some(0),
+                Some(1),
+                Some(len.saturating_sub(1)),
+                Some(len),
+                Some(len + 1),
+                Some(usize::MAX),
+            ];
+            for top in tops {
+                let mut expected = matches.clone();
+                sort_matches(&mut expected);
+                expected.truncate(top.unwrap_or(usize::MAX));
+                prop_assert_eq!(&top_matches(matches.clone(), top, |m| *m), &expected, "top {:?}", top);
+                let tagged: Vec<(SearchMatch, u64)> =
+                    matches.iter().map(|m| (*m, m.document_id ^ 0x5a)).collect();
+                let cut: Vec<SearchMatch> =
+                    top_matches(tagged, top, |t| t.0).into_iter().map(|t| t.0).collect();
+                prop_assert_eq!(&cut, &expected, "keyed, top {:?}", top);
+            }
         }
     }
 

@@ -76,6 +76,7 @@
 //! server side's own work — neither shows a node anything new.
 
 use crate::resilient::{Connector, InFlight, ResilientClient, RetryPolicy};
+use mkse_core::search::{top_matches, SearchMatch};
 use mkse_core::storage::{IndexStore, ShardedStore, StoreError};
 use mkse_core::telemetry::{Counter, Gauge, Stage, Telemetry, TelemetryLevel};
 use mkse_core::{
@@ -410,17 +411,17 @@ impl Coordinator {
 
     // ---- the read path ---------------------------------------------------
 
-    /// Merge per-node match lists into the canonical order: descending rank,
-    /// ties by ascending document id — exactly [`mkse_core::search::sort_matches`]'s
-    /// comparator, so the merged reply is byte-identical to the twin's.
-    fn merge(mut collected: Vec<Vec<SearchResultEntry>>, top: Option<usize>) -> SearchReply {
-        let mut matches: Vec<SearchResultEntry> = collected.drain(..).flatten().collect();
-        matches.sort_by(|a, b| b.rank.cmp(&a.rank).then(a.document_id.cmp(&b.document_id)));
-        if let Some(limit) = top {
-            matches.truncate(limit);
-        }
+    /// Merge per-node match lists into the first `top` of the canonical order
+    /// (descending rank, ties by ascending document id) with the engine's own
+    /// selection, [`top_matches`] — so the merged reply is byte-identical to
+    /// the twin's, and only the kept entries are sorted.
+    fn merge(collected: Vec<Vec<SearchResultEntry>>, top: Option<usize>) -> SearchReply {
+        let matches = collected.into_iter().flatten().collect();
         SearchReply {
-            matches,
+            matches: top_matches(matches, top, |e| SearchMatch {
+                document_id: e.document_id,
+                rank: e.rank,
+            }),
             cache: CacheReport::default(),
         }
     }
@@ -428,7 +429,7 @@ impl Coordinator {
     /// [`Coordinator::merge`] per member of a batch. `collected[n][i]` is
     /// node `n`'s reply to member `i` (every node answered `tops.len()`
     /// members — checked where the replies were extracted); member `i` is
-    /// truncated to its own `tops[i]`.
+    /// cut to its own `tops[i]`.
     fn merge_batch(collected: Vec<Vec<SearchReply>>, tops: &[Option<usize>]) -> Vec<SearchReply> {
         let mut per_node: Vec<_> = collected.into_iter().map(Vec::into_iter).collect();
         tops.iter()

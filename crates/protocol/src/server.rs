@@ -179,21 +179,21 @@ impl CloudServer {
     /// the execution — `binary_comparisons` counts the r-bit comparisons actually
     /// performed, `comparisons_saved_by_cache` the ones the result cache skipped
     /// (their sum is the cache-off Table 2 count), `cache_served_replies` the
-    /// replies produced without any scan — and answer the first `top` matches
-    /// with their ranks, index metadata and the [`CacheReport`] of what the cache
-    /// did.
+    /// replies produced without any scan — and answer the matches with their
+    /// ranks, index metadata and the [`CacheReport`] of what the cache did. The
+    /// engine has already cut the matches to the message's `top`, so this
+    /// keeps every one it is handed.
     fn reply(
         &mut self,
         (matches, stats, effect): (Vec<SearchMatch>, SearchStats, CacheEffect),
-        top: Option<usize>,
     ) -> SearchReply {
         self.counters.binary_comparisons += stats.comparisons - effect.saved_comparisons;
         self.counters.comparisons_saved_by_cache += effect.saved_comparisons;
         if effect.fully_cached() {
             self.counters.cache_served_replies += 1;
         }
-        let limit = top.unwrap_or(matches.len());
-        let entries = (matches.into_iter().take(limit))
+        let entries = matches
+            .into_iter()
             .map(|m| SearchResultEntry {
                 document_id: m.document_id,
                 rank: m.rank,
@@ -211,12 +211,13 @@ impl CloudServer {
     /// Answer checked queries as **one** fused pass: the engine's batch
     /// guarantees make every reply, its [`CacheReport`] and the
     /// [`OperationCounters`] deltas byte-identical to answering the queries one
-    /// at a time, in order. `tops[i]` limits reply `i`.
+    /// at a time, in order. `tops[i]` limits reply `i`, in the engine's merge.
     fn answer_batch(&mut self, queries: Vec<BitIndex>, tops: &[Option<usize>]) -> Vec<SearchReply> {
         let queries: Vec<QueryIndex> = queries.into_iter().map(QueryIndex::from_bits).collect();
-        let results = self.engine.search_batch_with_effects(&queries);
-        (results.into_iter().zip(tops))
-            .map(|(result, &top)| self.reply(result, top))
+        let results = self.engine.search_batch_with_effects(&queries, tops);
+        results
+            .into_iter()
+            .map(|result| self.reply(result))
             .collect()
     }
 
@@ -298,8 +299,8 @@ impl Service for CloudServer {
             Request::Query(message) => match message.check(index_bits) {
                 Ok(()) => {
                     let query = QueryIndex::from_bits(message.query);
-                    let result = self.engine.search_ranked_with_effect(&query);
-                    Response::Search(self.reply(result, message.top))
+                    let result = self.engine.search_ranked_with_effect(&query, message.top);
+                    Response::Search(self.reply(result))
                 }
                 Err(e) => Response::Error(e),
             },
@@ -673,48 +674,150 @@ mod tests {
 
     #[test]
     fn query_group_is_indistinguishable_from_sequential_calls() {
-        let (owner, mut server, mut rng) = populated_server();
-        let q1 = query_for(&owner, &["cloud"], &mut rng);
-        let mut q2 = query_for(&owner, &["weather"], &mut rng);
-        q2.top = Some(1);
-        // The group repeats q1 — as if two clients share a hot keyword — and
-        // carries a per-message `top` limit that must be honoured per reply.
-        let group = vec![q1.clone(), q2.clone(), q1.clone()];
-
-        // Reference: the same messages issued one `Service::call` at a time on
-        // an identically configured twin.
-        let mut sequential = CloudServer::with_shards(owner.params().clone(), server.num_shards());
-        let snapshot = server.snapshot_index();
-        sequential.restore_index(&snapshot).unwrap();
-        sequential.enable_result_cache(64);
-        sequential.reset_counters();
-        let individual: Vec<Response> = group
-            .iter()
-            .map(|m| sequential.call(Request::Query(m.clone())))
-            .collect();
-        let sequential_counters = *sequential.counters();
-        let sequential_cache = sequential.cache_stats();
-
-        server.enable_result_cache(64);
-        server.reset_counters();
-        let grouped = server.call_query_group(&group);
-        assert_eq!(grouped, individual);
-        assert_eq!(*server.counters(), sequential_counters);
-        assert_eq!(server.cache_stats(), sequential_cache);
-        // And again warm: the group is served from cache exactly as the
-        // sequential twin is.
-        let warm_individual: Vec<Response> = group
-            .iter()
-            .map(|m| sequential.call(Request::Query(m.clone())))
-            .collect();
-        let warm_grouped = server.call_query_group(&group);
-        assert_eq!(warm_grouped, warm_individual);
-        assert_eq!(server.counters(), sequential.counters());
-        assert_eq!(server.cache_stats(), sequential.cache_stats());
+        // The group repeats "cloud" — as if clients share a hot keyword — at
+        // four positions with four different `top`s (the widest, `None`,
+        // neither first nor last), and "storage" at two: the fused group
+        // merges each distinct query once and must still answer every member —
+        // matches, `CacheReport` — and count every comparison exactly as one
+        // `Service::call` per message on an identically configured twin does,
+        // cold and then warm from the cache.
+        let (owner, mut server, mut rng) = cloud_heavy_server();
+        let [cloud, storage] = ["cloud", "storage"].map(|kw| query_for(&owner, &[kw], &mut rng));
+        let at = |message: &QueryMessage, top| QueryMessage {
+            top,
+            ..message.clone()
+        };
+        let group = vec![
+            at(&cloud, Some(2)),
+            at(&storage, None),
+            at(&cloud, Some(0)),
+            at(&cloud, None),
+            at(&storage, Some(1)),
+            at(&cloud, Some(5)),
+        ];
+        let (mut sequential, mut grouped) = (cached_twin(&mut server), cached_twin(&mut server));
+        for pass in ["cold", "warm"] {
+            let individual: Vec<Response> = (group.iter())
+                .map(|m| sequential.call(Request::Query(m.clone())))
+                .collect();
+            let Response::Search(widest) = &individual[3] else {
+                panic!("query refused");
+            };
+            assert!(widest.matches.len() > 5, "the cuts must bite");
+            assert_eq!(grouped.call_query_group(&group), individual, "{pass}");
+            assert_eq!(grouped.counters(), sequential.counters(), "{pass}");
+            assert_eq!(grouped.cache_stats(), sequential.cache_stats(), "{pass}");
+        }
         // An empty group is a no-op that serves no requests.
-        let served = server.counters().requests_served;
-        assert!(server.call_query_group(&[]).is_empty());
-        assert_eq!(server.counters().requests_served, served);
+        let served = grouped.counters().requests_served;
+        assert!(grouped.call_query_group(&[]).is_empty());
+        assert_eq!(grouped.counters().requests_served, served);
+    }
+
+    /// [`populated_server`] plus twelve documents that all mention "cloud",
+    /// one to four times — enough matches, over several ranks, for a `top`
+    /// to cut.
+    fn cloud_heavy_server() -> (DataOwner, CloudServer, StdRng) {
+        let (mut owner, mut server, mut rng) = populated_server();
+        let docs: Vec<Document> = (10..22u64)
+            .map(|id| {
+                let text = format!("{} storage", "cloud ".repeat(1 + id as usize % 4));
+                Document::from_text(id, &text)
+            })
+            .collect();
+        let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
+        server.upload(indices, encrypted).unwrap();
+        (owner, server, rng)
+    }
+
+    /// A server holding `server`'s index under the same shard count, with a
+    /// 64-entry cache and zeroed counters.
+    fn cached_twin(server: &mut CloudServer) -> CloudServer {
+        let mut twin = CloudServer::with_shards(server.params().clone(), server.num_shards());
+        twin.restore_index(&server.snapshot_index()).unwrap();
+        twin.enable_result_cache(64);
+        twin.reset_counters();
+        twin
+    }
+
+    /// `response` with every search reply's matches cut to `top`.
+    fn cut(response: Response, top: Option<usize>) -> Response {
+        let keep = |mut reply: SearchReply| {
+            reply.matches.truncate(top.unwrap_or(usize::MAX));
+            reply
+        };
+        match response {
+            Response::Search(reply) => Response::Search(keep(reply)),
+            Response::BatchSearch(batch) => Response::BatchSearch(BatchSearchReply {
+                replies: batch.replies.into_iter().map(keep).collect(),
+            }),
+            other => other,
+        }
+    }
+
+    #[test]
+    fn top_zero_and_top_max_cost_what_an_uncut_query_costs() {
+        // For a `Query`, a `BatchQuery` and a group alike: `Some(0)` answers
+        // no match and `Some(usize::MAX)` every match, each with the
+        // `CacheReport`s and `OperationCounters` of the same envelope sent
+        // with `top: None` — cold and warm.
+        let (owner, mut server, mut rng) = cloud_heavy_server();
+        let [cloud, storage] = ["cloud", "storage"].map(|kw| query_for(&owner, &[kw], &mut rng));
+        let with_top = |top: Option<usize>| {
+            let (cloud, storage) = (
+                QueryMessage {
+                    top,
+                    ..cloud.clone()
+                },
+                QueryMessage {
+                    top,
+                    ..storage.clone()
+                },
+            );
+            let batch = BatchQueryMessage {
+                queries: vec![
+                    storage.query.clone(),
+                    cloud.query.clone(),
+                    storage.query.clone(),
+                ],
+                top,
+            };
+            (cloud.clone(), batch, vec![cloud, storage.clone(), storage])
+        };
+        let (query, batch, group) = with_top(None);
+        for top in [Some(0), Some(usize::MAX)] {
+            let (mut uncut, mut cut_twin) = (cached_twin(&mut server), cached_twin(&mut server));
+            let (cut_query, cut_batch, cut_group) = with_top(top);
+            for pass in ["cold", "warm"] {
+                let ctx = format!("top={top:?}, {pass}");
+                let want = [
+                    uncut.call(Request::Query(query.clone())),
+                    uncut.call(Request::BatchQuery(batch.clone())),
+                ];
+                let got = [
+                    cut_twin.call(Request::Query(cut_query.clone())),
+                    cut_twin.call(Request::BatchQuery(cut_batch.clone())),
+                ];
+                let want_group = uncut.call_query_group(&group);
+                let got_group = cut_twin.call_query_group(&cut_group);
+                for (want, got) in want
+                    .into_iter()
+                    .zip(got)
+                    .chain(want_group.into_iter().zip(got_group))
+                {
+                    assert_eq!(got, cut(want, top), "{ctx}");
+                }
+                assert_eq!(cut_twin.counters(), uncut.counters(), "{ctx}");
+                assert_eq!(cut_twin.cache_stats(), uncut.cache_stats(), "{ctx}");
+            }
+            let Response::Search(full) = uncut.call(Request::Query(query.clone())) else {
+                panic!("query refused");
+            };
+            assert!(
+                full.matches.len() > 3,
+                "the cut must have something to drop"
+            );
+        }
     }
 
     /// What one envelope adds to the registry, in the order

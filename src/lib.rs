@@ -195,7 +195,12 @@
 //!   and hands the lanes the whole remaining query set for fused plane passes
 //!   over the missed shards. The two entry points keep only their telemetry
 //!   apart — `queries` / `engine_query` for a single query, `batches` /
-//!   `batch_queries` / `engine_batch` for a batch.
+//!   `batch_queries` / `engine_batch` for a batch. The reply's `top` (§5's τ)
+//!   reaches the executor's merge, which *selects* the `top` matches the reply
+//!   keeps and sorts only those (`core::search::top_matches`) instead of
+//!   sorting every match the shards found; the shard scans and the cache
+//!   entries stay whole per-shard lists, so one cached query serves every
+//!   `top`, and the sequential reference keeps its own full stable sort.
 //! * **Cache** ([`core::cache`]): an optional per-shard LRU of shard-scan results,
 //!   keyed by a collision-checked [`core::QueryFingerprint`] of the query bits.
 //!   Per-shard **write generations** invalidate exactly the shard an insert landed
@@ -289,7 +294,7 @@
 //!   every read goes out as one `BatchQuery` — a group its hub coalesced as one
 //!   member per query, a lone query as a group of one, so nodes only see
 //!   `BatchQuery` reads) and merges
-//!   by (rank desc, id asc) exactly as the engine's merge point does. It keeps a
+//!   by (rank desc, id asc) with the engine's own top-τ selection. It keeps a
 //!   full mirror — a bare `ShardedStore` fed by the same insert path (same
 //!   errors, same partial-upload semantics), with no scan plane (it never
 //!   scans) and no serialized second copy — so when a node dies — deadline

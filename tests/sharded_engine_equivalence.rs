@@ -3,7 +3,10 @@
 //! The refactor's contract: for any corpus, any query and any shard count, the
 //! [`SearchEngine`] over a [`ShardedStore`] returns **identical** `SearchMatch`
 //! lists (same documents, same ranks, same deterministic order), identical merged
-//! `SearchStats` and identical top-k cuts — only wall-clock time may differ. This
+//! `SearchStats` and identical top-k cuts (every k around the match count: the
+//! engine selects what it keeps, the reference sorts everything and truncates,
+//! and a fused batch may ask a different k per position) — only wall-clock time
+//! may differ. This
 //! test drives randomized corpora
 //! and keyword workloads through both paths at shard counts 1, 2 and 7 (coprime
 //! with nothing, so round-robin tails are exercised) plus 16 (more shards than some
@@ -33,7 +36,7 @@
 use mkse::core::scanplane::CHUNK;
 use mkse::core::{
     BitIndex, CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex,
-    RankedDocumentIndex, SchemeKeys, SearchEngine, SystemParams,
+    RankedDocumentIndex, SchemeKeys, SearchEngine, ShardedStore, SystemParams,
 };
 use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
 use rand::rngs::StdRng;
@@ -129,6 +132,26 @@ fn padded_workload(seed: u64, real_docs: usize, stride: usize) -> Workload {
     wl
 }
 
+/// Every `top` around the reference's match count — none, one, one short,
+/// exact, one over, unbounded — cuts the engine's reply exactly as the
+/// reference's stable sort + `truncate` does. The engine selects the kept
+/// matches instead of sorting them all, so these are its edge cases.
+fn assert_top_cuts(
+    engine: &SearchEngine<ShardedStore>,
+    reference: &CloudIndex,
+    query: &QueryIndex,
+    ctx: &str,
+) {
+    let len = reference.search(query).len();
+    for k in [0, 1, len.saturating_sub(1), len, len + 1, usize::MAX] {
+        assert_eq!(
+            engine.search_top(query, k),
+            reference.search_top(query, k),
+            "top-{k} differs: {ctx}"
+        );
+    }
+}
+
 #[test]
 fn sharded_search_is_bit_identical_to_sequential_reference() {
     for (seed, num_docs) in [(1u64, 23), (2, 64), (3, 5), (4, 100)] {
@@ -147,11 +170,7 @@ fn sharded_search_is_bit_identical_to_sequential_reference() {
                 let (par_matches, par_stats) = engine.search_ranked_with_stats(query);
                 assert_eq!(par_matches, seq_matches, "ranked matches differ: {ctx}");
                 assert_eq!(par_stats, seq_stats, "merged stats differ: {ctx}");
-                assert_eq!(
-                    engine.search_top(query, 3),
-                    reference.search_top(query, 3),
-                    "top-k differs: {ctx}"
-                );
+                assert_top_cuts(&engine, &reference, query, &ctx);
             }
         }
     }
@@ -206,6 +225,23 @@ fn fused_batch_with_duplicates_is_identical_to_sequential_singles() {
                     let (seq_matches, seq_stats) = reference.search_ranked_with_stats(query);
                     assert_eq!(matches, &seq_matches, "fused batch differs: {ctx}");
                     assert_eq!(stats, &seq_stats, "fused batch stats differ: {ctx}");
+                }
+                // The same batch with a `top` per position: both duplicates
+                // carry a different `top` than their first occurrence.
+                let tops: Vec<Option<usize>> = (0..batch.len())
+                    .map(|i| [None, Some(0), Some(1), Some(3), Some(usize::MAX)][i % 5])
+                    .collect();
+                assert_ne!(tops[0], tops[batch.len() - 2]);
+                assert_ne!(tops[2], tops[batch.len() - 1]);
+                let cut = engine.search_batch_with_effects(&batch, &tops);
+                for (qi, ((query, top), (matches, stats, _))) in
+                    batch.iter().zip(&tops).zip(&cut).enumerate()
+                {
+                    let ctx = format!("{shards} shards, cached={cached}, {pass}, query {qi}");
+                    let (mut seq_matches, seq_stats) = reference.search_ranked_with_stats(query);
+                    seq_matches.truncate(top.unwrap_or(usize::MAX));
+                    assert_eq!(matches, &seq_matches, "cut fused batch differs: {ctx}");
+                    assert_eq!(stats, &seq_stats, "cut fused batch stats differ: {ctx}");
                 }
             }
         }
@@ -263,6 +299,7 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
                     expected[qi],
                     "single differs: {ctx}, query {qi}"
                 );
+                assert_top_cuts(&engine, &reference, query, &format!("{ctx}, query {qi}"));
             }
             let batched = engine.search_batch_with_stats(&batch);
             assert_eq!(batched.len(), batch.len());
@@ -288,6 +325,11 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
                         "cached differs: {ctx}, {pass}, query {qi}"
                     );
                     let _ = inline_cached.search_ranked_with_stats(query);
+                    // Both twins take the same cuts, so their cache traffic
+                    // stays comparable below.
+                    let ctx = format!("{ctx}, cached, {pass}, query {qi}");
+                    assert_top_cuts(&cached, &reference, query, &ctx);
+                    assert_top_cuts(&inline_cached, &reference, query, &ctx);
                 }
                 let warm_batch = cached.search_batch_with_stats(&batch);
                 for (qi, got) in warm_batch.iter().enumerate() {
@@ -350,11 +392,7 @@ fn cached_execution_is_byte_identical_at_every_shard_count() {
                     let (par_matches, par_stats) = engine.search_ranked_with_stats(query);
                     assert_eq!(par_matches, seq_matches, "ranked matches differ: {ctx}");
                     assert_eq!(par_stats, seq_stats, "merged stats differ: {ctx}");
-                    assert_eq!(
-                        engine.search_top(query, 3),
-                        reference.search_top(query, 3),
-                        "top-k differs: {ctx}"
-                    );
+                    assert_top_cuts(&engine, &reference, query, &ctx);
                 }
             }
             // Batched execution against the same (now warm) cache.
