@@ -25,7 +25,7 @@ use mkse_net::{
 };
 use mkse_protocol::{
     wire, BatchQueryMessage, CloudServer, NodeCapabilities, QueryMessage, Request, Response,
-    Service, UploadMessage,
+    Service, TypedCalls, UploadMessage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -203,13 +203,9 @@ fn spawn_fleet(
     let mut uploader =
         ResilientClient::new(hub.memory_dialer().connector(), RetryPolicy::default())
             .with_first_request_id(9_000_001);
-    let reply = uploader
-        .call(&Request::Upload(UploadMessage {
-            indices: indices.to_vec(),
-            documents: vec![],
-        }))
+    uploader
+        .upload(indices.to_vec(), vec![])
         .expect("seed upload");
-    assert!(matches!(reply, Response::Uploaded { .. }));
     RunningFleet {
         hub,
         runners,

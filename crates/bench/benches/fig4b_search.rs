@@ -32,7 +32,7 @@ use mkse_core::search::scan_ranked;
 use mkse_core::{
     CacheConfig, QueryBuilder, QueryIndex, SearchEngine, ShardedStore, TelemetryLevel,
 };
-use mkse_protocol::{Client, CloudServer, QueryMessage, Request};
+use mkse_protocol::{Client, CloudServer, QueryMessage, Request, TypedCalls};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};

@@ -1,261 +1,18 @@
-//! A pipelined envelope client over any [`LinkReader`]/[`LinkWriter`] pair —
-//! the socket-side twin of `mkse_protocol::Client`: submit many requests,
-//! flush once, correlate replies by request id out of order.
+//! The link form of the one pipelined client: [`NetClient`] is
+//! `mkse_protocol::Client` over a [`Link`] — the two halves of a TCP stream or
+//! of an in-process [`crate::MemoryLink`]. Request ids, the outbox, the inbox
+//! correlated by id, [`mkse_protocol::WireStats`] and the reply reassembly
+//! ([`crate::FrameBuffer`] → `decode_response`) are the in-process client's,
+//! byte for byte; only the bytes move differently: a flush sends, and
+//! `wait_take` receives until the wanted id arrives or the deadline passes.
+//!
+//! The raw link client answers with bare [`mkse_protocol::Response`]s and
+//! takes a timeout per wait; the typed calls ([`mkse_protocol::TypedCalls`])
+//! come with the retrying client, [`crate::ResilientClient`], which holds one
+//! of these per connection.
 
-use crate::frame::FrameBuffer;
-use crate::link::{LinkReader, LinkWriter, MemoryLink};
-use mkse_protocol::wire::{decode_response, encode_request, CodecError};
-use mkse_protocol::{Request, Response, TransportError, WireStats};
-use std::collections::BTreeMap;
-use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+pub use mkse_protocol::{ClientError, Link};
 
-/// Failures a [`NetClient`] can observe. Server-side rejections arrive as
-/// ordinary [`Response::Error`] replies, not as this type.
-#[derive(Debug)]
-pub enum ClientError {
-    /// The link failed (connect, send, or receive).
-    Io(io::Error),
-    /// A reply frame did not decode.
-    Codec(CodecError),
-    /// The client-side frame limit rejected a reply frame.
-    Transport(TransportError),
-    /// No reply for this request id within the wait deadline.
-    TimedOut {
-        /// The request that went unanswered.
-        request_id: u64,
-    },
-    /// The server closed the connection before answering this request id.
-    Disconnected {
-        /// The request that went unanswered.
-        request_id: u64,
-    },
-    /// A non-idempotent request (upload, cache admin, restore) failed
-    /// mid-flight: the link died after the request may have reached the
-    /// server, so resubmitting could execute it twice. The resilient client
-    /// refuses to auto-retry and surfaces this instead; the caller can opt
-    /// into at-least-once via `RetryPolicy::retry_non_idempotent`.
-    RetryUnsafe {
-        /// The envelope name of the operation that cannot be safely retried.
-        op: &'static str,
-        /// The underlying failure of the last attempt.
-        cause: Box<ClientError>,
-    },
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::Io(e) => write!(f, "link failure: {e}"),
-            ClientError::Codec(e) => write!(f, "reply frame did not decode: {e}"),
-            ClientError::Transport(e) => write!(f, "reply frame rejected: {e}"),
-            ClientError::TimedOut { request_id } => {
-                write!(f, "no reply for request #{request_id} before the deadline")
-            }
-            ClientError::Disconnected { request_id } => {
-                write!(
-                    f,
-                    "connection closed before request #{request_id} was answered"
-                )
-            }
-            ClientError::RetryUnsafe { op, cause } => {
-                write!(
-                    f,
-                    "{op} failed mid-flight and is not idempotent — not retried \
-                     (the server may or may not have executed it): {cause}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-impl From<io::Error> for ClientError {
-    fn from(e: io::Error) -> Self {
-        ClientError::Io(e)
-    }
-}
-
-/// Pipelined client over a split link. Request ids are assigned from a
-/// configurable base ([`NetClient::with_first_request_id`]) so several clients
-/// of one hub can keep their ids globally unique — the journal-replay
-/// equivalence oracle correlates on exactly that.
-pub struct NetClient {
-    reader: Box<dyn LinkReader>,
-    writer: Box<dyn LinkWriter>,
-    frames: FrameBuffer,
-    outbox: Vec<u8>,
-    inbox: BTreeMap<u64, Response>,
-    next_id: u64,
-    stats: WireStats,
-    eof: bool,
-}
-
-impl NetClient {
-    /// Receive poll tick while waiting for replies.
-    const POLL: Duration = Duration::from_millis(2);
-
-    /// Connect over TCP.
-    pub fn connect_tcp<A: ToSocketAddrs>(addr: A) -> io::Result<NetClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        Ok(Self::from_parts(Box::new(read_half), Box::new(stream)))
-    }
-
-    /// Wrap the client end of an in-process link.
-    pub fn from_memory(link: MemoryLink) -> NetClient {
-        let (reader, writer) = link.split();
-        Self::from_parts(Box::new(reader), Box::new(writer))
-    }
-
-    /// Wrap an arbitrary split link.
-    pub fn from_parts(mut reader: Box<dyn LinkReader>, writer: Box<dyn LinkWriter>) -> NetClient {
-        let _ = reader.set_recv_timeout(Self::POLL);
-        NetClient {
-            reader,
-            writer,
-            frames: FrameBuffer::new(u32::MAX as u64),
-            outbox: Vec::new(),
-            inbox: BTreeMap::new(),
-            next_id: 1,
-            stats: WireStats::default(),
-            eof: false,
-        }
-    }
-
-    /// Start request-id assignment at `id` (builder-style).
-    pub fn with_first_request_id(mut self, id: u64) -> NetClient {
-        self.next_id = id;
-        self
-    }
-
-    /// The id the next [`NetClient::submit`] will use.
-    pub fn next_request_id(&self) -> u64 {
-        self.next_id
-    }
-
-    /// Frames and framed bytes this client has moved.
-    pub fn wire_stats(&self) -> WireStats {
-        self.stats
-    }
-
-    /// Encode `request` into the outbox (nothing is sent until
-    /// [`NetClient::flush`]); returns its request id.
-    pub fn submit(&mut self, request: &Request) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = encode_request(id, request);
-        self.stats.frames_sent += 1;
-        self.stats.bytes_sent += frame.len() as u64;
-        self.outbox.extend_from_slice(&frame);
-        id
-    }
-
-    /// Ship every submitted frame in one write.
-    pub fn flush(&mut self) -> Result<(), ClientError> {
-        if self.outbox.is_empty() {
-            return Ok(());
-        }
-        let wire = std::mem::take(&mut self.outbox);
-        self.writer.send_all(&wire).map_err(ClientError::Io)
-    }
-
-    /// One receive attempt: pull available bytes, decode complete reply
-    /// frames into the inbox. Returns `Ok(true)` if bytes arrived.
-    fn ingest_available(&mut self) -> Result<bool, ClientError> {
-        let mut buf = [0u8; 16 * 1024];
-        match self.reader.recv(&mut buf) {
-            Ok(0) => {
-                self.eof = true;
-                Ok(false)
-            }
-            Ok(n) => {
-                self.frames
-                    .extend(&buf[..n])
-                    .map_err(ClientError::Transport)?;
-                loop {
-                    match self.frames.pop() {
-                        Ok(Some(payload)) => {
-                            self.stats.frames_received += 1;
-                            self.stats.bytes_received += payload.len() as u64 + 4;
-                            let (id, response) =
-                                decode_response(&payload).map_err(ClientError::Codec)?;
-                            self.inbox.insert(id, response);
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err(ClientError::Transport(e)),
-                    }
-                }
-                Ok(true)
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(false)
-            }
-            Err(e) => Err(ClientError::Io(e)),
-        }
-    }
-
-    /// Ship raw pre-framed bytes immediately, bypassing the envelope codec —
-    /// for harnesses that need to send hand-built (or hostile) frames.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        self.writer.send_all(bytes).map_err(ClientError::Io)
-    }
-
-    /// Take a reply already in the inbox, without touching the link.
-    pub fn try_take(&mut self, request_id: u64) -> Option<Response> {
-        self.inbox.remove(&request_id)
-    }
-
-    /// Block until the reply for `request_id` arrives (other replies are
-    /// ingested into the inbox on the way).
-    ///
-    /// The wait parks instead of polling: the link's receive timeout is
-    /// stretched to the remaining deadline, so the thread sleeps on the
-    /// pipe's condvar (memory links) or in the kernel (TCP) until bytes
-    /// actually arrive — no CPU is burned spinning. Total blocked time is
-    /// surfaced as [`WireStats::wait_ns`].
-    pub fn wait_take(
-        &mut self,
-        request_id: u64,
-        timeout: Duration,
-    ) -> Result<Response, ClientError> {
-        let started = Instant::now();
-        let deadline = started + timeout;
-        let result = loop {
-            if let Some(response) = self.inbox.remove(&request_id) {
-                break Ok(response);
-            }
-            if self.eof {
-                break Err(ClientError::Disconnected { request_id });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break Err(ClientError::TimedOut { request_id });
-            }
-            let _ = self.reader.set_recv_timeout(deadline - now);
-            match self.ingest_available() {
-                Ok(_) => {}
-                Err(e) => {
-                    let _ = self.reader.set_recv_timeout(Self::POLL);
-                    self.stats.wait_ns += started.elapsed().as_nanos() as u64;
-                    return Err(e);
-                }
-            }
-        };
-        let _ = self.reader.set_recv_timeout(Self::POLL);
-        self.stats.wait_ns += started.elapsed().as_nanos() as u64;
-        result
-    }
-
-    /// Submit + flush + wait: one blocking round trip.
-    pub fn call(&mut self, request: &Request, timeout: Duration) -> Result<Response, ClientError> {
-        let id = self.submit(request);
-        self.flush()?;
-        self.wait_take(id, timeout)
-    }
-}
+/// A pipelined client over a split link: submit many requests, flush once,
+/// correlate replies by request id out of order.
+pub type NetClient = mkse_protocol::Client<Link>;

@@ -87,7 +87,7 @@ use mkse_protocol::{
     answer_query_group, BatchQueryMessage, BatchSearchReply, CacheReport, DocumentReply,
     EncryptedDocumentTransfer, NodeCapabilities, NodeRegistration, OperationCounters,
     ProtocolError, QueryMessage, Request, Response, SearchReply, SearchResultEntry, ServerInfo,
-    Service, ShardAssignment, UploadMessage,
+    Service, ShardAssignment, TypedCalls, UploadMessage,
 };
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -390,11 +390,8 @@ impl Coordinator {
         if self.mirror.shard_documents(shard).is_empty() {
             return Ok(());
         }
-        let restore = Request::RestoreIndex(serialize_shard(&self.mirror, shard));
-        match node.client.call(&restore) {
-            Ok(Response::Restored { .. }) => Ok(()),
-            _ => Err(()),
-        }
+        let shipped = node.client.restore(serialize_shard(&self.mirror, shard));
+        shipped.map(drop).map_err(drop)
     }
 
     /// A non-empty shard no live node serves, if any.
@@ -597,15 +594,10 @@ impl Coordinator {
             }
         }
         for (node_id, indices) in per_node {
-            let upload = Request::Upload(UploadMessage {
-                indices,
-                documents: vec![],
-            });
             // `node_id` is an `owner_of` entry: an id of this map.
             let node = self.nodes.get_mut(&node_id).expect("owners are nodes");
-            match node.client.call(&upload) {
-                Ok(Response::Uploaded { .. }) => {}
-                _ => self.fail_node(node_id),
+            if node.client.upload(indices, vec![]).is_err() {
+                self.fail_node(node_id);
             }
         }
         outcome
@@ -839,10 +831,7 @@ mod tests {
                 cache_capacity: 0,
             },
         }));
-        match reply {
-            Response::ShardAssignment(a) => a,
-            other => panic!("registration refused: {other:?}"),
-        }
+        reply.into_shard_assignment().expect("registration granted")
     }
 
     fn beat(coordinator: &mut Coordinator, node_id: u64) -> Response {
@@ -1358,9 +1347,7 @@ mod tests {
 
         // An empty fleet still answers an empty corpus truthfully.
         let reply = coordinator.call(Request::Query(fx.queries[0].clone()));
-        match reply {
-            Response::Search(r) => assert!(r.matches.is_empty()),
-            other => panic!("empty fleet, empty corpus: {other:?}"),
-        }
+        let reply = reply.into_search().expect("empty fleet, empty corpus");
+        assert!(reply.matches.is_empty());
     }
 }

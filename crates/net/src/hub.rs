@@ -62,12 +62,13 @@
 //! enqueued after the joins, so channel FIFO order guarantees no accepted
 //! request loses its reply.
 
-use crate::frame::FrameBuffer;
 use crate::link::{memory_duplex, LinkReader, LinkWriter, MemoryLink};
 use crate::resilient::Connector;
 use mkse_core::telemetry::{Counter, Gauge, Series, Stage, Telemetry};
 use mkse_protocol::wire::{decode_request, encode_response};
-use mkse_protocol::{ProtocolError, QueryMessage, Request, Response, Service, TransportError};
+use mkse_protocol::{
+    FrameBuffer, ProtocolError, QueryMessage, Request, Response, Service, TransportError,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -22,12 +22,18 @@
 //!
 //! ```text
 //!   ResilientClient ─────▶ NetClient ──frames──▶ reader thread ──events──▶ dispatcher thread
-//!   (retry/reconnect,      (pipelined)  │        (FrameBuffer,             (single writer: owns the
-//!    backoff, at-most-once)             │         per-conn gate,            Service + batcher,
-//!                                       ▼         hub-wide budget,          demultiplexes replies,
-//!                                  FaultyLink     idle/size hygiene)        sheds → Overloaded)
-//!                                  (optional seeded chaos wrapper)
+//!   (retry/reconnect,      (= mkse_protocol::    (FrameBuffer,             (single writer: owns the
+//!    backoff, at-most-once; Client<Link>: the     per-conn gate,            Service + batcher,
+//!    the typed calls)       one pipelined         hub-wide budget,          demultiplexes replies,
+//!                           client) │             idle/size hygiene)        sheds → Overloaded)
+//!                                   ▼
+//!                              FaultyLink (optional seeded chaos wrapper)
 //! ```
+//!
+//! The client itself, the frame reassembler and the links live in
+//! `mkse-protocol` beside the codec — one client whether its transport is a
+//! service in process or a link — and are re-exported here under the names
+//! the transport has always used ([`NetClient`], [`FrameBuffer`], [`link`]).
 //!
 //! The resilience layer ([`fault`], [`resilient`], hub overload shedding) is
 //! built so chaos stays *deterministic*: a [`fault::FaultPlan`] seed fully
@@ -69,19 +75,17 @@
 pub mod client;
 pub mod coordinator;
 pub mod fault;
-pub mod frame;
 pub mod hub;
-pub mod link;
 pub mod node;
 pub mod resilient;
 
 pub use client::{ClientError, NetClient};
 pub use coordinator::{Coordinator, FleetConfig};
 pub use fault::{FaultEvent, FaultHandle, FaultPlan, FaultyLink, FaultyReader, FaultyWriter};
-pub use frame::FrameBuffer;
 pub use hub::{Hub, HubConfig, HubHandle, HubReport, JournalEntry, MemoryDialer};
 pub use link::{memory_duplex, LinkReader, LinkWriter, MemoryLink, MemoryReader, MemoryWriter};
-pub use node::{NodeConfig, NodeError, NodeRunner};
+pub use mkse_protocol::{link, FrameBuffer};
+pub use node::{NodeConfig, NodeRunner};
 pub use resilient::{Connector, InFlight, ResilienceStats, ResilientClient, RetryPolicy};
 
 #[cfg(test)]
@@ -208,13 +212,8 @@ mod tests {
         let hub = Hub::spawn(service, HubConfig::default());
         let mut client = NetClient::from_memory(hub.connect_memory());
         let reply = client.call(&query(3, 16), WAIT).unwrap();
-        match reply {
-            Response::Search(r) => {
-                assert_eq!(r.matches[0].document_id, 3);
-                assert_eq!(r.matches[0].rank, 16);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
+        let found = &reply.into_search().unwrap().matches[0];
+        assert_eq!((found.document_id, found.rank), (3, 16));
         let echoed = client
             .call(&Request::RestoreIndex(vec![7; 42]), WAIT)
             .unwrap();
@@ -245,15 +244,10 @@ mod tests {
         let ib = b.submit(&query(5, 8));
         a.flush().unwrap();
         b.flush().unwrap();
-        let ra = a.wait_take(ia, WAIT).unwrap();
-        let rb = b.wait_take(ib, WAIT).unwrap();
-        match (ra, rb) {
-            (Response::Search(ra), Response::Search(rb)) => {
-                assert_eq!(ra.matches[0].document_id, 1);
-                assert_eq!(rb.matches[0].document_id, 5);
-            }
-            other => panic!("unexpected replies {other:?}"),
-        }
+        let ra = a.wait_take(ia, WAIT).unwrap().into_search().unwrap();
+        let rb = b.wait_take(ib, WAIT).unwrap().into_search().unwrap();
+        assert_eq!(ra.matches[0].document_id, 1);
+        assert_eq!(rb.matches[0].document_id, 5);
         let report = hub.shutdown();
         assert_eq!(report.connections, 2);
         assert_eq!(report.requests, 2);
@@ -275,16 +269,11 @@ mod tests {
         let ib = b.submit(&query(4, 8));
         a.flush().unwrap();
         b.flush().unwrap();
-        let ra = a.wait_take(ia, WAIT).unwrap();
-        let rb = b.wait_take(ib, WAIT).unwrap();
+        let ra = a.wait_take(ia, WAIT).unwrap().into_search().unwrap();
+        let rb = b.wait_take(ib, WAIT).unwrap().into_search().unwrap();
         // Replies are demultiplexed to the right connection by request id.
-        match (&ra, &rb) {
-            (Response::Search(ra), Response::Search(rb)) => {
-                assert_eq!(ra.matches[0].document_id, 2);
-                assert_eq!(rb.matches[0].document_id, 4);
-            }
-            other => panic!("unexpected replies {other:?}"),
-        }
+        assert_eq!(ra.matches[0].document_id, 2);
+        assert_eq!(rb.matches[0].document_id, 4);
         let report = hub.shutdown();
         assert_eq!(report.requests, 2);
         let snapshot = telemetry.snapshot();

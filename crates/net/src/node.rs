@@ -26,8 +26,8 @@ use crate::resilient::{Connector, ResilienceStats, ResilientClient, RetryPolicy}
 use mkse_core::telemetry::Telemetry;
 use mkse_core::SystemParams;
 use mkse_protocol::{
-    CloudServer, NodeCapabilities, NodeHeartbeat, NodeRegistration, ProtocolError, Request,
-    Response, Service, ShardAssignment,
+    CloudServer, NodeCapabilities, NodeHeartbeat, NodeRegistration, Service, ShardAssignment,
+    TypedCalls,
 };
 
 /// Everything a node needs besides the coordinator's address.
@@ -55,38 +55,6 @@ impl Default for NodeConfig {
             hub: HubConfig::default(),
             policy: RetryPolicy::default(),
         }
-    }
-}
-
-/// Control-plane failures: transport trouble talking to the coordinator, a
-/// typed refusal from it, or a reply of the wrong shape.
-#[derive(Debug)]
-pub enum NodeError {
-    /// The control client could not complete the exchange.
-    Client(ClientError),
-    /// The coordinator answered, but with a refusal.
-    Refused(ProtocolError),
-    /// The coordinator answered with an unexpected response variant.
-    UnexpectedReply(&'static str),
-}
-
-impl std::fmt::Display for NodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NodeError::Client(e) => write!(f, "control-plane transport failure: {e}"),
-            NodeError::Refused(e) => write!(f, "coordinator refused: {e}"),
-            NodeError::UnexpectedReply(op) => {
-                write!(f, "coordinator sent an unexpected reply to {op}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for NodeError {}
-
-impl From<ClientError> for NodeError {
-    fn from(e: ClientError) -> Self {
-        NodeError::Client(e)
     }
 }
 
@@ -148,42 +116,28 @@ impl NodeRunner {
         self.control.stats()
     }
 
-    fn expect_assignment(
-        &mut self,
-        reply: Result<Response, ClientError>,
-        op: &'static str,
-    ) -> Result<ShardAssignment, NodeError> {
-        match reply? {
-            Response::ShardAssignment(assignment) => {
-                self.assignment = Some(assignment.clone());
-                Ok(assignment)
-            }
-            Response::Error(e) => Err(NodeError::Refused(e)),
-            _ => Err(NodeError::UnexpectedReply(op)),
-        }
-    }
-
     /// Join the fleet: advertise capabilities, receive the shard assignment.
     /// Idempotent — re-registering after being declared dead rejoins with
-    /// whatever shards the coordinator grants now.
-    pub fn register(&mut self) -> Result<ShardAssignment, NodeError> {
-        let request = Request::RegisterNode(NodeRegistration {
+    /// whatever shards the coordinator grants now. A refusal from the
+    /// coordinator is [`ClientError::Reply`].
+    pub fn register(&mut self) -> Result<ShardAssignment, ClientError> {
+        let assignment = self.control.register_node(NodeRegistration {
             node_id: self.node_id,
             capabilities: self.capabilities,
-        });
-        let reply = self.control.call(&request);
-        self.expect_assignment(reply, "RegisterNode")
+        })?;
+        self.assignment = Some(assignment.clone());
+        Ok(assignment)
     }
 
     /// One liveness beat: send the node's own telemetry snapshot to the
     /// coordinator; the answer is the current assignment.
-    pub fn heartbeat(&mut self) -> Result<ShardAssignment, NodeError> {
-        let request = Request::NodeHeartbeat(NodeHeartbeat {
+    pub fn heartbeat(&mut self) -> Result<ShardAssignment, ClientError> {
+        let assignment = self.control.node_heartbeat(NodeHeartbeat {
             node_id: self.node_id,
             metrics: self.telemetry.snapshot(),
-        });
-        let reply = self.control.call(&request);
-        self.expect_assignment(reply, "NodeHeartbeat")
+        })?;
+        self.assignment = Some(assignment.clone());
+        Ok(assignment)
     }
 
     /// Stop the node's hub, returning its transport report.
@@ -198,6 +152,7 @@ mod tests {
     use crate::coordinator::{Coordinator, FleetConfig};
     use crate::hub::Hub;
     use mkse_core::SystemParams;
+    use mkse_protocol::ProtocolError;
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
@@ -291,11 +246,11 @@ mod tests {
         );
         assert!(matches!(
             stranger.register(),
-            Err(NodeError::Refused(ProtocolError::Unsupported(_)))
+            Err(ClientError::Reply(ProtocolError::Unsupported(_)))
         ));
         assert!(matches!(
             stranger.heartbeat(),
-            Err(NodeError::Refused(ProtocolError::Unsupported(_)))
+            Err(ClientError::Reply(ProtocolError::Unsupported(_)))
         ));
 
         for runner in runners {

@@ -1,7 +1,10 @@
 //! The retrying, reconnecting client: [`ResilientClient`] wraps [`NetClient`]
 //! with a [`RetryPolicy`] so a dropped link, a lost reply, or an overloaded
 //! hub surfaces as a transparent retry instead of a bare error — with
-//! **at-most-once semantics kept explicit**.
+//! **at-most-once semantics kept explicit**. It answers every typed call of
+//! [`TypedCalls`] (`query`, `upload`, `register_node`, …): each is one
+//! [`ResilientClient::call`], and a typed refusal or a reply of the wrong
+//! variant comes back as [`ClientError::Reply`].
 //!
 //! ## What gets retried
 //!
@@ -45,7 +48,7 @@
 use crate::client::{ClientError, NetClient};
 use crate::link::{LinkReader, LinkWriter};
 use mkse_core::telemetry::{Counter, Stage, Telemetry};
-use mkse_protocol::{ProtocolError, Request, Response, TransportError, WireStats};
+use mkse_protocol::{ProtocolError, Request, Response, TransportError, TypedCalls, WireStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io;
@@ -472,6 +475,14 @@ impl ResilientClient {
     }
 }
 
+impl TypedCalls for ResilientClient {
+    type Error = ClientError;
+
+    fn round_trip(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.call(request)
+    }
+}
+
 /// A flushed submission: its request id and the connection (by count of
 /// connections established) whose reader will see the reply.
 struct Sent {
@@ -599,11 +610,8 @@ mod tests {
         );
         let mut client = ResilientClient::new(flaky_connector(&hub, 2), quick_policy());
         // The first two connections die on the first write; the third works.
-        let reply = client.call(&query(3)).unwrap();
-        match reply {
-            Response::Search(r) => assert_eq!(r.matches[0].document_id, 3),
-            other => panic!("unexpected reply {other:?}"),
-        }
+        let reply = client.call(&query(3)).unwrap().into_search().unwrap();
+        assert_eq!(reply.matches[0].document_id, 3);
         let stats = client.stats();
         assert_eq!(stats.link_faults, 2);
         assert_eq!(stats.retries, 2);
@@ -792,10 +800,8 @@ mod tests {
         let a = client.submit(&first);
         let b = client.submit(&second);
         for (flight, request, ones) in [(a, &first, 3), (b, &second, 5)] {
-            match client.complete(flight, request).unwrap().1 {
-                Response::Search(r) => assert_eq!(r.matches[0].document_id, ones),
-                other => panic!("unexpected reply {other:?}"),
-            }
+            let (_, reply) = client.complete(flight, request).unwrap();
+            assert_eq!(reply.into_search().unwrap().matches[0].document_id, ones);
         }
         let stats = client.stats();
         assert_eq!(stats.link_faults, 2, "both first attempts died with link 0");

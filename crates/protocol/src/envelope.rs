@@ -19,13 +19,16 @@
 //! The [`crate::wire`] module gives every envelope a length-prefixed framed byte
 //! encoding (version byte + request id for correlation), and [`crate::Client`]
 //! speaks envelopes exclusively — including pipelined, out-of-order-correlated
-//! exchanges.
+//! exchanges. A caller that expects one reply variant resolves a [`Response`]
+//! with that variant's extractor (`Response::into_search`, …), whichever way
+//! the reply was obtained.
 
 use crate::counters::OperationCounters;
 use crate::messages::{
     BatchQueryMessage, BatchSearchReply, BlindDecryptReply, BlindDecryptRequest, DocumentReply,
     DocumentRequest, QueryMessage, SearchReply, TrapdoorReply, TrapdoorRequest, UploadMessage,
 };
+use crate::wire::CodecError;
 use crate::ProtocolError;
 use mkse_core::cache::CacheStats;
 use mkse_core::telemetry::{MetricsSnapshot, Telemetry};
@@ -234,6 +237,50 @@ impl Response {
             Response::Error(_) => "Error",
         }
     }
+}
+
+/// One extractor per success variant, each of one shape: the variant's
+/// payload, the error a [`Response::Error`] carries, or
+/// [`CodecError::ResponseMismatch`] for any other variant. An extractor takes
+/// a reply however it was obtained — a blocking round trip or a pipelined
+/// inbox — and every typed call of [`crate::TypedCalls`] is one request plus
+/// one extractor.
+macro_rules! extractors {
+    ($($name:ident($variant:literal) -> $ty:ty: $pat:pat => $value:expr;)*) => {
+        impl Response {
+            $(
+                #[doc = concat!("The payload of a [`Response::", $variant, "`] reply; the error \
+                    of a [`Response::Error`]; a `ResponseMismatch` for any other variant.")]
+                pub fn $name(self) -> Result<$ty, ProtocolError> {
+                    match self {
+                        $pat => Ok($value),
+                        Response::Error(error) => Err(error),
+                        other => Err(ProtocolError::Codec(CodecError::ResponseMismatch {
+                            expected: $variant.to_string(),
+                            found: other.name().to_string(),
+                        })),
+                    }
+                }
+            )*
+        }
+    };
+}
+
+extractors! {
+    into_search("Search") -> SearchReply: Response::Search(reply) => reply;
+    into_batch_search("BatchSearch") -> BatchSearchReply: Response::BatchSearch(reply) => reply;
+    into_documents("Documents") -> DocumentReply: Response::Documents(reply) => reply;
+    into_trapdoor("Trapdoor") -> TrapdoorReply: Response::Trapdoor(reply) => reply;
+    into_blind_decrypt("BlindDecrypt") -> BlindDecryptReply: Response::BlindDecrypt(r) => r;
+    into_uploaded("Uploaded") -> u64: Response::Uploaded { documents } => documents;
+    into_ack("Ack") -> (): Response::Ack => ();
+    into_cache_stats("CacheStats") -> Option<CacheStats>: Response::CacheStats(stats) => stats;
+    into_snapshot("Snapshot") -> Vec<u8>: Response::Snapshot(bytes) => bytes;
+    into_restored("Restored") -> u64: Response::Restored { documents } => documents;
+    into_counters("Counters") -> OperationCounters: Response::Counters(counters) => counters;
+    into_info("Info") -> ServerInfo: Response::Info(info) => info;
+    into_metrics_report("MetricsReport") -> MetricsSnapshot: Response::MetricsReport(s) => s;
+    into_shard_assignment("ShardAssignment") -> ShardAssignment: Response::ShardAssignment(a) => a;
 }
 
 /// Static facts about a serving deployment, answered to [`Request::ServerInfo`].

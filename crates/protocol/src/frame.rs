@@ -1,5 +1,7 @@
 //! Incremental reassembly of length-prefixed frames from an arbitrarily
-//! fragmented byte stream.
+//! fragmented byte stream — the one frame splitter every reader of the
+//! [`crate::wire`] framing uses: [`crate::serve`] on a request wire, the
+//! [`crate::Client`] on its reply bytes, and a hub's connection readers.
 //!
 //! A TCP read returns whatever bytes happen to be in the socket buffer: a
 //! frame can arrive whole, split mid-payload, or split inside its 4-byte
@@ -13,11 +15,11 @@
 //! oversized payload is buffered, so a hostile peer cannot balloon server
 //! memory by declaring a huge frame.
 
-use mkse_protocol::TransportError;
+use crate::TransportError;
 
 /// Reassembles length-prefixed frames (`u32` little-endian length, then that
-/// many payload bytes — the `mkse_protocol::wire` framing) from stream
-/// fragments of any size.
+/// many payload bytes — the [`crate::wire`] framing) from stream fragments of
+/// any size.
 #[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -82,8 +84,8 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mkse_protocol::wire::{decode_request, encode_request};
-    use mkse_protocol::Request;
+    use crate::wire::{decode_request, encode_request};
+    use crate::Request;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -23,16 +23,20 @@
 //! implement [`envelope::Service`] (`fn call(&mut self, Request) -> Response`) as
 //! their single entry point. The [`wire`] module frames envelopes as
 //! length-prefixed bytes (version byte + request id), and [`Client`] is the
-//! pipelined front door every session and example speaks through: submit many
-//! requests, flush once, correlate replies by id out of order. A direct
-//! `Service::call` and the framed codec return byte-identical replies
-//! (`tests/envelope_equivalence.rs` proves it).
+//! one pipelined client every session, example and socket caller speaks
+//! through: submit many requests, flush once, correlate replies by id out of
+//! order — in process over a [`Service`], or over a [`link`] (TCP or an
+//! in-process memory pipe). Its typed calls are written once, in
+//! [`TypedCalls`]. A direct `Service::call` and the framed codec return
+//! byte-identical replies (`tests/envelope_equivalence.rs` proves it).
 
 pub mod channel;
 pub mod client;
 pub mod counters;
 pub mod data_owner;
 pub mod envelope;
+pub mod frame;
+pub mod link;
 pub mod messages;
 pub mod metrics;
 pub mod server;
@@ -41,13 +45,14 @@ pub mod user;
 pub mod wire;
 
 pub use channel::{CostLedger, Party, Phase};
-pub use client::{serve, Client, WireStats};
+pub use client::{serve, Client, ClientError, Link, TypedCalls, WireStats};
 pub use counters::OperationCounters;
 pub use data_owner::{DataOwner, OwnerConfig};
 pub use envelope::{
     answer_query_group, NodeCapabilities, NodeHeartbeat, NodeRegistration, Request, Response,
     ServerInfo, Service, ShardAssignment, PROTOCOL_VERSION,
 };
+pub use frame::FrameBuffer;
 pub use messages::*;
 pub use metrics::{render_json, render_prometheus};
 pub use server::CloudServer;

@@ -3,8 +3,9 @@
 //! semantics, so every transport test can run deterministically offline.
 //!
 //! A link is split into a [`LinkReader`] and a [`LinkWriter`] because the two
-//! halves live on different threads: the hub's per-connection reader thread
-//! owns the read half, the dispatcher thread owns the write half.
+//! halves live on different threads: a hub's per-connection reader thread
+//! owns the read half, its dispatcher thread owns the write half. The
+//! client's link transport ([`crate::client::Link`]) holds both.
 
 use std::collections::VecDeque;
 use std::io;

@@ -17,11 +17,11 @@
 //! request id.
 
 use crate::channel::{CostLedger, Party, Phase};
-use crate::client::{Client, WireStats};
+use crate::client::{Client, Transport, TypedCalls, WireStats};
 use crate::counters::OperationCounters;
 use crate::data_owner::{DataOwner, OwnerConfig};
 use crate::envelope::{Request, Response};
-use crate::messages::{CacheReport, UploadMessage};
+use crate::messages::CacheReport;
 use crate::server::CloudServer;
 use crate::user::User;
 use crate::ProtocolError;
@@ -319,8 +319,7 @@ impl SearchSession {
             let chunk_full = chunk_indices.len() >= Self::UPLOAD_CHUNK_DOCUMENTS
                 || chunk_bytes >= Self::UPLOAD_CHUNK_BYTES;
             if chunk_full || pairs.peek().is_none() {
-                if let Err(e) = Self::upload_chunk(
-                    &mut server,
+                if let Err(e) = server.upload(
                     std::mem::take(&mut chunk_indices),
                     std::mem::take(&mut chunk_documents),
                 ) {
@@ -347,21 +346,6 @@ impl SearchSession {
             user,
             ledger: CostLedger::new(),
         })
-    }
-
-    /// Ship one framed [`Request::Upload`] chunk and wait for its answer.
-    fn upload_chunk(
-        server: &mut Client<CloudServer>,
-        indices: Vec<mkse_core::document_index::RankedDocumentIndex>,
-        documents: Vec<crate::messages::EncryptedDocumentTransfer>,
-    ) -> Result<(), ProtocolError> {
-        match server.call(&Request::Upload(UploadMessage { indices, documents }))? {
-            Response::Uploaded { .. } => Ok(()),
-            Response::Error(e) => Err(e),
-            other => Err(ProtocolError::Codec(crate::wire::CodecError::Malformed(
-                format!("upload answered with {}", other.name()),
-            ))),
-        }
     }
 
     /// Step 1 (Figure 1): the trapdoor exchange for `keywords`, skipped when
@@ -493,13 +477,10 @@ impl SearchSession {
                 if first_error.is_some() {
                     continue;
                 }
-                let Some(response) = response else {
-                    first_error = Some(ProtocolError::Codec(crate::wire::CodecError::Malformed(
-                        format!("no blind-decrypt reply correlated to request id {id}"),
-                    )));
-                    continue;
-                };
-                let blind_reply = match Client::<DataOwner>::expect_blind_decrypt(response) {
+                let blind_reply = match response
+                    .ok_or_else(|| <DataOwner as Transport>::lost(id, false))
+                    .and_then(Response::into_blind_decrypt)
+                {
                     Ok(reply) => reply,
                     Err(e) => {
                         first_error = Some(e);

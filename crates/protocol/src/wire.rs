@@ -129,41 +129,16 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
     encode(request_id, response)
 }
 
-/// One frame split off the front of a buffer: `None` when the buffer is empty,
-/// otherwise `(frame payload, rest of the buffer)`.
-pub type SplitFrame<'a> = Option<(&'a [u8], &'a [u8])>;
-
-/// Split one length-prefixed frame off the front of `buf`.
-///
-/// Returns `Ok(None)` on an empty buffer, `Ok(Some((payload, rest)))` on a
-/// complete frame, and [`CodecError::Truncated`] on a partial one.
-pub fn split_frame(buf: &[u8]) -> Result<SplitFrame<'_>, CodecError> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    let mut r = Reader(buf);
-    let payload = r.section()?;
-    Ok(Some((payload, r.0)))
-}
-
-/// Decode one request from a frame payload (as produced by [`split_frame`]).
+/// Decode one request from a frame payload (as a [`crate::FrameBuffer`] pops
+/// it).
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), CodecError> {
     decode(payload, false)
 }
 
-/// Decode one response from a frame payload (as produced by [`split_frame`]).
+/// Decode one response from a frame payload (as a [`crate::FrameBuffer`] pops
+/// it).
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), CodecError> {
     decode(payload, true)
-}
-
-/// Decode every request frame in `wire`, in stream order.
-pub fn decode_request_stream(wire: &[u8]) -> Result<Vec<(u64, Request)>, CodecError> {
-    decode_stream(wire, decode_request)
-}
-
-/// Decode every response frame in `wire`, in stream order.
-pub fn decode_response_stream(wire: &[u8]) -> Result<Vec<(u64, Response)>, CodecError> {
-    decode_stream(wire, decode_response)
 }
 
 fn encode<E: Tagged>(request_id: u64, envelope: &E) -> Vec<u8> {
@@ -197,18 +172,6 @@ fn decode<E: Tagged>(payload: &[u8], response: bool) -> Result<(u64, E), CodecEr
     let envelope = E::take_body(kind, &mut r)?;
     r.expect_end()?;
     Ok((request_id, envelope))
-}
-
-fn decode_stream<T>(
-    mut wire: &[u8],
-    decode_one: fn(&[u8]) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let mut out = Vec::new();
-    while let Some((payload, rest)) = split_frame(wire)? {
-        out.push(decode_one(payload)?);
-        wire = rest;
-    }
-    Ok(out)
 }
 
 // --- the layout trait and its leaves -----------------------------------------
@@ -697,10 +660,20 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FrameBuffer;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The one frame `wire` holds, popped by a `FrameBuffer` with nothing
+    /// left behind it.
+    fn only_frame(wire: &[u8]) -> Vec<u8> {
+        let mut frames = FrameBuffer::new(u32::MAX.into());
+        frames.extend(wire).unwrap();
+        let payload = frames.pop().unwrap().expect("a complete frame");
+        assert_eq!(frames.pending_bytes(), 0, "one frame, nothing behind it");
+        payload
+    }
     fn arb_bitindex(rng: &mut StdRng) -> BitIndex {
         let len = rng.gen_range(1usize..512);
         let bits: Vec<bool> = (0..len).map(|_| rng.gen_range(0u8..2) == 1).collect();
@@ -1058,9 +1031,8 @@ mod tests {
             for request in all_requests(&mut rng) {
                 let id = rng.gen_range(0u64..u64::MAX);
                 let frame = encode_request(id, &request);
-                let (payload, rest) = split_frame(&frame).unwrap().unwrap();
-                prop_assert!(rest.is_empty());
-                let (decoded_id, decoded) = decode_request(payload).unwrap();
+                let payload = only_frame(&frame);
+                let (decoded_id, decoded) = decode_request(&payload).unwrap();
                 prop_assert_eq!(decoded_id, id);
                 prop_assert_eq!(decoded, request);
             }
@@ -1072,9 +1044,8 @@ mod tests {
             for response in all_responses(&mut rng) {
                 let id = rng.gen_range(0u64..u64::MAX);
                 let frame = encode_response(id, &response);
-                let (payload, rest) = split_frame(&frame).unwrap().unwrap();
-                prop_assert!(rest.is_empty());
-                let (decoded_id, decoded) = decode_response(payload).unwrap();
+                let payload = only_frame(&frame);
+                let (decoded_id, decoded) = decode_response(&payload).unwrap();
                 prop_assert_eq!(decoded_id, id);
                 prop_assert_eq!(decoded, response);
             }
@@ -1087,15 +1058,13 @@ mod tests {
             let request = &requests[rng.gen_range(0usize..requests.len())];
             let frame = encode_request(9, request);
             for cut in 0..frame.len() {
-                match split_frame(&frame[..cut]) {
-                    Ok(None) => prop_assert_eq!(cut, 0),
-                    Ok(Some(_)) => prop_assert!(false, "truncation at {} yielded a frame", cut),
-                    Err(e) => prop_assert_eq!(e, CodecError::Truncated),
-                }
+                let mut frames = FrameBuffer::new(u32::MAX.into());
+                frames.extend(&frame[..cut]).unwrap();
+                prop_assert_eq!(frames.pop(), Ok(None), "truncation at {} yielded a frame", cut);
             }
             // Truncating the payload itself (bypassing the length prefix) must
             // also fail typed, never panic.
-            let (payload, _) = split_frame(&frame).unwrap().unwrap();
+            let payload = only_frame(&frame);
             for cut in 0..payload.len() {
                 let result = decode_request(&payload[..cut]);
                 prop_assert!(result.is_err(), "payload cut at {} decoded", cut);
@@ -1114,11 +1083,9 @@ mod tests {
                 let pos = rng.gen_range(4usize..frame.len());
                 frame[pos] ^= 1 << rng.gen_range(0u32..8);
             }
-            if let Ok(Some((payload, _))) = split_frame(&frame) {
-                // Either a typed error or a (different but valid) value — the
-                // property is the absence of panics and of silent trailing data.
-                let _ = decode_response(payload);
-            }
+            // Either a typed error or a (different but valid) value — the
+            // property is the absence of panics and of silent trailing data.
+            let _ = decode_response(&only_frame(&frame));
         }
     }
 
@@ -1156,25 +1123,28 @@ mod tests {
         let request = Request::CacheStats;
         let mut frame = encode_request(5, &request);
         frame[4] = 99; // version byte (after the 4-byte length prefix)
-        let (payload, _) = split_frame(&frame).unwrap().unwrap();
-        assert_eq!(decode_request(payload), Err(CodecError::UnknownVersion(99)));
+        let payload = only_frame(&frame);
+        assert_eq!(
+            decode_request(&payload),
+            Err(CodecError::UnknownVersion(99))
+        );
 
         let mut frame = encode_request(5, &request);
         frame[13] = 0x7f; // kind byte: unknown request kind
-        let (payload, _) = split_frame(&frame).unwrap().unwrap();
-        assert_eq!(decode_request(payload), Err(CodecError::UnknownKind(0x7f)));
+        let payload = only_frame(&frame);
+        assert_eq!(decode_request(&payload), Err(CodecError::UnknownKind(0x7f)));
 
         // A response kind inside a request frame (and vice versa) is malformed.
         let response_frame = encode_response(5, &Response::Ack);
-        let (payload, _) = split_frame(&response_frame).unwrap().unwrap();
+        let payload = only_frame(&response_frame);
         assert!(matches!(
-            decode_request(payload),
+            decode_request(&payload),
             Err(CodecError::Malformed(_))
         ));
         let request_frame = encode_request(5, &request);
-        let (payload, _) = split_frame(&request_frame).unwrap().unwrap();
+        let payload = only_frame(&request_frame);
         assert!(matches!(
-            decode_response(payload),
+            decode_response(&payload),
             Err(CodecError::Malformed(_))
         ));
     }
@@ -1187,9 +1157,9 @@ mod tests {
         // Extend the length prefix to cover the garbage.
         let len = (padded.len() - 4) as u32;
         padded[..4].copy_from_slice(&len.to_le_bytes());
-        let (payload, _) = split_frame(&padded).unwrap().unwrap();
+        let payload = only_frame(&padded);
         assert!(matches!(
-            decode_request(payload),
+            decode_request(&payload),
             Err(CodecError::Malformed(_))
         ));
     }
@@ -1199,12 +1169,17 @@ mod tests {
         let a = encode_request(1, &Request::CacheStats);
         let b = encode_request(2, &Request::ServerInfo);
         let wire: Vec<u8> = [a, b].concat();
-        let decoded = decode_request_stream(&wire).unwrap();
+        let mut frames = FrameBuffer::new(u32::MAX.into());
+        frames.extend(&wire).unwrap();
+        let mut decoded = Vec::new();
+        while let Some(payload) = frames.pop().unwrap() {
+            decoded.push(decode_request(&payload).unwrap());
+        }
         assert_eq!(
             decoded,
             vec![(1, Request::CacheStats), (2, Request::ServerInfo)]
         );
-        assert!(decode_request_stream(&wire[..wire.len() - 1]).is_err());
+        assert_eq!(frames.pending_bytes(), 0);
     }
 
     #[test]
@@ -1212,7 +1187,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let snapshot = arb_metrics_snapshot(&mut rng);
         let frame = encode_response(7, &Response::MetricsReport(snapshot));
-        let (payload, _) = split_frame(&frame).unwrap().unwrap();
+        let payload = only_frame(&frame);
         // The level byte leads the body, right after the 10-byte payload
         // header (version u8 + request_id u64 + kind u8).
         let mut corrupted = payload.to_vec();
@@ -1239,9 +1214,8 @@ mod tests {
         ] {
             let response = Response::Error(ProtocolError::Transport(variant));
             let frame = encode_response(42, &response);
-            let (payload, rest) = split_frame(&frame).unwrap().unwrap();
-            assert!(rest.is_empty());
-            let (id, decoded) = decode_response(payload).unwrap();
+            let payload = only_frame(&frame);
+            let (id, decoded) = decode_response(&payload).unwrap();
             assert_eq!(id, 42);
             assert_eq!(decoded, response);
         }
@@ -1253,7 +1227,7 @@ mod tests {
             retry_after_ms: 2,
         }));
         let frame = encode_response(42, &response);
-        let (payload, _) = split_frame(&frame).unwrap().unwrap();
+        let payload = only_frame(&frame);
         // Payload layout: 10-byte header (version u8 + request_id u64 + kind
         // u8), then the protocol-error tag (8 = Transport) at [10] and the
         // transport-error tag at [11].
@@ -1284,9 +1258,8 @@ mod tests {
 
         for request in [&register, &beat] {
             let frame = encode_request(17, request);
-            let (payload, rest) = split_frame(&frame).unwrap().unwrap();
-            assert!(rest.is_empty());
-            let (id, decoded) = decode_request(payload).unwrap();
+            let payload = only_frame(&frame);
+            let (id, decoded) = decode_request(&payload).unwrap();
             assert_eq!(id, 17);
             assert_eq!(&decoded, request);
             // Every payload truncation is a typed error, never a panic.
@@ -1296,9 +1269,8 @@ mod tests {
         }
 
         let frame = encode_response(17, &assignment);
-        let (payload, rest) = split_frame(&frame).unwrap().unwrap();
-        assert!(rest.is_empty());
-        assert_eq!(decode_response(payload).unwrap(), (17, assignment));
+        let payload = only_frame(&frame);
+        assert_eq!(decode_response(&payload).unwrap(), (17, assignment));
         for cut in 0..payload.len() {
             assert!(decode_response(&payload[..cut]).is_err(), "cut at {cut}");
         }
@@ -1312,7 +1284,7 @@ mod tests {
             metrics: arb_metrics_snapshot(&mut rng),
         });
         let frame = encode_request(7, &beat);
-        let (payload, _) = split_frame(&frame).unwrap().unwrap();
+        let payload = only_frame(&frame);
         // Body layout: node_id u64 at [10..18], then the metrics snapshot
         // whose level byte leads it at [18].
         let mut corrupted = payload.to_vec();
@@ -1336,9 +1308,9 @@ mod tests {
         frame.extend_from_slice(&[0x5a]);
         let len = (frame.len() - 4) as u32;
         frame[..4].copy_from_slice(&len.to_le_bytes());
-        let (payload, _) = split_frame(&frame).unwrap().unwrap();
+        let payload = only_frame(&frame);
         assert!(matches!(
-            decode_response(payload),
+            decode_response(&payload),
             Err(CodecError::Malformed(_))
         ));
     }

@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example cached_session`
 
-use mkse::protocol::{Client, CloudServer, DataOwner, OwnerConfig, QueryMessage, User};
+use mkse::protocol::{Client, CloudServer, DataOwner, OwnerConfig, QueryMessage, TypedCalls, User};
 use mkse::textproc::{normalize_keyword, Document};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -223,7 +223,7 @@ fn main() {
             documents: vec![],
         }))
         .expect("seed upload");
-    assert!(matches!(reply, Response::Uploaded { .. }));
+    reply.clone().into_uploaded().expect("upload acknowledged");
     received.push((id, reply));
 
     let mut matches = 0usize;
@@ -232,9 +232,12 @@ fn main() {
             let (id, reply) = client
                 .call_traced(&Request::Query(query.clone()))
                 .expect("queries are idempotent and survive failover");
-            if let Response::Search(r) = &reply {
-                matches += r.matches.len();
-            }
+            matches += reply
+                .clone()
+                .into_search()
+                .expect("a Search reply")
+                .matches
+                .len();
             received.push((id, reply));
         }
         // Survivors keep beating between rounds; the dead node is refused.
@@ -250,13 +253,12 @@ fn main() {
         }
     }
     let (id, info) = client.call_traced(&Request::ServerInfo).expect("info");
-    if let Response::Info(i) = &info {
-        assert_eq!(i.documents, indices.len() as u64, "corpus pinned");
-        println!(
-            "\ncorpus pinned after failover: {} documents across {} global shards",
-            i.documents, i.shards
-        );
-    }
+    let pinned = info.clone().into_info().expect("server info");
+    assert_eq!(pinned.documents, indices.len() as u64, "corpus pinned");
+    println!(
+        "\ncorpus pinned after failover: {} documents across {} global shards",
+        pinned.documents, pinned.shards
+    );
     received.push((id, info));
     let stats = client.stats();
     assert_eq!(

@@ -13,6 +13,7 @@
 use mkse::core::{DocumentIndexer, QueryBuilder, SchemeKeys, SystemParams, TelemetryLevel};
 use mkse::protocol::{
     render_json, render_prometheus, BatchQueryMessage, Client, CloudServer, QueryMessage,
+    TypedCalls,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,10 +94,11 @@ fn main() {
             .collect();
         server.flush().expect("pipelined flush");
         for id in ids {
-            let reply = Client::<CloudServer>::expect_search(
-                server.take(id).expect("reply correlated by id"),
-            )
-            .expect("search reply");
+            let reply = server
+                .take(id)
+                .expect("reply correlated by id")
+                .into_search()
+                .expect("search reply");
             matches_seen += reply.matches.len();
         }
     }

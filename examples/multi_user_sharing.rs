@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example multi_user_sharing`
 
 use mkse::core::bins_for_keywords;
-use mkse::protocol::{Client, CloudServer, DataOwner, OwnerConfig, QueryMessage, User};
+use mkse::protocol::{Client, CloudServer, DataOwner, OwnerConfig, QueryMessage, TypedCalls, User};
 use mkse::textproc::{normalize_keyword, Document};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example pipelined_client`
 
 use mkse::core::{DocumentIndexer, QueryBuilder, SchemeKeys, SystemParams};
-use mkse::protocol::{Client, CloudServer, QueryMessage, Request, Response};
+use mkse::protocol::{Client, CloudServer, QueryMessage, Request, TypedCalls};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -77,17 +77,17 @@ fn main() {
     }
     assert_eq!(server.ready(), 0, "nothing executes before the flush");
 
-    let replies = server.flush().expect("pipelined flush");
-    println!("\nflushed once: {replies} replies arrived, correlating by id out of order\n");
+    server.flush().expect("pipelined flush");
+    println!(
+        "\nflushed once: {} replies arrived, correlating by id out of order\n",
+        server.ready()
+    );
 
     // Take the replies in REVERSE submission order — correlation is by request
     // id, so arrival/consumption order is irrelevant.
     for (id, label) in ids.iter().rev() {
         let response = server.take(*id).expect("reply correlated by id");
-        let reply = match response {
-            Response::Search(reply) => reply,
-            other => panic!("expected a Search reply, got {}", other.name()),
-        };
+        let reply = response.into_search().expect("a Search reply");
         let matched: Vec<u64> = reply.matches.iter().map(|m| m.document_id).collect();
         println!(
             "  #{id} {label:<12} -> {} match(es): {matched:?}",

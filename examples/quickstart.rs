@@ -8,7 +8,7 @@
 use mkse::core::{
     CloudIndex, DocumentIndexer, IndexStore, QueryBuilder, SchemeKeys, SearchEngine, SystemParams,
 };
-use mkse::protocol::{Client, CloudServer, QueryMessage};
+use mkse::protocol::{Client, CloudServer, QueryMessage, TypedCalls};
 use mkse::textproc::{extract_keywords, normalize_keyword};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -26,7 +26,7 @@ use mkse::net::{
     ResilientClient, RetryPolicy,
 };
 use mkse::protocol::{
-    render_json, render_prometheus, wire, CloudServer, QueryMessage, Request, Response,
+    render_json, render_prometheus, wire, CloudServer, QueryMessage, Request, TypedCalls,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -155,13 +155,8 @@ fn main() {
                 for round in 0..ROUNDS {
                     for i in 0..queries.len() {
                         let q = &queries[(k + round + i) % queries.len()];
-                        match client
-                            .call(&Request::Query(q.clone()))
-                            .expect("idempotent query survives chaos")
-                        {
-                            Response::Search(reply) => matches += reply.matches.len(),
-                            other => panic!("expected Search, got {}", other.name()),
-                        }
+                        let reply = client.query(q).expect("idempotent query survives chaos");
+                        matches += reply.matches.len();
                     }
                 }
                 let faults: u64 = handles.lock().unwrap().iter().map(|h| h.faults()).sum();
@@ -236,10 +231,11 @@ fn main() {
         let mut occupant = NetClient::from_memory(pressure.connect_memory());
         let mut bystander =
             NetClient::from_memory(pressure.connect_memory()).with_first_request_id(4_000_001);
-        let warm = bystander
+        bystander
             .call(&Request::Query(queries[2].clone()), Duration::from_secs(30))
-            .expect("bystander reply");
-        assert!(matches!(warm, Response::Search(_)));
+            .expect("bystander reply")
+            .into_search()
+            .expect("a Search reply");
         let occupant_id = occupant.submit(&Request::Query(queries[0].clone()));
         occupant.flush().expect("flush occupant");
         while pressure.frames_accepted() < 2 {
@@ -265,10 +261,9 @@ fn main() {
         )
         .with_first_request_id(5_000_001)
         .with_telemetry(resilience.clone());
-        let reply = resilient
-            .call(&Request::Query(queries[1].clone()))
+        resilient
+            .query(&queries[1])
             .expect("shed query completes after backoff");
-        assert!(matches!(reply, Response::Search(_)));
         let shed_stats = resilient.stats();
         assert!(shed_stats.sheds >= 1, "the stampede must have shed");
         assert_eq!(

@@ -13,7 +13,7 @@ use mkse::core::{
     expected_hamming_distance, expected_random_overlap, expected_zeros, DocumentIndexer, Histogram,
     QueryBuilder, SchemeKeys, SystemParams,
 };
-use mkse::protocol::{Client, CloudServer, QueryMessage};
+use mkse::protocol::{Client, CloudServer, QueryMessage, TypedCalls};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -14,9 +14,7 @@
 
 use mkse::core::{DocumentIndexer, QueryBuilder, SchemeKeys, SystemParams, TelemetryLevel};
 use mkse::net::{Hub, HubConfig, NetClient};
-use mkse::protocol::{
-    BatchQueryMessage, CloudServer, QueryMessage, Request, Response, UploadMessage,
-};
+use mkse::protocol::{BatchQueryMessage, CloudServer, QueryMessage, Request, UploadMessage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -117,10 +115,8 @@ fn main() {
                     .collect();
                 client.flush().expect("flush burst");
                 for id in ids {
-                    match client.wait_take(id, WAIT).expect("burst reply") {
-                        Response::Search(reply) => matches += reply.matches.len(),
-                        other => panic!("expected Search, got {}", other.name()),
-                    }
+                    let reply = client.wait_take(id, WAIT).expect("burst reply");
+                    matches += reply.into_search().expect("a Search reply").matches.len();
                 }
                 // One batched-query envelope (its own fused pass, a barrier
                 // for the cross-client batcher).
@@ -130,26 +126,19 @@ fn main() {
                         .collect(),
                     top: Some(3),
                 });
-                match client.call(&batch, WAIT).expect("batch reply") {
-                    Response::BatchSearch(reply) => {
-                        matches += reply.replies.iter().map(|r| r.matches.len()).sum::<usize>()
-                    }
-                    other => panic!("expected BatchSearch, got {}", other.name()),
-                }
+                let reply = client.call(&batch, WAIT).expect("batch reply");
+                let reply = reply.into_batch_search().expect("a BatchSearch reply");
+                matches += reply.replies.iter().map(|r| r.matches.len()).sum::<usize>();
                 // The upload, then the hot queries again — now partly warm.
-                match client
-                    .call(&Request::Upload(upload), WAIT)
+                let reply = client.call(&Request::Upload(upload), WAIT);
+                reply
                     .expect("upload reply")
-                {
-                    Response::Uploaded { .. } => {}
-                    other => panic!("expected Uploaded, got {}", other.name()),
-                }
+                    .into_uploaded()
+                    .expect("upload acknowledged");
                 for i in 0..REPEATS {
                     let q = Request::Query(queries[(k + i) % queries.len()].clone());
-                    match client.call(&q, WAIT).expect("repeat reply") {
-                        Response::Search(reply) => matches += reply.matches.len(),
-                        other => panic!("expected Search, got {}", other.name()),
-                    }
+                    let reply = client.call(&q, WAIT).expect("repeat reply");
+                    matches += reply.into_search().expect("a Search reply").matches.len();
                 }
                 (client.wire_stats(), matches)
             })
@@ -172,13 +161,11 @@ fn main() {
     // The dashboard read travels the same transport: a fifth (in-process)
     // connection asking for the telemetry snapshot.
     let mut admin = NetClient::from_memory(hub.connect_memory()).with_first_request_id(9_000_000);
-    let snapshot = match admin
+    let snapshot = admin
         .call(&Request::MetricsSnapshot, WAIT)
         .expect("metrics snapshot over the wire")
-    {
-        Response::MetricsReport(snapshot) => snapshot,
-        other => panic!("expected MetricsReport, got {}", other.name()),
-    };
+        .into_metrics_report()
+        .expect("a MetricsReport reply");
 
     println!("\n=== server wire (per connection) ===");
     for conn in &snapshot.connections {

@@ -49,7 +49,8 @@
 //!        ▼                                       snapshots + insert-journal replay —
 //!        │                                       N nodes == 1 node, byte for byte
 //!  mkse-net        ResilientClient ─▶ NetClient  the resilience layer: capped-
-//!        │         ─▶ FaultyLink ─▶ any link     backoff retries with reconnect
+//!        │         (= Client<Link>) ─▶           backoff retries with reconnect
+//!        │         FaultyLink ─▶ any link
 //!        ▼                                       and resubmission of idempotent
 //!        │                                       requests only (typed RetryUnsafe
 //!        ▼                                       refusal otherwise); the hub sheds
@@ -67,10 +68,12 @@
 //!        │                                       into one fused batch pass and
 //!        ▼                                       de-muxes replies by request id
 //!  mkse-protocol   Client  ──▶  wire codec  ──▶  Service::call   the ONE front door:
-//!        │         (pipelined,  (length-prefixed (CloudServer,   every operation is a
-//!        ▼          correlates   frames, version  DataOwner)     Request/Response
-//!        │          replies by   byte + request                  envelope; measured
-//!        ▼          id)          id)                             framed wire bytes
+//!        │         (ONE client: (length-prefixed (CloudServer,   every operation is a
+//!        ▼          pipelined,   frames, version  DataOwner)     Request/Response
+//!        │          correlates   byte + request                  envelope; measured
+//!        ▼          by id, over  id)                             framed wire bytes;
+//!        │          a Service or                                 typed calls once
+//!        ▼          a Link)                                      (TypedCalls)
 //!  mkse-protocol   CloudServer / SearchSession      actors, messages, cost ledger
 //!        │                                          (incl. the batched-query message,
 //!        ▼                                          CacheReport reply diagnostics)
@@ -228,7 +231,15 @@
 //!   length-prefixed bytes with a version byte and a request id, so the
 //!   `Client` — the front door every session, test and example speaks through —
 //!   can **pipeline**: submit a window of requests, flush once, and correlate
-//!   replies by id out of order. Because every exchange crosses the codec, the
+//!   replies by id out of order. There is one client: `Client<S>` runs `serve`
+//!   on a `Service` in process, `Client<Link>` (the socket `NetClient`) sends
+//!   over a TCP or memory link and waits for its replies, and both reassemble
+//!   replies through the one `FrameBuffer`. The typed calls (`query`,
+//!   `upload`, `server_info`, …) are written once, as provided methods of
+//!   `TypedCalls` over one blocking round trip; the in-process client and the
+//!   retrying `ResilientClient` implement it, and every reply variant has one
+//!   extractor (`Response::into_search`, …) that also resolves a reply taken
+//!   from a pipelined inbox. Because every exchange crosses the codec, the
 //!   `CostLedger` records measured framed wire bytes next to the analytic
 //!   Table 1 bits, and a direct `Service::call` returns the same bytes the
 //!   codec carries (`tests/envelope_equivalence.rs`). The codec states every
@@ -264,7 +275,10 @@
 //!   corruption, injected delays — so every chaos schedule is replayable from
 //!   its seed. [`net::ResilientClient`] wraps the pipelined `NetClient` with a
 //!   [`net::RetryPolicy`] (attempt budget, capped exponential backoff,
-//!   per-request deadline): it reconnects across link deaths and resubmits
+//!   per-request deadline) and answers every typed call — a refusal or a
+//!   reply of the wrong variant is a typed `ClientError::Reply`, so the
+//!   fleet's nodes and the coordinator's write forwards match no replies by
+//!   hand: it reconnects across link deaths and resubmits
 //!   in-flight *idempotent* requests, while non-idempotent operations
 //!   (upload, cache admin, restore, counter reset) fail with a typed
 //!   `ClientError::RetryUnsafe` unless the caller opts in — at-most-once
@@ -382,11 +396,12 @@
 //!
 //! The [`protocol::Client`] is the front door: upload and query both travel as
 //! framed `Request`/`Response` envelopes, and the client measures the real
-//! framed wire bytes of every exchange.
+//! framed wire bytes of every exchange. The typed calls come from
+//! [`protocol::TypedCalls`], which must be in scope.
 //!
 //! ```
 //! use mkse::core::{SystemParams, SchemeKeys, DocumentIndexer, QueryBuilder};
-//! use mkse::protocol::{Client, CloudServer, QueryMessage};
+//! use mkse::protocol::{Client, CloudServer, QueryMessage, TypedCalls};
 //! use rand::SeedableRng;
 //!
 //! let params = SystemParams::default();

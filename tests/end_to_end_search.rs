@@ -173,7 +173,7 @@ fn protocol_layer_end_to_end_retrieval_round_trip() {
 
 #[test]
 fn multiple_users_share_the_same_encrypted_index() {
-    use mkse::protocol::{Client, CloudServer, DataOwner, QueryMessage, User};
+    use mkse::protocol::{Client, CloudServer, DataOwner, QueryMessage, TypedCalls, User};
 
     let mut rng = StdRng::seed_from_u64(77);
     let config = OwnerConfig {

@@ -1,15 +1,17 @@
-//! Equivalence of the two server surfaces: direct `Service::call` and a full
+//! Equivalence of the server surfaces: direct `Service::call` and a full
 //! framed-codec round trip through the envelope `Client` must produce
 //! **byte-identical** replies — across shard counts and with the result cache
-//! on and off (cold and warm).
+//! on and off (cold and warm). And every typed call answers the same value
+//! through the in-process client as through a `ResilientClient` over a hub.
 //!
 //! "Byte-identical" is checked literally: every pair of replies is also encoded
 //! through the wire codec under the same request id and the frames compared.
 
-use mkse::core::QueryBuilder;
+use mkse::core::{serialize_store, QueryBuilder, RankedDocumentIndex, TelemetryLevel};
+use mkse::net::{ClientError, Hub, HubConfig, ResilientClient, RetryPolicy};
 use mkse::protocol::{
     wire, BatchQueryMessage, Client, CloudServer, DataOwner, DocumentRequest, OwnerConfig,
-    ProtocolError, QueryMessage, Request, Response, Service,
+    ProtocolError, QueryMessage, Request, Response, Service, TypedCalls,
 };
 use mkse::textproc::Document;
 use rand::rngs::StdRng;
@@ -127,10 +129,10 @@ fn service_and_codec_produce_byte_identical_replies() {
             let doc_request = DocumentRequest {
                 document_ids: vec![0, 5, 11],
             };
-            let via_call = match direct.call(Request::Documents(doc_request.clone())) {
-                Response::Documents(reply) => reply,
-                other => panic!("expected Documents, got {}", other.name()),
-            };
+            let via_call = direct
+                .call(Request::Documents(doc_request.clone()))
+                .into_documents()
+                .expect("direct retrieval");
             let via_wire = framed
                 .fetch_documents(&doc_request)
                 .expect("framed retrieval");
@@ -166,10 +168,10 @@ fn snapshot_restore_is_equivalent_across_surfaces() {
     let mut framed = Client::new(server(&fx, 2, true));
 
     let via_method = by_method.snapshot_index();
-    let via_call = match direct.call(Request::SnapshotIndex) {
-        Response::Snapshot(bytes) => bytes,
-        other => panic!("expected Snapshot, got {}", other.name()),
-    };
+    let via_call = direct
+        .call(Request::SnapshotIndex)
+        .into_snapshot()
+        .expect("direct snapshot");
     let via_wire = framed.snapshot().expect("framed snapshot");
     assert_eq!(via_method, via_call);
     assert_eq!(via_call, via_wire);
@@ -250,12 +252,122 @@ fn pipelined_replies_correlate_out_of_order() {
         .map(|q| client.submit(&Request::Query(q.clone())))
         .collect();
     assert_eq!(client.ready(), 0);
-    assert_eq!(client.flush().expect("pipelined flush"), fx.queries.len());
+    client.flush().expect("pipelined flush");
     assert_eq!(client.ready(), fx.queries.len());
     for (i, id) in ids.iter().enumerate().rev() {
-        let reply =
-            Client::<CloudServer>::expect_search(client.take(*id).expect("correlated")).unwrap();
+        let reply = client.take(*id).expect("correlated").into_search().unwrap();
         assert_eq!(reply, reference[i], "pipelined reply {i} diverged");
     }
     assert_eq!(client.ready(), 0);
+}
+
+/// Every typed call, in one fixed order, each answer put back into the
+/// envelope variant it came from — an error as `Response::Error` — so two
+/// clients' transcripts compare as values. Error paths included: a missing
+/// document, a duplicate upload, a snapshot that does not decode.
+fn typed_transcript<C: TypedCalls>(
+    client: &mut C,
+    fx: &Fixture,
+    refusal: impl Fn(C::Error) -> ProtocolError,
+) -> Vec<Response> {
+    let mut transcript = Vec::new();
+    let mut note = |answer: Result<Response, C::Error>| {
+        transcript.push(answer.unwrap_or_else(|e| Response::Error(refusal(e))));
+    };
+    let renumbered = |offset: u64| -> Vec<RankedDocumentIndex> {
+        let renumber = |index: &RankedDocumentIndex| RankedDocumentIndex {
+            document_id: index.document_id + offset,
+            ..index.clone()
+        };
+        fx.indices.iter().map(renumber).collect()
+    };
+    let uploaded = |documents| Response::Uploaded { documents };
+    let restored = |documents| Response::Restored { documents };
+    let batch = BatchQueryMessage {
+        queries: fx.queries.iter().map(|q| q.query.clone()).collect(),
+        top: Some(3),
+    };
+
+    note(client.server_info().map(Response::Info));
+    for query in &fx.queries {
+        note(client.query(query).map(Response::Search));
+    }
+    note(client.batch_query(&batch).map(Response::BatchSearch));
+    for document_ids in [vec![0, 5, 11], vec![99]] {
+        let request = DocumentRequest { document_ids };
+        note(client.fetch_documents(&request).map(Response::Documents));
+    }
+    note(client.upload(renumbered(100), vec![]).map(uploaded));
+    note(client.upload(renumbered(100), vec![]).map(uploaded));
+    note(client.enable_cache(16).map(|()| Response::Ack));
+    for query in fx.queries.iter().chain(&fx.queries) {
+        note(client.query(query).map(Response::Search));
+    }
+    note(client.remote_cache_stats().map(Response::CacheStats));
+    note(client.disable_cache().map(|()| Response::Ack));
+    note(client.remote_cache_stats().map(Response::CacheStats));
+    note(client.snapshot().map(Response::Snapshot));
+    let more = serialize_store(fx.owner.params(), &renumbered(200));
+    note(client.restore(more).map(restored));
+    note(client.restore(vec![1, 2, 3]).map(restored));
+    note(client.remote_counters().map(Response::Counters));
+    note(client.reset_remote_counters().map(|()| Response::Ack));
+    note(client.remote_counters().map(Response::Counters));
+    note(client.server_info().map(Response::Info));
+    transcript
+}
+
+/// Invariant 7, typed-call column: on one seeded server, every typed call
+/// answers the same value through the in-process client as through a
+/// `ResilientClient` over a hub on a memory link. `metrics_snapshot` also
+/// counts the hub's connection and batcher traffic, so only its level and
+/// the engine's counters are compared.
+#[test]
+fn typed_calls_answer_equal_values_in_process_and_over_a_hub() {
+    let fx = fixture();
+    let seeded = || {
+        let server = server(&fx, 2, false);
+        server.set_telemetry_level(TelemetryLevel::Counters);
+        server
+    };
+    let mut local = Client::new(seeded());
+    let hub = Hub::spawn(seeded(), HubConfig::default());
+    let mut remote = ResilientClient::new(hub.memory_dialer().connector(), RetryPolicy::default());
+
+    let in_process = typed_transcript(&mut local, &fx, |e| e);
+    let over_hub = typed_transcript(&mut remote, &fx, |e| match e {
+        ClientError::Reply(e) => e,
+        other => panic!("the hub did not answer: {other}"),
+    });
+    assert_eq!(in_process.len(), over_hub.len());
+    for (i, (local, remote)) in in_process.iter().zip(&over_hub).enumerate() {
+        assert_eq!(local, remote, "typed call {i}");
+    }
+    let refusals = in_process
+        .iter()
+        .filter(|r| matches!(r, Response::Error(_)))
+        .count();
+    assert_eq!(
+        refusals, 3,
+        "missing document, duplicate upload, bad snapshot"
+    );
+
+    let (local, remote) = (
+        local.metrics_snapshot().expect("in process"),
+        remote.metrics_snapshot().expect("over the hub"),
+    );
+    assert_eq!(local.level, remote.level);
+    for name in [
+        "requests_served",
+        "queries",
+        "batches",
+        "batch_queries",
+        "inserts",
+        "shard_scans",
+    ] {
+        assert_eq!(local.counter(name), remote.counter(name), "{name}");
+    }
+    assert!(local.counter("queries") > 0);
+    assert_eq!(local.shard_caches, remote.shard_caches);
+    hub.shutdown();
 }

@@ -23,12 +23,12 @@ mod common;
 use common::{assert_conservation, assert_replies_match_replay, counter, gauge, replay_journal};
 use mkse::core::{serialize_store, QueryBuilder, RankedDocumentIndex, SystemParams};
 use mkse::net::{
-    Connector, Coordinator, FaultHandle, FaultPlan, FaultyLink, FleetConfig, Hub, HubConfig,
-    MemoryDialer, NodeConfig, NodeError, NodeRunner, ResilienceStats, ResilientClient, RetryPolicy,
+    ClientError, Connector, Coordinator, FaultHandle, FaultPlan, FaultyLink, FleetConfig, Hub,
+    HubConfig, MemoryDialer, NodeConfig, NodeRunner, ResilienceStats, ResilientClient, RetryPolicy,
 };
 use mkse::protocol::{
     wire, BatchQueryMessage, CloudServer, DataOwner, DocumentRequest, NodeCapabilities,
-    OwnerConfig, ProtocolError, QueryMessage, Request, Response, UploadMessage,
+    OwnerConfig, ProtocolError, QueryMessage, Request, Response, TypedCalls, UploadMessage,
 };
 use mkse::textproc::Document;
 use rand::rngs::StdRng;
@@ -321,10 +321,10 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
     // Seed the corpus through the coordinator (forwards fan out per node).
     let mut seeder = ResilientClient::new(fleet.hub.memory_dialer().connector(), client_policy())
         .with_first_request_id(9_000_001);
-    let uploaded = seeder
-        .call(&Request::Upload(fx.seed_upload.clone()))
+    let seed = fx.seed_upload.clone();
+    seeder
+        .upload(seed.indices, seed.documents)
         .expect("seed upload");
-    assert!(matches!(uploaded, Response::Uploaded { .. }));
 
     let mut workers = Vec::new();
     for k in 0..CLIENTS {
@@ -375,14 +375,11 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
     let (id, info) = seeder
         .call_traced(&Request::ServerInfo)
         .expect("server info");
-    match &info {
-        Response::Info(i) => assert_eq!(
-            i.documents,
-            fx.seed_upload.indices.len() as u64 + 1,
-            "corpus pinned: nodes' summed documents match seed + probe"
-        ),
-        other => panic!("unexpected reply {other:?}"),
-    }
+    assert_eq!(
+        info.clone().into_info().expect("server info").documents,
+        fx.seed_upload.indices.len() as u64 + 1,
+        "corpus pinned: nodes' summed documents match seed + probe"
+    );
     all_received.push((id, info));
     assert_conservation(&seeder.stats(), "seeder");
 
@@ -405,7 +402,7 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
     assert!(runners[2].heartbeat().is_ok());
     assert!(matches!(
         runners[0].heartbeat(),
-        Err(NodeError::Refused(ProtocolError::Unsupported(_)))
+        Err(ClientError::Reply(ProtocolError::Unsupported(_)))
     ));
 
     let report = fleet.hub.shutdown();
@@ -445,10 +442,10 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     }
     let mut seeder = ResilientClient::new(fleet.hub.memory_dialer().connector(), client_policy())
         .with_first_request_id(9_000_001);
-    let uploaded = seeder
-        .call(&Request::Upload(fx.seed_upload.clone()))
+    let seed = fx.seed_upload.clone();
+    seeder
+        .upload(seed.indices, seed.documents)
         .expect("seed upload");
-    assert!(matches!(uploaded, Response::Uploaded { .. }));
 
     let start = Arc::new(std::sync::Barrier::new(CLIENTS));
     let workers: Vec<_> = (0..CLIENTS)
@@ -489,10 +486,10 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     let (id, info) = seeder
         .call_traced(&Request::ServerInfo)
         .expect("server info");
-    match &info {
-        Response::Info(i) => assert_eq!(i.documents, fx.seed_upload.indices.len() as u64),
-        other => panic!("unexpected reply {other:?}"),
-    }
+    assert_eq!(
+        info.clone().into_info().expect("server info").documents,
+        fx.seed_upload.indices.len() as u64
+    );
     all_received.push((id, info));
 
     // Groups of two really formed at the coordinator hub (its registry now
@@ -570,10 +567,10 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
         }
     }
     let (id, info) = client.call_traced(&Request::ServerInfo).expect("info");
-    match &info {
-        Response::Info(i) => assert_eq!(i.documents, fx.seed_upload.indices.len() as u64),
-        other => panic!("unexpected reply {other:?}"),
-    }
+    assert_eq!(
+        info.clone().into_info().expect("server info").documents,
+        fx.seed_upload.indices.len() as u64
+    );
     received.push((id, info));
     assert_conservation(&client.stats(), "client");
 
@@ -626,7 +623,7 @@ fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
     assert!(
         matches!(
             runners[0].register(),
-            Err(NodeError::Refused(ProtocolError::Unsupported(_)))
+            Err(ClientError::Reply(ProtocolError::Unsupported(_)))
         ),
         "registration over a dead data link must fail visibly"
     );
@@ -641,10 +638,10 @@ fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
         received.push((id, reply));
     }
     let (id, info) = client.call_traced(&Request::ServerInfo).expect("info");
-    match &info {
-        Response::Info(i) => assert_eq!(i.documents, fx.seed_upload.indices.len() as u64),
-        other => panic!("unexpected reply {other:?}"),
-    }
+    assert_eq!(
+        info.clone().into_info().expect("server info").documents,
+        fx.seed_upload.indices.len() as u64
+    );
     received.push((id, info));
 
     assert_eq!(counter(&fleet.telemetry, "failovers"), 1);

@@ -3,7 +3,7 @@
 //!
 //! The server in the paper is handed an r-bit query by a party it does not
 //! trust; everything a peer can put on a link therefore has to come back as a
-//! typed error or an answer. Five layers, outermost last:
+//! typed error or an answer. Six layers, outermost last:
 //!
 //! 1. `decode_request` / `decode_response` on arbitrary payloads, on random
 //!    bodies behind a valid header, and on well-formed frames with flipped
@@ -18,6 +18,12 @@
 //! 5. Over a `Hub`: the connection that sent a 5-bit query reads an error and
 //!    keeps working, a second connection never notices, and a 3-node fleet
 //!    fails nothing over.
+//! 6. The client side: a fake peer on a `MemoryLink` answers garbage, a
+//!    truncated frame then EOF, a 4 GiB length prefix, the wrong reply
+//!    variant, a reply to an id nobody asked for, or nothing. The raw link
+//!    client and a `ResilientClient` typed call each come back with a typed
+//!    `ClientError` by their deadline, and the retrying client's attempts
+//!    still add up.
 
 mod common;
 
@@ -27,13 +33,14 @@ use mkse::core::{
     RankedDocumentIndex, SchemeKeys, StoreError, SystemParams, Telemetry,
 };
 use mkse::net::{
-    Coordinator, FleetConfig, FrameBuffer, Hub, HubConfig, HubHandle, NetClient, RetryPolicy,
+    memory_duplex, ClientError, Coordinator, FleetConfig, FrameBuffer, Hub, HubConfig, HubHandle,
+    LinkReader, LinkWriter, MemoryLink, NetClient, ResilientClient, RetryPolicy,
 };
 use mkse::protocol::wire::{self, CodecError};
 use mkse::protocol::{
     BatchQueryMessage, CloudServer, DocumentRequest, NodeCapabilities, NodeHeartbeat,
-    NodeRegistration, ProtocolError, QueryMessage, Request, Response, Service, TransportError,
-    UploadMessage,
+    NodeRegistration, ProtocolError, QueryMessage, Request, Response, ServerInfo, Service,
+    TransportError, TypedCalls, UploadMessage,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -42,7 +49,7 @@ use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(60);
 const GLOBAL_SHARDS: usize = 4;
@@ -327,12 +334,34 @@ proptest! {
                 let frame = wire::encode_response(id, &response);
                 prop_assert_eq!(wire::decode_response(&frame[4..]), Ok((id, response)));
             }
+            // Framed, the payload pops as the one frame it is and decodes as
+            // it does on its own; half of that frame is no frame yet.
             let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
             framed.extend_from_slice(&payload);
-            let _ = wire::decode_request_stream(&framed);
-            let _ = wire::decode_response_stream(&framed[..framed.len() / 2]);
+            prop_assert_eq!(
+                decode_frames(&framed, wire::decode_request),
+                vec![wire::decode_request(&payload)]
+            );
+            prop_assert!(decode_frames(&framed[..framed.len() / 2], wire::decode_response).is_empty());
         }
     }
+}
+
+/// Pop every complete frame of `bytes` and decode it with `decode` — what
+/// `serve` and the client do with a wire.
+fn decode_frames<T>(
+    bytes: &[u8],
+    decode: fn(&[u8]) -> Result<T, CodecError>,
+) -> Vec<Result<T, CodecError>> {
+    let mut frames = FrameBuffer::new(u32::MAX.into());
+    frames
+        .extend(bytes)
+        .expect("no u32 prefix exceeds u32::MAX");
+    let mut decoded = Vec::new();
+    while let Some(payload) = frames.pop().expect("no u32 prefix exceeds u32::MAX") {
+        decoded.push(decode(&payload));
+    }
+    decoded
 }
 
 #[test]
@@ -570,9 +599,9 @@ fn hand_built(corpus: &Corpus) -> Vec<Request> {
 
 /// The frame a peer would send for `request`, decoded the way a hub would.
 fn over_the_wire(request: &Request) -> Request {
-    let frame = wire::encode_request(1, request);
-    let (payload, _) = wire::split_frame(&frame).unwrap().unwrap();
-    wire::decode_request(payload).unwrap().1
+    let mut decoded = decode_frames(&wire::encode_request(1, request), wire::decode_request);
+    assert_eq!(decoded.len(), 1, "one frame in, one frame out");
+    decoded.remove(0).unwrap().1
 }
 
 #[test]
@@ -675,10 +704,7 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
     }
 
     // Counters moved as if every member had been called on its own.
-    let counters = |s: &mut CloudServer| match s.call(Request::Counters) {
-        Response::Counters(c) => c,
-        other => panic!("Counters answered {}", other.name()),
-    };
+    let counters = |s: &mut CloudServer| s.call(Request::Counters).into_counters().unwrap();
     let mut replayed = seeded_server(corpus, 2);
     for member in group.iter().chain(&all_bad).chain(&group[1..2]) {
         replayed.call(Request::Query(member.clone()));
@@ -741,5 +767,155 @@ fn a_five_bit_query_fails_no_node_of_a_three_node_fleet() {
     hub.shutdown();
     for node in nodes {
         node.shutdown();
+    }
+}
+
+// --- (vi) a hostile peer, client side -----------------------------------------
+
+/// What a fake peer answers every request frame with.
+#[derive(Clone, Copy, Debug)]
+enum Hostile {
+    /// A complete frame whose payload does not decode.
+    Garbage,
+    /// All but the last bytes of a real reply, then the peer hangs up.
+    TruncatedThenEof,
+    /// A length prefix declaring 4 GiB, and a few bytes of it.
+    OverLimitPrefix,
+    /// A well-formed reply of the wrong variant for the request.
+    WrongVariant,
+    /// A well-formed reply under a request id nobody asked for.
+    UnaskedId,
+    /// Nothing at all.
+    Silence,
+}
+
+/// Play `hostile` on the server end of a memory link until the client hangs
+/// up: every request frame the client sends is answered with the hostile
+/// bytes.
+fn hostile_peer(end: MemoryLink, hostile: Hostile) {
+    std::thread::spawn(move || {
+        let (mut reader, mut writer) = end.split();
+        let mut frames = FrameBuffer::new(u32::MAX.into());
+        let mut buf = [0u8; 4096];
+        loop {
+            let n = match reader.recv(&mut buf) {
+                Ok(0) => return,
+                Ok(n) => n,
+                Err(_) => continue,
+            };
+            frames
+                .extend(&buf[..n])
+                .expect("no u32 prefix exceeds u32::MAX");
+            while let Some(payload) = frames.pop().expect("no u32 prefix exceeds u32::MAX") {
+                let (id, _) =
+                    wire::decode_request(&payload).expect("the client frames its requests");
+                let answer = match hostile {
+                    Hostile::Garbage => vec![3, 0, 0, 0, 0xff, 0xff, 0xff],
+                    Hostile::TruncatedThenEof => {
+                        let reply = wire::encode_response(id, &Response::Ack);
+                        let _ = writer.send_all(&reply[..reply.len() - 3]);
+                        return;
+                    }
+                    Hostile::OverLimitPrefix => [u32::MAX.to_le_bytes(), [7; 4]].concat(),
+                    Hostile::WrongVariant => wire::encode_response(id, &Response::Ack),
+                    Hostile::UnaskedId => wire::encode_response(
+                        id.wrapping_add(1_000_000),
+                        &Response::Info(ServerInfo::default()),
+                    ),
+                    Hostile::Silence => vec![],
+                };
+                if writer.send_all(&answer).is_err() {
+                    return;
+                }
+            }
+        }
+    });
+}
+
+/// The typed error each hostile answer must cost a client.
+fn assert_typed(hostile: Hostile, error: &ClientError) {
+    let typed = match hostile {
+        Hostile::Garbage => matches!(error, ClientError::Codec(CodecError::UnknownVersion(0xff))),
+        Hostile::TruncatedThenEof => matches!(error, ClientError::Disconnected { .. }),
+        Hostile::OverLimitPrefix | Hostile::UnaskedId | Hostile::Silence => {
+            matches!(error, ClientError::TimedOut { .. })
+        }
+        Hostile::WrongVariant => matches!(
+            error,
+            ClientError::Reply(ProtocolError::Codec(CodecError::ResponseMismatch { .. }))
+        ),
+    };
+    assert!(typed, "{hostile:?} answered {error}");
+}
+
+#[test]
+fn a_hostile_peer_costs_a_client_a_typed_error_by_its_deadline() {
+    const RAW_WAIT: Duration = Duration::from_millis(200);
+    // Room for a loaded debug build; every wait here is bounded by a deadline.
+    const SLACK: Duration = Duration::from_secs(1);
+    let policy = RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(5),
+        attempt_timeout: Duration::from_millis(100),
+        request_deadline: Duration::from_secs(1),
+        ..RetryPolicy::default()
+    };
+    for hostile in [
+        Hostile::Garbage,
+        Hostile::TruncatedThenEof,
+        Hostile::OverLimitPrefix,
+        Hostile::WrongVariant,
+        Hostile::UnaskedId,
+        Hostile::Silence,
+    ] {
+        // The raw link client, its reply resolved by the shared extractor. A
+        // declared 4 GiB frame sizes nothing on this side either.
+        let (client_end, server_end) = memory_duplex();
+        hostile_peer(server_end, hostile);
+        let mut raw = NetClient::from_memory(client_end);
+        let started = Instant::now();
+        let (outcome, requested) = bytes_requested_by(|| {
+            raw.call(&Request::ServerInfo, RAW_WAIT)
+                .and_then(|reply| reply.into_info().map_err(ClientError::from))
+        });
+        assert!(
+            started.elapsed() < RAW_WAIT + SLACK,
+            "{hostile:?}: raw client late"
+        );
+        assert!(
+            requested < 64 << 10,
+            "{hostile:?}: {requested} bytes requested"
+        );
+        assert_typed(
+            hostile,
+            &outcome.expect_err("a hostile peer answers no ServerInfo"),
+        );
+
+        // The retrying client's typed call, one hostile peer per connection.
+        let mut resilient = ResilientClient::new(
+            Box::new(move |_ordinal| {
+                let (client_end, server_end) = memory_duplex();
+                hostile_peer(server_end, hostile);
+                let (reader, writer) = client_end.split();
+                Ok((Box::new(reader) as _, Box::new(writer) as _))
+            }),
+            policy,
+        );
+        let started = Instant::now();
+        let error = resilient
+            .server_info()
+            .expect_err("a hostile peer answers no ServerInfo");
+        assert!(
+            started.elapsed() < policy.request_deadline + SLACK,
+            "{hostile:?}: resilient client late"
+        );
+        assert_typed(hostile, &error);
+        let stats = resilient.stats();
+        assert_eq!(
+            stats.attempts,
+            stats.successes + stats.sheds + stats.link_faults,
+            "{hostile:?}"
+        );
     }
 }

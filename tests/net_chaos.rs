@@ -22,12 +22,12 @@ mod common;
 use common::{assert_conservation, assert_replies_match_replay, replay_journal};
 use mkse::core::QueryBuilder;
 use mkse::net::{
-    Connector, FaultEvent, FaultHandle, FaultPlan, FaultyLink, Hub, HubConfig, HubHandle,
-    MemoryDialer, ResilienceStats, ResilientClient, RetryPolicy,
+    ClientError, Connector, FaultEvent, FaultHandle, FaultPlan, FaultyLink, Hub, HubConfig,
+    HubHandle, MemoryDialer, ResilienceStats, ResilientClient, RetryPolicy,
 };
 use mkse::protocol::{
     wire, CloudServer, DataOwner, OwnerConfig, ProtocolError, QueryMessage, Request, Response,
-    UploadMessage,
+    TypedCalls, UploadMessage,
 };
 use mkse::textproc::Document;
 use rand::rngs::StdRng;
@@ -389,10 +389,7 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
         let mut probe =
             ResilientClient::new(hub.memory_dialer().connector(), RetryPolicy::default())
                 .with_first_request_id(9_000_000);
-        match probe.call(&Request::ServerInfo).expect("server info") {
-            Response::Info(info) => info.documents,
-            other => panic!("unexpected reply {other:?}"),
-        }
+        probe.server_info().expect("server info").documents
     };
 
     // Without opt-in: the first connection dies before a single byte, so the
@@ -458,10 +455,10 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
         ..chaos_policy()
     };
     let mut opted = ResilientClient::new(connector, policy).with_first_request_id(2_000_001);
-    let reply = opted
-        .call(&Request::Upload(fx.extra_upload.clone()))
+    let extra = || fx.extra_upload.clone();
+    opted
+        .upload(extra().indices, extra().documents)
         .expect("at-least-once upload");
-    assert!(matches!(reply, Response::Uploaded { .. }), "got {reply:?}");
     assert_eq!(opted.stats().retries, 1);
     assert_eq!(
         documents_on_server(&hub),
@@ -471,11 +468,9 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
 
     // A true duplicate resubmission is visible: the server rejects it with a
     // typed store error and the document count does not move.
-    let dup = opted
-        .call(&Request::Upload(fx.extra_upload.clone()))
-        .expect("duplicate upload completes (with an error reply)");
+    let dup = opted.upload(extra().indices, extra().documents);
     assert!(
-        matches!(dup, Response::Error(ProtocolError::Store(_))),
+        matches!(dup, Err(ClientError::Reply(ProtocolError::Store(_)))),
         "duplicate must be rejected visibly, got {dup:?}"
     );
     assert_eq!(documents_on_server(&hub), seed_docs + 1);
