@@ -9,6 +9,7 @@
 use crate::bitindex::BitIndex;
 use crate::keys::{SchemeKeys, Trapdoor};
 use crate::params::SystemParams;
+use crate::storage::IndexEntry;
 use mkse_textproc::document::{Document, TermFrequencies};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -38,6 +39,18 @@ impl RankedDocumentIndex {
     /// overhead discussed at the end of §5.
     pub fn storage_bits(&self) -> usize {
         self.levels.iter().map(|l| l.serialized_bits()).sum()
+    }
+}
+
+impl From<IndexEntry<'_>> for RankedDocumentIndex {
+    /// Decode a stored entry: one [`BitIndex`] per level.
+    fn from(entry: IndexEntry<'_>) -> Self {
+        RankedDocumentIndex {
+            document_id: entry.document_id,
+            levels: (entry.levels())
+                .map(|level| BitIndex::from_blocks(level.to_vec(), entry.bits()))
+                .collect(),
+        }
     }
 }
 

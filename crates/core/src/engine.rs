@@ -175,8 +175,8 @@ fn derive_planes<S: IndexStore>(store: &S) -> Vec<ScanPlane> {
     (0..store.num_shards())
         .map(|shard| {
             let mut plane = ScanPlane::new();
-            for index in store.shard_documents(shard) {
-                plane.push(index);
+            for entry in store.shard_entries(shard) {
+                plane.push(entry);
             }
             plane
         })
@@ -192,8 +192,8 @@ fn derive_planes<S: IndexStore>(store: &S) -> Vec<ScanPlane> {
 #[derive(Debug)]
 pub struct SearchEngine<S: IndexStore> {
     store: S,
-    /// `planes[s]` is the bit-sliced copy of `store.shard_documents(s)`, slot
-    /// for slot — built in [`SearchEngine::new`], appended in
+    /// `planes[s]` is the bit-sliced copy of shard `s`'s entries, slot for
+    /// slot — built in [`SearchEngine::new`], appended in
     /// `SearchEngine::append`, touched nowhere else.
     planes: Vec<ScanPlane>,
     /// The process's lane workers ([`WorkerPool::shared`]); only the unit tests
@@ -405,7 +405,7 @@ impl<S: IndexStore> SearchEngine<S> {
     /// document landed in is invalidated; cached scans of every other shard stay
     /// live.
     pub fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError> {
-        let shard = self.append(index)?;
+        let shard = self.append(|store| store.insert(index))?;
         self.telemetry.add(Counter::Inserts, 1);
         if let Some(cache) = &self.cache {
             cache.lock().unwrap().note_insert(shard);
@@ -414,13 +414,18 @@ impl<S: IndexStore> SearchEngine<S> {
         Ok(())
     }
 
-    /// Store one document and pack it onto the plane of the shard the store
-    /// appended it to — the single place store and planes change, so they
-    /// change together. Cache and telemetry accounting is the caller's.
-    fn append(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
-        let shard = self.store.insert(index)?;
-        let stored = self.store.shard_documents(shard).last();
-        self.planes[shard].push(stored.expect("insert appended to the shard it named"));
+    /// Store one document through `insert` (one of the store's two doors) and
+    /// pack the stored entry onto the plane of the shard the store appended it
+    /// to — the single place store and planes change, so they change together.
+    /// Cache and telemetry accounting is the caller's.
+    fn append(
+        &mut self,
+        insert: impl FnOnce(&mut S) -> Result<usize, StoreError>,
+    ) -> Result<usize, StoreError> {
+        let shard = insert(&mut self.store)?;
+        // An accepted insert fills the last slot of the shard it names.
+        let slot = self.store.shard_len(shard) - 1;
+        self.planes[shard].push(self.store.entry(shard, slot));
         Ok(shard)
     }
 
@@ -443,16 +448,20 @@ impl<S: IndexStore> SearchEngine<S> {
     }
 
     /// Restore a snapshot produced by [`SearchEngine::snapshot`] (or
-    /// [`crate::persistence::serialize_index_store`]), appending the decoded
-    /// indices in their original insertion order. Every cache generation is bumped
-    /// afterwards, so entries cached before the restore can never be served again —
-    /// also when the store refuses an index midway: the accepted prefix stays.
+    /// [`crate::persistence::serialize_index_store`]), appending its entries in
+    /// their original insertion order — copied from the bytes into the store
+    /// and the planes, never decoded into indices. The header and the claimed
+    /// count are checked before anything is stored. Every cache generation is
+    /// bumped afterwards, so entries cached before the restore can never be
+    /// served again — also when the store refuses an entry midway: the accepted
+    /// prefix stays.
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<usize, PersistenceError> {
-        let indices = crate::persistence::deserialize_store(self.store.params(), bytes)?;
-        let count = indices.len();
-        let restored = indices
-            .into_iter()
-            .try_for_each(|index| self.append(index).map(drop));
+        let mut entries = crate::persistence::snapshot_entries(self.store.params(), bytes)?;
+        let count = entries.len();
+        let restored = entries.try_for_each(|(document_id, levels)| {
+            self.append(|store| store.insert_encoded(document_id, levels))
+                .map(drop)
+        });
         if let Some(cache) = &self.cache {
             cache.lock().unwrap().invalidate_all();
             self.telemetry
@@ -462,9 +471,9 @@ impl<S: IndexStore> SearchEngine<S> {
         Ok(count)
     }
 
-    /// The stored index of one document (O(1) on map-backed stores).
-    pub fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex> {
-        self.store.document_index(document_id)
+    /// The stored index of one document, decoded (O(1) on map-backed stores).
+    pub fn document_index(&self, document_id: u64) -> Option<RankedDocumentIndex> {
+        (self.store.document_index(document_id)).map(RankedDocumentIndex::from)
     }
 
     /// Carve the selected shards into scan units, in selection order (see the
@@ -929,6 +938,7 @@ mod tests {
     use crate::persistence::serialize_store;
     use crate::query::QueryBuilder;
     use crate::search::{scan_ranked, CloudIndex};
+    use crate::storage::IndexEntry;
     use mkse_textproc::document::TermFrequencies;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1372,7 +1382,11 @@ mod tests {
         let (store, mut next_bits) = raw_store(3, 3 * (2 * UNIT_CHUNKS * CHUNK + 100));
         let mut reference = CloudIndex::new(store.params().clone());
         reference
-            .insert_all(store.documents_in_insertion_order().into_iter().cloned())
+            .insert_all(
+                store
+                    .documents_in_insertion_order()
+                    .map(RankedDocumentIndex::from),
+            )
             .unwrap();
         let queries: Vec<QueryIndex> = (0..5)
             .map(|_| QueryIndex::from_bits(next_bits(64)))
@@ -1438,7 +1452,11 @@ mod tests {
                 let (store, mut next_bits) = raw_store_seeded(seed, shards, docs);
                 let mut reference = CloudIndex::new(store.params().clone());
                 reference
-                    .insert_all(store.documents_in_insertion_order().into_iter().cloned())
+                    .insert_all(
+                        store
+                            .documents_in_insertion_order()
+                            .map(RankedDocumentIndex::from),
+                    )
                     .unwrap();
                 let mut queries: Vec<QueryIndex> = (0..3)
                     .map(|_| QueryIndex::from_bits(next_bits(64)))
@@ -1537,7 +1555,7 @@ mod tests {
     }
 
     /// Every plane is its shard, slot for slot: same length, ids and geometry,
-    /// and the same answer to `probe` as the AoS loop over the documents.
+    /// and the same answer to `probe` as the AoS loop over the decoded entries.
     fn assert_planes_in_lockstep<S: IndexStore>(
         engine: &SearchEngine<S>,
         probe: &QueryIndex,
@@ -1545,7 +1563,11 @@ mod tests {
     ) {
         let store = engine.store();
         for shard in 0..store.num_shards() {
-            let (plane, docs) = (engine.scan_plane(shard), store.shard_documents(shard));
+            let plane = engine.scan_plane(shard);
+            let docs: Vec<RankedDocumentIndex> = store
+                .shard_entries(shard)
+                .map(RankedDocumentIndex::from)
+                .collect();
             assert_eq!(plane.len(), docs.len(), "{ctx}: shard {shard}");
             let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();
             assert_eq!(plane.ids(), &ids[..], "{ctx}: shard {shard}");
@@ -1553,7 +1575,7 @@ mod tests {
             assert_eq!(plane.levels(), store.params().rank_levels(), "{ctx}");
             assert_eq!(
                 plane.scan_ranked(probe.bits()),
-                scan_ranked(docs, probe),
+                scan_ranked(&docs, probe),
                 "{ctx}: shard {shard}"
             );
         }
@@ -1821,23 +1843,29 @@ mod tests {
         fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
             self.inner.insert(index).map(|_| LONE_SHARD)
         }
+        fn insert_encoded(&mut self, id: u64, levels: &[u8]) -> Result<usize, StoreError> {
+            self.inner.insert_encoded(id, levels).map(|_| LONE_SHARD)
+        }
         fn len(&self) -> usize {
             self.inner.len()
         }
         fn num_shards(&self) -> usize {
             4
         }
-        fn shard_documents(&self, shard: usize) -> &[RankedDocumentIndex] {
+        fn shard_len(&self, shard: usize) -> usize {
             match shard {
-                LONE_SHARD => self.inner.shard_documents(0),
-                _ => &[],
+                LONE_SHARD => self.inner.shard_len(0),
+                _ => 0,
             }
         }
-        fn ordinal(&self, _shard: usize, slot: usize) -> u64 {
-            self.inner.ordinal(0, slot)
+        fn entry(&self, _shard: usize, slot: usize) -> IndexEntry<'_> {
+            self.inner.entry(0, slot)
         }
-        fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex> {
+        fn document_index(&self, document_id: u64) -> Option<IndexEntry<'_>> {
             self.inner.document_index(document_id)
+        }
+        fn documents_in_insertion_order(&self) -> impl Iterator<Item = IndexEntry<'_>> {
+            self.inner.documents_in_insertion_order()
         }
     }
 

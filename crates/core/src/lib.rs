@@ -13,8 +13,10 @@
 //!
 //! Beyond the paper, the server-side read path is layered for scale (see the root
 //! crate's architecture notes): the [`storage`] module holds the [`storage::IndexStore`]
-//! abstraction and its one built-in layout, the round-robin [`storage::ShardedStore`]
-//! (one shard is the contiguous case), and the [`engine`] module executes single,
+//! abstraction and its one built-in layout, the round-robin [`storage::ShardedStore`],
+//! which keeps every document as its §5 entry — the `8 + η·⌈r/8⌉` bytes
+//! [`persistence`] writes, packed in 1,024-document pages and read through borrowed
+//! [`storage::IndexEntry`] views — and the [`engine`] module executes single,
 //! batched and top-k ranked queries across shards in parallel with results that are
 //! bit-for-bit identical to the sequential [`search::CloudIndex`] reference scan.
 //! Each shard's hot loop runs on the [`scanplane`] module's bit-sliced
@@ -22,7 +24,8 @@
 //! which the engine appends to on insert; a query ORs only the rows where it has a
 //! zero and some document of the chunk has a one (a row nobody sets can reject
 //! nothing and is never read) —
-//! while the AoS documents remain the authoritative copy and the reference scan.
+//! while the entries remain the authoritative copy. Decoded AoS documents live only
+//! in the reference, which scans them with the paper's loop.
 //! The [`cache`] module adds an optional per-shard, generation-invalidated result
 //! cache on top: repeated query indices (the search pattern the server observes
 //! anyway, §6) skip the shard scan entirely without changing a single reply byte.
@@ -107,7 +110,7 @@ pub use query::{QueryBuilder, QueryIndex};
 pub use rotation::{EpochTrapdoor, RotatingKeys};
 pub use scanplane::ScanPlane;
 pub use search::{CloudIndex, SearchMatch, SearchStats};
-pub use storage::{IndexStore, ShardedStore, StoreError};
+pub use storage::{IndexEntry, IndexStore, ShardedStore, StoreError};
 pub use telemetry::{
     LaneSnapshot, LaneStats, MetricsSnapshot, ShardCacheSnapshot, Telemetry, TelemetryLevel,
 };

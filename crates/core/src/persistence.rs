@@ -2,10 +2,16 @@
 //!
 //! The cloud server in the paper's model is a long-lived service: the data owner uploads the
 //! search index files once (offline phase) and the server keeps them across restarts. This
-//! module gives [`RankedDocumentIndex`] and whole index stores a compact, versioned binary
-//! encoding — `8 + η·⌈r/8⌉` bytes per document, matching the storage-overhead analysis at the
-//! end of §5 — without pulling in any serialization framework beyond what the index itself
-//! needs.
+//! module gives whole index stores a compact, versioned binary encoding —
+//! `8 + η·⌈r/8⌉` bytes per document, matching the storage-overhead analysis at the end of §5 —
+//! without pulling in any serialization framework beyond what the index itself needs.
+//!
+//! **The in-memory entry is the persisted entry.** A [`crate::storage::ShardedStore`]
+//! keeps every document as the words of this format (see [`crate::storage`]), so
+//! [`serialize_index_store`] and [`serialize_shard`] are a header plus copies — each
+//! level's first `⌈r/8⌉` little-endian bytes, all of them at r = 448 — and nothing is
+//! decoded on the way out. [`serialize_store`] writes the same bytes from decoded
+//! [`RankedDocumentIndex`]es (the reference's form); the two are held byte-equal.
 //!
 //! Snapshots capture **only** the stored indices — exactly what an
 //! [`IndexStore`] holds. The result cache and the bit-sliced
@@ -14,10 +20,11 @@
 //! **layout-independent** (insertion order, one document at a time).
 //! [`deserialize_store`] decodes a snapshot into indices and stores nothing; the
 //! restore paths are the engine's
-//! [`crate::engine::SearchEngine::restore_snapshot`], which appends every decoded
-//! index to its store *and* its planes and bumps every cache generation, so entries
-//! cached before a reload can never be served after it, and the fleet
-//! coordinator's mirror, which inserts and forwards them like an upload.
+//! [`crate::engine::SearchEngine::restore_snapshot`], which copies every entry's
+//! bytes straight into its store *and* its planes — no index is decoded — and bumps
+//! every cache generation, so entries cached before a reload can never be served
+//! after it, and the fleet coordinator's mirror, which inserts and forwards them
+//! like an upload.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -29,7 +36,7 @@
 use crate::bitindex::BitIndex;
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
-use crate::storage::{IndexStore, StoreError};
+use crate::storage::{IndexEntry, IndexStore, StoreError};
 
 const MAGIC: &[u8; 4] = b"MKSE";
 const VERSION: u16 = 1;
@@ -84,9 +91,22 @@ impl From<StoreError> for PersistenceError {
     }
 }
 
-/// Serialize a collection of document indices into the binary store format. Takes
-/// the indices by reference (a slice, or references gathered from a store), so
-/// writing a snapshot never copies the corpus.
+/// The 20-byte header of a snapshot of `count` entries, in a buffer sized for
+/// all of them.
+fn header(params: &SystemParams, count: usize) -> Vec<u8> {
+    let eta = params.rank_levels();
+    let mut out = Vec::with_capacity(20 + count * (8 + eta * params.index_bits.div_ceil(8)));
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(params.index_bits as u32).to_le_bytes());
+    out.extend_from_slice(&(eta as u16).to_le_bytes());
+    out.extend_from_slice(&(count as u64).to_le_bytes());
+    out
+}
+
+/// Serialize a collection of decoded document indices into the binary store
+/// format. Takes the indices by reference (a slice, or references gathered
+/// from one), so writing a snapshot never copies the corpus.
 ///
 /// Panics if any index disagrees with `params` on the index size or level count (the same
 /// invariant [`crate::search::CloudIndex::insert`] enforces).
@@ -96,14 +116,8 @@ where
     I::IntoIter: ExactSizeIterator,
 {
     let indices = indices.into_iter();
-    let r_bytes = params.index_bits.div_ceil(8);
     let eta = params.rank_levels();
-    let mut out = Vec::with_capacity(20 + indices.len() * (8 + eta * r_bytes));
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(params.index_bits as u32).to_le_bytes());
-    out.extend_from_slice(&(eta as u16).to_le_bytes());
-    out.extend_from_slice(&(indices.len() as u64).to_le_bytes());
+    let mut out = header(params, indices.len());
     for idx in indices {
         assert_eq!(idx.num_levels(), eta, "level count mismatch");
         out.extend_from_slice(&idx.document_id.to_le_bytes());
@@ -115,11 +129,35 @@ where
     out
 }
 
-/// Decode a binary store produced by [`serialize_store`], validating it against `params`.
-pub fn deserialize_store(
+/// A header and `count` stored entries: the id, then each level's words cut to
+/// their first `⌈r/8⌉` little-endian bytes — a copy, nothing decoded.
+fn serialize_entries<'a>(
     params: &SystemParams,
-    bytes: &[u8],
-) -> Result<Vec<RankedDocumentIndex>, PersistenceError> {
+    count: usize,
+    entries: impl Iterator<Item = IndexEntry<'a>>,
+) -> Vec<u8> {
+    let level_bytes = params.index_bits.div_ceil(8);
+    let mut out = header(params, count);
+    for entry in entries {
+        out.extend_from_slice(&entry.document_id.to_le_bytes());
+        for level in entry.levels() {
+            for (i, word) in level.iter().enumerate() {
+                out.extend_from_slice(&word.to_le_bytes()[..(level_bytes - 8 * i).min(8)]);
+            }
+        }
+    }
+    out
+}
+
+/// The entries of a snapshot, borrowed from `bytes`: each document id beside
+/// its η levels of `⌈r/8⌉` bytes. The header is validated against `params` and
+/// the claimed count held against the bytes actually present before anything
+/// is yielded, so every entry yielded is whole; bytes past the last are
+/// ignored.
+pub(crate) fn snapshot_entries<'a>(
+    params: &SystemParams,
+    bytes: &'a [u8],
+) -> Result<impl ExactSizeIterator<Item = (u64, &'a [u8])> + 'a, PersistenceError> {
     let mut cursor = Cursor { bytes, pos: 0 };
     if cursor.take(4)? != MAGIC {
         return Err(PersistenceError::BadMagic);
@@ -139,36 +177,49 @@ pub fn deserialize_store(
         });
     }
     let count = u64::from_le_bytes(cursor.le()?);
-    let r_bytes = r.div_ceil(8);
+    let entry_len = 8 + eta * r.div_ceil(8);
     // The count is the sender's claim: hold it against the bytes actually
-    // present before allocating for it.
-    let remaining = (bytes.len() - cursor.pos) as u64;
-    if count > remaining / (8 + eta * r_bytes) as u64 {
+    // present before sizing anything by it.
+    if count > ((bytes.len() - cursor.pos) / entry_len) as u64 {
         return Err(PersistenceError::Truncated);
     }
-    let count = count as usize;
-    let mut indices = Vec::with_capacity(count);
-    for _ in 0..count {
-        let document_id = u64::from_le_bytes(cursor.le()?);
-        let mut levels = Vec::with_capacity(eta);
-        for _ in 0..eta {
-            levels.push(BitIndex::from_bytes(cursor.take(r_bytes)?, r));
-        }
-        indices.push(RankedDocumentIndex {
-            document_id,
-            levels,
-        });
-    }
-    Ok(indices)
+    let entries = cursor
+        .take(count as usize * entry_len)?
+        .chunks_exact(entry_len);
+    Ok(entries.map(|entry| {
+        let (id, levels) = entry.split_at(8);
+        (u64::from_le_bytes(std::array::from_fn(|i| id[i])), levels)
+    }))
+}
+
+/// Decode a binary store produced by [`serialize_store`] (or any of this
+/// module's writers) into indices, validating it against `params`.
+pub fn deserialize_store(
+    params: &SystemParams,
+    bytes: &[u8],
+) -> Result<Vec<RankedDocumentIndex>, PersistenceError> {
+    let r = params.index_bits;
+    let entries = snapshot_entries(params, bytes)?;
+    let decode = |(document_id, levels): (u64, &[u8])| RankedDocumentIndex {
+        document_id,
+        levels: (levels.chunks(r.div_ceil(8)))
+            .map(|level| BitIndex::from_bytes(level, r))
+            .collect(),
+    };
+    Ok(entries.map(decode).collect())
 }
 
 /// Snapshot any [`IndexStore`] into the binary store format, in insertion order.
 ///
 /// The byte output is **layout-independent**: a sharded store and the sequential
-/// reference store holding the same uploads serialize identically, so snapshots can
+/// reference holding the same uploads serialize identically, so snapshots can
 /// be restored into a store with any shard count.
 pub fn serialize_index_store<S: IndexStore>(store: &S) -> Vec<u8> {
-    serialize_store(store.params(), store.documents_in_insertion_order())
+    serialize_entries(
+        store.params(),
+        store.len(),
+        store.documents_in_insertion_order(),
+    )
 }
 
 /// Snapshot a **single shard** of an [`IndexStore`] into the same versioned
@@ -181,7 +232,11 @@ pub fn serialize_index_store<S: IndexStore>(store: &S) -> Vec<u8> {
 /// slice is already ordered and the output stays **layout-independent**: it can
 /// be restored into a store (or engine) with any shard count.
 pub fn serialize_shard<S: IndexStore>(store: &S, shard: usize) -> Vec<u8> {
-    serialize_store(store.params(), store.shard_documents(shard))
+    serialize_entries(
+        store.params(),
+        store.shard_len(shard),
+        store.shard_entries(shard),
+    )
 }
 
 struct Cursor<'a> {
@@ -201,7 +256,7 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    /// `N` bytes as an array, for the fixed-width header and id fields.
+    /// `N` bytes as an array, for the fixed-width header fields.
     fn le<const N: usize>(&mut self) -> Result<[u8; N], PersistenceError> {
         // `take(N)` is N bytes long or an error, so the conversion always
         // succeeds; mapping its error keeps this path free of any panic.
@@ -335,14 +390,10 @@ mod tests {
         let decoded = deserialize_store(&params, &bytes).unwrap();
         assert_eq!(decoded.len(), 11);
         restored.insert_all(decoded).unwrap();
-        assert_eq!(
-            restored
-                .documents_in_insertion_order()
-                .into_iter()
-                .cloned()
-                .collect::<Vec<_>>(),
-            indices
-        );
+        let stored: Vec<RankedDocumentIndex> = (restored.documents_in_insertion_order())
+            .map(RankedDocumentIndex::from)
+            .collect();
+        assert_eq!(stored, indices);
     }
 
     #[test]
@@ -358,12 +409,13 @@ mod tests {
         let mut total = 0usize;
         for shard in 0..sharded.num_shards() {
             let bytes = serialize_shard(&sharded, shard);
-            assert_eq!(
-                bytes,
-                serialize_store(&params, sharded.shard_documents(shard))
-            );
+            let mine: Vec<RankedDocumentIndex> = sharded
+                .shard_entries(shard)
+                .map(RankedDocumentIndex::from)
+                .collect();
+            assert_eq!(bytes, serialize_store(&params, &mine));
             let decoded = deserialize_store(&params, &bytes).unwrap();
-            assert_eq!(decoded.as_slice(), sharded.shard_documents(shard));
+            assert_eq!(decoded, mine);
             total += decoded.len();
         }
         assert_eq!(total, sharded.len(), "shard slices cover the store");
@@ -377,7 +429,10 @@ mod tests {
         }
         assert_eq!(restored.len(), sharded.len());
         for idx in &indices {
-            assert_eq!(restored.document_index(idx.document_id), Some(idx));
+            let stored = restored
+                .document_index(idx.document_id)
+                .map(RankedDocumentIndex::from);
+            assert_eq!(stored.as_ref(), Some(idx));
         }
 
         // A single-shard store's one slice equals its whole-store snapshot.

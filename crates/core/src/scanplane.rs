@@ -2,10 +2,12 @@
 //! only the rows that can reject something.
 //!
 //! The paper's server cost is dominated by Eq. (3)/Algorithm 1: σ r-bit comparisons
-//! per query. The storage layer keeps one heap-allocated [`crate::bitindex::BitIndex`]
-//! per level per document, so the reference scan ([`crate::search::scan_ranked`])
-//! chases two pointers per document over scattered allocations. A [`ScanPlane`]
-//! transposes the same η·r bits per document, [`CHUNK`] documents at a time:
+//! per query. The reference ([`crate::search::CloudIndex`]) keeps one heap-allocated
+//! [`crate::bitindex::BitIndex`] per level per document, so its scan
+//! ([`crate::search::scan_ranked`]) chases two pointers per document over scattered
+//! allocations; the store keeps the same bits as packed §5 entries
+//! ([`crate::storage`]), document-major. A [`ScanPlane`] transposes the η·r bits
+//! per document the store hands it, [`CHUNK`] documents at a time:
 //!
 //! * **Rows** (`rows`): per chunk, per level, per index bit one [`CHUNK`]-bit
 //!   bitmap — bit `i` of row `(chunk, level, bit)` is that index bit of the
@@ -69,8 +71,8 @@
 //! accesses, never what is observed.
 
 use crate::bitindex::BitIndex;
-use crate::document_index::RankedDocumentIndex;
 use crate::search::{SearchMatch, SearchStats};
+use crate::storage::IndexEntry;
 use std::ops::Range;
 
 /// Documents per chunk: the width of a bitmap row, and the grid the engine's
@@ -110,8 +112,8 @@ struct Chunk {
     rows: Box<[Bitmap]>,
     /// `live[level·blocks + b]`: the OR of block `b` of every index pushed to
     /// the chunk at `level` — bit `j` set iff row `64·b + j` holds a one. Never
-    /// has a bit at or beyond `r` ([`BitIndex`] masks its tail), so
-    /// `!query & live` cannot select a row that does not exist.
+    /// has a bit at or beyond `r` (a stored [`IndexEntry`] is masked past r),
+    /// so `!query & live` cannot select a row that does not exist.
     live: Box<[u64]>,
 }
 
@@ -189,15 +191,16 @@ impl ScanPlane {
 
     /// Append one document: set its slot's bit in the row of every one-bit of
     /// every level, and fold the level into the chunk's live mask. The caller
-    /// (the engine, with an index its store just accepted) has already
+    /// (the engine, with the entry its store just accepted) has already
     /// geometry-validated it; the assertions here guard the layout itself.
-    pub fn push(&mut self, index: &RankedDocumentIndex) {
+    pub fn push(&mut self, entry: IndexEntry<'_>) {
         if self.ids.is_empty() {
-            self.bits = index.base_level().len();
-            self.levels = index.num_levels();
+            self.bits = entry.bits();
+            self.levels = entry.num_levels();
             self.blocks = self.bits.div_ceil(64);
         }
-        assert_eq!(index.num_levels(), self.levels, "level count mismatch");
+        assert_eq!(entry.num_levels(), self.levels, "level count mismatch");
+        assert_eq!(entry.bits(), self.bits, "index size mismatch");
 
         let slot = self.ids.len();
         if slot.is_multiple_of(CHUNK) {
@@ -209,18 +212,17 @@ impl ScanPlane {
         }
         let chunk = &mut self.chunks[slot / CHUNK];
         let (word, bit) = (slot % CHUNK / 64, 1u64 << (slot % 64));
-        for (level, index) in index.levels.iter().enumerate() {
-            assert_eq!(index.len(), self.bits, "index size mismatch");
+        for (level, blocks) in entry.levels().enumerate() {
             let rows = &mut chunk.rows[level * self.bits..][..self.bits];
             let live = &mut chunk.live[level * self.blocks..][..self.blocks];
-            for (b, (&block, live)) in index.as_blocks().iter().zip(live).enumerate() {
+            for (b, (&block, live)) in blocks.iter().zip(live).enumerate() {
                 *live |= block;
                 for j in ones(block) {
                     rows[b * 64 + j][word] |= bit;
                 }
             }
         }
-        self.ids.push(index.document_id);
+        self.ids.push(entry.document_id);
     }
 
     /// The valid-slots bitmap of a chunk: its first `docs` bits, where `docs` is
@@ -358,6 +360,7 @@ impl ScanPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document_index::RankedDocumentIndex;
     use crate::query::QueryIndex;
     use crate::search::scan_ranked;
     use rand::rngs::StdRng;
@@ -384,10 +387,24 @@ mod tests {
             .collect()
     }
 
+    /// Push a decoded index the way a store hands one over: its levels' words
+    /// back to back.
+    fn push(plane: &mut ScanPlane, doc: &RankedDocumentIndex) {
+        let words: Vec<u64> = (doc.levels.iter())
+            .flat_map(|level| level.as_blocks())
+            .copied()
+            .collect();
+        plane.push(IndexEntry::new(
+            doc.document_id,
+            doc.base_level().len(),
+            &words,
+        ));
+    }
+
     fn plane_of(docs: &[RankedDocumentIndex]) -> ScanPlane {
         let mut plane = ScanPlane::new();
         for d in docs {
-            plane.push(d);
+            push(&mut plane, d);
         }
         plane
     }
@@ -543,7 +560,7 @@ mod tests {
         let mut incremental = ScanPlane::new();
         let q = random_bitindex(&mut rng, 129, 0.1);
         for (n, d) in docs.iter().enumerate() {
-            incremental.push(d);
+            push(&mut incremental, d);
             let (expected, expected_stats) = scan_ranked(&docs[..n + 1], &qi(&q));
             let (got, got_stats) = incremental.scan_ranked(&q);
             assert_eq!(got, expected, "after {} pushes", n + 1);
@@ -557,24 +574,33 @@ mod tests {
     #[should_panic(expected = "level count mismatch")]
     fn scanplane_rejects_mismatched_level_count() {
         let mut plane = ScanPlane::new();
-        plane.push(&RankedDocumentIndex {
-            document_id: 0,
-            levels: vec![BitIndex::all_ones(64); 2],
-        });
-        plane.push(&RankedDocumentIndex {
-            document_id: 1,
-            levels: vec![BitIndex::all_ones(64); 3],
-        });
+        push(
+            &mut plane,
+            &RankedDocumentIndex {
+                document_id: 0,
+                levels: vec![BitIndex::all_ones(64); 2],
+            },
+        );
+        push(
+            &mut plane,
+            &RankedDocumentIndex {
+                document_id: 1,
+                levels: vec![BitIndex::all_ones(64); 3],
+            },
+        );
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn scanplane_rejects_mismatched_query_length() {
         let mut plane = ScanPlane::new();
-        plane.push(&RankedDocumentIndex {
-            document_id: 0,
-            levels: vec![BitIndex::all_ones(64)],
-        });
+        push(
+            &mut plane,
+            &RankedDocumentIndex {
+                document_id: 0,
+                levels: vec![BitIndex::all_ones(64)],
+            },
+        );
         let _ = plane.scan_ranked(&BitIndex::all_ones(65));
     }
 
@@ -621,10 +647,13 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn scanplane_batch_rejects_mismatched_query_length() {
         let mut plane = ScanPlane::new();
-        plane.push(&RankedDocumentIndex {
-            document_id: 0,
-            levels: vec![BitIndex::all_ones(64)],
-        });
+        push(
+            &mut plane,
+            &RankedDocumentIndex {
+                document_id: 0,
+                levels: vec![BitIndex::all_ones(64)],
+            },
+        );
         let good = BitIndex::all_ones(64);
         let bad = BitIndex::all_ones(65);
         let _ = plane.scan_ranked_batch(&[&good, &bad]);
@@ -746,7 +775,7 @@ mod tests {
             .collect();
         let mut plane = ScanPlane::new();
         for (n, d) in docs.iter().enumerate() {
-            plane.push(d);
+            push(&mut plane, d);
             let chunk = n / CHUNK;
             for level in 0..2 {
                 assert_eq!(
@@ -856,6 +885,56 @@ mod tests {
         assert_eq!(stats.comparisons, (n + level1 + level2) as u64);
         for (rank, want) in [(1, level1 - level2), (2, level2 - level3), (3, level3)] {
             assert_eq!(matches.iter().filter(|m| m.rank == rank).count(), want);
+        }
+    }
+
+    #[test]
+    fn scanplane_hostile_snapshot_plants_no_bit_past_r() {
+        use crate::engine::SearchEngine;
+        use crate::params::SystemParams;
+        use crate::persistence::{deserialize_store, serialize_store};
+        use crate::search::CloudIndex;
+        // r = 100 is 13 bytes a level: the high nibble of every level's last
+        // byte lies past r. A snapshot that sets all of them must restore what
+        // `deserialize_store` decodes, which masks them — and no chunk's live
+        // mask may hold one, or `!query & live` would select a row that does
+        // not exist (the all-ones query's `!query` is all ones past r).
+        let (r, eta) = (100, 3);
+        let params = SystemParams::new(r, 4, 16, 0, 0, vec![1, 2, 3]).unwrap();
+        let mut rng = StdRng::seed_from_u64(79);
+        let docs = random_docs(&mut rng, CHUNK + 37, r, eta);
+        let clean = serialize_store(&params, &docs);
+        let mut hostile = clean.clone();
+        let level_bytes = r.div_ceil(8);
+        for entry in hostile[20..].chunks_exact_mut(8 + eta * level_bytes) {
+            for level in entry[8..].chunks_exact_mut(level_bytes) {
+                level[level_bytes - 1] |= 0xf0;
+            }
+        }
+        let decoded = deserialize_store(&params, &hostile).unwrap();
+        assert_eq!(decoded, docs, "the reference decoder masks the tail");
+        let mut reference = CloudIndex::new(params.clone());
+        reference.insert_all(decoded).unwrap();
+        let mut queries = vec![BitIndex::all_ones(r), BitIndex::all_zeros(r)];
+        queries.extend([0.02, 0.3].map(|zero_prob| random_bitindex(&mut rng, r, zero_prob)));
+        for shards in [1, 2, 3] {
+            let mut engine = SearchEngine::sharded(params.clone(), shards);
+            assert_eq!(engine.restore_snapshot(&hostile), Ok(docs.len()));
+            for (i, q) in queries.iter().enumerate() {
+                assert_eq!(
+                    engine.search_ranked_with_stats(&qi(q)),
+                    reference.search_ranked_with_stats(&qi(q)),
+                    "{shards} shards, query {i}"
+                );
+            }
+            for shard in 0..shards {
+                for chunk in &engine.scan_plane(shard).chunks {
+                    for level in chunk.live.chunks_exact(r.div_ceil(64)) {
+                        assert_eq!(level[1] >> (r % 64), 0, "{shards} shards, shard {shard}");
+                    }
+                }
+            }
+            assert_eq!(engine.snapshot(), clean, "the store holds the masked bytes");
         }
     }
 }

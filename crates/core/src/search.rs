@@ -6,22 +6,25 @@
 //! is the highest level that still matches. The server never learns anything beyond which
 //! stored indices matched at which level.
 //!
-//! [`CloudIndex`] is the **sequential reference implementation** over a
-//! one-shard [`ShardedStore`]: it always scans the documents themselves with this
-//! module's [`scan_ranked`] loop, and holds nothing but them — no scan plane, no
-//! cache. The production read path is the shard-parallel
-//! [`crate::engine::SearchEngine`], which sweeps the bit-sliced
-//! [`crate::scanplane::ScanPlane`] it derives per shard instead — a layout change
-//! only; it is held match-for-match, rank-for-rank and count-for-count equivalent
-//! to this reference (see `tests/sharded_engine_equivalence.rs` and
+//! [`CloudIndex`] is the **sequential reference implementation** and the paper's
+//! literal layout: a plain vector of decoded [`RankedDocumentIndex`]es in upload
+//! order plus an id map, scanned with this module's [`scan_ranked`] loop — no
+//! scan plane, no cache, and no code shared with the store under test beyond
+//! [`check_geometry`]. The production read path is the shard-parallel
+//! [`crate::engine::SearchEngine`] over a [`crate::storage::ShardedStore`] of
+//! packed §5 entries, sweeping the bit-sliced [`crate::scanplane::ScanPlane`] it
+//! derives per shard instead — a layout change only; it is held match-for-match,
+//! rank-for-rank and count-for-count equivalent to this reference (see
+//! `tests/sharded_engine_equivalence.rs` and
 //! `mkse-core/tests/scanplane_equivalence.rs`).
 
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::query::QueryIndex;
-use crate::storage::{IndexStore, ShardedStore, StoreError};
+use crate::storage::{check_geometry, StoreError};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// One search hit: a document id and its relevance rank (1 ≤ rank ≤ η).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,15 +141,20 @@ pub fn top_matches<T>(
 /// the reference the parallel engine is tested against.
 #[derive(Clone, Debug)]
 pub struct CloudIndex {
-    /// One shard: `shard_documents(0)` is every document, in insertion order.
-    store: ShardedStore,
+    params: SystemParams,
+    /// Every document, in insertion order.
+    documents: Vec<RankedDocumentIndex>,
+    /// document id → position in `documents`.
+    by_id: HashMap<u64, usize>,
 }
 
 impl CloudIndex {
     /// Create an empty store for the given parameters.
     pub fn new(params: SystemParams) -> Self {
         CloudIndex {
-            store: ShardedStore::new(params, 1),
+            params,
+            documents: Vec::new(),
+            by_id: HashMap::new(),
         }
     }
 
@@ -156,7 +164,13 @@ impl CloudIndex {
     /// index size than this store's parameters (mixing parameter sets is a protocol
     /// violation), or if the document id is already stored.
     pub fn insert(&mut self, index: RankedDocumentIndex) -> Result<(), StoreError> {
-        self.store.insert(index).map(drop)
+        check_geometry(&self.params, &index)?;
+        if self.by_id.contains_key(&index.document_id) {
+            return Err(StoreError::DuplicateDocument(index.document_id));
+        }
+        self.by_id.insert(index.document_id, self.documents.len());
+        self.documents.push(index);
+        Ok(())
     }
 
     /// Upload many document indices, stopping at the first invalid one.
@@ -164,29 +178,37 @@ impl CloudIndex {
         &mut self,
         indices: I,
     ) -> Result<(), StoreError> {
-        self.store.insert_all(indices)
+        for index in indices {
+            self.insert(index)?;
+        }
+        Ok(())
     }
 
     /// Number of stored documents (σ).
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.documents.len()
     }
 
     /// True if no documents are stored.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.documents.is_empty()
     }
 
-    /// The stored index of one document (O(1) via the store's id map).
+    /// Every stored index, in insertion order — what a snapshot of this
+    /// reference writes ([`crate::persistence::serialize_store`]).
+    pub fn documents(&self) -> &[RankedDocumentIndex] {
+        &self.documents
+    }
+
+    /// The stored index of one document (O(1) via the id map).
     pub fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex> {
-        self.store.document_index(document_id)
+        (self.by_id.get(&document_id)).map(|&position| &self.documents[position])
     }
 
     /// Plain (unranked) oblivious search: every document whose level-1 index matches the
     /// query, in storage order. This is Eq. (3) applied across the database.
     pub fn search_unranked(&self, query: &QueryIndex) -> Vec<u64> {
-        self.store
-            .shard_documents(0)
+        self.documents
             .iter()
             .filter(|d| d.base_level().matches_query(query.bits()))
             .map(|d| d.document_id)
@@ -196,7 +218,7 @@ impl CloudIndex {
     /// Ranked search (Algorithm 1): returns matches sorted by descending rank (ties broken by
     /// document id) together with execution statistics.
     pub fn search_ranked_with_stats(&self, query: &QueryIndex) -> (Vec<SearchMatch>, SearchStats) {
-        let (mut matches, stats) = scan_ranked(self.store.shard_documents(0), query);
+        let (mut matches, stats) = scan_ranked(&self.documents, query);
         sort_matches(&mut matches);
         (matches, stats)
     }
@@ -216,12 +238,7 @@ impl CloudIndex {
 
     /// The parameters of this store.
     pub fn params(&self) -> &SystemParams {
-        self.store.params()
-    }
-
-    /// The underlying single-shard store.
-    pub fn store(&self) -> &ShardedStore {
-        &self.store
+        &self.params
     }
 }
 

@@ -1,30 +1,47 @@
 //! The server-side index **storage layer**.
 //!
-//! The paper's server holds one [`RankedDocumentIndex`] per document and scans all of
+//! The paper's server holds one searchable index per document and scans all of
 //! them per query (Eq. 3 over σ documents). This module separates *how the indices are
 //! laid out* from *how queries execute* (the [`crate::engine`] layer):
 //!
 //! * [`IndexStore`] — the storage abstraction: geometry-validated inserts, O(1) lookup
-//!   by document id, and shard-wise access for parallel scans.
+//!   by document id, and shard-wise access for parallel scans, all through borrowed
+//!   [`IndexEntry`] views.
 //! * [`ShardedStore`] — partitions documents round-robin across N shards so the
 //!   engine can scan them on N threads; an id → (shard, slot) map replaces the old
-//!   O(σ) `iter().find()` lookup. With N = 1 it is the single contiguous layout
-//!   the sequential reference ([`crate::search::CloudIndex`]) scans.
+//!   O(σ) `iter().find()` lookup.
 //!
-//! Every store tracks the **insertion ordinal** of each document, so unranked results
-//! and persisted snapshots keep the exact storage order of the sequential reference
-//! regardless of the physical layout.
+//! A store is **the §5 entries, once**. Each shard holds its documents' ids in
+//! one column and their η·r index bits in **entry pages** of
+//! [`crate::scanplane::CHUNK`] documents: one allocation of `CHUNK·η·⌈r/64⌉`
+//! words per page, made when the page opens, filled in place and never moved,
+//! so a growing store never holds two copies of anything. An entry's words are exactly the
+//! bits [`crate::persistence`] writes (its first `⌈r/8⌉` little-endian bytes
+//! per level), and bits at or beyond r are always zero — every insert masks
+//! them, whatever the source. Nothing decoded is kept: [`IndexStore::insert`]
+//! copies a [`RankedDocumentIndex`]'s words and drops it, and
+//! [`IndexStore::insert_encoded`] copies a snapshot's bytes without building one.
 //!
-//! A store is **the corpus, once**: the η·r bits per document of the paper's §5
-//! storage analysis plus the id map, and nothing derived from them. The scan
-//! layout ([`crate::scanplane::ScanPlane`]) and the result cache belong to the one
-//! holder that scans — [`crate::engine::SearchEngine`], which [`IndexStore::insert`]
-//! tells the shard it appended to — so a holder that never scans (the
-//! [`crate::search::CloudIndex`] reference, the fleet coordinator's mirror) pays
-//! for neither.
+//! Everything derived from the entries belongs to the one holder that scans:
+//! the scan layout ([`crate::scanplane::ScanPlane`]) and the result cache live in
+//! [`crate::engine::SearchEngine`], which [`IndexStore::insert`] tells the shard
+//! it appended to — so a holder that never scans (the fleet coordinator's
+//! mirror) pays for neither. The decoded [`RankedDocumentIndex`] survives only
+//! where something needs it: as the upload currency, in the
+//! [`crate::search::CloudIndex`] reference, and in
+//! [`crate::engine::SearchEngine::document_index`]'s answer.
+//!
+//! Every store can list its entries in **insertion order**, so persisted
+//! snapshots keep the exact storage order of the sequential reference regardless
+//! of the physical layout.
+//!
+//! **Leakage note (§6)**: the pages are a server-side memory layout of bytes the
+//! server already holds — the uploaded indices themselves; how they are arranged
+//! in the server's memory opens no channel.
 
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
+use crate::scanplane::CHUNK;
 use std::collections::HashMap;
 
 /// Errors produced when uploading a document index into a store.
@@ -95,21 +112,73 @@ pub fn check_geometry(
     Ok(())
 }
 
+/// One stored document, borrowed from its store: the document id and its η
+/// levels of r bits, each `⌈r/64⌉` words in
+/// [`crate::bitindex::BitIndex::as_blocks`] order with every bit at or beyond r
+/// zero. `RankedDocumentIndex::from(entry)` decodes one.
+#[derive(Clone, Copy, Debug)]
+pub struct IndexEntry<'a> {
+    /// The document this entry describes.
+    pub document_id: u64,
+    /// Bits per level (r).
+    bits: usize,
+    /// The η levels back to back.
+    words: &'a [u64],
+}
+
+impl<'a> IndexEntry<'a> {
+    /// A view of `words` as levels of `bits` bits. The caller keeps the tail
+    /// of every level masked.
+    pub(crate) fn new(document_id: u64, bits: usize, words: &'a [u64]) -> Self {
+        debug_assert!(words.len().is_multiple_of(bits.div_ceil(64)));
+        IndexEntry {
+            document_id,
+            bits,
+            words,
+        }
+    }
+
+    /// Bits per level (r).
+    pub fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// Number of ranking levels (η).
+    pub fn num_levels(&self) -> usize {
+        self.words.len() / self.bits.div_ceil(64)
+    }
+
+    /// Every level's words, level 1 (which indexes every keyword) first.
+    pub fn levels(&self) -> impl ExactSizeIterator<Item = &'a [u64]> {
+        self.words.chunks_exact(self.bits.div_ceil(64))
+    }
+}
+
 /// Storage abstraction the query-execution engine runs on.
 ///
-/// A store is a set of shards, each a contiguous slice of document indices. The
-/// engine scans shards independently (possibly in parallel); the store guarantees
-/// that [`IndexStore::ordinal`] recovers the global insertion order so merged results
-/// can reproduce the sequential scan's output exactly.
+/// A store is a set of shards, each a sequence of slots holding one
+/// [`IndexEntry`] each. The engine scans shards independently (possibly in
+/// parallel); [`IndexStore::documents_in_insertion_order`] recovers the global
+/// insertion order, so snapshots are layout-independent.
 pub trait IndexStore: Send + Sync {
     /// The parameters every stored index was validated against.
     fn params(&self) -> &SystemParams;
 
     /// Upload one document index, validating its geometry and id uniqueness.
-    /// An accepted index is appended at the **end** of one shard's
-    /// [`IndexStore::shard_documents`]; the shard is returned, so whoever keeps
-    /// per-shard derived state knows what changed. A refused index changes nothing.
+    /// An accepted index is copied into the **last** slot of one shard and
+    /// dropped; the shard is returned, so whoever keeps per-shard derived state
+    /// knows what changed. A refused index changes nothing.
     fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError>;
+
+    /// [`IndexStore::insert`] for an entry in its persisted form: `levels` is
+    /// η levels of `⌈r/8⌉` little-endian bytes each, as
+    /// [`crate::persistence`] writes them (bits beyond r are dropped). Only id
+    /// uniqueness can refuse it.
+    ///
+    /// # Panics
+    ///
+    /// If `levels` is not η·⌈r/8⌉ bytes long.
+    fn insert_encoded(&mut self, document_id: u64, levels: &[u8]) -> Result<usize, StoreError>;
 
     /// Number of stored documents (σ).
     fn len(&self) -> usize;
@@ -117,19 +186,26 @@ pub trait IndexStore: Send + Sync {
     /// Number of shards the documents are partitioned into.
     fn num_shards(&self) -> usize;
 
-    /// The documents of one shard, in slot order.
-    fn shard_documents(&self, shard: usize) -> &[RankedDocumentIndex];
+    /// Number of documents in one shard.
+    fn shard_len(&self, shard: usize) -> usize;
 
-    /// Global insertion ordinal of the document at `(shard, slot)`; ordinals are the
-    /// positions the documents would occupy in a single sequential store.
-    fn ordinal(&self, shard: usize, slot: usize) -> u64;
+    /// The document at `slot` of `shard`.
+    fn entry(&self, shard: usize, slot: usize) -> IndexEntry<'_>;
 
-    /// The stored index of one document, or `None` if unknown.
-    fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex>;
+    /// The stored entry of one document, or `None` if unknown.
+    fn document_index(&self, document_id: u64) -> Option<IndexEntry<'_>>;
+
+    /// Every stored entry in insertion order (what snapshots write).
+    fn documents_in_insertion_order(&self) -> impl Iterator<Item = IndexEntry<'_>>;
 
     /// True if no documents are stored.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The documents of one shard, in slot order.
+    fn shard_entries(&self, shard: usize) -> impl Iterator<Item = IndexEntry<'_>> {
+        (0..self.shard_len(shard)).map(move |slot| self.entry(shard, slot))
     }
 
     /// Upload many document indices, stopping at the first invalid one.
@@ -145,29 +221,31 @@ pub trait IndexStore: Send + Sync {
         }
         Ok(())
     }
+}
 
-    /// All stored indices in insertion order (used by persistence snapshots).
-    fn documents_in_insertion_order(&self) -> Vec<&RankedDocumentIndex> {
-        let mut ordered: Vec<(u64, &RankedDocumentIndex)> = Vec::with_capacity(self.len());
-        for shard in 0..self.num_shards() {
-            for (slot, doc) in self.shard_documents(shard).iter().enumerate() {
-                ordered.push((self.ordinal(shard, slot), doc));
-            }
-        }
-        ordered.sort_by_key(|(ordinal, _)| *ordinal);
-        ordered.into_iter().map(|(_, doc)| doc).collect()
-    }
+/// One shard: an id column beside entry pages of [`CHUNK`] slots.
+#[derive(Clone, Debug, Default)]
+struct Shard {
+    /// Document id of every slot, in slot order.
+    ids: Vec<u64>,
+    /// `pages[p]` holds slots `p·CHUNK ..`, `stride` words each. A page is
+    /// allocated for all [`CHUNK`] slots when it opens and filled in place, so
+    /// it never moves and the memory behind its unfilled slots is never
+    /// written (a small shard keeps only what it holds resident).
+    pages: Vec<Vec<u64>>,
 }
 
 /// A store that partitions documents **round-robin** across `num_shards` shards.
 ///
 /// Round-robin keeps shards balanced within one document of each other for any
-/// insertion pattern, and makes the insertion ordinal recoverable arithmetically:
+/// insertion pattern, and makes the insertion order recoverable arithmetically:
 /// the document at `(shard, slot)` was insertion number `slot · N + shard`.
 #[derive(Clone, Debug)]
 pub struct ShardedStore {
     params: SystemParams,
-    shards: Vec<Vec<RankedDocumentIndex>>,
+    /// Words per entry: η·⌈r/64⌉.
+    stride: usize,
+    shards: Vec<Shard>,
     /// document id → (shard, slot): O(1) metadata lookup instead of a linear scan.
     by_id: HashMap<u64, (u32, u32)>,
     total: usize,
@@ -176,10 +254,11 @@ pub struct ShardedStore {
 impl ShardedStore {
     /// An empty store with `num_shards` shards (clamped to at least 1).
     pub fn new(params: SystemParams, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
+        let stride = params.rank_levels() * params.index_bits.div_ceil(64);
         ShardedStore {
             params,
-            shards: vec![Vec::new(); num_shards],
+            stride,
+            shards: vec![Shard::default(); num_shards.max(1)],
             by_id: HashMap::new(),
             total: 0,
         }
@@ -187,7 +266,37 @@ impl ShardedStore {
 
     /// Shard sizes, for observability and tests.
     pub fn shard_lengths(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
+        self.shards.iter().map(|s| s.ids.len()).collect()
+    }
+
+    /// The one place a slot is written: refuse a known id, otherwise open a
+    /// page if the shard's last one is full, let `fill` write the entry's words
+    /// (zero when handed over) and record the id.
+    fn append(
+        &mut self,
+        document_id: u64,
+        fill: impl FnOnce(&mut [u64]),
+    ) -> Result<usize, StoreError> {
+        if self.by_id.contains_key(&document_id) {
+            return Err(StoreError::DuplicateDocument(document_id));
+        }
+        let shard = self.total % self.shards.len();
+        let stride = self.stride;
+        let Shard { ids, pages } = &mut self.shards[shard];
+        let slot = ids.len();
+        if slot.is_multiple_of(CHUNK) {
+            pages.push(Vec::with_capacity(CHUNK * stride));
+        }
+        let page = &mut pages[slot / CHUNK];
+        // A clone's pages hold only their filled part: restore the full page.
+        page.reserve_exact(CHUNK * stride - page.len());
+        let start = page.len();
+        page.resize(start + stride, 0);
+        fill(&mut page[start..]);
+        ids.push(document_id);
+        self.by_id.insert(document_id, (shard as u32, slot as u32));
+        self.total += 1;
+        Ok(shard)
     }
 }
 
@@ -198,16 +307,42 @@ impl IndexStore for ShardedStore {
 
     fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
         check_geometry(&self.params, &index)?;
-        if self.by_id.contains_key(&index.document_id) {
-            return Err(StoreError::DuplicateDocument(index.document_id));
-        }
-        let shard = self.total % self.shards.len();
-        let slot = self.shards[shard].len();
-        self.by_id
-            .insert(index.document_id, (shard as u32, slot as u32));
-        self.shards[shard].push(index);
-        self.total += 1;
-        Ok(shard)
+        let blocks = self.params.index_bits.div_ceil(64);
+        self.append(index.document_id, |words| {
+            for (words, level) in words.chunks_exact_mut(blocks).zip(&index.levels) {
+                words.copy_from_slice(level.as_blocks());
+            }
+        })
+    }
+
+    fn insert_encoded(&mut self, document_id: u64, levels: &[u8]) -> Result<usize, StoreError> {
+        let bits = self.params.index_bits;
+        let (blocks, level_bytes) = (bits.div_ceil(64), bits.div_ceil(8));
+        assert_eq!(
+            levels.len(),
+            self.params.rank_levels() * level_bytes,
+            "entry size mismatch"
+        );
+        // Bits at or beyond r in the last byte are whatever the sender wrote:
+        // the tail mask keeps them out of the store (and so out of every plane's
+        // live masks).
+        let tail = match bits % 64 {
+            0 => u64::MAX,
+            n => (1 << n) - 1,
+        };
+        self.append(document_id, |words| {
+            for (words, bytes) in words
+                .chunks_exact_mut(blocks)
+                .zip(levels.chunks(level_bytes))
+            {
+                for (word, bytes) in words.iter_mut().zip(bytes.chunks(8)) {
+                    let mut le = [0; 8];
+                    le[..bytes.len()].copy_from_slice(bytes);
+                    *word = u64::from_le_bytes(le);
+                }
+                words[blocks - 1] &= tail;
+            }
+        })
     }
 
     fn len(&self) -> usize {
@@ -218,31 +353,47 @@ impl IndexStore for ShardedStore {
         self.shards.len()
     }
 
-    fn shard_documents(&self, shard: usize) -> &[RankedDocumentIndex] {
-        &self.shards[shard]
+    fn shard_len(&self, shard: usize) -> usize {
+        self.shards[shard].ids.len()
     }
 
-    fn ordinal(&self, shard: usize, slot: usize) -> u64 {
-        (slot * self.shards.len() + shard) as u64
+    fn entry(&self, shard: usize, slot: usize) -> IndexEntry<'_> {
+        let Shard { ids, pages } = &self.shards[shard];
+        let words = &pages[slot / CHUNK][slot % CHUNK * self.stride..][..self.stride];
+        IndexEntry::new(ids[slot], self.params.index_bits, words)
     }
 
-    fn document_index(&self, document_id: u64) -> Option<&RankedDocumentIndex> {
-        self.by_id
-            .get(&document_id)
-            .map(|&(shard, slot)| &self.shards[shard as usize][slot as usize])
+    fn document_index(&self, document_id: u64) -> Option<IndexEntry<'_>> {
+        (self.by_id.get(&document_id))
+            .map(|&(shard, slot)| self.entry(shard as usize, slot as usize))
+    }
+
+    fn documents_in_insertion_order(&self) -> impl Iterator<Item = IndexEntry<'_>> {
+        let shards = self.shards.len();
+        (0..self.total).map(move |k| self.entry(k % shards, k / shards))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitindex::BitIndex;
     use crate::document_index::DocumentIndexer;
+    use crate::engine::SearchEngine;
     use crate::keys::SchemeKeys;
+    use crate::persistence::{serialize_index_store, serialize_shard, serialize_store};
+    use crate::query::QueryIndex;
+    use crate::search::scan_ranked;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn indexer_fixture(params: &SystemParams) -> SchemeKeys {
         SchemeKeys::generate(params, &mut StdRng::seed_from_u64(71))
+    }
+
+    fn ids<'a>(entries: impl Iterator<Item = IndexEntry<'a>>) -> Vec<u64> {
+        entries.map(|e| e.document_id).collect()
     }
 
     #[test]
@@ -256,16 +407,14 @@ mod tests {
         }
         assert_eq!(store.len(), 3);
         assert_eq!(store.num_shards(), 1);
-        assert_eq!(store.shard_documents(0)[1].document_id, 3);
-        assert_eq!(store.ordinal(0, 2), 2);
+        assert_eq!(store.entry(0, 1).document_id, 3);
         assert_eq!(store.document_index(9).unwrap().document_id, 9);
+        assert_eq!(
+            RankedDocumentIndex::from(store.document_index(9).unwrap()),
+            indexer.index_keywords(9, &["kw"])
+        );
         assert!(store.document_index(4).is_none());
-        let ordered: Vec<u64> = store
-            .documents_in_insertion_order()
-            .iter()
-            .map(|d| d.document_id)
-            .collect();
-        assert_eq!(ordered, vec![5, 3, 9]);
+        assert_eq!(ids(store.documents_in_insertion_order()), vec![5, 3, 9]);
     }
 
     #[test]
@@ -280,15 +429,13 @@ mod tests {
         assert_eq!(store.len(), 10);
         assert_eq!(store.shard_lengths(), vec![4, 3, 3]);
         // Document 7 went to shard 7 % 3 = 1, slot 7 / 3 = 2.
-        assert_eq!(store.shard_documents(1)[2].document_id, 7);
-        assert_eq!(store.ordinal(1, 2), 7);
+        assert_eq!(store.entry(1, 2).document_id, 7);
+        assert_eq!(ids(store.shard_entries(1)), vec![1, 4, 7]);
         assert_eq!(store.document_index(7).unwrap().document_id, 7);
-        let ordered: Vec<u64> = store
-            .documents_in_insertion_order()
-            .iter()
-            .map(|d| d.document_id)
-            .collect();
-        assert_eq!(ordered, (0..10).collect::<Vec<_>>());
+        assert_eq!(
+            ids(store.documents_in_insertion_order()),
+            (0..10).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -324,6 +471,7 @@ mod tests {
                 found: 64
             })
         );
+        assert!(store.is_empty() && store1.is_empty());
     }
 
     #[test]
@@ -341,6 +489,12 @@ mod tests {
         sharded.insert(indexer.index_keywords(1, &["a"])).unwrap();
         assert_eq!(
             sharded.insert(indexer.index_keywords(1, &["b"])),
+            Err(StoreError::DuplicateDocument(1))
+        );
+        // The encoded door refuses the same id.
+        let bytes = vec![0; params.rank_levels() * params.index_bits.div_ceil(8)];
+        assert_eq!(
+            sharded.insert_encoded(1, &bytes),
             Err(StoreError::DuplicateDocument(1))
         );
         // A failed insert must not consume a round-robin position: the next
@@ -363,6 +517,70 @@ mod tests {
             StoreError::DuplicateDocument(42),
         ] {
             assert!(!format!("{e}").is_empty());
+        }
+    }
+
+    /// A document of random bits at the given geometry (tails masked by
+    /// `from_blocks`), without the indexer's HMACs.
+    fn random_doc(rng: &mut StdRng, id: u64, r: usize, eta: usize) -> RankedDocumentIndex {
+        RankedDocumentIndex {
+            document_id: id,
+            levels: (0..eta)
+                .map(|_| BitIndex::from_blocks((0..r.div_ceil(64)).map(|_| rng.gen()).collect(), r))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The entry pages at every geometry edge: ragged and whole-word r,
+        /// η from 1 to 5, 1..=7 shards and stores that cross page boundaries.
+        /// Snapshots — whole and per shard — are the AoS serializer's bytes,
+        /// every lookup decodes to its input, and every plane an engine
+        /// derives is its shard's entries, slot for slot.
+        #[test]
+        fn prop_entry_pages_hold_every_geometry(
+            seed in 0u64..1_000_000,
+            r_idx in 0usize..3,
+            eta_idx in 0usize..3,
+            shards in 1usize..=7,
+            n in 0usize..=2_100,
+        ) {
+            let (r, eta) = ([64, 100, 448][r_idx], [1, 3, 5][eta_idx]);
+            let params = SystemParams::new(r, 4, 16, 0, 0, (1..=eta as u32).collect()).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let docs: Vec<RankedDocumentIndex> =
+                (0..n).map(|i| random_doc(&mut rng, 3 * i as u64 + 1, r, eta)).collect();
+            let mut engine = SearchEngine::sharded(params.clone(), shards);
+            engine.insert_all(docs.iter().cloned()).unwrap();
+            let store = engine.store();
+
+            prop_assert_eq!(serialize_index_store(store), serialize_store(&params, &docs));
+            for shard in 0..shards {
+                let mine: Vec<&RankedDocumentIndex> = docs.iter().skip(shard).step_by(shards).collect();
+                prop_assert_eq!(serialize_shard(store, shard), serialize_store(&params, mine));
+            }
+            for doc in &docs {
+                let entry = store.document_index(doc.document_id).expect("stored");
+                prop_assert_eq!(&RankedDocumentIndex::from(entry), doc);
+            }
+            prop_assert!(store.document_index(0).is_none());
+
+            let probes = [
+                QueryIndex::from_bits(BitIndex::all_ones(r)),
+                QueryIndex::from_bits(BitIndex::all_zeros(r)),
+                QueryIndex::from_bits(random_doc(&mut rng, 0, r, 1).levels[0].clone()),
+            ];
+            for shard in 0..shards {
+                let plane = engine.scan_plane(shard);
+                let decoded: Vec<RankedDocumentIndex> =
+                    store.shard_entries(shard).map(RankedDocumentIndex::from).collect();
+                prop_assert_eq!(plane.ids(), &ids(store.shard_entries(shard))[..]);
+                for probe in &probes {
+                    prop_assert_eq!(plane.scan_ranked(probe.bits()), scan_ranked(&decoded, probe));
+                }
+            }
         }
     }
 }

@@ -22,7 +22,8 @@
 use mkse_core::scanplane::CHUNK;
 use mkse_core::{
     BitIndex, CacheConfig, CloudIndex, DocumentIndexer, IndexStore, QueryBuilder, QueryIndex,
-    RankedDocumentIndex, ScanPlane, SchemeKeys, SearchEngine, SystemParams, TelemetryLevel,
+    RankedDocumentIndex, ScanPlane, SchemeKeys, SearchEngine, ShardedStore, SystemParams,
+    TelemetryLevel,
 };
 use mkse_textproc::TermFrequencies;
 use proptest::prelude::*;
@@ -70,6 +71,17 @@ fn query_workload(rng: &mut StdRng, r: usize, docs: &[RankedDocumentIndex]) -> V
         queries.push(QueryIndex::from_bits(doc.base_level().clone()));
     }
     queries
+}
+
+/// A plane of `docs` pushed the way an engine pushes: from a store's entries.
+fn plane_of(params: &SystemParams, docs: &[RankedDocumentIndex]) -> ScanPlane {
+    let mut store = ShardedStore::new(params.clone(), 1);
+    store.insert_all(docs.iter().cloned()).unwrap();
+    let mut plane = ScanPlane::new();
+    for entry in store.shard_entries(0) {
+        plane.push(entry);
+    }
+    plane
 }
 
 /// Level-1 index bits no document of the corpus sets — rows every sweep skips,
@@ -234,7 +246,7 @@ fn scanplane_inserts_between_queries_keep_planes_and_cache_fresh() {
         // Planes track their shards exactly.
         for shard in 0..engine.store().num_shards() {
             let plane = engine.scan_plane(shard);
-            assert_eq!(plane.len(), engine.store().shard_documents(shard).len());
+            assert_eq!(plane.len(), engine.store().shard_len(shard));
         }
     }
 }
@@ -260,13 +272,13 @@ fn scanplane_snapshot_restore_rebuilds_planes() {
         // The snapshot carries no plane bytes; restore rebuilt them via insert.
         for shard in 0..restored.store().num_shards() {
             let plane = restored.scan_plane(shard);
-            let shard_docs = restored.store().shard_documents(shard);
+            let store = restored.store();
             assert_eq!(
                 plane.len(),
-                shard_docs.len(),
+                store.shard_len(shard),
                 "{shards} shards, shard {shard}"
             );
-            let ids: Vec<u64> = shard_docs.iter().map(|d| d.document_id).collect();
+            let ids: Vec<u64> = store.shard_entries(shard).map(|e| e.document_id).collect();
             assert_eq!(plane.ids(), &ids[..], "{shards} shards, shard {shard}");
         }
         let ctx = format!("restored into {shards} shards");
@@ -487,17 +499,14 @@ proptest! {
             })
             .collect();
         let query = QueryIndex::from_bits(random_bitindex(&mut rng, r, query_zero_prob));
+        let params = params_for(r, eta);
 
         // Direct: plane vs the reference scan loop.
-        let mut plane = ScanPlane::new();
-        for d in &docs {
-            plane.push(d);
-        }
+        let plane = plane_of(&params, &docs);
         let expected = mkse_core::search::scan_ranked(&docs, &query);
         prop_assert_eq!(plane.scan_ranked(query.bits()), expected);
 
         // Engine-level: plane-backed shards vs the AoS reference index.
-        let params = params_for(r, eta);
         let mut reference = CloudIndex::new(params.clone());
         reference.insert_all(docs.iter().cloned()).unwrap();
         let mut engine = SearchEngine::sharded(params, 2);
@@ -547,10 +556,8 @@ proptest! {
             queries[3] = queries[0].clone();
         }
 
-        let mut plane = ScanPlane::new();
-        for d in &docs {
-            plane.push(d);
-        }
+        let params = params_for(r, eta);
+        let plane = plane_of(&params, &docs);
         let refs: Vec<&BitIndex> = queries.iter().collect();
         let batched = plane.scan_ranked_batch(&refs);
         prop_assert_eq!(batched.len(), queries.len());
@@ -561,7 +568,6 @@ proptest! {
         // Engine-level: the fused batch vs the AoS reference, at an arbitrary
         // shards × lanes configuration.
         let shards = SHARD_COUNTS[shards_idx];
-        let params = params_for(r, eta);
         let mut reference = CloudIndex::new(params.clone());
         reference.insert_all(docs.iter().cloned()).unwrap();
         let mut engine = SearchEngine::sharded(params, shards).with_scan_lanes(lanes);
@@ -620,10 +626,7 @@ proptest! {
         queries.push(QueryIndex::from_bits(BitIndex::all_zeros(r)));
         queries.push(QueryIndex::from_bits(docs[0].base_level().clone()));
 
-        let mut plane = ScanPlane::new();
-        for d in &docs {
-            plane.push(d);
-        }
+        let plane = plane_of(&params, &docs);
         let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
         let batched = plane.scan_ranked_batch(&bits);
         for (query, got) in queries.iter().zip(&batched) {

@@ -47,8 +47,9 @@
 //! sits on, so validation errors, partial-upload semantics and snapshot bytes
 //! all match a single-node twin exactly — and nothing derived from it. The
 //! coordinator never scans, so it holds no scan plane; it keeps no serialized
-//! checkpoint either, because the mirror *is* the authoritative copy and a
-//! shard is serialized when (and only when) it ships. When a node dies —
+//! checkpoint either, because the mirror *is* the authoritative copy, already
+//! held as the §5 entries a snapshot writes: a shard is serialized — a header
+//! plus copies — when (and only when) it ships. When a node dies —
 //! health deadline, exhausted retries, or a refused reply — its shards are
 //! re-homed onto the survivor with the fewest shards (ties to the lowest node
 //! id, capacity respected): the survivor receives each non-empty shard's
@@ -387,7 +388,7 @@ impl Coordinator {
     /// cue to declare the node dead.
     fn ship_shard(&mut self, node_id: u64, shard: usize) -> Result<(), ()> {
         let node = self.nodes.get_mut(&node_id).ok_or(())?;
-        if self.mirror.shard_documents(shard).is_empty() {
+        if self.mirror.shard_len(shard) == 0 {
             return Ok(());
         }
         let shipped = node.client.restore(serialize_shard(&self.mirror, shard));
@@ -397,7 +398,7 @@ impl Coordinator {
     /// A non-empty shard no live node serves, if any.
     fn uncovered_shard(&self) -> Option<usize> {
         (0..self.owner_of.len())
-            .find(|&s| self.owner_of[s].is_none() && !self.mirror.shard_documents(s).is_empty())
+            .find(|&s| self.owner_of[s].is_none() && self.mirror.shard_len(s) > 0)
     }
 
     fn no_coverage_error(&self, shard: usize) -> Response {
@@ -581,10 +582,9 @@ impl Coordinator {
             match self.mirror.insert(index) {
                 Ok(shard) => {
                     if let Some(owner) = self.owner_of[shard] {
-                        let stored = self.mirror.shard_documents(shard).last();
-                        // `IndexStore::insert` appends at the end of the shard it returns.
-                        let stored = stored.expect("insert appended to the shard it named");
-                        per_node.entry(owner).or_default().push(stored.clone());
+                        // `IndexStore::insert` fills the last slot of the shard it returns.
+                        let stored = self.mirror.entry(shard, self.mirror.shard_len(shard) - 1);
+                        per_node.entry(owner).or_default().push(stored.into());
                     }
                 }
                 Err(e) => {

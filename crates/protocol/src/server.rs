@@ -198,7 +198,7 @@ impl CloudServer {
                 document_id: m.document_id,
                 rank: m.rank,
                 metadata: (self.engine.document_index(m.document_id))
-                    .map(|idx| idx.levels.clone())
+                    .map(|idx| idx.levels)
                     .unwrap_or_default(),
             })
             .collect();

@@ -44,9 +44,9 @@
 //!        │                                       marks a node dead); queries scatter
 //!        ▼                                       to live shard-holders and merge by
 //!        │                                       (rank desc, id asc); a dead node's
-//!        ▼                                       shards re-ship to survivors from the
-//!        │                                       coordinator mirror's per-shard
-//!        ▼                                       snapshots + insert-journal replay —
+//!        ▼                                       shards re-ship to survivors straight
+//!        │                                       from the coordinator mirror's §5
+//!        ▼                                       entries (a header plus copies) —
 //!        │                                       N nodes == 1 node, byte for byte
 //!  mkse-net        ResilientClient ─▶ NetClient  the resilience layer: capped-
 //!        │         (= Client<Link>) ─▶           backoff retries with reconnect
@@ -95,11 +95,13 @@
 //!        ▼    └──  per-shard LRU keyed by           repeated query fingerprints skip
 //!        │         QueryFingerprint, write-         the shard scan entirely
 //!        ▼         generation invalidation
-//!  mkse-core       storage::IndexStore (trait)      the corpus, once: geometry-validated
-//!        │         └─ storage::ShardedStore         inserts that name the shard written,
-//!        ▼            (N ≥ 1 round-robin shards)    O(1) id lookup, shard slices,
-//!        │                                          insertion-ordinal bookkeeping —
-//!        ▼                                          no plane, no cache, nothing derived
+//!  mkse-core       storage::IndexStore (trait)      the corpus, once, as the §5 entry
+//!        │         └─ storage::ShardedStore         bytes (ids + 1,024-document entry
+//!        ▼            (N ≥ 1 round-robin shards)    pages): geometry-validated inserts
+//!        │                                          that name the shard written, O(1)
+//!        ▼                                          id lookup, borrowed IndexEntry
+//!        │                                          views, insertion order — no plane,
+//!        ▼                                          no cache, nothing decoded
 //!  mkse-core       scanplane::ScanPlane             bit-sliced rows the engine appends
 //!        │                                          on insert: per 1,024-document chunk,
 //!        ▼                                          level and index bit one bitmap of
@@ -121,11 +123,15 @@
 //!
 //! * **Storage** ([`core::storage`]): [`core::storage::ShardedStore`] partitions
 //!   documents round-robin across N shards and keeps an id → (shard, slot) map so
-//!   metadata lookup is O(1) instead of the old O(σ) scan. One shard is the
-//!   single contiguous layout — what the sequential reference
-//!   ([`core::CloudIndex`]) scans with the AoS loop. A store is the corpus and
-//!   nothing derived from it, so a holder that never scans — the reference, the
-//!   fleet coordinator's mirror — pays for no scan layout.
+//!   metadata lookup is O(1) instead of the old O(σ) scan. Each shard *is* its
+//!   documents' §5 entries — an id column and pages of 1,024 entries of η·⌈r/64⌉
+//!   words, the bits `persistence` writes — so a snapshot or a re-shipped shard is
+//!   a header plus copies, and every consumer (planes, reply metadata, the
+//!   coordinator's mirror) reads borrowed [`core::IndexEntry`] views. Decoded
+//!   `RankedDocumentIndex`es remain the upload currency and the layout of the
+//!   sequential reference ([`core::CloudIndex`]: a plain vector scanned with the
+//!   AoS loop). A store is the corpus and nothing derived from it, so a holder
+//!   that never scans — the fleet coordinator's mirror — pays for no scan layout.
 //! * **Scan plane** ([`core::scanplane`]): each shard's hot loop — the σ r-bit
 //!   comparisons of Eq. (3) that dominate Figure 4(b) — runs on a bit-sliced
 //!   engine-owned [`core::ScanPlane`]: per 1,024-document chunk, per level and
@@ -311,10 +317,11 @@
 //!   by (rank desc, id asc) with the engine's own top-τ selection. It keeps a
 //!   full mirror — a bare `ShardedStore` fed by the same insert path (same
 //!   errors, same partial-upload semantics), with no scan plane (it never
-//!   scans) and no serialized second copy — so when a node dies — deadline
-//!   missed or retries exhausted — its shards re-ship to the fewest-loaded
-//!   survivors, each non-empty shard as exactly one layout-independent frame
-//!   (`serialize_shard` → `RestoreIndex`), cascading recursively if a
+//!   scans) and no serialized second copy: it already holds the §5 entries a
+//!   snapshot writes — so when a node dies — deadline missed or retries
+//!   exhausted — its shards re-ship to the fewest-loaded survivors, each
+//!   non-empty shard as exactly one layout-independent frame (`serialize_shard`,
+//!   a header plus copies → `RestoreIndex`), cascading recursively if a
 //!   survivor dies mid-shipment. Node clients never retry
 //!   non-idempotent forwards: an ambiguous write fails the node over and
 //!   re-ships authoritative state, so writes are fleet-wide at-most-once.

@@ -359,7 +359,7 @@ fn per_document_lookup_agrees_across_layouts() {
         engine.insert_all(wl.indices.iter().cloned()).unwrap();
         for idx in &wl.indices {
             assert_eq!(
-                engine.document_index(idx.document_id),
+                engine.document_index(idx.document_id).as_ref(),
                 reference.document_index(idx.document_id)
             );
         }
@@ -477,11 +477,11 @@ fn snapshot_restore_cycle_preserves_cached_engine_equivalence() {
 
 #[test]
 fn snapshots_are_layout_independent() {
-    use mkse::core::serialize_index_store;
+    use mkse::core::{serialize_index_store, serialize_store};
     let wl = random_workload(13, 29);
     let mut reference = CloudIndex::new(wl.params.clone());
     reference.insert_all(wl.indices.iter().cloned()).unwrap();
-    let reference_bytes = serialize_index_store(reference.store());
+    let reference_bytes = serialize_store(reference.params(), reference.documents());
 
     for shards in SHARD_COUNTS {
         let mut engine = SearchEngine::sharded(wl.params.clone(), shards);
