@@ -150,7 +150,6 @@ fn spawn_fleet(
                 fixture.params.clone(),
                 NodeConfig {
                     node_id,
-                    local_shards: 2,
                     capabilities: NodeCapabilities {
                         shard_slots,
                         scan_lanes: 2,

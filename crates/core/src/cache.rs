@@ -8,10 +8,9 @@
 //! pure waste. This module memoizes **per-shard scan results** keyed by a
 //! [`QueryFingerprint`] of the bytes the server already sees:
 //!
-//! * [`QueryFingerprint`] — a cheap digest of the query index bits plus the ranking
-//!   mode and top-k limit, **collision-checked**: equality compares the digest first
-//!   and then the full key material, so a digest collision can never surface another
-//!   query's results.
+//! * [`QueryFingerprint`] — a cheap digest of the query index bits,
+//!   **collision-checked**: equality compares the digest first and then the bits
+//!   themselves, so a digest collision can never surface another query's results.
 //! * [`ResultCache`] — one LRU map per shard with a configurable per-shard capacity
 //!   ([`CacheConfig`]), plus a per-shard **write generation**: every insert into a
 //!   shard bumps only that shard's generation, so cached scans of the other shards
@@ -45,38 +44,25 @@ use crate::bitindex::BitIndex;
 use crate::search::{SearchMatch, SearchStats};
 use std::collections::HashMap;
 
-/// How the cached execution ranked its results — part of the cache key, because an
-/// unranked id scan and a ranked scan of the same query bits are different answers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RankingMode {
-    /// Plain Eq. (3) matching in storage order.
-    Unranked,
-    /// Algorithm 1 level-walking (the engine's default execution).
-    Ranked,
-}
-
-/// A cheap, collision-checked cache key over everything that determines a reply:
-/// the query index bits, the ranking mode, and the top-k limit.
+/// A cheap, collision-checked cache key over what determines a shard's scan: the
+/// query index bits. An entry holds the whole ranked list of its shard, so one
+/// entry serves every τ a reply may keep.
 ///
-/// The 128-bit FNV-1a-style digest makes hashing and map probing cheap; the full
-/// key material is retained so `Eq` can verify candidates byte-for-byte. A digest
-/// collision therefore costs one extra comparison — it can never alias results.
+/// The 128-bit FNV-1a-style digest makes hashing and map probing cheap; the bits
+/// are retained so `Eq` can verify candidates byte-for-byte. A digest collision
+/// therefore costs one extra comparison — it can never alias results.
 #[derive(Clone, Debug)]
 pub struct QueryFingerprint {
     digest: u128,
     bits: BitIndex,
-    mode: RankingMode,
-    top_k: Option<u32>,
 }
 
 impl QueryFingerprint {
-    /// Fingerprint a query. `top_k` is the τ limit of §5 (`None` = all matches);
-    /// the engine's per-shard entries always use `None` because truncation happens
-    /// after the cross-shard merge, but protocol-level caches may key on it.
-    pub fn new(bits: &BitIndex, mode: RankingMode, top_k: Option<u32>) -> Self {
+    /// Fingerprint a query's index bits.
+    pub fn new(bits: &BitIndex) -> Self {
         // FNV-1a over the serialized bits, split into two 64-bit lanes with
-        // different offset bases, then the mode/k folded in. Cheap (one pass over
-        // ~r/8 bytes) and well-spread; collisions are handled by Eq anyway.
+        // different offset bases. Cheap (one pass over ~r/8 bytes) and
+        // well-spread; collisions are handled by Eq anyway.
         let bytes = bits.to_bytes();
         let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
         let mut hi: u64 = 0x6c62_272e_07bb_0142;
@@ -85,16 +71,9 @@ impl QueryFingerprint {
             hi = (hi ^ (b.rotate_left(3)) as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
         lo ^= bits.len() as u64;
-        hi ^= match mode {
-            RankingMode::Unranked => 0x5bd1_e995,
-            RankingMode::Ranked => 0x9e37_79b9,
-        };
-        hi = hi.wrapping_mul(0x0000_0100_0000_01b3) ^ top_k.map_or(u64::MAX, |k| k as u64);
         QueryFingerprint {
             digest: ((hi as u128) << 64) | lo as u128,
             bits: bits.clone(),
-            mode,
-            top_k,
         }
     }
 
@@ -102,25 +81,12 @@ impl QueryFingerprint {
     pub fn digest(&self) -> u128 {
         self.digest
     }
-
-    /// The ranking mode this fingerprint keys.
-    pub fn mode(&self) -> RankingMode {
-        self.mode
-    }
-
-    /// The top-k limit this fingerprint keys.
-    pub fn top_k(&self) -> Option<u32> {
-        self.top_k
-    }
 }
 
 impl PartialEq for QueryFingerprint {
     fn eq(&self, other: &Self) -> bool {
-        // Digest first (cheap reject), then the collision check over the full key.
-        self.digest == other.digest
-            && self.mode == other.mode
-            && self.top_k == other.top_k
-            && self.bits == other.bits
+        // Digest first (cheap reject), then the collision check over the bits.
+        self.digest == other.digest && self.bits == other.bits
     }
 }
 
@@ -445,7 +411,7 @@ mod tests {
     #[test]
     fn hit_returns_admitted_value_and_counts_saved_comparisons() {
         let mut cache = ResultCache::new(2, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 1), RankingMode::Ranked, None);
+        let fp = QueryFingerprint::new(&bits_from_seed(128, 1));
         assert!(cache.lookup(0, &fp).is_none());
         cache.admit(0, fp.clone(), sample_matches(3), sample_stats(10), 0);
         let (matches, stats) = cache.lookup(0, &fp).expect("hit");
@@ -460,7 +426,7 @@ mod tests {
     #[test]
     fn insert_invalidates_only_that_shard() {
         let mut cache = ResultCache::new(3, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 2), RankingMode::Ranked, None);
+        let fp = QueryFingerprint::new(&bits_from_seed(128, 2));
         for shard in 0..3 {
             cache.admit(shard, fp.clone(), sample_matches(1), sample_stats(4), 0);
         }
@@ -486,7 +452,7 @@ mod tests {
     #[test]
     fn stale_admission_is_rejected() {
         let mut cache = ResultCache::new(1, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 3), RankingMode::Ranked, None);
+        let fp = QueryFingerprint::new(&bits_from_seed(128, 3));
         let old_generation = cache.generation(0);
         cache.note_insert(0); // the store moved on while the scan ran
         cache.admit(
@@ -509,7 +475,7 @@ mod tests {
             },
         );
         let fps: Vec<QueryFingerprint> = (0..3)
-            .map(|i| QueryFingerprint::new(&bits_from_seed(128, 10 + i), RankingMode::Ranked, None))
+            .map(|i| QueryFingerprint::new(&bits_from_seed(128, 10 + i)))
             .collect();
         cache.admit(0, fps[0].clone(), sample_matches(1), sample_stats(1), 0);
         cache.admit(0, fps[1].clone(), sample_matches(1), sample_stats(1), 0);
@@ -532,7 +498,7 @@ mod tests {
                 capacity_per_shard: 0,
             },
         );
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 4), RankingMode::Ranked, None);
+        let fp = QueryFingerprint::new(&bits_from_seed(128, 4));
         cache.admit(0, fp.clone(), sample_matches(1), sample_stats(1), 0);
         assert!(cache.is_empty());
         assert!(cache.lookup(0, &fp).is_none());
@@ -541,7 +507,7 @@ mod tests {
     #[test]
     fn clear_and_reset_stats() {
         let mut cache = ResultCache::new(1, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 5), RankingMode::Ranked, None);
+        let fp = QueryFingerprint::new(&bits_from_seed(128, 5));
         cache.admit(0, fp.clone(), sample_matches(1), sample_stats(1), 0);
         assert!(cache.lookup(0, &fp).is_some());
         cache.clear();
@@ -553,30 +519,20 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_mode_and_k_and_bits() {
+    fn fingerprint_distinguishes_bits() {
         let bits = bits_from_seed(256, 6);
-        let ranked = QueryFingerprint::new(&bits, RankingMode::Ranked, None);
-        let unranked = QueryFingerprint::new(&bits, RankingMode::Unranked, None);
-        let top5 = QueryFingerprint::new(&bits, RankingMode::Ranked, Some(5));
-        let other_bits = QueryFingerprint::new(&bits_from_seed(256, 7), RankingMode::Ranked, None);
-        assert_ne!(ranked, unranked);
-        assert_ne!(ranked, top5);
-        assert_ne!(ranked, other_bits);
-        assert_eq!(
-            ranked,
-            QueryFingerprint::new(&bits, RankingMode::Ranked, None)
-        );
-        assert_eq!(ranked.mode(), RankingMode::Ranked);
-        assert_eq!(top5.top_k(), Some(5));
-        assert_ne!(ranked.digest(), 0);
+        let fp = QueryFingerprint::new(&bits);
+        assert_ne!(fp, QueryFingerprint::new(&bits_from_seed(256, 7)));
+        assert_eq!(fp, QueryFingerprint::new(&bits));
+        assert_ne!(fp.digest(), 0);
     }
 
     #[test]
     fn digest_collisions_cannot_alias_results() {
         // Forge a fingerprint with the digest of another query but different bits:
         // the collision check (full-key Eq) must keep them distinct map keys.
-        let a = QueryFingerprint::new(&bits_from_seed(128, 8), RankingMode::Ranked, None);
-        let mut forged = QueryFingerprint::new(&bits_from_seed(128, 9), RankingMode::Ranked, None);
+        let a = QueryFingerprint::new(&bits_from_seed(128, 8));
+        let mut forged = QueryFingerprint::new(&bits_from_seed(128, 9));
         forged.digest = a.digest;
         assert_ne!(a, forged, "equal digests must not imply equal fingerprints");
         let mut cache = ResultCache::new(1, CacheConfig::default());
@@ -591,40 +547,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Equal query indices (same bits, mode, k) ⇒ equal fingerprints.
+        /// Equal query indices ⇒ equal fingerprints.
         #[test]
         fn prop_equal_queries_have_equal_fingerprints(seed in 0u64..1000, len in 64usize..300) {
             let bits = bits_from_seed(len, seed);
-            let a = QueryFingerprint::new(&bits, RankingMode::Ranked, Some(3));
-            let b = QueryFingerprint::new(&bits.clone(), RankingMode::Ranked, Some(3));
+            let a = QueryFingerprint::new(&bits);
+            let b = QueryFingerprint::new(&bits.clone());
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(a.digest(), b.digest());
         }
 
-        /// Differing bits, mode or k ⇒ differing fingerprints.
+        /// Differing bits ⇒ differing fingerprints.
         #[test]
-        fn prop_differing_keys_have_differing_fingerprints(
-            seed in 0u64..1000,
-            k in 0u32..64,
-        ) {
+        fn prop_differing_keys_have_differing_fingerprints(seed in 0u64..1000) {
             let bits = bits_from_seed(256, seed);
             let other = bits_from_seed(256, seed + 1);
-            let base = QueryFingerprint::new(&bits, RankingMode::Ranked, Some(k));
             if bits != other {
-                prop_assert_ne!(
-                    &base,
-                    &QueryFingerprint::new(&other, RankingMode::Ranked, Some(k))
-                );
+                prop_assert_ne!(QueryFingerprint::new(&bits), QueryFingerprint::new(&other));
             }
-            prop_assert_ne!(
-                &base,
-                &QueryFingerprint::new(&bits, RankingMode::Unranked, Some(k))
-            );
-            prop_assert_ne!(
-                &base,
-                &QueryFingerprint::new(&bits, RankingMode::Ranked, Some(k + 1))
-            );
-            prop_assert_ne!(&base, &QueryFingerprint::new(&bits, RankingMode::Ranked, None));
         }
 
         /// Write generations are strictly monotonic across arbitrary interleavings
@@ -632,7 +572,7 @@ mod tests {
         #[test]
         fn prop_generations_strictly_monotonic(ops in proptest::collection::vec(0u8..4, 1..60)) {
             let mut cache = ResultCache::new(3, CacheConfig { capacity_per_shard: 4 });
-            let fp = QueryFingerprint::new(&bits_from_seed(128, 42), RankingMode::Ranked, None);
+            let fp = QueryFingerprint::new(&bits_from_seed(128, 42));
             let mut expected = [0u64; 3];
             for op in ops {
                 let shard = (op % 3) as usize;

@@ -116,9 +116,7 @@
 //! entry survives a reload.
 
 use crate::bitindex::BitIndex;
-use crate::cache::{
-    CacheConfig, CacheEffect, CacheStats, QueryFingerprint, RankingMode, ResultCache,
-};
+use crate::cache::{CacheConfig, CacheEffect, CacheStats, QueryFingerprint, ResultCache};
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::persistence::PersistenceError;
@@ -637,13 +635,6 @@ impl<S: IndexStore> SearchEngine<S> {
         self.lanes
     }
 
-    /// The fingerprint keying this query's per-shard ranked-scan entries. Top-k is
-    /// `None` because truncation happens *after* the cross-shard merge — one cached
-    /// entry per shard serves every k.
-    fn ranked_fingerprint(query: &QueryIndex) -> QueryFingerprint {
-        QueryFingerprint::new(query.bits(), RankingMode::Ranked, None)
-    }
-
     /// Ranked search (Algorithm 1) with execution statistics, merged across shards.
     pub fn search_ranked_with_stats(&self, query: &QueryIndex) -> (Vec<SearchMatch>, SearchStats) {
         let (matches, stats, _) = self.search_ranked_with_effect(query, None);
@@ -763,8 +754,10 @@ impl<S: IndexStore> SearchEngine<S> {
     /// batch order, reply `i` cut to `tops[i]`.
     fn execute(&self, queries: &[QueryIndex], tops: &[Option<usize>]) -> Vec<Reply> {
         let shards = self.store.num_shards();
-        let fingerprints: Vec<QueryFingerprint> =
-            queries.iter().map(Self::ranked_fingerprint).collect();
+        let fingerprints: Vec<QueryFingerprint> = queries
+            .iter()
+            .map(|q| QueryFingerprint::new(q.bits()))
+            .collect();
         // Intra-batch dedup: uniques[row] is the batch position of a distinct
         // fingerprint's first occurrence (its representative), and rows[i] is
         // position i's row in the per-unique tables below.

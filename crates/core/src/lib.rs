@@ -97,7 +97,7 @@ pub use analysis::{
 };
 pub use bins::{bins_for_keywords, get_bin, BinId, BinOccupancy};
 pub use bitindex::BitIndex;
-pub use cache::{CacheConfig, CacheEffect, CacheStats, QueryFingerprint, RankingMode, ResultCache};
+pub use cache::{CacheConfig, CacheEffect, CacheStats, QueryFingerprint, ResultCache};
 pub use document_index::{DocumentIndexer, RankedDocumentIndex};
 pub use engine::SearchEngine;
 pub use keys::{trapdoor_from_bin_key, RandomKeywordPool, SchemeKeys, Trapdoor};

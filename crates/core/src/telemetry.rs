@@ -100,11 +100,9 @@ pub enum Counter {
     /// Transport connections closed (graceful, faulted or idle-timed-out).
     ConnectionsClosed,
     /// Single-query requests the cross-client batcher executed inside a
-    /// fused group (coalesced across connections).
+    /// fused group (every single query a hub serves; a lone connection's
+    /// query is a group of one).
     BatcherCoalesced,
-    /// Single-query requests dispatched immediately because only one
-    /// connection was active (no coalescing opportunity).
-    BatcherSolo,
     /// Batcher flushes because every connection the group was waiting for
     /// already had a query in it (nothing left to wait for).
     BatcherFlushComplete,
@@ -142,7 +140,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in wire/report order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::RequestsServed,
         Counter::Queries,
         Counter::Batches,
@@ -156,7 +154,6 @@ impl Counter {
         Counter::ConnectionsOpened,
         Counter::ConnectionsClosed,
         Counter::BatcherCoalesced,
-        Counter::BatcherSolo,
         Counter::BatcherFlushComplete,
         Counter::BatcherFlushWindow,
         Counter::BatcherFlushDepth,
@@ -187,7 +184,6 @@ impl Counter {
             Counter::ConnectionsOpened => "connections_opened",
             Counter::ConnectionsClosed => "connections_closed",
             Counter::BatcherCoalesced => "batcher_coalesced_queries",
-            Counter::BatcherSolo => "batcher_solo_dispatches",
             Counter::BatcherFlushComplete => "batcher_flush_complete",
             Counter::BatcherFlushWindow => "batcher_flush_window",
             Counter::BatcherFlushDepth => "batcher_flush_depth",

@@ -40,15 +40,15 @@
 //!    again, so an idle or departed client costs its peers one window, once.
 //!
 //! A non-query request flushes the group first (a barrier: mutating requests
-//! must not reorder past queries), and when only one connection is open the
-//! query skips the batcher altogether (the solo fast path). The engine's
-//! batch guarantees make all of this **invisible**: replies, `SearchStats`,
-//! and cache counters are byte-identical to the same requests issued
-//! sequentially — the policy picks the *moment* of a flush, never the
-//! execution order, which stays arrival order. The decision is computed only
-//! from which connections sent which frames — bytes and topology the server
-//! already observes — so by the §6 rule of thumb it opens no new leakage
-//! channel.
+//! must not reorder past queries). Every query takes this one path: a lone
+//! connection's query is a complete group of one the moment the queue runs
+//! empty. The engine's batch guarantees make all of this **invisible**:
+//! replies, `SearchStats`, and cache counters are byte-identical to the same
+//! requests issued sequentially — the policy picks the *moment* of a flush,
+//! never the execution order, which stays arrival order. The decision is
+//! computed only from which connections sent which frames — bytes and
+//! topology the server already observes — so by the §6 rule of thumb it
+//! opens no new leakage channel.
 //!
 //! ## Backpressure, hygiene, shutdown
 //!
@@ -95,11 +95,6 @@ pub struct HubConfig {
     /// Per-connection cap on decoded-but-unanswered requests; the reader
     /// blocks (and the peer's TCP window eventually fills) beyond it.
     pub max_in_flight: usize,
-    /// Reader poll tick: how long one `recv` blocks before the reader
-    /// re-checks shutdown and idle deadlines.
-    pub read_timeout: Duration,
-    /// Write timeout applied to accepted TCP connections.
-    pub write_timeout: Duration,
     /// Close a connection that delivers no bytes for this long.
     pub idle_timeout: Duration,
     /// Refuse frames whose prefix declares more than this many payload bytes.
@@ -124,8 +119,6 @@ impl Default for HubConfig {
             batch_window: Duration::from_micros(300),
             batch_depth: 16,
             max_in_flight: 32,
-            read_timeout: Duration::from_millis(5),
-            write_timeout: Duration::from_secs(1),
             idle_timeout: Duration::from_secs(30),
             max_frame_bytes: 64 << 20,
             journal: false,
@@ -134,6 +127,13 @@ impl Default for HubConfig {
         }
     }
 }
+
+/// Reader poll tick: how long one `recv` blocks before the reader re-checks
+/// shutdown and idle deadlines.
+const READ_TICK: Duration = Duration::from_millis(5);
+
+/// Write timeout applied to accepted TCP connections.
+const TCP_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// One request the hub executed, in execution order. Replaying a journal
 /// sequentially through `Service::call` on an identically-initialized twin
@@ -194,7 +194,12 @@ impl Gate {
     fn release(&self) {
         let mut permits = self.permits.lock().unwrap_or_else(|e| e.into_inner());
         *permits += 1;
-        self.freed.notify_one();
+        // The reader only waits on an empty gate, so only the release that
+        // refills one wakes it: a wake is a syscall, and a group's replies
+        // are written after their releases.
+        if *permits == 1 {
+            self.freed.notify_one();
+        }
     }
 
     fn open_wide(&self) {
@@ -467,7 +472,7 @@ fn acceptor_loop(shared: Arc<HubShared>, listener: TcpListener) {
                     break;
                 }
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+                let _ = stream.set_write_timeout(Some(TCP_WRITE_TIMEOUT));
                 if let Ok(read_half) = stream.try_clone() {
                     attach_link(&shared, Box::new(read_half), Box::new(stream));
                 }
@@ -488,7 +493,7 @@ fn reader_loop(
     events: Sender<Event>,
     gate: Arc<Gate>,
 ) {
-    let _ = reader.set_recv_timeout(shared.config.read_timeout);
+    let _ = reader.set_recv_timeout(READ_TICK);
     let mut frames = FrameBuffer::new(shared.config.max_frame_bytes);
     let mut buf = vec![0u8; 16 * 1024];
     let mut last_activity = Instant::now();
@@ -727,39 +732,22 @@ fn dispatcher_loop<S: Service>(
                 report.requests += 1;
                 match request {
                     Request::Query(message) => {
-                        if batcher.pending.is_empty() && conns.len() <= 1 && !draining {
-                            // Solo fast path: nothing to coalesce with.
-                            if let Some(tel) = &tel {
-                                tel.add(Counter::BatcherSolo, 1);
-                            }
-                            if shared.config.journal {
-                                report.journal.push(JournalEntry {
-                                    conn,
-                                    request_id,
-                                    request: Request::Query(message.clone()),
-                                });
-                            }
-                            let response = service.call(Request::Query(message));
-                            write_reply(&mut conns, conn, request_id, &response, &tel);
-                            settle(&conns, conn, &shared);
-                        } else {
-                            batcher.push(Pending {
-                                conn,
-                                request_id,
-                                message,
-                                enqueued: at,
-                            });
-                            if batcher.pending.len() >= shared.config.batch_depth {
-                                flush_batch(
-                                    &mut service,
-                                    &mut batcher,
-                                    Counter::BatcherFlushDepth,
-                                    &mut conns,
-                                    &tel,
-                                    &mut report,
-                                    &shared,
-                                );
-                            }
+                        batcher.push(Pending {
+                            conn,
+                            request_id,
+                            message,
+                            enqueued: at,
+                        });
+                        if batcher.pending.len() >= shared.config.batch_depth {
+                            flush_batch(
+                                &mut service,
+                                &mut batcher,
+                                Counter::BatcherFlushDepth,
+                                &mut conns,
+                                &tel,
+                                &mut report,
+                                &shared,
+                            );
                         }
                     }
                     request => {

@@ -62,9 +62,9 @@
 //!                         (a group of k ≥ 1 = one BatchQuery); writes: one by one
 //!                               ▼                           ▼
 //!                node hub ──▶ CloudServer     node hub ──▶ CloudServer   …
-//!                (the coordinator's link is a node hub's only connection, so
-//!                 forwards run on arrival; NodeRunner registers and beats over
-//!                 the control plane, reading its own registry for the payload)
+//!                (a forward is a BatchQuery, a barrier the node hub runs on
+//!                 arrival; NodeRunner registers and beats over the control
+//!                 plane, reading its own registry for the payload)
 //! ```
 //!
 //! The house invariant survives the fleet: every completed reply is
@@ -277,12 +277,10 @@ mod tests {
         let report = hub.shutdown();
         assert_eq!(report.requests, 2);
         let snapshot = telemetry.snapshot();
-        // With two active connections neither query takes the solo path; at
-        // least one flush happened and both queries were coalesced (one flush
-        // of 2 if the second arrived before the dispatcher looked at the
-        // first, two flushes of 1 if not).
+        // At least one flush happened and both queries were coalesced (one
+        // flush of 2 if the second arrived before the dispatcher looked at
+        // the first, two flushes of 1 if not).
         assert_eq!(snapshot.counter("batcher_coalesced_queries"), 2);
-        assert_eq!(snapshot.counter("batcher_solo_dispatches"), 0);
         let flushes = flushes(&snapshot).total();
         assert!(flushes >= 1);
         // Occupancy histogram recorded one sample per flush.
@@ -292,19 +290,40 @@ mod tests {
     }
 
     #[test]
-    fn single_connection_takes_the_solo_path() {
+    fn a_lone_connection_is_a_complete_group_of_one() {
         let (service, _) = EchoService::new(TelemetryLevel::Counters);
         let telemetry = service.telemetry.clone();
-        let hub = Hub::spawn(service, HubConfig::default());
+        // A window no test run could wait out: a lone connection's query is
+        // complete on arrival, so the window never decides anything. A gate
+        // of one makes the pipelined burst arrive one query at a time, each
+        // admitted only when the last one's release refills the gate.
+        let window = Duration::from_secs(10);
+        let config = HubConfig {
+            batch_window: window,
+            max_in_flight: 1,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(service, config);
         let mut client = NetClient::from_memory(hub.connect_memory());
-        for _ in 0..3 {
-            let reply = client.call(&query(1, 8), WAIT).unwrap();
+        let started = Instant::now();
+        let ids: Vec<u64> = (0..3).map(|_| client.submit(&query(1, 8))).collect();
+        client.flush().unwrap();
+        for id in ids {
+            let reply = client.wait_take(id, WAIT).unwrap();
             assert!(matches!(reply, Response::Search(_)));
         }
+        assert!(started.elapsed() < window / 2);
         drop(hub.shutdown());
         let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.counter("batcher_solo_dispatches"), 3);
-        assert_eq!(snapshot.counter("batcher_coalesced_queries"), 0);
+        assert_eq!(
+            flushes(&snapshot),
+            Flushes {
+                complete: 3,
+                ..Flushes::default()
+            }
+        );
+        assert_eq!(snapshot.counter("batcher_coalesced_queries"), 3);
+        assert_eq!(occupancy(&snapshot), (3, 3));
     }
 
     #[test]
@@ -367,7 +386,6 @@ mod tests {
         let (service, _) = EchoService::new(TelemetryLevel::Off);
         let config = HubConfig {
             idle_timeout: Duration::from_millis(30),
-            read_timeout: Duration::from_millis(5),
             ..HubConfig::default()
         };
         let hub = Hub::spawn(service, config);
@@ -453,11 +471,9 @@ mod tests {
             ..HubConfig::default()
         };
         let hub = Hub::spawn(service, config);
-        // A second open connection routes the client through the batcher,
-        // which gives a group's budget slots back before it writes the
+        // The batcher gives a group's budget slots back before it writes the
         // replies: the next request, sent the moment the reply is read,
         // always finds the slot free.
-        let _idle = hub.connect_memory();
         let mut client = NetClient::from_memory(hub.connect_memory());
         for i in 0..200 {
             let reply = client.call(&query(i % 8 + 1, 16), WAIT).unwrap();
@@ -678,7 +694,6 @@ mod tests {
         assert!(started.elapsed() < window / 2);
         drop(hub.shutdown());
         let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.counter("batcher_solo_dispatches"), 0);
         assert_eq!(
             flushes(&snapshot),
             Flushes {

@@ -12,9 +12,9 @@
 //!   telemetry snapshot, read straight from the server's registry (a handle
 //!   cloned before the server moved onto the hub's dispatcher) — the same
 //!   snapshot `MetricsSnapshot` would answer, without crossing the hub. The
-//!   coordinator's link therefore stays the node hub's only connection, so
-//!   every forwarded query takes the hub's solo fast path instead of waiting
-//!   out a batch window for company that cannot come.
+//!   coordinator forwards every read as one `BatchQuery` — a barrier to the
+//!   node hub's batcher, executed on arrival — so no forward ever waits out a
+//!   batch window.
 //!
 //! Heartbeats are driven by the caller, never by a background thread: tests
 //! and benches beat explicitly, which keeps seeded failure schedules
@@ -30,32 +30,21 @@ use mkse_protocol::{
     TypedCalls,
 };
 
+/// Local shard count of a node's own engine — how the node parallelizes
+/// *within* the global shards it serves; invisible to the fleet layout.
+const LOCAL_SHARDS: usize = 2;
+
 /// Everything a node needs besides the coordinator's address.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NodeConfig {
     /// The node's stable identity (survives reconnects).
     pub node_id: u64,
-    /// Local shard count of the node's own engine — how the node parallelizes
-    /// *within* the global shards it serves; invisible to the fleet layout.
-    pub local_shards: usize,
     /// Advertised to the coordinator at registration.
     pub capabilities: NodeCapabilities,
     /// The node's hub (batching windows, limits, journal).
     pub hub: HubConfig,
     /// Retry policy for the control-plane client to the coordinator.
     pub policy: RetryPolicy,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            node_id: 0,
-            local_shards: 2,
-            capabilities: NodeCapabilities::default(),
-            hub: HubConfig::default(),
-            policy: RetryPolicy::default(),
-        }
-    }
 }
 
 /// A running shard-server node.
@@ -75,7 +64,7 @@ impl NodeRunner {
     /// plane to the coordinator through `coordinator` (typically the
     /// coordinator hub's [`MemoryDialer`], possibly fault-wrapped).
     pub fn spawn(params: SystemParams, config: NodeConfig, coordinator: Connector) -> NodeRunner {
-        let server = CloudServer::with_shards(params, config.local_shards.max(1));
+        let server = CloudServer::with_shards(params, LOCAL_SHARDS);
         // `CloudServer::telemetry` is `Some(engine registry)` unconditionally.
         let telemetry = server
             .telemetry()
@@ -185,7 +174,6 @@ mod tests {
                     params.clone(),
                     NodeConfig {
                         node_id,
-                        local_shards: 2,
                         capabilities: NodeCapabilities {
                             shard_slots,
                             scan_lanes: 2,

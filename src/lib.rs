@@ -265,8 +265,8 @@
 //!   into a group and flushes it the moment every connection that has been
 //!   querying is in (or the group hits depth `b`), taking queued frames first;
 //!   the sub-millisecond window is only the bound on waiting for a connection
-//!   that went quiet (immediate dispatch when only one connection is open; any
-//!   non-query flushes as a barrier first). The group executes as one
+//!   that went quiet (a lone connection's query is a complete group of one;
+//!   any non-query flushes as a barrier first). The group executes as one
 //!   `Service::call_query_group` — on a `CloudServer` the engine's fused batch
 //!   path — so N chatty clients get the one lane hand-off and one merge of a
 //!   `BatchQueryMessage` without coordinating with each other. Both layers are invisible: replies, `SearchStats` and cache

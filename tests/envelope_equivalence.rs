@@ -7,26 +7,19 @@
 //! "Byte-identical" is checked literally: every pair of replies is also encoded
 //! through the wire codec under the same request id and the frames compared.
 
-use mkse::core::{serialize_store, QueryBuilder, RankedDocumentIndex, TelemetryLevel};
+use mkse::core::{serialize_store, MetricsSnapshot, RankedDocumentIndex, TelemetryLevel};
 use mkse::net::{ClientError, Hub, HubConfig, ResilientClient, RetryPolicy};
 use mkse::protocol::{
     wire, BatchQueryMessage, Client, CloudServer, DataOwner, DocumentRequest, OwnerConfig,
-    ProtocolError, QueryMessage, Request, Response, Service, TypedCalls,
+    ProtocolError, Request, Response, Service, TypedCalls,
 };
-use mkse::textproc::Document;
+use mkse_testkit::{fixture, Fixture};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-struct Fixture {
-    owner: DataOwner,
-    queries: Vec<QueryMessage>,
-    indices: Vec<mkse::core::RankedDocumentIndex>,
-    encrypted: Vec<mkse::protocol::EncryptedDocumentTransfer>,
-}
-
-fn fixture() -> Fixture {
-    let mut rng = StdRng::seed_from_u64(4242);
-    let mut owner = DataOwner::new(OwnerConfig::fast_for_tests(), &mut rng);
+/// The corpus every surface serves; its queries are built once, so every
+/// surface sees identical bytes (repeats are what warms the cache).
+fn corpus() -> Fixture {
     let texts = [
         "cloud privacy search encryption audit",
         "weather forecast rain and wind",
@@ -41,48 +34,8 @@ fn fixture() -> Fixture {
         "cloud audit logging pipeline",
         "intrusion detection firewall logs",
     ];
-    let docs: Vec<Document> = texts
-        .iter()
-        .enumerate()
-        .map(|(i, t)| Document::from_text(i as u64, t))
-        .collect();
-    let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
-
-    // Queries built ONCE so every surface sees identical bytes (repeats are what
-    // warms the cache).
-    let pool = owner.random_pool_trapdoors();
     let keyword_sets: [&[&str]; 4] = [&["cloud"], &["audit"], &["cloud", "audit"], &["privacy"]];
-    let queries: Vec<QueryMessage> = keyword_sets
-        .iter()
-        .map(|kws| {
-            let trapdoors = owner.scheme_keys().trapdoors_for(owner.params(), kws);
-            let q = QueryBuilder::new(owner.params())
-                .add_trapdoors(&trapdoors)
-                .with_randomization(&pool)
-                .build(&mut rng);
-            QueryMessage {
-                query: q.bits().clone(),
-                top: None,
-            }
-        })
-        .collect();
-    Fixture {
-        owner,
-        queries,
-        indices,
-        encrypted,
-    }
-}
-
-fn server(fx: &Fixture, shards: usize, cache: bool) -> CloudServer {
-    let mut server = CloudServer::with_shards(fx.owner.params().clone(), shards);
-    server
-        .upload(fx.indices.clone(), fx.encrypted.clone())
-        .expect("upload");
-    if cache {
-        server.enable_result_cache(64);
-    }
-    server
+    fixture(4242, &texts, &keyword_sets, &[])
 }
 
 /// Frame-encode a response under a fixed request id: the literal bytes a client
@@ -93,11 +46,11 @@ fn reply_bytes(response: &Response) -> Vec<u8> {
 
 #[test]
 fn service_and_codec_produce_byte_identical_replies() {
-    let fx = fixture();
+    let fx = corpus();
     for &shards in &[1usize, 2, 7, 16] {
         for &cache in &[false, true] {
-            let mut direct = server(&fx, shards, cache);
-            let mut framed = Client::new(server(&fx, shards, cache));
+            let mut direct = fx.server(shards, cache);
+            let mut framed = Client::new(fx.server(shards, cache));
 
             // Two passes: with the cache on, the second pass answers from the
             // cache — replies must not change by a byte either way.
@@ -162,10 +115,10 @@ fn service_and_codec_produce_byte_identical_replies() {
 
 #[test]
 fn snapshot_restore_is_equivalent_across_surfaces() {
-    let fx = fixture();
-    let mut by_method = server(&fx, 2, true);
-    let mut direct = server(&fx, 2, true);
-    let mut framed = Client::new(server(&fx, 2, true));
+    let fx = corpus();
+    let mut by_method = fx.server(2, true);
+    let mut direct = fx.server(2, true);
+    let mut framed = Client::new(fx.server(2, true));
 
     let via_method = by_method.snapshot_index();
     let via_call = direct
@@ -186,9 +139,9 @@ fn snapshot_restore_is_equivalent_across_surfaces() {
     );
 
     // Restoring through the framed surface matches restoring in process.
-    let mut restored_direct = CloudServer::with_shards(fx.owner.params().clone(), 7);
+    let mut restored_direct = CloudServer::with_shards(fx.params.clone(), 7);
     assert_eq!(restored_direct.restore_index(&via_method).unwrap(), 12);
-    let mut restored_wire = Client::new(CloudServer::with_shards(fx.owner.params().clone(), 7));
+    let mut restored_wire = Client::new(CloudServer::with_shards(fx.params.clone(), 7));
     assert_eq!(restored_wire.restore(via_wire).expect("framed restore"), 12);
     let query = &fx.queries[0];
     assert_eq!(
@@ -208,8 +161,8 @@ fn snapshot_restore_is_equivalent_across_surfaces() {
 
 #[test]
 fn misrouted_requests_are_rejected_with_typed_unsupported_errors() {
-    let fx = fixture();
-    let mut server = Client::new(server(&fx, 2, false));
+    let fx = corpus();
+    let mut server = Client::new(fx.server(2, false));
     // An owner-side request sent to the cloud server comes back as a typed
     // error — through the full framed round trip.
     let err = server
@@ -235,8 +188,8 @@ fn misrouted_requests_are_rejected_with_typed_unsupported_errors() {
 
 #[test]
 fn pipelined_replies_correlate_out_of_order() {
-    let fx = fixture();
-    let mut client = Client::new(server(&fx, 2, false));
+    let fx = corpus();
+    let mut client = Client::new(fx.server(2, false));
 
     // Reference replies, sequentially.
     let mut reference = Vec::new();
@@ -279,7 +232,7 @@ fn typed_transcript<C: TypedCalls>(
             document_id: index.document_id + offset,
             ..index.clone()
         };
-        fx.indices.iter().map(renumber).collect()
+        fx.seed_upload.indices.iter().map(renumber).collect()
     };
     let uploaded = |documents| Response::Uploaded { documents };
     let restored = |documents| Response::Restored { documents };
@@ -307,7 +260,7 @@ fn typed_transcript<C: TypedCalls>(
     note(client.disable_cache().map(|()| Response::Ack));
     note(client.remote_cache_stats().map(Response::CacheStats));
     note(client.snapshot().map(Response::Snapshot));
-    let more = serialize_store(fx.owner.params(), &renumbered(200));
+    let more = serialize_store(&fx.params, &renumbered(200));
     note(client.restore(more).map(restored));
     note(client.restore(vec![1, 2, 3]).map(restored));
     note(client.remote_counters().map(Response::Counters));
@@ -324,9 +277,9 @@ fn typed_transcript<C: TypedCalls>(
 /// the engine's counters are compared.
 #[test]
 fn typed_calls_answer_equal_values_in_process_and_over_a_hub() {
-    let fx = fixture();
+    let fx = corpus();
     let seeded = || {
-        let server = server(&fx, 2, false);
+        let server = fx.server(2, false);
         server.set_telemetry_level(TelemetryLevel::Counters);
         server
     };
@@ -357,16 +310,13 @@ fn typed_calls_answer_equal_values_in_process_and_over_a_hub() {
         remote.metrics_snapshot().expect("over the hub"),
     );
     assert_eq!(local.level, remote.level);
-    for name in [
-        "requests_served",
-        "queries",
-        "batches",
-        "batch_queries",
-        "inserts",
-        "shard_scans",
-    ] {
+    for name in ["requests_served", "inserts", "shard_scans"] {
         assert_eq!(local.counter(name), remote.counter(name), "{name}");
     }
+    // The hub runs a lone connection's query as a group of one: the same
+    // scan, counted with the batches rather than the single queries.
+    let scanned = |m: &MetricsSnapshot| m.counter("queries") + m.counter("batch_queries");
+    assert_eq!(scanned(&local), scanned(&remote));
     assert!(local.counter("queries") > 0);
     assert_eq!(local.shard_caches, remote.shard_caches);
     hub.shutdown();

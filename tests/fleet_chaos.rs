@@ -18,38 +18,24 @@
 //! - **Replayability**: the same seed reproduces the same kill schedule, the
 //!   same failover accounting, and the same replies.
 
-mod common;
-
-use common::{assert_conservation, assert_replies_match_replay, counter, gauge, replay_journal};
-use mkse::core::{serialize_store, QueryBuilder, RankedDocumentIndex, SystemParams};
+use mkse::core::MetricsSnapshot;
 use mkse::net::{
-    ClientError, Connector, Coordinator, FaultHandle, FaultPlan, FaultyLink, FleetConfig, Hub,
-    HubConfig, MemoryDialer, NodeConfig, NodeRunner, ResilienceStats, ResilientClient, RetryPolicy,
+    ClientError, FaultEvent, HubConfig, ResilienceStats, ResilientClient, RetryPolicy,
 };
 use mkse::protocol::{
-    wire, BatchQueryMessage, CloudServer, DataOwner, DocumentRequest, NodeCapabilities,
-    OwnerConfig, ProtocolError, QueryMessage, Request, Response, TypedCalls, UploadMessage,
+    render_json, render_prometheus, DocumentRequest, ProtocolError, QueryMessage, Request,
+    Response, TypedCalls,
 };
-use mkse::textproc::Document;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
+use mkse_testkit::{
+    assert_conservation, assert_replies_match_replay, counter, fixture, fleet_twin, forward_len,
+    forwarded_query_len, gauge, replay_journal, ship_len, Fixture, Fleet,
+};
+use std::sync::Arc;
 use std::time::Duration;
 
-const GLOBAL_SHARDS: usize = 4;
-
-struct Fixture {
-    owner: DataOwner,
-    queries: Vec<QueryMessage>,
-    seed_upload: UploadMessage,
-    /// A single-document upload (id 1000), never part of the seed corpus —
-    /// the fleet-wide at-most-once probe.
-    extra_upload: UploadMessage,
-}
-
-fn fixture() -> Fixture {
-    let mut rng = StdRng::seed_from_u64(31_812);
-    let mut owner = DataOwner::new(OwnerConfig::fast_for_tests(), &mut rng);
+/// The seed corpus, its queries, and a single-document upload (id 1000),
+/// never part of the seed corpus — the fleet-wide at-most-once probe.
+fn corpus() -> Fixture {
     let texts = [
         "cloud privacy search encryption audit trail",
         "weather forecast rain and wind patterns",
@@ -68,143 +54,9 @@ fn fixture() -> Fixture {
         "privacy preserving ranked retrieval",
         "encrypted index maintenance procedures",
     ];
-    let docs: Vec<Document> = texts
-        .iter()
-        .enumerate()
-        .map(|(i, t)| Document::from_text(i as u64, t))
-        .collect();
-    let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
-    let seed_upload = UploadMessage {
-        indices,
-        documents: encrypted,
-    };
-    let extra = Document::from_text(1000, "late arriving cloud audit notes under failover");
-    let (indices, documents) = owner.prepare_documents(&[extra], &mut rng);
-    let extra_upload = UploadMessage { indices, documents };
-
-    let pool = owner.random_pool_trapdoors();
     let keyword_sets: [&[&str]; 4] = [&["cloud"], &["audit"], &["cloud", "audit"], &["privacy"]];
-    let queries = keyword_sets
-        .iter()
-        .map(|kws| {
-            let trapdoors = owner.scheme_keys().trapdoors_for(owner.params(), kws);
-            let q = QueryBuilder::new(owner.params())
-                .add_trapdoors(&trapdoors)
-                .with_randomization(&pool)
-                .build(&mut rng);
-            QueryMessage {
-                query: q.bits().clone(),
-                top: None,
-            }
-        })
-        .collect();
-    Fixture {
-        owner,
-        queries,
-        seed_upload,
-        extra_upload,
-    }
-}
-
-fn frame_len(request: &Request) -> u64 {
-    wire::encode_request(1, request).len() as u64
-}
-
-/// The frame a client's lone query puts on a node's link: the coordinator
-/// forwards it as a one-member `BatchQuery`.
-fn forwarded_query_len(query: &QueryMessage) -> u64 {
-    frame_len(&Request::BatchQuery(BatchQueryMessage {
-        queries: vec![query.query.clone()],
-        top: query.top,
-    }))
-}
-
-/// The sequential single-server twin a coordinator hub's journal replays on.
-fn twin(params: &SystemParams) -> CloudServer {
-    CloudServer::with_shards(params.clone(), GLOBAL_SHARDS)
-}
-
-/// The indices that land on the given global shards: round-robin placement
-/// assigns upload position `i` to shard `i % GLOBAL_SHARDS`, so the
-/// coordinator's per-node forward (and its failover ship of one shard)
-/// carries exactly these — which makes kill budgets computable to the byte.
-fn shard_slice(indices: &[RankedDocumentIndex], shards: &[usize]) -> Vec<RankedDocumentIndex> {
-    indices
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| shards.contains(&(i % GLOBAL_SHARDS)))
-        .map(|(_, idx)| idx.clone())
-        .collect()
-}
-
-fn forward_len(indices: &[RankedDocumentIndex], shards: &[usize]) -> u64 {
-    frame_len(&Request::Upload(UploadMessage {
-        indices: shard_slice(indices, shards),
-        documents: vec![],
-    }))
-}
-
-/// The one frame a ship of `shard` puts on the wire: the shard's documents,
-/// in slot order, as a `RestoreIndex` of their snapshot bytes.
-fn ship_len(params: &SystemParams, indices: &[RankedDocumentIndex], shard: usize) -> u64 {
-    let snapshot = serialize_store(params, &shard_slice(indices, &[shard]));
-    frame_len(&Request::RestoreIndex(snapshot))
-}
-
-/// Data-plane connector whose ordinal-0 link dies after `budget` written
-/// bytes and whose every later link is dead on arrival — once the budget
-/// fires, the node is gone for good (the "machine lost" model).
-fn doomed_connector(
-    dialer: MemoryDialer,
-    budget: Option<u64>,
-    seed: u64,
-    handles: Arc<Mutex<Vec<FaultHandle>>>,
-) -> Connector {
-    Box::new(move |ordinal| {
-        let (reader, writer) = dialer.connect().split();
-        let Some(budget) = budget else {
-            return Ok((Box::new(reader) as _, Box::new(writer) as _));
-        };
-        let plan = FaultPlan {
-            kill_after_bytes: Some(if ordinal == 0 { budget } else { 0 }),
-            ..FaultPlan::healthy(seed.wrapping_add(ordinal))
-        };
-        let (r, w, h) = FaultyLink::wrap(Box::new(reader), Box::new(writer), plan);
-        handles.lock().unwrap().push(h);
-        Ok((Box::new(r) as _, Box::new(w) as _))
-    })
-}
-
-/// Connector that resolves the coordinator hub's dialer on first use, so
-/// node runners can be spawned before the coordinator hub exists.
-fn late_connector(slot: Arc<Mutex<Option<MemoryDialer>>>) -> Connector {
-    Box::new(move |_ordinal| {
-        let guard = slot.lock().unwrap();
-        let dialer = guard
-            .as_ref()
-            .ok_or_else(|| std::io::Error::other("coordinator hub not up yet"))?;
-        let (reader, writer) = dialer.connect().split();
-        Ok((Box::new(reader) as _, Box::new(writer) as _))
-    })
-}
-
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        num_global_shards: GLOBAL_SHARDS,
-        heartbeat_interval: Duration::from_millis(50),
-        // Deaths in these tests come from dead links, never from the clock.
-        failure_deadline: Duration::from_secs(120),
-        node_policy: RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_micros(200),
-            backoff_cap: Duration::from_millis(2),
-            attempt_timeout: Duration::from_secs(5),
-            request_deadline: Duration::from_secs(30),
-            retry_non_idempotent: false,
-            jitter_per_mille: 250,
-            jitter_seed: 0xF1EE7,
-        },
-    }
+    let extra = (1000, "late arriving cloud audit notes under failover");
+    fixture(31_812, &texts, &keyword_sets, &[extra])
 }
 
 fn client_policy() -> RetryPolicy {
@@ -220,79 +72,6 @@ fn client_policy() -> RetryPolicy {
     }
 }
 
-/// A running fleet: coordinator behind a journaling hub, node runners
-/// registered through the wire, data links optionally doomed.
-struct Fleet {
-    hub: mkse::net::HubHandle,
-    runners: Vec<NodeRunner>,
-    telemetry: mkse::core::Telemetry,
-    handles: Arc<Mutex<Vec<FaultHandle>>>,
-}
-
-/// `(node_id, shard_slots, kill_budget)` per node; `None` = clean link.
-fn spawn_fleet(params: &SystemParams, nodes: &[(u64, u32, Option<u64>)], seed: u64) -> Fleet {
-    spawn_fleet_with_window(params, nodes, seed, HubConfig::default().batch_window)
-}
-
-/// [`spawn_fleet`] with the coordinator hub's batch window chosen by the
-/// caller (a long one makes concurrent clients' queries coalesce for sure).
-fn spawn_fleet_with_window(
-    params: &SystemParams,
-    nodes: &[(u64, u32, Option<u64>)],
-    seed: u64,
-    batch_window: Duration,
-) -> Fleet {
-    let slot: Arc<Mutex<Option<MemoryDialer>>> = Arc::new(Mutex::new(None));
-    let handles: Arc<Mutex<Vec<FaultHandle>>> = Arc::new(Mutex::new(Vec::new()));
-    let runners: Vec<NodeRunner> = nodes
-        .iter()
-        .map(|&(node_id, shard_slots, _)| {
-            NodeRunner::spawn(
-                params.clone(),
-                NodeConfig {
-                    node_id,
-                    local_shards: 2,
-                    capabilities: NodeCapabilities {
-                        shard_slots,
-                        scan_lanes: 2,
-                        cache_capacity: 0,
-                    },
-                    ..NodeConfig::default()
-                },
-                late_connector(slot.clone()),
-            )
-        })
-        .collect();
-    let mut coordinator = Coordinator::new(params.clone(), fleet_config());
-    for (runner, &(node_id, _, budget)) in runners.iter().zip(nodes) {
-        coordinator.add_node(
-            node_id,
-            doomed_connector(
-                runner.dialer(),
-                budget,
-                seed.wrapping_add(node_id.wrapping_mul(0x9e37)),
-                handles.clone(),
-            ),
-        );
-    }
-    let telemetry = coordinator.telemetry_handle();
-    let hub = Hub::spawn(
-        coordinator,
-        HubConfig {
-            journal: true,
-            batch_window,
-            ..HubConfig::default()
-        },
-    );
-    *slot.lock().unwrap() = Some(hub.memory_dialer());
-    Fleet {
-        hub,
-        runners,
-        telemetry,
-        handles,
-    }
-}
-
 /// A node killed by its seeded byte budget mid-workload: two concurrent
 /// clients complete 100% of their idempotent requests — queries, a late
 /// non-idempotent upload, a document fetch — and every completed reply is
@@ -302,16 +81,16 @@ fn spawn_fleet_with_window(
 fn node_killed_mid_workload_completes_everything_twin_identical() {
     const CLIENTS: usize = 2;
     const ROUNDS: usize = 3;
-    let fx = Arc::new(fixture());
-    let params = fx.owner.params().clone();
+    let fx = Arc::new(corpus());
     let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 serves shards {0,1}: its data link survives the seed-upload
     // forward plus six query frames, then the machine is lost.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 6 * q + q / 2;
-    let fleet = spawn_fleet(
-        &params,
+    let fleet = Fleet::spawn(
+        &fx.params,
         &[(1, 2, Some(budget1)), (2, 1, None), (3, 0, None)],
         0xC0FFEE,
+        HubConfig::default().batch_window,
     );
     let mut runners = fleet.runners;
     assert_eq!(runners[0].register().expect("node 1").shards, vec![0, 1]);
@@ -346,7 +125,7 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
                     // The at-most-once probe: a non-idempotent write lands
                     // exactly once even if its internal forward dies.
                     let (id, reply) = client
-                        .call_traced(&Request::Upload(fx.extra_upload.clone()))
+                        .call_traced(&Request::Upload(fx.extra_uploads[0].clone()))
                         .expect("the client-side link is clean");
                     received.push((id, reply));
                 }
@@ -396,6 +175,26 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
         .map(|h| h.faults())
         .sum();
     assert!(faults >= 1, "the kill budget must actually fire");
+    let found = (all_received.iter())
+        .filter_map(|(_, reply)| reply.clone().into_search().ok())
+        .any(|reply| !reply.matches.is_empty());
+    assert!(found, "the workload must find documents");
+    // The fleet series reach both renders of the coordinator's registry.
+    let snapshot = fleet.telemetry.snapshot();
+    let (prometheus, json) = (render_prometheus(&snapshot), render_json(&snapshot));
+    for series in [
+        "nodes_registered",
+        "nodes_live",
+        "failovers",
+        "heartbeats_missed",
+        "shards_reassigned",
+    ] {
+        assert!(
+            prometheus.contains(series),
+            "Prometheus render lacks {series}"
+        );
+        assert!(json.contains(series), "JSON render lacks {series}");
+    }
 
     // Live nodes still beat; the dead one is told to re-register.
     assert!(runners[1].heartbeat().is_ok());
@@ -407,7 +206,7 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
 
     let report = fleet.hub.shutdown();
     assert_eq!(report.sheds, 0);
-    let expected = replay_journal(&mut twin(&params), &report.journal);
+    let expected = replay_journal(&mut fleet_twin(&fx.params), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "mid-workload kill");
     for runner in runners {
         runner.shutdown();
@@ -424,14 +223,13 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
 fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     const CLIENTS: usize = 2;
     const ROUNDS: usize = 4;
-    let fx = Arc::new(fixture());
-    let params = fx.owner.params().clone();
+    let fx = Arc::new(corpus());
     let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 dies somewhere inside the run: fused forwards are wider than
     // `q`, so the budget lands mid-frame a few groups in.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 9 * q + q / 2;
-    let fleet = spawn_fleet_with_window(
-        &params,
+    let fleet = Fleet::spawn(
+        &fx.params,
         &[(1, 2, Some(budget1)), (2, 1, None), (3, 0, None)],
         0xF00D,
         Duration::from_millis(40),
@@ -509,7 +307,7 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     assert_eq!(counter(&fleet.telemetry, "shards_reassigned"), 2);
 
     let report = fleet.hub.shutdown();
-    let expected = replay_journal(&mut twin(&params), &report.journal);
+    let expected = replay_journal(&mut fleet_twin(&fx.params), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "coalesced groups");
     for runner in runners {
         runner.shutdown();
@@ -526,19 +324,19 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
 #[test]
 fn survivor_killed_mid_failover_cascades_to_the_last_node() {
     const ROUNDS: usize = 2;
-    let fx = fixture();
-    let params = fx.owner.params().clone();
+    let fx = corpus();
     let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 ({0,1}): dies on its third query frame.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 2 * q + q / 2;
     // Node 3 (empty): the failover ship of shard 0 — one restore frame — is
     // the first traffic on its link; half of it is a mid-frame kill by
     // construction.
-    let ship0 = ship_len(&params, &fx.seed_upload.indices, 0);
-    let fleet = spawn_fleet(
-        &params,
+    let ship0 = ship_len(&fx.params, &fx.seed_upload.indices, 0);
+    let fleet = Fleet::spawn(
+        &fx.params,
         &[(1, 2, Some(budget1)), (2, 0, None), (3, 0, Some(ship0 / 2))],
         0xDEAD,
+        HubConfig::default().batch_window,
     );
     let mut runners = fleet.runners;
     assert_eq!(runners[0].register().expect("node 1").shards, vec![0, 1]);
@@ -592,7 +390,7 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
     );
 
     let report = fleet.hub.shutdown();
-    let expected = replay_journal(&mut twin(&params), &report.journal);
+    let expected = replay_journal(&mut fleet_twin(&fx.params), &report.journal);
     assert_replies_match_replay(&received, &expected, "mid-failover cascade");
     for runner in runners {
         runner.shutdown();
@@ -604,9 +402,13 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
 /// and the rest of the fleet serves the full corpus untouched.
 #[test]
 fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
-    let fx = fixture();
-    let params = fx.owner.params().clone();
-    let fleet = spawn_fleet(&params, &[(1, 0, Some(0)), (2, 0, None)], 0xBEEF);
+    let fx = corpus();
+    let fleet = Fleet::spawn(
+        &fx.params,
+        &[(1, 0, Some(0)), (2, 0, None)],
+        0xBEEF,
+        HubConfig::default().batch_window,
+    );
     let mut runners = fleet.runners;
 
     // The corpus arrives before any node: it lives in the coordinator's
@@ -649,7 +451,7 @@ fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
     assert_eq!(gauge(&fleet.telemetry, "nodes_live"), 1);
 
     let report = fleet.hub.shutdown();
-    let expected = replay_journal(&mut twin(&params), &report.journal);
+    let expected = replay_journal(&mut fleet_twin(&fx.params), &report.journal);
     assert_replies_match_replay(&received, &expected, "registration kill");
     for runner in runners {
         runner.shutdown();
@@ -661,21 +463,21 @@ fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
 /// identical client stats, identical replies.
 #[test]
 fn same_seed_reproduces_the_same_failover_schedule() {
-    let fx = Arc::new(fixture());
-    let params = fx.owner.params().clone();
+    let fx = Arc::new(corpus());
 
     let run = |seed: u64| -> (
         ResilienceStats,
         Vec<Response>,
-        mkse::core::MetricsSnapshot,
-        Vec<Vec<mkse::net::FaultEvent>>,
+        MetricsSnapshot,
+        Vec<Vec<FaultEvent>>,
     ) {
         let q = forwarded_query_len(&fx.queries[0]);
         let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 2 * q + q / 2;
-        let fleet = spawn_fleet(
-            &params,
+        let fleet = Fleet::spawn(
+            &fx.params,
             &[(1, 2, Some(budget1)), (2, 1, None), (3, 0, None)],
             seed,
+            HubConfig::default().batch_window,
         );
         let mut runners = fleet.runners;
         for runner in runners.iter_mut() {
@@ -722,9 +524,7 @@ fn same_seed_reproduces_the_same_failover_schedule() {
     let (stats_a, replies_a, metrics_a, logs_a) = run(0xA11CE);
     let (stats_b, replies_b, metrics_b, logs_b) = run(0xA11CE);
     assert!(
-        logs_a
-            .iter()
-            .any(|log: &Vec<mkse::net::FaultEvent>| !log.is_empty()),
+        logs_a.iter().any(|log: &Vec<FaultEvent>| !log.is_empty()),
         "the kill schedule must actually fire"
     );
     assert_eq!(stats_a, stats_b, "same seed, same client accounting");

@@ -25,9 +25,6 @@
 //!    `ClientError` by their deadline, and the retrying client's attempts
 //!    still add up.
 
-mod common;
-
-use common::{counter, gauge};
 use mkse::core::{
     deserialize_store, serialize_store, BitIndex, DocumentIndexer, PersistenceError, QueryBuilder,
     RankedDocumentIndex, SchemeKeys, StoreError, SystemParams, Telemetry,
@@ -42,6 +39,7 @@ use mkse::protocol::{
     NodeRegistration, ProtocolError, QueryMessage, Request, Response, ServerInfo, Service,
     TransportError, TypedCalls, UploadMessage,
 };
+use mkse_testkit::{counter, gauge, Fixture, Fleet, NodeSpec, GLOBAL_SHARDS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -52,7 +50,6 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(60);
-const GLOBAL_SHARDS: usize = 4;
 
 // --- a counting allocator: "nothing is sized by a claimed count" -------------
 
@@ -100,14 +97,9 @@ fn bytes_requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 // --- the corpus ---------------------------------------------------------------
 
-struct Corpus {
-    params: SystemParams,
-    indices: Vec<RankedDocumentIndex>,
-    queries: Vec<QueryMessage>,
-}
-
-fn corpus() -> &'static Corpus {
-    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+/// Ten keyword-indexed documents (no bodies) and three queries over them.
+fn corpus() -> &'static Fixture {
+    static CORPUS: OnceLock<Fixture> = OnceLock::new();
     CORPUS.get_or_init(|| {
         let params = SystemParams::default();
         let mut rng = StdRng::seed_from_u64(21_812);
@@ -146,77 +138,20 @@ fn corpus() -> &'static Corpus {
                 }
             })
             .collect();
-        Corpus {
+        Fixture {
             params,
-            indices,
             queries,
+            seed_upload: UploadMessage {
+                indices,
+                documents: vec![],
+            },
+            extra_uploads: vec![],
         }
     })
 }
 
-fn seed_upload(corpus: &Corpus) -> Request {
-    Request::Upload(UploadMessage {
-        indices: corpus.indices.clone(),
-        documents: vec![],
-    })
-}
-
-/// A `CloudServer` holding the corpus.
-fn seeded_server(corpus: &Corpus, shards: usize) -> CloudServer {
-    let mut server = CloudServer::with_shards(corpus.params.clone(), shards);
-    assert!(matches!(
-        server.call(seed_upload(corpus)),
-        Response::Uploaded { .. }
-    ));
-    server
-}
-
-/// A coordinator over `slots.len()` in-process node hubs (node `i + 1` takes
-/// up to `slots[i]` of the four global shards), holding the corpus.
-fn seeded_fleet(corpus: &Corpus, slots: &[u32]) -> (Coordinator, Vec<HubHandle>) {
-    let config = FleetConfig {
-        num_global_shards: GLOBAL_SHARDS,
-        heartbeat_interval: Duration::from_millis(50),
-        // Nothing here dies of silence: only a failed forward fails a node.
-        failure_deadline: Duration::from_secs(600),
-        node_policy: RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_micros(200),
-            backoff_cap: Duration::from_millis(2),
-            attempt_timeout: Duration::from_secs(5),
-            request_deadline: Duration::from_secs(10),
-            ..RetryPolicy::default()
-        },
-    };
-    let mut coordinator = Coordinator::new(corpus.params.clone(), config);
-    let mut nodes = Vec::new();
-    for (i, &shard_slots) in slots.iter().enumerate() {
-        let node_id = i as u64 + 1;
-        let node = Hub::spawn(
-            CloudServer::with_shards(corpus.params.clone(), 2),
-            HubConfig::default(),
-        );
-        coordinator.add_node(node_id, node.memory_dialer().connector());
-        let registration = NodeRegistration {
-            node_id,
-            capabilities: NodeCapabilities {
-                shard_slots,
-                scan_lanes: 2,
-                cache_capacity: 0,
-            },
-        };
-        assert!(matches!(
-            coordinator.call(Request::RegisterNode(registration)),
-            Response::ShardAssignment(_)
-        ));
-        nodes.push(node);
-    }
-    assert!(matches!(
-        coordinator.call(seed_upload(corpus)),
-        Response::Uploaded { .. }
-    ));
-    (coordinator, nodes)
-}
+/// Two nodes of two shard slots each, behind the in-process coordinator.
+const TWO_NODES: &[NodeSpec] = &[(1, 2, None), (2, 2, None)];
 
 fn bits(len: usize) -> BitIndex {
     BitIndex::all_ones(len)
@@ -229,7 +164,7 @@ fn query_of(len: usize) -> QueryMessage {
     }
 }
 
-fn size_mismatch(corpus: &Corpus, found: usize) -> Response {
+fn size_mismatch(corpus: &Fixture, found: usize) -> Response {
     Response::Error(ProtocolError::Store(StoreError::IndexSizeMismatch {
         expected: corpus.params.index_bits,
         found,
@@ -247,7 +182,7 @@ fn header(request_id: u64, kind: u8) -> Vec<u8> {
 }
 
 /// Requests a well-behaved peer could send; the bit-flipped ones start here.
-fn well_formed(corpus: &Corpus) -> Vec<Request> {
+fn well_formed(corpus: &Fixture) -> Vec<Request> {
     vec![
         Request::Query(corpus.queries[0].clone()),
         Request::Query(QueryMessage {
@@ -264,7 +199,7 @@ fn well_formed(corpus: &Corpus) -> Vec<Request> {
         Request::Upload(UploadMessage {
             indices: vec![RankedDocumentIndex {
                 document_id: 5_000,
-                ..corpus.indices[1].clone()
+                ..corpus.seed_upload.indices[1].clone()
             }],
             documents: vec![],
         }),
@@ -275,7 +210,7 @@ fn well_formed(corpus: &Corpus) -> Vec<Request> {
             &corpus.params,
             &[RankedDocumentIndex {
                 document_id: 6_000,
-                ..corpus.indices[2].clone()
+                ..corpus.seed_upload.indices[2].clone()
             }],
         )),
         Request::ServerInfo,
@@ -492,7 +427,7 @@ proptest! {
         let corpus = corpus();
         let _ = deserialize_store(&corpus.params, &arbitrary);
         // Arbitrary bytes behind a valid header reach the entry loop.
-        let snapshot = serialize_store(&corpus.params, &corpus.indices);
+        let snapshot = serialize_store(&corpus.params, &corpus.seed_upload.indices);
         let mut headed = snapshot[..20].to_vec();
         headed.extend_from_slice(&arbitrary);
         let _ = deserialize_store(&corpus.params, &headed);
@@ -510,7 +445,7 @@ proptest! {
 
         // `count u64` sits at [12..20], behind magic, version, r and eta.
         let mut inflated = snapshot.clone();
-        let claim = corpus.indices.len() as u64 + rng.gen_range(1u64..u64::MAX >> 1);
+        let claim = corpus.seed_upload.indices.len() as u64 + rng.gen_range(1u64..u64::MAX >> 1);
         inflated[12..20].copy_from_slice(&claim.to_le_bytes());
         let (outcome, requested) =
             bytes_requested_by(|| deserialize_store(&corpus.params, &inflated).map(drop));
@@ -522,7 +457,7 @@ proptest! {
 // --- (iv) whatever decodes is served -----------------------------------------
 
 /// Well-framed nonsense: every entry encodes, decodes and must be answered.
-fn hand_built(corpus: &Corpus) -> Vec<Request> {
+fn hand_built(corpus: &Fixture) -> Vec<Request> {
     let r = corpus.params.index_bits;
     let eta = corpus.params.rank_levels();
     let good = &corpus.queries[0];
@@ -607,8 +542,9 @@ fn over_the_wire(request: &Request) -> Request {
 #[test]
 fn whatever_decodes_is_served() {
     let corpus = corpus();
-    let mut server = seeded_server(corpus, 2);
-    let (mut coordinator, nodes) = seeded_fleet(corpus, &[2, 2]);
+    let mut server = corpus.server(2, false);
+    let (mut coordinator, nodes) =
+        Fleet::in_process(&corpus.params, TWO_NODES, &corpus.seed_upload);
     let telemetry = coordinator.telemetry_handle();
 
     let mut decoded: Vec<Request> = (0..96u64)
@@ -645,8 +581,9 @@ fn whatever_decodes_is_served() {
 fn a_wrong_length_query_is_answered_an_index_size_mismatch() {
     let corpus = corpus();
     let r = corpus.params.index_bits;
-    let mut server = seeded_server(corpus, 2);
-    let (mut coordinator, nodes) = seeded_fleet(corpus, &[2, 2]);
+    let mut server = corpus.server(2, false);
+    let (mut coordinator, nodes) =
+        Fleet::in_process(&corpus.params, TWO_NODES, &corpus.seed_upload);
     let good = &corpus.queries[0];
     for len in [1, 5, r - 1, r + 1, 5_000] {
         let single = Request::Query(query_of(len));
@@ -685,9 +622,10 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
     ];
     let all_bad = [query_of(5), query_of(1)];
 
-    let mut twin = seeded_server(corpus, GLOBAL_SHARDS);
-    let mut server = seeded_server(corpus, 2);
-    let (mut coordinator, nodes) = seeded_fleet(corpus, &[2, 2]);
+    let mut twin = corpus.server(GLOBAL_SHARDS, false);
+    let mut server = corpus.server(2, false);
+    let (mut coordinator, nodes) =
+        Fleet::in_process(&corpus.params, TWO_NODES, &corpus.seed_upload);
     for members in [&group[..], &all_bad[..], &group[1..2]] {
         let one_by_one: Vec<Response> = members
             .iter()
@@ -705,7 +643,7 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
 
     // Counters moved as if every member had been called on its own.
     let counters = |s: &mut CloudServer| s.call(Request::Counters).into_counters().unwrap();
-    let mut replayed = seeded_server(corpus, 2);
+    let mut replayed = corpus.server(2, false);
     for member in group.iter().chain(&all_bad).chain(&group[1..2]) {
         replayed.call(Request::Query(member.clone()));
     }
@@ -720,7 +658,7 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
 /// The script of (v), against any hub: connection A sends the 5-bit query
 /// and reads the typed error; A is then still served, and so is B, each reply
 /// byte-identical to the sequential twin's.
-fn five_bit_query_costs_only_its_sender(hub: &HubHandle, twin: &mut CloudServer, corpus: &Corpus) {
+fn five_bit_query_costs_only_its_sender(hub: &HubHandle, twin: &mut CloudServer, corpus: &Fixture) {
     let twin_identical = |client: &mut NetClient, twin: &mut CloudServer, request: Request| {
         let reply = client.call(&request, WAIT).expect("the hub answers");
         let expected = twin.call(request);
@@ -736,7 +674,7 @@ fn five_bit_query_costs_only_its_sender(hub: &HubHandle, twin: &mut CloudServer,
     assert_eq!(refused, size_mismatch(corpus, 5));
     twin_identical(&mut a, twin, Request::Query(corpus.queries[0].clone()));
 
-    // A second connection: from here on the batcher carries every query.
+    // A second connection: from here on the batcher groups the two.
     let mut b = NetClient::from_memory(hub.connect_memory());
     twin_identical(&mut b, twin, Request::ServerInfo);
     twin_identical(&mut b, twin, Request::Query(corpus.queries[1].clone()));
@@ -748,8 +686,8 @@ fn five_bit_query_costs_only_its_sender(hub: &HubHandle, twin: &mut CloudServer,
 #[test]
 fn a_five_bit_query_over_a_hub_costs_only_its_sender() {
     let corpus = corpus();
-    let hub = Hub::spawn(seeded_server(corpus, 2), HubConfig::default());
-    let mut twin = seeded_server(corpus, 2);
+    let hub = Hub::spawn(corpus.server(2, false), HubConfig::default());
+    let mut twin = corpus.server(2, false);
     five_bit_query_costs_only_its_sender(&hub, &mut twin, corpus);
     hub.shutdown();
 }
@@ -757,16 +695,24 @@ fn a_five_bit_query_over_a_hub_costs_only_its_sender() {
 #[test]
 fn a_five_bit_query_fails_no_node_of_a_three_node_fleet() {
     let corpus = corpus();
-    let (coordinator, nodes) = seeded_fleet(corpus, &[2, 1, 1]);
-    let telemetry = coordinator.telemetry_handle();
-    let hub = Hub::spawn(coordinator, HubConfig::default());
-    let mut twin = seeded_server(corpus, GLOBAL_SHARDS);
-    five_bit_query_costs_only_its_sender(&hub, &mut twin, corpus);
-    assert_eq!(counter(&telemetry, "failovers"), 0);
-    assert_eq!(gauge(&telemetry, "nodes_live"), 3);
-    hub.shutdown();
-    for node in nodes {
-        node.shutdown();
+    let nodes = [(1, 2, None), (2, 1, None), (3, 1, None)];
+    let fleet = Fleet::spawn(&corpus.params, &nodes, 0, HubConfig::default().batch_window);
+    let mut runners = fleet.runners;
+    for runner in runners.iter_mut() {
+        runner.register().expect("registration");
+    }
+    let mut seeder =
+        NetClient::from_memory(fleet.hub.connect_memory()).with_first_request_id(9_001);
+    let upload = Request::Upload(corpus.seed_upload.clone());
+    let seeded = seeder.call(&upload, WAIT).expect("seed upload");
+    assert!(matches!(seeded, Response::Uploaded { .. }));
+    let mut twin = corpus.server(GLOBAL_SHARDS, false);
+    five_bit_query_costs_only_its_sender(&fleet.hub, &mut twin, corpus);
+    assert_eq!(counter(&fleet.telemetry, "failovers"), 0);
+    assert_eq!(gauge(&fleet.telemetry, "nodes_live"), 3);
+    fleet.hub.shutdown();
+    for runner in runners {
+        runner.shutdown();
     }
 }
 

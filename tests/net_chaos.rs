@@ -17,36 +17,25 @@
 //! - **Replayability**: the same fault seed reproduces the same fault
 //!   schedule, the same attempt accounting, and the same replies.
 
-mod common;
-
-use common::{assert_conservation, assert_replies_match_replay, replay_journal};
-use mkse::core::QueryBuilder;
+use mkse::core::{Telemetry, TelemetryLevel};
 use mkse::net::{
-    ClientError, Connector, FaultEvent, FaultHandle, FaultPlan, FaultyLink, Hub, HubConfig,
-    HubHandle, MemoryDialer, ResilienceStats, ResilientClient, RetryPolicy,
+    ClientError, FaultEvent, FaultPlan, Hub, HubConfig, HubHandle, ResilienceStats,
+    ResilientClient, RetryPolicy,
 };
 use mkse::protocol::{
-    wire, CloudServer, DataOwner, OwnerConfig, ProtocolError, QueryMessage, Request, Response,
-    TypedCalls, UploadMessage,
+    render_json, render_prometheus, ProtocolError, Request, Response, TypedCalls,
 };
-use mkse::textproc::Document;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mkse_testkit::{
+    assert_conservation, assert_replies_match_replay, chaos_connector, fixture, frame_len,
+    replay_journal, Fixture,
+};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-struct Fixture {
-    owner: DataOwner,
-    queries: Vec<QueryMessage>,
-    seed_upload: UploadMessage,
-    /// An extra single-document upload (document id 1000), never part of the
-    /// seed corpus — the at-most-once probe.
-    extra_upload: UploadMessage,
-}
-
-fn fixture() -> Fixture {
-    let mut rng = StdRng::seed_from_u64(20812);
-    let mut owner = DataOwner::new(OwnerConfig::fast_for_tests(), &mut rng);
+/// The seed corpus, its queries, and one extra single-document upload
+/// (document id 1000), never part of the seed corpus — the at-most-once
+/// probe.
+fn corpus() -> Fixture {
     let texts = [
         "cloud privacy search encryption audit",
         "weather forecast rain and wind",
@@ -57,74 +46,9 @@ fn fixture() -> Fixture {
         "searchable encryption design notes",
         "cloud audit logging pipeline",
     ];
-    let docs: Vec<Document> = texts
-        .iter()
-        .enumerate()
-        .map(|(i, t)| Document::from_text(i as u64, t))
-        .collect();
-    let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
-    let seed_upload = UploadMessage {
-        indices,
-        documents: encrypted,
-    };
-    let extra = Document::from_text(1000, "late arriving cloud audit notes under chaos");
-    let (indices, documents) = owner.prepare_documents(&[extra], &mut rng);
-    let extra_upload = UploadMessage { indices, documents };
-
-    let pool = owner.random_pool_trapdoors();
     let keyword_sets: [&[&str]; 4] = [&["cloud"], &["audit"], &["cloud", "audit"], &["privacy"]];
-    let queries = keyword_sets
-        .iter()
-        .map(|kws| {
-            let trapdoors = owner.scheme_keys().trapdoors_for(owner.params(), kws);
-            let q = QueryBuilder::new(owner.params())
-                .add_trapdoors(&trapdoors)
-                .with_randomization(&pool)
-                .build(&mut rng);
-            QueryMessage {
-                query: q.bits().clone(),
-                top: None,
-            }
-        })
-        .collect();
-    Fixture {
-        owner,
-        queries,
-        seed_upload,
-        extra_upload,
-    }
-}
-
-/// An identically-initialized server: same params, shards, seed corpus and
-/// cache setting as the one the hub owns.
-fn seeded_server(fx: &Fixture, cache: bool) -> CloudServer {
-    let mut server = CloudServer::with_shards(fx.owner.params().clone(), 2);
-    server
-        .upload(
-            fx.seed_upload.indices.clone(),
-            fx.seed_upload.documents.clone(),
-        )
-        .expect("seed upload");
-    if cache {
-        server.enable_result_cache(64);
-    }
-    server
-}
-
-/// A connector over the hub's in-process dialer that wraps every fresh
-/// connection in a [`FaultyLink`] with a per-ordinal plan, collecting the
-/// fault handles for later inspection.
-fn chaos_connector(
-    dialer: MemoryDialer,
-    mut plan_for: impl FnMut(u64) -> FaultPlan + Send + 'static,
-    handles: Arc<Mutex<Vec<FaultHandle>>>,
-) -> Connector {
-    Box::new(move |ordinal| {
-        let (reader, writer) = dialer.connect().split();
-        let (r, w, h) = FaultyLink::wrap(Box::new(reader), Box::new(writer), plan_for(ordinal));
-        handles.lock().unwrap().push(h);
-        Ok((Box::new(r), Box::new(w)))
-    })
+    let extra = (1000, "late arriving cloud audit notes under chaos");
+    fixture(20812, &texts, &keyword_sets, &[extra])
 }
 
 fn chaos_policy() -> RetryPolicy {
@@ -147,28 +71,33 @@ fn chaos_policy() -> RetryPolicy {
 /// reply is byte-identical to the sequential twin. Since a torn write is a
 /// strict prefix and a kill truncates, no fault can manufacture a *different
 /// valid* request — so the replies are also identical across clients and
-/// rounds.
+/// rounds, and every query executed exactly once. The clients and their
+/// links share one registry, which must agree with the clients' own
+/// accounting and carry the resilience series into both renders.
 #[test]
 fn killed_and_torn_links_never_change_completed_replies() {
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 3;
-    let fx = Arc::new(fixture());
+    let fx = Arc::new(corpus());
     let config = HubConfig {
         batch_window: Duration::from_millis(2),
         batch_depth: 4,
         journal: true,
         ..HubConfig::default()
     };
-    let hub = Hub::spawn(seeded_server(&fx, false), config);
+    let hub = Hub::spawn(fx.server(2, false), config);
     // Kill each connection after roughly three query frames, so every client
     // is guaranteed to lose links mid-run and reconnect.
-    let frame_len = wire::encode_request(1, &Request::Query(fx.queries[0].clone())).len() as u64;
-    let kill_budget = frame_len * 3 + frame_len / 2;
+    let frame = frame_len(&Request::Query(fx.queries[0].clone()));
+    let kill_budget = frame * 3 + frame / 2;
+    let registry = Telemetry::new();
+    registry.set_level(TelemetryLevel::Spans);
 
     let mut workers = Vec::new();
     for k in 0..CLIENTS {
         let dialer = hub.memory_dialer();
         let fx = fx.clone();
+        let registry = registry.clone();
         let handles = Arc::new(Mutex::new(Vec::new()));
         let sink = handles.clone();
         workers.push(std::thread::spawn(move || {
@@ -181,10 +110,12 @@ fn killed_and_torn_links_never_change_completed_replies() {
                     max_delay_micros: 200,
                     ..FaultPlan::healthy(0xC0FFEE + k as u64 * 1013 + ordinal)
                 },
+                Some(registry.clone()),
                 sink,
             );
             let mut client = ResilientClient::new(connector, chaos_policy())
-                .with_first_request_id(k as u64 * 1_000_000 + 1);
+                .with_first_request_id(k as u64 * 1_000_000 + 1)
+                .with_telemetry(registry);
             let mut received = Vec::new();
             for _ in 0..ROUNDS {
                 for q in fx.queries.iter() {
@@ -201,6 +132,8 @@ fn killed_and_torn_links_never_change_completed_replies() {
 
     let mut all_received = Vec::new();
     let mut per_client: Vec<Vec<Response>> = Vec::new();
+    let mut totals = ResilienceStats::default();
+    let mut faults_total = 0;
     for (k, worker) in workers.into_iter().enumerate() {
         let (received, stats, faults) = worker.join().expect("client thread");
         assert_conservation(&stats, &format!("client {k}"));
@@ -217,11 +150,20 @@ fn killed_and_torn_links_never_change_completed_replies() {
         );
         per_client.push(received.iter().map(|(_, r)| r.clone()).collect());
         all_received.extend(received);
+        totals.successes += stats.successes;
+        totals.retries += stats.retries;
+        totals.reconnects += stats.reconnects;
+        totals.backoff_waits += stats.backoff_waits;
+        faults_total += faults;
     }
 
     let report = hub.shutdown();
     assert_eq!(report.sheds, 0);
-    let expected = replay_journal(&mut seeded_server(&fx, false), &report.journal);
+    assert_eq!(
+        report.requests, totals.successes,
+        "a killed or torn request never arrives whole: each query ran once"
+    );
+    let expected = replay_journal(&mut fx.server(2, false), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "config A");
 
     // Queries-only workload over constant state: every client, every round,
@@ -231,6 +173,28 @@ fn killed_and_torn_links_never_change_completed_replies() {
             client_replies, &per_client[0],
             "clients diverged on identical queries"
         );
+    }
+    let found = (per_client[0].iter())
+        .filter_map(|reply| reply.clone().into_search().ok())
+        .any(|reply| !reply.matches.is_empty());
+    assert!(found, "the workload must find documents");
+
+    // Registry ↔ client conservation, and the series reach both renders.
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("retries"), totals.retries);
+    assert_eq!(snapshot.counter("reconnects"), totals.reconnects);
+    assert_eq!(snapshot.counter("faults_injected"), faults_total);
+    let backoff = (snapshot.histograms.iter())
+        .find(|h| h.stage == "backoff_wait")
+        .expect("backoff_wait histogram present");
+    assert_eq!(backoff.count, totals.backoff_waits);
+    let (prometheus, json) = (render_prometheus(&snapshot), render_json(&snapshot));
+    for series in ["retries", "reconnects", "faults_injected", "backoff_wait"] {
+        assert!(
+            prometheus.contains(series),
+            "Prometheus render lacks {series}"
+        );
+        assert!(json.contains(series), "JSON render lacks {series}");
     }
 }
 
@@ -243,7 +207,7 @@ fn killed_and_torn_links_never_change_completed_replies() {
 fn corrupting_links_with_cache_keep_journal_equivalence() {
     const CLIENTS: usize = 3;
     const ROUNDS: usize = 3;
-    let fx = Arc::new(fixture());
+    let fx = Arc::new(corpus());
     let config = HubConfig {
         batch_window: Duration::from_millis(2),
         batch_depth: 4,
@@ -253,7 +217,7 @@ fn corrupting_links_with_cache_keep_journal_equivalence() {
         idle_timeout: Duration::from_millis(300),
         ..HubConfig::default()
     };
-    let hub = Hub::spawn(seeded_server(&fx, true), config);
+    let hub = Hub::spawn(fx.server(2, true), config);
 
     let mut workers = Vec::new();
     for k in 0..CLIENTS {
@@ -269,6 +233,7 @@ fn corrupting_links_with_cache_keep_journal_equivalence() {
                     torn_write_per_mille: 30,
                     ..FaultPlan::healthy(0xBADC0DE + k as u64 * 733 + ordinal)
                 },
+                None,
                 sink,
             );
             let policy = RetryPolicy {
@@ -314,7 +279,7 @@ fn corrupting_links_with_cache_keep_journal_equivalence() {
     );
 
     let report = hub.shutdown();
-    let expected = replay_journal(&mut seeded_server(&fx, true), &report.journal);
+    let expected = replay_journal(&mut fx.server(2, true), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "config B");
 }
 
@@ -322,7 +287,7 @@ fn corrupting_links_with_cache_keep_journal_equivalence() {
 /// schedule, identical attempt accounting, identical replies.
 #[test]
 fn same_seed_reproduces_the_same_fault_schedule() {
-    let fx = Arc::new(fixture());
+    let fx = Arc::new(corpus());
 
     let run = |fx: &Fixture| -> (ResilienceStats, Vec<Vec<FaultEvent>>, Vec<Response>) {
         let config = HubConfig {
@@ -330,19 +295,19 @@ fn same_seed_reproduces_the_same_fault_schedule() {
             journal: false,
             ..HubConfig::default()
         };
-        let hub = Hub::spawn(seeded_server(fx, false), config);
-        let frame_len =
-            wire::encode_request(1, &Request::Query(fx.queries[0].clone())).len() as u64;
+        let hub = Hub::spawn(fx.server(2, false), config);
+        let frame = frame_len(&Request::Query(fx.queries[0].clone()));
         let handles = Arc::new(Mutex::new(Vec::new()));
         let connector = chaos_connector(
             hub.memory_dialer(),
             // No delays: the write-path schedule depends only on the op
             // sequence, which this single-threaded workload fixes exactly.
             move |ordinal| FaultPlan {
-                kill_after_bytes: Some(frame_len * 2 + 7),
+                kill_after_bytes: Some(frame * 2 + 7),
                 torn_write_per_mille: 150,
                 ..FaultPlan::healthy(7u64.wrapping_mul(0x9e37_79b9).wrapping_add(ordinal))
             },
+            None,
             handles.clone(),
         );
         let mut client = ResilientClient::new(connector, chaos_policy());
@@ -377,13 +342,13 @@ fn same_seed_reproduces_the_same_fault_schedule() {
 /// double-apply.
 #[test]
 fn non_idempotent_requests_are_never_silently_duplicated() {
-    let fx = fixture();
+    let fx = corpus();
     let seed_docs = fx.seed_upload.indices.len() as u64;
     let config = HubConfig {
         journal: true,
         ..HubConfig::default()
     };
-    let hub = Hub::spawn(seeded_server(&fx, false), config);
+    let hub = Hub::spawn(fx.server(2, false), config);
 
     let documents_on_server = |hub: &HubHandle| -> u64 {
         let mut probe =
@@ -408,18 +373,16 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
                 FaultPlan::healthy(1)
             }
         },
+        None,
         handles,
     );
     let mut cautious =
         ResilientClient::new(connector, chaos_policy()).with_first_request_id(1_000_001);
     let err = cautious
-        .call(&Request::Upload(fx.extra_upload.clone()))
+        .call(&Request::Upload(fx.extra_uploads[0].clone()))
         .unwrap_err();
     assert!(
-        matches!(
-            err,
-            mkse::net::ClientError::RetryUnsafe { op: "Upload", .. }
-        ),
+        matches!(err, ClientError::RetryUnsafe { op: "Upload", .. }),
         "got {err}"
     );
     let stats = cautious.stats();
@@ -448,6 +411,7 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
                 FaultPlan::healthy(2)
             }
         },
+        None,
         handles,
     );
     let policy = RetryPolicy {
@@ -455,7 +419,7 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
         ..chaos_policy()
     };
     let mut opted = ResilientClient::new(connector, policy).with_first_request_id(2_000_001);
-    let extra = || fx.extra_upload.clone();
+    let extra = || fx.extra_uploads[0].clone();
     opted
         .upload(extra().indices, extra().documents)
         .expect("at-least-once upload");
@@ -494,7 +458,7 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
 #[test]
 fn shed_storm_resolves_through_retries_with_identical_replies() {
     const CLIENTS: usize = 6;
-    let fx = Arc::new(fixture());
+    let fx = Arc::new(corpus());
     let config = HubConfig {
         max_hub_in_flight: 2,
         shed_retry_after: Duration::from_millis(1),
@@ -505,7 +469,7 @@ fn shed_storm_resolves_through_retries_with_identical_replies() {
         journal: true,
         ..HubConfig::default()
     };
-    let hub = Hub::spawn(seeded_server(&fx, false), config);
+    let hub = Hub::spawn(fx.server(2, false), config);
     let start = Arc::new(Barrier::new(CLIENTS));
 
     let mut workers = Vec::new();
@@ -564,6 +528,6 @@ fn shed_storm_resolves_through_retries_with_identical_replies() {
     );
     assert_eq!(report.requests as usize, CLIENTS * fx.queries.len());
     assert_eq!(report.journal.len() as u64, report.requests);
-    let expected = replay_journal(&mut seeded_server(&fx, false), &report.journal);
+    let expected = replay_journal(&mut fx.server(2, false), &report.journal);
     assert_replies_match_replay(&all_received, &expected, "shed storm");
 }

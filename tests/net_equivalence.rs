@@ -1,10 +1,9 @@
 //! The transport-invisibility oracle: N concurrent socket clients (real TCP
 //! **and** the in-process `MemoryLink` twin) hammer one hub with interleaved
-//! single-query / batch-query / upload traffic, with the cross-client batcher
-//! and the result cache toggled through all four combinations — and every
-//! reply each client received must be **byte-identical** to what a twin
-//! `CloudServer`, identically initialized and driven sequentially through
-//! `Service::call`, answers for the same requests.
+//! single-query / batch-query / upload traffic, with the result cache off and
+//! on — and every reply each client received must be **byte-identical** to
+//! what a twin `CloudServer`, identically initialized and driven sequentially
+//! through `Service::call`, answers for the same requests.
 //!
 //! The bridge between "concurrent" and "sequential" is the hub's execution
 //! journal: the dispatcher thread executes requests in a total order and
@@ -13,118 +12,57 @@
 //! `CacheStats` requests (issued through the hub like everything else) also
 //! assert that the *cumulative* operation and cache counters are unchanged by
 //! the transport and the batcher.
+//!
+//! The hub's own accounting is checked beside the replies: every single query
+//! is dispatched once, through the batcher; one occupancy sample per flush
+//! accounts for every coalesced query; and every frame in is answered by a
+//! frame out, connection by connection.
 
-use mkse::core::QueryBuilder;
+use mkse::core::{MetricsSnapshot, TelemetryLevel};
 use mkse::net::{Hub, HubConfig, NetClient};
 use mkse::protocol::{
-    wire, BatchQueryMessage, CloudServer, DataOwner, OwnerConfig, QueryMessage, Request, Response,
-    Service, UploadMessage,
+    BatchQueryMessage, QueryMessage, Request, Response, Service, UploadMessage, WireStats,
 };
-use mkse::textproc::Document;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mkse_testkit::{assert_replies_match_replay, fixture, replay_journal};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(60);
 
-struct Fixture {
-    owner: DataOwner,
-    queries: Vec<QueryMessage>,
-    seed_upload: UploadMessage,
-    /// One extra single-document upload per client, prepared up front so the
-    /// client threads stay free of RNG state.
-    client_uploads: Vec<UploadMessage>,
-}
+const TEXTS: &[&str] = &[
+    "cloud privacy search encryption audit",
+    "weather forecast rain and wind",
+    "cloud storage pricing enterprise",
+    "encrypted archive migration cloud",
+    "audit of encryption key management",
+    "privacy impact assessment cloud data",
+    "searchable encryption design notes",
+    "cloud audit logging pipeline",
+];
+const KEYWORDS: &[&[&str]] = &[&["cloud"], &["audit"], &["cloud", "audit"], &["privacy"]];
 
-fn fixture(clients: usize) -> Fixture {
-    let mut rng = StdRng::seed_from_u64(20812);
-    let mut owner = DataOwner::new(OwnerConfig::fast_for_tests(), &mut rng);
-    let texts = [
-        "cloud privacy search encryption audit",
-        "weather forecast rain and wind",
-        "cloud storage pricing enterprise",
-        "encrypted archive migration cloud",
-        "audit of encryption key management",
-        "privacy impact assessment cloud data",
-        "searchable encryption design notes",
-        "cloud audit logging pipeline",
-    ];
-    let docs: Vec<Document> = texts
-        .iter()
-        .enumerate()
-        .map(|(i, t)| Document::from_text(i as u64, t))
-        .collect();
-    let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
-    let seed_upload = UploadMessage {
-        indices,
-        documents: encrypted,
-    };
-
-    let client_uploads = (0..clients)
+/// One extra single-document upload per client, prepared up front so the
+/// client threads stay free of RNG state.
+fn late_uploads(clients: usize) -> Vec<(u64, &'static str)> {
+    (0..clients as u64)
         .map(|k| {
-            let doc = Document::from_text(
-                1000 + k as u64,
+            (
+                1000 + k,
                 "late arriving cloud audit notes from a busy client",
-            );
-            let (indices, documents) = owner.prepare_documents(&[doc], &mut rng);
-            UploadMessage { indices, documents }
+            )
         })
-        .collect();
-
-    let pool = owner.random_pool_trapdoors();
-    let keyword_sets: [&[&str]; 4] = [&["cloud"], &["audit"], &["cloud", "audit"], &["privacy"]];
-    let queries = keyword_sets
-        .iter()
-        .map(|kws| {
-            let trapdoors = owner.scheme_keys().trapdoors_for(owner.params(), kws);
-            let q = QueryBuilder::new(owner.params())
-                .add_trapdoors(&trapdoors)
-                .with_randomization(&pool)
-                .build(&mut rng);
-            QueryMessage {
-                query: q.bits().clone(),
-                top: None,
-            }
-        })
-        .collect();
-    Fixture {
-        owner,
-        queries,
-        seed_upload,
-        client_uploads,
-    }
-}
-
-/// An identically-initialized server: same params, shards, seed corpus and
-/// cache setting as the one the hub owns.
-fn seeded_server(fx: &Fixture, cache: bool) -> CloudServer {
-    let mut server = CloudServer::with_shards(fx.owner.params().clone(), 2);
-    server
-        .upload(
-            fx.seed_upload.indices.clone(),
-            fx.seed_upload.documents.clone(),
-        )
-        .expect("seed upload");
-    if cache {
-        server.enable_result_cache(64);
-    }
-    server
-}
-
-/// The literal frame bytes a client would receive for `response` under `id`.
-fn reply_bytes(id: u64, response: &Response) -> Vec<u8> {
-    wire::encode_response(id, response)
+        .collect()
 }
 
 /// The interleaved workload one client runs: a pipelined burst of queries,
 /// a batch-query message, an upload (a batcher barrier), then the same
 /// queries again so a warm cache answers repeats. Returns every
-/// (request id, reply) pair in the order the replies were taken.
+/// (request id, reply) pair in the order the replies were taken, and the
+/// client's wire accounting.
 fn run_client(
     mut client: NetClient,
     queries: &[QueryMessage],
     upload: &UploadMessage,
-) -> Vec<(u64, Response)> {
+) -> (Vec<(u64, Response)>, WireStats) {
     let mut replies = Vec::new();
 
     // Pipelined burst: submit the whole window, flush once, take in order.
@@ -159,14 +97,70 @@ fn run_client(
         client.flush().expect("flush repeat");
         replies.push((id, client.wait_take(id, WAIT).expect("repeat reply")));
     }
-    replies
+    (replies, client.wire_stats())
+}
+
+/// The hub's accounting, read off the served registry after shutdown:
+/// `singles` single queries and `batched` batch-message members ran, and
+/// `clients` holds every connection's client-side wire stats.
+fn assert_hub_accounting(
+    snapshot: &MetricsSnapshot,
+    clients: &[WireStats],
+    singles: u64,
+    batched: u64,
+) {
+    // Every single query is dispatched exactly once, through the batcher: a
+    // lone connection's query is a group of one, never a second path.
+    let coalesced = snapshot.counter("batcher_coalesced_queries");
+    assert_eq!(coalesced, singles);
+    let flushes: u64 = ["complete", "window", "depth", "barrier", "shutdown"]
+        .iter()
+        .map(|reason| snapshot.counter(&format!("batcher_flush_{reason}")))
+        .sum();
+    let occupancy = snapshot
+        .values
+        .iter()
+        .find(|v| v.series == "batch_occupancy")
+        .expect("the hub records batch occupancy");
+    assert_eq!(
+        (occupancy.count, occupancy.sum),
+        (flushes, coalesced),
+        "one occupancy sample per flush, summing to the coalesced queries"
+    );
+    // The engine ran every query once: groups and batch messages alike.
+    assert_eq!(
+        snapshot.counter("queries") + snapshot.counter("batch_queries"),
+        singles + batched
+    );
+    // Every frame in was answered by a frame out, connection by connection.
+    let frames: u64 = clients.iter().map(|c| c.frames_sent).sum();
+    assert_eq!(snapshot.counter("wire_frames_in"), frames);
+    assert_eq!(snapshot.counter("wire_frames_out"), frames);
+    assert_eq!(snapshot.counter("connections_opened"), clients.len() as u64);
+    let mut served: Vec<_> = (snapshot.connections.iter())
+        .map(|c| (c.frames_in, c.bytes_in, c.frames_out, c.bytes_out))
+        .collect();
+    let mut sent: Vec<_> = (clients.iter())
+        .map(|c| {
+            (
+                c.frames_sent,
+                c.bytes_sent,
+                c.frames_received,
+                c.bytes_received,
+            )
+        })
+        .collect();
+    served.sort_unstable();
+    sent.sort_unstable();
+    assert_eq!(served, sent, "per-connection frame accounting");
 }
 
 #[test]
 fn concurrent_clients_are_equivalent_to_sequential_service_calls() {
     const TCP_CLIENTS: usize = 4;
     const MEM_CLIENTS: usize = 2;
-    let fx = fixture(TCP_CLIENTS + MEM_CLIENTS);
+    const CLIENTS: usize = TCP_CLIENTS + MEM_CLIENTS;
+    let fx = fixture(20812, TEXTS, KEYWORDS, &late_uploads(CLIENTS));
 
     for &cache in &[false, true] {
         let config = HubConfig {
@@ -175,13 +169,16 @@ fn concurrent_clients_are_equivalent_to_sequential_service_calls() {
             journal: true,
             ..HubConfig::default()
         };
-        let hub = Hub::spawn(seeded_server(&fx, cache), config);
+        let server = fx.server(2, cache);
+        server.set_telemetry_level(TelemetryLevel::Counters);
+        let telemetry = server.telemetry().expect("a server registry").clone();
+        let hub = Hub::spawn(server, config);
         let addr = hub.bind_tcp("127.0.0.1:0").expect("bind");
 
         // ≥ 4 concurrent socket clients plus the MemoryLink twin, each on
         // its own thread with a disjoint request-id range.
         let mut workers = Vec::new();
-        for k in 0..TCP_CLIENTS + MEM_CLIENTS {
+        for k in 0..CLIENTS {
             let client = if k < TCP_CLIENTS {
                 NetClient::connect_tcp(addr).expect("connect")
             } else {
@@ -189,14 +186,17 @@ fn concurrent_clients_are_equivalent_to_sequential_service_calls() {
             }
             .with_first_request_id(k as u64 * 1_000_000 + 1);
             let queries = fx.queries.clone();
-            let upload = fx.client_uploads[k].clone();
+            let upload = fx.extra_uploads[k].clone();
             workers.push(std::thread::spawn(move || {
                 run_client(client, &queries, &upload)
             }));
         }
         let mut received: Vec<(u64, Response)> = Vec::new();
+        let mut wire = Vec::new();
         for worker in workers {
-            received.extend(worker.join().expect("client thread"));
+            let (replies, stats) = worker.join().expect("client thread");
+            received.extend(replies);
+            wire.push(stats);
         }
 
         // After the concurrent phase: read the cumulative counters through
@@ -204,59 +204,50 @@ fn concurrent_clients_are_equivalent_to_sequential_service_calls() {
         // the replay below asserts counter equality too.
         let mut admin =
             NetClient::from_memory(hub.connect_memory()).with_first_request_id(9_000_000);
-        received.push((
-            9_000_000,
-            admin
-                .call(&Request::Counters, WAIT)
-                .expect("counters through the hub"),
-        ));
-        received.push((
-            9_000_001,
-            admin
-                .call(&Request::CacheStats, WAIT)
-                .expect("cache stats through the hub"),
-        ));
+        for (id, request) in [
+            (9_000_000, Request::Counters),
+            (9_000_001, Request::CacheStats),
+        ] {
+            let reply = admin.call(&request, WAIT).expect("admin through the hub");
+            received.push((id, reply));
+        }
+        wire.push(admin.wire_stats());
         drop(admin);
 
         let report = hub.shutdown();
-        let expected_requests =
-            ((TCP_CLIENTS + MEM_CLIENTS) * (2 * fx.queries.len() + 2) + 2) as u64;
+        let expected_requests = (CLIENTS * (2 * fx.queries.len() + 2) + 2) as u64;
         assert_eq!(
             report.requests, expected_requests,
             "cache={cache}: every request must be executed"
         );
         assert_eq!(report.journal.len() as u64, report.requests);
+        assert_eq!(received.len() as u64, expected_requests);
 
         // Sequential replay on the twin: the hub's total execution order,
         // one plain Service::call at a time — no transport, no batcher.
-        let mut twin = seeded_server(&fx, cache);
-        let mut expected = std::collections::BTreeMap::new();
-        for entry in &report.journal {
-            let response = twin.call(entry.request.clone());
-            expected.insert(entry.request_id, response);
-        }
+        let expected = replay_journal(&mut fx.server(2, cache), &report.journal);
+        assert_replies_match_replay(&received, &expected, &format!("cache={cache}"));
+        let found = (received.iter())
+            .filter_map(|(_, reply)| reply.clone().into_search().ok())
+            .any(|reply| !reply.matches.is_empty());
+        assert!(found, "the workload must find documents");
 
-        assert_eq!(received.len() as u64, expected_requests);
-        for (id, reply) in &received {
-            let want = expected
-                .get(id)
-                .unwrap_or_else(|| panic!("request #{id} missing from the journal"));
-            assert_eq!(
-                reply, want,
-                "cache={cache}: reply for request #{id} diverged"
-            );
-            assert_eq!(
-                reply_bytes(*id, reply),
-                reply_bytes(*id, want),
-                "cache={cache}: frame bytes for request #{id} diverged"
-            );
-        }
+        let snapshot = telemetry.snapshot();
+        let singles = (CLIENTS * 2 * fx.queries.len()) as u64;
+        let batched = (CLIENTS * fx.queries.len()) as u64;
+        assert_hub_accounting(&snapshot, &wire, singles, batched);
+        let hits: u64 = snapshot.shard_caches.iter().map(|s| s.hits).sum();
+        assert_eq!(
+            hits > 0,
+            cache,
+            "repeated queries hit the cache iff it is on"
+        );
     }
 }
 
 #[test]
 fn shutdown_while_loaded_drains_every_accepted_request() {
-    let fx = fixture(0);
+    let fx = fixture(20812, TEXTS, KEYWORDS, &[]);
     // A huge window and depth, and a connection the batcher expects that has
     // gone quiet: nothing flushes until shutdown forces it.
     let config = HubConfig {
@@ -265,7 +256,7 @@ fn shutdown_while_loaded_drains_every_accepted_request() {
         journal: true,
         ..HubConfig::default()
     };
-    let hub = Hub::spawn(seeded_server(&fx, true), config);
+    let hub = Hub::spawn(fx.server(2, true), config);
 
     let mut clients: Vec<NetClient> = (0..3)
         .map(|k| {
@@ -293,18 +284,17 @@ fn shutdown_while_loaded_drains_every_accepted_request() {
     let report = hub.shutdown();
     assert_eq!(report.requests, total, "no accepted request may be dropped");
 
-    let mut twin = seeded_server(&fx, true);
-    let mut expected = std::collections::BTreeMap::new();
-    for entry in &report.journal {
-        expected.insert(entry.request_id, twin.call(entry.request.clone()));
-    }
-    let mut taken = 0;
+    let expected = replay_journal(&mut fx.server(2, true), &report.journal);
+    let mut drained = Vec::new();
     for (k, client) in clients.iter_mut().enumerate() {
-        for id in ids[k * fx.queries.len()..(k + 1) * fx.queries.len()].iter() {
-            let reply = client.wait_take(*id, WAIT).expect("drained reply");
-            assert_eq!(&reply, expected.get(id).expect("journaled"));
-            taken += 1;
+        for &id in &ids[k * fx.queries.len()..(k + 1) * fx.queries.len()] {
+            drained.push((id, client.wait_take(id, WAIT).expect("drained reply")));
         }
     }
-    assert_eq!(taken + 1, total, "every client read every drained reply");
+    assert_eq!(
+        drained.len() as u64 + 1,
+        total,
+        "every client read every drained reply"
+    );
+    assert_replies_match_replay(&drained, &expected, "drain");
 }
