@@ -29,9 +29,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mkse_bench::{BenchFixture, ZipfSampler};
 use mkse_core::search::scan_ranked;
-use mkse_core::{
-    CacheConfig, QueryBuilder, QueryIndex, SearchEngine, ShardedStore, TelemetryLevel,
-};
+use mkse_core::{CacheConfig, QueryBuilder, QueryIndex, SearchEngine, TelemetryLevel};
 use mkse_protocol::{Client, CloudServer, QueryMessage, Request, TypedCalls};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -669,7 +667,7 @@ fn bench_obs_overhead(_c: &mut Criterion) {
         TelemetryLevel::Counters,
         TelemetryLevel::Spans,
     ];
-    let engines: Vec<SearchEngine<ShardedStore>> = levels
+    let engines: Vec<SearchEngine> = levels
         .iter()
         .map(|&level| {
             let engine = base.clone();

@@ -5,12 +5,12 @@
 //! comparisons over all σ stored indices (Eq. 3). Real workloads repeat queries —
 //! the very "search pattern" §6 analyzes is the server observing identical query
 //! indices arriving again — so re-paying the full scan for a repeated trapdoor is
-//! pure waste. This module memoizes **per-shard scan results** keyed by a
-//! [`QueryFingerprint`] of the bytes the server already sees:
+//! pure waste. This module memoizes **per-shard scan results** keyed by the
+//! query index bits themselves — the bytes the server already sees. A key is a
+//! [`BitIndex`]: the map hashes it and compares candidates bit for bit, so two
+//! different queries can never share an entry. An entry holds the whole ranked
+//! list of its shard, so one entry serves every τ a reply may keep.
 //!
-//! * [`QueryFingerprint`] — a cheap digest of the query index bits,
-//!   **collision-checked**: equality compares the digest first and then the bits
-//!   themselves, so a digest collision can never surface another query's results.
 //! * [`ResultCache`] — one LRU map per shard with a configurable per-shard capacity
 //!   ([`CacheConfig`]), plus a per-shard **write generation**: every insert into a
 //!   shard bumps only that shard's generation, so cached scans of the other shards
@@ -32,72 +32,17 @@
 //!
 //! ## Search-pattern note (why this leaks nothing new)
 //!
-//! The fingerprint is a function of the query index bytes the server receives
-//! anyway. Recognizing "these bytes arrived before" is precisely the search
-//! pattern the server already observes by storing past queries (§6 builds its
-//! attack model on exactly this); the cache adds no new information, it only stops
-//! re-paying for scans whose outcome the server could already predict. Query
+//! The key is the query index bytes the server receives anyway. Recognizing
+//! "these bytes arrived before" is precisely the search pattern the server
+//! already observes by storing past queries (§6 builds its attack model on
+//! exactly this); the cache adds no new information, it only stops re-paying
+//! for scans whose outcome the server could already predict. Query
 //! randomization (§6) makes repeated searches produce *different* bits — and,
 //! correctly, such queries never hit the cache.
 
 use crate::bitindex::BitIndex;
 use crate::search::{SearchMatch, SearchStats};
 use std::collections::HashMap;
-
-/// A cheap, collision-checked cache key over what determines a shard's scan: the
-/// query index bits. An entry holds the whole ranked list of its shard, so one
-/// entry serves every τ a reply may keep.
-///
-/// The 128-bit FNV-1a-style digest makes hashing and map probing cheap; the bits
-/// are retained so `Eq` can verify candidates byte-for-byte. A digest collision
-/// therefore costs one extra comparison — it can never alias results.
-#[derive(Clone, Debug)]
-pub struct QueryFingerprint {
-    digest: u128,
-    bits: BitIndex,
-}
-
-impl QueryFingerprint {
-    /// Fingerprint a query's index bits.
-    pub fn new(bits: &BitIndex) -> Self {
-        // FNV-1a over the serialized bits, split into two 64-bit lanes with
-        // different offset bases. Cheap (one pass over ~r/8 bytes) and
-        // well-spread; collisions are handled by Eq anyway.
-        let bytes = bits.to_bytes();
-        let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut hi: u64 = 0x6c62_272e_07bb_0142;
-        for &b in &bytes {
-            lo = (lo ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            hi = (hi ^ (b.rotate_left(3)) as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        lo ^= bits.len() as u64;
-        QueryFingerprint {
-            digest: ((hi as u128) << 64) | lo as u128,
-            bits: bits.clone(),
-        }
-    }
-
-    /// The digest value (exposed for diagnostics and tests).
-    pub fn digest(&self) -> u128 {
-        self.digest
-    }
-}
-
-impl PartialEq for QueryFingerprint {
-    fn eq(&self, other: &Self) -> bool {
-        // Digest first (cheap reject), then the collision check over the bits.
-        self.digest == other.digest && self.bits == other.bits
-    }
-}
-
-impl Eq for QueryFingerprint {}
-
-impl std::hash::Hash for QueryFingerprint {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Only the digest feeds the hasher; Eq does the collision checking.
-        self.digest.hash(state);
-    }
-}
 
 /// Cache tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,13 +97,6 @@ impl CacheEffect {
     pub fn fully_cached(&self) -> bool {
         self.shard_hits > 0 && self.shard_misses == 0
     }
-
-    /// Accumulate another execution's effect (used when summing over a batch).
-    pub fn merge(&mut self, other: &CacheEffect) {
-        self.shard_hits += other.shard_hits;
-        self.shard_misses += other.shard_misses;
-        self.saved_comparisons += other.saved_comparisons;
-    }
 }
 
 /// One memoized shard scan.
@@ -178,7 +116,7 @@ struct ShardCache {
     /// never reset — so an entry admitted under any older generation is provably
     /// stale.
     generation: u64,
-    entries: HashMap<QueryFingerprint, CacheEntry>,
+    entries: HashMap<BitIndex, CacheEntry>,
 }
 
 /// A sharded, LRU, generation-invalidated result cache.
@@ -243,14 +181,6 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Live entries cached for one shard (stale entries count until a lookup
-    /// discards them). The telemetry plane samples this per shard for its
-    /// cache-occupancy gauges; like [`ResultCache::len`] it is a pure
-    /// observation and never touches generations, LRU order or counters.
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].entries.len()
-    }
-
     /// The current write generation of `shard`.
     pub fn generation(&self, shard: usize) -> u64 {
         self.shards[shard].generation
@@ -289,7 +219,7 @@ impl ResultCache {
         }
     }
 
-    /// Look up the memoized scan of `fingerprint` over `shard`.
+    /// Look up the memoized scan of the query `bits` over `shard`.
     ///
     /// Returns the scan-order matches and per-shard stats exactly as
     /// [`crate::search::scan_ranked`] produced them. A stale entry (older write
@@ -297,12 +227,12 @@ impl ResultCache {
     pub fn lookup(
         &mut self,
         shard: usize,
-        fingerprint: &QueryFingerprint,
+        bits: &BitIndex,
     ) -> Option<(Vec<SearchMatch>, SearchStats)> {
         self.clock += 1;
         let clock = self.clock;
         let shard_cache = &mut self.shards[shard];
-        match shard_cache.entries.get_mut(fingerprint) {
+        match shard_cache.entries.get_mut(bits) {
             Some(entry) if entry.generation == shard_cache.generation => {
                 entry.last_used = clock;
                 self.stats.hits += 1;
@@ -310,7 +240,7 @@ impl ResultCache {
                 Some((entry.matches.clone(), entry.stats))
             }
             Some(_) => {
-                shard_cache.entries.remove(fingerprint);
+                shard_cache.entries.remove(bits);
                 self.stats.invalidations += 1;
                 self.stats.misses += 1;
                 None
@@ -322,8 +252,8 @@ impl ResultCache {
         }
     }
 
-    /// Admit a freshly scanned result for `(shard, fingerprint)`, evicting the
-    /// least recently used entry if the shard is at capacity.
+    /// Admit a freshly scanned result for `(shard, bits)`, evicting the least
+    /// recently used entry if the shard is at capacity.
     ///
     /// `generation` must be the shard's write generation **observed before the
     /// scan** (the engine captures it at lookup time); if the shard has moved on
@@ -332,7 +262,7 @@ impl ResultCache {
     pub fn admit(
         &mut self,
         shard: usize,
-        fingerprint: QueryFingerprint,
+        bits: BitIndex,
         matches: Vec<SearchMatch>,
         stats: SearchStats,
         generation: u64,
@@ -346,7 +276,7 @@ impl ResultCache {
         if generation != shard_cache.generation {
             return;
         }
-        if !shard_cache.entries.contains_key(&fingerprint)
+        if !shard_cache.entries.contains_key(&bits)
             && shard_cache.entries.len() >= self.config.capacity_per_shard
         {
             // Evict the least recently used entry of this shard. Linear scan:
@@ -363,7 +293,7 @@ impl ResultCache {
             }
         }
         shard_cache.entries.insert(
-            fingerprint,
+            bits,
             CacheEntry {
                 generation,
                 last_used: clock,
@@ -411,29 +341,29 @@ mod tests {
     #[test]
     fn hit_returns_admitted_value_and_counts_saved_comparisons() {
         let mut cache = ResultCache::new(2, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 1));
-        assert!(cache.lookup(0, &fp).is_none());
-        cache.admit(0, fp.clone(), sample_matches(3), sample_stats(10), 0);
-        let (matches, stats) = cache.lookup(0, &fp).expect("hit");
+        let key = bits_from_seed(128, 1);
+        assert!(cache.lookup(0, &key).is_none());
+        cache.admit(0, key.clone(), sample_matches(3), sample_stats(10), 0);
+        let (matches, stats) = cache.lookup(0, &key).expect("hit");
         assert_eq!(matches, sample_matches(3));
         assert_eq!(stats, sample_stats(10));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.saved_comparisons), (1, 1, 10));
-        // The same fingerprint on the other shard is independent.
-        assert!(cache.lookup(1, &fp).is_none());
+        // The same query on the other shard is independent.
+        assert!(cache.lookup(1, &key).is_none());
     }
 
     #[test]
     fn insert_invalidates_only_that_shard() {
         let mut cache = ResultCache::new(3, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 2));
+        let key = bits_from_seed(128, 2);
         for shard in 0..3 {
-            cache.admit(shard, fp.clone(), sample_matches(1), sample_stats(4), 0);
+            cache.admit(shard, key.clone(), sample_matches(1), sample_stats(4), 0);
         }
         cache.note_insert(1);
-        assert!(cache.lookup(0, &fp).is_some());
-        assert!(cache.lookup(1, &fp).is_none(), "shard 1 must be stale");
-        assert!(cache.lookup(2, &fp).is_some());
+        assert!(cache.lookup(0, &key).is_some());
+        assert!(cache.lookup(1, &key).is_none(), "shard 1 must be stale");
+        assert!(cache.lookup(2, &key).is_some());
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.generation(1), 1);
         assert_eq!(cache.generation(0), 0);
@@ -452,17 +382,17 @@ mod tests {
     #[test]
     fn stale_admission_is_rejected() {
         let mut cache = ResultCache::new(1, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 3));
+        let key = bits_from_seed(128, 3);
         let old_generation = cache.generation(0);
         cache.note_insert(0); // the store moved on while the scan ran
         cache.admit(
             0,
-            fp.clone(),
+            key.clone(),
             sample_matches(2),
             sample_stats(6),
             old_generation,
         );
-        assert!(cache.lookup(0, &fp).is_none());
+        assert!(cache.lookup(0, &key).is_none());
         assert!(cache.is_empty());
     }
 
@@ -474,20 +404,17 @@ mod tests {
                 capacity_per_shard: 2,
             },
         );
-        let fps: Vec<QueryFingerprint> = (0..3)
-            .map(|i| QueryFingerprint::new(&bits_from_seed(128, 10 + i)))
-            .collect();
-        cache.admit(0, fps[0].clone(), sample_matches(1), sample_stats(1), 0);
-        cache.admit(0, fps[1].clone(), sample_matches(1), sample_stats(1), 0);
-        // Touch fps[0] so fps[1] becomes the LRU victim.
-        assert!(cache.lookup(0, &fps[0]).is_some());
-        cache.admit(0, fps[2].clone(), sample_matches(1), sample_stats(1), 0);
+        let keys: Vec<BitIndex> = (0..3).map(|i| bits_from_seed(128, 10 + i)).collect();
+        cache.admit(0, keys[0].clone(), sample_matches(1), sample_stats(1), 0);
+        cache.admit(0, keys[1].clone(), sample_matches(1), sample_stats(1), 0);
+        // Touch keys[0] so keys[1] becomes the LRU victim.
+        assert!(cache.lookup(0, &keys[0]).is_some());
+        cache.admit(0, keys[2].clone(), sample_matches(1), sample_stats(1), 0);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.shard_len(0), 2, "per-shard count agrees with total");
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup(0, &fps[0]).is_some());
-        assert!(cache.lookup(0, &fps[1]).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(0, &fps[2]).is_some());
+        assert!(cache.lookup(0, &keys[0]).is_some());
+        assert!(cache.lookup(0, &keys[1]).is_none(), "LRU entry evicted");
+        assert!(cache.lookup(0, &keys[2]).is_some());
     }
 
     #[test]
@@ -498,72 +425,63 @@ mod tests {
                 capacity_per_shard: 0,
             },
         );
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 4));
-        cache.admit(0, fp.clone(), sample_matches(1), sample_stats(1), 0);
+        let key = bits_from_seed(128, 4);
+        cache.admit(0, key.clone(), sample_matches(1), sample_stats(1), 0);
         assert!(cache.is_empty());
-        assert!(cache.lookup(0, &fp).is_none());
+        assert!(cache.lookup(0, &key).is_none());
     }
 
     #[test]
     fn clear_and_reset_stats() {
         let mut cache = ResultCache::new(1, CacheConfig::default());
-        let fp = QueryFingerprint::new(&bits_from_seed(128, 5));
-        cache.admit(0, fp.clone(), sample_matches(1), sample_stats(1), 0);
-        assert!(cache.lookup(0, &fp).is_some());
+        let key = bits_from_seed(128, 5);
+        cache.admit(0, key.clone(), sample_matches(1), sample_stats(1), 0);
+        assert!(cache.lookup(0, &key).is_some());
         cache.clear();
         assert!(cache.is_empty());
-        assert!(cache.lookup(0, &fp).is_none());
+        assert!(cache.lookup(0, &key).is_none());
         cache.reset_stats();
         assert_eq!(cache.stats(), CacheStats::default());
         assert!(format!("{cache:?}").contains("ResultCache"));
     }
 
+    /// The key is the query bits: other bits, or the same words at another
+    /// length, are another entry.
     #[test]
     fn fingerprint_distinguishes_bits() {
-        let bits = bits_from_seed(256, 6);
-        let fp = QueryFingerprint::new(&bits);
-        assert_ne!(fp, QueryFingerprint::new(&bits_from_seed(256, 7)));
-        assert_eq!(fp, QueryFingerprint::new(&bits));
-        assert_ne!(fp.digest(), 0);
-    }
-
-    #[test]
-    fn digest_collisions_cannot_alias_results() {
-        // Forge a fingerprint with the digest of another query but different bits:
-        // the collision check (full-key Eq) must keep them distinct map keys.
-        let a = QueryFingerprint::new(&bits_from_seed(128, 8));
-        let mut forged = QueryFingerprint::new(&bits_from_seed(128, 9));
-        forged.digest = a.digest;
-        assert_ne!(a, forged, "equal digests must not imply equal fingerprints");
+        let shorter = BitIndex::from_blocks(bits_from_seed(256, 6).as_blocks().to_vec(), 255);
+        let bits = BitIndex::from_blocks(shorter.as_blocks().to_vec(), 256);
+        assert_eq!(bits.as_blocks(), shorter.as_blocks());
         let mut cache = ResultCache::new(1, CacheConfig::default());
-        cache.admit(0, a.clone(), sample_matches(5), sample_stats(9), 0);
-        assert!(
-            cache.lookup(0, &forged).is_none(),
-            "forged digest must miss"
-        );
-        assert!(cache.lookup(0, &a).is_some());
+        cache.admit(0, bits.clone(), sample_matches(5), sample_stats(9), 0);
+        assert!(cache.lookup(0, &bits_from_seed(256, 7)).is_none());
+        assert!(cache.lookup(0, &shorter).is_none());
+        assert!(cache.lookup(0, &bits).is_some());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Equal query indices ⇒ equal fingerprints.
+        /// Equal query indices share an entry: bits decoded afresh from the
+        /// query's wire bytes hit what the original admitted.
         #[test]
         fn prop_equal_queries_have_equal_fingerprints(seed in 0u64..1000, len in 64usize..300) {
             let bits = bits_from_seed(len, seed);
-            let a = QueryFingerprint::new(&bits);
-            let b = QueryFingerprint::new(&bits.clone());
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(a.digest(), b.digest());
+            let decoded = BitIndex::from_bytes(&bits.to_bytes(), len);
+            let mut cache = ResultCache::new(1, CacheConfig::default());
+            cache.admit(0, bits, sample_matches(2), sample_stats(4), 0);
+            prop_assert_eq!(cache.lookup(0, &decoded), Some((sample_matches(2), sample_stats(4))));
         }
 
-        /// Differing bits ⇒ differing fingerprints.
+        /// Differing bits ⇒ differing entries.
         #[test]
         fn prop_differing_keys_have_differing_fingerprints(seed in 0u64..1000) {
             let bits = bits_from_seed(256, seed);
             let other = bits_from_seed(256, seed + 1);
             if bits != other {
-                prop_assert_ne!(QueryFingerprint::new(&bits), QueryFingerprint::new(&other));
+                let mut cache = ResultCache::new(1, CacheConfig::default());
+                cache.admit(0, bits, sample_matches(1), sample_stats(1), 0);
+                prop_assert!(cache.lookup(0, &other).is_none());
             }
         }
 
@@ -572,7 +490,7 @@ mod tests {
         #[test]
         fn prop_generations_strictly_monotonic(ops in proptest::collection::vec(0u8..4, 1..60)) {
             let mut cache = ResultCache::new(3, CacheConfig { capacity_per_shard: 4 });
-            let fp = QueryFingerprint::new(&bits_from_seed(128, 42));
+            let key = bits_from_seed(128, 42);
             let mut expected = [0u64; 3];
             for op in ops {
                 let shard = (op % 3) as usize;
@@ -584,9 +502,9 @@ mod tests {
                 } else {
                     // Lookups (hit, miss or invalidation) never move generations.
                     let generation = cache.generation(0);
-                    cache.admit(0, fp.clone(), vec![], SearchStats::default(), generation);
-                    let _ = cache.lookup(0, &fp);
-                    let _ = cache.lookup(1, &fp);
+                    cache.admit(0, key.clone(), vec![], SearchStats::default(), generation);
+                    let _ = cache.lookup(0, &key);
+                    let _ = cache.lookup(1, &key);
                 }
                 for (s, &e) in expected.iter().enumerate() {
                     prop_assert_eq!(cache.generation(s), e);

@@ -1,5 +1,5 @@
-//! The server-side **query-execution layer**: parallel ranked search over any
-//! [`IndexStore`], with an optional per-shard result cache.
+//! The server-side **query-execution layer**: parallel ranked search over the
+//! [`ShardedStore`], with an optional per-shard result cache.
 //!
 //! [`SearchEngine`] executes the paper's oblivious matching (Eq. 3 + Algorithm 1)
 //! shard-by-shard, on parallel lanes (workers of the process's one lane pool plus
@@ -21,14 +21,15 @@
 //!
 //! The store is the corpus; everything computed *from* it lives here, side by
 //! side: one [`ScanPlane`] per shard and the optional [`ResultCache`]. The engine
-//! holds its store privately — [`SearchEngine::store`] is read-only and there is
-//! no mutable accessor — and [`SearchEngine::insert`] is the only door a document
-//! comes in through ([`SearchEngine::insert_all`] and
+//! holds its [`ShardedStore`] privately — [`SearchEngine::store`] is read-only and
+//! there is no mutable accessor — and [`SearchEngine::insert`] is the only door a
+//! document comes in through ([`SearchEngine::insert_all`] and
 //! [`SearchEngine::restore_snapshot`] funnel into the same append). Each append
-//! pushes the document onto the plane of the shard [`IndexStore::insert`] names,
-//! and each door bumps the cache generations it must, so neither a plane nor a
-//! cache entry can go stale. [`SearchEngine::new`] derives the planes from
-//! whatever the store it is handed already holds; snapshots carry neither.
+//! pushes the document onto the plane of the shard [`ShardedStore::insert`] (or
+//! [`ShardedStore::insert_encoded`]) names, and each door bumps the cache
+//! generations it must, so neither a plane nor a cache entry can go stale.
+//! [`SearchEngine::new`] derives the planes from whatever the store it is handed
+//! already holds; snapshots carry neither.
 //!
 //! ## Scheduling: one executor over scan units
 //!
@@ -72,14 +73,15 @@
 //!
 //! ## One read path: a single query is a batch of one
 //!
-//! Every ranked execution runs one private executor in three phases: the cache
-//! lookups of the batch's distinct queries, **one fused pass** per shard over
-//! the (cache-missed, intra-batch-deduplicated) query set
+//! Every ranked execution is [`SearchEngine::search_batch_with_effects`], in
+//! three phases: the cache lookups of the batch's distinct queries, **one fused
+//! pass** per shard over the (cache-missed, intra-batch-deduplicated) query set
 //! ([`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]) — one lane
 //! hand-off and one merge per batch, not per query — and the admissions, in
-//! batch order. [`SearchEngine::search_ranked_with_effect`] hands it a batch of
-//! one. Queries with identical [`QueryFingerprint`]s inside one batch are
-//! scanned once and fanned out to every duplicate position; with the cache
+//! batch order. The single-query entries ([`SearchEngine::search`],
+//! [`SearchEngine::search_top`], [`SearchEngine::search_ranked_with_stats`]) are
+//! views of it on a batch of one. Queries with identical bits inside one batch
+//! are scanned once and fanned out to every duplicate position; with the cache
 //! enabled the duplicates are resolved through real cache lookups against what
 //! the first occurrence admitted — exactly the hits sequential execution would
 //! produce, counted in the same [`CacheEffect`]/[`CacheStats`] counters.
@@ -89,25 +91,23 @@
 //! whole match list in slot order, independent of k, so one cached query
 //! serves every `top`. The merge then selects the `top` matches the reply
 //! keeps and sorts only those ([`crate::search::top_matches`]) instead of
-//! sorting everything the shards found. A fingerprint repeated inside a batch
-//! is merged once, at the widest `top` among its positions, and each position
-//! is cut to its own.
+//! sorting everything the shards found. A query repeated inside a batch is
+//! merged once, at the widest `top` among its positions, and each position is
+//! cut to its own.
 //!
-//! The two entry points differ only in what they record, so the telemetry
-//! split is what it was when they were two paths: a single query counts
-//! `queries` and one [`Stage::EngineQuery`] sample, a batch `batches`,
-//! `batch_queries` and one [`Stage::EngineBatch`] sample. Everything else —
-//! cache lookups, shard scans, unit spans — the executor records for both, and
-//! it opens a [`Stage::CacheAdmit`] span only when the third phase admits or
-//! resolves something, so a fully cached execution records no admit.
+//! Every execution records one telemetry family, whatever its size: `batches`,
+//! `batch_queries` and one [`Stage::EngineBatch`] sample, beside the cache
+//! lookups, shard scans and unit spans. A [`Stage::CacheAdmit`] span opens only
+//! when the third phase admits or resolves something, so a fully cached
+//! execution records no admit.
 //!
 //! ## The result cache
 //!
 //! With [`SearchEngine::enable_cache`] (or [`SearchEngine::with_result_cache`]) the
-//! engine memoizes **per-shard scan results** in a [`ResultCache`], keyed by a
-//! [`crate::cache::QueryFingerprint`] of the query bits. On a repeated query the
-//! shard scan is skipped entirely for every shard that hits; missed shards are
-//! scanned (in parallel, as usual) and admitted. Cached and uncached execution are
+//! engine memoizes **per-shard scan results** in a [`ResultCache`], keyed by the
+//! query bits themselves. On a repeated query the shard scan is skipped
+//! entirely for every shard that hits; missed shards are scanned (in parallel,
+//! as usual) and admitted. Cached and uncached execution are
 //! byte-identical — cached entries hold exactly what the scan returned, including
 //! the per-shard [`SearchStats`], and flow through the same merge — so enabling the
 //! cache changes wall-clock time and *actual* comparisons performed, never results.
@@ -116,14 +116,14 @@
 //! entry survives a reload.
 
 use crate::bitindex::BitIndex;
-use crate::cache::{CacheConfig, CacheEffect, CacheStats, QueryFingerprint, ResultCache};
+use crate::cache::{CacheConfig, CacheEffect, CacheStats, ResultCache};
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::persistence::PersistenceError;
 use crate::query::QueryIndex;
 use crate::scanplane::ScanPlane;
 use crate::search::{top_matches, SearchMatch, SearchStats};
-use crate::storage::{IndexStore, ShardedStore, StoreError};
+use crate::storage::{ShardedStore, StoreError};
 use crate::telemetry::{
     Counter, Gauge, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
 };
@@ -169,7 +169,7 @@ impl ScanUnit {
 }
 
 /// The planes of whatever `store` already holds: one per shard, slot for slot.
-fn derive_planes<S: IndexStore>(store: &S) -> Vec<ScanPlane> {
+fn derive_planes(store: &ShardedStore) -> Vec<ScanPlane> {
     (0..store.num_shards())
         .map(|shard| {
             let mut plane = ScanPlane::new();
@@ -181,15 +181,15 @@ fn derive_planes<S: IndexStore>(store: &S) -> Vec<ScanPlane> {
         .collect()
 }
 
-/// A pluggable, shard-parallel search engine over an [`IndexStore`].
+/// The shard-parallel search engine over a [`ShardedStore`].
 ///
 /// Scan lanes beyond the caller's run on the process's shared, persistent lane
 /// workers (spawning threads per query would cost more than scanning a
 /// 10⁴-document shard on some hosts); the engine owns no thread. A one-lane
 /// engine scans inline.
 #[derive(Debug)]
-pub struct SearchEngine<S: IndexStore> {
-    store: S,
+pub struct SearchEngine {
+    store: ShardedStore,
     /// `planes[s]` is the bit-sliced copy of shard `s`'s entries, slot for
     /// slot — built in [`SearchEngine::new`], appended in
     /// `SearchEngine::append`, touched nowhere else.
@@ -210,7 +210,7 @@ pub struct SearchEngine<S: IndexStore> {
     telemetry: Telemetry,
 }
 
-impl<S: IndexStore + Clone> Clone for SearchEngine<S> {
+impl Clone for SearchEngine {
     fn clone(&self) -> Self {
         let mut engine = SearchEngine::new(self.store.clone());
         engine.set_scan_lanes(self.lanes);
@@ -228,19 +228,12 @@ impl<S: IndexStore + Clone> Clone for SearchEngine<S> {
     }
 }
 
-impl SearchEngine<ShardedStore> {
-    /// An engine over a fresh single-shard store.
-    pub fn sequential(params: SystemParams) -> Self {
-        SearchEngine::sharded(params, 1)
-    }
-
+impl SearchEngine {
     /// A parallel engine over a fresh round-robin store with `num_shards` shards.
     pub fn sharded(params: SystemParams, num_shards: usize) -> Self {
         SearchEngine::new(ShardedStore::new(params, num_shards))
     }
-}
 
-impl<S: IndexStore> SearchEngine<S> {
     /// Run queries on an existing store. The engine starts with one scan lane
     /// per host core (shared pool workers plus the calling thread, which always
     /// takes one lane) — *not* per shard: multi-lane engines split shards into
@@ -249,7 +242,7 @@ impl<S: IndexStore> SearchEngine<S> {
     /// CPU-bound scan. Use [`SearchEngine::with_scan_lanes`] to pin a count.
     ///
     /// The result cache starts disabled; see [`SearchEngine::enable_cache`].
-    pub fn new(store: S) -> Self {
+    pub fn new(store: ShardedStore) -> Self {
         let planes = derive_planes(&store);
         let mut engine = SearchEngine {
             store,
@@ -369,7 +362,7 @@ impl<S: IndexStore> SearchEngine<S> {
 
     /// The underlying store, read-only: documents come in through
     /// [`SearchEngine::insert`] so the planes and the cache see every one.
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &ShardedStore {
         &self.store
     }
 
@@ -377,11 +370,6 @@ impl<S: IndexStore> SearchEngine<S> {
     /// and the scan bench read it to hold the layout to the AoS reference.
     pub fn scan_plane(&self, shard: usize) -> &ScanPlane {
         &self.planes[shard]
-    }
-
-    /// Consume the engine, returning the store.
-    pub fn into_store(self) -> S {
-        self.store
     }
 
     /// The store's parameters.
@@ -418,7 +406,7 @@ impl<S: IndexStore> SearchEngine<S> {
     /// Cache and telemetry accounting is the caller's.
     fn append(
         &mut self,
-        insert: impl FnOnce(&mut S) -> Result<usize, StoreError>,
+        insert: impl FnOnce(&mut ShardedStore) -> Result<usize, StoreError>,
     ) -> Result<usize, StoreError> {
         let shard = insert(&mut self.store)?;
         // An accepted insert fills the last slot of the shard it names.
@@ -469,7 +457,7 @@ impl<S: IndexStore> SearchEngine<S> {
         Ok(count)
     }
 
-    /// The stored index of one document, decoded (O(1) on map-backed stores).
+    /// The stored index of one document, decoded (O(1): the store's id map).
     pub fn document_index(&self, document_id: u64) -> Option<RankedDocumentIndex> {
         (self.store.document_index(document_id)).map(RankedDocumentIndex::from)
     }
@@ -637,25 +625,14 @@ impl<S: IndexStore> SearchEngine<S> {
 
     /// Ranked search (Algorithm 1) with execution statistics, merged across shards.
     pub fn search_ranked_with_stats(&self, query: &QueryIndex) -> (Vec<SearchMatch>, SearchStats) {
-        let (matches, stats, _) = self.search_ranked_with_effect(query, None);
+        let (matches, stats, _) = self.search_one(query, None);
         (matches, stats)
     }
 
-    /// Ranked search with statistics **and** the cache's contribution to this
-    /// execution, keeping the first `top` matches (all of them for `None`).
-    /// With the cache disabled the effect is all zeros. Matches and stats are
-    /// byte-identical to the uncached execution either way, and `top` cuts
-    /// only the matches: the stats and the effect are the whole scan's. A
-    /// batch of one through the engine's one executor (see the
-    /// [module docs](self)); it records `queries` and [`Stage::EngineQuery`].
-    pub fn search_ranked_with_effect(
-        &self,
-        query: &QueryIndex,
-        top: Option<usize>,
-    ) -> (Vec<SearchMatch>, SearchStats, CacheEffect) {
-        self.telemetry.add(Counter::Queries, 1);
-        let _query_span = self.telemetry.span(Stage::EngineQuery);
-        let mut replies = self.execute(std::slice::from_ref(query), &[top]);
+    /// One query as a batch of one through
+    /// [`SearchEngine::search_batch_with_effects`], its reply cut to `top`.
+    fn search_one(&self, query: &QueryIndex, top: Option<usize>) -> Reply {
+        let mut replies = self.search_batch_with_effects(std::slice::from_ref(query), &[top]);
         replies.pop().expect("one reply per query")
     }
 
@@ -679,7 +656,7 @@ impl<S: IndexStore> SearchEngine<S> {
 
     /// Ranked search without statistics.
     pub fn search(&self, query: &QueryIndex) -> Vec<SearchMatch> {
-        self.search_ranked_with_stats(query).0
+        self.search_one(query, None).0
     }
 
     /// Ranked search returning only the top `tau` matches (§5: "the user can
@@ -687,7 +664,7 @@ impl<S: IndexStore> SearchEngine<S> {
     /// selects the `tau` kept and sorts only those; the per-shard cache entries
     /// stay k-independent, so one cached query serves every `tau`.
     pub fn search_top(&self, query: &QueryIndex, tau: usize) -> Vec<SearchMatch> {
-        self.search_ranked_with_effect(query, Some(tau)).0
+        self.search_one(query, Some(tau)).0
     }
 
     /// Execute many queries in one pass: each shard is scanned once for the whole
@@ -702,12 +679,16 @@ impl<S: IndexStore> SearchEngine<S> {
             .collect()
     }
 
-    /// Batched ranked search with per-query statistics and cache effects;
-    /// reply `i` keeps the first `tops[i]` matches (all of them for `None`).
+    /// **The** read path: every ranked execution, a single query included, is
+    /// this batched ranked search with per-query statistics and cache effects
+    /// (see the [module docs](self)). Replies come back in batch order; reply
+    /// `i` keeps the first `tops[i]` matches (all of them for `None`), and the
+    /// cut touches only the matches — the stats and the effect are the whole
+    /// scan's. With the cache disabled every effect is all zeros.
     ///
     /// Execution is **fused and deduplicated**: queries carrying identical
-    /// [`QueryFingerprint`]s are scanned once (the first occurrence is the
-    /// representative; every duplicate position receives a copy of its reply),
+    /// bits are scanned once (the first occurrence is the representative;
+    /// every duplicate position receives a copy of its reply),
     /// and each shard worker receives its whole remaining query set in one
     /// [`crate::scanplane::ScanPlane::scan_ranked_batch`] pass — one lane
     /// hand-off and one merge per batch, not per query.
@@ -746,26 +727,15 @@ impl<S: IndexStore> SearchEngine<S> {
         self.telemetry
             .add(Counter::BatchQueries, queries.len() as u64);
         let _batch_span = self.telemetry.span(Stage::EngineBatch);
-        self.execute(queries, tops)
-    }
-
-    /// **The** read path: every ranked execution, a single query included, is
-    /// this batch executor (see the [module docs](self)). Replies come back in
-    /// batch order, reply `i` cut to `tops[i]`.
-    fn execute(&self, queries: &[QueryIndex], tops: &[Option<usize>]) -> Vec<Reply> {
         let shards = self.store.num_shards();
-        let fingerprints: Vec<QueryFingerprint> = queries
-            .iter()
-            .map(|q| QueryFingerprint::new(q.bits()))
-            .collect();
         // Intra-batch dedup: uniques[row] is the batch position of a distinct
-        // fingerprint's first occurrence (its representative), and rows[i] is
+        // query's first occurrence (its representative), and rows[i] is
         // position i's row in the per-unique tables below.
         let mut uniques: Vec<usize> = Vec::new();
-        let mut first_of: HashMap<&QueryFingerprint, usize> = HashMap::with_capacity(queries.len());
-        let rows: Vec<usize> = (fingerprints.iter().enumerate())
-            .map(|(i, fingerprint)| {
-                *first_of.entry(fingerprint).or_insert_with(|| {
+        let mut first_of: HashMap<&BitIndex, usize> = HashMap::with_capacity(queries.len());
+        let rows: Vec<usize> = (queries.iter().enumerate())
+            .map(|(i, query)| {
+                *first_of.entry(query.bits()).or_insert_with(|| {
                     uniques.push(i);
                     uniques.len() - 1
                 })
@@ -791,7 +761,7 @@ impl<S: IndexStore> SearchEngine<S> {
             generations = (0..shards).map(|shard| cache.generation(shard)).collect();
             for ((&u, slots), effect) in uniques.iter().zip(&mut resolved).zip(&mut effects) {
                 for (shard, slot) in slots.iter_mut().enumerate() {
-                    *slot = cache.lookup(shard, &fingerprints[u]);
+                    *slot = cache.lookup(shard, queries[u].bits());
                     self.telemetry.record_cache_lookup(shard, slot.is_some());
                     tally(effect, slot.as_ref());
                 }
@@ -840,7 +810,7 @@ impl<S: IndexStore> SearchEngine<S> {
         // pressure an intervening admission may have evicted it, and then, like
         // sequential execution, the duplicate reports a miss and re-admits; the
         // "rescan" result is the representative's identical row). Distinct
-        // queries' *lookups* stay phased (see `search_batch_with_effects`), so
+        // queries' *lookups* stay phased (the caveat above), so
         // only their diagnostics can deviate under intra-batch eviction
         // pressure; the admission order and every duplicate's traffic match
         // sequential execution exactly. Nothing to admit or resolve, no span.
@@ -851,14 +821,14 @@ impl<S: IndexStore> SearchEngine<S> {
         {
             let _admit_span = self.telemetry.span(Stage::CacheAdmit);
             let mut cache = cache.lock().unwrap();
-            for (i, (fingerprint, &row)) in fingerprints.iter().zip(&rows).enumerate() {
+            for (i, (query, &row)) in queries.iter().zip(&rows).enumerate() {
                 if uniques[row] == i {
                     for &shard in &scanned_on[row] {
                         let (matches, stats) = resolved[row][shard].as_ref().expect("scanned");
                         let generation = generations[shard];
                         cache.admit(
                             shard,
-                            fingerprint.clone(),
+                            query.bits().clone(),
                             matches.clone(),
                             *stats,
                             generation,
@@ -867,13 +837,13 @@ impl<S: IndexStore> SearchEngine<S> {
                     continue;
                 }
                 for shard in 0..shards {
-                    let found = cache.lookup(shard, fingerprint);
+                    let found = cache.lookup(shard, query.bits());
                     self.telemetry.record_cache_lookup(shard, found.is_some());
                     tally(&mut duplicate_effects[i], found.as_ref());
                     if found.is_none() {
                         let (matches, stats) = resolved[row][shard].clone().expect("resolved");
                         let generation = generations[shard];
-                        cache.admit(shard, fingerprint.clone(), matches, stats, generation);
+                        cache.admit(shard, query.bits().clone(), matches, stats, generation);
                     }
                 }
             }
@@ -931,7 +901,6 @@ mod tests {
     use crate::persistence::serialize_store;
     use crate::query::QueryBuilder;
     use crate::search::{scan_ranked, CloudIndex};
-    use crate::storage::IndexEntry;
     use mkse_textproc::document::TermFrequencies;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1042,7 +1011,7 @@ mod tests {
         sequential.insert_all(indices.iter().cloned()).unwrap();
         let expected: Vec<_> = batch
             .iter()
-            .map(|q| sequential.search_ranked_with_effect(q, None))
+            .map(|q| sequential.search_one(q, None))
             .collect();
         let expected_stats = sequential.cache_stats().unwrap();
 
@@ -1081,7 +1050,7 @@ mod tests {
         sequential.insert_all(indices.iter().cloned()).unwrap();
         let expected: Vec<_> = batch
             .iter()
-            .map(|q| sequential.search_ranked_with_effect(q, None))
+            .map(|q| sequential.search_one(q, None))
             .collect();
         assert!(
             expected[1].2.fully_cached(),
@@ -1099,13 +1068,10 @@ mod tests {
         // And the surviving LRU contents match: B (the last admission) is the
         // cached entry in both worlds, so a follow-up B fully hits.
         assert_eq!(
-            batched.search_ranked_with_effect(&q_b, None),
-            sequential.search_ranked_with_effect(&q_b, None)
+            batched.search_one(&q_b, None),
+            sequential.search_one(&q_b, None)
         );
-        assert!(batched
-            .search_ranked_with_effect(&q_b, None)
-            .2
-            .fully_cached());
+        assert!(batched.search_one(&q_b, None).2.fully_cached());
     }
 
     #[test]
@@ -1124,7 +1090,7 @@ mod tests {
         sequential.insert_all(indices.iter().cloned()).unwrap();
         let expected: Vec<_> = batch
             .iter()
-            .map(|q| sequential.search_ranked_with_effect(q, None))
+            .map(|q| sequential.search_one(q, None))
             .collect();
         let mut cached =
             SearchEngine::sharded(fx.params.clone(), 3).with_result_cache(CacheConfig {
@@ -1138,11 +1104,7 @@ mod tests {
     }
 
     /// The corpus of `fx` in a 4-shard engine, cache on or off.
-    fn engine_with(
-        fx: &Fixture,
-        indices: &[RankedDocumentIndex],
-        cached: bool,
-    ) -> SearchEngine<ShardedStore> {
+    fn engine_with(fx: &Fixture, indices: &[RankedDocumentIndex], cached: bool) -> SearchEngine {
         let mut engine = SearchEngine::sharded(fx.params.clone(), 4);
         if cached {
             engine.enable_cache(CacheConfig::default());
@@ -1168,10 +1130,7 @@ mod tests {
                 );
                 for pass in ["cold", "warm"] {
                     let ctx = format!("cached={cached}, top={top:?}, {pass}");
-                    let (want, got) = (
-                        uncut.search_ranked_with_effect(&q_a, None),
-                        cut.search_ranked_with_effect(&q_a, top),
-                    );
+                    let (want, got) = (uncut.search_one(&q_a, None), cut.search_one(&q_a, top));
                     let want_batch = uncut.search_batch_with_effects(&batch, &[None; 3]);
                     let got_batch = cut.search_batch_with_effects(&batch, &[top; 3]);
                     for (want, got) in
@@ -1206,7 +1165,7 @@ mod tests {
             );
             for pass in ["cold", "warm"] {
                 let expected: Vec<_> = (batch.iter().zip(tops))
-                    .map(|(q, top)| sequential.search_ranked_with_effect(q, top))
+                    .map(|(q, top)| sequential.search_one(q, top))
                     .collect();
                 assert!(expected[3].0.len() > 5, "the cuts must bite");
                 let got = batched.search_batch_with_effects(&batch, &tops);
@@ -1304,18 +1263,18 @@ mod tests {
     /// Force a multi-lane pool regardless of the host's core count (the struct
     /// literal bypasses `set_scan_lanes`' clamp) so genuine concurrent stealing
     /// runs even on single-core CI hosts.
-    fn forced_lane_engine<S: IndexStore>(store: S, lanes: usize) -> SearchEngine<S> {
+    fn forced_lane_engine(store: ShardedStore, lanes: usize) -> SearchEngine {
         forced_lane_engine_on(store, lanes, Arc::new(WorkerPool::new(lanes - 1)))
     }
 
     /// [`forced_lane_engine`] on an injected pool, so several engines can share
     /// one set of private workers the way a process's engines share
     /// [`WorkerPool::shared`].
-    fn forced_lane_engine_on<S: IndexStore>(
-        store: S,
+    fn forced_lane_engine_on(
+        store: ShardedStore,
         lanes: usize,
         pool: Arc<WorkerPool>,
-    ) -> SearchEngine<S> {
+    ) -> SearchEngine {
         SearchEngine {
             planes: derive_planes(&store),
             store,
@@ -1434,7 +1393,7 @@ mod tests {
         // own engine's sequential reference, stats included.
         let pool = Arc::new(WorkerPool::new(2));
         struct Case {
-            engine: SearchEngine<ShardedStore>,
+            engine: SearchEngine,
             reference: CloudIndex,
             queries: Vec<QueryIndex>,
         }
@@ -1549,11 +1508,7 @@ mod tests {
 
     /// Every plane is its shard, slot for slot: same length, ids and geometry,
     /// and the same answer to `probe` as the AoS loop over the decoded entries.
-    fn assert_planes_in_lockstep<S: IndexStore>(
-        engine: &SearchEngine<S>,
-        probe: &QueryIndex,
-        ctx: &str,
-    ) {
+    fn assert_planes_in_lockstep(engine: &SearchEngine, probe: &QueryIndex, ctx: &str) {
         let store = engine.store();
         for shard in 0..store.num_shards() {
             let plane = engine.scan_plane(shard);
@@ -1637,20 +1592,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_constructor_runs_on_a_one_shard_store() {
-        let mut fx = fixture();
-        let mut engine = SearchEngine::sequential(fx.params.clone());
-        let indexer = DocumentIndexer::new(&fx.params, &fx.keys);
-        engine.insert(indexer.index_keywords(0, &["kw0"])).unwrap();
-        assert_eq!(engine.store().num_shards(), 1);
-        let q = query(&mut fx, &["kw0"]);
-        let ids: Vec<u64> = engine.search(&q).iter().map(|m| m.document_id).collect();
-        assert_eq!(ids, vec![0]);
-        assert_eq!(engine.params().index_bits, 448);
-        assert_eq!(engine.into_store().len(), 1);
-    }
-
-    #[test]
     fn cached_engine_returns_identical_results_and_reports_hits() {
         let mut fx = fixture();
         let indices = corpus_indices(&fx, 40);
@@ -1662,11 +1603,11 @@ mod tests {
         assert!(cached.cache_enabled() && !plain.cache_enabled());
 
         let q = query(&mut fx, &["shared"]);
-        let (m1, s1, e1) = cached.search_ranked_with_effect(&q, None);
+        let (m1, s1, e1) = cached.search_one(&q, None);
         assert_eq!(e1.shard_misses, 4, "cold cache scans every shard");
         assert_eq!(e1.shard_hits, 0);
         assert!(!e1.fully_cached());
-        let (m2, s2, e2) = cached.search_ranked_with_effect(&q, None);
+        let (m2, s2, e2) = cached.search_one(&q, None);
         assert_eq!(e2.shard_hits, 4, "repeat is served from cache");
         assert_eq!(e2.shard_misses, 0);
         assert!(e2.fully_cached());
@@ -1692,7 +1633,7 @@ mod tests {
             SearchEngine::sharded(fx.params.clone(), 3).with_result_cache(CacheConfig::default());
         engine.insert_all(indices.iter().cloned()).unwrap();
         let q = query(&mut fx, &["shared"]);
-        let _ = engine.search_ranked_with_effect(&q, None); // warm all 3 shards
+        let _ = engine.search_one(&q, None); // warm all 3 shards
 
         // 12 documents round-robin over 3 shards ⇒ the next insert goes to shard 0.
         let indexer = DocumentIndexer::new(&fx.params, &fx.keys);
@@ -1700,7 +1641,7 @@ mod tests {
             .insert(indexer.index_keywords(100, &["kw1"]))
             .unwrap();
 
-        let (_, _, effect) = engine.search_ranked_with_effect(&q, None);
+        let (_, _, effect) = engine.search_one(&q, None);
         assert_eq!(effect.shard_hits, 2, "two shards stayed cached");
         assert_eq!(effect.shard_misses, 1, "only the written shard rescans");
         assert_eq!(engine.cache_stats().unwrap().invalidations, 1);
@@ -1722,7 +1663,7 @@ mod tests {
             query(&mut fx, &["kw5", "shared"]),
         ];
         // Warm only the first query through the single path.
-        let _ = cached.search_ranked_with_effect(&queries[0], None);
+        let _ = cached.search_one(&queries[0], None);
 
         let expected = plain.search_batch_with_stats(&queries);
         let got = cached.search_batch_with_effects(&queries, &vec![None; queries.len()]);
@@ -1752,8 +1693,8 @@ mod tests {
             SearchEngine::sharded(fx.params.clone(), 2).with_result_cache(CacheConfig::default());
         engine.insert_all(indices[..20].iter().cloned()).unwrap();
         let q = query(&mut fx, &["shared"]);
-        let _ = engine.search_ranked_with_effect(&q, None);
-        assert!(engine.search_ranked_with_effect(&q, None).2.fully_cached());
+        let _ = engine.search_one(&q, None);
+        assert!(engine.search_one(&q, None).2.fully_cached());
 
         // A restore the store refuses midway still stored its accepted prefix
         // (document 20, into shard 0), so nothing cached may be served after it.
@@ -1763,15 +1704,15 @@ mod tests {
             Err(PersistenceError::Store(StoreError::DuplicateDocument(0)))
         );
         assert_eq!(engine.len(), 21);
-        assert_eq!(engine.search_ranked_with_effect(&q, None).2.shard_hits, 0);
+        assert_eq!(engine.search_one(&q, None).2.shard_hits, 0);
 
         // A snapshot/restore cycle also invalidates (and restores content).
         let bytes = engine.snapshot();
         let mut restored =
             SearchEngine::sharded(fx.params.clone(), 5).with_result_cache(CacheConfig::default());
         assert_eq!(restored.restore_snapshot(&bytes).unwrap(), 21);
-        let (rm, rs, re) = restored.search_ranked_with_effect(&q, None);
-        let (em, es, _) = engine.search_ranked_with_effect(&q, None);
+        let (rm, rs, re) = restored.search_one(&q, None);
+        let (em, es, _) = engine.search_one(&q, None);
         assert_eq!(rm, em);
         assert_eq!(rs, es);
         assert_eq!(re.shard_hits, 0, "restored engine starts cold");
@@ -1791,7 +1732,7 @@ mod tests {
         let clone = engine.clone();
         assert!(clone.cache_enabled());
         assert_eq!(clone.cache_stats().unwrap(), CacheStats::default());
-        let (_, _, effect) = clone.search_ranked_with_effect(&q, None);
+        let (_, _, effect) = clone.search_one(&q, None);
         assert_eq!(effect.shard_hits, 0);
         // And disabling works.
         let mut off = clone;
@@ -1814,52 +1755,8 @@ mod tests {
         engine.reset_cache_stats();
         assert_eq!(engine.cache_stats().unwrap(), CacheStats::default());
         engine.clear_cache();
-        let (_, _, effect) = engine.search_ranked_with_effect(&q, None);
+        let (_, _, effect) = engine.search_one(&q, None);
         assert_eq!(effect.shard_hits, 0, "cleared cache serves nothing");
-    }
-
-    /// The one shard of `inner` dressed as shard 2 of four, the other three
-    /// empty — so a query the plane refuses (one of the wrong length, which
-    /// the front door keeps out in production) panics inside shard 2's scan
-    /// units and nowhere else, exercising the panic-context propagation
-    /// through the worker pool.
-    struct LoneShardStore {
-        inner: ShardedStore,
-    }
-
-    const LONE_SHARD: usize = 2;
-
-    impl IndexStore for LoneShardStore {
-        fn params(&self) -> &SystemParams {
-            self.inner.params()
-        }
-        fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
-            self.inner.insert(index).map(|_| LONE_SHARD)
-        }
-        fn insert_encoded(&mut self, id: u64, levels: &[u8]) -> Result<usize, StoreError> {
-            self.inner.insert_encoded(id, levels).map(|_| LONE_SHARD)
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn num_shards(&self) -> usize {
-            4
-        }
-        fn shard_len(&self, shard: usize) -> usize {
-            match shard {
-                LONE_SHARD => self.inner.shard_len(0),
-                _ => 0,
-            }
-        }
-        fn entry(&self, _shard: usize, slot: usize) -> IndexEntry<'_> {
-            self.inner.entry(0, slot)
-        }
-        fn document_index(&self, document_id: u64) -> Option<IndexEntry<'_>> {
-            self.inner.document_index(document_id)
-        }
-        fn documents_in_insertion_order(&self) -> impl Iterator<Item = IndexEntry<'_>> {
-            self.inner.documents_in_insertion_order()
-        }
     }
 
     /// A query one bit longer than `params` allows.
@@ -1869,44 +1766,111 @@ mod tests {
 
     #[test]
     fn scan_panic_names_the_failing_shard() {
-        let fx = fixture();
-        let mut inner = ShardedStore::new(fx.params.clone(), 1);
-        inner.insert_all(corpus_indices(&fx, 16)).unwrap();
-        let engine = SearchEngine::new(LoneShardStore { inner });
-        // Only shard 2 has a plane to hold the query to, on whichever lane
-        // runs its unit; the empty shards answer any length with nothing.
-        let bad = wrong_length_query(&fx.params);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| engine.search(&bad)));
-        let payload = result.expect_err("a wrong-length query must panic the scan");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .expect("string panic payload");
-        assert!(
-            message.contains("shard 2"),
-            "panic must name the failing shard: {message}"
-        );
-        assert!(
-            message.contains("length mismatch"),
-            "panic must forward the original message: {message}"
-        );
+        // A unit at selection position 0 of shard 2: the message must name
+        // the shard, not the position, inline and across a two-lane pool.
+        let store = ShardedStore::new(SystemParams::default(), 1);
+        let unit = |chunks| ScanUnit {
+            pos: 0,
+            shard: 2,
+            chunks: Some(chunks),
+        };
+        let refuse = |unit: &ScanUnit| panic!("plane refused chunks {:?}", unit.chunks);
+        let inline = forced_lane_engine(store.clone(), 1);
+        let two_lanes = forced_lane_engine(store, 2);
+        for (engine, units) in [
+            (&inline, vec![unit(0..8)]),
+            (&two_lanes, vec![unit(0..8), unit(8..16)]),
+        ] {
+            let lanes = engine.lanes;
+            let result = catch_unwind(AssertUnwindSafe(|| engine.run_units(&units, refuse)));
+            let message = pool::panic_message(result.expect_err("the scan must panic").as_ref());
+            assert!(
+                message.contains("shard 2: plane refused chunks Some("),
+                "lanes={lanes}: the panic must name shard 2 and forward the original text: {message}"
+            );
+            assert_eq!(
+                message.starts_with("shard scan panicked: job "),
+                lanes > 1,
+                "only the pool adds the job index: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_units_returns_every_result_in_unit_order() {
+        // Synthetic units over shards the store does not have: the executor
+        // never looks at a plane, it hands each unit to `scan` and puts the
+        // result in the unit's own slot, whichever lane ran it.
+        let units: Vec<ScanUnit> = (0..23)
+            .map(|i| ScanUnit {
+                pos: i % 4,
+                shard: (7 * i) % 5,
+                chunks: Some(i..i + 1 + i % 3),
+            })
+            .collect();
+        let store = ShardedStore::new(SystemParams::default(), 1);
+        for lanes in [1, 2, 3] {
+            let engine = forced_lane_engine(store.clone(), lanes);
+            engine.set_telemetry_level(TelemetryLevel::Counters);
+            let echoed = engine.run_units(&units, |u| (u.pos, u.shard, u.chunks.clone()));
+            let expected: Vec<_> = units
+                .iter()
+                .map(|u| (u.pos, u.shard, u.chunks.clone()))
+                .collect();
+            assert_eq!(echoed, expected, "lanes={lanes}");
+            let snap = engine.metrics_snapshot();
+            let executed: u64 = snap.lanes.iter().map(|l| l.executed).sum();
+            assert_eq!(executed, units.len() as u64, "lanes={lanes}");
+        }
+    }
+
+    #[test]
+    fn single_query_entries_record_one_batch_of_one() {
+        // `search`, `search_top` and `search_ranked_with_stats` are views of
+        // the batch entry: each adds one batch of one query and one
+        // `engine_batch` sample, and an empty batch records nothing.
+        let mut fx = fixture();
+        let mut engine = SearchEngine::sharded(fx.params.clone(), 2);
+        engine.insert_all(corpus_indices(&fx, 12)).unwrap();
+        engine.set_telemetry_level(TelemetryLevel::Spans);
+        let q = query(&mut fx, &["shared"]);
+        let family = |engine: &SearchEngine| {
+            let snap = engine.metrics_snapshot();
+            let samples = (snap.histograms.iter())
+                .find(|h| h.stage == "engine_batch")
+                .map_or(0, |h| h.count);
+            [
+                snap.counter("batches"),
+                snap.counter("batch_queries"),
+                samples,
+            ]
+        };
+        let _ = engine.search(&q);
+        assert_eq!(family(&engine), [1, 1, 1]);
+        let _ = engine.search_top(&q, 2);
+        assert_eq!(family(&engine), [2, 2, 2]);
+        let _ = engine.search_ranked_with_stats(&q);
+        assert_eq!(family(&engine), [3, 3, 3]);
+        assert!(engine.search_batch(&[]).is_empty());
+        assert_eq!(family(&engine), [3, 3, 3]);
+        let _ = engine.search_batch(&[q.clone(), q]);
+        assert_eq!(family(&engine), [4, 5, 4]);
     }
 
     #[test]
     fn a_panicking_engine_does_not_disturb_its_pool_mates() {
         use crate::scanplane::CHUNK;
-        // Engines A and B run their lanes on one injected pool. A's only
-        // documents sit in its shard 2, two 8-chunk units of them, so a query
-        // of the wrong length panics on both lanes while B queries: B's
-        // replies are its reference's, A's panic still names its job and
-        // shard, and the pool serves both afterwards.
+        // Engines A and B run their lanes on one injected pool. A's one shard
+        // is two scan units (8 chunks and 1), so a query of the wrong length
+        // panics on both lanes while B queries: B's replies are its
+        // reference's, A's panic still names its job and shard, and the pool
+        // serves both afterwards.
         let mut fx = fixture();
         let pool = Arc::new(WorkerPool::new(1));
-        let (inner, _) = raw_store(1, UNIT_CHUNKS * CHUNK + 1);
-        let a_params = inner.params().clone();
-        let a = forced_lane_engine_on(LoneShardStore { inner }, 2, Arc::clone(&pool));
-        assert_eq!(a.carve_units(&[LONE_SHARD]).len(), 2);
+        let (a_store, _) = raw_store(1, UNIT_CHUNKS * CHUNK + 1);
+        let a_params = a_store.params().clone();
+        let a = forced_lane_engine_on(a_store, 2, Arc::clone(&pool));
+        assert_eq!(a.carve_units(&[0]).len(), 2);
         let indices = corpus_indices(&fx, 40);
         let mut reference = CloudIndex::new(fx.params.clone());
         reference.insert_all(indices.iter().cloned()).unwrap();
@@ -1935,7 +1899,7 @@ mod tests {
                 let message = pool::panic_message(payload.as_ref());
                 assert!(
                     message.starts_with("shard scan panicked: job ")
-                        && message.contains(": shard 2: ")
+                        && message.contains(": shard 0: ")
                         && message.contains("length mismatch"),
                     "panic must name the failing job and shard: {message}"
                 );

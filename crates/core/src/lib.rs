@@ -12,13 +12,14 @@
 //! | §6.1 false accept rates | [`analysis`] |
 //!
 //! Beyond the paper, the server-side read path is layered for scale (see the root
-//! crate's architecture notes): the [`storage`] module holds the [`storage::IndexStore`]
-//! abstraction and its one built-in layout, the round-robin [`storage::ShardedStore`],
-//! which keeps every document as its §5 entry — the `8 + η·⌈r/8⌉` bytes
-//! [`persistence`] writes, packed in 1,024-document pages and read through borrowed
-//! [`storage::IndexEntry`] views — and the [`engine`] module executes single,
-//! batched and top-k ranked queries across shards in parallel with results that are
-//! bit-for-bit identical to the sequential [`search::CloudIndex`] reference scan.
+//! crate's architecture notes): the [`storage`] module holds the one store, the
+//! round-robin [`storage::ShardedStore`], which keeps every document as its §5
+//! entry — the `8 + η·⌈r/8⌉` bytes [`persistence`] writes, packed in
+//! 1,024-document pages and read through borrowed [`storage::IndexEntry`] views —
+//! and the [`engine`] module's [`engine::SearchEngine`] executes it: every ranked
+//! read, single, batched or top-k, is one batch through one executor, across
+//! shards in parallel, with results that are bit-for-bit identical to the
+//! sequential [`search::CloudIndex`] reference scan.
 //! Each shard's hot loop runs on the [`scanplane`] module's bit-sliced
 //! [`scanplane::ScanPlane`] — one bitmap row per index bit per 1,024-document chunk,
 //! which the engine appends to on insert; a query ORs only the rows where it has a
@@ -27,8 +28,9 @@
 //! while the entries remain the authoritative copy. Decoded AoS documents live only
 //! in the reference, which scans them with the paper's loop.
 //! The [`cache`] module adds an optional per-shard, generation-invalidated result
-//! cache on top: repeated query indices (the search pattern the server observes
-//! anyway, §6) skip the shard scan entirely without changing a single reply byte.
+//! cache on top, keyed by the query bits themselves: repeated query indices (the
+//! search pattern the server observes anyway, §6) skip the shard scan entirely
+//! without changing a single reply byte.
 //! The [`telemetry`] module observes all of it: a lock-free registry of
 //! relaxed-atomic counters, gauges and log₂-bucketed latency histograms behind a
 //! runtime [`telemetry::TelemetryLevel`] knob on the engine — per-stage spans,
@@ -97,7 +99,7 @@ pub use analysis::{
 };
 pub use bins::{bins_for_keywords, get_bin, BinId, BinOccupancy};
 pub use bitindex::BitIndex;
-pub use cache::{CacheConfig, CacheEffect, CacheStats, QueryFingerprint, ResultCache};
+pub use cache::{CacheConfig, CacheEffect, CacheStats, ResultCache};
 pub use document_index::{DocumentIndexer, RankedDocumentIndex};
 pub use engine::SearchEngine;
 pub use keys::{trapdoor_from_bin_key, RandomKeywordPool, SchemeKeys, Trapdoor};
@@ -110,7 +112,7 @@ pub use query::{QueryBuilder, QueryIndex};
 pub use rotation::{EpochTrapdoor, RotatingKeys};
 pub use scanplane::ScanPlane;
 pub use search::{CloudIndex, SearchMatch, SearchStats};
-pub use storage::{IndexEntry, IndexStore, ShardedStore, StoreError};
+pub use storage::{IndexEntry, ShardedStore, StoreError};
 pub use telemetry::{
     LaneSnapshot, LaneStats, MetricsSnapshot, ShardCacheSnapshot, Telemetry, TelemetryLevel,
 };

@@ -6,15 +6,16 @@
 //! `8 + η·⌈r/8⌉` bytes per document, matching the storage-overhead analysis at the end of §5 —
 //! without pulling in any serialization framework beyond what the index itself needs.
 //!
-//! **The in-memory entry is the persisted entry.** A [`crate::storage::ShardedStore`]
-//! keeps every document as the words of this format (see [`crate::storage`]), so
-//! [`serialize_index_store`] and [`serialize_shard`] are a header plus copies — each
-//! level's first `⌈r/8⌉` little-endian bytes, all of them at r = 448 — and nothing is
-//! decoded on the way out. [`serialize_store`] writes the same bytes from decoded
-//! [`RankedDocumentIndex`]es (the reference's form); the two are held byte-equal.
+//! **The in-memory entry is the persisted entry.** The one store,
+//! [`ShardedStore`], keeps every document as the words of this format (see
+//! [`crate::storage`]), so [`serialize_index_store`] and [`serialize_shard`] take
+//! it and are a header plus copies — each level's first `⌈r/8⌉` little-endian
+//! bytes, all of them at r = 448 — and nothing is decoded on the way out.
+//! [`serialize_store`] writes the same bytes from decoded [`RankedDocumentIndex`]es
+//! (the reference's form); the two are held byte-equal.
 //!
-//! Snapshots capture **only** the stored indices — exactly what an
-//! [`IndexStore`] holds. The result cache and the bit-sliced
+//! Snapshots capture **only** the stored indices — exactly what the store
+//! holds. The result cache and the bit-sliced
 //! [`crate::scanplane::ScanPlane`]s are derived state owned by
 //! [`crate::engine::SearchEngine`] and are never serialized: the byte format is
 //! **layout-independent** (insertion order, one document at a time).
@@ -36,7 +37,7 @@
 use crate::bitindex::BitIndex;
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
-use crate::storage::{IndexEntry, IndexStore, StoreError};
+use crate::storage::{IndexEntry, ShardedStore, StoreError};
 
 const MAGIC: &[u8; 4] = b"MKSE";
 const VERSION: u16 = 1;
@@ -209,12 +210,12 @@ pub fn deserialize_store(
     Ok(entries.map(decode).collect())
 }
 
-/// Snapshot any [`IndexStore`] into the binary store format, in insertion order.
+/// Snapshot a [`ShardedStore`] into the binary store format, in insertion order.
 ///
 /// The byte output is **layout-independent**: a sharded store and the sequential
 /// reference holding the same uploads serialize identically, so snapshots can
 /// be restored into a store with any shard count.
-pub fn serialize_index_store<S: IndexStore>(store: &S) -> Vec<u8> {
+pub fn serialize_index_store(store: &ShardedStore) -> Vec<u8> {
     serialize_entries(
         store.params(),
         store.len(),
@@ -222,7 +223,7 @@ pub fn serialize_index_store<S: IndexStore>(store: &S) -> Vec<u8> {
     )
 }
 
-/// Snapshot a **single shard** of an [`IndexStore`] into the same versioned
+/// Snapshot a **single shard** of a [`ShardedStore`] into the same versioned
 /// binary format — the re-assignment currency of the fleet layer: when a node
 /// dies, the coordinator ships exactly the lost shards to survivors instead of
 /// a whole-store snapshot.
@@ -231,7 +232,7 @@ pub fn serialize_index_store<S: IndexStore>(store: &S) -> Vec<u8> {
 /// shard (round-robin placement makes ordinals monotone in the slot), so the
 /// slice is already ordered and the output stays **layout-independent**: it can
 /// be restored into a store (or engine) with any shard count.
-pub fn serialize_shard<S: IndexStore>(store: &S, shard: usize) -> Vec<u8> {
+pub fn serialize_shard(store: &ShardedStore, shard: usize) -> Vec<u8> {
     serialize_entries(
         store.params(),
         store.shard_len(shard),
@@ -374,7 +375,6 @@ mod tests {
 
     #[test]
     fn sharded_snapshot_equals_sequential_snapshot() {
-        use crate::storage::{IndexStore, ShardedStore};
         let params = SystemParams::default();
         let indices = sample_indices(&params, 11);
         let mut sequential = ShardedStore::new(params.clone(), 1);
@@ -398,7 +398,6 @@ mod tests {
 
     #[test]
     fn per_shard_snapshots_cover_the_store_and_restore_anywhere() {
-        use crate::storage::{IndexStore, ShardedStore};
         let params = SystemParams::default();
         let indices = sample_indices(&params, 13);
         let mut sharded = ShardedStore::new(params.clone(), 4);
@@ -446,7 +445,6 @@ mod tests {
 
     #[test]
     fn restoring_into_a_populated_store_rejects_duplicates() {
-        use crate::storage::{IndexStore, ShardedStore};
         let params = SystemParams::default();
         let indices = sample_indices(&params, 3);
         let bytes = serialize_store(&params, &indices);

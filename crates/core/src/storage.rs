@@ -1,15 +1,12 @@
 //! The server-side index **storage layer**.
 //!
 //! The paper's server holds one searchable index per document and scans all of
-//! them per query (Eq. 3 over σ documents). This module separates *how the indices are
-//! laid out* from *how queries execute* (the [`crate::engine`] layer):
-//!
-//! * [`IndexStore`] — the storage abstraction: geometry-validated inserts, O(1) lookup
-//!   by document id, and shard-wise access for parallel scans, all through borrowed
-//!   [`IndexEntry`] views.
-//! * [`ShardedStore`] — partitions documents round-robin across N shards so the
-//!   engine can scan them on N threads; an id → (shard, slot) map replaces the old
-//!   O(σ) `iter().find()` lookup.
+//! them per query (Eq. 3 over σ documents). This module holds *how the indices are
+//! laid out*; *how queries execute* is the [`crate::engine`] layer's. There is one
+//! store, [`ShardedStore`]: it partitions documents round-robin across N shards so
+//! the engine can scan them on N lanes, validates every insert's geometry, finds a
+//! document by id in O(1) through an id → (shard, slot) map, and hands out every
+//! entry as a borrowed [`IndexEntry`] view.
 //!
 //! A store is **the §5 entries, once**. Each shard holds its documents' ids in
 //! one column and their η·r index bits in **entry pages** of
@@ -18,22 +15,22 @@
 //! so a growing store never holds two copies of anything. An entry's words are exactly the
 //! bits [`crate::persistence`] writes (its first `⌈r/8⌉` little-endian bytes
 //! per level), and bits at or beyond r are always zero — every insert masks
-//! them, whatever the source. Nothing decoded is kept: [`IndexStore::insert`]
+//! them, whatever the source. Nothing decoded is kept: [`ShardedStore::insert`]
 //! copies a [`RankedDocumentIndex`]'s words and drops it, and
-//! [`IndexStore::insert_encoded`] copies a snapshot's bytes without building one.
+//! [`ShardedStore::insert_encoded`] copies a snapshot's bytes without building one.
 //!
 //! Everything derived from the entries belongs to the one holder that scans:
 //! the scan layout ([`crate::scanplane::ScanPlane`]) and the result cache live in
-//! [`crate::engine::SearchEngine`], which [`IndexStore::insert`] tells the shard
+//! [`crate::engine::SearchEngine`], which [`ShardedStore::insert`] tells the shard
 //! it appended to — so a holder that never scans (the fleet coordinator's
 //! mirror) pays for neither. The decoded [`RankedDocumentIndex`] survives only
 //! where something needs it: as the upload currency, in the
 //! [`crate::search::CloudIndex`] reference, and in
 //! [`crate::engine::SearchEngine::document_index`]'s answer.
 //!
-//! Every store can list its entries in **insertion order**, so persisted
-//! snapshots keep the exact storage order of the sequential reference regardless
-//! of the physical layout.
+//! The store lists its entries in **insertion order**, so persisted snapshots
+//! keep the exact storage order of the sequential reference regardless of the
+//! shard count.
 //!
 //! **Leakage note (§6)**: the pages are a server-side memory layout of bytes the
 //! server already holds — the uploaded indices themselves; how they are arranged
@@ -154,75 +151,6 @@ impl<'a> IndexEntry<'a> {
     }
 }
 
-/// Storage abstraction the query-execution engine runs on.
-///
-/// A store is a set of shards, each a sequence of slots holding one
-/// [`IndexEntry`] each. The engine scans shards independently (possibly in
-/// parallel); [`IndexStore::documents_in_insertion_order`] recovers the global
-/// insertion order, so snapshots are layout-independent.
-pub trait IndexStore: Send + Sync {
-    /// The parameters every stored index was validated against.
-    fn params(&self) -> &SystemParams;
-
-    /// Upload one document index, validating its geometry and id uniqueness.
-    /// An accepted index is copied into the **last** slot of one shard and
-    /// dropped; the shard is returned, so whoever keeps per-shard derived state
-    /// knows what changed. A refused index changes nothing.
-    fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError>;
-
-    /// [`IndexStore::insert`] for an entry in its persisted form: `levels` is
-    /// η levels of `⌈r/8⌉` little-endian bytes each, as
-    /// [`crate::persistence`] writes them (bits beyond r are dropped). Only id
-    /// uniqueness can refuse it.
-    ///
-    /// # Panics
-    ///
-    /// If `levels` is not η·⌈r/8⌉ bytes long.
-    fn insert_encoded(&mut self, document_id: u64, levels: &[u8]) -> Result<usize, StoreError>;
-
-    /// Number of stored documents (σ).
-    fn len(&self) -> usize;
-
-    /// Number of shards the documents are partitioned into.
-    fn num_shards(&self) -> usize;
-
-    /// Number of documents in one shard.
-    fn shard_len(&self, shard: usize) -> usize;
-
-    /// The document at `slot` of `shard`.
-    fn entry(&self, shard: usize, slot: usize) -> IndexEntry<'_>;
-
-    /// The stored entry of one document, or `None` if unknown.
-    fn document_index(&self, document_id: u64) -> Option<IndexEntry<'_>>;
-
-    /// Every stored entry in insertion order (what snapshots write).
-    fn documents_in_insertion_order(&self) -> impl Iterator<Item = IndexEntry<'_>>;
-
-    /// True if no documents are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The documents of one shard, in slot order.
-    fn shard_entries(&self, shard: usize) -> impl Iterator<Item = IndexEntry<'_>> {
-        (0..self.shard_len(shard)).map(move |slot| self.entry(shard, slot))
-    }
-
-    /// Upload many document indices, stopping at the first invalid one.
-    fn insert_all<I: IntoIterator<Item = RankedDocumentIndex>>(
-        &mut self,
-        indices: I,
-    ) -> Result<(), StoreError>
-    where
-        Self: Sized,
-    {
-        for idx in indices {
-            self.insert(idx)?;
-        }
-        Ok(())
-    }
-}
-
 /// One shard: an id column beside entry pages of [`CHUNK`] slots.
 #[derive(Clone, Debug, Default)]
 struct Shard {
@@ -235,11 +163,14 @@ struct Shard {
     pages: Vec<Vec<u64>>,
 }
 
-/// A store that partitions documents **round-robin** across `num_shards` shards.
+/// The store: documents partitioned **round-robin** across `num_shards` shards,
+/// each a sequence of slots holding one [`IndexEntry`].
 ///
 /// Round-robin keeps shards balanced within one document of each other for any
 /// insertion pattern, and makes the insertion order recoverable arithmetically:
-/// the document at `(shard, slot)` was insertion number `slot · N + shard`.
+/// the document at `(shard, slot)` was insertion number `slot · N + shard` —
+/// so [`ShardedStore::documents_in_insertion_order`] recovers it and snapshots
+/// are layout-independent.
 #[derive(Clone, Debug)]
 pub struct ShardedStore {
     params: SystemParams,
@@ -298,14 +229,17 @@ impl ShardedStore {
         self.total += 1;
         Ok(shard)
     }
-}
 
-impl IndexStore for ShardedStore {
-    fn params(&self) -> &SystemParams {
+    /// The parameters every stored index was validated against.
+    pub fn params(&self) -> &SystemParams {
         &self.params
     }
 
-    fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
+    /// Upload one document index, validating its geometry and id uniqueness.
+    /// An accepted index is copied into the **last** slot of one shard and
+    /// dropped; the shard is returned, so whoever keeps per-shard derived state
+    /// knows what changed. A refused index changes nothing.
+    pub fn insert(&mut self, index: RankedDocumentIndex) -> Result<usize, StoreError> {
         check_geometry(&self.params, &index)?;
         let blocks = self.params.index_bits.div_ceil(64);
         self.append(index.document_id, |words| {
@@ -315,7 +249,15 @@ impl IndexStore for ShardedStore {
         })
     }
 
-    fn insert_encoded(&mut self, document_id: u64, levels: &[u8]) -> Result<usize, StoreError> {
+    /// [`ShardedStore::insert`] for an entry in its persisted form: `levels` is
+    /// η levels of `⌈r/8⌉` little-endian bytes each, as
+    /// [`crate::persistence`] writes them (bits beyond r are dropped). Only id
+    /// uniqueness can refuse it.
+    ///
+    /// # Panics
+    ///
+    /// If `levels` is not η·⌈r/8⌉ bytes long.
+    pub fn insert_encoded(&mut self, document_id: u64, levels: &[u8]) -> Result<usize, StoreError> {
         let bits = self.params.index_bits;
         let (blocks, level_bytes) = (bits.div_ceil(64), bits.div_ceil(8));
         assert_eq!(
@@ -345,30 +287,57 @@ impl IndexStore for ShardedStore {
         })
     }
 
-    fn len(&self) -> usize {
+    /// Upload many document indices, stopping at the first invalid one.
+    pub fn insert_all<I: IntoIterator<Item = RankedDocumentIndex>>(
+        &mut self,
+        indices: I,
+    ) -> Result<(), StoreError> {
+        for idx in indices {
+            self.insert(idx)?;
+        }
+        Ok(())
+    }
+
+    /// Number of stored documents (σ).
+    pub fn len(&self) -> usize {
         self.total
     }
 
-    fn num_shards(&self) -> usize {
+    /// True if no documents are stored.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// Number of shards the documents are partitioned into.
+    pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
-    fn shard_len(&self, shard: usize) -> usize {
+    /// Number of documents in one shard.
+    pub fn shard_len(&self, shard: usize) -> usize {
         self.shards[shard].ids.len()
     }
 
-    fn entry(&self, shard: usize, slot: usize) -> IndexEntry<'_> {
+    /// The document at `slot` of `shard`.
+    pub fn entry(&self, shard: usize, slot: usize) -> IndexEntry<'_> {
         let Shard { ids, pages } = &self.shards[shard];
         let words = &pages[slot / CHUNK][slot % CHUNK * self.stride..][..self.stride];
         IndexEntry::new(ids[slot], self.params.index_bits, words)
     }
 
-    fn document_index(&self, document_id: u64) -> Option<IndexEntry<'_>> {
+    /// The documents of one shard, in slot order.
+    pub fn shard_entries(&self, shard: usize) -> impl Iterator<Item = IndexEntry<'_>> {
+        (0..self.shard_len(shard)).map(move |slot| self.entry(shard, slot))
+    }
+
+    /// The stored entry of one document, or `None` if unknown.
+    pub fn document_index(&self, document_id: u64) -> Option<IndexEntry<'_>> {
         (self.by_id.get(&document_id))
             .map(|&(shard, slot)| self.entry(shard as usize, slot as usize))
     }
 
-    fn documents_in_insertion_order(&self) -> impl Iterator<Item = IndexEntry<'_>> {
+    /// Every stored entry in insertion order (what snapshots write).
+    pub fn documents_in_insertion_order(&self) -> impl Iterator<Item = IndexEntry<'_>> {
         let shards = self.shards.len();
         (0..self.total).map(move |k| self.entry(k % shards, k / shards))
     }

@@ -76,9 +76,7 @@ impl TelemetryLevel {
 pub enum Counter {
     /// Requests served by the `Service` (every envelope op).
     RequestsServed = 0,
-    /// Single ranked queries executed by the engine.
-    Queries,
-    /// Fused batch sweeps executed by the engine.
+    /// Ranked executions of the engine (a single query is a batch of one).
     Batches,
     /// Queries carried inside those batches (pre-dedup).
     BatchQueries,
@@ -140,9 +138,8 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in wire/report order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 24] = [
         Counter::RequestsServed,
-        Counter::Queries,
         Counter::Batches,
         Counter::BatchQueries,
         Counter::Inserts,
@@ -172,7 +169,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::RequestsServed => "requests_served",
-            Counter::Queries => "queries",
             Counter::Batches => "batches",
             Counter::BatchQueries => "batch_queries",
             Counter::Inserts => "inserts",
@@ -253,9 +249,8 @@ impl Gauge {
 pub enum Stage {
     /// One `Service::call` dispatch (any op).
     ServiceCall = 0,
-    /// One ranked engine query end to end.
-    EngineQuery,
-    /// One fused batch sweep end to end.
+    /// One ranked engine execution end to end (a batch of any size, one
+    /// query included).
     EngineBatch,
     /// One scan unit executed by a lane: a chunk range on a multi-lane
     /// engine, a whole shard on one lane or without a scan plane.
@@ -281,9 +276,8 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in wire/report order.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 10] = [
         Stage::ServiceCall,
-        Stage::EngineQuery,
         Stage::EngineBatch,
         Stage::UnitScan,
         Stage::CacheLookup,
@@ -299,7 +293,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::ServiceCall => "service_call",
-            Stage::EngineQuery => "engine_query",
             Stage::EngineBatch => "engine_batch",
             Stage::UnitScan => "unit_scan",
             Stage::CacheLookup => "cache_lookup",
@@ -899,9 +892,9 @@ mod tests {
     #[test]
     fn off_level_records_nothing() {
         let tel = Telemetry::new();
-        tel.add(Counter::Queries, 5);
+        tel.add(Counter::Batches, 5);
         tel.set_gauge(Gauge::ScanLanes, 3);
-        tel.record_duration(Stage::EngineQuery, 1_000);
+        tel.record_duration(Stage::EngineBatch, 1_000);
         tel.record_lane(
             0,
             &LaneStats {
@@ -916,7 +909,7 @@ mod tests {
         tel.record_value(Series::BatchOccupancy, 8);
         tel.record_conn_frame_in(0, 64);
         tel.record_conn_frame_out(0, 128);
-        assert!(tel.span(Stage::EngineQuery).is_none());
+        assert!(tel.span(Stage::EngineBatch).is_none());
         let snap = tel.snapshot();
         assert_eq!(snap.level, TelemetryLevel::Off);
         assert!(snap.counters.iter().all(|(_, v)| *v == 0));
@@ -968,12 +961,12 @@ mod tests {
     fn counters_level_records_counters_but_not_spans() {
         let tel = Telemetry::new();
         tel.set_level(TelemetryLevel::Counters);
-        tel.add(Counter::Queries, 2);
-        tel.record_duration(Stage::EngineQuery, 1_000);
-        assert!(tel.span(Stage::EngineQuery).is_none());
+        tel.add(Counter::Batches, 2);
+        tel.record_duration(Stage::EngineBatch, 1_000);
+        assert!(tel.span(Stage::EngineBatch).is_none());
         tel.record_cache_lookup(1, false);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("queries"), 2);
+        assert_eq!(snap.counter("batches"), 2);
         assert!(snap.histograms.is_empty());
         assert_eq!(snap.shard_caches.len(), 1);
         assert_eq!(snap.shard_caches[0].shard, 1);

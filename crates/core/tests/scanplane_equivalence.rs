@@ -21,7 +21,7 @@
 
 use mkse_core::scanplane::CHUNK;
 use mkse_core::{
-    BitIndex, CacheConfig, CloudIndex, DocumentIndexer, IndexStore, QueryBuilder, QueryIndex,
+    BitIndex, CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex,
     RankedDocumentIndex, ScanPlane, SchemeKeys, SearchEngine, ShardedStore, SystemParams,
     TelemetryLevel,
 };
@@ -137,8 +137,8 @@ fn scheme_workload(
     (params, docs, queries)
 }
 
-fn assert_engine_equals_reference<S: IndexStore>(
-    engine: &SearchEngine<S>,
+fn assert_engine_equals_reference(
+    engine: &SearchEngine,
     reference: &CloudIndex,
     queries: &[QueryIndex],
     ctx: &str,
@@ -462,7 +462,10 @@ fn scanplane_telemetry_spans_are_invisible_to_every_reply_and_counter() {
             // are allowed to differ.
             if shards == SHARD_COUNTS[0] {
                 let snap = spans.telemetry().snapshot();
-                assert!(snap.counter("queries") > 0, "spans twin recorded queries");
+                assert!(
+                    snap.counter("batch_queries") > 0,
+                    "spans twin recorded queries"
+                );
                 assert!(
                     snap.histograms.iter().any(|h| h.stage == "unit_scan"),
                     "spans twin recorded unit scans"

@@ -12,9 +12,7 @@
 //! what is allocated but must not change what is kept.
 
 use mkse_core::scanplane::CHUNK;
-use mkse_core::{
-    BitIndex, IndexStore, RankedDocumentIndex, SearchEngine, ShardedStore, SystemParams,
-};
+use mkse_core::{BitIndex, RankedDocumentIndex, SearchEngine, ShardedStore, SystemParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -78,7 +78,7 @@
 
 use crate::resilient::{Connector, InFlight, ResilientClient, RetryPolicy};
 use mkse_core::search::{top_matches, SearchMatch};
-use mkse_core::storage::{IndexStore, ShardedStore, StoreError};
+use mkse_core::storage::{ShardedStore, StoreError};
 use mkse_core::telemetry::{Counter, Gauge, Stage, Telemetry, TelemetryLevel};
 use mkse_core::{
     deserialize_store, serialize_index_store, serialize_shard, PersistenceError,
@@ -582,7 +582,7 @@ impl Coordinator {
             match self.mirror.insert(index) {
                 Ok(shard) => {
                     if let Some(owner) = self.owner_of[shard] {
-                        // `IndexStore::insert` fills the last slot of the shard it returns.
+                        // `ShardedStore::insert` fills the last slot of the shard it returns.
                         let stored = self.mirror.entry(shard, self.mirror.shard_len(shard) - 1);
                         per_node.entry(owner).or_default().push(stored.into());
                     }

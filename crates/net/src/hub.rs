@@ -324,12 +324,6 @@ impl HubHandle {
         }
     }
 
-    /// Attach an arbitrary reader/writer pair as one connection; returns the
-    /// hub-assigned connection id.
-    pub fn attach(&self, reader: Box<dyn LinkReader>, writer: Box<dyn LinkWriter>) -> u64 {
-        attach_link(&self.shared, reader, writer)
-    }
-
     /// Frames accepted past the backpressure gate so far (every one of them
     /// will be answered, even across a shutdown).
     pub fn frames_accepted(&self) -> u64 {
@@ -432,11 +426,7 @@ impl MemoryDialer {
     }
 }
 
-fn attach_link(
-    shared: &Arc<HubShared>,
-    reader: Box<dyn LinkReader>,
-    writer: Box<dyn LinkWriter>,
-) -> u64 {
+fn attach_link(shared: &Arc<HubShared>, reader: Box<dyn LinkReader>, writer: Box<dyn LinkWriter>) {
     let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let gate = Arc::new(Gate::new(shared.config.max_in_flight));
     shared
@@ -461,7 +451,6 @@ fn attach_link(
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .push(handle);
-    conn
 }
 
 fn acceptor_loop(shared: Arc<HubShared>, listener: TcpListener) {

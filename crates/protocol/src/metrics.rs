@@ -211,7 +211,7 @@ mod tests {
     fn populated_snapshot() -> MetricsSnapshot {
         let tel = Telemetry::new();
         tel.set_level(TelemetryLevel::Spans);
-        tel.add(Counter::Queries, 3);
+        tel.add(Counter::BatchQueries, 3);
         tel.add(Counter::WireBytesOut, 1024);
         tel.set_gauge(Gauge::ScanLanes, 2);
         tel.record_duration(Stage::UnitScan, 5); // bucket 2
@@ -248,8 +248,8 @@ mod tests {
     fn prometheus_exposition_is_cumulative_and_labelled() {
         let text = render_prometheus(&populated_snapshot());
         assert!(text.contains("mkse_telemetry_level{level=\"spans\"} 2"));
-        assert!(text.contains("# TYPE mkse_queries_total counter"));
-        assert!(text.contains("mkse_queries_total 3"));
+        assert!(text.contains("# TYPE mkse_batch_queries_total counter"));
+        assert!(text.contains("mkse_batch_queries_total 3"));
         assert!(text.contains("mkse_scan_lanes 2"));
         // Cumulative buckets: the 5 ns sample is <= 7, the 900 ns one <= 1023.
         assert!(text.contains("mkse_stage_duration_ns_bucket{stage=\"unit_scan\",le=\"7\"} 1"));
@@ -277,7 +277,7 @@ mod tests {
         let snapshot = populated_snapshot();
         let json = render_json(&snapshot);
         assert!(json.starts_with("{\"level\":\"spans\""));
-        assert!(json.contains("\"queries\":3"));
+        assert!(json.contains("\"batch_queries\":3"));
         assert!(json.contains("\"stage\":\"unit_scan\""));
         assert!(json.contains("\"lane\":1"));
         assert!(json.contains("\"shard\":0,\"hits\":1,\"misses\":1"));

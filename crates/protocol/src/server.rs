@@ -1,9 +1,9 @@
 //! The cloud server (§3): stores encrypted documents plus searchable indices and answers
 //! queries with pure bit comparisons.
 //!
-//! The server runs on the layered read path of `mkse-core`: a [`ShardedStore`]
-//! partitions the indices round-robin across shards, and a [`SearchEngine`] scans the
-//! shards in parallel. Results are bit-for-bit identical to the paper's sequential
+//! The server runs on the layered read path of `mkse-core`: a
+//! [`mkse_core::storage::ShardedStore`] partitions the indices round-robin across
+//! shards, and a [`SearchEngine`] scans the shards in parallel. Results are bit-for-bit identical to the paper's sequential
 //! scan (deterministic rank-then-id order); only the wall-clock time changes.
 //!
 //! An optional **result cache** ([`mkse_core::cache`]) sits in front of the shard
@@ -20,13 +20,14 @@
 //! counters, info) and answers owner-side operations with
 //! [`ProtocolError::Unsupported`]; its group form, [`Service::call_query_group`],
 //! is what a cross-client batcher hands a coalesced group to. Every query
-//! envelope — a `Query`, a `BatchQuery`, a group — ends in the same reply
-//! builder, a `Query` through the engine's single entry and the other two
-//! through its batch entry. The public convenience methods (`upload`,
-//! the cache toggles) are thin shims over `call`, and the framed codec carries
-//! the same envelope, so replies are byte-identical no matter which surface a
-//! caller uses (`tests/envelope_equivalence.rs` asserts `call` == framed
-//! [`crate::Client`] across shard counts and cache configurations).
+//! envelope — a `Query`, a `BatchQuery`, a group — is answered through the
+//! engine's one batch entry (a `Query` as a batch of one) and the same reply
+//! builder, so all three record one telemetry family. The public convenience
+//! methods (`upload`, the cache toggles) are thin shims over `call`, and the
+//! framed codec carries the same envelope, so replies are byte-identical no
+//! matter which surface a caller uses (`tests/envelope_equivalence.rs` asserts
+//! `call` == framed [`crate::Client`] across shard counts and cache
+//! configurations).
 
 use crate::counters::OperationCounters;
 use crate::envelope::{answer_query_group, Request, Response, ServerInfo, Service};
@@ -42,13 +43,12 @@ use mkse_core::engine::SearchEngine;
 use mkse_core::params::SystemParams;
 use mkse_core::query::QueryIndex;
 use mkse_core::search::{SearchMatch, SearchStats};
-use mkse_core::storage::{IndexStore, ShardedStore};
 use mkse_core::telemetry::{Counter, MetricsSnapshot, Stage, Telemetry, TelemetryLevel};
 use std::collections::BTreeMap;
 
 /// The cloud-server actor.
 pub struct CloudServer {
-    engine: SearchEngine<ShardedStore>,
+    engine: SearchEngine,
     documents: BTreeMap<u64, EncryptedDocumentTransfer>,
     counters: OperationCounters,
     /// Registry value of [`Counter::RequestsServed`] at the last counter reset.
@@ -298,9 +298,8 @@ impl Service for CloudServer {
         match request {
             Request::Query(message) => match message.check(index_bits) {
                 Ok(()) => {
-                    let query = QueryIndex::from_bits(message.query);
-                    let result = self.engine.search_ranked_with_effect(&query, message.top);
-                    Response::Search(self.reply(result))
+                    let mut replies = self.answer_batch(vec![message.query], &[message.top]);
+                    Response::Search(replies.pop().expect("one reply per query"))
                 }
                 Err(e) => Response::Error(e),
             },
@@ -821,20 +820,18 @@ mod tests {
     }
 
     /// What one envelope adds to the registry, in the order
-    /// `[queries, batches, batch_queries, engine_query, engine_batch,
-    /// cache_admit]` — three counters, then three stages' sample counts.
-    fn telemetry_split(server: &mut CloudServer, send: impl FnOnce(&mut CloudServer)) -> [u64; 6] {
-        let read = |server: &CloudServer| -> [u64; 6] {
+    /// `[batches, batch_queries, engine_batch, cache_admit]` — two counters,
+    /// then two stages' sample counts.
+    fn telemetry_family(server: &mut CloudServer, send: impl FnOnce(&mut CloudServer)) -> [u64; 4] {
+        let read = |server: &CloudServer| -> [u64; 4] {
             let snapshot = server.metrics_snapshot();
             let samples = |stage: &str| {
                 let found = snapshot.histograms.iter().find(|h| h.stage == stage);
                 found.map_or(0, |h| h.count)
             };
             [
-                snapshot.counter("queries"),
                 snapshot.counter("batches"),
                 snapshot.counter("batch_queries"),
-                samples("engine_query"),
                 samples("engine_batch"),
                 samples("cache_admit"),
             ]
@@ -845,12 +842,11 @@ mod tests {
         std::array::from_fn(|i| after[i] - before[i])
     }
 
-    /// A single query is a batch of one inside the engine, but not in its
-    /// telemetry: a `Query` still records a single query, a `BatchQuery` and a
-    /// group a batch, and only an execution that admitted something records
-    /// an admit.
+    /// A `Query`, a `BatchQuery` and a group record one family: a k-member
+    /// envelope is one engine batch of k — a `Query` a batch of one — and
+    /// only an execution that admitted something records an admit.
     #[test]
-    fn queries_and_batches_keep_their_telemetry_split() {
+    fn queries_batches_and_groups_record_one_family() {
         let (owner, mut server, mut rng) = populated_server();
         server.enable_result_cache(64);
         server.set_telemetry_level(TelemetryLevel::Spans);
@@ -864,20 +860,17 @@ mod tests {
 
         // A cold query admits; the same query again is served from the cache.
         let single = |s: &mut CloudServer| drop(search(s, &cloud));
-        assert_eq!(telemetry_split(&mut server, single), [1, 0, 0, 1, 0, 1]);
-        assert_eq!(telemetry_split(&mut server, single), [1, 0, 0, 1, 0, 0]);
+        assert_eq!(telemetry_family(&mut server, single), [1, 1, 1, 1]);
+        assert_eq!(telemetry_family(&mut server, single), [1, 1, 1, 0]);
         // A k-member batch is one batch of k, cold or cached.
         let batched = |s: &mut CloudServer| drop(batch_search(s, &batch));
-        assert_eq!(telemetry_split(&mut server, batched), [0, 1, 2, 0, 1, 1]);
-        assert_eq!(telemetry_split(&mut server, batched), [0, 1, 2, 0, 1, 0]);
+        assert_eq!(telemetry_family(&mut server, batched), [1, 2, 1, 1]);
+        assert_eq!(telemetry_family(&mut server, batched), [1, 2, 1, 0]);
         // So is a group of k, whether every member is cached or one is cold.
         let grouped = |s: &mut CloudServer| drop(s.call_query_group(&group));
-        assert_eq!(telemetry_split(&mut server, grouped), [0, 1, 3, 0, 1, 0]);
+        assert_eq!(telemetry_family(&mut server, grouped), [1, 3, 1, 0]);
         let cold_member = |s: &mut CloudServer| drop(s.call_query_group(&[rain, cloud]));
-        assert_eq!(
-            telemetry_split(&mut server, cold_member),
-            [0, 1, 2, 0, 1, 1]
-        );
+        assert_eq!(telemetry_family(&mut server, cold_member), [1, 2, 1, 1]);
     }
 
     #[test]
@@ -944,7 +937,7 @@ mod tests {
             other => unreachable!("MetricsSnapshot answered with {}", other.name()),
         };
         assert_eq!(report.level, TelemetryLevel::Counters);
-        assert!(report.counter("queries") >= 1);
+        assert!(report.counter("batch_queries") >= 1);
         assert!(report.counter("shard_scans") >= server.num_shards() as u64);
         // One registry-backed source: the Table 2 mirror equals the registry.
         assert_eq!(

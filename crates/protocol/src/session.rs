@@ -808,7 +808,7 @@ mod tests {
         // run_query builds a fresh randomized query each round (§6), so repeated
         // *keyword* searches produce different query indices and — correctly —
         // miss the cache: randomization hides the search pattern from the server,
-        // and the fingerprint sees only what the server sees.
+        // and the cache key is only what the server sees.
         let first = session.run_query(&["cloud"], 0, &mut rng).unwrap();
         assert_eq!(first.cache.shard_misses, shards);
         assert!(!first.cache.served_from_cache);
@@ -842,7 +842,7 @@ mod tests {
 
         let metrics = on.server_metrics.as_ref().expect("registry snapshot");
         assert_eq!(metrics.level, TelemetryLevel::Spans);
-        assert!(metrics.counter("queries") >= 1);
+        assert!(metrics.counter("batch_queries") >= 1);
         assert!(metrics.counter("wire_frames_in") >= 1);
         assert!(metrics.counter("wire_bytes_out") > 0);
         assert!(metrics.histograms.iter().any(|h| h.stage == "service_call"));

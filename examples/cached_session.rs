@@ -3,7 +3,7 @@
 //! "refresh the page") against an encrypted document archive.
 //!
 //! The user builds each query **once** and re-issues the same r-bit query index —
-//! exactly what the server's fingerprint cache keys on. Replies carry a
+//! exactly what the server's result cache keys on. Replies carry a
 //! `CacheReport` (shard hits/misses, saved comparisons), and the server's
 //! `OperationCounters` split the Table 2 comparison count into work performed vs
 //! work the cache saved.

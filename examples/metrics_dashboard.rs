@@ -132,9 +132,9 @@ fn main() {
 
     // Sanity: the registry saw the workload this example just drove.
     assert_eq!(snapshot.level, TelemetryLevel::Spans);
-    assert_eq!(snapshot.counter("queries"), 48);
-    assert_eq!(snapshot.counter("batches"), 1);
-    assert_eq!(snapshot.counter("batch_queries"), 12);
+    // Every query runs as an engine batch: 48 batches of one, one of 12.
+    assert_eq!(snapshot.counter("batches"), 49);
+    assert_eq!(snapshot.counter("batch_queries"), 60);
     assert!(snapshot.counter("wire_frames_in") >= 49);
     assert!(snapshot.counter("wire_bytes_out") > 0);
     let hits: u64 = snapshot.shard_caches.iter().map(|s| s.hits).sum();

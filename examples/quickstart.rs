@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use mkse::core::{
-    CloudIndex, DocumentIndexer, IndexStore, QueryBuilder, SchemeKeys, SearchEngine, SystemParams,
+    CloudIndex, DocumentIndexer, QueryBuilder, SchemeKeys, SearchEngine, SystemParams,
 };
 use mkse::protocol::{Client, CloudServer, QueryMessage, TypedCalls};
 use mkse::textproc::{extract_keywords, normalize_keyword};

@@ -77,7 +77,7 @@
 //!  mkse-protocol   CloudServer / SearchSession      actors, messages, cost ledger
 //!        │                                          (incl. the batched-query message,
 //!        ▼                                          CacheReport reply diagnostics)
-//!  mkse-core       engine::SearchEngine<S>          single / batched / top-k ranked
+//!  mkse-core       engine::SearchEngine             single / batched / top-k ranked
 //!        │    ├──  scanplane::ScanPlane (per shard) search; owns ALL derived state (the
 //!        │    ├──  cache::ResultCache (optional)    planes and the cache) and holds the
 //!        │    │                                     store privately — insert() is the
@@ -90,14 +90,14 @@
 //!        ▼    │                                     stitches results in unit order; merge
 //!        │    │                                     by (rank desc, doc id asc); ONE read
 //!        │    │                                     path: a single query is a batch of
-//!        │    │                                     one — dedup repeated fingerprints,
+//!        │    │                                     one — dedup repeated query bits,
 //!        │    │                                     ONE fused plane pass per shard
-//!        ▼    └──  per-shard LRU keyed by           repeated query fingerprints skip
-//!        │         QueryFingerprint, write-         the shard scan entirely
-//!        ▼         generation invalidation
-//!  mkse-core       storage::IndexStore (trait)      the corpus, once, as the §5 entry
-//!        │         └─ storage::ShardedStore         bytes (ids + 1,024-document entry
-//!        ▼            (N ≥ 1 round-robin shards)    pages): geometry-validated inserts
+//!        ▼    └──  per-shard LRU keyed by the       repeated query bits skip the
+//!        │         query bits, write-generation     shard scan entirely
+//!        ▼         invalidation
+//!  mkse-core       storage::ShardedStore            the corpus, once, as the §5 entry
+//!        │         (the one store; N ≥ 1            bytes (ids + 1,024-document entry
+//!        ▼          round-robin shards)             pages): geometry-validated inserts
 //!        │                                          that name the shard written, O(1)
 //!        ▼                                          id lookup, borrowed IndexEntry
 //!        │                                          views, insertion order — no plane,
@@ -197,21 +197,21 @@
 //!   before the (rank, id) merge, so replies, per-query stats and cache counters
 //!   do not depend on the lane count (the steal-heavy sweeps in both equivalence
 //!   suites hold every shards × lanes point to the sequential reference).
-//!   There is **one read path**: a single query is a batch of one through the
-//!   same private executor, which deduplicates repeated query fingerprints
-//!   inside a batch (hot Zipf keywords scan once and fan out, with the
-//!   duplicates accounted as the cache hits sequential execution would report)
-//!   and hands the lanes the whole remaining query set for fused plane passes
-//!   over the missed shards. The two entry points keep only their telemetry
-//!   apart — `queries` / `engine_query` for a single query, `batches` /
-//!   `batch_queries` / `engine_batch` for a batch. The reply's `top` (§5's τ)
+//!   There is **one read path**: a single query is a batch of one through
+//!   `SearchEngine::search_batch_with_effects`, which deduplicates repeated
+//!   query bits inside a batch (hot Zipf keywords scan once and fan out, with
+//!   the duplicates accounted as the cache hits sequential execution would
+//!   report) and hands the lanes the whole remaining query set for fused plane
+//!   passes over the missed shards. Every execution records one telemetry
+//!   family — `batches` / `batch_queries` / `engine_batch` — whatever its
+//!   size. The reply's `top` (§5's τ)
 //!   reaches the executor's merge, which *selects* the `top` matches the reply
 //!   keeps and sorts only those (`core::search::top_matches`) instead of
 //!   sorting every match the shards found; the shard scans and the cache
 //!   entries stay whole per-shard lists, so one cached query serves every
 //!   `top`, and the sequential reference keeps its own full stable sort.
 //! * **Cache** ([`core::cache`]): an optional per-shard LRU of shard-scan results,
-//!   keyed by a collision-checked [`core::QueryFingerprint`] of the query bits.
+//!   keyed by the query bits themselves (a [`core::BitIndex`] map key).
 //!   Per-shard **write generations** invalidate exactly the shard an insert landed
 //!   in; snapshots exclude the cache, and restoring bumps every generation so no
 //!   stale entry survives a reload. Cached and uncached execution are byte-identical
@@ -224,8 +224,8 @@
 //!   bits; the server answers the batch in one pass over each shard, scanning only
 //!   the (query, shard) pairs the cache missed. A `Query`, a `BatchQuery` and a
 //!   coalesced group (`Service::call_query_group`, a provided method of the
-//!   trait whose default is one `call` per member) all end in one reply
-//!   builder. `CloudServer::enable_result_cache`
+//!   trait whose default is one `call` per member) all run as one engine batch
+//!   (a `Query` a batch of one) and end in one reply builder. `CloudServer::enable_result_cache`
 //!   turns caching on; replies carry a `CacheReport` and the `OperationCounters`
 //!   split comparisons into performed vs saved-by-cache.
 //! * **Envelope / wire / client** ([`protocol::envelope`], [`protocol::wire`],
@@ -338,8 +338,8 @@
 //! shard sweep). Sharding never changes results, only wall-clock time, so tuning it
 //! is purely an operational decision.
 //!
-//! **Search-pattern note (cache privacy)**: the fingerprint is a function of the
-//! query index bytes the server receives anyway, so recognizing a repeat is exactly
+//! **Search-pattern note (cache privacy)**: the cache key is the query index
+//! bytes the server receives anyway, so recognizing a repeat is exactly
 //! the search pattern the server already observes (§6 builds its attack model on
 //! it) — caching reveals nothing new. Symmetrically, query randomization (§6) makes
 //! repeated keyword searches arrive as *different* bytes, which correctly miss the

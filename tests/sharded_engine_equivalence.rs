@@ -1,7 +1,7 @@
 //! Exact equivalence of the shard-parallel engine and the sequential reference scan.
 //!
 //! The refactor's contract: for any corpus, any query and any shard count, the
-//! [`SearchEngine`] over a [`ShardedStore`] returns **identical** `SearchMatch`
+//! [`SearchEngine`] over a `ShardedStore` returns **identical** `SearchMatch`
 //! lists (same documents, same ranks, same deterministic order), identical merged
 //! `SearchStats` and identical top-k cuts (every k around the match count: the
 //! engine selects what it keeps, the reference sorts everything and truncates,
@@ -36,7 +36,7 @@
 use mkse::core::scanplane::CHUNK;
 use mkse::core::{
     BitIndex, CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex,
-    RankedDocumentIndex, SchemeKeys, SearchEngine, ShardedStore, SystemParams,
+    RankedDocumentIndex, SchemeKeys, SearchEngine, SystemParams,
 };
 use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
 use rand::rngs::StdRng;
@@ -136,12 +136,7 @@ fn padded_workload(seed: u64, real_docs: usize, stride: usize) -> Workload {
 /// exact, one over, unbounded — cuts the engine's reply exactly as the
 /// reference's stable sort + `truncate` does. The engine selects the kept
 /// matches instead of sorting them all, so these are its edge cases.
-fn assert_top_cuts(
-    engine: &SearchEngine<ShardedStore>,
-    reference: &CloudIndex,
-    query: &QueryIndex,
-    ctx: &str,
-) {
+fn assert_top_cuts(engine: &SearchEngine, reference: &CloudIndex, query: &QueryIndex, ctx: &str) {
     let len = reference.search(query).len();
     for k in [0, 1, len.saturating_sub(1), len, len + 1, usize::MAX] {
         assert_eq!(
