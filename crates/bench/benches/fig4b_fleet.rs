@@ -150,12 +150,7 @@ fn spawn_fleet(
                 fixture.params.clone(),
                 NodeConfig {
                     node_id,
-                    capabilities: NodeCapabilities {
-                        shard_slots,
-                        scan_lanes: 2,
-                        cache_capacity: 0,
-                    },
-                    ..NodeConfig::default()
+                    capabilities: NodeCapabilities { shard_slots },
                 },
                 late_connector(slot.clone()),
             )
@@ -165,12 +160,9 @@ fn spawn_fleet(
         fixture.params.clone(),
         FleetConfig {
             num_global_shards: GLOBAL_SHARDS,
-            heartbeat_interval: Duration::from_millis(50),
             failure_deadline: Duration::from_secs(120),
             node_policy: RetryPolicy {
                 max_attempts: 3,
-                retry_non_idempotent: false,
-                jitter_per_mille: 250,
                 jitter_seed: seed,
                 ..RetryPolicy::default()
             },
@@ -224,8 +216,6 @@ fn drive(hub: &HubHandle, pool: &[QueryMessage], per_run: usize) -> DriveOutcome
         hub.memory_dialer().connector(),
         RetryPolicy {
             max_attempts: 24,
-            retry_non_idempotent: false,
-            jitter_per_mille: 250,
             jitter_seed: 0xF1EE7,
             ..RetryPolicy::default()
         },

@@ -84,8 +84,6 @@ fn policy(retry: bool) -> RetryPolicy {
         backoff_cap: Duration::from_millis(5),
         attempt_timeout: Duration::from_secs(10),
         request_deadline: Duration::from_secs(60),
-        retry_non_idempotent: false,
-        jitter_per_mille: 250,
         jitter_seed: 0xF1C4,
     }
 }

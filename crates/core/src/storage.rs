@@ -195,11 +195,6 @@ impl ShardedStore {
         }
     }
 
-    /// Shard sizes, for observability and tests.
-    pub fn shard_lengths(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.ids.len()).collect()
-    }
-
     /// The one place a slot is written: refuse a known id, otherwise open a
     /// page if the shard's last one is full, let `fill` write the entry's words
     /// (zero when handed over) and record the id.
@@ -396,7 +391,10 @@ mod tests {
             .insert_all((0..10u64).map(|id| indexer.index_keywords(id, &["kw"])))
             .unwrap();
         assert_eq!(store.len(), 10);
-        assert_eq!(store.shard_lengths(), vec![4, 3, 3]);
+        assert_eq!(
+            (0..3).map(|s| store.shard_len(s)).collect::<Vec<_>>(),
+            vec![4, 3, 3]
+        );
         // Document 7 went to shard 7 % 3 = 1, slot 7 / 3 = 2.
         assert_eq!(store.entry(1, 2).document_id, 7);
         assert_eq!(ids(store.shard_entries(1)), vec![1, 4, 7]);
@@ -469,7 +467,10 @@ mod tests {
         // A failed insert must not consume a round-robin position: the next
         // accepted index lands in (and names) shard 1.
         assert_eq!(sharded.insert(indexer.index_keywords(2, &["c"])), Ok(1));
-        assert_eq!(sharded.shard_lengths(), vec![1, 1, 0, 0]);
+        assert_eq!(
+            (0..4).map(|s| sharded.shard_len(s)).collect::<Vec<_>>(),
+            vec![1, 1, 0, 0]
+        );
     }
 
     #[test]

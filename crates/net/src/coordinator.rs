@@ -55,8 +55,9 @@
 //! id, capacity respected): the survivor receives each non-empty shard's
 //! current [`serialize_shard`] bytes (layout-independent) as exactly one
 //! [`Request::RestoreIndex`]; a node that joins a populated fleet is filled
-//! the same way. Writes forward with `retry_non_idempotent` **off**, so an
-//! ambiguous write marks the node dead instead of risking a duplicate; the
+//! the same way. A node client never resubmits a write (a `ResilientClient`
+//! retries idempotent requests only), so an ambiguous write marks the node
+//! dead instead of risking a duplicate; the
 //! subsequent re-ship sends the shard as the mirror holds it, giving
 //! fleet-wide at-most-once effects.
 //!
@@ -99,15 +100,12 @@ pub struct FleetConfig {
     /// Round-robin shards the corpus is partitioned into (fixed for the
     /// fleet's lifetime; nodes serve subsets of these).
     pub num_global_shards: usize,
-    /// How often nodes are asked to beat (advisory, sent in every
-    /// [`ShardAssignment`]; the coordinator only enforces the deadline).
-    pub heartbeat_interval: Duration,
     /// Silence longer than this marks a node dead and triggers failover.
+    /// Every [`ShardAssignment`] asks the node to beat four times per
+    /// deadline (advisory: the coordinator only enforces the deadline).
     pub failure_deadline: Duration,
     /// Retry policy for the coordinator's per-node clients. The jitter seed is
-    /// decorrelated per node (`jitter_seed ^ node_id`);
-    /// `retry_non_idempotent` is forced off — ambiguous writes must fail over,
-    /// not duplicate.
+    /// decorrelated per node (`jitter_seed ^ node_id`).
     pub node_policy: RetryPolicy,
 }
 
@@ -115,12 +113,16 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             num_global_shards: 4,
-            heartbeat_interval: Duration::from_millis(500),
             failure_deadline: Duration::from_secs(2),
             node_policy: RetryPolicy::default(),
         }
     }
 }
+
+/// Beats a node is asked for per failure deadline: the advertised interval is
+/// `failure_deadline / BEATS_PER_DEADLINE`, so a node may miss three beats in
+/// a row before it is declared dead.
+const BEATS_PER_DEADLINE: u32 = 4;
 
 /// One node the coordinator knows how to dial.
 struct Node {
@@ -194,7 +196,6 @@ impl Coordinator {
     /// queries until it registers over the wire ([`Request::RegisterNode`]).
     pub fn add_node(&mut self, node_id: u64, connector: Connector) {
         let policy = RetryPolicy {
-            retry_non_idempotent: false,
             jitter_seed: self.config.node_policy.jitter_seed ^ node_id,
             ..self.config.node_policy
         };
@@ -297,7 +298,8 @@ impl Coordinator {
             node_id,
             shards: self.nodes[&node_id].shards.clone(),
             epoch: self.epoch,
-            heartbeat_interval_ms: self.config.heartbeat_interval.as_millis() as u64,
+            heartbeat_interval_ms: (self.config.failure_deadline / BEATS_PER_DEADLINE).as_millis()
+                as u64,
             failure_deadline_ms: self.config.failure_deadline.as_millis() as u64,
         }
     }
@@ -807,7 +809,6 @@ mod tests {
     fn quick_fleet(failure_deadline: Duration) -> FleetConfig {
         FleetConfig {
             num_global_shards: GLOBAL_SHARDS,
-            heartbeat_interval: Duration::from_millis(50),
             failure_deadline,
             node_policy: RetryPolicy {
                 max_attempts: 3,
@@ -815,8 +816,6 @@ mod tests {
                 backoff_cap: Duration::from_millis(2),
                 attempt_timeout: Duration::from_secs(5),
                 request_deadline: Duration::from_secs(10),
-                retry_non_idempotent: false,
-                jitter_per_mille: 250,
                 jitter_seed: 7,
             },
         }
@@ -825,20 +824,13 @@ mod tests {
     fn register(coordinator: &mut Coordinator, node_id: u64, shard_slots: u32) -> ShardAssignment {
         let reply = coordinator.call(Request::RegisterNode(NodeRegistration {
             node_id,
-            capabilities: NodeCapabilities {
-                shard_slots,
-                scan_lanes: 2,
-                cache_capacity: 0,
-            },
+            capabilities: NodeCapabilities { shard_slots },
         }));
         reply.into_shard_assignment().expect("registration granted")
     }
 
     fn beat(coordinator: &mut Coordinator, node_id: u64) -> Response {
-        coordinator.call(Request::NodeHeartbeat(NodeHeartbeat {
-            node_id,
-            metrics: mkse_core::MetricsSnapshot::default(),
-        }))
+        coordinator.call(Request::NodeHeartbeat(NodeHeartbeat { node_id }))
     }
 
     /// Drive the same request against fleet and twin; both replies (and their
@@ -1349,5 +1341,18 @@ mod tests {
         let reply = coordinator.call(Request::Query(fx.queries[0].clone()));
         let reply = reply.into_search().expect("empty fleet, empty corpus");
         assert!(reply.matches.is_empty());
+    }
+
+    /// The beat interval is derived from the deadline, not configured: a
+    /// default fleet (2 s deadline) asks for a beat every 500 ms.
+    #[test]
+    fn a_default_fleet_asks_for_a_beat_every_500_ms() {
+        let fx = fixture();
+        let mut coordinator = Coordinator::new(fx.params.clone(), FleetConfig::default());
+        // An empty mirror ships nothing, so the node is never dialed.
+        coordinator.add_node(1, Box::new(|_| Err(std::io::Error::other("never dialed"))));
+        let assignment = register(&mut coordinator, 1, 0);
+        assert_eq!(assignment.failure_deadline_ms, 2_000);
+        assert_eq!(assignment.heartbeat_interval_ms, 500);
     }
 }

@@ -54,7 +54,7 @@
 //!
 //! Each connection has a [`HubConfig::max_in_flight`] window: its reader stops
 //! forwarding (and therefore stops reading) until replies drain. Readers
-//! enforce [`HubConfig::idle_timeout`] and [`HubConfig::max_frame_bytes`] with
+//! enforce [`HubConfig::idle_timeout`] and a fixed 64 MiB frame cap with
 //! typed [`TransportError`]s — a violating or undecodable frame poisons only
 //! its own connection (best-effort error frame, then close), never the server.
 //! [`HubHandle::shutdown`] refuses new frames, joins every reader, then lets
@@ -79,7 +79,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of a [`Hub`]. The defaults suit an interactive service; tests
-/// and benches shrink the windows.
+/// and benches shrink the windows. The frame cap (64 MiB) and the shed
+/// reply's `retry_after_ms` hint (2 ms) are fixed.
 #[derive(Clone, Debug)]
 pub struct HubConfig {
     /// Upper bound on how long a pending group waits for an *expected*
@@ -97,8 +98,6 @@ pub struct HubConfig {
     pub max_in_flight: usize,
     /// Close a connection that delivers no bytes for this long.
     pub idle_timeout: Duration,
-    /// Refuse frames whose prefix declares more than this many payload bytes.
-    pub max_frame_bytes: u64,
     /// Record every executed request (in execution order) in the
     /// [`HubReport`] journal — the equivalence suites replay it sequentially
     /// to prove the transport invisible.
@@ -109,8 +108,6 @@ pub struct HubConfig {
     /// immediately with [`TransportError::Overloaded`] instead of stalling
     /// the reader, never executed, never journaled.
     pub max_hub_in_flight: usize,
-    /// The advisory `retry_after_ms` hint carried by shed replies.
-    pub shed_retry_after: Duration,
 }
 
 impl Default for HubConfig {
@@ -120,13 +117,18 @@ impl Default for HubConfig {
             batch_depth: 16,
             max_in_flight: 32,
             idle_timeout: Duration::from_secs(30),
-            max_frame_bytes: 64 << 20,
             journal: false,
             max_hub_in_flight: 4096,
-            shed_retry_after: Duration::from_millis(2),
         }
     }
 }
+
+/// Frames whose prefix declares more than this many payload bytes are refused
+/// with [`TransportError::FrameTooLarge`].
+pub(crate) const MAX_FRAME_BYTES: u64 = 64 << 20;
+
+/// The advisory `retry_after_ms` hint carried by shed replies.
+const SHED_RETRY_AFTER: Duration = Duration::from_millis(2);
 
 /// Reader poll tick: how long one `recv` blocks before the reader re-checks
 /// shutdown and idle deadlines.
@@ -483,7 +485,7 @@ fn reader_loop(
     gate: Arc<Gate>,
 ) {
     let _ = reader.set_recv_timeout(READ_TICK);
-    let mut frames = FrameBuffer::new(shared.config.max_frame_bytes);
+    let mut frames = FrameBuffer::new(MAX_FRAME_BYTES);
     let mut buf = vec![0u8; 16 * 1024];
     let mut last_activity = Instant::now();
     'conn: loop {
@@ -773,13 +775,12 @@ fn dispatcher_loop<S: Service>(
                 if let Some(tel) = &tel {
                     tel.add(Counter::Sheds, 1);
                 }
-                let retry_after_ms = shared.config.shed_retry_after.as_millis() as u64;
                 write_reply(
                     &mut conns,
                     conn,
                     request_id,
                     &Response::Error(ProtocolError::Transport(TransportError::Overloaded {
-                        retry_after_ms,
+                        retry_after_ms: SHED_RETRY_AFTER.as_millis() as u64,
                     })),
                     &tel,
                 );

@@ -57,14 +57,14 @@
 //!   clients ──▶ coordinator hub ──▶ Coordinator (Service)
 //!               (batcher: k queries     │  mirror store (the corpus, once) + doc bodies
 //!                ─▶ one group)          │  scatter/merge · health deadlines · failover
-//!                         ResilientClient per node (retry_non_idempotent OFF)
+//!                         ResilientClient per node (never resubmits a write)
 //!                         reads: submit to every node, then complete each
 //!                         (a group of k ≥ 1 = one BatchQuery); writes: one by one
 //!                               ▼                           ▼
 //!                node hub ──▶ CloudServer     node hub ──▶ CloudServer   …
 //!                (a forward is a BatchQuery, a barrier the node hub runs on
 //!                 arrival; NodeRunner registers and beats over the control
-//!                 plane, reading its own registry for the payload)
+//!                 plane, a beat carrying its node id alone)
 //! ```
 //!
 //! The house invariant survives the fleet: every completed reply is
@@ -329,23 +329,20 @@ mod tests {
     #[test]
     fn oversized_frame_gets_typed_error_and_closes_only_that_connection() {
         let (service, _) = EchoService::new(TelemetryLevel::Off);
-        let config = HubConfig {
-            max_frame_bytes: 64,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
+        let hub = Hub::spawn(service, HubConfig::default());
         let mut offender = NetClient::from_memory(hub.connect_memory());
         let mut bystander =
             NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        // A prefix declaring 1 MiB against a 64-byte limit: the reject fires
-        // from the 4 prefix bytes alone, before any payload exists.
-        offender.send_raw(&(1u32 << 20).to_le_bytes()).unwrap();
+        // A prefix declaring one byte past the cap: the reject fires from the
+        // 4 prefix bytes alone, before any payload exists.
+        let declared = hub::MAX_FRAME_BYTES + 1;
+        offender.send_raw(&(declared as u32).to_le_bytes()).unwrap();
         let reply = offender.wait_take(0, WAIT).unwrap();
         assert_eq!(
             reply,
             Response::Error(ProtocolError::Transport(TransportError::FrameTooLarge {
-                declared: 1 << 20,
-                max: 64,
+                declared,
+                max: hub::MAX_FRAME_BYTES,
             }))
         );
         // The connection is closed after the error frame...
@@ -415,7 +412,6 @@ mod tests {
             // who has been querying) while the second arrives, so the shed
             // is deterministic.
             max_hub_in_flight: 1,
-            shed_retry_after: Duration::from_millis(7),
             batch_window: Duration::from_millis(500),
             batch_depth: 1024,
             journal: true,
@@ -437,13 +433,13 @@ mod tests {
         }
         let ib = b.submit(&query(4, 16));
         b.flush().unwrap();
-        // B is shed immediately with the typed error echoing the configured
+        // B is shed immediately with the typed error carrying the hub's 2 ms
         // hint — the saturated hub still answers, it does not stall B.
         let shed = b.wait_take(ib, WAIT).unwrap();
         assert_eq!(
             shed,
             Response::Error(ProtocolError::Transport(TransportError::Overloaded {
-                retry_after_ms: 7
+                retry_after_ms: 2
             }))
         );
         // A's admitted query completes once the window flushes, releasing

@@ -8,10 +8,10 @@
 //!   in a `FaultyLink` by a chaos harness) to ship shards and scatter queries;
 //! * a **control plane** — a [`ResilientClient`] to the coordinator through
 //!   which the node registers ([`NodeRunner::register`]) and beats
-//!   ([`NodeRunner::heartbeat`]). The heartbeat payload is the node's own
-//!   telemetry snapshot, read straight from the server's registry (a handle
-//!   cloned before the server moved onto the hub's dispatcher) — the same
-//!   snapshot `MetricsSnapshot` would answer, without crossing the hub. The
+//!   ([`NodeRunner::heartbeat`]). A beat carries the node's id and nothing
+//!   else: the coordinator reads liveness from it, and the node's metrics stay
+//!   one `MetricsSnapshot` away on its data-plane hub. The node's hub and its
+//!   control client run the default [`HubConfig`] and [`RetryPolicy`]. The
 //!   coordinator forwards every read as one `BatchQuery` — a barrier to the
 //!   node hub's batcher, executed on arrival — so no forward ever waits out a
 //!   batch window.
@@ -23,11 +23,9 @@
 use crate::client::ClientError;
 use crate::hub::{Hub, HubConfig, HubReport, MemoryDialer};
 use crate::resilient::{Connector, ResilienceStats, ResilientClient, RetryPolicy};
-use mkse_core::telemetry::Telemetry;
 use mkse_core::SystemParams;
 use mkse_protocol::{
-    CloudServer, NodeCapabilities, NodeHeartbeat, NodeRegistration, Service, ShardAssignment,
-    TypedCalls,
+    CloudServer, NodeCapabilities, NodeHeartbeat, NodeRegistration, ShardAssignment, TypedCalls,
 };
 
 /// Local shard count of a node's own engine — how the node parallelizes
@@ -41,10 +39,6 @@ pub struct NodeConfig {
     pub node_id: u64,
     /// Advertised to the coordinator at registration.
     pub capabilities: NodeCapabilities,
-    /// The node's hub (batching windows, limits, journal).
-    pub hub: HubConfig,
-    /// Retry policy for the control-plane client to the coordinator.
-    pub policy: RetryPolicy,
 }
 
 /// A running shard-server node.
@@ -52,11 +46,8 @@ pub struct NodeRunner {
     node_id: u64,
     capabilities: NodeCapabilities,
     hub: crate::hub::HubHandle,
-    /// The server's registry (shared handle): heartbeats carry its snapshot.
-    telemetry: Telemetry,
     /// Control-plane client to the coordinator.
     control: ResilientClient,
-    assignment: Option<ShardAssignment>,
 }
 
 impl NodeRunner {
@@ -65,21 +56,14 @@ impl NodeRunner {
     /// coordinator hub's [`MemoryDialer`], possibly fault-wrapped).
     pub fn spawn(params: SystemParams, config: NodeConfig, coordinator: Connector) -> NodeRunner {
         let server = CloudServer::with_shards(params, LOCAL_SHARDS);
-        // `CloudServer::telemetry` is `Some(engine registry)` unconditionally.
-        let telemetry = server
-            .telemetry()
-            .expect("a CloudServer keeps a registry")
-            .clone();
-        let hub = Hub::spawn(server, config.hub);
-        let control = ResilientClient::new(coordinator, config.policy)
+        let hub = Hub::spawn(server, HubConfig::default());
+        let control = ResilientClient::new(coordinator, RetryPolicy::default())
             .with_first_request_id(config.node_id.wrapping_mul(1_000_000_000) + 750_000_001);
         NodeRunner {
             node_id: config.node_id,
             capabilities: config.capabilities,
             hub,
-            telemetry,
             control,
-            assignment: None,
         }
     }
 
@@ -95,11 +79,6 @@ impl NodeRunner {
         self.hub.memory_dialer()
     }
 
-    /// The shard assignment from the last successful register/heartbeat.
-    pub fn assignment(&self) -> Option<&ShardAssignment> {
-        self.assignment.as_ref()
-    }
-
     /// Control-plane resilience counters (conservation law holds here too).
     pub fn control_stats(&self) -> ResilienceStats {
         self.control.stats()
@@ -110,23 +89,18 @@ impl NodeRunner {
     /// whatever shards the coordinator grants now. A refusal from the
     /// coordinator is [`ClientError::Reply`].
     pub fn register(&mut self) -> Result<ShardAssignment, ClientError> {
-        let assignment = self.control.register_node(NodeRegistration {
+        self.control.register_node(NodeRegistration {
             node_id: self.node_id,
             capabilities: self.capabilities,
-        })?;
-        self.assignment = Some(assignment.clone());
-        Ok(assignment)
+        })
     }
 
-    /// One liveness beat: send the node's own telemetry snapshot to the
-    /// coordinator; the answer is the current assignment.
+    /// One liveness beat: tell the coordinator this node is alive; the
+    /// answer is the current assignment.
     pub fn heartbeat(&mut self) -> Result<ShardAssignment, ClientError> {
-        let assignment = self.control.node_heartbeat(NodeHeartbeat {
+        self.control.node_heartbeat(NodeHeartbeat {
             node_id: self.node_id,
-            metrics: self.telemetry.snapshot(),
-        })?;
-        self.assignment = Some(assignment.clone());
-        Ok(assignment)
+        })
     }
 
     /// Stop the node's hub, returning its transport report.
@@ -174,12 +148,7 @@ mod tests {
                     params.clone(),
                     NodeConfig {
                         node_id,
-                        capabilities: NodeCapabilities {
-                            shard_slots,
-                            scan_lanes: 2,
-                            cache_capacity: 0,
-                        },
-                        ..NodeConfig::default()
+                        capabilities: NodeCapabilities { shard_slots },
                     },
                     late_connector(coordinator_slot.clone()),
                 )
@@ -190,7 +159,6 @@ mod tests {
             params.clone(),
             FleetConfig {
                 num_global_shards: 4,
-                heartbeat_interval: Duration::from_millis(50),
                 failure_deadline: Duration::from_secs(60),
                 ..FleetConfig::default()
             },
@@ -207,10 +175,10 @@ mod tests {
         let a2 = runners[1].register().expect("node 2 registers");
         assert_eq!(a2.shards, vec![2, 3], "the rest goes to node 2");
         assert_eq!(a2.failure_deadline_ms, 60_000);
+        assert_eq!(a2.heartbeat_interval_ms, 15_000, "four beats per deadline");
 
         let beat = runners[0].heartbeat().expect("node 1 beats");
         assert_eq!(beat.shards, a1.shards, "assignment is stable across beats");
-        assert_eq!(runners[0].assignment().unwrap().shards, vec![0, 1]);
 
         let snapshot = telemetry.snapshot();
         let live = snapshot

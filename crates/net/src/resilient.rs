@@ -15,10 +15,7 @@
 //! (upload, cache admin, restore, counter reset) are **never** auto-retried
 //! after a mid-flight link failure — the client cannot know whether the
 //! server executed the lost attempt, so resubmitting could double-apply it.
-//! They fail with [`ClientError::RetryUnsafe`] unless the caller opts into
-//! at-least-once via [`RetryPolicy::retry_non_idempotent`] (the server's
-//! duplicate-document rejection then makes any duplication *visible*, never
-//! silent).
+//! They fail with [`ClientError::RetryUnsafe`], and the caller decides.
 //!
 //! The one exception: a [`TransportError::Overloaded`] reply means the hub
 //! shed the request **before execution**, so honoring its `retry_after_ms`
@@ -74,17 +71,9 @@ pub struct RetryPolicy {
     pub attempt_timeout: Duration,
     /// Wall-clock budget for the whole request across all attempts.
     pub request_deadline: Duration,
-    /// Opt into at-least-once for non-idempotent requests: resubmit them
-    /// after link failures instead of returning
-    /// [`ClientError::RetryUnsafe`]. Duplicated executions surface as
-    /// visible server-side errors (e.g. duplicate-document rejections).
-    pub retry_non_idempotent: bool,
-    /// Backoff jitter amplitude in per-mille of the exponential value: each
-    /// sleep is perturbed uniformly within ±(exp · jitter_per_mille / 1000)
-    /// before the floor and deadline clamps, de-synchronizing clients that
-    /// shed or fault at the same instant. `0` disables jitter entirely.
-    pub jitter_per_mille: u32,
-    /// Seed for the jitter stream. Same seed, same policy, same fault
+    /// Seed for the backoff jitter: each sleep is perturbed uniformly within
+    /// ±25 % of its exponential value, de-synchronizing clients that shed or
+    /// fault at the same instant. Same seed, same policy, same fault
     /// schedule ⇒ the same backoff sequence, so seeded chaos runs stay
     /// reproducible; give concurrent clients distinct seeds to spread them.
     pub jitter_seed: u64,
@@ -98,12 +87,14 @@ impl Default for RetryPolicy {
             backoff_cap: Duration::from_millis(100),
             attempt_timeout: Duration::from_secs(2),
             request_deadline: Duration::from_secs(10),
-            retry_non_idempotent: false,
-            jitter_per_mille: 250,
             jitter_seed: 0,
         }
     }
 }
+
+/// Backoff jitter amplitude in per-mille of the exponential value, applied
+/// before the floor and deadline clamps.
+const JITTER_PER_MILLE: u64 = 250;
 
 /// What a [`ResilientClient`] did, attempt by attempt. The conservation law
 /// `attempts == successes + sheds + link_faults` holds exactly.
@@ -161,8 +152,8 @@ pub struct ResilientClient {
     /// Wire stats accumulated from connections already torn down.
     retired_wire: WireStats,
     telemetry: Option<Telemetry>,
-    /// Seeded jitter stream; `None` when the policy disables jitter.
-    jitter: Option<StdRng>,
+    /// Seeded jitter stream.
+    jitter: StdRng,
 }
 
 impl ResilientClient {
@@ -180,8 +171,7 @@ impl ResilientClient {
                 }
             }
         });
-        let jitter =
-            (policy.jitter_per_mille > 0).then(|| StdRng::seed_from_u64(policy.jitter_seed));
+        let jitter = StdRng::seed_from_u64(policy.jitter_seed);
         ResilientClient {
             dial_tx,
             dial_rx,
@@ -309,15 +299,13 @@ impl ResilientClient {
             .base_backoff
             .saturating_mul(1u32 << attempt.min(16))
             .min(self.policy.backoff_cap);
-        if let Some(rng) = &mut self.jitter {
-            // Uniform in ±(exp · jitter_per_mille / 1000), drawn from the
-            // seeded stream so identical seeds replay identical sleeps.
-            let span = exp.as_nanos() as u64 * self.policy.jitter_per_mille as u64 / 1000;
-            if span > 0 {
-                let offset = rng.gen_range(0..=2 * span) as i64 - span as i64;
-                let jittered = (exp.as_nanos() as i64).saturating_add(offset).max(0);
-                exp = Duration::from_nanos(jittered as u64);
-            }
+        // Uniform in ±(exp · JITTER_PER_MILLE / 1000), drawn from the seeded
+        // stream so identical seeds replay identical sleeps.
+        let span = exp.as_nanos() as u64 * JITTER_PER_MILLE / 1000;
+        if span > 0 {
+            let offset = self.jitter.gen_range(0..=2 * span) as i64 - span as i64;
+            let jittered = (exp.as_nanos() as i64).saturating_add(offset).max(0);
+            exp = Duration::from_nanos(jittered as u64);
         }
         let sleep = exp.max(floor);
         // Never sleep past the request deadline.
@@ -372,7 +360,7 @@ impl ResilientClient {
         flight: InFlight,
         request: &Request,
     ) -> Result<(u64, Response), ClientError> {
-        let retry_safe = Self::is_idempotent(request) || self.policy.retry_non_idempotent;
+        let retry_safe = Self::is_idempotent(request);
         let InFlight { deadline, first } = flight;
         let mut outcome = first.and_then(|sent| self.await_reply(sent, deadline));
         let mut attempt = 0u32;
@@ -570,8 +558,6 @@ mod tests {
             backoff_cap: Duration::from_millis(5),
             attempt_timeout: Duration::from_millis(250),
             request_deadline: Duration::from_secs(10),
-            retry_non_idempotent: false,
-            jitter_per_mille: 250,
             jitter_seed: 42,
         }
     }
@@ -654,28 +640,6 @@ mod tests {
             0,
             "the killed-at-byte-0 upload never reached the server"
         );
-    }
-
-    #[test]
-    fn opt_in_retries_non_idempotent_requests() {
-        let uploads = Arc::new(AtomicU64::new(0));
-        let hub = Hub::spawn(
-            CountingService {
-                uploads: uploads.clone(),
-            },
-            HubConfig::default(),
-        );
-        let policy = RetryPolicy {
-            retry_non_idempotent: true,
-            ..quick_policy()
-        };
-        let mut client = ResilientClient::new(flaky_connector(&hub, 1), policy);
-        let reply = client.call(&upload()).unwrap();
-        assert!(matches!(reply, Response::Uploaded { .. }));
-        assert_eq!(client.stats().retries, 1);
-        drop(client);
-        drop(hub.shutdown());
-        assert_eq!(uploads.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -821,7 +785,6 @@ mod tests {
             let uploads = Arc::new(AtomicU64::new(0));
             let hub = Hub::spawn(CountingService { uploads }, HubConfig::default());
             let policy = RetryPolicy {
-                jitter_per_mille: 500,
                 jitter_seed: seed,
                 ..quick_policy()
             };

@@ -478,8 +478,7 @@ pub enum ClientError {
     /// A non-idempotent request (upload, cache admin, restore) failed
     /// mid-flight: the link died after the request may have reached the
     /// server, so resubmitting could execute it twice. The resilient client
-    /// refuses to auto-retry and surfaces this instead; the caller can opt
-    /// into at-least-once via `RetryPolicy::retry_non_idempotent`.
+    /// never auto-retries one and surfaces this instead; the caller decides.
     RetryUnsafe {
         /// The envelope name of the operation that cannot be safely retried.
         op: &'static str,

@@ -36,7 +36,7 @@ use mkse_core::telemetry::{MetricsSnapshot, Telemetry};
 /// Version of the envelope vocabulary (and of the wire encoding in
 /// [`crate::wire`]). Frames carrying any other version are rejected with a typed
 /// [`crate::wire::CodecError::UnknownVersion`].
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Every operation a party can request from a [`Service`], as one closed enum.
 ///
@@ -87,8 +87,7 @@ pub enum Request {
     /// node now serves.
     RegisterNode(NodeRegistration),
     /// Shard node → coordinator: periodic liveness refresh carrying the
-    /// node's [`MetricsSnapshot`] (the heartbeat *is* the metrics envelope —
-    /// no new observable channel). Answered with the node's current
+    /// node's id and nothing else. Answered with the node's current
     /// [`Response::ShardAssignment`], so re-assignments propagate on the
     /// next beat.
     NodeHeartbeat(NodeHeartbeat),
@@ -120,17 +119,13 @@ impl Request {
 }
 
 /// Capabilities a shard-server node advertises when registering with the
-/// fleet coordinator. The coordinator uses them to bound how many shards it
-/// assigns; they are static facts about the node process, not query state.
+/// fleet coordinator: what bounds how many shards it is assigned, a static
+/// fact about the node process, not query state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeCapabilities {
-    /// Maximum number of index shards the node is willing to serve.
+    /// Maximum number of index shards the node is willing to serve (0 means
+    /// no limit).
     pub shard_slots: u32,
-    /// Scan lanes one query on the node's engine may use (the lane workers
-    /// themselves belong to the node's process, not to its engine).
-    pub scan_lanes: u32,
-    /// Result-cache entries per shard the node can hold (0 = cache off).
-    pub cache_capacity: u64,
 }
 
 /// Body of [`Request::RegisterNode`]: a node joining the fleet.
@@ -142,15 +137,13 @@ pub struct NodeRegistration {
     pub capabilities: NodeCapabilities,
 }
 
-/// Body of [`Request::NodeHeartbeat`]: a periodic liveness refresh. The
-/// payload is the node's existing telemetry snapshot — heartbeat traffic is
+/// Body of [`Request::NodeHeartbeat`]: a periodic liveness refresh — the
+/// node's id, which is all the coordinator reads. Heartbeat traffic is
 /// server-side topology maintenance and carries nothing query-dependent.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeHeartbeat {
     /// The beating node's identity.
     pub node_id: u64,
-    /// Point-in-time copy of the node's telemetry registry.
-    pub metrics: MetricsSnapshot,
 }
 
 /// Body of [`Response::ShardAssignment`]: the coordinator's answer to both
@@ -392,10 +385,7 @@ mod tests {
                 node_id: 7,
                 capabilities: NodeCapabilities::default(),
             }),
-            Request::NodeHeartbeat(NodeHeartbeat {
-                node_id: 7,
-                metrics: MetricsSnapshot::default(),
-            }),
+            Request::NodeHeartbeat(NodeHeartbeat { node_id: 7 }),
         ];
         let mut names: Vec<&str> = requests.iter().map(|r| r.name()).collect();
         names.sort_unstable();

@@ -412,9 +412,9 @@ wire_struct! {
     BlindDecryptRequest { user_id, blinded_ciphertext, signature }
     UploadMessage { indices, documents }
     EncryptedDocumentTransfer { document_id, ciphertext, encrypted_key }
-    NodeCapabilities { shard_slots, scan_lanes, cache_capacity }
+    NodeCapabilities { shard_slots }
     NodeRegistration { node_id, capabilities }
-    NodeHeartbeat { node_id, metrics }
+    NodeHeartbeat { node_id }
     CacheReport { shard_hits, shard_misses, saved_comparisons, served_from_cache }
     SearchReply { matches, cache }
     BatchSearchReply { replies }
@@ -872,7 +872,6 @@ mod tests {
             Request::RegisterNode(arb_node_registration(rng)),
             Request::NodeHeartbeat(NodeHeartbeat {
                 node_id: rng.gen_range(0u64..1 << 32),
-                metrics: arb_metrics_snapshot(rng),
             }),
         ]
     }
@@ -882,8 +881,6 @@ mod tests {
             node_id: rng.gen_range(0u64..1 << 32),
             capabilities: NodeCapabilities {
                 shard_slots: rng.gen_range(0u32..64),
-                scan_lanes: rng.gen_range(0u32..32),
-                cache_capacity: rng.gen_range(0u64..1 << 20),
             },
         }
     }
@@ -1115,8 +1112,8 @@ mod tests {
     }
 
     const GOLDEN_FRAMES_SHA512: &str =
-        "ae2764eb2b5ba48efb46b34246d9efe1c88cb5a3dd8ea200b61962fa83c17bc9\
-         4f1fa64d9cae429d287b9acd18d3c1f6c1efd879a9a3b5c7eb56c955b0324520";
+        "026fdd7102233e82cfc15146fbecd069746e36f63230d72b71c3a81e84407448\
+         9f6f2edb88504aff1afd46ab10e552a7dbed7117594dfc1e00f367728c0dfbaa";
 
     #[test]
     fn unknown_version_and_kind_are_typed_errors() {
@@ -1250,10 +1247,7 @@ mod tests {
     fn fleet_envelopes_round_trip_and_reject_corruption() {
         let mut rng = StdRng::seed_from_u64(23);
         let register = Request::RegisterNode(arb_node_registration(&mut rng));
-        let beat = Request::NodeHeartbeat(NodeHeartbeat {
-            node_id: 9,
-            metrics: arb_metrics_snapshot(&mut rng),
-        });
+        let beat = Request::NodeHeartbeat(NodeHeartbeat { node_id: 9 });
         let assignment = Response::ShardAssignment(arb_shard_assignment(&mut rng));
 
         for request in [&register, &beat] {
@@ -1277,22 +1271,15 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_rejects_unknown_telemetry_level() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let beat = Request::NodeHeartbeat(NodeHeartbeat {
-            node_id: 3,
-            metrics: arb_metrics_snapshot(&mut rng),
-        });
+    fn heartbeat_frame_is_prefix_header_and_node_id() {
+        let beat = Request::NodeHeartbeat(NodeHeartbeat { node_id: 3 });
         let frame = encode_request(7, &beat);
-        let payload = only_frame(&frame);
-        // Body layout: node_id u64 at [10..18], then the metrics snapshot
-        // whose level byte leads it at [18].
-        let mut corrupted = payload.to_vec();
-        corrupted[18] = 9;
-        assert!(matches!(
-            decode_request(&corrupted),
-            Err(CodecError::Malformed(msg)) if msg.contains("telemetry level")
-        ));
+        // 4-byte length prefix, 10-byte header (version u8 + request_id u64 +
+        // kind u8), then the node id u64 — and nothing else.
+        assert_eq!(frame.len(), 4 + 10 + 8);
+        assert_eq!(frame[..4], 18u32.to_le_bytes());
+        assert_eq!(frame[13], 0x11);
+        assert_eq!(frame[14..], 3u64.to_le_bytes());
     }
 
     #[test]

@@ -218,7 +218,6 @@ pub type NodeSpec = (u64, u32, Option<u64>);
 fn fleet_config() -> FleetConfig {
     FleetConfig {
         num_global_shards: GLOBAL_SHARDS,
-        heartbeat_interval: Duration::from_millis(50),
         failure_deadline: Duration::from_secs(120),
         node_policy: RetryPolicy {
             max_attempts: 3,
@@ -226,8 +225,6 @@ fn fleet_config() -> FleetConfig {
             backoff_cap: Duration::from_millis(2),
             attempt_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(30),
-            retry_non_idempotent: false,
-            jitter_per_mille: 250,
             jitter_seed: 0xF1EE7,
         },
     }
@@ -286,7 +283,7 @@ impl Fleet {
         for &(node_id, shard_slots, _) in nodes {
             let registration = NodeRegistration {
                 node_id,
-                capabilities: capabilities(shard_slots),
+                capabilities: NodeCapabilities { shard_slots },
             };
             assert!(matches!(
                 coordinator.call(Request::RegisterNode(registration)),
@@ -307,14 +304,6 @@ pub fn fleet_twin(params: &SystemParams) -> CloudServer {
     CloudServer::with_shards(params.clone(), GLOBAL_SHARDS)
 }
 
-fn capabilities(shard_slots: u32) -> NodeCapabilities {
-    NodeCapabilities {
-        shard_slots,
-        scan_lanes: 2,
-        cache_capacity: 0,
-    }
-}
-
 /// Node runners whose control links dial whatever hub `slot` holds, and a
 /// coordinator that knows how to dial each of them.
 fn assemble(
@@ -329,8 +318,7 @@ fn assemble(
         .map(|&(node_id, shard_slots, budget)| {
             let config = NodeConfig {
                 node_id,
-                capabilities: capabilities(shard_slots),
-                ..NodeConfig::default()
+                capabilities: NodeCapabilities { shard_slots },
             };
             let runner = NodeRunner::spawn(params.clone(), config, late_connector(slot.clone()));
             let plan = doomed_plan(budget, seed.wrapping_add(node_id.wrapping_mul(0x9e37)));

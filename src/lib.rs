@@ -39,7 +39,7 @@
 //!  mkse-net        Coordinator (a Service) ─▶    the shard fleet: nodes register
 //!        │         per-node ResilientClients     over the framed codec (capabilities
 //!        ▼         ─▶ node Hubs ─▶ CloudServers  in, shard assignment out; heartbeats
-//!        │                                       carry each node's MetricsSnapshot;
+//!        │                                       carry the node's id alone;
 //!        ▼                                       silence past the failure deadline
 //!        │                                       marks a node dead); queries scatter
 //!        ▼                                       to live shard-holders and merge by
@@ -287,8 +287,8 @@
 //!   hand: it reconnects across link deaths and resubmits
 //!   in-flight *idempotent* requests, while non-idempotent operations
 //!   (upload, cache admin, restore, counter reset) fail with a typed
-//!   `ClientError::RetryUnsafe` unless the caller opts in — at-most-once
-//!   execution is the default, never silently violated. The hub enforces a
+//!   `ClientError::RetryUnsafe` — at-most-once execution is never silently
+//!   violated. The hub enforces a
 //!   hub-wide in-flight budget and answers excess queries *before execution*
 //!   with a wire-codec'd `TransportError::Overloaded { retry_after_ms }`,
 //!   which the client honors as a backoff floor (and, because the shed
@@ -303,10 +303,10 @@
 //! * **Fleet** ([`net::Coordinator`], [`net::NodeRunner`]): one machine is a
 //!   ceiling, so the shard seam distributes. A [`net::NodeRunner`] is a
 //!   `CloudServer` behind its own hub plus a control-plane client; it joins
-//!   the fleet with `Request::RegisterNode` (capabilities in, shard
+//!   the fleet with `Request::RegisterNode` (its shard capacity in, shard
 //!   assignment out) and stays in it with `Request::NodeHeartbeat` beats
-//!   carrying its own `MetricsSnapshot` — the health refresh *is* the
-//!   existing metrics envelope, read straight from the node's registry. The
+//!   that carry its id and nothing else, asked for four times per failure
+//!   deadline. The
 //!   [`net::Coordinator`] (itself a `Service`, servable by a hub) grants
 //!   global shards up to each node's capacity, sweeps heartbeat deadlines on
 //!   every call, scatters queries to all live shard-holders at once through
@@ -377,9 +377,8 @@
 //! observation channel opens (§6's leakage model is untouched once more).
 //!
 //! The fleet extends it across machines: registration and heartbeat traffic
-//! is server-side topology exchange — capabilities, shard assignments and
-//! each node's own `MetricsSnapshot` (already argued above) — a function of
-//! fleet membership and self-observation, never of any query's bytes, so it
+//! is server-side topology exchange — node ids, shard capacities and shard
+//! assignments — a function of fleet membership, never of any query's bytes, so it
 //! is not query-dependent and opens no new channel. Scatter frames forward
 //! exactly the query bytes the coordinator already observed to the nodes
 //! holding the relevant shards, and shard re-shipment moves index bytes the

@@ -66,8 +66,6 @@ fn client_policy() -> RetryPolicy {
         backoff_cap: Duration::from_millis(10),
         attempt_timeout: Duration::from_secs(10),
         request_deadline: Duration::from_secs(60),
-        retry_non_idempotent: false,
-        jitter_per_mille: 250,
         jitter_seed: 31_812,
     }
 }

@@ -27,7 +27,7 @@
 
 use mkse::core::{
     deserialize_store, serialize_store, BitIndex, DocumentIndexer, PersistenceError, QueryBuilder,
-    RankedDocumentIndex, SchemeKeys, StoreError, SystemParams, Telemetry,
+    RankedDocumentIndex, SchemeKeys, StoreError, SystemParams,
 };
 use mkse::net::{
     memory_duplex, ClientError, Coordinator, FleetConfig, FrameBuffer, Hub, HubConfig, HubHandle,
@@ -218,10 +218,7 @@ fn well_formed(corpus: &Fixture) -> Vec<Request> {
             node_id: 9,
             capabilities: NodeCapabilities::default(),
         }),
-        Request::NodeHeartbeat(NodeHeartbeat {
-            node_id: 1,
-            metrics: Telemetry::new().snapshot(),
-        }),
+        Request::NodeHeartbeat(NodeHeartbeat { node_id: 1 }),
     ]
 }
 
@@ -519,14 +516,9 @@ fn hand_built(corpus: &Fixture) -> Vec<Request> {
             node_id: u64::MAX,
             capabilities: NodeCapabilities {
                 shard_slots: u32::MAX,
-                scan_lanes: u32::MAX,
-                cache_capacity: u64::MAX,
             },
         }),
-        Request::NodeHeartbeat(NodeHeartbeat {
-            node_id: u64::MAX,
-            metrics: Telemetry::new().snapshot(),
-        }),
+        Request::NodeHeartbeat(NodeHeartbeat { node_id: u64::MAX }),
         Request::DisableCache,
     ]);
     requests

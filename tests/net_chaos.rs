@@ -11,9 +11,9 @@
 //!   link_faults` — every attempt is accounted to exactly one outcome.
 //! - **At-most-once**: a non-idempotent request that dies mid-flight is
 //!   *never* silently resubmitted; server-side document counts prove the
-//!   upload executed zero times (refused, typed `RetryUnsafe`) or exactly
-//!   once (explicit at-least-once opt-in), and duplicates are *visible*
-//!   server-side errors, never silent double-applies.
+//!   upload executed zero times (refused, typed `RetryUnsafe`) or, sent over
+//!   a clean link, exactly once, and duplicates are *visible* server-side
+//!   errors, never silent double-applies.
 //! - **Replayability**: the same fault seed reproduces the same fault
 //!   schedule, the same attempt accounting, and the same replies.
 
@@ -58,10 +58,8 @@ fn chaos_policy() -> RetryPolicy {
         backoff_cap: Duration::from_millis(10),
         attempt_timeout: Duration::from_secs(3),
         request_deadline: Duration::from_secs(60),
-        retry_non_idempotent: false,
         // Seeded jitter: deterministic per seed, so the same-seed
         // reproducibility oracle below still holds bit-for-bit.
-        jitter_per_mille: 250,
         jitter_seed: 20812,
     }
 }
@@ -337,9 +335,8 @@ fn same_seed_reproduces_the_same_fault_schedule() {
 
 /// At-most-once, proven server-side: an upload whose link dies mid-flight is
 /// refused (`RetryUnsafe`) and the document count shows it never executed;
-/// with the explicit at-least-once opt-in it executes exactly once; and a
-/// genuine duplicate is a *visible* server-side rejection, never a silent
-/// double-apply.
+/// sent over a clean link it executes exactly once; and a genuine duplicate
+/// is a *visible* server-side rejection, never a silent double-apply.
 #[test]
 fn non_idempotent_requests_are_never_silently_duplicated() {
     let fx = corpus();
@@ -357,9 +354,9 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
         probe.server_info().expect("server info").documents
     };
 
-    // Without opt-in: the first connection dies before a single byte, so the
-    // upload cannot have reached the server — and the client still refuses
-    // to resubmit it on its own authority.
+    // The first connection dies before a single byte, so the upload cannot
+    // have reached the server — and the client still refuses to resubmit it
+    // on its own authority.
     let handles = Arc::new(Mutex::new(Vec::new()));
     let connector = chaos_connector(
         hub.memory_dialer(),
@@ -395,35 +392,14 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
         "upload never executed"
     );
 
-    // With the explicit opt-in: the first connection tears the upload frame
-    // apart mid-flight (a strict prefix — the server cannot decode it), the
-    // retry delivers it whole, and the server executes it exactly once.
-    let handles = Arc::new(Mutex::new(Vec::new()));
-    let connector = chaos_connector(
-        hub.memory_dialer(),
-        |ordinal| {
-            if ordinal == 0 {
-                FaultPlan {
-                    kill_after_bytes: Some(40),
-                    ..FaultPlan::healthy(2)
-                }
-            } else {
-                FaultPlan::healthy(2)
-            }
-        },
-        None,
-        handles,
-    );
-    let policy = RetryPolicy {
-        retry_non_idempotent: true,
-        ..chaos_policy()
-    };
-    let mut opted = ResilientClient::new(connector, policy).with_first_request_id(2_000_001);
+    // Over a clean link the caller's own upload executes exactly once.
+    let mut plain = ResilientClient::new(hub.memory_dialer().connector(), chaos_policy())
+        .with_first_request_id(2_000_001);
     let extra = || fx.extra_uploads[0].clone();
-    opted
+    plain
         .upload(extra().indices, extra().documents)
-        .expect("at-least-once upload");
-    assert_eq!(opted.stats().retries, 1);
+        .expect("upload over a clean link");
+    assert_eq!(plain.stats().retries, 0);
     assert_eq!(
         documents_on_server(&hub),
         seed_docs + 1,
@@ -432,15 +408,16 @@ fn non_idempotent_requests_are_never_silently_duplicated() {
 
     // A true duplicate resubmission is visible: the server rejects it with a
     // typed store error and the document count does not move.
-    let dup = opted.upload(extra().indices, extra().documents);
+    let dup = plain.upload(extra().indices, extra().documents);
     assert!(
         matches!(dup, Err(ClientError::Reply(ProtocolError::Store(_)))),
         "duplicate must be rejected visibly, got {dup:?}"
     );
     assert_eq!(documents_on_server(&hub), seed_docs + 1);
 
-    // The journal shows exactly what executed: the torn first attempt never
-    // appears; the successful upload and the rejected duplicate both do.
+    // The journal shows exactly what executed: the killed first attempt
+    // never appears; the successful upload and the rejected duplicate both
+    // do.
     let report = hub.shutdown();
     let uploads = report
         .journal
@@ -461,7 +438,6 @@ fn shed_storm_resolves_through_retries_with_identical_replies() {
     let fx = Arc::new(corpus());
     let config = HubConfig {
         max_hub_in_flight: 2,
-        shed_retry_after: Duration::from_millis(1),
         // A wide window parks admitted queries in the batcher, holding their
         // budget slots long enough that the synchronized stampede must shed.
         batch_window: Duration::from_millis(50),
@@ -484,9 +460,7 @@ fn shed_storm_resolves_through_retries_with_identical_replies() {
                 backoff_cap: Duration::from_millis(20),
                 attempt_timeout: Duration::from_secs(5),
                 request_deadline: Duration::from_secs(60),
-                retry_non_idempotent: false,
                 // Distinct seeds de-synchronize the stampede's retries.
-                jitter_per_mille: 500,
                 jitter_seed: 0x57A3 + k as u64,
             };
             let mut client = ResilientClient::new(dialer.connector(), policy)
