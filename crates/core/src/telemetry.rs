@@ -253,7 +253,7 @@ pub enum Stage {
     /// query included).
     EngineBatch,
     /// One scan unit executed by a lane: a chunk range on a multi-lane
-    /// engine, a whole shard on one lane or without a scan plane.
+    /// engine, a whole shard on one lane.
     UnitScan,
     /// Cache lookup pass (all shards, lock held once).
     CacheLookup,

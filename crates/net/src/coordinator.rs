@@ -76,6 +76,13 @@
 //! fused forward carries exactly the query bits the nodes would have received
 //! one query at a time, and scattering concurrently reorders only the
 //! server side's own work — neither shows a node anything new.
+//!
+//! ## Time
+//!
+//! The failure deadline is written once, in `expired`: a node dies only when
+//! its silence is *longer* than [`FleetConfig::failure_deadline`]. Each
+//! `Service` entry reads the clock once and passes `now` to the sweep, to
+//! registration and to heartbeats.
 
 use crate::resilient::{Connector, InFlight, ResilientClient, RetryPolicy};
 use mkse_core::search::{top_matches, SearchMatch};
@@ -130,14 +137,24 @@ struct Node {
     capabilities: NodeCapabilities,
     /// Global shards this node currently serves (kept sorted ascending).
     shards: Vec<u32>,
-    last_beat: Instant,
+    /// When the node last registered or beat, while it is alive (registered,
+    /// beating within the deadline, and not failed); `None` otherwise.
+    last_beat: Option<Instant>,
     /// Has the node ever completed [`Request::RegisterNode`]?
     registered: bool,
-    /// Registered, beating within the deadline, and not failed.
-    alive: bool,
+}
+
+/// Has a node whose last beat was at `last_beat` missed its deadline at
+/// `now`? Only once its silence is longer than `failure_deadline`.
+fn expired(last_beat: Instant, now: Instant, failure_deadline: Duration) -> bool {
+    now.duration_since(last_beat) > failure_deadline
 }
 
 impl Node {
+    fn alive(&self) -> bool {
+        self.last_beat.is_some()
+    }
+
     /// Shard capacity from the advertised slots; 0 means unlimited.
     fn capacity(&self) -> usize {
         match self.capabilities.shard_slots {
@@ -147,7 +164,7 @@ impl Node {
     }
 
     fn has_spare_capacity(&self) -> bool {
-        self.alive && self.registered && self.shards.len() < self.capacity()
+        self.alive() && self.shards.len() < self.capacity()
     }
 }
 
@@ -173,8 +190,9 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// A fleet front with no nodes yet. Counters are on by default — the
-    /// fleet gauges are the whole point of the telemetry satellite.
+    /// A fleet front with no nodes yet. Its telemetry starts at
+    /// [`TelemetryLevel::Counters`], so the fleet gauges and failover
+    /// counters are live from the first request.
     pub fn new(params: SystemParams, config: FleetConfig) -> Coordinator {
         let shards = config.num_global_shards.max(1);
         let mirror = ShardedStore::new(params, shards);
@@ -207,9 +225,8 @@ impl Coordinator {
                 client,
                 capabilities: NodeCapabilities::default(),
                 shards: Vec::new(),
-                last_beat: Instant::now(),
+                last_beat: None,
                 registered: false,
-                alive: false,
             },
         );
     }
@@ -230,14 +247,14 @@ impl Coordinator {
     pub fn live_nodes(&self) -> Vec<u64> {
         self.nodes
             .iter()
-            .filter(|(_, n)| n.alive)
+            .filter(|(_, n)| n.alive())
             .map(|(id, _)| *id)
             .collect()
     }
 
     // ---- membership ------------------------------------------------------
 
-    fn exec_register(&mut self, reg: NodeRegistration) -> Response {
+    fn exec_register(&mut self, reg: NodeRegistration, now: Instant) -> Response {
         let Some(node) = self.nodes.get_mut(&reg.node_id) else {
             return Response::Error(ProtocolError::Unsupported(format!(
                 "node {} has no connector installed on the coordinator",
@@ -245,9 +262,8 @@ impl Coordinator {
             )));
         };
         node.capabilities = reg.capabilities;
-        node.last_beat = Instant::now();
+        node.last_beat = Some(now);
         node.registered = true;
-        node.alive = true;
         self.epoch += 1;
         // Hand the newcomer every unowned shard it has capacity for,
         // ascending — deterministic for a given registration order.
@@ -256,7 +272,7 @@ impl Coordinator {
             .collect();
         for shard in unowned {
             let node = &self.nodes[&reg.node_id];
-            if !node.alive || node.shards.len() >= node.capacity() {
+            if !node.alive() || node.shards.len() >= node.capacity() {
                 break;
             }
             if self.ship_shard(reg.node_id, shard).is_ok() {
@@ -278,10 +294,10 @@ impl Coordinator {
         Response::ShardAssignment(self.assignment_for(reg.node_id))
     }
 
-    fn exec_heartbeat(&mut self, node_id: u64) -> Response {
+    fn exec_heartbeat(&mut self, node_id: u64, now: Instant) -> Response {
         match self.nodes.get_mut(&node_id) {
-            Some(node) if node.registered && node.alive => {
-                node.last_beat = Instant::now();
+            Some(node) if node.alive() => {
+                node.last_beat = Some(now);
                 Response::ShardAssignment(self.assignment_for(node_id))
             }
             Some(node) if node.registered => Response::Error(ProtocolError::Unsupported(format!(
@@ -306,25 +322,23 @@ impl Coordinator {
 
     fn update_gauges(&self) {
         let registered = self.nodes.values().filter(|n| n.registered).count() as u64;
-        let live = self.nodes.values().filter(|n| n.alive).count() as u64;
+        let live = self.nodes.values().filter(|n| n.alive()).count() as u64;
         self.telemetry.set_gauge(Gauge::NodesRegistered, registered);
         self.telemetry.set_gauge(Gauge::NodesLive, live);
     }
 
-    /// Declare dead every node whose last beat is older than the deadline.
-    /// Called at the top of every request — liveness advances with traffic,
-    /// never on a background clock, so seeded tests stay deterministic.
-    fn sweep_deadlines(&mut self) {
-        let now = Instant::now();
-        let expired: Vec<u64> = self
+    /// Declare dead every live node that has [`expired`] at `now`. Called at
+    /// the top of every request — liveness advances with traffic, never on a
+    /// background clock, so seeded tests stay deterministic.
+    fn sweep(&mut self, now: Instant) {
+        let deadline = self.config.failure_deadline;
+        let dead: Vec<u64> = self
             .nodes
             .iter()
-            .filter(|(_, n)| {
-                n.alive && now.duration_since(n.last_beat) > self.config.failure_deadline
-            })
+            .filter(|(_, n)| n.last_beat.is_some_and(|beat| expired(beat, now, deadline)))
             .map(|(id, _)| *id)
             .collect();
-        for id in expired {
+        for id in dead {
             self.telemetry.add(Counter::HeartbeatsMissed, 1);
             self.fail_node(id);
         }
@@ -344,12 +358,12 @@ impl Coordinator {
         let Some(node) = self.nodes.get_mut(&node_id) else {
             return;
         };
-        if !node.alive {
+        if node.last_beat.take().is_none() {
             return;
         }
-        node.alive = false;
         let lost: Vec<u32> = node.shards.drain(..).collect();
-        let started = Instant::now();
+        let telemetry = self.telemetry.clone();
+        let span = telemetry.span(Stage::FailoverDuration);
         self.telemetry.add(Counter::Failovers, 1);
         self.epoch += 1;
         for &s in &lost {
@@ -378,8 +392,7 @@ impl Coordinator {
             }
         }
         self.telemetry.add(Counter::ShardsReassigned, reassigned);
-        self.telemetry
-            .record_duration(Stage::FailoverDuration, started.elapsed().as_nanos() as u64);
+        drop(span);
         self.update_gauges();
     }
 
@@ -466,7 +479,7 @@ impl Coordinator {
             let flights: Vec<(u64, InFlight)> = self
                 .nodes
                 .iter_mut()
-                .filter(|(_, n)| n.alive && !n.shards.is_empty())
+                .filter(|(_, n)| n.alive() && !n.shards.is_empty())
                 .map(|(id, n)| (*id, n.client.submit(request)))
                 .collect();
             let mut collected = Vec::with_capacity(flights.len());
@@ -644,14 +657,14 @@ impl Coordinator {
         }
         Response::Documents(DocumentReply { documents })
     }
-}
 
-impl Service for Coordinator {
-    fn call(&mut self, request: Request) -> Response {
+    /// [`Service::call`] at `now`: the seam through which the tests drive
+    /// the failure deadline without sleeping.
+    fn call_at(&mut self, request: Request, now: Instant) -> Response {
         let telemetry = self.telemetry.clone();
         let _call_span = telemetry.span(Stage::ServiceCall);
         self.telemetry.tally(Counter::RequestsServed, 1);
-        self.sweep_deadlines();
+        self.sweep(now);
         match request {
             Request::Query(message) => {
                 let mut replies = self.forward_group(std::slice::from_ref(&message));
@@ -675,8 +688,8 @@ impl Service for Coordinator {
                 Response::Ack
             }
             Request::MetricsSnapshot => Response::MetricsReport(self.telemetry.snapshot()),
-            Request::RegisterNode(reg) => self.exec_register(reg),
-            Request::NodeHeartbeat(beat) => self.exec_heartbeat(beat.node_id),
+            Request::RegisterNode(reg) => self.exec_register(reg, now),
+            Request::NodeHeartbeat(beat) => self.exec_heartbeat(beat.node_id, now),
             Request::EnableCache { .. } | Request::DisableCache | Request::CacheStats => {
                 Response::Error(ProtocolError::Unsupported(format!(
                     "{} is a per-node knob; the fleet coordinator serves the cache-off oracle",
@@ -691,6 +704,12 @@ impl Service for Coordinator {
             }
         }
     }
+}
+
+impl Service for Coordinator {
+    fn call(&mut self, request: Request) -> Response {
+        self.call_at(request, Instant::now())
+    }
 
     /// A coalesced group becomes **one** `BatchQuery` scatter
     /// (`forward_group`), so the nodes run their fused plane pass over it and
@@ -701,7 +720,7 @@ impl Service for Coordinator {
         let _call_span = telemetry.span(Stage::ServiceCall);
         self.telemetry
             .tally(Counter::RequestsServed, messages.len() as u64);
-        self.sweep_deadlines();
+        self.sweep(Instant::now());
         // A member of the wrong length is answered its own error, the rest
         // travel as the fused forward — what `call` per member would do.
         let index_bits = self.mirror.params().index_bits;
@@ -822,15 +841,25 @@ mod tests {
     }
 
     fn register(coordinator: &mut Coordinator, node_id: u64, shard_slots: u32) -> ShardAssignment {
-        let reply = coordinator.call(Request::RegisterNode(NodeRegistration {
+        register_at(coordinator, node_id, shard_slots, Instant::now())
+    }
+
+    fn register_at(
+        coordinator: &mut Coordinator,
+        node_id: u64,
+        shard_slots: u32,
+        now: Instant,
+    ) -> ShardAssignment {
+        let registration = Request::RegisterNode(NodeRegistration {
             node_id,
             capabilities: NodeCapabilities { shard_slots },
-        }));
+        });
+        let reply = coordinator.call_at(registration, now);
         reply.into_shard_assignment().expect("registration granted")
     }
 
-    fn beat(coordinator: &mut Coordinator, node_id: u64) -> Response {
-        coordinator.call(Request::NodeHeartbeat(NodeHeartbeat { node_id }))
+    fn beat_at(coordinator: &mut Coordinator, node_id: u64, now: Instant) -> Response {
+        coordinator.call_at(Request::NodeHeartbeat(NodeHeartbeat { node_id }), now)
     }
 
     /// Drive the same request against fleet and twin; both replies (and their
@@ -841,7 +870,18 @@ mod tests {
         request: Request,
         label: &str,
     ) -> Response {
-        let fleet = coordinator.call(request.clone());
+        assert_twin_at(coordinator, twin, request, label, Instant::now())
+    }
+
+    /// [`assert_twin`], with the fleet serving the request at `now`.
+    fn assert_twin_at(
+        coordinator: &mut Coordinator,
+        twin: &mut CloudServer,
+        request: Request,
+        label: &str,
+        now: Instant,
+    ) -> Response {
+        let fleet = coordinator.call_at(request.clone(), now);
         let single = twin.call(request);
         assert_eq!(fleet, single, "{label}: fleet diverged from twin");
         assert_eq!(
@@ -1124,6 +1164,7 @@ mod tests {
         );
     }
 
+    /// Time is driven through `call_at`: nothing sleeps.
     #[test]
     fn missed_deadline_rehomes_shards_and_preserves_replies() {
         let fx = fixture();
@@ -1134,6 +1175,8 @@ mod tests {
         coordinator.add_node(1, node1.memory_dialer().connector());
         coordinator.add_node(2, node2.memory_dialer().connector());
         let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
+        let start = Instant::now();
+        let at = |ms| start + Duration::from_millis(ms);
 
         // Upload before any node registers: the corpus lives in the mirror
         // and ships at registration time.
@@ -1141,43 +1184,53 @@ mod tests {
             indices: fx.indices.clone(),
             documents: vec![],
         });
-        assert_twin(&mut coordinator, &mut twin, upload, "pre-node upload");
-        let a1 = register(&mut coordinator, 1, 0);
+        assert_twin_at(
+            &mut coordinator,
+            &mut twin,
+            upload,
+            "pre-node upload",
+            at(0),
+        );
+        let a1 = register_at(&mut coordinator, 1, 0, at(0));
         assert_eq!(a1.shards, vec![0, 1, 2, 3], "first node takes everything");
-        let a2 = register(&mut coordinator, 2, 0);
+        let a2 = register_at(&mut coordinator, 2, 0, at(0));
         assert!(a2.shards.is_empty(), "nothing left for the second node");
         for (i, q) in fx.queries.iter().enumerate() {
-            assert_twin(
+            assert_twin_at(
                 &mut coordinator,
                 &mut twin,
                 Request::Query(q.clone()),
                 &format!("pre-failover query {i}"),
+                at(0),
             );
         }
 
         // Node 2 keeps beating; node 1 goes silent past the deadline and the
         // next request sweeps it out — its shards re-home onto node 2 from
         // the mirror.
-        std::thread::sleep(Duration::from_millis(600));
         assert!(
-            matches!(beat(&mut coordinator, 2), Response::ShardAssignment(_)),
+            matches!(
+                beat_at(&mut coordinator, 2, at(600)),
+                Response::ShardAssignment(_)
+            ),
             "live node's beat is answered"
         );
-        std::thread::sleep(Duration::from_millis(400));
         for (i, q) in fx.queries.iter().enumerate() {
-            assert_twin(
+            assert_twin_at(
                 &mut coordinator,
                 &mut twin,
                 Request::Query(q.clone()),
                 &format!("post-failover query {i}"),
+                at(1_000),
             );
         }
         assert_eq!(coordinator.live_nodes(), vec![2]);
-        assert_twin(
+        assert_twin_at(
             &mut coordinator,
             &mut twin,
             Request::ServerInfo,
             "corpus pinned after failover",
+            at(1_000),
         );
 
         let snapshot = coordinator.telemetry_handle().snapshot();
@@ -1189,17 +1242,41 @@ mod tests {
 
         // The dead node's beat is refused until it re-registers; after
         // re-registration it is live again (with no shards to serve).
-        let refused = beat(&mut coordinator, 1);
+        let refused = beat_at(&mut coordinator, 1, at(1_000));
         assert!(
             matches!(refused, Response::Error(ProtocolError::Unsupported(_))),
             "dead node must re-register, got {refused:?}"
         );
-        let rejoined = register(&mut coordinator, 1, 0);
+        let rejoined = register_at(&mut coordinator, 1, 0, at(1_000));
         assert!(rejoined.shards.is_empty());
         assert_eq!(coordinator.live_nodes(), vec![1, 2]);
 
         node1.shutdown();
         node2.shutdown();
+    }
+
+    /// The refresh contract at its boundary: a node silent for exactly
+    /// `failure_deadline` is alive, one nanosecond more is dead — in the
+    /// predicate and through the sweep at the top of a call.
+    #[test]
+    fn the_failure_deadline_enumerated() {
+        let deadline = Duration::from_millis(800);
+        let beat = Instant::now();
+        let ns = Duration::from_nanos;
+        for (silence, dead) in [
+            (Duration::ZERO, false),
+            (deadline - ns(1), false),
+            (deadline, false),
+            (deadline + ns(1), true),
+        ] {
+            assert_eq!(expired(beat, beat + silence, deadline), dead, "{silence:?}");
+            let mut coordinator = Coordinator::new(SystemParams::default(), quick_fleet(deadline));
+            // An empty mirror ships nothing, so the node is never dialed.
+            coordinator.add_node(1, Box::new(|_| Err(std::io::Error::other("never dialed"))));
+            register_at(&mut coordinator, 1, 0, beat);
+            coordinator.call_at(Request::Counters, beat + silence);
+            assert_eq!(coordinator.live_nodes().is_empty(), dead, "{silence:?}");
+        }
     }
 
     /// One ship step: whether a node joins a populated fleet or inherits a
@@ -1318,7 +1395,7 @@ mod tests {
             matches!(unknown, Response::Error(ProtocolError::Unsupported(_))),
             "no connector, no registration: {unknown:?}"
         );
-        let unregistered = beat(&mut coordinator, 99);
+        let unregistered = beat_at(&mut coordinator, 99, Instant::now());
         assert!(matches!(
             unregistered,
             Response::Error(ProtocolError::Unsupported(_))

@@ -61,6 +61,15 @@
 //! the dispatcher drain every already-accepted frame — the shutdown event is
 //! enqueued after the joins, so channel FIFO order guarantees no accepted
 //! request loses its reply.
+//!
+//! ## Time
+//!
+//! Each timed choice is a pure function with `now` passed in:
+//! `Batcher::decide` flushes once `now` reaches the window's end,
+//! `idle_close` closes once idle time reaches [`HubConfig::idle_timeout`],
+//! and `shed` refuses a request over the hub-wide budget. A reader reads the
+//! clock once per `recv` return — stamping the frames those bytes complete
+//! and restarting the idle time — and the dispatcher once per decision.
 
 use crate::link::{memory_duplex, LinkReader, LinkWriter, MemoryLink};
 use crate::resilient::Connector;
@@ -74,7 +83,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -164,6 +173,11 @@ pub struct HubReport {
     pub journal: Vec<JournalEntry>,
 }
 
+/// Lock `mutex`, taking the data over from a thread that panicked holding it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Per-connection backpressure window: `max_in_flight` permits, acquired by
 /// the reader per forwarded frame, released by the dispatcher per written
 /// reply. `open_wide` (shutdown) unblocks every waiter for good.
@@ -186,7 +200,7 @@ impl Gate {
         if self.open.load(Ordering::Relaxed) {
             return;
         }
-        let mut permits = self.permits.lock().unwrap_or_else(|e| e.into_inner());
+        let mut permits = lock(&self.permits);
         while *permits == 0 && !self.open.load(Ordering::Relaxed) {
             permits = self.freed.wait(permits).unwrap_or_else(|e| e.into_inner());
         }
@@ -194,7 +208,7 @@ impl Gate {
     }
 
     fn release(&self) {
-        let mut permits = self.permits.lock().unwrap_or_else(|e| e.into_inner());
+        let mut permits = lock(&self.permits);
         *permits += 1;
         // The reader only waits on an empty gate, so only the release that
         // refills one wakes it: a wake is a syscall, and a group's replies
@@ -206,7 +220,7 @@ impl Gate {
 
     fn open_wide(&self) {
         self.open.store(true, Ordering::Relaxed);
-        let _guard = self.permits.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = lock(&self.permits);
         self.freed.notify_all();
     }
 }
@@ -221,6 +235,7 @@ enum Event {
         conn: u64,
         request_id: u64,
         request: Request,
+        /// When the bytes completing the frame came off the link.
         at: Instant,
     },
     Fault {
@@ -302,19 +317,13 @@ impl HubHandle {
         let local = listener.local_addr()?;
         let shared = self.shared.clone();
         let handle = std::thread::spawn(move || acceptor_loop(shared, listener));
-        self.acceptors
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((local, handle));
+        lock(&self.acceptors).push((local, handle));
         Ok(local)
     }
 
     /// Attach a deterministic in-process connection; returns the client end.
     pub fn connect_memory(&self) -> MemoryLink {
-        let (client, server) = memory_duplex();
-        let (reader, writer) = server.split();
-        attach_link(&self.shared, Box::new(reader), Box::new(writer));
-        client
+        self.memory_dialer().connect()
     }
 
     /// A clonable, `'static` dialer that can keep attaching in-process
@@ -341,33 +350,16 @@ impl HubHandle {
 
     fn finish(&mut self) -> HubReport {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for gate in self
-            .shared
-            .gates
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
+        for gate in lock(&self.shared.gates).iter() {
             gate.open_wide();
         }
-        for (addr, handle) in self
-            .acceptors
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
+        for (addr, handle) in lock(&self.acceptors).drain(..) {
             // Wake the blocking accept; the acceptor sees the flag and exits.
             let _ = TcpStream::connect(addr);
             let _ = handle.join();
         }
         loop {
-            let handles: Vec<_> = self
-                .shared
-                .readers
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .drain(..)
-                .collect();
+            let handles: Vec<_> = lock(&self.shared.readers).drain(..).collect();
             if handles.is_empty() {
                 break;
             }
@@ -377,12 +369,7 @@ impl HubHandle {
         }
         // Every reader joined above, so all their events are already in the
         // channel: FIFO order puts this sentinel after the last frame.
-        let _ = self
-            .shared
-            .events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .send(Event::Shutdown);
+        let _ = lock(&self.shared.events).send(Event::Shutdown);
         self.dispatcher
             .take()
             .map(|d| d.join().unwrap_or_default())
@@ -431,16 +418,8 @@ impl MemoryDialer {
 fn attach_link(shared: &Arc<HubShared>, reader: Box<dyn LinkReader>, writer: Box<dyn LinkWriter>) {
     let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let gate = Arc::new(Gate::new(shared.config.max_in_flight));
-    shared
-        .gates
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(gate.clone());
-    let events = shared
-        .events
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
+    lock(&shared.gates).push(gate.clone());
+    let events = lock(&shared.events).clone();
     let _ = events.send(Event::Opened {
         conn,
         writer,
@@ -448,11 +427,7 @@ fn attach_link(shared: &Arc<HubShared>, reader: Box<dyn LinkReader>, writer: Box
     });
     let reader_shared = shared.clone();
     let handle = std::thread::spawn(move || reader_loop(reader_shared, conn, reader, events, gate));
-    shared
-        .readers
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(handle);
+    lock(&shared.readers).push(handle);
 }
 
 fn acceptor_loop(shared: Arc<HubShared>, listener: TcpListener) {
@@ -480,112 +455,96 @@ fn acceptor_loop(shared: Arc<HubShared>, listener: TcpListener) {
 fn reader_loop(
     shared: Arc<HubShared>,
     conn: u64,
-    mut reader: Box<dyn LinkReader>,
+    reader: Box<dyn LinkReader>,
     events: Sender<Event>,
     gate: Arc<Gate>,
 ) {
+    if let Err(error) = read_frames(&shared, conn, reader, &events, &gate) {
+        let _ = events.send(Event::Fault { conn, error });
+    }
+    let _ = events.send(Event::Closed { conn });
+}
+
+/// Forward one connection's requests to the dispatcher until the peer
+/// closes, the hub shuts down, or the connection faults (the error the
+/// dispatcher answers before the close).
+fn read_frames(
+    shared: &HubShared,
+    conn: u64,
+    mut reader: Box<dyn LinkReader>,
+    events: &Sender<Event>,
+    gate: &Gate,
+) -> Result<(), ProtocolError> {
     let _ = reader.set_recv_timeout(READ_TICK);
     let mut frames = FrameBuffer::new(MAX_FRAME_BYTES);
     let mut buf = vec![0u8; 16 * 1024];
-    let mut last_activity = Instant::now();
-    'conn: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.recv(&mut buf) {
+    // When bytes last arrived; until then, the first poll's return.
+    let mut last_activity = None;
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let received = reader.recv(&mut buf);
+        let now = Instant::now();
+        let n = match received {
             Ok(0) => break,
-            Ok(n) => {
-                last_activity = Instant::now();
-                if let Err(e) = frames.extend(&buf[..n]) {
-                    let _ = events.send(Event::Fault {
-                        conn,
-                        error: ProtocolError::Transport(e),
-                    });
-                    break;
-                }
-                loop {
-                    match frames.pop() {
-                        Ok(Some(payload)) => {
-                            let decoded = {
-                                let span = shared
-                                    .telemetry
-                                    .as_ref()
-                                    .and_then(|t| t.span(Stage::FrameDecode));
-                                let decoded = decode_request(&payload);
-                                drop(span);
-                                decoded
-                            };
-                            match decoded {
-                                Ok((request_id, request)) => {
-                                    if let Some(tel) = &shared.telemetry {
-                                        let framed = payload.len() as u64 + 4;
-                                        tel.add(Counter::WireFramesIn, 1);
-                                        tel.add(Counter::WireBytesIn, framed);
-                                        tel.record_conn_frame_in(conn as usize, framed);
-                                    }
-                                    // Hub-wide admission (exact: claim a slot,
-                                    // roll back if that overshot the budget).
-                                    // Checked before the per-connection gate so
-                                    // overload is answered immediately even
-                                    // when this connection's window is full.
-                                    let prior = shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                                    if prior >= shared.config.max_hub_in_flight as u64 {
-                                        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                                        let _ = events.send(Event::Shed { conn, request_id });
-                                        continue;
-                                    }
-                                    gate.acquire();
-                                    if shared.shutdown.load(Ordering::SeqCst) {
-                                        // Refused: the hub is draining; give
-                                        // the claimed budget slot back.
-                                        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                                        break 'conn;
-                                    }
-                                    shared.frames_accepted.fetch_add(1, Ordering::SeqCst);
-                                    let _ = events.send(Event::Frame {
-                                        conn,
-                                        request_id,
-                                        request,
-                                        at: Instant::now(),
-                                    });
-                                }
-                                Err(e) => {
-                                    let _ = events.send(Event::Fault {
-                                        conn,
-                                        error: ProtocolError::Codec(e),
-                                    });
-                                    break 'conn;
-                                }
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            let _ = events.send(Event::Fault {
-                                conn,
-                                error: ProtocolError::Transport(e),
-                            });
-                            break 'conn;
-                        }
-                    }
-                }
-            }
+            Ok(n) => n,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
             {
-                if last_activity.elapsed() >= shared.config.idle_timeout {
-                    let _ = events.send(Event::Fault {
-                        conn,
-                        error: ProtocolError::Transport(TransportError::IdleTimeout {
-                            idle_ms: shared.config.idle_timeout.as_millis() as u64,
-                        }),
-                    });
-                    break;
+                let idle_timeout = shared.config.idle_timeout;
+                if idle_close(now, *last_activity.get_or_insert(now), idle_timeout) {
+                    let idle_ms = idle_timeout.as_millis() as u64;
+                    return Err(TransportError::IdleTimeout { idle_ms }.into());
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        last_activity = Some(now);
+        frames.extend(&buf[..n])?;
+        while let Some(payload) = frames.pop()? {
+            let decoded = {
+                let _span = shared
+                    .telemetry
+                    .as_ref()
+                    .and_then(|t| t.span(Stage::FrameDecode));
+                decode_request(&payload)
+            };
+            let (request_id, request) = decoded?;
+            if let Some(tel) = &shared.telemetry {
+                let framed = payload.len() as u64 + 4;
+                tel.add(Counter::WireFramesIn, 1);
+                tel.add(Counter::WireBytesIn, framed);
+                tel.record_conn_frame_in(conn as usize, framed);
+            }
+            // Hub-wide admission (exact: claim a slot, roll back if that
+            // overshot the budget). Checked before the per-connection gate so
+            // overload is answered immediately even when this connection's
+            // window is full.
+            let prior = shared.in_flight.fetch_add(1, Ordering::SeqCst);
+            if shed(prior, shared.config.max_hub_in_flight) {
+                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                let _ = events.send(Event::Shed { conn, request_id });
+                continue;
+            }
+            gate.acquire();
+            if shared.shutdown.load(Ordering::SeqCst) {
+                // Refused: the hub is draining; give the claimed budget slot
+                // back.
+                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                return Ok(());
+            }
+            shared.frames_accepted.fetch_add(1, Ordering::SeqCst);
+            let _ = events.send(Event::Frame {
+                conn,
+                request_id,
+                request,
+                at: now,
+            });
         }
     }
-    let _ = events.send(Event::Closed { conn });
+    Ok(())
 }
 
 struct ConnState {
@@ -630,9 +589,9 @@ impl Batcher {
         pending.iter().any(|p| p.conn == conn)
     }
 
-    /// The one time-dependent choice the hub makes, as a pure function of
-    /// what the dispatcher has seen (module docs, "The batcher"). Only
-    /// called while a group is pending and the event queue is empty.
+    /// The flush decision, as a pure function of what the dispatcher has
+    /// seen (module docs, "The batcher"). Only called while a group is
+    /// pending and the event queue is empty.
     fn decide(&self, now: Instant, window: Duration) -> Step {
         if self
             .expected
@@ -660,18 +619,46 @@ impl Batcher {
     }
 }
 
+/// Hub-wide admission: a request that finds `prior` requests admitted and
+/// unanswered is shed once that fills the `budget`
+/// ([`HubConfig::max_hub_in_flight`]).
+fn shed(prior: u64, budget: usize) -> bool {
+    prior >= budget as u64
+}
+
+/// Does a connection whose bytes last arrived at `last_activity` close as
+/// idle at `now`? Once its idle time reaches `idle_timeout`.
+fn idle_close(now: Instant, last_activity: Instant, idle_timeout: Duration) -> bool {
+    now.duration_since(last_activity) >= idle_timeout
+}
+
+/// The dispatcher thread's state: the service, every connection's write
+/// half, the batcher and the report.
+struct Dispatcher<S> {
+    service: S,
+    shared: Arc<HubShared>,
+    tel: Option<Telemetry>,
+    conns: BTreeMap<u64, ConnState>,
+    batcher: Batcher,
+    report: HubReport,
+}
+
 fn dispatcher_loop<S: Service>(
-    mut service: S,
+    service: S,
     events: Receiver<Event>,
     shared: Arc<HubShared>,
 ) -> HubReport {
-    let tel = service.telemetry().cloned();
-    let mut conns: BTreeMap<u64, ConnState> = BTreeMap::new();
-    let mut batcher = Batcher::default();
-    let mut report = HubReport::default();
+    let mut d = Dispatcher {
+        tel: service.telemetry().cloned(),
+        service,
+        shared,
+        conns: BTreeMap::new(),
+        batcher: Batcher::default(),
+        report: HubReport::default(),
+    };
     let mut draining = false;
     loop {
-        let event = if batcher.pending.is_empty() && !draining {
+        let event = if d.batcher.pending.is_empty() && !draining {
             match events.recv() {
                 Ok(event) => event,
                 Err(_) => break,
@@ -684,17 +671,12 @@ fn dispatcher_loop<S: Service>(
             // Drained: the flush below answers what is still pending.
             break;
         } else {
-            match batcher.decide(Instant::now(), shared.config.batch_window) {
+            match d
+                .batcher
+                .decide(Instant::now(), d.shared.config.batch_window)
+            {
                 Step::Flush(reason) => {
-                    flush_batch(
-                        &mut service,
-                        &mut batcher,
-                        reason,
-                        &mut conns,
-                        &tel,
-                        &mut report,
-                        &shared,
-                    );
+                    d.flush(reason);
                     continue;
                 }
                 // A timeout comes back here and finds the deadline passed.
@@ -707,11 +689,11 @@ fn dispatcher_loop<S: Service>(
         };
         match event {
             Event::Opened { conn, writer, gate } => {
-                conns.insert(conn, ConnState { writer, gate });
-                report.connections += 1;
-                if let Some(tel) = &tel {
+                d.conns.insert(conn, ConnState { writer, gate });
+                d.report.connections += 1;
+                if let Some(tel) = &d.tel {
                     tel.add(Counter::ConnectionsOpened, 1);
-                    tel.set_gauge(Gauge::OpenConnections, conns.len() as u64);
+                    tel.set_gauge(Gauge::OpenConnections, d.conns.len() as u64);
                 }
             }
             Event::Frame {
@@ -720,49 +702,33 @@ fn dispatcher_loop<S: Service>(
                 request,
                 at,
             } => {
-                report.requests += 1;
+                d.report.requests += 1;
                 match request {
                     Request::Query(message) => {
-                        batcher.push(Pending {
+                        d.batcher.push(Pending {
                             conn,
                             request_id,
                             message,
                             enqueued: at,
                         });
-                        if batcher.pending.len() >= shared.config.batch_depth {
-                            flush_batch(
-                                &mut service,
-                                &mut batcher,
-                                Counter::BatcherFlushDepth,
-                                &mut conns,
-                                &tel,
-                                &mut report,
-                                &shared,
-                            );
+                        if d.batcher.pending.len() >= d.shared.config.batch_depth {
+                            d.flush(Counter::BatcherFlushDepth);
                         }
                     }
                     request => {
                         // Barrier: anything that is not a batchable query
                         // must not reorder past pending queries.
-                        flush_batch(
-                            &mut service,
-                            &mut batcher,
-                            Counter::BatcherFlushBarrier,
-                            &mut conns,
-                            &tel,
-                            &mut report,
-                            &shared,
-                        );
-                        if shared.config.journal {
-                            report.journal.push(JournalEntry {
+                        d.flush(Counter::BatcherFlushBarrier);
+                        if d.shared.config.journal {
+                            d.report.journal.push(JournalEntry {
                                 conn,
                                 request_id,
                                 request: request.clone(),
                             });
                         }
-                        let response = service.call(request);
-                        write_reply(&mut conns, conn, request_id, &response, &tel);
-                        settle(&conns, conn, &shared);
+                        let response = d.service.call(request);
+                        d.write_reply(conn, request_id, &response);
+                        d.settle(conn);
                     }
                 }
             }
@@ -771,143 +737,112 @@ fn dispatcher_loop<S: Service>(
                 // the real request id, so the client can correlate and back
                 // off. No journal entry (nothing executed), no gate or
                 // budget slot to release (none was claimed).
-                report.sheds += 1;
-                if let Some(tel) = &tel {
+                d.report.sheds += 1;
+                if let Some(tel) = &d.tel {
                     tel.add(Counter::Sheds, 1);
                 }
-                write_reply(
-                    &mut conns,
-                    conn,
-                    request_id,
-                    &Response::Error(ProtocolError::Transport(TransportError::Overloaded {
-                        retry_after_ms: SHED_RETRY_AFTER.as_millis() as u64,
-                    })),
-                    &tel,
-                );
+                let retry_after_ms = SHED_RETRY_AFTER.as_millis() as u64;
+                let overloaded = TransportError::Overloaded { retry_after_ms };
+                let reply = Response::Error(ProtocolError::Transport(overloaded));
+                d.write_reply(conn, request_id, &reply);
             }
             Event::Fault { conn, error } => {
                 // Flush first so pending replies for this connection are
                 // written before the error frame and the close.
-                flush_batch(
-                    &mut service,
-                    &mut batcher,
-                    Counter::BatcherFlushBarrier,
-                    &mut conns,
-                    &tel,
-                    &mut report,
-                    &shared,
-                );
+                d.flush(Counter::BatcherFlushBarrier);
                 // Best-effort typed error (request id 0: the faulting frame
                 // has no trustworthy id); the Closed event follows.
-                write_reply(&mut conns, conn, 0, &Response::Error(error), &tel);
+                d.write_reply(conn, 0, &Response::Error(error));
             }
             Event::Closed { conn } => {
-                if draining || shared.shutdown.load(Ordering::SeqCst) {
+                if draining || d.shared.shutdown.load(Ordering::SeqCst) {
                     // The reader was torn down by shutdown, not the peer:
                     // keep the writer so drained replies still reach it.
-                } else if conns.remove(&conn).is_some() {
-                    batcher.expected.remove(&conn);
-                    if let Some(tel) = &tel {
+                } else if d.conns.remove(&conn).is_some() {
+                    d.batcher.expected.remove(&conn);
+                    if let Some(tel) = &d.tel {
                         tel.add(Counter::ConnectionsClosed, 1);
-                        tel.set_gauge(Gauge::OpenConnections, conns.len() as u64);
+                        tel.set_gauge(Gauge::OpenConnections, d.conns.len() as u64);
                     }
                 }
             }
             Event::Shutdown => draining = true,
         }
     }
-    flush_batch(
-        &mut service,
-        &mut batcher,
-        Counter::BatcherFlushShutdown,
-        &mut conns,
-        &tel,
-        &mut report,
-        &shared,
-    );
-    if let Some(tel) = &tel {
-        tel.add(Counter::ConnectionsClosed, conns.len() as u64);
+    d.flush(Counter::BatcherFlushShutdown);
+    if let Some(tel) = &d.tel {
+        tel.add(Counter::ConnectionsClosed, d.conns.len() as u64);
         tel.set_gauge(Gauge::OpenConnections, 0);
     }
-    report
+    d.report
 }
 
-fn flush_batch<S: Service>(
-    service: &mut S,
-    batcher: &mut Batcher,
-    reason: Counter,
-    conns: &mut BTreeMap<u64, ConnState>,
-    tel: &Option<Telemetry>,
-    report: &mut HubReport,
-    shared: &HubShared,
-) {
-    let group = batcher.take(reason);
-    if group.is_empty() {
-        return;
-    }
-    if let Some(tel) = tel {
-        tel.add(reason, 1);
-        tel.add(Counter::BatcherCoalesced, group.len() as u64);
-        tel.record_value(Series::BatchOccupancy, group.len() as u64);
-        for pending in &group {
-            tel.record_duration(
-                Stage::BatcherWait,
-                pending.enqueued.elapsed().as_nanos() as u64,
-            );
+impl<S: Service> Dispatcher<S> {
+    /// Execute the pending group as one [`Service::call_query_group`] pass,
+    /// flushed for `reason`, and write each member's reply.
+    fn flush(&mut self, reason: Counter) {
+        let group = self.batcher.take(reason);
+        if group.is_empty() {
+            return;
+        }
+        if let Some(tel) = &self.tel {
+            tel.add(reason, 1);
+            tel.add(Counter::BatcherCoalesced, group.len() as u64);
+            tel.record_value(Series::BatchOccupancy, group.len() as u64);
+            for pending in &group {
+                tel.record_duration(
+                    Stage::BatcherWait,
+                    pending.enqueued.elapsed().as_nanos() as u64,
+                );
+            }
+        }
+        let (origins, messages): (Vec<(u64, u64)>, Vec<QueryMessage>) = group
+            .into_iter()
+            .map(|p| ((p.conn, p.request_id), p.message))
+            .unzip();
+        if self.shared.config.journal {
+            for (&(conn, request_id), message) in origins.iter().zip(&messages) {
+                self.report.journal.push(JournalEntry {
+                    conn,
+                    request_id,
+                    request: Request::Query(message.clone()),
+                });
+            }
+        }
+        let replies = self.service.call_query_group(&messages);
+        for ((conn, request_id), response) in origins.into_iter().zip(replies) {
+            // Slot back first: a group's replies wake several clients at
+            // once, and one that sends the moment it has read its reply must
+            // not be shed by the slot of that very reply.
+            self.settle(conn);
+            self.write_reply(conn, request_id, &response);
         }
     }
-    let (origins, messages): (Vec<(u64, u64)>, Vec<QueryMessage>) = group
-        .into_iter()
-        .map(|p| ((p.conn, p.request_id), p.message))
-        .unzip();
-    if shared.config.journal {
-        for (&(conn, request_id), message) in origins.iter().zip(&messages) {
-            report.journal.push(JournalEntry {
-                conn,
-                request_id,
-                request: Request::Query(message.clone()),
-            });
-        }
-    }
-    let replies = service.call_query_group(&messages);
-    for ((conn, request_id), response) in origins.into_iter().zip(replies) {
-        // Slot back first: a group's replies wake several clients at once,
-        // and one that sends the moment it has read its reply must not be
-        // shed by the slot of that very reply.
-        settle(conns, conn, shared);
-        write_reply(conns, conn, request_id, &response, tel);
-    }
-}
 
-fn write_reply(
-    conns: &mut BTreeMap<u64, ConnState>,
-    conn: u64,
-    request_id: u64,
-    response: &Response,
-    tel: &Option<Telemetry>,
-) {
-    let Some(state) = conns.get_mut(&conn) else {
-        return;
-    };
-    let frame = {
-        let _span = tel.as_ref().and_then(|t| t.span(Stage::FrameEncode));
-        encode_response(request_id, response)
-    };
-    if state.writer.send_all(&frame).is_ok() {
-        if let Some(tel) = tel {
-            tel.add(Counter::WireFramesOut, 1);
-            tel.add(Counter::WireBytesOut, frame.len() as u64);
-            tel.record_conn_frame_out(conn as usize, frame.len() as u64);
+    fn write_reply(&mut self, conn: u64, request_id: u64, response: &Response) {
+        let Some(state) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        let frame = {
+            let _span = self.tel.as_ref().and_then(|t| t.span(Stage::FrameEncode));
+            encode_response(request_id, response)
+        };
+        if state.writer.send_all(&frame).is_ok() {
+            if let Some(tel) = &self.tel {
+                tel.add(Counter::WireFramesOut, 1);
+                tel.add(Counter::WireBytesOut, frame.len() as u64);
+                tel.record_conn_frame_out(conn as usize, frame.len() as u64);
+            }
         }
     }
-}
 
-/// Settle one executed request: release the connection's gate permit and give
-/// its hub-wide budget slot back.
-fn settle(conns: &BTreeMap<u64, ConnState>, conn: u64, shared: &HubShared) {
-    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    if let Some(state) = conns.get(&conn) {
-        state.gate.release();
+    /// Settle one executed request: release the connection's gate permit and
+    /// give its hub-wide budget slot back.
+    fn settle(&self, conn: u64) {
+        self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if let Some(state) = self.conns.get(&conn) {
+            state.gate.release();
+        }
     }
 }
 
@@ -1025,5 +960,38 @@ mod tests {
                 Decide(t(20), Step::Flush(Complete)),
             ],
         );
+    }
+
+    /// Admission and the idle close at their boundaries, clock-free.
+    #[test]
+    fn the_admission_and_idle_decisions_enumerated() {
+        let budget = 4;
+        for (prior, shed_it) in [
+            (0, false),
+            (budget - 1, false),
+            (budget, true),
+            (budget + 1, true),
+        ] {
+            assert_eq!(
+                shed(prior as u64, budget),
+                shed_it,
+                "{prior} admitted before"
+            );
+        }
+        let last = Instant::now();
+        let idle = Duration::from_millis(30);
+        let ns = Duration::from_nanos;
+        for (silent, close) in [
+            (Duration::ZERO, false),
+            (idle - ns(1), false),
+            (idle, true),
+            (idle + ns(1), true),
+        ] {
+            assert_eq!(
+                idle_close(last + silent, last, idle),
+                close,
+                "silent {silent:?}"
+            );
+        }
     }
 }

@@ -41,6 +41,15 @@
 //! completed**, on the client that issued it and with the request it was
 //! submitted with — `submit` counts the attempt, only `complete` books how it
 //! ended.
+//!
+//! ## Time
+//!
+//! `RetryPolicy::next` is the whole retry decision, a pure function of the
+//! attempt, `now` and the deadline: the attempt and deadline budget, the shed
+//! floor, capped exponential backoff, the seeded jitter, the clamp to the
+//! deadline, and `RetryUnsafe` for a link fault on a non-idempotent request.
+//! The client reads the clock when `submit` starts the deadline, before each
+//! reply wait and after each failed attempt, and sleeps what `next` returned.
 
 use crate::client::{ClientError, NetClient};
 use crate::link::{LinkReader, LinkWriter};
@@ -95,6 +104,64 @@ impl Default for RetryPolicy {
 /// Backoff jitter amplitude in per-mille of the exponential value, applied
 /// before the floor and deadline clamps.
 const JITTER_PER_MILLE: u64 = 250;
+
+/// What follows a failed attempt ([`RetryPolicy::next`]).
+#[derive(Debug, PartialEq)]
+enum Retry {
+    /// Resubmit after this backoff (zero: at once).
+    After(Duration),
+    /// The attempt or deadline budget is spent: the failure stands.
+    GiveUp,
+    /// A link fault on a non-idempotent request: the lost attempt may have
+    /// executed, so resubmitting could apply it twice.
+    Unsafe,
+}
+
+impl RetryPolicy {
+    /// The retry decision after attempt number `attempt` (1-based) of a
+    /// request failed at `now`: shed before execution with the hub's
+    /// `retry_after_ms` hint (`shed`), or lost with its link (`None`). A shed
+    /// is retried whatever the request, a link fault only if the request is
+    /// `idempotent`. Jitter is drawn from `jitter` only when a retry follows
+    /// and the jitter span is non-zero, so a seed replays the same sleeps.
+    fn next(
+        &self,
+        attempt: u32,
+        now: Instant,
+        deadline: Instant,
+        shed: Option<u64>,
+        idempotent: bool,
+        jitter: &mut StdRng,
+    ) -> Retry {
+        let floor = match shed {
+            Some(retry_after_ms) => Duration::from_millis(retry_after_ms),
+            None if idempotent => Duration::ZERO,
+            None => return Retry::Unsafe,
+        };
+        if attempt >= self.max_attempts || now >= deadline {
+            return Retry::GiveUp;
+        }
+        let mut exp = self
+            .base_backoff
+            .saturating_mul(1u32 << attempt.min(16))
+            .min(self.backoff_cap);
+        // Uniform in ±(exp · JITTER_PER_MILLE / 1000).
+        let span = exp.as_nanos() as u64 * JITTER_PER_MILLE / 1000;
+        if span > 0 {
+            let offset = jitter.gen_range(0..=2 * span) as i64 - span as i64;
+            let jittered = (exp.as_nanos() as i64).saturating_add(offset).max(0);
+            exp = Duration::from_nanos(jittered as u64);
+        }
+        Retry::After(exp.max(floor).min(deadline - now))
+    }
+
+    /// How long one attempt waits for its reply from `now`: the attempt
+    /// timeout, cut at the request deadline.
+    fn reply_wait(&self, now: Instant, deadline: Instant) -> Duration {
+        self.attempt_timeout
+            .min(deadline.saturating_duration_since(now))
+    }
+}
 
 /// What a [`ResilientClient`] did, attempt by attempt. The conservation law
 /// `attempts == successes + sheds + link_faults` holds exactly.
@@ -238,11 +305,15 @@ impl ResilientClient {
         )
     }
 
-    /// Connect if disconnected, waiting no longer than `deadline`. A connect
-    /// still in flight when the deadline passes keeps running on the dialer
-    /// thread; its result is consumed (and the link reused) by the next call
-    /// instead of leaking or double-dialing.
-    fn ensure_connected(&mut self, deadline: Instant) -> Result<&mut NetClient, ClientError> {
+    /// Connect if disconnected, waiting from `now` no longer than `deadline`.
+    /// A connect still in flight when the deadline passes keeps running on
+    /// the dialer thread; its result is consumed (and the link reused) by the
+    /// next call instead of leaking or double-dialing.
+    fn ensure_connected(
+        &mut self,
+        deadline: Instant,
+        now: Instant,
+    ) -> Result<&mut NetClient, ClientError> {
         if self.client.is_none() {
             if !self.dial_pending {
                 let ordinal = self.connections;
@@ -251,7 +322,7 @@ impl ResilientClient {
                     .map_err(|_| ClientError::Io(io::Error::other("dialer thread exited")))?;
                 self.dial_pending = true;
             }
-            let wait = deadline.saturating_duration_since(Instant::now());
+            let wait = deadline.saturating_duration_since(now);
             let dialed = match self.dial_rx.recv_timeout(wait) {
                 Ok(result) => {
                     self.dial_pending = false;
@@ -293,34 +364,6 @@ impl ResilientClient {
         }
     }
 
-    fn backoff(&mut self, attempt: u32, floor: Duration, deadline: Instant) {
-        let mut exp = self
-            .policy
-            .base_backoff
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.policy.backoff_cap);
-        // Uniform in ±(exp · JITTER_PER_MILLE / 1000), drawn from the seeded
-        // stream so identical seeds replay identical sleeps.
-        let span = exp.as_nanos() as u64 * JITTER_PER_MILLE / 1000;
-        if span > 0 {
-            let offset = self.jitter.gen_range(0..=2 * span) as i64 - span as i64;
-            let jittered = (exp.as_nanos() as i64).saturating_add(offset).max(0);
-            exp = Duration::from_nanos(jittered as u64);
-        }
-        let sleep = exp.max(floor);
-        // Never sleep past the request deadline.
-        let sleep = sleep.min(deadline.saturating_duration_since(Instant::now()));
-        if sleep.is_zero() {
-            return;
-        }
-        self.stats.backoff_waits += 1;
-        self.stats.backoff_ns += sleep.as_nanos() as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.record_duration(Stage::BackoffWait, sleep.as_nanos() as u64);
-        }
-        std::thread::sleep(sleep);
-    }
-
     /// One request, end to end: connect if needed, submit, await the reply;
     /// on an overload shed or (for idempotent requests) a link fault,
     /// back off and retry until the policy's attempt or deadline budget runs
@@ -346,8 +389,9 @@ impl ResilientClient {
     /// classified by [`ResilientClient::complete`] like any other lost
     /// attempt.
     pub fn submit(&mut self, request: &Request) -> InFlight {
-        let deadline = Instant::now() + self.policy.request_deadline;
-        let first = self.send(request, deadline);
+        let now = Instant::now();
+        let deadline = now + self.policy.request_deadline;
+        let first = self.send(request, deadline, now);
         InFlight { deadline, first }
     }
 
@@ -360,71 +404,76 @@ impl ResilientClient {
         flight: InFlight,
         request: &Request,
     ) -> Result<(u64, Response), ClientError> {
-        let retry_safe = Self::is_idempotent(request);
+        let idempotent = Self::is_idempotent(request);
         let InFlight { deadline, first } = flight;
-        let mut outcome = first.and_then(|sent| self.await_reply(sent, deadline));
+        let mut sent = first;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let budget_left = attempt < self.policy.max_attempts && Instant::now() < deadline;
-            match outcome {
+            let outcome = sent.and_then(|sent| self.await_reply(sent, deadline, Instant::now()));
+            // A reply, a shed, or a link fault (the link already torn down).
+            let shed = match &outcome {
                 Ok((
-                    id,
+                    _,
                     Response::Error(ProtocolError::Transport(TransportError::Overloaded {
                         retry_after_ms,
                     })),
                 )) => {
-                    // Shed before execution: safe to retry anything, after
-                    // honoring the server's hint as a backoff floor.
                     self.stats.sheds += 1;
-                    if !budget_left {
-                        return Ok((
-                            id,
-                            Response::Error(ProtocolError::Transport(TransportError::Overloaded {
-                                retry_after_ms,
-                            })),
-                        ));
-                    }
-                    self.backoff(attempt, Duration::from_millis(retry_after_ms), deadline);
+                    Some(*retry_after_ms)
                 }
-                Ok((id, response)) => {
+                Ok(_) => {
                     self.stats.successes += 1;
-                    return Ok((id, response));
+                    return outcome;
                 }
-                Err(error) => {
-                    // The attempt died with its link (torn down where the
-                    // fault was seen): reconnect on the next try. Whether the
-                    // server executed it is unknowable here.
+                Err(_) => {
                     self.stats.link_faults += 1;
-                    if !retry_safe {
-                        self.stats.unsafe_aborts += 1;
-                        return Err(ClientError::RetryUnsafe {
-                            op: request.name(),
-                            cause: Box::new(error),
-                        });
-                    }
-                    if !budget_left {
-                        return Err(error);
-                    }
-                    self.backoff(attempt, Duration::ZERO, deadline);
+                    None
                 }
+            };
+            let now = Instant::now();
+            let decision =
+                self.policy
+                    .next(attempt, now, deadline, shed, idempotent, &mut self.jitter);
+            let after = match decision {
+                Retry::After(after) => after,
+                Retry::GiveUp => return outcome,
+                Retry::Unsafe => {
+                    self.stats.unsafe_aborts += 1;
+                    return outcome.map_err(|cause| ClientError::RetryUnsafe {
+                        op: request.name(),
+                        cause: Box::new(cause),
+                    });
+                }
+            };
+            if !after.is_zero() {
+                self.stats.backoff_waits += 1;
+                self.stats.backoff_ns += after.as_nanos() as u64;
+                if let Some(tel) = &self.telemetry {
+                    tel.record_duration(Stage::BackoffWait, after.as_nanos() as u64);
+                }
+                std::thread::sleep(after);
             }
             self.stats.retries += 1;
             if let Some(tel) = &self.telemetry {
                 tel.add(Counter::Retries, 1);
             }
-            outcome = self
-                .send(request, deadline)
-                .and_then(|sent| self.await_reply(sent, deadline));
+            // The backoff ended at `now + after`: a redial waits from there.
+            sent = self.send(request, deadline, now + after);
         }
     }
 
-    /// One submission, counted as an attempt: connect if needed, encode,
-    /// flush. Returns where the reply will arrive, or the link error that
-    /// consumed the attempt (a link that failed the write is torn down).
-    fn send(&mut self, request: &Request, deadline: Instant) -> Result<Sent, ClientError> {
+    /// One submission at `now`, counted as an attempt: connect if needed,
+    /// encode, flush. Returns where the reply will arrive, or the link error
+    /// that consumed the attempt (a link that failed the write is torn down).
+    fn send(
+        &mut self,
+        request: &Request,
+        deadline: Instant,
+        now: Instant,
+    ) -> Result<Sent, ClientError> {
         self.stats.attempts += 1;
-        let client = self.ensure_connected(deadline)?;
+        let client = self.ensure_connected(deadline, now)?;
         let id = client.submit(request);
         if let Err(error) = client.flush() {
             self.drop_connection();
@@ -445,17 +494,14 @@ impl ResilientClient {
         &mut self,
         sent: Sent,
         deadline: Instant,
+        now: Instant,
     ) -> Result<(u64, Response), ClientError> {
         let Sent { id, connection } = sent;
         let client = match &mut self.client {
             Some(client) if connection == self.connections => client,
             _ => return Err(ClientError::Disconnected { request_id: id }),
         };
-        let wait = self
-            .policy
-            .attempt_timeout
-            .min(deadline.saturating_duration_since(Instant::now()));
-        let reply = client.wait_take(id, wait);
+        let reply = client.wait_take(id, self.policy.reply_wait(now, deadline));
         if reply.is_err() {
             self.drop_connection();
         }
@@ -804,6 +850,94 @@ mod tests {
         assert_ne!(
             a.backoff_ns, c.backoff_ns,
             "a different seed draws different jitter"
+        );
+    }
+
+    /// The retry decision, enumerated: no clock is read and nothing sleeps.
+    #[test]
+    fn the_retry_decision_enumerated() {
+        use Retry::{After, GiveUp, Unsafe};
+        const LINK: Option<u64> = None;
+        let shed = Some;
+        let (ns, ms) = (Duration::from_nanos, Duration::from_millis);
+        // 8 attempts, 200 µs base doubling per attempt, 5 ms cap, ±25 %.
+        let policy = quick_policy();
+        let start = Instant::now();
+        let deadline = start + Duration::from_secs(1);
+        // Decide on a fresh stream, which must be drawn from exactly when a
+        // retry follows.
+        let decide = |attempt, now, shed, idempotent| {
+            let seeded = || StdRng::seed_from_u64(policy.jitter_seed);
+            let mut jitter = seeded();
+            let got = policy.next(attempt, now, deadline, shed, idempotent, &mut jitter);
+            let drawn = jitter.gen::<u64>() != seeded().gen::<u64>();
+            assert_eq!(drawn, matches!(got, After(_)), "jitter drawn: {got:?}");
+            got
+        };
+        // The attempt and deadline budget.
+        let capped = decide(7, start, LINK, true);
+        assert!(
+            matches!(capped, After(d) if d >= ms(5) * 3 / 4 && d <= ms(5) * 5 / 4),
+            "one attempt left: the capped backoff, jittered, got {capped:?}"
+        );
+        assert_eq!(decide(8, start, LINK, true), GiveUp, "attempts used up");
+        assert_eq!(decide(8, start, shed(2), false), GiveUp, "a shed too");
+        assert_eq!(decide(1, deadline, LINK, true), GiveUp, "deadline reached");
+        assert_eq!(decide(1, deadline + ns(1), shed(2), true), GiveUp);
+        // No sleep runs past the deadline.
+        assert_eq!(decide(1, deadline - ns(1), LINK, true), After(ns(1)));
+        assert_eq!(decide(7, deadline - ms(3), shed(20), true), After(ms(3)));
+        // A shed floor above the cap is honoured, for any request: a shed
+        // never executed.
+        assert_eq!(decide(7, start, shed(20), true), After(ms(20)));
+        assert_eq!(decide(7, start, shed(20), false), After(ms(20)));
+        // A link fault on a non-idempotent request is never resubmitted,
+        // budget or not.
+        assert_eq!(decide(1, start, LINK, false), Unsafe);
+        assert_eq!(decide(8, deadline, LINK, false), Unsafe);
+        // A zero jitter span draws nothing: 1 ns doubled is 2 ns, ±0.
+        let tiny = RetryPolicy {
+            base_backoff: ns(1),
+            ..policy
+        };
+        let mut jitter = StdRng::seed_from_u64(tiny.jitter_seed);
+        let got = tiny.next(1, start, deadline, LINK, true, &mut jitter);
+        assert_eq!(got, After(ns(2)));
+        let fresh = StdRng::seed_from_u64(tiny.jitter_seed).gen::<u64>();
+        assert_eq!(jitter.gen::<u64>(), fresh);
+        // A reply wait is the attempt timeout, cut at the deadline.
+        assert_eq!(policy.reply_wait(start, deadline), ms(250));
+        assert_eq!(policy.reply_wait(deadline - ms(3), deadline), ms(3));
+        assert_eq!(
+            policy.reply_wait(deadline + ms(3), deadline),
+            Duration::ZERO
+        );
+    }
+
+    /// The seeded stream, pinned: the sleeps before attempts 2–8 of a request
+    /// whose links keep dying, under `quick_policy` with jitter seed 7, in
+    /// nanoseconds (the exponential values are 400 µs, 800 µs, 1.6 ms,
+    /// 3.2 ms, then the 5 ms cap, each ±25 %).
+    #[test]
+    fn the_seed_7_backoff_sequence_is_pinned() {
+        let policy = RetryPolicy {
+            jitter_seed: 7,
+            ..quick_policy()
+        };
+        let start = Instant::now();
+        let deadline = start + policy.request_deadline;
+        let mut jitter = StdRng::seed_from_u64(policy.jitter_seed);
+        let sleeps: Vec<u64> = (1..policy.max_attempts)
+            .map(
+                |attempt| match policy.next(attempt, start, deadline, None, true, &mut jitter) {
+                    Retry::After(after) => after.as_nanos() as u64,
+                    other => panic!("attempt {attempt}: {other:?}"),
+                },
+            )
+            .collect();
+        assert_eq!(
+            sleeps,
+            [476_887, 760_951, 1_941_001, 3_185_400, 5_068_603, 4_518_994, 3_983_039]
         );
     }
 }
