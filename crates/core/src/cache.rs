@@ -73,7 +73,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by the per-shard LRU capacity limit.
     pub evictions: u64,
-    /// Stale entries discarded because their shard's write generation moved on.
+    /// Stale entries discarded because their shard's write generation moved on
+    /// (counted at the lookup that finds one; the generation moves themselves
+    /// are the telemetry counter `shard_cache_generation_bumps`).
     pub invalidations: u64,
     /// r-bit comparisons that cache hits made unnecessary.
     pub saved_comparisons: u64,

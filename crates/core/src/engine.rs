@@ -125,7 +125,7 @@ use crate::scanplane::ScanPlane;
 use crate::search::{top_matches, SearchMatch, SearchStats};
 use crate::storage::{ShardedStore, StoreError};
 use crate::telemetry::{
-    Counter, Gauge, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
+    Counter, Gauge, LabelledCounter, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -179,6 +179,15 @@ fn derive_planes(store: &ShardedStore) -> Vec<ScanPlane> {
             plane
         })
         .collect()
+}
+
+/// The per-shard counter a cache lookup's outcome adds to.
+fn lookup_outcome(hit: bool) -> LabelledCounter {
+    if hit {
+        LabelledCounter::ShardCacheHits
+    } else {
+        LabelledCounter::ShardCacheMisses
+    }
 }
 
 /// The shard-parallel search engine over a [`ShardedStore`].
@@ -395,7 +404,8 @@ impl SearchEngine {
         self.telemetry.add(Counter::Inserts, 1);
         if let Some(cache) = &self.cache {
             cache.lock().unwrap().note_insert(shard);
-            self.telemetry.record_cache_invalidation(shard);
+            self.telemetry
+                .add_at(LabelledCounter::ShardCacheGenerationBumps, shard, 1);
         }
         Ok(())
     }
@@ -450,8 +460,10 @@ impl SearchEngine {
         });
         if let Some(cache) = &self.cache {
             cache.lock().unwrap().invalidate_all();
-            self.telemetry
-                .record_cache_invalidation_all(self.store.num_shards());
+            for shard in 0..self.store.num_shards() {
+                self.telemetry
+                    .add_at(LabelledCounter::ShardCacheGenerationBumps, shard, 1);
+            }
         }
         restored?;
         Ok(count)
@@ -522,15 +534,8 @@ impl SearchEngine {
         let lanes = self.lanes.min(self.pool.workers() + 1).min(total);
         if lanes <= 1 {
             let out: Vec<T> = (0..total).map(run).collect();
-            if total > 0 {
-                self.telemetry.record_lane(
-                    0,
-                    &LaneStats {
-                        executed: total as u64,
-                        ..LaneStats::default()
-                    },
-                );
-            }
+            self.telemetry
+                .add_at(LabelledCounter::LaneExecuted, 0, total as u64);
             return out;
         }
         let deques = StealDeques::new(total, lanes);
@@ -549,7 +554,14 @@ impl SearchEngine {
                         while let Some(unit) = deques.next_tracked(lane, &mut stats) {
                             out.push((unit, run(unit)));
                         }
-                        telemetry.record_lane(lane, &stats);
+                        for (counter, n) in [
+                            (LabelledCounter::LaneExecuted, stats.executed),
+                            (LabelledCounter::LaneStolen, stats.stolen),
+                            (LabelledCounter::LaneFailedSteals, stats.failed_cas),
+                            (LabelledCounter::LaneIdlePolls, stats.idle_polls),
+                        ] {
+                            telemetry.add_at(counter, lane, n);
+                        }
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
@@ -762,7 +774,8 @@ impl SearchEngine {
             for ((&u, slots), effect) in uniques.iter().zip(&mut resolved).zip(&mut effects) {
                 for (shard, slot) in slots.iter_mut().enumerate() {
                     *slot = cache.lookup(shard, queries[u].bits());
-                    self.telemetry.record_cache_lookup(shard, slot.is_some());
+                    self.telemetry
+                        .add_at(lookup_outcome(slot.is_some()), shard, 1);
                     tally(effect, slot.as_ref());
                 }
             }
@@ -838,7 +851,8 @@ impl SearchEngine {
                 }
                 for shard in 0..shards {
                     let found = cache.lookup(shard, query.bits());
-                    self.telemetry.record_cache_lookup(shard, found.is_some());
+                    self.telemetry
+                        .add_at(lookup_outcome(found.is_some()), shard, 1);
                     tally(&mut duplicate_effects[i], found.as_ref());
                     if found.is_none() {
                         let (matches, stats) = resolved[row][shard].clone().expect("resolved");
@@ -1364,8 +1378,8 @@ mod tests {
                 "fused batch, lanes={lanes}"
             );
             let snap = engine.metrics_snapshot();
-            total_steals += snap.total_steals();
-            total_executed += snap.lanes.iter().map(|l| l.executed).sum::<u64>();
+            total_steals += snap.labelled_sum("lane_stolen");
+            total_executed += snap.labelled_sum("lane_executed");
         }
         // Every unit execution is accounted: per lane count, 5 single queries
         // and one fused batch over 9 chunk-range units each.
@@ -1455,7 +1469,7 @@ mod tests {
         });
         let steals: u64 = cases
             .iter()
-            .map(|case| case.engine.metrics_snapshot().total_steals())
+            .map(|case| case.engine.metrics_snapshot().labelled_sum("lane_stolen"))
             .sum();
         assert!(steals > 0, "shared-pool runs must record steals");
     }
@@ -1819,8 +1833,11 @@ mod tests {
                 .collect();
             assert_eq!(echoed, expected, "lanes={lanes}");
             let snap = engine.metrics_snapshot();
-            let executed: u64 = snap.lanes.iter().map(|l| l.executed).sum();
-            assert_eq!(executed, units.len() as u64, "lanes={lanes}");
+            assert_eq!(
+                snap.labelled_sum("lane_executed"),
+                units.len() as u64,
+                "lanes={lanes}"
+            );
         }
     }
 
@@ -1855,6 +1872,32 @@ mod tests {
         assert_eq!(family(&engine), [3, 3, 3]);
         let _ = engine.search_batch(&[q.clone(), q]);
         assert_eq!(family(&engine), [4, 5, 4]);
+    }
+
+    #[test]
+    fn a_restore_bumps_every_shard_once_folded_like_its_lookups() {
+        use crate::telemetry::LABEL_SLOTS;
+        // 70 shards: shards 63..70 share the registry's last per-shard slot.
+        // One query looks each shard up once and one restore bumps each
+        // shard's generation once, so both read 1 per slot and 7 in the last.
+        let mut fx = fixture();
+        let mut source = SearchEngine::sharded(fx.params.clone(), 2);
+        source.insert_all(corpus_indices(&fx, 8)).unwrap();
+        let q = query(&mut fx, &["shared"]);
+        let mut engine =
+            SearchEngine::sharded(fx.params.clone(), 70).with_result_cache(CacheConfig::default());
+        engine.set_telemetry_level(TelemetryLevel::Counters);
+        let _ = engine.search(&q);
+        assert_eq!(engine.restore_snapshot(&source.snapshot()), Ok(8));
+        let snap = engine.metrics_snapshot();
+        let last = LABEL_SLOTS - 1;
+        for name in ["shard_cache_misses", "shard_cache_generation_bumps"] {
+            for index in 0..LABEL_SLOTS {
+                let want = if index == last { 70 - last as u64 } else { 1 };
+                assert_eq!(snap.labelled(name, index as u32), want, "{name}[{index}]");
+            }
+            assert_eq!(snap.labelled_sum(name), 70, "{name}");
+        }
     }
 
     #[test]

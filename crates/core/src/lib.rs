@@ -31,12 +31,12 @@
 //! cache on top, keyed by the query bits themselves: repeated query indices (the
 //! search pattern the server observes anyway, §6) skip the shard scan entirely
 //! without changing a single reply byte.
-//! The [`telemetry`] module observes all of it: a lock-free registry of
-//! relaxed-atomic counters, gauges and log₂-bucketed latency histograms behind a
-//! runtime [`telemetry::TelemetryLevel`] knob on the engine — per-stage spans,
-//! per-lane scheduler stats and per-shard cache tallies, recorded without
-//! perturbing a single reply byte (the registry observes, it never
-//! participates).
+//! The [`telemetry`] module observes all of it: a lock-free registry of three
+//! shapes — relaxed-atomic counters (one label allowed: `lane`, `shard` or
+//! `connection`), gauges and log₂-bucketed histograms — behind a runtime
+//! [`telemetry::TelemetryLevel`] knob on the engine: per-stage spans, lane
+//! scheduler counts and shard cache tallies, recorded without perturbing a
+//! single reply byte (the registry observes, it never participates).
 //!
 //! Document encryption, RSA blind decryption of per-document keys and the three-party protocol
 //! (data owner / user / cloud server) live in `mkse-protocol`; the baselines the paper compares
@@ -113,9 +113,7 @@ pub use rotation::{EpochTrapdoor, RotatingKeys};
 pub use scanplane::ScanPlane;
 pub use search::{CloudIndex, SearchMatch, SearchStats};
 pub use storage::{IndexEntry, ShardedStore, StoreError};
-pub use telemetry::{
-    LaneSnapshot, LaneStats, MetricsSnapshot, ShardCacheSnapshot, Telemetry, TelemetryLevel,
-};
+pub use telemetry::{LaneStats, MetricsSnapshot, Telemetry, TelemetryLevel};
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,19 @@
-//! Lock-free telemetry plane: counters, gauges, log₂-bucketed latency
-//! histograms, per-lane scheduler stats and per-shard cache stats.
+//! Lock-free telemetry plane: one registry of three shapes.
+//!
+//! - **Counter** — monotonic. Unlabelled ([`Counter`]) or carrying one label
+//!   ([`LabelledCounter`]) whose key is one of `lane` (scan lane; the caller
+//!   lane is 0), `shard` (store shard) or `connection` (hub connection id).
+//!   A labelled counter is one slot array of [`LABEL_SLOTS`]; label values at
+//!   or above the cap fold into the last slot.
+//! - **Gauge** ([`Gauge`]) — last write wins.
+//! - **log₂ histogram** — one slot type and one record path for two units:
+//!   [`Stage`] durations in nanoseconds, recorded at `Spans`, and [`Series`]
+//!   counts, recorded at `Counters`.
+//!
+//! Each metric is declared once, in one row of its `metrics!` table: the
+//! variant, the exported name and the doc (and, for a labelled counter, the
+//! label key). The enum, its `ALL` list and its `name()` are generated from
+//! that row, so they cannot drift apart.
 //!
 //! Design constraints (house invariants):
 //!
@@ -8,8 +22,9 @@
 //!   happens only in [`Telemetry::snapshot`], which is a cold diagnostic op.
 //! - **Runtime-gated no-ops.** A [`TelemetryLevel`] knob (an `AtomicU8` on the
 //!   shared state) gates everything: at `Off` every recording call returns
-//!   after a single relaxed load; at `Counters` only counter/gauge/lane/shard
-//!   adds run; timers ([`Telemetry::span`]) exist only at `Spans`.
+//!   after a single relaxed load; at `Counters` counters, gauges and count
+//!   histograms record; duration histograms ([`Telemetry::span`]) record only
+//!   at `Spans`.
 //! - **Telemetry is invisible.** Nothing in this module feeds back into the
 //!   search path: replies, `SearchStats`, cache counters and wire bytes are
 //!   byte-identical whatever the level. The equivalence suite proves this.
@@ -33,7 +48,8 @@ pub enum TelemetryLevel {
     /// Record nothing; every hot-path call is a single relaxed load.
     #[default]
     Off = 0,
-    /// Record counters, gauges, per-lane and per-shard stats — no timers.
+    /// Record counters (labelled ones included), gauges and count
+    /// histograms — no timers.
     Counters = 1,
     /// Everything in `Counters` plus stage-duration histograms (spans).
     Spans = 2,
@@ -59,7 +75,8 @@ impl TelemetryLevel {
         }
     }
 
-    /// True when counters/gauges/lane/shard stats record (Counters or Spans).
+    /// True when counters, gauges and count histograms record (Counters or
+    /// Spans).
     pub fn counters_enabled(self) -> bool {
         !matches!(self, Self::Off)
     }
@@ -70,291 +87,227 @@ impl TelemetryLevel {
     }
 }
 
-/// Monotonic event counters. Fixed enum so the registry is one flat array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Requests served by the `Service` (every envelope op).
-    RequestsServed = 0,
-    /// Ranked executions of the engine (a single query is a batch of one).
-    Batches,
-    /// Queries carried inside those batches (pre-dedup).
-    BatchQueries,
-    /// Document insertions.
-    Inserts,
-    /// Shard scans actually performed (cache misses; fused passes count
-    /// one per shard swept).
-    ShardScans,
-    /// Framed requests decoded by `serve`.
-    WireFramesIn,
-    /// Framed responses encoded by `serve`.
-    WireFramesOut,
-    /// Framed request bytes in (length prefix included).
-    WireBytesIn,
-    /// Framed response bytes out (length prefix included).
-    WireBytesOut,
-    /// Transport connections accepted (TCP or in-process).
-    ConnectionsOpened,
-    /// Transport connections closed (graceful, faulted or idle-timed-out).
-    ConnectionsClosed,
-    /// Single-query requests the cross-client batcher executed inside a
-    /// fused group (every single query a hub serves; a lone connection's
-    /// query is a group of one).
-    BatcherCoalesced,
-    /// Batcher flushes because every connection the group was waiting for
-    /// already had a query in it (nothing left to wait for).
-    BatcherFlushComplete,
-    /// Batcher flushes because the window expired with an expected
-    /// connection still missing (the straggler bound).
-    BatcherFlushWindow,
-    /// Batcher flushes because the pending group reached the depth limit.
-    BatcherFlushDepth,
-    /// Batcher flushes forced by a non-batchable request on any connection
-    /// (preserves the arrival-order linearization).
-    BatcherFlushBarrier,
-    /// Batcher flushes forced by graceful shutdown (drain, never drop).
-    BatcherFlushShutdown,
-    /// Client-side request attempts beyond the first (resubmissions after a
-    /// link fault, a lost reply, or an overload shed).
-    Retries,
-    /// Client-side connection re-establishments after a link died.
-    Reconnects,
-    /// Requests the hub refused *before execution* because the hub-wide
-    /// in-flight budget was exhausted (answered with
-    /// `TransportError::Overloaded` instead of stalling the reader).
-    Sheds,
-    /// Fault events a chaos harness injected into a link (kills, torn
-    /// writes, corrupted bytes, delays).
-    FaultsInjected,
-    /// Fleet failovers executed: a node was declared dead and its shards
-    /// re-assigned to survivors.
-    Failovers,
-    /// Heartbeat deadlines a node missed (each sweep that found the node
-    /// silent past its failure deadline).
-    HeartbeatsMissed,
-    /// Shards shipped to a surviving node during failovers.
-    ShardsReassigned,
+/// Declares one metric enum from its rows — `Variant => "exported_name"`
+/// under the variant's doc — and generates `ALL` (declaration order, which is
+/// wire and report order) and `name()`. A table declared `by label` names each
+/// row's label key after `by` and also generates `label()`.
+macro_rules! metrics {
+    ($(#[$meta:meta])* $ty:ident by label {
+        $($(#[doc = $doc:literal])* $variant:ident => $name:literal by $label:literal,)*
+    }) => {
+        metrics! { $(#[$meta])* $ty { $($(#[doc = $doc])* $variant => $name,)* } }
+
+        impl $ty {
+            /// The key of this counter's one label.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $label,)*
+                }
+            }
+        }
+    };
+    ($(#[$meta:meta])* $ty:ident {
+        $($(#[doc = $doc:literal])* $variant:ident => $name:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every metric of this kind, in wire/report order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),*];
+
+            /// Stable snake_case name used by the exposition formats.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Counter {
-    /// All counters, in wire/report order.
-    pub const ALL: [Counter; 24] = [
-        Counter::RequestsServed,
-        Counter::Batches,
-        Counter::BatchQueries,
-        Counter::Inserts,
-        Counter::ShardScans,
-        Counter::WireFramesIn,
-        Counter::WireFramesOut,
-        Counter::WireBytesIn,
-        Counter::WireBytesOut,
-        Counter::ConnectionsOpened,
-        Counter::ConnectionsClosed,
-        Counter::BatcherCoalesced,
-        Counter::BatcherFlushComplete,
-        Counter::BatcherFlushWindow,
-        Counter::BatcherFlushDepth,
-        Counter::BatcherFlushBarrier,
-        Counter::BatcherFlushShutdown,
-        Counter::Retries,
-        Counter::Reconnects,
-        Counter::Sheds,
-        Counter::FaultsInjected,
-        Counter::Failovers,
-        Counter::HeartbeatsMissed,
-        Counter::ShardsReassigned,
-    ];
-
-    /// Stable snake_case name used by the exposition formats.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::RequestsServed => "requests_served",
-            Counter::Batches => "batches",
-            Counter::BatchQueries => "batch_queries",
-            Counter::Inserts => "inserts",
-            Counter::ShardScans => "shard_scans",
-            Counter::WireFramesIn => "wire_frames_in",
-            Counter::WireFramesOut => "wire_frames_out",
-            Counter::WireBytesIn => "wire_bytes_in",
-            Counter::WireBytesOut => "wire_bytes_out",
-            Counter::ConnectionsOpened => "connections_opened",
-            Counter::ConnectionsClosed => "connections_closed",
-            Counter::BatcherCoalesced => "batcher_coalesced_queries",
-            Counter::BatcherFlushComplete => "batcher_flush_complete",
-            Counter::BatcherFlushWindow => "batcher_flush_window",
-            Counter::BatcherFlushDepth => "batcher_flush_depth",
-            Counter::BatcherFlushBarrier => "batcher_flush_barrier",
-            Counter::BatcherFlushShutdown => "batcher_flush_shutdown",
-            Counter::Retries => "retries",
-            Counter::Reconnects => "reconnects",
-            Counter::Sheds => "sheds",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::Failovers => "failovers",
-            Counter::HeartbeatsMissed => "heartbeats_missed",
-            Counter::ShardsReassigned => "shards_reassigned",
-        }
+metrics! {
+    /// Monotonic event counters.
+    Counter {
+        /// Requests served by the `Service` (every envelope op).
+        RequestsServed => "requests_served",
+        /// Ranked executions of the engine (a single query is a batch of one).
+        Batches => "batches",
+        /// Queries carried inside those batches (pre-dedup).
+        BatchQueries => "batch_queries",
+        /// Document insertions.
+        Inserts => "inserts",
+        /// Shard scans actually performed (cache misses; fused passes count
+        /// one per shard swept).
+        ShardScans => "shard_scans",
+        /// Framed requests decoded by `serve`.
+        WireFramesIn => "wire_frames_in",
+        /// Framed responses encoded by `serve`.
+        WireFramesOut => "wire_frames_out",
+        /// Framed request bytes in (length prefix included).
+        WireBytesIn => "wire_bytes_in",
+        /// Framed response bytes out (length prefix included).
+        WireBytesOut => "wire_bytes_out",
+        /// Transport connections accepted (TCP or in-process).
+        ConnectionsOpened => "connections_opened",
+        /// Transport connections closed (graceful, faulted or idle-timed-out).
+        ConnectionsClosed => "connections_closed",
+        /// Single-query requests the cross-client batcher executed inside a
+        /// fused group (every single query a hub serves; a lone connection's
+        /// query is a group of one).
+        BatcherCoalesced => "batcher_coalesced_queries",
+        /// Batcher flushes because every connection the group was waiting for
+        /// already had a query in it (nothing left to wait for).
+        BatcherFlushComplete => "batcher_flush_complete",
+        /// Batcher flushes because the window expired with an expected
+        /// connection still missing (the straggler bound).
+        BatcherFlushWindow => "batcher_flush_window",
+        /// Batcher flushes because the pending group reached the depth limit.
+        BatcherFlushDepth => "batcher_flush_depth",
+        /// Batcher flushes forced by a non-batchable request on any connection
+        /// (preserves the arrival-order linearization).
+        BatcherFlushBarrier => "batcher_flush_barrier",
+        /// Batcher flushes forced by graceful shutdown (drain, never drop).
+        BatcherFlushShutdown => "batcher_flush_shutdown",
+        /// Client-side request attempts beyond the first (resubmissions after a
+        /// link fault, a lost reply, or an overload shed).
+        Retries => "retries",
+        /// Client-side connection re-establishments after a link died.
+        Reconnects => "reconnects",
+        /// Requests the hub refused *before execution* because the hub-wide
+        /// in-flight budget was exhausted (answered with
+        /// `TransportError::Overloaded` instead of stalling the reader).
+        Sheds => "sheds",
+        /// Fault events a chaos harness injected into a link (kills, torn
+        /// writes, corrupted bytes, delays).
+        FaultsInjected => "faults_injected",
+        /// Fleet failovers executed: a node was declared dead and its shards
+        /// re-assigned to survivors.
+        Failovers => "failovers",
+        /// Heartbeat deadlines a node missed (each sweep that found the node
+        /// silent past its failure deadline).
+        HeartbeatsMissed => "heartbeats_missed",
+        /// Shards shipped to a surviving node during failovers.
+        ShardsReassigned => "shards_reassigned",
     }
 }
 
-/// Last-write-wins gauges (current values, not monotonic).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Cached query results currently resident (all shards).
-    CacheEntries = 0,
-    /// Configured scan-lane count.
-    ScanLanes,
-    /// Documents in the store.
-    StoreDocuments,
-    /// Shards in the store.
-    StoreShards,
-    /// Transport connections currently open.
-    OpenConnections,
-    /// Shard-server nodes that ever registered with the fleet coordinator.
-    NodesRegistered,
-    /// Shard-server nodes currently live (registered and inside their
-    /// failure deadline).
-    NodesLive,
-}
-
-impl Gauge {
-    /// All gauges, in wire/report order.
-    pub const ALL: [Gauge; 7] = [
-        Gauge::CacheEntries,
-        Gauge::ScanLanes,
-        Gauge::StoreDocuments,
-        Gauge::StoreShards,
-        Gauge::OpenConnections,
-        Gauge::NodesRegistered,
-        Gauge::NodesLive,
-    ];
-
-    /// Stable snake_case name used by the exposition formats.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::CacheEntries => "cache_entries",
-            Gauge::ScanLanes => "scan_lanes",
-            Gauge::StoreDocuments => "store_documents",
-            Gauge::StoreShards => "store_shards",
-            Gauge::OpenConnections => "open_connections",
-            Gauge::NodesRegistered => "nodes_registered",
-            Gauge::NodesLive => "nodes_live",
-        }
+metrics! {
+    /// Monotonic counters with one label ([`Telemetry::add_at`]); the label
+    /// key of each is declared beside its name.
+    LabelledCounter by label {
+        /// Units a scan lane executed (own pops plus successful steals).
+        LaneExecuted => "lane_executed" by "lane",
+        /// Units a scan lane obtained by stealing from another lane's deque.
+        LaneStolen => "lane_stolen" by "lane",
+        /// CAS attempts (own-pop or steal) a scan lane lost and retried.
+        LaneFailedSteals => "lane_failed_steals" by "lane",
+        /// Full victim sweeps of a scan lane that found every deque empty.
+        LaneIdlePolls => "lane_idle_polls" by "lane",
+        /// Result-cache lookups answered from a shard's cache.
+        ShardCacheHits => "shard_cache_hits" by "shard",
+        /// Result-cache lookups that fell through to a scan of the shard.
+        ShardCacheMisses => "shard_cache_misses" by "shard",
+        /// Write-generation bumps of a shard's cache: one per insert into the
+        /// shard and one per restore. Not the stale entries a lookup discards
+        /// (that is `CacheStats::invalidations`).
+        ShardCacheGenerationBumps => "shard_cache_generation_bumps" by "shard",
+        /// Request frames decoded on a hub connection.
+        ConnectionFramesIn => "connection_frames_in" by "connection",
+        /// Response frames written to a hub connection.
+        ConnectionFramesOut => "connection_frames_out" by "connection",
+        /// Framed request bytes in on a hub connection (length prefix
+        /// included, as [`Counter::WireBytesIn`] counts them).
+        ConnectionBytesIn => "connection_bytes_in" by "connection",
+        /// Framed response bytes out on a hub connection.
+        ConnectionBytesOut => "connection_bytes_out" by "connection",
     }
 }
 
-/// Pipeline stages whose durations the span layer histograms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Stage {
-    /// One `Service::call` dispatch (any op).
-    ServiceCall = 0,
-    /// One ranked engine execution end to end (a batch of any size, one
-    /// query included).
-    EngineBatch,
-    /// One scan unit executed by a lane: a chunk range on a multi-lane
-    /// engine, a whole shard on one lane.
-    UnitScan,
-    /// Cache lookup pass (all shards, lock held once).
-    CacheLookup,
-    /// Cache admission pass (all misses, lock held once).
-    CacheAdmit,
-    /// Encoding one response frame.
-    FrameEncode,
-    /// Decoding one request wire (all frames of a flushed outbox).
-    FrameDecode,
-    /// Time a coalesced query spent waiting in the cross-client batcher
-    /// (arrival in the pending group → fused dispatch).
-    BatcherWait,
-    /// Time a resilient client slept backing off between request attempts
-    /// (exponential backoff and honored `retry_after_ms` hints).
-    BackoffWait,
-    /// One fleet failover end to end: dead-node detection → lost shards
-    /// shipped to survivors → journaled writes replayed.
-    FailoverDuration,
-}
-
-impl Stage {
-    /// All stages, in wire/report order.
-    pub const ALL: [Stage; 10] = [
-        Stage::ServiceCall,
-        Stage::EngineBatch,
-        Stage::UnitScan,
-        Stage::CacheLookup,
-        Stage::CacheAdmit,
-        Stage::FrameEncode,
-        Stage::FrameDecode,
-        Stage::BatcherWait,
-        Stage::BackoffWait,
-        Stage::FailoverDuration,
-    ];
-
-    /// Stable snake_case name used by the exposition formats.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::ServiceCall => "service_call",
-            Stage::EngineBatch => "engine_batch",
-            Stage::UnitScan => "unit_scan",
-            Stage::CacheLookup => "cache_lookup",
-            Stage::CacheAdmit => "cache_admit",
-            Stage::FrameEncode => "frame_encode",
-            Stage::FrameDecode => "frame_decode",
-            Stage::BatcherWait => "batcher_wait",
-            Stage::BackoffWait => "backoff_wait",
-            Stage::FailoverDuration => "failover_duration",
-        }
+metrics! {
+    /// Last-write-wins gauges (current values, not monotonic).
+    Gauge {
+        /// Cached query results currently resident (all shards).
+        CacheEntries => "cache_entries",
+        /// Configured scan-lane count.
+        ScanLanes => "scan_lanes",
+        /// Documents in the store.
+        StoreDocuments => "store_documents",
+        /// Shards in the store.
+        StoreShards => "store_shards",
+        /// Transport connections currently open.
+        OpenConnections => "open_connections",
+        /// Shard-server nodes that ever registered with the fleet coordinator.
+        NodesRegistered => "nodes_registered",
+        /// Shard-server nodes currently live (registered and inside their
+        /// failure deadline).
+        NodesLive => "nodes_live",
     }
 }
 
-/// Unit-free quantities histogrammed with the same log₂ buckets as stage
-/// durations — counts, not nanoseconds (kept as a separate family so the
-/// renderers never mislabel them as latencies).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Series {
-    /// Group depth of each cross-client batcher flush (how many single-query
-    /// requests one fused pass served).
-    BatchOccupancy = 0,
-}
-
-impl Series {
-    /// All value series, in wire/report order.
-    pub const ALL: [Series; 1] = [Series::BatchOccupancy];
-
-    /// Stable snake_case name used by the exposition formats.
-    pub fn name(self) -> &'static str {
-        match self {
-            Series::BatchOccupancy => "batch_occupancy",
-        }
+metrics! {
+    /// Pipeline stages whose durations (nanoseconds) the span layer
+    /// histograms.
+    Stage {
+        /// One `Service::call` dispatch (any op).
+        ServiceCall => "service_call",
+        /// One ranked engine execution end to end (a batch of any size, one
+        /// query included).
+        EngineBatch => "engine_batch",
+        /// One scan unit executed by a lane: a chunk range on a multi-lane
+        /// engine, a whole shard on one lane.
+        UnitScan => "unit_scan",
+        /// Cache lookup pass (all shards, lock held once).
+        CacheLookup => "cache_lookup",
+        /// Cache admission pass (all misses, lock held once).
+        CacheAdmit => "cache_admit",
+        /// Encoding one response frame.
+        FrameEncode => "frame_encode",
+        /// Decoding one request wire (all frames of a flushed outbox).
+        FrameDecode => "frame_decode",
+        /// Time a coalesced query spent waiting in the cross-client batcher
+        /// (arrival in the pending group → fused dispatch).
+        BatcherWait => "batcher_wait",
+        /// Time a resilient client slept backing off between request attempts
+        /// (exponential backoff and honored `retry_after_ms` hints).
+        BackoffWait => "backoff_wait",
+        /// One fleet failover end to end: dead-node detection → lost shards
+        /// shipped to survivors → journaled writes replayed.
+        FailoverDuration => "failover_duration",
     }
 }
 
-/// Histogram buckets per stage: bucket `i` covers `[2^i, 2^(i+1))` ns,
-/// with 0 and 1 both landing in bucket 0. 64 buckets cover all of `u64`.
+metrics! {
+    /// Quantities whose unit is a count, histogrammed with the same log₂
+    /// buckets as stage durations (reported apart from them so no renderer
+    /// labels a count as a latency).
+    Series {
+        /// Group depth of each cross-client batcher flush (how many
+        /// single-query requests one fused pass served).
+        BatchOccupancy => "batch_occupancy",
+    }
+}
+
+/// Histogram buckets: bucket `i` covers `[2^i, 2^(i+1))` of the recorded
+/// unit, with 0 and 1 both landing in bucket 0. 64 buckets cover all of `u64`.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Bucket index for a duration: `floor(log2(max(v, 1)))`.
+/// Bucket index for a value: `floor(log2(max(v, 1)))`.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
     (63 - (v | 1).leading_zeros()) as usize
 }
 
-/// Per-lane scheduler slots tracked by the registry. Lanes at or above this
-/// fold into the last slot (the engine clamps lanes to host cores, so in
-/// practice this is never hit).
-pub const MAX_LANES: usize = 32;
+/// Slots per labelled counter. Label values at or above this fold into the
+/// last slot (the engine clamps lanes to host cores, so only shards and
+/// long-lived hubs' connection ids ever reach it).
+pub const LABEL_SLOTS: usize = 64;
 
-/// Per-shard cache slots tracked by the registry. Shards at or above this
-/// fold into the last slot.
-pub const MAX_SHARDS: usize = 64;
-
-/// Per-connection wire-traffic slots tracked by the registry. Connection ids
-/// at or above this fold into the last slot (long-lived deployments recycle
-/// the overflow slot rather than growing without bound).
-pub const MAX_CONNECTIONS: usize = 64;
-
-/// Scratch accumulator a scan lane fills locally (plain `u64`s, no atomics)
-/// and flushes into the registry once when the lane drains.
+/// Scratch accumulator a scan lane fills locally (plain `u64`s, no atomics);
+/// the engine flushes it into the `lane_*` counters once the lane drains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Units this lane executed (own pops plus successful steals).
@@ -367,33 +320,10 @@ pub struct LaneStats {
     pub idle_polls: u64,
 }
 
-#[derive(Debug, Default)]
-struct LaneSlots {
-    executed: AtomicU64,
-    stolen: AtomicU64,
-    failed_cas: AtomicU64,
-    idle_polls: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct ShardCacheSlots {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct ConnSlots {
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-}
-
 #[derive(Debug)]
 struct HistogramSlots {
     count: AtomicU64,
-    sum_ns: AtomicU64,
+    sum: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
@@ -401,9 +331,20 @@ impl Default for HistogramSlots {
     fn default() -> Self {
         Self {
             count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
+    }
+}
+
+/// Histogram slots: the stages', then the series'.
+const HISTOGRAMS: usize = Stage::ALL.len() + Series::ALL.len();
+
+impl Series {
+    /// This series' histogram slot, after every stage's.
+    #[inline]
+    fn slot(self) -> usize {
+        Stage::ALL.len() + self as usize
     }
 }
 
@@ -411,12 +352,9 @@ impl Default for HistogramSlots {
 struct TelemetryState {
     level: AtomicU8,
     counters: [AtomicU64; Counter::ALL.len()],
+    labelled: [[AtomicU64; LABEL_SLOTS]; LabelledCounter::ALL.len()],
     gauges: [AtomicU64; Gauge::ALL.len()],
-    histograms: [HistogramSlots; Stage::ALL.len()],
-    values: [HistogramSlots; Series::ALL.len()],
-    lanes: [LaneSlots; MAX_LANES],
-    shard_caches: [ShardCacheSlots; MAX_SHARDS],
-    connections: [ConnSlots; MAX_CONNECTIONS],
+    histograms: [HistogramSlots; HISTOGRAMS],
 }
 
 impl Default for TelemetryState {
@@ -424,12 +362,9 @@ impl Default for TelemetryState {
         Self {
             level: AtomicU8::new(TelemetryLevel::Off as u8),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            labelled: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             histograms: std::array::from_fn(|_| HistogramSlots::default()),
-            values: std::array::from_fn(|_| HistogramSlots::default()),
-            lanes: std::array::from_fn(|_| LaneSlots::default()),
-            shard_caches: std::array::from_fn(|_| ShardCacheSlots::default()),
-            connections: std::array::from_fn(|_| ConnSlots::default()),
         }
     }
 }
@@ -490,6 +425,17 @@ impl Telemetry {
         self.state.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Add `n` to the slot of label value `index` of a labelled counter
+    /// (indices at or above [`LABEL_SLOTS`] fold into the last slot). No-op
+    /// at `Off`.
+    #[inline]
+    pub fn add_at(&self, counter: LabelledCounter, index: usize, n: u64) {
+        if self.counters_on() {
+            self.state.labelled[counter as usize][index.min(LABEL_SLOTS - 1)]
+                .fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     /// Set a gauge to its current value. No-op at `Off`.
     #[inline]
     pub fn set_gauge(&self, gauge: Gauge, value: u64) {
@@ -502,52 +448,27 @@ impl Telemetry {
     /// No-op unless the level is `Spans`.
     #[inline]
     pub fn record_duration(&self, stage: Stage, ns: u64) {
-        if !self.spans_on() {
-            return;
+        if self.spans_on() {
+            self.record(stage as usize, ns);
         }
-        let h = &self.state.histograms[stage as usize];
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        h.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one unit-free value into a series histogram (same log₂ buckets
-    /// as durations; values, not nanoseconds). Gated like counters: no-op at
-    /// `Off` — occupancy is an occurrence statistic, not a timer.
+    /// Record one count into a series histogram. Gated like counters: no-op
+    /// at `Off` — a count is an occurrence statistic, not a timer.
     #[inline]
     pub fn record_value(&self, series: Series, v: u64) {
-        if !self.counters_on() {
-            return;
+        if self.counters_on() {
+            self.record(series.slot(), v);
         }
-        let h = &self.state.values[series as usize];
+    }
+
+    /// The one histogram record path, for either unit.
+    #[inline]
+    fn record(&self, slot: usize, v: u64) {
+        let h = &self.state.histograms[slot];
         h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum_ns.fetch_add(v, Ordering::Relaxed);
+        h.sum.fetch_add(v, Ordering::Relaxed);
         h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one decoded request frame arriving on a connection. No-op at
-    /// `Off`. `bytes` is the framed size (length prefix included), matching
-    /// the global [`Counter::WireBytesIn`] accounting.
-    #[inline]
-    pub fn record_conn_frame_in(&self, conn: usize, bytes: u64) {
-        if !self.counters_on() {
-            return;
-        }
-        let slot = &self.state.connections[conn.min(MAX_CONNECTIONS - 1)];
-        slot.frames_in.fetch_add(1, Ordering::Relaxed);
-        slot.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record one encoded response frame written to a connection. No-op at
-    /// `Off`.
-    #[inline]
-    pub fn record_conn_frame_out(&self, conn: usize, bytes: u64) {
-        if !self.counters_on() {
-            return;
-        }
-        let slot = &self.state.connections[conn.min(MAX_CONNECTIONS - 1)];
-        slot.frames_out.fetch_add(1, Ordering::Relaxed);
-        slot.bytes_out.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Start a drop-guard timer for `stage`, or `None` unless the level is
@@ -565,95 +486,49 @@ impl Telemetry {
         }
     }
 
-    /// Flush a lane's locally-accumulated scheduler stats. No-op at `Off`.
-    pub fn record_lane(&self, lane: usize, stats: &LaneStats) {
-        if !self.counters_on() {
-            return;
-        }
-        let slot = &self.state.lanes[lane.min(MAX_LANES - 1)];
-        slot.executed.fetch_add(stats.executed, Ordering::Relaxed);
-        slot.stolen.fetch_add(stats.stolen, Ordering::Relaxed);
-        slot.failed_cas
-            .fetch_add(stats.failed_cas, Ordering::Relaxed);
-        slot.idle_polls
-            .fetch_add(stats.idle_polls, Ordering::Relaxed);
-    }
-
-    /// Record one cache lookup outcome on a shard. No-op at `Off`.
-    #[inline]
-    pub fn record_cache_lookup(&self, shard: usize, hit: bool) {
-        if !self.counters_on() {
-            return;
-        }
-        let slot = &self.state.shard_caches[shard.min(MAX_SHARDS - 1)];
-        if hit {
-            slot.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            slot.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a write-generation invalidation on one shard. No-op at `Off`.
-    #[inline]
-    pub fn record_cache_invalidation(&self, shard: usize) {
-        if self.counters_on() {
-            self.state.shard_caches[shard.min(MAX_SHARDS - 1)]
-                .invalidations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record an invalidation touching every shard (global clear / restore).
-    pub fn record_cache_invalidation_all(&self, shards: usize) {
-        if self.counters_on() {
-            for shard in 0..shards.min(MAX_SHARDS) {
-                self.state.shard_caches[shard]
-                    .invalidations
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Current value of one counter (reads even at `Off`).
     pub fn counter(&self, counter: Counter) -> u64 {
         self.state.counters[counter as usize].load(Ordering::Relaxed)
     }
 
+    /// `(count, sum, buckets)` of one histogram slot, trailing empty buckets
+    /// trimmed; `None` before its first sample.
+    fn histogram(&self, slot: usize) -> Option<(u64, u64, Vec<u64>)> {
+        let h = &self.state.histograms[slot];
+        let count = h.count.load(Ordering::Relaxed);
+        if count == 0 {
+            return None;
+        }
+        let mut buckets: Vec<u64> = h
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        while buckets.last() == Some(&0) {
+            buckets.pop();
+        }
+        Some((count, h.sum.load(Ordering::Relaxed), buckets))
+    }
+
     /// Materialize a full snapshot. Allocates; cold path only.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let load = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
         let counters = Counter::ALL
             .iter()
             .map(|&c| (c.name().to_string(), self.counter(c)))
             .collect();
         let gauges = Gauge::ALL
             .iter()
-            .map(|&g| {
-                (
-                    g.name().to_string(),
-                    self.state.gauges[g as usize].load(Ordering::Relaxed),
-                )
-            })
+            .map(|&g| (g.name().to_string(), load(&self.state.gauges[g as usize])))
             .collect();
         let histograms = Stage::ALL
             .iter()
             .filter_map(|&stage| {
-                let h = &self.state.histograms[stage as usize];
-                let count = h.count.load(Ordering::Relaxed);
-                if count == 0 {
-                    return None;
-                }
-                let mut buckets: Vec<u64> = h
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect();
-                while buckets.last() == Some(&0) {
-                    buckets.pop();
-                }
+                let (count, sum_ns, buckets) = self.histogram(stage as usize)?;
                 Some(HistogramSnapshot {
                     stage: stage.name().to_string(),
                     count,
-                    sum_ns: h.sum_ns.load(Ordering::Relaxed),
+                    sum_ns,
                     buckets,
                 })
             })
@@ -661,74 +536,28 @@ impl Telemetry {
         let values = Series::ALL
             .iter()
             .filter_map(|&series| {
-                let h = &self.state.values[series as usize];
-                let count = h.count.load(Ordering::Relaxed);
-                if count == 0 {
-                    return None;
-                }
-                let mut buckets: Vec<u64> = h
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect();
-                while buckets.last() == Some(&0) {
-                    buckets.pop();
-                }
+                let (count, sum, buckets) = self.histogram(series.slot())?;
                 Some(ValueHistogramSnapshot {
                     series: series.name().to_string(),
                     count,
-                    sum: h.sum_ns.load(Ordering::Relaxed),
+                    sum,
                     buckets,
                 })
             })
             .collect();
-        let lanes = self
-            .state
-            .lanes
+        let labelled = LabelledCounter::ALL
             .iter()
-            .enumerate()
-            .filter_map(|(lane, slot)| {
-                let snap = LaneSnapshot {
-                    lane: lane as u32,
-                    executed: slot.executed.load(Ordering::Relaxed),
-                    stolen: slot.stolen.load(Ordering::Relaxed),
-                    failed_steals: slot.failed_cas.load(Ordering::Relaxed),
-                    idle_polls: slot.idle_polls.load(Ordering::Relaxed),
-                };
-                (snap.executed | snap.stolen | snap.failed_steals | snap.idle_polls != 0)
-                    .then_some(snap)
-            })
-            .collect();
-        let shard_caches = self
-            .state
-            .shard_caches
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, slot)| {
-                let snap = ShardCacheSnapshot {
-                    shard: shard as u32,
-                    hits: slot.hits.load(Ordering::Relaxed),
-                    misses: slot.misses.load(Ordering::Relaxed),
-                    invalidations: slot.invalidations.load(Ordering::Relaxed),
-                };
-                (snap.hits | snap.misses | snap.invalidations != 0).then_some(snap)
-            })
-            .collect();
-        let connections = self
-            .state
-            .connections
-            .iter()
-            .enumerate()
-            .filter_map(|(conn, slot)| {
-                let snap = ConnectionSnapshot {
-                    connection: conn as u32,
-                    frames_in: slot.frames_in.load(Ordering::Relaxed),
-                    frames_out: slot.frames_out.load(Ordering::Relaxed),
-                    bytes_in: slot.bytes_in.load(Ordering::Relaxed),
-                    bytes_out: slot.bytes_out.load(Ordering::Relaxed),
-                };
-                (snap.frames_in | snap.frames_out | snap.bytes_in | snap.bytes_out != 0)
-                    .then_some(snap)
+            .flat_map(|&counter| {
+                let slots = &self.state.labelled[counter as usize];
+                (0..LABEL_SLOTS).filter_map(move |index| {
+                    let value = load(&slots[index]);
+                    (value != 0).then(|| LabelledSnapshot {
+                        name: counter.name().to_string(),
+                        label: counter.label().to_string(),
+                        index: index as u32,
+                        value,
+                    })
+                })
             })
             .collect();
         MetricsSnapshot {
@@ -737,9 +566,7 @@ impl Telemetry {
             gauges,
             histograms,
             values,
-            lanes,
-            shard_caches,
-            connections,
+            labelled,
         }
     }
 }
@@ -768,34 +595,50 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` in [`Gauge::ALL`] order; always complete.
     pub gauges: Vec<(String, u64)>,
-    /// Stage histograms with at least one sample.
+    /// Stage (duration) histograms with at least one sample.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Unit-free value histograms ([`Series`]) with at least one sample.
+    /// Count histograms ([`Series`]) with at least one sample.
     pub values: Vec<ValueHistogramSnapshot>,
-    /// Lanes with at least one nonzero field.
-    pub lanes: Vec<LaneSnapshot>,
-    /// Shards with at least one nonzero cache field.
-    pub shard_caches: Vec<ShardCacheSnapshot>,
-    /// Connections with at least one nonzero wire-traffic field.
-    pub connections: Vec<ConnectionSnapshot>,
+    /// Nonzero slots of the labelled counters, in [`LabelledCounter::ALL`]
+    /// order, then by label value.
+    pub labelled: Vec<LabelledSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// Value of a named counter, or 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
+        value_of(&self.counters, name)
     }
 
-    /// Total successful steals across all lanes.
-    pub fn total_steals(&self) -> u64 {
-        self.lanes.iter().map(|l| l.stolen).sum()
+    /// Value of a named gauge, or 0 when absent.
+    pub fn gauge(&self, name: &str) -> u64 {
+        value_of(&self.gauges, name)
+    }
+
+    /// Value of a labelled counter at one label value, or 0 when absent.
+    pub fn labelled(&self, name: &str, index: u32) -> u64 {
+        (self.labelled.iter())
+            .find(|row| row.name == name && row.index == index)
+            .map_or(0, |row| row.value)
+    }
+
+    /// A labelled counter summed over every label value.
+    pub fn labelled_sum(&self, name: &str) -> u64 {
+        (self.labelled.iter())
+            .filter(|row| row.name == name)
+            .map(|row| row.value)
+            .sum()
     }
 }
 
-/// One stage's latency histogram.
+fn value_of(entries: &[(String, u64)], name: &str) -> u64 {
+    entries
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
+
+/// One stage's duration histogram.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Stage name ([`Stage::name`]).
@@ -809,8 +652,8 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-/// One value series' log₂ histogram ([`Telemetry::record_value`]); bucket `i`
-/// covers `[2^i, 2^(i+1))` of the recorded quantity (not nanoseconds).
+/// One series' count histogram ([`Telemetry::record_value`]); bucket `i`
+/// covers `[2^i, 2^(i+1))` of the recorded count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ValueHistogramSnapshot {
     /// Series name ([`Series::name`]).
@@ -823,53 +666,73 @@ pub struct ValueHistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-/// One connection's cumulative wire traffic as the server's transport saw it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConnectionSnapshot {
-    /// Connection id (ids at or above [`MAX_CONNECTIONS`] fold into the
-    /// last slot).
-    pub connection: u32,
-    /// Request frames decoded on this connection.
-    pub frames_in: u64,
-    /// Response frames written to this connection.
-    pub frames_out: u64,
-    /// Framed request bytes in (length prefix included).
-    pub bytes_in: u64,
-    /// Framed response bytes out (length prefix included).
-    pub bytes_out: u64,
-}
-
-/// One scan lane's scheduler stats.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneSnapshot {
-    /// Lane index (caller lane is 0).
-    pub lane: u32,
-    /// Units executed by this lane.
-    pub executed: u64,
-    /// Units obtained by stealing.
-    pub stolen: u64,
-    /// CAS races lost (own-pop or steal retries).
-    pub failed_steals: u64,
-    /// Full victim sweeps that found no work.
-    pub idle_polls: u64,
-}
-
-/// One shard's cache stats.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCacheSnapshot {
-    /// Shard index.
-    pub shard: u32,
-    /// Lookup hits on this shard.
-    pub hits: u64,
-    /// Lookup misses on this shard.
-    pub misses: u64,
-    /// Write-generation invalidations observed on this shard.
-    pub invalidations: u64,
+/// One nonzero slot of a labelled counter.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LabelledSnapshot {
+    /// Counter name ([`LabelledCounter::name`]).
+    pub name: String,
+    /// Label key ([`LabelledCounter::label`]).
+    pub label: String,
+    /// Label value (the last slot also holds every value beyond it).
+    pub index: u32,
+    /// Counter value.
+    pub value: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn all_names() -> Vec<&'static str> {
+        (Counter::ALL.iter().map(|m| m.name()))
+            .chain(LabelledCounter::ALL.iter().map(|m| m.name()))
+            .chain(Gauge::ALL.iter().map(|m| m.name()))
+            .chain(Stage::ALL.iter().map(|m| m.name()))
+            .chain(Series::ALL.iter().map(|m| m.name()))
+            .collect()
+    }
+
+    #[test]
+    fn declared_names_are_unique_well_formed_and_cover_the_benchmark() {
+        let names = all_names();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "a name is declared twice");
+        for name in &names {
+            let mut chars = name.chars();
+            assert!(
+                chars.next().is_some_and(|c| c.is_ascii_lowercase())
+                    && chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+                "{name} is not [a-z][a-z0-9_]*"
+            );
+        }
+        for label in LabelledCounter::ALL.iter().map(|m| m.label()) {
+            assert!(["lane", "shard", "connection"].contains(&label), "{label}");
+        }
+        // `MetricsSnapshot::counter` answers 0 for a name it does not know,
+        // so a rename would silently zero a benchmark row. These are the
+        // names `benchmark/src/run.rs` (counters, histograms, values) and
+        // `benchmark/src/spec.rs` (the `stage.*` rows) read.
+        for read in [
+            "batcher_coalesced_queries",
+            "batcher_flush_window",
+            "batcher_flush_depth",
+            "batcher_flush_barrier",
+            "batcher_flush_shutdown",
+            "failovers",
+            "service_call",
+            "engine_batch",
+            "unit_scan",
+            "cache_lookup",
+            "batcher_wait",
+            "frame_encode",
+            "frame_decode",
+            "batch_occupancy",
+        ] {
+            assert!(names.contains(&read), "the benchmark reads {read}");
+        }
+    }
 
     #[test]
     fn bucket_boundaries_follow_log2() {
@@ -895,20 +758,10 @@ mod tests {
         tel.add(Counter::Batches, 5);
         tel.set_gauge(Gauge::ScanLanes, 3);
         tel.record_duration(Stage::EngineBatch, 1_000);
-        tel.record_lane(
-            0,
-            &LaneStats {
-                executed: 4,
-                stolen: 1,
-                failed_cas: 2,
-                idle_polls: 3,
-            },
-        );
-        tel.record_cache_lookup(0, true);
-        tel.record_cache_invalidation(1);
+        for &counter in LabelledCounter::ALL {
+            tel.add_at(counter, 1, 4);
+        }
         tel.record_value(Series::BatchOccupancy, 8);
-        tel.record_conn_frame_in(0, 64);
-        tel.record_conn_frame_out(0, 128);
         assert!(tel.span(Stage::EngineBatch).is_none());
         let snap = tel.snapshot();
         assert_eq!(snap.level, TelemetryLevel::Off);
@@ -916,9 +769,7 @@ mod tests {
         assert!(snap.gauges.iter().all(|(_, v)| *v == 0));
         assert!(snap.histograms.is_empty());
         assert!(snap.values.is_empty());
-        assert!(snap.lanes.is_empty());
-        assert!(snap.shard_caches.is_empty());
-        assert!(snap.connections.is_empty());
+        assert!(snap.labelled.is_empty());
     }
 
     #[test]
@@ -927,23 +778,29 @@ mod tests {
         tel.set_level(TelemetryLevel::Counters);
         tel.record_value(Series::BatchOccupancy, 1); // bucket 0
         tel.record_value(Series::BatchOccupancy, 5); // bucket 2
-        tel.record_conn_frame_in(2, 40);
-        tel.record_conn_frame_in(2, 60);
-        tel.record_conn_frame_out(2, 200);
+        tel.add_at(LabelledCounter::ConnectionFramesIn, 2, 2);
+        tel.add_at(LabelledCounter::ConnectionBytesIn, 2, 100);
+        tel.add_at(LabelledCounter::ConnectionBytesOut, 2, 200);
         // Overflowing connection ids fold into the last slot.
-        tel.record_conn_frame_out(MAX_CONNECTIONS + 7, 9);
+        tel.add_at(LabelledCounter::ConnectionBytesOut, LABEL_SLOTS + 7, 9);
         let snap = tel.snapshot();
         let v = &snap.values[0];
         assert_eq!(v.series, "batch_occupancy");
         assert_eq!((v.count, v.sum), (2, 6));
         assert_eq!(v.buckets, vec![1, 0, 1]);
-        assert_eq!(snap.connections.len(), 2);
-        let c = snap.connections[0];
-        assert_eq!(c.connection, 2);
-        assert_eq!((c.frames_in, c.bytes_in), (2, 100));
-        assert_eq!((c.frames_out, c.bytes_out), (1, 200));
-        assert_eq!(snap.connections[1].connection as usize, MAX_CONNECTIONS - 1);
-        assert_eq!(snap.connections[1].bytes_out, 9);
+        assert_eq!(snap.labelled.len(), 4, "one row per nonzero slot");
+        assert_eq!(snap.labelled("connection_frames_in", 2), 2);
+        assert_eq!(snap.labelled("connection_bytes_in", 2), 100);
+        assert_eq!(snap.labelled("connection_frames_out", 2), 0);
+        assert_eq!(snap.labelled("connection_bytes_out", 2), 200);
+        let last = LABEL_SLOTS as u32 - 1;
+        assert_eq!(snap.labelled("connection_bytes_out", last), 9);
+        assert_eq!(snap.labelled_sum("connection_bytes_out"), 209);
+        let row = &snap.labelled[0];
+        assert_eq!(
+            (row.name.as_str(), row.label.as_str(), row.index, row.value),
+            ("connection_frames_in", "connection", 2, 2)
+        );
     }
 
     #[test]
@@ -962,15 +819,17 @@ mod tests {
         let tel = Telemetry::new();
         tel.set_level(TelemetryLevel::Counters);
         tel.add(Counter::Batches, 2);
+        tel.set_gauge(Gauge::StoreShards, 4);
         tel.record_duration(Stage::EngineBatch, 1_000);
         assert!(tel.span(Stage::EngineBatch).is_none());
-        tel.record_cache_lookup(1, false);
+        tel.add_at(LabelledCounter::ShardCacheMisses, 1, 1);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("batches"), 2);
+        assert_eq!(snap.gauge("store_shards"), 4);
         assert!(snap.histograms.is_empty());
-        assert_eq!(snap.shard_caches.len(), 1);
-        assert_eq!(snap.shard_caches[0].shard, 1);
-        assert_eq!(snap.shard_caches[0].misses, 1);
+        assert_eq!(snap.labelled.len(), 1);
+        assert_eq!(snap.labelled("shard_cache_misses", 1), 1);
+        assert_eq!(snap.labelled[0].label, "shard");
     }
 
     #[test]
@@ -992,6 +851,7 @@ mod tests {
         assert!(h.buckets.len() >= 3);
         assert!(*h.buckets.last().unwrap() > 0, "trailing zeros trimmed");
         assert_eq!(h.buckets.iter().sum::<u64>(), 2);
+        assert!(snap.values.is_empty(), "a duration is no count");
     }
 
     #[test]
@@ -1002,14 +862,13 @@ mod tests {
         for round in 0..5u64 {
             tel.add(Counter::RequestsServed, round + 1);
             tel.record_duration(Stage::ServiceCall, 100 * (round + 1));
-            tel.record_lane(
-                0,
-                &LaneStats {
-                    executed: 1,
-                    ..LaneStats::default()
-                },
-            );
-            tel.record_cache_lookup(0, round % 2 == 0);
+            tel.add_at(LabelledCounter::LaneExecuted, 0, 1);
+            let hit = round % 2 == 0;
+            let outcome = [
+                LabelledCounter::ShardCacheMisses,
+                LabelledCounter::ShardCacheHits,
+            ];
+            tel.add_at(outcome[usize::from(hit)], 0, 1);
             let cur = tel.snapshot();
             for ((name, was), (name2, is)) in prev.counters.iter().zip(cur.counters.iter()) {
                 assert_eq!(name, name2);
@@ -1024,40 +883,28 @@ mod tests {
                 assert!(now.count >= h.count);
                 assert!(now.sum_ns >= h.sum_ns);
             }
-            for l in &prev.lanes {
-                let now = cur.lanes.iter().find(|c| c.lane == l.lane).unwrap();
-                assert!(now.executed >= l.executed);
-            }
-            for s in &prev.shard_caches {
-                let now = cur
-                    .shard_caches
-                    .iter()
-                    .find(|c| c.shard == s.shard)
-                    .unwrap();
-                assert!(now.hits >= s.hits && now.misses >= s.misses);
+            for row in &prev.labelled {
+                assert!(cur.labelled(&row.name, row.index) >= row.value, "{row:?}");
             }
             prev = cur;
         }
         assert_eq!(prev.counter("requests_served"), 1 + 2 + 3 + 4 + 5);
+        assert_eq!(prev.labelled("lane_executed", 0), 5);
+        assert_eq!(prev.labelled("shard_cache_hits", 0), 3);
     }
 
     #[test]
     fn lane_and_shard_overflow_fold_into_last_slot() {
         let tel = Telemetry::new();
         tel.set_level(TelemetryLevel::Counters);
-        tel.record_lane(
-            MAX_LANES + 10,
-            &LaneStats {
-                executed: 7,
-                ..LaneStats::default()
-            },
-        );
-        tel.record_cache_lookup(MAX_SHARDS + 3, true);
+        tel.add_at(LabelledCounter::LaneExecuted, LABEL_SLOTS + 10, 7);
+        tel.add_at(LabelledCounter::ShardCacheHits, LABEL_SLOTS + 3, 1);
+        tel.add_at(LabelledCounter::ShardCacheHits, LABEL_SLOTS - 1, 1);
         let snap = tel.snapshot();
-        assert_eq!(snap.lanes.len(), 1);
-        assert_eq!(snap.lanes[0].lane as usize, MAX_LANES - 1);
-        assert_eq!(snap.lanes[0].executed, 7);
-        assert_eq!(snap.shard_caches[0].shard as usize, MAX_SHARDS - 1);
+        let last = LABEL_SLOTS as u32 - 1;
+        assert_eq!(snap.labelled.len(), 2);
+        assert_eq!(snap.labelled("lane_executed", last), 7);
+        assert_eq!(snap.labelled("shard_cache_hits", last), 2);
     }
 
     #[test]

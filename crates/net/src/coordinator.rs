@@ -916,15 +916,6 @@ mod tests {
         }
     }
 
-    fn gauge(snapshot: &mkse_core::MetricsSnapshot, name: &str) -> u64 {
-        snapshot
-            .gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("gauge {name} missing"))
-    }
-
     #[test]
     fn fleet_replies_are_byte_identical_to_a_single_node_twin() {
         let fx = fixture();
@@ -983,8 +974,8 @@ mod tests {
         assert_twin(&mut coordinator, &mut twin, Request::ServerInfo, "info");
 
         let snapshot = coordinator.telemetry_handle().snapshot();
-        assert_eq!(gauge(&snapshot, "nodes_registered"), 2);
-        assert_eq!(gauge(&snapshot, "nodes_live"), 2);
+        assert_eq!(snapshot.gauge("nodes_registered"), 2);
+        assert_eq!(snapshot.gauge("nodes_live"), 2);
         assert_eq!(snapshot.counter("failovers"), 0);
 
         node1.shutdown();
@@ -1237,8 +1228,8 @@ mod tests {
         assert_eq!(snapshot.counter("heartbeats_missed"), 1);
         assert_eq!(snapshot.counter("failovers"), 1);
         assert_eq!(snapshot.counter("shards_reassigned"), GLOBAL_SHARDS as u64);
-        assert_eq!(gauge(&snapshot, "nodes_live"), 1);
-        assert_eq!(gauge(&snapshot, "nodes_registered"), 2);
+        assert_eq!(snapshot.gauge("nodes_live"), 1);
+        assert_eq!(snapshot.gauge("nodes_registered"), 2);
 
         // The dead node's beat is refused until it re-registers; after
         // re-registration it is live again (with no shards to serve).

@@ -73,7 +73,7 @@
 
 use crate::link::{memory_duplex, LinkReader, LinkWriter, MemoryLink};
 use crate::resilient::Connector;
-use mkse_core::telemetry::{Counter, Gauge, Series, Stage, Telemetry};
+use mkse_core::telemetry::{Counter, Gauge, LabelledCounter, Series, Stage, Telemetry};
 use mkse_protocol::wire::{decode_request, encode_response};
 use mkse_protocol::{
     FrameBuffer, ProtocolError, QueryMessage, Request, Response, Service, TransportError,
@@ -516,7 +516,8 @@ fn read_frames(
                 let framed = payload.len() as u64 + 4;
                 tel.add(Counter::WireFramesIn, 1);
                 tel.add(Counter::WireBytesIn, framed);
-                tel.record_conn_frame_in(conn as usize, framed);
+                tel.add_at(LabelledCounter::ConnectionFramesIn, conn as usize, 1);
+                tel.add_at(LabelledCounter::ConnectionBytesIn, conn as usize, framed);
             }
             // Hub-wide admission (exact: claim a slot, roll back if that
             // overshot the budget). Checked before the per-connection gate so
@@ -831,7 +832,9 @@ impl<S: Service> Dispatcher<S> {
             if let Some(tel) = &self.tel {
                 tel.add(Counter::WireFramesOut, 1);
                 tel.add(Counter::WireBytesOut, frame.len() as u64);
-                tel.record_conn_frame_out(conn as usize, frame.len() as u64);
+                let bytes = frame.len() as u64;
+                tel.add_at(LabelledCounter::ConnectionFramesOut, conn as usize, 1);
+                tel.add_at(LabelledCounter::ConnectionBytesOut, conn as usize, bytes);
             }
         }
     }

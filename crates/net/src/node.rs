@@ -181,12 +181,7 @@ mod tests {
         assert_eq!(beat.shards, a1.shards, "assignment is stable across beats");
 
         let snapshot = telemetry.snapshot();
-        let live = snapshot
-            .gauges
-            .iter()
-            .find(|(n, _)| n == "nodes_live")
-            .map(|(_, v)| *v);
-        assert_eq!(live, Some(2));
+        assert_eq!(snapshot.gauge("nodes_live"), 2);
         // The coordinator's registry is its hub's registry too: the two
         // registrations and the beat crossed it as counted frames.
         assert_eq!(snapshot.counter("wire_frames_in"), 3);

@@ -36,7 +36,7 @@ use mkse_core::telemetry::{MetricsSnapshot, Telemetry};
 /// Version of the envelope vocabulary (and of the wire encoding in
 /// [`crate::wire`]). Frames carrying any other version are rejected with a typed
 /// [`crate::wire::CodecError::UnknownVersion`].
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Every operation a party can request from a [`Service`], as one closed enum.
 ///
@@ -77,10 +77,10 @@ pub enum Request {
     ResetCounters,
     /// Admin → server: static deployment facts (shards, documents, geometry).
     ServerInfo,
-    /// Admin → server: snapshot the telemetry registry (counters, gauges,
-    /// stage-latency histograms, per-lane scheduler stats, per-shard cache
-    /// stats). Read-only and side-effect-free: serving it changes nothing the
-    /// search path can observe.
+    /// Admin → server: snapshot the telemetry registry (counters — the
+    /// labelled ones per lane, shard or connection — gauges and log₂
+    /// histograms). Read-only and side-effect-free: serving it changes
+    /// nothing the search path can observe.
     MetricsSnapshot,
     /// Shard node → coordinator: join the fleet, advertising capabilities.
     /// Answered with a [`Response::ShardAssignment`] naming the shards the

@@ -54,7 +54,7 @@ pub use envelope::{
 };
 pub use frame::FrameBuffer;
 pub use messages::*;
-pub use metrics::{render_json, render_prometheus};
+pub use metrics::{render_json, render_prometheus, render_text};
 pub use server::CloudServer;
 pub use session::{SearchSession, SessionReport, WireReport};
 pub use user::User;

@@ -137,50 +137,7 @@ impl SessionReport {
                 "\nserver telemetry (level {}, cumulative):\n",
                 metrics.level.name()
             ));
-            for (name, value) in &metrics.counters {
-                if *value > 0 {
-                    out.push_str(&format!("  {name:<24} {value}\n"));
-                }
-            }
-            for (name, value) in &metrics.gauges {
-                if *value > 0 {
-                    out.push_str(&format!("  {name:<24} {value} (gauge)\n"));
-                }
-            }
-            for lane in &metrics.lanes {
-                out.push_str(&format!(
-                    "  lane {}: executed {} (stolen {}), failed steals {}, idle polls {}\n",
-                    lane.lane, lane.executed, lane.stolen, lane.failed_steals, lane.idle_polls
-                ));
-            }
-            for shard in &metrics.shard_caches {
-                out.push_str(&format!(
-                    "  shard {} cache: {} hits / {} misses, {} invalidations\n",
-                    shard.shard, shard.hits, shard.misses, shard.invalidations
-                ));
-            }
-            for conn in &metrics.connections {
-                out.push_str(&format!(
-                    "  connection {}: {} frames / {} bytes in, {} frames / {} bytes out\n",
-                    conn.connection, conn.frames_in, conn.bytes_in, conn.frames_out, conn.bytes_out
-                ));
-            }
-            for v in &metrics.values {
-                out.push_str(&format!(
-                    "  {:<24} {} samples, avg {}\n",
-                    v.series,
-                    v.count,
-                    v.sum / v.count.max(1)
-                ));
-            }
-            for h in &metrics.histograms {
-                out.push_str(&format!(
-                    "  {:<24} {} samples, avg {} ns\n",
-                    h.stage,
-                    h.count,
-                    h.sum_ns / h.count.max(1)
-                ));
-            }
+            out.push_str(&crate::metrics::render_text(metrics));
         }
         out
     }

@@ -75,8 +75,7 @@ use mkse_core::document_index::RankedDocumentIndex;
 use mkse_core::persistence::PersistenceError;
 use mkse_core::storage::StoreError;
 use mkse_core::telemetry::{
-    ConnectionSnapshot, HistogramSnapshot, LaneSnapshot, MetricsSnapshot, ShardCacheSnapshot,
-    TelemetryLevel, ValueHistogramSnapshot,
+    HistogramSnapshot, LabelledSnapshot, MetricsSnapshot, TelemetryLevel, ValueHistogramSnapshot,
 };
 use mkse_crypto::bigint::BigUint;
 use mkse_crypto::rsa::RsaSignature;
@@ -429,12 +428,10 @@ wire_struct! {
     }
     ServerInfo { shards, documents, index_bits, rank_levels, cache_enabled }
     ShardAssignment { node_id, shards, epoch, heartbeat_interval_ms, failure_deadline_ms }
-    MetricsSnapshot { level, counters, gauges, histograms, values, lanes, shard_caches, connections }
+    MetricsSnapshot { level, counters, gauges, histograms, values, labelled }
     HistogramSnapshot { stage, count, sum_ns, buckets }
     ValueHistogramSnapshot { series, count, sum, buckets }
-    LaneSnapshot { lane, executed, stolen, failed_steals, idle_polls }
-    ShardCacheSnapshot { shard, hits, misses, invalidations }
-    ConnectionSnapshot { connection, frames_in, frames_out, bytes_in, bytes_out }
+    LabelledSnapshot { name, label, index, value }
 }
 
 // --- enums: one row per variant ----------------------------------------------
@@ -931,30 +928,12 @@ mod tests {
                         .collect(),
                 })
                 .collect(),
-            lanes: (0..rng.gen_range(0usize..4))
-                .map(|_| LaneSnapshot {
-                    lane: rng.gen_range(0u32..32),
-                    executed: rng.gen_range(0u64..1 << 30),
-                    stolen: rng.gen_range(0u64..1 << 30),
-                    failed_steals: rng.gen_range(0u64..1 << 30),
-                    idle_polls: rng.gen_range(0u64..1 << 30),
-                })
-                .collect(),
-            shard_caches: (0..rng.gen_range(0usize..4))
-                .map(|_| ShardCacheSnapshot {
-                    shard: rng.gen_range(0u32..64),
-                    hits: rng.gen_range(0u64..1 << 30),
-                    misses: rng.gen_range(0u64..1 << 30),
-                    invalidations: rng.gen_range(0u64..1 << 30),
-                })
-                .collect(),
-            connections: (0..rng.gen_range(0usize..4))
-                .map(|_| ConnectionSnapshot {
-                    connection: rng.gen_range(0u32..64),
-                    frames_in: rng.gen_range(0u64..1 << 30),
-                    frames_out: rng.gen_range(0u64..1 << 30),
-                    bytes_in: rng.gen_range(0u64..1 << 40),
-                    bytes_out: rng.gen_range(0u64..1 << 40),
+            labelled: (0..rng.gen_range(0usize..8))
+                .map(|_| LabelledSnapshot {
+                    name: arb_string(rng),
+                    label: arb_string(rng),
+                    index: rng.gen_range(0u32..64),
+                    value: rng.gen_range(0u64..1 << 40),
                 })
                 .collect(),
         }
@@ -1013,7 +992,11 @@ mod tests {
                 rank_levels: rng.gen_range(1u64..8),
                 cache_enabled: rng.gen_range(0u8..2) == 1,
             }),
-            Response::MetricsReport(arb_metrics_snapshot(rng)),
+            // Its own stream: the snapshot's shape never moves another
+            // variant's bytes.
+            Response::MetricsReport(arb_metrics_snapshot(&mut StdRng::seed_from_u64(
+                rng.gen_range(0u64..u64::MAX),
+            ))),
             Response::ShardAssignment(arb_shard_assignment(rng)),
             Response::Error(arb_protocol_error(rng)),
         ]
@@ -1112,8 +1095,8 @@ mod tests {
     }
 
     const GOLDEN_FRAMES_SHA512: &str =
-        "026fdd7102233e82cfc15146fbecd069746e36f63230d72b71c3a81e84407448\
-         9f6f2edb88504aff1afd46ab10e552a7dbed7117594dfc1e00f367728c0dfbaa";
+        "56a6c6a21b1910284aa7f06ba806ee1913dc0e0bb831bdb042fd3d7741e57925\
+         712aecd5aea344361fa9eb05c2dc60be88d2a6e1893ea491565395f9ec7539a8";
 
     #[test]
     fn unknown_version_and_kind_are_typed_errors() {

@@ -137,8 +137,10 @@ fn main() {
     assert_eq!(snapshot.counter("batch_queries"), 60);
     assert!(snapshot.counter("wire_frames_in") >= 49);
     assert!(snapshot.counter("wire_bytes_out") > 0);
-    let hits: u64 = snapshot.shard_caches.iter().map(|s| s.hits).sum();
-    assert!(hits > 0, "a Zipf workload must hit the result cache");
+    assert!(
+        snapshot.labelled_sum("shard_cache_hits") > 0,
+        "a Zipf workload must hit the result cache"
+    );
     assert!(
         snapshot.histograms.iter().any(|h| h.stage == "unit_scan"),
         "span level records per-unit scan durations"

@@ -98,11 +98,12 @@ fn main() {
         .into_metrics_report()
         .expect("a MetricsReport reply");
     println!("\n=== server wire (per connection) ===");
-    for conn in &snapshot.connections {
-        println!(
-            "connection {}: {} frames / {} bytes in, {} frames / {} bytes out",
-            conn.connection, conn.frames_in, conn.bytes_in, conn.frames_out, conn.bytes_out
-        );
+    for row in snapshot
+        .labelled
+        .iter()
+        .filter(|row| row.label == "connection")
+    {
+        println!("{} {}: {}", row.name, row.index, row.value);
     }
 
     println!("\n=== batcher ===");
@@ -129,7 +130,7 @@ fn main() {
         let mean = waits.sum_ns / waits.count.max(1);
         println!("mean wait in the batcher: {mean} ns");
     }
-    let hits: u64 = snapshot.shard_caches.iter().map(|s| s.hits).sum();
+    let hits = snapshot.labelled_sum("shard_cache_hits");
     println!("result-cache hits: {hits}");
 
     drop(admin);

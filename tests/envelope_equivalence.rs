@@ -7,7 +7,7 @@
 //! "Byte-identical" is checked literally: every pair of replies is also encoded
 //! through the wire codec under the same request id and the frames compared.
 
-use mkse::core::{serialize_store, RankedDocumentIndex, TelemetryLevel};
+use mkse::core::{serialize_store, MetricsSnapshot, RankedDocumentIndex, TelemetryLevel};
 use mkse::net::{ClientError, Hub, HubConfig, ResilientClient, RetryPolicy};
 use mkse::protocol::{
     wire, BatchQueryMessage, Client, CloudServer, DataOwner, DocumentRequest, OwnerConfig,
@@ -316,6 +316,12 @@ fn typed_calls_answer_equal_values_in_process_and_over_a_hub() {
         assert_eq!(local.counter(name), remote.counter(name), "{name}");
     }
     assert!(local.counter("batch_queries") > 0);
-    assert_eq!(local.shard_caches, remote.shard_caches);
+    let per_shard = |snapshot: &MetricsSnapshot| {
+        let rows = snapshot.labelled.iter();
+        rows.filter(|row| row.label == "shard")
+            .cloned()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(per_shard(&local), per_shard(&remote));
     hub.shutdown();
 }

@@ -134,17 +134,21 @@ fn assert_hub_accounting(
     assert_eq!(snapshot.counter("wire_frames_in"), frames);
     assert_eq!(snapshot.counter("wire_frames_out"), frames);
     assert_eq!(snapshot.counter("connections_opened"), clients.len() as u64);
-    let mut served: Vec<_> = (snapshot.connections.iter())
-        .map(|c| (c.frames_in, c.bytes_in, c.frames_out, c.bytes_out))
+    // The hub numbers connections from 0 in accept order.
+    let mut served: Vec<_> = (0..clients.len() as u32)
+        .map(|c| {
+            let field = |name: &str| snapshot.labelled(&format!("connection_{name}"), c);
+            ["frames_in", "bytes_in", "frames_out", "bytes_out"].map(field)
+        })
         .collect();
     let mut sent: Vec<_> = (clients.iter())
         .map(|c| {
-            (
+            [
                 c.frames_sent,
                 c.bytes_sent,
                 c.frames_received,
                 c.bytes_received,
-            )
+            ]
         })
         .collect();
     served.sort_unstable();
@@ -233,9 +237,8 @@ fn concurrent_clients_are_equivalent_to_sequential_service_calls() {
         let singles = (CLIENTS * 2 * fx.queries.len()) as u64;
         let batched = (CLIENTS * fx.queries.len()) as u64;
         assert_hub_accounting(&snapshot, &wire, singles, batched);
-        let hits: u64 = snapshot.shard_caches.iter().map(|s| s.hits).sum();
         assert_eq!(
-            hits > 0,
+            snapshot.labelled_sum("shard_cache_hits") > 0,
             cache,
             "repeated queries hit the cache iff it is on"
         );
