@@ -17,6 +17,8 @@
 //! * [`metrics`] — top-k agreement metrics used to compare the two rankings the way §5 reports
 //!   them (top-1 agreement, top-3 containment, 4-of-top-5 agreement).
 
+#![forbid(unsafe_code)]
+
 pub mod cao;
 pub mod metrics;
 pub mod relevance;

@@ -28,7 +28,7 @@ use mkse_net::{
     Connector, FaultPlan, FaultyLink, Hub, HubConfig, HubHandle, ResilienceStats, ResilientClient,
     RetryPolicy,
 };
-use mkse_protocol::{wire, CloudServer, QueryMessage, Request, Response, Service};
+use mkse_protocol::{wire, CloudServer, QueryMessage, Request, Response, Service, UploadMessage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -218,7 +218,13 @@ fn bench_resil(_c: &mut Criterion) {
     let make_server = || {
         let mut server = CloudServer::with_shards(fixture.params.clone(), 2);
         server.set_telemetry_level(TelemetryLevel::Counters);
-        server.upload(indices.clone(), vec![]).expect("seed upload");
+        server
+            .call(Request::Upload(UploadMessage {
+                indices: indices.clone(),
+                documents: vec![],
+            }))
+            .into_uploaded()
+            .expect("seed upload");
         server
     };
 

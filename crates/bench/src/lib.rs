@@ -16,6 +16,8 @@
 //! The benches are intentionally smaller than the experiment binaries (Criterion repeats each
 //! measurement many times); the full-scale sweeps live in `mkse-experiments`.
 
+#![forbid(unsafe_code)]
+
 use mkse_core::{DocumentIndexer, SchemeKeys, SystemParams};
 use mkse_textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
 use rand::rngs::StdRng;

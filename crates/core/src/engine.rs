@@ -34,9 +34,13 @@
 //! ## Scheduling: one executor over scan units
 //!
 //! Parallelism is a property of the **executor**, not the data layout, and
-//! there is one executor. Every execution is carved into **scan units**, the
-//! units are dealt contiguously onto the engine's scan lanes, and a lane that
-//! drains its own deal **steals** units from the tail of another lane's. What a
+//! there is one executor. Every execution is carved into **scan units** — one
+//! flat slate, made before any lane starts — and every lane takes its next
+//! unit from **one shared claim counter** until the slate runs out. The
+//! paper's server work (Eq. 3 + Algorithm 1) is one r-bit comparison per
+//! stored document, independent of every other, so no unit ever spawns
+//! another: a lane that finishes early simply claims more, which is all the
+//! balancing a flat slate needs, and the lanes are interchangeable. What a
 //! unit is follows from what the engine can observe, not from an option:
 //!
 //! * with more than one lane, a unit is a range of `UNIT_CHUNKS` (8) chunks of
@@ -44,8 +48,8 @@
 //!   so an oversharded store (more shards than lanes) balances instead of
 //!   serializing whole shards behind one lane, and a host with more lanes than
 //!   shards splits single shards across lanes instead of idling;
-//! * with a single lane a unit is the **whole shard**: with nobody to steal
-//!   from, splitting buys nothing and costs per-range setup (result
+//! * with a single lane a unit is the **whole shard**: with nobody to share
+//!   the slate with, splitting buys nothing and costs per-range setup (result
 //!   buffers).
 //!
 //! The lanes' worker threads are not the engine's: every engine of a process
@@ -125,15 +129,16 @@ use crate::scanplane::ScanPlane;
 use crate::search::{top_matches, SearchMatch, SearchStats};
 use crate::storage::{ShardedStore, StoreError};
 use crate::telemetry::{
-    Counter, Gauge, LabelledCounter, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
+    Counter, Gauge, LabelledCounter, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 mod pool;
-use pool::{StealDeques, WorkerPool};
+use pool::WorkerPool;
 
 /// One shard's ranked-scan output: scan-order matches plus the shard's stats —
 /// exactly what [`crate::search::scan_ranked`] returns and what the cache memoizes.
@@ -144,8 +149,14 @@ type Reply = (Vec<SearchMatch>, SearchStats, CacheEffect);
 
 /// Chunks per multi-lane scan unit: 8 × [`crate::scanplane::CHUNK`] = 8192
 /// documents — a few tens of microseconds of sweeping, coarse enough that
-/// deque traffic is noise yet fine enough to balance shards across lanes.
+/// claim traffic is noise yet fine enough to balance shards across lanes.
 const UNIT_CHUNKS: usize = 8;
+
+/// The shared claim counter of one multi-lane execution, on a cache line of
+/// its own: the line every lane writes holds nothing else of the caller's
+/// frame.
+#[repr(align(128))]
+struct ClaimCounter(AtomicUsize);
 
 /// One unit of scan work (see the [module docs](self)): a chunk range of one
 /// selected shard's plane, or the whole shard. `pos` indexes the *selection*
@@ -497,13 +508,13 @@ impl SearchEngine {
     }
 
     /// **The** executor: run `scan(unit)` for every unit on the engine's lanes.
-    /// Units are dealt contiguously onto the lanes' deques, each lane drains its
-    /// own deal head-first and then steals from other lanes' tails, and every
-    /// unit's result lands in its own slot — so the returned vector is in unit
-    /// order regardless of which lane ran what. Runs inline (in unit order) with
-    /// one lane or one unit. Each unit is timed into [`Stage::UnitScan`], and a
-    /// panicking scan is re-raised with the failing shard named (the pool adds
-    /// the failing lane's job index).
+    /// Every lane runs the same drain loop — claim the next unit index from one
+    /// shared counter, run it, stop once the counter passes the last unit — and
+    /// every unit's result lands in its own slot, so the returned vector is in
+    /// unit order regardless of which lane ran what. Runs inline (in unit
+    /// order) with one lane or one unit. Each unit is timed into
+    /// [`Stage::UnitScan`], and a panicking scan is re-raised with the failing
+    /// shard named (the pool adds the failing lane's job index).
     fn run_units<T, F>(&self, units: &[ScanUnit], scan: F) -> Vec<T>
     where
         T: Send,
@@ -538,30 +549,28 @@ impl SearchEngine {
                 .add_at(LabelledCounter::LaneExecuted, 0, total as u64);
             return out;
         }
-        let deques = StealDeques::new(total, lanes);
+        let next = ClaimCounter(AtomicUsize::new(0));
         let mut lane_results: Vec<Vec<(usize, T)>> = (0..lanes).map(|_| Vec::new()).collect();
         {
-            let (deques, run, telemetry) = (&deques, &run, &self.telemetry);
+            let (next, run, telemetry) = (&next.0, &run, &self.telemetry);
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = lane_results
                 .iter_mut()
                 .enumerate()
                 .map(|(lane, out)| {
                     Box::new(move || {
-                        // Scheduler stats accumulate in lane-local plain
-                        // integers and flush once after the drain: the claim
-                        // loop stays free of shared-cacheline traffic.
-                        let mut stats = LaneStats::default();
-                        while let Some(unit) = deques.next_tracked(lane, &mut stats) {
+                        // `Relaxed`: the counter publishes no data. Each index
+                        // is claimed once because a fetch_add is one
+                        // indivisible read-modify-write, and the results reach
+                        // the caller through the pool's latch (`Release` count
+                        // down, `Acquire` wait).
+                        loop {
+                            let unit = next.fetch_add(1, Ordering::Relaxed);
+                            if unit >= total {
+                                break;
+                            }
                             out.push((unit, run(unit)));
                         }
-                        for (counter, n) in [
-                            (LabelledCounter::LaneExecuted, stats.executed),
-                            (LabelledCounter::LaneStolen, stats.stolen),
-                            (LabelledCounter::LaneFailedSteals, stats.failed_cas),
-                            (LabelledCounter::LaneIdlePolls, stats.idle_polls),
-                        ] {
-                            telemetry.add_at(counter, lane, n);
-                        }
+                        telemetry.add_at(LabelledCounter::LaneExecuted, lane, out.len() as u64);
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
@@ -1275,8 +1284,8 @@ mod tests {
     }
 
     /// Force a multi-lane pool regardless of the host's core count (the struct
-    /// literal bypasses `set_scan_lanes`' clamp) so genuine concurrent stealing
-    /// runs even on single-core CI hosts.
+    /// literal bypasses `set_scan_lanes`' clamp) so lanes genuinely race for
+    /// the claim counter even on single-core CI hosts.
     fn forced_lane_engine(store: ShardedStore, lanes: usize) -> SearchEngine {
         forced_lane_engine_on(store, lanes, Arc::new(WorkerPool::new(lanes - 1)))
     }
@@ -1341,10 +1350,10 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_on_forced_multi_lane_pool_matches_sequential_reference() {
+    fn forced_multi_lane_pool_matches_sequential_reference() {
         use crate::scanplane::CHUNK;
         // 3 shards of 16 full chunks + 100 documents of a 17th: 3 units each,
-        // 9 units over 2 or 3 lanes, so pops and steals genuinely interleave.
+        // 9 units over 2 or 3 lanes, so the lanes' claims genuinely interleave.
         let (store, mut next_bits) = raw_store(3, 3 * (2 * UNIT_CHUNKS * CHUNK + 100));
         let mut reference = CloudIndex::new(store.params().clone());
         reference
@@ -1362,9 +1371,8 @@ mod tests {
             .map(|q| reference.search_ranked_with_stats(q))
             .collect();
         // Aggregated across the forced multi-lane configs below: the lanes must
-        // record genuine steals, and recording them must not perturb a single
-        // reply byte.
-        let mut total_steals = 0u64;
+        // account every unit, and counting must not perturb a single reply
+        // byte.
         let mut total_executed = 0u64;
         for lanes in [2usize, 3] {
             let engine = forced_lane_engine(store.clone(), lanes);
@@ -1378,7 +1386,6 @@ mod tests {
                 "fused batch, lanes={lanes}"
             );
             let snap = engine.metrics_snapshot();
-            total_steals += snap.labelled_sum("lane_stolen");
             total_executed += snap.labelled_sum("lane_executed");
         }
         // Every unit execution is accounted: per lane count, 5 single queries
@@ -1388,13 +1395,6 @@ mod tests {
             2 * 6 * 9,
             "lane counters must see every executed unit"
         );
-        // And at least one lane stole: the caller lane drains its own deal
-        // inline and then eats from workers still waking up, so a forced
-        // multi-lane run cannot finish steal-free.
-        assert!(
-            total_steals > 0,
-            "forced multi-lane work-stealing runs must record steals"
-        );
     }
 
     #[test]
@@ -1403,14 +1403,19 @@ mod tests {
         // Invariant 5 across engines: three engines over different corpora
         // (seed, shard count and size all differ) ask ONE two-worker pool for
         // three lanes each, concurrently — so lanes queue behind other engines'
-        // scans, get taken back, and steal — and every reply must still be its
-        // own engine's sequential reference, stats included.
+        // scans and get taken back — and every reply must still be its own
+        // engine's sequential reference, stats included, and every engine must
+        // count exactly its own units.
         let pool = Arc::new(WorkerPool::new(2));
         struct Case {
             engine: SearchEngine,
             reference: CloudIndex,
             queries: Vec<QueryIndex>,
+            /// Scan units of one execution: every shard holds `units_per_shard`
+            /// full units and a ragged one for its last 100 documents.
+            units: u64,
         }
+        const ROUNDS: u64 = 3;
         let cases: Vec<Case> = [(0x51u64, 3usize, 2usize), (0x52, 2, 3), (0x53, 1, 4)]
             .into_iter()
             .map(|(seed, shards, units_per_shard)| {
@@ -1436,6 +1441,7 @@ mod tests {
                     engine,
                     reference,
                     queries,
+                    units: (shards * (units_per_shard + 1)) as u64,
                 }
             })
             .collect();
@@ -1450,7 +1456,7 @@ mod tests {
                         .map(|q| case.reference.search_ranked_with_stats(q))
                         .collect();
                     start.wait();
-                    for round in 0..3 {
+                    for round in 0..ROUNDS {
                         for (q, want) in case.queries.iter().zip(&expected) {
                             assert_eq!(
                                 &case.engine.search_ranked_with_stats(q),
@@ -1467,11 +1473,15 @@ mod tests {
                 });
             }
         });
-        let steals: u64 = cases
-            .iter()
-            .map(|case| case.engine.metrics_snapshot().labelled_sum("lane_stolen"))
-            .sum();
-        assert!(steals > 0, "shared-pool runs must record steals");
+        // Per round: one execution per query and one fused batch.
+        for (n, case) in cases.iter().enumerate() {
+            let executions = ROUNDS * (case.queries.len() as u64 + 1);
+            assert_eq!(
+                case.engine.metrics_snapshot().labelled_sum("lane_executed"),
+                case.units * executions,
+                "engine {n} counts exactly its own units"
+            );
+        }
     }
 
     #[test]

@@ -71,9 +71,10 @@
 //! one queued behind another engine's scan, say — and runs it on the spot; a
 //! worker that pops the emptied slot later finds nothing to do. Every job still
 //! runs exactly once, and [`WorkerPool::run_scoped`] never waits for a lane no
-//! worker started. (The engine's lane jobs are drain loops over shared deques:
-//! by the time the caller's lane has run dry so has every other, so a taken-back
-//! lane flushes its stats and returns.)
+//! worker started. (The engine's lane jobs are drain loops over one shared
+//! claim counter: by the time the caller's lane has run dry so has every other,
+//! so a taken-back lane finds the counter past the last unit, flushes its count
+//! and returns.)
 //!
 //! Concurrent callers must not all queue on worker 0 while worker 1 idles, so a
 //! call deals its jobs from a **start index that rotates past the lanes already
@@ -88,9 +89,8 @@
 //! [`WorkerPool::run_scoped`] provides the scoped-thread guarantee that makes
 //! borrowed jobs sound: it does not return until every submitted job has run.
 
-use crate::telemetry::LaneStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::{JoinHandle, Thread};
@@ -381,6 +381,7 @@ impl WorkerPool {
                 //   waits out in `Latch::wait`;
                 // * a slot a worker pops after that is empty — it holds `None`,
                 //   nothing borrowed.
+                #[allow(unsafe_code)] // the crate's one `unsafe`
                 let job: Job =
                     unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
                 Arc::new(Slot {
@@ -439,131 +440,6 @@ impl Drop for WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-/// Per-lane work-stealing deques over a fixed slate of work units.
-///
-/// The engine's executor (`run_units`) carves a query's shard scans into `total`
-/// scan units (indices `0..total`) and deals each lane a contiguous slice up front.
-/// A lane **pops its own slice from the head** — walking its units in ascending
-/// index order, the cache-friendly direction of a plane sweep — and, once its
-/// slice is drained, **steals from the tail** of another lane's slice, the end
-/// the victim will reach last. Each lane's state is one packed `AtomicU64`
-/// (head in the high 32 bits, tail in the low 32; the slice's unclaimed units
-/// are `head..tail`), so owner pops and thief steals arbitrate over a single
-/// compare-exchange: every unit is claimed exactly once, with no locks and no
-/// per-unit allocation. The deques only hand out *indices*; result placement
-/// stays deterministic because callers write each unit's result into its own
-/// pre-reserved slot.
-pub(super) struct StealDeques {
-    lanes: Vec<AtomicU64>,
-}
-
-impl StealDeques {
-    /// Deal units `0..total` onto `lanes` contiguous slices, balanced to within
-    /// one unit (the first `total % lanes` slices get the extra).
-    pub(super) fn new(total: usize, lanes: usize) -> Self {
-        assert!(lanes > 0, "at least one lane");
-        assert!(u32::try_from(total).is_ok(), "unit index must fit in u32");
-        let (base, extra) = (total / lanes, total % lanes);
-        let mut lo = 0u64;
-        StealDeques {
-            lanes: (0..lanes as u64)
-                .map(|l| {
-                    let hi = lo + base as u64 + u64::from(l < extra as u64);
-                    let packed = AtomicU64::new((lo << 32) | hi);
-                    lo = hi;
-                    packed
-                })
-                .collect(),
-        }
-    }
-
-    /// Claim the next unit for `lane`: the head of its own slice, or — once that
-    /// is drained — the tail of the first other slice with work left. `None`
-    /// when every unit is claimed. (The engine always claims through
-    /// [`Self::next_tracked`]; this stat-less form serves the deque tests.)
-    #[cfg(test)]
-    pub(super) fn next(&self, lane: usize) -> Option<usize> {
-        self.next_tracked(lane, &mut LaneStats::default())
-    }
-
-    /// [`Self::next`] plus scheduler accounting into the caller's scratch
-    /// [`LaneStats`]: executed units, successful steals, lost CAS races and
-    /// work-less victim sweeps. The stats are plain `u64`s the lane owns — the
-    /// claim path stays lock-free and allocation-free; the caller flushes the
-    /// accumulated stats to the telemetry registry once, after draining.
-    pub(super) fn next_tracked(&self, lane: usize, stats: &mut LaneStats) -> Option<usize> {
-        if let Some(unit) = self.pop_own(lane, stats) {
-            stats.executed += 1;
-            return Some(unit);
-        }
-        match self.steal(lane, stats) {
-            Some(unit) => {
-                stats.executed += 1;
-                stats.stolen += 1;
-                Some(unit)
-            }
-            None => {
-                stats.idle_polls += 1;
-                None
-            }
-        }
-    }
-
-    /// Pop the head of `lane`'s own slice.
-    fn pop_own(&self, lane: usize, stats: &mut LaneStats) -> Option<usize> {
-        let slot = &self.lanes[lane];
-        let mut cur = slot.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = (cur >> 32, cur & 0xffff_ffff);
-            if head >= tail {
-                return None;
-            }
-            match slot.compare_exchange_weak(
-                cur,
-                ((head + 1) << 32) | tail,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(head as usize),
-                Err(seen) => {
-                    stats.failed_cas += 1;
-                    cur = seen;
-                }
-            }
-        }
-    }
-
-    /// Steal the tail unit of the first non-empty victim slice, scanning the
-    /// other lanes in cyclic order from `thief + 1` (spreads concurrent thieves
-    /// over distinct victims instead of contending on lane 0).
-    fn steal(&self, thief: usize, stats: &mut LaneStats) -> Option<usize> {
-        let lanes = self.lanes.len();
-        for offset in 1..lanes {
-            let victim = &self.lanes[(thief + offset) % lanes];
-            let mut cur = victim.load(Ordering::Acquire);
-            loop {
-                let (head, tail) = (cur >> 32, cur & 0xffff_ffff);
-                if head >= tail {
-                    break;
-                }
-                match victim.compare_exchange_weak(
-                    cur,
-                    (head << 32) | (tail - 1),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => return Some(tail as usize - 1),
-                    Err(seen) => {
-                        stats.failed_cas += 1;
-                        cur = seen;
-                    }
-                }
-            }
-        }
-        None
     }
 }
 
@@ -856,101 +732,6 @@ mod tests {
         }));
         let message = panic_message(result.expect_err("must panic").as_ref());
         assert!(message.contains("<non-string panic payload>"), "{message}");
-    }
-
-    #[test]
-    fn steal_deques_owner_pops_head_then_steals_victim_tail() {
-        // Lane 0 owns 0..4, lane 1 owns 4..8. Draining everything through lane 0
-        // must walk its own slice head-first, then eat lane 1's from the tail.
-        let deques = StealDeques::new(8, 2);
-        let drained: Vec<usize> = std::iter::from_fn(|| deques.next(0)).collect();
-        assert_eq!(drained, vec![0, 1, 2, 3, 7, 6, 5, 4]);
-        assert_eq!(deques.next(0), None);
-        assert_eq!(deques.next(1), None, "nothing left for the owner either");
-    }
-
-    #[test]
-    fn steal_deques_partition_is_contiguous_and_balanced() {
-        // 10 units over 4 lanes: slices of 3, 3, 2, 2, in index order.
-        let deques = StealDeques::new(10, 4);
-        let mut scratch = LaneStats::default();
-        let mut slices = Vec::new();
-        for lane in 0..4 {
-            slices.push(
-                std::iter::from_fn(|| deques.pop_own(lane, &mut scratch)).collect::<Vec<_>>(),
-            );
-        }
-        assert_eq!(
-            slices,
-            vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7], vec![8, 9]]
-        );
-        // Fewer units than lanes: the surplus lanes start empty but can steal.
-        let deques = StealDeques::new(2, 4);
-        assert_eq!(deques.pop_own(3, &mut scratch), None);
-        assert_eq!(deques.next(3), Some(0), "lane 3 steals lane 0's only unit");
-        assert_eq!(deques.next(2), Some(1));
-        assert_eq!(deques.next(0), None);
-        // Empty slate.
-        let deques = StealDeques::new(0, 3);
-        assert!((0..3).all(|lane| deques.next(lane).is_none()));
-    }
-
-    #[test]
-    fn next_tracked_accounts_pops_steals_and_idle_polls() {
-        // Lane 0 owns 0..2, lane 1 owns 2..4. Lane 0 drains its own slice,
-        // steals lane 1's tail twice, then sweeps idle.
-        let deques = StealDeques::new(4, 2);
-        let mut stats = LaneStats::default();
-        let drained: Vec<usize> =
-            std::iter::from_fn(|| deques.next_tracked(0, &mut stats)).collect();
-        assert_eq!(drained, vec![0, 1, 3, 2]);
-        assert_eq!(stats.executed, 4);
-        assert_eq!(stats.stolen, 2);
-        assert_eq!(
-            stats.idle_polls, 1,
-            "the terminating None is one idle sweep"
-        );
-        assert_eq!(stats.failed_cas, 0, "no contention single-threaded");
-        // The other lane finds nothing: pure idle polls, nothing executed.
-        let mut other = LaneStats::default();
-        assert_eq!(deques.next_tracked(1, &mut other), None);
-        assert_eq!(
-            other,
-            LaneStats {
-                idle_polls: 1,
-                ..LaneStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn steal_deques_concurrent_lanes_claim_every_unit_exactly_once() {
-        // 4 real threads hammer one slate; every unit must be claimed exactly
-        // once across lanes no matter how pops and steals interleave.
-        const TOTAL: usize = 20_000;
-        const LANES: usize = 4;
-        let pool = WorkerPool::new(LANES - 1);
-        let deques = StealDeques::new(TOTAL, LANES);
-        let mut claimed: Vec<Vec<usize>> = vec![Vec::new(); LANES];
-        {
-            let deques = &deques;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = claimed
-                .iter_mut()
-                .enumerate()
-                .map(|(lane, out)| {
-                    Box::new(move || {
-                        while let Some(unit) = deques.next(lane) {
-                            out.push(unit);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(jobs);
-        }
-        let mut all: Vec<usize> = claimed.into_iter().flatten().collect();
-        assert_eq!(all.len(), TOTAL, "no unit lost or double-claimed");
-        all.sort_unstable();
-        assert!(all.iter().enumerate().all(|(i, &u)| i == u));
     }
 
     #[test]

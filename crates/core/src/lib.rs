@@ -34,8 +34,8 @@
 //! The [`telemetry`] module observes all of it: a lock-free registry of three
 //! shapes — relaxed-atomic counters (one label allowed: `lane`, `shard` or
 //! `connection`), gauges and log₂-bucketed histograms — behind a runtime
-//! [`telemetry::TelemetryLevel`] knob on the engine: per-stage spans, lane
-//! scheduler counts and shard cache tallies, recorded without perturbing a
+//! [`telemetry::TelemetryLevel`] knob on the engine: per-stage spans, per-lane
+//! unit counts and shard cache tallies, recorded without perturbing a
 //! single reply byte (the registry observes, it never participates).
 //!
 //! Document encryption, RSA blind decryption of per-document keys and the three-party protocol
@@ -75,6 +75,8 @@
 //! assert_eq!(hits[0].document_id, 0);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod analysis;
 pub mod bins;
 pub mod bitindex;
@@ -113,7 +115,7 @@ pub use rotation::{EpochTrapdoor, RotatingKeys};
 pub use scanplane::ScanPlane;
 pub use search::{CloudIndex, SearchMatch, SearchStats};
 pub use storage::{IndexEntry, ShardedStore, StoreError};
-pub use telemetry::{LaneStats, MetricsSnapshot, Telemetry, TelemetryLevel};
+pub use telemetry::{MetricsSnapshot, Telemetry, TelemetryLevel};
 
 #[cfg(test)]
 mod tests {

@@ -55,7 +55,7 @@
 //! over a range of chunks with the queries inside, so a chunk's live masks and rows
 //! are visited by the whole batch while they are hot; every other ranked entry
 //! point is that call with one query or the whole plane. The chunk ranges are the
-//! work units of the engine's work-stealing scheduler: chunks are swept
+//! scan units the engine's lanes claim from one counter: chunks are swept
 //! independently in ascending order, level 1 counts one comparison per document in
 //! range and every further count is per surviving slot, so a partition's matches
 //! concatenate and its [`SearchStats`] sum to the whole-shard result byte for byte.
@@ -151,8 +151,8 @@ impl ScanPlane {
     }
 
     /// Number of [`CHUNK`]-document chunks (the last may be partial) — the unit
-    /// grid the chunk-range entry points and the engine's work-stealing
-    /// scheduler carve into ranges.
+    /// grid the chunk-range entry points and the engine's executor carve into
+    /// ranges.
     pub fn num_chunks(&self) -> usize {
         self.ids.len().div_ceil(CHUNK)
     }
@@ -327,7 +327,7 @@ impl ScanPlane {
         self.scan_ranked_batch_chunks(queries, 0..self.num_chunks())
     }
 
-    /// **The sweep**, and one work unit of the engine's work-stealing scheduler:
+    /// **The sweep**, and one scan unit of the engine's executor:
     /// Algorithm 1 for every query over `chunks.start..chunks.end`, chunk-major
     /// with the queries inside. A partition's per-query results concatenate (in
     /// range order) and sum back to [`ScanPlane::scan_ranked_batch`] byte for

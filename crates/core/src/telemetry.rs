@@ -1,8 +1,9 @@
 //! Lock-free telemetry plane: one registry of three shapes.
 //!
 //! - **Counter** — monotonic. Unlabelled ([`Counter`]) or carrying one label
-//!   ([`LabelledCounter`]) whose key is one of `lane` (scan lane; the caller
-//!   lane is 0), `shard` (store shard) or `connection` (hub connection id).
+//!   ([`LabelledCounter`]) whose key is one of `lane` (a lane job's index in
+//!   its execution; an inline one-lane execution is lane 0), `shard` (store
+//!   shard) or `connection` (hub connection id).
 //!   A labelled counter is one slot array of [`LABEL_SLOTS`]; label values at
 //!   or above the cap fold into the last slot.
 //! - **Gauge** ([`Gauge`]) — last write wins.
@@ -199,14 +200,8 @@ metrics! {
     /// Monotonic counters with one label ([`Telemetry::add_at`]); the label
     /// key of each is declared beside its name.
     LabelledCounter by label {
-        /// Units a scan lane executed (own pops plus successful steals).
+        /// Scan units a lane executed.
         LaneExecuted => "lane_executed" by "lane",
-        /// Units a scan lane obtained by stealing from another lane's deque.
-        LaneStolen => "lane_stolen" by "lane",
-        /// CAS attempts (own-pop or steal) a scan lane lost and retried.
-        LaneFailedSteals => "lane_failed_steals" by "lane",
-        /// Full victim sweeps of a scan lane that found every deque empty.
-        LaneIdlePolls => "lane_idle_polls" by "lane",
         /// Result-cache lookups answered from a shard's cache.
         ShardCacheHits => "shard_cache_hits" by "shard",
         /// Result-cache lookups that fell through to a scan of the shard.
@@ -305,20 +300,6 @@ pub fn bucket_index(v: u64) -> usize {
 /// last slot (the engine clamps lanes to host cores, so only shards and
 /// long-lived hubs' connection ids ever reach it).
 pub const LABEL_SLOTS: usize = 64;
-
-/// Scratch accumulator a scan lane fills locally (plain `u64`s, no atomics);
-/// the engine flushes it into the `lane_*` counters once the lane drains.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Units this lane executed (own pops plus successful steals).
-    pub executed: u64,
-    /// Units obtained by stealing from another lane's deque.
-    pub stolen: u64,
-    /// CAS attempts (own-pop or steal) that lost a race and retried.
-    pub failed_cas: u64,
-    /// Full victim sweeps that found every deque empty.
-    pub idle_polls: u64,
-}
 
 #[derive(Debug)]
 struct HistogramSlots {

@@ -33,6 +33,8 @@
 //! assert_eq!(out, prf.evaluate(b"network", 336));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aes;
 pub mod bigint;
 pub mod hmac;

@@ -18,6 +18,8 @@
 //! grows the workload, and prints the paper's reference values next to the measured ones.
 //! Run them in release mode: `cargo run --release -p mkse-experiments --bin <name>`.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Parse the common `--scale <f64>` and `--seed <u64>` arguments.

@@ -12,6 +12,8 @@
 //! the *baseline's* cost being cubic/quadratic is the point of the comparison, and a heavily
 //! optimised BLAS would only shift constants.
 
+#![forbid(unsafe_code)]
+
 pub mod lu;
 pub mod matrix;
 pub mod vector;

@@ -69,6 +69,12 @@
 //! [`Request::SnapshotIndex`] serializes the mirror — byte-identical to the
 //! twin's snapshot. Cache administration is refused: the fleet serves the
 //! cache-off oracle and merged replies carry a zero [`CacheReport`].
+//! [`Request::Counters`] follows the twin's rule for `requests_served` — the
+//! registry's count minus the baseline the last [`Request::ResetCounters`]
+//! took — and answers every Table 2 comparison field zero: comparisons are
+//! performed, and counted, per node (ask each node), so a benchmark row
+//! derived from them, such as `core.engine.comparisons_per_query`, reads 0
+//! through a fleet by construction.
 //!
 //! §6 leakage note: registration, heartbeat and shard-shipping traffic is
 //! server-side topology maintenance — none of it depends on queries, so the
@@ -185,7 +191,11 @@ pub struct Coordinator {
     owner_of: Vec<Option<u64>>,
     /// Bumped on every fleet layout change; echoed in [`ShardAssignment`].
     epoch: u64,
-    counters: OperationCounters,
+    /// Registry value of [`Counter::RequestsServed`] at the last
+    /// [`Request::ResetCounters`]: the `requests_served` a
+    /// [`Request::Counters`] reply carries is the registry minus this, as a
+    /// `CloudServer`'s is.
+    served_baseline: u64,
     telemetry: Telemetry,
 }
 
@@ -205,7 +215,7 @@ impl Coordinator {
             nodes: BTreeMap::new(),
             owner_of: vec![None; shards],
             epoch: 0,
-            counters: OperationCounters::default(),
+            served_baseline: 0,
             telemetry,
         }
     }
@@ -682,9 +692,13 @@ impl Coordinator {
             Request::SnapshotIndex => Response::Snapshot(serialize_index_store(&self.mirror)),
             Request::RestoreIndex(bytes) => self.exec_restore(&bytes),
             Request::ServerInfo => self.exec_server_info(),
-            Request::Counters => Response::Counters(self.counters),
+            Request::Counters => Response::Counters(OperationCounters {
+                requests_served: self.telemetry.counter(Counter::RequestsServed)
+                    - self.served_baseline,
+                ..OperationCounters::default()
+            }),
             Request::ResetCounters => {
-                self.counters.reset();
+                self.served_baseline = self.telemetry.counter(Counter::RequestsServed);
                 Response::Ack
             }
             Request::MetricsSnapshot => Response::MetricsReport(self.telemetry.snapshot()),
@@ -1068,6 +1082,58 @@ mod tests {
         );
         assert_eq!(coordinator.call_query_group(&fx.queries[..2]), sequential);
         assert!(forwarded_reads(node1).is_empty(), "nothing was scattered");
+    }
+
+    #[test]
+    fn requests_served_matches_a_single_node_twin_after_every_step() {
+        let fx = fixture();
+        let node1 = spawn_node(&fx.params);
+        let mut coordinator =
+            Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
+        coordinator.add_node(1, node1.memory_dialer().connector());
+        let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
+        let served = |reply: Response| reply.into_counters().unwrap().requests_served;
+        // A group of two sound members around one of the wrong length.
+        let short = QueryMessage {
+            query: mkse_core::BitIndex::from_bits(&[true; 8]),
+            top: None,
+        };
+        let mixed = [fx.queries[0].clone(), short, fx.queries[2].clone()];
+        let registration = Request::RegisterNode(NodeRegistration {
+            node_id: 1,
+            capabilities: NodeCapabilities { shard_slots: 0 },
+        });
+        let upload = Request::Upload(UploadMessage {
+            indices: fx.indices.clone(),
+            documents: vec![],
+        });
+        let steps: Vec<(&str, Option<Request>)> = vec![
+            ("register", Some(registration)),
+            ("upload", Some(upload)),
+            ("query", Some(Request::Query(fx.queries[1].clone()))),
+            ("reset", Some(Request::ResetCounters)),
+            ("mixed group", None),
+            ("server info", Some(Request::ServerInfo)),
+            ("reset again", Some(Request::ResetCounters)),
+            ("refused cache knob", Some(Request::CacheStats)),
+        ];
+        for (label, step) in steps {
+            match step {
+                Some(request) => {
+                    coordinator.call(request.clone());
+                    twin.call(request);
+                }
+                None => {
+                    coordinator.call_query_group(&mixed);
+                    twin.call_query_group(&mixed);
+                }
+            }
+            // The `Counters` request counts itself on both sides.
+            let fleet = served(coordinator.call(Request::Counters));
+            assert_eq!(fleet, served(twin.call(Request::Counters)), "after {label}");
+            assert!(fleet > 0, "after {label}");
+        }
+        node1.shutdown();
     }
 
     /// A node whose link dies under the scatter's own submit: the failure

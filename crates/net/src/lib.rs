@@ -72,6 +72,8 @@
 //! even across failovers — `tests/fleet_chaos.rs` proves it with seeded kill
 //! schedules and journal replay.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod coordinator;
 pub mod fault;

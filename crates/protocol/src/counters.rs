@@ -34,11 +34,12 @@ pub struct OperationCounters {
     /// including ones that end in an error reply). The service-level request
     /// rate, next to the per-operation Table 2 rows above.
     ///
-    /// For [`crate::CloudServer`] this is a **mirror of the telemetry
-    /// registry** (`requests_served` counter, tallied at every level
-    /// including `Off`) minus the baseline captured at the last reset: the
-    /// registry is the single source of served-request accounting, so Table 2
-    /// totals and the wire-frame counts of Table 1 cannot drift apart.
+    /// For [`crate::CloudServer`] and `mkse-net`'s fleet `Coordinator` alike
+    /// this is a **mirror of the telemetry registry** (`requests_served`
+    /// counter, tallied at every level including `Off`) minus the baseline
+    /// captured at the last reset: the registry is the single source of
+    /// served-request accounting, so Table 2 totals and the wire-frame counts
+    /// of Table 1 cannot drift apart.
     pub requests_served: u64,
 }
 

@@ -30,6 +30,8 @@
 //! [`TypedCalls`]. A direct `Service::call` and the framed codec return
 //! byte-identical replies (`tests/envelope_equivalence.rs` proves it).
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod client;
 pub mod counters;

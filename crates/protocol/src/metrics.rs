@@ -217,9 +217,6 @@ mod tests {
         tel.record_value(Series::BatchOccupancy, 6); // bucket 2
         for (counter, index, n) in [
             (LabelledCounter::LaneExecuted, 1, 4),
-            (LabelledCounter::LaneStolen, 1, 2),
-            (LabelledCounter::LaneFailedSteals, 1, 1),
-            (LabelledCounter::LaneIdlePolls, 1, 3),
             (LabelledCounter::ShardCacheHits, 0, 1),
             (LabelledCounter::ShardCacheMisses, 0, 1),
             (LabelledCounter::ShardCacheGenerationBumps, 2, 1),
@@ -247,7 +244,7 @@ mod tests {
     fn prometheus_exposition_is_cumulative_and_labelled() {
         let text = render_prometheus(&populated_snapshot());
         assert!(text.contains("# TYPE mkse_batch_queries_total counter"));
-        assert!(text.contains("# TYPE mkse_lane_stolen_total counter"));
+        assert!(text.contains("# TYPE mkse_lane_executed_total counter"));
         assert!(text.contains("# TYPE mkse_batch_occupancy histogram"));
         assert_eq!(
             text.matches("# TYPE mkse_stage_duration_ns histogram")
@@ -282,9 +279,6 @@ mod tests {
             "mkse_batch_occupancy_sum 7",
             "mkse_batch_occupancy_count 2",
             "mkse_lane_executed_total{lane=\"1\"} 4",
-            "mkse_lane_stolen_total{lane=\"1\"} 2",
-            "mkse_lane_failed_steals_total{lane=\"1\"} 1",
-            "mkse_lane_idle_polls_total{lane=\"1\"} 3",
             "mkse_shard_cache_hits_total{shard=\"0\"} 1",
             "mkse_shard_cache_misses_total{shard=\"0\"} 1",
             "mkse_connection_frames_in_total{connection=\"3\"} 1",
@@ -307,9 +301,8 @@ mod tests {
         assert!(json.contains("\"batch_queries\":3"));
         assert!(json.contains("\"scan_lanes\":2"));
         assert!(json.contains("\"stage\":\"unit_scan\",\"count\":2,\"sum_ns\":905"));
-        assert!(
-            json.contains("{\"name\":\"lane_stolen\",\"label\":\"lane\",\"index\":1,\"value\":2}")
-        );
+        assert!(json
+            .contains("{\"name\":\"lane_executed\",\"label\":\"lane\",\"index\":1,\"value\":4}"));
         assert!(json.contains(
             "{\"name\":\"shard_cache_hits\",\"label\":\"shard\",\"index\":0,\"value\":1}"
         ));
@@ -348,7 +341,7 @@ mod tests {
                 .join(" ")
         };
         assert_eq!(line("batch_queries "), "3");
-        assert_eq!(line("lane_stolen{lane=1}"), "2");
+        assert_eq!(line("lane_executed{lane=1}"), "4");
         assert_eq!(line("connection_bytes_in{connection=3}"), "96");
         assert_eq!(line("scan_lanes "), "2 (gauge)");
         assert_eq!(line("unit_scan "), "2 samples, avg 452 ns");

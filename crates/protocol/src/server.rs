@@ -22,10 +22,11 @@
 //! is what a cross-client batcher hands a coalesced group to. Every query
 //! envelope — a `Query`, a `BatchQuery`, a group — is answered through the
 //! engine's one batch entry (a `Query` as a batch of one) and the same reply
-//! builder, so all three record one telemetry family. The public convenience
-//! methods (`upload`, the cache toggles) are thin shims over `call`, and the
-//! framed codec carries the same envelope, so replies are byte-identical no
-//! matter which surface a caller uses (`tests/envelope_equivalence.rs` asserts
+//! builder, so all three record one telemetry family. The cache toggles are
+//! thin shims over `call`; an upload is `call` itself (or a client's typed
+//! `upload`, which crosses the codec). The framed codec carries the same
+//! envelope, so replies are byte-identical no matter which surface a caller
+//! uses (`tests/envelope_equivalence.rs` asserts
 //! `call` == framed [`crate::Client`] across shard counts and cache
 //! configurations).
 
@@ -38,7 +39,6 @@ use crate::messages::{
 use crate::ProtocolError;
 use mkse_core::bitindex::BitIndex;
 use mkse_core::cache::{CacheConfig, CacheEffect, CacheStats};
-use mkse_core::document_index::RankedDocumentIndex;
 use mkse_core::engine::SearchEngine;
 use mkse_core::params::SystemParams;
 use mkse_core::query::QueryIndex;
@@ -145,23 +145,10 @@ impl CloudServer {
         Ok(self.engine.restore_snapshot(bytes)?)
     }
 
-    /// Accept the data owner's upload: searchable indices and encrypted documents.
-    /// Shim over [`Request::Upload`].
-    ///
-    /// Rejects (without partial effect on the document bodies) uploads whose indices
-    /// do not match the server's parameters or collide with stored document ids.
-    pub fn upload(
-        &mut self,
-        indices: Vec<RankedDocumentIndex>,
-        documents: Vec<EncryptedDocumentTransfer>,
-    ) -> Result<(), ProtocolError> {
-        match self.call(Request::Upload(UploadMessage { indices, documents })) {
-            Response::Uploaded { .. } => Ok(()),
-            Response::Error(e) => Err(e),
-            other => unreachable!("Upload answered with {}", other.name()),
-        }
-    }
-
+    /// Accept the data owner's upload ([`Request::Upload`]): searchable indices
+    /// and encrypted documents. Rejects (without partial effect on the document
+    /// bodies) uploads whose indices do not match the server's parameters or
+    /// collide with stored document ids.
     fn exec_upload(&mut self, upload: UploadMessage) -> Result<u64, ProtocolError> {
         self.engine.insert_all(upload.indices)?;
         for doc in upload.documents {
@@ -405,6 +392,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The data owner's upload, as every client sends it.
+    fn upload(
+        server: &mut CloudServer,
+        indices: Vec<mkse_core::RankedDocumentIndex>,
+        documents: Vec<EncryptedDocumentTransfer>,
+    ) -> Result<u64, ProtocolError> {
+        server
+            .call(Request::Upload(UploadMessage { indices, documents }))
+            .into_uploaded()
+    }
+
     fn populated_server() -> (DataOwner, CloudServer, StdRng) {
         let mut rng = StdRng::seed_from_u64(17);
         let mut owner = DataOwner::new(OwnerConfig::fast_for_tests(), &mut rng);
@@ -415,7 +413,7 @@ mod tests {
         ];
         let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
         let mut server = CloudServer::new(owner.params().clone());
-        server.upload(indices, encrypted).unwrap();
+        upload(&mut server, indices, encrypted).unwrap();
         (owner, server, rng)
     }
 
@@ -526,11 +524,9 @@ mod tests {
             .collect();
         let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
         let mut sequential = CloudServer::with_shards(owner.params().clone(), 1);
-        sequential
-            .upload(indices.clone(), encrypted.clone())
-            .unwrap();
+        upload(&mut sequential, indices.clone(), encrypted.clone()).unwrap();
         let mut sharded = CloudServer::with_shards(owner.params().clone(), 4);
-        sharded.upload(indices, encrypted).unwrap();
+        upload(&mut sharded, indices, encrypted).unwrap();
         assert_eq!(sequential.num_shards(), 1);
         assert_eq!(sharded.num_shards(), 4);
 
@@ -545,7 +541,7 @@ mod tests {
         let docs = vec![Document::from_text(0, "colliding document id")];
         let (indices, encrypted) = owner2.prepare_documents(&docs, &mut rng);
         assert!(matches!(
-            server.upload(indices, encrypted),
+            upload(&mut server, indices, encrypted),
             Err(ProtocolError::Store(_))
         ));
         assert_eq!(server.num_documents(), 3);
@@ -725,7 +721,7 @@ mod tests {
             })
             .collect();
         let (indices, encrypted) = owner.prepare_documents(&docs, &mut rng);
-        server.upload(indices, encrypted).unwrap();
+        upload(&mut server, indices, encrypted).unwrap();
         (owner, server, rng)
     }
 
@@ -886,7 +882,7 @@ mod tests {
         let mut owner2 = DataOwner::new(OwnerConfig::fast_for_tests(), &mut rng);
         let docs = vec![Document::from_text(77, "unrelated content entirely")];
         let (indices, encrypted) = owner2.prepare_documents(&docs, &mut rng);
-        server.upload(indices, encrypted).unwrap();
+        upload(&mut server, indices, encrypted).unwrap();
         let after_upload = search(&mut server, &msg);
         assert!(!after_upload.cache.served_from_cache);
 

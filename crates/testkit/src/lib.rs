@@ -22,6 +22,8 @@
 //! - [`replay_journal`], [`assert_replies_match_replay`],
 //!   [`assert_conservation`], [`counter`], [`gauge`] — the oracles' judges.
 
+#![forbid(unsafe_code)]
+
 use mkse_core::{QueryBuilder, RankedDocumentIndex, SystemParams, Telemetry};
 use mkse_net::{
     Connector, Coordinator, FaultHandle, FaultPlan, FaultyLink, FleetConfig, Hub, HubConfig,
@@ -104,9 +106,9 @@ impl Fixture {
     /// exactly as the server a hub under test owns.
     pub fn server(&self, shards: usize, cache: bool) -> CloudServer {
         let mut server = CloudServer::with_shards(self.params.clone(), shards);
-        let seed = self.seed_upload.clone();
         server
-            .upload(seed.indices, seed.documents)
+            .call(Request::Upload(self.seed_upload.clone()))
+            .into_uploaded()
             .expect("seed upload");
         if cache {
             server.enable_result_cache(64);

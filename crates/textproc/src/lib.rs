@@ -15,6 +15,8 @@
 //!   frequencies) so the example applications can index real text through exactly the same
 //!   public API that the synthetic experiments use.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod dictionary;
 pub mod document;

@@ -83,10 +83,10 @@
 //!        │    │                                     store privately — insert() is the
 //!        │    │                                     only door, so neither goes stale;
 //!        │    │                                     scan lanes ≤ cores, decoupled
-//!        ▼    │                                     from shard count; ONE executor deals
-//!        │    │                                     scan units (8-chunk ranges; whole
-//!        │    │                                     shards on one lane) to per-lane
-//!        │    │                                     deques (idle lanes steal) and
+//!        ▼    │                                     from shard count; ONE executor: the
+//!        │    │                                     lanes claim scan units (8-chunk
+//!        │    │                                     ranges; whole shards on one lane)
+//!        │    │                                     from one shared counter, and it
 //!        ▼    │                                     stitches results in unit order; merge
 //!        │    │                                     by (rank desc, doc id asc); ONE read
 //!        │    │                                     path: a single query is a batch of
@@ -188,15 +188,17 @@
 //!   a thread, and a caller takes back any lane no worker has started instead of
 //!   waiting behind another engine's scan), and
 //!   **one executor** runs every scan: a multi-lane engine carves each shard's
-//!   plane into 8-chunk units, deals them to per-lane lock-free deques, and lets
-//!   idle lanes steal from victims' tails — an oversharded store does not
-//!   serialize whole shards onto lanes, and a wide host keeps every lane busy
-//!   regardless of the shard geometry — while a one-lane engine, with nobody to
-//!   steal from, runs whole shards inline. Each unit's partial result counts
-//!   exactly the documents of its range, and results are stitched in unit order
-//!   before the (rank, id) merge, so replies, per-query stats and cache counters
-//!   do not depend on the lane count (the steal-heavy sweeps in both equivalence
-//!   suites hold every shards × lanes point to the sequential reference).
+//!   plane into 8-chunk units — one flat slate, since every document's
+//!   comparison is independent of every other's — and each lane claims its next
+//!   unit from one shared counter until the slate runs out: an oversharded
+//!   store does not serialize whole shards onto lanes, and a wide host keeps
+//!   every lane busy regardless of the shard geometry, while a one-lane engine,
+//!   with nobody to share the slate with, runs whole shards inline. Each unit's
+//!   partial result counts exactly the documents of its range, and results are
+//!   stitched in unit order before the (rank, id) merge, so replies, per-query
+//!   stats and cache counters do not depend on the lane count (the lane-heavy
+//!   sweeps in both equivalence suites hold every shards × lanes point to the
+//!   sequential reference).
 //!   There is **one read path**: a single query is a batch of one through
 //!   `SearchEngine::search_batch_with_effects`, which deduplicates repeated
 //!   query bits inside a batch (hot Zipf keywords scan once and fan out, with
@@ -346,7 +348,7 @@
 //! cache: the privacy knob and the performance knob are the same dial, and the
 //! `cached_session` example shows both positions.
 //!
-//! The same argument covers the work-stealing scheduler: which lane scans which
+//! The same argument covers the lane scheduler: which lane scans which
 //! chunk range reorders only the server's *own* memory accesses across its own
 //! threads. The work performed is identical (same comparisons, same per-range
 //! arithmetic, same replies, stats and counters), and the access pattern remains
@@ -388,7 +390,7 @@
 //! the §6 observations the single server already made.
 //!
 //! And it covers the telemetry plane ([`core::telemetry`]) once more: every
-//! recorded quantity — stage durations, lane steal counts, per-shard cache
+//! recorded quantity — stage durations, per-lane unit counts, per-shard cache
 //! hit/miss tallies, framed byte totals — is a function of bytes the server
 //! already observes (its own requests, replies and memory accesses) plus the
 //! public geometry. Recording is invisible by construction: at every
@@ -436,6 +438,8 @@
 //! // Every exchange crossed the framed codec — the measured cost is known.
 //! assert!(server.wire_stats().bytes_sent > 0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use mkse_baselines as baselines;
 pub use mkse_core as core;

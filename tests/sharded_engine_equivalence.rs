@@ -27,7 +27,7 @@
 //!
 //! Shard scans are dispatched by one executor over scan units — chunk ranges
 //! of a shard's plane on a multi-lane engine, whole shards on one lane — so the
-//! contract covers the lane count too. The steal-heavy sweep below holds every
+//! contract covers the lane count too. The lane-heavy sweep below holds every
 //! combination of shards × lanes — cache on and off, fused batches with
 //! duplicates — to the same byte-identical bar, including the cache hit/miss
 //! counters, which must not be able to tell a multi-lane engine from a
@@ -246,9 +246,9 @@ fn fused_batch_with_duplicates_is_identical_to_sequential_singles() {
 #[test]
 fn steal_scheduler_heavy_configs_are_byte_identical() {
     // A multi-lane engine partitions every shard's plane into 8-chunk units
-    // and lets idle lanes steal; nothing about the reply — matches, ranks,
-    // order, merged stats, cache counters — may depend on the lane count or on
-    // which lane scanned which range. 15 × 1280 documents give the 1- and
+    // the lanes claim from one counter; nothing about the reply — matches,
+    // ranks, order, merged stats, cache counters — may depend on the lane
+    // count or on which lane scanned which range. 15 × 1280 documents give the 1- and
     // 2-shard stores several units per shard (18.75 chunks single-sharded,
     // ~9.4 per shard at 2 shards).
     let wl = padded_workload(43, CHUNK + 256, 15);
@@ -259,7 +259,7 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
         .iter()
         .map(|q| reference.search_ranked_with_stats(q))
         .collect();
-    // Fused batch with intra-batch duplicates: dedup must compose with stealing.
+    // Fused batch with intra-batch duplicates: dedup must compose with the lanes.
     let mut batch = wl.queries.clone();
     batch.push(wl.queries[0].clone());
     batch.push(wl.queries[1].clone());
