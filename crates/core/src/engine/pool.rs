@@ -12,18 +12,22 @@
 //! lives until the process exits; a private pool (tests inject one) joins its
 //! workers on drop.
 //!
-//! Latency tricks that matter at microsecond scan times:
+//! A call is **one lane function run on k lanes**: [`WorkerPool::run_lanes`]
+//! runs one borrowed `Fn(usize) + Sync` once per lane index. The engine's lanes
+//! are all the same drain loop over one claim counter, so nothing else is ever
+//! dispatched. Latency tricks that matter at microsecond scan times:
 //!
-//! * the **caller runs the last job inline**, so its dispatch sends overlap with its
-//!   own share of the scanning instead of adding a wakeup round trip;
-//! * the caller then **takes back every job no worker has started** and runs it
-//!   inline (see below), and only then waits — for lanes a worker is really
+//! * the **caller runs lane 0 itself**, after dealing lanes 1.. to workers, so
+//!   its dispatch sends overlap with its own share of the scanning instead of
+//!   adding a wakeup round trip;
+//! * the caller then **takes back every lane no worker has started** and runs
+//!   it inline (see below), and only then waits — for lanes a worker is really
 //!   inside;
 //! * the completion latch **spins briefly before parking** ([`LATCH_SPIN`]),
 //!   because the straggler lane usually finishes within a few microseconds of
-//!   the caller's own job.
+//!   the caller's own.
 //!
-//! An idle worker likewise spin-polls for its next job before parking
+//! An idle worker likewise spin-polls for its next lane before parking
 //! ([`IDLE_SPIN`]). Both spins are bounded by **elapsed time**, not by an
 //! iteration count ([`spin_until`]): a spin exists to save one park/unpark round
 //! trip (35–66 µs measured), so it may burn a few hundred microseconds of a core
@@ -64,21 +68,21 @@
 //! ## Sharing without coupling: take-once slots and the take-back rule
 //!
 //! Engines that share workers must not wait on each other's scans. Every
-//! dispatched job therefore travels in a **take-once slot** (an `Arc` around a
-//! `Mutex<Option<Job>>`): the worker the slot was sent to and the dispatching
-//! caller both hold it, and whoever takes the job out owns and runs it. When the
-//! caller has finished its own lane it takes back every job still in its slot —
-//! one queued behind another engine's scan, say — and runs it on the spot; a
-//! worker that pops the emptied slot later finds nothing to do. Every job still
-//! runs exactly once, and [`WorkerPool::run_scoped`] never waits for a lane no
-//! worker started. (The engine's lane jobs are drain loops over one shared
-//! claim counter: by the time the caller's lane has run dry so has every other,
-//! so a taken-back lane finds the counter past the last unit, flushes its count
-//! and returns.)
+//! dealt lane therefore travels in a **take-once slot** (an `Arc` around a
+//! `Mutex<Option<…>>` holding the call's lane function): the worker the slot
+//! was sent to and the dispatching caller both hold it, and whoever takes the
+//! lane out runs it. When the caller has finished lane 0 it takes back every
+//! lane still in its slot — one queued behind another engine's scan, say — and
+//! runs it on the spot; a worker that pops the emptied slot later finds nothing
+//! to do. Every lane still runs exactly once, and [`WorkerPool::run_lanes`]
+//! never waits for a lane no worker started. (The engine's lanes are drain
+//! loops over one shared claim counter: by the time the caller's lane has run
+//! dry so has every other, so a taken-back lane finds the counter past the
+//! last unit, flushes its count and returns.)
 //!
 //! Concurrent callers must not all queue on worker 0 while worker 1 idles, so a
-//! call deals its jobs from a **start index that rotates past the lanes already
-//! out**: `busy` counts the jobs of calls still in progress, a call starts
+//! call deals its lanes from a **start index that rotates past the lanes already
+//! out**: `busy` counts the dealt lanes of calls still in progress, a call starts
 //! dealing at worker `busy % workers`. Per-worker channels with this start were
 //! chosen over one shared queue (every idle worker would spin on one lock beside
 //! the dispatchers) and over a per-call counter (a lone caller — one engine, the
@@ -86,17 +90,27 @@
 //! with `busy` it starts at 0 every time and meets the worker that is still
 //! spinning from its last query).
 //!
-//! [`WorkerPool::run_scoped`] provides the scoped-thread guarantee that makes
-//! borrowed jobs sound: it does not return until every submitted job has run.
+//! ## The one `unsafe`
+//!
+//! A lane function borrows the caller's frame — the planes, the batch's
+//! queries, the result slots — and a worker thread is not scoped to that
+//! frame, so [`WorkerPool::run_lanes`] erases the borrow's lifetime while the
+//! slots hold it and does not return, normally or by unwinding, until no slot
+//! does (its `SAFETY` note states the protocol). Nothing safe fits:
+//! `std::thread::scope` spawns threads per call, ~0.5 ms each on the two-core
+//! host this was measured on against a 10–20 µs scan, and an owned `'static`
+//! lane function would need the planes and the batch's queries behind
+//! per-call `Arc`s.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// How long an idle worker spin-polls for its next job before parking. Long enough
+/// How long an idle worker spin-polls for its next lane before parking. Long enough
 /// to catch the next dispatch of a closed-loop query stream (one scan plus one
 /// round trip later), short enough that a process nobody is querying gives its
 /// cores away.
@@ -112,7 +126,12 @@ const LATCH_SPIN: Duration = Duration::from_micros(200);
 /// (see "Crowding" in the [module docs](self)).
 const CROWDED_CALLS: usize = 1024;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A lane function with its borrow's lifetime erased, as a take-once slot
+/// holds it (see [`WorkerPool::run_lanes`]).
+type Lane = &'static (dyn Fn(usize) + Sync);
+
+/// A lane's panic payload, on its way to the caller.
+type Payload = Box<dyn Any + Send>;
 
 /// Poll until `poll` yields or `bound` has elapsed (`None`). The clock is read
 /// every 64 polls — the one loop behind both the idle spin and the latch spin —
@@ -141,58 +160,37 @@ fn spin_until<T>(bound: Duration, offer: bool, mut poll: impl FnMut() -> Option<
     }
 }
 
-/// Render a panic payload for the propagated error message (shared with the
-/// engine's per-shard panic-context wrapper).
-pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Tracks outstanding jobs of one `run_scoped` call and whether any panicked.
+/// Counts down the lanes of one `run_lanes` call and keeps the first panic.
 struct Latch {
     remaining: AtomicUsize,
-    panicked: AtomicBool,
-    /// Context of the **first** panicking job (job index + its panic message), so
-    /// the propagated panic names the failing lane instead of erasing it.
-    failure: Mutex<Option<String>>,
+    /// The first panicking lane's payload, re-raised unchanged by the caller.
+    panic: Mutex<Option<Payload>>,
     /// The dispatching thread, unparked when the count reaches zero.
     waiter: Thread,
 }
 
 impl Latch {
-    /// A latch for `jobs` outstanding jobs, waited on by the calling thread.
-    fn new(jobs: usize) -> Self {
+    /// A latch for `lanes` outstanding lanes, waited on by the calling thread.
+    fn new(lanes: usize) -> Self {
         Latch {
-            remaining: AtomicUsize::new(jobs),
-            panicked: AtomicBool::new(false),
-            failure: Mutex::new(None),
+            remaining: AtomicUsize::new(lanes),
+            panic: Mutex::new(None),
             waiter: std::thread::current(),
         }
     }
 
-    /// Record a panicking job. The first failure wins; later ones only keep the
-    /// panicked flag set.
-    fn record_failure(&self, job: usize, payload: &(dyn std::any::Any + Send)) {
-        self.panicked.store(true, Ordering::Relaxed);
-        let mut failure = self.failure.lock().unwrap_or_else(PoisonError::into_inner);
-        if failure.is_none() {
-            *failure = Some(format!("job {job}: {}", panic_message(payload)));
+    /// Count one settled lane down, keeping its panic if it is the first.
+    fn count_down(&self, outcome: std::thread::Result<()>) {
+        if let Err(payload) = outcome {
+            (self.panic.lock().unwrap_or_else(PoisonError::into_inner)).get_or_insert(payload);
         }
-    }
-
-    fn count_down(&self) {
         if self.remaining.fetch_sub(1, Ordering::Release) == 1 {
             self.waiter.unpark();
         }
     }
 
-    /// Block until every job finished; returns `true` if any panicked.
-    fn wait(&self) -> bool {
+    /// Block until every lane settled, then hand over the first panic.
+    fn wait(&self) -> Option<Payload> {
         let done = || (self.remaining.load(Ordering::Acquire) == 0).then_some(());
         // Spin first: stragglers usually finish within microseconds of the caller.
         if spin_until(LATCH_SPIN, false, done).is_none() {
@@ -201,44 +199,38 @@ impl Latch {
                 std::thread::park_timeout(Duration::from_millis(1));
             }
         }
-        self.panicked.load(Ordering::Relaxed)
+        (self.panic.lock().unwrap_or_else(PoisonError::into_inner)).take()
     }
 }
 
-/// A dispatched job in its take-once slot (see the [module docs](self)), shared
-/// by the worker it was dealt to and the dispatching caller.
+/// One lane of a call in its take-once slot (see the [module docs](self)),
+/// shared by the worker it was dealt to and the dispatching caller.
 struct Slot {
-    /// The job, until its taker takes it out.
-    job: Mutex<Option<Job>>,
-    /// The job's index in its `run_scoped` call, for the failure context.
+    /// The call's lane function, until this slot's taker takes it out.
+    lane: Mutex<Option<Lane>>,
+    /// The lane index the function runs with.
     index: usize,
     latch: Arc<Latch>,
 }
 
 impl Slot {
-    /// Take the job out, if nobody has yet, and run it to the end; whoever gets
-    /// here second finds the slot empty and returns. The lock is held across
-    /// `Option::take` only, so it cannot be poisoned half-updated.
+    /// Take the lane out, if nobody has yet, and run it to the end; whoever
+    /// gets here second finds the slot empty and returns. The lock is held
+    /// across `Option::take` only, so it cannot be poisoned half-updated.
     fn run(&self) {
-        let job = self
-            .job
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        let Some(job) = job else {
-            return;
-        };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-            self.latch.record_failure(self.index, payload.as_ref());
+        let lane = (self.lane.lock().unwrap_or_else(PoisonError::into_inner)).take();
+        if let Some(lane) = lane {
+            let outcome = catch_unwind(AssertUnwindSafe(|| lane(self.index)));
+            self.latch.count_down(outcome);
         }
-        self.latch.count_down();
     }
 }
 
-/// The jobs one `run_scoped` call has put in slots, and the latch that counts
-/// them down. Dropping it settles them, so the call's frame — and the borrows
-/// its jobs capture — cannot be torn down, normally or by unwinding, while a
-/// job is unrun in a slot or running on a worker.
+/// The slots of one `run_lanes` call — lane 0's, which only the caller runs,
+/// then the dealt ones — and the latch that counts them down. Dropping it
+/// settles them, so the call's frame — and the borrows its lane function
+/// captures — cannot be torn down, normally or by unwinding, while a lane is
+/// unrun in a slot or running on a worker.
 struct Dispatch<'p> {
     pool: &'p WorkerPool,
     latch: Arc<Latch>,
@@ -246,10 +238,11 @@ struct Dispatch<'p> {
 }
 
 impl Dispatch<'_> {
-    /// The take-back rule: run inline every job no worker has started, then wait
-    /// for the ones a worker is inside. Returns `true` if any job panicked.
-    /// Idempotent — a second call finds every slot empty and the count at zero.
-    fn settle(&self) -> bool {
+    /// Run lane 0, then — the take-back rule — every lane no worker has
+    /// started, then wait for the ones a worker is inside. Returns the first
+    /// panic. Idempotent — a second call finds every slot empty, the count at
+    /// zero and the panic taken.
+    fn settle(&self) -> Option<Payload> {
         for slot in &self.slots {
             slot.run();
         }
@@ -260,22 +253,23 @@ impl Dispatch<'_> {
 impl Drop for Dispatch<'_> {
     fn drop(&mut self) {
         self.settle();
+        // Every lane but lane 0 was dealt.
         self.pool
             .busy
-            .fetch_sub(self.slots.len(), Ordering::Relaxed);
+            .fetch_sub(self.slots.len() - 1, Ordering::Relaxed);
         self.pool.callers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// A fixed set of parked worker threads executing borrowed jobs.
+/// A fixed set of parked worker threads running borrowed lanes.
 pub(crate) struct WorkerPool {
     senders: Vec<Sender<Arc<Slot>>>,
     handles: Vec<JoinHandle<()>>,
-    /// Jobs of `run_scoped` calls still in progress: where the next call starts
+    /// Dealt lanes of `run_lanes` calls still in progress: where the next call starts
     /// dealing (see the [module docs](self)). Like the two counters below a
     /// hint only — it publishes nothing, hence `Relaxed`.
     busy: AtomicUsize,
-    /// `run_scoped` calls in progress.
+    /// `run_lanes` calls in progress.
     callers: AtomicUsize,
     /// Calls still to come in which the workers' idle spin offers its core: set
     /// to [`CROWDED_CALLS`] by a call that finds the cores full, run down by
@@ -295,8 +289,8 @@ impl WorkerPool {
         })
     }
 
-    /// Spawn `workers` parked threads. Zero is legal: every job then runs on the
-    /// calling thread.
+    /// Spawn `workers` parked threads. Zero is legal: every lane then runs on
+    /// the calling thread.
     pub(crate) fn new(workers: usize) -> Self {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -309,7 +303,7 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("mkse-lane-{i}"))
                     .spawn(move || loop {
-                        // Spin-poll briefly after each job: under sustained query
+                        // Spin-poll briefly after each lane: under sustained query
                         // traffic the next dispatch lands within microseconds, and
                         // skipping the park/unpark round trip more than pays for
                         // the busy-wait, which `IDLE_SPIN` bounds.
@@ -321,7 +315,7 @@ impl WorkerPool {
                         });
                         match polled.unwrap_or_else(|| rx.recv()) {
                             // A no-op if the dispatching caller has taken the
-                            // job back.
+                            // lane back.
                             Ok(slot) => slot.run(),
                             Err(RecvError) => return,
                         }
@@ -343,55 +337,48 @@ impl WorkerPool {
         self.senders.len()
     }
 
-    /// Run every job to completion. Each job but the last is put in a take-once
-    /// slot and dealt to a worker; the last runs inline on the calling thread,
-    /// which then takes back and runs whatever no worker has started and waits
-    /// for the rest (see the [module docs](self)). Panics (after all jobs
-    /// settled) if any job panicked, naming the first failing job and forwarding
-    /// its panic message.
+    /// Run `lane(i)` once for every lane index `i < lanes`: lane 0 on the
+    /// calling thread, lanes 1.. dealt to workers in take-once slots, and any
+    /// of them no worker has started taken back by the caller (see the
+    /// [module docs](self)). Once every lane has settled, the first panic a
+    /// lane raised is re-raised with its payload unchanged.
     ///
-    /// Blocking until completion is what lets callers hand in closures borrowing
-    /// local state: no job can outlive this call.
-    pub(crate) fn run_scoped<'env>(&self, mut jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        let own_index = jobs.len().saturating_sub(1);
-        let Some(own_job) = jobs.pop() else {
+    /// Blocking until every lane has settled is what lets `lane` borrow the
+    /// caller's frame.
+    pub(crate) fn run_lanes(&self, lanes: usize, lane: &(dyn Fn(usize) + Sync)) {
+        if lanes == 0 {
             return;
-        };
-        let latch = Arc::new(Latch::new(jobs.len()));
-        let slots: Vec<Arc<Slot>> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(index, job)| {
-                // SAFETY: the job is erased to 'static only so that it can sit in
-                // a slot a worker thread also holds. The slot protocol keeps every
-                // borrow it captures inside 'env:
-                // * a captured borrow is reachable only through the job, and the
-                //   job only through its slot (nothing clones it);
-                // * no worker sees a slot before `dispatch` below owns them all,
-                //   and `dispatch` settles on drop — so once a job is shared,
-                //   this frame cannot be left, on any exit path including
-                //   unwinding (e.g. the `expect` on a send firing mid-dispatch),
-                //   without `Dispatch::settle` having returned;
-                // * the job leaves its slot exactly once — `Slot::run` takes it
-                //   with an `Option::take` under the slot's mutex — and its taker
-                //   runs it to the end, dropping the captures, before counting
-                //   the latch down;
-                // * the taker is either this caller (in `settle`, inside this
-                //   frame and so inside 'env) or a worker, whose run `settle`
-                //   waits out in `Latch::wait`;
-                // * a slot a worker pops after that is empty — it holds `None`,
-                //   nothing borrowed.
-                #[allow(unsafe_code)] // the crate's one `unsafe`
-                let job: Job =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
+        }
+        // SAFETY: the borrow is erased to 'static only so that it can sit in
+        // slots a worker thread also holds. The slot protocol keeps every use
+        // of it inside this call:
+        // * the erased reference is reachable only through the slots' `Option`s
+        //   (nothing copies it out but a slot's taker);
+        // * no worker sees a slot before `dispatch` below owns them all, and
+        //   `dispatch` settles on drop — so once a slot is shared, this frame
+        //   cannot be left, on any exit path including unwinding (e.g. the
+        //   `expect` on a send firing mid-dispatch), without
+        //   `Dispatch::settle` having returned;
+        // * each slot gives the reference up exactly once — `Slot::run` takes
+        //   it with an `Option::take` under the slot's mutex — and its taker
+        //   runs the lane to the end before counting the latch down;
+        // * the taker is either this caller (in `settle`, inside this frame)
+        //   or a worker, whose run `settle` waits out in `Latch::wait`;
+        // * a slot a worker pops after that is empty — it holds `None`,
+        //   nothing borrowed.
+        #[allow(unsafe_code)] // the crate's one `unsafe`
+        let lane: Lane = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Lane>(lane) };
+        let latch = Arc::new(Latch::new(lanes));
+        let slots: Vec<Arc<Slot>> = (0..lanes)
+            .map(|index| {
                 Arc::new(Slot {
-                    job: Mutex::new(Some(job)),
+                    lane: Mutex::new(Some(lane)),
                     index,
                     latch: Arc::clone(&latch),
                 })
             })
             .collect();
-        let start = self.busy.fetch_add(slots.len(), Ordering::Relaxed);
+        let start = self.busy.fetch_add(lanes - 1, Ordering::Relaxed);
         // Count this call in: as many others in progress as there are workers
         // means the callers alone fill the cores (see "Crowding").
         if self.callers.fetch_add(1, Ordering::Relaxed) >= self.workers() {
@@ -408,27 +395,17 @@ impl WorkerPool {
             latch,
             slots,
         };
-        // Deal round the workers from `start`; with no workers nothing is sent
-        // and every job waits in its slot for `settle`.
+        // Deal lanes 1.. round the workers from `start`; with no workers
+        // nothing is sent and every lane waits in its slot for `settle`.
         let workers = self.senders.iter().cycle();
         let workers = workers.skip(start % self.senders.len().max(1));
-        for (slot, worker) in dispatch.slots.iter().zip(workers) {
+        for (slot, worker) in dispatch.slots[1..].iter().zip(workers) {
             worker
                 .send(Arc::clone(slot))
                 .expect("lane worker exited prematurely");
         }
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(own_job)) {
-            dispatch.latch.record_failure(own_index, payload.as_ref());
-        }
-        if dispatch.settle() {
-            let context = dispatch
-                .latch
-                .failure
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .unwrap_or_else(|| "<missing failure context>".to_string());
-            panic!("shard scan panicked: {context}");
+        if let Some(payload) = dispatch.settle() {
+            resume_unwind(payload);
         }
     }
 }
@@ -454,40 +431,42 @@ impl std::fmt::Debug for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    /// Run `lanes` lanes on `pool`, each putting `what(lane)` in its own slot;
+    /// the slots in lane order.
+    fn each_lane<T: Send + Sync + std::fmt::Debug>(
+        pool: &WorkerPool,
+        lanes: usize,
+        what: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let slots: Vec<OnceLock<T>> = (0..lanes).map(|_| OnceLock::new()).collect();
+        pool.run_lanes(lanes, &|lane| {
+            slots[lane].set(what(lane)).expect("a lane runs once");
+        });
+        (slots.into_iter())
+            .map(|slot| slot.into_inner().expect("every lane ran"))
+            .collect()
+    }
+
+    /// The name of the thread running the caller.
+    fn thread_name() -> Option<String> {
+        std::thread::current().name().map(str::to_string)
+    }
 
     #[test]
     fn jobs_borrow_local_state_and_all_run() {
         let pool = WorkerPool::new(3);
         assert_eq!(pool.workers(), 3);
-        let mut results = vec![0u64; 10];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                Box::new(move || {
-                    *slot = (i as u64) * 2;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_scoped(jobs);
-        assert_eq!(results, (0..10u64).map(|i| i * 2).collect::<Vec<_>>());
+        let base: Vec<usize> = (0..10).collect();
+        let doubled = each_lane(&pool, 10, |lane| base[lane] * 2);
+        assert_eq!(doubled, (0..10).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn parked_worker_still_runs_the_next_job() {
         let pool = WorkerPool::new(2);
-        let run = |round: u64| {
-            let mut results = [0u64; 3];
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    Box::new(move || *slot = round + i as u64) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(jobs);
-            results
-        };
+        let run = |round: usize| each_lane(&pool, 3, |lane| round + lane);
         assert_eq!(run(10), [10, 11, 12]);
         // Well past the spin bound: both workers have given up polling and
         // parked in `recv`; the next dispatch must wake them.
@@ -501,39 +480,31 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 0);
         let caller = std::thread::current().id();
-        let mut ran_on = [None; 3];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = ran_on
-            .iter_mut()
-            .map(|slot| {
-                Box::new(move || *slot = Some(std::thread::current().id()))
-                    as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_scoped(jobs);
-        assert_eq!(ran_on, [Some(caller); 3]);
+        let ran_on = each_lane(&pool, 3, |_| std::thread::current().id());
+        assert_eq!(ran_on, [caller; 3]);
     }
 
     /// How long the coupling tests wait before calling a caller stuck.
     const PATIENCE: Duration = Duration::from_secs(5);
 
     /// Pin worker 0 of an idle `pool` under a caller "A" (the returned thread)
-    /// until the returned sender fires. A's inline job returns only once job 0
-    /// has started — which, with A's thread busy, only the worker can do — and
-    /// job 0 then holds the worker.
+    /// until the returned sender fires. A's lane 0 returns only once lane 1
+    /// has started — which, with A's thread busy in lane 0, only the worker can
+    /// do — and lane 1 then holds the worker.
     fn pin_worker_0(pool: &Arc<WorkerPool>) -> (JoinHandle<()>, Sender<()>) {
-        let (started_tx, started_rx) = channel::<()>();
         let (pinned_tx, pinned_rx) = channel::<()>();
         let (release_tx, release_rx) = channel::<()>();
+        let release_rx = Mutex::new(release_rx);
         let pool = Arc::clone(pool);
         let a = std::thread::spawn(move || {
-            pool.run_scoped(vec![
-                Box::new(move || {
-                    started_tx.send(()).unwrap();
+            let started = Barrier::new(2);
+            pool.run_lanes(2, &|lane| {
+                started.wait();
+                if lane == 1 {
                     pinned_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                }) as Box<dyn FnOnce() + Send>,
-                Box::new(move || started_rx.recv().unwrap()) as Box<dyn FnOnce() + Send>,
-            ]);
+                    release_rx.lock().unwrap().recv().unwrap();
+                }
+            });
         });
         pinned_rx.recv_timeout(PATIENCE).expect("worker 0 pinned");
         (a, release_tx)
@@ -544,47 +515,45 @@ mod tests {
         let pool = Arc::new(WorkerPool::new(1));
         let (a, release) = pin_worker_0(&pool);
 
-        // Caller B's two dealt jobs sit in the channel behind the pinned worker;
-        // B must take them back and return with all three run.
-        let (done_tx, done_rx) = channel::<[bool; 3]>();
+        // Caller B's lanes 1 and 2 sit in the channel behind the pinned
+        // worker; B must take them back and return with all three run.
+        let runs = Arc::new(AtomicUsize::new(0));
+        let (done_tx, done_rx) = channel::<Vec<usize>>();
         let b = {
-            let pool = Arc::clone(&pool);
+            let (pool, runs) = (Arc::clone(&pool), Arc::clone(&runs));
             std::thread::spawn(move || {
-                let mut ran = [false; 3];
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = ran
-                    .iter_mut()
-                    .map(|slot| Box::new(move || *slot = true) as Box<dyn FnOnce() + Send + '_>)
-                    .collect();
-                pool.run_scoped(jobs);
+                let ran = each_lane(&pool, 3, |lane| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    lane
+                });
                 done_tx.send(ran).unwrap();
             })
         };
         let ran = done_rx
             .recv_timeout(PATIENCE)
             .expect("B waited for a lane the pinned worker never started");
-        assert_eq!(ran, [true; 3]);
+        assert_eq!(ran, [0, 1, 2]);
         assert!(!a.is_finished(), "the worker is still pinned under A");
 
-        // Released, the worker finishes A's job, pops B's emptied slots and
-        // serves the next call.
+        // Released, the worker finishes A's lane, pops B's emptied slots and
+        // serves the next call — whose lane 0 waits for lane 1 to start, so
+        // only the worker runs lane 1, after both of B's slots. An emptied
+        // slot runs nothing: B's lane function ran exactly 3 times.
         release.send(()).unwrap();
         a.join().unwrap();
         b.join().unwrap();
-        let mut after = [false; 2];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = after
-            .iter_mut()
-            .map(|slot| Box::new(move || *slot = true) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        pool.run_scoped(jobs);
-        assert_eq!(after, [true; 2]);
+        let started = Barrier::new(2);
+        let after = each_lane(&pool, 2, |_| {
+            started.wait();
+            thread_name()
+        });
+        assert_eq!(after[1].as_deref(), Some("mkse-lane-0"));
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
     }
 
-    /// One call of two no-op jobs on the calling thread.
+    /// One call of two no-op lanes.
     fn call(pool: &WorkerPool) {
-        pool.run_scoped(vec![
-            Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-            Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-        ]);
+        pool.run_lanes(2, &|_| {});
     }
 
     #[test]
@@ -628,128 +597,101 @@ mod tests {
 
     #[test]
     fn concurrent_callers_are_dealt_from_different_workers() {
-        // Two workers, two callers of one dealt job each: while A's call is in
-        // progress (its job holds worker 0), B's job must be dealt to worker 1,
-        // not queued behind A's. B's inline job waits for its dealt job to start,
-        // so only a worker can run it — on worker 0 this would deadlock until
-        // the timeout.
+        // Two workers, two callers of one dealt lane each: while A's call is
+        // in progress (its lane 1 holds worker 0), B's lane 1 must be dealt to
+        // worker 1, not queued behind A's. B's lane 0 waits for lane 1 to
+        // start, so only a worker can run it — on worker 0 it would wait out
+        // the patience and then be taken back onto B's own thread.
         let pool = Arc::new(WorkerPool::new(2));
         let (a, release) = pin_worker_0(&pool);
-
-        let (ran_on_tx, ran_on_rx) = channel::<Option<String>>();
-        let (b_started_tx, b_started_rx) = channel::<()>();
         let b = {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
-                pool.run_scoped(vec![
-                    Box::new(move || {
-                        let name = std::thread::current().name().map(str::to_string);
-                        ran_on_tx.send(name).unwrap();
-                        b_started_tx.send(()).unwrap();
-                    }) as Box<dyn FnOnce() + Send>,
-                    Box::new(move || {
-                        let _ = b_started_rx.recv_timeout(PATIENCE);
-                    }) as Box<dyn FnOnce() + Send>,
-                ]);
+                let (started_tx, started_rx) = channel::<()>();
+                let started_rx = Mutex::new(started_rx);
+                each_lane(&pool, 2, |lane| {
+                    if lane == 1 {
+                        started_tx.send(()).unwrap();
+                    } else {
+                        let _ = started_rx.lock().unwrap().recv_timeout(PATIENCE);
+                    }
+                    thread_name()
+                })
             })
         };
-        let ran_on = ran_on_rx
-            .recv_timeout(PATIENCE)
-            .expect("B's dealt job queued behind A's on worker 0");
-        assert_eq!(ran_on.as_deref(), Some("mkse-lane-1"));
+        let ran_on = b.join().unwrap();
+        assert_eq!(
+            ran_on[1].as_deref(),
+            Some("mkse-lane-1"),
+            "B's dealt lane queued behind A's on worker 0"
+        );
         release.send(()).unwrap();
         a.join().unwrap();
-        b.join().unwrap();
     }
 
     #[test]
     fn empty_job_list_is_a_no_op() {
         let pool = WorkerPool::new(2);
-        pool.run_scoped(Vec::new());
+        pool.run_lanes(0, &|_| unreachable!("no lane to run"));
+        assert_eq!(pool.callers.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    #[should_panic(expected = "shard scan panicked")]
-    fn worker_job_panics_surface_after_all_jobs_settle() {
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| panic!("boom")),
-            Box::new(|| {}),
-            Box::new(|| {}),
-        ];
-        pool.run_scoped(jobs);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard scan panicked")]
+    #[should_panic(expected = "inline boom")]
     fn inline_job_panics_surface() {
         let pool = WorkerPool::new(2);
-        // The last job runs inline on the caller thread.
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
-            vec![Box::new(|| {}), Box::new(|| panic!("inline boom"))];
-        pool.run_scoped(jobs);
+        // Lane 0 — the caller's own — panics: every other lane still runs, and
+        // the payload comes back as raised, not wrapped.
+        let ran = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_lanes(3, &|lane| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if lane == 0 {
+                    std::panic::panic_any(17u32);
+                }
+            })
+        }));
+        let payload = result.expect_err("lane 0 panicked");
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&17));
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
+        pool.run_lanes(2, &|lane| {
+            if lane == 0 {
+                panic!("inline boom");
+            }
+        });
     }
 
     #[test]
-    fn propagated_panic_names_the_failing_job_and_message() {
+    #[should_panic(expected = "lane 2 exploded")]
+    fn worker_job_panics_surface_after_all_jobs_settle() {
         let pool = WorkerPool::new(2);
-        // Job 1 (a worker job) panics; the propagated message must identify it.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_scoped(vec![
-                Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-                Box::new(|| panic!("lane exploded")) as Box<dyn FnOnce() + Send>,
-                Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-            ]);
-        }));
-        let message = panic_message(result.expect_err("must panic").as_ref());
-        assert!(
-            message.contains("shard scan panicked: job 1: lane exploded"),
-            "unexpected context: {message}"
-        );
-
-        // The inline (caller-thread) job is named too.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_scoped(vec![
-                Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-                Box::new(|| panic!("inline boom")) as Box<dyn FnOnce() + Send>,
-            ]);
-        }));
-        let message = panic_message(result.expect_err("must panic").as_ref());
-        assert!(
-            message.contains("job 1: inline boom"),
-            "unexpected context: {message}"
-        );
-    }
-
-    #[test]
-    fn non_string_panic_payloads_get_a_placeholder() {
-        let pool = WorkerPool::new(1);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_scoped(vec![
-                Box::new(|| std::panic::panic_any(17u32)) as Box<dyn FnOnce() + Send>,
-                Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-            ]);
-        }));
-        let message = panic_message(result.expect_err("must panic").as_ref());
-        assert!(message.contains("<non-string panic payload>"), "{message}");
+        pool.run_lanes(3, &|lane| {
+            if lane == 2 {
+                panic!("lane 2 exploded");
+            }
+        });
     }
 
     #[test]
     fn pool_survives_a_panicked_job() {
         let pool = WorkerPool::new(1);
+        // Lane 0 waits for lane 1 to start, so the worker runs lane 1 — and
+        // catches its panic.
+        let started = Barrier::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_scoped(vec![
-                Box::new(|| panic!("first")) as Box<dyn FnOnce() + Send>,
-                Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-            ]);
+            pool.run_lanes(2, &|lane| {
+                started.wait();
+                if lane == 1 {
+                    panic!("first");
+                }
+            })
         }));
         assert!(result.is_err());
-        // The worker caught the panic and keeps serving jobs.
-        let mut ran = false;
-        pool.run_scoped(vec![
-            Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>,
-            Box::new(|| ran = true) as Box<dyn FnOnce() + Send + '_>,
-        ]);
-        assert!(ran);
+        // The worker keeps serving lanes.
+        let after = each_lane(&pool, 2, |_| {
+            started.wait();
+            thread_name()
+        });
+        assert_eq!(after[1].as_deref(), Some("mkse-lane-0"));
     }
 }

@@ -54,11 +54,12 @@
 //! **One sweep.** [`ScanPlane::scan_ranked_batch_chunks`] is the sweep: chunk-major
 //! over a range of chunks with the queries inside, so a chunk's live masks and rows
 //! are visited by the whole batch while they are hot; every other ranked entry
-//! point is that call with one query or the whole plane. The chunk ranges are the
-//! scan units the engine's lanes claim from one counter: chunks are swept
-//! independently in ascending order, level 1 counts one comparison per document in
-//! range and every further count is per surviving slot, so a partition's matches
-//! concatenate and its [`SearchStats`] sum to the whole-shard result byte for byte.
+//! point is that call with one query or the whole plane. The engine's scan units
+//! are 8-chunk ranges at every lane count, claimed from one counter: chunks are
+//! swept independently in ascending order, level 1 counts one comparison per
+//! document in range and every further count is per surviving slot, so a
+//! partition's matches concatenate and its [`SearchStats`] sum to the whole-plane
+//! result byte for byte.
 //!
 //! **Leakage note (§6)**: which rows a sweep reads is a function of the query
 //! index bytes, the public geometry `r` and the `live` masks — i.e. of the *stored
@@ -151,8 +152,8 @@ impl ScanPlane {
     }
 
     /// Number of [`CHUNK`]-document chunks (the last may be partial) — the unit
-    /// grid the chunk-range entry points and the engine's executor carve into
-    /// ranges.
+    /// grid [`ScanPlane::scan_ranked_batch_chunks`] and the engine's executor
+    /// carve into ranges.
     pub fn num_chunks(&self) -> usize {
         self.ids.len().div_ceil(CHUNK)
     }
@@ -163,15 +164,6 @@ impl ScanPlane {
         let n = self.num_chunks();
         let start = chunks.start.min(n);
         start..chunks.end.clamp(start, n)
-    }
-
-    /// Documents a chunk range covers, after clamping it to the plane's grid.
-    /// Telemetry consumers divide a recorded `unit_scan` duration by this to
-    /// normalize per-unit timings to documents swept (the last chunk may be
-    /// partial, so `range.len() * CHUNK` over-counts at the plane's tail).
-    pub fn docs_in_chunks(&self, chunks: Range<usize>) -> usize {
-        let chunks = self.clamp_chunks(chunks);
-        (chunks.end * CHUNK).min(self.ids.len()) - (chunks.start * CHUNK).min(self.ids.len())
     }
 
     /// Bits per level (r); zero while the plane is empty.
@@ -306,17 +298,7 @@ impl ScanPlane {
     /// Matches come back in slot (scan) order with identical ranks and identical
     /// [`SearchStats`]; callers order them with [`crate::search::top_matches`].
     pub fn scan_ranked(&self, query: &BitIndex) -> (Vec<SearchMatch>, SearchStats) {
-        self.scan_ranked_chunks(query, 0..self.num_chunks())
-    }
-
-    /// [`ScanPlane::scan_ranked`] restricted to a chunk range: a batch of one
-    /// through [`ScanPlane::scan_ranked_batch_chunks`].
-    pub fn scan_ranked_chunks(
-        &self,
-        query: &BitIndex,
-        chunks: Range<usize>,
-    ) -> (Vec<SearchMatch>, SearchStats) {
-        let mut batch = self.scan_ranked_batch_chunks(&[query], chunks);
+        let mut batch = self.scan_ranked_batch(&[query]);
         batch.pop().expect("one result per query")
     }
 
@@ -460,21 +442,36 @@ mod tests {
 
     #[test]
     fn scanplane_docs_in_chunks_sizes_clamped_ranges() {
+        // The documents a chunk range sweeps, after clamping it to the grid,
+        // read as the level-1 comparisons of an all-zeros query (it matches no
+        // random document, so nothing walks a further level).
+        let zeros = BitIndex::all_zeros(32);
+        let docs_in_chunks = |plane: &ScanPlane, chunks: Range<usize>| {
+            let [(matches, stats)] = &plane.scan_ranked_batch_chunks(&[&zeros], chunks)[..] else {
+                panic!("one result per query");
+            };
+            assert!(matches.is_empty());
+            stats.comparisons
+        };
         let mut rng = StdRng::seed_from_u64(23);
         // One full chunk plus a 7-document tail chunk.
         let docs = random_docs(&mut rng, CHUNK + 7, 32, 1);
         let plane = plane_of(&docs);
         assert_eq!(plane.num_chunks(), 2);
-        assert_eq!(plane.docs_in_chunks(0..1), CHUNK);
-        assert_eq!(plane.docs_in_chunks(1..2), 7, "tail chunk is partial");
-        assert_eq!(plane.docs_in_chunks(0..2), CHUNK + 7);
-        assert_eq!(plane.docs_in_chunks(0..99), CHUNK + 7, "end clamps");
-        assert_eq!(plane.docs_in_chunks(5..9), 0, "past-the-end is empty");
+        assert_eq!(docs_in_chunks(&plane, 0..1), CHUNK as u64);
+        assert_eq!(docs_in_chunks(&plane, 1..2), 7, "tail chunk is partial");
+        assert_eq!(docs_in_chunks(&plane, 0..2), CHUNK as u64 + 7);
+        assert_eq!(
+            docs_in_chunks(&plane, 0..99),
+            CHUNK as u64 + 7,
+            "end clamps"
+        );
+        assert_eq!(docs_in_chunks(&plane, 5..9), 0, "past-the-end is empty");
         #[allow(clippy::reversed_empty_ranges)]
         {
-            assert_eq!(plane.docs_in_chunks(2..1), 0, "inverted collapses");
+            assert_eq!(docs_in_chunks(&plane, 2..1), 0, "inverted collapses");
         }
-        assert_eq!(ScanPlane::new().docs_in_chunks(0..1), 0);
+        assert_eq!(docs_in_chunks(&ScanPlane::new(), 0..1), 0);
     }
 
     #[test]
@@ -682,10 +679,10 @@ mod tests {
                 let range = lo..(lo + granularity).min(plane.num_chunks());
                 let ranged = plane.scan_ranked_batch_chunks(&refs, range.clone());
                 for (q, (matches, stats)) in ranged.into_iter().enumerate() {
-                    // The batch range equals the single-query range, per query.
+                    // The batch range equals a batch of one, per query.
                     assert_eq!(
-                        plane.scan_ranked_chunks(&queries[q], range.clone()),
-                        (matches.clone(), stats),
+                        plane.scan_ranked_batch_chunks(&[&queries[q]], range.clone()),
+                        [(matches.clone(), stats)],
                         "g={granularity} range={range:?} q={q}"
                     );
                     stitched[q].0.extend(matches);
@@ -696,25 +693,18 @@ mod tests {
             assert_eq!(stitched, full, "granularity {granularity}");
         }
         // Out-of-bounds ranges clamp; inverted and empty ranges are empty.
-        let q = &queries[0];
-        assert_eq!(
-            plane.scan_ranked_chunks(q, 0..usize::MAX),
-            plane.scan_ranked(q)
-        );
-        let (matches, stats) = plane.scan_ranked_chunks(q, 5..7);
-        assert!(matches.is_empty());
-        assert_eq!(stats, SearchStats::default());
+        assert_eq!(plane.scan_ranked_batch_chunks(&refs, 0..usize::MAX), full);
+        let nothing = vec![(Vec::new(), SearchStats::default()); refs.len()];
+        assert_eq!(plane.scan_ranked_batch_chunks(&refs, 5..7), nothing);
         #[allow(clippy::reversed_empty_ranges)] // inverted range IS the case under test
-        let (matches, stats) = plane.scan_ranked_chunks(q, 2..1);
-        assert!(matches.is_empty());
-        assert_eq!(stats, SearchStats::default());
-        for got in plane.scan_ranked_batch_chunks(&refs, 3..3) {
-            assert_eq!(got, (Vec::new(), SearchStats::default()));
-        }
+        let inverted = plane.scan_ranked_batch_chunks(&refs, 2..1);
+        assert_eq!(inverted, nothing);
+        assert_eq!(plane.scan_ranked_batch_chunks(&refs, 3..3), nothing);
         // A range's level-1 comparison count is exactly the documents it covers
         // (an all-zeros query matches no random document, so no rank walks).
-        let (_, tail_stats) = plane.scan_ranked_chunks(&BitIndex::all_zeros(65), 2..3);
-        assert_eq!(tail_stats.comparisons, 321);
+        let zeros = BitIndex::all_zeros(65);
+        let tail = plane.scan_ranked_batch_chunks(&[&zeros], 2..3);
+        assert_eq!(tail[0].1.comparisons, 321);
     }
 
     #[test]

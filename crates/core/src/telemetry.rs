@@ -1,9 +1,9 @@
 //! Lock-free telemetry plane: one registry of three shapes.
 //!
 //! - **Counter** — monotonic. Unlabelled ([`Counter`]) or carrying one label
-//!   ([`LabelledCounter`]) whose key is one of `lane` (a lane job's index in
-//!   its execution; an inline one-lane execution is lane 0), `shard` (store
-//!   shard) or `connection` (hub connection id).
+//!   ([`LabelledCounter`]) whose key is one of `lane` (a lane's index in its
+//!   execution; lane 0 is the calling thread), `shard` (store shard) or
+//!   `connection` (hub connection id).
 //!   A labelled counter is one slot array of [`LABEL_SLOTS`]; label values at
 //!   or above the cap fold into the last slot.
 //! - **Gauge** ([`Gauge`]) — last write wins.
@@ -252,8 +252,8 @@ metrics! {
         /// One ranked engine execution end to end (a batch of any size, one
         /// query included).
         EngineBatch => "engine_batch",
-        /// One scan unit executed by a lane: a chunk range on a multi-lane
-        /// engine, a whole shard on one lane.
+        /// One scan unit executed by a lane (lane 0 is the calling thread):
+        /// an 8-chunk range of one shard's plane, at every lane count.
         UnitScan => "unit_scan",
         /// Cache lookup pass (all shards, lock held once).
         CacheLookup => "cache_lookup",

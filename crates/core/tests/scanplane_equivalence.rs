@@ -326,11 +326,11 @@ fn scanplane_fused_batch_equals_sequential_engine_at_all_shard_counts() {
 fn scanplane_steal_scheduler_heavy_configs_are_byte_identical() {
     // Lane count is invisible — the executor's correctness oracle at scale: a
     // corpus big enough that the 1- and 2-shard stores split into several
-    // chunk-range units per shard (a multi-lane unit is 8 chunks), swept under
+    // chunk-range units per shard (a unit is 8 chunks at every lane count), swept under
     // every shards × lanes combination with the cache off and on — every
     // reply, every stat and every cache counter must match the sequential
-    // reference (and a one-lane twin: whole-shard units run inline, the
-    // sequential execution) byte for byte.
+    // reference (and a one-lane twin: the same units run in order on the
+    // caller, the sequential execution) byte for byte.
     let mut rng = StdRng::seed_from_u64(96);
     let r = 65; // ragged tail: 64 valid bits + 1
     let eta = 2;

@@ -60,16 +60,19 @@ pub struct CloudServer {
 }
 
 impl CloudServer {
-    /// Create an empty server for the given public parameters, sharding the index
-    /// across the host's available cores (capped at 8 — beyond that the per-query
-    /// merge overhead outweighs extra scan threads for realistic store sizes).
+    /// Create an empty server for the given public parameters with one shard per
+    /// host core, capped at 8. The shard count partitions the scan planes, the
+    /// result cache and the merge — every shard adds a cache lookup and a merge
+    /// input to each query — and not the scan lanes, which follow the host's
+    /// cores at any shard count.
     pub fn new(params: SystemParams) -> Self {
         let shards = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
         Self::with_shards(params, shards)
     }
 
-    /// Create an empty server with an explicit shard count (e.g. 1 to reproduce the
-    /// paper's sequential timings).
+    /// Create an empty server with an explicit shard count: how the scan planes,
+    /// the result cache and the merge are partitioned. A one-shard server still
+    /// scans on every core — lanes follow the host, not the shard count.
     pub fn with_shards(params: SystemParams, shards: usize) -> Self {
         CloudServer {
             engine: SearchEngine::sharded(params, shards),

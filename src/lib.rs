@@ -85,7 +85,7 @@
 //!        │    │                                     scan lanes ≤ cores, decoupled
 //!        ▼    │                                     from shard count; ONE executor: the
 //!        │    │                                     lanes claim scan units (8-chunk
-//!        │    │                                     ranges; whole shards on one lane)
+//!        │    │                                     ranges, at every lane count)
 //!        │    │                                     from one shared counter, and it
 //!        ▼    │                                     stitches results in unit order; merge
 //!        │    │                                     by (rank desc, doc id asc); ONE read
@@ -187,13 +187,14 @@
 //!   threads however many engines the process builds; no engine starts or joins
 //!   a thread, and a caller takes back any lane no worker has started instead of
 //!   waiting behind another engine's scan), and
-//!   **one executor** runs every scan: a multi-lane engine carves each shard's
-//!   plane into 8-chunk units — one flat slate, since every document's
-//!   comparison is independent of every other's — and each lane claims its next
-//!   unit from one shared counter until the slate runs out: an oversharded
-//!   store does not serialize whole shards onto lanes, and a wide host keeps
-//!   every lane busy regardless of the shard geometry, while a one-lane engine,
-//!   with nobody to share the slate with, runs whole shards inline. Each unit's
+//!   **one executor** runs every scan: the engine carves each shard's plane
+//!   into 8-chunk units — one flat slate, since every document's comparison is
+//!   independent of every other's — and the pool runs one lane function on k
+//!   lanes (lane 0 is the caller), each claiming its next unit from one shared
+//!   counter until the slate runs out and putting the unit's result in its own
+//!   slot: an oversharded store does not serialize whole shards onto lanes, a
+//!   wide host keeps every lane busy regardless of the shard geometry, and a
+//!   one-lane engine runs the same units on the caller. Each unit's
 //!   partial result counts exactly the documents of its range, and results are
 //!   stitched in unit order before the (rank, id) merge, so replies, per-query
 //!   stats and cache counters do not depend on the lane count (the lane-heavy
@@ -220,8 +221,9 @@
 //!   (the equivalence suite runs cold, warm, interleaved-insert and snapshot/restore
 //!   cycles); only wall-clock time and *performed* comparisons change.
 //! * **Protocol** ([`protocol`]): `CloudServer` runs on a sharded engine (shard count
-//!   defaults to the host's cores, capped at 8; `CloudServer::with_shards` pins it —
-//!   1 reproduces the paper's sequential timings). The `BatchQueryMessage` /
+//!   defaults to the host's cores, capped at 8; `CloudServer::with_shards` pins it.
+//!   The count partitions the planes, the cache and the merge, not the scan lanes,
+//!   which follow the host's cores). The `BatchQueryMessage` /
 //!   `BatchSearchReply` pair carries many queries per round trip at exactly `b·r`
 //!   bits; the server answers the batch in one pass over each shard, scanning only
 //!   the (query, shard) pairs the cache missed. A `Query`, a `BatchQuery` and a

@@ -25,9 +25,9 @@
 //! `mkse-core/tests/scanplane_equivalence.rs`, which CI additionally runs in
 //! release mode.
 //!
-//! Shard scans are dispatched by one executor over scan units — chunk ranges
-//! of a shard's plane on a multi-lane engine, whole shards on one lane — so the
-//! contract covers the lane count too. The lane-heavy sweep below holds every
+//! Shard scans are dispatched by one executor over scan units — 8-chunk
+//! ranges of a shard's plane, at every lane count — so the contract covers the
+//! lane count too. The lane-heavy sweep below holds every
 //! combination of shards × lanes — cache on and off, fused batches with
 //! duplicates — to the same byte-identical bar, including the cache hit/miss
 //! counters, which must not be able to tell a multi-lane engine from a
@@ -274,7 +274,7 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
         let mut cached = SearchEngine::sharded(wl.params.clone(), shards)
             .with_result_cache(CacheConfig::default());
         cached.insert_all(wl.indices.iter().cloned()).unwrap();
-        // A one-lane cached twin (whole-shard units, run inline — the
+        // A one-lane cached twin (every unit run in order on the caller — the
         // sequential execution): the cache layer sits above the executor, so
         // its hit/miss/admission counters must match exactly.
         let mut inline_cached = SearchEngine::sharded(wl.params.clone(), shards)
