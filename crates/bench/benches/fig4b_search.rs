@@ -493,7 +493,7 @@ fn bench_scan_layout(_c: &mut Criterion) {
 }
 
 /// Batch-depth sweep: one `SearchEngine::search_batch_with_stats` call
-/// (`fused`: one `ScanPlane::scan_ranked_batch` pass per scan unit, chunk-major
+/// (`fused`: one `ScanPlane::scan_ranked_batch_chunks` pass per scan unit, chunk-major
 /// with the queries inside) against per-query execution of the same workload,
 /// at batch depths 1/4/16/64 on the 64k-document r = 448 store. The plane runs
 /// the same sweep either way — a query reads a few bitmap rows per chunk, so
@@ -552,6 +552,15 @@ fn bench_batch_sweep(_c: &mut Criterion) {
         .map(|q| engine.search_ranked_with_stats(q))
         .collect();
     assert_eq!(engine.search_batch_with_stats(&queries), expected);
+    // Cut to `top = 10` with the cache off, every scan unit keeps only its best
+    // ten: the batch must still answer what per-query `search_top` does, which
+    // is the uncut reply's first ten, beside the uncut stats.
+    let kept = engine.search_batch_with_effects(&queries, &vec![Some(10); queries.len()]);
+    for ((q, (matches, stats, _)), (all, all_stats)) in queries.iter().zip(kept).zip(&expected) {
+        assert_eq!(matches, engine.search_top(q, 10));
+        assert_eq!(matches, all[..all.len().min(10)]);
+        assert_eq!(&stats, all_stats);
+    }
 
     let mut entries: Vec<String> = Vec::new();
     let mut per_query_ns_at = [0.0f64; DEPTHS.len()];

@@ -55,8 +55,9 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         // A few hundred distinct hot queries per shard covers the skewed
-        // (Zipf-like) workloads the bench sweeps; entries are small (matches are
-        // 12-byte pairs), so this is kilobytes, not megabytes, per shard.
+        // (Zipf-like) workloads the bench sweeps. An entry is its shard's
+        // whole match list at 16 bytes a `SearchMatch` — kilobytes for a
+        // typical query — so this is a few megabytes per shard at most.
         CacheConfig {
             capacity_per_shard: 256,
         }

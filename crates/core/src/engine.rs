@@ -10,7 +10,8 @@
 //!   — a few bitmap rows per 1,024 documents instead of per-document pointer
 //!   chasing — and produce the matches, scan order and [`SearchStats`] of the
 //!   reference's [`crate::search::scan_ranked`] loop (r-bit comparison counts
-//!   are unchanged: row skipping happens *inside* one r-bit comparison);
+//!   are unchanged: row skipping happens *inside* one r-bit comparison), or,
+//!   for a reply cut to τ with the cache off, a superset of the shard's best τ;
 //! * merged ranked results are ordered by descending rank, ties broken by
 //!   ascending document id — a total order, so the merged list is unique and
 //!   equals the sequential sort (cut to `top`, when the caller asks for a cut);
@@ -70,7 +71,7 @@
 //! sum, so replies, [`SearchStats`] and cache traffic are byte-identical to the
 //! sequential scan no matter how many lanes there are or which lane ran which
 //! unit. The cache never sees units: lookups and admissions happen per whole
-//! shard, on the stitched per-shard results.
+//! shard, on the stitched per-shard results, and only ever on uncut ones.
 //!
 //! ## One read path: a single query is a batch of one
 //!
@@ -87,14 +88,18 @@
 //! the first occurrence admitted — exactly the hits sequential execution would
 //! produce, counted in the same [`CacheEffect`]/[`CacheStats`] counters.
 //!
-//! The reply's `top` (§5's τ) reaches the executor too, and only its last
-//! step: every shard still scans — and the cache still holds — the shard's
-//! whole match list in slot order, independent of k, so one cached query
-//! serves every `top`. The merge then selects the `top` matches the reply
-//! keeps and sorts only those ([`crate::search::top_matches`]) instead of
-//! sorting everything the shards found. A query repeated inside a batch is
-//! merged once, at the widest `top` among its positions, and each position is
-//! cut to its own.
+//! The reply's `top` (§5's τ) reaches the sweep. A query repeated inside a
+//! batch is scanned and merged once, at the widest `top` among its positions,
+//! and each position is cut to its own. With the cache off, every scan unit
+//! keeps only its best `top` matches
+//! ([`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]): a match that
+//! `top` matches the unit already holds beat is counted but never
+//! materialized, and no lane ships more than `top` matches per query to the
+//! merge. With the cache on, units keep every match, so an admitted entry is
+//! the shard's whole list in slot order, independent of k, and one cached
+//! query serves every `top`. Either way the merge selects the `top` matches
+//! the reply keeps and sorts only those ([`crate::search::top_matches`]), and
+//! the stats are always the whole scan's.
 //!
 //! Every execution records one telemetry family, whatever its size: `batches`,
 //! `batch_queries` and one [`Stage::EngineBatch`] sample, beside the cache
@@ -137,8 +142,11 @@ use std::time::Instant;
 mod pool;
 use pool::WorkerPool;
 
-/// One shard's ranked-scan output: scan-order matches plus the shard's stats —
-/// exactly what [`crate::search::scan_ranked`] returns and what the cache memoizes.
+/// One shard's ranked-scan output: its matches plus the shard's stats. The
+/// stats are always the whole shard's. The matches are every match in slot
+/// order — what [`crate::search::scan_ranked`] returns and what the cache
+/// memoizes — or, for a kept scan (cache off, a reply cut to τ), each scan
+/// unit's best τ, which the merge cuts to the same τ.
 type ShardScan = (Vec<SearchMatch>, SearchStats);
 
 /// One query's reply: merged matches, merged stats and the cache's part in it.
@@ -550,39 +558,30 @@ impl SearchEngine {
             .collect()
     }
 
-    /// One unit's ranked scan of a query set: the shard's bit-sliced
-    /// [`ScanPlane`] sweeps the unit's chunks once, chunk-major with the
-    /// queries inside — each query ORs the few bitmap rows it selects per
-    /// chunk instead of per-document pointer chasing. The output is aligned with
-    /// `queries` and bit-for-bit what [`crate::search::scan_ranked`] returns
-    /// over the unit's documents — same matches, same scan order, same
-    /// [`SearchStats`] (the equivalence suite and
-    /// `mkse-core/tests/scanplane_equivalence.rs` hold it to that).
-    fn scan_unit(&self, unit: &ScanUnit, queries: &[&QueryIndex]) -> Vec<ShardScan> {
-        let plane = &self.planes[unit.shard];
-        let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
-        plane.scan_ranked_batch_chunks(&bits, unit.chunks.clone())
-    }
-
     /// The scan step of every ranked execution: scan each selected shard for
-    /// its query subset (`subsets[pos]` belongs to `shard_ids[pos]`), returning
-    /// per-shard rows aligned with `queries` order within each subset. The
-    /// shards are carved into units, the units run on the executor, and the
-    /// per-unit results are stitched back: within a shard, unit results
-    /// concatenate in chunk (slot) order and stats sum — byte-identical to one
-    /// whole-shard scan per selected shard. A shard with no units (an empty
-    /// plane) keeps an empty row: no matches, zeroed stats.
+    /// its query subset (`subsets[pos]` belongs to `shard_ids[pos]`: query bits
+    /// and, per query, the matches a unit keeps), returning per-shard rows
+    /// aligned with the subset's order. The shards are carved into units, each
+    /// unit is one [`ScanPlane::scan_ranked_batch_chunks`] sweep of its chunks
+    /// on the executor, and the per-unit results are stitched back: within a
+    /// shard, unit results concatenate in chunk (slot) order and stats sum —
+    /// with every keep `None`, byte-identical to one whole-shard scan per
+    /// selected shard. A shard with no units (an empty plane) keeps an empty
+    /// row: no matches, zeroed stats.
     fn scan_selected_shards(
         &self,
         shard_ids: &[usize],
-        subsets: &[Vec<&QueryIndex>],
+        subsets: &[(Vec<&BitIndex>, Vec<Option<usize>>)],
     ) -> Vec<Vec<ShardScan>> {
         debug_assert_eq!(shard_ids.len(), subsets.len());
         let units = self.carve_units(shard_ids);
-        let unit_scans = self.run_units(&units, |unit| self.scan_unit(unit, &subsets[unit.pos]));
+        let unit_scans = self.run_units(&units, |unit| {
+            let (bits, keeps) = &subsets[unit.pos];
+            self.planes[unit.shard].scan_ranked_batch_chunks(bits, keeps, unit.chunks.clone())
+        });
         let mut out: Vec<Vec<ShardScan>> = subsets
             .iter()
-            .map(|subset| vec![(Vec::new(), SearchStats::default()); subset.len()])
+            .map(|(bits, _)| vec![(Vec::new(), SearchStats::default()); bits.len()])
             .collect();
         for (unit, scans) in units.iter().zip(unit_scans) {
             for ((matches, stats), (row_matches, row_stats)) in
@@ -644,9 +643,10 @@ impl SearchEngine {
     }
 
     /// Ranked search returning only the top `tau` matches (§5: "the user can
-    /// retrieve only the top τ matches"). `tau` reaches the merge, which
-    /// selects the `tau` kept and sorts only those; the per-shard cache entries
-    /// stay k-independent, so one cached query serves every `tau`.
+    /// retrieve only the top τ matches"). With the cache off, `tau` reaches
+    /// every scan unit, which keeps only its best `tau`; the merge selects the
+    /// `tau` kept and sorts only those. The per-shard cache entries stay
+    /// k-independent, so one cached query serves every `tau`.
     pub fn search_top(&self, query: &QueryIndex, tau: usize) -> Vec<SearchMatch> {
         self.search_one(query, Some(tau)).0
     }
@@ -673,9 +673,11 @@ impl SearchEngine {
     /// Execution is **fused and deduplicated**: queries carrying identical
     /// bits are scanned once (the first occurrence is the representative;
     /// every duplicate position receives a copy of its reply),
-    /// and each shard worker receives its whole remaining query set in one
-    /// [`crate::scanplane::ScanPlane::scan_ranked_batch`] pass — one lane
-    /// hand-off and one merge per batch, not per query.
+    /// and every scan unit of a shard sweeps the shard's whole remaining
+    /// query set in one [`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]
+    /// pass — one lane hand-off and one merge per batch, not per query. With the
+    /// cache disabled, each unit keeps only the best `tops[i]` matches of
+    /// query `i` (the widest `top` among a query's duplicates).
     /// With the cache enabled, each shard scans exactly the unique queries that
     /// missed it (fully cached queries trigger no scan at all), and duplicates
     /// are resolved through real cache lookups against what the representative
@@ -753,6 +755,19 @@ impl SearchEngine {
             }
         }
 
+        // Each distinct query is merged once, at the widest `top` any of its
+        // positions asks for (`None` — everything — outranks any cut). With the
+        // cache off that is also what each of its scan units keeps; with the
+        // cache on the units keep everything, so an admitted entry is the
+        // shard's whole list and serves every later `top`.
+        let mut widest: Vec<Option<usize>> = vec![Some(0); uniques.len()];
+        let mut last = vec![0; uniques.len()];
+        for (i, (&row, &top)) in rows.iter().zip(tops).enumerate() {
+            widest[row] = widest[row].zip(top).map(|(w, t)| w.max(t));
+            last[row] = i;
+        }
+        let keep = |row: usize| widest[row].filter(|_| self.cache.is_none());
+
         // Phase 2 — fused scans: each shard sweeps exactly the distinct queries
         // that missed it, in one plane pass. Results only fill `resolved` here;
         // admissions happen in phase 3, in batch order.
@@ -772,11 +787,11 @@ impl SearchEngine {
         if !shard_ids.is_empty() {
             self.telemetry
                 .add(Counter::ShardScans, shard_ids.len() as u64);
-            let subsets: Vec<Vec<&QueryIndex>> = (shard_ids.iter())
+            let subsets: Vec<(Vec<&BitIndex>, Vec<Option<usize>>)> = (shard_ids.iter())
                 .map(|&shard| {
                     (rows_for_shard[shard].iter())
-                        .map(|&row| &queries[uniques[row]])
-                        .collect()
+                        .map(|&row| (queries[uniques[row]].bits(), keep(row)))
+                        .unzip()
                 })
                 .collect();
             let fresh = self.scan_selected_shards(&shard_ids, &subsets);
@@ -807,6 +822,7 @@ impl SearchEngine {
             let _admit_span = self.telemetry.span(Stage::CacheAdmit);
             let mut cache = cache.lock().unwrap();
             for (i, (query, &row)) in queries.iter().zip(&rows).enumerate() {
+                debug_assert_eq!(keep(row), None, "a kept scan is never cached");
                 if uniques[row] == i {
                     for &shard in &scanned_on[row] {
                         let (matches, stats) = resolved[row][shard].as_ref().expect("scanned");
@@ -835,16 +851,9 @@ impl SearchEngine {
             }
         }
 
-        // Merge each distinct query once, at the widest `top` any of its
-        // positions asks for (`None` — everything — outranks any cut). Every
-        // position is then that list cut to its own `top`, beside its own
-        // cache effect; a row's last position takes the list itself.
-        let mut widest: Vec<Option<usize>> = vec![Some(0); uniques.len()];
-        let mut last = vec![0; uniques.len()];
-        for (i, (&row, &top)) in rows.iter().zip(tops).enumerate() {
-            widest[row] = widest[row].zip(top).map(|(w, t)| w.max(t));
-            last[row] = i;
-        }
+        // Merge each distinct query once, at its widest `top`. Every position
+        // is then that list cut to its own `top`, beside its own cache effect;
+        // a row's last position takes the list itself.
         let mut merged: Vec<ShardScan> = (resolved.into_iter().zip(widest))
             .map(|(slots, top)| {
                 Self::merge_ranked(slots.into_iter().map(|s| s.expect("shard resolved")), top)
@@ -1483,7 +1492,7 @@ mod tests {
         assert!(empty.carve_units(&[0, 1]).is_empty());
         let q = QueryIndex::from_bits(next_bits(64));
         assert_eq!(
-            empty.scan_selected_shards(&[0, 1], &[vec![&q], vec![&q]]),
+            empty.scan_selected_shards(&[0, 1], &vec![(vec![q.bits()], vec![None]); 2]),
             vec![vec![(Vec::new(), SearchStats::default())]; 2]
         );
     }
@@ -1540,6 +1549,96 @@ mod tests {
             let rebuilt = SearchEngine::new(engine.store().clone());
             assert_planes_in_lockstep(&rebuilt, &probe, "new over a pre-filled store");
             assert_planes_in_lockstep(&engine.clone(), &probe, "clone");
+        }
+    }
+
+    #[test]
+    fn engine_kept_units_and_cached_whole_lists_reply_alike() {
+        use crate::scanplane::CHUNK;
+        // Cache off, each scan unit keeps its best `top`; cache on, units keep
+        // everything and the merge cuts. Both must reply alike at every shards
+        // × lanes configuration, cold and warm. The corpus spans several units
+        // per shard, its ids are inserted shuffled (slot order is not id
+        // order), and the cut of `q_rank` falls inside thousands of rank-2
+        // ties (~250 documents rank 3), while `q_all` ties every document at
+        // rank 3.
+        let params = SystemParams::new(64, 4, 16, 0, 0, vec![1, 2, 3]).unwrap();
+        let docs = 3 * UNIT_CHUNKS * CHUNK + 300;
+        let mut ids: Vec<u64> = (0..docs as u64).collect();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for i in (1..docs).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ids.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        // Bit 0 of a level is the one `q_rank` rejects on.
+        let level =
+            |fails: bool| crate::bitindex::BitIndex::from_blocks(vec![u64::from(fails)], 64);
+        let mut stores: Vec<ShardedStore> = (1..=3)
+            .map(|shards| ShardedStore::new(params.clone(), shards))
+            .collect();
+        for (slot, &document_id) in ids.iter().enumerate() {
+            let rank = match slot {
+                s if s % 7 == 0 => 0,
+                s if s % 97 == 0 => 3,
+                s if s % 5 == 0 => 1,
+                _ => 2,
+            };
+            let index = RankedDocumentIndex {
+                document_id,
+                levels: (0..3).map(|l| level(l >= rank)).collect(),
+            };
+            for store in &mut stores {
+                store.insert(index.clone()).unwrap();
+            }
+        }
+        let mut reference = CloudIndex::new(params);
+        let inserted = stores[0].documents_in_insertion_order();
+        (reference.insert_all(inserted.map(RankedDocumentIndex::from))).unwrap();
+        let q_rank = QueryIndex::from_bits(crate::bitindex::BitIndex::from_blocks(vec![!1], 64));
+        let q_all = QueryIndex::from_bits(crate::bitindex::BitIndex::all_ones(64));
+        let tops = [Some(0), Some(1), Some(10), Some(300), Some(5000), None];
+        let batch: Vec<QueryIndex> = (tops.iter())
+            .flat_map(|_| [q_rank.clone(), q_all.clone()])
+            .collect();
+        let batch_tops: Vec<Option<usize>> = tops.iter().flat_map(|&t| [t, t]).collect();
+        let expected: Vec<(Vec<SearchMatch>, SearchStats)> = (batch.iter().zip(&batch_tops))
+            .map(|(q, &top)| {
+                let (all, stats) = reference.search_ranked_with_stats(q);
+                let rank3 = all.iter().filter(|m| m.rank == 3).count();
+                assert!(
+                    q == &q_all || (200..300).contains(&rank3),
+                    "{rank3} rank-3 matches"
+                );
+                (
+                    all[..top.unwrap_or(all.len()).min(all.len())].to_vec(),
+                    stats,
+                )
+            })
+            .collect();
+        for (store, lanes) in (stores.iter()).flat_map(|s| [1, 2, 3].map(|lanes| (s, lanes))) {
+            let kept = forced_lane_engine(store.clone(), lanes);
+            let mut cached = forced_lane_engine(store.clone(), lanes);
+            cached.enable_cache(CacheConfig::default());
+            for pass in ["cold", "warm"] {
+                let ctx = format!("{} shards, {lanes} lanes, {pass}", store.num_shards());
+                let replies = |engine: &SearchEngine| -> Vec<(Vec<SearchMatch>, SearchStats)> {
+                    (engine
+                        .search_batch_with_effects(&batch, &batch_tops)
+                        .into_iter())
+                    .map(|(matches, stats, _)| (matches, stats))
+                    .collect()
+                };
+                assert_eq!(replies(&kept), expected, "kept units, {ctx}");
+                assert_eq!(replies(&cached), expected, "cached whole lists, {ctx}");
+                for (q, &top) in batch.iter().zip(&batch_tops).take(4) {
+                    let tau = top.unwrap_or(usize::MAX);
+                    assert_eq!(kept.search_top(q, tau), cached.search_top(q, tau), "{ctx}");
+                }
+            }
+            assert!(kept.cache_stats().is_none());
+            assert!(cached.cache_stats().unwrap().hits > 0, "the warm pass hit");
         }
     }
 

@@ -45,11 +45,13 @@
 //! in slot (scan) order — the set bits of the level-1 survivor bitmap, ascending —
 //! and a match's rank is the number of levels whose (nested) survivor bitmaps hold
 //! its slot. [`SearchStats`] counts whole r-bit comparisons exactly as the
-//! reference does, read off the same bitmaps: one per stored document for level 1,
-//! plus `popcount(survivors of level ℓ)` for every level ℓ+1 the reference would
-//! have walked (each survivor of level ℓ is compared once more, failing level
-//! included). Skipping a dead row happens *inside* one r-bit comparison and never
-//! changes the count.
+//! reference does, without counting a whole bitmap: level 1 is one comparison
+//! per document of the chunk (arithmetic), and every word that holds a level-1
+//! survivor counts its survivors of each rank ρ (the slots set at level ρ and
+//! not at ρ + 1), each one match and `min(ρ, η − 1)` comparisons — Algorithm 1
+//! compares a match again at each level up to the first one that fails, or up
+//! to η. A word with no survivor costs nothing. Skipping a dead row happens
+//! *inside* one r-bit comparison and never changes the count.
 //!
 //! **One sweep.** [`ScanPlane::scan_ranked_batch_chunks`] is the sweep: chunk-major
 //! over a range of chunks with the queries inside, so a chunk's live masks and rows
@@ -61,6 +63,17 @@
 //! partition's matches concatenate and its [`SearchStats`] sum to the whole-plane
 //! result byte for byte.
 //!
+//! **Top τ in the sweep.** A caller that will reply with only the best `k`
+//! matches says so per query, and the sweep keeps no more than it can use.
+//! It materializes a word's survivors best rank first; once it holds `2k`
+//! matches it cuts them to the best `k`, and the worst of those becomes a bar:
+//! a match that does not beat it (lower rank, or the same rank and a higher
+//! id) can never make the cut, so it is counted but not materialized, and a
+//! rank below the bar is not even walked. The kept list is cut to `k` in the
+//! canonical order (rank descending, id ascending — never slot order), so a
+//! partition's kept lists, cut to `k` again, are the whole plane's cut; the
+//! stats are always the whole sweep's.
+//!
 //! **Leakage note (§6)**: which rows a sweep reads is a function of the query
 //! index bytes, the public geometry `r` and the `live` masks — i.e. of the *stored
 //! indices* as well as the query. Both are bytes the server already holds; nothing
@@ -69,10 +82,12 @@
 //! skip is the same for every document of a chunk, and evaluating an upper level
 //! only where level 1 left a survivor follows the match result the server computes
 //! anyway — Algorithm 1's own walk. Batching changes the *order* of memory
-//! accesses, never what is observed.
+//! accesses, never what is observed, and a kept sweep writes down fewer
+//! matches as a function of the ranks it computes anyway and of the τ the
+//! query's own message carries.
 
 use crate::bitindex::BitIndex;
-use crate::search::{SearchMatch, SearchStats};
+use crate::search::{top_matches, SearchMatch, SearchStats};
 use crate::storage::IndexEntry;
 use std::ops::Range;
 
@@ -129,9 +144,65 @@ fn ones(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// How many documents a bitmap holds.
-fn count(bitmap: &Bitmap) -> u64 {
-    bitmap.iter().map(|w| u64::from(w.count_ones())).sum()
+/// One query's result in one sweep, built as the chunks go by: the matches
+/// held so far and the sweep's [`SearchStats`].
+struct Held {
+    matches: Vec<SearchMatch>,
+    stats: SearchStats,
+    /// How many matches the result keeps; `None` keeps every one, in slot order.
+    keep: Option<usize>,
+    /// For a kept sweep, the worst match held after its last cut: `keep`
+    /// held matches are at least as good, so a match that does not beat it
+    /// can never make the final cut and is not materialized. `None` until
+    /// the first cut.
+    bar: Option<SearchMatch>,
+}
+
+/// The bar of a sweep that keeps nothing: above every rank, so no match
+/// beats it.
+const NOTHING: SearchMatch = SearchMatch {
+    document_id: 0,
+    rank: u32::MAX,
+};
+
+impl Held {
+    fn new(keep: Option<usize>) -> Self {
+        Held {
+            matches: Vec::new(),
+            stats: SearchStats::default(),
+            keep,
+            bar: (keep == Some(0)).then_some(NOTHING),
+        }
+    }
+
+    /// Materialize a match unless the bar shuts it out (rank descending, then
+    /// id ascending, as [`top_matches`] orders). Once `2·keep` are held they
+    /// are cut to `keep`, and the worst kept becomes the bar.
+    fn offer(&mut self, document_id: u64, rank: u32) {
+        if let Some(bar) = self.bar {
+            if rank < bar.rank || rank == bar.rank && document_id > bar.document_id {
+                return;
+            }
+        }
+        self.matches.push(SearchMatch { document_id, rank });
+        if let Some(keep) = self
+            .keep
+            .filter(|&k| self.matches.len() == k.saturating_mul(2))
+        {
+            self.matches = top_matches(std::mem::take(&mut self.matches), Some(keep), |m| *m);
+            self.bar = self.matches.last().copied();
+        }
+    }
+
+    /// The result: every match in slot order, or the kept ones cut by the
+    /// canonical order ([`top_matches`]) — never by slot order.
+    fn finish(self) -> (Vec<SearchMatch>, SearchStats) {
+        let matches = match self.keep {
+            None => self.matches,
+            keep => top_matches(self.matches, keep, |m| *m),
+        };
+        (matches, self.stats)
+    }
 }
 
 impl ScanPlane {
@@ -217,10 +288,14 @@ impl ScanPlane {
         self.ids.push(entry.document_id);
     }
 
-    /// The valid-slots bitmap of a chunk: its first `docs` bits, where `docs` is
-    /// how many documents the chunk holds ([`CHUNK`] for all but the last).
+    /// How many documents a chunk holds: [`CHUNK`] for all but the last.
+    fn docs_in(&self, chunk: usize) -> usize {
+        (self.ids.len() - chunk * CHUNK).min(CHUNK)
+    }
+
+    /// The valid-slots bitmap of a chunk: its first [`ScanPlane::docs_in`] bits.
     fn valid_slots(&self, chunk: usize) -> Bitmap {
-        let docs = (self.ids.len() - chunk * CHUNK).min(CHUNK);
+        let docs = self.docs_in(chunk);
         std::array::from_fn(|w| match docs.saturating_sub(w * 64) {
             0 => 0,
             n if n < 64 => (1 << n) - 1,
@@ -228,69 +303,91 @@ impl ScanPlane {
         })
     }
 
-    /// The rows of one level of one chunk a query has to read: those where the
-    /// query has a zero and some document of the chunk has a one —
-    /// `!query & live`.
-    fn selected<'a>(
-        &'a self,
-        chunk: usize,
-        level: usize,
-        query: &'a BitIndex,
-    ) -> impl Iterator<Item = &'a Bitmap> {
+    /// Eq. (3) at one level of one chunk: drop from `alive` every slot whose
+    /// document has a one where the query has a zero — the OR of the rows
+    /// `!query & live` selects (a zero of the query no document of the chunk
+    /// sets there reads nothing).
+    fn reject(&self, chunk: usize, level: usize, query: &BitIndex, alive: &mut Bitmap) {
         let chunk = &self.chunks[chunk];
         let rows = &chunk.rows[level * self.bits..][..self.bits];
         let live = &chunk.live[level * self.blocks..][..self.blocks];
-        (query.as_blocks().iter().zip(live).enumerate())
-            .flat_map(move |(b, (&q, &live))| ones(!q & live).map(move |j| &rows[b * 64 + j]))
-    }
-
-    /// One level of Eq. (3) for one chunk: the slots of `alive` whose document
-    /// has no one where the query has a zero — `alive` minus the OR of the
-    /// selected rows.
-    fn survivors(&self, chunk: usize, level: usize, query: &BitIndex, mut alive: Bitmap) -> Bitmap {
         let mut reject = NONE;
-        for row in self.selected(chunk, level, query) {
-            for (reject, row) in reject.iter_mut().zip(row) {
-                *reject |= row;
+        for (b, (&q, &live)) in query.as_blocks().iter().zip(live).enumerate() {
+            for j in ones(!q & live) {
+                for (reject, row) in reject.iter_mut().zip(&rows[b * 64 + j]) {
+                    *reject |= row;
+                }
             }
         }
         for (alive, reject) in alive.iter_mut().zip(reject) {
             *alive &= !reject;
         }
-        alive
     }
 
-    /// Algorithm 1 for one query over one chunk, appended to `result`. `nested`
-    /// is scratch for the per-level survivor bitmaps (one per level).
+    /// Algorithm 1 for one query over one chunk whose valid slots are `valid`,
+    /// into `held`. `nested` is scratch for the per-level survivor bitmaps (one
+    /// per level).
     fn sweep_chunk(
         &self,
         chunk: usize,
+        valid: &Bitmap,
         query: &BitIndex,
         nested: &mut [Bitmap],
-        (matches, stats): &mut (Vec<SearchMatch>, SearchStats),
+        held: &mut Held,
     ) {
-        let mut alive = self.valid_slots(chunk);
+        let mut alive = *valid;
         for (level, survivors) in nested.iter_mut().enumerate() {
-            // Every slot still alive is compared at this level; a chunk with
-            // nobody left reads no row.
-            stats.comparisons += count(&alive);
+            // A chunk with nobody left reads no row.
             if alive != NONE {
-                alive = self.survivors(chunk, level, query, alive);
+                self.reject(chunk, level, query, &mut alive);
             }
             *survivors = alive;
         }
-        stats.matches += count(&nested[0]);
+        let deepest = self.levels - 1;
+        let ids = &self.ids[chunk * CHUNK..];
+        let (mut comparisons, mut matches) = (0, 0);
         for (w, &word) in nested[0].iter().enumerate() {
-            for i in ones(word) {
-                // Survivor bitmaps are nested, so the levels holding the slot
-                // are exactly levels 1..=rank.
-                let rank = nested.iter().filter(|level| level[w] >> i & 1 == 1).count();
-                matches.push(SearchMatch {
-                    document_id: self.ids[chunk * CHUNK + w * 64 + i],
-                    rank: rank as u32,
-                });
+            if word == 0 {
+                continue;
+            }
+            // The bitmaps are nested, so this word's survivors of rank ρ hold
+            // level ρ's bit and not level ρ+1's. Each is one match and, past
+            // level 1, min(ρ, η − 1) comparisons: Algorithm 1 compares it
+            // again at every level up to the first that fails, or up to η.
+            let group =
+                |rank: usize| nested[rank - 1][w] & !nested.get(rank).map_or(0, |level| level[w]);
+            for rank in 1..=self.levels {
+                let n = u64::from(group(rank).count_ones());
+                matches += n;
+                comparisons += n * rank.min(deepest) as u64;
+            }
+            if held.keep.is_none() {
+                // Every match, in slot order.
+                for i in ones(word) {
+                    let rank = 1
+                        + (nested[1..].iter())
+                            .map(|level| level[w] >> i & 1)
+                            .sum::<u64>();
+                    held.matches.push(SearchMatch {
+                        document_id: ids[w * 64 + i],
+                        rank: rank as u32,
+                    });
+                }
+                continue;
+            }
+            // Best rank first, so the bar rises as early as it can; a rank
+            // below the bar has nothing left to offer.
+            for rank in (1..=self.levels).rev() {
+                if held.bar.is_some_and(|bar| (rank as u32) < bar.rank) {
+                    break;
+                }
+                for i in ones(group(rank)) {
+                    held.offer(ids[w * 64 + i], rank as u32);
+                }
             }
         }
+        held.stats.comparisons += comparisons;
+        held.stats.matches += matches;
     }
 
     /// The ranked scan of Algorithm 1 over the whole plane — the plane-backed
@@ -306,36 +403,54 @@ impl ScanPlane {
     /// `queries.len()` independent [`ScanPlane::scan_ranked`] calls, swept
     /// chunk-major (see the [module docs](self)).
     pub fn scan_ranked_batch(&self, queries: &[&BitIndex]) -> Vec<(Vec<SearchMatch>, SearchStats)> {
-        self.scan_ranked_batch_chunks(queries, 0..self.num_chunks())
+        let keeps = vec![None; queries.len()];
+        self.scan_ranked_batch_chunks(queries, &keeps, 0..self.num_chunks())
     }
 
     /// **The sweep**, and one scan unit of the engine's executor:
     /// Algorithm 1 for every query over `chunks.start..chunks.end`, chunk-major
-    /// with the queries inside. A partition's per-query results concatenate (in
-    /// range order) and sum back to [`ScanPlane::scan_ranked_batch`] byte for
-    /// byte. Out-of-bounds ranges are clamped to the grid; an empty range (and
-    /// so an empty plane, whose geometry is unknown) answers every query, of any
-    /// length, with no matches and zeroed stats.
+    /// with the queries inside. `keeps[q]` is how many of query `q`'s matches
+    /// the caller can use: `None` returns every match in slot order, `Some(k)`
+    /// the first `k` in the canonical order ([`crate::search::top_matches`]),
+    /// and a kept sweep never materializes a match that `k` matches it already
+    /// holds beat (see the [module docs](self)). [`SearchStats`] are always the whole
+    /// sweep's, kept or not. With every keep `None`, a partition's per-query
+    /// results concatenate (in range order) and sum back to
+    /// [`ScanPlane::scan_ranked_batch`] byte for byte; with `Some(k)`, its
+    /// kept lists, cut to `k` again, equal the whole sweep's cut. Out-of-bounds
+    /// ranges are clamped to the grid; an empty range (and so an empty plane,
+    /// whose geometry is unknown) answers every query, of any length, with no
+    /// matches and zeroed stats.
+    ///
+    /// # Panics
+    ///
+    /// If `keeps` and `queries` differ in length, or a query is not r bits long.
     pub fn scan_ranked_batch_chunks(
         &self,
         queries: &[&BitIndex],
+        keeps: &[Option<usize>],
         chunks: Range<usize>,
     ) -> Vec<(Vec<SearchMatch>, SearchStats)> {
-        let mut results = vec![(Vec::new(), SearchStats::default()); queries.len()];
+        assert_eq!(queries.len(), keeps.len(), "one keep per query");
         let chunks = self.clamp_chunks(chunks);
         if chunks.is_empty() {
-            return results;
+            return vec![(Vec::new(), SearchStats::default()); queries.len()];
         }
         for query in queries {
             assert_eq!(query.len(), self.bits, "length mismatch");
         }
+        let mut held: Vec<Held> = (keeps.iter()).map(|&keep| Held::new(keep)).collect();
         let mut nested = vec![NONE; self.levels];
         for chunk in chunks {
-            for (query, result) in queries.iter().zip(&mut results) {
-                self.sweep_chunk(chunk, query, &mut nested, result);
+            let valid = self.valid_slots(chunk);
+            // Level 1 compares every document of the chunk once.
+            let docs = self.docs_in(chunk) as u64;
+            for (query, held) in queries.iter().zip(&mut held) {
+                held.stats.comparisons += docs;
+                self.sweep_chunk(chunk, &valid, query, &mut nested, held);
             }
         }
-        results
+        held.into_iter().map(Held::finish).collect()
     }
 }
 
@@ -397,6 +512,25 @@ mod tests {
         matches.iter().map(|m| m.document_id).collect()
     }
 
+    /// The uncut sweep of a chunk range: every match, in slot order.
+    fn sweep(
+        plane: &ScanPlane,
+        queries: &[&BitIndex],
+        chunks: Range<usize>,
+    ) -> Vec<(Vec<SearchMatch>, SearchStats)> {
+        plane.scan_ranked_batch_chunks(queries, &vec![None; queries.len()], chunks)
+    }
+
+    /// How many rows of one level of one chunk the sweep ORs for `query`: one
+    /// per bit of `!query & live`.
+    fn rows_read(plane: &ScanPlane, chunk: usize, level: usize, query: &BitIndex) -> u32 {
+        let blocks = plane.blocks;
+        let live = &plane.chunks[chunk].live[level * blocks..][..blocks];
+        (query.as_blocks().iter().zip(live))
+            .map(|(&q, &live)| (!q & live).count_ones())
+            .sum()
+    }
+
     #[test]
     fn scanplane_empty_plane_matches_reference() {
         let plane = ScanPlane::new();
@@ -447,7 +581,7 @@ mod tests {
         // random document, so nothing walks a further level).
         let zeros = BitIndex::all_zeros(32);
         let docs_in_chunks = |plane: &ScanPlane, chunks: Range<usize>| {
-            let [(matches, stats)] = &plane.scan_ranked_batch_chunks(&[&zeros], chunks)[..] else {
+            let [(matches, stats)] = &sweep(plane, &[&zeros], chunks)[..] else {
                 panic!("one result per query");
             };
             assert!(matches.is_empty());
@@ -481,7 +615,7 @@ mod tests {
         let plane = plane_of(&docs);
         let q = BitIndex::all_ones(100);
         for level in 0..3 {
-            assert_eq!(plane.selected(0, level, &q).count(), 0, "no zeros, no rows");
+            assert_eq!(rows_read(&plane, 0, level, &q), 0, "no zeros, no rows");
         }
         let (matches, stats) = plane.scan_ranked(&q);
         let (expected, expected_stats) = scan_ranked(&docs, &qi(&q));
@@ -522,11 +656,8 @@ mod tests {
         }];
         let plane = plane_of(&docs);
         for level in 0..2 {
-            assert_eq!(plane.selected(0, level, &BitIndex::all_ones(70)).count(), 0);
-            assert_eq!(
-                plane.selected(0, level, &BitIndex::all_zeros(70)).count(),
-                70
-            );
+            assert_eq!(rows_read(&plane, 0, level, &BitIndex::all_ones(70)), 0);
+            assert_eq!(rows_read(&plane, 0, level, &BitIndex::all_zeros(70)), 70);
         }
         let (matches, _) = plane.scan_ranked(&BitIndex::all_ones(70));
         assert_eq!(matches.len(), 1);
@@ -677,11 +808,11 @@ mod tests {
             let mut lo = 0;
             while lo < plane.num_chunks() {
                 let range = lo..(lo + granularity).min(plane.num_chunks());
-                let ranged = plane.scan_ranked_batch_chunks(&refs, range.clone());
+                let ranged = sweep(&plane, &refs, range.clone());
                 for (q, (matches, stats)) in ranged.into_iter().enumerate() {
                     // The batch range equals a batch of one, per query.
                     assert_eq!(
-                        plane.scan_ranked_batch_chunks(&[&queries[q]], range.clone()),
+                        sweep(&plane, &[&queries[q]], range.clone()),
                         [(matches.clone(), stats)],
                         "g={granularity} range={range:?} q={q}"
                     );
@@ -693,49 +824,55 @@ mod tests {
             assert_eq!(stitched, full, "granularity {granularity}");
         }
         // Out-of-bounds ranges clamp; inverted and empty ranges are empty.
-        assert_eq!(plane.scan_ranked_batch_chunks(&refs, 0..usize::MAX), full);
+        assert_eq!(sweep(&plane, &refs, 0..usize::MAX), full);
         let nothing = vec![(Vec::new(), SearchStats::default()); refs.len()];
-        assert_eq!(plane.scan_ranked_batch_chunks(&refs, 5..7), nothing);
+        assert_eq!(sweep(&plane, &refs, 5..7), nothing);
         #[allow(clippy::reversed_empty_ranges)] // inverted range IS the case under test
-        let inverted = plane.scan_ranked_batch_chunks(&refs, 2..1);
+        let inverted = sweep(&plane, &refs, 2..1);
         assert_eq!(inverted, nothing);
-        assert_eq!(plane.scan_ranked_batch_chunks(&refs, 3..3), nothing);
+        assert_eq!(sweep(&plane, &refs, 3..3), nothing);
         // A range's level-1 comparison count is exactly the documents it covers
         // (an all-zeros query matches no random document, so no rank walks).
         let zeros = BitIndex::all_zeros(65);
-        let tail = plane.scan_ranked_batch_chunks(&[&zeros], 2..3);
+        let tail = sweep(&plane, &[&zeros], 2..3);
         assert_eq!(tail[0].1.comparisons, 321);
     }
 
     #[test]
     fn scanplane_survivors_match_scalar_semantics() {
-        // The row OR against the per-document predicate, slot by slot, on every
-        // chunk and level — and restricted to an `alive` subset.
+        // The row ORs against the per-document predicate, slot by slot, on
+        // every chunk: a slot matches iff its level-1 index matches, its rank is
+        // the run of levels that match from level 1 up (upper levels are only
+        // evaluated on the survivors below them), and the stats are one
+        // comparison per document plus min(rank, η − 1) per match.
         let mut rng = StdRng::seed_from_u64(61);
-        let docs = random_docs(&mut rng, CHUNK + 100, 129, 2);
+        let eta = 3;
+        let docs = random_docs(&mut rng, CHUNK + 100, 129, eta);
         let plane = plane_of(&docs);
-        let evens: Bitmap = [0x5555_5555_5555_5555; CHUNK / 64];
-        for zero_prob in [0.0, 0.02, 1.0] {
+        for zero_prob in [0.0, 0.02, 0.1, 1.0] {
             let q = random_bitindex(&mut rng, 129, zero_prob);
             for chunk in 0..2 {
-                let valid = plane.valid_slots(chunk);
-                for level in 0..2 {
-                    let all = plane.survivors(chunk, level, &q, valid);
-                    let even = plane.survivors(chunk, level, &q, evens);
-                    for i in 0..CHUNK {
-                        let expected = docs
-                            .get(chunk * CHUNK + i)
-                            .is_some_and(|d| d.levels[level].matches_query(&q));
-                        assert_eq!(all[i / 64] >> (i % 64) & 1 == 1, expected, "slot {i}");
-                        // An unfilled slot has all-zero rows: only `alive` keeps it out.
-                        let unfilled_ok = i % 2 == 0 && chunk * CHUNK + i >= docs.len();
-                        assert_eq!(
-                            even[i / 64] >> (i % 64) & 1 == 1,
-                            (expected && i % 2 == 0) || unfilled_ok,
-                            "slot {i} of the even subset"
-                        );
-                    }
-                }
+                let slots = &docs[chunk * CHUNK..docs.len().min((chunk + 1) * CHUNK)];
+                let want: Vec<SearchMatch> = (slots.iter())
+                    .filter_map(|d| {
+                        let rank = d.levels.iter().take_while(|l| l.matches_query(&q)).count();
+                        (rank > 0).then_some(SearchMatch {
+                            document_id: d.document_id,
+                            rank: rank as u32,
+                        })
+                    })
+                    .collect();
+                let comparisons = slots.len() as u64
+                    + (want.iter())
+                        .map(|m| u64::from(m.rank).min(eta as u64 - 1))
+                        .sum::<u64>();
+                let [(got, stats)] = &sweep(&plane, &[&q], chunk..chunk + 1)[..] else {
+                    panic!("one result per query");
+                };
+                let ctx = format!("zp={zero_prob} chunk={chunk}");
+                assert_eq!(got, &want, "{ctx}");
+                assert_eq!(stats.matches, want.len() as u64, "{ctx}");
+                assert_eq!(stats.comparisons, comparisons, "{ctx}");
             }
         }
     }
@@ -806,8 +943,22 @@ mod tests {
         let mut q = BitIndex::all_ones(100);
         q.set(50, false);
         q.set(60, false); // a zero nobody owns: dead everywhere
-        let rows: Vec<usize> = (0..3).map(|c| plane.selected(c, 0, &q).count()).collect();
+        let rows: Vec<u32> = (0..3).map(|c| rows_read(&plane, c, 0, &q)).collect();
         assert_eq!(rows, [0, 1, 0]);
+        // Chunk by chunk, the sweep drops the lone document and nothing else.
+        for chunk in 0..3 {
+            let [(matches, stats)] = &sweep(&plane, &[&q], chunk..chunk + 1)[..] else {
+                panic!("one result per query");
+            };
+            let slots = chunk * CHUNK..docs.len().min((chunk + 1) * CHUNK);
+            let want: Vec<u64> = (slots.clone().map(|id| id as u64))
+                .filter(|&id| id != lone as u64)
+                .collect();
+            let got: Vec<u64> = matches.iter().map(|m| m.document_id).collect();
+            assert_eq!(got, want, "chunk {chunk}");
+            assert_eq!(stats.matches, want.len() as u64, "chunk {chunk}");
+            assert_eq!(stats.comparisons, slots.len() as u64, "η = 1: level 1 only");
+        }
         let (matches, stats) = plane.scan_ranked(&q);
         assert_eq!((matches.clone(), stats), scan_ranked(&docs, &qi(&q)));
         let expected: Vec<u64> = (0..docs.len() as u64)

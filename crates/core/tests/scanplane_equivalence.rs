@@ -650,3 +650,114 @@ proptest! {
         }
     }
 }
+
+/// Sparse random levels (each bit set with probability 2^-`thin`) under ids
+/// pushed in shuffled order, so slot order is not id order: queries with a few
+/// zeros match many documents across every rank, with ties at each one.
+fn shuffled_sparse_docs(
+    rng: &mut StdRng,
+    n: usize,
+    r: usize,
+    eta: usize,
+    thin: u32,
+) -> Vec<RankedDocumentIndex> {
+    let mut ids: Vec<u64> = (0..n as u64).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    let mut sparse_word = || (0..thin).fold(u64::MAX, |word, _| word & rng.gen::<u64>());
+    ids.into_iter()
+        .map(|document_id| RankedDocumentIndex {
+            document_id,
+            levels: (0..eta)
+                .map(|_| {
+                    BitIndex::from_blocks((0..r.div_ceil(64)).map(|_| sparse_word()).collect(), r)
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A kept sweep, under any chunk partition, answers what the uncut sweep
+    /// cut to the same `k` answers. The corpus spans more than one 8-chunk
+    /// engine unit, its ids are shuffled (a cut by slot order would pick the
+    /// wrong ties), and each batch mixes every keep — nothing, one, ten, more
+    /// than the matches, `usize::MAX`, uncut — over queries whose matches tie
+    /// at every rank. Each range's stats are the uncut range's, each range's
+    /// kept list is its uncut list cut by `top_matches`, and the partition's
+    /// kept lists, cut again, are the whole uncut sweep's cut, which is the
+    /// reference loop's.
+    #[test]
+    fn scanplane_prop_kept_partitions_equal_the_full_sweep_cut(
+        seed in 0u64..1_000_000,
+        r in 1usize..=200,
+        eta in 1usize..=5,
+        num_docs in (8 * CHUNK + 1)..=(10 * CHUNK),
+        thin in 2u32..=4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let docs = shuffled_sparse_docs(&mut rng, num_docs, r, eta, thin);
+        let params = params_for(r, eta);
+        let plane = plane_of(&params, &docs);
+        prop_assert!(plane.ids().windows(2).any(|w| w[0] > w[1]), "slot order is not id order");
+
+        // The all-ones query ties every document at rank η; the others put
+        // 1–8 zeros at random positions.
+        let mut queries = vec![BitIndex::all_ones(r)];
+        for zeros in [1, 2, 4, 8] {
+            let mut q = BitIndex::all_ones(r);
+            for _ in 0..zeros {
+                q.set(rng.gen_range(0..r), false);
+            }
+            queries.push(q);
+        }
+        let full: Vec<_> = queries.iter().map(|q| plane.scan_ranked(q)).collect();
+        for (q, (matches, stats)) in queries.iter().zip(&full) {
+            let reference = mkse_core::search::scan_ranked(&docs, &QueryIndex::from_bits(q.clone()));
+            prop_assert_eq!(&(matches.clone(), *stats), &reference);
+        }
+        let mut batch: Vec<(usize, Option<usize>)> = Vec::new();
+        for (q, (matches, _)) in full.iter().enumerate() {
+            for keep in [Some(0), Some(1), Some(10), Some(matches.len() + 1), Some(usize::MAX), None] {
+                batch.push((q, keep));
+            }
+        }
+        let bits: Vec<&BitIndex> = batch.iter().map(|&(q, _)| &queries[q]).collect();
+        let keeps: Vec<Option<usize>> = batch.iter().map(|&(_, keep)| keep).collect();
+        let uncut = vec![None; batch.len()];
+
+        let mut stitched = vec![(Vec::new(), mkse_core::SearchStats::default()); batch.len()];
+        let mut lo = 0;
+        while lo < plane.num_chunks() {
+            let range = lo..(lo + rng.gen_range(1usize..=10)).min(plane.num_chunks());
+            let kept = plane.scan_ranked_batch_chunks(&bits, &keeps, range.clone());
+            let whole = plane.scan_ranked_batch_chunks(&bits, &uncut, range.clone());
+            for (i, ((matches, stats), (all, all_stats))) in kept.into_iter().zip(whole).enumerate() {
+                let ctx = format!("range {range:?}, query {}, keep {:?}", batch[i].0, keeps[i]);
+                prop_assert_eq!(stats, all_stats, "{}", ctx);
+                let want = match keeps[i] {
+                    None => all,
+                    keep => mkse_core::search::top_matches(all, keep, |m| *m),
+                };
+                prop_assert_eq!(&matches, &want, "{}", ctx);
+                stitched[i].0.extend(matches);
+                stitched[i].1.merge(&stats);
+            }
+            lo = range.end;
+        }
+        for (i, (matches, stats)) in stitched.into_iter().enumerate() {
+            let (q, keep) = batch[i];
+            let (all, all_stats) = full[q].clone();
+            let ctx = format!("query {q}, keep {keep:?}");
+            prop_assert_eq!(stats, all_stats, "{}", ctx);
+            let cut = |list| match keep {
+                None => list,
+                keep => mkse_core::search::top_matches(list, keep, |m| *m),
+            };
+            prop_assert_eq!(cut(matches), cut(all), "{}", ctx);
+        }
+    }
+}

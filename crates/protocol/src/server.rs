@@ -818,6 +818,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn engine_keeps_every_match_for_a_wire_top_of_u64_max() {
+        // With the cache off the engine keeps `top` matches per scan unit, so
+        // the widest `top` a wire `Query` can carry reaches the scan itself:
+        // it must answer every match, and no bookkeeping may overflow in a
+        // build without overflow checks.
+        let (owner, mut server, mut rng) = cloud_heavy_server();
+        assert!(!server.result_cache_enabled());
+        let message = query_for(&owner, &["cloud"], &mut rng);
+        let full = search(&mut server, &message);
+        assert!(
+            full.matches.len() > 3,
+            "the cut must have something to drop"
+        );
+        let widest = QueryMessage {
+            top: Some(usize::try_from(u64::MAX).expect("a 64-bit host")),
+            ..message
+        };
+        let mut frames = crate::FrameBuffer::new(u32::MAX.into());
+        frames
+            .extend(&crate::wire::encode_request(7, &Request::Query(widest)))
+            .unwrap();
+        let payload = frames.pop().unwrap().expect("a complete frame");
+        let (_, request) = crate::wire::decode_request(&payload).unwrap();
+        assert_eq!(server.call(request), Response::Search(full));
+    }
+
     /// What one envelope adds to the registry, in the order
     /// `[batches, batch_queries, engine_batch, cache_admit]` — two counters,
     /// then two stages' sample counts.

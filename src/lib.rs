@@ -148,8 +148,10 @@
 //!   ~5 rows per chunk and level where the previous layout streamed every
 //!   64-bit column of every document. Upper levels are rows too: level ℓ+1 is
 //!   evaluated only for a chunk with a survivor of level ℓ, ranks are read off
-//!   the nested survivor bitmaps, and `SearchStats` comparisons are their
-//!   popcounts. All of this is a layout change only — matches, ranks, order,
+//!   the nested survivor bitmaps, and `SearchStats` count no whole bitmap:
+//!   level 1 costs one comparison per document of the chunk, and each word
+//!   holding a level-1 survivor adds `min(ρ, η − 1)` per survivor of rank ρ.
+//!   All of this is a layout change only — matches, ranks, order,
 //!   `SearchStats` (row skipping happens *inside* one r-bit comparison, so
 //!   comparison counts are unchanged) and cache counters are byte-identical to
 //!   the AoS reference, enforced in release mode by
@@ -207,12 +209,15 @@
 //!   report) and hands the lanes the whole remaining query set for fused plane
 //!   passes over the missed shards. Every execution records one telemetry
 //!   family — `batches` / `batch_queries` / `engine_batch` — whatever its
-//!   size. The reply's `top` (§5's τ)
-//!   reaches the executor's merge, which *selects* the `top` matches the reply
-//!   keeps and sorts only those (`core::search::top_matches`) instead of
-//!   sorting every match the shards found; the shard scans and the cache
-//!   entries stay whole per-shard lists, so one cached query serves every
-//!   `top`, and the sequential reference keeps its own full stable sort.
+//!   size. The reply's `top` (§5's τ) reaches the sweep: with the cache off,
+//!   each scan unit keeps only its best `top` matches (a match that `top`
+//!   better held ones already beat is counted, never materialized), so the
+//!   lanes ship at most `top` per unit and query to the merge, which *selects*
+//!   the `top` matches the reply keeps and sorts only those
+//!   (`core::search::top_matches`). With the cache on, the units keep every
+//!   match and the cache entries stay whole per-shard lists, so one cached
+//!   query serves every `top`; the stats are always the whole scan's, and the
+//!   sequential reference keeps its own full stable sort.
 //! * **Cache** ([`core::cache`]): an optional per-shard LRU of shard-scan results,
 //!   keyed by the query bits themselves (a [`core::BitIndex`] map key).
 //!   Per-shard **write generations** invalidate exactly the shard an insert landed
