@@ -3,6 +3,7 @@
 //! RSA operations of the blind-decryption protocol.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mkse_core::keyword::keyword_index_with_prf;
 use mkse_core::{keyword_index, SystemParams};
 use mkse_crypto::aes::AesCtr;
 use mkse_crypto::prf::LongPrf;
@@ -17,8 +18,14 @@ fn bench_prf_and_keyword_index(c: &mut Criterion) {
         b.iter(|| prf.evaluate(b"keyword", 336))
     });
     let params = SystemParams::default();
-    group.bench_function("keyword_index_r448_d6", |b| {
+    // A fresh PRF per call derives both HMAC key schedules (four compressions) every time —
+    // what a caller holding only key bytes pays. A keyed PRF, as `SchemeKeys` and `User`
+    // hold one per bin, pays them once.
+    group.bench_function("keyword_index_r448_d6_fresh_prf", |b| {
         b.iter(|| keyword_index(&params, b"bin-key", "keyword"))
+    });
+    group.bench_function("keyword_index_r448_d6_keyed_prf", |b| {
+        b.iter(|| keyword_index_with_prf(&params, &prf, "keyword"))
     });
     group.finish();
 }

@@ -84,6 +84,11 @@ impl<'a> DocumentIndexer<'a> {
     }
 
     /// Index a bag of terms with explicit frequencies.
+    ///
+    /// The paper-faithful cost model of Figure 4(a): nothing is memoized, so every level
+    /// recomputes the trapdoor of every keyword that reaches it — one PRF evaluation per
+    /// (document, level, keyword whose count reaches the level's threshold). The data owner's
+    /// own path is [`DocumentIndexer::index_terms_cached`].
     pub fn index_terms(&self, document_id: u64, terms: &TermFrequencies) -> RankedDocumentIndex {
         let levels = self
             .params
@@ -113,35 +118,43 @@ impl<'a> DocumentIndexer<'a> {
         self.index_terms(document_id, &terms)
     }
 
-    /// Index a bag of terms while memoizing keyword indices in `cache`.
+    /// Index a bag of terms while memoizing keyword trapdoors in `cache` — the data owner's
+    /// production path ([`DocumentIndexer::index_documents`],
+    /// [`DocumentIndexer::index_documents_parallel`]).
     ///
-    /// The paper-faithful cost model recomputes the HMAC for every (document, keyword) pair —
-    /// that is what [`DocumentIndexer::index_terms`] does and what the Figure 4(a) experiment
-    /// measures. A production deployment would memoize keyword indices across documents and
-    /// levels; this method provides that variant for the ablation benchmark.
+    /// The terms are walked once: each term that reaches at least one level is looked up in
+    /// `cache` once (a `String` key is allocated only on a miss, when the trapdoor is
+    /// computed and stored) and its trapdoor is ANDed into every level whose threshold its
+    /// count reaches. AND commutes, so the levels equal [`DocumentIndexer::index_terms`]'s
+    /// bit for bit. A term that reaches no level is neither looked up nor cached.
     pub fn index_terms_cached(
         &self,
         document_id: u64,
         terms: &TermFrequencies,
         cache: &mut HashMap<String, Trapdoor>,
     ) -> RankedDocumentIndex {
-        let levels = self
-            .params
-            .level_thresholds
-            .iter()
-            .map(|&threshold| {
-                let mut level = self.random_mask.clone();
-                for (term, count) in terms.iter() {
+        let thresholds = &self.params.level_thresholds;
+        let mut levels = vec![self.random_mask.clone(); thresholds.len()];
+        for (term, count) in terms.iter() {
+            if !thresholds.iter().any(|&threshold| count >= threshold) {
+                continue;
+            }
+            let fold_into_levels = |levels: &mut [BitIndex], td: &Trapdoor| {
+                for (level, &threshold) in levels.iter_mut().zip(thresholds) {
                     if count >= threshold {
-                        let td = cache
-                            .entry(term.to_string())
-                            .or_insert_with(|| self.keys.trapdoor_for(self.params, term));
                         level.bitwise_product_assign(td.index());
                     }
                 }
-                level
-            })
-            .collect();
+            };
+            match cache.get(term) {
+                Some(td) => fold_into_levels(&mut levels, td),
+                None => {
+                    let td = self.keys.trapdoor_for(self.params, term);
+                    fold_into_levels(&mut levels, &td);
+                    cache.insert(term.to_string(), td);
+                }
+            }
+        }
         RankedDocumentIndex {
             document_id,
             levels,

@@ -7,11 +7,17 @@
 //!   authorized users so that each query can blend in a fresh random `V`-subset.
 //! * Trapdoor issuance: given a keyword (data-owner side) or a bin key (user side), compute
 //!   the keyword's trapdoor, which is simply its keyword index `I_w` (footnote 3).
+//!
+//! Each bin key is held as its keyed [`LongPrf`]: both HMAC key schedules are computed once,
+//! when the key is drawn, and every trapdoor of the bin clones them. Those HMAC midstates are
+//! **key material** just like the key bytes — whoever holds them can compute every trapdoor
+//! of the bin — so [`SchemeKeys`]' `Debug` prints counts only.
 
 use crate::bins::{get_bin, BinId};
 use crate::bitindex::BitIndex;
-use crate::keyword::keyword_index;
+use crate::keyword::{keyword_index, keyword_index_with_prf};
 use crate::params::SystemParams;
+use mkse_crypto::prf::LongPrf;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +98,8 @@ impl RandomKeywordPool {
 /// The data owner's complete secret key material.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct SchemeKeys {
-    bin_keys: Vec<Vec<u8>>,
+    /// One keyed PRF per bin; [`LongPrf::key`] is the bin key itself.
+    bin_keys: Vec<LongPrf>,
     random_pool: RandomKeywordPool,
 }
 
@@ -101,9 +108,9 @@ impl SchemeKeys {
     pub fn generate<R: Rng + ?Sized>(params: &SystemParams, rng: &mut R) -> Self {
         let bin_keys = (0..params.num_bins)
             .map(|_| {
-                let mut key = vec![0u8; BIN_KEY_LEN];
+                let mut key = [0u8; BIN_KEY_LEN];
                 rng.fill(&mut key[..]);
-                key
+                LongPrf::new(&key)
             })
             .collect();
         let random_pool = RandomKeywordPool::generate(params.doc_random_keywords, rng);
@@ -117,7 +124,7 @@ impl SchemeKeys {
     ///
     /// Panics if the bin id is out of range for the parameters the keys were generated with.
     pub fn bin_key(&self, bin: BinId) -> &[u8] {
-        &self.bin_keys[bin as usize]
+        self.bin_keys[bin as usize].key()
     }
 
     /// Number of bins this key set covers.
@@ -134,7 +141,8 @@ impl SchemeKeys {
     /// it looks up the keyword's bin key internally.
     pub fn trapdoor_for(&self, params: &SystemParams, keyword: &str) -> Trapdoor {
         let bin = get_bin(params, keyword);
-        Trapdoor::new(keyword_index(params, self.bin_key(bin), keyword))
+        let prf = &self.bin_keys[bin as usize];
+        Trapdoor::new(keyword_index_with_prf(params, prf, keyword))
     }
 
     /// Compute trapdoors for several keywords (preserving order).
@@ -159,7 +167,7 @@ impl SchemeKeys {
     /// for").
     pub fn keys_for_bins(&self, bins: &[BinId]) -> Vec<(BinId, Vec<u8>)> {
         bins.iter()
-            .map(|&b| (b, self.bin_keys[b as usize].clone()))
+            .map(|&b| (b, self.bin_key(b).to_vec()))
             .collect()
     }
 }

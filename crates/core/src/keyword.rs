@@ -5,6 +5,11 @@
 //! `j` by Eq. (1): the bit is 0 iff the digit is all-zero (probability `2^-d` per digit),
 //! 1 otherwise. The result is the keyword's `r`-bit index `I_w`, which doubles as the
 //! keyword's *trapdoor* (footnote 3 of the paper).
+//!
+//! The PRF output is read most-significant bit first: bit `i` is bit `7 − i % 8` of byte
+//! `i / 8`. [`keyword_index_with_prf`] applies Eq. (1) to those bytes directly; [`reduce_digits`]
+//! is the same reduction over one `bool` per bit, kept as the reference the tests compare
+//! against.
 
 use crate::bitindex::BitIndex;
 use crate::params::SystemParams;
@@ -19,15 +24,55 @@ pub fn keyword_index(params: &SystemParams, bin_key: &[u8], keyword: &str) -> Bi
     keyword_index_with_prf(params, &prf, keyword)
 }
 
-/// Same as [`keyword_index`] but reuses an already-constructed PRF (saves the HMAC key
-/// schedule when indexing many keywords under the same bin key).
+/// Same as [`keyword_index`] but reuses an already-keyed PRF: indexing many keywords under
+/// one bin key computes the bin's HMAC key schedules once instead of once per keyword.
 pub fn keyword_index_with_prf(params: &SystemParams, prf: &LongPrf, keyword: &str) -> BitIndex {
-    let bits = prf.evaluate_bits(keyword.as_bytes(), params.prf_output_bits());
-    reduce_digits(params, &bits)
+    let bytes = prf.evaluate(keyword.as_bytes(), params.prf_output_bytes());
+    reduce_digit_bytes(params, &bytes)
 }
 
-/// The GF(2^d) → GF(2) reduction of Eq. (1): bit `j` of the index is 0 iff digit `j`
-/// (bits `j·d .. (j+1)·d` of the PRF output) is all-zero.
+/// Eq. (1) over the PRF's bytes: bit `j` of the index is 0 iff digit `j` (bits
+/// `j·d .. (j+1)·d`, most-significant bit of each byte first) is all-zero. Equal to
+/// [`reduce_digits`] over the same bits.
+///
+/// The digits are read through a big-endian window: bytes enter at the bottom of a 64-bit
+/// accumulator until it holds a whole digit, which is then the top `d` of its unread bits
+/// (`d ≤ 32`, so at most 39 bits are ever pending). Each index bit lands in its 64-bit word
+/// directly.
+fn reduce_digit_bytes(params: &SystemParams, prf_bytes: &[u8]) -> BitIndex {
+    let r = params.index_bits;
+    let d = params.digit_bits;
+    assert!(
+        (1..=32).contains(&d),
+        "digit_bits must be 1..=32 (see SystemParams::validate), got {d}"
+    );
+    assert!(
+        prf_bytes.len() * 8 >= r * d,
+        "PRF output too short: {} bits for r*d = {}",
+        prf_bytes.len() * 8,
+        r * d
+    );
+    let digit_mask = (1u64 << d) - 1;
+    let mut blocks = vec![0u64; r.div_ceil(64)];
+    let mut window = 0u64;
+    let mut pending = 0;
+    let mut next = prf_bytes.iter();
+    for j in 0..r {
+        while pending < d {
+            window = (window << 8) | u64::from(*next.next().expect("length checked above"));
+            pending += 8;
+        }
+        pending -= d;
+        let digit = (window >> pending) & digit_mask;
+        blocks[j / 64] |= u64::from(digit != 0) << (j % 64);
+    }
+    BitIndex::from_blocks(blocks, r)
+}
+
+/// The GF(2^d) → GF(2) reduction of Eq. (1) over one `bool` per PRF output bit: bit `j` of
+/// the index is 0 iff digit `j` (bits `j·d .. (j+1)·d` of the PRF output) is all-zero.
+///
+/// The reference the tests hold the keyword path's byte-wise reduction to.
 pub fn reduce_digits(params: &SystemParams, prf_bits: &[bool]) -> BitIndex {
     let r = params.index_bits;
     let d = params.digit_bits;
@@ -51,6 +96,15 @@ pub fn reduce_digits(params: &SystemParams, prf_bits: &[bool]) -> BitIndex {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The PRF's bytes as one `bool` per bit, most-significant bit of each byte first.
+    fn msb_first_bits(bytes: &[u8]) -> Vec<bool> {
+        (0..bytes.len() * 8)
+            .map(|i| (bytes[i / 8] >> (7 - i % 8)) & 1 == 1)
+            .collect()
+    }
 
     fn params() -> SystemParams {
         SystemParams::default()
@@ -123,6 +177,22 @@ mod tests {
     }
 
     #[test]
+    fn reduce_digit_bytes_known_pattern() {
+        // The same digits as `reduce_digits_known_pattern`, 00 | 01 | 10 | 11, in one byte.
+        let p = SystemParams::new(4, 2, 1, 0, 0, vec![1]).unwrap();
+        let idx = reduce_digit_bytes(&p, &[0b0001_1011]);
+        assert_eq!(idx, reduce_digits(&p, &msb_first_bits(&[0b0001_1011])));
+        assert_eq!(idx.as_blocks(), &[0b1110]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PRF output too short")]
+    fn reduce_digit_bytes_rejects_short_input() {
+        let p = SystemParams::new(3, 3, 1, 0, 0, vec![1]).unwrap();
+        let _ = reduce_digit_bytes(&p, &[0xff]);
+    }
+
+    #[test]
     fn prf_reuse_matches_fresh_computation() {
         let p = params();
         let prf = LongPrf::new(b"bin-key-42");
@@ -130,6 +200,32 @@ mod tests {
             keyword_index_with_prf(&p, &prf, "privacy"),
             keyword_index(&p, b"bin-key-42", "privacy")
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_byte_reduction_equals_the_bool_reference(
+            r in 1usize..=512,
+            d in 1usize..=32,
+            sparsity in 0u32..4,
+            extra in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            // Ragged r, digits that straddle bytes, and (through `sparsity`, which ANDs
+            // further random bytes in) outputs dense enough in all-zero digits that both
+            // outcomes of Eq. (1) are common even at d = 8. `extra` trailing bytes are ignored.
+            let p = SystemParams::new(r, d, 1, 0, 0, vec![1]).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bytes: Vec<u8> = (0..(r * d).div_ceil(8) + extra)
+                .map(|_| (0..sparsity).fold(rng.gen::<u8>(), |b, _| b & rng.gen::<u8>()))
+                .collect();
+            prop_assert_eq!(
+                reduce_digit_bytes(&p, &bytes),
+                reduce_digits(&p, &msb_first_bits(&bytes))
+            );
+        }
     }
 
     proptest! {
@@ -141,8 +237,9 @@ mod tests {
             let p = SystemParams::new(32, 3, 1, 0, 0, vec![1]).unwrap();
             let keyword = format!("kw{seed}");
             let prf = LongPrf::new(b"k");
-            let bits = prf.evaluate_bits(keyword.as_bytes(), p.prf_output_bits());
-            let idx = reduce_digits(&p, &bits);
+            let bits = msb_first_bits(&prf.evaluate(keyword.as_bytes(), p.prf_output_bytes()));
+            let idx = keyword_index_with_prf(&p, &prf, &keyword);
+            prop_assert_eq!(&idx, &reduce_digits(&p, &bits));
             for j in 0..p.index_bits {
                 let digit_is_zero = bits[j * 3..(j + 1) * 3].iter().all(|b| !b);
                 prop_assert_eq!(idx.get(j), !digit_is_zero);

@@ -3,6 +3,18 @@
 //! The MKSE scheme derives every keyword index from `HMAC_k(keyword)` where `k` is the secret
 //! key of the keyword's bin (§4.1–4.2). [`HmacSha256`] and [`HmacSha512`] are the two
 //! instantiations; [`crate::prf::LongPrf`] expands them to the `l`-bit output the scheme needs.
+//!
+//! ## Keyed once, cloned per message
+//!
+//! `new` absorbs the `ipad` block into the inner hash and the `opad` block into the outer hash
+//! (two compressions), so a keyed instance holds two hash *midstates*. `finalize` completes
+//! the inner hash and feeds its digest to the stored outer state; it never compresses a pad
+//! block again. A caller that MACs many messages under one key — every keyword of a bin —
+//! keys one instance and clones it per message: a short message then costs two compressions
+//! instead of four.
+//!
+//! The midstates are **key material**: anyone holding them can compute the MAC under the key
+//! without knowing it. That is why neither type implements `Debug`.
 
 use crate::sha256::{self, Sha256};
 use crate::sha512::{self, Sha512};
@@ -15,8 +27,10 @@ macro_rules! define_hmac {
         #[doc = $doc]
         #[derive(Clone)]
         pub struct $name {
+            /// The hash after the `key ⊕ ipad` block, plus whatever message was fed since.
             inner: $hash,
-            opad_key: [u8; $hash_mod::BLOCK_LEN],
+            /// The hash after the `key ⊕ opad` block, waiting for the inner digest.
+            outer: $hash,
         }
 
         impl $name {
@@ -38,7 +52,9 @@ macro_rules! define_hmac {
                 }
                 let mut inner = $hash::new();
                 inner.update(&ipad_key);
-                $name { inner, opad_key }
+                let mut outer = $hash::new();
+                outer.update(&opad_key);
+                $name { inner, outer }
             }
 
             /// Feed message bytes into the MAC.
@@ -49,8 +65,7 @@ macro_rules! define_hmac {
             /// Finish and return the authentication tag.
             pub fn finalize(self) -> [u8; $hash_mod::DIGEST_LEN] {
                 let inner_digest = self.inner.finalize();
-                let mut outer = $hash::new();
-                outer.update(&self.opad_key);
+                let mut outer = self.outer;
                 outer.update(&inner_digest);
                 outer.finalize()
             }
@@ -86,6 +101,7 @@ define_hmac!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -148,6 +164,74 @@ mod tests {
             "80b24263c7c1a3ebb71493c1dd7be8b49b46d1f41b4aeec1121b013783f8f352\
              6b56d037e05f2598bd0fd2215d6a1e5295e64f73f63f0aec8b915a985d786598"
         );
+    }
+
+    const CASE7_DATA: &[u8] = b"This is a test using a larger than block-size key and a larger \
+        than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
+
+    // RFC 4231 test case 7: key and data both longer than the block size.
+    #[test]
+    fn rfc4231_case7_long_key_long_data() {
+        let key = [0xaau8; 131];
+        assert_eq!(
+            hex(&HmacSha256::mac(&key, CASE7_DATA)),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+        assert_eq!(
+            hex(&HmacSha512::mac(&key, CASE7_DATA)),
+            "e37b6a775dc87dbaa4dfa9f96e5e3ffddebd71f8867289865df5a32d20cdc944\
+             b6022cac3c4982b10d5eeb55c3e4de15134676fb6de0446065c97440fa8c6a58"
+        );
+    }
+
+    /// Key once, clone twice, and finish the original last: all three tags equal `mac`.
+    fn check_keyed_reuse(key: &[u8], first: &[u8], second: &[u8]) {
+        let keyed = HmacSha256::new(key);
+        for data in [first, second] {
+            let mut h = keyed.clone();
+            h.update(data);
+            assert_eq!(h.finalize(), HmacSha256::mac(key, data));
+        }
+        let mut h = keyed;
+        h.update(first);
+        assert_eq!(h.finalize(), HmacSha256::mac(key, first));
+
+        let keyed = HmacSha512::new(key);
+        for data in [first, second] {
+            let mut h = keyed.clone();
+            h.update(data);
+            assert_eq!(h.finalize(), HmacSha512::mac(key, data));
+        }
+        let mut h = keyed;
+        h.update(second);
+        assert_eq!(h.finalize(), HmacSha512::mac(key, second));
+    }
+
+    #[test]
+    fn keyed_clones_reproduce_the_rfc4231_long_key_cases() {
+        let key = [0xaau8; 131];
+        check_keyed_reuse(
+            &key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            CASE7_DATA,
+        );
+        let mut h = HmacSha512::new(&key);
+        h.update(CASE7_DATA);
+        let cloned = h.clone();
+        assert_eq!(cloned.finalize(), h.finalize());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_keyed_clones_equal_one_shot_mac(
+            key in proptest::collection::vec(any::<u8>(), 0..300),
+            first in proptest::collection::vec(any::<u8>(), 0..300),
+            second in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            check_keyed_reuse(&key, &first, &second);
+        }
     }
 
     #[test]

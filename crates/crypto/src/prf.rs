@@ -6,8 +6,15 @@
 //! counter-mode expansion that alternates HMAC-SHA-256 and HMAC-SHA-512 blocks, which keeps the
 //! construction a PRF (each block is an independent HMAC invocation over a domain-separated
 //! input) while producing any requested output length.
+//!
+//! A [`LongPrf`] is keyed once: it holds one keyed [`HmacSha512`] and one keyed
+//! [`HmacSha256`], each two hash midstates (see [`crate::hmac`]), and every output block clones
+//! one of them. The 336-byte output then costs 14 compressions for a short input instead of 28.
+//! Like the key bytes beside them, the midstates are **key material**, so `LongPrf` implements
+//! no `Debug`.
 
 use crate::hmac::{HmacSha256, HmacSha512};
+use crate::sha512;
 
 /// A deterministic, keyed pseudo-random function with arbitrary output length.
 ///
@@ -23,12 +30,18 @@ use crate::hmac::{HmacSha256, HmacSha512};
 #[derive(Clone)]
 pub struct LongPrf {
     key: Vec<u8>,
+    sha512: HmacSha512,
+    sha256: HmacSha256,
 }
 
 impl LongPrf {
-    /// Create a PRF instance keyed with `key`.
+    /// Create a PRF instance keyed with `key` (four compressions: both HMAC key schedules).
     pub fn new(key: &[u8]) -> Self {
-        LongPrf { key: key.to_vec() }
+        LongPrf {
+            key: key.to_vec(),
+            sha512: HmacSha512::new(key),
+            sha256: HmacSha256::new(key),
+        }
     }
 
     /// The key this PRF was constructed with.
@@ -42,33 +55,24 @@ impl LongPrf {
     /// `counter || input`, mirroring the paper's "concatenation of different SHA2-based
     /// HMACs". The counter provides domain separation between blocks.
     pub fn evaluate(&self, input: &[u8], out_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(out_len);
+        // Room for the last block's whole tag, which is then truncated.
+        let mut out = Vec::with_capacity(out_len + sha512::DIGEST_LEN);
         let mut counter: u32 = 0;
         while out.len() < out_len {
-            let mut msg = Vec::with_capacity(4 + input.len());
-            msg.extend_from_slice(&counter.to_be_bytes());
-            msg.extend_from_slice(input);
             if counter.is_multiple_of(2) {
-                out.extend_from_slice(&HmacSha512::mac(&self.key, &msg));
+                let mut mac = self.sha512.clone();
+                mac.update(&counter.to_be_bytes());
+                mac.update(input);
+                out.extend_from_slice(&mac.finalize());
             } else {
-                out.extend_from_slice(&HmacSha256::mac(&self.key, &msg));
+                let mut mac = self.sha256.clone();
+                mac.update(&counter.to_be_bytes());
+                mac.update(input);
+                out.extend_from_slice(&mac.finalize());
             }
             counter += 1;
         }
         out.truncate(out_len);
-        out
-    }
-
-    /// Evaluate the PRF and return the output as a vector of `bits` bits
-    /// (most-significant bit of each byte first).
-    pub fn evaluate_bits(&self, input: &[u8], bits: usize) -> Vec<bool> {
-        let bytes = self.evaluate(input, bits.div_ceil(8));
-        let mut out = Vec::with_capacity(bits);
-        for i in 0..bits {
-            let byte = bytes[i / 8];
-            let bit = (byte >> (7 - (i % 8))) & 1;
-            out.push(bit == 1);
-        }
         out
     }
 }
@@ -76,6 +80,26 @@ impl LongPrf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The construction spelled out: a fresh one-shot MAC per block over a `counter || input`
+    /// message, concatenated and truncated.
+    fn naive_evaluate(key: &[u8], input: &[u8], out_len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut counter = 0u32;
+        while out.len() < out_len {
+            let mut msg = counter.to_be_bytes().to_vec();
+            msg.extend_from_slice(input);
+            if counter.is_multiple_of(2) {
+                out.extend_from_slice(&HmacSha512::mac(key, &msg));
+            } else {
+                out.extend_from_slice(&HmacSha256::mac(key, &msg));
+            }
+            counter += 1;
+        }
+        out.truncate(out_len);
+        out
+    }
 
     #[test]
     fn output_has_requested_length() {
@@ -114,29 +138,30 @@ mod tests {
     }
 
     #[test]
-    fn bit_output_matches_byte_output() {
-        let prf = LongPrf::new(b"key");
-        let bytes = prf.evaluate(b"w", 4);
-        let bits = prf.evaluate_bits(b"w", 32);
-        for (i, bit) in bits.iter().enumerate() {
-            let expected = (bytes[i / 8] >> (7 - (i % 8))) & 1 == 1;
-            assert_eq!(*bit, expected);
-        }
-    }
-
-    #[test]
-    fn bit_output_handles_non_byte_multiples() {
-        let prf = LongPrf::new(b"key");
-        assert_eq!(prf.evaluate_bits(b"w", 13).len(), 13);
-        assert_eq!(prf.evaluate_bits(b"w", 0).len(), 0);
-    }
-
-    #[test]
     fn paper_parameters_output_is_uniform_looking() {
         // 2688-bit output: roughly half the bits should be set (loose sanity bound).
         let prf = LongPrf::new(b"paper-params");
-        let bits = prf.evaluate_bits(b"keyword", 2688);
-        let ones = bits.iter().filter(|b| **b).count();
+        let ones: u32 = prf
+            .evaluate(b"keyword", 336)
+            .iter()
+            .map(|b| b.count_ones())
+            .sum();
         assert!(ones > 1100 && ones < 1600, "ones = {ones}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_evaluate_equals_the_naive_construction(
+            key in proptest::collection::vec(any::<u8>(), 0..200),
+            input in proptest::collection::vec(any::<u8>(), 0..300),
+            out_len in 0usize..=400,
+        ) {
+            let prf = LongPrf::new(&key);
+            prop_assert_eq!(prf.evaluate(&input, out_len), naive_evaluate(&key, &input, out_len));
+            // Every keyed block is a clone: a second evaluation sees the same midstates.
+            prop_assert_eq!(prf.evaluate(&input, out_len), naive_evaluate(&key, &input, out_len));
+        }
     }
 }

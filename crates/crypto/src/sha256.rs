@@ -94,33 +94,20 @@ impl Sha256 {
     /// Finish the computation and return the digest. The hasher is consumed.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero padding then the 64-bit big-endian length.
-        let mut pad = [0u8; BLOCK_LEN * 2];
-        pad[0] = 0x80;
-        let pad_len = if self.buffer_len < 56 {
-            56 - self.buffer_len
+        // The buffered bytes, 0x80, zeros and the 64-bit big-endian length fill one block, or
+        // two when fewer than 9 bytes of the last block are free. Padded on the stack.
+        let mut tail = [0u8; 2 * BLOCK_LEN];
+        tail[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        tail[self.buffer_len] = 0x80;
+        let end = if self.buffer_len < BLOCK_LEN - 8 {
+            BLOCK_LEN
         } else {
-            120 - self.buffer_len
+            2 * BLOCK_LEN
         };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        // Bypass total_len accounting: feed the padding through the block machinery directly.
-        let mut data: &[u8] = &tail;
-        if self.buffer_len > 0 {
-            let need = BLOCK_LEN - self.buffer_len;
-            self.buffer[self.buffer_len..BLOCK_LEN].copy_from_slice(&data[..need]);
-            let block = self.buffer;
-            self.compress(&block);
-            data = &data[need..];
+        tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        for block in tail[..end].chunks_exact(BLOCK_LEN) {
+            self.compress(block.try_into().expect("a whole block"));
         }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
-        }
-        debug_assert!(data.is_empty());
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -246,6 +233,21 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), reference, "split at {split}");
         }
+    }
+
+    #[test]
+    fn every_length_to_300_matches_an_independent_reference() {
+        // Every padding case — one tail block, two tail blocks, an empty buffer — is crossed
+        // several times. The constant is Python's hashlib over the same digests.
+        let mut all = Sha256::new();
+        for len in 0..=300usize {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            all.update(&Sha256::digest(&msg));
+        }
+        assert_eq!(
+            hex(&all.finalize()),
+            "7d917fbd2cf49ddff9ad0a8706bba32d204e92e71d2e369c5a03d6af29278c9f"
+        );
     }
 
     #[test]

@@ -60,7 +60,8 @@ fn main() {
             let keys = SchemeKeys::generate(&params, &mut rng);
             let indexer = DocumentIndexer::new(&params, &keys);
             let docs = &corpus.documents[..size];
-            // Paper-faithful (uncached) indexing: one PRF evaluation per (level, keyword, doc).
+            // Paper-faithful (uncached) indexing: one PRF evaluation per (document, level,
+            // keyword whose count reaches the level's threshold), as `index_terms` documents.
             let (indices, elapsed) = timed(|| {
                 docs.iter()
                     .map(|d| indexer.index_document(d))

@@ -8,11 +8,13 @@ use crate::messages::{
 };
 use crate::ProtocolError;
 use mkse_core::bins::{bins_for_keywords, get_bin, BinId};
-use mkse_core::keys::{trapdoor_from_bin_key, Trapdoor, BIN_KEY_LEN};
+use mkse_core::keys::{Trapdoor, BIN_KEY_LEN};
+use mkse_core::keyword::keyword_index_with_prf;
 use mkse_core::params::SystemParams;
 use mkse_core::query::QueryBuilder;
 use mkse_crypto::aes::{AesCtr, KEY_SIZE};
 use mkse_crypto::bigint::BigUint;
+use mkse_crypto::prf::LongPrf;
 use mkse_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -31,8 +33,10 @@ pub struct User {
     /// The data owner's public key, used for blinding.
     owner_public: RsaPublicKey,
     /// Bin keys learned so far (the user caches them — §3 notes the trapdoor exchange "does
-    /// not need to be performed every time").
-    bin_keys: BTreeMap<BinId, Vec<u8>>,
+    /// not need to be performed every time"), each keyed once as its PRF so every trapdoor of
+    /// the bin reuses the HMAC key schedules (§4.2: the user "generate[s] the trapdoors for
+    /// all keywords in these bins").
+    bin_keys: BTreeMap<BinId, LongPrf>,
     /// Trapdoors of the random-keyword pool, shared by the data owner with authorized users.
     pool_trapdoors: Vec<Trapdoor>,
     counters: OperationCounters,
@@ -98,13 +102,13 @@ impl User {
     }
 
     /// Ingest the data owner's reply: decrypt each bin key with the user's private key and
-    /// cache it.
+    /// cache it, keyed as its PRF.
     pub fn ingest_trapdoor_reply(&mut self, reply: &TrapdoorReply) -> Result<(), ProtocolError> {
         for (bin, ciphertext) in &reply.encrypted_bin_keys {
             let key = self.rsa.decrypt_value(ciphertext)?;
             self.counters.modular_exponentiations += 1;
-            self.bin_keys
-                .insert(*bin, key.to_bytes_be_padded(BIN_KEY_LEN));
+            let key = key.to_bytes_be_padded(BIN_KEY_LEN);
+            self.bin_keys.insert(*bin, LongPrf::new(&key));
         }
         Ok(())
     }
@@ -112,11 +116,15 @@ impl User {
     /// Compute the trapdoor of one keyword from a cached bin key.
     pub fn trapdoor_for(&mut self, keyword: &str) -> Result<Trapdoor, ProtocolError> {
         let bin = get_bin(&self.params, keyword);
-        let key = self.bin_keys.get(&bin).ok_or_else(|| {
+        let prf = self.bin_keys.get(&bin).ok_or_else(|| {
             ProtocolError::Crypto(format!("missing bin key {bin} for keyword trapdoor"))
         })?;
         self.counters.hashes += 1;
-        Ok(trapdoor_from_bin_key(&self.params, key, keyword))
+        Ok(Trapdoor::new(keyword_index_with_prf(
+            &self.params,
+            prf,
+            keyword,
+        )))
     }
 
     /// Build the r-bit query index (with randomization when the pool is available) for the
