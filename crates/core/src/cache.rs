@@ -27,8 +27,9 @@
 //! engine merges cached and freshly scanned shards through the same sort/merge code
 //! path, so cached and uncached execution are **byte-identical** (matches, ranks,
 //! order, merged stats); only wall-clock time and the *actual* number of
-//! comparisons performed differ. `tests/sharded_engine_equivalence.rs` enforces
-//! this.
+//! comparisons performed differ. The engine rows of the oracle matrix
+//! (`tests/oracle_matrix.rs`, cache off, at capacity 4 and at the default)
+//! enforce this.
 //!
 //! ## Search-pattern note (why this leaks nothing new)
 //!

@@ -14,8 +14,8 @@
 //! [`crate::engine::SearchEngine`] over a [`crate::storage::ShardedStore`] of
 //! packed §5 entries, sweeping the bit-sliced [`crate::scanplane::ScanPlane`] it
 //! derives per shard instead — a layout change only; it is held match-for-match,
-//! rank-for-rank and count-for-count equivalent to this reference (see
-//! `tests/sharded_engine_equivalence.rs` and
+//! rank-for-rank and count-for-count equivalent to this reference (see the
+//! engine rows of `tests/oracle_matrix.rs` and
 //! `mkse-core/tests/scanplane_equivalence.rs`).
 
 use crate::document_index::RankedDocumentIndex;

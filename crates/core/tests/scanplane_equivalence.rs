@@ -6,8 +6,8 @@
 //! of 64 and ragged tails alike) and any shard count, the plane-backed
 //! [`SearchEngine`] must return **byte-identical** matches, ranks, order,
 //! [`SearchStats`] and cache counters to the AoS reference scan of
-//! [`CloudIndex`]. Inserts between queries must keep both the planes and the
-//! result cache fresh, and a snapshot/restore cycle must rebuild the planes.
+//! [`CloudIndex`]. Engines over every configuration and script are rows of
+//! the oracle matrix (`tests/oracle_matrix.rs`); this suite keeps the corners.
 //!
 //! Which rows a sweep reads depends on the corpus as well as the query (a row no
 //! stored index sets is skipped), so the proptests hold the contract in both
@@ -23,7 +23,6 @@ use mkse_core::scanplane::CHUNK;
 use mkse_core::{
     BitIndex, CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex,
     RankedDocumentIndex, ScanPlane, SchemeKeys, SearchEngine, ShardedStore, SystemParams,
-    TelemetryLevel,
 };
 use mkse_textproc::TermFrequencies;
 use proptest::prelude::*;
@@ -54,23 +53,6 @@ fn random_docs(rng: &mut StdRng, n: usize, r: usize, eta: usize) -> Vec<RankedDo
             levels: (0..eta).map(|_| random_bitindex(rng, r, 0.05)).collect(),
         })
         .collect()
-}
-
-/// A query workload covering the row-selection extremes: sparse- and dense-zero
-/// random queries, the all-ones query (no row selected), the all-zeros query
-/// (every live row selected), and one stored document's own base level
-/// (guaranteed matches, deep rank walks).
-fn query_workload(rng: &mut StdRng, r: usize, docs: &[RankedDocumentIndex]) -> Vec<QueryIndex> {
-    let mut queries = vec![
-        QueryIndex::from_bits(random_bitindex(rng, r, 0.02)),
-        QueryIndex::from_bits(random_bitindex(rng, r, 0.3)),
-        QueryIndex::from_bits(BitIndex::all_ones(r)),
-        QueryIndex::from_bits(BitIndex::all_zeros(r)),
-    ];
-    if let Some(doc) = docs.first() {
-        queries.push(QueryIndex::from_bits(doc.base_level().clone()));
-    }
-    queries
 }
 
 /// A plane of `docs` pushed the way an engine pushes: from a store's entries.
@@ -137,51 +119,6 @@ fn scheme_workload(
     (params, docs, queries)
 }
 
-fn assert_engine_equals_reference(
-    engine: &SearchEngine,
-    reference: &CloudIndex,
-    queries: &[QueryIndex],
-    ctx: &str,
-) {
-    for (qi, query) in queries.iter().enumerate() {
-        let (seq_matches, seq_stats) = reference.search_ranked_with_stats(query);
-        let (par_matches, par_stats) = engine.search_ranked_with_stats(query);
-        assert_eq!(
-            par_matches, seq_matches,
-            "ranked matches differ: {ctx}, query {qi}"
-        );
-        assert_eq!(par_stats, seq_stats, "stats differ: {ctx}, query {qi}");
-        assert_eq!(
-            engine.search_top(query, 3),
-            reference.search_top(query, 3),
-            "top-k differs: {ctx}, query {qi}"
-        );
-    }
-}
-
-#[test]
-fn scanplane_engine_is_byte_identical_to_reference_at_all_shard_counts() {
-    let mut rng = StdRng::seed_from_u64(91);
-    // r straddles block boundaries: 64 | r, ragged tails (r % 64 ∈ {1, 36}), and
-    // the paper's 448; η covers the unranked and deep-ranking shapes.
-    for &r in &[64usize, 65, 100, 448] {
-        for &eta in &[1usize, 3] {
-            let params = params_for(r, eta);
-            let docs = random_docs(&mut rng, 61, r, eta);
-            let queries = query_workload(&mut rng, r, &docs);
-            let mut reference = CloudIndex::new(params.clone());
-            reference.insert_all(docs.iter().cloned()).unwrap();
-
-            for shards in SHARD_COUNTS {
-                let mut engine = SearchEngine::sharded(params.clone(), shards);
-                engine.insert_all(docs.iter().cloned()).unwrap();
-                let ctx = format!("r={r}, eta={eta}, {shards} shards");
-                assert_engine_equals_reference(&engine, &reference, &queries, &ctx);
-            }
-        }
-    }
-}
-
 #[test]
 fn scanplane_all_ones_and_all_zeros_queries_hit_pruning_extremes() {
     let mut rng = StdRng::seed_from_u64(92);
@@ -218,264 +155,6 @@ fn scanplane_all_ones_and_all_zeros_queries_hit_pruning_extremes() {
             "{shards} shards, all-zeros"
         );
         assert!(matches.iter().any(|m| m.document_id == 7));
-    }
-}
-
-#[test]
-fn scanplane_inserts_between_queries_keep_planes_and_cache_fresh() {
-    let mut rng = StdRng::seed_from_u64(93);
-    let r = 129; // two full blocks + 1-bit tail
-    let params = params_for(r, 3);
-    let docs = random_docs(&mut rng, 59, r, 3);
-    let queries = query_workload(&mut rng, r, &docs);
-
-    for shards in [1usize, 2, 7] {
-        let mut reference = CloudIndex::new(params.clone());
-        let mut engine =
-            SearchEngine::sharded(params.clone(), shards).with_result_cache(CacheConfig::default());
-        // Upload a chunk, query everything twice (cache admit + hit), repeat:
-        // neither a stale plane nor a stale cache entry may survive an insert.
-        for chunk in docs.chunks(13) {
-            reference.insert_all(chunk.iter().cloned()).unwrap();
-            engine.insert_all(chunk.iter().cloned()).unwrap();
-            for pass in ["cold", "warm"] {
-                let ctx = format!("{shards} shards, {} docs, {pass}", reference.len());
-                assert_engine_equals_reference(&engine, &reference, &queries, &ctx);
-            }
-        }
-        // Planes track their shards exactly.
-        for shard in 0..engine.store().num_shards() {
-            let plane = engine.scan_plane(shard);
-            assert_eq!(plane.len(), engine.store().shard_len(shard));
-        }
-    }
-}
-
-#[test]
-fn scanplane_snapshot_restore_rebuilds_planes() {
-    let mut rng = StdRng::seed_from_u64(94);
-    let r = 448;
-    let params = params_for(r, 3);
-    let docs = random_docs(&mut rng, 47, r, 3);
-    let queries = query_workload(&mut rng, r, &docs);
-    let mut reference = CloudIndex::new(params.clone());
-    reference.insert_all(docs.iter().cloned()).unwrap();
-
-    let mut original = SearchEngine::sharded(params.clone(), 5);
-    original.insert_all(docs.iter().cloned()).unwrap();
-    let bytes = original.snapshot();
-
-    for shards in SHARD_COUNTS {
-        let mut restored =
-            SearchEngine::sharded(params.clone(), shards).with_result_cache(CacheConfig::default());
-        assert_eq!(restored.restore_snapshot(&bytes).unwrap(), docs.len());
-        // The snapshot carries no plane bytes; restore rebuilt them via insert.
-        for shard in 0..restored.store().num_shards() {
-            let plane = restored.scan_plane(shard);
-            let store = restored.store();
-            assert_eq!(
-                plane.len(),
-                store.shard_len(shard),
-                "{shards} shards, shard {shard}"
-            );
-            let ids: Vec<u64> = store.shard_entries(shard).map(|e| e.document_id).collect();
-            assert_eq!(plane.ids(), &ids[..], "{shards} shards, shard {shard}");
-        }
-        let ctx = format!("restored into {shards} shards");
-        assert_engine_equals_reference(&restored, &reference, &queries, &ctx);
-    }
-}
-
-#[test]
-fn scanplane_fused_batch_equals_sequential_engine_at_all_shard_counts() {
-    // Engine-level fused-batch parity: for every shard count, with the cache off
-    // and on (cold and warm), a batch containing duplicates and the pruning
-    // extremes must reply exactly like the sequential reference answers each
-    // query alone.
-    let mut rng = StdRng::seed_from_u64(95);
-    let r = 193; // three full blocks + 1-bit tail
-    let params = params_for(r, 3);
-    let docs = random_docs(&mut rng, 67, r, 3);
-    let mut batch = query_workload(&mut rng, r, &docs);
-    let dup = batch[0].clone();
-    batch.push(dup); // intra-batch duplicate: deduped scan, identical reply
-    let mut reference = CloudIndex::new(params.clone());
-    reference.insert_all(docs.iter().cloned()).unwrap();
-
-    for shards in SHARD_COUNTS {
-        for cached in [false, true] {
-            let mut engine = SearchEngine::sharded(params.clone(), shards);
-            if cached {
-                engine.enable_cache(CacheConfig::default());
-            }
-            engine.insert_all(docs.iter().cloned()).unwrap();
-            for pass in ["cold", "warm"] {
-                let batched = engine.search_batch_with_stats(&batch);
-                for (qi, (query, (matches, stats))) in batch.iter().zip(&batched).enumerate() {
-                    let (seq_matches, seq_stats) = reference.search_ranked_with_stats(query);
-                    let ctx = format!("{shards} shards, cached={cached}, {pass}, query {qi}");
-                    assert_eq!(matches, &seq_matches, "fused batch differs: {ctx}");
-                    assert_eq!(stats, &seq_stats, "fused batch stats differ: {ctx}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn scanplane_steal_scheduler_heavy_configs_are_byte_identical() {
-    // Lane count is invisible — the executor's correctness oracle at scale: a
-    // corpus big enough that the 1- and 2-shard stores split into several
-    // chunk-range units per shard (a unit is 8 chunks at every lane count), swept under
-    // every shards × lanes combination with the cache off and on — every
-    // reply, every stat and every cache counter must match the sequential
-    // reference (and a one-lane twin: the same units run in order on the
-    // caller, the sequential execution) byte for byte.
-    let mut rng = StdRng::seed_from_u64(96);
-    let r = 65; // ragged tail: 64 valid bits + 1
-    let eta = 2;
-    let params = params_for(r, eta);
-    // ~18.3 chunks single-sharded (3 units), ~9.2 per shard at 2 shards (2
-    // units each, the last ragged); 7 and 16 shards hold one unit apiece.
-    let docs = random_docs(&mut rng, 2 * (8 * CHUNK + CHUNK) + 321, r, eta);
-    let queries = query_workload(&mut rng, r, &docs);
-    let mut batch = queries.clone();
-    batch.push(batch[0].clone()); // intra-batch duplicates ride along
-    batch.push(batch[1].clone());
-    let mut reference = CloudIndex::new(params.clone());
-    reference.insert_all(docs.iter().cloned()).unwrap();
-    let expected_batch: Vec<_> = batch
-        .iter()
-        .map(|q| reference.search_ranked_with_stats(q))
-        .collect();
-
-    for shards in SHARD_COUNTS {
-        let mut engine = SearchEngine::sharded(params.clone(), shards);
-        engine.insert_all(docs.iter().cloned()).unwrap();
-        let mut cached =
-            SearchEngine::sharded(params.clone(), shards).with_result_cache(CacheConfig::default());
-        cached.insert_all(docs.iter().cloned()).unwrap();
-        // A one-lane twin with the same cache config: sub-shard execution
-        // must be invisible to the cache counters too.
-        let mut inline_cached = SearchEngine::sharded(params.clone(), shards)
-            .with_scan_lanes(1)
-            .with_result_cache(CacheConfig::default());
-        inline_cached.insert_all(docs.iter().cloned()).unwrap();
-
-        for lanes in [1usize, 2, 3] {
-            engine.set_scan_lanes(lanes);
-            let ctx = format!("{shards} shards, lanes={lanes}");
-            assert_engine_equals_reference(&engine, &reference, &queries, &ctx);
-            assert_eq!(
-                engine.search_batch_with_stats(&batch),
-                expected_batch,
-                "fused batch differs: {ctx}"
-            );
-
-            cached.set_scan_lanes(lanes);
-            cached.clear_cache();
-            cached.reset_cache_stats();
-            inline_cached.clear_cache();
-            inline_cached.reset_cache_stats();
-            for pass in ["cold", "warm"] {
-                assert_eq!(
-                    cached.search_batch_with_stats(&batch),
-                    expected_batch,
-                    "cached fused batch differs: {ctx}, {pass}"
-                );
-                let _ = inline_cached.search_batch_with_stats(&batch);
-            }
-            assert_eq!(
-                cached.cache_stats(),
-                inline_cached.cache_stats(),
-                "cache counters must be lane-invisible: {ctx}"
-            );
-        }
-    }
-}
-
-#[test]
-fn scanplane_telemetry_spans_are_invisible_to_every_reply_and_counter() {
-    // The telemetry invariant (§6 note): the registry observes, it never
-    // participates. An engine recording at `Spans` must return byte-identical
-    // matches, ranks, stats and cache counters to an identical twin at `Off` —
-    // across every shard count, lane count, cache config, and fused batches
-    // with intra-batch duplicates. Only the registry itself may differ.
-    let mut rng = StdRng::seed_from_u64(97);
-    let r = 129; // two full blocks + 1-bit tail
-    let eta = 2;
-    let params = params_for(r, eta);
-    let docs = random_docs(&mut rng, CHUNK + 173, r, eta);
-    let queries = query_workload(&mut rng, r, &docs);
-    let mut batch = queries.clone();
-    batch.push(batch[0].clone()); // intra-batch duplicates ride along
-    batch.push(batch[2].clone());
-    let mut reference = CloudIndex::new(params.clone());
-    reference.insert_all(docs.iter().cloned()).unwrap();
-
-    for shards in SHARD_COUNTS {
-        for cached in [false, true] {
-            let build = || {
-                let mut e = SearchEngine::sharded(params.clone(), shards);
-                if cached {
-                    e.enable_cache(CacheConfig::default());
-                }
-                e.insert_all(docs.iter().cloned()).unwrap();
-                e
-            };
-            let mut off = build();
-            let mut spans = build();
-            spans.set_telemetry_level(TelemetryLevel::Spans);
-
-            for lanes in [1usize, 2, 3] {
-                off.set_scan_lanes(lanes);
-                spans.set_scan_lanes(lanes);
-                let ctx = format!("{shards} shards, lanes={lanes}, cached={cached}");
-                // Both twins must also agree with the sequential reference —
-                // "identical to each other but both wrong" is not equivalence.
-                // (Run it on both so their cache states stay in lockstep.)
-                assert_engine_equals_reference(&spans, &reference, &queries, &ctx);
-                assert_engine_equals_reference(&off, &reference, &queries, &ctx);
-                for (qi, query) in queries.iter().enumerate() {
-                    assert_eq!(
-                        spans.search_ranked_with_stats(query),
-                        off.search_ranked_with_stats(query),
-                        "spans vs off differ: {ctx}, query {qi}"
-                    );
-                }
-                for pass in ["cold", "warm"] {
-                    assert_eq!(
-                        spans.search_batch_with_stats(&batch),
-                        off.search_batch_with_stats(&batch),
-                        "fused batch differs: {ctx}, {pass}"
-                    );
-                }
-                if cached {
-                    assert_eq!(
-                        spans.cache_stats(),
-                        off.cache_stats(),
-                        "cache counters must be telemetry-invisible: {ctx}"
-                    );
-                }
-            }
-            // The observing twin did record: the registry is where the levels
-            // are allowed to differ.
-            if shards == SHARD_COUNTS[0] {
-                let snap = spans.telemetry().snapshot();
-                assert!(
-                    snap.counter("batch_queries") > 0,
-                    "spans twin recorded queries"
-                );
-                assert!(
-                    snap.histograms.iter().any(|h| h.stage == "unit_scan"),
-                    "spans twin recorded unit scans"
-                );
-                assert!(
-                    off.telemetry().snapshot().histograms.is_empty(),
-                    "off twin recorded nothing"
-                );
-            }
-        }
     }
 }
 

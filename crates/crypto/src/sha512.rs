@@ -303,12 +303,16 @@ mod tests {
     }
 
     #[test]
-    fn padding_boundaries() {
-        for len in [111usize, 112, 113, 127, 128, 129, 239, 240, 241] {
-            let data = vec![0x5au8; len];
+    fn incremental_odd_boundaries() {
+        // Exercise buffering across all split points of a 300-byte message: every
+        // split lands the second update's tail on a different padding case.
+        let data: Vec<u8> = (0..300).map(|i| (i * 13 + 5) as u8).collect();
+        let reference = Sha512::digest(&data);
+        for split in 0..=data.len() {
             let mut h = Sha512::new();
-            h.update(&data);
-            assert_eq!(h.finalize(), Sha512::digest(&data), "len {len}");
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), reference, "split at {split}");
         }
     }
 }

@@ -385,6 +385,20 @@ mod tests {
         );
     }
 
+    /// A query sent to the owner by mistake, through the framed client, comes
+    /// back a typed refusal naming the party that serves it.
+    #[test]
+    fn search_requests_are_refused_with_a_typed_error() {
+        let (owner, _) = owner();
+        let query = mkse_core::bitindex::BitIndex::all_ones(owner.params().index_bits);
+        let message = crate::QueryMessage { query, top: None };
+        let refusal = crate::TypedCalls::query(&mut crate::Client::new(owner), &message);
+        let refusal = refusal.unwrap_err();
+        assert!(
+            matches!(&refusal, ProtocolError::Unsupported(what) if what.contains("cloud server"))
+        );
+    }
+
     #[test]
     fn counters_reset() {
         let (mut owner, mut rng) = owner();

@@ -28,7 +28,8 @@
 //! order — in process over a [`Service`], or over a [`link`] (TCP or an
 //! in-process memory pipe). Its typed calls are written once, in
 //! [`TypedCalls`]. A direct `Service::call` and the framed codec return
-//! byte-identical replies (`tests/envelope_equivalence.rs` proves it).
+//! byte-identical replies (the `call` and `client` rows of
+//! `tests/oracle_matrix.rs` prove it).
 
 #![forbid(unsafe_code)]
 

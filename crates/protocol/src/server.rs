@@ -22,13 +22,11 @@
 //! is what a cross-client batcher hands a coalesced group to. Every query
 //! envelope — a `Query`, a `BatchQuery`, a group — is answered through the
 //! engine's one batch entry (a `Query` as a batch of one) and the same reply
-//! builder, so all three record one telemetry family. The cache toggles are
-//! thin shims over `call`; an upload is `call` itself (or a client's typed
-//! `upload`, which crosses the codec). The framed codec carries the same
-//! envelope, so replies are byte-identical no matter which surface a caller
-//! uses (`tests/envelope_equivalence.rs` asserts
-//! `call` == framed [`crate::Client`] across shard counts and cache
-//! configurations).
+//! builder, so all three record one telemetry family. The framed codec
+//! carries the same envelope, so replies are byte-identical no matter which
+//! surface a caller uses (`tests/oracle_matrix.rs` holds `call`, a group, the
+//! framed [`crate::Client`] and the hubs to one sequential `call` twin across
+//! shard counts and cache configurations).
 
 use crate::counters::OperationCounters;
 use crate::envelope::{answer_query_group, Request, Response, ServerInfo, Service};
@@ -109,43 +107,9 @@ impl CloudServer {
         });
     }
 
-    /// Disable the result cache, dropping every entry. Shim over
-    /// [`Request::DisableCache`].
-    pub fn disable_result_cache(&mut self) {
-        let _ = self.call(Request::DisableCache);
-    }
-
-    /// True if the result cache is enabled.
-    pub fn result_cache_enabled(&self) -> bool {
-        self.engine.cache_enabled()
-    }
-
     /// Cumulative cache effectiveness counters, or `None` when caching is off.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.engine.cache_stats()
-    }
-
-    /// Snapshot the searchable index into the versioned binary format of
-    /// [`mkse_core::persistence`]. The result cache is never part of a snapshot.
-    ///
-    /// Semantically [`Request::SnapshotIndex`]; like [`CloudServer::restore_index`]
-    /// the accounting (`requests_served`) matches the envelope path exactly, so
-    /// counter parity holds no matter which surface a caller uses.
-    pub fn snapshot_index(&mut self) -> Vec<u8> {
-        self.note_served();
-        self.engine.snapshot()
-    }
-
-    /// Restore an index snapshot, appending its documents. Every cache generation
-    /// is bumped, so entries cached before the restore can never be served after.
-    ///
-    /// Semantically [`Request::RestoreIndex`], but executed on the borrowed
-    /// slice: copying a whole-index snapshot into an owned envelope would
-    /// double peak memory for a request that never crosses a wire here. The
-    /// accounting (`requests_served`) matches the envelope path exactly.
-    pub fn restore_index(&mut self, bytes: &[u8]) -> Result<usize, ProtocolError> {
-        self.note_served();
-        Ok(self.engine.restore_snapshot(bytes)?)
     }
 
     /// Accept the data owner's upload ([`Request::Upload`]): searchable indices
@@ -441,6 +405,27 @@ mod tests {
         }
     }
 
+    /// `Service::call` on a `SnapshotIndex`, narrowed to the snapshot bytes.
+    fn snapshot(server: &mut CloudServer) -> Vec<u8> {
+        server.call(Request::SnapshotIndex).into_snapshot().unwrap()
+    }
+
+    /// `Service::call` on a `RestoreIndex`: the documents appended, or the refusal.
+    fn restore(server: &mut CloudServer, bytes: &[u8]) -> Result<u64, ProtocolError> {
+        server
+            .call(Request::RestoreIndex(bytes.to_vec()))
+            .into_restored()
+    }
+
+    /// Whether the cache is on, as `ServerInfo` reports it.
+    fn cache_enabled(server: &mut CloudServer) -> bool {
+        server
+            .call(Request::ServerInfo)
+            .into_info()
+            .unwrap()
+            .cache_enabled
+    }
+
     /// [`search`] for a batch.
     fn batch_search(server: &mut CloudServer, message: &BatchQueryMessage) -> BatchSearchReply {
         match server.call(Request::BatchQuery(message.clone())) {
@@ -554,7 +539,7 @@ mod tests {
     fn cached_replies_are_identical_and_accounted() {
         let (owner, mut server, mut rng) = populated_server();
         server.enable_result_cache(64);
-        assert!(server.result_cache_enabled());
+        assert!(cache_enabled(&mut server));
         let msg = query_for(&owner, &["cloud"], &mut rng);
 
         let first = search(&mut server, &msg);
@@ -577,7 +562,7 @@ mod tests {
         assert_eq!(stats.hits, server.num_shards() as u64);
 
         // An upload invalidates; the next query rescans and still matches.
-        server.disable_result_cache();
+        assert_eq!(server.call(Request::DisableCache), Response::Ack);
         assert!(server.cache_stats().is_none());
         let uncached = search(&mut server, &msg);
         assert_eq!(uncached.matches, first.matches);
@@ -589,7 +574,7 @@ mod tests {
         let (_, mut server, _) = populated_server();
         let capacity_per_shard = u64::MAX; // saturates where usize is narrower
         let reply = server.call(Request::EnableCache { capacity_per_shard });
-        assert!(matches!(reply, Response::Ack) && server.result_cache_enabled());
+        assert!(matches!(reply, Response::Ack) && cache_enabled(&mut server));
     }
 
     #[test]
@@ -637,8 +622,8 @@ mod tests {
         // Reference: the same three queries issued one at a time on an
         // identically configured server.
         let mut sequential = CloudServer::with_shards(owner.params().clone(), server.num_shards());
-        let snapshot = server.snapshot_index();
-        sequential.restore_index(&snapshot).unwrap();
+        let bytes = snapshot(&mut server);
+        restore(&mut sequential, &bytes).unwrap();
         sequential.enable_result_cache(64);
         sequential.reset_counters();
         let individual = vec![
@@ -732,7 +717,7 @@ mod tests {
     /// 64-entry cache and zeroed counters.
     fn cached_twin(server: &mut CloudServer) -> CloudServer {
         let mut twin = CloudServer::with_shards(server.params().clone(), server.num_shards());
-        twin.restore_index(&server.snapshot_index()).unwrap();
+        restore(&mut twin, &snapshot(server)).unwrap();
         twin.enable_result_cache(64);
         twin.reset_counters();
         twin
@@ -825,7 +810,7 @@ mod tests {
         // it must answer every match, and no bookkeeping may overflow in a
         // build without overflow checks.
         let (owner, mut server, mut rng) = cloud_heavy_server();
-        assert!(!server.result_cache_enabled());
+        assert!(!cache_enabled(&mut server));
         let message = query_for(&owner, &["cloud"], &mut rng);
         let full = search(&mut server, &message);
         assert!(
@@ -917,15 +902,15 @@ mod tests {
         assert!(!after_upload.cache.served_from_cache);
 
         // Snapshot → restore into a fresh cached server: identical matches, cold cache.
-        let bytes = server.snapshot_index();
+        let bytes = snapshot(&mut server);
         let mut restored = CloudServer::with_shards(owner.params().clone(), 2);
         restored.enable_result_cache(64);
-        assert_eq!(restored.restore_index(&bytes).unwrap(), 4);
+        assert_eq!(restore(&mut restored, &bytes), Ok(4));
         let replayed = search(&mut restored, &msg);
         assert_eq!(replayed.matches, after_upload.matches);
         assert_eq!(replayed.cache.shard_hits, 0, "restored cache must be cold");
         assert!(matches!(
-            restored.restore_index(&bytes[..3]),
+            restore(&mut restored, &bytes[..3]),
             Err(ProtocolError::Persistence(_))
         ));
     }

@@ -10,7 +10,8 @@
 //! `examples/`.
 //!
 //! - [`fixture`] — a seeded `DataOwner` corpus: texts, query keyword sets and
-//!   extra uploads in, a [`Fixture`] out; [`Fixture::server`] is its twin.
+//!   extra uploads in, a [`Fixture`] out; [`Fixture::bare`] is one of bare
+//!   indices; [`Fixture::server`] is its twin.
 //! - [`chaos_connector`] — a connector over an in-process dialer behind a
 //!   seeded `FaultyLink` (a [`Fleet`] dooms its data links with it too).
 //! - [`frame_len`], [`forwarded_query_len`], [`forward_len`], [`ship_len`] —
@@ -21,10 +22,21 @@
 //!   single server its journal replays on.
 //! - [`replay_journal`], [`assert_replies_match_replay`],
 //!   [`assert_conservation`], [`counter`], [`gauge`] — the oracles' judges.
+//! - [`Script`] — the oracle matrix's seeded ops on a served index over a
+//!   [`Fixture`]; [`Script::resolve`] turns them into [`Step`]s, each op's
+//!   requests and what the reference (`CloudIndex`) answers. Its judges:
+//!   [`call_twin`] (the sequential `CloudServer::call` twin, held to the
+//!   reference op by op), [`assert_same_replies`] (a row's replies are the
+//!   twin's, frame for frame) and [`at`] (the seed, row and op a failure
+//!   names).
 
 #![forbid(unsafe_code)]
 
-use mkse_core::{QueryBuilder, RankedDocumentIndex, SystemParams, Telemetry};
+mod script;
+
+pub use script::{assert_same_replies, at, call_twin, Cut, Op, Ranked, Script, Step, Twin};
+
+use mkse_core::{BitIndex, QueryBuilder, RankedDocumentIndex, SystemParams, Telemetry};
 use mkse_net::{
     Connector, Coordinator, FaultHandle, FaultPlan, FaultyLink, FleetConfig, Hub, HubConfig,
     HubHandle, JournalEntry, MemoryDialer, NodeConfig, NodeRunner, ResilienceStats, RetryPolicy,
@@ -101,6 +113,38 @@ pub fn fixture(
 }
 
 impl Fixture {
+    /// A corpus of bare indices, without ciphertexts, sent `queries` uncut.
+    /// It holds back copies of the first two indices under fresh ids, then
+    /// the first one again.
+    pub fn bare(
+        params: SystemParams,
+        queries: Vec<BitIndex>,
+        indices: Vec<RankedDocumentIndex>,
+    ) -> Fixture {
+        let upload = |indices| UploadMessage {
+            indices,
+            documents: vec![],
+        };
+        let mut extra_uploads = Vec::new();
+        for (k, index) in indices[..2].iter().enumerate() {
+            let copy = RankedDocumentIndex {
+                document_id: (1 << 41) + k as u64,
+                ..index.clone()
+            };
+            extra_uploads.push(upload(vec![copy]));
+        }
+        extra_uploads.push(upload(vec![indices[0].clone()]));
+        let queries = (queries.into_iter())
+            .map(|query| QueryMessage { query, top: None })
+            .collect();
+        Fixture {
+            params,
+            queries,
+            seed_upload: upload(indices),
+            extra_uploads,
+        }
+    }
+
     /// The sequential twin: `shards` shards holding the seed upload, with a
     /// 64-entry-per-shard result cache when `cache` is set — initialized
     /// exactly as the server a hub under test owns.

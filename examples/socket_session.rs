@@ -5,8 +5,9 @@
 //! per-connection wire section and the batcher section of its
 //! `MetricsSnapshot`.
 //!
-//! `tests/net_equivalence.rs` proves every such reply byte-identical to a
-//! sequential twin's and checks the accounting printed here.
+//! The `hub-tcp` row of `tests/oracle_matrix.rs` proves every such reply
+//! byte-identical to a sequential twin's and checks the accounting printed
+//! here.
 //!
 //! Run with: `cargo run --release --example socket_session`
 

@@ -156,7 +156,8 @@
 //!   comparison counts are unchanged) and cache counters are byte-identical to
 //!   the AoS reference, enforced in release mode by
 //!   `mkse-core/tests/scanplane_equivalence.rs` in the sparse (paper-shaped)
-//!   and the dense (no dead row) regime alike. The `fig4b_search` bench's
+//!   and the dense (no dead row) regime alike, and by the engine rows of
+//!   `tests/oracle_matrix.rs` on multi-unit corpora. The `fig4b_search` bench's
 //!   layout sweep writes `BENCH_scan.json` tracking ns/query across layouts and
 //!   shard counts.
 //! * **Batch sweep** ([`core::ScanPlane::scan_ranked_batch`]): the same sweep,
@@ -181,8 +182,8 @@
 //!   already grants. Queries execute shard-by-shard in parallel and
 //!   per-shard matches and [`core::SearchStats`] are merged. Merged output is provably
 //!   identical to the sequential scan: the (rank, id) sort key is a total order, the
-//!   stats are sums (`tests/sharded_engine_equivalence.rs` asserts both for
-//!   shard counts 1, 2, 7 and 16 on randomized corpora). Scan lanes are clamped to the host's
+//!   stats are sums (the engine rows of `tests/oracle_matrix.rs` assert both
+//!   for shard counts 1, 2, 7 and 16 on three corpora). Scan lanes are clamped to the host's
 //!   available parallelism and fully decoupled from the shard count: the
 //!   `set_scan_lanes(n)` runtime knob caps how many lanes one execution may use
 //!   on the process's one shared pool of lane workers (`available_parallelism − 1`
@@ -257,7 +258,7 @@
 //!   from a pipelined inbox. Because every exchange crosses the codec, the
 //!   `CostLedger` records measured framed wire bytes next to the analytic
 //!   Table 1 bits, and a direct `Service::call` returns the same bytes the
-//!   codec carries (`tests/envelope_equivalence.rs`). The codec states every
+//!   codec carries (the `call` and `client` rows of `tests/oracle_matrix.rs`). The codec states every
 //!   layout **once** — one table row per message struct and per enum variant,
 //!   both directions derived from it — and it is the first code an untrusted
 //!   peer's bytes reach: nothing a peer can send panics a decoder or a service,
@@ -281,7 +282,7 @@
 //!   `BatchQueryMessage` without coordinating with each other. Both layers are invisible: replies, `SearchStats` and cache
 //!   counters are byte-identical to the same requests issued sequentially
 //!   in-process, enforced by the
-//!   journal-replay oracle in `tests/net_equivalence.rs`, and graceful
+//!   journal replay of the `hub-*` rows of `tests/oracle_matrix.rs`, and graceful
 //!   shutdown drains every accepted frame before the dispatcher exits.
 //! * **Resilience** ([`net::ResilientClient`], [`net::FaultyLink`]): links
 //!   die, and a loaded hub must degrade gracefully rather than queue without
@@ -403,7 +404,7 @@
 //! public geometry. Recording is invisible by construction: at every
 //! [`core::TelemetryLevel`], replies, `SearchStats`, cache counters and wire
 //! bytes (the metrics op itself aside) are byte-identical to `Off`, enforced
-//! by the Off-vs-Spans twin sweep in `scanplane_equivalence.rs`. The registry
+//! by the Off-vs-Spans engine rows of `tests/oracle_matrix.rs`. The registry
 //! observes the computation; it never participates in it, so the metrics
 //! plane opens no channel §6 does not already grant the adversary.
 //!

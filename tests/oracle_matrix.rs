@@ -1,0 +1,518 @@
+//! The oracle matrix: one seeded [`Script`] on every path, one row per path,
+//! judged against the reference the script resolves once (`CloudIndex`).
+//!
+//! - `engine[corpus, shards, lanes, cache, spans]`: [`SearchEngine`]s, from a
+//!   restore into an empty engine. After every op: the reference's replies,
+//!   stats, lookups, snapshot bytes and restores; planes tracking the store;
+//!   the one-lane, telemetry-off row's cache counters. Only Spans records.
+//! - `call-twin`: `CloudServer::call`, held to the reference. Every served
+//!   row answers what it answers, frame for frame and counter for counter.
+//! - `hub-tcp` and `hub-memory`: journal replay and the hub's accounting.
+//!
+//! A failure names its seed, row and op; the script depends on its seed
+//! alone, so a rerun replays it.
+
+use mkse::core::scanplane::CHUNK;
+use mkse::core::*;
+use mkse::net::{ClientError, Hub, HubConfig, HubHandle, HubReport, NetClient};
+use mkse::net::{ResilientClient, RetryPolicy};
+use mkse::protocol::{Client, CloudServer, ProtocolError, Request, Response, Service};
+use mkse::protocol::{TypedCalls, WireStats};
+use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
+use mkse_testkit::{assert_replies_match_replay, replay_journal};
+use mkse_testkit::{assert_same_replies, at, call_twin, fixture, Fixture, Op, Script, Step, Twin};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::{sync::OnceLock, time::Duration};
+
+const WAIT: Duration = Duration::from_secs(60);
+
+/// An even seed (capacity 64, every query) and an odd one (capacity 4).
+const SEEDS: [u64; 2] = [42, 43];
+
+// --- the corpora --------------------------------------------------------------
+
+const TEXTS: [&str; 12] = [
+    "cloud privacy search encryption audit",
+    "weather forecast rain and wind",
+    "cloud storage pricing enterprise",
+    "encrypted archive migration cloud",
+    "audit of encryption key management",
+    "cafeteria menu and office plants",
+    "privacy impact assessment cloud data",
+    "phishing incident report credentials",
+    "searchable encryption design notes",
+    "cloud audit logging pipeline",
+    "intrusion detection firewall logs",
+    "cloud storage audit for privacy",
+];
+
+const KEYWORDS: [&[&str]; 7] = [
+    &["cloud"],
+    &["audit"],
+    &["cloud", "audit"],
+    &["privacy"],
+    &["encryption"],
+    &["cloud", "storage"],
+    &["weather"],
+];
+
+/// Two new documents, then one re-sending a stored id.
+const EXTRAS: [(u64, &str); 3] = [(1000, "late audit"), (1001, "cloud privacy"), (0, "again")];
+
+/// A `DataOwner`'s documents (fewer than the widest shard count), ciphertexts
+/// and randomized queries at the paper's geometry.
+fn scheme() -> &'static Fixture {
+    static SCHEME: OnceLock<Fixture> = OnceLock::new();
+    SCHEME.get_or_init(|| fixture(4242, &TEXTS, &KEYWORDS, &EXTRAS))
+}
+
+/// The scheme corpus's server at `shards` shards, counting: every served
+/// row, its twin and the hub's engine.
+fn server(shards: usize) -> CloudServer {
+    let server = scheme().server(shards, false);
+    server.set_telemetry_level(TelemetryLevel::Counters);
+    server
+}
+
+/// `r` bits, each set with probability `ones`.
+fn bits(rng: &mut StdRng, r: usize, ones: f64) -> BitIndex {
+    BitIndex::from_bits(&(0..r).map(|_| rng.gen_bool(ones)).collect::<Vec<_>>())
+}
+
+/// 1,280 scheme-indexed documents, each followed by 14 of random bits (18.75
+/// chunks: several scan units per shard at 1 and 2 shards), queried by
+/// keyword pairs of real documents and randomized single keywords.
+fn padded() -> Fixture {
+    let params = SystemParams::new(128, 4, 16, 10, 5, vec![1, 3, 6]).unwrap();
+    let mut rng = StdRng::seed_from_u64(43);
+    let keys = SchemeKeys::generate(&params, &mut rng);
+    let spec = CorpusSpec {
+        num_documents: CHUNK + 256,
+        vocabulary_size: 60,
+        keywords_per_document: 6,
+        frequency_model: FrequencyModel::Uniform { lo: 1, hi: 8 },
+    };
+    let docs = SyntheticCorpus::generate(&spec, &mut rng).documents;
+    let pool = keys.random_pool_trapdoors(&params);
+    let mut queries = Vec::new();
+    for _ in 0..2 {
+        let keywords = docs[rng.gen_range(0..docs.len())].keywords();
+        let pair_trapdoors = keys.trapdoors_for(&params, &keywords[..2]);
+        let one_trapdoors = keys.trapdoors_for(&params, &keywords[..1]);
+        let pair = QueryBuilder::new(&params).add_trapdoors(&pair_trapdoors);
+        let one =
+            (QueryBuilder::new(&params).add_trapdoors(&one_trapdoors)).with_randomization(&pool);
+        queries.push(pair.build(&mut rng).bits().clone());
+        queries.push(one.build(&mut rng).bits().clone());
+    }
+    let indexer = DocumentIndexer::new(&params, &keys);
+    let mut indices = Vec::new();
+    for (i, doc) in docs.iter().enumerate() {
+        indices.push(indexer.index_document(doc));
+        indices.extend((1..15).map(|j| RankedDocumentIndex {
+            document_id: 1_000_000 + (i * 15 + j) as u64,
+            levels: (0..3).map(|_| bits(&mut rng, 128, 0.3)).collect(),
+        }));
+    }
+    Fixture::bare(params, queries, indices)
+}
+
+/// 9,537 documents of dense arbitrary bits at r = 65 (one past a word), η = 2
+/// — two scan units at one shard — queried at the row-selection extremes:
+/// sparse and dense zeros, all ones, all zeros and a stored base level.
+fn ragged() -> Fixture {
+    let params = SystemParams::new(65, 4, 16, 0, 0, vec![1, 2]).unwrap();
+    let mut rng = StdRng::seed_from_u64(96);
+    let indices: Vec<RankedDocumentIndex> = (0..9 * CHUNK + 321)
+        .map(|i| RankedDocumentIndex {
+            document_id: 1000 + i as u64,
+            levels: (0..2).map(|_| bits(&mut rng, 65, 0.95)).collect(),
+        })
+        .collect();
+    let (sparse, dense) = (bits(&mut rng, 65, 0.98), bits(&mut rng, 65, 0.7));
+    let (ones, zeros) = (BitIndex::all_ones(65), BitIndex::all_zeros(65));
+    let queries = vec![sparse, dense, ones, zeros, indices[0].base_level().clone()];
+    Fixture::bare(params, queries, indices)
+}
+
+// --- engine rows ----------------------------------------------------------------
+
+/// Every shard's plane holds exactly its shard's documents, in slot order.
+fn planes_track_store(engine: &SearchEngine, at: &str) {
+    let store = engine.store();
+    for shard in 0..store.num_shards() {
+        let ids: Vec<u64> = store.shard_entries(shard).map(|e| e.document_id).collect();
+        assert_eq!(engine.scan_plane(shard).ids(), ids, "{at}: shard {shard}");
+    }
+}
+
+/// One op on an engine, judged against the reference. Cache admin, counters,
+/// info and the misrouted op are the server's; an engine has none of them.
+fn engine_step(engine: &mut SearchEngine, step: &Step, at: &str) {
+    let reply = match (&step.op, step.requests.first()) {
+        (Op::Query(..) | Op::Group(_) | Op::Batch(..), _) => {
+            let queries: Vec<QueryIndex> = step.ranked.iter().map(|r| r.0.clone()).collect();
+            let tops: Vec<Option<usize>> = step.ranked.iter().map(|r| r.1).collect();
+            let got = engine.search_batch_with_effects(&queries, &tops);
+            for (i, (got, want)) in got.iter().zip(&step.ranked).enumerate() {
+                assert_eq!((&got.0, &got.1), (&want.2, &want.3), "{at}, position {i}");
+            }
+            return;
+        }
+        (Op::Documents(_), _) => {
+            let lookup = |&(id, _): &(u64, _)| (id, engine.document_index(id));
+            let got: Vec<_> = step.lookups.iter().map(lookup).collect();
+            assert_eq!(got, step.lookups, "{at}: lookups");
+            return;
+        }
+        (_, Some(Request::Upload(upload))) => {
+            match engine.insert_all(upload.indices.iter().cloned()) {
+                Ok(()) => Response::Uploaded {
+                    documents: engine.len() as u64,
+                },
+                Err(e) => Response::Error(e.into()),
+            }
+        }
+        (_, Some(Request::RestoreIndex(bytes))) => match engine.restore_snapshot(bytes) {
+            Ok(documents) => Response::Restored {
+                documents: documents as u64,
+            },
+            Err(e) => Response::Error(e.into()),
+        },
+        (Op::Snapshot, _) => Response::Snapshot(engine.snapshot()),
+        _ => return,
+    };
+    assert!(reply == step.replies[0], "{at}: {}", reply.name());
+    planes_track_store(engine, at);
+}
+
+/// Every engine configuration on `fixture`, each seed's script resolved once.
+/// Every row starts from a restore into an empty engine, its cache set first.
+fn engine_rows(name: &str, fixture: &Fixture, seeds: &[u64]) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut lanes: Vec<usize> = [1, 2, 3].map(|lanes: usize| lanes.min(cores)).to_vec();
+    lanes.dedup();
+    let seeded = &fixture.seed_upload.indices;
+    let bytes = serialize_store(&fixture.params, seeded);
+    let default = CacheConfig::default().capacity_per_shard;
+    for &seed in seeds {
+        let steps = Script::generate(seed, fixture).resolve(fixture);
+        for shards in [1, 2, 7, 16] {
+            for cache in [None, Some(4), Some(default)] {
+                // The one-lane, telemetry-off row's cache counters after each op.
+                let mut first: Vec<Option<CacheStats>> = Vec::new();
+                for &lanes in &lanes {
+                    for spans in [false, true] {
+                        let row = format!("engine[{name}, {shards}, {lanes}, {cache:?}, {spans}]");
+                        let engine = SearchEngine::sharded(fixture.params.clone(), shards);
+                        let mut engine = engine.with_scan_lanes(lanes);
+                        if spans {
+                            engine.set_telemetry_level(TelemetryLevel::Spans);
+                        }
+                        if let Some(capacity_per_shard) = cache {
+                            engine.enable_cache(CacheConfig { capacity_per_shard });
+                        }
+                        let restored = engine.restore_snapshot(&bytes);
+                        let cold = cache.map(|_| CacheStats::default());
+                        let got = (restored, engine.cache_stats());
+                        assert_eq!(got, (Ok(seeded.len()), cold), "seed {seed}, {row}: restore");
+                        planes_track_store(&engine, &row);
+                        for (i, step) in steps.iter().enumerate() {
+                            let at = at(seed, &row, i, step);
+                            engine_step(&mut engine, step, &at);
+                            match first.get(i) {
+                                Some(want) => assert_eq!(&engine.cache_stats(), want, "{at}"),
+                                None => first.push(engine.cache_stats()),
+                            }
+                        }
+                        let registry = engine.telemetry().snapshot();
+                        let timed = registry.histograms.iter().any(|h| h.stage == "unit_scan");
+                        let counted = registry.counter("batch_queries") > 0;
+                        assert_eq!((timed, counted), (spans, spans), "seed {seed}, {row}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_rows_on_the_scheme_corpus() {
+    engine_rows("scheme", scheme(), &SEEDS);
+}
+
+#[test]
+fn engine_rows_on_the_padded_corpus() {
+    engine_rows("padded", &padded(), &SEEDS[..1]);
+}
+
+#[test]
+fn engine_rows_on_the_ragged_corpus() {
+    engine_rows("ragged", &ragged(), &SEEDS[..1]);
+}
+
+// --- served rows ----------------------------------------------------------------
+
+/// `answer` applied to every request of every step.
+fn each<T>(steps: &[Step], mut answer: impl FnMut(&Request) -> T) -> Vec<Vec<T>> {
+    let step = |s: &Step| s.requests.iter().map(&mut answer).collect();
+    steps.iter().map(step).collect()
+}
+
+/// One request as its typed call, the answer put back into its envelope
+/// variant — a refusal as `Response::Error`.
+fn typed<C: TypedCalls>(c: &mut C, r: &Request, no: fn(C::Error) -> ProtocolError) -> Response {
+    let answer = match r.clone() {
+        Request::Query(m) => c.query(&m).map(Response::Search),
+        Request::BatchQuery(b) => c.batch_query(&b).map(Response::BatchSearch),
+        Request::Documents(d) => c.fetch_documents(&d).map(Response::Documents),
+        Request::Upload(u) => {
+            (c.upload(u.indices, u.documents)).map(|documents| Response::Uploaded { documents })
+        }
+        Request::EnableCache { capacity_per_shard } => {
+            c.enable_cache(capacity_per_shard).map(|()| Response::Ack)
+        }
+        Request::DisableCache => c.disable_cache().map(|()| Response::Ack),
+        Request::CacheStats => c.remote_cache_stats().map(Response::CacheStats),
+        Request::SnapshotIndex => c.snapshot().map(Response::Snapshot),
+        Request::RestoreIndex(b) => c
+            .restore(b)
+            .map(|documents| Response::Restored { documents }),
+        Request::Counters => c.remote_counters().map(Response::Counters),
+        Request::ResetCounters => c.reset_remote_counters().map(|()| Response::Ack),
+        Request::ServerInfo => c.server_info().map(Response::Info),
+        Request::BlindDecrypt(b) => c.blind_decrypt(&b).map(Response::BlindDecrypt),
+        other => unreachable!("no op sends {}", other.name()),
+    };
+    answer.unwrap_or_else(|e| Response::Error(no(e)))
+}
+
+#[test]
+fn served_rows() {
+    for seed in SEEDS {
+        let steps = Script::generate(seed, scheme()).resolve(scheme());
+        for shards in [1, 2, 7, 16] {
+            let row = format!("call-twin[shards={shards}]");
+            let twin = call_twin(server(shards), &steps, seed, &row);
+            // A duplicate upload, a missing document, garbage bytes, a misrouted op.
+            let replies = twin.replies.iter().flatten();
+            let refusals = replies.filter(|r| matches!(r, Response::Error(_))).count();
+            assert_eq!(refusals, 4, "seed {seed}: refusals");
+
+            let row = format!("call[shards={shards}]");
+            let mut served = server(shards);
+            let mut got = Vec::new();
+            for step in &steps {
+                let replies = match &step.op {
+                    Op::Group(_) => {
+                        let query = |r: &Request| match r {
+                            Request::Query(message) => message.clone(),
+                            _ => unreachable!("a group sends queries"),
+                        };
+                        let messages: Vec<_> = step.requests.iter().map(query).collect();
+                        served.call_query_group(&messages)
+                    }
+                    _ => (step.requests.iter())
+                        .map(|r| served.call(r.clone()))
+                        .collect(),
+                };
+                got.push(replies);
+            }
+            assert_same_replies(seed, &row, &steps, &got, &twin);
+            let counters = (served.counters(), served.cache_stats());
+            let want = (twin.server.counters(), twin.server.cache_stats());
+            assert_eq!(counters, want, "seed {seed}, {row}: counters");
+
+            let row = format!("client[shards={shards}]");
+            let mut client = Client::new(server(shards));
+            let got = each(&steps, |r| typed(&mut client, r, |e| e));
+            assert_same_replies(seed, &row, &steps, &got, &twin);
+            let counters = client.counters();
+            assert_eq!(counters, twin.server.counters(), "seed {seed}, {row}");
+            if shards == 2 {
+                pipelined_and_resilient_rows(seed, &steps, twin);
+            }
+        }
+        hub_rows(seed, &steps);
+    }
+}
+
+/// `client-pipelined` and `resilient`, at two shards.
+fn pipelined_and_resilient_rows(seed: u64, steps: &[Step], mut twin: Twin) {
+    // The whole script submitted and flushed once, taken in reverse: replies
+    // correlate by request id, not arrival.
+    let mut client = Client::new(server(2));
+    let ids = each(steps, |r| client.submit(r));
+    assert_eq!(client.ready(), 0, "seed {seed}: before the flush");
+    client.flush().expect("pipelined flush");
+    assert_eq!(client.ready(), ids.concat().len(), "seed {seed}");
+    let mut got = vec![vec![]; ids.len()];
+    for (i, ids) in ids.iter().enumerate().rev() {
+        for id in ids.iter().rev() {
+            got[i].push(client.take(*id).expect("correlated"));
+        }
+        got[i].reverse();
+    }
+    assert_eq!(client.ready(), 0, "seed {seed}: after the takes");
+    assert_same_replies(seed, "client-pipelined", steps, &got, &twin);
+
+    let hub = Hub::spawn(server(2), HubConfig::default());
+    let connector = hub.memory_dialer().connector();
+    let mut remote = ResilientClient::new(connector, RetryPolicy::default());
+    // Over a live hub a refusal is a reply, never a transport failure.
+    let replied = |e| match e {
+        ClientError::Reply(e) => e,
+        other => panic!("the hub did not answer: {other}"),
+    };
+    let got = each(steps, |r| typed(&mut remote, r, replied));
+    assert_same_replies(seed, "resilient", steps, &got, &twin);
+    // The engine's counters are the twin's; the hub adds only its own.
+    let local = twin.server.call(Request::MetricsSnapshot);
+    let local = local.into_metrics_report().expect("in process");
+    let remote = remote.metrics_snapshot().expect("over the hub");
+    let names = ["requests_served", "inserts", "shard_scans", "batch_queries"];
+    let engine = |s: &MetricsSnapshot| {
+        let shard_rows = s.labelled.iter().filter(|row| row.label == "shard");
+        (
+            s.level,
+            names.map(|name| s.counter(name)),
+            shard_rows.cloned().collect::<Vec<_>>(),
+        )
+    };
+    assert_eq!(engine(&local), engine(&remote), "seed {seed}, resilient");
+    hub.shutdown();
+}
+
+/// One step's requests submitted and flushed at once, replies awaited in
+/// reverse order.
+fn pipelined(client: &mut NetClient, step: &Step) -> Vec<(u64, Response)> {
+    let ids: Vec<u64> = step.requests.iter().map(|r| client.submit(r)).collect();
+    client.flush().expect("flush");
+    let wait = |&id: &u64| (id, client.wait_take(id, WAIT).expect("reply"));
+    let mut replies: Vec<_> = ids.iter().rev().map(wait).collect();
+    replies.reverse();
+    replies
+}
+
+/// A journaling hub over the scheme corpus at two shards, and its registry.
+fn journaling_hub(batch_window: Duration, batch_depth: usize) -> (HubHandle, Telemetry) {
+    let server = server(2);
+    let telemetry = server.telemetry().expect("a registry").clone();
+    let config = HubConfig {
+        batch_window,
+        batch_depth,
+        journal: true,
+        ..HubConfig::default()
+    };
+    (Hub::spawn(server, config), telemetry)
+}
+
+/// A shut-down hub's journal, replayed, gives every reply `got` holds; every
+/// journaled `Query` ran once through the batcher and the engine, one
+/// occupancy sample per flush; every frame in was answered, connection by
+/// connection, in accept order.
+fn judge_hub(row: &str, hub: HubReport, t: &Telemetry, ws: &[WireStats], got: &[(u64, Response)]) {
+    assert_eq!(hub.requests, got.len() as u64, "{row}: replies");
+    let expected = replay_journal(&mut server(2), &hub.journal);
+    assert_replies_match_replay(got, &expected, row);
+    let found = |(_, r): &_| matches!(r, Response::Search(s) if !s.matches.is_empty());
+    assert!(got.iter().any(found), "{row}: no match");
+    let s = t.snapshot();
+    assert!(
+        s.labelled_sum("shard_cache_hits") > 0,
+        "{row}: no cache hit"
+    );
+    let (mut singles, mut batched) = (0, 0);
+    for entry in &hub.journal {
+        match &entry.request {
+            Request::Query(_) => singles += 1,
+            Request::BatchQuery(b) => batched += b.queries.len() as u64,
+            _ => {}
+        }
+    }
+    let frames: u64 = ws.iter().map(|w| w.frames_sent).sum();
+    let connections = ws.len() as u64;
+    let names = [
+        "batcher_coalesced_queries",
+        "batch_queries",
+        "wire_frames_in",
+        "wire_frames_out",
+        "connections_opened",
+    ];
+    let counted = names.map(|name| s.counter(name));
+    let want = [singles, singles + batched, frames, frames, connections];
+    assert_eq!(counted, want, "{row}: queries, frames and connections");
+    let reasons = ["complete", "window", "depth", "barrier", "shutdown"];
+    let flush = |reason| s.counter(&format!("batcher_flush_{reason}"));
+    let flushes: u64 = reasons.map(flush).iter().sum();
+    let o = s.values.iter().find(|v| v.series == "batch_occupancy");
+    let o = o.expect("the hub records batch occupancy");
+    assert_eq!((o.count, o.sum), (flushes, singles), "{row}: occupancy");
+    let fields = ["frames_in", "bytes_in", "frames_out", "bytes_out"];
+    let served_on = |c| fields.map(|f| s.labelled(&format!("connection_{f}"), c));
+    let mut served: Vec<_> = (0..connections as u32).map(served_on).collect();
+    let sent_on = |w: &WireStats| {
+        [
+            w.frames_sent,
+            w.bytes_sent,
+            w.frames_received,
+            w.bytes_received,
+        ]
+    };
+    let mut sent: Vec<_> = ws.iter().map(sent_on).collect();
+    served.sort_unstable();
+    sent.sort_unstable();
+    assert_eq!(served, sent, "{row}: per-connection frames");
+}
+
+/// `hub-tcp` and `hub-memory`: the script through a hub, judged by
+/// [`judge_hub`].
+fn hub_rows(seed: u64, steps: &[Step]) {
+    let script: usize = steps.iter().map(|s| s.requests.len()).sum();
+    let run = |client: &mut NetClient| -> Vec<(u64, Response)> {
+        steps.iter().flat_map(|s| pipelined(client, s)).collect()
+    };
+
+    // Four TCP clients and two memory ones, each running the whole
+    // script at once.
+    let (hub, telemetry) = journaling_hub(Duration::from_millis(2), 4);
+    let addr = hub.bind_tcp("127.0.0.1:0").expect("bind");
+    let worker = |k: u64| {
+        let client = match k < 4 {
+            true => NetClient::connect_tcp(addr).expect("connect"),
+            false => NetClient::from_memory(hub.connect_memory()),
+        };
+        let mut client = client.with_first_request_id((k + 1) << 20);
+        move || (run(&mut client), client.wire_stats())
+    };
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..6).map(|k| scope.spawn(worker(k))).collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let (received, wire): (Vec<Vec<_>>, Vec<_>) = runs.into_iter().unzip();
+    let row = format!("hub-tcp[seed {seed}]");
+    judge_hub(&row, hub.shutdown(), &telemetry, &wire, &received.concat());
+
+    // One client under a window and depth nothing reaches — a group
+    // flushes complete or at shutdown. It then goes quiet, so a second
+    // client's queries wait for it until shutdown drains them.
+    let (hub, telemetry) = journaling_hub(Duration::from_secs(10), 1 << 20);
+    let mut client = NetClient::from_memory(hub.connect_memory());
+    let mut received = run(&mut client);
+    let mut second = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1 << 20);
+    let queries = &scheme().queries;
+    let ids: Vec<u64> = (queries.iter())
+        .map(|query| second.submit(&Request::Query(query.clone())))
+        .collect();
+    second.flush().expect("flush");
+    while hub.frames_accepted() < (script + queries.len()) as u64 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let report = hub.shutdown();
+    for id in ids {
+        received.push((id, second.wait_take(id, WAIT).expect("drained")));
+    }
+    let wire = [client.wire_stats(), second.wire_stats()];
+    let row = format!("hub-memory[seed {seed}]");
+    judge_hub(&row, report, &telemetry, &wire, &received);
+}
