@@ -300,12 +300,6 @@ impl SearchEngine {
             .set_gauge(Gauge::ScanLanes, self.lanes as u64);
     }
 
-    /// Builder-style [`SearchEngine::set_telemetry_level`].
-    pub fn with_telemetry_level(self, level: TelemetryLevel) -> Self {
-        self.set_telemetry_level(level);
-        self
-    }
-
     /// Set how much the engine's telemetry registry records (default
     /// [`TelemetryLevel::Off`]). Takes `&self`: the level is an atomic on the
     /// shared registry, so sessions can toggle telemetry on a live engine.
@@ -369,20 +363,6 @@ impl SearchEngine {
     /// Cache effectiveness counters, or `None` when the cache is disabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.lock().unwrap().stats())
-    }
-
-    /// Zero the cache effectiveness counters (no-op when disabled).
-    pub fn reset_cache_stats(&self) {
-        if let Some(cache) = &self.cache {
-            cache.lock().unwrap().reset_stats();
-        }
-    }
-
-    /// Drop every cached entry (no-op when disabled).
-    pub fn clear_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.lock().unwrap().clear();
-        }
     }
 
     /// The underlying store, read-only: documents come in through
@@ -893,9 +873,8 @@ mod tests {
     use super::*;
     use crate::document_index::DocumentIndexer;
     use crate::keys::SchemeKeys;
-    use crate::persistence::serialize_store;
     use crate::query::QueryBuilder;
-    use crate::search::{scan_ranked, CloudIndex};
+    use crate::search::CloudIndex;
     use mkse_textproc::document::TermFrequencies;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -931,97 +910,6 @@ mod tests {
         QueryBuilder::new(&fx.params)
             .add_trapdoors(&tds)
             .build(&mut fx.rng)
-    }
-
-    #[test]
-    fn sharded_engine_matches_sequential_reference() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 40);
-        let mut reference = CloudIndex::new(fx.params.clone());
-        reference.insert_all(indices.iter().cloned()).unwrap();
-        let q = query(&mut fx, &["shared"]);
-        let (seq_matches, seq_stats) = reference.search_ranked_with_stats(&q);
-
-        for shards in [1usize, 2, 3, 8] {
-            let mut engine = SearchEngine::sharded(fx.params.clone(), shards);
-            engine.insert_all(indices.iter().cloned()).unwrap();
-            let (matches, stats) = engine.search_ranked_with_stats(&q);
-            assert_eq!(matches, seq_matches, "ranked mismatch at {shards} shards");
-            assert_eq!(stats, seq_stats, "stats mismatch at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn batch_results_equal_single_query_results() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 30);
-        let mut engine = SearchEngine::sharded(fx.params.clone(), 4);
-        engine.insert_all(indices).unwrap();
-        let queries = vec![
-            query(&mut fx, &["shared"]),
-            query(&mut fx, &["kw3"]),
-            query(&mut fx, &["kw5", "shared"]),
-        ];
-        let batched = engine.search_batch_with_stats(&queries);
-        assert_eq!(batched.len(), 3);
-        for (q, (matches, stats)) in queries.iter().zip(batched.iter()) {
-            let (single_matches, single_stats) = engine.search_ranked_with_stats(q);
-            assert_eq!(matches, &single_matches);
-            assert_eq!(stats, &single_stats);
-        }
-        assert!(engine.search_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn duplicate_batch_queries_scan_once_and_reply_like_sequential_execution() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 30);
-        let q_a = query(&mut fx, &["shared"]);
-        let q_b = query(&mut fx, &["kw3"]);
-        // The batch repeats q_a (positions 0, 2, 3) and q_b (positions 1, 4).
-        let batch = vec![
-            q_a.clone(),
-            q_b.clone(),
-            q_a.clone(),
-            q_a.clone(),
-            q_b.clone(),
-        ];
-
-        // Cache off: duplicates are scanned once and fanned out; replies and
-        // effects are byte-identical to independent executions (all-zero effects).
-        let mut plain = SearchEngine::sharded(fx.params.clone(), 4);
-        plain.insert_all(indices.iter().cloned()).unwrap();
-        let results = plain.search_batch_with_effects(&batch, &vec![None; batch.len()]);
-        for (query, (matches, stats, effect)) in batch.iter().zip(&results) {
-            let (sm, ss) = plain.search_ranked_with_stats(query);
-            assert_eq!(matches, &sm);
-            assert_eq!(stats, &ss);
-            assert_eq!(effect, &CacheEffect::default());
-        }
-
-        // Cache on: issuing the 5 queries one at a time admits on first sight and
-        // hits on every repeat — the batch must report exactly those effects.
-        let mut sequential =
-            SearchEngine::sharded(fx.params.clone(), 4).with_result_cache(CacheConfig::default());
-        sequential.insert_all(indices.iter().cloned()).unwrap();
-        let expected: Vec<_> = batch
-            .iter()
-            .map(|q| sequential.search_one(q, None))
-            .collect();
-        let expected_stats = sequential.cache_stats().unwrap();
-
-        let mut cached =
-            SearchEngine::sharded(fx.params.clone(), 4).with_result_cache(CacheConfig::default());
-        cached.insert_all(indices.iter().cloned()).unwrap();
-        let got = cached.search_batch_with_effects(&batch, &vec![None; batch.len()]);
-        assert_eq!(got, expected, "batched execution must equal sequential");
-        assert!(got[2].2.fully_cached(), "duplicate is a pure cache hit");
-        assert_eq!(got[2].2.saved_comparisons, got[2].1.comparisons);
-        assert_eq!(
-            cached.cache_stats().unwrap(),
-            expected_stats,
-            "dedup must leave the same CacheStats trail as sequential execution"
-        );
     }
 
     #[test]
@@ -1098,82 +986,6 @@ mod tests {
         );
     }
 
-    /// The corpus of `fx` in a 4-shard engine, cache on or off.
-    fn engine_with(fx: &Fixture, indices: &[RankedDocumentIndex], cached: bool) -> SearchEngine {
-        let mut engine = SearchEngine::sharded(fx.params.clone(), 4);
-        if cached {
-            engine.enable_cache(CacheConfig::default());
-        }
-        engine.insert_all(indices.iter().cloned()).unwrap();
-        engine
-    }
-
-    #[test]
-    fn top_zero_and_top_max_cost_what_an_uncut_execution_costs() {
-        // `Some(0)` must keep nothing without computing `k − 1`, and
-        // `Some(usize::MAX)` keep everything; neither may move a stat, a
-        // cache effect or a cache counter away from the uncut execution's.
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 30);
-        let (q_a, q_b) = (query(&mut fx, &["shared"]), query(&mut fx, &["kw3"]));
-        let batch = vec![q_a.clone(), q_b, q_a.clone()];
-        for cached in [false, true] {
-            for top in [Some(0), Some(usize::MAX)] {
-                let (uncut, cut) = (
-                    engine_with(&fx, &indices, cached),
-                    engine_with(&fx, &indices, cached),
-                );
-                for pass in ["cold", "warm"] {
-                    let ctx = format!("cached={cached}, top={top:?}, {pass}");
-                    let (want, got) = (uncut.search_one(&q_a, None), cut.search_one(&q_a, top));
-                    let want_batch = uncut.search_batch_with_effects(&batch, &[None; 3]);
-                    let got_batch = cut.search_batch_with_effects(&batch, &[top; 3]);
-                    for (want, got) in
-                        std::iter::once((&want, &got)).chain(want_batch.iter().zip(&got_batch))
-                    {
-                        assert!(!want.0.is_empty(), "{ctx}");
-                        let kept = if top == Some(0) { &[][..] } else { &want.0[..] };
-                        assert_eq!(got.0, kept, "{ctx}");
-                        assert_eq!((got.1, got.2), (want.1, want.2), "{ctx}");
-                    }
-                    assert_eq!(cut.cache_stats(), uncut.cache_stats(), "{ctx}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn duplicates_with_different_tops_are_merged_once_and_cut_per_position() {
-        // q_a repeats at positions 0, 2, 3 and 5 with four different `top`s
-        // (the widest, `None`, in the middle), q_b at 1 and 4: every position
-        // must equal its own single execution on a twin — matches, stats and
-        // cache effect — and leave the twin's cache counters.
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 30);
-        let (q_a, q_b) = (query(&mut fx, &["shared"]), query(&mut fx, &["kw3"]));
-        let batch = [&q_a, &q_b, &q_a, &q_a, &q_b, &q_a].map(QueryIndex::clone);
-        let tops = [Some(2), None, Some(0), None, Some(1), Some(5)];
-        for cached in [false, true] {
-            let (sequential, batched) = (
-                engine_with(&fx, &indices, cached),
-                engine_with(&fx, &indices, cached),
-            );
-            for pass in ["cold", "warm"] {
-                let expected: Vec<_> = (batch.iter().zip(tops))
-                    .map(|(q, top)| sequential.search_one(q, top))
-                    .collect();
-                assert!(expected[3].0.len() > 5, "the cuts must bite");
-                let got = batched.search_batch_with_effects(&batch, &tops);
-                assert_eq!(got, expected, "cached={cached}, {pass}");
-                assert_eq!(
-                    batched.cache_stats(),
-                    sequential.cache_stats(),
-                    "cached={cached}, {pass}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn scan_lanes_never_exceed_available_parallelism() {
         let fx = fixture();
@@ -1235,24 +1047,6 @@ mod tests {
             assert!(Arc::ptr_eq(&engine.pool, shared));
         }
         assert_eq!(shared.workers(), cores - 1);
-    }
-
-    #[test]
-    fn lane_knob_does_not_change_results() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 40);
-        let q = query(&mut fx, &["shared"]);
-        let mut engine = SearchEngine::sharded(fx.params.clone(), 3);
-        engine.insert_all(indices).unwrap();
-        let baseline = engine.search_ranked_with_stats(&q);
-        for lanes in [1usize, 2, 5] {
-            engine.set_scan_lanes(lanes);
-            assert_eq!(
-                engine.search_ranked_with_stats(&q),
-                baseline,
-                "lanes={lanes}"
-            );
-        }
     }
 
     /// Force a multi-lane pool regardless of the host's core count (the struct
@@ -1497,170 +1291,6 @@ mod tests {
         );
     }
 
-    /// Every plane is its shard, slot for slot: same length, ids and geometry,
-    /// and the same answer to `probe` as the AoS loop over the decoded entries.
-    fn assert_planes_in_lockstep(engine: &SearchEngine, probe: &QueryIndex, ctx: &str) {
-        let store = engine.store();
-        for shard in 0..store.num_shards() {
-            let plane = engine.scan_plane(shard);
-            let docs: Vec<RankedDocumentIndex> = store
-                .shard_entries(shard)
-                .map(RankedDocumentIndex::from)
-                .collect();
-            assert_eq!(plane.len(), docs.len(), "{ctx}: shard {shard}");
-            let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();
-            assert_eq!(plane.ids(), &ids[..], "{ctx}: shard {shard}");
-            assert_eq!(plane.bits(), store.params().index_bits, "{ctx}");
-            assert_eq!(plane.levels(), store.params().rank_levels(), "{ctx}");
-            assert_eq!(
-                plane.scan_ranked(probe.bits()),
-                scan_ranked(&docs, probe),
-                "{ctx}: shard {shard}"
-            );
-        }
-    }
-
-    #[test]
-    fn scan_planes_stay_in_lockstep_with_shard_documents() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 14);
-        let probe = query(&mut fx, &["shared"]);
-        for shards in [1usize, 3] {
-            let mut engine = SearchEngine::sharded(fx.params.clone(), shards);
-            engine.insert_all(indices[..10].iter().cloned()).unwrap();
-            assert_planes_in_lockstep(&engine, &probe, "insert_all");
-
-            // A rejected insert must not dirty any plane.
-            assert!(engine.insert(indices[3].clone()).is_err());
-            assert_planes_in_lockstep(&engine, &probe, "rejected duplicate");
-
-            // A restore appends through the same door…
-            let tail = serialize_store(&fx.params, &indices[10..12]);
-            assert_eq!(engine.restore_snapshot(&tail), Ok(2));
-            assert_planes_in_lockstep(&engine, &probe, "restore");
-            // …and one the store refuses midway keeps exactly its accepted prefix.
-            let refused = serialize_store(&fx.params, [&indices[12], &indices[0], &indices[13]]);
-            assert!(engine.restore_snapshot(&refused).is_err());
-            assert_eq!(engine.len(), 13);
-            assert_planes_in_lockstep(&engine, &probe, "restore refused midway");
-
-            // An engine handed a pre-filled store derives its planes from it,
-            // and a clone is built the same way.
-            let rebuilt = SearchEngine::new(engine.store().clone());
-            assert_planes_in_lockstep(&rebuilt, &probe, "new over a pre-filled store");
-            assert_planes_in_lockstep(&engine.clone(), &probe, "clone");
-        }
-    }
-
-    #[test]
-    fn engine_kept_units_and_cached_whole_lists_reply_alike() {
-        use crate::scanplane::CHUNK;
-        // Cache off, each scan unit keeps its best `top`; cache on, units keep
-        // everything and the merge cuts. Both must reply alike at every shards
-        // × lanes configuration, cold and warm. The corpus spans several units
-        // per shard, its ids are inserted shuffled (slot order is not id
-        // order), and the cut of `q_rank` falls inside thousands of rank-2
-        // ties (~250 documents rank 3), while `q_all` ties every document at
-        // rank 3.
-        let params = SystemParams::new(64, 4, 16, 0, 0, vec![1, 2, 3]).unwrap();
-        let docs = 3 * UNIT_CHUNKS * CHUNK + 300;
-        let mut ids: Vec<u64> = (0..docs as u64).collect();
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        for i in (1..docs).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ids.swap(i, (state % (i as u64 + 1)) as usize);
-        }
-        // Bit 0 of a level is the one `q_rank` rejects on.
-        let level =
-            |fails: bool| crate::bitindex::BitIndex::from_blocks(vec![u64::from(fails)], 64);
-        let mut stores: Vec<ShardedStore> = (1..=3)
-            .map(|shards| ShardedStore::new(params.clone(), shards))
-            .collect();
-        for (slot, &document_id) in ids.iter().enumerate() {
-            let rank = match slot {
-                s if s % 7 == 0 => 0,
-                s if s % 97 == 0 => 3,
-                s if s % 5 == 0 => 1,
-                _ => 2,
-            };
-            let index = RankedDocumentIndex {
-                document_id,
-                levels: (0..3).map(|l| level(l >= rank)).collect(),
-            };
-            for store in &mut stores {
-                store.insert(index.clone()).unwrap();
-            }
-        }
-        let mut reference = CloudIndex::new(params);
-        let inserted = stores[0].documents_in_insertion_order();
-        (reference.insert_all(inserted.map(RankedDocumentIndex::from))).unwrap();
-        let q_rank = QueryIndex::from_bits(crate::bitindex::BitIndex::from_blocks(vec![!1], 64));
-        let q_all = QueryIndex::from_bits(crate::bitindex::BitIndex::all_ones(64));
-        let tops = [Some(0), Some(1), Some(10), Some(300), Some(5000), None];
-        let batch: Vec<QueryIndex> = (tops.iter())
-            .flat_map(|_| [q_rank.clone(), q_all.clone()])
-            .collect();
-        let batch_tops: Vec<Option<usize>> = tops.iter().flat_map(|&t| [t, t]).collect();
-        let expected: Vec<(Vec<SearchMatch>, SearchStats)> = (batch.iter().zip(&batch_tops))
-            .map(|(q, &top)| {
-                let (all, stats) = reference.search_ranked_with_stats(q);
-                let rank3 = all.iter().filter(|m| m.rank == 3).count();
-                assert!(
-                    q == &q_all || (200..300).contains(&rank3),
-                    "{rank3} rank-3 matches"
-                );
-                (
-                    all[..top.unwrap_or(all.len()).min(all.len())].to_vec(),
-                    stats,
-                )
-            })
-            .collect();
-        for (store, lanes) in (stores.iter()).flat_map(|s| [1, 2, 3].map(|lanes| (s, lanes))) {
-            let kept = forced_lane_engine(store.clone(), lanes);
-            let mut cached = forced_lane_engine(store.clone(), lanes);
-            cached.enable_cache(CacheConfig::default());
-            for pass in ["cold", "warm"] {
-                let ctx = format!("{} shards, {lanes} lanes, {pass}", store.num_shards());
-                let replies = |engine: &SearchEngine| -> Vec<(Vec<SearchMatch>, SearchStats)> {
-                    (engine
-                        .search_batch_with_effects(&batch, &batch_tops)
-                        .into_iter())
-                    .map(|(matches, stats, _)| (matches, stats))
-                    .collect()
-                };
-                assert_eq!(replies(&kept), expected, "kept units, {ctx}");
-                assert_eq!(replies(&cached), expected, "cached whole lists, {ctx}");
-                for (q, &top) in batch.iter().zip(&batch_tops).take(4) {
-                    let tau = top.unwrap_or(usize::MAX);
-                    assert_eq!(kept.search_top(q, tau), cached.search_top(q, tau), "{ctx}");
-                }
-            }
-            assert!(kept.cache_stats().is_none());
-            assert!(cached.cache_stats().unwrap().hits > 0, "the warm pass hit");
-        }
-    }
-
-    #[test]
-    fn top_k_truncates_merged_ranking() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 25);
-        let mut engine = SearchEngine::sharded(fx.params.clone(), 3);
-        engine.insert_all(indices).unwrap();
-        let q = query(&mut fx, &["shared"]);
-        let all = engine.search(&q);
-        let top = engine.search_top(&q, 4);
-        assert_eq!(top.len(), 4.min(all.len()));
-        assert_eq!(&all[..top.len()], &top[..]);
-        for w in all.windows(2) {
-            assert!(
-                w[0].rank > w[1].rank
-                    || (w[0].rank == w[1].rank && w[0].document_id < w[1].document_id)
-            );
-        }
-    }
-
     #[test]
     fn empty_engine_returns_nothing() {
         let mut fx = fixture();
@@ -1673,133 +1303,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_engine_returns_identical_results_and_reports_hits() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 40);
-        let mut plain = SearchEngine::sharded(fx.params.clone(), 4);
-        plain.insert_all(indices.iter().cloned()).unwrap();
-        let mut cached =
-            SearchEngine::sharded(fx.params.clone(), 4).with_result_cache(CacheConfig::default());
-        cached.insert_all(indices.iter().cloned()).unwrap();
-        assert!(cached.cache_enabled() && !plain.cache_enabled());
-
-        let q = query(&mut fx, &["shared"]);
-        let (m1, s1, e1) = cached.search_one(&q, None);
-        assert_eq!(e1.shard_misses, 4, "cold cache scans every shard");
-        assert_eq!(e1.shard_hits, 0);
-        assert!(!e1.fully_cached());
-        let (m2, s2, e2) = cached.search_one(&q, None);
-        assert_eq!(e2.shard_hits, 4, "repeat is served from cache");
-        assert_eq!(e2.shard_misses, 0);
-        assert!(e2.fully_cached());
-        assert_eq!(e2.saved_comparisons, s2.comparisons);
-
-        let (pm, ps) = plain.search_ranked_with_stats(&q);
-        assert_eq!(m1, pm);
-        assert_eq!(m2, pm);
-        assert_eq!(s1, ps, "first (admitting) stats identical");
-        assert_eq!(s2, ps, "cached stats identical");
-
-        let stats = cached.cache_stats().unwrap();
-        assert_eq!(stats.hits, 4);
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.saved_comparisons, ps.comparisons);
-    }
-
-    #[test]
-    fn insert_invalidates_only_the_written_shard() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 12);
-        let mut engine =
-            SearchEngine::sharded(fx.params.clone(), 3).with_result_cache(CacheConfig::default());
-        engine.insert_all(indices.iter().cloned()).unwrap();
-        let q = query(&mut fx, &["shared"]);
-        let _ = engine.search_one(&q, None); // warm all 3 shards
-
-        // 12 documents round-robin over 3 shards ⇒ the next insert goes to shard 0.
-        let indexer = DocumentIndexer::new(&fx.params, &fx.keys);
-        engine
-            .insert(indexer.index_keywords(100, &["kw1"]))
-            .unwrap();
-
-        let (_, _, effect) = engine.search_one(&q, None);
-        assert_eq!(effect.shard_hits, 2, "two shards stayed cached");
-        assert_eq!(effect.shard_misses, 1, "only the written shard rescans");
-        assert_eq!(engine.cache_stats().unwrap().invalidations, 1);
-    }
-
-    #[test]
-    fn batch_uses_cache_and_matches_uncached_batch() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 30);
-        let mut plain = SearchEngine::sharded(fx.params.clone(), 4);
-        plain.insert_all(indices.iter().cloned()).unwrap();
-        let mut cached =
-            SearchEngine::sharded(fx.params.clone(), 4).with_result_cache(CacheConfig::default());
-        cached.insert_all(indices.iter().cloned()).unwrap();
-
-        let queries = vec![
-            query(&mut fx, &["shared"]),
-            query(&mut fx, &["kw3"]),
-            query(&mut fx, &["kw5", "shared"]),
-        ];
-        // Warm only the first query through the single path.
-        let _ = cached.search_one(&queries[0], None);
-
-        let expected = plain.search_batch_with_stats(&queries);
-        let got = cached.search_batch_with_effects(&queries, &vec![None; queries.len()]);
-        assert_eq!(got.len(), expected.len());
-        for ((m, s, effect), (em, es)) in got.iter().zip(&expected) {
-            assert_eq!(m, em);
-            assert_eq!(s, es);
-            assert_eq!(effect.shard_hits + effect.shard_misses, 4);
-        }
-        assert!(got[0].2.fully_cached(), "warmed query fully cached");
-        assert_eq!(got[1].2.shard_misses, 4, "cold query scans everywhere");
-
-        // The whole batch again: every (query, shard) pair now hits.
-        let again = cached.search_batch_with_effects(&queries, &vec![None; queries.len()]);
-        for ((m, s, effect), (em, es)) in again.iter().zip(&expected) {
-            assert_eq!(m, em);
-            assert_eq!(s, es);
-            assert!(effect.fully_cached());
-        }
-    }
-
-    #[test]
-    fn restore_invalidates_everything() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 22);
-        let mut engine =
-            SearchEngine::sharded(fx.params.clone(), 2).with_result_cache(CacheConfig::default());
-        engine.insert_all(indices[..20].iter().cloned()).unwrap();
-        let q = query(&mut fx, &["shared"]);
-        let _ = engine.search_one(&q, None);
-        assert!(engine.search_one(&q, None).2.fully_cached());
-
-        // A restore the store refuses midway still stored its accepted prefix
-        // (document 20, into shard 0), so nothing cached may be served after it.
-        let refused = serialize_store(&fx.params, [&indices[20], &indices[0], &indices[21]]);
-        assert_eq!(
-            engine.restore_snapshot(&refused),
-            Err(PersistenceError::Store(StoreError::DuplicateDocument(0)))
-        );
-        assert_eq!(engine.len(), 21);
-        assert_eq!(engine.search_one(&q, None).2.shard_hits, 0);
-
-        // A snapshot/restore cycle also invalidates (and restores content).
-        let bytes = engine.snapshot();
-        let mut restored =
-            SearchEngine::sharded(fx.params.clone(), 5).with_result_cache(CacheConfig::default());
-        assert_eq!(restored.restore_snapshot(&bytes).unwrap(), 21);
-        let (rm, rs, re) = restored.search_one(&q, None);
-        let (em, es, _) = engine.search_one(&q, None);
-        assert_eq!(rm, em);
-        assert_eq!(rs, es);
-        assert_eq!(re.shard_hits, 0, "restored engine starts cold");
-    }
-
-    #[test]
     fn clone_keeps_cache_config_but_starts_cold() {
         let mut fx = fixture();
         let indices = corpus_indices(&fx, 10);
@@ -1809,35 +1312,19 @@ mod tests {
             });
         engine.insert_all(indices).unwrap();
         let q = query(&mut fx, &["shared"]);
-        let _ = engine.search(&q);
+        let warm = engine.search_one(&q, None);
         let clone = engine.clone();
         assert!(clone.cache_enabled());
         assert_eq!(clone.cache_stats().unwrap(), CacheStats::default());
-        let (_, _, effect) = clone.search_one(&q, None);
+        // Its planes are derived from the store: the same reply, scanned.
+        let (matches, stats, effect) = clone.search_one(&q, None);
+        assert_eq!((matches, stats), (warm.0, warm.1));
         assert_eq!(effect.shard_hits, 0);
         // And disabling works.
         let mut off = clone;
         off.disable_cache();
         assert!(!off.cache_enabled());
         assert_eq!(off.cache_stats(), None);
-    }
-
-    #[test]
-    fn cache_maintenance_helpers() {
-        let mut fx = fixture();
-        let indices = corpus_indices(&fx, 8);
-        let mut engine =
-            SearchEngine::sharded(fx.params.clone(), 2).with_result_cache(CacheConfig::default());
-        engine.insert_all(indices).unwrap();
-        let q = query(&mut fx, &["shared"]);
-        let _ = engine.search(&q);
-        let _ = engine.search(&q);
-        assert!(engine.cache_stats().unwrap().hits > 0);
-        engine.reset_cache_stats();
-        assert_eq!(engine.cache_stats().unwrap(), CacheStats::default());
-        engine.clear_cache();
-        let (_, _, effect) = engine.search_one(&q, None);
-        assert_eq!(effect.shard_hits, 0, "cleared cache serves nothing");
     }
 
     /// A query one bit longer than `params` allows.

@@ -381,9 +381,9 @@ mod tests {
         assert_eq!(top3.len(), 3);
         let all = cloud.search(&q);
         assert_eq!(&all[..3], &top3[..]);
-        // Ranks are non-increasing.
+        // The canonical order: descending rank, ties by ascending id.
         for w in all.windows(2) {
-            assert!(w[0].rank >= w[1].rank);
+            assert!((w[1].rank, w[0].document_id) < (w[0].rank, w[1].document_id));
         }
     }
 

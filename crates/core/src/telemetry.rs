@@ -76,12 +76,6 @@ impl TelemetryLevel {
         }
     }
 
-    /// True when counters, gauges and count histograms record (Counters or
-    /// Spans).
-    pub fn counters_enabled(self) -> bool {
-        !matches!(self, Self::Off)
-    }
-
     /// True when duration histograms record (Spans only).
     pub fn spans_enabled(self) -> bool {
         matches!(self, Self::Spans)
@@ -146,11 +140,13 @@ metrics! {
         ShardScans => "shard_scans",
         /// Framed requests decoded by `serve`.
         WireFramesIn => "wire_frames_in",
-        /// Framed responses encoded by `serve`.
+        /// Framed responses encoded by `serve` (a hub counts each before
+        /// writing it, so a frame whose write fails is still counted).
         WireFramesOut => "wire_frames_out",
         /// Framed request bytes in (length prefix included).
         WireBytesIn => "wire_bytes_in",
-        /// Framed response bytes out (length prefix included).
+        /// Framed response bytes out (length prefix included; counted with
+        /// [`Counter::WireFramesOut`], failed writes too).
         WireBytesOut => "wire_bytes_out",
         /// Transport connections accepted (TCP or in-process).
         ConnectionsOpened => "connections_opened",
@@ -212,12 +208,14 @@ metrics! {
         ShardCacheGenerationBumps => "shard_cache_generation_bumps" by "shard",
         /// Request frames decoded on a hub connection.
         ConnectionFramesIn => "connection_frames_in" by "connection",
-        /// Response frames written to a hub connection.
+        /// Response frames written to a hub connection, counted before the
+        /// write (a frame whose write fails is still counted).
         ConnectionFramesOut => "connection_frames_out" by "connection",
         /// Framed request bytes in on a hub connection (length prefix
         /// included, as [`Counter::WireBytesIn`] counts them).
         ConnectionBytesIn => "connection_bytes_in" by "connection",
-        /// Framed response bytes out on a hub connection.
+        /// Framed response bytes out on a hub connection, counted with
+        /// [`LabelledCounter::ConnectionFramesOut`].
         ConnectionBytesOut => "connection_bytes_out" by "connection",
     }
 }

@@ -828,15 +828,16 @@ impl<S: Service> Dispatcher<S> {
             let _span = self.tel.as_ref().and_then(|t| t.span(Stage::FrameEncode));
             encode_response(request_id, response)
         };
-        if state.writer.send_all(&frame).is_ok() {
-            if let Some(tel) = &self.tel {
-                tel.add(Counter::WireFramesOut, 1);
-                tel.add(Counter::WireBytesOut, frame.len() as u64);
-                let bytes = frame.len() as u64;
-                tel.add_at(LabelledCounter::ConnectionFramesOut, conn as usize, 1);
-                tel.add_at(LabelledCounter::ConnectionBytesOut, conn as usize, bytes);
-            }
+        // Counted before the write: a client holding its reply can read the
+        // registry and find it, and a frame whose write fails is counted too.
+        if let Some(tel) = &self.tel {
+            let bytes = frame.len() as u64;
+            tel.add(Counter::WireFramesOut, 1);
+            tel.add(Counter::WireBytesOut, bytes);
+            tel.add_at(LabelledCounter::ConnectionFramesOut, conn as usize, 1);
+            tel.add_at(LabelledCounter::ConnectionBytesOut, conn as usize, bytes);
         }
+        let _ = state.writer.send_all(&frame);
     }
 
     /// Settle one executed request: release the connection's gate permit and

@@ -347,11 +347,6 @@ impl<S: Service> Client<S> {
         Self::over(service)
     }
 
-    /// Unwrap the service endpoint.
-    pub fn into_service(self) -> S {
-        self.transport
-    }
-
     /// Submit one request, flush, and return its reply — the non-pipelined
     /// round trip every typed call builds on. Any previously submitted
     /// requests are flushed (and their replies parked in the inbox) first.

@@ -45,12 +45,6 @@ impl OwnerConfig {
             rsa_modulus_bits: 256,
         }
     }
-
-    /// Override the scheme parameters.
-    pub fn with_params(mut self, params: SystemParams) -> Self {
-        self.params = params;
-        self
-    }
 }
 
 /// The data owner actor.

@@ -759,7 +759,7 @@ mod tests {
     #[test]
     fn session_reports_cache_effects_when_enabled() {
         let (mut session, mut rng) = session();
-        session.server.enable_result_cache(32);
+        session.server.enable_cache(32).unwrap();
         let shards = session.server.num_shards() as u64;
 
         // run_query builds a fresh randomized query each round (§6), so repeated

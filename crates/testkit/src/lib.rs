@@ -24,17 +24,18 @@
 //!   [`assert_conservation`], [`counter`], [`gauge`] — the oracles' judges.
 //! - [`Script`] — the oracle matrix's seeded ops on a served index over a
 //!   [`Fixture`]; [`Script::resolve`] turns them into [`Step`]s, each op's
-//!   requests and what the reference (`CloudIndex`) answers. Its judges:
-//!   [`call_twin`] (the sequential `CloudServer::call` twin, held to the
-//!   reference op by op), [`assert_same_replies`] (a row's replies are the
-//!   twin's, frame for frame) and [`at`] (the seed, row and op a failure
-//!   names).
+//!   requests and what the reference answers: `CloudIndex` for matches, and
+//!   a model of the serving state each op changes — `OperationCounters`,
+//!   `CacheStats`, each reply's `CacheReport` and `ServerInfo` — at a row's
+//!   shard count. [`fleet_view`] states once what a fleet answers
+//!   differently; [`assert_replies`] holds a row's replies to the steps',
+//!   frame for frame, and [`at`] names the seed, row and op of a failure.
 
 #![forbid(unsafe_code)]
 
 mod script;
 
-pub use script::{assert_same_replies, at, call_twin, Cut, Op, Ranked, Script, Step, Twin};
+pub use script::{assert_replies, at, fleet_view, Cut, Op, Ranked, Script, Step};
 
 use mkse_core::{BitIndex, QueryBuilder, RankedDocumentIndex, SystemParams, Telemetry};
 use mkse_net::{
@@ -155,7 +156,10 @@ impl Fixture {
             .into_uploaded()
             .expect("seed upload");
         if cache {
-            server.enable_result_cache(64);
+            let enable = Request::EnableCache {
+                capacity_per_shard: 64,
+            };
+            server.call(enable).into_ack().expect("cache on");
         }
         server
     }

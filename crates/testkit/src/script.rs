@@ -2,22 +2,25 @@
 //! the reference its rows are judged by.
 //!
 //! [`Script::generate`] draws the ops from a seed; [`Script::resolve`] walks
-//! them on the reference — `CloudIndex` and the ciphertexts uploaded — into
-//! one [`Step`] per op: the requests a served row sends and what the
-//! reference answers, scanning a query once per corpus state however many
-//! rows and cuts read it. A new op is one arm of `generate` and one judge
-//! rule in `Model::apply`.
+//! them on the reference into one [`Step`] per op: the requests a served row
+//! sends and what the reference answers, scanning a query once per corpus
+//! state however many rows and cuts read it. The reference is `CloudIndex`
+//! and the ciphertexts uploaded for replies, and a model of the serving state
+//! every op changes — `OperationCounters`, `CacheStats`, each search reply's
+//! `CacheReport` and `ServerInfo` — in which each op states, once, what it
+//! changes. A new op is one arm of `generate` and one rule in `Model::apply`.
 
-use crate::Fixture;
+use crate::{Fixture, GLOBAL_SHARDS};
+use mkse_core::search::scan_ranked;
 use mkse_core::{
-    deserialize_store, serialize_store, CloudIndex, QueryIndex, RankedDocumentIndex, SearchMatch,
-    SearchStats,
+    deserialize_store, serialize_store, BitIndex, CacheEffect, CacheStats, CloudIndex,
+    PersistenceError, QueryIndex, RankedDocumentIndex, SearchMatch, SearchStats, StoreError,
 };
 use mkse_crypto::{bigint::BigUint, rsa::RsaSignature};
 use mkse_protocol::{
-    wire, BatchQueryMessage, BatchSearchReply, BlindDecryptRequest, CloudServer, DocumentReply,
-    DocumentRequest, EncryptedDocumentTransfer, ProtocolError, QueryMessage, Request, Response,
-    SearchReply, SearchResultEntry, Service, UploadMessage,
+    wire, BatchQueryMessage, BatchSearchReply, BlindDecryptRequest, CacheReport, DocumentReply,
+    DocumentRequest, EncryptedDocumentTransfer, OperationCounters, ProtocolError, QueryMessage,
+    Request, Response, SearchReply, SearchResultEntry, ServerInfo, UploadMessage,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
@@ -25,7 +28,8 @@ use std::collections::{BTreeMap, HashMap};
 /// An id no corpus stores.
 const MISSING: u64 = u64::MAX;
 
-/// Added to a seed document's id to name its copy in the good restore bytes.
+/// Added to a seed document's id to name its copy in the good restore bytes
+/// and in the clashing writes.
 const RESTORED: u64 = 1 << 40;
 
 use Cut::{All, At, Len, Max};
@@ -49,6 +53,9 @@ const CUTS: [Cut; 7] = [All, At(0), At(1), Len(-1), Len(0), Len(1), Max];
 #[derive(Clone, Debug)]
 pub enum Op {
     Upload(usize),
+    /// A fresh copy of a seed document, then a stored one: the store keeps
+    /// the copy and refuses the rest.
+    UploadClash,
     Query(usize, Cut),
     /// Independent queries at their own cuts: an engine batch, a
     /// `call_query_group` or pipelined `Query` frames.
@@ -64,6 +71,8 @@ pub enum Op {
     Restore,
     /// Three bytes of those.
     RestoreGarbage,
+    /// The bytes of another fresh copy, then of a stored document.
+    RestoreClash,
     Documents(Vec<u64>),
     Counters,
     ResetCounters,
@@ -140,12 +149,13 @@ impl Script {
             batch(&mut rng),
             vec![Op::CacheStats, Op::Upload(0)],
             pass(),
-            vec![Op::Upload(2), Op::Documents(vec![stored, uploaded])],
+            vec![Op::Upload(2), Op::UploadClash],
+            vec![Op::Documents(vec![stored, uploaded])],
             vec![Op::Restore],
             pass(),
             vec![Op::Documents(vec![stored, restored, MISSING])],
-            vec![Op::RestoreGarbage, Op::CacheStats, Op::Counters],
-            vec![Op::ResetCounters, Op::Counters, Op::Upload(1)],
+            vec![Op::RestoreGarbage, Op::RestoreClash, Op::CacheStats],
+            vec![Op::Counters, Op::ResetCounters, Op::Counters, Op::Upload(1)],
             pass(),
             group(&mut rng),
             vec![Op::DisableCache, Op::CacheStats],
@@ -158,23 +168,34 @@ impl Script {
         Script { ops }
     }
 
-    /// Walk the script on the reference: one [`Step`] per op.
-    pub fn resolve(&self, fixture: &Fixture) -> Vec<Step> {
+    /// Walk the script on the reference of a row with `shards` shards (its
+    /// cache looks each one up) that served `built` requests before the
+    /// script — the seed upload, and a fleet's registrations: one [`Step`]
+    /// per op.
+    pub fn resolve(&self, fixture: &Fixture, shards: usize, built: u64) -> Vec<Step> {
         let seeded = &fixture.seed_upload.indices;
         let mut index = CloudIndex::new(fixture.params.clone());
         index.insert_all(seeded.iter().cloned()).expect("seed");
-        let copies: Vec<RankedDocumentIndex> = (seeded.iter().take(8))
-            .map(|index| RankedDocumentIndex {
-                document_id: index.document_id + RESTORED,
-                ..index.clone()
-            })
-            .collect();
+        let copy = |index: &RankedDocumentIndex| RankedDocumentIndex {
+            document_id: index.document_id + RESTORED,
+            ..index.clone()
+        };
+        let copies: Vec<RankedDocumentIndex> = seeded.iter().take(8).map(copy).collect();
+        let clash = |k: usize| vec![copy(&seeded[k]), seeded[0].clone()];
         let mut model = Model {
             fixture,
             restore: serialize_store(&fixture.params, &copies),
+            clashes: [clash(8), clash(9)],
             index,
             ciphertexts: BTreeMap::new(),
             scans: HashMap::new(),
+            shard_comparisons: HashMap::new(),
+            shards,
+            counters: OperationCounters {
+                requests_served: built,
+                ..OperationCounters::default()
+            },
+            cache: None,
         };
         model.keep_ciphertexts(&fixture.seed_upload);
         self.ops.iter().map(|op| model.apply(op)).collect()
@@ -190,9 +211,8 @@ pub struct Step {
     pub op: Op,
     /// What a served row sends: a group is one `Query` per member.
     pub requests: Vec<Request>,
-    /// The reference's reply per request, cache reports aside; none where the
-    /// twin is the reference, or for a read op on a corpus without
-    /// ciphertexts.
+    /// The reference's reply per request; none for a read op on a corpus
+    /// without ciphertexts (only engines run those, and read `ranked`).
     pub replies: Vec<Response>,
     pub ranked: Vec<Ranked>,
     /// Per looked-up id: the index the reference stores under it.
@@ -204,10 +224,28 @@ struct Model<'a> {
     fixture: &'a Fixture,
     /// The good restore bytes.
     restore: Vec<u8>,
+    /// What `UploadClash` and `RestoreClash` write.
+    clashes: [Vec<RankedDocumentIndex>; 2],
     index: CloudIndex,
     ciphertexts: BTreeMap<u64, EncryptedDocumentTransfer>,
     /// Each query's uncut scan in this state; a write clears them.
     scans: HashMap<usize, (Vec<SearchMatch>, SearchStats)>,
+    /// Each query's comparisons per shard in this state, once the cache
+    /// needs them; a write clears them.
+    shard_comparisons: HashMap<usize, Vec<u64>>,
+    /// Upload position `i` is on shard `i % shards`.
+    shards: usize,
+    /// `requests_served` counts the request that reads it.
+    counters: OperationCounters,
+    cache: Option<CacheModel>,
+}
+
+/// A served result cache. None evicts, so its entries are the (query, shard)
+/// scans it admitted, each under its shard's write generation then.
+struct CacheModel {
+    stats: CacheStats,
+    generations: Vec<u64>,
+    entries: HashMap<(BitIndex, usize), u64>,
 }
 
 impl Model<'_> {
@@ -233,7 +271,48 @@ impl Model<'_> {
         (query, top, kept, *stats)
     }
 
-    fn search_reply(&self, ranked: &Ranked) -> SearchReply {
+    /// One served read of query `q`: each shard looked up in the cache — a
+    /// hit saves that shard's comparisons, a miss (a stale entry is also an
+    /// invalidation) admits its scan — and the comparisons counted.
+    fn read(&mut self, q: usize, stats: SearchStats) -> CacheReport {
+        let mut effect = CacheEffect::default();
+        if let Some(cache) = &mut self.cache {
+            let (index, shards) = (&self.index, self.shards);
+            let query = QueryIndex::from_bits(self.fixture.queries[q].query.clone());
+            let per_shard = self.shard_comparisons.entry(q).or_insert_with(|| {
+                let mut comparisons = vec![0; shards];
+                for (i, document) in index.documents().iter().enumerate() {
+                    let (_, stats) = scan_ranked(std::slice::from_ref(document), &query);
+                    comparisons[i % shards] += stats.comparisons;
+                }
+                comparisons
+            });
+            for (shard, &saved) in per_shard.iter().enumerate() {
+                let generation = cache.generations[shard];
+                let key = (query.bits().clone(), shard);
+                match cache.entries.insert(key, generation) {
+                    Some(admitted) if admitted == generation => {
+                        cache.stats.hits += 1;
+                        cache.stats.saved_comparisons += saved;
+                        effect.shard_hits += 1;
+                        effect.saved_comparisons += saved;
+                    }
+                    stale => {
+                        cache.stats.invalidations += u64::from(stale.is_some());
+                        cache.stats.misses += 1;
+                        effect.shard_misses += 1;
+                    }
+                }
+            }
+        }
+        let counters = &mut self.counters;
+        counters.binary_comparisons += stats.comparisons - effect.saved_comparisons;
+        counters.comparisons_saved_by_cache += effect.saved_comparisons;
+        counters.cache_served_replies += u64::from(effect.fully_cached());
+        CacheReport::from(effect)
+    }
+
+    fn search_reply(&self, ranked: &Ranked, cache: CacheReport) -> SearchReply {
         let entry = |m: &SearchMatch| SearchResultEntry {
             document_id: m.document_id,
             rank: m.rank,
@@ -246,8 +325,24 @@ impl Model<'_> {
         };
         SearchReply {
             matches: ranked.2.iter().map(entry).collect(),
-            cache: Default::default(),
+            cache,
         }
+    }
+
+    /// Store `indices` as the store does, up to the first refusal: each
+    /// accepted one lands on the next upload position's shard and bumps its
+    /// write generation.
+    fn insert(&mut self, indices: Vec<RankedDocumentIndex>) -> Result<(), StoreError> {
+        self.scans.clear();
+        self.shard_comparisons.clear();
+        for index in indices {
+            let shard = self.index.len() % self.shards;
+            self.index.insert(index)?;
+            if let Some(cache) = &mut self.cache {
+                cache.generations[shard] += 1;
+            }
+        }
+        Ok(())
     }
 
     /// The judge rules: the requests `op` sends and what the reference answers.
@@ -258,8 +353,8 @@ impl Model<'_> {
             Op::Batch(queries, cut) => queries.iter().map(|&q| (q, *cut)).collect(),
             _ => vec![],
         };
-        let ranked: Vec<Ranked> = (members.into_iter())
-            .map(|(q, cut)| self.ranked(q, cut))
+        let ranked: Vec<Ranked> = (members.iter())
+            .map(|&(q, cut)| self.ranked(q, cut))
             .collect();
         let mut step = Step {
             op: op.clone(),
@@ -270,34 +365,36 @@ impl Model<'_> {
         };
         // A corpus without ciphertexts has no served replies to read.
         let served = !self.fixture.seed_upload.documents.is_empty();
-        let (request, reply) = match op {
-            Op::Query(..) | Op::Group(_) => {
-                for (query, top, ..) in &step.ranked {
-                    let query = query.bits().clone();
-                    let top = *top;
-                    step.requests
-                        .push(Request::Query(QueryMessage { query, top }));
-                }
-                if served {
-                    let replies = step.ranked.iter().map(|r| self.search_reply(r));
-                    step.replies = replies.map(Response::Search).collect();
-                }
-                return step;
+        if !members.is_empty() {
+            let mut replies = Vec::new();
+            for (&(q, _), ranked) in members.iter().zip(&step.ranked) {
+                let report = self.read(q, ranked.3);
+                replies.extend(served.then(|| self.search_reply(ranked, report)));
             }
-            Op::Batch(..) => {
+            let query = |r: &Ranked| QueryMessage {
+                query: r.0.bits().clone(),
+                top: r.1,
+            };
+            if let Op::Batch(..) = op {
+                self.counters.requests_served += 1;
                 let queries = step.ranked.iter().map(|r| r.0.bits().clone()).collect();
                 let top = step.ranked[0].1;
                 step.requests = vec![Request::BatchQuery(BatchQueryMessage { queries, top })];
                 if served {
-                    let replies = step.ranked.iter().map(|r| self.search_reply(r)).collect();
                     step.replies = vec![Response::BatchSearch(BatchSearchReply { replies })];
                 }
-                return step;
+            } else {
+                self.counters.requests_served += members.len() as u64;
+                step.requests = step.ranked.iter().map(query).map(Request::Query).collect();
+                step.replies = replies.into_iter().map(Response::Search).collect();
             }
+            return step;
+        }
+        self.counters.requests_served += 1;
+        let (request, reply) = match op {
             Op::Upload(i) => {
                 let upload = self.fixture.extra_uploads[*i].clone();
-                self.scans.clear();
-                let reply = match self.index.insert_all(upload.indices.iter().cloned()) {
+                let reply = match self.insert(upload.indices.clone()) {
                     Ok(()) => {
                         self.keep_ciphertexts(&upload);
                         let documents = self.index.len() as u64;
@@ -305,27 +402,41 @@ impl Model<'_> {
                     }
                     Err(e) => Response::Error(e.into()),
                 };
-                (Request::Upload(upload), Some(reply))
+                (Request::Upload(upload), reply)
             }
-            Op::Restore | Op::RestoreGarbage => {
-                let mut bytes = self.restore.clone();
-                if let Op::RestoreGarbage = op {
-                    bytes.truncate(3);
-                }
-                self.scans.clear();
+            Op::UploadClash => {
+                let indices = self.clashes[0].clone();
+                let refusal = self.insert(indices.clone()).expect_err("a stored id");
+                let documents = vec![];
+                let request = Request::Upload(UploadMessage { indices, documents });
+                (request, Response::Error(refusal.into()))
+            }
+            Op::Restore | Op::RestoreGarbage | Op::RestoreClash => {
+                let bytes = match op {
+                    Op::RestoreClash => serialize_store(&self.fixture.params, &self.clashes[1]),
+                    Op::RestoreGarbage => self.restore[..3].to_vec(),
+                    _ => self.restore.clone(),
+                };
                 let reply = match deserialize_store(&self.fixture.params, &bytes) {
                     Ok(indices) => {
                         let documents = indices.len() as u64;
-                        self.index.insert_all(indices).expect("fresh ids");
-                        Response::Restored { documents }
+                        let stored = self.insert(indices);
+                        // Whatever the store kept, every shard moves on once.
+                        if let Some(cache) = &mut self.cache {
+                            cache.generations.iter_mut().for_each(|g| *g += 1);
+                        }
+                        match stored {
+                            Ok(()) => Response::Restored { documents },
+                            Err(e) => Response::Error(PersistenceError::Store(e).into()),
+                        }
                     }
                     Err(e) => Response::Error(e.into()),
                 };
-                (Request::RestoreIndex(bytes), Some(reply))
+                (Request::RestoreIndex(bytes), reply)
             }
             Op::Snapshot => {
                 let bytes = serialize_store(&self.fixture.params, self.index.documents());
-                (Request::SnapshotIndex, Some(Response::Snapshot(bytes)))
+                (Request::SnapshotIndex, Response::Snapshot(bytes))
             }
             Op::Documents(ids) => {
                 for &id in ids {
@@ -344,21 +455,43 @@ impl Model<'_> {
                 };
                 let document_ids = ids.clone();
                 let request = Request::Documents(DocumentRequest { document_ids });
-                (request, Some(reply))
+                (request, reply)
             }
+            // A cache starts over: empty, its counters and generations zero.
             Op::EnableCache(capacity_per_shard) => {
+                self.cache = Some(CacheModel {
+                    stats: CacheStats::default(),
+                    generations: vec![0; self.shards],
+                    entries: HashMap::new(),
+                });
                 let capacity_per_shard = *capacity_per_shard;
-                (
-                    Request::EnableCache { capacity_per_shard },
-                    Some(Response::Ack),
-                )
+                (Request::EnableCache { capacity_per_shard }, Response::Ack)
             }
-            Op::DisableCache => (Request::DisableCache, Some(Response::Ack)),
-            // The twin is the reference for counters and deployment facts.
-            Op::CacheStats => (Request::CacheStats, None),
-            Op::ServerInfo => (Request::ServerInfo, None),
-            Op::Counters => (Request::Counters, None),
-            Op::ResetCounters => (Request::ResetCounters, Some(Response::Ack)),
+            Op::DisableCache => {
+                self.cache = None;
+                (Request::DisableCache, Response::Ack)
+            }
+            Op::CacheStats => {
+                let stats = self.cache.as_ref().map(|cache| cache.stats);
+                (Request::CacheStats, Response::CacheStats(stats))
+            }
+            Op::Counters => (Request::Counters, Response::Counters(self.counters)),
+            // The Table 2 view rebases on the registry, the reset included.
+            Op::ResetCounters => {
+                self.counters = OperationCounters::default();
+                (Request::ResetCounters, Response::Ack)
+            }
+            Op::ServerInfo => {
+                let params = &self.fixture.params;
+                let info = ServerInfo {
+                    shards: self.shards as u64,
+                    documents: self.index.len() as u64,
+                    index_bits: params.index_bits as u64,
+                    rank_levels: params.rank_levels() as u64,
+                    cache_enabled: self.cache.is_some(),
+                };
+                (Request::ServerInfo, Response::Info(info))
+            }
             Op::Misrouted => {
                 let request = BlindDecryptRequest {
                     user_id: 1,
@@ -367,31 +500,53 @@ impl Model<'_> {
                 };
                 let refusal = "BlindDecrypt is served by the data owner, not the cloud server";
                 let refusal = ProtocolError::Unsupported(refusal.into());
-                (
-                    Request::BlindDecrypt(request),
-                    Some(Response::Error(refusal)),
-                )
+                (Request::BlindDecrypt(request), Response::Error(refusal))
             }
+            Op::Query(..) | Op::Group(_) | Op::Batch(..) => unreachable!("answered above"),
         };
         step.requests.push(request);
-        step.replies.extend(reply);
+        step.replies.push(reply);
         step
     }
 }
 
-/// A served reply without the cache reports the reference does not model.
-fn reference_view(reply: &Response) -> Response {
-    let mut reply = reply.clone();
-    match &mut reply {
-        Response::Search(r) => r.cache = Default::default(),
-        Response::BatchSearch(b) => {
-            for r in &mut b.replies {
-                r.cache = Default::default();
+/// `step` as a fleet answers it, where one server answers the model's
+/// replies: cache administration is refused, every `CacheReport` is zero (the
+/// nodes serve the cache-off oracle), `Counters` carries `requests_served`
+/// alone (comparisons are counted per node), `ServerInfo` reports
+/// [`GLOBAL_SHARDS`] shards with the cache off, and a misrouted op gets the
+/// coordinator's own refusal.
+pub fn fleet_view(mut step: Step) -> Step {
+    let refused = |text: String| Response::Error(ProtocolError::Unsupported(text));
+    let uncached = |reply: &mut SearchReply| reply.cache = CacheReport::default();
+    for (request, reply) in step.requests.iter().zip(&mut step.replies) {
+        let name = request.name();
+        match (request, reply) {
+            (Request::EnableCache { .. } | Request::DisableCache | Request::CacheStats, reply) => {
+                let why = "is a per-node knob; the fleet coordinator serves the cache-off oracle";
+                *reply = refused(format!("{name} {why}"));
             }
+            (Request::BlindDecrypt(_), reply) => {
+                let why = "is served by the data owner, not the fleet coordinator";
+                *reply = refused(format!("{name} {why}"));
+            }
+            (_, Response::Search(reply)) => uncached(reply),
+            (_, Response::BatchSearch(batch)) => batch.replies.iter_mut().for_each(uncached),
+            (_, Response::Counters(counters)) => {
+                let requests_served = counters.requests_served;
+                *counters = OperationCounters {
+                    requests_served,
+                    ..OperationCounters::default()
+                };
+            }
+            (_, Response::Info(info)) => {
+                info.shards = GLOBAL_SHARDS as u64;
+                info.cache_enabled = false;
+            }
+            _ => {}
         }
-        _ => {}
     }
-    reply
+    step
 }
 
 /// Where a judge stands: the seed that replays it, the row and the op.
@@ -399,47 +554,13 @@ pub fn at(seed: u64, row: &str, op: usize, step: &Step) -> String {
     format!("seed {seed}, row {row}, op {op} ({:?})", step.op)
 }
 
-/// The sequential `CloudServer::call` twin after a script, and its replies
-/// per op. What it answers is what every served row must answer.
-pub struct Twin {
-    pub server: CloudServer,
-    pub replies: Vec<Vec<Response>>,
-}
-
-/// Run `steps` on `server` one `call` at a time, each reply held to the
-/// reference; `row` names it in a failure.
-pub fn call_twin(mut server: CloudServer, steps: &[Step], seed: u64, row: &str) -> Twin {
-    let mut replies = Vec::new();
-    for (i, step) in steps.iter().enumerate() {
-        let answered: Vec<Response> = (step.requests.iter())
-            .map(|request| server.call(request.clone()))
-            .collect();
-        if !step.replies.is_empty() {
-            let seen: Vec<Response> = answered.iter().map(reference_view).collect();
-            let want = &step.replies;
-            assert!(
-                seen == *want,
-                "{}: {seen:?}, want {want:?}",
-                at(seed, row, i, step)
-            );
-        }
-        replies.push(answered);
-    }
-    Twin { server, replies }
-}
-
-/// A row's replies equal the twin's, value and frame bytes alike.
-pub fn assert_same_replies(
-    seed: u64,
-    row: &str,
-    steps: &[Step],
-    got: &[Vec<Response>],
-    twin: &Twin,
-) {
-    assert_eq!(got.len(), twin.replies.len(), "seed {seed}, row {row}: ops");
-    for (i, (got, want)) in got.iter().zip(&twin.replies).enumerate() {
-        let at = at(seed, row, i, &steps[i]);
-        assert_eq!(got, want, "{at}");
+/// A row's replies to every step equal the reference's, value and frame
+/// bytes alike; the first that differs names its op.
+pub fn assert_replies(seed: u64, row: &str, steps: &[Step], got: &[Vec<Response>]) {
+    assert_eq!(got.len(), steps.len(), "seed {seed}, row {row}: ops");
+    for (i, (got, step)) in got.iter().zip(steps).enumerate() {
+        let (at, want) = (at(seed, row, i, step), &step.replies);
+        assert!(got == want, "{at}: {got:?}, want {want:?}");
         for (got, want) in got.iter().zip(want) {
             let frames = (
                 wire::encode_response(7, got),

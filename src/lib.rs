@@ -235,9 +235,9 @@
 //!   the (query, shard) pairs the cache missed. A `Query`, a `BatchQuery` and a
 //!   coalesced group (`Service::call_query_group`, a provided method of the
 //!   trait whose default is one `call` per member) all run as one engine batch
-//!   (a `Query` a batch of one) and end in one reply builder. `CloudServer::enable_result_cache`
-//!   turns caching on; replies carry a `CacheReport` and the `OperationCounters`
-//!   split comparisons into performed vs saved-by-cache.
+//!   (a `Query` a batch of one) and end in one reply builder. A
+//!   `Request::EnableCache` turns caching on; replies carry a `CacheReport` and
+//!   the `OperationCounters` split comparisons into performed vs saved-by-cache.
 //! * **Envelope / wire / client** ([`protocol::envelope`], [`protocol::wire`],
 //!   [`protocol::client`]): every server operation — queries, retrieval, upload,
 //!   cache admin, snapshot/restore, counters — is one variant of a versioned

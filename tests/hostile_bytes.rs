@@ -633,13 +633,17 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
         assert_eq!(coordinator.call_query_group(members), one_by_one);
     }
 
-    // Counters moved as if every member had been called on its own.
-    let counters = |s: &mut CloudServer| s.call(Request::Counters).into_counters().unwrap();
+    // Counters moved as if every member had been called on its own; the
+    // fleet also served its registrations.
+    let counters = |s: &mut dyn Service| s.call(Request::Counters).into_counters().unwrap();
     let mut replayed = corpus.server(2, false);
     for member in group.iter().chain(&all_bad).chain(&group[1..2]) {
         replayed.call(Request::Query(member.clone()));
     }
-    assert_eq!(counters(&mut server), counters(&mut replayed));
+    let want = counters(&mut replayed);
+    assert_eq!(counters(&mut server), want);
+    let fleet = counters(&mut coordinator).requests_served;
+    assert_eq!(fleet, want.requests_served + TWO_NODES.len() as u64);
     for node in nodes {
         node.shutdown();
     }

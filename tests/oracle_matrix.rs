@@ -1,12 +1,17 @@
 //! The oracle matrix: one seeded [`Script`] on every path, one row per path,
-//! judged against the reference the script resolves once (`CloudIndex`).
+//! judged against the reference the script resolves: `CloudIndex` for
+//! replies, and a model of the counters, cache and deployment facts each op
+//! changes.
 //!
 //! - `engine[corpus, shards, lanes, cache, spans]`: [`SearchEngine`]s, from a
 //!   restore into an empty engine. After every op: the reference's replies,
 //!   stats, lookups, snapshot bytes and restores; planes tracking the store;
 //!   the one-lane, telemetry-off row's cache counters. Only Spans records.
-//! - `call-twin`: `CloudServer::call`, held to the reference. Every served
-//!   row answers what it answers, frame for frame and counter for counter.
+//! - `call-twin`, `call`, `client`, `client-pipelined` and `resilient`: one
+//!   server, every reply — `Counters`, `CacheStats`, `ServerInfo` and each
+//!   search reply's `CacheReport` included — the model's, frame for frame.
+//! - `fleet[nodes=1|3]`: a coordinator over in-process nodes, every reply the
+//!   model's seen through [`fleet_view`].
 //! - `hub-tcp` and `hub-memory`: journal replay and the hub's accounting.
 //!
 //! A failure names its seed, row and op; the script depends on its seed
@@ -19,8 +24,8 @@ use mkse::net::{ResilientClient, RetryPolicy};
 use mkse::protocol::{Client, CloudServer, ProtocolError, Request, Response, Service};
 use mkse::protocol::{TypedCalls, WireStats};
 use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
-use mkse_testkit::{assert_replies_match_replay, replay_journal};
-use mkse_testkit::{assert_same_replies, at, call_twin, fixture, Fixture, Op, Script, Step, Twin};
+use mkse_testkit::{assert_replies, at, fixture, fleet_view, Fixture, Op, Script, Step};
+use mkse_testkit::{assert_replies_match_replay, replay_journal, Fleet, NodeSpec, GLOBAL_SHARDS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::{sync::OnceLock, time::Duration};
 
@@ -66,8 +71,8 @@ fn scheme() -> &'static Fixture {
     SCHEME.get_or_init(|| fixture(4242, &TEXTS, &KEYWORDS, &EXTRAS))
 }
 
-/// The scheme corpus's server at `shards` shards, counting: every served
-/// row, its twin and the hub's engine.
+/// The scheme corpus's server at `shards` shards, counting: every served row
+/// and the hub's engine.
 fn server(shards: usize) -> CloudServer {
     let server = scheme().server(shards, false);
     server.set_telemetry_level(TelemetryLevel::Counters);
@@ -119,19 +124,28 @@ fn padded() -> Fixture {
 
 /// 9,537 documents of dense arbitrary bits at r = 65 (one past a word), η = 2
 /// — two scan units at one shard — queried at the row-selection extremes:
-/// sparse and dense zeros, all ones, all zeros and a stored base level.
+/// sparse and dense zeros, all ones, all zeros and a stored base level. Ids
+/// are shuffled: slot order is not id order, so a unit's best k among rank
+/// ties are not its first k.
 fn ragged() -> Fixture {
     let params = SystemParams::new(65, 4, 16, 0, 0, vec![1, 2]).unwrap();
     let mut rng = StdRng::seed_from_u64(96);
-    let indices: Vec<RankedDocumentIndex> = (0..9 * CHUNK + 321)
-        .map(|i| RankedDocumentIndex {
-            document_id: 1000 + i as u64,
-            levels: (0..2).map(|_| bits(&mut rng, 65, 0.95)).collect(),
-        })
+    let levels: Vec<Vec<BitIndex>> = (0..9 * CHUNK + 321)
+        .map(|_| (0..2).map(|_| bits(&mut rng, 65, 0.95)).collect())
         .collect();
     let (sparse, dense) = (bits(&mut rng, 65, 0.98), bits(&mut rng, 65, 0.7));
     let (ones, zeros) = (BitIndex::all_ones(65), BitIndex::all_zeros(65));
-    let queries = vec![sparse, dense, ones, zeros, indices[0].base_level().clone()];
+    let queries = vec![sparse, dense, ones, zeros, levels[0][0].clone()];
+    let mut ids: Vec<u64> = (1000..1000 + levels.len() as u64).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    let indices = (ids.into_iter().zip(levels))
+        .map(|(document_id, levels)| RankedDocumentIndex {
+            document_id,
+            levels,
+        })
+        .collect();
     Fixture::bare(params, queries, indices)
 }
 
@@ -196,7 +210,7 @@ fn engine_rows(name: &str, fixture: &Fixture, seeds: &[u64]) {
     let bytes = serialize_store(&fixture.params, seeded);
     let default = CacheConfig::default().capacity_per_shard;
     for &seed in seeds {
-        let steps = Script::generate(seed, fixture).resolve(fixture);
+        let steps = Script::generate(seed, fixture).resolve(fixture, 1, 1);
         for shards in [1, 2, 7, 16] {
             for cache in [None, Some(4), Some(default)] {
                 // The one-lane, telemetry-off row's cache counters after each op.
@@ -287,58 +301,93 @@ fn typed<C: TypedCalls>(c: &mut C, r: &Request, no: fn(C::Error) -> ProtocolErro
     answer.unwrap_or_else(|e| Response::Error(no(e)))
 }
 
+/// One step on a service: a group through `call_query_group`, any other op
+/// one `call` per request.
+fn serve(service: &mut impl Service, step: &Step) -> Vec<Response> {
+    match &step.op {
+        Op::Group(_) => {
+            let query = |r: &Request| match r {
+                Request::Query(message) => message.clone(),
+                _ => unreachable!("a group sends queries"),
+            };
+            let messages: Vec<_> = step.requests.iter().map(query).collect();
+            service.call_query_group(&messages)
+        }
+        _ => (step.requests.iter())
+            .map(|r| service.call(r.clone()))
+            .collect(),
+    }
+}
+
 #[test]
 fn served_rows() {
     for seed in SEEDS {
-        let steps = Script::generate(seed, scheme()).resolve(scheme());
+        let script = Script::generate(seed, scheme());
+        let mut at_two = Vec::new();
         for shards in [1, 2, 7, 16] {
+            let steps = script.resolve(scheme(), shards, 1);
             let row = format!("call-twin[shards={shards}]");
-            let twin = call_twin(server(shards), &steps, seed, &row);
-            // A duplicate upload, a missing document, garbage bytes, a misrouted op.
-            let replies = twin.replies.iter().flatten();
-            let refusals = replies.filter(|r| matches!(r, Response::Error(_))).count();
-            assert_eq!(refusals, 4, "seed {seed}: refusals");
+            let mut twin = server(shards);
+            let got = each(&steps, |r| twin.call(r.clone()));
+            assert_replies(seed, &row, &steps, &got);
 
             let row = format!("call[shards={shards}]");
             let mut served = server(shards);
-            let mut got = Vec::new();
-            for step in &steps {
-                let replies = match &step.op {
-                    Op::Group(_) => {
-                        let query = |r: &Request| match r {
-                            Request::Query(message) => message.clone(),
-                            _ => unreachable!("a group sends queries"),
-                        };
-                        let messages: Vec<_> = step.requests.iter().map(query).collect();
-                        served.call_query_group(&messages)
-                    }
-                    _ => (step.requests.iter())
-                        .map(|r| served.call(r.clone()))
-                        .collect(),
-                };
-                got.push(replies);
-            }
-            assert_same_replies(seed, &row, &steps, &got, &twin);
-            let counters = (served.counters(), served.cache_stats());
-            let want = (twin.server.counters(), twin.server.cache_stats());
-            assert_eq!(counters, want, "seed {seed}, {row}: counters");
+            // An empty group serves nothing: the first `Counters` reads 1.
+            assert!(served.call_query_group(&[]).is_empty());
+            let got: Vec<_> = steps.iter().map(|step| serve(&mut served, step)).collect();
+            assert_replies(seed, &row, &steps, &got);
 
             let row = format!("client[shards={shards}]");
             let mut client = Client::new(server(shards));
             let got = each(&steps, |r| typed(&mut client, r, |e| e));
-            assert_same_replies(seed, &row, &steps, &got, &twin);
-            let counters = client.counters();
-            assert_eq!(counters, twin.server.counters(), "seed {seed}, {row}");
+            assert_replies(seed, &row, &steps, &got);
             if shards == 2 {
                 pipelined_and_resilient_rows(seed, &steps, twin);
+                at_two = steps;
             }
         }
-        hub_rows(seed, &steps);
+        // Two refused uploads, a missing document, two refused restores and
+        // the misrouted op.
+        let replies = at_two.iter().flat_map(|step| &step.replies);
+        let refusals = replies.filter(|r| matches!(r, Response::Error(_))).count();
+        assert_eq!(refusals, 6, "seed {seed}: refusals");
+        fleet_rows(seed, &script);
+        hub_rows(seed, &at_two);
     }
 }
 
-/// `client-pipelined` and `resilient`, at two shards.
-fn pipelined_and_resilient_rows(seed: u64, steps: &[Step], mut twin: Twin) {
+/// `fleet[nodes=1]` (one node holding every global shard) and
+/// `fleet[nodes=3]` (shard slots 2, 1 and 0): a coordinator kept in process
+/// over the seed upload, every op through `call` or `call_query_group`.
+fn fleet_rows(seed: u64, script: &Script) {
+    let one: &[NodeSpec] = &[(1, 0, None)];
+    let three: &[NodeSpec] = &[(1, 2, None), (2, 1, None), (3, 0, None)];
+    for nodes in [one, three] {
+        let row = format!("fleet[nodes={}]", nodes.len());
+        // The fleet served its registrations and the seed upload.
+        let built = nodes.len() as u64 + 1;
+        let steps = script.resolve(scheme(), GLOBAL_SHARDS, built);
+        let steps: Vec<Step> = steps.into_iter().map(fleet_view).collect();
+        let corpus = &scheme().seed_upload;
+        let (mut coordinator, runners) = Fleet::in_process(&scheme().params, nodes, corpus);
+        let got: Vec<_> = (steps.iter())
+            .map(|step| serve(&mut coordinator, step))
+            .collect();
+        assert_replies(seed, &row, &steps, &got);
+        // The script failed no node over.
+        let registry = coordinator.telemetry_handle().snapshot();
+        let fleet = [registry.gauge("nodes_live"), registry.counter("failovers")];
+        assert_eq!(fleet, [nodes.len() as u64, 0], "seed {seed}, {row}");
+        for runner in runners {
+            runner.shutdown();
+        }
+    }
+}
+
+/// `client-pipelined` and `resilient`, at two shards; `twin` ran the script
+/// through `call`.
+fn pipelined_and_resilient_rows(seed: u64, steps: &[Step], mut twin: CloudServer) {
     // The whole script submitted and flushed once, taken in reverse: replies
     // correlate by request id, not arrival.
     let mut client = Client::new(server(2));
@@ -354,7 +403,7 @@ fn pipelined_and_resilient_rows(seed: u64, steps: &[Step], mut twin: Twin) {
         got[i].reverse();
     }
     assert_eq!(client.ready(), 0, "seed {seed}: after the takes");
-    assert_same_replies(seed, "client-pipelined", steps, &got, &twin);
+    assert_replies(seed, "client-pipelined", steps, &got);
 
     let hub = Hub::spawn(server(2), HubConfig::default());
     let connector = hub.memory_dialer().connector();
@@ -365,9 +414,9 @@ fn pipelined_and_resilient_rows(seed: u64, steps: &[Step], mut twin: Twin) {
         other => panic!("the hub did not answer: {other}"),
     };
     let got = each(steps, |r| typed(&mut remote, r, replied));
-    assert_same_replies(seed, "resilient", steps, &got, &twin);
+    assert_replies(seed, "resilient", steps, &got);
     // The engine's counters are the twin's; the hub adds only its own.
-    let local = twin.server.call(Request::MetricsSnapshot);
+    let local = twin.call(Request::MetricsSnapshot);
     let local = local.into_metrics_report().expect("in process");
     let remote = remote.metrics_snapshot().expect("over the hub");
     let names = ["requests_served", "inserts", "shard_scans", "batch_queries"];
@@ -407,17 +456,22 @@ fn journaling_hub(batch_window: Duration, batch_depth: usize) -> (HubHandle, Tel
     (Hub::spawn(server, config), telemetry)
 }
 
-/// A shut-down hub's journal, replayed, gives every reply `got` holds; every
-/// journaled `Query` ran once through the batcher and the engine, one
-/// occupancy sample per flush; every frame in was answered, connection by
-/// connection, in accept order.
-fn judge_hub(row: &str, hub: HubReport, t: &Telemetry, ws: &[WireStats], got: &[(u64, Response)]) {
+/// A shut-down hub's journal, replayed, gives every reply `got` holds; in the
+/// registry `s`, every journaled `Query` ran once through the batcher and the
+/// engine, one occupancy sample per flush, and every frame in was answered,
+/// connection by connection, in accept order.
+fn judge_hub(
+    row: &str,
+    hub: HubReport,
+    s: &MetricsSnapshot,
+    ws: &[WireStats],
+    got: &[(u64, Response)],
+) {
     assert_eq!(hub.requests, got.len() as u64, "{row}: replies");
     let expected = replay_journal(&mut server(2), &hub.journal);
     assert_replies_match_replay(got, &expected, row);
     let found = |(_, r): &_| matches!(r, Response::Search(s) if !s.matches.is_empty());
     assert!(got.iter().any(found), "{row}: no match");
-    let s = t.snapshot();
     assert!(
         s.labelled_sum("shard_cache_hits") > 0,
         "{row}: no cache hit"
@@ -490,8 +544,10 @@ fn hub_rows(seed: u64, steps: &[Step]) {
         workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
     let (received, wire): (Vec<Vec<_>>, Vec<_>) = runs.into_iter().unzip();
+    // Read while the hub still runs: a reply its client holds is counted.
+    let registry = telemetry.snapshot();
     let row = format!("hub-tcp[seed {seed}]");
-    judge_hub(&row, hub.shutdown(), &telemetry, &wire, &received.concat());
+    judge_hub(&row, hub.shutdown(), &registry, &wire, &received.concat());
 
     // One client under a window and depth nothing reaches — a group
     // flushes complete or at shutdown. It then goes quiet, so a second
@@ -514,5 +570,5 @@ fn hub_rows(seed: u64, steps: &[Step]) {
     }
     let wire = [client.wire_stats(), second.wire_stats()];
     let row = format!("hub-memory[seed {seed}]");
-    judge_hub(&row, report, &telemetry, &wire, &received);
+    judge_hub(&row, report, &telemetry.snapshot(), &wire, &received);
 }
