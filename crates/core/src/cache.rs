@@ -195,11 +195,6 @@ impl ResultCache {
         self.stats
     }
 
-    /// Zero the effectiveness counters (entries and generations are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Record one insert into `shard`: bumps that shard's write generation, which
     /// lazily invalidates every entry previously cached for it. Other shards'
     /// entries are untouched — that is the point of per-shard generations.
@@ -213,13 +208,6 @@ impl ResultCache {
     pub fn invalidate_all(&mut self) {
         for shard in &mut self.shards {
             shard.generation += 1;
-        }
-    }
-
-    /// Drop every entry (generations and stats are untouched).
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.entries.clear();
         }
     }
 
@@ -433,19 +421,6 @@ mod tests {
         cache.admit(0, key.clone(), sample_matches(1), sample_stats(1), 0);
         assert!(cache.is_empty());
         assert!(cache.lookup(0, &key).is_none());
-    }
-
-    #[test]
-    fn clear_and_reset_stats() {
-        let mut cache = ResultCache::new(1, CacheConfig::default());
-        let key = bits_from_seed(128, 5);
-        cache.admit(0, key.clone(), sample_matches(1), sample_stats(1), 0);
-        assert!(cache.lookup(0, &key).is_some());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.lookup(0, &key).is_none());
-        cache.reset_stats();
-        assert_eq!(cache.stats(), CacheStats::default());
         assert!(format!("{cache:?}").contains("ResultCache"));
     }
 

@@ -10,8 +10,8 @@
 //! per byte-moving operation** — never per poll tick, so `WouldBlock`
 //! timeouts (whose count is timing-dependent) cannot shift the schedule.
 //! Driving a half through the same operation sequence therefore reproduces
-//! the same fault schedule, which [`FaultHandle::log`] records and
-//! `tests/net_chaos.rs` asserts.
+//! the same fault schedule, which [`FaultHandle::log`] records and the
+//! oracle matrix's `chaos[replay]` row asserts.
 //!
 //! ## What faults where
 //!
@@ -474,11 +474,17 @@ mod tests {
                 ..FaultPlan::healthy(2)
             },
         );
+        // A poll tick that delivers nothing draws nothing: the schedule
+        // follows the bytes, not the timing.
+        let mut buf = [0u8; 16];
+        r.set_recv_timeout(Duration::from_millis(1)).unwrap();
+        assert!(r.recv(&mut buf).is_err(), "an empty pipe times out");
+        assert!(handle.log().is_empty());
         // Reader passes real bytes through unchanged (delays only).
         sw.send_all(b"payload").unwrap();
-        let mut buf = [0u8; 16];
         let n = r.recv(&mut buf).unwrap();
         assert_eq!(&buf[..n], &b"payload"[..n]);
+        assert_eq!(handle.log().len(), 1, "one delay drawn per delivering read");
         // Kill the link via the write half's budget; reads turn into EOF
         // even though the pipe itself is still open.
         let (client2, _server2) = memory_duplex();

@@ -26,8 +26,8 @@
 //! Every attempt ends in exactly one of three ways — a completed reply, an
 //! overload shed, or a link fault — so per client
 //! `attempts == successes + sheds + link_faults` holds exactly
-//! ([`ResilienceStats`]); `tests/net_chaos.rs` asserts it under seeded fault
-//! plans.
+//! ([`ResilienceStats`]); the oracle matrix's `chaos[…]` rows assert it
+//! under seeded fault plans.
 //!
 //! ## Split calls
 //!

@@ -9,11 +9,14 @@
 //! wherever it holds, by the suites under `tests/` and the session demos under
 //! `examples/`.
 //!
+//! - [`scheme`] — the one corpus the suites share: a `DataOwner`'s twelve
+//!   documents, seven queries and three extra uploads.
 //! - [`fixture`] — a seeded `DataOwner` corpus: texts, query keyword sets and
 //!   extra uploads in, a [`Fixture`] out; [`Fixture::bare`] is one of bare
 //!   indices; [`Fixture::server`] is its twin.
 //! - [`chaos_connector`] — a connector over an in-process dialer behind a
-//!   seeded `FaultyLink` (a [`Fleet`] dooms its data links with it too).
+//!   seeded `FaultyLink`: the oracle matrix's `chaos[…]` rows run the script
+//!   over it, and a [`Fleet`] dooms its data links with it.
 //! - [`frame_len`], [`forwarded_query_len`], [`forward_len`], [`ship_len`] —
 //!   the frames a fleet puts on its node links, to the byte.
 //! - [`Fleet`] — a coordinator behind a journaling hub over `NodeRunner`s,
@@ -50,7 +53,7 @@ use mkse_textproc::Document;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Round-robin global shards of every [`Fleet`]: upload position `i` lands on
@@ -66,6 +69,42 @@ pub struct Fixture {
     pub queries: Vec<QueryMessage>,
     pub seed_upload: UploadMessage,
     pub extra_uploads: Vec<UploadMessage>,
+}
+
+const TEXTS: [&str; 12] = [
+    "cloud privacy search encryption audit",
+    "weather forecast rain and wind",
+    "cloud storage pricing enterprise",
+    "encrypted archive migration cloud",
+    "audit of encryption key management",
+    "cafeteria menu and office plants",
+    "privacy impact assessment cloud data",
+    "phishing incident report credentials",
+    "searchable encryption design notes",
+    "cloud audit logging pipeline",
+    "intrusion detection firewall logs",
+    "cloud storage audit for privacy",
+];
+
+const KEYWORDS: [&[&str]; 7] = [
+    &["cloud"],
+    &["audit"],
+    &["cloud", "audit"],
+    &["privacy"],
+    &["encryption"],
+    &["cloud", "storage"],
+    &["weather"],
+];
+
+/// Two new documents (ids 1000 and 1001), then one re-sending a stored id.
+const EXTRAS: [(u64, &str); 3] = [(1000, "late audit"), (1001, "cloud privacy"), (0, "again")];
+
+/// The corpus the suites share: a `DataOwner`'s documents (fewer than the
+/// oracle matrix's widest shard count), ciphertexts and randomized queries
+/// at the paper's geometry, built once per test binary.
+pub fn scheme() -> &'static Fixture {
+    static SCHEME: OnceLock<Fixture> = OnceLock::new();
+    SCHEME.get_or_init(|| fixture(4242, &TEXTS, &KEYWORDS, &EXTRAS))
 }
 
 /// A `DataOwner` seeded with `seed` prepares `texts` (document `i` is
@@ -385,22 +424,23 @@ fn assemble(
 /// Replay a hub's execution journal on a sequential twin, one
 /// `Service::call` at a time, and return the expected reply per request id.
 /// Fleet-control traffic (registration, heartbeats, metrics) is coordinator
-/// plumbing with no twin counterpart and no effect on index state, so it is
-/// skipped — a `CloudServer` hub's journal holds none, and the skip is a
-/// no-op there.
+/// plumbing with no twin counterpart and no effect on index state: the twin
+/// still serves it, so its `requests_served` keeps counting what the hub
+/// served, but no reply to it is expected. A `CloudServer` hub journals such
+/// a request only when a flipped bit made one.
 pub fn replay_journal(
     twin: &mut impl Service,
     journal: &[JournalEntry],
 ) -> BTreeMap<u64, Response> {
     let mut expected = BTreeMap::new();
     for entry in journal {
-        if matches!(
+        let reply = twin.call(entry.request.clone());
+        if !matches!(
             entry.request,
             Request::RegisterNode(_) | Request::NodeHeartbeat(_) | Request::MetricsSnapshot
         ) {
-            continue;
+            expected.insert(entry.request_id, reply);
         }
-        expected.insert(entry.request_id, twin.call(entry.request.clone()));
     }
     expected
 }

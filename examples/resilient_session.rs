@@ -4,9 +4,10 @@
 //! retrying and reconnecting as they go. The clients and their links share
 //! one registry, printed at the end as Prometheus text.
 //!
-//! `tests/net_chaos.rs` proves every completed reply byte-identical to the
-//! sequential twin's and the registry equal to the clients' own accounting;
-//! its shed storm shows the hub refusing work over budget.
+//! The `chaos[…]` rows of `tests/oracle_matrix.rs` prove every completed
+//! reply byte-identical to the sequential twin's and the registry equal to
+//! the clients' own accounting; `chaos[shed]` shows the hub refusing work
+//! over budget.
 //!
 //! Run with: `cargo run --release --example resilient_session`
 

@@ -306,10 +306,10 @@
 //!   The oracle is conservation plus equivalence: every attempt lands in
 //!   exactly one bucket (`attempts == successes + sheds + link_faults`), and
 //!   every *completed* reply is byte-identical to the hub journal's
-//!   sequential twin replay (`tests/net_chaos.rs`, release mode in CI;
-//!   `fig4b_resil` re-asserts it before timing and `BENCH_resil.json`
-//!   records that retries buy 100% completion under fault levels that cost a
-//!   retry-less client about a quarter of its answers).
+//!   sequential twin replay (the `chaos[…]` rows of `tests/oracle_matrix.rs`,
+//!   release mode in CI; `fig4b_resil` re-asserts it before timing and
+//!   `BENCH_resil.json` records that retries buy 100% completion under fault
+//!   levels that cost a retry-less client about a quarter of its answers).
 //! * **Fleet** ([`net::Coordinator`], [`net::NodeRunner`]): one machine is a
 //!   ceiling, so the shard seam distributes. A [`net::NodeRunner`] is a
 //!   `CloudServer` behind its own hub plus a control-plane client; it joins

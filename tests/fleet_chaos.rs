@@ -27,37 +27,11 @@ use mkse::protocol::{
     Response, TypedCalls,
 };
 use mkse_testkit::{
-    assert_conservation, assert_replies_match_replay, counter, fixture, fleet_twin, forward_len,
-    forwarded_query_len, gauge, replay_journal, ship_len, Fixture, Fleet,
+    assert_conservation, assert_replies_match_replay, counter, fleet_twin, forward_len,
+    forwarded_query_len, gauge, replay_journal, scheme, ship_len, Fleet,
 };
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The seed corpus, its queries, and a single-document upload (id 1000),
-/// never part of the seed corpus — the fleet-wide at-most-once probe.
-fn corpus() -> Fixture {
-    let texts = [
-        "cloud privacy search encryption audit trail",
-        "weather forecast rain and wind patterns",
-        "cloud storage pricing enterprise tiers",
-        "encrypted archive migration cloud plan",
-        "audit of encryption key management duty",
-        "privacy impact assessment cloud data flows",
-        "searchable encryption design notes draft",
-        "cloud audit logging pipeline review",
-        "key rotation schedule audit findings",
-        "cloud migration runbook and checklist",
-        "privacy review of search telemetry",
-        "encryption at rest for cloud archives",
-        "audit report on storage access paths",
-        "cloud capacity forecast for search",
-        "privacy preserving ranked retrieval",
-        "encrypted index maintenance procedures",
-    ];
-    let keyword_sets: [&[&str]; 4] = [&["cloud"], &["audit"], &["cloud", "audit"], &["privacy"]];
-    let extra = (1000, "late arriving cloud audit notes under failover");
-    fixture(31_812, &texts, &keyword_sets, &[extra])
-}
 
 fn client_policy() -> RetryPolicy {
     RetryPolicy {
@@ -79,7 +53,7 @@ fn client_policy() -> RetryPolicy {
 fn node_killed_mid_workload_completes_everything_twin_identical() {
     const CLIENTS: usize = 2;
     const ROUNDS: usize = 3;
-    let fx = Arc::new(corpus());
+    let fx = scheme();
     let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 serves shards {0,1}: its data link survives the seed-upload
     // forward plus six query frames, then the machine is lost.
@@ -106,7 +80,6 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
     let mut workers = Vec::new();
     for k in 0..CLIENTS {
         let dialer = fleet.hub.memory_dialer();
-        let fx = fx.clone();
         workers.push(std::thread::spawn(move || {
             let mut client = ResilientClient::new(dialer.connector(), client_policy())
                 .with_first_request_id(k as u64 * 1_000_000 + 1);
@@ -221,7 +194,7 @@ fn node_killed_mid_workload_completes_everything_twin_identical() {
 fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     const CLIENTS: usize = 2;
     const ROUNDS: usize = 4;
-    let fx = Arc::new(corpus());
+    let fx = scheme();
     let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 dies somewhere inside the run: fused forwards are wider than
     // `q`, so the budget lands mid-frame a few groups in.
@@ -247,7 +220,7 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
     let workers: Vec<_> = (0..CLIENTS)
         .map(|k| {
             let dialer = fleet.hub.memory_dialer();
-            let (fx, start) = (fx.clone(), start.clone());
+            let start = start.clone();
             std::thread::spawn(move || {
                 let mut client = ResilientClient::new(dialer.connector(), client_policy())
                     .with_first_request_id(k as u64 * 1_000_000 + 1);
@@ -322,7 +295,7 @@ fn coalesced_groups_through_the_coordinator_hub_replay_twin_identical() {
 #[test]
 fn survivor_killed_mid_failover_cascades_to_the_last_node() {
     const ROUNDS: usize = 2;
-    let fx = corpus();
+    let fx = scheme();
     let q = forwarded_query_len(&fx.queries[0]);
     // Node 1 ({0,1}): dies on its third query frame.
     let budget1 = forward_len(&fx.seed_upload.indices, &[0, 1]) + 2 * q + q / 2;
@@ -400,7 +373,7 @@ fn survivor_killed_mid_failover_cascades_to_the_last_node() {
 /// and the rest of the fleet serves the full corpus untouched.
 #[test]
 fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
-    let fx = corpus();
+    let fx = scheme();
     let fleet = Fleet::spawn(
         &fx.params,
         &[(1, 0, Some(0)), (2, 0, None)],
@@ -461,7 +434,7 @@ fn node_killed_during_registration_is_refused_and_fleet_serves_on() {
 /// identical client stats, identical replies.
 #[test]
 fn same_seed_reproduces_the_same_failover_schedule() {
-    let fx = Arc::new(corpus());
+    let fx = scheme();
 
     let run = |seed: u64| -> (
         ResilienceStats,

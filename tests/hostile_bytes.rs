@@ -26,8 +26,7 @@
 //!    still add up.
 
 use mkse::core::{
-    deserialize_store, serialize_store, BitIndex, DocumentIndexer, PersistenceError, QueryBuilder,
-    RankedDocumentIndex, SchemeKeys, StoreError, SystemParams,
+    deserialize_store, serialize_store, BitIndex, PersistenceError, RankedDocumentIndex, StoreError,
 };
 use mkse::net::{
     memory_duplex, ClientError, Coordinator, FleetConfig, FrameBuffer, Hub, HubConfig, HubHandle,
@@ -39,14 +38,13 @@ use mkse::protocol::{
     NodeRegistration, ProtocolError, QueryMessage, Request, Response, ServerInfo, Service,
     TransportError, TypedCalls, UploadMessage,
 };
-use mkse_testkit::{counter, gauge, Fixture, Fleet, NodeSpec, GLOBAL_SHARDS};
+use mkse_testkit::{counter, gauge, scheme, Fixture, Fleet, NodeSpec, GLOBAL_SHARDS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -95,61 +93,6 @@ fn bytes_requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, REQUESTED.with(Cell::get) - before)
 }
 
-// --- the corpus ---------------------------------------------------------------
-
-/// Ten keyword-indexed documents (no bodies) and three queries over them.
-fn corpus() -> &'static Fixture {
-    static CORPUS: OnceLock<Fixture> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        let params = SystemParams::default();
-        let mut rng = StdRng::seed_from_u64(21_812);
-        let keys = SchemeKeys::generate(&params, &mut rng);
-        let indexer = DocumentIndexer::new(&params, &keys);
-        let keyword_sets: [&[&str]; 10] = [
-            &["cloud", "privacy", "search"],
-            &["weather", "forecast"],
-            &["cloud", "storage", "pricing"],
-            &["encrypted", "archive", "cloud"],
-            &["audit", "encryption"],
-            &["privacy", "cloud", "data"],
-            &["searchable", "encryption"],
-            &["cloud", "audit", "logging"],
-            &["key", "management", "audit"],
-            &["cloud", "migration"],
-        ];
-        let indices = keyword_sets
-            .iter()
-            .enumerate()
-            .map(|(i, kws)| indexer.index_keywords(i as u64, kws))
-            .collect();
-        let pool = keys.random_pool_trapdoors(&params);
-        let query_sets: [&[&str]; 3] = [&["cloud"], &["audit"], &["cloud", "audit"]];
-        let queries = query_sets
-            .iter()
-            .map(|kws| {
-                let trapdoors = keys.trapdoors_for(&params, kws);
-                let q = QueryBuilder::new(&params)
-                    .add_trapdoors(&trapdoors)
-                    .with_randomization(&pool)
-                    .build(&mut rng);
-                QueryMessage {
-                    query: q.bits().clone(),
-                    top: None,
-                }
-            })
-            .collect();
-        Fixture {
-            params,
-            queries,
-            seed_upload: UploadMessage {
-                indices,
-                documents: vec![],
-            },
-            extra_uploads: vec![],
-        }
-    })
-}
-
 /// Two nodes of two shard slots each, behind the in-process coordinator.
 const TWO_NODES: &[NodeSpec] = &[(1, 2, None), (2, 2, None)];
 
@@ -164,9 +107,9 @@ fn query_of(len: usize) -> QueryMessage {
     }
 }
 
-fn size_mismatch(corpus: &Fixture, found: usize) -> Response {
+fn size_mismatch(found: usize) -> Response {
     Response::Error(ProtocolError::Store(StoreError::IndexSizeMismatch {
-        expected: corpus.params.index_bits,
+        expected: scheme().params.index_bits,
         found,
     }))
 }
@@ -237,7 +180,7 @@ fn hostile_payloads(seed: u64) -> Vec<Vec<u8>> {
         payload.extend(vec(any::<u8>(), 0..64).generate(&mut rng));
         payloads.push(payload);
     }
-    let requests = well_formed(corpus());
+    let requests = well_formed(scheme());
     for _ in 0..6 {
         let request = &requests[rng.gen_range(0..requests.len())];
         let mut payload = wire::encode_request(seed, request)[4..].to_vec();
@@ -421,7 +364,7 @@ proptest! {
         arbitrary in vec(any::<u8>(), 0..128),
         seed in any::<u64>(),
     ) {
-        let corpus = corpus();
+        let corpus = scheme();
         let _ = deserialize_store(&corpus.params, &arbitrary);
         // Arbitrary bytes behind a valid header reach the entry loop.
         let snapshot = serialize_store(&corpus.params, &corpus.seed_upload.indices);
@@ -533,7 +476,7 @@ fn over_the_wire(request: &Request) -> Request {
 
 #[test]
 fn whatever_decodes_is_served() {
-    let corpus = corpus();
+    let corpus = scheme();
     let mut server = corpus.server(2, false);
     let (mut coordinator, nodes) =
         Fleet::in_process(&corpus.params, TWO_NODES, &corpus.seed_upload);
@@ -571,7 +514,7 @@ fn whatever_decodes_is_served() {
 
 #[test]
 fn a_wrong_length_query_is_answered_an_index_size_mismatch() {
-    let corpus = corpus();
+    let corpus = scheme();
     let r = corpus.params.index_bits;
     let mut server = corpus.server(2, false);
     let (mut coordinator, nodes) =
@@ -584,16 +527,13 @@ fn a_wrong_length_query_is_answered_an_index_size_mismatch() {
             top: None,
         });
         for request in [single, batch] {
-            assert_eq!(server.call(request.clone()), size_mismatch(corpus, len));
-            assert_eq!(coordinator.call(request), size_mismatch(corpus, len));
+            assert_eq!(server.call(request.clone()), size_mismatch(len));
+            assert_eq!(coordinator.call(request), size_mismatch(len));
         }
     }
     // An empty fleet mirror answers the same error, not an empty reply.
     let mut empty = Coordinator::new(corpus.params.clone(), FleetConfig::default());
-    assert_eq!(
-        empty.call(Request::Query(query_of(5))),
-        size_mismatch(corpus, 5)
-    );
+    assert_eq!(empty.call(Request::Query(query_of(5))), size_mismatch(5));
     for node in nodes {
         node.shutdown();
     }
@@ -601,7 +541,7 @@ fn a_wrong_length_query_is_answered_an_index_size_mismatch() {
 
 #[test]
 fn a_group_with_bad_members_equals_one_call_per_member() {
-    let corpus = corpus();
+    let corpus = scheme();
     let group = [
         corpus.queries[0].clone(),
         query_of(5),
@@ -626,7 +566,7 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
         for (member, reply) in members.iter().zip(&one_by_one) {
             match member.query.len() == corpus.params.index_bits {
                 true => assert!(matches!(reply, Response::Search(_))),
-                false => assert_eq!(reply, &size_mismatch(corpus, member.query.len())),
+                false => assert_eq!(reply, &size_mismatch(member.query.len())),
             }
         }
         assert_eq!(server.call_query_group(members), one_by_one);
@@ -667,7 +607,7 @@ fn five_bit_query_costs_only_its_sender(hub: &HubHandle, twin: &mut CloudServer,
     };
     let mut a = NetClient::from_memory(hub.connect_memory());
     let refused = twin_identical(&mut a, twin, Request::Query(query_of(5)));
-    assert_eq!(refused, size_mismatch(corpus, 5));
+    assert_eq!(refused, size_mismatch(5));
     twin_identical(&mut a, twin, Request::Query(corpus.queries[0].clone()));
 
     // A second connection: from here on the batcher groups the two.
@@ -681,7 +621,7 @@ fn five_bit_query_costs_only_its_sender(hub: &HubHandle, twin: &mut CloudServer,
 
 #[test]
 fn a_five_bit_query_over_a_hub_costs_only_its_sender() {
-    let corpus = corpus();
+    let corpus = scheme();
     let hub = Hub::spawn(corpus.server(2, false), HubConfig::default());
     let mut twin = corpus.server(2, false);
     five_bit_query_costs_only_its_sender(&hub, &mut twin, corpus);
@@ -690,7 +630,7 @@ fn a_five_bit_query_over_a_hub_costs_only_its_sender() {
 
 #[test]
 fn a_five_bit_query_fails_no_node_of_a_three_node_fleet() {
-    let corpus = corpus();
+    let corpus = scheme();
     let nodes = [(1, 2, None), (2, 1, None), (3, 1, None)];
     let fleet = Fleet::spawn(&corpus.params, &nodes, 0, HubConfig::default().batch_window);
     let mut runners = fleet.runners;

@@ -13,21 +13,27 @@
 //! - `fleet[nodes=1|3]`: a coordinator over in-process nodes, every reply the
 //!   model's seen through [`fleet_view`].
 //! - `hub-tcp` and `hub-memory`: journal replay and the hub's accounting.
+//! - `chaos[kill|corrupt|shed|replay]`: `ResilientClient`s on faulty links
+//!   against a journaling hub, one test per row: every completed reply the
+//!   journal replay's, every client's attempts conserved.
 //!
 //! A failure names its seed, row and op; the script depends on its seed
 //! alone, so a rerun replays it.
 
 use mkse::core::scanplane::CHUNK;
 use mkse::core::*;
-use mkse::net::{ClientError, Hub, HubConfig, HubHandle, HubReport, NetClient};
-use mkse::net::{ResilientClient, RetryPolicy};
-use mkse::protocol::{Client, CloudServer, ProtocolError, Request, Response, Service};
-use mkse::protocol::{TypedCalls, WireStats};
+use mkse::net::{ClientError, FaultEvent, FaultHandle, FaultPlan, Hub, HubConfig, HubHandle};
+use mkse::net::{HubReport, NetClient, ResilienceStats, ResilientClient, RetryPolicy};
+use mkse::protocol::{render_json, render_prometheus, Client, CloudServer, ProtocolError};
+use mkse::protocol::{Request, Response, Service, TypedCalls, WireStats};
 use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
-use mkse_testkit::{assert_replies, at, fixture, fleet_view, Fixture, Op, Script, Step};
-use mkse_testkit::{assert_replies_match_replay, replay_journal, Fleet, NodeSpec, GLOBAL_SHARDS};
+use mkse_testkit::{assert_conservation, assert_replies_match_replay, chaos_connector, frame_len};
+use mkse_testkit::{assert_replies, at, fleet_view, scheme, Fixture, Op, Script, Step};
+use mkse_testkit::{replay_journal, Fleet, NodeSpec, GLOBAL_SHARDS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::{sync::OnceLock, time::Duration};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -35,41 +41,6 @@ const WAIT: Duration = Duration::from_secs(60);
 const SEEDS: [u64; 2] = [42, 43];
 
 // --- the corpora --------------------------------------------------------------
-
-const TEXTS: [&str; 12] = [
-    "cloud privacy search encryption audit",
-    "weather forecast rain and wind",
-    "cloud storage pricing enterprise",
-    "encrypted archive migration cloud",
-    "audit of encryption key management",
-    "cafeteria menu and office plants",
-    "privacy impact assessment cloud data",
-    "phishing incident report credentials",
-    "searchable encryption design notes",
-    "cloud audit logging pipeline",
-    "intrusion detection firewall logs",
-    "cloud storage audit for privacy",
-];
-
-const KEYWORDS: [&[&str]; 7] = [
-    &["cloud"],
-    &["audit"],
-    &["cloud", "audit"],
-    &["privacy"],
-    &["encryption"],
-    &["cloud", "storage"],
-    &["weather"],
-];
-
-/// Two new documents, then one re-sending a stored id.
-const EXTRAS: [(u64, &str); 3] = [(1000, "late audit"), (1001, "cloud privacy"), (0, "again")];
-
-/// A `DataOwner`'s documents (fewer than the widest shard count), ciphertexts
-/// and randomized queries at the paper's geometry.
-fn scheme() -> &'static Fixture {
-    static SCHEME: OnceLock<Fixture> = OnceLock::new();
-    SCHEME.get_or_init(|| fixture(4242, &TEXTS, &KEYWORDS, &EXTRAS))
-}
 
 /// The scheme corpus's server at `shards` shards, counting: every served row
 /// and the hub's engine.
@@ -201,7 +172,9 @@ fn engine_step(engine: &mut SearchEngine, step: &Step, at: &str) {
 }
 
 /// Every engine configuration on `fixture`, each seed's script resolved once.
-/// Every row starts from a restore into an empty engine, its cache set first.
+/// Each shard count and cache starts from a restore into an empty engine,
+/// its cache set first; each lane count and telemetry level runs a clone of
+/// it, whose planes are derived afresh.
 fn engine_rows(name: &str, fixture: &Fixture, seeds: &[u64]) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut lanes: Vec<usize> = [1, 2, 3].map(|lanes: usize| lanes.min(cores)).to_vec();
@@ -209,30 +182,32 @@ fn engine_rows(name: &str, fixture: &Fixture, seeds: &[u64]) {
     let seeded = &fixture.seed_upload.indices;
     let bytes = serialize_store(&fixture.params, seeded);
     let default = CacheConfig::default().capacity_per_shard;
-    for &seed in seeds {
-        let steps = Script::generate(seed, fixture).resolve(fixture, 1, 1);
-        for shards in [1, 2, 7, 16] {
-            for cache in [None, Some(4), Some(default)] {
+    let resolve = |&seed: &u64| (seed, Script::generate(seed, fixture).resolve(fixture, 1, 1));
+    let scripts: Vec<(u64, Vec<Step>)> = seeds.iter().map(resolve).collect();
+    for shards in [1, 2, 7, 16] {
+        for cache in [None, Some(4), Some(default)] {
+            let row = format!("engine[{name}, {shards}, {cache:?}]");
+            let mut restored = SearchEngine::sharded(fixture.params.clone(), shards);
+            if let Some(capacity_per_shard) = cache {
+                restored.enable_cache(CacheConfig { capacity_per_shard });
+            }
+            let got = (restored.restore_snapshot(&bytes), restored.cache_stats());
+            let cold = cache.map(|_| CacheStats::default());
+            assert_eq!(got, (Ok(seeded.len()), cold), "{row}: restore");
+            planes_track_store(&restored, &row);
+            for (seed, steps) in &scripts {
                 // The one-lane, telemetry-off row's cache counters after each op.
                 let mut first: Vec<Option<CacheStats>> = Vec::new();
                 for &lanes in &lanes {
                     for spans in [false, true] {
                         let row = format!("engine[{name}, {shards}, {lanes}, {cache:?}, {spans}]");
-                        let engine = SearchEngine::sharded(fixture.params.clone(), shards);
-                        let mut engine = engine.with_scan_lanes(lanes);
+                        let mut engine = restored.clone().with_scan_lanes(lanes);
                         if spans {
                             engine.set_telemetry_level(TelemetryLevel::Spans);
                         }
-                        if let Some(capacity_per_shard) = cache {
-                            engine.enable_cache(CacheConfig { capacity_per_shard });
-                        }
-                        let restored = engine.restore_snapshot(&bytes);
-                        let cold = cache.map(|_| CacheStats::default());
-                        let got = (restored, engine.cache_stats());
-                        assert_eq!(got, (Ok(seeded.len()), cold), "seed {seed}, {row}: restore");
                         planes_track_store(&engine, &row);
                         for (i, step) in steps.iter().enumerate() {
-                            let at = at(seed, &row, i, step);
+                            let at = at(*seed, &row, i, step);
                             engine_step(&mut engine, step, &at);
                             match first.get(i) {
                                 Some(want) => assert_eq!(&engine.cache_stats(), want, "{at}"),
@@ -571,4 +546,296 @@ fn hub_rows(seed: u64, steps: &[Step]) {
     let wire = [client.wire_stats(), second.wire_stats()];
     let row = format!("hub-memory[seed {seed}]");
     judge_hub(&row, report, &telemetry.snapshot(), &wire, &received);
+}
+
+// --- chaos rows -----------------------------------------------------------------
+
+/// A fault row: `clients` resilient clients against one journaling hub, each
+/// link under `plan` and each client under `policy`, seeds moved per client.
+struct Chaos {
+    name: &'static str,
+    clients: u64,
+    hub: HubConfig,
+    plan: FaultPlan,
+    policy: RetryPolicy,
+}
+
+/// What one client of a chaos row did: the outcome of each request of the
+/// steps, its stats and its links' fault handles.
+struct Run {
+    calls: Vec<Result<(u64, Response), ClientError>>,
+    stats: ResilienceStats,
+    handles: Vec<FaultHandle>,
+}
+
+impl Chaos {
+    /// Every client released at once runs every request of `steps` — a
+    /// group's members as single queries — over its own chaos connector;
+    /// `registry` counts the clients' retries and their links' faults. The
+    /// run is judged before it is returned.
+    fn run(&self, seed: u64, steps: &[Step], registry: Option<&Telemetry>) -> Vec<Run> {
+        let hub = Hub::spawn(server(2), self.hub.clone());
+        let start = Barrier::new(self.clients as usize);
+        let client = |k: u64| {
+            let handles = Arc::new(Mutex::new(Vec::new()));
+            let plan = self.plan;
+            let plan = move |ordinal| FaultPlan {
+                seed: plan.seed + k * 1013 + ordinal,
+                ..plan
+            };
+            let dialer = hub.memory_dialer();
+            let connector = chaos_connector(dialer, plan, registry.cloned(), handles.clone());
+            let policy = RetryPolicy {
+                jitter_seed: self.policy.jitter_seed + k,
+                ..self.policy
+            };
+            let mut client =
+                ResilientClient::new(connector, policy).with_first_request_id(k * 1_000_000 + 1);
+            if let Some(registry) = registry {
+                client = client.with_telemetry(registry.clone());
+            }
+            let start = &start;
+            move || {
+                start.wait();
+                let requests = steps.iter().flat_map(|step| &step.requests);
+                let calls = requests
+                    .map(|request| client.call_traced(request))
+                    .collect();
+                let handles = handles.lock().unwrap().clone();
+                Run {
+                    calls,
+                    stats: client.stats(),
+                    handles,
+                }
+            }
+        };
+        let runs: Vec<Run> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.clients).map(|k| scope.spawn(client(k))).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        self.judge(seed, steps, &hub.shutdown(), &runs);
+        runs
+    }
+
+    /// The judge of every chaos row: each client's attempts add up, every
+    /// completed reply is the journal replay's, and a call fails only as
+    /// the row's faults allow.
+    fn judge(&self, seed: u64, steps: &[Step], report: &HubReport, runs: &[Run]) {
+        let row = format!("seed {seed}, {}", self.name);
+        let corrupts = self.plan.corrupt_write_per_mille > 0;
+        let mut received = Vec::new();
+        let mut sent = BTreeMap::new();
+        for (k, run) in runs.iter().enumerate() {
+            assert_conservation(&run.stats, &format!("{row}, client {k}"));
+            let requests = steps.iter().flat_map(|step| &step.requests);
+            for (request, outcome) in requests.zip(&run.calls) {
+                match outcome {
+                    Ok((id, reply)) => {
+                        sent.insert(*id, request);
+                        received.push((*id, reply.clone()));
+                    }
+                    // A write that lost its link is never resubmitted.
+                    Err(ClientError::RetryUnsafe { .. })
+                        if !ResilientClient::is_idempotent(request) => {}
+                    // Sustained corruption may exhaust a call's budget.
+                    Err(e) => assert!(corrupts, "{row}, client {k}: {}: {e}", request.name()),
+                }
+            }
+        }
+        let sheds: u64 = runs.iter().map(|run| run.stats.sheds).sum();
+        assert_eq!(report.sheds, sheds, "{row}: sheds");
+        let journaled = report.journal.len() as u64;
+        assert_eq!(journaled, report.requests, "{row}: journal");
+        let found = |(_, r): &_| matches!(r, Response::Search(s) if !s.matches.is_empty());
+        assert!(received.iter().any(found), "{row}: no match");
+        if corrupts {
+            // A flipped bit can make a `MetricsSnapshot`, which the replay
+            // does not answer, or reuse an id its client already completed:
+            // neither reply is compared.
+            let mut ids: BTreeMap<u64, Vec<&Request>> = BTreeMap::new();
+            for entry in &report.journal {
+                let requests = ids.entry(entry.request_id).or_default();
+                requests.push(&entry.request);
+            }
+            received.retain(|(id, _)| {
+                let requests = ids.get(id).map(Vec::as_slice);
+                !matches!(requests, Some([Request::MetricsSnapshot] | [_, _, ..]))
+            });
+        } else {
+            // Kills and tears cut a request short, never change it: the hub
+            // ran what each client sent, under the id it completed with.
+            for entry in &report.journal {
+                let id = entry.request_id;
+                assert_eq!(sent.get(&id), Some(&&entry.request), "{row}: #{id}");
+            }
+            let successes: u64 = runs.iter().map(|run| run.stats.successes).sum();
+            assert_eq!(report.requests, successes, "{row}: executed");
+        }
+        let expected = replay_journal(&mut server(2), &report.journal);
+        assert_replies_match_replay(&received, &expected, &row);
+    }
+}
+
+/// Seed 42's script at two shards, and the `chaos[kill]` row the other
+/// chaos rows are built from.
+fn kill_chaos() -> (Vec<Step>, Chaos) {
+    let steps = Script::generate(SEEDS[0], scheme()).resolve(scheme(), 2, 1);
+    // A link dies after three and a half of the widest idempotent frame: a
+    // fresh one carries any of them whole, so each completes.
+    let requests = steps.iter().flat_map(|step| &step.requests);
+    let idempotent = requests.filter(|r| ResilientClient::is_idempotent(r));
+    let widest = idempotent.map(frame_len).max().expect("reads");
+    let kill = Chaos {
+        name: "chaos[kill]",
+        clients: 4,
+        hub: HubConfig {
+            batch_window: Duration::from_millis(2),
+            batch_depth: 4,
+            journal: true,
+            ..HubConfig::default()
+        },
+        plan: FaultPlan {
+            kill_after_bytes: Some(widest * 3 + widest / 2),
+            torn_write_per_mille: 60,
+            delay_per_mille: 80,
+            max_delay_micros: 200,
+            ..FaultPlan::healthy(0xC0FFEE)
+        },
+        policy: RetryPolicy {
+            max_attempts: 24,
+            base_backoff: Duration::from_micros(500),
+            backoff_cap: Duration::from_millis(10),
+            attempt_timeout: Duration::from_secs(3),
+            request_deadline: Duration::from_secs(60),
+            jitter_seed: 20812,
+        },
+    };
+    (steps, kill)
+}
+
+/// `chaos[kill]`: every client lost a link and saw a fault, and the shared
+/// registry agrees with the clients' own accounting in both renders.
+#[test]
+fn chaos_kill_row() {
+    let (steps, kill) = kill_chaos();
+    let registry = Telemetry::new();
+    registry.set_level(TelemetryLevel::Spans);
+    let seed = SEEDS[0];
+    let runs = kill.run(seed, &steps, Some(&registry));
+    let mut totals = [0; 4];
+    for (k, run) in runs.iter().enumerate() {
+        let faults: u64 = run.handles.iter().map(|h| h.faults()).sum();
+        let stats = &run.stats;
+        assert!(stats.reconnects > 0 && faults > 0, "client {k}: {stats:?}");
+        let counts = [stats.retries, stats.reconnects, faults, stats.backoff_waits];
+        totals = std::array::from_fn(|i| totals[i] + counts[i]);
+    }
+    let snapshot = registry.snapshot();
+    let backoff = (snapshot.histograms.iter()).find(|h| h.stage == "backoff_wait");
+    let counted = [
+        snapshot.counter("retries"),
+        snapshot.counter("reconnects"),
+        snapshot.counter("faults_injected"),
+        backoff.map_or(0, |h| h.count),
+    ];
+    assert_eq!(counted, totals, "seed {seed}, {}: registry", kill.name);
+    let (prometheus, json) = (render_prometheus(&snapshot), render_json(&snapshot));
+    for series in ["retries", "reconnects", "faults_injected", "backoff_wait"] {
+        assert!(prometheus.contains(series), "Prometheus lacks {series}");
+        assert!(json.contains(series), "JSON lacks {series}");
+    }
+}
+
+/// `chaos[corrupt]`: bit flips and tears, judged by [`Chaos::judge`] alone.
+#[test]
+fn chaos_corrupt_row() {
+    let (steps, kill) = kill_chaos();
+    // A corrupted length prefix can leave the hub's reader waiting for bytes
+    // that never come, and a flipped request id loses its reply: both are
+    // declared dead quickly.
+    let corrupt = Chaos {
+        name: "chaos[corrupt]",
+        clients: 3,
+        hub: HubConfig {
+            idle_timeout: Duration::from_millis(300),
+            ..kill.hub
+        },
+        plan: FaultPlan {
+            corrupt_write_per_mille: 40,
+            torn_write_per_mille: 30,
+            ..FaultPlan::healthy(0xBADC0DE)
+        },
+        policy: RetryPolicy {
+            attempt_timeout: Duration::from_millis(700),
+            ..kill.policy
+        },
+    };
+    corrupt.run(SEEDS[0], &steps, None);
+}
+
+/// `chaos[shed]`: six clients on clean links against a budget of two must
+/// shed, and every shed resolves through a retry.
+#[test]
+fn chaos_shed_row() {
+    let (steps, kill) = kill_chaos();
+    // A wide window parks admitted queries in the batcher, holding their
+    // budget slots long enough that the stampede must shed.
+    let shed = Chaos {
+        name: "chaos[shed]",
+        clients: 6,
+        hub: HubConfig {
+            max_hub_in_flight: 2,
+            batch_window: Duration::from_millis(50),
+            batch_depth: 2,
+            ..kill.hub
+        },
+        plan: FaultPlan::healthy(0),
+        policy: RetryPolicy {
+            max_attempts: 200,
+            base_backoff: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(20),
+            jitter_seed: 0x57A3,
+            ..kill.policy
+        },
+    };
+    let runs = shed.run(SEEDS[0], &steps, None);
+    let sheds: u64 = runs.iter().map(|run| run.stats.sheds).sum();
+    assert!(sheds > 0, "six clients against two must shed");
+    for run in &runs {
+        assert_eq!(run.stats.link_faults, 0, "{}: clean links", shed.name);
+    }
+}
+
+/// `chaos[replay]`: a second run on a fresh hub gives the same stats, fault
+/// schedule and replies.
+#[test]
+fn chaos_replay_row() {
+    let (steps, kill) = kill_chaos();
+    // Without delays, one client's fault schedule follows from its requests.
+    let replay = Chaos {
+        name: "chaos[replay]",
+        clients: 1,
+        hub: kill.hub,
+        plan: FaultPlan {
+            torn_write_per_mille: 150,
+            delay_per_mille: 0,
+            ..kill.plan
+        },
+        policy: kill.policy,
+    };
+    let seed = SEEDS[0];
+    let run = || {
+        let mut runs = replay.run(seed, &steps, None);
+        let run = runs.pop().expect("one client");
+        let logs: Vec<Vec<FaultEvent>> = run.handles.iter().map(|h| h.log()).collect();
+        let replies: Vec<_> = run.calls.into_iter().map(Result::ok).collect();
+        (run.stats, logs, replies)
+    };
+    let first = run();
+    assert!(first.1.iter().any(|log| !log.is_empty()), "no fault fired");
+    assert!(
+        first == run(),
+        "seed {seed}, {}: a rerun differs",
+        replay.name
+    );
 }
