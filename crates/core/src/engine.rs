@@ -86,7 +86,7 @@
 //! are scanned once and fanned out to every duplicate position; with the cache
 //! enabled the duplicates are resolved through real cache lookups against what
 //! the first occurrence admitted — exactly the hits sequential execution would
-//! produce, counted in the same [`CacheEffect`]/[`CacheStats`] counters.
+//! produce, counted in the same [`CacheEffect`]/[`crate::cache::CacheStats`] counters.
 //!
 //! The reply's `top` (§5's τ) reaches the sweep. A query repeated inside a
 //! batch is scanned and merged once, at the widest `top` among its positions,
@@ -102,8 +102,8 @@
 //! the stats are always the whole scan's.
 //!
 //! Every execution records one telemetry family, whatever its size: `batches`,
-//! `batch_queries` and one [`Stage::EngineBatch`] sample, beside the cache
-//! lookups, shard scans and unit spans. A [`Stage::CacheAdmit`] span opens only
+//! `batch_queries` and one [`crate::telemetry::Stage::EngineBatch`] sample, beside the cache
+//! lookups, shard scans and unit spans. A [`crate::telemetry::Stage::CacheAdmit`] span opens only
 //! when the third phase admits or resolves something, so a fully cached
 //! execution records no admit.
 //!
@@ -121,25 +121,20 @@
 //! [`SearchEngine::restore_snapshot`] invalidates every shard once, so no stale
 //! entry survives a reload.
 
-use crate::bitindex::BitIndex;
-use crate::cache::{CacheConfig, CacheEffect, CacheStats, ResultCache};
+use crate::cache::{CacheEffect, ResultCache};
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::persistence::PersistenceError;
-use crate::query::QueryIndex;
 use crate::scanplane::ScanPlane;
-use crate::search::{top_matches, SearchMatch, SearchStats};
+use crate::search::{SearchMatch, SearchStats};
 use crate::storage::{ShardedStore, StoreError};
-use crate::telemetry::{
-    Counter, Gauge, LabelledCounter, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
-};
-use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use crate::telemetry::{Counter, LabelledCounter, Telemetry};
+use std::sync::{Arc, Mutex};
 
+mod executor;
+mod options;
 mod pool;
+mod read;
 use pool::WorkerPool;
 
 /// One shard's ranked-scan output: its matches plus the shard's stats. The
@@ -152,38 +147,6 @@ type ShardScan = (Vec<SearchMatch>, SearchStats);
 /// One query's reply: merged matches, merged stats and the cache's part in it.
 type Reply = (Vec<SearchMatch>, SearchStats, CacheEffect);
 
-/// Chunks per scan unit: 8 × [`crate::scanplane::CHUNK`] = 8192
-/// documents — a few tens of microseconds of sweeping, coarse enough that
-/// claim traffic is noise yet fine enough to balance shards across lanes.
-const UNIT_CHUNKS: usize = 8;
-
-/// The shared claim counter of one execution, on a cache line of
-/// its own: the line every lane writes holds nothing else of the caller's
-/// frame.
-#[repr(align(128))]
-struct ClaimCounter(AtomicUsize);
-
-/// One unit of scan work (see the [module docs](self)): a chunk range of one
-/// selected shard's plane. `pos` indexes the *selection* (result row), not
-/// the store.
-#[derive(Debug, PartialEq, Eq)]
-struct ScanUnit {
-    pos: usize,
-    shard: usize,
-    chunks: std::ops::Range<usize>,
-}
-
-/// Render a panic payload for the shard-naming context of a scan panic.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// The planes of whatever `store` already holds: one per shard, slot for slot.
 fn derive_planes(store: &ShardedStore) -> Vec<ScanPlane> {
     (0..store.num_shards())
@@ -195,15 +158,6 @@ fn derive_planes(store: &ShardedStore) -> Vec<ScanPlane> {
             plane
         })
         .collect()
-}
-
-/// The per-shard counter a cache lookup's outcome adds to.
-fn lookup_outcome(hit: bool) -> LabelledCounter {
-    if hit {
-        LabelledCounter::ShardCacheHits
-    } else {
-        LabelledCounter::ShardCacheMisses
-    }
 }
 
 /// The shard-parallel search engine over a [`ShardedStore`].
@@ -279,90 +233,6 @@ impl SearchEngine {
         };
         engine.set_scan_lanes(usize::MAX);
         engine
-    }
-
-    /// Builder-style [`SearchEngine::set_scan_lanes`].
-    pub fn with_scan_lanes(mut self, lanes: usize) -> Self {
-        self.set_scan_lanes(lanes);
-        self
-    }
-
-    /// Set the number of parallel scan lanes one execution may use, clamped to
-    /// `1..=available_parallelism` (lanes beyond the host's cores only thrash a
-    /// CPU-bound scan; the lane-invisibility sweeps and multi-node deployments
-    /// pin explicit counts with this). A field store: the lane workers are the
-    /// process's, so no thread starts or stops; results are identical at any
-    /// lane count.
-    pub fn set_scan_lanes(&mut self, lanes: usize) {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.lanes = lanes.clamp(1, cores);
-        self.telemetry
-            .set_gauge(Gauge::ScanLanes, self.lanes as u64);
-    }
-
-    /// Set how much the engine's telemetry registry records (default
-    /// [`TelemetryLevel::Off`]). Takes `&self`: the level is an atomic on the
-    /// shared registry, so sessions can toggle telemetry on a live engine.
-    /// Telemetry is **invisible** to execution — replies, [`SearchStats`] and
-    /// cache counters are byte-identical at every level.
-    pub fn set_telemetry_level(&self, level: TelemetryLevel) {
-        self.telemetry.set_level(level);
-    }
-
-    /// Current telemetry recording level.
-    pub fn telemetry_level(&self) -> TelemetryLevel {
-        self.telemetry.level()
-    }
-
-    /// The engine's telemetry registry handle (cheap to clone; shared).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Snapshot the telemetry registry, refreshing the store gauges first so a
-    /// report always carries current geometry.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.telemetry
-            .set_gauge(Gauge::ScanLanes, self.lanes as u64);
-        self.telemetry
-            .set_gauge(Gauge::StoreDocuments, self.store.len() as u64);
-        self.telemetry
-            .set_gauge(Gauge::StoreShards, self.store.num_shards() as u64);
-        if let Some(cache) = &self.cache {
-            self.telemetry
-                .set_gauge(Gauge::CacheEntries, cache.lock().unwrap().len() as u64);
-        }
-        self.telemetry.snapshot()
-    }
-
-    /// Builder-style cache enablement: `SearchEngine::sharded(p, 4).with_result_cache(cfg)`.
-    pub fn with_result_cache(mut self, config: CacheConfig) -> Self {
-        self.enable_cache(config);
-        self
-    }
-
-    /// Enable (or reconfigure) the per-shard result cache. Existing entries, if
-    /// any, are discarded.
-    pub fn enable_cache(&mut self, config: CacheConfig) {
-        self.cache = Some(Mutex::new(ResultCache::new(
-            self.store.num_shards(),
-            config,
-        )));
-    }
-
-    /// Disable the result cache, dropping every entry.
-    pub fn disable_cache(&mut self) {
-        self.cache = None;
-    }
-
-    /// True if the result cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Cache effectiveness counters, or `None` when the cache is disabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.lock().unwrap().stats())
     }
 
     /// The underlying store, read-only: documents come in through
@@ -469,415 +339,24 @@ impl SearchEngine {
     pub fn document_index(&self, document_id: u64) -> Option<RankedDocumentIndex> {
         (self.store.document_index(document_id)).map(RankedDocumentIndex::from)
     }
-
-    /// Carve the selected shards into scan units, in selection order (see the
-    /// [module docs](self)): ascending [`UNIT_CHUNKS`]-chunk ranges of each
-    /// shard's plane (= slot order within the shard; an empty plane yields no
-    /// unit).
-    fn carve_units(&self, shard_ids: &[usize]) -> Vec<ScanUnit> {
-        let mut units = Vec::new();
-        for (pos, &shard) in shard_ids.iter().enumerate() {
-            let chunks = self.planes[shard].num_chunks();
-            units.extend((0..chunks).step_by(UNIT_CHUNKS).map(|lo| ScanUnit {
-                pos,
-                shard,
-                chunks: lo..(lo + UNIT_CHUNKS).min(chunks),
-            }));
-        }
-        units
-    }
-
-    /// **The** executor: run `scan(unit)` for every unit on the engine's lanes.
-    /// Every lane runs the same drain loop — claim the next unit index from one
-    /// shared counter, run it, stop once the counter passes the last unit — and
-    /// every unit's result lands in its own slot, so the returned vector is in
-    /// unit order regardless of which lane ran what. Each unit is timed into
-    /// [`Stage::UnitScan`], and a panicking scan is re-raised with the failing
-    /// shard named.
-    fn run_units<T, F>(&self, units: &[ScanUnit], scan: F) -> Vec<T>
-    where
-        T: Send + Sync,
-        F: Fn(&ScanUnit) -> T + Sync,
-    {
-        // Capture the span gate once per execution: `Instant::now` runs on
-        // whatever lane executes the unit, so the drop-guard `Telemetry::span`
-        // (which borrows `&self`) is replaced by an explicit timed pair here.
-        let time_units = self.telemetry.level().spans_enabled();
-        let slots: Vec<OnceLock<T>> = units.iter().map(|_| OnceLock::new()).collect();
-        let next = ClaimCounter(AtomicUsize::new(0));
-        let lanes = self.lanes.min(self.pool.workers() + 1).min(units.len());
-        self.pool.run_lanes(lanes, &|lane| {
-            let mut ran = 0;
-            // `Relaxed`: the counter publishes no data. Each index is claimed
-            // once because a fetch_add is one indivisible read-modify-write,
-            // and the results reach the caller through their `OnceLock`s.
-            loop {
-                let index = next.0.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(index) else {
-                    break;
-                };
-                let started = time_units.then(Instant::now);
-                // Name the shard in any scan panic; the pool re-raises it as is.
-                let value =
-                    catch_unwind(AssertUnwindSafe(|| scan(unit))).unwrap_or_else(|payload| {
-                        let message = panic_message(payload.as_ref());
-                        resume_unwind(Box::new(format!("shard {}: {message}", unit.shard)))
-                    });
-                if let Some(started) = started {
-                    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.telemetry.record_duration(Stage::UnitScan, ns);
-                }
-                let _ = slots[index].set(value);
-                ran += 1;
-            }
-            self.telemetry
-                .add_at(LabelledCounter::LaneExecuted, lane, ran);
-        });
-        (slots.into_iter())
-            .map(|slot| slot.into_inner().expect("every unit claimed exactly once"))
-            .collect()
-    }
-
-    /// The scan step of every ranked execution: scan each selected shard for
-    /// its query subset (`subsets[pos]` belongs to `shard_ids[pos]`: query bits
-    /// and, per query, the matches a unit keeps), returning per-shard rows
-    /// aligned with the subset's order. The shards are carved into units, each
-    /// unit is one [`ScanPlane::scan_ranked_batch_chunks`] sweep of its chunks
-    /// on the executor, and the per-unit results are stitched back: within a
-    /// shard, unit results concatenate in chunk (slot) order and stats sum —
-    /// with every keep `None`, byte-identical to one whole-shard scan per
-    /// selected shard. A shard with no units (an empty plane) keeps an empty
-    /// row: no matches, zeroed stats.
-    fn scan_selected_shards(
-        &self,
-        shard_ids: &[usize],
-        subsets: &[(Vec<&BitIndex>, Vec<Option<usize>>)],
-    ) -> Vec<Vec<ShardScan>> {
-        debug_assert_eq!(shard_ids.len(), subsets.len());
-        let units = self.carve_units(shard_ids);
-        let unit_scans = self.run_units(&units, |unit| {
-            let (bits, keeps) = &subsets[unit.pos];
-            self.planes[unit.shard].scan_ranked_batch_chunks(bits, keeps, unit.chunks.clone())
-        });
-        let mut out: Vec<Vec<ShardScan>> = subsets
-            .iter()
-            .map(|(bits, _)| vec![(Vec::new(), SearchStats::default()); bits.len()])
-            .collect();
-        for (unit, scans) in units.iter().zip(unit_scans) {
-            for ((matches, stats), (row_matches, row_stats)) in
-                scans.into_iter().zip(&mut out[unit.pos])
-            {
-                row_matches.extend(matches);
-                row_stats.merge(&stats);
-            }
-        }
-        out
-    }
-
-    /// Number of parallel scan lanes one execution of this engine fans out to:
-    /// shared pool workers plus the calling thread (which always takes one
-    /// lane). Defaults
-    /// to the host's available parallelism — independent of the shard count,
-    /// because the executor splits and coalesces shards across lanes freely —
-    /// and is always clamped to `1..=available_parallelism`
-    /// (see [`SearchEngine::set_scan_lanes`]): more busy threads than cores
-    /// only adds scheduler thrash to a CPU-bound scan.
-    pub fn scan_lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Ranked search (Algorithm 1) with execution statistics, merged across shards.
-    pub fn search_ranked_with_stats(&self, query: &QueryIndex) -> (Vec<SearchMatch>, SearchStats) {
-        let (matches, stats, _) = self.search_one(query, None);
-        (matches, stats)
-    }
-
-    /// One query as a batch of one through
-    /// [`SearchEngine::search_batch_with_effects`], its reply cut to `top`.
-    fn search_one(&self, query: &QueryIndex, top: Option<usize>) -> Reply {
-        let mut replies = self.search_batch_with_effects(std::slice::from_ref(query), &[top]);
-        replies.pop().expect("one reply per query")
-    }
-
-    /// The single merge point for ranked execution: extend in shard order, sum
-    /// the stats, and keep the first `top` matches of the (rank desc, id asc)
-    /// total order — selected, and only those sorted
-    /// ([`crate::search::top_matches`]). Cached and fresh shard results flow
-    /// through this identically.
-    fn merge_ranked<I: IntoIterator<Item = ShardScan>>(
-        per_shard: I,
-        top: Option<usize>,
-    ) -> ShardScan {
-        let mut matches = Vec::new();
-        let mut stats = SearchStats::default();
-        for (shard_matches, shard_stats) in per_shard {
-            matches.extend(shard_matches);
-            stats.merge(&shard_stats);
-        }
-        (top_matches(matches, top, |m| *m), stats)
-    }
-
-    /// Ranked search without statistics.
-    pub fn search(&self, query: &QueryIndex) -> Vec<SearchMatch> {
-        self.search_one(query, None).0
-    }
-
-    /// Ranked search returning only the top `tau` matches (§5: "the user can
-    /// retrieve only the top τ matches"). With the cache off, `tau` reaches
-    /// every scan unit, which keeps only its best `tau`; the merge selects the
-    /// `tau` kept and sorts only those. The per-shard cache entries stay
-    /// k-independent, so one cached query serves every `tau`.
-    pub fn search_top(&self, query: &QueryIndex, tau: usize) -> Vec<SearchMatch> {
-        self.search_one(query, Some(tau)).0
-    }
-
-    /// Execute many queries in one pass: each shard is scanned once for the whole
-    /// batch, and per-query results are merged exactly as a single query's are.
-    pub fn search_batch_with_stats(
-        &self,
-        queries: &[QueryIndex],
-    ) -> Vec<(Vec<SearchMatch>, SearchStats)> {
-        self.search_batch_with_effects(queries, &vec![None; queries.len()])
-            .into_iter()
-            .map(|(matches, stats, _)| (matches, stats))
-            .collect()
-    }
-
-    /// **The** read path: every ranked execution, a single query included, is
-    /// this batched ranked search with per-query statistics and cache effects
-    /// (see the [module docs](self)). Replies come back in batch order; reply
-    /// `i` keeps the first `tops[i]` matches (all of them for `None`), and the
-    /// cut touches only the matches — the stats and the effect are the whole
-    /// scan's. With the cache disabled every effect is all zeros.
-    ///
-    /// Execution is **fused and deduplicated**: queries carrying identical
-    /// bits are scanned once (the first occurrence is the representative;
-    /// every duplicate position receives a copy of its reply),
-    /// and every scan unit of a shard sweeps the shard's whole remaining
-    /// query set in one [`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]
-    /// pass — one lane hand-off and one merge per batch, not per query. With the
-    /// cache disabled, each unit keeps only the best `tops[i]` matches of
-    /// query `i` (the widest `top` among a query's duplicates).
-    /// With the cache enabled, each shard scans exactly the unique queries that
-    /// missed it (fully cached queries trigger no scan at all), and duplicates
-    /// are resolved through real cache lookups against what the representative
-    /// admitted — so their [`CacheEffect`]s report the same hits, and the same
-    /// saved comparisons, that issuing the b queries one at a time would have
-    /// produced. Replies, per-query [`SearchStats`] and merge order are
-    /// byte-identical to b independent single-query executions either way.
-    ///
-    /// One scoped caveat on the *diagnostics*: the distinct queries' cache
-    /// lookups are phased (all before the fused scans — that is what makes one
-    /// plane pass per shard possible), so when the cache is under eviction
-    /// pressure **within a single batch** (`capacity_per_shard` smaller than the
-    /// batch's distinct working set plus the warm entries it displaces), a
-    /// [`CacheEffect`]/[`CacheStats`] entry may differ from strict one-at-a-time
-    /// issue order — an earlier query's admission cannot evict an entry a later
-    /// distinct query already looked up. Replies and [`SearchStats`] are never
-    /// affected (the cache may change work accounting, never bytes), and
-    /// duplicate positions always replay sequential cache traffic exactly.
-    ///
-    /// # Panics
-    ///
-    /// If `tops` and `queries` differ in length.
-    pub fn search_batch_with_effects(
-        &self,
-        queries: &[QueryIndex],
-        tops: &[Option<usize>],
-    ) -> Vec<(Vec<SearchMatch>, SearchStats, CacheEffect)> {
-        assert_eq!(queries.len(), tops.len(), "one top per query");
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        self.telemetry.add(Counter::Batches, 1);
-        self.telemetry
-            .add(Counter::BatchQueries, queries.len() as u64);
-        let _batch_span = self.telemetry.span(Stage::EngineBatch);
-        let shards = self.store.num_shards();
-        // Intra-batch dedup: uniques[row] is the batch position of a distinct
-        // query's first occurrence (its representative), and rows[i] is
-        // position i's row in the per-unique tables below.
-        let mut uniques: Vec<usize> = Vec::new();
-        let mut first_of: HashMap<&BitIndex, usize> = HashMap::with_capacity(queries.len());
-        let rows: Vec<usize> = (queries.iter().enumerate())
-            .map(|(i, query)| {
-                *first_of.entry(query.bits()).or_insert_with(|| {
-                    uniques.push(i);
-                    uniques.len() - 1
-                })
-            })
-            .collect();
-        let tally = |effect: &mut CacheEffect, found: Option<&ShardScan>| match found {
-            Some((_, stats)) => {
-                effect.shard_hits += 1;
-                effect.saved_comparisons += stats.comparisons;
-            }
-            None => effect.shard_misses += 1,
-        };
-
-        // Phase 1 — the distinct queries' lookups, in batch order.
-        // resolved[row][shard] is a hit's entry; `None` (every shard, with the
-        // cache off) is a shard to scan.
-        let mut resolved: Vec<Vec<Option<ShardScan>>> = vec![vec![None; shards]; uniques.len()];
-        let mut effects = vec![CacheEffect::default(); uniques.len()];
-        let mut generations: Vec<u64> = Vec::new();
-        if let Some(cache) = &self.cache {
-            let _lookup_span = self.telemetry.span(Stage::CacheLookup);
-            let mut cache = cache.lock().unwrap();
-            generations = (0..shards).map(|shard| cache.generation(shard)).collect();
-            for ((&u, slots), effect) in uniques.iter().zip(&mut resolved).zip(&mut effects) {
-                for (shard, slot) in slots.iter_mut().enumerate() {
-                    *slot = cache.lookup(shard, queries[u].bits());
-                    self.telemetry
-                        .add_at(lookup_outcome(slot.is_some()), shard, 1);
-                    tally(effect, slot.as_ref());
-                }
-            }
-        }
-
-        // Each distinct query is merged once, at the widest `top` any of its
-        // positions asks for (`None` — everything — outranks any cut). With the
-        // cache off that is also what each of its scan units keeps; with the
-        // cache on the units keep everything, so an admitted entry is the
-        // shard's whole list and serves every later `top`.
-        let mut widest: Vec<Option<usize>> = vec![Some(0); uniques.len()];
-        let mut last = vec![0; uniques.len()];
-        for (i, (&row, &top)) in rows.iter().zip(tops).enumerate() {
-            widest[row] = widest[row].zip(top).map(|(w, t)| w.max(t));
-            last[row] = i;
-        }
-        let keep = |row: usize| widest[row].filter(|_| self.cache.is_none());
-
-        // Phase 2 — fused scans: each shard sweeps exactly the distinct queries
-        // that missed it, in one plane pass. Results only fill `resolved` here;
-        // admissions happen in phase 3, in batch order.
-        let mut rows_for_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        // scanned_on[row] = the shards `row` was freshly scanned on (its
-        // phase-1 misses) — the shards sequential execution would admit.
-        let mut scanned_on: Vec<Vec<usize>> = vec![Vec::new(); uniques.len()];
-        for (row, slots) in resolved.iter().enumerate() {
-            for (shard, _) in slots.iter().enumerate().filter(|(_, s)| s.is_none()) {
-                rows_for_shard[shard].push(row);
-                scanned_on[row].push(shard);
-            }
-        }
-        let shard_ids: Vec<usize> = (0..shards)
-            .filter(|&shard| !rows_for_shard[shard].is_empty())
-            .collect();
-        if !shard_ids.is_empty() {
-            self.telemetry
-                .add(Counter::ShardScans, shard_ids.len() as u64);
-            let subsets: Vec<(Vec<&BitIndex>, Vec<Option<usize>>)> = (shard_ids.iter())
-                .map(|&shard| {
-                    (rows_for_shard[shard].iter())
-                        .map(|&row| (queries[uniques[row]].bits(), keep(row)))
-                        .unzip()
-                })
-                .collect();
-            let fresh = self.scan_selected_shards(&shard_ids, &subsets);
-            for (&shard, scans) in shard_ids.iter().zip(fresh) {
-                for (&row, scan) in rows_for_shard[shard].iter().zip(scans) {
-                    resolved[row][shard] = Some(scan);
-                }
-            }
-        }
-
-        // Phase 3 — one pass over the batch in position order, replaying the
-        // cache traffic sequential execution would generate: a representative
-        // admits its freshly scanned shards; a duplicate resolves through real
-        // lookups, hitting whatever is cached *at its position in the batch*
-        // (normally what its representative just admitted — but under LRU
-        // pressure an intervening admission may have evicted it, and then, like
-        // sequential execution, the duplicate reports a miss and re-admits; the
-        // "rescan" result is the representative's identical row). Distinct
-        // queries' *lookups* stay phased (the caveat above), so
-        // only their diagnostics can deviate under intra-batch eviction
-        // pressure; the admission order and every duplicate's traffic match
-        // sequential execution exactly. Nothing to admit or resolve, no span.
-        let mut duplicate_effects = vec![CacheEffect::default(); queries.len()];
-        let has_duplicates = uniques.len() < queries.len();
-        if let Some(cache) =
-            (self.cache.as_ref()).filter(|_| !shard_ids.is_empty() || has_duplicates)
-        {
-            let _admit_span = self.telemetry.span(Stage::CacheAdmit);
-            let mut cache = cache.lock().unwrap();
-            for (i, (query, &row)) in queries.iter().zip(&rows).enumerate() {
-                debug_assert_eq!(keep(row), None, "a kept scan is never cached");
-                if uniques[row] == i {
-                    for &shard in &scanned_on[row] {
-                        let (matches, stats) = resolved[row][shard].as_ref().expect("scanned");
-                        let generation = generations[shard];
-                        cache.admit(
-                            shard,
-                            query.bits().clone(),
-                            matches.clone(),
-                            *stats,
-                            generation,
-                        );
-                    }
-                    continue;
-                }
-                for shard in 0..shards {
-                    let found = cache.lookup(shard, query.bits());
-                    self.telemetry
-                        .add_at(lookup_outcome(found.is_some()), shard, 1);
-                    tally(&mut duplicate_effects[i], found.as_ref());
-                    if found.is_none() {
-                        let (matches, stats) = resolved[row][shard].clone().expect("resolved");
-                        let generation = generations[shard];
-                        cache.admit(shard, query.bits().clone(), matches, stats, generation);
-                    }
-                }
-            }
-        }
-
-        // Merge each distinct query once, at its widest `top`. Every position
-        // is then that list cut to its own `top`, beside its own cache effect;
-        // a row's last position takes the list itself.
-        let mut merged: Vec<ShardScan> = (resolved.into_iter().zip(widest))
-            .map(|(slots, top)| {
-                Self::merge_ranked(slots.into_iter().map(|s| s.expect("shard resolved")), top)
-            })
-            .collect();
-        (rows.iter().zip(tops).enumerate())
-            .map(|(i, (&row, &top))| {
-                let effect = if uniques[row] == i {
-                    effects[row]
-                } else {
-                    duplicate_effects[i]
-                };
-                let (matches, stats) = &mut merged[row];
-                let keep = top.map_or(matches.len(), |k| k.min(matches.len()));
-                let matches = if last[row] == i {
-                    matches.truncate(keep);
-                    std::mem::take(matches)
-                } else {
-                    matches[..keep].to_vec()
-                };
-                (matches, *stats, effect)
-            })
-            .collect()
-    }
-
-    /// Batched ranked search without statistics.
-    pub fn search_batch(&self, queries: &[QueryIndex]) -> Vec<Vec<SearchMatch>> {
-        self.search_batch_with_stats(queries)
-            .into_iter()
-            .map(|(matches, _)| matches)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::executor::{panic_message, ScanUnit, UNIT_CHUNKS};
     use super::*;
+    use crate::bitindex::BitIndex;
+    use crate::cache::{CacheConfig, CacheStats};
     use crate::document_index::DocumentIndexer;
     use crate::keys::SchemeKeys;
     use crate::query::QueryBuilder;
+    use crate::query::QueryIndex;
     use crate::search::CloudIndex;
+    use crate::telemetry::TelemetryLevel;
     use mkse_textproc::document::TermFrequencies;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     struct Fixture {
         params: SystemParams,
