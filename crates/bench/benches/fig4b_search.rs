@@ -15,7 +15,10 @@
 //!   scan plane on a 64k-document r = 448 store, single-thread head-to-head plus
 //!   plane-backed shard counts 1/2/4, with every configuration recorded in the
 //!   machine-readable `BENCH_scan.json` at the workspace root (committed per PR as
-//!   the perf-trajectory record; smoke runs never overwrite it);
+//!   the perf-trajectory record; smoke runs never overwrite it), and beside
+//!   it a **top-10 scenario**: `search_top(q, 10)` (and the whole-plane kept
+//!   sweep it wraps) over a benchmark-shaped pool of 512 queries, each query
+//!   timed best-of-7, reported as per-query p50 / p90 / mean in the same record;
 //! * an **observability-overhead scenario** (`fig4b_obs_overhead`): the same
 //!   64k-document scan with the telemetry registry at `Off`, `Counters` and
 //!   `Spans`, recorded in `BENCH_obs.json`, failing the run if always-on
@@ -453,6 +456,7 @@ fn bench_scan_layout(_c: &mut Criterion) {
     }
     let (aos_ns, plane_ns) = (json_entries[0].2, json_entries[1].2);
     println!();
+    let top10 = top10_scenario(quick, &fixture, &engines);
 
     if plane_ns > 0.0 {
         eprintln!(
@@ -480,16 +484,127 @@ fn bench_scan_layout(_c: &mut Criterion) {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"fig4b_scan_layout\",\n  \"docs\": {LAYOUT_DOCS},\n  \"r\": {r},\n  \
-         \"eta\": {},\n  \"host_cores\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
+         \"eta\": {},\n  \"host_cores\": {},\n  \"entries\": [\n{}\n  ],\n  \
+         \"top10\": {{\n    \"queries\": {TOP10_POOL},\n    \"best_of\": {TOP10_BEST_OF},\n    \
+         \"entries\": [\n{}\n    ]\n  }}\n}}\n",
         fixture.params.rank_levels(),
         host_cores(),
-        entries.join(",\n")
+        entries.join(",\n"),
+        top10.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
     match std::fs::write(path, json) {
         Ok(()) => eprintln!("fig4b_scan_layout: wrote {path}"),
         Err(e) => eprintln!("fig4b_scan_layout: could not write {path}: {e}"),
     }
+}
+
+/// Queries in the top-10 scenario's pool: the benchmark's shape (two genuine
+/// keywords of one document plus the V random ones, spread over the corpus).
+const TOP10_POOL: usize = 512;
+/// One timed configuration of the top-10 scenario: run one pool query.
+type Top10Routine<'a> = Box<dyn Fn(&QueryIndex) + 'a>;
+
+/// Back-to-back timings per query and configuration in the top-10 scenario;
+/// the best one is kept, so a number is the query's warm cost.
+const TOP10_BEST_OF: usize = 7;
+
+/// The top-10 scenario: every benchmark query asks for ten matches, so this is
+/// the engine call a served query makes. Each pool query is timed alone
+/// (best of [`TOP10_BEST_OF`] back-to-back runs), as the whole-plane kept
+/// sweep on one thread (`plane_top10`) and through `search_top(q, 10)` at one
+/// and two shards (`engine_top10`), and reported as per-query p50 / p90 /
+/// mean — a pool's matches per query run from 1 to tens of thousands, so one
+/// query's time says little. Every reply is first checked against the uncut
+/// reply's first ten. Returns the JSON rows of the record.
+fn top10_scenario(
+    quick: bool,
+    fixture: &BenchFixture,
+    engines: &[(usize, SearchEngine)],
+) -> Vec<String> {
+    const TOP: usize = 10;
+    let pool = build_query_pool(fixture, TOP10_POOL);
+    let engines: Vec<&(usize, SearchEngine)> = engines.iter().filter(|(s, _)| *s <= 2).collect();
+    let plane = engines[0].1.scan_plane(0);
+    let whole = 0..plane.num_chunks();
+    for q in &pool {
+        let mut full = engines[0].1.search(q);
+        full.truncate(TOP);
+        for (shards, engine) in &engines {
+            assert_eq!(engine.search_top(q, TOP), full, "{shards} shards");
+        }
+        let [(kept, _)] =
+            &plane.scan_ranked_batch_chunks(&[q.bits()], &[Some(TOP)], whole.clone())[..]
+        else {
+            panic!("one result per query");
+        };
+        assert_eq!(kept, &full, "whole-plane kept sweep");
+    }
+    let mut configs: Vec<(String, Top10Routine<'_>)> = vec![(
+        "plane_top10/1".to_string(),
+        Box::new(|q: &QueryIndex| {
+            std::hint::black_box(plane.scan_ranked_batch_chunks(
+                &[q.bits()],
+                &[Some(TOP)],
+                whole.clone(),
+            ));
+        }),
+    )];
+    for (shards, engine) in &engines {
+        configs.push((
+            format!("engine_top10/{shards}"),
+            Box::new(move |q: &QueryIndex| {
+                std::hint::black_box(engine.search_top(q, TOP));
+            }),
+        ));
+    }
+    let mut best = vec![vec![f64::MAX; pool.len()]; configs.len()];
+    for (i, q) in pool.iter().enumerate() {
+        for ((_, run), best) in configs.iter().zip(&mut best) {
+            for _ in 0..if quick { 1 } else { TOP10_BEST_OF } {
+                let start = Instant::now();
+                run(q);
+                best[i] = best[i].min(start.elapsed().as_nanos() as f64);
+            }
+        }
+    }
+    configs
+        .iter()
+        .zip(&mut best)
+        .map(|((id, _), ns)| {
+            ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            let at = |p: usize| {
+                if quick {
+                    0.0
+                } else {
+                    ns[(ns.len() - 1) * p / 100]
+                }
+            };
+            let mean = if quick {
+                0.0
+            } else {
+                ns.iter().sum::<f64>() / ns.len() as f64
+            };
+            let (p50, p90) = (at(50), at(90));
+            if quick {
+                println!("fig4b_scan_layout/{id}  ok (smoke run)");
+            } else {
+                println!(
+                    "fig4b_scan_layout/{id}  per-query p50 {:.2} µs  p90 {:.2} µs  mean {:.2} µs",
+                    p50 / 1e3,
+                    p90 / 1e3,
+                    mean / 1e3
+                );
+            }
+            let (layout, shards) = id
+                .rsplit_once('/')
+                .expect("bench ids carry a /shards suffix");
+            format!(
+                "      {{\"layout\": \"{layout}\", \"shards\": {shards}, \"p50_ns\": {p50:.1}, \
+                 \"p90_ns\": {p90:.1}, \"mean_ns\": {mean:.1}}}"
+            )
+        })
+        .collect()
 }
 
 /// Batch-depth sweep: one `SearchEngine::search_batch_with_stats` call

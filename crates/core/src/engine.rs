@@ -746,7 +746,7 @@ mod tests {
         // count.
         for lanes in [1, 2] {
             assert_eq!(
-                forced_lane_engine(store.clone(), lanes).carve_units(&selection),
+                forced_lane_engine(store.clone(), lanes).carve_units(selection),
                 vec![
                     range(0, 1, 0..8),
                     range(0, 1, 8..16),
@@ -762,12 +762,16 @@ mod tests {
         // An empty plane carves into zero units, and its stitched row is
         // empty: no matches, zeroed stats.
         let empty = forced_lane_engine(ShardedStore::new(store.params().clone(), 2), 2);
-        assert!(empty.carve_units(&[0, 1]).is_empty());
+        assert!(empty.carve_units([0, 1]).is_empty());
         let q = QueryIndex::from_bits(next_bits(64));
-        assert_eq!(
-            empty.scan_selected_shards(&[0, 1], &vec![(vec![q.bits()], vec![None]); 2]),
-            vec![vec![(Vec::new(), SearchStats::default())]; 2]
+        let mut out = vec![(Vec::new(), SearchStats::default())];
+        empty.scan_plan(
+            &[(0, 0..1), (1, 0..1)],
+            &[(q.bits(), 0)],
+            |_| None,
+            &mut out,
         );
+        assert_eq!(out, vec![(Vec::new(), SearchStats::default())]);
     }
 
     #[test]
@@ -806,6 +810,29 @@ mod tests {
         assert_eq!(off.cache_stats(), None);
     }
 
+    /// Run `scan` on every unit through the executor, each unit on whichever
+    /// lane claims it, and return the results in unit order.
+    fn unit_results<T: Send>(
+        engine: &SearchEngine,
+        units: &[ScanUnit],
+        scan: impl Fn(&ScanUnit) -> T + Sync,
+    ) -> Vec<T> {
+        let results = Mutex::new(Vec::new());
+        engine.run_units(units, |claims| {
+            for (index, unit) in claims {
+                let value = scan(unit);
+                results.lock().unwrap().push((index, value));
+            }
+        });
+        let mut results = results.into_inner().unwrap();
+        results.sort_by_key(|&(index, _)| index);
+        assert!(
+            (results.iter().map(|&(index, _)| index)).eq(0..units.len()),
+            "every unit claimed exactly once"
+        );
+        results.into_iter().map(|(_, value)| value).collect()
+    }
+
     /// A query one bit longer than `params` allows.
     fn wrong_length_query(params: &SystemParams) -> QueryIndex {
         QueryIndex::from_bits(BitIndex::all_ones(params.index_bits + 1))
@@ -829,7 +856,7 @@ mod tests {
             (&two_lanes, vec![unit(0..8), unit(8..16)]),
         ] {
             let lanes = engine.lanes;
-            let result = catch_unwind(AssertUnwindSafe(|| engine.run_units(&units, refuse)));
+            let result = catch_unwind(AssertUnwindSafe(|| unit_results(engine, &units, refuse)));
             let message = panic_message(result.expect_err("the scan must panic").as_ref());
             assert!(
                 message.starts_with("shard 2: plane refused chunks "),
@@ -847,7 +874,7 @@ mod tests {
             chunks: 0..8,
         }];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            engine.run_units(&units, |_| std::panic::panic_any(17u32))
+            unit_results(&engine, &units, |_| std::panic::panic_any(17u32))
         }));
         let message = panic_message(result.expect_err("the scan must panic").as_ref());
         assert_eq!(message, "shard 1: <non-string panic payload>");
@@ -869,7 +896,7 @@ mod tests {
         for lanes in [1, 2, 3] {
             let engine = forced_lane_engine(store.clone(), lanes);
             engine.set_telemetry_level(TelemetryLevel::Counters);
-            let echoed = engine.run_units(&units, |u| (u.pos, u.shard, u.chunks.clone()));
+            let echoed = unit_results(&engine, &units, |u| (u.pos, u.shard, u.chunks.clone()));
             let expected: Vec<_> = units
                 .iter()
                 .map(|u| (u.pos, u.shard, u.chunks.clone()))
@@ -956,7 +983,7 @@ mod tests {
         let (a_store, _) = raw_store(1, UNIT_CHUNKS * CHUNK + 1);
         let a_params = a_store.params().clone();
         let a = forced_lane_engine_on(a_store, 2, Arc::clone(&pool));
-        assert_eq!(a.carve_units(&[0]).len(), 2);
+        assert_eq!(a.carve_units([0]).len(), 2);
         let indices = corpus_indices(&fx, 40);
         let mut reference = CloudIndex::new(fx.params.clone());
         reference.insert_all(indices.iter().cloned()).unwrap();

@@ -2,12 +2,14 @@
 //! [`SearchEngine::search_batch_with_effects`] (see the [engine docs](crate::engine),
 //! "One read path").
 
+use super::executor::PlanRow;
 use super::{Reply, SearchEngine, ShardScan};
 use crate::bitindex::BitIndex;
 use crate::cache::CacheEffect;
 use crate::query::QueryIndex;
 use crate::search::{top_matches, SearchMatch, SearchStats};
 use crate::telemetry::{Counter, LabelledCounter, Stage};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The per-shard counter a cache lookup's outcome adds to.
@@ -16,6 +18,61 @@ fn lookup_outcome(hit: bool) -> LabelledCounter {
         LabelledCounter::ShardCacheHits
     } else {
         LabelledCounter::ShardCacheMisses
+    }
+}
+
+/// One distinct query of a batch: the positions that carry its bits share
+/// one scan and one merge.
+struct Distinct {
+    /// Its first position — the representative, whose lookups and admissions
+    /// are the distinct query's.
+    first: usize,
+    /// Its last position, which takes the merged list itself.
+    last: usize,
+    /// The widest `top` among its positions (`None` keeps everything).
+    widest: Option<usize>,
+    /// The representative's cache effect.
+    effect: CacheEffect,
+}
+
+impl Distinct {
+    /// The distinct queries of a batch, in order of first occurrence, and
+    /// each position's index among them. A batch of one has nothing to
+    /// deduplicate and builds neither a map nor a position table.
+    fn of(
+        queries: &[QueryIndex],
+        tops: &[Option<usize>],
+    ) -> (Vec<Distinct>, Cow<'static, [usize]>) {
+        let mut distinct = Vec::with_capacity(1);
+        let mut add = |first: usize| {
+            distinct.push(Distinct {
+                first,
+                last: first,
+                widest: Some(0),
+                effect: CacheEffect::default(),
+            });
+            distinct.len() - 1
+        };
+        let rows = match queries {
+            [_] => {
+                add(0);
+                Cow::Borrowed(&[0][..])
+            }
+            _ => {
+                let mut first_of: HashMap<&BitIndex, usize> = HashMap::with_capacity(queries.len());
+                Cow::Owned(
+                    (queries.iter().enumerate())
+                        .map(|(i, query)| *first_of.entry(query.bits()).or_insert_with(|| add(i)))
+                        .collect(),
+                )
+            }
+        };
+        for (i, (&row, &top)) in rows.iter().zip(tops).enumerate() {
+            let unique = &mut distinct[row];
+            unique.widest = unique.widest.zip(top).map(|(w, t)| w.max(t));
+            unique.last = i;
+        }
+        (distinct, rows)
     }
 }
 
@@ -37,13 +94,14 @@ impl SearchEngine {
     /// the stats, and keep the first `top` matches of the (rank desc, id asc)
     /// total order — selected, and only those sorted
     /// ([`crate::search::top_matches`]). Cached and fresh shard results flow
-    /// through this identically.
+    /// through this identically; the first result's list is the buffer the
+    /// others join.
     fn merge_ranked<I: IntoIterator<Item = ShardScan>>(
         per_shard: I,
         top: Option<usize>,
     ) -> ShardScan {
-        let mut matches = Vec::new();
-        let mut stats = SearchStats::default();
+        let mut per_shard = per_shard.into_iter();
+        let (mut matches, mut stats) = per_shard.next().unwrap_or_default();
         for (shard_matches, shard_stats) in per_shard {
             matches.extend(shard_matches);
             stats.merge(&shard_stats);
@@ -128,19 +186,7 @@ impl SearchEngine {
             .add(Counter::BatchQueries, queries.len() as u64);
         let _batch_span = self.telemetry.span(Stage::EngineBatch);
         let shards = self.store.num_shards();
-        // Intra-batch dedup: uniques[row] is the batch position of a distinct
-        // query's first occurrence (its representative), and rows[i] is
-        // position i's row in the per-unique tables below.
-        let mut uniques: Vec<usize> = Vec::new();
-        let mut first_of: HashMap<&BitIndex, usize> = HashMap::with_capacity(queries.len());
-        let rows: Vec<usize> = (queries.iter().enumerate())
-            .map(|(i, query)| {
-                *first_of.entry(query.bits()).or_insert_with(|| {
-                    uniques.push(i);
-                    uniques.len() - 1
-                })
-            })
-            .collect();
+        let (mut distinct, rows) = Distinct::of(queries, tops);
         let tally = |effect: &mut CacheEffect, found: Option<&ShardScan>| match found {
             Some((_, stats)) => {
                 effect.shard_hits += 1;
@@ -149,71 +195,69 @@ impl SearchEngine {
             None => effect.shard_misses += 1,
         };
 
-        // Phase 1 — the distinct queries' lookups, in batch order.
-        // resolved[row][shard] is a hit's entry; `None` (every shard, with the
-        // cache off) is a shard to scan.
-        let mut resolved: Vec<Vec<Option<ShardScan>>> = vec![vec![None; shards]; uniques.len()];
-        let mut effects = vec![CacheEffect::default(); uniques.len()];
+        // One result per distinct query and shard with the cache on — a
+        // shard's whole list is what the cache admits — and one per distinct
+        // query with it off, gathered across every shard: result
+        // `row * per + shard % per`.
+        let per = if self.cache.is_some() { shards } else { 1 };
+        let mut results: Vec<ShardScan> = vec![Default::default(); distinct.len() * per];
+
+        // Phase 1 — the distinct queries' lookups, in batch order. hit[i] says
+        // result i came from the cache; every other result is scanned.
+        let mut hit: Vec<bool> = Vec::new();
         let mut generations: Vec<u64> = Vec::new();
         if let Some(cache) = &self.cache {
             let _lookup_span = self.telemetry.span(Stage::CacheLookup);
             let mut cache = cache.lock().unwrap();
             generations = (0..shards).map(|shard| cache.generation(shard)).collect();
-            for ((&u, slots), effect) in uniques.iter().zip(&mut resolved).zip(&mut effects) {
-                for (shard, slot) in slots.iter_mut().enumerate() {
-                    *slot = cache.lookup(shard, queries[u].bits());
+            hit = vec![false; results.len()];
+            for (row, unique) in distinct.iter_mut().enumerate() {
+                for shard in 0..shards {
+                    let found = cache.lookup(shard, queries[unique.first].bits());
                     self.telemetry
-                        .add_at(lookup_outcome(slot.is_some()), shard, 1);
-                    tally(effect, slot.as_ref());
+                        .add_at(lookup_outcome(found.is_some()), shard, 1);
+                    tally(&mut unique.effect, found.as_ref());
+                    if let Some(found) = found {
+                        results[row * per + shard] = found;
+                        hit[row * per + shard] = true;
+                    }
                 }
             }
         }
-
-        // Each distinct query is merged once, at the widest `top` any of its
-        // positions asks for (`None` — everything — outranks any cut). With the
-        // cache off that is also what each of its scan units keeps; with the
-        // cache on the units keep everything, so an admitted entry is the
-        // shard's whole list and serves every later `top`.
-        let mut widest: Vec<Option<usize>> = vec![Some(0); uniques.len()];
-        let mut last = vec![0; uniques.len()];
-        for (i, (&row, &top)) in rows.iter().zip(tops).enumerate() {
-            widest[row] = widest[row].zip(top).map(|(w, t)| w.max(t));
-            last[row] = i;
-        }
-        let keep = |row: usize| widest[row].filter(|_| self.cache.is_none());
 
         // Phase 2 — fused scans: each shard sweeps exactly the distinct queries
-        // that missed it, in one plane pass. Results only fill `resolved` here;
-        // admissions happen in phase 3, in batch order.
-        let mut rows_for_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        // scanned_on[row] = the shards `row` was freshly scanned on (its
-        // phase-1 misses) — the shards sequential execution would admit.
-        let mut scanned_on: Vec<Vec<usize>> = vec![Vec::new(); uniques.len()];
-        for (row, slots) in resolved.iter().enumerate() {
-            for (shard, _) in slots.iter().enumerate().filter(|(_, s)| s.is_none()) {
-                rows_for_shard[shard].push(row);
-                scanned_on[row].push(shard);
-            }
-        }
-        let shard_ids: Vec<usize> = (0..shards)
-            .filter(|&shard| !rows_for_shard[shard].is_empty())
-            .collect();
-        if !shard_ids.is_empty() {
-            self.telemetry
-                .add(Counter::ShardScans, shard_ids.len() as u64);
-            let subsets: Vec<(Vec<&BitIndex>, Vec<Option<usize>>)> = (shard_ids.iter())
-                .map(|&shard| {
-                    (rows_for_shard[shard].iter())
-                        .map(|&row| (queries[uniques[row]].bits(), keep(row)))
-                        .unzip()
+        // that missed it, in one plane pass. With the cache off that is every
+        // distinct query on every shard, so the shards share one work list.
+        // Each distinct query is merged once, at the widest `top` any of its
+        // positions asks for (`None` — everything — outranks any cut); with
+        // the cache off that is also what each lane keeps of it. With the
+        // cache on the lanes keep everything, so an admitted entry is the
+        // shard's whole list and serves every later `top`.
+        let bits = |row: usize| queries[distinct[row].first].bits();
+        let mut work: Vec<(&BitIndex, usize)> = Vec::new();
+        let plan: Vec<PlanRow> = if self.cache.is_none() {
+            work.extend((0..distinct.len()).map(|row| (bits(row), row)));
+            (0..shards).map(|shard| (shard, 0..work.len())).collect()
+        } else {
+            (0..shards)
+                .filter_map(|shard| {
+                    let start = work.len();
+                    work.extend(
+                        (0..distinct.len())
+                            .filter(|&row| !hit[row * per + shard])
+                            .map(|row| (bits(row), row * per + shard)),
+                    );
+                    (work.len() > start).then_some((shard, start..work.len()))
                 })
-                .collect();
-            let fresh = self.scan_selected_shards(&shard_ids, &subsets);
-            for (&shard, scans) in shard_ids.iter().zip(fresh) {
-                for (&row, scan) in rows_for_shard[shard].iter().zip(scans) {
-                    resolved[row][shard] = Some(scan);
-                }
-            }
+                .collect()
+        };
+        if !plan.is_empty() {
+            self.telemetry.add(Counter::ShardScans, plan.len() as u64);
+            let keep = |result: usize| match self.cache {
+                None => distinct[result].widest,
+                Some(_) => None,
+            };
+            self.scan_plan(&plan, &work, keep, &mut results);
         }
 
         // Phase 3 — one pass over the batch in position order, replaying the
@@ -228,61 +272,60 @@ impl SearchEngine {
         // only their diagnostics can deviate under intra-batch eviction
         // pressure; the admission order and every duplicate's traffic match
         // sequential execution exactly. Nothing to admit or resolve, no span.
-        let mut duplicate_effects = vec![CacheEffect::default(); queries.len()];
-        let has_duplicates = uniques.len() < queries.len();
-        if let Some(cache) =
-            (self.cache.as_ref()).filter(|_| !shard_ids.is_empty() || has_duplicates)
-        {
+        let mut duplicate_effects = Vec::new();
+        let has_duplicates = distinct.len() < queries.len();
+        if let Some(cache) = (self.cache.as_ref()).filter(|_| !plan.is_empty() || has_duplicates) {
             let _admit_span = self.telemetry.span(Stage::CacheAdmit);
             let mut cache = cache.lock().unwrap();
-            for (i, (query, &row)) in queries.iter().zip(&rows).enumerate() {
-                debug_assert_eq!(keep(row), None, "a kept scan is never cached");
-                if uniques[row] == i {
-                    for &shard in &scanned_on[row] {
-                        let (matches, stats) = resolved[row][shard].as_ref().expect("scanned");
-                        let generation = generations[shard];
-                        cache.admit(
-                            shard,
-                            query.bits().clone(),
-                            matches.clone(),
-                            *stats,
-                            generation,
-                        );
+            duplicate_effects = vec![CacheEffect::default(); queries.len()];
+            for (i, (query, &row)) in queries.iter().zip(rows.iter()).enumerate() {
+                let first = distinct[row].first == i;
+                for (shard, &generation) in generations.iter().enumerate() {
+                    let result = row * per + shard;
+                    if first {
+                        if !hit[result] {
+                            let (matches, stats) = &results[result];
+                            cache.admit(
+                                shard,
+                                query.bits().clone(),
+                                matches.clone(),
+                                *stats,
+                                generation,
+                            );
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                for shard in 0..shards {
                     let found = cache.lookup(shard, query.bits());
                     self.telemetry
                         .add_at(lookup_outcome(found.is_some()), shard, 1);
                     tally(&mut duplicate_effects[i], found.as_ref());
                     if found.is_none() {
-                        let (matches, stats) = resolved[row][shard].clone().expect("resolved");
-                        let generation = generations[shard];
+                        let (matches, stats) = results[result].clone();
                         cache.admit(shard, query.bits().clone(), matches, stats, generation);
                     }
                 }
             }
         }
 
-        // Merge each distinct query once, at its widest `top`. Every position
-        // is then that list cut to its own `top`, beside its own cache effect;
-        // a row's last position takes the list itself.
-        let mut merged: Vec<ShardScan> = (resolved.into_iter().zip(widest))
-            .map(|(slots, top)| {
-                Self::merge_ranked(slots.into_iter().map(|s| s.expect("shard resolved")), top)
-            })
-            .collect();
+        // Merge each distinct query once, at its widest `top`, into its first
+        // result. Every position is then that list cut to its own `top`,
+        // beside its own cache effect; a row's last position takes the list
+        // itself.
+        for (row, unique) in results.chunks_mut(per).zip(&distinct) {
+            row[0] = Self::merge_ranked(row.iter_mut().map(std::mem::take), unique.widest);
+        }
         (rows.iter().zip(tops).enumerate())
             .map(|(i, (&row, &top))| {
-                let effect = if uniques[row] == i {
-                    effects[row]
+                let unique = &distinct[row];
+                // With the cache off every effect is all zeros.
+                let effect = if unique.first == i {
+                    unique.effect
                 } else {
-                    duplicate_effects[i]
+                    duplicate_effects.get(i).copied().unwrap_or_default()
                 };
-                let (matches, stats) = &mut merged[row];
+                let (matches, stats) = &mut results[row * per];
                 let keep = top.map_or(matches.len(), |k| k.min(matches.len()));
-                let matches = if last[row] == i {
+                let matches = if unique.last == i {
                     matches.truncate(keep);
                     std::mem::take(matches)
                 } else {

@@ -35,10 +35,12 @@ pub fn keyword_index_with_prf(params: &SystemParams, prf: &LongPrf, keyword: &st
 /// `j·d .. (j+1)·d`, most-significant bit of each byte first) is all-zero. Equal to
 /// [`reduce_digits`] over the same bits.
 ///
-/// The digits are read through a big-endian window: bytes enter at the bottom of a 64-bit
-/// accumulator until it holds a whole digit, which is then the top `d` of its unread bits
-/// (`d ≤ 32`, so at most 39 bits are ever pending). Each index bit lands in its 64-bit word
-/// directly.
+/// For `d ≤ 8`, eight digits fill exactly `d` bytes, so each run of eight index bits is
+/// one big-endian load of those bytes and one SWAR all-zero test of its eight `d`-bit
+/// fields ([`nonzero_fields`]). Any remaining digits — all of them for `d > 8` — are read
+/// through a big-endian window: bytes enter at the bottom of a 64-bit accumulator until it
+/// holds a whole digit, which is then the top `d` of its unread bits (`d ≤ 32`, so at most
+/// 39 bits are ever pending). Each index bit lands in its 64-bit word directly.
 fn reduce_digit_bytes(params: &SystemParams, prf_bytes: &[u8]) -> BitIndex {
     let r = params.index_bits;
     let d = params.digit_bits;
@@ -52,12 +54,33 @@ fn reduce_digit_bytes(params: &SystemParams, prf_bytes: &[u8]) -> BitIndex {
         prf_bytes.len() * 8,
         r * d
     );
-    let digit_mask = (1u64 << d) - 1;
     let mut blocks = vec![0u64; r.div_ceil(64)];
+    // Runs of eight digits, d bytes each: run g is index bits 8g..8g+8, which
+    // share one word.
+    let runs = if d <= 8 { r / 8 } else { 0 };
+    if runs > 0 {
+        let fields = FieldMasks::new(d);
+        for g in 0..runs {
+            // The run's d bytes at the bottom of a big-endian word: one 8-byte
+            // load shifted down where 8 bytes remain, a padded copy where not.
+            let word = match prf_bytes.get(g * d..g * d + 8) {
+                Some(eight) => {
+                    u64::from_be_bytes(eight.try_into().expect("8 bytes")) >> (64 - 8 * d)
+                }
+                None => {
+                    let mut word = [0u8; 8];
+                    word[8 - d..].copy_from_slice(&prf_bytes[g * d..][..d]);
+                    u64::from_be_bytes(word)
+                }
+            };
+            blocks[g / 8] |= u64::from(fields.nonzero(word)) << (8 * (g % 8));
+        }
+    }
+    let digit_mask = (1u64 << d) - 1;
     let mut window = 0u64;
     let mut pending = 0;
-    let mut next = prf_bytes.iter();
-    for j in 0..r {
+    let mut next = prf_bytes[runs * d..].iter();
+    for j in runs * 8..r {
         while pending < d {
             window = (window << 8) | u64::from(*next.next().expect("length checked above"));
             pending += 8;
@@ -67,6 +90,41 @@ fn reduce_digit_bytes(params: &SystemParams, prf_bytes: &[u8]) -> BitIndex {
         blocks[j / 64] |= u64::from(digit != 0) << (j % 64);
     }
     BitIndex::from_blocks(blocks, r)
+}
+
+/// The masks of eight `d`-bit fields packed at the bottom of a word (`d ≤ 8`).
+struct FieldMasks {
+    d: usize,
+    /// The top bit of every field.
+    high: u64,
+    /// The `d − 1` low bits of every field.
+    low: u64,
+}
+
+impl FieldMasks {
+    fn new(d: usize) -> Self {
+        let ones = (0..8).fold(0u64, |acc, f| acc | 1 << (f * d));
+        let high = ones << (d - 1);
+        FieldMasks {
+            d,
+            high,
+            low: high.wrapping_sub(ones),
+        }
+    }
+
+    /// Which of the eight fields of `word` are nonzero, the field holding the
+    /// first digit (the top one) as bit 0. Adding `low` to a field's low bits
+    /// carries into its top bit exactly when they are not all zero, and never
+    /// out of the field; OR-ing the field's own top bit finishes the test.
+    fn nonzero(&self, word: u64) -> u8 {
+        let tops = (((word & self.low) + self.low) | word) & self.high;
+        if tops == self.high {
+            return u8::MAX;
+        }
+        (0..8).fold(0, |bits, k| {
+            bits | (((tops >> ((7 - k) * self.d + self.d - 1)) & 1) as u8) << k
+        })
+    }
 }
 
 /// The GF(2^d) → GF(2) reduction of Eq. (1) over one `bool` per PRF output bit: bit `j` of
@@ -225,6 +283,28 @@ mod tests {
                 reduce_digit_bytes(&p, &bytes),
                 reduce_digits(&p, &msb_first_bits(&bytes))
             );
+        }
+    }
+
+    #[test]
+    fn swar_runs_equal_the_bool_reference_for_every_small_digit() {
+        // Every d the eight-digit runs handle, with r leaving no tail, a tail of
+        // every length, and random bytes from dense to mostly zero digits.
+        let mut rng = StdRng::seed_from_u64(8);
+        for d in 1..=8 {
+            for r in [1, 7, 8, 9, 63, 64, 65, 448, 455] {
+                let p = SystemParams::new(r, d, 1, 0, 0, vec![1]).unwrap();
+                for sparsity in 0..4 {
+                    let bytes: Vec<u8> = (0..(r * d).div_ceil(8))
+                        .map(|_| (0..sparsity).fold(rng.gen::<u8>(), |b, _| b & rng.gen::<u8>()))
+                        .collect();
+                    assert_eq!(
+                        reduce_digit_bytes(&p, &bytes),
+                        reduce_digits(&p, &msb_first_bits(&bytes)),
+                        "d={d} r={r} sparsity={sparsity}"
+                    );
+                }
+            }
         }
     }
 

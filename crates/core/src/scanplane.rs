@@ -133,6 +133,18 @@ struct Chunk {
     live: Box<[u64]>,
 }
 
+/// Above this many words holding a survivor, an upper level reads its rows
+/// whole: the word-wide OR of a whole row is cheaper than picking out more
+/// than a quarter of its words one by one.
+const SPARSE_WORDS: usize = CHUNK / 64 / 4;
+
+/// Fold a whole selected row into a reject bitmap.
+fn or_rows(reject: &mut Bitmap, row: &Bitmap) {
+    for (reject, row) in reject.iter_mut().zip(row) {
+        *reject |= row;
+    }
+}
+
 /// The positions of a word's one-bits, ascending.
 fn ones(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -144,8 +156,11 @@ fn ones(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// One query's result in one sweep, built as the chunks go by: the matches
-/// held so far and the sweep's [`SearchStats`].
+/// One query's result in a sweep, built as the chunks go by: the matches
+/// held so far and the sweep's [`SearchStats`]. A [`Sweeper`] holds one per
+/// result it is building; the engine's lanes carry theirs across every scan
+/// unit they claim, so a kept query's bar outlives the unit that raised it.
+#[derive(Debug, Default)]
 struct Held {
     matches: Vec<SearchMatch>,
     stats: SearchStats,
@@ -166,18 +181,20 @@ const NOTHING: SearchMatch = SearchMatch {
 };
 
 impl Held {
-    fn new(keep: Option<usize>) -> Self {
-        Held {
-            matches: Vec::new(),
-            stats: SearchStats::default(),
-            keep,
-            bar: (keep == Some(0)).then_some(NOTHING),
-        }
+    /// Start over for a result that keeps `keep`, keeping the match buffer's
+    /// capacity.
+    fn reset(&mut self, keep: Option<usize>) {
+        self.matches.clear();
+        self.stats = SearchStats::default();
+        self.keep = keep;
+        self.bar = (keep == Some(0)).then_some(NOTHING);
     }
 
     /// Materialize a match unless the bar shuts it out (rank descending, then
     /// id ascending, as [`top_matches`] orders). Once `2·keep` are held they
-    /// are cut to `keep`, and the worst kept becomes the bar.
+    /// are cut to `keep`, and the worst kept becomes the bar. Every held
+    /// match beats the bar it was offered against, so a new bar is never
+    /// below the old one.
     fn offer(&mut self, document_id: u64, rank: u32) {
         if let Some(bar) = self.bar {
             if rank < bar.rank || rank == bar.rank && document_id > bar.document_id {
@@ -194,14 +211,65 @@ impl Held {
         }
     }
 
-    /// The result: every match in slot order, or the kept ones cut by the
-    /// canonical order ([`top_matches`]) — never by slot order.
-    fn finish(self) -> (Vec<SearchMatch>, SearchStats) {
-        let matches = match self.keep {
-            None => self.matches,
-            keep => top_matches(self.matches, keep, |m| *m),
-        };
-        (matches, self.stats)
+    /// Cut a kept result to `keep` by the canonical order ([`top_matches`] —
+    /// never by slot order); an uncut one stays in slot order.
+    fn cut(&mut self) {
+        if self.keep.is_some() {
+            self.matches = top_matches(std::mem::take(&mut self.matches), self.keep, |m| *m);
+        }
+    }
+
+    /// Add the (cut) result to `out`: its matches appended, its stats summed.
+    /// An empty `out` takes an uncut list whole rather than copying it.
+    fn fold_into(&mut self, out: &mut (Vec<SearchMatch>, SearchStats)) {
+        self.cut();
+        if out.0.is_empty() && self.keep.is_none() {
+            std::mem::swap(&mut out.0, &mut self.matches);
+        } else {
+            out.0.extend_from_slice(&self.matches);
+        }
+        out.1.merge(&self.stats);
+    }
+}
+
+/// Reusable sweep state: the per-level survivor bitmaps of one chunk and one
+/// result per query being swept — its matches, its [`SearchStats`] and, for a
+/// kept result, its bar. [`ScanPlane::sweep`] adds to the results, so one
+/// sweeper can gather a query's sweeps of many chunk ranges, of many planes,
+/// in any order: a kept result's bar, raised by one range, shuts matches out
+/// of every later one. The engine keeps one per lane thread and resets it,
+/// rather than reallocating it, per execution.
+#[derive(Debug, Default)]
+pub struct Sweeper {
+    nested: Vec<Bitmap>,
+    held: Vec<Held>,
+}
+
+impl Sweeper {
+    /// Start `results` fresh results, result `i` keeping `keep(i)` matches
+    /// (`None`: every one, in sweep order). Buffers keep their capacity.
+    pub fn reset(&mut self, results: usize, keep: impl Fn(usize) -> Option<usize>) {
+        self.held.resize_with(results, Held::default);
+        for (i, held) in self.held.iter_mut().enumerate() {
+            held.reset(keep(i));
+        }
+    }
+
+    /// Add every result to its slot of `out` (`out[i]` gets result `i`): a
+    /// kept result cut to its keep in the canonical order
+    /// ([`crate::search::top_matches`]), its matches appended, its stats
+    /// summed. Folding several sweepers' results of the same queries into one
+    /// `out` and cutting each again gives the cut of one sweep over
+    /// everything they swept.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is shorter than the results.
+    pub fn fold_into(&mut self, out: &mut [(Vec<SearchMatch>, SearchStats)]) {
+        assert!(out.len() >= self.held.len(), "one slot per result");
+        for (held, out) in self.held.iter_mut().zip(out) {
+            held.fold_into(out);
+        }
     }
 }
 
@@ -303,30 +371,32 @@ impl ScanPlane {
         })
     }
 
-    /// Eq. (3) at one level of one chunk: drop from `alive` every slot whose
-    /// document has a one where the query has a zero — the OR of the rows
-    /// `!query & live` selects (a zero of the query no document of the chunk
-    /// sets there reads nothing).
-    fn reject(&self, chunk: usize, level: usize, query: &BitIndex, alive: &mut Bitmap) {
+    /// Eq. (3) at one level of one chunk: the slots it rejects, the OR of the
+    /// rows `!query & live` selects (a zero of the query no document of the
+    /// chunk sets there reads nothing). `or` folds one selected row into the
+    /// reject bitmap.
+    fn reject(
+        &self,
+        chunk: usize,
+        level: usize,
+        query: &BitIndex,
+        mut or: impl FnMut(&mut Bitmap, &Bitmap),
+    ) -> Bitmap {
         let chunk = &self.chunks[chunk];
         let rows = &chunk.rows[level * self.bits..][..self.bits];
         let live = &chunk.live[level * self.blocks..][..self.blocks];
         let mut reject = NONE;
         for (b, (&q, &live)) in query.as_blocks().iter().zip(live).enumerate() {
             for j in ones(!q & live) {
-                for (reject, row) in reject.iter_mut().zip(&rows[b * 64 + j]) {
-                    *reject |= row;
-                }
+                or(&mut reject, &rows[b * 64 + j]);
             }
         }
-        for (alive, reject) in alive.iter_mut().zip(reject) {
-            *alive &= !reject;
-        }
+        reject
     }
 
     /// Algorithm 1 for one query over one chunk whose valid slots are `valid`,
     /// into `held`. `nested` is scratch for the per-level survivor bitmaps (one
-    /// per level).
+    /// per level); only the words of level 1's survivors are ever written.
     fn sweep_chunk(
         &self,
         chunk: usize,
@@ -335,32 +405,72 @@ impl ScanPlane {
         nested: &mut [Bitmap],
         held: &mut Held,
     ) {
-        let mut alive = *valid;
-        for (level, survivors) in nested.iter_mut().enumerate() {
-            // A chunk with nobody left reads no row.
-            if alive != NONE {
-                self.reject(chunk, level, query, &mut alive);
-            }
-            *survivors = alive;
+        // Level 1 compares every document of the chunk once, with whole rows.
+        held.stats.comparisons += self.docs_in(chunk) as u64;
+        let reject = self.reject(chunk, 0, query, or_rows);
+        let mut first = [0; CHUNK / 64];
+        let mut n = 0;
+        for (w, ((survivors, &valid), reject)) in
+            nested[0].iter_mut().zip(valid).zip(reject).enumerate()
+        {
+            *survivors = valid & !reject;
+            first[n] = w;
+            n += usize::from(*survivors != 0);
         }
+        if n == 0 {
+            return;
+        }
+        let first = &first[..n];
+        // Levels 2..η read only the words that still hold a survivor, and a
+        // word that empties is dropped. Each level below η counts its
+        // survivors once more: Algorithm 1 compares a match again at every
+        // level up to the first that fails, or up to η, so the comparisons
+        // past level 1 are Σ_{ℓ<η} |L_ℓ| and the matches |L_1|.
+        let mut words = [0; CHUNK / 64];
+        words[..n].copy_from_slice(first);
         let deepest = self.levels - 1;
+        let count = |level: &Bitmap, words: &[usize]| -> u64 {
+            words
+                .iter()
+                .map(|&w| u64::from(level[w].count_ones()))
+                .sum()
+        };
+        let matches = count(&nested[0], first);
+        held.stats.matches += matches;
+        if deepest > 0 {
+            held.stats.comparisons += matches;
+        }
+        for level in 1..self.levels {
+            let reject = match n {
+                0 => NONE,
+                1..=SPARSE_WORDS => self.reject(chunk, level, query, |reject, row| {
+                    for &w in &words[..n] {
+                        reject[w] |= row[w];
+                    }
+                }),
+                _ => self.reject(chunk, level, query, or_rows),
+            };
+            let (below, above) = nested.split_at_mut(level);
+            let (below, here) = (&below[level - 1], &mut above[0]);
+            // Every word of level 1's survivors is written, so a word that
+            // emptied at an earlier level reads zero here too.
+            for &w in first {
+                here[w] = below[w] & !reject[w];
+            }
+            let mut kept = 0;
+            for i in 0..n {
+                let w = words[i];
+                words[kept] = w;
+                kept += usize::from(here[w] != 0);
+            }
+            n = kept;
+            if level < deepest {
+                held.stats.comparisons += count(here, &words[..n]);
+            }
+        }
         let ids = &self.ids[chunk * CHUNK..];
-        let (mut comparisons, mut matches) = (0, 0);
-        for (w, &word) in nested[0].iter().enumerate() {
-            if word == 0 {
-                continue;
-            }
-            // The bitmaps are nested, so this word's survivors of rank ρ hold
-            // level ρ's bit and not level ρ+1's. Each is one match and, past
-            // level 1, min(ρ, η − 1) comparisons: Algorithm 1 compares it
-            // again at every level up to the first that fails, or up to η.
-            let group =
-                |rank: usize| nested[rank - 1][w] & !nested.get(rank).map_or(0, |level| level[w]);
-            for rank in 1..=self.levels {
-                let n = u64::from(group(rank).count_ones());
-                matches += n;
-                comparisons += n * rank.min(deepest) as u64;
-            }
+        for &w in first {
+            let word = nested[0][w];
             if held.keep.is_none() {
                 // Every match, in slot order.
                 for i in ones(word) {
@@ -376,18 +486,47 @@ impl ScanPlane {
                 continue;
             }
             // Best rank first, so the bar rises as early as it can; a rank
-            // below the bar has nothing left to offer.
+            // below the bar has nothing left to offer. The bitmaps are
+            // nested, so the word's survivors of rank ρ hold level ρ's bit
+            // and not level ρ+1's.
             for rank in (1..=self.levels).rev() {
                 if held.bar.is_some_and(|bar| (rank as u32) < bar.rank) {
                     break;
                 }
-                for i in ones(group(rank)) {
+                let group = nested[rank - 1][w] & !nested.get(rank).map_or(0, |level| level[w]);
+                for i in ones(group) {
                     held.offer(ids[w * 64 + i], rank as u32);
                 }
             }
         }
-        held.stats.comparisons += comparisons;
-        held.stats.matches += matches;
+    }
+
+    /// **The sweep**: Algorithm 1 over `chunks.start..chunks.end` (clamped to
+    /// the grid) for every `(query, result)` of `work`, chunk-major with the
+    /// queries inside, into result `result` of `sweeper` — so one result can
+    /// gather a query's sweeps of many chunk ranges, and of many planes (see
+    /// [`Sweeper`]). An empty range sweeps nothing.
+    ///
+    /// # Panics
+    ///
+    /// If a query of a non-empty range is not r bits long, or a result
+    /// index is not below the sweeper's results.
+    pub fn sweep(&self, chunks: Range<usize>, work: &[(&BitIndex, usize)], sweeper: &mut Sweeper) {
+        let chunks = self.clamp_chunks(chunks);
+        if chunks.is_empty() {
+            return;
+        }
+        for (query, _) in work {
+            assert_eq!(query.len(), self.bits, "length mismatch");
+        }
+        sweeper.nested.resize(self.levels, NONE);
+        let Sweeper { nested, held } = sweeper;
+        for chunk in chunks {
+            let valid = self.valid_slots(chunk);
+            for &(query, result) in work {
+                self.sweep_chunk(chunk, &valid, query, nested, &mut held[result]);
+            }
+        }
     }
 
     /// The ranked scan of Algorithm 1 over the whole plane — the plane-backed
@@ -432,25 +571,13 @@ impl ScanPlane {
         chunks: Range<usize>,
     ) -> Vec<(Vec<SearchMatch>, SearchStats)> {
         assert_eq!(queries.len(), keeps.len(), "one keep per query");
-        let chunks = self.clamp_chunks(chunks);
-        if chunks.is_empty() {
-            return vec![(Vec::new(), SearchStats::default()); queries.len()];
-        }
-        for query in queries {
-            assert_eq!(query.len(), self.bits, "length mismatch");
-        }
-        let mut held: Vec<Held> = (keeps.iter()).map(|&keep| Held::new(keep)).collect();
-        let mut nested = vec![NONE; self.levels];
-        for chunk in chunks {
-            let valid = self.valid_slots(chunk);
-            // Level 1 compares every document of the chunk once.
-            let docs = self.docs_in(chunk) as u64;
-            for (query, held) in queries.iter().zip(&mut held) {
-                held.stats.comparisons += docs;
-                self.sweep_chunk(chunk, &valid, query, &mut nested, held);
-            }
-        }
-        held.into_iter().map(Held::finish).collect()
+        let mut sweeper = Sweeper::default();
+        sweeper.reset(queries.len(), |q| keeps[q]);
+        let work: Vec<(&BitIndex, usize)> = queries.iter().copied().zip(0..).collect();
+        self.sweep(chunks, &work, &mut sweeper);
+        let mut out = vec![(Vec::new(), SearchStats::default()); queries.len()];
+        sweeper.fold_into(&mut out);
+        out
     }
 }
 

@@ -19,7 +19,7 @@
 //! and masking bugs in optimized builds must not be able to hide behind
 //! debug-only testing.
 
-use mkse_core::scanplane::CHUNK;
+use mkse_core::scanplane::{Sweeper, CHUNK};
 use mkse_core::{
     BitIndex, CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex,
     RankedDocumentIndex, ScanPlane, SchemeKeys, SearchEngine, ShardedStore, SystemParams,
@@ -437,6 +437,86 @@ proptest! {
                 keep => mkse_core::search::top_matches(list, keep, |m| *m),
             };
             prop_assert_eq!(cut(matches), cut(all), "{}", ctx);
+        }
+    }
+
+    /// The engine's lanes carry a kept result across every unit they claim,
+    /// of any shard: a bar raised in one chunk range shuts matches out of
+    /// the next. Here a shuffled-id corpus is split over two planes (two
+    /// shards) cut into ranges of 1–10 chunks; the ranges are shuffled and
+    /// dealt to one to three sweepers (lanes), each sweeping its ranges in
+    /// that order into one result per query and keep — nothing, one, ten,
+    /// more than the matches, `usize::MAX`, uncut. Folded into one slot per
+    /// result and cut again, every result is the reference loop's cut and
+    /// carries its stats, at η = 1 (no comparison past level 1), 3 and 5,
+    /// for the all-ones query (every match tied at rank η, so the cut falls
+    /// inside one rank), the all-zeros query and queries with 1–8 zeros.
+    #[test]
+    fn scanplane_prop_lane_carried_bars_equal_the_full_sweep_cut(
+        seed in 0u64..1_000_000,
+        r in 1usize..=200,
+        num_docs in (8 * CHUNK + 1)..=(10 * CHUNK),
+        thin in 2u32..=4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for eta in [1usize, 3, 5] {
+            let docs = shuffled_sparse_docs(&mut rng, num_docs, r, eta, thin);
+            let params = params_for(r, eta);
+            let split = rng.gen_range(1..num_docs);
+            let planes = [plane_of(&params, &docs[..split]), plane_of(&params, &docs[split..])];
+
+            let mut queries = vec![BitIndex::all_ones(r), BitIndex::all_zeros(r)];
+            for zeros in [1, 2, 4, 8] {
+                let mut q = BitIndex::all_ones(r);
+                for _ in 0..zeros {
+                    q.set(rng.gen_range(0..r), false);
+                }
+                queries.push(q);
+            }
+            let full: Vec<_> = (queries.iter())
+                .map(|q| mkse_core::search::scan_ranked(&docs, &QueryIndex::from_bits(q.clone())))
+                .collect();
+            let mut batch: Vec<(usize, Option<usize>)> = Vec::new();
+            for (q, (matches, _)) in full.iter().enumerate() {
+                for keep in [Some(0), Some(1), Some(10), Some(matches.len() + 1), Some(usize::MAX), None] {
+                    batch.push((q, keep));
+                }
+            }
+            let work: Vec<(&BitIndex, usize)> =
+                batch.iter().enumerate().map(|(i, &(q, _))| (&queries[q], i)).collect();
+
+            let mut units = Vec::new();
+            for (p, plane) in planes.iter().enumerate() {
+                let mut lo = 0;
+                while lo < plane.num_chunks() {
+                    let hi = (lo + rng.gen_range(1usize..=10)).min(plane.num_chunks());
+                    units.push((p, lo..hi));
+                    lo = hi;
+                }
+            }
+            for i in (1..units.len()).rev() {
+                units.swap(i, rng.gen_range(0..=i));
+            }
+            let mut lanes: Vec<Sweeper> = (0..rng.gen_range(1usize..=3)).map(|_| Sweeper::default()).collect();
+            for lane in &mut lanes {
+                lane.reset(batch.len(), |i| batch[i].1);
+            }
+            for (p, range) in units {
+                let lane = rng.gen_range(0..lanes.len());
+                planes[p].sweep(range, &work, &mut lanes[lane]);
+            }
+            let mut out = vec![(Vec::new(), mkse_core::SearchStats::default()); batch.len()];
+            for lane in &mut lanes {
+                lane.fold_into(&mut out);
+            }
+            for (i, (matches, stats)) in out.into_iter().enumerate() {
+                let (q, keep) = batch[i];
+                let (all, all_stats) = full[q].clone();
+                let ctx = format!("eta {eta}, {} lanes, query {q}, keep {keep:?}", lanes.len());
+                prop_assert_eq!(stats, all_stats, "{}", ctx);
+                let cut = |list| mkse_core::search::top_matches(list, keep, |m| *m);
+                prop_assert_eq!(cut(matches), cut(all), "{}", ctx);
+            }
         }
     }
 }
