@@ -66,23 +66,33 @@
 //! offers its core instead of holding it (`engine/pool.rs`, "Crowding"); an
 //! engine alone in its process never meets that case.
 //!
-//! Stitching is deterministic: every unit's result lands in its own slot (one
-//! `OnceLock` per unit), a shard's unit results concatenate in chunk order and its stats
-//! sum, so replies, [`SearchStats`] and cache traffic are byte-identical to the
-//! sequential scan no matter how many lanes there are or which lane ran which
-//! unit. The cache never sees units: lookups and admissions happen per whole
-//! shard, on the stitched per-shard results, and only ever on uncut ones.
+//! **A lane keeps its results across its units.** Each lane sweeps every unit
+//! it claims into its thread's [`crate::scanplane::Sweeper`] — one result per
+//! distinct query with the cache off (gathered across every shard), one per
+//! distinct query and shard with it on — reset, not reallocated, per
+//! execution, so a warm lane allocates nothing to scan. A kept query's top-τ
+//! bar therefore outlives the unit that raised it: a heavy query builds it
+//! once per lane, not once per unit. When its claims run out, the lane folds
+//! its results into the execution's (kept ones cut to τ, stats summed) under
+//! one lock. Which lane ran which unit changes the order an uncut list is
+//! gathered in, never its contents, and every list reaches the reply through
+//! the merge's canonical order (rank descending, id ascending), so replies,
+//! [`SearchStats`] and cache traffic are byte-identical to the sequential scan
+//! no matter how many lanes there are. The cache never sees units: lookups and
+//! admissions happen per whole shard, on gathered per-shard results, and only
+//! ever on uncut ones.
 //!
 //! ## One read path: a single query is a batch of one
 //!
 //! Every ranked execution is [`SearchEngine::search_batch_with_effects`], in
 //! three phases: the cache lookups of the batch's distinct queries, **one fused
 //! pass** per shard over the (cache-missed, intra-batch-deduplicated) query set
-//! ([`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]) — one lane
+//! ([`crate::scanplane::ScanPlane::sweep`]) — one lane
 //! hand-off and one merge per batch, not per query — and the admissions, in
 //! batch order. The single-query entries ([`SearchEngine::search`],
 //! [`SearchEngine::search_top`], [`SearchEngine::search_ranked_with_stats`]) are
-//! views of it on a batch of one. Queries with identical bits inside one batch
+//! views of it on a batch of one, and a batch of one builds no deduplication
+//! map and no position table. Queries with identical bits inside one batch
 //! are scanned once and fanned out to every duplicate position; with the cache
 //! enabled the duplicates are resolved through real cache lookups against what
 //! the first occurrence admitted — exactly the hits sequential execution would
@@ -90,13 +100,13 @@
 //!
 //! The reply's `top` (§5's τ) reaches the sweep. A query repeated inside a
 //! batch is scanned and merged once, at the widest `top` among its positions,
-//! and each position is cut to its own. With the cache off, every scan unit
-//! keeps only its best `top` matches
-//! ([`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]): a match that
-//! `top` matches the unit already holds beat is counted but never
-//! materialized, and no lane ships more than `top` matches per query to the
-//! merge. With the cache on, units keep every match, so an admitted entry is
-//! the shard's whole list in slot order, independent of k, and one cached
+//! and each position is cut to its own. With the cache off, every lane
+//! keeps only its best `top` matches of each query, across all the units it
+//! claims ([`crate::scanplane::Sweeper`]): a match that `top` matches the
+//! lane already holds beat is counted but never materialized, and no lane
+//! ships more than `top` matches per query to the merge. With the cache on,
+//! lanes keep every match, so an admitted entry is the shard's whole list,
+//! independent of k, and one cached
 //! query serves every `top`. Either way the merge selects the `top` matches
 //! the reply keeps and sorts only those ([`crate::search::top_matches`]), and
 //! the stats are always the whole scan's.

@@ -116,8 +116,8 @@ impl SearchEngine {
 
     /// Ranked search returning only the top `tau` matches (§5: "the user can
     /// retrieve only the top τ matches"). With the cache off, `tau` reaches
-    /// every scan unit, which keeps only its best `tau`; the merge selects the
-    /// `tau` kept and sorts only those. The per-shard cache entries stay
+    /// every lane, which keeps only its best `tau` across the units it claims;
+    /// the merge selects the `tau` kept and sorts only those. The per-shard cache entries stay
     /// k-independent, so one cached query serves every `tau`.
     pub fn search_top(&self, query: &QueryIndex, tau: usize) -> Vec<SearchMatch> {
         self.search_one(query, Some(tau)).0
@@ -146,9 +146,9 @@ impl SearchEngine {
     /// bits are scanned once (the first occurrence is the representative;
     /// every duplicate position receives a copy of its reply),
     /// and every scan unit of a shard sweeps the shard's whole remaining
-    /// query set in one [`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]
+    /// query set in one [`crate::scanplane::ScanPlane::sweep`]
     /// pass — one lane hand-off and one merge per batch, not per query. With the
-    /// cache disabled, each unit keeps only the best `tops[i]` matches of
+    /// cache disabled, each lane keeps only the best `tops[i]` matches of
     /// query `i` (the widest `top` among a query's duplicates).
     /// With the cache enabled, each shard scans exactly the unique queries that
     /// missed it (fully cached queries trigger no scan at all), and duplicates

@@ -28,8 +28,11 @@
 //!   chunk opens — no re-layout, and a growing plane never copies a row.
 //! * **All levels are rows.** Algorithm 1 walks level ℓ+1 only for a document
 //!   that matched level ℓ; on bitmaps that is the same OR restricted to the
-//!   survivors, evaluated only for a chunk that still has one. A chunk with
-//!   matches costs a few rows per level instead of a random read per match, and
+//!   survivors, evaluated only for a chunk that still has one. Level 1 ORs
+//!   whole rows; levels 2..η OR only the row *words* that still hold a
+//!   survivor (a 16-word row is read whole only once more than a quarter of
+//!   its words do), and a word that empties is dropped. A chunk with matches
+//!   costs a few row words per level instead of a random read per match, and
 //!   the plane needs no second, document-major copy of the upper levels.
 //! * **Valid slots.** The unfilled tail of the last chunk is all-zero rows, which
 //!   no query rejects; every sweep starts from the chunk's valid-slots bitmap
@@ -45,23 +48,24 @@
 //! in slot (scan) order — the set bits of the level-1 survivor bitmap, ascending —
 //! and a match's rank is the number of levels whose (nested) survivor bitmaps hold
 //! its slot. [`SearchStats`] counts whole r-bit comparisons exactly as the
-//! reference does, without counting a whole bitmap: level 1 is one comparison
-//! per document of the chunk (arithmetic), and every word that holds a level-1
-//! survivor counts its survivors of each rank ρ (the slots set at level ρ and
-//! not at ρ + 1), each one match and `min(ρ, η − 1)` comparisons — Algorithm 1
-//! compares a match again at each level up to the first one that fails, or up
-//! to η. A word with no survivor costs nothing. Skipping a dead row happens
-//! *inside* one r-bit comparison and never changes the count.
+//! reference does, without walking a match: Algorithm 1 compares a match again
+//! at every level up to the first that fails, or up to η, so with `L_ℓ` the
+//! slots that survive level ℓ, a chunk costs one comparison per document at
+//! level 1 plus Σ_{ℓ<η} |L_ℓ|, and its matches are |L_1| — η − 1 popcounts
+//! (one at η = 1) per surviving word, taken as each level is swept. A word
+//! with no survivor costs nothing. Skipping a dead row happens *inside* one
+//! r-bit comparison and never changes the count.
 //!
-//! **One sweep.** [`ScanPlane::scan_ranked_batch_chunks`] is the sweep: chunk-major
-//! over a range of chunks with the queries inside, so a chunk's live masks and rows
-//! are visited by the whole batch while they are hot; every other ranked entry
-//! point is that call with one query or the whole plane. The engine's scan units
-//! are 8-chunk ranges at every lane count, claimed from one counter: chunks are
-//! swept independently in ascending order, level 1 counts one comparison per
-//! document in range and every further count is per surviving slot, so a
-//! partition's matches concatenate and its [`SearchStats`] sum to the whole-plane
-//! result byte for byte.
+//! **One sweep.** [`ScanPlane::sweep`] is the sweep: chunk-major over a range of
+//! chunks with the queries inside, so a chunk's live masks and rows are visited
+//! by the whole batch while they are hot, adding each query's matches and stats
+//! to its result in a [`Sweeper`]. Every other ranked entry point is that call
+//! with one query or the whole plane ([`ScanPlane::scan_ranked_batch_chunks`]
+//! for one fresh sweeper). The engine's scan units are 8-chunk ranges at every
+//! lane count, claimed from one counter: chunks are swept independently, level
+//! 1 counts one comparison per document in range and every further count is
+//! per surviving slot, so any partition's matches concatenate and its
+//! [`SearchStats`] sum to the whole-plane result byte for byte.
 //!
 //! **Top τ in the sweep.** A caller that will reply with only the best `k`
 //! matches says so per query, and the sweep keeps no more than it can use.
@@ -72,7 +76,13 @@
 //! rank below the bar is not even walked. The kept list is cut to `k` in the
 //! canonical order (rank descending, id ascending — never slot order), so a
 //! partition's kept lists, cut to `k` again, are the whole plane's cut; the
-//! stats are always the whole sweep's.
+//! stats are always the whole sweep's. **The bar crosses units:** a result in
+//! a [`Sweeper`] gathers every range swept into it, of any plane and in any
+//! order, and its bar, raised by one range, shuts matches out of the next —
+//! held matches always beat the bar they were offered against, so a bar only
+//! rises, and the `k` it stands for stay in the result. The engine keeps one
+//! sweeper per lane thread, so a heavy query raises its bar once per lane, not
+//! once per unit.
 //!
 //! **Leakage note (§6)**: which rows a sweep reads is a function of the query
 //! index bytes, the public geometry `r` and the `live` masks — i.e. of the *stored
@@ -84,7 +94,10 @@
 //! anyway — Algorithm 1's own walk. Batching changes the *order* of memory
 //! accesses, never what is observed, and a kept sweep writes down fewer
 //! matches as a function of the ranks it computes anyway and of the τ the
-//! query's own message carries.
+//! query's own message carries. Reading only the words that still hold a
+//! survivor, and a bar carried from one unit to the next, change nothing in
+//! that: what is read still follows the match result the server computes
+//! anyway, plus the τ the query's own message carries.
 
 use crate::bitindex::BitIndex;
 use crate::search::{top_matches, SearchMatch, SearchStats};
@@ -220,13 +233,17 @@ impl Held {
     }
 
     /// Add the (cut) result to `out`: its matches appended, its stats summed.
-    /// An empty `out` takes an uncut list whole rather than copying it.
+    /// A kept result's buffer stays for the next reset — it never holds more
+    /// than `2·keep` — while an uncut list, of any length, leaves with the
+    /// result: an empty `out` takes it whole.
     fn fold_into(&mut self, out: &mut (Vec<SearchMatch>, SearchStats)) {
         self.cut();
-        if out.0.is_empty() && self.keep.is_none() {
-            std::mem::swap(&mut out.0, &mut self.matches);
-        } else {
+        if self.keep.is_some() {
             out.0.extend_from_slice(&self.matches);
+        } else if out.0.is_empty() {
+            out.0 = std::mem::take(&mut self.matches);
+        } else {
+            out.0.append(&mut std::mem::take(&mut self.matches));
         }
         out.1.merge(&self.stats);
     }
@@ -361,9 +378,13 @@ impl ScanPlane {
         (self.ids.len() - chunk * CHUNK).min(CHUNK)
     }
 
-    /// The valid-slots bitmap of a chunk: its first [`ScanPlane::docs_in`] bits.
+    /// The valid-slots bitmap of a chunk: its first [`ScanPlane::docs_in`] bits
+    /// (every bit but in the last chunk).
     fn valid_slots(&self, chunk: usize) -> Bitmap {
         let docs = self.docs_in(chunk);
+        if docs == CHUNK {
+            return [u64::MAX; CHUNK / 64];
+        }
         std::array::from_fn(|w| match docs.saturating_sub(w * 64) {
             0 => 0,
             n if n < 64 => (1 << n) - 1,
@@ -546,7 +567,7 @@ impl ScanPlane {
         self.scan_ranked_batch_chunks(queries, &keeps, 0..self.num_chunks())
     }
 
-    /// **The sweep**, and one scan unit of the engine's executor:
+    /// [`ScanPlane::sweep`] into a fresh [`Sweeper`], one result per query:
     /// Algorithm 1 for every query over `chunks.start..chunks.end`, chunk-major
     /// with the queries inside. `keeps[q]` is how many of query `q`'s matches
     /// the caller can use: `None` returns every match in slot order, `Some(k)`

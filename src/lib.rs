@@ -211,11 +211,11 @@
 //!   passes over the missed shards. Every execution records one telemetry
 //!   family — `batches` / `batch_queries` / `engine_batch` — whatever its
 //!   size. The reply's `top` (§5's τ) reaches the sweep: with the cache off,
-//!   each scan unit keeps only its best `top` matches (a match that `top`
-//!   better held ones already beat is counted, never materialized), so the
-//!   lanes ship at most `top` per unit and query to the merge, which *selects*
-//!   the `top` matches the reply keeps and sorts only those
-//!   (`core::search::top_matches`). With the cache on, the units keep every
+//!   each lane keeps only its best `top` matches across every unit it claims
+//!   (a match that `top` better held ones already beat is counted, never
+//!   materialized), so the lanes ship at most `top` per lane and query to the
+//!   merge, which *selects* the `top` matches the reply keeps and sorts only
+//!   those (`core::search::top_matches`). With the cache on, the lanes keep every
 //!   match and the cache entries stay whole per-shard lists, so one cached
 //!   query serves every `top`; the stats are always the whole scan's, and the
 //!   sequential reference keeps its own full stable sort.
