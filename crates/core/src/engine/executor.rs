@@ -192,7 +192,7 @@ impl SearchEngine {
                     self.planes[unit.shard].sweep(unit.chunks.clone(), work, sweeper);
                 }
                 if claimed {
-                    let mut out = out.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+                    let mut out = out.lock().expect("no lane panics while folding");
                     sweeper.fold_into(&mut out);
                 }
             });
