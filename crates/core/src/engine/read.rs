@@ -196,9 +196,9 @@ impl SearchEngine {
         };
 
         // One result per distinct query and shard with the cache on — a
-        // shard's whole list is what the cache admits — and one per distinct
-        // query with it off, gathered across every shard: result
-        // `row * per + shard % per`.
+        // shard's whole list is what the cache admits — at `row * shards +
+        // shard`, and one per distinct query with it off, gathered across
+        // every shard, at `row`.
         let per = if self.cache.is_some() { shards } else { 1 };
         let mut results: Vec<ShardScan> = vec![Default::default(); distinct.len() * per];
 
