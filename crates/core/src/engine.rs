@@ -922,6 +922,54 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_keeps_bounded_buffers_after_an_unbounded_top() {
+        use crate::scanplane::{CHUNK, RETAINED_MATCHES, RETAINED_RESULTS};
+        // Documents without a one-bit match every query, so a `top` wider
+        // than the store never cuts and each result grows to every document.
+        let params = SystemParams::new(64, 4, 16, 0, 0, vec![1, 2]).unwrap();
+        let mut store = ShardedStore::new(params, 2);
+        let docs = 3 * CHUNK;
+        for id in 0..docs as u64 {
+            let empty = BitIndex::from_bits(&[false; 64]);
+            store
+                .insert(RankedDocumentIndex {
+                    document_id: id,
+                    levels: vec![empty.clone(), empty],
+                })
+                .unwrap();
+        }
+        // One lane runs inline: the sweeper it leaves behind is this thread's.
+        let engine = forced_lane_engine(store, 1);
+        let queries: Vec<QueryIndex> = (0..100u64)
+            .map(|i| {
+                let bits: Vec<bool> = (0..64).map(|b| b < 7 && i >> b & 1 == 1).collect();
+                QueryIndex::from_bits(BitIndex::from_bits(&bits))
+            })
+            .collect();
+        let bounded = |what: &str| {
+            let (matches, results) = executor::retained();
+            assert!(
+                results <= RETAINED_RESULTS,
+                "{what}: room for {results} results"
+            );
+            assert!(
+                matches <= RETAINED_RESULTS * RETAINED_MATCHES,
+                "{what}: room for {matches} matches"
+            );
+        };
+
+        assert_eq!(engine.search_top(&queries[0], usize::MAX).len(), docs);
+        bounded("one query");
+        let replies = engine.search_batch_with_effects(&queries, &vec![Some(usize::MAX); 100]);
+        assert!(replies.iter().all(|(matches, _, _)| matches.len() == docs));
+        bounded("a batch of 100 distinct queries");
+
+        // A narrow keep's buffer still stays for the next execution.
+        assert_eq!(engine.search_top(&queries[0], 10).len(), 10);
+        assert!(executor::retained().0 > 0, "a top-10 buffer is kept");
+    }
+
+    #[test]
     fn single_query_entries_record_one_batch_of_one() {
         // `search`, `search_top` and `search_ranked_with_stats` are views of
         // the batch entry: each adds one batch of one query and one

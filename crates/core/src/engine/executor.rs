@@ -24,6 +24,12 @@ thread_local! {
     static SWEEPER: RefCell<Sweeper> = RefCell::default();
 }
 
+/// How many matches and results this thread's sweeper keeps room for.
+#[cfg(test)]
+pub(super) fn retained() -> (usize, usize) {
+    SWEEPER.with_borrow(Sweeper::retained)
+}
+
 /// The shared claim counter of one execution, on a cache line of
 /// its own: the line every lane writes holds nothing else of the caller's
 /// frame.

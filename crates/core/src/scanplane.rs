@@ -30,8 +30,7 @@
 //!   that matched level ℓ; on bitmaps that is the same OR restricted to the
 //!   survivors, evaluated only for a chunk that still has one. Level 1 ORs
 //!   whole rows; levels 2..η OR only the row *words* that still hold a
-//!   survivor (a 16-word row is read whole only once more than a quarter of
-//!   its words do), and a word that empties is dropped. A chunk with matches
+//!   survivor, and a word that empties is dropped. A chunk with matches
 //!   costs a few row words per level instead of a random read per match, and
 //!   the plane needs no second, document-major copy of the upper levels.
 //! * **Valid slots.** The unfilled tail of the last chunk is all-zero rows, which
@@ -146,11 +145,6 @@ struct Chunk {
     live: Box<[u64]>,
 }
 
-/// Above this many words holding a survivor, an upper level reads its rows
-/// whole: the word-wide OR of a whole row is cheaper than picking out more
-/// than a quarter of its words one by one.
-const SPARSE_WORDS: usize = CHUNK / 64 / 4;
-
 /// Fold a whole selected row into a reject bitmap.
 fn or_rows(reject: &mut Bitmap, row: &Bitmap) {
     for (reject, row) in reject.iter_mut().zip(row) {
@@ -185,6 +179,17 @@ struct Held {
     /// the first cut.
     bar: Option<SearchMatch>,
 }
+
+/// The most matches a kept result's buffer may have room for and still stay
+/// in its [`Sweeper`] once folded: enough for the `2·keep` a keep up to 32
+/// ever holds. A sweeper outlives its execution, and a keep is the client's
+/// `top`, so an unbounded buffer would pin a client-chosen share of the
+/// matches on every lane thread.
+pub(crate) const RETAINED_MATCHES: usize = 64;
+
+/// The most results a [`Sweeper`] keeps between executions: a batch wider
+/// than this gives its extra results' buffers back when it folds.
+pub(crate) const RETAINED_RESULTS: usize = 64;
 
 /// The bar of a sweep that keeps nothing: above every rank, so no match
 /// beats it.
@@ -233,12 +238,13 @@ impl Held {
     }
 
     /// Add the (cut) result to `out`: its matches appended, its stats summed.
-    /// A kept result's buffer stays for the next reset — it never holds more
-    /// than `2·keep` — while an uncut list, of any length, leaves with the
+    /// A kept result's buffer stays for the next reset while it has room for
+    /// at most [`RETAINED_MATCHES`]; a larger one — a keep wider than the
+    /// matches never cuts — and an uncut list, of any length, leave with the
     /// result: an empty `out` takes it whole.
     fn fold_into(&mut self, out: &mut (Vec<SearchMatch>, SearchStats)) {
         self.cut();
-        if self.keep.is_some() {
+        if self.keep.is_some() && self.matches.capacity() <= RETAINED_MATCHES {
             out.0.extend_from_slice(&self.matches);
         } else if out.0.is_empty() {
             out.0 = std::mem::take(&mut self.matches);
@@ -255,7 +261,9 @@ impl Held {
 /// sweeper can gather a query's sweeps of many chunk ranges, of many planes,
 /// in any order: a kept result's bar, raised by one range, shuts matches out
 /// of every later one. The engine keeps one per lane thread and resets it,
-/// rather than reallocating it, per execution.
+/// rather than reallocating it, per execution; what it keeps from one
+/// execution to the next is bounded ([`RETAINED_RESULTS`] results of at
+/// most [`RETAINED_MATCHES`] matches each), whatever the keeps asked for.
 #[derive(Debug, Default)]
 pub struct Sweeper {
     nested: Vec<Bitmap>,
@@ -287,6 +295,20 @@ impl Sweeper {
         for (held, out) in self.held.iter_mut().zip(out) {
             held.fold_into(out);
         }
+        // What stays for the next reset is bounded whatever this batch was:
+        // at most RETAINED_RESULTS results of at most RETAINED_MATCHES each.
+        if self.held.len() > RETAINED_RESULTS {
+            self.held.truncate(RETAINED_RESULTS);
+            self.held.shrink_to(RETAINED_RESULTS);
+        }
+    }
+
+    /// How many matches this sweeper's buffers have room for in all, and
+    /// how many results it has room for.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> (usize, usize) {
+        let matches = self.held.iter().map(|held| held.matches.capacity()).sum();
+        (matches, self.held.capacity())
     }
 }
 
@@ -462,14 +484,14 @@ impl ScanPlane {
             held.stats.comparisons += matches;
         }
         for level in 1..self.levels {
-            let reject = match n {
-                0 => NONE,
-                1..=SPARSE_WORDS => self.reject(chunk, level, query, |reject, row| {
+            let reject = if n == 0 {
+                NONE
+            } else {
+                self.reject(chunk, level, query, |reject, row| {
                     for &w in &words[..n] {
                         reject[w] |= row[w];
                     }
-                }),
-                _ => self.reject(chunk, level, query, or_rows),
+                })
             };
             let (below, above) = nested.split_at_mut(level);
             let (below, here) = (&below[level - 1], &mut above[0]);
@@ -1225,5 +1247,38 @@ mod tests {
             }
             assert_eq!(engine.snapshot(), clean, "the store holds the masked bytes");
         }
+    }
+
+    #[test]
+    fn a_folded_sweeper_keeps_bounded_buffers() {
+        // All-ones matches every document: a keep wider than the plane
+        // never cuts, so each result's buffer grows to every match.
+        let mut rng = StdRng::seed_from_u64(83);
+        let plane = plane_of(&random_docs(&mut rng, 2 * CHUNK + 5, 64, 2));
+        let q = BitIndex::all_ones(64);
+        let mut sweeper = Sweeper::default();
+        for results in [1, 3 * RETAINED_RESULTS] {
+            sweeper.reset(results, |_| Some(usize::MAX));
+            let work: Vec<(&BitIndex, usize)> = (0..results).map(|i| (&q, i)).collect();
+            plane.sweep(0..plane.num_chunks(), &work, &mut sweeper);
+            let mut out = vec![(Vec::new(), SearchStats::default()); results];
+            sweeper.fold_into(&mut out);
+            assert!(out.iter().all(|(matches, _)| matches.len() == plane.len()));
+            let (matches, room) = sweeper.retained();
+            assert!(
+                room <= RETAINED_RESULTS,
+                "{results} results: room for {room}"
+            );
+            assert_eq!(matches, 0, "{results} results: no uncut-sized buffer stays");
+        }
+        // A narrow keep's buffer stays for the next reset.
+        sweeper.reset(1, |_| Some(10));
+        plane.sweep(0..plane.num_chunks(), &[(&q, 0)], &mut sweeper);
+        sweeper.fold_into(&mut [(Vec::new(), SearchStats::default())]);
+        let (matches, _) = sweeper.retained();
+        assert!(
+            (20..=RETAINED_MATCHES).contains(&matches),
+            "room for {matches}"
+        );
     }
 }
