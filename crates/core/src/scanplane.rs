@@ -30,7 +30,8 @@
 //!   that matched level ℓ; on bitmaps that is the same OR restricted to the
 //!   survivors, evaluated only for a chunk that still has one. Level 1 ORs
 //!   whole rows; levels 2..η OR only the row *words* that still hold a
-//!   survivor, and a word that empties is dropped. A chunk with matches
+//!   survivor (a 16-word row is read whole once more than two of its words
+//!   do), and a word that empties is dropped. A chunk with matches
 //!   costs a few row words per level instead of a random read per match, and
 //!   the plane needs no second, document-major copy of the upper levels.
 //! * **Valid slots.** The unfilled tail of the last chunk is all-zero rows, which
@@ -144,6 +145,15 @@ struct Chunk {
     /// so `!query & live` cannot select a row that does not exist.
     live: Box<[u64]>,
 }
+
+/// Up to this many words holding a survivor, an upper level ORs them one by
+/// one; above it, the selected rows whole. Measured in one binary, both
+/// arms on one plane (64k documents, 4,096 benchmark-shaped queries kept to
+/// 10, per-query best of 7, 2-core x86-64 host), per-query mean at each
+/// bound: 0 (whole rows always) 12.9–13.9 µs, 1–3 12.6–13.7, 4 12.8–13.8,
+/// 6 13.0–14.0, 16 (words always) 14.0–15.0 — whole rows win on the chunks
+/// with more than two words left, single words on the rest.
+const SPARSE_WORDS: usize = 2;
 
 /// Fold a whole selected row into a reject bitmap.
 fn or_rows(reject: &mut Bitmap, row: &Bitmap) {
@@ -262,8 +272,8 @@ impl Held {
 /// in any order: a kept result's bar, raised by one range, shuts matches out
 /// of every later one. The engine keeps one per lane thread and resets it,
 /// rather than reallocating it, per execution; what it keeps from one
-/// execution to the next is bounded ([`RETAINED_RESULTS`] results of at
-/// most [`RETAINED_MATCHES`] matches each), whatever the keeps asked for.
+/// execution to the next is bounded (64 results of room for at most 64
+/// matches each), whatever the keeps asked for.
 #[derive(Debug, Default)]
 pub struct Sweeper {
     nested: Vec<Bitmap>,
@@ -484,14 +494,14 @@ impl ScanPlane {
             held.stats.comparisons += matches;
         }
         for level in 1..self.levels {
-            let reject = if n == 0 {
-                NONE
-            } else {
-                self.reject(chunk, level, query, |reject, row| {
+            let reject = match n {
+                0 => NONE,
+                1..=SPARSE_WORDS => self.reject(chunk, level, query, |reject, row| {
                     for &w in &words[..n] {
                         reject[w] |= row[w];
                     }
-                })
+                }),
+                _ => self.reject(chunk, level, query, or_rows),
             };
             let (below, above) = nested.split_at_mut(level);
             let (below, here) = (&below[level - 1], &mut above[0]);

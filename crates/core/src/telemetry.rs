@@ -251,7 +251,9 @@ metrics! {
         /// query included).
         EngineBatch => "engine_batch",
         /// One scan unit executed by a lane (lane 0 is the calling thread):
-        /// an 8-chunk range of one shard's plane, at every lane count.
+        /// an 8-chunk range of one shard's plane, at every lane count, timed
+        /// from the lane's claim of it to its next claim. The lane's fold
+        /// of its results, once its claims run out, is outside every unit.
         UnitScan => "unit_scan",
         /// Cache lookup pass (all shards, lock held once).
         CacheLookup => "cache_lookup",
