@@ -52,12 +52,6 @@ pub struct RelevanceRanker {
 }
 
 impl RelevanceRanker {
-    /// Build the collection statistics from a document collection, using each document's
-    /// total term count as its length `|R|`.
-    pub fn from_documents(documents: &[Document]) -> Self {
-        Self::from_documents_with_length(documents, None)
-    }
-
     /// Build the collection statistics, overriding every document's length with
     /// `uniform_length` when provided (the paper's §5 workload assumes equal-length files).
     pub fn from_documents_with_length(documents: &[Document], uniform_length: Option<u64>) -> Self {
@@ -75,11 +69,6 @@ impl RelevanceRanker {
             num_documents: documents.len(),
             lengths,
         }
-    }
-
-    /// Number of documents containing `term` (`f_t`).
-    pub fn document_frequency(&self, term: &str) -> usize {
-        self.collection_frequency.get(term).copied().unwrap_or(0)
     }
 
     /// Score one document against a query.
@@ -107,15 +96,6 @@ impl RelevanceRanker {
                 .then(a.0.cmp(&b.0))
         });
         scored
-    }
-
-    /// The ids of the top `k` documents for a query.
-    pub fn top_k(&self, query: &[&str], documents: &[Document], k: usize) -> Vec<u64> {
-        self.rank(query, documents)
-            .into_iter()
-            .take(k)
-            .map(|(id, _)| id)
-            .collect()
     }
 }
 
@@ -162,9 +142,9 @@ mod tests {
         let s_rare = ranker.score(&["rare"], &all[0]);
         let s_common = ranker.score(&["common"], &all[1]);
         assert!(s_rare > s_common);
-        assert_eq!(ranker.document_frequency("rare"), 1);
-        assert_eq!(ranker.document_frequency("common"), 3);
-        assert_eq!(ranker.document_frequency("absent"), 0);
+        assert_eq!(ranker.collection_frequency.get("rare"), Some(&1));
+        assert_eq!(ranker.collection_frequency.get("common"), Some(&3));
+        assert_eq!(ranker.collection_frequency.get("absent"), None);
     }
 
     #[test]
@@ -182,7 +162,7 @@ mod tests {
     #[test]
     fn absent_query_terms_contribute_zero() {
         let docs = vec![doc(0, &[("x", 5)])];
-        let ranker = RelevanceRanker::from_documents(&docs);
+        let ranker = RelevanceRanker::from_documents_with_length(&docs, None);
         assert_eq!(ranker.score(&["not-there"], &docs[0]), 0.0);
     }
 
@@ -197,7 +177,10 @@ mod tests {
     fn top_k_returns_k_ids_in_order() {
         let docs: Vec<Document> = (0..10).map(|i| doc(i, &[("kw", (i + 1) as u32)])).collect();
         let ranker = RelevanceRanker::from_documents_with_length(&docs, Some(20));
-        let top3 = ranker.top_k(&["kw"], &docs, 3);
+        let top3: Vec<u64> = ranker.rank(&["kw"], &docs)[..3]
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
         assert_eq!(top3, vec![9, 8, 7]);
     }
 

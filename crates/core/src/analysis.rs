@@ -25,7 +25,9 @@ pub fn expected_zeros(params: &SystemParams, num_keywords: usize) -> f64 {
     r * (1.0 - (1.0 - p).powi(num_keywords as i32))
 }
 
-/// `F(x)` computed by the paper's recurrence (kept for validation and documentation).
+/// `F(x)` computed by the paper's recurrence (§6). Nothing calls it but the tests: it is the
+/// paper's own formula, kept as the reference the closed form [`expected_zeros`] is checked
+/// against.
 pub fn expected_zeros_recurrence(params: &SystemParams, num_keywords: usize) -> f64 {
     if num_keywords == 0 {
         return 0.0;
@@ -64,16 +66,6 @@ pub fn expected_random_overlap(v: usize) -> f64 {
     v as f64 / 2.0
 }
 
-/// Exact hypergeometric expectation of the overlap when each query draws `v` keywords out of
-/// a pool of `u` (Eq. 6 generalized beyond `u = 2v`): `v²/u`.
-pub fn expected_random_overlap_general(u: usize, v: usize) -> f64 {
-    assert!(v <= u, "cannot draw more keywords than the pool holds");
-    if u == 0 {
-        return 0.0;
-    }
-    (v * v) as f64 / u as f64
-}
-
 /// A fixed-width histogram over `[min, max)`, used to regenerate the Figure 2 distance
 /// histograms.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -104,13 +96,6 @@ impl Histogram {
         let idx = idx.clamp(0.0, (self.counts.len() - 1) as f64) as usize;
         self.counts[idx] += 1;
         self.total += 1;
-    }
-
-    /// Record many observations.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
-        }
     }
 
     /// Bucket counts.
@@ -262,10 +247,7 @@ mod tests {
     #[test]
     fn random_overlap_expectations() {
         assert_eq!(expected_random_overlap(30), 15.0);
-        assert_eq!(expected_random_overlap_general(60, 30), 15.0);
-        assert_eq!(expected_random_overlap_general(10, 10), 10.0);
-        assert_eq!(expected_random_overlap_general(10, 0), 0.0);
-        assert_eq!(expected_random_overlap_general(0, 0), 0.0);
+        assert_eq!(expected_random_overlap(0), 0.0);
     }
 
     #[test]
@@ -340,7 +322,9 @@ mod tests {
     #[test]
     fn histogram_records_and_buckets() {
         let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record_all([0.5, 1.5, 1.7, 9.9, 100.0, -5.0]);
+        for v in [0.5, 1.5, 1.7, 9.9, 100.0, -5.0] {
+            h.record(v);
+        }
         assert_eq!(h.total(), 6);
         assert_eq!(h.counts()[0], 2); // 0.5 and the clamped -5.0
         assert_eq!(h.counts()[1], 2);
@@ -353,8 +337,10 @@ mod tests {
     fn histogram_overlap_coefficient_bounds() {
         let mut a = Histogram::new(0.0, 10.0, 5);
         let mut b = Histogram::new(0.0, 10.0, 5);
-        a.record_all([1.0, 1.0, 3.0, 7.0]);
-        b.record_all([1.0, 3.0, 3.0, 9.0]);
+        for (x, y) in [(1.0, 1.0), (1.0, 3.0), (3.0, 3.0), (7.0, 9.0)] {
+            a.record(x);
+            b.record(y);
+        }
         let o = a.overlap_coefficient(&b);
         assert!(o > 0.0 && o < 1.0);
         assert!((a.overlap_coefficient(&a) - 1.0).abs() < 1e-9);

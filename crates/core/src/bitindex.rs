@@ -163,24 +163,6 @@ impl BitIndex {
             .sum()
     }
 
-    /// Number of positions where both indices are zero (the overlap statistic `C` of §6).
-    pub fn common_zeros(&self, other: &BitIndex) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        let full_blocks = self.len / 64;
-        let mut count = 0usize;
-        for i in 0..self.blocks.len() {
-            let both_zero = !(self.blocks[i] | other.blocks[i]);
-            if i < full_blocks {
-                count += both_zero.count_ones() as usize;
-            } else {
-                let tail_bits = self.len - full_blocks * 64;
-                let mask = (1u64 << tail_bits) - 1;
-                count += (both_zero & mask).count_ones() as usize;
-            }
-        }
-        count
-    }
-
     /// Serialize to bytes (little-endian blocks, exactly `ceil(len/8)` bytes). Used for
     /// message size accounting: a 448-bit index serializes to 56 bytes, as Table 1 expects.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -314,11 +296,9 @@ mod tests {
             assert_eq!(round, ones);
             assert_tail_is_masked(&round);
 
-            // count_zeros/common_zeros must not count phantom tail positions.
+            // count_zeros and the distance must not count phantom tail positions.
             let zeros = BitIndex::all_zeros(len);
             assert_eq!(zeros.count_zeros(), len);
-            assert_eq!(zeros.common_zeros(&zeros), len);
-            assert_eq!(ones.common_zeros(&zeros), 0);
             assert_eq!(ones.hamming_distance(&zeros), len);
         }
     }
@@ -443,8 +423,13 @@ mod tests {
         let b = BitIndex::from_bits(&[true, true, false, false]);
         assert_eq!(a.hamming_distance(&b), 2);
         assert_eq!(a.hamming_distance(&a), 0);
-        assert_eq!(a.common_zeros(&b), 1);
-        assert_eq!(a.common_zeros(&a), 2);
+        // §6's common zeros C follow from the zeros and the distance:
+        // H(a, b) = z(a) + z(b) − 2C.
+        let common = |x: &BitIndex, y: &BitIndex| {
+            (x.count_zeros() + y.count_zeros() - x.hamming_distance(y)) / 2
+        };
+        assert_eq!(common(&a, &b), 1);
+        assert_eq!(common(&a, &a), 2);
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl RankedDocumentIndex {
     pub fn base_level(&self) -> &BitIndex {
         &self.levels[0]
     }
-
-    /// Total serialized size in bits (η · r rounded to bytes) — the per-document storage
-    /// overhead discussed at the end of §5.
-    pub fn storage_bits(&self) -> usize {
-        self.levels.iter().map(|l| l.serialized_bits()).sum()
-    }
 }
 
 impl From<IndexEntry<'_>> for RankedDocumentIndex {
@@ -210,8 +204,9 @@ impl<'a> DocumentIndexer<'a> {
         self.params
     }
 
-    /// The combined random-keyword mask (exposed for the analytic experiments of §6).
-    pub fn random_mask(&self) -> &BitIndex {
+    /// The combined random-keyword mask.
+    #[cfg(test)]
+    fn random_mask(&self) -> &BitIndex {
         &self.random_mask
     }
 }
@@ -238,7 +233,8 @@ mod tests {
             assert_eq!(level.len(), 448);
         }
         // Storage grows η-fold, as §5 notes.
-        assert_eq!(idx.storage_bits(), 3 * 448);
+        let stored: usize = idx.levels.iter().map(|l| l.serialized_bits()).sum();
+        assert_eq!(stored, 3 * 448);
     }
 
     #[test]

@@ -226,37 +226,35 @@ impl Slot {
     }
 }
 
-/// The slots of one `run_lanes` call — lane 0's, which only the caller runs,
-/// then the dealt ones — and the latch that counts them down. Dropping it
-/// settles them, so the call's frame — and the borrows its lane function
-/// captures — cannot be torn down, normally or by unwinding, while a lane is
-/// unrun in a slot or running on a worker.
+/// The dealt lanes of one `run_lanes` call in their slots, which share one
+/// latch. Dropping it settles them, so the call's frame — and the borrows
+/// its lane function captures — cannot be torn down, normally or by
+/// unwinding (lane 0, which the caller runs inside it, panicking say), while
+/// a lane is unrun in a slot or running on a worker.
 struct Dispatch<'p> {
     pool: &'p WorkerPool,
-    latch: Arc<Latch>,
     slots: Vec<Arc<Slot>>,
 }
 
 impl Dispatch<'_> {
-    /// Run lane 0, then — the take-back rule — every lane no worker has
-    /// started, then wait for the ones a worker is inside. Returns the first
-    /// panic. Idempotent — a second call finds every slot empty, the count at
+    /// The take-back rule: run every dealt lane no worker has started, then
+    /// wait for the ones a worker is inside. Returns the first panic among
+    /// them. Idempotent — a second call finds every slot empty, the count at
     /// zero and the panic taken.
     fn settle(&self) -> Option<Payload> {
         for slot in &self.slots {
             slot.run();
         }
-        self.latch.wait()
+        self.slots.first().and_then(|slot| slot.latch.wait())
     }
 }
 
 impl Drop for Dispatch<'_> {
     fn drop(&mut self) {
         self.settle();
-        // Every lane but lane 0 was dealt.
         self.pool
             .busy
-            .fetch_sub(self.slots.len() - 1, Ordering::Relaxed);
+            .fetch_sub(self.slots.len(), Ordering::Relaxed);
         self.pool.callers.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -337,11 +335,12 @@ impl WorkerPool {
         self.senders.len()
     }
 
-    /// Run `lane(i)` once for every lane index `i < lanes`: lane 0 on the
-    /// calling thread, lanes 1.. dealt to workers in take-once slots, and any
-    /// of them no worker has started taken back by the caller (see the
-    /// [module docs](self)). Once every lane has settled, the first panic a
-    /// lane raised is re-raised with its payload unchanged.
+    /// Run `lane(i)` once for every lane index `i < lanes`: lanes 1.. dealt
+    /// to workers in take-once slots, then lane 0 on the calling thread, then
+    /// any dealt lane no worker has started taken back by the caller (see the
+    /// [module docs](self)). Once every lane has settled, a panic is re-raised
+    /// with its payload unchanged — lane 0's, else the first dealt lane's.
+    /// A call of one lane deals nothing and allocates nothing.
     ///
     /// Blocking until every lane has settled is what lets `lane` borrow the
     /// caller's frame.
@@ -349,36 +348,8 @@ impl WorkerPool {
         if lanes == 0 {
             return;
         }
-        // SAFETY: the borrow is erased to 'static only so that it can sit in
-        // slots a worker thread also holds. The slot protocol keeps every use
-        // of it inside this call:
-        // * the erased reference is reachable only through the slots' `Option`s
-        //   (nothing copies it out but a slot's taker);
-        // * no worker sees a slot before `dispatch` below owns them all, and
-        //   `dispatch` settles on drop — so once a slot is shared, this frame
-        //   cannot be left, on any exit path including unwinding (e.g. the
-        //   `expect` on a send firing mid-dispatch), without
-        //   `Dispatch::settle` having returned;
-        // * each slot gives the reference up exactly once — `Slot::run` takes
-        //   it with an `Option::take` under the slot's mutex — and its taker
-        //   runs the lane to the end before counting the latch down;
-        // * the taker is either this caller (in `settle`, inside this frame)
-        //   or a worker, whose run `settle` waits out in `Latch::wait`;
-        // * a slot a worker pops after that is empty — it holds `None`,
-        //   nothing borrowed.
-        #[allow(unsafe_code)] // the crate's one `unsafe`
-        let lane: Lane = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Lane>(lane) };
-        let latch = Arc::new(Latch::new(lanes));
-        let slots: Vec<Arc<Slot>> = (0..lanes)
-            .map(|index| {
-                Arc::new(Slot {
-                    lane: Mutex::new(Some(lane)),
-                    index,
-                    latch: Arc::clone(&latch),
-                })
-            })
-            .collect();
-        let start = self.busy.fetch_add(lanes - 1, Ordering::Relaxed);
+        let dealt = lanes - 1;
+        let start = self.busy.fetch_add(dealt, Ordering::Relaxed);
         // Count this call in: as many others in progress as there are workers
         // means the callers alone fill the cores (see "Crowding").
         if self.callers.fetch_add(1, Ordering::Relaxed) >= self.workers() {
@@ -390,20 +361,56 @@ impl WorkerPool {
                     left.checked_sub(1)
                 });
         }
-        let dispatch = Dispatch {
+        let mut dispatch = Dispatch {
             pool: self,
-            latch,
-            slots,
+            slots: Vec::new(),
         };
-        // Deal lanes 1.. round the workers from `start`; with no workers
-        // nothing is sent and every lane waits in its slot for `settle`.
-        let workers = self.senders.iter().cycle();
-        let workers = workers.skip(start % self.senders.len().max(1));
-        for (slot, worker) in dispatch.slots[1..].iter().zip(workers) {
-            worker
-                .send(Arc::clone(slot))
-                .expect("lane worker exited prematurely");
+        if dealt > 0 {
+            // SAFETY: the borrow is erased to 'static only so that it can sit
+            // in the dealt lanes' slots, which a worker thread also holds. The
+            // slot protocol keeps every use of it inside this call:
+            // * the erased reference is reachable only through the slots'
+            //   `Option`s (nothing copies it out but a slot's taker);
+            // * no worker sees a slot before `dispatch` owns them all, and
+            //   `dispatch` settles on drop — so once a slot is shared, this
+            //   frame cannot be left, on any exit path including unwinding
+            //   (lane 0 panicking, or the `expect` on a send firing
+            //   mid-dispatch), without `Dispatch::settle` having returned;
+            // * each slot gives the reference up exactly once — `Slot::run`
+            //   takes it with an `Option::take` under the slot's mutex — and
+            //   its taker runs the lane to the end before counting the latch
+            //   down;
+            // * the taker is either this caller (in `settle`, inside this
+            //   frame) or a worker, whose run `settle` waits out in
+            //   `Latch::wait`;
+            // * a slot a worker pops after that is empty — it holds `None`,
+            //   nothing borrowed.
+            #[allow(unsafe_code)] // the crate's one `unsafe`
+            let erased: Lane =
+                unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Lane>(lane) };
+            let latch = Arc::new(Latch::new(dealt));
+            dispatch.slots = (1..lanes)
+                .map(|index| {
+                    Arc::new(Slot {
+                        lane: Mutex::new(Some(erased)),
+                        index,
+                        latch: Arc::clone(&latch),
+                    })
+                })
+                .collect();
+            // Deal round the workers from `start`; with no workers nothing is
+            // sent and every lane waits in its slot for `settle`.
+            let workers = self.senders.iter().cycle();
+            let workers = workers.skip(start % self.senders.len().max(1));
+            for (slot, worker) in dispatch.slots.iter().zip(workers) {
+                worker
+                    .send(Arc::clone(slot))
+                    .expect("lane worker exited prematurely");
+            }
         }
+        // Lane 0 is the caller's own; should it panic, dropping `dispatch`
+        // settles the dealt lanes before the panic leaves this frame.
+        lane(0);
         if let Some(payload) = dispatch.settle() {
             resume_unwind(payload);
         }

@@ -44,11 +44,6 @@ impl Trapdoor {
     pub fn index(&self) -> &BitIndex {
         &self.index
     }
-
-    /// Number of zero bits (relevant to the Theorem 3 forgery analysis).
-    pub fn zero_bits(&self) -> usize {
-        self.index.count_zeros()
-    }
 }
 
 /// The pool of `U` random keywords the data owner mixes into every document index (§6).
@@ -296,7 +291,8 @@ mod tests {
         let (params, keys) = setup();
         let td = keys.trapdoor_for(&params, "network");
         // Expected r/2^d = 7 zeros; allow a generous band for a single sample.
-        assert!(td.zero_bits() < 30, "zeros = {}", td.zero_bits());
+        let zeros = td.index().count_zeros();
+        assert!(zeros < 30, "zeros = {zeros}");
         assert_eq!(td.index().len(), 448);
     }
 

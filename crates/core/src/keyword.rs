@@ -7,9 +7,8 @@
 //! keyword's *trapdoor* (footnote 3 of the paper).
 //!
 //! The PRF output is read most-significant bit first: bit `i` is bit `7 − i % 8` of byte
-//! `i / 8`. [`keyword_index_with_prf`] applies Eq. (1) to those bytes directly; [`reduce_digits`]
-//! is the same reduction over one `bool` per bit, kept as the reference the tests compare
-//! against.
+//! `i / 8`. [`keyword_index_with_prf`] applies Eq. (1) to those bytes directly; the tests hold
+//! it to `reduce_digits`, the same reduction over one `bool` per bit.
 
 use crate::bitindex::BitIndex;
 use crate::params::SystemParams;
@@ -33,7 +32,7 @@ pub fn keyword_index_with_prf(params: &SystemParams, prf: &LongPrf, keyword: &st
 
 /// Eq. (1) over the PRF's bytes: bit `j` of the index is 0 iff digit `j` (bits
 /// `j·d .. (j+1)·d`, most-significant bit of each byte first) is all-zero. Equal to
-/// [`reduce_digits`] over the same bits.
+/// the tests' bit-wise `reduce_digits` over the same bits.
 ///
 /// For `d ≤ 8`, eight digits fill exactly `d` bytes, so each run of eight index bits is
 /// one big-endian load of those bytes and one SWAR all-zero test of its eight `d`-bit
@@ -127,35 +126,35 @@ impl FieldMasks {
     }
 }
 
-/// The GF(2^d) → GF(2) reduction of Eq. (1) over one `bool` per PRF output bit: bit `j` of
-/// the index is 0 iff digit `j` (bits `j·d .. (j+1)·d` of the PRF output) is all-zero.
-///
-/// The reference the tests hold the keyword path's byte-wise reduction to.
-pub fn reduce_digits(params: &SystemParams, prf_bits: &[bool]) -> BitIndex {
-    let r = params.index_bits;
-    let d = params.digit_bits;
-    assert!(
-        prf_bits.len() >= r * d,
-        "PRF output too short: {} bits for r*d = {}",
-        prf_bits.len(),
-        r * d
-    );
-    let mut idx = BitIndex::all_zeros(r);
-    for j in 0..r {
-        let digit = &prf_bits[j * d..(j + 1) * d];
-        if digit.iter().any(|&b| b) {
-            idx.set(j, true);
-        }
-    }
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The GF(2^d) → GF(2) reduction of Eq. (1) over one `bool` per PRF output bit: bit `j` of
+    /// the index is 0 iff digit `j` (bits `j·d .. (j+1)·d` of the PRF output) is all-zero.
+    ///
+    /// The reference the tests hold the keyword path's byte-wise reduction to.
+    fn reduce_digits(params: &SystemParams, prf_bits: &[bool]) -> BitIndex {
+        let r = params.index_bits;
+        let d = params.digit_bits;
+        assert!(
+            prf_bits.len() >= r * d,
+            "PRF output too short: {} bits for r*d = {}",
+            prf_bits.len(),
+            r * d
+        );
+        let mut idx = BitIndex::all_zeros(r);
+        for j in 0..r {
+            let digit = &prf_bits[j * d..(j + 1) * d];
+            if digit.iter().any(|&b| b) {
+                idx.set(j, true);
+            }
+        }
+        idx
+    }
 
     /// The PRF's bytes as one `bool` per bit, most-significant bit of each byte first.
     fn msb_first_bits(bytes: &[u8]) -> Vec<bool> {

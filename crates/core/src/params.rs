@@ -91,7 +91,7 @@ impl SystemParams {
     }
 
     /// HMAC output length `l = r·d` in bits (§4.1).
-    pub fn prf_output_bits(&self) -> usize {
+    fn prf_output_bits(&self) -> usize {
         self.index_bits * self.digit_bits
     }
 

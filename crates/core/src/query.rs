@@ -35,12 +35,6 @@ impl QueryIndex {
         self.genuine_terms
     }
 
-    /// Size on the wire in bits (Table 1: the query costs `r` bits regardless of the number
-    /// of search terms).
-    pub fn transmitted_bits(&self) -> usize {
-        self.bits.serialized_bits()
-    }
-
     /// Build a query index directly from raw bits (used when deserializing on the server).
     pub fn from_bits(bits: BitIndex) -> Self {
         QueryIndex {
@@ -105,7 +99,8 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Number of genuine trapdoors added so far.
-    pub fn num_terms(&self) -> usize {
+    #[cfg(test)]
+    fn num_terms(&self) -> usize {
         self.trapdoors.len()
     }
 
@@ -167,7 +162,7 @@ mod tests {
         let expected = tds[0].index().bitwise_product(tds[1].index());
         assert_eq!(q.bits(), &expected);
         assert_eq!(q.genuine_terms(), 2);
-        assert_eq!(q.transmitted_bits(), 448);
+        assert_eq!(q.bits().serialized_bits(), 448);
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
         let q5 = QueryBuilder::new(&params)
             .add_trapdoors(&keys.trapdoors_for(&params, &["a", "b", "c", "d", "e"]))
             .build(&mut rng);
-        assert_eq!(q1.transmitted_bits(), q5.transmitted_bits());
+        assert_eq!(q1.bits().serialized_bits(), q5.bits().serialized_bits());
     }
 
     #[test]

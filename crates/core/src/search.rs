@@ -60,7 +60,7 @@ impl SearchStats {
 /// This is *the* comparison loop of the scheme and the only AoS scan: the
 /// sequential [`CloudIndex`] executes it, and the engine's plane sweep is held
 /// bit-for-bit equal to it by the equivalence suites. Matches are returned in scan
-/// order; callers order them with [`sort_matches`] or [`top_matches`].
+/// order; callers order them with `sort_matches` or [`top_matches`].
 pub fn scan_ranked(
     documents: &[RankedDocumentIndex],
     query: &QueryIndex,
@@ -92,7 +92,7 @@ pub fn scan_ranked(
 }
 
 /// The canonical result order: descending rank, ties broken by ascending
-/// document id — the one comparator [`sort_matches`] and [`top_matches`] share.
+/// document id — the one comparator `sort_matches` and [`top_matches`] share.
 fn canonical_order(a: &SearchMatch, b: &SearchMatch) -> Ordering {
     b.rank.cmp(&a.rank).then(a.document_id.cmp(&b.document_id))
 }
@@ -105,12 +105,12 @@ fn canonical_order(a: &SearchMatch, b: &SearchMatch) -> Ordering {
 /// sequence, which is what makes parallel execution deterministic. The
 /// reference [`CloudIndex`] sorts with this; the engine and the fleet cut with
 /// [`top_matches`] instead.
-pub fn sort_matches(matches: &mut [SearchMatch]) {
+fn sort_matches(matches: &mut [SearchMatch]) {
     matches.sort_by(canonical_order);
 }
 
 /// The first `top` of `matches` in the canonical order (all of them for
-/// `None`) — what [`sort_matches`] followed by `truncate(top)` returns, without
+/// `None`) — what `sort_matches` followed by `truncate(top)` returns, without
 /// sorting what the cut drops. `key` reads the `(document_id, rank)` an item is
 /// ordered by, so a reply type that carries more than a [`SearchMatch`] is cut
 /// by the same rule.

@@ -66,7 +66,7 @@ impl Aes128 {
     }
 
     /// Encrypt a single 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
+    fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
         add_round_key(block, &self.round_keys[0]);
         for round in 1..10 {
             sub_bytes(block);
@@ -153,7 +153,8 @@ impl AesCtr {
     }
 
     /// Create from a byte slice, validating the length.
-    pub fn from_slice(key: &[u8]) -> Result<Self, crate::CryptoError> {
+    #[cfg(test)]
+    fn from_slice(key: &[u8]) -> Result<Self, crate::CryptoError> {
         if key.len() != KEY_SIZE {
             return Err(crate::CryptoError::InvalidKeyLength {
                 expected: KEY_SIZE,

@@ -217,31 +217,6 @@ impl BigUint {
         n
     }
 
-    /// Multiply by a single `u32`.
-    pub fn mul_u32(&self, m: u32) -> BigUint {
-        if m == 0 || self.is_zero() {
-            return BigUint::zero();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u64;
-        for &l in &self.limbs {
-            let cur = l as u64 * m as u64 + carry;
-            out.push(cur as u32);
-            carry = cur >> 32;
-        }
-        if carry > 0 {
-            out.push(carry as u32);
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
-    }
-
-    /// Add a single `u32`.
-    pub fn add_u32(&self, a: u32) -> BigUint {
-        self.add(&BigUint::from_u64(a as u64))
-    }
-
     /// Shift left by `bits`.
     pub fn shl(&self, bits: usize) -> BigUint {
         if self.is_zero() || bits == 0 {
@@ -315,7 +290,7 @@ impl BigUint {
     ///
     /// Binary long division: O(bits × limbs). RSA only divides in key generation and in
     /// out-of-Montgomery reductions, so clarity wins over a Knuth-D implementation.
-    pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+    fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
         if self < divisor {
             return (BigUint::zero(), self.clone());
@@ -787,7 +762,7 @@ mod tests {
             big(u32::MAX as u64).mul(&big(u32::MAX as u64)).to_u64(),
             Some((u32::MAX as u64) * (u32::MAX as u64))
         );
-        assert_eq!(big(123456789).mul_u32(1000).to_u64(), Some(123456789000));
+        assert_eq!(big(123456789).mul(&big(1000)).to_u64(), Some(123456789000));
     }
 
     #[test]

@@ -22,7 +22,7 @@ const MILLER_RABIN_ROUNDS: usize = 16;
 ///
 /// Deterministically correct for all `n < 283²` (covered by trial division); probabilistic
 /// with error < 4^-rounds beyond that.
-pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
+fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }

@@ -60,12 +60,12 @@ impl RsaPublicKey {
     }
 
     /// Size of the modulus in bytes (rounded up).
-    pub fn modulus_bytes(&self) -> usize {
+    fn modulus_bytes(&self) -> usize {
         self.modulus_bits().div_ceil(8)
     }
 
     /// Raw ("textbook") RSA encryption of a message already encoded as an integer `< N`.
-    pub fn encrypt_value(&self, m: &BigUint) -> Result<BigUint, CryptoError> {
+    fn encrypt_value(&self, m: &BigUint) -> Result<BigUint, CryptoError> {
         if m >= &self.n {
             return Err(CryptoError::MessageTooLarge);
         }

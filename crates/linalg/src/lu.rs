@@ -81,7 +81,7 @@ impl LuDecomposition {
     }
 
     /// Solve `A·x = b`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {

@@ -33,7 +33,8 @@ impl Matrix {
     /// Build a matrix from a row-major data vector.
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    #[cfg(test)]
+    fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length mismatch");
         Matrix { rows, cols, data }
     }
@@ -149,7 +150,8 @@ impl Matrix {
     }
 
     /// Transposed-matrix × column-vector product (`Mᵀ·v`) without materializing the transpose.
-    pub fn transpose_matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    #[cfg(test)]
+    fn transpose_matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if self.rows != v.len() {
             return Err(LinalgError::DimensionMismatch {
                 expected: (self.rows, 1),
@@ -172,7 +174,7 @@ impl Matrix {
     }
 
     /// Maximum absolute difference between two matrices of equal shape.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
+    fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape());
         self.data
             .iter()

@@ -11,7 +11,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Euclidean norm.
-pub fn norm(a: &[f64]) -> f64 {
+#[cfg(test)]
+fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 

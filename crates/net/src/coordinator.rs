@@ -257,7 +257,8 @@ impl Coordinator {
 
     /// Ids of nodes currently alive (registered and within their deadline as
     /// of the last sweep).
-    pub fn live_nodes(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn live_nodes(&self) -> Vec<u64> {
         self.nodes
             .iter()
             .filter(|(_, n)| n.alive())

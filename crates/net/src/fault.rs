@@ -137,7 +137,8 @@ impl FaultHandle {
     }
 
     /// Whether the link was killed (budget, torn write).
-    pub fn is_dead(&self) -> bool {
+    #[cfg(test)]
+    fn is_dead(&self) -> bool {
         self.shared.dead.load(Ordering::Relaxed)
     }
 

@@ -101,7 +101,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc::{self, Receiver};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     /// A deterministic stand-in service: answers queries with a reply derived
     /// from the query bits, echoes restore sizes, acks the rest. Uses the
@@ -171,30 +171,12 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(5);
 
-    /// Batcher flushes by reason.
-    #[derive(Debug, Default, PartialEq)]
-    struct Flushes {
-        complete: u64,
-        window: u64,
-        depth: u64,
-        barrier: u64,
-        shutdown: u64,
-    }
-
-    impl Flushes {
-        fn total(&self) -> u64 {
-            self.complete + self.window + self.depth + self.barrier + self.shutdown
-        }
-    }
-
-    fn flushes(snapshot: &MetricsSnapshot) -> Flushes {
-        Flushes {
-            complete: snapshot.counter("batcher_flush_complete"),
-            window: snapshot.counter("batcher_flush_window"),
-            depth: snapshot.counter("batcher_flush_depth"),
-            barrier: snapshot.counter("batcher_flush_barrier"),
-            shutdown: snapshot.counter("batcher_flush_shutdown"),
-        }
+    /// Batcher flushes, whatever the reason.
+    fn flushes(snapshot: &MetricsSnapshot) -> u64 {
+        ["complete", "window", "depth", "barrier", "shutdown"]
+            .iter()
+            .map(|reason| snapshot.counter(&format!("batcher_flush_{reason}")))
+            .sum()
     }
 
     /// `(samples, sum)` of the batch-occupancy series: one sample per flush,
@@ -283,49 +265,12 @@ mod tests {
         // flush of 2 if the second arrived before the dispatcher looked at
         // the first, two flushes of 1 if not).
         assert_eq!(snapshot.counter("batcher_coalesced_queries"), 2);
-        let flushes = flushes(&snapshot).total();
+        let flushes = flushes(&snapshot);
         assert!(flushes >= 1);
         // Occupancy histogram recorded one sample per flush.
         assert_eq!(occupancy(&snapshot), (flushes, 2));
         // The journal holds both queries in execution order.
         assert_eq!(report.journal.len(), 2);
-    }
-
-    #[test]
-    fn a_lone_connection_is_a_complete_group_of_one() {
-        let (service, _) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        // A window no test run could wait out: a lone connection's query is
-        // complete on arrival, so the window never decides anything. A gate
-        // of one makes the pipelined burst arrive one query at a time, each
-        // admitted only when the last one's release refills the gate.
-        let window = Duration::from_secs(10);
-        let config = HubConfig {
-            batch_window: window,
-            max_in_flight: 1,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        let mut client = NetClient::from_memory(hub.connect_memory());
-        let started = Instant::now();
-        let ids: Vec<u64> = (0..3).map(|_| client.submit(&query(1, 8))).collect();
-        client.flush().unwrap();
-        for id in ids {
-            let reply = client.wait_take(id, WAIT).unwrap();
-            assert!(matches!(reply, Response::Search(_)));
-        }
-        assert!(started.elapsed() < window / 2);
-        drop(hub.shutdown());
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            flushes(&snapshot),
-            Flushes {
-                complete: 3,
-                ..Flushes::default()
-            }
-        );
-        assert_eq!(snapshot.counter("batcher_coalesced_queries"), 3);
-        assert_eq!(occupancy(&snapshot), (3, 3));
     }
 
     #[test]
@@ -402,6 +347,36 @@ mod tests {
             Err(ClientError::Disconnected { .. })
         ));
         drop(hub.shutdown());
+    }
+
+    #[test]
+    fn a_client_owed_a_reply_is_not_idle() {
+        let (mut service, calls) = EchoService::new(TelemetryLevel::Off);
+        let (release, hold) = mpsc::channel();
+        service.hold = Some(hold);
+        let idle = Duration::from_millis(30);
+        let config = HubConfig {
+            idle_timeout: idle,
+            ..HubConfig::default()
+        };
+        let hub = Hub::spawn(service, config);
+        let mut client = NetClient::from_memory(hub.connect_memory());
+        let id = client.submit(&query(1, 16));
+        client.flush().unwrap();
+        while calls.load(Ordering::SeqCst) < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The service holds the query for several idle timeouts while the
+        // reader polls: a client waiting on its reply is not idle.
+        std::thread::sleep(4 * idle);
+        release.send(()).unwrap();
+        let reply = client.wait_take(id, WAIT).unwrap();
+        assert!(matches!(reply, Response::Search(_)), "{reply:?}");
+        // The connection is still open: the next query is answered, and no
+        // idle-timeout error frame came first.
+        let reply = client.call(&query(2, 16), WAIT).unwrap();
+        assert!(matches!(reply, Response::Search(_)), "{reply:?}");
+        assert_eq!(hub.shutdown().requests, 2);
     }
 
     #[test]
@@ -482,264 +457,5 @@ mod tests {
         }
         let report = hub.shutdown();
         assert_eq!((report.requests, report.sheds), (200, 0));
-    }
-
-    #[test]
-    fn shutdown_drains_every_accepted_request() {
-        let (service, _) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let config = HubConfig {
-            // A long window, a deep depth and an expected connection that
-            // went quiet: in-flight queries sit in the batcher when the
-            // shutdown lands, exercising the drain flush.
-            batch_window: Duration::from_secs(10),
-            batch_depth: 1024,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        let mut a = NetClient::from_memory(hub.connect_memory());
-        let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        let mut quiet =
-            NetClient::from_memory(hub.connect_memory()).with_first_request_id(2_000_001);
-        quiet.call(&query(1, 16), WAIT).unwrap();
-        const K: usize = 8;
-        let mut ids = Vec::new();
-        for i in 0..K {
-            ids.push((0, a.submit(&query(i + 1, 16))));
-            ids.push((1, b.submit(&query(i + 2, 16))));
-        }
-        a.flush().unwrap();
-        b.flush().unwrap();
-        // Wait until every frame has passed the gate, then pull the plug.
-        while hub.frames_accepted() < (2 * K + 1) as u64 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let report = hub.shutdown();
-        assert_eq!(report.requests, (2 * K + 1) as u64);
-        // No lost replies: both clients can still read all K answers off the
-        // (closed but buffered) links.
-        for (who, id) in ids {
-            let client = if who == 0 { &mut a } else { &mut b };
-            let reply = client.wait_take(id, WAIT).unwrap();
-            assert!(matches!(reply, Response::Search(_)), "request {id} lost");
-        }
-        // The 2K queries were still parked when the plug was pulled.
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            flushes(&snapshot),
-            Flushes {
-                complete: 1,
-                shutdown: 1,
-                ..Flushes::default()
-            }
-        );
-        assert_eq!(occupancy(&snapshot), (2, (2 * K + 1) as u64));
-    }
-
-    #[test]
-    fn lockstep_clients_fuse_without_ever_waiting_the_window() {
-        const ROUNDS: usize = 50;
-        let (mut service, calls) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let (release, hold) = mpsc::channel();
-        service.hold = Some(hold);
-        let window = Duration::from_secs(10);
-        let config = HubConfig {
-            batch_window: window,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        let mut a = NetClient::from_memory(hub.connect_memory());
-        let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        let started = Instant::now();
-        // Round one, forced: a third connection's query blocks inside the
-        // service while A's and B's first queries queue up behind it, so they
-        // are pulled together (the opener hangs up and is not waited for).
-        let mut opener =
-            NetClient::from_memory(hub.connect_memory()).with_first_request_id(2_000_001);
-        opener.submit(&query(1, 16));
-        opener.flush().unwrap();
-        while calls.load(Ordering::SeqCst) < 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut ids = (a.submit(&query(1, 16)), b.submit(&query(2, 16)));
-        a.flush().unwrap();
-        b.flush().unwrap();
-        while hub.frames_accepted() < 3 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        drop(opener);
-        release.send(()).unwrap();
-        // From here on each client sends its next query only when its last
-        // was answered: whichever arrives first waits for the other, never
-        // for the window.
-        for round in 1..=ROUNDS {
-            a.wait_take(ids.0, WAIT).unwrap();
-            b.wait_take(ids.1, WAIT).unwrap();
-            if round < ROUNDS {
-                ids = (
-                    a.submit(&query(round % 8 + 1, 16)),
-                    b.submit(&query(round % 8 + 2, 16)),
-                );
-                a.flush().unwrap();
-                b.flush().unwrap();
-            }
-        }
-        // One window wait anywhere would have cost more than this.
-        assert!(started.elapsed() < window / 2);
-        drop(hub.shutdown());
-        let snapshot = telemetry.snapshot();
-        // The opener's group of one, then the pair, every round.
-        assert_eq!(
-            flushes(&snapshot),
-            Flushes {
-                complete: ROUNDS as u64 + 1,
-                ..Flushes::default()
-            }
-        );
-        assert_eq!(
-            occupancy(&snapshot),
-            (ROUNDS as u64 + 1, 2 * ROUNDS as u64 + 1)
-        );
-    }
-
-    #[test]
-    fn a_backlog_is_fused_to_the_depth_never_flushed_one_at_a_time() {
-        const BACKLOG: usize = 64;
-        let (mut service, calls) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let (release, hold) = mpsc::channel();
-        service.hold = Some(hold);
-        let config = HubConfig {
-            batch_window: Duration::from_secs(10),
-            batch_depth: 16,
-            max_in_flight: BACKLOG,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        let mut pipeliner = NetClient::from_memory(hub.connect_memory());
-        let mut querier =
-            NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        // The querier's query is alone in the world (a group of one, flushed
-        // complete) and blocks inside the service ...
-        let held = querier.submit(&query(1, 16));
-        querier.flush().unwrap();
-        while calls.load(Ordering::SeqCst) < 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // ... while the pipeliner's whole backlog queues up behind it.
-        let ids: Vec<u64> = (0..BACKLOG)
-            .map(|i| pipeliner.submit(&query(i % 8 + 1, 16)))
-            .collect();
-        pipeliner.flush().unwrap();
-        while hub.frames_accepted() < (BACKLOG + 1) as u64 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        release.send(()).unwrap();
-        querier.wait_take(held, WAIT).unwrap();
-        for id in ids {
-            let reply = pipeliner.wait_take(id, WAIT).unwrap();
-            assert!(matches!(reply, Response::Search(_)));
-        }
-        drop(hub.shutdown());
-        // The queue was never empty while the backlog was being collected,
-        // so nothing but the depth ever flushed it: 64 queries, 4 groups of
-        // 16, although the querier — expected, and silent — was missing from
-        // every one of them.
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            flushes(&snapshot),
-            Flushes {
-                complete: 1,
-                depth: (BACKLOG / 16) as u64,
-                ..Flushes::default()
-            }
-        );
-        assert_eq!(
-            occupancy(&snapshot),
-            ((BACKLOG / 16 + 1) as u64, (BACKLOG + 1) as u64)
-        );
-    }
-
-    #[test]
-    fn a_lone_querier_beside_control_connections_never_waits_the_window() {
-        const QUERIES: usize = 20;
-        let (service, _) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let window = Duration::from_secs(10);
-        let config = HubConfig {
-            batch_window: window,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        // The coordinator shape: three connections that only ever send
-        // non-query requests (a node's register / heartbeat traffic).
-        let mut control: Vec<NetClient> = (1..=3)
-            .map(|k| {
-                NetClient::from_memory(hub.connect_memory()).with_first_request_id(k * 1_000_000)
-            })
-            .collect();
-        let mut client = NetClient::from_memory(hub.connect_memory());
-        let started = Instant::now();
-        for i in 0..QUERIES {
-            let beat = control[i % 3]
-                .call(&Request::MetricsSnapshot, WAIT)
-                .unwrap();
-            assert_eq!(beat, Response::Ack);
-            let reply = client.call(&query(i % 8 + 1, 16), WAIT).unwrap();
-            assert!(matches!(reply, Response::Search(_)));
-        }
-        assert!(started.elapsed() < window / 2);
-        drop(hub.shutdown());
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            flushes(&snapshot),
-            Flushes {
-                complete: QUERIES as u64,
-                ..Flushes::default()
-            }
-        );
-    }
-
-    #[test]
-    fn a_client_that_stops_querying_costs_its_peer_one_window_once() {
-        let (service, _) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let window = Duration::from_millis(40);
-        let config = HubConfig {
-            batch_window: window,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        let mut a = NetClient::from_memory(hub.connect_memory());
-        let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        let windows = || flushes(&telemetry.snapshot()).window;
-        // A queries once and goes quiet (still connected).
-        a.call(&query(1, 16), WAIT).unwrap();
-        assert_eq!(windows(), 0);
-        // B's first query waits the window out for A; the rest do not.
-        let started = Instant::now();
-        b.call(&query(2, 16), WAIT).unwrap();
-        assert!(started.elapsed() >= window);
-        assert_eq!(windows(), 1);
-        for _ in 0..5 {
-            b.call(&query(2, 16), WAIT).unwrap();
-        }
-        assert_eq!(windows(), 1);
-        // A comes back: it is expected again, and now it is B who is silent.
-        a.call(&query(1, 16), WAIT).unwrap();
-        assert_eq!(windows(), 2);
-        a.call(&query(1, 16), WAIT).unwrap();
-        drop(hub.shutdown());
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            flushes(&snapshot),
-            Flushes {
-                complete: 7,
-                window: 2,
-                ..Flushes::default()
-            }
-        );
-        assert_eq!(occupancy(&snapshot), (9, 9));
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::client::ClientError;
 use crate::hub::{Hub, HubConfig, HubReport, MemoryDialer};
-use crate::resilient::{Connector, ResilienceStats, ResilientClient, RetryPolicy};
+use crate::resilient::{Connector, ResilientClient, RetryPolicy};
 use mkse_core::SystemParams;
 use mkse_protocol::{
     CloudServer, NodeCapabilities, NodeHeartbeat, NodeRegistration, ShardAssignment, TypedCalls,
@@ -80,7 +80,8 @@ impl NodeRunner {
     }
 
     /// Control-plane resilience counters (conservation law holds here too).
-    pub fn control_stats(&self) -> ResilienceStats {
+    #[cfg(test)]
+    fn control_stats(&self) -> crate::resilient::ResilienceStats {
         self.control.stats()
     }
 

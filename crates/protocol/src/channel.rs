@@ -139,7 +139,8 @@ impl CostLedger {
     }
 
     /// All measured framed exchanges recorded so far.
-    pub fn wire_transmissions(&self) -> Vec<WireTransmission> {
+    #[cfg(test)]
+    fn wire_transmissions(&self) -> Vec<WireTransmission> {
         self.inner.lock().wire.clone()
     }
 
@@ -169,7 +170,8 @@ impl CostLedger {
     }
 
     /// Total bits sent by `party` across all phases.
-    pub fn total_bits_sent(&self, party: Party) -> u64 {
+    #[cfg(test)]
+    fn total_bits_sent(&self, party: Party) -> u64 {
         self.inner
             .lock()
             .transmissions
@@ -209,7 +211,8 @@ impl CostLedger {
     }
 
     /// Total measured framed bits in the run.
-    pub fn total_wire_bits(&self) -> u64 {
+    #[cfg(test)]
+    fn total_wire_bits(&self) -> u64 {
         8 * self.inner.lock().wire.iter().map(|t| t.bytes).sum::<u64>()
     }
 

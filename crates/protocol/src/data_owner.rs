@@ -12,7 +12,6 @@ use mkse_core::document_index::{DocumentIndexer, RankedDocumentIndex};
 use mkse_core::keys::{SchemeKeys, Trapdoor};
 use mkse_core::params::SystemParams;
 use mkse_crypto::aes::{AesCtr, KEY_SIZE, NONCE_SIZE};
-use mkse_crypto::bigint::BigUint;
 use mkse_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -117,10 +116,9 @@ impl DataOwner {
         for doc in documents {
             // Searchable index: one keyword-index PRF evaluation per (level, keyword) pair.
             let index = indexer.index_document(doc);
-            for (level_idx, &threshold) in self.config.params.level_thresholds.iter().enumerate() {
+            for &threshold in &self.config.params.level_thresholds {
                 let keywords_at_level =
-                    doc.terms.iter().filter(|(_, c)| *c >= threshold).count() as u64;
-                let _ = level_idx;
+                    doc.terms.terms_with_frequency_at_least(threshold).len() as u64;
                 self.counters.hashes += keywords_at_level;
                 self.counters.bitwise_products +=
                     keywords_at_level + self.config.params.doc_random_keywords as u64;
@@ -203,12 +201,17 @@ impl DataOwner {
 
     /// Direct (non-blinded) decryption of an RSA value — used only by tests and experiments
     /// that need ground truth; the protocol itself always goes through blinding.
-    pub fn decrypt_for_test(&self, value: &BigUint) -> Result<Vec<u8>, ProtocolError> {
+    #[cfg(test)]
+    fn decrypt_for_test(
+        &self,
+        value: &mkse_crypto::bigint::BigUint,
+    ) -> Result<Vec<u8>, ProtocolError> {
         Ok(self.rsa.decrypt_bytes(value)?)
     }
 
     /// The symmetric key of a document (ground truth for tests).
-    pub fn document_key(&self, document_id: u64) -> Option<&[u8; KEY_SIZE]> {
+    #[cfg(test)]
+    fn document_key(&self, document_id: u64) -> Option<&[u8; KEY_SIZE]> {
         self.document_keys.get(&document_id)
     }
 
@@ -256,6 +259,7 @@ impl Service for DataOwner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mkse_crypto::bigint::BigUint;
     use mkse_textproc::document::Document;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -78,7 +78,7 @@ impl User {
     }
 
     /// Bins whose keys this user still needs for the given keywords.
-    pub fn missing_bins(&self, keywords: &[&str]) -> Vec<BinId> {
+    fn missing_bins(&self, keywords: &[&str]) -> Vec<BinId> {
         bins_for_keywords(&self.params, keywords)
             .into_iter()
             .filter(|b| !self.bin_keys.contains_key(b))
@@ -259,7 +259,8 @@ impl User {
     }
 
     /// Number of bin keys cached so far.
-    pub fn cached_bins(&self) -> usize {
+    #[cfg(test)]
+    fn cached_bins(&self) -> usize {
         self.bin_keys.len()
     }
 }

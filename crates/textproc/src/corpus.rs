@@ -115,7 +115,8 @@ impl SyntheticCorpus {
 
     /// Sample `n` distinct keywords that occur in at least one document (useful for building
     /// honest queries).
-    pub fn sample_present_keywords<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<String> {
+    #[cfg(test)]
+    fn sample_present_keywords<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<String> {
         let mut present: Vec<String> = self
             .documents
             .iter()

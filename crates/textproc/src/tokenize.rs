@@ -23,7 +23,8 @@ pub fn tokenize(text: &str) -> Vec<String> {
 }
 
 /// Tokenize and keep only tokens of at least `min_len` characters.
-pub fn tokenize_min_len(text: &str, min_len: usize) -> Vec<String> {
+#[cfg(test)]
+fn tokenize_min_len(text: &str, min_len: usize) -> Vec<String> {
     tokenize(text)
         .into_iter()
         .filter(|t| t.len() >= min_len)
