@@ -36,6 +36,7 @@ use mkse_core::{CacheConfig, QueryBuilder, QueryIndex, SearchEngine, TelemetryLe
 use mkse_protocol::{Client, CloudServer, QueryMessage, Request, TypedCalls};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 fn build_query(fixture: &BenchFixture, seed: u64) -> QueryIndex {
@@ -502,21 +503,34 @@ fn bench_scan_layout(_c: &mut Criterion) {
 /// Queries in the top-10 scenario's pool: the benchmark's shape (two genuine
 /// keywords of one document plus the V random ones, spread over the corpus).
 const TOP10_POOL: usize = 512;
-/// One timed configuration of the top-10 scenario: run one pool query.
-type Top10Routine<'a> = Box<dyn Fn(&QueryIndex) + 'a>;
+/// One timed configuration of the top-10 scenario: run one pool query and
+/// return the wall-clock time of the part it times.
+type Top10Routine<'a> = Box<dyn Fn(&QueryIndex) -> Duration + 'a>;
 
 /// Back-to-back timings per query and configuration in the top-10 scenario;
 /// the best one is kept, so a number is the query's warm cost.
 const TOP10_BEST_OF: usize = 7;
 
+/// Wall-clock time of `run`.
+fn timed<O>(run: impl FnOnce() -> O) -> Duration {
+    let start = Instant::now();
+    std::hint::black_box(run());
+    start.elapsed()
+}
+
 /// The top-10 scenario: every benchmark query asks for ten matches, so this is
 /// the engine call a served query makes. Each pool query is timed alone
 /// (best of [`TOP10_BEST_OF`] back-to-back runs), as the whole-plane kept
-/// sweep on one thread (`plane_top10`) and through `search_top(q, 10)` at one
-/// and two shards (`engine_top10`), and reported as per-query p50 / p90 /
-/// mean — a pool's matches per query run from 1 to tens of thousands, so one
-/// query's time says little. Every reply is first checked against the uncut
-/// reply's first ten. Returns the JSON rows of the record.
+/// sweep on one thread (`plane_top10`), through `search_top(q, 10)` at one
+/// and two shards (`engine_top10`), and at two shards with the result cache
+/// on: a miss (`engine_cache_miss` — the cache is enabled afresh, untimed,
+/// before each run, so the query's rows stay as warm as `engine_top10`'s)
+/// and the hit that follows it (`engine_cache_hit`). It is reported as
+/// per-query p50 / p90 / mean — a pool's matches per query run from 1 to
+/// tens of thousands, so one query's time says little. Every reply is first
+/// checked against the uncut reply's first ten, the cached engine's on a miss,
+/// on a hit, and again on a hit after a re-issue at a wider top replaced the
+/// entry. Returns the JSON rows of the record.
 fn top10_scenario(
     quick: bool,
     fixture: &BenchFixture,
@@ -527,9 +541,21 @@ fn top10_scenario(
     let engines: Vec<&(usize, SearchEngine)> = engines.iter().filter(|(s, _)| *s <= 2).collect();
     let plane = engines[0].1.scan_plane(0);
     let whole = 0..plane.num_chunks();
+    let (_, two) = engines
+        .iter()
+        .find(|(s, _)| *s == 2)
+        .expect("a two-shard engine");
+    let cached = RefCell::new(two.clone().with_result_cache(CacheConfig::default()));
+    let cached_top = |q: &QueryIndex, top: usize| {
+        let replies = cached
+            .borrow()
+            .search_batch_with_effects(std::slice::from_ref(q), &[Some(top)]);
+        let (matches, _, effect) = replies.into_iter().next().expect("one reply");
+        (matches, effect.fully_cached())
+    };
     for q in &pool {
-        let mut full = engines[0].1.search(q);
-        full.truncate(TOP);
+        let all = engines[0].1.search(q);
+        let full = &all[..TOP.min(all.len())];
         for (shards, engine) in &engines {
             assert_eq!(engine.search_top(q, TOP), full, "{shards} shards");
         }
@@ -538,33 +564,54 @@ fn top10_scenario(
         else {
             panic!("one result per query");
         };
-        assert_eq!(kept, &full, "whole-plane kept sweep");
+        assert_eq!(kept, full, "whole-plane kept sweep");
+        let wider = &all[..(2 * TOP).min(all.len())];
+        assert_eq!(cached_top(q, TOP), (full.to_vec(), false), "cache-on miss");
+        assert_eq!(cached_top(q, TOP), (full.to_vec(), true), "cache-on hit");
+        assert_eq!(
+            cached_top(q, 2 * TOP),
+            (wider.to_vec(), false),
+            "wider re-issue"
+        );
+        assert_eq!(
+            cached_top(q, TOP),
+            (full.to_vec(), true),
+            "hit after the wider re-issue"
+        );
     }
     let mut configs: Vec<(String, Top10Routine<'_>)> = vec![(
         "plane_top10/1".to_string(),
         Box::new(|q: &QueryIndex| {
-            std::hint::black_box(plane.scan_ranked_batch_chunks(
-                &[q.bits()],
-                &[Some(TOP)],
-                whole.clone(),
-            ));
+            timed(|| plane.scan_ranked_batch_chunks(&[q.bits()], &[Some(TOP)], whole.clone()))
         }),
     )];
     for (shards, engine) in &engines {
         configs.push((
             format!("engine_top10/{shards}"),
-            Box::new(move |q: &QueryIndex| {
-                std::hint::black_box(engine.search_top(q, TOP));
-            }),
+            Box::new(move |q: &QueryIndex| timed(|| engine.search_top(q, TOP))),
         ));
     }
+    let cached = &cached;
+    configs.push((
+        "engine_cache_miss/2".to_string(),
+        Box::new(move |q: &QueryIndex| {
+            cached.borrow_mut().enable_cache(CacheConfig::default());
+            let cached = cached.borrow();
+            timed(|| cached.search_top(q, TOP))
+        }),
+    ));
+    configs.push((
+        "engine_cache_hit/2".to_string(),
+        Box::new(move |q: &QueryIndex| {
+            let cached = cached.borrow();
+            timed(|| cached.search_top(q, TOP))
+        }),
+    ));
     let mut best = vec![vec![f64::MAX; pool.len()]; configs.len()];
     for (i, q) in pool.iter().enumerate() {
         for ((_, run), best) in configs.iter().zip(&mut best) {
             for _ in 0..if quick { 1 } else { TOP10_BEST_OF } {
-                let start = Instant::now();
-                run(q);
-                best[i] = best[i].min(start.elapsed().as_nanos() as f64);
+                best[i] = best[i].min(run(q).as_nanos() as f64);
             }
         }
     }

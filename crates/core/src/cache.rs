@@ -8,8 +8,13 @@
 //! pure waste. This module memoizes **per-shard scan results** keyed by the
 //! query index bits themselves — the bytes the server already sees. A key is a
 //! [`BitIndex`]: the map hashes it and compares candidates bit for bit, so two
-//! different queries can never share an entry. An entry holds the whole ranked
-//! list of its shard, so one entry serves every τ a reply may keep.
+//! different queries can never share an entry. An entry keeps what the reply
+//! that scanned it could use, and records that cut: `kept = None` is the
+//! shard's whole list, `kept = Some(k)` a superset of the shard's best k under
+//! the (rank desc, id asc) order (each scan lane's best k, so at most
+//! lanes·k matches). A lookup at `top` hits a whole entry, or a kept one with
+//! `top ≤ k`; a wider or uncut `top` misses, and the rescan's admission
+//! replaces the entry in place.
 //!
 //! * [`ResultCache`] — one LRU map per shard with a configurable per-shard capacity
 //!   ([`CacheConfig`]), plus a per-shard **write generation**: every insert into a
@@ -22,12 +27,15 @@
 //!
 //! ## What the cache may never change
 //!
-//! A cached entry stores exactly what [`crate::search::scan_ranked`] returned for
-//! `(shard, query)` — scan-order matches and the per-shard [`SearchStats`]. The
-//! engine merges cached and freshly scanned shards through the same sort/merge code
-//! path, so cached and uncached execution are **byte-identical** (matches, ranks,
-//! order, merged stats); only wall-clock time and the *actual* number of
-//! comparisons performed differ. The engine rows of the oracle matrix
+//! A cached entry stores what the engine's sweep of `(shard, query)` returned —
+//! the shard's matches (all of them, or a superset of its best k) and the
+//! whole shard's [`SearchStats`]. The engine merges cached and freshly scanned
+//! shards through the same merge, which keeps the first `top` of the
+//! canonical order, and an entry only serves a `top` its cut covers: for
+//! t ≤ k the merged top t lies in the union of the per-shard best k. So cached
+//! and uncached execution are **byte-identical** (matches, ranks, order,
+//! merged stats); only wall-clock time and the *actual* number of comparisons
+//! performed differ. The engine rows of the oracle matrix
 //! (`tests/oracle_matrix.rs`, cache off, at capacity 4 and at the default)
 //! enforce this.
 //!
@@ -56,9 +64,10 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         // A few hundred distinct hot queries per shard covers the skewed
-        // (Zipf-like) workloads the bench sweeps. An entry is its shard's
-        // whole match list at 16 bytes a `SearchMatch` — kilobytes for a
-        // typical query — so this is a few megabytes per shard at most.
+        // (Zipf-like) workloads the bench sweeps. An entry for a reply cut to
+        // τ holds at most lanes·τ matches at 16 bytes a `SearchMatch` (a few
+        // hundred bytes at τ = 10); only an uncut query's entry holds the
+        // shard's whole list — kilobytes for a typical query.
         CacheConfig {
             capacity_per_shard: 256,
         }
@@ -103,6 +112,16 @@ impl CacheEffect {
     }
 }
 
+/// Whether a list scanned at cut `kept` serves a reply cut to `top`: a whole
+/// list (`None`) serves every cut, a kept one (`Some(k)`) every `top ≤ k`.
+pub(crate) fn serves(kept: Option<usize>, top: Option<usize>) -> bool {
+    match (kept, top) {
+        (None, _) => true,
+        (Some(k), Some(t)) => t <= k,
+        (Some(_), None) => false,
+    }
+}
+
 /// One memoized shard scan.
 struct CacheEntry {
     /// Shard write generation at admission; a lookup under a newer generation
@@ -110,6 +129,9 @@ struct CacheEntry {
     generation: u64,
     /// LRU clock value of the last touch.
     last_used: u64,
+    /// The cut the entry serves ([`serves`]): `None` for the shard's whole
+    /// list, `Some(k)` for a superset of its best k.
+    kept: Option<usize>,
     matches: Vec<SearchMatch>,
     stats: SearchStats,
 }
@@ -211,25 +233,34 @@ impl ResultCache {
         }
     }
 
-    /// Look up the memoized scan of the query `bits` over `shard`.
+    /// Look up the memoized scan of the query `bits` over `shard` for a reply
+    /// cut to `top`.
     ///
-    /// Returns the scan-order matches and per-shard stats exactly as
-    /// [`crate::search::scan_ranked`] produced them. A stale entry (older write
-    /// generation) is discarded, counted as an invalidation *and* a miss.
+    /// Hits a live entry whose cut serves `top` — a whole entry, or one kept
+    /// at `k` when `top` is a cut no wider than `k` — and returns its
+    /// matches, its whole-shard stats and its cut. A live entry kept narrower
+    /// than `top` is a miss that stays in place, for the admission that
+    /// follows the rescan to replace. A stale entry (older write generation)
+    /// is discarded, counted as an invalidation *and* a miss.
     pub fn lookup(
         &mut self,
         shard: usize,
         bits: &BitIndex,
-    ) -> Option<(Vec<SearchMatch>, SearchStats)> {
+        top: Option<usize>,
+    ) -> Option<(Vec<SearchMatch>, SearchStats, Option<usize>)> {
         self.clock += 1;
         let clock = self.clock;
         let shard_cache = &mut self.shards[shard];
         match shard_cache.entries.get_mut(bits) {
             Some(entry) if entry.generation == shard_cache.generation => {
+                if !serves(entry.kept, top) {
+                    self.stats.misses += 1;
+                    return None;
+                }
                 entry.last_used = clock;
                 self.stats.hits += 1;
                 self.stats.saved_comparisons += entry.stats.comparisons;
-                Some((entry.matches.clone(), entry.stats))
+                Some((entry.matches.clone(), entry.stats, entry.kept))
             }
             Some(_) => {
                 shard_cache.entries.remove(bits);
@@ -244,8 +275,10 @@ impl ResultCache {
         }
     }
 
-    /// Admit a freshly scanned result for `(shard, bits)`, evicting the least
-    /// recently used entry if the shard is at capacity.
+    /// Admit a freshly scanned result for `(shard, bits)`, kept at cut `kept`
+    /// (`None`: the whole list; `Some(k)`: a superset of the shard's best k),
+    /// evicting the least recently used entry if the shard is at capacity. An
+    /// entry already held for the bits is replaced in place, evicting nothing.
     ///
     /// `generation` must be the shard's write generation **observed before the
     /// scan** (the engine captures it at lookup time); if the shard has moved on
@@ -255,8 +288,8 @@ impl ResultCache {
         &mut self,
         shard: usize,
         bits: BitIndex,
-        matches: Vec<SearchMatch>,
-        stats: SearchStats,
+        kept: Option<usize>,
+        (matches, stats): (Vec<SearchMatch>, SearchStats),
         generation: u64,
     ) {
         if self.config.capacity_per_shard == 0 {
@@ -273,7 +306,7 @@ impl ResultCache {
         {
             // Evict the least recently used entry of this shard. Linear scan:
             // capacities are small (hundreds) and admissions happen at most once
-            // per (query, shard) miss, which just paid for a full shard scan.
+            // per (query, shard) miss, which just paid for a shard scan.
             if let Some(oldest) = shard_cache
                 .entries
                 .iter()
@@ -289,6 +322,7 @@ impl ResultCache {
             CacheEntry {
                 generation,
                 last_used: clock,
+                kept,
                 matches,
                 stats,
             },
@@ -334,15 +368,22 @@ mod tests {
     fn hit_returns_admitted_value_and_counts_saved_comparisons() {
         let mut cache = ResultCache::new(2, CacheConfig::default());
         let key = bits_from_seed(128, 1);
-        assert!(cache.lookup(0, &key).is_none());
-        cache.admit(0, key.clone(), sample_matches(3), sample_stats(10), 0);
-        let (matches, stats) = cache.lookup(0, &key).expect("hit");
+        assert!(cache.lookup(0, &key, None).is_none());
+        cache.admit(
+            0,
+            key.clone(),
+            None,
+            (sample_matches(3), sample_stats(10)),
+            0,
+        );
+        let (matches, stats, kept) = cache.lookup(0, &key, None).expect("hit");
+        assert_eq!(kept, None);
         assert_eq!(matches, sample_matches(3));
         assert_eq!(stats, sample_stats(10));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.saved_comparisons), (1, 1, 10));
         // The same query on the other shard is independent.
-        assert!(cache.lookup(1, &key).is_none());
+        assert!(cache.lookup(1, &key, None).is_none());
     }
 
     #[test]
@@ -350,12 +391,21 @@ mod tests {
         let mut cache = ResultCache::new(3, CacheConfig::default());
         let key = bits_from_seed(128, 2);
         for shard in 0..3 {
-            cache.admit(shard, key.clone(), sample_matches(1), sample_stats(4), 0);
+            cache.admit(
+                shard,
+                key.clone(),
+                None,
+                (sample_matches(1), sample_stats(4)),
+                0,
+            );
         }
         cache.note_insert(1);
-        assert!(cache.lookup(0, &key).is_some());
-        assert!(cache.lookup(1, &key).is_none(), "shard 1 must be stale");
-        assert!(cache.lookup(2, &key).is_some());
+        assert!(cache.lookup(0, &key, None).is_some());
+        assert!(
+            cache.lookup(1, &key, None).is_none(),
+            "shard 1 must be stale"
+        );
+        assert!(cache.lookup(2, &key, None).is_some());
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.generation(1), 1);
         assert_eq!(cache.generation(0), 0);
@@ -380,11 +430,11 @@ mod tests {
         cache.admit(
             0,
             key.clone(),
-            sample_matches(2),
-            sample_stats(6),
+            None,
+            (sample_matches(2), sample_stats(6)),
             old_generation,
         );
-        assert!(cache.lookup(0, &key).is_none());
+        assert!(cache.lookup(0, &key, None).is_none());
         assert!(cache.is_empty());
     }
 
@@ -397,16 +447,37 @@ mod tests {
             },
         );
         let keys: Vec<BitIndex> = (0..3).map(|i| bits_from_seed(128, 10 + i)).collect();
-        cache.admit(0, keys[0].clone(), sample_matches(1), sample_stats(1), 0);
-        cache.admit(0, keys[1].clone(), sample_matches(1), sample_stats(1), 0);
+        cache.admit(
+            0,
+            keys[0].clone(),
+            None,
+            (sample_matches(1), sample_stats(1)),
+            0,
+        );
+        cache.admit(
+            0,
+            keys[1].clone(),
+            None,
+            (sample_matches(1), sample_stats(1)),
+            0,
+        );
         // Touch keys[0] so keys[1] becomes the LRU victim.
-        assert!(cache.lookup(0, &keys[0]).is_some());
-        cache.admit(0, keys[2].clone(), sample_matches(1), sample_stats(1), 0);
+        assert!(cache.lookup(0, &keys[0], None).is_some());
+        cache.admit(
+            0,
+            keys[2].clone(),
+            None,
+            (sample_matches(1), sample_stats(1)),
+            0,
+        );
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup(0, &keys[0]).is_some());
-        assert!(cache.lookup(0, &keys[1]).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(0, &keys[2]).is_some());
+        assert!(cache.lookup(0, &keys[0], None).is_some());
+        assert!(
+            cache.lookup(0, &keys[1], None).is_none(),
+            "LRU entry evicted"
+        );
+        assert!(cache.lookup(0, &keys[2], None).is_some());
     }
 
     #[test]
@@ -418,10 +489,58 @@ mod tests {
             },
         );
         let key = bits_from_seed(128, 4);
-        cache.admit(0, key.clone(), sample_matches(1), sample_stats(1), 0);
+        cache.admit(
+            0,
+            key.clone(),
+            None,
+            (sample_matches(1), sample_stats(1)),
+            0,
+        );
         assert!(cache.is_empty());
-        assert!(cache.lookup(0, &key).is_none());
+        assert!(cache.lookup(0, &key, None).is_none());
         assert!(format!("{cache:?}").contains("ResultCache"));
+    }
+
+    /// An entry kept at k serves every top up to k and misses a wider top or
+    /// an uncut one; the miss leaves a live entry for the rescan's admission
+    /// to replace in place, evicting nothing, while a stale one is still an
+    /// invalidation.
+    #[test]
+    fn a_kept_entry_serves_every_narrower_top() {
+        let mut cache = ResultCache::new(
+            1,
+            CacheConfig {
+                capacity_per_shard: 1,
+            },
+        );
+        let key = bits_from_seed(128, 8);
+        let scan = (sample_matches(4), sample_stats(12));
+        cache.admit(0, key.clone(), Some(2), scan.clone(), 0);
+        for top in 0..=2 {
+            let (matches, stats, kept) = cache.lookup(0, &key, Some(top)).expect("covered");
+            assert_eq!((matches, stats, kept), (scan.0.clone(), scan.1, Some(2)));
+        }
+        assert!(cache.lookup(0, &key, Some(3)).is_none(), "wider than kept");
+        assert!(cache.lookup(0, &key, None).is_none(), "uncut");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.saved_comparisons), (3, 2, 36));
+        assert_eq!((s.evictions, s.invalidations), (0, 0));
+        assert_eq!(cache.len(), 1, "a narrower live entry stays for its rescan");
+
+        // The rescan's admission replaces the entry in place: capacity 1 and
+        // still no eviction.
+        cache.admit(0, key.clone(), None, scan.clone(), 0);
+        assert_eq!((cache.len(), cache.stats().evictions), (1, 0));
+        assert!(cache.lookup(0, &key, Some(usize::MAX)).is_some());
+        assert!(cache.lookup(0, &key, None).is_some());
+
+        // A stale kept entry is an invalidation at any top, not a narrow miss.
+        cache.admit(0, key.clone(), Some(2), scan, 0);
+        cache.note_insert(0);
+        assert!(cache.lookup(0, &key, Some(1)).is_none());
+        let s = cache.stats();
+        assert_eq!((s.misses, s.invalidations, s.evictions), (3, 1, 0));
+        assert!(cache.is_empty());
     }
 
     /// The key is the query bits: other bits, or the same words at another
@@ -432,10 +551,16 @@ mod tests {
         let bits = BitIndex::from_blocks(shorter.as_blocks().to_vec(), 256);
         assert_eq!(bits.as_blocks(), shorter.as_blocks());
         let mut cache = ResultCache::new(1, CacheConfig::default());
-        cache.admit(0, bits.clone(), sample_matches(5), sample_stats(9), 0);
-        assert!(cache.lookup(0, &bits_from_seed(256, 7)).is_none());
-        assert!(cache.lookup(0, &shorter).is_none());
-        assert!(cache.lookup(0, &bits).is_some());
+        cache.admit(
+            0,
+            bits.clone(),
+            None,
+            (sample_matches(5), sample_stats(9)),
+            0,
+        );
+        assert!(cache.lookup(0, &bits_from_seed(256, 7), None).is_none());
+        assert!(cache.lookup(0, &shorter, None).is_none());
+        assert!(cache.lookup(0, &bits, None).is_some());
     }
 
     proptest! {
@@ -448,8 +573,8 @@ mod tests {
             let bits = bits_from_seed(len, seed);
             let decoded = BitIndex::from_bytes(&bits.to_bytes(), len);
             let mut cache = ResultCache::new(1, CacheConfig::default());
-            cache.admit(0, bits, sample_matches(2), sample_stats(4), 0);
-            prop_assert_eq!(cache.lookup(0, &decoded), Some((sample_matches(2), sample_stats(4))));
+            cache.admit(0, bits, None, (sample_matches(2), sample_stats(4)), 0);
+            prop_assert_eq!(cache.lookup(0, &decoded, None), Some((sample_matches(2), sample_stats(4), None)));
         }
 
         /// Differing bits ⇒ differing entries.
@@ -459,8 +584,8 @@ mod tests {
             let other = bits_from_seed(256, seed + 1);
             if bits != other {
                 let mut cache = ResultCache::new(1, CacheConfig::default());
-                cache.admit(0, bits, sample_matches(1), sample_stats(1), 0);
-                prop_assert!(cache.lookup(0, &other).is_none());
+                cache.admit(0, bits, None, (sample_matches(1), sample_stats(1)), 0);
+                prop_assert!(cache.lookup(0, &other, None).is_none());
             }
         }
 
@@ -481,9 +606,9 @@ mod tests {
                 } else {
                     // Lookups (hit, miss or invalidation) never move generations.
                     let generation = cache.generation(0);
-                    cache.admit(0, key.clone(), vec![], SearchStats::default(), generation);
-                    let _ = cache.lookup(0, &key);
-                    let _ = cache.lookup(1, &key);
+                    cache.admit(0, key.clone(), None, (vec![], SearchStats::default()), generation);
+                    let _ = cache.lookup(0, &key, None);
+                    let _ = cache.lookup(1, &key, None);
                 }
                 for (s, &e) in expected.iter().enumerate() {
                     prop_assert_eq!(cache.generation(s), e);

@@ -11,7 +11,7 @@
 //!   chasing — and produce the matches, scan order and [`SearchStats`] of the
 //!   reference's [`crate::search::scan_ranked`] loop (r-bit comparison counts
 //!   are unchanged: row skipping happens *inside* one r-bit comparison), or,
-//!   for a reply cut to τ with the cache off, a superset of the shard's best τ;
+//!   for a reply cut to τ, a superset of the shard's best τ;
 //! * merged ranked results are ordered by descending rank, ties broken by
 //!   ascending document id — a total order, so the merged list is unique and
 //!   equals the sequential sort (cut to `top`, when the caller asks for a cut);
@@ -69,7 +69,8 @@
 //! **A lane keeps its results across its units.** Each lane sweeps every unit
 //! it claims into its thread's [`crate::scanplane::Sweeper`] — one result per
 //! distinct query with the cache off (gathered across every shard), one per
-//! distinct query and shard with it on — reset, not reallocated, per
+//! distinct query and shard with it on (a shard's list is what the cache
+//! looks up and admits) — reset, not reallocated, per
 //! execution, so a warm lane allocates nothing to scan. A kept query's top-τ
 //! bar therefore outlives the unit that raised it: a heavy query builds it
 //! once per lane, not once per unit. When its claims run out, the lane folds
@@ -79,8 +80,8 @@
 //! the merge's canonical order (rank descending, id ascending), so replies,
 //! [`SearchStats`] and cache traffic are byte-identical to the sequential scan
 //! no matter how many lanes there are. The cache never sees units: lookups and
-//! admissions happen per whole shard, on gathered per-shard results, and only
-//! ever on uncut ones.
+//! admissions happen per whole shard, on gathered per-shard results, each
+//! recorded with the cut it was kept at.
 //!
 //! ## One read path: a single query is a batch of one
 //!
@@ -100,16 +101,17 @@
 //!
 //! The reply's `top` (§5's τ) reaches the sweep. A query repeated inside a
 //! batch is scanned and merged once, at the widest `top` among its positions,
-//! and each position is cut to its own. With the cache off, every lane
-//! keeps only its best `top` matches of each query, across all the units it
-//! claims ([`crate::scanplane::Sweeper`]): a match that `top` matches the
-//! lane already holds beat is counted but never materialized, and no lane
-//! ships more than `top` matches per query to the merge. With the cache on,
-//! lanes keep every match, so an admitted entry is the shard's whole list,
-//! independent of k, and one cached
-//! query serves every `top`. Either way the merge selects the `top` matches
-//! the reply keeps and sorts only those ([`crate::search::top_matches`]), and
-//! the stats are always the whole scan's.
+//! and each position is cut to its own. Cache on or off, every lane keeps
+//! only its best `top` matches of each query, across all the units it claims
+//! ([`crate::scanplane::Sweeper`]): a match that `top` matches the lane
+//! already holds beat is counted but never materialized, and no lane ships
+//! more than `top` matches per query to the merge. With the cache on, what a
+//! shard's lanes kept is what the cache admits, recorded at the cut it was
+//! kept at: the entry serves any later `top` no wider than that cut, and a
+//! wider one misses, rescans and replaces it. Either way the merge selects
+//! the `top` matches the reply keeps and sorts only those
+//! ([`crate::search::top_matches`]), and the stats are always the whole
+//! scan's.
 //!
 //! Every execution records one telemetry family, whatever its size: `batches`,
 //! `batch_queries` and one [`crate::telemetry::Stage::EngineBatch`] sample, beside the cache
@@ -122,11 +124,12 @@
 //! With [`SearchEngine::enable_cache`] (or [`SearchEngine::with_result_cache`]) the
 //! engine memoizes **per-shard scan results** in a [`ResultCache`], keyed by the
 //! query bits themselves. On a repeated query the shard scan is skipped
-//! entirely for every shard that hits; missed shards are scanned (in parallel,
-//! as usual) and admitted. Cached and uncached execution are
-//! byte-identical — cached entries hold exactly what the scan returned, including
-//! the per-shard [`SearchStats`], and flow through the same merge — so enabling the
-//! cache changes wall-clock time and *actual* comparisons performed, never results.
+//! entirely for every shard whose entry serves the query's `top`; missed shards
+//! are scanned (in parallel, as usual) and admitted. Cached and uncached
+//! execution are byte-identical — cached entries hold what the scan kept, the
+//! whole shard's [`SearchStats`] and the cut they serve, and flow through the
+//! same merge — so enabling the cache changes wall-clock time and *actual*
+//! comparisons performed, never results.
 //! Inserts bump only the written shard's generation (see [`crate::cache`]);
 //! [`SearchEngine::restore_snapshot`] invalidates every shard once, so no stale
 //! entry survives a reload.
@@ -148,10 +151,9 @@ mod read;
 use pool::WorkerPool;
 
 /// One shard's ranked-scan output: its matches plus the shard's stats. The
-/// stats are always the whole shard's. The matches are every match in slot
-/// order — what [`crate::search::scan_ranked`] returns and what the cache
-/// memoizes — or, for a kept scan (cache off, a reply cut to τ), each scan
-/// unit's best τ, which the merge cuts to the same τ.
+/// stats are always the whole shard's. The matches are every match (for an
+/// uncut reply) or, for a reply cut to τ, each lane's best τ, which the merge
+/// cuts to the same τ; with the cache on, this is what the cache memoizes.
 type ShardScan = (Vec<SearchMatch>, SearchStats);
 
 /// One query's reply: merged matches, merged stats and the cache's part in it.

@@ -5,7 +5,7 @@
 use super::executor::PlanRow;
 use super::{Reply, SearchEngine, ShardScan};
 use crate::bitindex::BitIndex;
-use crate::cache::CacheEffect;
+use crate::cache::{serves, CacheEffect};
 use crate::query::QueryIndex;
 use crate::search::{top_matches, SearchMatch, SearchStats};
 use crate::telemetry::{Counter, LabelledCounter, Stage};
@@ -19,6 +19,19 @@ fn lookup_outcome(hit: bool) -> LabelledCounter {
     } else {
         LabelledCounter::ShardCacheMisses
     }
+}
+
+/// What a representative's lookup found for one shard, with the cache on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Found {
+    /// A miss: the shard is scanned and the representative admits it.
+    Miss,
+    /// A hit whose entry serves the distinct query's widest `top`: no scan.
+    Served,
+    /// A hit at the representative's own `top` whose entry a wider duplicate
+    /// outgrows: the shard is scanned, and the duplicate's own lookup misses
+    /// and admits it.
+    Narrow,
 }
 
 /// One distinct query of a batch: the positions that carry its bits share
@@ -115,10 +128,10 @@ impl SearchEngine {
     }
 
     /// Ranked search returning only the top `tau` matches (§5: "the user can
-    /// retrieve only the top τ matches"). With the cache off, `tau` reaches
-    /// every lane, which keeps only its best `tau` across the units it claims;
-    /// the merge selects the `tau` kept and sorts only those. The per-shard cache entries stay
-    /// k-independent, so one cached query serves every `tau`.
+    /// retrieve only the top τ matches"). `tau` reaches every lane, which
+    /// keeps only its best `tau` across the units it claims; the merge selects
+    /// the `tau` kept and sorts only those. With the cache on, each shard's
+    /// kept list is what the cache admits, and it serves any later `top ≤ tau`.
     pub fn search_top(&self, query: &QueryIndex, tau: usize) -> Vec<SearchMatch> {
         self.search_one(query, Some(tau)).0
     }
@@ -147,12 +160,14 @@ impl SearchEngine {
     /// every duplicate position receives a copy of its reply),
     /// and every scan unit of a shard sweeps the shard's whole remaining
     /// query set in one [`crate::scanplane::ScanPlane::sweep`]
-    /// pass — one lane hand-off and one merge per batch, not per query. With the
-    /// cache disabled, each lane keeps only the best `tops[i]` matches of
-    /// query `i` (the widest `top` among a query's duplicates).
-    /// With the cache enabled, each shard scans exactly the unique queries that
-    /// missed it (fully cached queries trigger no scan at all), and duplicates
-    /// are resolved through real cache lookups against what the representative
+    /// pass — one lane hand-off and one merge per batch, not per query. Each
+    /// lane keeps only the best `tops[i]` matches of query `i` (the widest
+    /// `top` among a query's duplicates), cache on or off.
+    /// With the cache enabled, each distinct query looks each shard up at its
+    /// representative's own `top`, and each shard scans exactly the unique
+    /// queries whose entry cannot serve their widest `top` (fully cached
+    /// queries trigger no scan at all); duplicates are resolved through real
+    /// cache lookups at their own `top` against what the representative
     /// admitted — so their [`CacheEffect`]s report the same hits, and the same
     /// saved comparisons, that issuing the b queries one at a time would have
     /// produced. Replies, per-query [`SearchStats`] and merge order are
@@ -187,52 +202,58 @@ impl SearchEngine {
         let _batch_span = self.telemetry.span(Stage::EngineBatch);
         let shards = self.store.num_shards();
         let (mut distinct, rows) = Distinct::of(queries, tops);
-        let tally = |effect: &mut CacheEffect, found: Option<&ShardScan>| match found {
-            Some((_, stats)) => {
+        let tally = |effect: &mut CacheEffect, hit: Option<&SearchStats>| match hit {
+            Some(stats) => {
                 effect.shard_hits += 1;
                 effect.saved_comparisons += stats.comparisons;
             }
             None => effect.shard_misses += 1,
         };
 
-        // One result per distinct query and shard with the cache on — a
-        // shard's whole list is what the cache admits — at `row * shards +
+        // One result per distinct query and shard with the cache on — what
+        // the cache looks up and admits is a shard's list — at `row * shards +
         // shard`, and one per distinct query with it off, gathered across
         // every shard, at `row`.
         let per = if self.cache.is_some() { shards } else { 1 };
         let mut results: Vec<ShardScan> = vec![Default::default(); distinct.len() * per];
 
-        // Phase 1 — the distinct queries' lookups, in batch order. hit[i] says
-        // result i came from the cache; every other result is scanned.
-        let mut hit: Vec<bool> = Vec::new();
+        // Phase 1 — the distinct queries' lookups, in batch order, each at
+        // its representative's own `top`. found[i] says what result i's
+        // lookup found; a served hit is the result, every other result is
+        // scanned.
+        let mut found: Vec<Found> = Vec::new();
         let mut generations: Vec<u64> = Vec::new();
         if let Some(cache) = &self.cache {
             let _lookup_span = self.telemetry.span(Stage::CacheLookup);
             let mut cache = cache.lock().unwrap();
             generations = (0..shards).map(|shard| cache.generation(shard)).collect();
-            hit = vec![false; results.len()];
+            found = vec![Found::Miss; results.len()];
             for (row, unique) in distinct.iter_mut().enumerate() {
+                let (bits, top) = (queries[unique.first].bits(), tops[unique.first]);
                 for shard in 0..shards {
-                    let found = cache.lookup(shard, queries[unique.first].bits());
+                    let hit = cache.lookup(shard, bits, top);
                     self.telemetry
-                        .add_at(lookup_outcome(found.is_some()), shard, 1);
-                    tally(&mut unique.effect, found.as_ref());
-                    if let Some(found) = found {
-                        results[row * per + shard] = found;
-                        hit[row * per + shard] = true;
+                        .add_at(lookup_outcome(hit.is_some()), shard, 1);
+                    tally(&mut unique.effect, hit.as_ref().map(|(_, stats, _)| stats));
+                    if let Some((matches, stats, kept)) = hit {
+                        let result = row * per + shard;
+                        found[result] = if serves(kept, unique.widest) {
+                            results[result] = (matches, stats);
+                            Found::Served
+                        } else {
+                            Found::Narrow
+                        };
                     }
                 }
             }
         }
 
         // Phase 2 — fused scans: each shard sweeps exactly the distinct queries
-        // that missed it, in one plane pass. With the cache off that is every
-        // distinct query on every shard, so the shards share one work list.
-        // Each distinct query is merged once, at the widest `top` any of its
-        // positions asks for (`None` — everything — outranks any cut); with
-        // the cache off that is also what each lane keeps of it. With the
-        // cache on the lanes keep everything, so an admitted entry is the
-        // shard's whole list and serves every later `top`.
+        // it does not serve from the cache, in one plane pass. With the cache
+        // off that is every distinct query on every shard, so the shards share
+        // one work list. Each distinct query is scanned and merged once, at the
+        // widest `top` any of its positions asks for (`None` — everything —
+        // outranks any cut), and that is what each lane keeps of it.
         let bits = |row: usize| queries[distinct[row].first].bits();
         let mut work: Vec<(&BitIndex, usize)> = Vec::new();
         let plan: Vec<PlanRow> = if self.cache.is_none() {
@@ -244,7 +265,7 @@ impl SearchEngine {
                     let start = work.len();
                     work.extend(
                         (0..distinct.len())
-                            .filter(|&row| !hit[row * per + shard])
+                            .filter(|&row| found[row * per + shard] != Found::Served)
                             .map(|row| (bits(row), row * per + shard)),
                     );
                     (work.len() > start).then_some((shard, start..work.len()))
@@ -253,21 +274,20 @@ impl SearchEngine {
         };
         if !plan.is_empty() {
             self.telemetry.add(Counter::ShardScans, plan.len() as u64);
-            let keep = |result: usize| match self.cache {
-                None => distinct[result].widest,
-                Some(_) => None,
-            };
+            let keep = |result: usize| distinct[result / per].widest;
             self.scan_plan(&plan, &work, keep, &mut results);
         }
 
         // Phase 3 — one pass over the batch in position order, replaying the
         // cache traffic sequential execution would generate: a representative
-        // admits its freshly scanned shards; a duplicate resolves through real
-        // lookups, hitting whatever is cached *at its position in the batch*
-        // (normally what its representative just admitted — but under LRU
-        // pressure an intervening admission may have evicted it, and then, like
-        // sequential execution, the duplicate reports a miss and re-admits; the
-        // "rescan" result is the representative's identical row). Distinct
+        // admits the shards it missed, at its own `top` (the list may be the
+        // row's wider scan, which serves it too); a duplicate resolves through
+        // real lookups at its own `top`, hitting whatever is cached *at its
+        // position in the batch* (normally what its representative just
+        // admitted — but an entry kept narrower than the duplicate's `top`
+        // misses, and under LRU pressure an intervening admission may have
+        // evicted it; then, like sequential execution, the duplicate reports a
+        // miss and re-admits the row's scan, which serves its `top`). Distinct
         // queries' *lookups* stay phased (the caveat above), so
         // only their diagnostics can deviate under intra-batch eviction
         // pressure; the admission order and every duplicate's traffic match
@@ -278,30 +298,26 @@ impl SearchEngine {
             let _admit_span = self.telemetry.span(Stage::CacheAdmit);
             let mut cache = cache.lock().unwrap();
             duplicate_effects = vec![CacheEffect::default(); queries.len()];
-            for (i, (query, &row)) in queries.iter().zip(rows.iter()).enumerate() {
+            for (i, ((query, &top), &row)) in queries.iter().zip(tops).zip(rows.iter()).enumerate()
+            {
                 let first = distinct[row].first == i;
                 for (shard, &generation) in generations.iter().enumerate() {
                     let result = row * per + shard;
-                    if first {
-                        if !hit[result] {
-                            let (matches, stats) = &results[result];
-                            cache.admit(
-                                shard,
-                                query.bits().clone(),
-                                matches.clone(),
-                                *stats,
-                                generation,
-                            );
-                        }
-                        continue;
-                    }
-                    let found = cache.lookup(shard, query.bits());
-                    self.telemetry
-                        .add_at(lookup_outcome(found.is_some()), shard, 1);
-                    tally(&mut duplicate_effects[i], found.as_ref());
-                    if found.is_none() {
-                        let (matches, stats) = results[result].clone();
-                        cache.admit(shard, query.bits().clone(), matches, stats, generation);
+                    let missed = if first {
+                        found[result] == Found::Miss
+                    } else {
+                        let hit = cache.lookup(shard, query.bits(), top);
+                        self.telemetry
+                            .add_at(lookup_outcome(hit.is_some()), shard, 1);
+                        tally(
+                            &mut duplicate_effects[i],
+                            hit.as_ref().map(|(_, stats, _)| stats),
+                        );
+                        hit.is_none()
+                    };
+                    if missed {
+                        let scan = results[result].clone();
+                        cache.admit(shard, query.bits().clone(), top, scan, generation);
                     }
                 }
             }

@@ -204,7 +204,10 @@ proptest! {
     /// extremes mixed in — `scan_ranked_batch` returns exactly what b
     /// independent `scan_ranked` calls return, and the engine's fused batch
     /// equals the reference answering each query alone, at any shard count
-    /// and lane count, cache on or off.
+    /// and lane count, cache on or off. With the cache on, one query's bits
+    /// are first issued at a cut k and then re-issued at a narrower cut, at k,
+    /// wider and uncut: each reply and its stats equal the reference's cut,
+    /// and the cached entry serves the first two and misses the last two.
     #[test]
     fn scanplane_prop_batch_equals_independent_scans(
         seed in 0u64..1_000_000,
@@ -258,6 +261,25 @@ proptest! {
         }
         engine.insert_all(docs.iter().cloned()).unwrap();
         let wrapped: Vec<QueryIndex> = queries.iter().cloned().map(QueryIndex::from_bits).collect();
+        if cached {
+            let query = &wrapped[0];
+            let (all, stats) = reference.search_ranked_with_stats(query);
+            let k = 1 + all.len() / 2;
+            let issues = [(Some(k), false), (Some(k - 1), true), (Some(k), true), (Some(k + 1), false), (None, false)];
+            for (top, hit) in issues {
+                let replies = engine.search_batch_with_effects(std::slice::from_ref(query), &[top]);
+                let (matches, got, effect) = &replies[0];
+                let cut = top.map_or(all.len(), |t| t.min(all.len()));
+                prop_assert_eq!(&matches[..], &all[..cut], "top {:?}", top);
+                prop_assert_eq!(got, &stats, "top {:?}", top);
+                let (hits, misses) = if hit { (shards, 0) } else { (0, shards) };
+                prop_assert_eq!(
+                    (effect.shard_hits, effect.shard_misses),
+                    (hits as u64, misses as u64),
+                    "top {:?}", top
+                );
+            }
+        }
         let engine_batch = engine.search_batch_with_stats(&wrapped);
         for (query, got) in wrapped.iter().zip(engine_batch) {
             prop_assert_eq!(got, reference.search_ranked_with_stats(query));

@@ -51,9 +51,6 @@ pub struct DataOwner {
     config: OwnerConfig,
     scheme_keys: SchemeKeys,
     rsa: RsaKeyPair,
-    /// Per-document symmetric keys (the owner needs them only until they are RSA-encrypted
-    /// and uploaded, but keeping them allows re-encryption and key rotation).
-    document_keys: BTreeMap<u64, [u8; KEY_SIZE]>,
     /// Verification keys of registered (authorized) users.
     users: BTreeMap<u64, RsaPublicKey>,
     counters: OperationCounters,
@@ -68,7 +65,6 @@ impl DataOwner {
             config,
             scheme_keys,
             rsa,
-            document_keys: BTreeMap::new(),
             users: BTreeMap::new(),
             counters: OperationCounters::new(),
         }
@@ -140,7 +136,6 @@ impl DataOwner {
                 .encrypt_bytes(&key)
                 .expect("a 128-bit key always fits under the modulus");
             self.counters.modular_exponentiations += 1;
-            self.document_keys.insert(doc.id, key);
             encrypted.push(EncryptedDocumentTransfer {
                 document_id: doc.id,
                 ciphertext,
@@ -207,12 +202,6 @@ impl DataOwner {
         value: &mkse_crypto::bigint::BigUint,
     ) -> Result<Vec<u8>, ProtocolError> {
         Ok(self.rsa.decrypt_bytes(value)?)
-    }
-
-    /// The symmetric key of a document (ground truth for tests).
-    #[cfg(test)]
-    fn document_key(&self, document_id: u64) -> Option<&[u8; KEY_SIZE]> {
-        self.document_keys.get(&document_id)
     }
 
     /// Operation counters accumulated so far.
@@ -283,9 +272,16 @@ mod tests {
         assert_eq!(indices[0].num_levels(), owner.params().rank_levels());
         // Ciphertext differs from plaintext and is nonce-prefixed.
         assert_ne!(&encrypted[0].ciphertext[NONCE_SIZE..], &docs[0].body[..]);
-        // The owner can recover the key from its own RSA encryption.
-        let key = owner.decrypt_for_test(&encrypted[0].encrypted_key).unwrap();
-        assert_eq!(&key[..], owner.document_key(0).unwrap());
+        // The owner can recover each key from its own RSA encryption, and the
+        // recovered key decrypts the document.
+        for (doc, transfer) in docs.iter().zip(&encrypted) {
+            let bytes = owner.decrypt_for_test(&transfer.encrypted_key).unwrap();
+            // The RSA integer drops leading zero bytes; the key is their tail.
+            let mut key = [0u8; KEY_SIZE];
+            key[KEY_SIZE - bytes.len()..].copy_from_slice(&bytes);
+            let body = AesCtr::new(&key).decrypt(&transfer.ciphertext).unwrap();
+            assert_eq!(body, doc.body);
+        }
         assert!(owner.counters().symmetric_encryptions == 2);
         assert!(owner.counters().modular_exponentiations >= 2);
         assert!(owner.counters().hashes > 0);

@@ -103,7 +103,8 @@ impl Script {
         let first = working[0];
         let last = working[working.len() - 1];
 
-        // Each working query once, the cuts rotating pass by pass.
+        // Each working query once, the cuts rotating pass by pass — so a
+        // later pass re-issues bits the cache holds at a narrower cut.
         let mut passes = 0;
         let mut pass = || {
             passes += 1;
@@ -241,11 +242,22 @@ struct Model<'a> {
 }
 
 /// A served result cache. None evicts, so its entries are the (query, shard)
-/// scans it admitted, each under its shard's write generation then.
+/// scans it admitted, each under its shard's write generation then and at
+/// the cut it was read at.
 struct CacheModel {
     stats: CacheStats,
     generations: Vec<u64>,
-    entries: HashMap<(BitIndex, usize), u64>,
+    entries: HashMap<(BitIndex, usize), (u64, Option<usize>)>,
+}
+
+/// An entry cached at cut `cached` serves a read at cut `top` iff `cached`
+/// is uncut, or `top` is a cut no wider than it.
+fn serves(cached: Option<usize>, top: Option<usize>) -> bool {
+    match (cached, top) {
+        (None, _) => true,
+        (Some(cached), Some(top)) => top <= cached,
+        (Some(_), None) => false,
+    }
 }
 
 impl Model<'_> {
@@ -271,10 +283,12 @@ impl Model<'_> {
         (query, top, kept, *stats)
     }
 
-    /// One served read of query `q`: each shard looked up in the cache — a
-    /// hit saves that shard's comparisons, a miss (a stale entry is also an
-    /// invalidation) admits its scan — and the comparisons counted.
-    fn read(&mut self, q: usize, stats: SearchStats) -> CacheReport {
+    /// One served read of query `q` at cut `top`: each shard looked up in the
+    /// cache — a live entry whose cut serves `top` is a hit and saves that
+    /// shard's comparisons; anything else is a miss (a stale entry is also an
+    /// invalidation) that admits its scan at `top` — and the comparisons
+    /// counted.
+    fn read(&mut self, q: usize, top: Option<usize>, stats: SearchStats) -> CacheReport {
         let mut effect = CacheEffect::default();
         if let Some(cache) = &mut self.cache {
             let (index, shards) = (&self.index, self.shards);
@@ -290,17 +304,19 @@ impl Model<'_> {
             for (shard, &saved) in per_shard.iter().enumerate() {
                 let generation = cache.generations[shard];
                 let key = (query.bits().clone(), shard);
-                match cache.entries.insert(key, generation) {
-                    Some(admitted) if admitted == generation => {
+                match cache.entries.get(&key) {
+                    Some(&(admitted, cut)) if admitted == generation && serves(cut, top) => {
                         cache.stats.hits += 1;
                         cache.stats.saved_comparisons += saved;
                         effect.shard_hits += 1;
                         effect.saved_comparisons += saved;
                     }
-                    stale => {
-                        cache.stats.invalidations += u64::from(stale.is_some());
+                    held => {
+                        let stale = held.is_some_and(|&(admitted, _)| admitted != generation);
+                        cache.stats.invalidations += u64::from(stale);
                         cache.stats.misses += 1;
                         effect.shard_misses += 1;
+                        cache.entries.insert(key, (generation, top));
                     }
                 }
             }
@@ -368,7 +384,7 @@ impl Model<'_> {
         if !members.is_empty() {
             let mut replies = Vec::new();
             for (&(q, _), ranked) in members.iter().zip(&step.ranked) {
-                let report = self.read(q, ranked.3);
+                let report = self.read(q, ranked.1, ranked.3);
                 replies.extend(served.then(|| self.search_reply(ranked, report)));
             }
             let query = |r: &Ranked| QueryMessage {

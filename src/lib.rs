@@ -210,15 +210,16 @@
 //!   report) and hands the lanes the whole remaining query set for fused plane
 //!   passes over the missed shards. Every execution records one telemetry
 //!   family — `batches` / `batch_queries` / `engine_batch` — whatever its
-//!   size. The reply's `top` (§5's τ) reaches the sweep: with the cache off,
-//!   each lane keeps only its best `top` matches across every unit it claims
-//!   (a match that `top` better held ones already beat is counted, never
-//!   materialized), so the lanes ship at most `top` per lane and query to the
+//!   size. The reply's `top` (§5's τ) reaches the sweep: each lane keeps
+//!   only its best `top` matches across every unit it claims (a match that
+//!   `top` better held ones already beat is counted, never materialized), so
+//!   the lanes ship at most `top` per lane and query to the
 //!   merge, which *selects* the `top` matches the reply keeps and sorts only
-//!   those (`core::search::top_matches`). With the cache on, the lanes keep every
-//!   match and the cache entries stay whole per-shard lists, so one cached
-//!   query serves every `top`; the stats are always the whole scan's, and the
-//!   sequential reference keeps its own full stable sort.
+//!   those (`core::search::top_matches`). The lanes keep the same with the
+//!   cache on, and a cache entry records the cut it was kept at, so it serves
+//!   any later `top` no wider; a wider `top` misses and rescans. The stats are
+//!   always the whole scan's, and the sequential reference keeps its own full
+//!   stable sort.
 //! * **Cache** ([`core::cache`]): an optional per-shard LRU of shard-scan results,
 //!   keyed by the query bits themselves (a [`core::BitIndex`] map key).
 //!   Per-shard **write generations** invalidate exactly the shard an insert landed

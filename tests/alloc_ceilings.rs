@@ -3,7 +3,9 @@
 //! the engine's `search_top`, `CloudServer::call(Query)`, the framed round
 //! (decode the request, call, encode the reply, decode it as the client does)
 //! and a `BatchQuery` of 16 — over a 1k- and a 64k-document store of two
-//! shards, and holds each to the ceiling below. Allocation counts are
+//! shards, and holds each to the ceiling below; a warm cache hit is held to
+//! its bytes as well, so it copies what a reply cut to `top` can use, not a
+//! shard's whole list. Allocation counts are
 //! deterministic for a given lane count, so they gate like any other test. A
 //! change may lower a ceiling — and should, once it removes allocations —
 //! while raising one must be named in the change that does it.
@@ -25,7 +27,8 @@ use mkse_core::bitindex::BitIndex;
 use mkse_core::document_index::RankedDocumentIndex;
 use mkse_core::params::SystemParams;
 use mkse_core::query::QueryIndex;
-use mkse_core::SearchEngine;
+use mkse_core::search::SearchMatch;
+use mkse_core::{CacheConfig, SearchEngine};
 use mkse_protocol::wire::{decode_request, decode_response, encode_request, encode_response};
 use mkse_protocol::UploadMessage;
 use mkse_protocol::{BatchQueryMessage, CloudServer, QueryMessage, Request, Response, Service};
@@ -79,6 +82,16 @@ const CEILINGS: [(&str, [u64; 2], u64); 4] = [
     ("framed_query", [38, 130], 1),
     ("call_batch16", [174, 686], 16),
 ];
+
+/// A warm cache hit — `search_top` on an engine whose cache holds the query
+/// on both shards — scans nothing and deals no lane: at most this many
+/// allocations, one of them a copy of each shard's cached list.
+const HIT_ALLOCATIONS: u64 = 7;
+
+/// Bytes a warm hit allocates beside the matches it copies: the execution's
+/// bookkeeping and the reply (measured at 1k documents, where a shard's list
+/// holds a match or two).
+const HIT_BOOKKEEPING_BYTES: u64 = 320;
 
 /// Index geometry: r = 64 keeps a debug build of 64k documents quick.
 fn params() -> SystemParams {
@@ -218,6 +231,26 @@ fn warm_queries_stay_under_their_allocation_ceilings() {
                     "{rung} at {docs} documents: {allocations} > {ceiling}"
                 ));
             }
+        }
+
+        // A cached entry holds each scan lane's best `TOP` of its shard, so a
+        // hit copies at most `lanes · TOP` matches per shard (2·TOP on two
+        // cores) out of the cache and again into the merged list — never the
+        // shard's whole list (~60 matches per shard at 64k documents).
+        engine.enable_cache(CacheConfig::default());
+        let (allocations, bytes) = warm_cost(|| engine.search_top(&engine_query, TOP));
+        let lanes_per_shard = cores.min(units / SHARDS as u64);
+        let matches = 2 * SHARDS as u64 * lanes_per_shard * TOP as u64;
+        let byte_ceiling = HIT_BOOKKEEPING_BYTES + matches * size_of::<SearchMatch>() as u64;
+        println!(
+            "search_top_hit at {docs:>6} documents: {allocations:>4} allocations \
+             ({bytes} B), ceiling {HIT_ALLOCATIONS} ({byte_ceiling} B)"
+        );
+        if allocations > HIT_ALLOCATIONS || bytes > byte_ceiling {
+            over.push(format!(
+                "search_top_hit at {docs} documents: {allocations} allocations ({bytes} B) > \
+                 {HIT_ALLOCATIONS} ({byte_ceiling} B)"
+            ));
         }
     }
     assert!(over.is_empty(), "allocation ceilings exceeded: {over:?}");
