@@ -10,6 +10,21 @@
 //!   keywords between two queries drawing `V` out of `U = 2V`.
 //! * [`Histogram`] — fixed-width histogram used to regenerate Figure 2.
 //! * [`false_accept_rate`] — the FAR statistic of §6.1 / Figure 3.
+//!
+//! ## Deviation: Eq. (5)
+//!
+//! This module once evaluated Eq. (5) as
+//! `Δ = (F(x) − F(x̄))(r − F(x))/r + F(x)(r − F(x))/r`. That form gives two identical queries
+//! (`x̄ = x`) a distance of `F(x)(r − F(x))/r` — 108 bits at `x = 33` — where they are 0
+//! apart, and it overstates every partial overlap (177 / 160 / 144 / 116 bits at
+//! `x̄ = 10 / 15 / 20 / 30` against a measured 161 / 131 / 98 / 24). [`expected_hamming_distance`]
+//! instead counts the shared zeros directly: the `x̄` shared keywords own `F(x̄)` zeros, and
+//! each query adds `F(x) − F(x̄)` more among the other `r − F(x̄)` positions, independently of
+//! the other query, so `Δ = 2(F(x) − F(x̄))(r − F(x))/(r − F(x̄))` — the exact expectation when
+//! a keyword index's bits are independent, and within a bit of `exp_analytic_validation`'s
+//! measurement at every `x̄` it prints. Whether the paper prints the old form cannot be checked
+//! here (only its title is on file), so the old form is recorded as a deviation, not kept as a
+//! second function.
 
 use crate::params::SystemParams;
 use serde::{Deserialize, Serialize};
@@ -48,7 +63,9 @@ pub fn expected_common_zeros(params: &SystemParams, num_keywords: usize) -> f64 
 }
 
 /// `Δ(Q₁, Q₂)` of Eq. (5): expected Hamming distance between two query indices with `x`
-/// keywords each, `x_common` of which are shared.
+/// keywords each, `x_common` of which are shared:
+/// `Δ = 2(F(x) − F(x̄))(r − F(x))/(r − F(x̄))` (the module docs derive it and record the
+/// deviation from the form this module used before).
 pub fn expected_hamming_distance(params: &SystemParams, x: usize, x_common: usize) -> f64 {
     assert!(
         x_common <= x,
@@ -57,7 +74,7 @@ pub fn expected_hamming_distance(params: &SystemParams, x: usize, x_common: usiz
     let r = params.index_bits as f64;
     let fx = expected_zeros(params, x);
     let fbar = expected_zeros(params, x_common);
-    (fx - fbar) * (r - fx) / r + fx * (r - fx) / r
+    2.0 * (fx - fbar) * (r - fx) / (r - fbar)
 }
 
 /// `EO` of Eq. (6): expected number of fake keywords shared by two queries that each draw `V`
@@ -214,15 +231,11 @@ mod tests {
 
     #[test]
     fn hamming_distance_zero_for_fully_shared_queries() {
-        // If both queries contain exactly the same keywords (x̄ = x), the first term of Eq. (5)
-        // vanishes but the second remains: deterministic indices would actually be identical,
-        // and indeed the paper's formula models *independent* draws of the non-shared part, so
-        // Δ(x, x) reduces to F(x)(r−F(x))/r.
+        // Two queries with exactly the same keywords (x̄ = x) build the same index.
         let p = params();
-        let x = 31;
-        let expected = expected_zeros(&p, x) * (p.index_bits as f64 - expected_zeros(&p, x))
-            / p.index_bits as f64;
-        assert!((expected_hamming_distance(&p, x, x) - expected).abs() < 1e-9);
+        for x in [1, 31, 33] {
+            assert_eq!(expected_hamming_distance(&p, x, x), 0.0, "x = {x}");
+        }
     }
 
     #[test]
@@ -278,35 +291,46 @@ mod tests {
 
     #[test]
     fn analytic_hamming_matches_empirical_distance() {
-        // Two queries with x keywords each sharing x̄: build them from real keyword indices
-        // and compare the mean Hamming distance with Eq. (5).
+        // Two queries with x keywords each sharing x̄, built from real keyword indices, at every
+        // x̄: the mean Hamming distance is within five standard errors of Eq. (5), the standard
+        // error taken from the trials' own spread (so the identical queries at x̄ = x, always 0
+        // apart, must read exactly 0).
         let p = params();
         let keys = SchemeKeys::generate(&p, &mut StdRng::seed_from_u64(4));
         let x = 10usize;
-        let x_bar = 4usize;
         let trials = 60;
-        let mut total = 0usize;
-        for t in 0..trials {
-            let shared: Vec<String> = (0..x_bar).map(|i| format!("shared-{t}-{i}")).collect();
-            let build = |tag: &str| {
-                let mut idx = BitIndex::all_ones(p.index_bits);
-                for s in &shared {
-                    idx.bitwise_product_assign(keys.trapdoor_for(&p, s).index());
-                }
-                for i in 0..(x - x_bar) {
-                    let kw = format!("{tag}-{t}-{i}");
-                    idx.bitwise_product_assign(keys.trapdoor_for(&p, &kw).index());
-                }
-                idx
-            };
-            total += build("left").hamming_distance(&build("right"));
+        for x_bar in 0..=x {
+            let distances: Vec<f64> = (0..trials)
+                .map(|t| {
+                    let build = |tag: &str| {
+                        let mut idx = BitIndex::all_ones(p.index_bits);
+                        for i in 0..x_bar {
+                            let kw = format!("shared-{t}-{i}");
+                            idx.bitwise_product_assign(keys.trapdoor_for(&p, &kw).index());
+                        }
+                        for i in 0..(x - x_bar) {
+                            let kw = format!("{tag}-{t}-{i}");
+                            idx.bitwise_product_assign(keys.trapdoor_for(&p, &kw).index());
+                        }
+                        idx
+                    };
+                    build("left").hamming_distance(&build("right")) as f64
+                })
+                .collect();
+            let n = trials as f64;
+            let measured = distances.iter().sum::<f64>() / n;
+            let variance = distances
+                .iter()
+                .map(|d| (d - measured).powi(2))
+                .sum::<f64>()
+                / (n - 1.0);
+            let standard_error = (variance / n).sqrt();
+            let predicted = expected_hamming_distance(&p, x, x_bar);
+            assert!(
+                (measured - predicted).abs() <= 5.0 * standard_error,
+                "x̄ = {x_bar}: measured {measured} ± {standard_error}, predicted {predicted}"
+            );
         }
-        let measured = total as f64 / trials as f64;
-        let predicted = expected_hamming_distance(&p, x, x_bar);
-        assert!(
-            (measured - predicted).abs() < 0.25 * predicted + 3.0,
-            "measured {measured}, predicted {predicted}"
-        );
     }
 
     #[test]

@@ -158,17 +158,13 @@ fn main() {
         different_hist_b.overlap_coefficient(&same_hist_b)
     );
 
-    // The paper's Eq. (5) predictions for these pairs. Our measured same-query distances sit
-    // below the Eq. (5) value because the equation's second term treats the shared keywords'
-    // contribution on 1-bits as independent between the two queries; the paper's plotted
-    // histograms follow its analytic model, ours follow the actual indices (see
-    // EXPERIMENTS.md for the discussion).
+    // Eq. (5)'s predictions for these pairs: the mean distance of each histogram above.
     let x = 5 + params.query_random_keywords;
     let shared_same = 5 + (params.query_random_keywords / 2);
     let shared_diff = params.query_random_keywords / 2;
     println!(
-        "\n  Eq. (5) predictions: same-keyword pairs Δ({x},{shared_same}) = {:.0}, \
-         different-keyword pairs Δ({x},{shared_diff}) = {:.0}",
+        "\n  Eq. (5) predictions: same-keyword pairs Δ({x},{shared_same}) = {:.1}, \
+         different-keyword pairs Δ({x},{shared_diff}) = {:.1}",
         mkse_core::expected_hamming_distance(&params, x, shared_same),
         mkse_core::expected_hamming_distance(&params, x, shared_diff),
     );

@@ -9,8 +9,9 @@
 //! node and merges the per-node replies into the canonical result order
 //! (descending rank, ties by ascending document id) — byte-identical to what
 //! one sequential server holding the whole corpus would answer. The oracle
-//! matrix's `fleet[nodes=1|3]` rows (`tests/oracle_matrix.rs`) hold every
-//! reply to that, where a fleet answers differently in the ways
+//! matrix's `fleet[…]` rows (`tests/oracle_matrix.rs`) hold every reply to
+//! that — healthy, across a node killed mid-query and across a survivor
+//! killed mid-failover — where a fleet answers differently in the ways
 //! `mkse_testkit::fleet_view` states once.
 //!
 //! ## Membership and health
@@ -1293,6 +1294,59 @@ mod tests {
             ["RestoreIndex"; GLOBAL_SHARDS],
             "failover: one restore per shard, nothing else"
         );
+    }
+
+    /// A node whose data link is dead on arrival fails during registration:
+    /// the corpus ships at registration time, straight into the dead link, so
+    /// the registration is refused and the node failed over with nothing to
+    /// re-home. A healthy node then takes every shard, twin-identical.
+    #[test]
+    fn a_node_killed_during_registration_is_refused_and_the_fleet_serves_on() {
+        let fx = fixture();
+        let node2 = spawn_node(&fx.params);
+        let mut coordinator =
+            Coordinator::new(fx.params.clone(), quick_fleet(Duration::from_secs(60)));
+        coordinator.add_node(
+            1,
+            Box::new(|_| {
+                let (reader, writer) = crate::link::memory_duplex().0.split();
+                let plan = FaultPlan {
+                    kill_after_bytes: Some(0),
+                    ..FaultPlan::healthy(1)
+                };
+                let (r, w, _h) = FaultyLink::wrap(Box::new(reader), Box::new(writer), plan);
+                Ok((Box::new(r) as _, Box::new(w) as _))
+            }),
+        );
+        coordinator.add_node(2, node2.memory_dialer().connector());
+        let mut twin = CloudServer::with_shards(fx.params.clone(), GLOBAL_SHARDS);
+        let upload = Request::Upload(UploadMessage {
+            indices: fx.indices.clone(),
+            documents: vec![],
+        });
+        assert_twin(&mut coordinator, &mut twin, upload, "pre-node upload");
+
+        let registration = Request::RegisterNode(NodeRegistration {
+            node_id: 1,
+            capabilities: NodeCapabilities::default(),
+        });
+        let refused = coordinator.call(registration);
+        assert!(
+            matches!(refused, Response::Error(ProtocolError::Unsupported(_))),
+            "registration over a dead data link must fail visibly, got {refused:?}"
+        );
+        let snapshot = coordinator.telemetry_handle().snapshot();
+        assert_eq!(snapshot.counter("failovers"), 1);
+        assert_eq!(snapshot.counter("shards_reassigned"), 0);
+
+        assert_eq!(register(&mut coordinator, 2, 0).shards, vec![0, 1, 2, 3]);
+        assert_eq!(coordinator.live_nodes(), vec![2]);
+        for (i, q) in fx.queries.iter().enumerate() {
+            let query = Request::Query(q.clone());
+            assert_twin(&mut coordinator, &mut twin, query, &format!("query {i}"));
+        }
+        assert_twin(&mut coordinator, &mut twin, Request::ServerInfo, "corpus");
+        node2.shutdown();
     }
 
     #[test]

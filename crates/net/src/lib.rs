@@ -69,8 +69,9 @@
 //!
 //! The house invariant survives the fleet: every completed reply is
 //! byte-identical to a single sequential server holding the whole corpus,
-//! even across failovers — `tests/fleet_chaos.rs` proves it with seeded kill
-//! schedules and journal replay.
+//! even across failovers — the oracle matrix's `fleet[nodes=3, kill]` and
+//! `fleet[nodes=3, cascade]` rows prove it, holding every reply of a seeded
+//! script to the sequential scan's model while byte budgets kill nodes.
 
 #![forbid(unsafe_code)]
 

@@ -4,7 +4,7 @@
 //! Eq. 3 / Algorithm 1 scan answers — is held by suites that all need the same
 //! things: a seeded corpus and its queries, a sequential `CloudServer` twin,
 //! links that die on a seeded schedule, the byte lengths kill budgets are cut
-//! from, a fleet behind a journaling hub, and the journal replay that turns a
+//! from, a fleet over in-process nodes, and the journal replay that turns a
 //! concurrent run into a sequential one. Each is declared here once and used
 //! wherever it holds, by the suites under `tests/` and the session demos under
 //! `examples/`.
@@ -19,10 +19,11 @@
 //!   over it, and a [`Fleet`] dooms its data links with it.
 //! - [`frame_len`], [`forwarded_query_len`], [`forward_len`], [`ship_len`] —
 //!   the frames a fleet puts on its node links, to the byte.
-//! - [`Fleet`] — a coordinator behind a journaling hub over `NodeRunner`s,
-//!   data links optionally doomed; [`Fleet::in_process`] keeps the coordinator
-//!   in process for suites that call it directly; [`fleet_twin`] is the
-//!   single server its journal replays on.
+//! - [`Fleet`] — a coordinator behind a hub over `NodeRunner`s, data links
+//!   optionally doomed on a byte budget; [`Fleet::in_process`] keeps the
+//!   coordinator in process for the oracle matrix's `fleet[…]` rows, which
+//!   hold it to the script's model op by op — healthy, and with node kills
+//!   mid-query and mid-failover.
 //! - [`replay_journal`], [`assert_replies_match_replay`],
 //!   [`assert_conservation`], [`counter`], [`gauge`] — the oracles' judges.
 //! - [`Script`] — the oracle matrix's seeded ops on a served index over a
@@ -243,11 +244,12 @@ pub fn chaos_connector(
 
 /// The "machine lost" plan for [`chaos_connector`]: link 0 dies after
 /// `budget` written bytes and every later link is dead on arrival, so once
-/// the budget fires the node is gone for good. `None` is a healthy link.
-fn doomed_plan(budget: Option<u64>, seed: u64) -> impl FnMut(u64) -> FaultPlan + Send {
+/// the budget fires the node is gone for good. `None` is a healthy link. No
+/// rate is set, so the plan's seed is never drawn from.
+fn doomed_plan(budget: Option<u64>) -> impl FnMut(u64) -> FaultPlan + Send {
     move |ordinal| FaultPlan {
         kill_after_bytes: budget.map(|budget| if ordinal == 0 { budget } else { 0 }),
-        ..FaultPlan::healthy(seed.wrapping_add(ordinal))
+        ..FaultPlan::healthy(0)
     }
 }
 
@@ -319,56 +321,43 @@ fn fleet_config() -> FleetConfig {
     }
 }
 
-/// A running fleet: a coordinator behind a journaling hub, one `NodeRunner`
-/// per [`NodeSpec`] (not yet registered: suites register them, in the order
-/// and at the moment their scenario needs), the coordinator's registry and
-/// the fault handles of the node links. Every fleet runs one policy:
-/// [`GLOBAL_SHARDS`] shards, deaths only from dead links.
+/// A running fleet: a coordinator behind a hub, one `NodeRunner` per
+/// [`NodeSpec`] (not yet registered: suites register them, in the order and
+/// at the moment their scenario needs) and the coordinator's registry. Every
+/// fleet runs one policy: [`GLOBAL_SHARDS`] shards, deaths only from dead
+/// links.
 pub struct Fleet {
     pub hub: HubHandle,
     pub runners: Vec<NodeRunner>,
     pub telemetry: Telemetry,
-    pub handles: Arc<Mutex<Vec<FaultHandle>>>,
 }
 
 impl Fleet {
-    /// Spawn the fleet; a doomed link's fault seed is `seed` mixed with its
-    /// node id. The coordinator hub waits at most `batch_window` for a
-    /// straggler (a long one makes concurrent clients' queries coalesce).
-    pub fn spawn(
-        params: &SystemParams,
-        nodes: &[NodeSpec],
-        seed: u64,
-        batch_window: Duration,
-    ) -> Fleet {
+    /// Spawn the fleet behind a hub of the default configuration.
+    pub fn spawn(params: &SystemParams, nodes: &[NodeSpec]) -> Fleet {
         let slot = Arc::new(Mutex::new(None));
-        let (coordinator, runners, handles) = assemble(params, nodes, seed, &slot);
+        let (coordinator, runners, _) = assemble(params, nodes, &slot);
         let telemetry = coordinator.telemetry_handle();
-        let config = HubConfig {
-            journal: true,
-            batch_window,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(coordinator, config);
+        let hub = Hub::spawn(coordinator, HubConfig::default());
         *slot.lock().unwrap() = Some(hub.memory_dialer());
         Fleet {
             hub,
             runners,
             telemetry,
-            handles,
         }
     }
 
     /// The same fleet with its coordinator kept in process, every node
     /// registered in spec order by a direct call, then `corpus` uploaded —
     /// for suites that call the coordinator itself. The runners are returned
-    /// to be shut down.
+    /// to be shut down, and the node links' fault handles in dial order.
     pub fn in_process(
         params: &SystemParams,
         nodes: &[NodeSpec],
         corpus: &UploadMessage,
-    ) -> (Coordinator, Vec<NodeRunner>) {
-        let (mut coordinator, runners, _) = assemble(params, nodes, 0, &Arc::new(Mutex::new(None)));
+    ) -> (Coordinator, Vec<NodeRunner>, Arc<Mutex<Vec<FaultHandle>>>) {
+        let (mut coordinator, runners, handles) =
+            assemble(params, nodes, &Arc::new(Mutex::new(None)));
         for &(node_id, shard_slots, _) in nodes {
             let registration = NodeRegistration {
                 node_id,
@@ -383,14 +372,8 @@ impl Fleet {
             coordinator.call(Request::Upload(corpus.clone())),
             Response::Uploaded { .. }
         ));
-        (coordinator, runners)
+        (coordinator, runners, handles)
     }
-}
-
-/// The sequential single-server twin a fleet's coordinator hub journal
-/// replays on: empty, because the journal holds the fleet's uploads too.
-pub fn fleet_twin(params: &SystemParams) -> CloudServer {
-    CloudServer::with_shards(params.clone(), GLOBAL_SHARDS)
 }
 
 /// Node runners whose control links dial whatever hub `slot` holds, and a
@@ -398,7 +381,6 @@ pub fn fleet_twin(params: &SystemParams) -> CloudServer {
 fn assemble(
     params: &SystemParams,
     nodes: &[NodeSpec],
-    seed: u64,
     slot: &Arc<Mutex<Option<MemoryDialer>>>,
 ) -> (Coordinator, Vec<NodeRunner>, Arc<Mutex<Vec<FaultHandle>>>) {
     let handles = Arc::new(Mutex::new(Vec::new()));
@@ -410,8 +392,7 @@ fn assemble(
                 capabilities: NodeCapabilities { shard_slots },
             };
             let runner = NodeRunner::spawn(params.clone(), config, late_connector(slot.clone()));
-            let plan = doomed_plan(budget, seed.wrapping_add(node_id.wrapping_mul(0x9e37)));
-            let link = chaos_connector(runner.dialer(), plan, None, handles.clone());
+            let link = chaos_connector(runner.dialer(), doomed_plan(budget), None, handles.clone());
             coordinator.add_node(node_id, link);
             runner
         })

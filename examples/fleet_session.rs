@@ -5,13 +5,14 @@
 //! to a survivor; the nodes' beats show the new assignment, and the fleet
 //! registry prints as Prometheus text.
 //!
-//! `tests/fleet_chaos.rs` proves every completed reply of such a run
-//! byte-identical to a single sequential server replaying the coordinator
-//! hub's journal, and checks the failover accounting printed here.
+//! The oracle matrix's `fleet[nodes=3, kill]` and `fleet[nodes=3, cascade]`
+//! rows (`tests/oracle_matrix.rs`) hold every reply of such a run to the
+//! sequential scan's model, op by op, and check the failover accounting
+//! printed here.
 //!
 //! Run with: `cargo run --release --example fleet_session`
 
-use mkse::net::{HubConfig, ResilientClient, RetryPolicy};
+use mkse::net::{ResilientClient, RetryPolicy};
 use mkse::protocol::{render_prometheus, TypedCalls};
 use mkse_testkit::{fixture, forward_len, forwarded_query_len, Fleet};
 
@@ -36,12 +37,7 @@ fn main() {
     let q = forwarded_query_len(&fx.queries[0]);
     let budget = forward_len(&fx.seed_upload.indices, &[0, 1]) + 5 * q + q / 2;
     let nodes = [(1, 2, Some(budget)), (2, 1, None), (3, 0, None)];
-    let fleet = Fleet::spawn(
-        &fx.params,
-        &nodes,
-        0xF1EE7,
-        HubConfig::default().batch_window,
-    );
+    let fleet = Fleet::spawn(&fx.params, &nodes);
     let mut runners = fleet.runners;
 
     println!("=== registration ===");

@@ -337,11 +337,13 @@
 //!   non-idempotent forwards: an ambiguous write fails the node over and
 //!   re-ships authoritative state, so writes are fleet-wide at-most-once.
 //!   The oracle is the house invariant distributed: N nodes == 1 node == the
-//!   sequential scan, byte for byte, proven by `tests/fleet_chaos.rs` (nodes
-//!   killed mid-query, mid-failover and during registration on exact seeded
-//!   byte budgets, twin-replay equality, corpus re-pinned after every
-//!   failover, same-seed reproducibility; release mode in CI) and priced by
-//!   `fig4b_fleet` in `BENCH_fleet.json`.
+//!   sequential scan, byte for byte, proven by the oracle matrix's
+//!   `fleet[…]` rows (`tests/oracle_matrix.rs`: the seeded script held to
+//!   its model op by op, healthy and with nodes killed mid-query and
+//!   mid-failover on exact byte budgets, the failover accounting exact and a
+//!   rerun's registry and fault logs equal) and the coordinator's
+//!   registration-kill unit test, and priced by `fig4b_fleet` in
+//!   `BENCH_fleet.json`.
 //!
 //! **Picking a shard count**: shards parallelize a memory-bandwidth-light linear scan,
 //! so physical cores is the right default; past ~8 shards the per-query spawn+merge

@@ -478,7 +478,7 @@ fn over_the_wire(request: &Request) -> Request {
 fn whatever_decodes_is_served() {
     let corpus = scheme();
     let mut server = corpus.server(2, false);
-    let (mut coordinator, nodes) =
+    let (mut coordinator, nodes, _) =
         Fleet::in_process(&corpus.params, TWO_NODES, &corpus.seed_upload);
     let telemetry = coordinator.telemetry_handle();
 
@@ -517,7 +517,7 @@ fn a_wrong_length_query_is_answered_an_index_size_mismatch() {
     let corpus = scheme();
     let r = corpus.params.index_bits;
     let mut server = corpus.server(2, false);
-    let (mut coordinator, nodes) =
+    let (mut coordinator, nodes, _) =
         Fleet::in_process(&corpus.params, TWO_NODES, &corpus.seed_upload);
     let good = &corpus.queries[0];
     for len in [1, 5, r - 1, r + 1, 5_000] {
@@ -556,7 +556,7 @@ fn a_group_with_bad_members_equals_one_call_per_member() {
 
     let mut twin = corpus.server(GLOBAL_SHARDS, false);
     let mut server = corpus.server(2, false);
-    let (mut coordinator, nodes) =
+    let (mut coordinator, nodes, _) =
         Fleet::in_process(&corpus.params, TWO_NODES, &corpus.seed_upload);
     for members in [&group[..], &all_bad[..], &group[1..2]] {
         let one_by_one: Vec<Response> = members
@@ -632,7 +632,7 @@ fn a_five_bit_query_over_a_hub_costs_only_its_sender() {
 fn a_five_bit_query_fails_no_node_of_a_three_node_fleet() {
     let corpus = scheme();
     let nodes = [(1, 2, None), (2, 1, None), (3, 1, None)];
-    let fleet = Fleet::spawn(&corpus.params, &nodes, 0, HubConfig::default().batch_window);
+    let fleet = Fleet::spawn(&corpus.params, &nodes);
     let mut runners = fleet.runners;
     for runner in runners.iter_mut() {
         runner.register().expect("registration");

@@ -10,8 +10,11 @@
 //! - `call-twin`, `call`, `client`, `client-pipelined` and `resilient`: one
 //!   server, every reply — `Counters`, `CacheStats`, `ServerInfo` and each
 //!   search reply's `CacheReport` included — the model's, frame for frame.
-//! - `fleet[nodes=1|3]`: a coordinator over in-process nodes, every reply the
-//!   model's seen through [`fleet_view`].
+//! - `fleet[nodes=1|3]`, `fleet[nodes=3, kill]` and `fleet[nodes=3,
+//!   cascade]`: a coordinator over in-process nodes, every reply the model's
+//!   seen through [`fleet_view`] — across a node killed mid-query, and a
+//!   survivor killed mid-failover — with the failover accounting, and a
+//!   killing row's rerun equal in registry and fault logs.
 //! - `hub-tcp` and `hub-memory`: journal replay and the hub's accounting.
 //! - `chaos[kill|corrupt|shed|replay]`: `ResilientClient`s on faulty links
 //!   against a journaling hub, one test per row: every completed reply the
@@ -29,7 +32,8 @@ use mkse::protocol::{Request, Response, Service, TypedCalls, WireStats};
 use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
 use mkse_testkit::{assert_conservation, assert_replies_match_replay, chaos_connector, frame_len};
 use mkse_testkit::{assert_replies, at, fleet_view, scheme, Fixture, Op, Script, Step};
-use mkse_testkit::{replay_journal, Fleet, NodeSpec, GLOBAL_SHARDS};
+use mkse_testkit::{forward_len, forwarded_query_len, replay_journal, ship_len};
+use mkse_testkit::{Fleet, NodeSpec, GLOBAL_SHARDS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex};
@@ -332,32 +336,113 @@ fn served_rows() {
     }
 }
 
-/// `fleet[nodes=1]` (one node holding every global shard) and
-/// `fleet[nodes=3]` (shard slots 2, 1 and 0): a coordinator kept in process
-/// over the seed upload, every op through `call` or `call_query_group`.
+/// `fleet[nodes=1]` (one node holding every global shard), `fleet[nodes=3]`
+/// (shard slots 2, 1 and 0) and two rows whose node links die on byte
+/// budgets: `fleet[nodes=3, kill]` loses node 1 on its seventh query forward
+/// and re-homes its two shards, and `fleet[nodes=3, cascade]` loses node 1
+/// on its third, then node 3 — which joined empty, so it is the first pick —
+/// half-way through the ship of shard 0, leaving node 2 every shard. Each row
+/// ends with its live nodes, failovers and re-homed shards; the fleet series
+/// reach both renders of the coordinator's registry; and a killing row loses
+/// its node before a group, an upload and a `ServerInfo`, and reruns to the
+/// same registry and fault logs.
 fn fleet_rows(seed: u64, script: &Script) {
-    let one: &[NodeSpec] = &[(1, 0, None)];
-    let three: &[NodeSpec] = &[(1, 2, None), (2, 1, None), (3, 0, None)];
-    for nodes in [one, three] {
-        let row = format!("fleet[nodes={}]", nodes.len());
-        // The fleet served its registrations and the seed upload.
-        let built = nodes.len() as u64 + 1;
-        let steps = script.resolve(scheme(), GLOBAL_SHARDS, built);
-        let steps: Vec<Step> = steps.into_iter().map(fleet_view).collect();
-        let corpus = &scheme().seed_upload;
-        let (mut coordinator, runners) = Fleet::in_process(&scheme().params, nodes, corpus);
-        let got: Vec<_> = (steps.iter())
-            .map(|step| serve(&mut coordinator, step))
-            .collect();
-        assert_replies(seed, &row, &steps, &got);
-        // The script failed no node over.
-        let registry = coordinator.telemetry_handle().snapshot();
-        let fleet = [registry.gauge("nodes_live"), registry.counter("failovers")];
-        assert_eq!(fleet, [nodes.len() as u64, 0], "seed {seed}, {row}");
-        for runner in runners {
-            runner.shutdown();
+    let fx = scheme();
+    let q = forwarded_query_len(&fx.queries[0]);
+    let forward = forward_len(&fx.seed_upload.indices, &[0, 1]);
+    // Node 1's link carries the upload forward and six query forwards, or
+    // two; node 3's first bytes are the ship of shard 0.
+    let (seventh, third) = (Some(forward + 6 * q + q / 2), Some(forward + 2 * q + q / 2));
+    let mid_ship = Some(ship_len(&fx.params, &fx.seed_upload.indices, 0) / 2);
+    // Each row's live nodes, failovers and re-homed shards at the end.
+    let rows: [(&str, &[NodeSpec], [u64; 3]); 4] = [
+        ("fleet[nodes=1]", &[(1, 0, None)], [1, 0, 0]),
+        (
+            "fleet[nodes=3]",
+            &[(1, 2, None), (2, 1, None), (3, 0, None)],
+            [3, 0, 0],
+        ),
+        (
+            "fleet[nodes=3, kill]",
+            &[(1, 2, seventh), (2, 1, None), (3, 0, None)],
+            [2, 1, 2],
+        ),
+        (
+            "fleet[nodes=3, cascade]",
+            &[(1, 2, third), (2, 0, None), (3, 0, mid_ship)],
+            [1, 2, 2],
+        ),
+    ];
+    let series = [
+        "nodes_registered",
+        "nodes_live",
+        "failovers",
+        "heartbeats_missed",
+        "shards_reassigned",
+    ];
+    for (row, nodes, accounting) in rows {
+        let at = format!("seed {seed}, {row}");
+        let (killed_at, registry, logs) = fleet_row(seed, script, row, nodes);
+        let live = registry.gauge("nodes_live");
+        let failovers = ["failovers", "shards_reassigned"].map(|name| registry.counter(name));
+        let counted = [live, failovers[0], failovers[1]];
+        assert_eq!(counted, accounting, "{at}: live nodes, failovers, re-homed");
+        let (prometheus, json) = (render_prometheus(&registry), render_json(&registry));
+        for series in series {
+            assert!(
+                prometheus.contains(series),
+                "{at}: Prometheus lacks {series}"
+            );
+            assert!(json.contains(series), "{at}: JSON lacks {series}");
+        }
+        let Some(killed_at) = killed_at else { continue };
+        let after = &script.ops[killed_at + 1..];
+        let group = after.iter().any(|op| matches!(op, Op::Group(_)));
+        let upload = after.iter().any(|op| matches!(op, Op::Upload(_)));
+        let info = after.iter().any(|op| matches!(op, Op::ServerInfo));
+        assert!(
+            group && upload && info,
+            "{at}: killed late, at op {killed_at}"
+        );
+        let rerun = fleet_row(seed, script, row, nodes);
+        let kept = |s: &MetricsSnapshot| (s.counters.clone(), s.gauges.clone());
+        let first = (Some(killed_at), kept(&registry), logs);
+        let again = (rerun.0, kept(&rerun.1), rerun.2);
+        assert_eq!(again, first, "{at}: a rerun's kill, registry or fault logs");
+    }
+}
+
+/// One fleet row: a coordinator kept in process over the seed upload, every
+/// op through `call` or `call_query_group`, every reply the model's seen
+/// through [`fleet_view`]. It returns the op its first failover happened in,
+/// the coordinator's registry and the node links' fault logs.
+fn fleet_row(
+    seed: u64,
+    script: &Script,
+    row: &str,
+    nodes: &[NodeSpec],
+) -> (Option<usize>, MetricsSnapshot, Vec<Vec<FaultEvent>>) {
+    // The fleet served its registrations and the seed upload.
+    let built = nodes.len() as u64 + 1;
+    let steps = script.resolve(scheme(), GLOBAL_SHARDS, built);
+    let steps: Vec<Step> = steps.into_iter().map(fleet_view).collect();
+    let corpus = &scheme().seed_upload;
+    let (mut coordinator, runners, handles) = Fleet::in_process(&scheme().params, nodes, corpus);
+    let registry = coordinator.telemetry_handle();
+    let mut killed_at = None;
+    let mut got = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        got.push(serve(&mut coordinator, step));
+        if killed_at.is_none() && registry.snapshot().counter("failovers") > 0 {
+            killed_at = Some(i);
         }
     }
+    assert_replies(seed, row, &steps, &got);
+    for runner in runners {
+        runner.shutdown();
+    }
+    let logs = handles.lock().unwrap().iter().map(|h| h.log()).collect();
+    (killed_at, registry.snapshot(), logs)
 }
 
 /// `client-pipelined` and `resilient`, at two shards; `twin` ran the script
