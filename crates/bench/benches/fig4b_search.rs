@@ -130,10 +130,11 @@ fn bench_search(c: &mut Criterion) {
     engine.insert_all(indices).expect("upload");
     let batch: Vec<QueryIndex> = (0..16).map(|i| build_query(&fixture, 100 + i)).collect();
     group.throughput(Throughput::Elements(16 * SWEEP_DOCS as u64));
+    let tops = vec![None; batch.len()];
     group.bench_with_input(
         BenchmarkId::new("batch16_shards", 4),
         &(engine, batch),
-        |b, (engine, batch)| b.iter(|| engine.search_batch(batch)),
+        |b, (engine, batch)| b.iter(|| engine.search_batch_with_effects(batch, &tops)),
     );
     group.finish();
 
@@ -654,7 +655,7 @@ fn top10_scenario(
         .collect()
 }
 
-/// Batch-depth sweep: one `SearchEngine::search_batch_with_stats` call
+/// Batch-depth sweep: one uncut `SearchEngine::search_batch_with_effects` call
 /// (`fused`: one `ScanPlane::scan_ranked_batch_chunks` pass per scan unit, chunk-major
 /// with the queries inside) against per-query execution of the same workload,
 /// at batch depths 1/4/16/64 on the 64k-document r = 448 store. The plane runs
@@ -713,7 +714,12 @@ fn bench_batch_sweep(_c: &mut Criterion) {
         .iter()
         .map(|q| engine.search_ranked_with_stats(q))
         .collect();
-    assert_eq!(engine.search_batch_with_stats(&queries), expected);
+    let uncut = vec![None; queries.len()];
+    let fused = engine.search_batch_with_effects(&queries, &uncut);
+    let fused: Vec<_> = (fused.into_iter())
+        .map(|(m, stats, _)| (m, stats))
+        .collect();
+    assert_eq!(fused, expected);
     // Cut to `top = 10` with the cache off, every scan unit keeps only its best
     // ten: the batch must still answer what per-query `search_top` does, which
     // is the uncut reply's first ten, beside the uncut stats.
@@ -739,7 +745,7 @@ fn bench_batch_sweep(_c: &mut Criterion) {
                     .map(|q| engine.search_ranked_with_stats(q))
                     .collect::<Vec<_>>()
             },
-            || engine.search_batch_with_stats(batch),
+            || engine.search_batch_with_effects(batch, &uncut[..depth]),
         );
         let per_query_ns = per_query_total / depth as f64;
         let fused_ns = fused_total / depth as f64;

@@ -39,6 +39,16 @@
 //! (`tests/oracle_matrix.rs`, cache off, at capacity 4 and at the default)
 //! enforce this.
 //!
+//! ## Whether it stays
+//!
+//! A client that builds its queries as §6 says ANDs fresh fake trapdoors into
+//! every one, so its repeated searches carry different bits and never hit:
+//! only a verbatim re-send (a retried request, a replayed query) or a
+//! parameter set without fake keywords can. Whether the cache earns its code
+//! is open until a benchmark workload sends that traffic — randomized
+//! repeats, and retries over a lossy link — with the cache on and off; until
+//! then it stays opt-in.
+//!
 //! ## Search-pattern note (why this leaks nothing new)
 //!
 //! The key is the query index bytes the server receives anyway. Recognizing
@@ -238,7 +248,8 @@ impl ResultCache {
     ///
     /// Hits a live entry whose cut serves `top` — a whole entry, or one kept
     /// at `k` when `top` is a cut no wider than `k` — and returns its
-    /// matches, its whole-shard stats and its cut. A live entry kept narrower
+    /// matches (borrowed: a caller that only counts the hit copies nothing),
+    /// its whole-shard stats and its cut. A live entry kept narrower
     /// than `top` is a miss that stays in place, for the admission that
     /// follows the rescan to replace. A stale entry (older write generation)
     /// is discarded, counted as an invalidation *and* a miss.
@@ -247,32 +258,35 @@ impl ResultCache {
         shard: usize,
         bits: &BitIndex,
         top: Option<usize>,
-    ) -> Option<(Vec<SearchMatch>, SearchStats, Option<usize>)> {
+    ) -> Option<(&[SearchMatch], SearchStats, Option<usize>)> {
         self.clock += 1;
         let clock = self.clock;
         let shard_cache = &mut self.shards[shard];
-        match shard_cache.entries.get_mut(bits) {
-            Some(entry) if entry.generation == shard_cache.generation => {
-                if !serves(entry.kept, top) {
-                    self.stats.misses += 1;
-                    return None;
-                }
-                entry.last_used = clock;
-                self.stats.hits += 1;
-                self.stats.saved_comparisons += entry.stats.comparisons;
-                Some((entry.matches.clone(), entry.stats, entry.kept))
+        // A stale entry is removed before the live one is borrowed for the
+        // caller, so the two take separate probes.
+        let live = shard_cache.generation;
+        match shard_cache.entries.get(bits).map(|entry| entry.generation) {
+            None => {
+                self.stats.misses += 1;
+                return None;
             }
-            Some(_) => {
+            Some(generation) if generation != live => {
                 shard_cache.entries.remove(bits);
                 self.stats.invalidations += 1;
                 self.stats.misses += 1;
-                None
+                return None;
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            Some(_) => {}
         }
+        let entry = shard_cache.entries.get_mut(bits).expect("a live entry");
+        if !serves(entry.kept, top) {
+            self.stats.misses += 1;
+            return None;
+        }
+        entry.last_used = clock;
+        self.stats.hits += 1;
+        self.stats.saved_comparisons += entry.stats.comparisons;
+        Some((&entry.matches, entry.stats, entry.kept))
     }
 
     /// Admit a freshly scanned result for `(shard, bits)`, kept at cut `kept`
@@ -518,7 +532,7 @@ mod tests {
         cache.admit(0, key.clone(), Some(2), scan.clone(), 0);
         for top in 0..=2 {
             let (matches, stats, kept) = cache.lookup(0, &key, Some(top)).expect("covered");
-            assert_eq!((matches, stats, kept), (scan.0.clone(), scan.1, Some(2)));
+            assert_eq!((matches, stats, kept), (&scan.0[..], scan.1, Some(2)));
         }
         assert!(cache.lookup(0, &key, Some(3)).is_none(), "wider than kept");
         assert!(cache.lookup(0, &key, None).is_none(), "uncut");
@@ -574,7 +588,7 @@ mod tests {
             let decoded = BitIndex::from_bytes(&bits.to_bytes(), len);
             let mut cache = ResultCache::new(1, CacheConfig::default());
             cache.admit(0, bits, None, (sample_matches(2), sample_stats(4)), 0);
-            prop_assert_eq!(cache.lookup(0, &decoded, None), Some((sample_matches(2), sample_stats(4), None)));
+            prop_assert_eq!(cache.lookup(0, &decoded, None), Some((&sample_matches(2)[..], sample_stats(4), None)));
         }
 
         /// Differing bits ⇒ differing entries.

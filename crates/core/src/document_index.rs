@@ -203,12 +203,6 @@ impl<'a> DocumentIndexer<'a> {
     pub fn params(&self) -> &SystemParams {
         self.params
     }
-
-    /// The combined random-keyword mask.
-    #[cfg(test)]
-    fn random_mask(&self) -> &BitIndex {
-        &self.random_mask
-    }
 }
 
 #[cfg(test)]
@@ -220,6 +214,16 @@ mod tests {
     fn setup(params: SystemParams) -> (SystemParams, SchemeKeys) {
         let keys = SchemeKeys::generate(&params, &mut StdRng::seed_from_u64(1));
         (params, keys)
+    }
+
+    /// The product of the pool trapdoors' indices, from the owner's keys:
+    /// what every level of every document must carry.
+    fn pool_mask(params: &SystemParams, keys: &SchemeKeys) -> BitIndex {
+        let mut mask = BitIndex::all_ones(params.index_bits);
+        for td in keys.random_pool_trapdoors(params) {
+            mask.bitwise_product_assign(td.index());
+        }
+        mask
     }
 
     #[test]
@@ -246,7 +250,7 @@ mod tests {
             .trapdoor_for(&params, "alpha")
             .index()
             .bitwise_product(keys.trapdoor_for(&params, "beta").index())
-            .bitwise_product(indexer.random_mask());
+            .bitwise_product(&pool_mask(&params, &keys));
         assert_eq!(idx.base_level(), &expected);
     }
 
@@ -267,14 +271,14 @@ mod tests {
             .trapdoor_for(&params, "medium")
             .index()
             .bitwise_product(keys.trapdoor_for(&params, "hot").index())
-            .bitwise_product(indexer.random_mask());
+            .bitwise_product(&pool_mask(&params, &keys));
         assert_eq!(idx.levels[1], expected_l2);
 
         // Level 3 equals the product of the hottest keyword and the random mask.
         let expected_l3 = keys
             .trapdoor_for(&params, "hot")
             .index()
-            .bitwise_product(indexer.random_mask());
+            .bitwise_product(&pool_mask(&params, &keys));
         assert_eq!(idx.levels[2], expected_l3);
     }
 
@@ -302,7 +306,7 @@ mod tests {
         let (params, keys) = setup(SystemParams::default());
         let indexer = DocumentIndexer::new(&params, &keys);
         let idx = indexer.index_terms(1, &TermFrequencies::new());
-        assert_eq!(idx.base_level(), indexer.random_mask());
+        assert_eq!(idx.base_level(), &pool_mask(&params, &keys));
     }
 
     #[test]
@@ -310,7 +314,8 @@ mod tests {
         let params = SystemParams::default().without_randomization();
         let (params, keys) = setup(params);
         let indexer = DocumentIndexer::new(&params, &keys);
-        assert_eq!(indexer.random_mask().count_zeros(), 0);
+        let empty = indexer.index_terms(1, &TermFrequencies::new());
+        assert_eq!(empty.base_level().count_zeros(), 0);
         let idx = indexer.index_keywords(0, &["only"]);
         assert_eq!(idx.base_level(), keys.trapdoor_for(&params, "only").index());
     }

@@ -370,6 +370,14 @@ mod tests {
     use rand::SeedableRng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    /// A fused batch of uncut queries, each reply without its cache effect.
+    fn uncut_batch(engine: &SearchEngine, queries: &[QueryIndex]) -> Vec<ShardScan> {
+        let tops = vec![None; queries.len()];
+        (engine.search_batch_with_effects(queries, &tops).into_iter())
+            .map(|(matches, stats, _)| (matches, stats))
+            .collect()
+    }
+
     struct Fixture {
         params: SystemParams,
         keys: SchemeKeys,
@@ -638,7 +646,7 @@ mod tests {
                 assert_eq!(&engine.search_ranked_with_stats(q), want, "lanes={lanes}");
             }
             assert_eq!(
-                engine.search_batch_with_stats(&queries),
+                uncut_batch(&engine, &queries),
                 expected,
                 "fused batch, lanes={lanes}"
             );
@@ -722,7 +730,7 @@ mod tests {
                             );
                         }
                         assert_eq!(
-                            case.engine.search_batch_with_stats(&case.queries),
+                            uncut_batch(&case.engine, &case.queries),
                             expected,
                             "fused batch, engine {n}, round {round}"
                         );
@@ -998,9 +1006,9 @@ mod tests {
         assert_eq!(family(&engine), [2, 2, 2]);
         let _ = engine.search_ranked_with_stats(&q);
         assert_eq!(family(&engine), [3, 3, 3]);
-        assert!(engine.search_batch(&[]).is_empty());
+        assert!(engine.search_batch_with_effects(&[], &[]).is_empty());
         assert_eq!(family(&engine), [3, 3, 3]);
-        let _ = engine.search_batch(&[q.clone(), q]);
+        let _ = engine.search_batch_with_effects(&[q.clone(), q], &[None, None]);
         assert_eq!(family(&engine), [4, 5, 4]);
     }
 

@@ -136,18 +136,6 @@ impl SearchEngine {
         self.search_one(query, Some(tau)).0
     }
 
-    /// Execute many queries in one pass: each shard is scanned once for the whole
-    /// batch, and per-query results are merged exactly as a single query's are.
-    pub fn search_batch_with_stats(
-        &self,
-        queries: &[QueryIndex],
-    ) -> Vec<(Vec<SearchMatch>, SearchStats)> {
-        self.search_batch_with_effects(queries, &vec![None; queries.len()])
-            .into_iter()
-            .map(|(matches, stats, _)| (matches, stats))
-            .collect()
-    }
-
     /// **The** read path: every ranked execution, a single query included, is
     /// this batched ranked search with per-query statistics and cache effects
     /// (see the [module docs](crate::engine)). Replies come back in batch order; reply
@@ -238,7 +226,7 @@ impl SearchEngine {
                     if let Some((matches, stats, kept)) = hit {
                         let result = row * per + shard;
                         found[result] = if serves(kept, unique.widest) {
-                            results[result] = (matches, stats);
+                            results[result] = (matches.to_vec(), stats);
                             Found::Served
                         } else {
                             Found::Narrow
@@ -349,14 +337,6 @@ impl SearchEngine {
                 };
                 (matches, *stats, effect)
             })
-            .collect()
-    }
-
-    /// Batched ranked search without statistics.
-    pub fn search_batch(&self, queries: &[QueryIndex]) -> Vec<Vec<SearchMatch>> {
-        self.search_batch_with_stats(queries)
-            .into_iter()
-            .map(|(matches, _)| matches)
             .collect()
     }
 }

@@ -98,12 +98,6 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// Number of genuine trapdoors added so far.
-    #[cfg(test)]
-    fn num_terms(&self) -> usize {
-        self.trapdoors.len()
-    }
-
     /// Build the query index. `rng` drives the random `V`-subset selection; it is unused when
     /// randomization is disabled.
     ///
@@ -246,10 +240,10 @@ mod tests {
 
     #[test]
     fn num_terms_reports_builder_state() {
-        let (params, keys, _) = setup();
+        let (params, keys, mut rng) = setup();
         let tds = keys.trapdoors_for(&params, &["x", "y", "z"]);
         let builder = QueryBuilder::new(&params).add_trapdoors(&tds);
-        assert_eq!(builder.num_terms(), 3);
+        assert_eq!(builder.build(&mut rng).genuine_terms(), 3);
     }
 
     #[test]

@@ -587,16 +587,8 @@ impl ScanPlane {
     /// Matches come back in slot (scan) order with identical ranks and identical
     /// [`SearchStats`]; callers order them with [`crate::search::top_matches`].
     pub fn scan_ranked(&self, query: &BitIndex) -> (Vec<SearchMatch>, SearchStats) {
-        let mut batch = self.scan_ranked_batch(&[query]);
+        let mut batch = self.scan_ranked_batch_chunks(&[query], &[None], 0..self.num_chunks());
         batch.pop().expect("one result per query")
-    }
-
-    /// Algorithm 1 for every query of a batch over the whole plane: exactly
-    /// `queries.len()` independent [`ScanPlane::scan_ranked`] calls, swept
-    /// chunk-major (see the [module docs](self)).
-    pub fn scan_ranked_batch(&self, queries: &[&BitIndex]) -> Vec<(Vec<SearchMatch>, SearchStats)> {
-        let keeps = vec![None; queries.len()];
-        self.scan_ranked_batch_chunks(queries, &keeps, 0..self.num_chunks())
     }
 
     /// [`ScanPlane::sweep`] into a fresh [`Sweeper`], one result per query:
@@ -607,8 +599,9 @@ impl ScanPlane {
     /// and a kept sweep never materializes a match that `k` matches it already
     /// holds beat (see the [module docs](self)). [`SearchStats`] are always the whole
     /// sweep's, kept or not. With every keep `None`, a partition's per-query
-    /// results concatenate (in range order) and sum back to
-    /// [`ScanPlane::scan_ranked_batch`] byte for byte; with `Some(k)`, its
+    /// results concatenate (in range order) and sum back to the whole plane's
+    /// sweep byte for byte — `queries.len()` independent
+    /// [`ScanPlane::scan_ranked`] calls; with `Some(k)`, its
     /// kept lists, cut to `k` again, equal the whole sweep's cut. Out-of-bounds
     /// ranges are clamped to the grid; an empty range (and so an empty plane,
     /// whose geometry is unknown) answers every query, of any length, with no
@@ -712,49 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn scanplane_empty_plane_matches_reference() {
-        let plane = ScanPlane::new();
-        assert!(plane.is_empty());
-        assert_eq!(plane.len(), 0);
-        assert_eq!(plane.bits(), 0);
-        assert_eq!(plane.levels(), 0);
-        let q = BitIndex::all_ones(64);
-        let (matches, stats) = plane.scan_ranked(&q);
-        assert!(matches.is_empty());
-        assert_eq!(stats, SearchStats::default());
-        assert!(match_ids(&plane, &q).is_empty());
-    }
-
-    #[test]
-    fn scanplane_scan_equals_reference_scan_on_random_workloads() {
-        let mut rng = StdRng::seed_from_u64(17);
-        // Lengths straddle block boundaries (tail masking) and chunk boundaries
-        // would need 1024+ docs — covered by the dedicated test below.
-        for &r in &[1usize, 63, 64, 65, 127, 129, 448] {
-            for &eta in &[1usize, 3, 5] {
-                let docs = random_docs(&mut rng, 37, r, eta);
-                let plane = plane_of(&docs);
-                assert_eq!(plane.len(), docs.len());
-                assert_eq!(plane.bits(), r);
-                assert_eq!(plane.levels(), eta);
-                for zero_prob in [0.0, 0.02, 0.3, 1.0] {
-                    let q = random_bitindex(&mut rng, r, zero_prob);
-                    let (expected, expected_stats) = scan_ranked(&docs, &qi(&q));
-                    let (got, got_stats) = plane.scan_ranked(&q);
-                    assert_eq!(got, expected, "r={r} eta={eta} zp={zero_prob}");
-                    assert_eq!(got_stats, expected_stats, "r={r} eta={eta} zp={zero_prob}");
-                    let ids: Vec<u64> = docs
-                        .iter()
-                        .filter(|d| d.base_level().matches_query(&q))
-                        .map(|d| d.document_id)
-                        .collect();
-                    assert_eq!(match_ids(&plane, &q), ids);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn scanplane_docs_in_chunks_sizes_clamped_ranges() {
         // The documents a chunk range sweeps, after clamping it to the grid,
         // read as the level-1 comparisons of an all-zeros query (it matches no
@@ -775,52 +725,20 @@ mod tests {
         assert_eq!(docs_in_chunks(&plane, 0..1), CHUNK as u64);
         assert_eq!(docs_in_chunks(&plane, 1..2), 7, "tail chunk is partial");
         assert_eq!(docs_in_chunks(&plane, 0..2), CHUNK as u64 + 7);
-        assert_eq!(
-            docs_in_chunks(&plane, 0..99),
-            CHUNK as u64 + 7,
-            "end clamps"
-        );
+        for end in [99, usize::MAX] {
+            assert_eq!(
+                docs_in_chunks(&plane, 0..end),
+                CHUNK as u64 + 7,
+                "end clamps"
+            );
+        }
         assert_eq!(docs_in_chunks(&plane, 5..9), 0, "past-the-end is empty");
+        assert_eq!(docs_in_chunks(&plane, 1..1), 0, "an empty range is empty");
         #[allow(clippy::reversed_empty_ranges)]
         {
             assert_eq!(docs_in_chunks(&plane, 2..1), 0, "inverted collapses");
         }
         assert_eq!(docs_in_chunks(&ScanPlane::new(), 0..1), 0);
-    }
-
-    #[test]
-    fn scanplane_all_ones_query_prunes_every_block_and_matches_everything() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let docs = random_docs(&mut rng, 20, 100, 3);
-        let plane = plane_of(&docs);
-        let q = BitIndex::all_ones(100);
-        for level in 0..3 {
-            assert_eq!(rows_read(&plane, 0, level, &q), 0, "no zeros, no rows");
-        }
-        let (matches, stats) = plane.scan_ranked(&q);
-        let (expected, expected_stats) = scan_ranked(&docs, &qi(&q));
-        assert_eq!(matches, expected);
-        assert_eq!(stats, expected_stats);
-        assert_eq!(stats.matches, 20, "all-ones query matches every document");
-        // Every document reaches the top rank: all levels match a zero-free query.
-        assert!(matches.iter().all(|m| m.rank == 3));
-    }
-
-    #[test]
-    fn scanplane_all_zeros_query_only_matches_all_zero_documents() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut docs = random_docs(&mut rng, 10, 70, 2);
-        docs.push(RankedDocumentIndex {
-            document_id: 999,
-            levels: vec![BitIndex::all_zeros(70), BitIndex::all_zeros(70)],
-        });
-        let plane = plane_of(&docs);
-        let q = BitIndex::all_zeros(70);
-        let (matches, stats) = plane.scan_ranked(&q);
-        let (expected, expected_stats) = scan_ranked(&docs, &qi(&q));
-        assert_eq!(matches, expected);
-        assert_eq!(stats, expected_stats);
-        assert!(matches.iter().any(|m| m.document_id == 999));
     }
 
     #[test]
@@ -843,20 +761,11 @@ mod tests {
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].rank, 2);
         assert!(plane.scan_ranked(&BitIndex::all_zeros(70)).0.is_empty());
-    }
-
-    #[test]
-    fn scanplane_crosses_chunk_boundaries() {
-        let mut rng = StdRng::seed_from_u64(23);
-        // > 2 chunks, with a partial tail chunk.
-        let docs = random_docs(&mut rng, 2 * CHUNK + 321, 65, 2);
-        let plane = plane_of(&docs);
-        for zero_prob in [0.01, 0.5] {
-            let q = random_bitindex(&mut rng, 65, zero_prob);
-            let (expected, expected_stats) = scan_ranked(&docs, &qi(&q));
-            let (got, got_stats) = plane.scan_ranked(&q);
-            assert_eq!(got, expected, "zp={zero_prob}");
-            assert_eq!(got_stats, expected_stats, "zp={zero_prob}");
+        // No zeros, no rows: on random documents too, at every level.
+        let mut rng = StdRng::seed_from_u64(5);
+        let plane = plane_of(&random_docs(&mut rng, 20, 100, 3));
+        for level in 0..3 {
+            assert_eq!(rows_read(&plane, 0, level, &BitIndex::all_ones(100)), 0);
         }
     }
 
@@ -909,113 +818,9 @@ mod tests {
                 levels: vec![BitIndex::all_ones(64)],
             },
         );
-        let _ = plane.scan_ranked(&BitIndex::all_ones(65));
-    }
-
-    #[test]
-    fn scanplane_batch_sweep_equals_independent_scans() {
-        let mut rng = StdRng::seed_from_u64(47);
-        // Straddle block and chunk boundaries; include duplicate queries and the
-        // pruning extremes in one batch.
-        for &(n_docs, r, eta) in &[(37usize, 65usize, 3usize), (2 * CHUNK + 321, 448, 3)] {
-            let docs = random_docs(&mut rng, n_docs, r, eta);
-            let plane = plane_of(&docs);
-            let mut queries: Vec<BitIndex> = (0..5)
-                .map(|i| random_bitindex(&mut rng, r, [0.0, 0.02, 0.3, 0.9, 1.0][i]))
-                .collect();
-            queries.push(queries[1].clone()); // exact duplicate
-            queries.push(BitIndex::all_ones(r));
-            queries.push(BitIndex::all_zeros(r));
-            let refs: Vec<&BitIndex> = queries.iter().collect();
-            let batched = plane.scan_ranked_batch(&refs);
-            assert_eq!(batched.len(), queries.len());
-            for (qi, (q, got)) in queries.iter().zip(&batched).enumerate() {
-                assert_eq!(got, &plane.scan_ranked(q), "n={n_docs} r={r} query {qi}");
-            }
-        }
-    }
-
-    #[test]
-    fn scanplane_batch_sweep_edge_batches() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let docs = random_docs(&mut rng, 30, 129, 2);
-        let plane = plane_of(&docs);
-        // Empty batch.
-        assert!(plane.scan_ranked_batch(&[]).is_empty());
-        // Batch of one equals the single scan.
-        let q = random_bitindex(&mut rng, 129, 0.1);
-        assert_eq!(plane.scan_ranked_batch(&[&q]), vec![plane.scan_ranked(&q)]);
-        // Empty plane: zeroed stats for every query, any length.
-        let empty = ScanPlane::new();
-        let out = empty.scan_ranked_batch(&[&q, &q]);
-        assert_eq!(out, vec![(Vec::new(), SearchStats::default()); 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn scanplane_batch_rejects_mismatched_query_length() {
-        let mut plane = ScanPlane::new();
-        push(
-            &mut plane,
-            &RankedDocumentIndex {
-                document_id: 0,
-                levels: vec![BitIndex::all_ones(64)],
-            },
-        );
-        let good = BitIndex::all_ones(64);
-        let bad = BitIndex::all_ones(65);
-        let _ = plane.scan_ranked_batch(&[&good, &bad]);
-    }
-
-    #[test]
-    fn scanplane_chunk_range_scans_stitch_to_the_full_scan() {
-        let mut rng = StdRng::seed_from_u64(71);
-        // > 2 chunks with a partial tail, straddling a block boundary.
-        let docs = random_docs(&mut rng, 2 * CHUNK + 321, 65, 3);
-        let plane = plane_of(&docs);
-        assert_eq!(plane.num_chunks(), 3);
-        let queries: Vec<BitIndex> = [0.02, 0.3, 1.0, 0.3]
-            .iter()
-            .map(|&zp| random_bitindex(&mut rng, 65, zp))
-            .collect();
-        let refs: Vec<&BitIndex> = queries.iter().collect();
-        let full = plane.scan_ranked_batch(&refs);
-        // Every partition granularity must stitch back byte-identically: matches
-        // concatenated in range order, stats summed per query.
-        for granularity in [1usize, 2, 3, 7] {
-            let mut stitched: Vec<(Vec<SearchMatch>, SearchStats)> =
-                vec![(Vec::new(), SearchStats::default()); queries.len()];
-            let mut lo = 0;
-            while lo < plane.num_chunks() {
-                let range = lo..(lo + granularity).min(plane.num_chunks());
-                let ranged = sweep(&plane, &refs, range.clone());
-                for (q, (matches, stats)) in ranged.into_iter().enumerate() {
-                    // The batch range equals a batch of one, per query.
-                    assert_eq!(
-                        sweep(&plane, &[&queries[q]], range.clone()),
-                        [(matches.clone(), stats)],
-                        "g={granularity} range={range:?} q={q}"
-                    );
-                    stitched[q].0.extend(matches);
-                    stitched[q].1.merge(&stats);
-                }
-                lo = range.end;
-            }
-            assert_eq!(stitched, full, "granularity {granularity}");
-        }
-        // Out-of-bounds ranges clamp; inverted and empty ranges are empty.
-        assert_eq!(sweep(&plane, &refs, 0..usize::MAX), full);
-        let nothing = vec![(Vec::new(), SearchStats::default()); refs.len()];
-        assert_eq!(sweep(&plane, &refs, 5..7), nothing);
-        #[allow(clippy::reversed_empty_ranges)] // inverted range IS the case under test
-        let inverted = sweep(&plane, &refs, 2..1);
-        assert_eq!(inverted, nothing);
-        assert_eq!(sweep(&plane, &refs, 3..3), nothing);
-        // A range's level-1 comparison count is exactly the documents it covers
-        // (an all-zeros query matches no random document, so no rank walks).
-        let zeros = BitIndex::all_zeros(65);
-        let tail = sweep(&plane, &[&zeros], 2..3);
-        assert_eq!(tail[0].1.comparisons, 321);
+        // A well-formed query first: the batch is refused, not half swept.
+        let (good, bad) = (BitIndex::all_ones(64), BitIndex::all_ones(65));
+        let _ = plane.scan_ranked_batch_chunks(&[&good, &bad], &[None, None], 0..1);
     }
 
     #[test]

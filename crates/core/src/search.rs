@@ -14,9 +14,10 @@
 //! [`crate::engine::SearchEngine`] over a [`crate::storage::ShardedStore`] of
 //! packed §5 entries, sweeping the bit-sliced [`crate::scanplane::ScanPlane`] it
 //! derives per shard instead — a layout change only; it is held match-for-match,
-//! rank-for-rank and count-for-count equivalent to this reference (see the
-//! engine rows of `tests/oracle_matrix.rs` and
-//! `mkse-core/tests/scanplane_equivalence.rs`).
+//! rank-for-rank and count-for-count equivalent to this reference: the
+//! engine rows of `tests/oracle_matrix.rs` hold the engine to [`CloudIndex`],
+//! and `mkse-core/tests/scanplane_equivalence.rs` holds the plane to
+//! [`scan_ranked`].
 
 use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;

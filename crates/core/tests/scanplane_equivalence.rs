@@ -1,13 +1,15 @@
-//! Exact equivalence of the plane-backed shard scan and the sequential reference.
+//! Exact equivalence of the scan plane and the paper's sequential loop.
 //!
 //! The scan plane is a pure layout change: for any document set (arbitrary bit
 //! patterns, not just scheme-generated ones), any query — all-ones, all-zeros,
 //! random, or a stored document's own base level — any index size `r` (multiples
-//! of 64 and ragged tails alike) and any shard count, the plane-backed
-//! [`SearchEngine`] must return **byte-identical** matches, ranks, order,
-//! [`SearchStats`] and cache counters to the AoS reference scan of
-//! [`CloudIndex`]. Engines over every configuration and script are rows of
-//! the oracle matrix (`tests/oracle_matrix.rs`); this suite keeps the corners.
+//! of 64 and ragged tails alike), any level count and any chunk partition, a
+//! [`ScanPlane`] sweep must return **byte-identical** matches, ranks, order and
+//! [`mkse_core::SearchStats`] to [`mkse_core::search::scan_ranked`], Algorithm
+//! 1's loop over the same documents — and a kept sweep, cut again, that loop's
+//! cut. This suite holds the plane and nothing above it: the engine over the
+//! planes is held to `CloudIndex` by the engine rows of the oracle matrix
+//! (`tests/oracle_matrix.rs`).
 //!
 //! Which rows a sweep reads depends on the corpus as well as the query (a row no
 //! stored index sets is skipped), so the proptests hold the contract in both
@@ -20,16 +22,15 @@
 //! debug-only testing.
 
 use mkse_core::scanplane::{Sweeper, CHUNK};
+use mkse_core::search::scan_ranked;
 use mkse_core::{
-    BitIndex, CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex,
-    RankedDocumentIndex, ScanPlane, SchemeKeys, SearchEngine, ShardedStore, SystemParams,
+    BitIndex, DocumentIndexer, QueryBuilder, QueryIndex, RankedDocumentIndex, ScanPlane,
+    SchemeKeys, SearchMatch, SearchStats, ShardedStore, SystemParams,
 };
 use mkse_textproc::TermFrequencies;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
 /// Minimal valid parameters for an arbitrary index size and level count — the
 /// scan is a function of the stored bits alone, so nothing else matters here.
@@ -44,13 +45,22 @@ fn random_bitindex(rng: &mut StdRng, len: usize, zero_prob: f64) -> BitIndex {
     BitIndex::from_bits(&bits)
 }
 
-/// Random document indices with *dense-ones* levels so random queries genuinely
-/// match some documents (an all-reject workload would not exercise rank walks).
-fn random_docs(rng: &mut StdRng, n: usize, r: usize, eta: usize) -> Vec<RankedDocumentIndex> {
+/// `n` documents with ids `0..n` whose level bits are zero with probability
+/// `zero_prob`: dense ones, so random queries genuinely match some documents
+/// (an all-reject workload would not exercise rank walks).
+fn random_docs(
+    rng: &mut StdRng,
+    n: usize,
+    r: usize,
+    eta: usize,
+    zero_prob: f64,
+) -> Vec<RankedDocumentIndex> {
     (0..n)
         .map(|i| RankedDocumentIndex {
-            document_id: 1000 + i as u64,
-            levels: (0..eta).map(|_| random_bitindex(rng, r, 0.05)).collect(),
+            document_id: i as u64,
+            levels: (0..eta)
+                .map(|_| random_bitindex(rng, r, zero_prob))
+                .collect(),
         })
         .collect()
 }
@@ -64,6 +74,17 @@ fn plane_of(params: &SystemParams, docs: &[RankedDocumentIndex]) -> ScanPlane {
         plane.push(entry);
     }
     plane
+}
+
+/// The whole plane's uncut sweep of a batch: one result per query.
+fn sweep_all(plane: &ScanPlane, queries: &[&BitIndex]) -> Vec<(Vec<SearchMatch>, SearchStats)> {
+    let uncut = vec![None; queries.len()];
+    plane.scan_ranked_batch_chunks(queries, &uncut, 0..plane.num_chunks())
+}
+
+/// The reference loop's answer to `query` over `docs`.
+fn reference(docs: &[RankedDocumentIndex], query: &BitIndex) -> (Vec<SearchMatch>, SearchStats) {
+    scan_ranked(docs, &QueryIndex::from_bits(query.clone()))
 }
 
 /// Level-1 index bits no document of the corpus sets — rows every sweep skips,
@@ -119,170 +140,126 @@ fn scheme_workload(
     (params, docs, queries)
 }
 
+/// The pruning extremes, at a ragged r = 100 (the phantom 28 bits must never
+/// reject or match) and η = 2 and 3: the all-ones query reads no row and
+/// matches every document at the top rank; the all-zeros query reads every
+/// live row and matches only the all-zero document.
 #[test]
 fn scanplane_all_ones_and_all_zeros_queries_hit_pruning_extremes() {
     let mut rng = StdRng::seed_from_u64(92);
-    let r = 100; // ragged tail: the phantom 28 bits must never reject or match
-    let params = params_for(r, 2);
-    let mut docs = random_docs(&mut rng, 33, r, 2);
-    // An all-zero document is the only one the all-zeros query may match.
-    docs.push(RankedDocumentIndex {
-        document_id: 7,
-        levels: vec![BitIndex::all_zeros(r), BitIndex::all_zeros(r)],
-    });
-    let mut reference = CloudIndex::new(params.clone());
-    reference.insert_all(docs.iter().cloned()).unwrap();
+    let r = 100;
+    for eta in [2, 3] {
+        let mut docs = random_docs(&mut rng, 33, r, eta, 0.05);
+        docs.push(RankedDocumentIndex {
+            document_id: 77,
+            levels: vec![BitIndex::all_zeros(r); eta],
+        });
+        let plane = plane_of(&params_for(r, eta), &docs);
 
-    let all_ones = QueryIndex::from_bits(BitIndex::all_ones(r));
-    let all_zeros = QueryIndex::from_bits(BitIndex::all_zeros(r));
-    for shards in SHARD_COUNTS {
-        let mut engine = SearchEngine::sharded(params.clone(), shards);
-        engine.insert_all(docs.iter().cloned()).unwrap();
-
-        let (matches, stats) = engine.search_ranked_with_stats(&all_ones);
+        let all_ones = BitIndex::all_ones(r);
+        let (matches, stats) = plane.scan_ranked(&all_ones);
         assert_eq!(
             (matches.clone(), stats),
-            reference.search_ranked_with_stats(&all_ones),
-            "{shards} shards, all-ones"
+            reference(&docs, &all_ones),
+            "η {eta}, all-ones"
         );
-        assert_eq!(matches.len(), docs.len(), "all-ones matches everything");
-        assert!(matches.iter().all(|m| m.rank == 2), "and at the top rank");
+        assert_eq!(
+            stats.matches,
+            docs.len() as u64,
+            "all-ones matches everything"
+        );
+        assert!(
+            matches.iter().all(|m| m.rank == eta as u32),
+            "and at the top rank"
+        );
 
-        let (matches, stats) = engine.search_ranked_with_stats(&all_zeros);
+        let all_zeros = BitIndex::all_zeros(r);
+        let (matches, stats) = plane.scan_ranked(&all_zeros);
         assert_eq!(
             (matches.clone(), stats),
-            reference.search_ranked_with_stats(&all_zeros),
-            "{shards} shards, all-zeros"
+            reference(&docs, &all_zeros),
+            "η {eta}, all-zeros"
         );
-        assert!(matches.iter().any(|m| m.document_id == 7));
+        let ids: Vec<u64> = matches.iter().map(|m| m.document_id).collect();
+        assert_eq!(ids, [77], "only the all-zero document");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The core contract under arbitrary geometry and bit patterns: a plane built
-    /// by incremental pushes scans exactly like the reference loop over the same
-    /// slice, and the plane-backed 2-shard engine agrees with the reference
-    /// index — including r values with ragged tails and degenerate stores.
+    /// The core contract under arbitrary geometry and bit patterns: a plane
+    /// built by incremental pushes scans exactly like the reference loop over
+    /// the same slice — r with ragged tails up to the paper's 448, η up to 5,
+    /// degenerate stores — and the empty plane, whose geometry is unknown,
+    /// answers any query with no matches and zeroed stats.
     #[test]
     fn scanplane_prop_equivalence_on_arbitrary_workloads(
         seed in 0u64..1_000_000,
-        r in 1usize..=200,
-        eta in 1usize..=3,
+        r in 1usize..=448,
+        eta in 1usize..=5,
         num_docs in 0usize..24,
         query_zero_prob in 0.0f64..1.0,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let docs: Vec<RankedDocumentIndex> = (0..num_docs)
-            .map(|i| RankedDocumentIndex {
-                document_id: i as u64,
-                levels: (0..eta).map(|_| random_bitindex(&mut rng, r, 0.2)).collect(),
-            })
+        let docs = random_docs(&mut rng, num_docs, r, eta, 0.2);
+        let query = random_bitindex(&mut rng, r, query_zero_prob);
+
+        let empty = ScanPlane::new();
+        prop_assert!(empty.is_empty());
+        prop_assert_eq!((empty.len(), empty.bits(), empty.levels()), (0, 0, 0));
+        prop_assert_eq!(empty.scan_ranked(&query), reference(&[], &query));
+
+        let plane = plane_of(&params_for(r, eta), &docs);
+        prop_assert_eq!(plane.len(), num_docs);
+        if num_docs > 0 {
+            prop_assert_eq!((plane.bits(), plane.levels()), (r, eta));
+        }
+        let (matches, stats) = plane.scan_ranked(&query);
+        prop_assert_eq!(&(matches.clone(), stats), &reference(&docs, &query));
+        let ids: Vec<u64> = (docs.iter())
+            .filter(|d| d.base_level().matches_query(&query))
+            .map(|d| d.document_id)
             .collect();
-        let query = QueryIndex::from_bits(random_bitindex(&mut rng, r, query_zero_prob));
-        let params = params_for(r, eta);
-
-        // Direct: plane vs the reference scan loop.
-        let plane = plane_of(&params, &docs);
-        let expected = mkse_core::search::scan_ranked(&docs, &query);
-        prop_assert_eq!(plane.scan_ranked(query.bits()), expected);
-
-        // Engine-level: plane-backed shards vs the AoS reference index.
-        let mut reference = CloudIndex::new(params.clone());
-        reference.insert_all(docs.iter().cloned()).unwrap();
-        let mut engine = SearchEngine::sharded(params, 2);
-        engine.insert_all(docs.iter().cloned()).unwrap();
-        prop_assert_eq!(
-            engine.search_ranked_with_stats(&query),
-            reference.search_ranked_with_stats(&query)
-        );
+        let got: Vec<u64> = matches.iter().map(|m| m.document_id).collect();
+        prop_assert_eq!(got, ids, "matches in slot order");
     }
 
     /// The fused-batch contract under arbitrary geometry: for any batch size in
-    /// 1..=64 — with duplicate queries and the all-ones/all-zeros pruning
-    /// extremes mixed in — `scan_ranked_batch` returns exactly what b
-    /// independent `scan_ranked` calls return, and the engine's fused batch
-    /// equals the reference answering each query alone, at any shard count
-    /// and lane count, cache on or off. With the cache on, one query's bits
-    /// are first issued at a cut k and then re-issued at a narrower cut, at k,
-    /// wider and uncut: each reply and its stats equal the reference's cut,
-    /// and the cached entry serves the first two and misses the last two.
+    /// 0..=64 — with duplicate queries and the all-ones/all-zeros pruning
+    /// extremes mixed in — one sweep of the whole plane returns exactly what b
+    /// independent `scan_ranked` calls return, on planes of up to three
+    /// chunks, the last one partial.
     #[test]
     fn scanplane_prop_batch_equals_independent_scans(
         seed in 0u64..1_000_000,
-        r in 1usize..=200,
+        r in 1usize..=448,
         eta in 1usize..=3,
         num_docs in 0usize..24,
-        batch_size in 1usize..=64,
-        shards_idx in 0usize..4,
-        lanes in 1usize..=3,
-        cached in any::<bool>(),
+        full_chunks in 0usize..=2,
+        batch_size in 0usize..=64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let docs: Vec<RankedDocumentIndex> = (0..num_docs)
-            .map(|i| RankedDocumentIndex {
-                document_id: i as u64,
-                levels: (0..eta).map(|_| random_bitindex(&mut rng, r, 0.2)).collect(),
-            })
-            .collect();
-        let queries: Vec<BitIndex> = (0..batch_size)
+        let docs = random_docs(&mut rng, full_chunks * CHUNK + num_docs, r, eta, 0.2);
+        let mut queries: Vec<BitIndex> = (0..batch_size)
             .map(|q| match q % 5 {
-                // Duplicates of the first query land in the batch whenever
-                // batch_size > 3, alongside both pruning extremes.
                 0 => random_bitindex(&mut rng, r, 0.3),
                 1 => BitIndex::all_ones(r),
                 2 => BitIndex::all_zeros(r),
                 _ => random_bitindex(&mut rng, r, 0.05),
             })
             .collect();
-        let mut queries = queries;
+        // A duplicate of the first query whenever batch_size > 3.
         if batch_size > 3 {
             queries[3] = queries[0].clone();
         }
 
-        let params = params_for(r, eta);
-        let plane = plane_of(&params, &docs);
+        let plane = plane_of(&params_for(r, eta), &docs);
         let refs: Vec<&BitIndex> = queries.iter().collect();
-        let batched = plane.scan_ranked_batch(&refs);
+        let batched = sweep_all(&plane, &refs);
         prop_assert_eq!(batched.len(), queries.len());
-        for (q, got) in queries.iter().zip(&batched) {
-            prop_assert_eq!(got, &plane.scan_ranked(q));
-        }
-
-        // Engine-level: the fused batch vs the AoS reference, at an arbitrary
-        // shards × lanes configuration.
-        let shards = SHARD_COUNTS[shards_idx];
-        let mut reference = CloudIndex::new(params.clone());
-        reference.insert_all(docs.iter().cloned()).unwrap();
-        let mut engine = SearchEngine::sharded(params, shards).with_scan_lanes(lanes);
-        if cached {
-            engine.enable_cache(CacheConfig::default());
-        }
-        engine.insert_all(docs.iter().cloned()).unwrap();
-        let wrapped: Vec<QueryIndex> = queries.iter().cloned().map(QueryIndex::from_bits).collect();
-        if cached {
-            let query = &wrapped[0];
-            let (all, stats) = reference.search_ranked_with_stats(query);
-            let k = 1 + all.len() / 2;
-            let issues = [(Some(k), false), (Some(k - 1), true), (Some(k), true), (Some(k + 1), false), (None, false)];
-            for (top, hit) in issues {
-                let replies = engine.search_batch_with_effects(std::slice::from_ref(query), &[top]);
-                let (matches, got, effect) = &replies[0];
-                let cut = top.map_or(all.len(), |t| t.min(all.len()));
-                prop_assert_eq!(&matches[..], &all[..cut], "top {:?}", top);
-                prop_assert_eq!(got, &stats, "top {:?}", top);
-                let (hits, misses) = if hit { (shards, 0) } else { (0, shards) };
-                prop_assert_eq!(
-                    (effect.shard_hits, effect.shard_misses),
-                    (hits as u64, misses as u64),
-                    "top {:?}", top
-                );
-            }
-        }
-        let engine_batch = engine.search_batch_with_stats(&wrapped);
-        for (query, got) in wrapped.iter().zip(engine_batch) {
-            prop_assert_eq!(got, reference.search_ranked_with_stats(query));
+        for (i, (q, got)) in queries.iter().zip(&batched).enumerate() {
+            prop_assert_eq!(got, &plane.scan_ranked(q), "query {}", i);
         }
     }
 
@@ -291,26 +268,18 @@ proptest! {
     /// with `doc_random_keywords = 0` — so every zero of a query selects a row;
     /// the paper-shaped corpus (U fake keywords folded into every level of every
     /// document) leaves most of a randomized query's zeros on dead rows. In
-    /// each, the plane equals the reference loop (invariant 3), the fused batch
-    /// equals independent scans (4), and the engine equals `CloudIndex` at an
-    /// arbitrary shards × lanes configuration (1, 5).
+    /// each, the plane's fused batch equals the reference loop (invariant 3)
+    /// and independent scans (4).
     #[test]
     fn scanplane_prop_dense_and_sparse_corpora_equal_reference(
         seed in 0u64..1_000_000,
         regime in 0usize..3,
         num_docs in 40usize..100,
-        shards_idx in 0usize..4,
-        lanes in 1usize..=3,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (params, docs, mut queries) = match regime {
             0 => {
-                let docs: Vec<RankedDocumentIndex> = (0..num_docs)
-                    .map(|i| RankedDocumentIndex {
-                        document_id: i as u64,
-                        levels: (0..3).map(|_| random_bitindex(&mut rng, 129, 0.5)).collect(),
-                    })
-                    .collect();
+                let docs = random_docs(&mut rng, num_docs, 129, 3, 0.5);
                 let queries = (0..6)
                     .map(|_| QueryIndex::from_bits(random_bitindex(&mut rng, 129, 0.02)))
                     .collect();
@@ -332,22 +301,10 @@ proptest! {
 
         let plane = plane_of(&params, &docs);
         let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
-        let batched = plane.scan_ranked_batch(&bits);
+        let batched = sweep_all(&plane, &bits);
         for (query, got) in queries.iter().zip(&batched) {
-            prop_assert_eq!(got, &mkse_core::search::scan_ranked(&docs, query));
+            prop_assert_eq!(got, &scan_ranked(&docs, query));
             prop_assert_eq!(got, &plane.scan_ranked(query.bits()));
-        }
-
-        let mut reference = CloudIndex::new(params.clone());
-        reference.insert_all(docs.iter().cloned()).unwrap();
-        let mut engine =
-            SearchEngine::sharded(params, SHARD_COUNTS[shards_idx]).with_scan_lanes(lanes);
-        engine.insert_all(docs.iter().cloned()).unwrap();
-        let engine_batch = engine.search_batch_with_stats(&queries);
-        for (query, got) in queries.iter().zip(engine_batch) {
-            let expected = reference.search_ranked_with_stats(query);
-            prop_assert_eq!(&got, &expected);
-            prop_assert_eq!(engine.search_ranked_with_stats(query), expected);
         }
     }
 }
@@ -417,7 +374,7 @@ proptest! {
         }
         let full: Vec<_> = queries.iter().map(|q| plane.scan_ranked(q)).collect();
         for (q, (matches, stats)) in queries.iter().zip(&full) {
-            let reference = mkse_core::search::scan_ranked(&docs, &QueryIndex::from_bits(q.clone()));
+            let reference = scan_ranked(&docs, &QueryIndex::from_bits(q.clone()));
             prop_assert_eq!(&(matches.clone(), *stats), &reference);
         }
         let mut batch: Vec<(usize, Option<usize>)> = Vec::new();
@@ -430,7 +387,7 @@ proptest! {
         let keeps: Vec<Option<usize>> = batch.iter().map(|&(_, keep)| keep).collect();
         let uncut = vec![None; batch.len()];
 
-        let mut stitched = vec![(Vec::new(), mkse_core::SearchStats::default()); batch.len()];
+        let mut stitched = vec![(Vec::new(), SearchStats::default()); batch.len()];
         let mut lo = 0;
         while lo < plane.num_chunks() {
             let range = lo..(lo + rng.gen_range(1usize..=10)).min(plane.num_chunks());
@@ -496,7 +453,7 @@ proptest! {
                 queries.push(q);
             }
             let full: Vec<_> = (queries.iter())
-                .map(|q| mkse_core::search::scan_ranked(&docs, &QueryIndex::from_bits(q.clone())))
+                .map(|q| scan_ranked(&docs, &QueryIndex::from_bits(q.clone())))
                 .collect();
             let mut batch: Vec<(usize, Option<usize>)> = Vec::new();
             for (q, (matches, _)) in full.iter().enumerate() {
@@ -527,7 +484,7 @@ proptest! {
                 let lane = rng.gen_range(0..lanes.len());
                 planes[p].sweep(range, &work, &mut lanes[lane]);
             }
-            let mut out = vec![(Vec::new(), mkse_core::SearchStats::default()); batch.len()];
+            let mut out = vec![(Vec::new(), SearchStats::default()); batch.len()];
             for lane in &mut lanes {
                 lane.fold_into(&mut out);
             }

@@ -152,20 +152,6 @@ impl AesCtr {
         }
     }
 
-    /// Create from a byte slice, validating the length.
-    #[cfg(test)]
-    fn from_slice(key: &[u8]) -> Result<Self, crate::CryptoError> {
-        if key.len() != KEY_SIZE {
-            return Err(crate::CryptoError::InvalidKeyLength {
-                expected: KEY_SIZE,
-                actual: key.len(),
-            });
-        }
-        let mut k = [0u8; KEY_SIZE];
-        k.copy_from_slice(key);
-        Ok(Self::new(&k))
-    }
-
     /// Encrypt `plaintext` under the given 8-byte nonce. The nonce is prepended to the output.
     pub fn encrypt(&self, nonce: &[u8; NONCE_SIZE], plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(NONCE_SIZE + plaintext.len());
@@ -290,12 +276,5 @@ mod tests {
     fn truncated_ciphertext_is_rejected() {
         let ctr = AesCtr::new(&[3u8; KEY_SIZE]);
         assert!(ctr.decrypt(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn from_slice_validates_length() {
-        assert!(AesCtr::from_slice(&[0u8; 16]).is_ok());
-        assert!(AesCtr::from_slice(&[0u8; 15]).is_err());
-        assert!(AesCtr::from_slice(&[0u8; 32]).is_err());
     }
 }

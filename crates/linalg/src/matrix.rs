@@ -30,15 +30,6 @@ impl Matrix {
         m
     }
 
-    /// Build a matrix from a row-major data vector.
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    #[cfg(test)]
-    fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Build a matrix from nested row slices (convenient in tests).
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         let nrows = rows.len();
@@ -149,25 +140,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Transposed-matrix × column-vector product (`Mᵀ·v`) without materializing the transpose.
-    #[cfg(test)]
-    fn transpose_matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if self.rows != v.len() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (self.rows, 1),
-                actual: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            let row = self.row(i);
-            for j in 0..self.cols {
-                out[j] += row[j] * vi;
-            }
-        }
-        Ok(out)
-    }
-
     /// Invert a square matrix via LU decomposition.
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
         LuDecomposition::new(self)?.inverse()
@@ -248,25 +220,12 @@ mod tests {
             Err(LinalgError::DimensionMismatch { .. })
         ));
         assert!(a.matvec(&[1.0, 2.0]).is_err());
-        assert!(a.transpose_matvec(&[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]
     fn matvec_known_value() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.matvec(&[1.0, 0.0, -1.0]).unwrap(), vec![-2.0, -2.0]);
-    }
-
-    #[test]
-    fn transpose_matvec_matches_explicit_transpose() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = Matrix::random(5, 7, &mut rng);
-        let v: Vec<f64> = (0..5).map(|i| i as f64).collect();
-        let fast = a.transpose_matvec(&v).unwrap();
-        let slow = a.transpose().matvec(&v).unwrap();
-        for (x, y) in fast.iter().zip(slow.iter()) {
-            assert!((x - y).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -307,12 +266,6 @@ mod tests {
         assert_eq!(m.row(2), &[0.0, 7.5, 0.0, 0.0]);
         assert_eq!(m.shape(), (3, 4));
         assert_eq!(m.data().len(), 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "data length mismatch")]
-    fn from_vec_validates_length() {
-        let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
     }
 
     proptest! {

@@ -10,12 +10,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm.
-#[cfg(test)]
-fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Element-wise addition.
 pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len());
@@ -81,8 +75,9 @@ mod tests {
 
     #[test]
     fn norm_of_unit_vectors() {
-        assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm(&[0.0, 0.0]), 0.0);
+        // The norm is the root of a vector's dot product with itself.
+        assert!((dot(&[3.0, 4.0], &[3.0, 4.0]).sqrt() - 5.0).abs() < 1e-12);
+        assert_eq!(dot(&[0.0, 0.0], &[0.0, 0.0]), 0.0);
     }
 
     #[test]

@@ -256,17 +256,6 @@ impl Coordinator {
         self.epoch
     }
 
-    /// Ids of nodes currently alive (registered and within their deadline as
-    /// of the last sweep).
-    #[cfg(test)]
-    fn live_nodes(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .filter(|(_, n)| n.alive())
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     // ---- membership ------------------------------------------------------
 
     fn exec_register(&mut self, reg: NodeRegistration, now: Instant) -> Response {
@@ -877,6 +866,14 @@ mod tests {
         reply.into_shard_assignment().expect("registration granted")
     }
 
+    /// Live nodes, as the registry's `nodes_live` gauge reports them.
+    fn nodes_live(coordinator: &Coordinator) -> u64 {
+        coordinator
+            .telemetry_handle()
+            .snapshot()
+            .gauge("nodes_live")
+    }
+
     fn beat_at(coordinator: &mut Coordinator, node_id: u64, now: Instant) -> Response {
         coordinator.call_at(Request::NodeHeartbeat(NodeHeartbeat { node_id }), now)
     }
@@ -1092,7 +1089,7 @@ mod tests {
                 &format!("query {i}"),
             );
         }
-        assert_eq!(coordinator.live_nodes(), vec![1, 3]);
+        assert_eq!(nodes_live(&coordinator), 2);
         assert_eq!(coordinator.telemetry.snapshot().counter("failovers"), 1);
         assert_twin(&mut coordinator, &mut twin, Request::ServerInfo, "corpus");
 
@@ -1175,7 +1172,6 @@ mod tests {
                 at(1_000),
             );
         }
-        assert_eq!(coordinator.live_nodes(), vec![2]);
         assert_twin_at(
             &mut coordinator,
             &mut twin,
@@ -1200,7 +1196,7 @@ mod tests {
         );
         let rejoined = register_at(&mut coordinator, 1, 0, at(1_000));
         assert!(rejoined.shards.is_empty());
-        assert_eq!(coordinator.live_nodes(), vec![1, 2]);
+        assert_eq!(nodes_live(&coordinator), 2);
 
         node1.shutdown();
         node2.shutdown();
@@ -1226,7 +1222,7 @@ mod tests {
             coordinator.add_node(1, Box::new(|_| Err(std::io::Error::other("never dialed"))));
             register_at(&mut coordinator, 1, 0, beat);
             coordinator.call_at(Request::Counters, beat + silence);
-            assert_eq!(coordinator.live_nodes().is_empty(), dead, "{silence:?}");
+            assert_eq!(nodes_live(&coordinator), u64::from(!dead), "{silence:?}");
         }
     }
 
@@ -1286,7 +1282,7 @@ mod tests {
                 &format!("post-failover query {i}"),
             );
         }
-        assert_eq!(coordinator.live_nodes(), vec![2]);
+        assert_eq!(nodes_live(&coordinator), 1);
         // The nodes' summed document counts still equal the mirror's.
         assert_twin(&mut coordinator, &mut twin, Request::ServerInfo, "re-homed");
         assert_eq!(
@@ -1340,7 +1336,7 @@ mod tests {
         assert_eq!(snapshot.counter("shards_reassigned"), 0);
 
         assert_eq!(register(&mut coordinator, 2, 0).shards, vec![0, 1, 2, 3]);
-        assert_eq!(coordinator.live_nodes(), vec![2]);
+        assert_eq!(nodes_live(&coordinator), 1);
         for (i, q) in fx.queries.iter().enumerate() {
             let query = Request::Query(q.clone());
             assert_twin(&mut coordinator, &mut twin, query, &format!("query {i}"));

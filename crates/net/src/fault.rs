@@ -136,12 +136,6 @@ impl FaultHandle {
         self.shared.faults.load(Ordering::Relaxed)
     }
 
-    /// Whether the link was killed (budget, torn write).
-    #[cfg(test)]
-    fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::Relaxed)
-    }
-
     /// The fault schedule as it actually fired, for replay comparison.
     pub fn log(&self) -> Vec<FaultEvent> {
         self.shared
@@ -361,7 +355,6 @@ mod tests {
         }
         assert_eq!(&*delivered.lock().unwrap(), b"alphabetagamma");
         assert_eq!(handle.faults(), 0);
-        assert!(!handle.is_dead());
     }
 
     #[test]
@@ -402,7 +395,6 @@ mod tests {
         w.send_all(b"eightby8").unwrap();
         let err = w.send_all(b"overflow").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert!(handle.is_dead());
         // 8 clean bytes plus the 2 the budget allowed of the killing write.
         assert_eq!(delivered.lock().unwrap().len(), 10);
         assert_eq!(handle.log(), vec![FaultEvent::Killed { after_bytes: 10 }]);
@@ -456,7 +448,8 @@ mod tests {
         assert_eq!(flipped, 1, "exactly one bit differs");
         assert_eq!(handle.faults(), 1);
         assert!(matches!(handle.log()[0], FaultEvent::CorruptBit { .. }));
-        assert!(!handle.is_dead(), "corruption does not kill the link");
+        w.send_all(&original)
+            .expect("corruption does not kill the link");
     }
 
     #[test]
@@ -491,7 +484,6 @@ mod tests {
         let (client2, _server2) = memory_duplex();
         let (_r2, w2) = client2.split();
         drop(w2);
-        assert!(!handle.is_dead());
         let mut killer = FaultyWriter {
             inner: Box::new(Sink(Arc::new(Mutex::new(Vec::new())))),
             plan: FaultPlan {
@@ -502,7 +494,6 @@ mod tests {
             shared: r.shared.clone(),
         };
         assert!(killer.send_all(b"x").is_err());
-        assert!(handle.is_dead());
         assert_eq!(r.recv(&mut buf).unwrap(), 0, "dead link reads as EOF");
     }
 }

@@ -857,6 +857,7 @@ mod tests {
     use mkse_core::telemetry::TelemetryLevel;
     use mkse_protocol::messages::{CacheReport, SearchReply};
     use mkse_protocol::wire::{decode_response, encode_request};
+    use mkse_protocol::CodecError;
 
     const WINDOW: Duration = Duration::from_millis(1);
 
@@ -1037,6 +1038,9 @@ mod tests {
         Call(u64, u64, Duration),
         /// `conn` sends bytes no request decodes from: its reader faults.
         Junk(u64),
+        /// `conn` sends a length prefix one byte past [`MAX_FRAME_BYTES`]:
+        /// its reader faults on the four bytes alone.
+        Oversized(u64),
         /// `conn`'s peer hangs up.
         Close(u64),
         /// The queue is empty at this offset: the shell asks `wake`.
@@ -1051,6 +1055,9 @@ mod tests {
         /// Per connection, the request ids of the frames it received, in
         /// order (a connection not named received none).
         replies: &'static [(u64, &'static [u64])],
+        /// Every error frame received — connection, request id, error — in
+        /// connection order.
+        errors: &'static [(u64, u64, ProtocolError)],
         /// Flushes by reason: complete, window, depth, barrier, shutdown.
         flushes: [u64; 5],
         /// Groups flushed, and the queries they held.
@@ -1058,8 +1065,8 @@ mod tests {
         sheds: u64,
     }
 
-    /// Read `link` to its end, collecting the request id of every frame.
-    fn read_to_end(link: &mut MemoryReader, ids: &mut Vec<u64>) {
+    /// Read `link` to its end, collecting every frame's request id and reply.
+    fn read_to_end(link: &mut MemoryReader, got: &mut Vec<(u64, Response)>) {
         let mut frames = FrameBuffer::new(MAX_FRAME_BYTES);
         let mut buf = [0u8; 4096];
         loop {
@@ -1069,7 +1076,7 @@ mod tests {
             }
         }
         while let Some(payload) = frames.pop().expect("a reply frame") {
-            ids.push(decode_response(&payload).expect("a reply").0);
+            got.push(decode_response(&payload).expect("a reply"));
         }
     }
 
@@ -1089,7 +1096,7 @@ mod tests {
         let epoch = Instant::now();
         let (mut at, mut sent) = (epoch, 0);
         let mut links = BTreeMap::new();
-        let mut got: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let mut got: BTreeMap<u64, Vec<(u64, Response)>> = BTreeMap::new();
         for act in acts {
             let (conn, bytes) = match act {
                 Act::Open(conn) => {
@@ -1112,6 +1119,7 @@ mod tests {
                     (conn, encode_request(id, request))
                 }
                 Act::Junk(conn) => (conn, vec![3, 0, 0, 0, 0xff, 0xff, 0xff]),
+                Act::Oversized(conn) => (conn, (MAX_FRAME_BYTES as u32 + 1).to_le_bytes().to_vec()),
                 Act::Close(conn) => {
                     core.on(Event::Closed(conn), at);
                     continue;
@@ -1153,7 +1161,18 @@ mod tests {
                 (conn, named.map_or(Vec::new(), |(_, ids)| ids.to_vec()))
             })
             .collect();
-        assert_eq!(got, expected, "{name}: replies");
+        let (mut received, mut errors) = (BTreeMap::new(), Vec::new());
+        for (conn, frames) in got {
+            let ids = received.entry(conn).or_insert_with(Vec::new);
+            for (id, reply) in frames {
+                ids.push(id);
+                if let Response::Error(error) = reply {
+                    errors.push((conn, id, error));
+                }
+            }
+        }
+        assert_eq!(received, expected, "{name}: replies");
+        assert_eq!(errors, want.errors, "{name}: error frames");
         let snapshot = tel.snapshot();
         let flushes = ["complete", "window", "depth", "barrier", "shutdown"]
             .map(|reason| snapshot.counter(&format!("batcher_flush_{reason}")));
@@ -1164,26 +1183,38 @@ mod tests {
         assert_eq!(occupancy, want.occupancy, "{name}: occupancy");
         assert_eq!(report.sheds, want.sheds, "{name}: sheds");
         assert_eq!(snapshot.counter("sheds"), want.sheds, "{name}: sheds");
+        // Every link opened was counted, and closed by the peer or the drain.
+        let connections = links.len() as u64;
+        let counted = ["opened", "closed"].map(|c| snapshot.counter(&format!("connections_{c}")));
+        assert_eq!(counted, [connections; 2], "{name}: connections");
+        assert_eq!(report.connections, connections, "{name}: connections");
         // Every frame sent was executed or shed: none lost in the drain.
         assert_eq!(report.requests + report.sheds, sent, "{name}: requests");
     }
 
     /// The core, driven through one script per behaviour with no thread, no
     /// sleep and no clock read beyond the epoch: a flush for each reason, a
-    /// shed, a fault, a close, the drain.
+    /// shed, a fault, an oversized frame, a close, the drain.
     #[rustfmt::skip]
     #[test]
     fn the_hub_core_scripts_enumerated() {
-        use Act::{Call, Close, Eof, Junk, Open, Query, Turn};
+        use Act::{Call, Close, Eof, Junk, Open, Oversized, Query, Turn};
         let t = Duration::from_micros;
         let config = HubConfig { batch_window: WINDOW, ..HubConfig::default() };
-        let want = |replies, flushes, occupancy, sheds| Want { replies, flushes, occupancy, sheds };
+        let want = |replies, flushes, occupancy, sheds, errors| Want { replies, flushes, occupancy, sheds, errors };
+        const OVERLOADED: ProtocolError =
+            ProtocolError::Transport(TransportError::Overloaded { retry_after_ms: 2 });
+        const UNDECODABLE: ProtocolError = ProtocolError::Codec(CodecError::UnknownVersion(0xff));
+        const TOO_LARGE: ProtocolError = ProtocolError::Transport(TransportError::FrameTooLarge {
+            declared: MAX_FRAME_BYTES + 1,
+            max: MAX_FRAME_BYTES,
+        });
         play("a lone connection's query is a complete group of one", config.clone(), vec![
             Open(1),
             Query(1, 10, t(0)), Turn(t(0)),
             Query(1, 11, t(5)), Turn(t(5)),
             Query(1, 12, t(9)), Turn(t(9)),
-        ], want(&[(1, &[10, 11, 12])], [3, 0, 0, 0, 0], (3, 3), 0));
+        ], want(&[(1, &[10, 11, 12])], [3, 0, 0, 0, 0], (3, 3), 0, &[]));
         // Round one: both first queries queue behind an opener's group of one
         // while it runs, and the opener hangs up. From then on each waits for
         // the other, never for the window.
@@ -1193,7 +1224,7 @@ mod tests {
             Query(1, 10, t(1)), Query(2, 20, t(1)), Close(3), Turn(t(1)),
             Query(1, 11, t(100)), Turn(t(100)), Query(2, 21, t(150)), Turn(t(150)),
             Query(2, 22, t(300)), Turn(t(300)), Query(1, 12, t(320)), Turn(t(320)),
-        ], want(&[(1, &[10, 11, 12]), (2, &[20, 21, 22]), (3, &[30])], [4, 0, 0, 0, 0], (4, 7), 0));
+        ], want(&[(1, &[10, 11, 12]), (2, &[20, 21, 22]), (3, &[30])], [4, 0, 0, 0, 0], (4, 7), 0, &[]));
         // The queue never runs empty while the backlog is taken, so only the
         // depth flushes it, although 1 — expected — is missing.
         play("a backlog queued behind a running group is fused to the depth",
@@ -1203,7 +1234,7 @@ mod tests {
             Query(2, 20, t(1)), Query(2, 21, t(1)), Query(2, 22, t(1)), Query(2, 23, t(1)),
             Query(2, 24, t(1)), Query(2, 25, t(1)), Query(2, 26, t(1)), Query(2, 27, t(1)),
             Turn(t(1)),
-        ], want(&[(1, &[10]), (2, &[20, 21, 22, 23, 24, 25, 26, 27])], [1, 0, 2, 0, 0], (3, 9), 0));
+        ], want(&[(1, &[10]), (2, &[20, 21, 22, 23, 24, 25, 26, 27])], [1, 0, 2, 0, 0], (3, 9), 0, &[]));
         // Connections that never query (a node's control traffic) are never
         // expected; their barriers find no group to flush.
         play("a lone querier beside control connections never waits the window", config.clone(), vec![
@@ -1211,7 +1242,7 @@ mod tests {
             Call(1, 100, t(0)), Turn(t(0)), Query(4, 40, t(1)), Turn(t(1)),
             Call(2, 200, t(2)), Turn(t(2)), Query(4, 41, t(3)), Turn(t(3)),
             Call(3, 300, t(4)), Turn(t(4)), Query(4, 42, t(5)), Turn(t(5)),
-        ], want(&[(1, &[100]), (2, &[200]), (3, &[300]), (4, &[40, 41, 42])], [3, 0, 0, 0, 0], (3, 3), 0));
+        ], want(&[(1, &[100]), (2, &[200]), (3, &[300]), (4, &[40, 41, 42])], [3, 0, 0, 0, 0], (3, 3), 0, &[]));
         // 1 queries once and goes quiet: 2's first query waits the window
         // out, its next ones do not. Then the roles swap.
         play("a client that stops querying costs its peer one window, once", config.clone(), vec![
@@ -1221,28 +1252,29 @@ mod tests {
             Query(2, 21, t(2_000)), Turn(t(2_000)), Query(2, 22, t(2_100)), Turn(t(2_100)),
             Query(1, 11, t(3_000)), Turn(t(3_000)), Turn(t(3_000) + WINDOW),
             Query(1, 12, t(5_000)), Turn(t(5_000)),
-        ], want(&[(1, &[10, 11, 12]), (2, &[20, 21, 22])], [4, 2, 0, 0, 0], (6, 6), 0));
+        ], want(&[(1, &[10, 11, 12]), (2, &[20, 21, 22])], [4, 2, 0, 0, 0], (6, 6), 0, &[]));
         play("a barrier flushes the pending group before it runs", config.clone(), vec![
             Open(1), Open(2),
             Query(2, 20, t(0)), Turn(t(0)),
             Query(1, 10, t(1)), Turn(t(1)), Call(1, 11, t(2)), Turn(t(2)),
-        ], want(&[(1, &[10, 11]), (2, &[20])], [1, 0, 0, 1, 0], (2, 2), 0));
+        ], want(&[(1, &[10, 11]), (2, &[20])], [1, 0, 0, 1, 0], (2, 2), 0, &[]));
         play("a closed connection is dropped from the expected set", config.clone(), vec![
             Open(1), Open(2),
             Query(1, 10, t(0)), Turn(t(0)),
             Query(2, 20, t(10)), Turn(t(10)), Close(1), Eof(1), Turn(t(20)),
-        ], want(&[(1, &[10]), (2, &[20])], [2, 0, 0, 0, 0], (2, 2), 0));
+        ], want(&[(1, &[10]), (2, &[20])], [2, 0, 0, 0, 0], (2, 2), 0, &[]));
         // 2's two parked queries fill the budget: 1's next is answered
         // `Overloaded` at once and never joins the group, which waits for 1
-        // until the window. The slots come back with the replies.
+        // until the window. The slots come back with the replies, and 1's
+        // connection survives its shed: its next query is served.
         play("a request over the hub-wide budget is shed at once",
             HubConfig { max_hub_in_flight: 2, ..config.clone() }, vec![
             Open(1), Open(2),
             Query(1, 10, t(0)), Turn(t(0)),
             Query(2, 20, t(1)), Query(2, 21, t(1)), Turn(t(1)),
             Query(1, 11, t(2)), Turn(t(2)), Turn(t(1) + WINDOW),
-            Query(2, 22, t(1_100)), Query(2, 23, t(1_100)), Turn(t(1_100)),
-        ], want(&[(1, &[10, 11]), (2, &[20, 21, 22, 23])], [2, 1, 0, 0, 0], (3, 5), 1));
+            Query(1, 12, t(1_100)), Query(2, 22, t(1_100)), Turn(t(1_100)),
+        ], want(&[(1, &[10, 11, 12]), (2, &[20, 21, 22])], [2, 1, 0, 0, 0], (3, 5), 1, &[(1, 11, OVERLOADED)]));
         // The pending reply, then the error frame (request id 0), then the
         // close; the peer no longer waits for the faulted connection.
         play("a fault answers what is pending, then the error, then closes", config.clone(), vec![
@@ -1250,7 +1282,17 @@ mod tests {
             Query(2, 20, t(0)), Turn(t(0)),
             Query(1, 10, t(1)), Turn(t(1)), Junk(1), Eof(1),
             Query(2, 21, t(2)), Turn(t(2)),
-        ], want(&[(1, &[10, 0]), (2, &[20, 21])], [2, 0, 0, 1, 0], (3, 3), 0));
+        ], want(&[(1, &[10, 0]), (2, &[20, 21])], [2, 0, 0, 1, 0], (3, 3), 0, &[(1, 0, UNDECODABLE)]));
+        // A prefix one byte past the cap is refused from its four bytes, before
+        // any payload exists: what is pending (the bystander's query, parked
+        // for the offender), the error frame, then the close. The bystander's
+        // next query runs at once.
+        play("an oversized prefix is answered with its size, then closes", config.clone(), vec![
+            Open(1), Open(2),
+            Query(1, 10, t(0)), Turn(t(0)),
+            Query(2, 20, t(1)), Turn(t(1)), Oversized(1), Eof(1), Turn(t(1)),
+            Query(2, 21, t(2)), Turn(t(2)),
+        ], want(&[(1, &[10, 0]), (2, &[20, 21])], [2, 0, 0, 1, 0], (3, 3), 0, &[(1, 0, TOO_LARGE)]));
         // 3 queried once and went quiet, so four queries wait for it when the
         // handle shuts down: the drain answers every one.
         play("shutdown drains every accepted request", config, vec![
@@ -1258,6 +1300,6 @@ mod tests {
             Query(3, 30, t(0)), Turn(t(0)),
             Query(1, 10, t(1)), Query(2, 20, t(1)), Query(1, 11, t(1)), Query(2, 21, t(1)),
             Turn(t(1)),
-        ], want(&[(1, &[10, 11]), (2, &[20, 21]), (3, &[30])], [1, 0, 0, 0, 1], (2, 5), 0));
+        ], want(&[(1, &[10, 11]), (2, &[20, 21]), (3, &[30])], [1, 0, 0, 0, 1], (2, 5), 0, &[]));
     }
 }

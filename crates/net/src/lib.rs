@@ -72,6 +72,15 @@
 //! even across failovers — the oracle matrix's `fleet[nodes=3, kill]` and
 //! `fleet[nodes=3, cascade]` rows prove it, holding every reply of a seeded
 //! script to the sequential scan's model while byte budgets kill nodes.
+//!
+//! Each of the hub's behaviours is held once. Its core — batcher, shed,
+//! fault, oversized frame, close and drain, the error frames' payloads
+//! included — is `hub::tests::the_hub_core_scripts_enumerated`, scripted
+//! events with no thread; the threaded hub is the oracle matrix's `hub-tcp`,
+//! `hub-memory` and `chaos[…]` rows (`tests/oracle_matrix.rs`). This crate's
+//! own threaded tests keep only what no script reaches: the reader shell's
+//! idle close (a client owed a reply is not idle), and a budget slot given
+//! back before its reply is written.
 
 #![forbid(unsafe_code)]
 
@@ -95,8 +104,7 @@ pub use resilient::{Connector, InFlight, ResilienceStats, ResilientClient, Retry
 mod tests {
     use super::*;
     use mkse_core::bitindex::BitIndex;
-    use mkse_core::telemetry::{MetricsSnapshot, Telemetry, TelemetryLevel};
-    use mkse_protocol::messages::{CacheReport, SearchReply, SearchResultEntry};
+    use mkse_protocol::messages::{CacheReport, SearchReply};
     use mkse_protocol::{ProtocolError, TransportError};
     use mkse_protocol::{QueryMessage, Request, Response, Service};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,31 +112,23 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// A deterministic stand-in service: answers queries with a reply derived
-    /// from the query bits, echoes restore sizes, acks the rest. Uses the
-    /// default (sequential) `call_query_group`, so transport tests exercise
-    /// the hub machinery without the full engine underneath.
+    /// A stand-in service for the threaded shells the core's scripts do not
+    /// reach (`hub::tests` holds the core): an empty search reply for every
+    /// query, an ack for the rest, and a count of its calls.
     struct EchoService {
-        telemetry: Telemetry,
         calls: Arc<AtomicU64>,
-        /// When set, the first call blocks until the sender signals or drops:
-        /// the test fills the hub's event queue meanwhile.
+        /// When set, the first call blocks until the sender signals or drops.
         hold: Option<Receiver<()>>,
     }
 
     impl EchoService {
-        fn new(level: TelemetryLevel) -> (EchoService, Arc<AtomicU64>) {
-            let telemetry = Telemetry::new();
-            telemetry.set_level(level);
+        fn new() -> (EchoService, Arc<AtomicU64>) {
             let calls = Arc::new(AtomicU64::new(0));
-            (
-                EchoService {
-                    telemetry,
-                    calls: calls.clone(),
-                    hold: None,
-                },
-                calls,
-            )
+            let service = EchoService {
+                calls: calls.clone(),
+                hold: None,
+            };
+            (service, calls)
         }
     }
 
@@ -139,23 +139,12 @@ mod tests {
                 let _ = hold.recv();
             }
             match request {
-                Request::Query(m) => Response::Search(SearchReply {
-                    matches: vec![SearchResultEntry {
-                        document_id: m.query.count_ones() as u64,
-                        rank: m.query.len() as u32,
-                        metadata: Vec::new(),
-                    }],
+                Request::Query(_) => Response::Search(SearchReply {
+                    matches: Vec::new(),
                     cache: CacheReport::default(),
                 }),
-                Request::RestoreIndex(bytes) => Response::Restored {
-                    documents: bytes.len() as u64,
-                },
                 _ => Response::Ack,
             }
-        }
-
-        fn telemetry(&self) -> Option<&Telemetry> {
-            Some(&self.telemetry)
         }
     }
 
@@ -172,163 +161,9 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(5);
 
-    /// Batcher flushes, whatever the reason.
-    fn flushes(snapshot: &MetricsSnapshot) -> u64 {
-        ["complete", "window", "depth", "barrier", "shutdown"]
-            .iter()
-            .map(|reason| snapshot.counter(&format!("batcher_flush_{reason}")))
-            .sum()
-    }
-
-    /// `(samples, sum)` of the batch-occupancy series: one sample per flush,
-    /// summing to the queries coalesced.
-    fn occupancy(snapshot: &MetricsSnapshot) -> (u64, u64) {
-        snapshot
-            .values
-            .iter()
-            .find(|v| v.series == "batch_occupancy")
-            .map_or((0, 0), |v| (v.count, v.sum))
-    }
-
-    #[test]
-    fn memory_round_trip_over_the_hub() {
-        let (service, calls) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let hub = Hub::spawn(service, HubConfig::default());
-        let mut client = NetClient::from_memory(hub.connect_memory());
-        let reply = client.call(&query(3, 16), WAIT).unwrap();
-        let found = &reply.into_search().unwrap().matches[0];
-        assert_eq!((found.document_id, found.rank), (3, 16));
-        let echoed = client
-            .call(&Request::RestoreIndex(vec![7; 42]), WAIT)
-            .unwrap();
-        assert_eq!(echoed, Response::Restored { documents: 42 });
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        let report = hub.shutdown();
-        assert_eq!(report.connections, 1);
-        assert_eq!(report.requests, 2);
-        let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.counter("wire_frames_in"), 2);
-        assert_eq!(snapshot.counter("wire_frames_out"), 2);
-        assert_eq!(snapshot.counter("connections_opened"), 1);
-        assert_eq!(snapshot.counter("connections_closed"), 1);
-        assert_eq!(client.wire_stats().frames_sent, 2);
-        assert_eq!(client.wire_stats().frames_received, 2);
-    }
-
-    #[test]
-    fn tcp_round_trip_over_the_hub() {
-        let (service, _) = EchoService::new(TelemetryLevel::Off);
-        let hub = Hub::spawn(service, HubConfig::default());
-        let addr = hub.bind_tcp("127.0.0.1:0").unwrap();
-        let mut a = NetClient::connect_tcp(addr).unwrap();
-        let mut b = NetClient::connect_tcp(addr)
-            .unwrap()
-            .with_first_request_id(1_000_001);
-        let ia = a.submit(&query(1, 8));
-        let ib = b.submit(&query(5, 8));
-        a.flush().unwrap();
-        b.flush().unwrap();
-        let ra = a.wait_take(ia, WAIT).unwrap().into_search().unwrap();
-        let rb = b.wait_take(ib, WAIT).unwrap().into_search().unwrap();
-        assert_eq!(ra.matches[0].document_id, 1);
-        assert_eq!(rb.matches[0].document_id, 5);
-        let report = hub.shutdown();
-        assert_eq!(report.connections, 2);
-        assert_eq!(report.requests, 2);
-    }
-
-    #[test]
-    fn batcher_coalesces_across_connections() {
-        let (service, _) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let config = HubConfig {
-            batch_window: Duration::from_millis(50),
-            journal: true,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        let mut a = NetClient::from_memory(hub.connect_memory());
-        let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        let ia = a.submit(&query(2, 8));
-        let ib = b.submit(&query(4, 8));
-        a.flush().unwrap();
-        b.flush().unwrap();
-        let ra = a.wait_take(ia, WAIT).unwrap().into_search().unwrap();
-        let rb = b.wait_take(ib, WAIT).unwrap().into_search().unwrap();
-        // Replies are demultiplexed to the right connection by request id.
-        assert_eq!(ra.matches[0].document_id, 2);
-        assert_eq!(rb.matches[0].document_id, 4);
-        let report = hub.shutdown();
-        assert_eq!(report.requests, 2);
-        let snapshot = telemetry.snapshot();
-        // At least one flush happened and both queries were coalesced (one
-        // flush of 2 if the second arrived before the dispatcher looked at
-        // the first, two flushes of 1 if not).
-        assert_eq!(snapshot.counter("batcher_coalesced_queries"), 2);
-        let flushes = flushes(&snapshot);
-        assert!(flushes >= 1);
-        // Occupancy histogram recorded one sample per flush.
-        assert_eq!(occupancy(&snapshot), (flushes, 2));
-        // The journal holds both queries in execution order.
-        assert_eq!(report.journal.len(), 2);
-    }
-
-    #[test]
-    fn oversized_frame_gets_typed_error_and_closes_only_that_connection() {
-        let (service, _) = EchoService::new(TelemetryLevel::Off);
-        let hub = Hub::spawn(service, HubConfig::default());
-        let mut offender = NetClient::from_memory(hub.connect_memory());
-        let mut bystander =
-            NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        // A prefix declaring one byte past the cap: the reject fires from the
-        // 4 prefix bytes alone, before any payload exists.
-        let declared = hub::MAX_FRAME_BYTES + 1;
-        offender.send_raw(&(declared as u32).to_le_bytes()).unwrap();
-        let reply = offender.wait_take(0, WAIT).unwrap();
-        assert_eq!(
-            reply,
-            Response::Error(ProtocolError::Transport(TransportError::FrameTooLarge {
-                declared,
-                max: hub::MAX_FRAME_BYTES,
-            }))
-        );
-        // The connection is closed after the error frame...
-        assert!(matches!(
-            offender.wait_take(42, WAIT),
-            Err(ClientError::Disconnected { .. })
-        ));
-        // ...but the bystander connection still works.
-        let ok = bystander.call(&query(2, 8), WAIT).unwrap();
-        assert!(matches!(ok, Response::Search(_)));
-        drop(hub.shutdown());
-    }
-
-    #[test]
-    fn corrupt_frame_poisons_only_its_connection() {
-        let (service, _) = EchoService::new(TelemetryLevel::Off);
-        let hub = Hub::spawn(service, HubConfig::default());
-        let mut poisoned = NetClient::from_memory(hub.connect_memory());
-        let mut healthy =
-            NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        // A well-framed but undecodable payload.
-        let mut junk = (3u32).to_le_bytes().to_vec();
-        junk.extend_from_slice(&[0xff, 0xff, 0xff]);
-        poisoned.send_raw(&junk).unwrap();
-        let reply = poisoned.wait_take(0, WAIT).unwrap();
-        assert!(matches!(reply, Response::Error(ProtocolError::Codec(_))));
-        assert!(matches!(
-            poisoned.wait_take(1, WAIT),
-            Err(ClientError::Disconnected { .. })
-        ));
-        let ok = healthy.call(&query(3, 8), WAIT).unwrap();
-        assert!(matches!(ok, Response::Search(_)));
-        drop(hub.shutdown());
-    }
-
     #[test]
     fn idle_connection_is_reaped_with_typed_error() {
-        let (service, _) = EchoService::new(TelemetryLevel::Off);
+        let (service, _) = EchoService::new();
         let config = HubConfig {
             idle_timeout: Duration::from_millis(30),
             ..HubConfig::default()
@@ -352,7 +187,7 @@ mod tests {
 
     #[test]
     fn a_client_owed_a_reply_is_not_idle() {
-        let (mut service, calls) = EchoService::new(TelemetryLevel::Off);
+        let (mut service, calls) = EchoService::new();
         let (release, hold) = mpsc::channel();
         service.hold = Some(hold);
         let idle = Duration::from_millis(30);
@@ -381,65 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn hub_budget_sheds_excess_with_typed_overloaded_and_connection_survives() {
-        let (service, _) = EchoService::new(TelemetryLevel::Counters);
-        let telemetry = service.telemetry.clone();
-        let config = HubConfig {
-            // Budget of one in-flight request hub-wide; a long-ish window
-            // keeps the admitted query parked in the batcher (waiting for B,
-            // who has been querying) while the second arrives, so the shed
-            // is deterministic.
-            max_hub_in_flight: 1,
-            batch_window: Duration::from_millis(500),
-            batch_depth: 1024,
-            journal: true,
-            ..HubConfig::default()
-        };
-        let hub = Hub::spawn(service, config);
-        let mut a = NetClient::from_memory(hub.connect_memory());
-        let mut b = NetClient::from_memory(hub.connect_memory()).with_first_request_id(1_000_001);
-        // One completed query makes B a connection the batcher expects; a
-        // peer that never queried would not hold A's group back.
-        let warm = b.call(&query(4, 16), WAIT).unwrap();
-        assert!(matches!(warm, Response::Search(_)));
-        let ia = a.submit(&query(2, 16));
-        a.flush().unwrap();
-        // Wait until A's query holds the only budget slot (parked in the
-        // batcher, pending the window flush).
-        while hub.frames_accepted() < 2 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let ib = b.submit(&query(4, 16));
-        b.flush().unwrap();
-        // B is shed immediately with the typed error carrying the hub's 2 ms
-        // hint — the saturated hub still answers, it does not stall B.
-        let shed = b.wait_take(ib, WAIT).unwrap();
-        assert_eq!(
-            shed,
-            Response::Error(ProtocolError::Transport(TransportError::Overloaded {
-                retry_after_ms: 2
-            }))
-        );
-        // A's admitted query completes once the window flushes, releasing
-        // the budget slot...
-        let ra = a.wait_take(ia, WAIT).unwrap();
-        assert!(matches!(ra, Response::Search(_)));
-        // ...and B's connection survived the shed: a retry now succeeds.
-        let rb = b.call(&query(4, 16), WAIT).unwrap();
-        assert!(matches!(rb, Response::Search(_)));
-        let report = hub.shutdown();
-        assert_eq!(report.sheds, 1);
-        // The shed request was refused before execution: never counted as an
-        // executed request, never journaled — the replay oracle sees only
-        // the three executed queries.
-        assert_eq!(report.requests, 3);
-        assert_eq!(report.journal.len(), 3);
-        assert_eq!(telemetry.snapshot().counter("sheds"), 1);
-    }
-
-    #[test]
     fn a_sequential_client_is_never_shed_by_its_own_last_reply() {
-        let (service, _) = EchoService::new(TelemetryLevel::Off);
+        let (service, _) = EchoService::new();
         let config = HubConfig {
             max_hub_in_flight: 1,
             ..HubConfig::default()

@@ -79,12 +79,6 @@ impl NodeRunner {
         self.hub.memory_dialer()
     }
 
-    /// Control-plane resilience counters (conservation law holds here too).
-    #[cfg(test)]
-    fn control_stats(&self) -> crate::resilient::ResilienceStats {
-        self.control.stats()
-    }
-
     /// Join the fleet: advertise capabilities, receive the shard assignment.
     /// Idempotent — re-registering after being declared dead rejoins with
     /// whatever shards the coordinator grants now. A refusal from the
@@ -206,11 +200,6 @@ mod tests {
         ));
 
         for runner in runners {
-            let stats = runner.control_stats();
-            assert_eq!(
-                stats.attempts,
-                stats.successes + stats.sheds + stats.link_faults
-            );
             runner.shutdown();
         }
         stranger.shutdown();

@@ -1,21 +1,14 @@
 //! Communication-cost accounting (Table 1) — analytic **and** measured.
 //!
-//! Every message an actor sends is recorded in a [`CostLedger`] as `(sender, receiver, phase,
-//! bits)`. The ledger can then be summarized exactly the way Table 1 presents the costs: bits
-//! *sent by* each party, per protocol phase (trapdoor / search / decrypt).
-//!
-//! Since the envelope redesign the ledger additionally tracks **measured framed
-//! wire traffic**: every exchange that travels through [`crate::Client`] crosses
-//! the [`crate::wire`] codec, and the observed frame counts and framed byte sizes
-//! are recorded as [`WireTransmission`]s next to the analytic records. The
-//! analytic bits reproduce the paper's Table 1 formulas; the wire bits are what
-//! the same exchange actually costs on a real transport (length prefix, version
-//! byte, request id, byte-aligned bodies included).
+//! A [`CostLedger`] is Table 1's grid for one protocol run: per sending party
+//! and protocol phase (trapdoor / search / decrypt), the bits the paper's
+//! formulas charge for what that party sent. Every exchange that travels
+//! through [`crate::Client`] also crosses the [`crate::wire`] codec, so each
+//! cell carries the measured framed traffic of the same messages beside the
+//! analytic bits: frames and framed bytes (length prefix, version byte, request
+//! id and byte-aligned bodies included).
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The three protocol roles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -59,48 +52,29 @@ impl std::fmt::Display for Phase {
     }
 }
 
-/// One recorded transmission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Transmission {
-    /// Sending party (the one Table 1 charges the bits to).
-    pub from: Party,
-    /// Receiving party.
-    pub to: Party,
-    /// Protocol phase.
-    pub phase: Phase,
-    /// Message size in bits.
-    pub bits: u64,
+/// What one party sent in one phase.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Cell {
+    /// Analytic Table 1 bits.
+    bits: u64,
+    /// Measured frames.
+    frames: u64,
+    /// Measured framed bytes.
+    wire_bytes: u64,
 }
 
-/// One measured framed exchange: frames and framed bytes that actually crossed
-/// the [`crate::wire`] codec, attributed like a [`Transmission`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireTransmission {
-    /// Sending party (the one the framed bytes are charged to).
-    pub from: Party,
-    /// Receiving party.
-    pub to: Party,
-    /// Protocol phase.
-    pub phase: Phase,
-    /// Frames shipped in this exchange direction.
-    pub frames: u64,
-    /// Framed bytes shipped (length prefix + header + body).
-    pub bytes: u64,
-}
-
-#[derive(Default, Debug)]
-struct LedgerInner {
-    transmissions: Vec<Transmission>,
-    wire: Vec<WireTransmission>,
-}
-
-/// A shared, thread-safe ledger of every transmission in a protocol run.
-///
-/// Cloning the ledger clones the handle, not the data, so every actor can hold one.
-#[derive(Clone, Default, Debug)]
+/// The Table 1 grid of one protocol run: analytic bits and measured framed
+/// traffic, per sending party and phase (the party Table 1 charges them to).
+/// A value: a round records into its own ledger, and a session folds each
+/// round's into its running total with [`CostLedger::merge_from`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CostLedger {
-    inner: Arc<Mutex<LedgerInner>>,
+    /// Indexed by [`Party`], then [`Phase`].
+    cells: [[Cell; 3]; 3],
 }
+
+const PARTIES: [Party; 3] = [Party::User, Party::DataOwner, Party::Server];
+const PHASES: [Phase; 3] = [Phase::Trapdoor, Phase::Search, Phase::Decrypt];
 
 impl CostLedger {
     /// Create an empty ledger.
@@ -108,157 +82,91 @@ impl CostLedger {
         Self::default()
     }
 
-    /// Record one transmission (analytic Table 1 bits).
-    pub fn record(&self, from: Party, to: Party, phase: Phase, bits: u64) {
-        self.inner.lock().transmissions.push(Transmission {
-            from,
-            to,
-            phase,
-            bits,
-        });
+    fn cell(&self, party: Party, phase: Phase) -> &Cell {
+        &self.cells[party as usize][phase as usize]
     }
 
-    /// Record one measured framed exchange (frames + framed bytes observed at
-    /// the [`crate::wire`] codec).
-    pub fn record_wire(&self, from: Party, to: Party, phase: Phase, frames: u64, bytes: u64) {
-        if frames == 0 && bytes == 0 {
-            return;
+    fn cell_mut(&mut self, party: Party, phase: Phase) -> &mut Cell {
+        &mut self.cells[party as usize][phase as usize]
+    }
+
+    /// Record one message `from` sent in `phase` (analytic Table 1 bits).
+    pub fn record(&mut self, from: Party, phase: Phase, bits: u64) {
+        self.cell_mut(from, phase).bits += bits;
+    }
+
+    /// Record the framed traffic `from` sent in `phase`: frames and framed
+    /// bytes observed at the [`crate::wire`] codec.
+    pub fn record_wire(&mut self, from: Party, phase: Phase, frames: u64, bytes: u64) {
+        let cell = self.cell_mut(from, phase);
+        cell.frames += frames;
+        cell.wire_bytes += bytes;
+    }
+
+    /// Add another ledger's counts, analytic and measured, to this one.
+    pub fn merge_from(&mut self, other: &CostLedger) {
+        for (mine, theirs) in self
+            .cells
+            .iter_mut()
+            .flatten()
+            .zip(other.cells.iter().flatten())
+        {
+            mine.bits += theirs.bits;
+            mine.frames += theirs.frames;
+            mine.wire_bytes += theirs.wire_bytes;
         }
-        self.inner.lock().wire.push(WireTransmission {
-            from,
-            to,
-            phase,
-            frames,
-            bytes,
-        });
-    }
-
-    /// All transmissions recorded so far.
-    pub fn transmissions(&self) -> Vec<Transmission> {
-        self.inner.lock().transmissions.clone()
-    }
-
-    /// All measured framed exchanges recorded so far.
-    #[cfg(test)]
-    fn wire_transmissions(&self) -> Vec<WireTransmission> {
-        self.inner.lock().wire.clone()
-    }
-
-    /// Fold another ledger's records (both analytic and measured) into this one.
-    /// Merging a ledger into itself (same handle or a clone of it) is a no-op —
-    /// clones share data, so there is nothing to fold and locking twice would
-    /// deadlock.
-    pub fn merge_from(&self, other: &CostLedger) {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
-            return;
-        }
-        let other = other.inner.lock();
-        let mut inner = self.inner.lock();
-        inner.transmissions.extend_from_slice(&other.transmissions);
-        inner.wire.extend_from_slice(&other.wire);
     }
 
     /// Total bits *sent* by `party` in `phase` — one cell of Table 1.
     pub fn bits_sent(&self, party: Party, phase: Phase) -> u64 {
-        self.inner
-            .lock()
-            .transmissions
-            .iter()
-            .filter(|t| t.from == party && t.phase == phase)
-            .map(|t| t.bits)
-            .sum()
-    }
-
-    /// Total bits sent by `party` across all phases.
-    #[cfg(test)]
-    fn total_bits_sent(&self, party: Party) -> u64 {
-        self.inner
-            .lock()
-            .transmissions
-            .iter()
-            .filter(|t| t.from == party)
-            .map(|t| t.bits)
-            .sum()
+        self.cell(party, phase).bits
     }
 
     /// Total traffic in the run.
     pub fn total_bits(&self) -> u64 {
-        self.inner.lock().transmissions.iter().map(|t| t.bits).sum()
+        self.cells.iter().flatten().map(|cell| cell.bits).sum()
     }
 
     /// Measured framed bits *sent* by `party` in `phase` (8 × framed bytes) —
     /// the measured counterpart of [`CostLedger::bits_sent`].
     pub fn wire_bits_sent(&self, party: Party, phase: Phase) -> u64 {
-        8 * self
-            .inner
-            .lock()
-            .wire
-            .iter()
-            .filter(|t| t.from == party && t.phase == phase)
-            .map(|t| t.bytes)
-            .sum::<u64>()
+        8 * self.cell(party, phase).wire_bytes
     }
 
     /// Measured frames sent by `party` in `phase`.
     pub fn wire_frames_sent(&self, party: Party, phase: Phase) -> u64 {
-        self.inner
-            .lock()
-            .wire
-            .iter()
-            .filter(|t| t.from == party && t.phase == phase)
-            .map(|t| t.frames)
-            .sum()
-    }
-
-    /// Total measured framed bits in the run.
-    #[cfg(test)]
-    fn total_wire_bits(&self) -> u64 {
-        8 * self.inner.lock().wire.iter().map(|t| t.bytes).sum::<u64>()
-    }
-
-    /// A `(party, phase) → bits` table — the full Table 1 grid.
-    pub fn table(&self) -> BTreeMap<(Party, Phase), u64> {
-        let mut out = BTreeMap::new();
-        for t in self.inner.lock().transmissions.iter() {
-            *out.entry((t.from, t.phase)).or_insert(0) += t.bits;
-        }
-        out
+        self.cell(party, phase).frames
     }
 
     /// Render the grid as alignment-friendly text rows (used by the experiment binaries).
     /// When measured framed traffic was recorded, a second grid with the wire
     /// measurements follows the analytic one.
     pub fn render_table(&self) -> String {
-        let table = self.table();
         let mut out =
             String::from("party        | trapdoor (bits) | search (bits) | decrypt (bits)\n");
-        for party in [Party::User, Party::DataOwner, Party::Server] {
-            let cell = |phase| table.get(&(party, phase)).copied().unwrap_or(0);
+        for party in PARTIES {
+            let [trapdoor, search, decrypt] = PHASES.map(|phase| self.bits_sent(party, phase));
             out.push_str(&format!(
-                "{:<12} | {:>15} | {:>13} | {:>14}\n",
+                "{:<12} | {trapdoor:>15} | {search:>13} | {decrypt:>14}\n",
                 party.to_string(),
-                cell(Phase::Trapdoor),
-                cell(Phase::Search),
-                cell(Phase::Decrypt)
             ));
         }
-        if !self.inner.lock().wire.is_empty() {
+        let measured = |cell: &Cell| cell.frames > 0 || cell.wire_bytes > 0;
+        if self.cells.iter().flatten().any(measured) {
             out.push_str(
                 "measured framed wire (sent):\n\
                  party        | trapdoor (bits) | search (bits) | decrypt (bits) | frames\n",
             );
-            for party in [Party::User, Party::DataOwner, Party::Server] {
-                let frames: u64 = [Phase::Trapdoor, Phase::Search, Phase::Decrypt]
+            for party in PARTIES {
+                let [trapdoor, search, decrypt] =
+                    PHASES.map(|phase| self.wire_bits_sent(party, phase));
+                let frames: u64 = PHASES
+                    .map(|phase| self.wire_frames_sent(party, phase))
                     .iter()
-                    .map(|&p| self.wire_frames_sent(party, p))
                     .sum();
                 out.push_str(&format!(
-                    "{:<12} | {:>15} | {:>13} | {:>14} | {:>6}\n",
+                    "{:<12} | {trapdoor:>15} | {search:>13} | {decrypt:>14} | {frames:>6}\n",
                     party.to_string(),
-                    self.wire_bits_sent(party, Phase::Trapdoor),
-                    self.wire_bits_sent(party, Phase::Search),
-                    self.wire_bits_sent(party, Phase::Decrypt),
-                    frames
                 ));
             }
         }
@@ -272,43 +180,43 @@ mod tests {
 
     #[test]
     fn records_and_sums_by_party_and_phase() {
-        let ledger = CostLedger::new();
-        ledger.record(Party::User, Party::DataOwner, Phase::Trapdoor, 96);
-        ledger.record(Party::DataOwner, Party::User, Phase::Trapdoor, 1024);
-        ledger.record(Party::User, Party::Server, Phase::Search, 448);
-        ledger.record(Party::Server, Party::User, Phase::Search, 10_000);
-        ledger.record(Party::User, Party::DataOwner, Phase::Decrypt, 1024);
-        ledger.record(Party::DataOwner, Party::User, Phase::Decrypt, 1024);
+        let mut ledger = CostLedger::new();
+        ledger.record(Party::User, Phase::Trapdoor, 96);
+        ledger.record(Party::DataOwner, Phase::Trapdoor, 1024);
+        ledger.record(Party::User, Phase::Search, 448);
+        ledger.record(Party::Server, Phase::Search, 10_000);
+        ledger.record(Party::User, Phase::Decrypt, 1024);
+        ledger.record(Party::DataOwner, Phase::Decrypt, 1024);
+        ledger.record(Party::User, Phase::Search, 448);
 
         assert_eq!(ledger.bits_sent(Party::User, Phase::Trapdoor), 96);
-        assert_eq!(ledger.bits_sent(Party::User, Phase::Search), 448);
+        assert_eq!(ledger.bits_sent(Party::User, Phase::Search), 2 * 448);
         assert_eq!(ledger.bits_sent(Party::Server, Phase::Search), 10_000);
         assert_eq!(ledger.bits_sent(Party::Server, Phase::Trapdoor), 0);
-        assert_eq!(ledger.total_bits_sent(Party::User), 96 + 448 + 1024);
-        assert_eq!(ledger.total_bits(), 96 + 1024 + 448 + 10_000 + 1024 + 1024);
-        assert_eq!(ledger.transmissions().len(), 6);
+        assert_eq!(
+            ledger.total_bits(),
+            96 + 1024 + 2 * 448 + 10_000 + 1024 + 1024
+        );
     }
 
     #[test]
     fn table_and_render() {
-        let ledger = CostLedger::new();
-        ledger.record(Party::User, Party::Server, Phase::Search, 448);
-        let table = ledger.table();
-        assert_eq!(table.get(&(Party::User, Phase::Search)), Some(&448));
+        let mut ledger = CostLedger::new();
+        ledger.record(Party::User, Phase::Search, 448);
         let rendered = ledger.render_table();
         assert!(rendered.contains("user"));
         assert!(rendered.contains("448"));
         assert!(rendered.contains("server"));
+        assert!(!rendered.contains("measured framed wire"));
     }
 
     #[test]
     fn wire_records_are_tracked_separately_from_analytic_bits() {
-        let ledger = CostLedger::new();
-        ledger.record(Party::User, Party::Server, Phase::Search, 448);
-        ledger.record_wire(Party::User, Party::Server, Phase::Search, 2, 130);
-        ledger.record_wire(Party::Server, Party::User, Phase::Search, 2, 4000);
-        // Zero-size wire records are dropped, not stored.
-        ledger.record_wire(Party::User, Party::Server, Phase::Decrypt, 0, 0);
+        let mut ledger = CostLedger::new();
+        ledger.record(Party::User, Phase::Search, 448);
+        ledger.record_wire(Party::User, Phase::Search, 2, 130);
+        ledger.record_wire(Party::Server, Phase::Search, 2, 4000);
+        ledger.record_wire(Party::User, Phase::Decrypt, 0, 0);
 
         assert_eq!(ledger.bits_sent(Party::User, Phase::Search), 448);
         assert_eq!(ledger.wire_bits_sent(Party::User, Phase::Search), 8 * 130);
@@ -317,31 +225,29 @@ mod tests {
             ledger.wire_bits_sent(Party::Server, Phase::Search),
             8 * 4000
         );
-        assert_eq!(ledger.total_wire_bits(), 8 * (130 + 4000));
-        assert_eq!(ledger.wire_transmissions().len(), 2);
+        assert_eq!(ledger.wire_bits_sent(Party::User, Phase::Decrypt), 0);
         // The render gains the measured grid only when wire records exist.
         assert!(ledger.render_table().contains("measured framed wire"));
 
-        let merged = CostLedger::new();
+        // Merging adds every cell, analytic and measured.
+        let mut merged = CostLedger::new();
         merged.merge_from(&ledger);
-        assert_eq!(merged.total_wire_bits(), ledger.total_wire_bits());
-        assert_eq!(merged.total_bits(), ledger.total_bits());
-
-        // Merging a ledger into itself (directly or via a shared clone) must be
-        // a no-op, not a deadlock or a duplication.
-        let clone = merged.clone();
-        merged.merge_from(&clone);
-        merged.merge_from(&merged);
-        assert_eq!(merged.total_bits(), ledger.total_bits());
-        assert_eq!(merged.wire_transmissions().len(), 2);
+        assert_eq!(merged, ledger);
+        merged.merge_from(&ledger);
+        assert_eq!(merged.total_bits(), 2 * ledger.total_bits());
+        assert_eq!(
+            merged.wire_bits_sent(Party::Server, Phase::Search),
+            2 * 8 * 4000
+        );
+        assert_eq!(merged.wire_frames_sent(Party::User, Phase::Search), 4);
     }
 
     #[test]
-    fn ledger_handles_are_shared() {
-        let a = CostLedger::new();
+    fn ledger_clones_are_independent_values() {
+        let mut a = CostLedger::new();
         let b = a.clone();
-        a.record(Party::User, Party::Server, Phase::Search, 10);
-        assert_eq!(b.total_bits(), 10);
+        a.record(Party::User, Phase::Search, 10);
+        assert_eq!((a.total_bits(), b.total_bits()), (10, 0));
     }
 
     #[test]

@@ -194,16 +194,6 @@ impl DataOwner {
         Ok(BlindDecryptReply { blinded_plaintext })
     }
 
-    /// Direct (non-blinded) decryption of an RSA value — used only by tests and experiments
-    /// that need ground truth; the protocol itself always goes through blinding.
-    #[cfg(test)]
-    fn decrypt_for_test(
-        &self,
-        value: &mkse_crypto::bigint::BigUint,
-    ) -> Result<Vec<u8>, ProtocolError> {
-        Ok(self.rsa.decrypt_bytes(value)?)
-    }
-
     /// Operation counters accumulated so far.
     pub fn counters(&self) -> &OperationCounters {
         &self.counters
@@ -248,6 +238,7 @@ impl Service for DataOwner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::user::User;
     use mkse_crypto::bigint::BigUint;
     use mkse_textproc::document::Document;
     use rand::rngs::StdRng;
@@ -272,15 +263,23 @@ mod tests {
         assert_eq!(indices[0].num_levels(), owner.params().rank_levels());
         // Ciphertext differs from plaintext and is nonce-prefixed.
         assert_ne!(&encrypted[0].ciphertext[NONCE_SIZE..], &docs[0].body[..]);
-        // The owner can recover each key from its own RSA encryption, and the
-        // recovered key decrypts the document.
+        // A registered user recovers each key through blinded decryption,
+        // and the recovered key decrypts the document.
+        let mut user = User::new(
+            3,
+            owner.params().clone(),
+            owner.public_key().clone(),
+            256,
+            &mut rng,
+        );
+        owner.register_user(user.id(), user.public_key().clone());
         for (doc, transfer) in docs.iter().zip(&encrypted) {
-            let bytes = owner.decrypt_for_test(&transfer.encrypted_key).unwrap();
-            // The RSA integer drops leading zero bytes; the key is their tail.
-            let mut key = [0u8; KEY_SIZE];
-            key[KEY_SIZE - bytes.len()..].copy_from_slice(&bytes);
-            let body = AesCtr::new(&key).decrypt(&transfer.ciphertext).unwrap();
-            assert_eq!(body, doc.body);
+            let (request, state) = user
+                .begin_blind_decrypt(&transfer.encrypted_key, &mut rng)
+                .unwrap();
+            let reply = owner.handle_blind_decrypt(&request).unwrap();
+            let key = user.finish_blind_decrypt(&reply, state).unwrap();
+            assert_eq!(user.decrypt_document(transfer, &key).unwrap(), doc.body);
         }
         assert!(owner.counters().symmetric_encryptions == 2);
         assert!(owner.counters().modular_exponentiations >= 2);

@@ -179,25 +179,18 @@ struct WireMark {
 /// same source as everything else the codec observed and cannot drift from the
 /// registry-backed served-request count.
 fn record_exchange(
-    ledger: &CostLedger,
+    ledger: &mut CostLedger,
     requester: Party,
     responder: Party,
     phase: Phase,
     (request_bits, reply_bits): (u64, u64),
     moved: WireStats,
 ) {
-    ledger.record(requester, responder, phase, request_bits);
-    ledger.record_wire(
-        requester,
-        responder,
-        phase,
-        moved.frames_sent,
-        moved.bytes_sent,
-    );
-    ledger.record(responder, requester, phase, reply_bits);
+    ledger.record(requester, phase, request_bits);
+    ledger.record_wire(requester, phase, moved.frames_sent, moved.bytes_sent);
+    ledger.record(responder, phase, reply_bits);
     ledger.record_wire(
         responder,
-        requester,
         phase,
         moved.frames_received,
         moved.bytes_received,
@@ -310,7 +303,7 @@ impl SearchSession {
     /// costs in `ledger`.
     fn trapdoor_exchange(
         &mut self,
-        ledger: &CostLedger,
+        ledger: &mut CostLedger,
         keywords: &[&str],
     ) -> Result<(), ProtocolError> {
         let modulus_bits = self.owner.public_key().modulus_bits();
@@ -348,19 +341,19 @@ impl SearchSession {
         self.owner.reset_counters();
         self.server.reset_counters();
         self.user.reset_counters();
-        let ledger = CostLedger::new();
+        let mut ledger = CostLedger::new();
         let modulus_bits = self.owner.public_key().modulus_bits();
         let mark = self.wire_mark();
 
         // Step 1 (Figure 1): trapdoor exchange.
-        self.trapdoor_exchange(&ledger, keywords)?;
+        self.trapdoor_exchange(&mut ledger, keywords)?;
 
         // Step 2: query the server.
         let query = self.user.build_query(keywords, None, rng)?;
         let before = self.server.wire_stats();
         let search_reply = self.server.query(&query)?;
         record_exchange(
-            &ledger,
+            &mut ledger,
             Party::User,
             Party::Server,
             Phase::Search,
@@ -376,7 +369,7 @@ impl SearchSession {
             let before = self.server.wire_stats();
             let doc_reply = self.server.fetch_documents(&doc_request)?;
             record_exchange(
-                &ledger,
+                &mut ledger,
                 Party::User,
                 Party::Server,
                 Phase::Search,
@@ -400,7 +393,6 @@ impl SearchSession {
             for (blind_request, state, transfer) in prepared {
                 ledger.record(
                     Party::User,
-                    Party::DataOwner,
                     Phase::Decrypt,
                     blind_request.bits(modulus_bits),
                 );
@@ -412,20 +404,10 @@ impl SearchSession {
                 return Err(e);
             }
             let moved = self.owner.wire_stats().since(&before);
-            ledger.record_wire(
-                Party::User,
-                Party::DataOwner,
-                Phase::Decrypt,
-                moved.frames_sent,
-                moved.bytes_sent,
-            );
-            ledger.record_wire(
-                Party::DataOwner,
-                Party::User,
-                Phase::Decrypt,
-                moved.frames_received,
-                moved.bytes_received,
-            );
+            let (frames, bytes) = (moved.frames_sent, moved.bytes_sent);
+            ledger.record_wire(Party::User, Phase::Decrypt, frames, bytes);
+            let (frames, bytes) = (moved.frames_received, moved.bytes_received);
+            ledger.record_wire(Party::DataOwner, Phase::Decrypt, frames, bytes);
             // Take EVERY reply, even after a failure, so no orphaned reply
             // survives in the inbox; the first error is surfaced at the end.
             let mut first_error: Option<ProtocolError> = None;
@@ -444,12 +426,8 @@ impl SearchSession {
                         continue;
                     }
                 };
-                ledger.record(
-                    Party::DataOwner,
-                    Party::User,
-                    Phase::Decrypt,
-                    blind_reply.bits(modulus_bits),
-                );
+                let bits = blind_reply.bits(modulus_bits);
+                ledger.record(Party::DataOwner, Phase::Decrypt, bits);
                 match self
                     .user
                     .finish_blind_decrypt(&blind_reply, state)
@@ -507,21 +485,22 @@ impl SearchSession {
     ) -> Result<Vec<Vec<(u64, u32)>>, ProtocolError> {
         // Step 1 (Figure 1): one trapdoor exchange for the union of all keywords.
         let union: Vec<&str> = keyword_sets.iter().flatten().copied().collect();
-        let ledger = self.ledger.clone(); // shared handle, not a copy
-        self.trapdoor_exchange(&ledger, &union)?;
+        let mut ledger = CostLedger::new();
+        self.trapdoor_exchange(&mut ledger, &union)?;
 
         // Step 2: every query in one batched round trip.
         let batch = self.user.build_batch_query(keyword_sets, None, rng)?;
         let before = self.server.wire_stats();
         let reply = self.server.batch_query(&batch)?;
         record_exchange(
-            &ledger,
+            &mut ledger,
             Party::User,
             Party::Server,
             Phase::Search,
             (batch.bits(), reply.bits()),
             self.server.wire_stats().since(&before),
         );
+        self.ledger.merge_from(&ledger);
 
         Ok(reply
             .replies

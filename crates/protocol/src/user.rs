@@ -257,12 +257,6 @@ impl User {
     pub fn reset_counters(&mut self) {
         self.counters.reset();
     }
-
-    /// Number of bin keys cached so far.
-    #[cfg(test)]
-    fn cached_bins(&self) -> usize {
-        self.bin_keys.len()
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +287,10 @@ mod tests {
         let request = user.make_trapdoor_request(&keywords).expect("bins missing");
         let reply = owner.handle_trapdoor_request(&request).unwrap();
         user.ingest_trapdoor_reply(&reply).unwrap();
-        assert!(user.cached_bins() >= 1);
+        assert!(
+            user.make_trapdoor_request(&keywords).is_none(),
+            "every bin cached"
+        );
 
         for kw in keywords {
             let user_td = user.trapdoor_for(kw).unwrap();

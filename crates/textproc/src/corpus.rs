@@ -113,22 +113,6 @@ impl SyntheticCorpus {
         self.documents.is_empty()
     }
 
-    /// Sample `n` distinct keywords that occur in at least one document (useful for building
-    /// honest queries).
-    #[cfg(test)]
-    fn sample_present_keywords<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<String> {
-        let mut present: Vec<String> = self
-            .documents
-            .iter()
-            .flat_map(|d| d.terms.terms().into_iter().map(|s| s.to_string()))
-            .collect();
-        present.sort();
-        present.dedup();
-        present.shuffle(rng);
-        present.truncate(n);
-        present
-    }
-
     /// The documents that contain *all* of `keywords` (ground truth for false-accept and
     /// precision experiments).
     pub fn documents_containing_all(&self, keywords: &[&str]) -> Vec<u64> {
@@ -316,23 +300,6 @@ mod tests {
             frequency_model: FrequencyModel::Constant,
         };
         let _ = SyntheticCorpus::generate(&spec, &mut StdRng::seed_from_u64(0));
-    }
-
-    #[test]
-    fn sample_present_keywords_returns_indexed_terms() {
-        let spec = CorpusSpec {
-            num_documents: 10,
-            vocabulary_size: 100,
-            keywords_per_document: 5,
-            frequency_model: FrequencyModel::Constant,
-        };
-        let corpus = SyntheticCorpus::generate(&spec, &mut StdRng::seed_from_u64(4));
-        let mut rng = StdRng::seed_from_u64(5);
-        let sample = corpus.sample_present_keywords(3, &mut rng);
-        assert_eq!(sample.len(), 3);
-        for kw in &sample {
-            assert!(corpus.documents.iter().any(|d| d.terms.contains(kw)));
-        }
     }
 
     #[test]

@@ -22,15 +22,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
-/// Tokenize and keep only tokens of at least `min_len` characters.
-#[cfg(test)]
-fn tokenize_min_len(text: &str, min_len: usize) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| t.len() >= min_len)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,14 +53,6 @@ mod tests {
     #[test]
     fn numbers_are_tokens() {
         assert_eq!(tokenize("RSA-1024 modulus"), vec!["rsa", "1024", "modulus"]);
-    }
-
-    #[test]
-    fn min_len_filter() {
-        assert_eq!(
-            tokenize_min_len("a an the keyword", 3),
-            vec!["the", "keyword"]
-        );
     }
 
     #[test]

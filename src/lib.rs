@@ -154,13 +154,14 @@
 //!   All of this is a layout change only — matches, ranks, order,
 //!   `SearchStats` (row skipping happens *inside* one r-bit comparison, so
 //!   comparison counts are unchanged) and cache counters are byte-identical to
-//!   the AoS reference, enforced in release mode by
-//!   `mkse-core/tests/scanplane_equivalence.rs` in the sparse (paper-shaped)
-//!   and the dense (no dead row) regime alike, and by the engine rows of
-//!   `tests/oracle_matrix.rs` on multi-unit corpora. The `fig4b_search` bench's
+//!   the AoS reference: the plane is held to the reference loop in release
+//!   mode by `mkse-core/tests/scanplane_equivalence.rs`, in the sparse
+//!   (paper-shaped) and the dense (no dead row) regime alike, and the engine
+//!   over it to `CloudIndex` by the engine rows of `tests/oracle_matrix.rs`
+//!   on multi-unit corpora. The `fig4b_search` bench's
 //!   layout sweep writes `BENCH_scan.json` tracking ns/query across layouts and
 //!   shard counts.
-//! * **Batch sweep** ([`core::ScanPlane::scan_ranked_batch`]): the same sweep,
+//! * **Batch sweep** ([`core::ScanPlane::scan_ranked_batch_chunks`]): the same sweep,
 //!   chunk-major with the queries inside — there is one sweep, and a single
 //!   query is a batch of one. With a few rows per chunk left to read there is
 //!   no memory traffic for a fused kernel to amortise (`BENCH_batch.json`

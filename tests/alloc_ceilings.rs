@@ -5,7 +5,8 @@
 //! and a `BatchQuery` of 16 — over a 1k- and a 64k-document store of two
 //! shards, and holds each to the ceiling below; a warm cache hit is held to
 //! its bytes as well, so it copies what a reply cut to `top` can use, not a
-//! shard's whole list. Allocation counts are
+//! shard's whole list, and a warm batch of one query twice to its count, so
+//! the duplicate's lookups copy nothing. Allocation counts are
 //! deterministic for a given lane count, so they gate like any other test. A
 //! change may lower a ceiling — and should, once it removes allocations —
 //! while raising one must be named in the change that does it.
@@ -87,6 +88,12 @@ const CEILINGS: [(&str, [u64; 2], u64); 4] = [
 /// on both shards — scans nothing and deals no lane: at most this many
 /// allocations, one of them a copy of each shard's cached list.
 const HIT_ALLOCATIONS: u64 = 7;
+
+/// A warm batch of one query twice, every shard served from the cache, deals
+/// no lane: at most this many allocations at 1k and at 64k documents. Only
+/// the first position's lookups copy a list; the duplicate's lookups count
+/// their hits and copy nothing.
+const DUPLICATE_HIT_ALLOCATIONS: [u64; 2] = [11, 11];
 
 /// Bytes a warm hit allocates beside the matches it copies: the execution's
 /// bookkeeping and the reply (measured at 1k documents, where a shard's list
@@ -250,6 +257,20 @@ fn warm_queries_stay_under_their_allocation_ceilings() {
             over.push(format!(
                 "search_top_hit at {docs} documents: {allocations} allocations ({bytes} B) > \
                  {HIT_ALLOCATIONS} ({byte_ceiling} B)"
+            ));
+        }
+        // Both positions served: only the first copies each shard's list.
+        let pair = [engine_query.clone(), engine_query.clone()];
+        let (allocations, bytes) =
+            warm_cost(|| engine.search_batch_with_effects(&pair, &[Some(TOP); 2]));
+        let ceiling = DUPLICATE_HIT_ALLOCATIONS[size];
+        println!(
+            "duplicate_hit at {docs:>6} documents: {allocations:>4} allocations \
+             ({bytes} B), ceiling {ceiling}"
+        );
+        if allocations > ceiling {
+            over.push(format!(
+                "duplicate_hit at {docs} documents: {allocations} > {ceiling}"
             ));
         }
     }

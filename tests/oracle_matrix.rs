@@ -22,6 +22,12 @@
 //!
 //! A failure names its seed, row and op; the script depends on its seed
 //! alone, so a rerun replays it.
+//!
+//! The engine rows are the engine's only equivalence suite. Below them, the
+//! scan plane alone is held to the reference loop by
+//! `crates/core/tests/scanplane_equivalence.rs`; beside the hub rows, the
+//! hub's core is held, thread-free, by `mkse-net`'s
+//! `the_hub_core_scripts_enumerated`.
 
 use mkse::core::scanplane::CHUNK;
 use mkse::core::*;
@@ -519,7 +525,8 @@ fn journaling_hub(batch_window: Duration, batch_depth: usize) -> (HubHandle, Tel
 /// A shut-down hub's journal, replayed, gives every reply `got` holds; in the
 /// registry `s`, every journaled `Query` ran once through the batcher and the
 /// engine, one occupancy sample per flush, and every frame in was answered,
-/// connection by connection, in accept order.
+/// connection by connection, in accept order; registry and report count
+/// every connection.
 fn judge_hub(
     row: &str,
     hub: HubReport,
@@ -556,6 +563,7 @@ fn judge_hub(
     let counted = names.map(|name| s.counter(name));
     let want = [singles, singles + batched, frames, frames, connections];
     assert_eq!(counted, want, "{row}: queries, frames and connections");
+    assert_eq!(hub.connections, connections, "{row}: connections reported");
     let reasons = ["complete", "window", "depth", "barrier", "shutdown"];
     let flush = |reason| s.counter(&format!("batcher_flush_{reason}"));
     let flushes: u64 = reasons.map(flush).iter().sum();

@@ -32,26 +32,14 @@ fn query_size_is_independent_of_the_number_of_search_terms() {
     let few: Vec<&str> = corpus.documents[0].keywords().into_iter().take(1).collect();
     let many: Vec<&str> = corpus.documents[0].keywords().into_iter().take(6).collect();
 
-    let report_few = s.run_query(&few, 0, &mut rng).unwrap();
-    // Subtract the trapdoor phase (different bins) and the retrieval request: compare only the
-    // query transmission, which is the first Search-phase record.
-    let query_bits_few = report_few
-        .communication
-        .transmissions()
-        .iter()
-        .find(|t| t.from == Party::User && t.phase == Phase::Search)
-        .unwrap()
-        .bits;
-    let report_many = s.run_query(&many, 0, &mut rng).unwrap();
-    let query_bits_many = report_many
-        .communication
-        .transmissions()
-        .iter()
-        .find(|t| t.from == Party::User && t.phase == Phase::Search)
-        .unwrap()
-        .bits;
-    assert_eq!(query_bits_few, 448);
-    assert_eq!(query_bits_many, 448);
+    // θ = 0 retrieves nothing, so the query is the user's only Search-phase message.
+    for keywords in [&few, &many] {
+        let report = s.run_query(keywords, 0, &mut rng).unwrap();
+        assert_eq!(
+            report.communication.bits_sent(Party::User, Phase::Search),
+            448
+        );
+    }
 }
 
 #[test]
